@@ -21,7 +21,21 @@ use std::sync::Arc;
 /// An event scheduled for execution.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// A packet finishing reception at `to`.
+    /// A broadcast finishing reception at every neighbour of `from`: the
+    /// engine attempts one delivery per outgoing link, in link order.
+    /// One entry per transmission keeps the heap a neighbourhood's size
+    /// smaller than one entry per receiver would.
+    Broadcast {
+        /// Sender.
+        from: NodeId,
+        /// Packet payload.
+        data: Vec<u8>,
+        /// Metric classification.
+        kind: PacketKind,
+        /// Transmission id, for collision lookup.
+        tx_id: u64,
+    },
+    /// A packet finishing reception at the single receiver `to`.
     Deliver {
         /// Receiver.
         to: NodeId,
@@ -111,20 +125,6 @@ impl OrderKey {
             a: u64::from(node.0),
             b: u64::from(timer.0),
             c: generation,
-        }
-    }
-
-    /// The key of `event` when scheduled at `at`.
-    pub fn of(at: SimTime, event: &Event) -> Self {
-        match *event {
-            Event::Deliver {
-                to, from, tx_id, ..
-            } => OrderKey::deliver(at, to, from, tx_id),
-            Event::Timer {
-                node,
-                timer,
-                generation,
-            } => OrderKey::timer(at, node, timer, generation),
         }
     }
 }
@@ -254,21 +254,6 @@ mod tests {
         assert!(deliver < OrderKey::deliver(t, NodeId(1), NodeId(3), 0));
         // Time dominates class.
         assert!(timer < OrderKey::deliver(SimTime(101), NodeId(0), NodeId(0), 0));
-    }
-
-    #[test]
-    fn order_key_of_matches_constructors() {
-        let e = Event::Deliver {
-            to: NodeId(4),
-            from: NodeId(2),
-            data: Arc::new(vec![1]),
-            kind: PacketKind::Data,
-            tx_id: 77,
-        };
-        assert_eq!(
-            OrderKey::of(SimTime(5), &e),
-            OrderKey::deliver(SimTime(5), NodeId(4), NodeId(2), 77)
-        );
     }
 
     #[test]

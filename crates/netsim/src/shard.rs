@@ -43,6 +43,7 @@ use crate::capsule::{Capsule, CapsuleSpec, EngineDigest, RunDigest, SHARDED_ENGI
 use crate::energy::EnergyLedger;
 use crate::event::OrderKey;
 use crate::fault::{FaultEvent, PPM_ONE};
+use crate::medium::collision_horizon_us;
 use crate::metrics::Metrics;
 use crate::node::{Action, Context, NodeId, PacketKind, Protocol};
 use crate::noise::NoiseState;
@@ -599,6 +600,8 @@ struct Worker<'a, P, F> {
     queue: BinaryHeap<Reverse<Keyed>>,
     /// Known transmissions: local sends plus announced remote ones.
     txs: Vec<TxRec>,
+    /// Longest airtime among the transmissions ever known (µs).
+    longest_airtime: u64,
     /// Per-sender transmission counter; ids are `(node << 32) | count`.
     tx_counts: Vec<u64>,
     metrics: Metrics,
@@ -650,6 +653,7 @@ where
             timer_gens: HashMap::new(),
             queue: BinaryHeap::new(),
             txs: Vec::new(),
+            longest_airtime: 0,
             tx_counts: vec![0; n],
             metrics: Metrics::new(),
             energy: EnergyLedger::new(n),
@@ -834,8 +838,9 @@ where
             }
         }
         // Transmissions that can no longer overlap any delivery (same
-        // 400 ms horizon as the sequential medium).
-        let cutoff = (window.saturating_mul(self.plan.lookahead)).saturating_sub(400_000);
+        // horizon as the sequential medium).
+        let cutoff = (window.saturating_mul(self.plan.lookahead))
+            .saturating_sub(collision_horizon_us(self.longest_airtime));
         self.txs.retain(|t| t.end >= cutoff);
     }
 
@@ -880,14 +885,7 @@ where
             self.emit(loss(LossCause::Collision));
             return;
         }
-        let prr = self
-            .plan
-            .topology
-            .links_from(from)
-            .iter()
-            .find(|l| l.to == to)
-            .map(|l| l.prr)
-            .unwrap_or(0.0);
+        let prr = self.plan.topology.prr(from, to);
         let rng = self.rx_rngs[to.index()].as_mut().expect("local rx rng");
         let noise = self.noise[to.index()].as_mut().expect("local noise");
         let effective = prr * noise.factor_at(at, rng);
@@ -1069,6 +1067,12 @@ where
         }
     }
 
+    /// Adds `rec` to the table of known transmissions.
+    fn remember(&mut self, rec: TxRec) {
+        self.longest_airtime = self.longest_airtime.max(rec.end - rec.start);
+        self.txs.push(rec);
+    }
+
     fn broadcast(&mut self, from: NodeId, kind: PacketKind, data: Vec<u8>) {
         let i = from.index();
         if self.failed[i] {
@@ -1096,7 +1100,7 @@ where
             end,
             action_window,
         };
-        self.txs.push(rec);
+        self.remember(rec);
         self.emit(TraceEvent::Tx {
             at: SimTime(start),
             from,
@@ -1201,7 +1205,7 @@ where
                     }
                     // Local senders' records are already in the table.
                     if self.plan.assign[rec.from.index()] != self.sid {
-                        self.txs.push(rec);
+                        self.remember(rec);
                     }
                 }
             }

@@ -6,14 +6,13 @@ use crate::event::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan, PPM_ONE};
 use crate::medium::{Delivery, Medium, MediumConfig};
 use crate::metrics::Metrics;
-use crate::node::{Action, Context, NodeId, Protocol};
+use crate::node::{Action, Context, NodeId, PacketKind, Protocol, TimerId};
 use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{LossCause, RingTrace, TraceEvent, TraceSink};
 use crate::violation::{InvariantViolation, ViolationRecord};
 use lrs_rng::DetRng;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// Simulation-wide configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -113,7 +112,7 @@ pub struct DiagnosticDump {
     pub at: SimTime,
     /// Why the dump was taken.
     pub reason: String,
-    /// Pending events in the queue.
+    /// Pending deliveries and timer events.
     pub queue_len: usize,
     /// Pending *live* timers (superseded generations excluded).
     pub pending_timers: usize,
@@ -206,6 +205,12 @@ impl Default for LinkFault {
     }
 }
 
+/// Stall-watchdog state: the fleet's progress when last seen to advance.
+struct Watchdog {
+    progress: u128,
+    since: SimTime,
+}
+
 /// Per-delivery hook validating protocol invariants; an `Err` aborts
 /// the run with [`Outcome::InvariantViolated`].
 pub type InvariantChecker<P> = Box<dyn FnMut(&P, NodeId) -> Result<(), InvariantViolation>>;
@@ -217,13 +222,22 @@ pub struct Simulator<P: Protocol> {
     queue: EventQueue,
     protocols: Vec<Option<P>>,
     rngs: Vec<DetRng>,
-    timer_gens: HashMap<(u32, u32), u64>,
+    /// Per node, the arm generation of each timer it has touched.
+    timer_gens: Vec<Vec<(TimerId, u64)>>,
+    /// Action buffer reused across node callbacks.
+    actions: Vec<Action>,
+    /// Deliveries of the broadcast being delivered that have not been
+    /// attempted yet (still pending, for [`DiagnosticDump::queue_len`]).
+    batch_left: usize,
     metrics: Metrics,
     energy: EnergyLedger,
     now: SimTime,
     complete: Vec<bool>,
     /// Nodes currently crash-failed (a pending reboot can clear this).
     failed: Vec<bool>,
+    /// How many nodes still gate completion (see [`Self::gates`]); kept
+    /// in step wherever `complete`, `failed` or `faults` change.
+    gating: usize,
     /// Scheduled faults, applied as virtual time passes.
     faults: VecDeque<FaultEvent>,
     /// Fault overlay per directed link `(from, to)`.
@@ -279,12 +293,15 @@ impl<P: Protocol> Simulator<P> {
             queue: EventQueue::new(),
             protocols,
             rngs,
-            timer_gens: HashMap::new(),
+            timer_gens: vec![Vec::new(); n],
+            actions: Vec::new(),
+            batch_left: 0,
             metrics: Metrics::new(),
             energy: EnergyLedger::new(n),
             now: SimTime::ZERO,
             complete: vec![false; n],
             failed: vec![false; n],
+            gating: n,
             faults: VecDeque::new(),
             link_state: HashMap::new(),
             drift_ppm: vec![PPM_ONE; n],
@@ -399,6 +416,7 @@ impl<P: Protocol> Simulator<P> {
                     return;
                 }
                 self.failed[i] = true;
+                self.recount_gating();
                 self.emit(TraceEvent::Note {
                     at: self.now,
                     node,
@@ -415,13 +433,12 @@ impl<P: Protocol> Simulator<P> {
                 self.failed[i] = false;
                 self.reboots += 1;
                 // Timers armed before the crash died with the RAM.
-                for ((owner, _), gen) in self.timer_gens.iter_mut() {
-                    if *owner == node.0 {
-                        *gen += 1;
-                    }
+                for (_, gen) in &mut self.timer_gens[i] {
+                    *gen += 1;
                 }
                 // Completion is re-evaluated from what flash restored.
                 self.complete[i] = false;
+                self.recount_gating();
                 self.emit(TraceEvent::Note {
                     at: self.now,
                     node,
@@ -504,18 +521,20 @@ impl<P: Protocol> Simulator<P> {
                     node,
                     timer,
                     generation,
-                } => {
-                    !self.failed[node.index()]
-                        && *generation
-                            == self
-                                .timer_gens
-                                .get(&(node.0, timer.0))
-                                .copied()
-                                .unwrap_or(0)
-                }
+                } => !self.failed[node.index()] && *generation == self.timer_gen(*node, *timer),
                 _ => false,
             })
             .count();
+        // A queued broadcast stands for one pending delivery per link.
+        let queue_len = self.batch_left
+            + self
+                .queue
+                .iter()
+                .map(|(_, event)| match event {
+                    Event::Broadcast { from, .. } => self.topology.links_from(*from).len(),
+                    Event::Deliver { .. } | Event::Timer { .. } => 1,
+                })
+                .sum::<usize>();
         let nodes = self
             .protocols
             .iter()
@@ -531,7 +550,7 @@ impl<P: Protocol> Simulator<P> {
         DiagnosticDump {
             at: self.now,
             reason: reason.into(),
-            queue_len: self.queue.len(),
+            queue_len,
             pending_timers,
             nodes,
             recent: self.diag.events().cloned().collect(),
@@ -553,6 +572,7 @@ impl<P: Protocol> Simulator<P> {
             }
         }
         self.faults.make_contiguous().sort_by_key(FaultEvent::at);
+        self.recount_gating();
         // Faults at t = 0 (clock drift, pre-severed links) take effect
         // before node init, so the very first timer arm sees them.
         while self
@@ -569,9 +589,11 @@ impl<P: Protocol> Simulator<P> {
         }
         self.refresh_completion();
         let mut stopped = None;
-        let mut watch_progress = self.total_progress();
-        let mut watch_since = self.now;
-        while !self.all_complete() {
+        let mut watch = Watchdog {
+            progress: self.total_progress(),
+            since: self.now,
+        };
+        'run: while !self.all_complete() {
             // Faults are events too: a reboot must fire even if the
             // packet/timer queue has drained, and a crash scheduled
             // between two queued events applies at its exact time.
@@ -598,6 +620,33 @@ impl<P: Protocol> Simulator<P> {
             let (at, event) = self.queue.pop().expect("peeked");
             self.now = at;
             match event {
+                Event::Broadcast {
+                    from,
+                    data,
+                    kind,
+                    tx_id,
+                } => {
+                    // One delivery per link, in link order, with the
+                    // stop conditions re-checked after each, exactly as
+                    // if every link had an event of its own at `at`. No
+                    // fault can fall due in between (those at or before
+                    // `at` were applied above), and whatever a callback
+                    // schedules for `at` sorts after this whole entry.
+                    let links = self.topology.links_from(from).len();
+                    for i in 0..links {
+                        self.batch_left = links - i - 1;
+                        let link = self.topology.links_from(from)[i];
+                        if !self.deliver(link.to, from, &data, kind, tx_id, link.prr) {
+                            continue;
+                        }
+                        stopped = self.stop_check(&mut watch);
+                        if stopped.is_some() || self.all_complete() {
+                            // The rest of the batch is never delivered.
+                            break 'run;
+                        }
+                    }
+                    continue;
+                }
                 Event::Deliver {
                     to,
                     from,
@@ -605,59 +654,9 @@ impl<P: Protocol> Simulator<P> {
                     kind,
                     tx_id,
                 } => {
-                    if self.failed[to.index()] {
+                    let prr = self.topology.prr(from, to);
+                    if !self.deliver(to, from, &data, kind, tx_id, prr) {
                         continue;
-                    }
-                    let loss = |cause| TraceEvent::Loss {
-                        at,
-                        to,
-                        from,
-                        kind,
-                        cause,
-                        tx_id,
-                    };
-                    if self.fault_blocks_delivery(from, to) {
-                        self.metrics.count_phy_loss();
-                        self.emit(loss(LossCause::Fault));
-                        continue;
-                    }
-                    let outcome = self.medium.deliver(self.now, tx_id, to, &self.topology);
-                    match outcome {
-                        Delivery::Received => {
-                            self.metrics.count_rx(data.len());
-                            self.energy.record_rx(to, data.len());
-                            self.emit(TraceEvent::Rx {
-                                at,
-                                to,
-                                from,
-                                kind,
-                                bytes: data.len(),
-                                tx_id,
-                            });
-                            self.with_node(to.index(), |node, ctx| {
-                                node.on_packet(ctx, from, &data)
-                            });
-                            self.check_invariant(to);
-                        }
-                        Delivery::Collision => {
-                            self.metrics.count_collision();
-                            self.emit(loss(LossCause::Collision));
-                        }
-                        Delivery::PhyLoss => {
-                            self.metrics.count_phy_loss();
-                            self.emit(loss(LossCause::Phy));
-                        }
-                        Delivery::AppDrop => {
-                            // The radio decoded the packet; the drop is an
-                            // application-layer event (energy still paid).
-                            self.energy.record_rx(to, data.len());
-                            self.metrics.count_app_drop();
-                            self.emit(loss(LossCause::AppDrop));
-                        }
-                        Delivery::Pruned => {
-                            self.metrics.count_phy_loss();
-                            self.emit(loss(LossCause::Pruned));
-                        }
                     }
                 }
                 Event::Timer {
@@ -668,32 +667,15 @@ impl<P: Protocol> Simulator<P> {
                     if self.failed[node.index()] {
                         continue;
                     }
-                    let current = self
-                        .timer_gens
-                        .get(&(node.0, timer.0))
-                        .copied()
-                        .unwrap_or(0);
-                    if generation == current {
+                    if generation == self.timer_gen(node, timer) {
                         self.emit(TraceEvent::TimerFired { at, node, timer });
                         self.with_node(node.index(), |n, ctx| n.on_timer(ctx, timer));
                     }
                 }
             }
-            if self.violation.is_some() {
-                stopped = Some(Outcome::InvariantViolated);
+            stopped = self.stop_check(&mut watch);
+            if stopped.is_some() {
                 break;
-            }
-            if let Some(window) = self.stall_window {
-                if self.now.saturating_since(watch_since).as_micros() >= window.as_micros() {
-                    let p = self.total_progress();
-                    if p > watch_progress {
-                        watch_progress = p;
-                        watch_since = self.now;
-                    } else {
-                        stopped = Some(Outcome::Stalled);
-                        break;
-                    }
-                }
             }
         }
         let outcome = stopped.unwrap_or(if self.all_complete() {
@@ -787,14 +769,22 @@ impl<P: Protocol> Simulator<P> {
     /// Whether every node is complete or crash-failed (a dead node no
     /// longer gates completion).
     fn all_complete(&self) -> bool {
+        self.gating == 0
+    }
+
+    /// Whether node `i` still holds the run open.
+    fn gates(&self, i: usize) -> bool {
         // A crash-failed node only counts as "complete" if no reboot is
         // pending for it: a permanent casualty must not hold the run
         // open forever, but a node that is about to come back still has
         // dissemination work left.
-        self.complete
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| c || (self.failed[i] && !self.reboot_pending(NodeId(i as u32))))
+        !self.complete[i] && (!self.failed[i] || self.reboot_pending(NodeId(i as u32)))
+    }
+
+    /// Recomputes `gating` from scratch: after a crash or reboot, and
+    /// once the fault schedule is final.
+    fn recount_gating(&mut self) {
+        self.gating = (0..self.complete.len()).filter(|&i| self.gates(i)).count();
     }
 
     /// Whether the remaining fault schedule reboots `node`.
@@ -804,28 +794,141 @@ impl<P: Protocol> Simulator<P> {
             .any(|f| matches!(f, FaultEvent::Reboot { node: n, .. } if *n == node))
     }
 
+    /// Records that node `i` just reported completion.
+    fn mark_complete(&mut self, i: usize) {
+        if self.gates(i) {
+            self.gating -= 1;
+        }
+        self.complete[i] = true;
+        self.metrics.record_completion(NodeId(i as u32), self.now);
+        self.emit(TraceEvent::NodeComplete {
+            at: self.now,
+            node: NodeId(i as u32),
+        });
+    }
+
     fn refresh_completion(&mut self) {
         for i in 0..self.protocols.len() {
-            if !self.complete[i] {
-                if let Some(p) = self.protocols[i].as_ref() {
-                    if p.is_complete() {
-                        self.complete[i] = true;
-                        self.metrics.record_completion(NodeId(i as u32), self.now);
-                        self.emit(TraceEvent::NodeComplete {
-                            at: self.now,
-                            node: NodeId(i as u32),
-                        });
-                    }
-                }
+            if !self.complete[i] && self.protocols[i].as_ref().is_some_and(P::is_complete) {
+                self.mark_complete(i);
             }
         }
+    }
+
+    /// Current arm generation of `node`'s `timer` (0 if never touched).
+    fn timer_gen(&self, node: NodeId, timer: TimerId) -> u64 {
+        self.timer_gens[node.index()]
+            .iter()
+            .find(|(t, _)| *t == timer)
+            .map_or(0, |&(_, gen)| gen)
+    }
+
+    /// Bumps the generation of `node`'s `timer`, invalidating every
+    /// pending event for it, and returns the new generation.
+    fn bump_timer_gen(&mut self, node: NodeId, timer: TimerId) -> u64 {
+        let slots = &mut self.timer_gens[node.index()];
+        let slot = match slots.iter().position(|(t, _)| *t == timer) {
+            Some(slot) => slot,
+            None => {
+                slots.push((timer, 0));
+                slots.len() - 1
+            }
+        };
+        slots[slot].1 += 1;
+        slots[slot].1
+    }
+
+    /// The checks that follow every processed event: invariant abort
+    /// first, then the stall watchdog.
+    fn stop_check(&mut self, watch: &mut Watchdog) -> Option<Outcome> {
+        if self.violation.is_some() {
+            return Some(Outcome::InvariantViolated);
+        }
+        let window = self.stall_window?;
+        if self.now.saturating_since(watch.since).as_micros() >= window.as_micros() {
+            let progress = self.total_progress();
+            if progress <= watch.progress {
+                return Some(Outcome::Stalled);
+            }
+            watch.progress = progress;
+            watch.since = self.now;
+        }
+        None
+    }
+
+    /// One reception attempt, at `self.now`, of transmission `tx_id` at
+    /// `to` over a link of quality `prr`. Returns `false` when the
+    /// attempt is skipped outright (crashed receiver, fault-blocked
+    /// link): such an event is not followed by the stop checks.
+    fn deliver(
+        &mut self,
+        to: NodeId,
+        from: NodeId,
+        data: &[u8],
+        kind: PacketKind,
+        tx_id: u64,
+        prr: f64,
+    ) -> bool {
+        if self.failed[to.index()] {
+            return false;
+        }
+        let at = self.now;
+        let loss = |cause| TraceEvent::Loss {
+            at,
+            to,
+            from,
+            kind,
+            cause,
+            tx_id,
+        };
+        if self.fault_blocks_delivery(from, to) {
+            self.metrics.count_phy_loss();
+            self.emit(loss(LossCause::Fault));
+            return false;
+        }
+        match self.medium.deliver_link(at, tx_id, to, prr) {
+            Delivery::Received => {
+                self.metrics.count_rx(data.len());
+                self.energy.record_rx(to, data.len());
+                self.emit(TraceEvent::Rx {
+                    at,
+                    to,
+                    from,
+                    kind,
+                    bytes: data.len(),
+                    tx_id,
+                });
+                self.with_node(to.index(), |node, ctx| node.on_packet(ctx, from, data));
+                self.check_invariant(to);
+            }
+            Delivery::Collision => {
+                self.metrics.count_collision();
+                self.emit(loss(LossCause::Collision));
+            }
+            Delivery::PhyLoss => {
+                self.metrics.count_phy_loss();
+                self.emit(loss(LossCause::Phy));
+            }
+            Delivery::AppDrop => {
+                // The radio decoded the packet; the drop is an
+                // application-layer event (energy still paid).
+                self.energy.record_rx(to, data.len());
+                self.metrics.count_app_drop();
+                self.emit(loss(LossCause::AppDrop));
+            }
+            Delivery::Pruned => {
+                self.metrics.count_phy_loss();
+                self.emit(loss(LossCause::Pruned));
+            }
+        }
+        true
     }
 
     /// Runs `f` with node `i`'s protocol and a fresh context, then applies
     /// the produced actions.
     fn with_node(&mut self, i: usize, f: impl FnOnce(&mut P, &mut Context<'_>)) {
         let mut node = self.protocols[i].take().expect("re-entrant node callback");
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let cfg = self.medium.config();
             let mut ctx = Context::new(
@@ -840,17 +943,13 @@ impl<P: Protocol> Simulator<P> {
         }
         // Completion check before re-inserting.
         if !self.complete[i] && node.is_complete() {
-            self.complete[i] = true;
-            self.metrics.record_completion(NodeId(i as u32), self.now);
-            self.emit(TraceEvent::NodeComplete {
-                at: self.now,
-                node: NodeId(i as u32),
-            });
+            self.mark_complete(i);
         }
         self.protocols[i] = Some(node);
-        for action in actions {
+        for action in actions.drain(..) {
             self.apply_action(NodeId(i as u32), action);
         }
+        self.actions = actions;
     }
 
     fn apply_action(&mut self, from: NodeId, action: Action) {
@@ -871,14 +970,15 @@ impl<P: Protocol> Simulator<P> {
                     bytes: data.len(),
                     tx_id: tx.id,
                 });
-                let shared = Arc::new(data);
-                for link in self.topology.links_from(from) {
+                // One entry stands for the delivery to every neighbour. A
+                // sender nobody hears schedules nothing: an empty event
+                // would still move the clock of a draining run.
+                if !self.topology.links_from(from).is_empty() {
                     self.queue.push(
                         tx.end,
-                        Event::Deliver {
-                            to: link.to,
+                        Event::Broadcast {
                             from,
-                            data: Arc::clone(&shared),
+                            data,
                             kind,
                             tx_id: tx.id,
                         },
@@ -895,20 +995,18 @@ impl<P: Protocol> Simulator<P> {
                         (delay.as_micros() as u128 * ppm as u128 / PPM_ONE as u128) as u64,
                     )
                 };
-                let gen = self.timer_gens.entry((from.0, timer.0)).or_insert(0);
-                *gen += 1;
+                let generation = self.bump_timer_gen(from, timer);
                 self.queue.push(
                     self.now + delay,
                     Event::Timer {
                         node: from,
                         timer,
-                        generation: *gen,
+                        generation,
                     },
                 );
             }
             Action::CancelTimer { timer } => {
-                // Bumping the generation invalidates any pending event.
-                *self.timer_gens.entry((from.0, timer.0)).or_insert(0) += 1;
+                self.bump_timer_gen(from, timer);
             }
             Action::Note { label, a, b } => {
                 self.emit(TraceEvent::Note {
@@ -927,7 +1025,6 @@ impl<P: Protocol> Simulator<P> {
 mod tests {
     use super::*;
     use crate::builder::SimBuilder;
-    use crate::node::{PacketKind, TimerId};
 
     #[test]
     fn diagnostic_outcomes_are_exactly_the_capsule_dump_triggers() {
@@ -980,10 +1077,15 @@ mod tests {
     }
 
     fn pinger_sim_with(seed: u64, config: SimConfig) -> Simulator<Pinger> {
-        SimBuilder::new(Topology::star(4), seed, |id| Pinger {
+        pinger_sim_goals(seed, config, [3; 4])
+    }
+
+    /// A star of four whose node `i` needs `goals[i]` pings.
+    fn pinger_sim_goals(seed: u64, config: SimConfig, goals: [u32; 4]) -> Simulator<Pinger> {
+        SimBuilder::new(Topology::star(4), seed, |id: NodeId| Pinger {
             is_source: id == NodeId(0),
             pings_heard: 0,
-            goal: 3,
+            goal: goals[id.index()],
         })
         .config(config)
         .build()
@@ -1159,13 +1261,169 @@ mod tests {
         let report = sim.run(Duration::from_secs(60));
         assert_eq!(report.outcome, Outcome::InvariantViolated);
         let record = sim.invariant_violation().expect("violation");
-        assert_ne!(record.node, NodeId(0));
+        // The abort lands inside the second broadcast: its first
+        // receiver trips the checker and the other two never hear it.
+        assert_eq!(record.node, NodeId(1));
+        assert_eq!(sim.metrics().rx_packets(), 4);
         assert!(record.violation.to_string().contains("pings_heard"));
         let json = report.diagnostic.expect("dump").to_json();
         assert!(json.contains("invariant violated"));
         // The violation is serialized structurally, not only as a string.
         assert!(json.contains(r#""violation":{"t":"#), "{json}");
         assert!(json.contains(r#""kind":"custom""#), "{json}");
+    }
+
+    #[test]
+    fn run_completing_on_a_middle_link_skips_the_rest_of_the_broadcast() {
+        // Node 3 is done after two pings, so the third ping completes
+        // the run at node 2 and node 3's copy is never delivered.
+        let mut sim = pinger_sim_goals(1, SimConfig::default(), [0, 3, 3, 2]);
+        let report = sim.run(Duration::from_secs(60));
+        assert_eq!(report.outcome, Outcome::Complete);
+        assert_eq!(sim.metrics().tx_packets(PacketKind::Data), 3);
+        assert_eq!(sim.metrics().rx_packets(), 8);
+        assert_eq!(sim.node(NodeId(3)).pings_heard, 2);
+    }
+
+    #[test]
+    fn crashed_middle_receiver_skips_only_its_own_delivery() {
+        let mut sim = pinger_sim(1);
+        sim.schedule_failure(NodeId(2), SimTime(500_000));
+        let report = sim.run(Duration::from_secs(60));
+        assert_eq!(report.outcome, Outcome::Complete);
+        assert_eq!(sim.metrics().rx_packets(), 6);
+        let heard = |n| sim.node(NodeId(n)).pings_heard;
+        assert_eq!([heard(1), heard(2), heard(3)], [3, 0, 3]);
+    }
+
+    #[test]
+    fn downed_middle_link_skips_only_its_own_delivery() {
+        // Node 2 misses the first two pings, so it needs pings 3 to 5;
+        // the fifth completes the run before node 3's copy of it.
+        let mut plan = FaultPlan::new();
+        plan.link_outage(
+            NodeId(0),
+            NodeId(2),
+            SimTime::ZERO,
+            Duration::from_millis(2500),
+        );
+        let mut sim = pinger_sim(1);
+        sim.inject_faults(&plan);
+        let report = sim.run(Duration::from_secs(60));
+        assert_eq!(report.outcome, Outcome::Complete);
+        let heard = |n| sim.node(NodeId(n)).pings_heard;
+        assert_eq!([heard(1), heard(2), heard(3)], [5, 3, 4]);
+        assert_eq!(sim.metrics().rx_packets(), 12);
+        assert_eq!(sim.metrics().phy_losses(), 2);
+    }
+
+    /// Node 0 pings every second; the others count pings but never
+    /// report progress.
+    struct Idler {
+        is_source: bool,
+        heard: u32,
+    }
+    impl Protocol for Idler {
+        fn on_init(&mut self, ctx: &mut Context<'_>) {
+            if self.is_source {
+                ctx.set_timer(TimerId(0), Duration::from_secs(1));
+            }
+        }
+        fn on_packet(&mut self, _: &mut Context<'_>, _: NodeId, _: &[u8]) {
+            self.heard += 1;
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerId) {
+            ctx.broadcast(PacketKind::Data, vec![0xAB; 20]);
+            ctx.set_timer(TimerId(0), Duration::from_secs(1));
+        }
+        fn is_complete(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn watchdog_trips_between_two_deliveries_of_one_broadcast() {
+        // The window ends after the 2 s timer but before the second
+        // ping lands (airtime alone is 10 ms), so the first check that
+        // can trip follows that ping's first delivery.
+        let config = SimConfig {
+            stall_window: Some(Duration::from_millis(2005)),
+            ..SimConfig::default()
+        };
+        let mut sim = SimBuilder::new(Topology::star(4), 1, |id| Idler {
+            is_source: id == NodeId(0),
+            heard: 0,
+        })
+        .config(config)
+        .build();
+        let report = sim.run(Duration::from_secs(60));
+        assert_eq!(report.outcome, Outcome::Stalled);
+        assert_eq!(sim.metrics().rx_packets(), 4);
+        let heard = |n| sim.node(NodeId(n)).heard;
+        assert_eq!([heard(1), heard(2), heard(3)], [2, 1, 1]);
+        // Still pending: the ping's other two deliveries and the 3 s timer.
+        let dump = report.diagnostic.expect("stall dump");
+        assert_eq!(dump.queue_len, 3);
+        assert_eq!(dump.pending_timers, 1);
+    }
+
+    #[test]
+    fn queue_len_counts_one_pending_delivery_per_link() {
+        // Stop with the first ping on the air: three deliveries and the
+        // re-armed timer are pending, in two heap entries.
+        let mut sim = pinger_sim(1);
+        let report = sim.run(Duration::from_millis(1005));
+        assert_eq!(report.outcome, Outcome::TimedOut);
+        let dump = sim.dump("probe");
+        assert_eq!(dump.queue_len, 4);
+        assert_eq!(dump.pending_timers, 1);
+    }
+
+    #[test]
+    fn single_receiver_deliver_event_takes_the_same_path() {
+        let mut sim = pinger_sim(1);
+        let tx = sim
+            .medium
+            .begin_broadcast(SimTime::ZERO, NodeId(0), 20, &sim.topology);
+        sim.queue.push(
+            tx.end,
+            Event::Deliver {
+                to: NodeId(2),
+                from: NodeId(0),
+                data: std::sync::Arc::new(vec![0xAB; 20]),
+                kind: PacketKind::Data,
+                tx_id: tx.id,
+            },
+        );
+        let report = sim.run(Duration::from_millis(500));
+        assert_eq!(report.outcome, Outcome::TimedOut);
+        assert_eq!(sim.metrics().rx_packets(), 1);
+        assert_eq!(sim.node(NodeId(2)).pings_heard, 1);
+    }
+
+    /// A node nobody can hear, broadcasting once.
+    struct Lonely;
+    impl Protocol for Lonely {
+        fn on_init(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(TimerId(0), Duration::from_secs(1));
+        }
+        fn on_packet(&mut self, _: &mut Context<'_>, _: NodeId, _: &[u8]) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerId) {
+            ctx.broadcast(PacketKind::Data, vec![0xAB; 20]);
+        }
+        fn is_complete(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn broadcast_without_neighbours_schedules_nothing() {
+        let mut sim = SimBuilder::new(Topology::star(1), 0, |_| Lonely).build();
+        let report = sim.run(Duration::from_secs(10));
+        assert_eq!(report.outcome, Outcome::Drained);
+        assert_eq!(sim.metrics().tx_packets(PacketKind::Data), 1);
+        // The run ends at the timer, not at the end of an unheard airtime.
+        assert_eq!(report.final_time, SimTime(1_000_000));
     }
 
     /// A node whose re-armed timer must fire only once.

@@ -252,6 +252,15 @@ impl Topology {
         self.links[a.index()].iter().any(|l| l.to == b)
     }
 
+    /// Packet-reception ratio of the link from `from` to `to` (0 when
+    /// `to` cannot hear `from`).
+    pub fn prr(&self, from: NodeId, to: NodeId) -> f64 {
+        self.links[from.index()]
+            .iter()
+            .find(|l| l.to == to)
+            .map_or(0.0, |l| l.prr)
+    }
+
     /// Average out-degree (diagnostic for density classification).
     pub fn mean_degree(&self) -> f64 {
         if self.positions.is_empty() {
