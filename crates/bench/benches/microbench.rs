@@ -16,12 +16,13 @@
 //!   committed `BENCH_micro.json` baseline; see EXPERIMENTS.md)
 
 use lr_seluge::GreedyRoundRobinPolicy;
+use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::merkle::MerkleTree;
 use lrs_crypto::schnorr::Keypair;
-use lrs_crypto::sha256::sha256;
+use lrs_crypto::sha256::{sha256, Sha256};
 use lrs_crypto::sha256_mb::{sha256_batch, ShaKernel};
 use lrs_deluge::policy::{TxPolicy, UnionPolicy};
-use lrs_deluge::wire::BitVec;
+use lrs_deluge::wire::{BitVec, Message};
 use lrs_erasure::gf256::{slice_mul_add_assign, Gf};
 use lrs_erasure::kernel::Kernel;
 use lrs_erasure::matrix::Matrix;
@@ -96,6 +97,25 @@ fn bench_sha256() {
             black_box(sha256(black_box(&data)));
         });
     }
+    // What one data-packet reception costs: the packet's header fields
+    // and 72-byte payload through the one-message-at-a-time hasher.
+    // The dispatched entry shows what production code gets; the pinned
+    // ones isolate the scalar reference (under any of the batch-only
+    // kernels) and SHA-NI.
+    let payload = vec![0xabu8; 72];
+    bench("sha256/single_72B", 72, || {
+        black_box(lr_seluge::packet_hash(1, 2, 7, black_box(&payload)));
+    });
+    for k in [ShaKernel::Sequential, ShaKernel::ShaNi] {
+        if !k.is_supported() {
+            continue;
+        }
+        bench(&format!("sha256/single_{}_72B", k.name()), 72, || {
+            let mut h = Sha256::with_kernel(k);
+            h.update(black_box(&payload));
+            black_box(h.finalize());
+        });
+    }
     // Multi-buffer hashing: 8 independent 1 KiB messages per call. The
     // interesting comparison is against 8x `sha256/1024B` — the batch
     // amortises the message schedule across lanes.
@@ -103,6 +123,16 @@ fn bench_sha256() {
     let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
     bench("sha256/batch8_1024B", (8 * 1024) as u64, || {
         black_box(sha256_batch(black_box(&refs)));
+    });
+}
+
+fn bench_cluster_mac() {
+    // The per-reception cost of a control packet: the cluster-key MAC
+    // over an advertisement's 15 authenticated bytes.
+    let key = ClusterKey::derive(b"bench", 0);
+    let adv = Message::adv_mac_parts(NodeId(9), 1, 4);
+    bench("hmac/cluster_tag_adv", 0, || {
+        black_box(key.tag(black_box(&[&b"adv"[..], &adv[0], &adv[1], &adv[2]])));
     });
 }
 
@@ -154,6 +184,11 @@ fn bench_matrix() {
 }
 
 fn bench_reed_solomon() {
+    // Constructing the code, as every node of a simulated fleet does
+    // (after the first call this is a lookup of the shared generator).
+    bench("rs/new_32_48", 0, || {
+        black_box(ReedSolomon::new(black_box(32), 48).unwrap());
+    });
     // The paper's page shape: k = 32, n = 48, 72-byte blocks.
     let code = ReedSolomon::new(32, 48).unwrap();
     let blocks: Vec<Vec<u8>> = (0..32)
@@ -300,6 +335,7 @@ fn main() {
         "benchmark", "median latency", "throughput"
     );
     bench_sha256();
+    bench_cluster_mac();
     bench_gf_kernels();
     bench_matrix();
     bench_reed_solomon();

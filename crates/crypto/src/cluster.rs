@@ -9,7 +9,7 @@
 //! not — and provide MAC generation/verification with a truncated tag as
 //! carried on the air.
 
-use crate::hmac::hmac_sha256_parts;
+use crate::hmac::{hmac_sha256_parts, HmacKey};
 
 /// Truncated MAC tag length in bytes as carried in control packets.
 pub const MAC_LEN: usize = 4;
@@ -19,6 +19,13 @@ pub const MAC_LEN: usize = 4;
 pub struct MacTag(pub [u8; MAC_LEN]);
 
 /// A shared cluster key.
+///
+/// Besides the key it holds the key's [`HmacKey`] midstates, computed
+/// once at [`derive`](Self::derive)/[`from_raw`](Self::from_raw): a
+/// cache of a pure function of the key, so tags are bit-identical to
+/// `hmac_sha256_parts(key, parts)` while each one costs two
+/// compressions instead of four. Keys are always 32 bytes, so HMAC's
+/// hash-the-long-key case never arises here.
 ///
 /// # Example
 ///
@@ -32,6 +39,7 @@ pub struct MacTag(pub [u8; MAC_LEN]);
 #[derive(Clone, PartialEq, Eq)]
 pub struct ClusterKey {
     key: [u8; 32],
+    mac: HmacKey,
 }
 
 impl std::fmt::Debug for ClusterKey {
@@ -45,18 +53,22 @@ impl ClusterKey {
     /// secret (stands in for the key-establishment protocol's output).
     pub fn derive(master: &[u8], cluster_id: u32) -> Self {
         let d = hmac_sha256_parts(master, &[b"cluster", &cluster_id.to_be_bytes()]);
-        ClusterKey { key: d.0 }
+        Self::from_raw(d.0)
     }
 
     /// Wraps already-derived key material (used by the LEAP pairwise
     /// keys, which share this MAC interface).
     pub fn from_raw(key: [u8; 32]) -> Self {
-        ClusterKey { key }
+        ClusterKey {
+            key,
+            mac: HmacKey::new(&key),
+        }
     }
 
     /// Computes the truncated MAC tag over the packet `parts`.
     pub fn tag(&self, parts: &[&[u8]]) -> MacTag {
-        let d = hmac_sha256_parts(&self.key, parts);
+        let d = self.mac.mac_parts(parts);
+        debug_assert_eq!(d, hmac_sha256_parts(&self.key, parts));
         let mut out = [0u8; MAC_LEN];
         out.copy_from_slice(&d.0[..MAC_LEN]);
         MacTag(out)

@@ -24,8 +24,8 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     hmac_sha256_parts(key, &[message])
 }
 
-/// HMAC over the concatenation of several message parts.
-pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
+/// The key's inner and outer pad blocks (`K' ^ ipad`, `K' ^ opad`).
+fn pads(key: &[u8]) -> ([u8; BLOCK_LEN], [u8; BLOCK_LEN]) {
     let mut key_block = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         let d = crate::sha256::sha256(key);
@@ -33,13 +33,16 @@ pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
     } else {
         key_block[..key.len()].copy_from_slice(key);
     }
+    (key_block.map(|b| b ^ 0x36), key_block.map(|b| b ^ 0x5c))
+}
 
-    let mut ipad = [0u8; BLOCK_LEN];
-    let mut opad = [0u8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] = key_block[i] ^ 0x36;
-        opad[i] = key_block[i] ^ 0x5c;
-    }
+/// HMAC over the concatenation of several message parts.
+///
+/// This is the reference: it rebuilds both pads and hashes them on
+/// every call. Callers that MAC many messages under one key hold an
+/// [`HmacKey`] instead.
+pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
+    let (ipad, opad) = pads(key);
 
     let mut inner = Sha256::new();
     inner.update(&ipad);
@@ -54,9 +57,71 @@ pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
     outer.finalize()
 }
 
+/// An HMAC-SHA-256 key with its pad blocks already absorbed.
+///
+/// The first block of both the inner and the outer hash is the padded
+/// key, so the two chaining states after it are a pure function of the
+/// key. Computing them once and resuming from them gives exactly the
+/// tag [`hmac_sha256_parts`] gives, for two fewer compressions per MAC
+/// (half of them for a control packet) and no per-call pad
+/// construction.
+///
+/// # Example
+///
+/// ```
+/// use lrs_crypto::hmac::{hmac_sha256_parts, HmacKey};
+/// let key = HmacKey::new(b"cluster key");
+/// assert_eq!(
+///     key.mac_parts(&[b"ADV ", b"v=2"]),
+///     hmac_sha256_parts(b"cluster key", &[b"ADV ", b"v=2"])
+/// );
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The midstates are key-equivalent for forging: print neither.
+        write!(f, "HmacKey(…)")
+    }
+}
+
+impl HmacKey {
+    /// Absorbs `key`'s pad blocks (keys longer than the block are
+    /// hashed first, as in [`hmac_sha256`]).
+    pub fn new(key: &[u8]) -> Self {
+        let (ipad, opad) = pads(key);
+        let after = |pad: &[u8; BLOCK_LEN]| {
+            let mut h = Sha256::new();
+            h.update(pad);
+            h.midstate()
+        };
+        HmacKey {
+            inner: after(&ipad),
+            outer: after(&opad),
+        }
+    }
+
+    /// HMAC over the concatenation of `parts`.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        let inner = Sha256::resume(self.inner, BLOCK_LEN as u64).finalize_parts(parts);
+        Sha256::resume(self.outer, BLOCK_LEN as u64).finalize_parts(&[&inner.0])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference MAC, after checking the midstate path agrees.
+    fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+        let tag = super::hmac_sha256(key, message);
+        assert_eq!(HmacKey::new(key).mac_parts(&[message]), tag);
+        tag
+    }
 
     // RFC 4231 test vectors.
     #[test]

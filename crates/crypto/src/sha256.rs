@@ -6,6 +6,7 @@
 //! message-specific puzzles, and as the compression primitive inside HMAC.
 
 use crate::hash::Digest;
+use crate::sha256_mb::ShaKernel;
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes.
@@ -45,6 +46,11 @@ pub struct Sha256 {
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
+    /// Compress with the SHA-NI kernel instead of the scalar reference.
+    /// Private, and only ever set from a [`ShaKernel::ShaNi`] whose
+    /// `is_supported()` held: the `unsafe` call in `compress_blocks`
+    /// relies on that.
+    shani: bool,
 }
 
 impl Default for Sha256 {
@@ -54,14 +60,53 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a hasher in the standard initial state.
+    /// Creates a hasher in the standard initial state, compressing with
+    /// the process-wide [`ShaKernel::active`] configuration.
     pub fn new() -> Self {
+        Self::resume(H0, 0)
+    }
+
+    /// Creates a hasher pinned to `kernel`'s single-stream compression
+    /// function: SHA-NI under [`ShaKernel::ShaNi`], the scalar reference
+    /// under every other kernel (those only differ in how *batches* are
+    /// hashed). The property suite pins each path through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU cannot run `kernel`.
+    pub fn with_kernel(kernel: ShaKernel) -> Self {
+        assert!(
+            kernel.is_supported(),
+            "SHA kernel {} is not supported on this CPU",
+            kernel.name()
+        );
+        Self::start(H0, 0, kernel)
+    }
+
+    /// Resumes from a chaining `state` reached after absorbing
+    /// `absorbed` bytes (a multiple of the block length): how a keyed
+    /// HMAC skips its fixed pad block.
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0, "midstates sit on block boundaries");
+        // `active()` only ever returns a supported kernel.
+        Self::start(state, absorbed, ShaKernel::active())
+    }
+
+    /// `kernel` must be supported on this CPU.
+    fn start(state: [u32; 8], total_len: u64, kernel: ShaKernel) -> Self {
         Sha256 {
-            state: H0,
+            state,
             buf: [0u8; 64],
             buf_len: 0,
-            total_len: 0,
+            total_len,
+            shani: kernel == ShaKernel::ShaNi,
         }
+    }
+
+    /// The chaining state; meaningful on a block boundary only.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "midstates sit on block boundaries");
+        self.state
     }
 
     /// Absorbs `data` into the hash state.
@@ -73,22 +118,25 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress_blocks(self.shani, &mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Whole blocks are compressed straight from the caller's slice.
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        compress_blocks(self.shani, &mut self.state, blocks);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
+    }
+
+    /// Absorbs every part in order, then finishes.
+    pub(crate) fn finalize_parts(mut self, parts: &[&[u8]]) -> Digest {
+        for p in parts {
+            self.update(p);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.finalize()
     }
 
     /// Finishes the computation, returning the 32-byte digest.
@@ -111,15 +159,30 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
+/// Compresses every 64-byte block of `blocks` (a whole number of them)
+/// into `state`, with the SHA-NI kernel when `shani` is set and the
+/// scalar reference otherwise.
+fn compress_blocks(shani: bool, state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if shani {
+        // SAFETY: `shani` is only set from `ShaKernel::ShaNi` after its
+        // `is_supported()` confirmed the `sha`, `ssse3` and `sse4.1`
+        // CPU features (`Sha256::with_kernel` asserts it, and
+        // `ShaKernel::active` never returns an unsupported kernel).
+        return unsafe { shani::compress(state, blocks) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    debug_assert!(!shani, "ShaNi is never supported off x86_64");
+    for block in blocks.chunks_exact(64) {
+        compress_block(state, block.try_into().expect("chunks_exact(64)"));
     }
 }
 
 /// One SHA-256 compression round over `block`, updating `state` in
-/// place. Shared by the incremental hasher and the multi-buffer batch
-/// kernels in [`crate::sha256_mb`].
+/// place: the scalar reference every other kernel is pinned against.
 pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -164,6 +227,92 @@ pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// The single-stream SHA-NI kernel: the x86 SHA extensions run four
+/// rounds per `sha256rnds2` pair and the message schedule in
+/// `sha256msg1`/`sha256msg2`, so one message's dependency chain costs
+/// about a third of the scalar loop.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use core::arch::x86_64::*;
+
+    /// Compresses every 64-byte block of `blocks` into `state`, which
+    /// stays in two `xmm` registers (as `ABEF`/`CDGH`, the layout
+    /// `sha256rnds2` wants) from the first block to the last.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified the `sha`, `ssse3` and `sse4.1` CPU
+    /// features. (A trailing partial block in `blocks` is ignored, not
+    /// read past: every load stays inside a `chunks_exact(64)` chunk.)
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        // Big-endian message words: reverse the bytes of each u32 lane.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let dcba = _mm_loadu_si128(state.as_ptr() as *const __m128i);
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4) as *const __m128i);
+        let cdab = _mm_shuffle_epi32::<0xB1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1B>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xF0>(efgh, cdab);
+
+        /// Rounds `4g .. 4g + 4` over the four schedule words in `$w`.
+        macro_rules! rounds4 {
+            ($w:expr, $g:expr) => {{
+                let k = _mm_loadu_si128(K.as_ptr().add(4 * $g) as *const __m128i);
+                let wk = _mm_add_epi32($w, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            }};
+        }
+        /// The next four schedule words from the previous sixteen
+        /// (`$w0` oldest .. `$w3` newest).
+        macro_rules! schedule {
+            ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+                _mm_sha256msg2_epu32(
+                    _mm_add_epi32(
+                        _mm_sha256msg1_epu32($w0, $w1),
+                        _mm_alignr_epi8::<4>($w3, $w2),
+                    ),
+                    $w3,
+                )
+            };
+        }
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr() as *const __m128i;
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(p), be);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), be);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), be);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), be);
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            for g in [4, 8, 12] {
+                w0 = schedule!(w0, w1, w2, w3);
+                rounds4!(w0, g);
+                w1 = schedule!(w1, w2, w3, w0);
+                rounds4!(w1, g + 1);
+                w2 = schedule!(w2, w3, w0, w1);
+                rounds4!(w2, g + 2);
+                w3 = schedule!(w3, w0, w1, w2);
+                rounds4!(w3, g + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+        let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+        _mm_storeu_si128(state.as_mut_ptr() as *mut __m128i, dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4) as *mut __m128i, hgfe);
+    }
+}
+
 /// One-shot SHA-256 of `data`.
 ///
 /// # Example
@@ -184,11 +333,7 @@ pub fn sha256(data: &[u8]) -> Digest {
 /// SHA-256 over the concatenation of several byte slices, avoiding an
 /// intermediate allocation.
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
-    let mut h = Sha256::new();
-    for p in parts {
-        h.update(p);
-    }
-    h.finalize()
+    Sha256::new().finalize_parts(parts)
 }
 
 #[cfg(test)]
@@ -256,6 +401,30 @@ mod tests {
         joined.extend_from_slice(b);
         joined.extend_from_slice(c);
         assert_eq!(sha256_concat(&[a, b, c]), sha256(&joined));
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn shani_compress_matches_scalar_block_by_block() {
+        if !ShaKernel::ShaNi.is_supported() {
+            eprintln!("shani_compress_matches_scalar_block_by_block: skipped, CPU lacks `sha`");
+            return;
+        }
+        let mut rng = lrs_rng::DetRng::seed_from_u64(0x7368_616e);
+        for _ in 0..500 {
+            // Arbitrary chaining states, not only ones reachable from H0.
+            let start: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let mut blocks = vec![0u8; 64 * rng.gen_range(0usize..5)];
+            rng.fill_bytes(&mut blocks);
+            let mut want = start;
+            for block in blocks.chunks_exact(64) {
+                compress_block(&mut want, block.try_into().unwrap());
+            }
+            let mut got = start;
+            // SAFETY: `ShaNi.is_supported()` was checked above.
+            unsafe { shani::compress(&mut got, &blocks) };
+            assert_eq!(got, want, "{} blocks", blocks.len() / 64);
+        }
     }
 
     #[test]

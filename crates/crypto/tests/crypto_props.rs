@@ -3,11 +3,13 @@
 //! this environment, so `proptest` is unavailable).
 
 use lrs_crypto::bignum::U256;
+use lrs_crypto::cluster::{ClusterKey, MAC_LEN};
 use lrs_crypto::ec::{fadd, finv, fmul, fsub, generator, mul_generator, Jacobian};
-use lrs_crypto::hash::{hash_image, hash_image_batch};
+use lrs_crypto::hash::{hash_image, hash_image_batch, Digest};
+use lrs_crypto::hmac::hmac_sha256_parts;
 use lrs_crypto::merkle::MerkleTree;
 use lrs_crypto::schnorr::Keypair;
-use lrs_crypto::sha256::sha256;
+use lrs_crypto::sha256::{sha256, sha256_concat, Sha256};
 use lrs_crypto::sha256_mb::{sha256_batch, sha256_batch_parts_with, ShaKernel};
 use lrs_rng::DetRng;
 
@@ -226,5 +228,135 @@ fn hash_image_batch_matches_hash_image() {
     let batched = hash_image_batch(&parts);
     for (p, b) in parts.iter().zip(&batched) {
         assert_eq!(hash_image(p), *b);
+    }
+}
+
+/// `parts` through `kernel`'s one-message-at-a-time hasher.
+fn single_stream(kernel: ShaKernel, parts: &[&[u8]]) -> Digest {
+    let mut h = Sha256::with_kernel(kernel);
+    for p in parts {
+        h.update(p);
+    }
+    h.finalize()
+}
+
+/// The kernels to pin, saying so when SHA-NI is not among them.
+fn kernels_under_test(test: &str) -> Vec<ShaKernel> {
+    if !ShaKernel::ShaNi.is_supported() {
+        eprintln!("{test}: this CPU lacks the SHA extensions, the shani kernel is skipped");
+    }
+    ShaKernel::supported()
+}
+
+#[test]
+fn single_stream_nist_vectors_on_every_kernel() {
+    let million_a = vec![b'a'; 1_000_000];
+    let vectors: [(&[u8], &str); 4] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            &million_a,
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+        ),
+    ];
+    for kernel in kernels_under_test("single_stream_nist_vectors_on_every_kernel") {
+        for (msg, want) in vectors {
+            assert_eq!(
+                single_stream(kernel, &[msg]).to_hex(),
+                want,
+                "kernel {} len {}",
+                kernel.name(),
+                msg.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn single_stream_matches_scalar_at_every_length_and_split() {
+    // Every length that pads to one through five blocks, cut into two
+    // `update` calls at every position, read from a subslice that sits
+    // at every alignment mod 8: buffered tails, whole blocks taken
+    // straight from the caller's slice, and the padding block all meet
+    // every boundary.
+    let mut rng = DetRng::seed_from_u64(0x5348_414e);
+    let mut backing = vec![0u8; 300 + 8];
+    rng.fill_bytes(&mut backing);
+    let kernels = kernels_under_test("single_stream_matches_scalar_at_every_length_and_split");
+    for len in 0..=300usize {
+        let data = &backing[len % 8..len % 8 + len];
+        let want = single_stream(ShaKernel::Sequential, &[data]);
+        for &kernel in &kernels {
+            for split in 0..=len {
+                assert_eq!(
+                    single_stream(kernel, &[&data[..split], &data[split..]]),
+                    want,
+                    "kernel {} len {len} split {split}",
+                    kernel.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn concat_and_hash_image_match_scalar_on_random_parts() {
+    // The dispatched entry points every packet check goes through
+    // (`sha256_concat`, `hash_image`) against the scalar hasher, on
+    // messages cut into random parts (empty ones included).
+    let mut rng = DetRng::seed_from_u64(0x7061_7274);
+    let kernels = kernels_under_test("concat_and_hash_image_match_scalar_on_random_parts");
+    for _ in 0..200 {
+        let mut msg = vec![0u8; rng.gen_range(0usize..700)];
+        rng.fill_bytes(&mut msg);
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0usize..6))
+            .map(|_| rng.gen_range(0usize..msg.len() + 1))
+            .collect();
+        cuts.extend([0, msg.len()]);
+        cuts.sort_unstable();
+        let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &msg[w[0]..w[1]]).collect();
+        let want = single_stream(ShaKernel::Sequential, &[&msg]);
+        assert_eq!(sha256_concat(&parts), want);
+        assert_eq!(hash_image(&parts), want.truncate());
+        for &kernel in &kernels {
+            assert_eq!(
+                single_stream(kernel, &parts),
+                want,
+                "kernel {}",
+                kernel.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn cluster_tag_is_the_truncated_reference_hmac() {
+    // The keyed-midstate MAC against RFC 2104 computed from scratch,
+    // for random keys and messages of 0..=200 bytes (inner hashes of
+    // one, two and three blocks beyond the pad) in random part splits.
+    let mut rng = DetRng::seed_from_u64(0x6d61_6373);
+    for _ in 0..300 {
+        let mut raw = [0u8; 32];
+        rng.fill_bytes(&mut raw);
+        let key = ClusterKey::from_raw(raw);
+        let mut msg = vec![0u8; rng.gen_range(0usize..201)];
+        rng.fill_bytes(&mut msg);
+        let a = rng.gen_range(0usize..msg.len() + 1);
+        let b = rng.gen_range(a..msg.len() + 1);
+        let parts: [&[u8]; 3] = [&msg[..a], &msg[a..b], &msg[b..]];
+        let want = hmac_sha256_parts(&raw, &[&msg]);
+        let tag = key.tag(&parts);
+        assert_eq!(tag.0, want.0[..MAC_LEN], "len {} cuts {a},{b}", msg.len());
+        assert!(key.check(&parts, &tag));
     }
 }

@@ -30,6 +30,7 @@ use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_netsim::time::Duration;
 use lrs_netsim::trickle::{Trickle, TrickleConfig};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Outcome of handing a data packet to a [`Scheme`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,6 +195,14 @@ const TIMER_TRICKLE_END: TimerId = TimerId(1);
 const TIMER_SNACK: TimerId = TimerId(2);
 const TIMER_RETRY: TimerId = TimerId(3);
 const TIMER_TX: TimerId = TimerId(4);
+
+/// Whether `LRS_TRACE` asks for the TX/SNACK trace on stderr. Read once
+/// per process: the call sites run per packet sent, and each `getenv`
+/// takes the process-wide environment lock.
+fn trace_to_stderr() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("LRS_TRACE").is_some())
+}
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
@@ -372,7 +381,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         let item = self.level();
         let bits = self.scheme.wanted(item);
         ctx.note("snack", item as u64, bits.count_ones() as u64);
-        if std::env::var_os("LRS_TRACE").is_some() {
+        if trace_to_stderr() {
             eprintln!(
                 "{:.3} n{} SNACK item={item} q={} -> n{}",
                 ctx.now.as_secs_f64(),
@@ -420,7 +429,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             return;
         };
         ctx.note("sched_tx", item as u64, index as u64);
-        if std::env::var_os("LRS_TRACE").is_some() {
+        if trace_to_stderr() {
             eprintln!(
                 "{:.3} n{} TX item={item} idx={index}",
                 ctx.now.as_secs_f64(),

@@ -112,8 +112,8 @@ impl Kernel {
                         Kernel::best_supported().name()
                     ),
                     None => eprintln!(
-                        "LRS_GF_KERNEL={name} is not a kernel (scalar|swar|ssse3|avx2); \
-                         using {}",
+                        "LRS_GF_KERNEL={name} is not a kernel ({}); using {}",
+                        Kernel::ALL.map(Kernel::name).join("|"),
                         Kernel::best_supported().name()
                     ),
                 }

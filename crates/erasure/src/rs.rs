@@ -9,7 +9,7 @@
 //! that already decoded a page re-encode it cheaply (paper §IV-D-3: a TX
 //! node "applies the same erasure code f" before serving SNACKs).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::gf256::{slice_mul_add_accumulate, Gf};
@@ -35,18 +35,41 @@ struct DecodeCache {
     misses: u64,
 }
 
+/// The systematic `n × k` generator `V · (V_top)⁻¹`, built once per
+/// `(k, n)` for the whole process: it is a pure function of the pair,
+/// and every node of a simulated fleet constructs its own codes, so
+/// without the memo each of them repeats a `k × k` inversion and an
+/// `n × k` product. At most one entry per valid `(k, n)` (≤ 255²/2),
+/// in practice the two or three geometries a run uses.
+fn systematic_generator(k: usize, n: usize) -> Arc<Matrix> {
+    static GENERATORS: Mutex<BTreeMap<(usize, usize), Arc<Matrix>>> = Mutex::new(BTreeMap::new());
+    // Poison-tolerant like the decode cache: entries are inserted
+    // whole, so a panicked holder cannot leave a half-built matrix.
+    let mut memo = GENERATORS.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(memo.entry((k, n)).or_insert_with(|| {
+        let v = Matrix::vandermonde(n, k);
+        let top_inv = v
+            .select_rows(&(0..k).collect::<Vec<_>>())
+            .inverse()
+            .expect("top Vandermonde block is always invertible");
+        Arc::new(v.mul(&top_inv))
+    }))
+}
+
 /// A systematic `(k, n)` Reed-Solomon code with `k' = k`.
 ///
 /// Cloning shares the decode-matrix cache: all clones of one instance
 /// (e.g. the per-node schemes of a sim run) reuse each other's inverted
 /// matrices. The cache only short-circuits Gauss-Jordan elimination —
 /// decoded bytes are identical with the cache on, off, warm, or cold.
+/// The generator matrix is shared wider still, by every instance of the
+/// same `(k, n)` in the process.
 #[derive(Clone, Debug)]
 pub struct ReedSolomon {
     k: usize,
     n: usize,
     /// The systematic generator matrix (n × k); top k rows are identity.
-    generator: Matrix,
+    generator: Arc<Matrix>,
     /// LRU of inverted decode matrices keyed by the received-index set.
     cache: Arc<Mutex<DecodeCache>>,
     cache_capacity: usize,
@@ -72,16 +95,10 @@ impl ReedSolomon {
         if k == 0 || n < k || n > 255 {
             return Err(CodeError::BadParameters { k, n });
         }
-        let v = Matrix::vandermonde(n, k);
-        let top = v.select_rows(&(0..k).collect::<Vec<_>>());
-        let top_inv = top
-            .inverse()
-            .expect("top Vandermonde block is always invertible");
-        let generator = v.mul(&top_inv);
         Ok(ReedSolomon {
             k,
             n,
-            generator,
+            generator: systematic_generator(k, n),
             cache: Arc::new(Mutex::new(DecodeCache::default())),
             cache_capacity: capacity,
         })
