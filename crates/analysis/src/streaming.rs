@@ -131,7 +131,7 @@ impl Welford {
 /// interpolation over the sorted buffer, the `numpy` type-7
 /// convention); beyond that it is approximate — the streaming-vs-batch
 /// property suite pins the rank error within
-/// [`P2_RANK_TOLERANCE`](crate::streaming::P2_RANK_TOLERANCE) on random
+/// [`P2_RANK_TOLERANCE`] on random
 /// well-behaved streams.
 #[derive(Clone, Debug, PartialEq)]
 pub struct P2Quantile {

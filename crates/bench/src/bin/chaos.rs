@@ -21,12 +21,7 @@ use lrs_bench::capsules::{
 };
 use lrs_bench::runner::{matched_seluge_params, test_image};
 use lrs_bench::{sample_grid, stat_json, write_csv, write_json, Json, Table};
-use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
 use lrs_deluge::attack::MaybeAdversary;
-use lrs_deluge::engine::{DisseminationNode, EngineConfig};
-use lrs_deluge::policy::UnionPolicy;
 use lrs_netsim::energy::EnergyModel;
 use lrs_netsim::fault::{FaultConfig, FaultPlan};
 use lrs_netsim::node::NodeId;
@@ -35,7 +30,7 @@ use lrs_netsim::sim::Outcome;
 use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::{CapsuleSpec, SimBuilder};
-use lrs_seluge::{SelugeArtifacts, SelugeScheme};
+use lrs_seluge::SelugeDeployment;
 use std::path::{Path, PathBuf};
 
 /// Honest receivers; one more node is either an extra receiver or the
@@ -261,11 +256,8 @@ fn run_seluge_chaos(
 ) -> ChaosOutcome {
     let sp = matched_seluge_params(&params(image_len));
     let image = test_image(image_len);
-    let kp = Keypair::from_seed(b"chaos keys");
-    let chain = PuzzleKeyChain::generate(b"chaos keys", sp.version as u32 + 4);
-    let artifacts = SelugeArtifacts::build(&image, sp, &kp, &chain);
-    let puzzle = Puzzle::new(chain.anchor(), sp.puzzle_strength);
-    let key = ClusterKey::derive(b"chaos keys", 0);
+    let deployment = SelugeDeployment::new(&image, sp, b"chaos keys");
+    let artifacts = deployment.artifacts().clone();
     let attacker_id = NodeId((N_HONEST + 1) as u32);
     let storm = sc.storm;
     let topo = Topology::star(N_HONEST + 2);
@@ -277,17 +269,7 @@ fn run_seluge_chaos(
                 sp.version,
             ))
         } else {
-            let scheme = if id == NodeId(0) {
-                SelugeScheme::base(&artifacts, kp.public(), puzzle)
-            } else {
-                SelugeScheme::receiver(sp, kp.public(), puzzle)
-            };
-            MaybeAdversary::Honest(DisseminationNode::new(
-                scheme,
-                UnionPolicy::new(),
-                key.clone(),
-                EngineConfig::default(),
-            ))
+            MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
         }
     })
     .config(sim_config())

@@ -15,11 +15,7 @@ use lrs_bench::{
     configured_threads, matched_seluge_params, sample_grid, stat_json, write_csv, write_json, Json,
     Table,
 };
-use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
-use lrs_deluge::engine::{CryptoCost, DisseminationNode, EngineConfig, Scheme};
-use lrs_deluge::policy::UnionPolicy;
+use lrs_deluge::engine::{CryptoCost, DisseminationNode, Scheme};
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::{SimConfig, Simulator};
@@ -27,7 +23,7 @@ use lrs_netsim::sim::{SimConfig, Simulator};
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
-use lrs_seluge::{SelugeArtifacts, SelugeParams, SelugeScheme};
+use lrs_seluge::{SelugeDeployment, SelugeParams};
 
 fn mean_receiver_cost<S: Scheme, P: lrs_deluge::policy::TxPolicy>(
     sim: &Simulator<DisseminationNode<S, P>>,
@@ -105,23 +101,9 @@ fn main() {
             assert!(sim.run(Duration::from_secs(100_000)).all_complete);
             mean_receiver_cost(&sim)
         } else {
-            let kp = Keypair::from_seed(b"overhead");
-            let chain = PuzzleKeyChain::generate(b"overhead", 4);
-            let artifacts = SelugeArtifacts::build(&image, s_params, &kp, &chain);
-            let puzzle = Puzzle::new(chain.anchor(), s_params.puzzle_strength);
-            let key = ClusterKey::derive(b"overhead", 0);
+            let deployment = SelugeDeployment::new(&image, s_params, b"overhead");
             let mut sim = SimBuilder::new(Topology::star(n_rx + 1), seed, |id| {
-                let scheme = if id == NodeId(0) {
-                    SelugeScheme::base(&artifacts, kp.public(), puzzle)
-                } else {
-                    SelugeScheme::receiver(s_params, kp.public(), puzzle)
-                };
-                DisseminationNode::new(
-                    scheme,
-                    UnionPolicy::new(),
-                    key.clone(),
-                    EngineConfig::default(),
-                )
+                deployment.node(id, NodeId(0))
             })
             .config(cfg)
             .build();

@@ -27,8 +27,8 @@
 //!     shard bisector finds no divergence.
 //! ```
 //!
-//! Capsules written by `chaos --capsule <dir>` and `scale --capsule
-//! <dir>` load here directly: their scenario tags name the scheme,
+//! Capsules written by `chaos --capsule DIR` and `scale --capsule DIR`
+//! load here directly: their scenario tags name the scheme,
 //! parameter profile, image length, and key context, which is all the
 //! registry in `lrs_bench::capsules` needs to rebuild `make_node`.
 

@@ -23,16 +23,12 @@
 use lr_seluge::Deployment;
 use lrs_bench::capsules::{scale_image as test_image, scale_params as small_lr, ScenarioTags};
 use lrs_bench::{matched_seluge_params, write_json, Json, Table};
-use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
-use lrs_deluge::engine::DisseminationNode;
-use lrs_deluge::policy::UnionPolicy;
 use lrs_netsim::node::{NodeId, Protocol};
 use lrs_netsim::sim::Outcome;
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::{ShardedRun, SimBuilder};
+use lrs_seluge::SelugeDeployment;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -102,19 +98,10 @@ fn run_lr(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun {
 fn run_seluge(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun {
     let image = test_image(1024);
     let params = matched_seluge_params(&small_lr(image.len()));
-    let kp = Keypair::from_seed(b"scale sweep");
-    let chain = PuzzleKeyChain::generate(b"scale sweep", params.version as u32 + 4);
-    let artifacts = lrs_seluge::preprocess::SelugeArtifacts::build(&image, params, &kp, &chain);
-    let puzzle = Puzzle::new(chain.anchor(), params.puzzle_strength);
-    let key = ClusterKey::derive(b"scale sweep", 0);
+    let deployment = SelugeDeployment::new(&image, params, b"scale sweep");
     let start = Instant::now();
     let builder = SimBuilder::new(Topology::grid(side, 10.0, 77), SEED, |id| {
-        let scheme = if id == NodeId(0) {
-            lrs_seluge::scheme::SelugeScheme::base(&artifacts, kp.public(), puzzle)
-        } else {
-            lrs_seluge::scheme::SelugeScheme::receiver(params, kp.public(), puzzle)
-        };
-        DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), Default::default())
+        deployment.node(id, NodeId(0))
     })
     .shards(shards);
     let run = with_capsule(builder, capsule_dir, "seluge", side, shards)

@@ -2,11 +2,11 @@
 //!
 //! A campaign is a fleet of simulation jobs — the full product grid of a
 //! [`CampaignSpec`] — executed by a work-stealing pool and aggregated
-//! *streamingly*: per grid cell, online mean/variance ([`Welford`]) and
-//! P² quantile sketches, so memory stays O(cells) no matter how many
-//! runs the grid names. Each job **is** a PR 5 replay capsule
-//! (seed × config × topology × fault plan × scenario tags), which buys
-//! three properties at once:
+//! *streamingly*: per grid cell, online mean/variance
+//! ([`lrs_analysis::streaming::Welford`]) and P² quantile sketches, so
+//! memory stays O(cells) no matter how many runs the grid names. Each
+//! job **is** a PR 5 replay capsule (seed × config × topology × fault
+//! plan × scenario tags), which buys three properties at once:
 //!
 //! * any job can be exported as a bit-exact reproducer *before* it runs
 //!   ([`Campaign::job_capsule`], via `SimBuilder::capsule`);
@@ -50,11 +50,9 @@ use crate::spec::{
 };
 use lr_seluge::{Deployment, LrNode};
 use lrs_analysis::StreamingSummary;
-use lrs_crypto::puzzle::PuzzleKeyChain;
-use lrs_crypto::schnorr::Keypair;
 use lrs_deluge::attack::MaybeAdversary;
 use lrs_deluge::engine::{DisseminationNode, Scheme};
-use lrs_deluge::policy::{TxPolicy, UnionPolicy};
+use lrs_deluge::policy::TxPolicy;
 use lrs_netsim::attack::AttackPlan;
 use lrs_netsim::capsule::{Capsule, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::energy::EnergyModel;
@@ -66,7 +64,7 @@ use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::violation::InvariantViolation;
 use lrs_netsim::SimBuilder;
-use lrs_seluge::{SelugeArtifacts, SelugeScheme};
+use lrs_seluge::{SelugeDeployment, SelugeNode};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -912,21 +910,13 @@ fn lr_invariant(
 }
 
 /// Per-delivery invariant check for Seluge campaign jobs.
-#[allow(clippy::type_complexity)]
 fn seluge_invariant(
     tags: &ScenarioTags,
-) -> impl Fn(
-    &MaybeAdversary<DisseminationNode<SelugeScheme, UnionPolicy>>,
-    NodeId,
-) -> Result<(), InvariantViolation>
-       + Send
-       + Sync {
+) -> impl Fn(&MaybeAdversary<SelugeNode>, NodeId) -> Result<(), InvariantViolation> + Send + Sync {
     let sp = matched_seluge_params(&campaign_params(tags.image_len));
     let image = test_image(tags.image_len);
-    let context = tags.key_context.as_bytes();
-    let kp = Keypair::from_seed(context);
-    let chain = PuzzleKeyChain::generate(context, sp.version as u32 + 4);
-    let artifacts = SelugeArtifacts::build(&image, sp, &kp, &chain);
+    let deployment = SelugeDeployment::new(&image, sp, tags.key_context.as_bytes());
+    let artifacts = deployment.artifacts().clone();
     move |node, _id| match node.honest() {
         Some(n) => n.scheme().verify_invariants(&artifacts, &image),
         None => Ok(()),

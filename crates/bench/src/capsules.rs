@@ -12,13 +12,10 @@
 //! [`bisect_capsule_shards`], and [`bisect_capsule_engines`].
 
 use crate::runner::{matched_seluge_params, test_image};
-use lr_seluge::{Deployment, LrArtifacts, LrNode, LrSelugeParams};
+use lr_seluge::{Deployment, LrNode, LrSelugeParams};
 use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
 use lrs_deluge::attack::{AttackKind, Attacker, AttackerProfile, MaybeAdversary};
-use lrs_deluge::engine::{DisseminationNode, EngineConfig};
-use lrs_deluge::policy::UnionPolicy;
+use lrs_deluge::bootstrap::SIGNATURE_BODY_LEN;
 use lrs_netsim::attack::AttackPlan;
 use lrs_netsim::capsule::{SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::medium::MediumConfig;
@@ -29,7 +26,7 @@ use lrs_netsim::{
     bisect_engines, bisect_shard_counts, replay_sequential, replay_sharded, Capsule, CapsuleSpec,
     Divergence, ReplayRun,
 };
-use lrs_seluge::{SelugeArtifacts, SelugeScheme};
+use lrs_seluge::{SelugeDeployment, SelugeNode};
 
 /// Tag key: scheme under test (`lr-seluge` or `seluge`).
 pub const TAG_SCHEME: &str = "scheme";
@@ -274,7 +271,7 @@ pub fn lr_attacker_profile(p: &LrSelugeParams, cluster_key: Option<ClusterKey>) 
     AttackerProfile {
         payload_len: p.payload_len,
         index_space: p.n,
-        sig_body_len: LrArtifacts::signature_body_len(),
+        sig_body_len: SIGNATURE_BODY_LEN,
         n_bits: p.n as usize,
         version: p.version,
         cluster_key,
@@ -289,7 +286,7 @@ pub fn seluge_attacker_profile(
     AttackerProfile {
         payload_len: sp.data_payload_len(),
         index_space: sp.packets_per_page,
-        sig_body_len: SelugeArtifacts::signature_body_len(),
+        sig_body_len: SIGNATURE_BODY_LEN,
         n_bits: sp.packets_per_page as usize,
         version: sp.version,
         cluster_key,
@@ -318,23 +315,13 @@ pub fn lr_factory(
 }
 
 /// Reconstructs the Seluge node population described by `tags`.
-#[allow(clippy::type_complexity)]
 pub fn seluge_factory(
     tags: &ScenarioTags,
-) -> Result<
-    impl Fn(NodeId) -> MaybeAdversary<DisseminationNode<SelugeScheme, UnionPolicy>> + Sync,
-    String,
-> {
+) -> Result<impl Fn(NodeId) -> MaybeAdversary<SelugeNode> + Sync, String> {
     let sp = matched_seluge_params(&profile_params(&tags.profile, tags.image_len)?);
     let image = profile_image(&tags.profile, tags.image_len)?;
-    let context = tags.key_context.as_bytes();
-    let kp = Keypair::from_seed(context);
-    let chain = PuzzleKeyChain::generate(context, sp.version as u32 + 4);
-    let artifacts = SelugeArtifacts::build(&image, sp, &kp, &chain);
-    let puzzle = Puzzle::new(chain.anchor(), sp.puzzle_strength);
-    let key = ClusterKey::derive(context, 0);
-    let pubkey = kp.public();
-    let profile = seluge_attacker_profile(&sp, Some(key.clone()));
+    let deployment = SelugeDeployment::new(&image, sp, tags.key_context.as_bytes());
+    let profile = seluge_attacker_profile(&sp, Some(deployment.cluster_key().clone()));
     let attacker = tags.attacker;
     let plan = tags.attack_plan.clone();
     Ok(move |id: NodeId| {
@@ -347,17 +334,7 @@ pub fn seluge_factory(
                 sp.version,
             ))
         } else {
-            let scheme = if id == NodeId(0) {
-                SelugeScheme::base(&artifacts, pubkey, puzzle)
-            } else {
-                SelugeScheme::receiver(sp, pubkey, puzzle)
-            };
-            MaybeAdversary::Honest(DisseminationNode::new(
-                scheme,
-                UnionPolicy::new(),
-                key.clone(),
-                EngineConfig::default(),
-            ))
+            MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
         }
     })
 }

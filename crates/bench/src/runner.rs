@@ -2,8 +2,6 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
 use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
 use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
 use lrs_deluge::policy::UnionPolicy;
@@ -14,7 +12,7 @@ use lrs_netsim::sim::{SimConfig, Simulator};
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
-use lrs_seluge::{SelugeArtifacts, SelugeParams, SelugeScheme};
+use lrs_seluge::{SelugeDeployment, SelugeParams};
 
 /// The metrics the paper reports, per run (or averaged over seeds).
 ///
@@ -253,26 +251,16 @@ pub fn run_lr(spec: &RunSpec, params: LrSelugeParams, seed: u64) -> ExperimentMe
 /// Runs Seluge once and collects the metrics.
 pub fn run_seluge(spec: &RunSpec, params: SelugeParams, seed: u64) -> ExperimentMetrics {
     let image = test_image(params.image_len);
-    let kp = Keypair::from_seed(b"bench keys");
-    let chain = PuzzleKeyChain::generate(b"bench keys", params.version as u32 + 4);
-    let artifacts = SelugeArtifacts::build(&image, params, &kp, &chain);
-    let puzzle = Puzzle::new(chain.anchor(), params.puzzle_strength);
-    let key = ClusterKey::derive(b"bench keys", 0);
+    let deployment =
+        SelugeDeployment::new(&image, params, b"bench keys").with_engine_config(spec.engine);
     let cfg = SimConfig {
         medium: spec.medium,
         ..SimConfig::default()
     };
-    let engine = spec.engine;
     let digests = lrs_seluge::scheme::PacketDigestCache::default();
-    artifacts.warm_digest_cache(&digests);
+    deployment.artifacts().warm_digest_cache(&digests);
     let mut sim = SimBuilder::new(spec.topology.clone(), seed, |id| {
-        let scheme = if id == NodeId(0) {
-            SelugeScheme::base(&artifacts, kp.public(), puzzle)
-        } else {
-            SelugeScheme::receiver(params, kp.public(), puzzle)
-        };
-        let scheme = scheme.with_digest_cache(digests.clone());
-        DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), engine)
+        deployment.node_cached(id, NodeId(0), &digests)
     })
     .config(cfg)
     .build();

@@ -7,8 +7,9 @@ use crate::scheduler::GreedyRoundRobinPolicy;
 use crate::scheme::{LrScheme, PacketDigestCache};
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::leap::LeapKeyring;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::{Keypair, PublicKey};
+use lrs_crypto::puzzle::Puzzle;
+use lrs_crypto::schnorr::PublicKey;
+use lrs_deluge::bootstrap::DeploymentKeys;
 use lrs_deluge::engine::{DisseminationNode, EngineConfig};
 use lrs_deluge::policy::TxPolicy;
 use lrs_netsim::node::NodeId;
@@ -52,14 +53,13 @@ impl Deployment {
         params: LrSelugeParams,
         seed_material: &[u8],
     ) -> Result<Self, ParamError> {
-        let keypair = Keypair::from_seed(seed_material);
-        let chain = PuzzleKeyChain::generate(seed_material, params.version as u32 + 4);
-        let artifacts = LrArtifacts::try_build(image, params, &keypair, &chain)?;
+        let keys = DeploymentKeys::derive(seed_material, params.version, params.puzzle_strength);
+        let artifacts = LrArtifacts::try_build(image, params, &keys.keypair, &keys.chain)?;
         Ok(Deployment {
             artifacts,
-            pubkey: keypair.public(),
-            puzzle: Puzzle::new(chain.anchor(), params.puzzle_strength),
-            cluster_key: ClusterKey::derive(seed_material, 0),
+            pubkey: keys.keypair.public(),
+            puzzle: keys.puzzle,
+            cluster_key: keys.cluster_key,
             engine: EngineConfig::default(),
             leap_seed: None,
         })
@@ -104,21 +104,12 @@ impl Deployment {
         base_id: NodeId,
         policy: P,
     ) -> DisseminationNode<LrScheme, P> {
-        let scheme = if id == base_id {
-            LrScheme::base(&self.artifacts, self.pubkey, self.puzzle)
-        } else {
-            LrScheme::receiver(self.params(), self.pubkey, self.puzzle)
-        };
-        let node = DisseminationNode::new(scheme, policy, self.cluster_key.clone(), self.engine);
-        match &self.leap_seed {
-            Some(seed) => node.with_leap(LeapKeyring::bootstrap(seed, id.0)),
-            None => node,
-        }
+        self.wrap(self.make_scheme(id, base_id), policy, id)
     }
 
     /// Builds the protocol node for `id` (`base_id` gets the full image).
     pub fn node(&self, id: NodeId, base_id: NodeId) -> LrNode {
-        self.wrap(self.make_scheme(id, base_id), id)
+        self.node_with_policy(id, base_id, GreedyRoundRobinPolicy::new())
     }
 
     /// Like [`Deployment::node`], but shares a per-run packet-digest memo
@@ -126,11 +117,9 @@ impl Deployment {
     /// *not* stored in the deployment (which is shared across harness
     /// threads): create one per sim run and pass it to every node.
     pub fn node_cached(&self, id: NodeId, base_id: NodeId, cache: &PacketDigestCache) -> LrNode {
-        self.wrap(
-            self.make_scheme(id, base_id)
-                .with_digest_cache(cache.clone()),
-            id,
-        )
+        let scheme = self.make_scheme(id, base_id);
+        let policy = GreedyRoundRobinPolicy::new();
+        self.wrap(scheme.with_digest_cache(cache.clone()), policy, id)
     }
 
     /// Pre-fills a per-run packet-digest memo from the preprocessed
@@ -149,13 +138,13 @@ impl Deployment {
         }
     }
 
-    fn wrap(&self, scheme: LrScheme, id: NodeId) -> LrNode {
-        let node = DisseminationNode::new(
-            scheme,
-            GreedyRoundRobinPolicy::new(),
-            self.cluster_key.clone(),
-            self.engine,
-        );
+    fn wrap<P: TxPolicy>(
+        &self,
+        scheme: LrScheme,
+        policy: P,
+        id: NodeId,
+    ) -> DisseminationNode<LrScheme, P> {
+        let node = DisseminationNode::new(scheme, policy, self.cluster_key.clone(), self.engine);
         match &self.leap_seed {
             Some(seed) => node.with_leap(LeapKeyring::bootstrap(seed, id.0)),
             None => node,

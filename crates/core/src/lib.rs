@@ -67,42 +67,4 @@ pub use scheduler::GreedyRoundRobinPolicy;
 pub use scheme::LrScheme;
 pub use upgrade::VersionedNode;
 
-use lrs_crypto::hash::{hash_image, HashImage};
-
-/// Hash image of a data packet as transmitted on the wire:
-/// `h_{i,j} = H(version || item || index || e_{i,j})` truncated.
-///
-/// Identical encoding to Seluge's [`packet_hash`], duplicated here so the
-/// two crates stay independent.
-///
-/// [`packet_hash`]: https://docs.rs/lrs-seluge
-pub fn packet_hash(version: u16, item: u16, index: u16, payload: &[u8]) -> HashImage {
-    hash_image(&[
-        &version.to_be_bytes(),
-        &item.to_be_bytes(),
-        &index.to_be_bytes(),
-        payload,
-    ])
-}
-
-/// [`packet_hash`] for all `n` packets of one page at once, batched
-/// through the multi-buffer SHA-256 kernels. Packet `j` of the result is
-/// `packet_hash(version, item, j, payloads[j])`, bit-identical to the
-/// one-at-a-time function.
-pub fn packet_hash_batch<P: AsRef<[u8]>>(
-    version: u16,
-    item: u16,
-    payloads: &[P],
-) -> Vec<HashImage> {
-    let version_be = version.to_be_bytes();
-    let item_be = item.to_be_bytes();
-    let index_be: Vec<[u8; 2]> = (0..payloads.len())
-        .map(|j| (j as u16).to_be_bytes())
-        .collect();
-    let msgs: Vec<[&[u8]; 4]> = payloads
-        .iter()
-        .zip(&index_be)
-        .map(|(p, idx)| [&version_be[..], &item_be[..], &idx[..], p.as_ref()])
-        .collect();
-    lrs_crypto::hash::hash_image_batch(&msgs)
-}
+pub use lrs_deluge::bootstrap::{packet_hash, packet_hash_batch};

@@ -13,10 +13,12 @@
 use crate::code::PageCode;
 use crate::params::{LrSelugeParams, ParamError};
 use lrs_crypto::hash::Digest;
-use lrs_crypto::merkle::MerkleTree;
-use lrs_crypto::puzzle::{PuzzleKeyChain, PuzzleSolution};
-use lrs_crypto::schnorr::{Keypair, SIGNATURE_LEN};
+use lrs_crypto::puzzle::PuzzleKeyChain;
+use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::sha256_concat;
+use lrs_deluge::bootstrap::{
+    frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
+};
 use lrs_erasure::ErasureCode;
 
 /// Everything the base station precomputes for one image.
@@ -24,12 +26,12 @@ use lrs_erasure::ErasureCode;
 pub struct LrArtifacts {
     params: LrSelugeParams,
     /// `page_packets[i][j]` = encoded block `e_{i,j}` (wire item `i+2`).
-    page_packets: Vec<Vec<Vec<u8>>>,
+    pub(crate) page_packets: Vec<Vec<Vec<u8>>>,
     /// Decoded page inputs (plaintext ‖ hash region), `k·payload` bytes
     /// each — what intermediate nodes hold after decoding.
-    page_inputs: Vec<Vec<u8>>,
+    pub(crate) page_inputs: Vec<Vec<u8>>,
     /// Hash-page packet payloads (encoded block ‖ Merkle path).
-    hash_page_packets: Vec<Vec<u8>>,
+    pub(crate) hash_page_packets: Vec<Vec<u8>>,
     signature_body: Vec<u8>,
     root: Digest,
 }
@@ -93,7 +95,7 @@ impl LrArtifacts {
             let encoded = code.encode(&blocks).expect("consistent shapes");
             // All n per-page packet hashes are independent: one batch
             // through the multi-buffer SHA-256 kernels.
-            next_hashes = crate::packet_hash_batch(params.version, item, &encoded)
+            next_hashes = packet_hash_batch(params.version, item, &encoded)
                 .iter()
                 .flat_map(|h| h.0)
                 .collect();
@@ -111,37 +113,15 @@ impl LrArtifacts {
             .map(|c| c.to_vec())
             .collect();
         let encoded0 = code0.encode(&blocks0).expect("consistent shapes");
-        let tree = MerkleTree::build(encoded0.iter().map(|b| b.as_slice()));
-        let hash_page_packets: Vec<Vec<u8>> = encoded0
-            .iter()
-            .enumerate()
-            .map(|(j, block)| {
-                let mut payload = block.clone();
-                for sib in tree.proof(j).siblings() {
-                    payload.extend_from_slice(&sib.0);
-                }
-                payload
-            })
-            .collect();
-
-        let root = tree.root();
-        let signed = Self::signed_message(&params, &root);
-        let signature = keypair.sign(&signed.0);
-        // The puzzle covers the signed message *and* the signature bytes,
-        // so any tampering fails the cheap check before the expensive
-        // verification runs.
-        let mut puzzle_msg = signed.0.to_vec();
-        puzzle_msg.extend_from_slice(&signature.to_bytes());
-        let puzzle_sol = {
-            let puzzle =
-                lrs_crypto::puzzle::Puzzle::new(puzzle_chain.anchor(), params.puzzle_strength);
-            puzzle_chain.solve(&puzzle, params.version as u32, &puzzle_msg)
-        };
-        let mut signature_body = Vec::new();
-        signature_body.extend_from_slice(&root.0);
-        signature_body.extend_from_slice(&signature.to_bytes());
-        signature_body.extend_from_slice(&puzzle_sol.key.0);
-        signature_body.extend_from_slice(&puzzle_sol.solution.to_be_bytes());
+        let (root, hash_page_packets) = frame_hash_page(&encoded0);
+        let signature_body = seal_signature_body(
+            &root,
+            &Self::signed_message(&params, &root),
+            keypair,
+            puzzle_chain,
+            params.version,
+            params.puzzle_strength,
+        );
 
         Ok(LrArtifacts {
             params,
@@ -171,36 +151,6 @@ impl LrArtifacts {
             }],
             &root.0,
         ])
-    }
-
-    /// Wire length of the signature body.
-    pub fn signature_body_len() -> usize {
-        32 + SIGNATURE_LEN + 32 + 8
-    }
-
-    /// Splits a signature body into `(root, signature, puzzle solution)`.
-    pub fn parse_signature_body(
-        body: &[u8],
-    ) -> Option<(Digest, [u8; SIGNATURE_LEN], PuzzleSolution)> {
-        if body.len() != Self::signature_body_len() {
-            return None;
-        }
-        let mut root = [0u8; 32];
-        root.copy_from_slice(&body[..32]);
-        let mut sig = [0u8; SIGNATURE_LEN];
-        sig.copy_from_slice(&body[32..32 + SIGNATURE_LEN]);
-        let mut key = [0u8; 32];
-        key.copy_from_slice(&body[32 + SIGNATURE_LEN..64 + SIGNATURE_LEN]);
-        let mut sol = [0u8; 8];
-        sol.copy_from_slice(&body[64 + SIGNATURE_LEN..]);
-        Some((
-            Digest(root),
-            sig,
-            PuzzleSolution {
-                key: Digest(key),
-                solution: u64::from_be_bytes(sol),
-            },
-        ))
     }
 
     /// Layout parameters.
@@ -239,23 +189,10 @@ impl LrArtifacts {
         &input[self.params.page_capacity()..]
     }
 
-    /// Pre-fills a run's packet-digest memo with the hash image of every
-    /// predetermined data packet, computed one multi-buffer batch per
-    /// page. Receivers then verify even first-contact packets against
-    /// warm entries; per-node `hashes` cost counters are unaffected
-    /// (hits land in `memoized_hashes`, exactly as with lazy fills).
-    pub fn warm_digest_cache(&self, cache: &crate::scheme::PacketDigestCache) {
-        for (i, packets) in self.page_packets.iter().enumerate() {
-            let item = (i + 2) as u16;
-            let hashes = crate::packet_hash_batch(self.params.version, item, packets);
-            cache.warm(
-                packets
-                    .iter()
-                    .zip(hashes)
-                    .enumerate()
-                    .map(|(j, (p, h))| ((self.params.version, item, j as u16), p.as_slice(), h)),
-            );
-        }
+    /// Pre-fills a per-run packet-digest memo with this image's page
+    /// packets (see [`lrs_deluge::bootstrap::warm_digest_cache`]).
+    pub fn warm_digest_cache(&self, cache: &PacketDigestCache) {
+        warm_digest_cache(cache, self.params.version, &self.page_packets);
     }
 }
 
@@ -378,44 +315,6 @@ mod tests {
             let off = j as usize * HASH_IMAGE_LEN;
             assert_eq!(&m0[off..off + HASH_IMAGE_LEN], expected.0, "hash {j}");
         }
-    }
-
-    #[test]
-    fn merkle_paths_verify() {
-        let (art, _) = build();
-        let p = art.params();
-        for j in 0..p.n0 {
-            let payload = art.hash_page_packet(j);
-            let block = &payload[..p.hash_block_len()];
-            let siblings: Vec<Digest> = payload[p.hash_block_len()..]
-                .chunks(32)
-                .map(|c| {
-                    let mut d = [0u8; 32];
-                    d.copy_from_slice(c);
-                    Digest(d)
-                })
-                .collect();
-            let proof = lrs_crypto::merkle::MerkleProof::from_parts(j as usize, siblings);
-            assert!(proof.verify(block, &art.root()), "block {j}");
-        }
-    }
-
-    #[test]
-    fn signature_body_verifies() {
-        let params = small_params();
-        let image: Vec<u8> = vec![7; params.image_len];
-        let kp = Keypair::from_seed(b"bs");
-        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
-        let art = LrArtifacts::build(&image, params, &kp, &chain);
-        let (root, sig_bytes, sol) =
-            LrArtifacts::parse_signature_body(art.signature_body()).unwrap();
-        let signed = LrArtifacts::signed_message(&params, &root);
-        let sig = lrs_crypto::schnorr::Signature::from_bytes(&sig_bytes).unwrap();
-        assert!(kp.public().verify(&signed.0, &sig));
-        let puzzle = lrs_crypto::puzzle::Puzzle::new(chain.anchor(), params.puzzle_strength);
-        let mut puzzle_msg = signed.0.to_vec();
-        puzzle_msg.extend_from_slice(&sig_bytes);
-        assert!(puzzle.verify(params.version as u32, &puzzle_msg, &sol));
     }
 
     #[test]

@@ -6,58 +6,70 @@
 //! that decoded a page re-applies the same erasure code `f` — producing
 //! byte-identical packets, whose hash images the requester already
 //! holds — exactly as §IV-D-3 describes for nodes in the TX state.
+//!
+//! Authenticating what arrives (signature, hash page, page packets) is
+//! the shared [`lrs_deluge::bootstrap`]; this module is the erasure
+//! coding around it.
 
 use crate::code::PageCode;
-use crate::packet_hash;
 use crate::params::{LrSelugeParams, ParamError};
 use crate::preprocess::LrArtifacts;
-use lrs_crypto::hash::{Digest, HashImage, HASH_IMAGE_LEN};
-use lrs_crypto::merkle::{MerkleProof, MerkleTree};
+use lrs_crypto::hash::HashImage;
 use lrs_crypto::puzzle::Puzzle;
-use lrs_crypto::schnorr::{PublicKey, Signature};
+use lrs_crypto::schnorr::PublicKey;
+use lrs_deluge::bootstrap::{self, frame_hash_page, hash_images, Bootstrap, Layout, SlotBuffer};
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
 use lrs_deluge::wire::BitVec;
 use lrs_erasure::{CodeError, ErasureCode};
-use lrs_netsim::digest::DigestCache;
 use lrs_netsim::node::PacketKind;
-use lrs_netsim::violation::{BufferKind, ContentDigest, InvariantViolation};
+use lrs_netsim::violation::{ContentDigest, InvariantViolation};
 use std::collections::HashMap;
 
-/// The shared per-run packet-digest memo used by LR-Seluge schemes.
-pub type PacketDigestCache = DigestCache<HashImage>;
+pub use lrs_deluge::bootstrap::PacketDigestCache;
 
 /// Per-node LR-Seluge state (base station or receiver).
 #[derive(Clone, Debug)]
 pub struct LrScheme {
     params: LrSelugeParams,
-    pubkey: PublicKey,
-    puzzle: Puzzle,
     code: PageCode,
     code0: PageCode,
-    complete: u16,
-    signature_body: Option<Vec<u8>>,
-    root: Option<Digest>,
-    /// Received hash-page packets (block ‖ path), by index.
-    hp_received: Vec<Option<Vec<u8>>>,
-    hp_count: usize,
+    /// Verified signature and root, the receive buffers of `M0` (packets
+    /// as block ‖ path) and of the page in flight, and the hash images
+    /// its packets must match.
+    boot: Bootstrap,
     /// Decoded `M0` source blocks, once available.
     hp_blocks: Option<Vec<Vec<u8>>>,
     /// Regenerated hash-page packets for serving (lazy).
     hp_cache: Option<Vec<Vec<u8>>>,
-    /// Received encoded packets of the page being collected.
-    cur_received: Vec<Option<Vec<u8>>>,
-    cur_count: usize,
-    /// Expected hash images for the current page's `n` packets.
-    expected: Vec<HashImage>,
     /// Decoded inputs (plaintext ‖ hash region) of completed pages.
     page_inputs: Vec<Vec<u8>>,
     /// Re-encoded packets per completed page, built on first serve.
     encoded_cache: HashMap<u16, Vec<Vec<u8>>>,
     /// Scratch buffer for decoded pages, reused across decodes.
     decode_scratch: Vec<u8>,
-    /// Optional run-wide packet-digest memo (see [`PacketDigestCache`]).
-    digest_cache: Option<PacketDigestCache>,
-    cost: CryptoCost,
+}
+
+fn layout(params: &LrSelugeParams) -> Layout {
+    Layout {
+        version: params.version,
+        num_items: params.num_items(),
+        hash_page_packets: params.n0,
+        hash_block_len: params.hash_block_len(),
+        page_packets: params.n,
+        page_payload_len: params.payload_len,
+    }
+}
+
+/// Erasure-decodes the first `block_len` bytes of the packets `buffer`
+/// holds into `scratch`. False on a rank-deficient draw of a non-MDS
+/// code: keep collecting, the SNACK loop requests more packets.
+fn decode(code: &PageCode, buffer: &SlotBuffer, block_len: usize, scratch: &mut Vec<u8>) -> bool {
+    let subset: Vec<(usize, &[u8])> = buffer.iter().map(|(j, p)| (j, &p[..block_len])).collect();
+    match code.decode_into(&subset, block_len, scratch) {
+        Ok(()) => true,
+        Err(CodeError::NotEnoughBlocks { .. }) => false,
+        Err(e) => panic!("decode failed unexpectedly: {e}"),
+    }
 }
 
 impl LrScheme {
@@ -84,30 +96,27 @@ impl LrScheme {
         puzzle: Puzzle,
     ) -> Result<Self, ParamError> {
         params.validate().map_err(ParamError)?;
-        Ok(LrScheme {
+        Ok(Self::around(
             params,
-            pubkey,
-            puzzle,
+            Bootstrap::receiver(layout(&params), pubkey, puzzle),
+        ))
+    }
+
+    /// The erasure-coding state around `boot`, for validated `params`.
+    fn around(params: LrSelugeParams, boot: Bootstrap) -> Self {
+        LrScheme {
+            params,
             code: PageCode::new(params.code_kind, params.k as usize, params.n as usize)
                 .expect("validated"),
             code0: PageCode::new(params.code_kind, params.k0 as usize, params.n0 as usize)
                 .expect("validated"),
-            complete: 0,
-            signature_body: None,
-            root: None,
-            hp_received: vec![None; params.n0 as usize],
-            hp_count: 0,
+            boot,
             hp_blocks: None,
             hp_cache: None,
-            cur_received: vec![None; params.n as usize],
-            cur_count: 0,
-            expected: Vec::new(),
             page_inputs: Vec::new(),
             encoded_cache: HashMap::new(),
             decode_scratch: Vec::new(),
-            digest_cache: None,
-            cost: CryptoCost::default(),
-        })
+        }
     }
 
     /// Attaches a run-wide digest memo shared by all nodes of a sim run.
@@ -115,39 +124,33 @@ impl LrScheme {
     /// bytes, and the `hashes` cost counter are unchanged; cache hits
     /// are tallied in `CryptoCost::memoized_hashes`.
     pub fn with_digest_cache(mut self, cache: PacketDigestCache) -> Self {
-        self.digest_cache = Some(cache);
+        self.boot.set_digest_cache(cache);
         self
     }
 
     /// The base station: everything precomputed and complete.
     pub fn base(artifacts: &LrArtifacts, pubkey: PublicKey, puzzle: Puzzle) -> Self {
         let params = artifacts.params();
-        let mut scheme = Self::receiver(params, pubkey, puzzle);
-        scheme.complete = params.num_items();
-        scheme.signature_body = Some(artifacts.signature_body().to_vec());
-        scheme.root = Some(artifacts.root());
-        scheme.hp_cache = Some(
-            (0..params.n0)
-                .map(|j| artifacts.hash_page_packet(j).to_vec())
-                .collect(),
+        let boot = Bootstrap::base(
+            layout(&params),
+            pubkey,
+            puzzle,
+            artifacts.signature_body(),
+            artifacts.root(),
+            &[],
         );
-        scheme.page_inputs = (0..params.pages())
-            .map(|i| artifacts.page_input(i).to_vec())
-            .collect();
-        for i in 0..params.pages() {
-            scheme.encoded_cache.insert(
-                i,
-                (0..params.n)
-                    .map(|j| artifacts.page_packet(i, j).to_vec())
-                    .collect(),
-            );
+        let mut scheme = Self::around(params, boot);
+        scheme.hp_cache = Some(artifacts.hash_page_packets.clone());
+        scheme.page_inputs = artifacts.page_inputs.clone();
+        for (i, packets) in (0u16..).zip(&artifacts.page_packets) {
+            scheme.encoded_cache.insert(i, packets.clone());
         }
         scheme
     }
 
     /// The reassembled, verified image once dissemination completed.
     pub fn image(&self) -> Option<Vec<u8>> {
-        if self.complete != self.params.num_items() {
+        if !self.boot.is_complete() {
             return None;
         }
         let mut out = Vec::with_capacity(self.params.image_len);
@@ -163,162 +166,49 @@ impl LrScheme {
         self.params
     }
 
-    fn handle_signature(&mut self, payload: &[u8]) -> PacketDisposition {
-        if self.signature_body.is_some() {
-            return PacketDisposition::Duplicate;
-        }
-        let Some((root, sig_bytes, sol)) = LrArtifacts::parse_signature_body(payload) else {
-            return PacketDisposition::Rejected;
-        };
-        let signed = LrArtifacts::signed_message(&self.params, &root);
-        self.cost.hashes += 1;
-        self.cost.puzzle_checks += 1;
-        self.cost.hashes += self.params.version as u64 + 1;
-        let mut puzzle_msg = signed.0.to_vec();
-        puzzle_msg.extend_from_slice(&sig_bytes);
-        if !self
-            .puzzle
-            .verify(self.params.version as u32, &puzzle_msg, &sol)
-        {
-            return PacketDisposition::Rejected;
-        }
-        self.cost.signature_verifications += 1;
-        let Some(sig) = Signature::from_bytes(&sig_bytes) else {
-            return PacketDisposition::Rejected;
-        };
-        if !self.pubkey.verify(&signed.0, &sig) {
-            return PacketDisposition::Rejected;
-        }
-        self.signature_body = Some(payload.to_vec());
-        self.root = Some(root);
-        self.complete = 1;
-        PacketDisposition::Accepted
+    /// The chaining rule (§IV-C): the tail of a decoded page input is
+    /// the hash images of the next page's `n` encoded packets.
+    fn chained_images(&self, input: &[u8]) -> Vec<HashImage> {
+        hash_images(&input[self.params.page_capacity()..])
     }
 
-    fn handle_hash_page(&mut self, index: u16, payload: &[u8]) -> PacketDisposition {
-        if index >= self.params.n0 || payload.len() != self.params.hash_page_payload_len() {
-            return PacketDisposition::Rejected;
-        }
-        if self.hp_received[index as usize].is_some() {
-            return PacketDisposition::Duplicate;
+    /// Decodes `M0` once `k0'` authenticated hash-page packets are held.
+    fn try_decode_hash_page(&mut self) {
+        if self.boot.hash_page().held() < self.params.k0_prime() as usize {
+            return;
         }
         let block_len = self.params.hash_block_len();
-        let block = &payload[..block_len];
-        let siblings: Vec<Digest> = payload[block_len..]
-            .chunks(32)
-            .map(|c| {
-                let mut d = [0u8; 32];
-                d.copy_from_slice(c);
-                Digest(d)
-            })
-            .collect();
-        let proof = MerkleProof::from_parts(index as usize, siblings);
-        self.cost.hashes += self.params.merkle_depth() as u64 + 1;
-        let root = self.root.expect("item 1 only requested after item 0");
-        if !proof.verify(block, &root) {
-            return PacketDisposition::Rejected;
+        self.boot.cost.decodes += 1;
+        let scratch = &mut self.decode_scratch;
+        if decode(&self.code0, self.boot.hash_page(), block_len, scratch) {
+            self.boot.hash_page_complete(scratch);
+            self.hp_blocks = Some(
+                scratch
+                    .chunks_exact(block_len)
+                    .map(|c| c.to_vec())
+                    .collect(),
+            );
         }
-        self.hp_received[index as usize] = Some(payload.to_vec());
-        self.hp_count += 1;
-        if self.hp_count >= self.params.k0_prime() as usize {
-            let decoded = {
-                let subset: Vec<(usize, &[u8])> = self
-                    .hp_received
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, s)| s.as_ref().map(|p| (j, &p[..block_len])))
-                    .collect();
-                self.cost.decodes += 1;
-                self.code0
-                    .decode_into(&subset, block_len, &mut self.decode_scratch)
-            };
-            match decoded {
-                Ok(()) => {
-                    let m0 = &self.decode_scratch;
-                    self.expected = (0..self.params.n as usize)
-                        .map(|j| {
-                            HashImage::from_slice(&m0[j * HASH_IMAGE_LEN..(j + 1) * HASH_IMAGE_LEN])
-                                .expect("block sizing")
-                        })
-                        .collect();
-                    self.hp_blocks = Some(m0.chunks_exact(block_len).map(|c| c.to_vec()).collect());
-                    self.complete = 2;
-                }
-                Err(CodeError::NotEnoughBlocks { .. }) => {
-                    // Rank-deficient draw of a non-MDS code: keep
-                    // collecting; the SNACK loop requests more packets.
-                }
-                Err(e) => panic!("hash-page decode failed unexpectedly: {e}"),
-            }
-        }
-        PacketDisposition::Accepted
     }
 
-    fn handle_page_packet(&mut self, item: u16, index: u16, payload: &[u8]) -> PacketDisposition {
-        if index >= self.params.n
-            || payload.len() != self.params.payload_len
-            || self.expected.len() != self.params.n as usize
-        {
-            return PacketDisposition::Rejected;
+    /// Decodes the page in flight once `k'` authenticated packets are
+    /// held.
+    fn try_decode_page(&mut self) {
+        if self.boot.page().held() < self.params.k_prime() as usize {
+            return;
         }
-        if self.cur_received[index as usize].is_some() {
-            return PacketDisposition::Duplicate;
+        self.boot.cost.decodes += 1;
+        let scratch = &mut self.decode_scratch;
+        if decode(
+            &self.code,
+            self.boot.page(),
+            self.params.payload_len,
+            scratch,
+        ) {
+            let input = std::mem::take(scratch);
+            self.boot.page_complete(self.chained_images(&input));
+            self.page_inputs.push(input);
         }
-        self.cost.hashes += 1;
-        let h = match &self.digest_cache {
-            Some(cache) => match cache.lookup(self.params.version, item, index, payload) {
-                Some(h) => {
-                    self.cost.memoized_hashes += 1;
-                    h
-                }
-                None => {
-                    let h = packet_hash(self.params.version, item, index, payload);
-                    cache.insert(self.params.version, item, index, payload, h);
-                    h
-                }
-            },
-            None => packet_hash(self.params.version, item, index, payload),
-        };
-        if h != self.expected[index as usize] {
-            return PacketDisposition::Rejected;
-        }
-        self.cur_received[index as usize] = Some(payload.to_vec());
-        self.cur_count += 1;
-        if self.cur_count >= self.params.k_prime() as usize {
-            let decoded = {
-                let subset: Vec<(usize, &[u8])> = self
-                    .cur_received
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, s)| s.as_deref().map(|p| (j, p)))
-                    .collect();
-                self.cost.decodes += 1;
-                self.code
-                    .decode_into(&subset, self.params.payload_len, &mut self.decode_scratch)
-            };
-            match decoded {
-                Ok(()) => {
-                    for slot in self.cur_received.iter_mut() {
-                        *slot = None;
-                    }
-                    self.cur_count = 0;
-                    let input = std::mem::take(&mut self.decode_scratch);
-                    // The hash region authenticates the next page.
-                    self.expected = input[self.params.page_capacity()..]
-                        .chunks(HASH_IMAGE_LEN)
-                        .map(|c| HashImage::from_slice(c).expect("region sizing"))
-                        .collect();
-                    self.page_inputs.push(input);
-                    self.complete += 1;
-                }
-                Err(CodeError::NotEnoughBlocks { .. }) => {
-                    // Rank-deficient draw of a non-MDS code: keep
-                    // collecting; the SNACK loop requests more packets.
-                }
-                Err(e) => panic!("page decode failed unexpectedly: {e}"),
-            }
-        }
-        PacketDisposition::Accepted
     }
 
     /// Regenerates the hash-page packets by re-encoding `M0` and
@@ -327,116 +217,36 @@ impl LrScheme {
     fn ensure_hp_cache(&mut self) -> Option<&Vec<Vec<u8>>> {
         if self.hp_cache.is_none() {
             let blocks = self.hp_blocks.as_ref()?;
-            self.cost.encodes += 1;
+            self.boot.cost.encodes += 1;
             let encoded = self.code0.encode(blocks).expect("consistent shapes");
-            let tree = MerkleTree::build(encoded.iter().map(|b| b.as_slice()));
-            self.cost.hashes += 2 * self.params.n0 as u64;
-            let packets: Vec<Vec<u8>> = encoded
-                .iter()
-                .enumerate()
-                .map(|(j, block)| {
-                    let mut payload = block.clone();
-                    for sib in tree.proof(j).siblings() {
-                        payload.extend_from_slice(&sib.0);
-                    }
-                    payload
-                })
-                .collect();
-            self.hp_cache = Some(packets);
+            self.boot.cost.hashes += 2 * self.params.n0 as u64;
+            self.hp_cache = Some(frame_hash_page(&encoded).1);
         }
         self.hp_cache.as_ref()
     }
 
     /// Checks the protocol invariants the chaos layer enforces after
-    /// every delivery (see DESIGN.md §7):
-    ///
-    /// 1. every buffered packet is byte-identical to the authentic one
-    ///    (nothing unauthenticated sits in a buffer),
-    /// 2. buffer occupancy never exceeds the paper's `n` (resp. `n0`)
-    ///    packet bound and the counters match the slots,
-    /// 3. every completed page's decoded input matches preprocessing,
-    /// 4. a complete node's reassembled image is byte-identical to the
-    ///    origin image.
+    /// every delivery (see DESIGN.md §7): the shared ones
+    /// ([`Bootstrap::verify_invariants`]: only authenticated packets
+    /// buffered, buffer occupancy within the paper's `n` / `n0` bounds),
+    /// then that every completed page's decoded input matches
+    /// preprocessing and that a complete node's reassembled image is
+    /// byte-identical to the origin image.
     pub fn verify_invariants(
         &self,
         artifacts: &LrArtifacts,
         image: &[u8],
     ) -> Result<(), InvariantViolation> {
-        let n_items = self.params.num_items();
-        if self.complete > n_items {
-            return Err(InvariantViolation::CompletionOverflow {
-                complete: u64::from(self.complete),
-                total: u64::from(n_items),
-            });
-        }
-        let hp_held = self.hp_received.iter().flatten().count();
-        if self.hp_received.len() != self.params.n0 as usize || hp_held != self.hp_count {
-            return Err(InvariantViolation::BufferBound {
-                buffer: BufferKind::HashPage,
-                slots: self.hp_received.len() as u64,
-                held: hp_held as u64,
-                count: self.hp_count as u64,
-            });
-        }
-        for (j, slot) in self.hp_received.iter().enumerate() {
-            if let Some(p) = slot {
-                let authentic = artifacts.hash_page_packet(j as u16);
-                if p.as_slice() != authentic {
-                    return Err(InvariantViolation::UnauthenticPacket {
-                        buffer: BufferKind::HashPage,
-                        page: None,
-                        index: j as u32,
-                        expected: ContentDigest::of(authentic),
-                        actual: ContentDigest::of(p),
-                    });
-                }
-            }
-        }
-        let cur_held = self.cur_received.iter().flatten().count();
-        if self.cur_received.len() != self.params.n as usize || cur_held != self.cur_count {
-            return Err(InvariantViolation::BufferBound {
-                buffer: BufferKind::Page,
-                slots: self.cur_received.len() as u64,
-                held: cur_held as u64,
-                count: self.cur_count as u64,
-            });
-        }
-        if self.cur_count > 0 {
-            if self.complete < 2 || self.complete >= n_items {
-                return Err(InvariantViolation::UnexpectedBufferOccupancy {
-                    complete: u64::from(self.complete),
-                });
-            }
-            let page = self.complete - 2;
-            for (j, slot) in self.cur_received.iter().enumerate() {
-                if let Some(p) = slot {
-                    let authentic = artifacts.page_packet(page, j as u16);
-                    if p.as_slice() != authentic {
-                        return Err(InvariantViolation::UnauthenticPacket {
-                            buffer: BufferKind::Page,
-                            page: Some(u32::from(page)),
-                            index: j as u32,
-                            expected: ContentDigest::of(authentic),
-                            actual: ContentDigest::of(p),
-                        });
-                    }
-                }
-            }
-        }
-        if self.complete >= 1 && self.signature_body.as_deref() != Some(artifacts.signature_body())
-        {
-            return Err(InvariantViolation::SignatureMismatch {
-                expected: ContentDigest::of(artifacts.signature_body()),
-                actual: self
-                    .signature_body
-                    .as_deref()
-                    .map_or(ContentDigest::MISSING, ContentDigest::of),
-            });
-        }
-        let pages_done = (self.complete as usize).saturating_sub(2);
+        self.boot.verify_invariants(
+            artifacts.signature_body(),
+            &artifacts.hash_page_packets,
+            &artifacts.page_packets,
+        )?;
+        let complete = self.boot.complete();
+        let pages_done = (complete as usize).saturating_sub(2);
         if self.page_inputs.len() < pages_done {
             return Err(InvariantViolation::PagesMissing {
-                complete: u64::from(self.complete),
+                complete: u64::from(complete),
                 held: self.page_inputs.len() as u64,
             });
         }
@@ -451,20 +261,7 @@ impl LrScheme {
                 });
             }
         }
-        if self.complete == n_items {
-            match self.image() {
-                Some(img) if img == image => {}
-                other => {
-                    return Err(InvariantViolation::ImageMismatch {
-                        expected: ContentDigest::of(image),
-                        actual: other
-                            .as_deref()
-                            .map_or(ContentDigest::MISSING, ContentDigest::of),
-                    })
-                }
-            }
-        }
-        Ok(())
+        self.boot.verify_image(self.image(), image)
     }
 
     /// Re-encodes a completed page on first serve (§IV-D-3).
@@ -475,7 +272,7 @@ impl LrScheme {
                 .chunks(self.params.payload_len)
                 .map(|c| c.to_vec())
                 .collect();
-            self.cost.encodes += 1;
+            self.boot.cost.encodes += 1;
             let encoded = self.code.encode(&blocks).expect("consistent shapes");
             self.encoded_cache.insert(page, encoded);
         }
@@ -509,53 +306,49 @@ impl Scheme for LrScheme {
     }
 
     fn complete_items(&self) -> u16 {
-        self.complete
+        self.boot.complete()
     }
 
     fn handle_packet(&mut self, item: u16, index: u16, payload: &[u8]) -> PacketDisposition {
-        debug_assert_eq!(item, self.complete, "engine only feeds the next item");
+        debug_assert_eq!(
+            item,
+            self.boot.complete(),
+            "engine only feeds the next item"
+        );
         match item {
             0 => {
-                if index != 0 {
-                    return PacketDisposition::Rejected;
-                }
-                self.handle_signature(payload)
+                let params = self.params;
+                self.boot.handle_signature(index, payload, |root| {
+                    LrArtifacts::signed_message(&params, root)
+                })
             }
-            1 => self.handle_hash_page(index, payload),
-            _ => self.handle_page_packet(item, index, payload),
+            1 => {
+                let disposition = self.boot.handle_hash_page(index, payload);
+                if disposition == PacketDisposition::Accepted {
+                    self.try_decode_hash_page();
+                }
+                disposition
+            }
+            _ => {
+                let disposition = self.boot.handle_page_packet(item, index, payload);
+                if disposition == PacketDisposition::Accepted {
+                    self.try_decode_page();
+                }
+                disposition
+            }
         }
     }
 
     fn wanted(&self, item: u16) -> BitVec {
-        match item {
-            0 => BitVec::ones(1),
-            1 => {
-                let mut bits = BitVec::zeros(self.params.n0 as usize);
-                for (i, slot) in self.hp_received.iter().enumerate() {
-                    if slot.is_none() {
-                        bits.set(i, true);
-                    }
-                }
-                bits
-            }
-            _ => {
-                let mut bits = BitVec::zeros(self.params.n as usize);
-                for (i, slot) in self.cur_received.iter().enumerate() {
-                    if slot.is_none() {
-                        bits.set(i, true);
-                    }
-                }
-                bits
-            }
-        }
+        self.boot.wanted(item)
     }
 
     fn packet_payload(&mut self, item: u16, index: u16) -> Option<Vec<u8>> {
-        if item >= self.complete {
+        if item >= self.boot.complete() {
             return None;
         }
         match item {
-            0 => self.signature_body.clone(),
+            0 => self.boot.signature_body().map(<[u8]>::to_vec),
             1 => self
                 .ensure_hp_cache()
                 .and_then(|c| c.get(index as usize))
@@ -568,15 +361,11 @@ impl Scheme for LrScheme {
     }
 
     fn item_kind(&self, item: u16) -> PacketKind {
-        match item {
-            0 => PacketKind::Signature,
-            1 => PacketKind::HashPage,
-            _ => PacketKind::Data,
-        }
+        bootstrap::item_kind(item)
     }
 
     fn cost(&self) -> CryptoCost {
-        self.cost
+        self.boot.cost
     }
 
     fn reboot(&mut self) {
@@ -586,14 +375,7 @@ impl Scheme for LrScheme {
         // advancing (Seluge §V). RAM (lost): partially received packets
         // of the in-progress item and all serving caches.
         let has_m0 = self.hp_blocks.is_some() || self.hp_cache.is_some();
-        for slot in &mut self.hp_received {
-            *slot = None;
-        }
-        self.hp_count = 0;
-        for slot in &mut self.cur_received {
-            *slot = None;
-        }
-        self.cur_count = 0;
+        self.boot.clear_hash_page();
         self.decode_scratch = Vec::new();
         self.encoded_cache.clear();
         if self.hp_blocks.is_some() {
@@ -601,32 +383,13 @@ impl Scheme for LrScheme {
             // station's precomputed cache (no blocks) must be kept.
             self.hp_cache = None;
         }
-        self.complete = if self.signature_body.is_none() {
-            0
-        } else if !has_m0 {
-            1
-        } else {
-            2 + self.page_inputs.len() as u16
+        // The hash images authenticating the next page.
+        let expected = match (self.page_inputs.last(), &self.hp_blocks) {
+            (Some(input), _) => self.chained_images(input),
+            (None, Some(blocks)) => self.boot.first_page_images(&blocks.concat()),
+            (None, None) => Vec::new(),
         };
-        // Rebuild the hash images authenticating the next page.
-        self.expected = match self.page_inputs.last() {
-            Some(input) => input[self.params.page_capacity()..]
-                .chunks(HASH_IMAGE_LEN)
-                .map(|c| HashImage::from_slice(c).expect("region sizing"))
-                .collect(),
-            None => match &self.hp_blocks {
-                Some(blocks) => {
-                    let m0: Vec<u8> = blocks.concat();
-                    (0..self.params.n as usize)
-                        .map(|j| {
-                            HashImage::from_slice(&m0[j * HASH_IMAGE_LEN..(j + 1) * HASH_IMAGE_LEN])
-                                .expect("block sizing")
-                        })
-                        .collect()
-                }
-                None => Vec::new(),
-            },
-        };
+        self.boot.resume(has_m0, self.page_inputs.len(), expected);
     }
 }
 
@@ -637,26 +400,7 @@ mod tests {
     use lrs_crypto::schnorr::Keypair;
 
     fn setup() -> (LrScheme, LrScheme, Vec<u8>) {
-        let params = LrSelugeParams {
-            version: 1,
-            image_len: 700,
-            k: 4,
-            n: 6,
-            payload_len: 48,
-            k0: 2,
-            n0: 4,
-            puzzle_strength: 4,
-            ..LrSelugeParams::default()
-        };
-        let image: Vec<u8> = (0..params.image_len as u32)
-            .map(|i| (i % 241) as u8)
-            .collect();
-        let kp = Keypair::from_seed(b"bs");
-        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
-        let art = LrArtifacts::build(&image, params, &kp, &chain);
-        let puzzle = Puzzle::new(chain.anchor(), params.puzzle_strength);
-        let base = LrScheme::base(&art, kp.public(), puzzle);
-        let rx = LrScheme::receiver(params, kp.public(), puzzle);
+        let (base, rx, image, _) = setup_with_artifacts();
         (base, rx, image)
     }
 
@@ -739,26 +483,7 @@ mod tests {
     #[test]
     fn tampered_packets_rejected() {
         let (mut base, mut rx, _) = setup();
-        // Signature.
-        let mut sig = base.packet_payload(0, 0).unwrap();
-        sig[40] ^= 1;
-        assert_eq!(rx.handle_packet(0, 0, &sig), PacketDisposition::Rejected);
-        assert_eq!(rx.cost().signature_verifications, 0, "puzzle filtered");
-        let good = base.packet_payload(0, 0).unwrap();
-        assert_eq!(rx.handle_packet(0, 0, &good), PacketDisposition::Accepted);
-        // Hash page.
-        let mut hp = base.packet_payload(1, 1).unwrap();
-        hp[0] ^= 1;
-        assert_eq!(rx.handle_packet(1, 1, &hp), PacketDisposition::Rejected);
-        // Complete item 1 honestly.
-        for idx in [0usize, 1] {
-            let p = base.packet_payload(1, idx as u16).unwrap();
-            assert_eq!(
-                rx.handle_packet(1, idx as u16, &p),
-                PacketDisposition::Accepted
-            );
-        }
-        assert_eq!(rx.complete_items(), 2);
+        advance_to(&mut base, &mut rx, 2);
         // Page packet: bit flip.
         let mut pp = base.packet_payload(2, 3).unwrap();
         pp[5] ^= 1;
@@ -774,15 +499,7 @@ mod tests {
     #[test]
     fn exactly_k_packets_complete_a_page() {
         let (mut base, mut rx, _) = setup();
-        for item in 0..2u16 {
-            for idx in rx.wanted(item).iter_ones().collect::<Vec<_>>() {
-                let p = base.packet_payload(item, idx as u16).unwrap();
-                rx.handle_packet(item, idx as u16, &p);
-                if rx.complete_items() > item {
-                    break;
-                }
-            }
-        }
+        advance_to(&mut base, &mut rx, 2);
         assert_eq!(rx.complete_items(), 2);
         // Feed exactly k = 4 packets, indices {1, 2, 4, 5}.
         for (count, idx) in [1u16, 2, 4, 5].into_iter().enumerate() {
@@ -911,9 +628,25 @@ mod tests {
         let p = base.packet_payload(2, 0).unwrap();
         rx.handle_packet(2, 0, &p);
         rx.verify_invariants(&art, &image).unwrap();
-        // Corrupt the buffered packet behind the scheme's back.
-        rx.cur_received[0].as_mut().unwrap()[3] ^= 1;
-        assert!(rx.verify_invariants(&art, &image).is_err());
+        // A receiver whose hash chain was subverted: it "authenticated"
+        // a packet that differs from the authentic one in one bit.
+        let mut bad = p.clone();
+        bad[3] ^= 1;
+        let mut m0 = vec![0u8; rx.params().hash_page_len()];
+        m0[..8].copy_from_slice(&crate::packet_hash(1, 2, 0, &bad).0);
+        let kp = Keypair::from_seed(b"bs");
+        let puzzle = Puzzle::new(lrs_crypto::hash::Digest([0; 32]), 4);
+        let mut forged = Bootstrap::receiver(layout(&rx.params()), kp.public(), puzzle);
+        forged.hash_page_complete(&m0);
+        assert_eq!(
+            forged.handle_page_packet(2, 0, &bad),
+            PacketDisposition::Accepted
+        );
+        rx.boot = forged;
+        assert!(matches!(
+            rx.verify_invariants(&art, &image),
+            Err(InvariantViolation::UnauthenticPacket { index: 0, .. })
+        ));
     }
 
     #[test]
@@ -928,15 +661,7 @@ mod tests {
     #[test]
     fn wanted_shrinks_as_packets_arrive() {
         let (mut base, mut rx, _) = setup();
-        for item in 0..2u16 {
-            for idx in rx.wanted(item).iter_ones().collect::<Vec<_>>() {
-                let p = base.packet_payload(item, idx as u16).unwrap();
-                rx.handle_packet(item, idx as u16, &p);
-                if rx.complete_items() > item {
-                    break;
-                }
-            }
-        }
+        advance_to(&mut base, &mut rx, 2);
         assert_eq!(rx.wanted(2).count_ones(), 6);
         let p = base.packet_payload(2, 2).unwrap();
         rx.handle_packet(2, 2, &p);

@@ -22,7 +22,7 @@
 //! [`ShaKernel`] name is a complete configuration, covering the
 //! one-message-at-a-time hasher as well as batches:
 //!
-//! | name | single stream ([`Sha256`](crate::sha256::Sha256), HMAC, Merkle paths, puzzles) | full batch groups | batch remainders |
+//! | name | single stream ([`Sha256`], HMAC, Merkle paths, puzzles) | full batch groups | batch remainders |
 //! |---|---|---|---|
 //! | `sequential` | scalar | — | scalar |
 //! | `ilp4` | scalar | 4-lane scalar ILP | scalar |
@@ -149,7 +149,7 @@ pub fn sha256_batch(msgs: &[&[u8]]) -> Vec<Digest> {
 /// SHA-256 of every multi-part message in `msgs`, in input order. Each
 /// message is hashed as the concatenation of its parts without
 /// materializing the concatenation — the batched counterpart of
-/// [`sha256_concat`].
+/// [`sha256_concat`](crate::sha256::sha256_concat).
 pub fn sha256_batch_parts<'a, M: AsRef<[&'a [u8]]>>(msgs: &[M]) -> Vec<Digest> {
     sha256_batch_parts_with(ShaKernel::active(), msgs)
 }

@@ -20,11 +20,16 @@
 //!   packets");
 //! * [`image`] — the plain Deluge image layout (pages of `k` packets,
 //!   no security) and its [`Scheme`] implementation;
+//! * [`bootstrap`] — the security bootstrap Seluge and LR-Seluge share
+//!   (signed Merkle root behind a puzzle, Merkle-authenticated hash page,
+//!   per-packet hash check, receive buffers, deployment keys), leaving
+//!   each scheme only its page-chaining rule;
 //! * [`attack`] — adversarial node behaviours (bogus-data floods, forged
 //!   control packets, forged signatures, denial-of-receipt) used by the
 //!   attack-resilience experiments.
 
 pub mod attack;
+pub mod bootstrap;
 pub mod engine;
 pub mod image;
 pub mod policy;

@@ -16,61 +16,10 @@
 //! Engine items: item 0 = signature packet, item 1 = hash page,
 //! items `2..2+g` = code pages.
 
+pub mod deployment;
 pub mod preprocess;
 pub mod scheme;
 
+pub use deployment::{SelugeDeployment, SelugeNode};
 pub use preprocess::{SelugeArtifacts, SelugeParams};
 pub use scheme::SelugeScheme;
-
-use lrs_crypto::hash::{hash_image, HashImage};
-
-/// Hash image of a data packet as transmitted on the wire:
-/// `h = H(version || item || index || payload)` truncated.
-///
-/// Both the preprocessing (computing the chained hashes) and the
-/// receiver-side verification use this exact encoding.
-pub fn packet_hash(version: u16, item: u16, index: u16, payload: &[u8]) -> HashImage {
-    hash_image(&[
-        &version.to_be_bytes(),
-        &item.to_be_bytes(),
-        &index.to_be_bytes(),
-        payload,
-    ])
-}
-
-/// [`packet_hash`] for all packets of one page at once, batched through
-/// the multi-buffer SHA-256 kernels. Entry `j` of the result is
-/// `packet_hash(version, item, j, payloads[j])`, bit-identical to the
-/// one-at-a-time function.
-pub fn packet_hash_batch<P: AsRef<[u8]>>(
-    version: u16,
-    item: u16,
-    payloads: &[P],
-) -> Vec<HashImage> {
-    let version_be = version.to_be_bytes();
-    let item_be = item.to_be_bytes();
-    let index_be: Vec<[u8; 2]> = (0..payloads.len())
-        .map(|j| (j as u16).to_be_bytes())
-        .collect();
-    let msgs: Vec<[&[u8]; 4]> = payloads
-        .iter()
-        .zip(&index_be)
-        .map(|(p, idx)| [&version_be[..], &item_be[..], &idx[..], p.as_ref()])
-        .collect();
-    lrs_crypto::hash::hash_image_batch(&msgs)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn packet_hash_is_position_bound() {
-        let h = packet_hash(1, 2, 3, b"payload");
-        assert_ne!(h, packet_hash(1, 2, 4, b"payload"), "index bound");
-        assert_ne!(h, packet_hash(1, 3, 3, b"payload"), "item bound");
-        assert_ne!(h, packet_hash(2, 2, 3, b"payload"), "version bound");
-        assert_ne!(h, packet_hash(1, 2, 3, b"payloae"), "payload bound");
-        assert_eq!(h, packet_hash(1, 2, 3, b"payload"));
-    }
-}

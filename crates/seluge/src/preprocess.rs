@@ -6,10 +6,12 @@
 //! `M0`, protected by a Merkle tree whose root is signed.
 
 use lrs_crypto::hash::{Digest, HASH_IMAGE_LEN};
-use lrs_crypto::merkle::MerkleTree;
-use lrs_crypto::puzzle::{PuzzleKeyChain, PuzzleSolution};
-use lrs_crypto::schnorr::{Keypair, SIGNATURE_LEN};
+use lrs_crypto::puzzle::PuzzleKeyChain;
+use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::sha256_concat;
+use lrs_deluge::bootstrap::{
+    frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
+};
 
 /// Static Seluge layout parameters, preloaded on every node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,9 +97,9 @@ pub struct SelugeArtifacts {
     params: SelugeParams,
     /// `packets[i][j]` = on-air payload of packet `j` of page `i`
     /// (0-based pages; wire item = `i + 2`).
-    page_packets: Vec<Vec<Vec<u8>>>,
+    pub(crate) page_packets: Vec<Vec<Vec<u8>>>,
     /// Hash-page packet payloads (chunk || Merkle path).
-    hash_page_packets: Vec<Vec<u8>>,
+    pub(crate) hash_page_packets: Vec<Vec<u8>>,
     /// The signature packet body.
     signature_body: Vec<u8>,
     /// The Merkle root (for tests).
@@ -138,7 +140,7 @@ impl SelugeArtifacts {
             }
             // All per-page packet hashes are independent: one batch
             // through the multi-buffer SHA-256 kernels.
-            next_hashes = crate::packet_hash_batch(params.version, item, &packets)
+            next_hashes = packet_hash_batch(params.version, item, &packets)
                 .iter()
                 .map(|h| h.0)
                 .collect();
@@ -150,39 +152,15 @@ impl SelugeArtifacts {
         let mut hash_page: Vec<u8> = next_hashes.iter().flatten().copied().collect();
         hash_page.resize(params.chunk_len() * params.hash_page_chunks as usize, 0);
         let chunks: Vec<&[u8]> = hash_page.chunks(params.chunk_len()).collect();
-        let tree = MerkleTree::build(chunks.iter().copied());
-        let hash_page_packets: Vec<Vec<u8>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(j, chunk)| {
-                let mut payload = chunk.to_vec();
-                for sib in tree.proof(j).siblings() {
-                    payload.extend_from_slice(&sib.0);
-                }
-                payload
-            })
-            .collect();
-
-        let root = tree.root();
-        let signed = Self::signed_message(&params, &root);
-        let signature = keypair.sign(&signed.0);
-        // The puzzle covers the signed message *and* the signature bytes,
-        // so any tampering fails the cheap check before the expensive
-        // verification runs.
-        let mut puzzle_msg = signed.0.to_vec();
-        puzzle_msg.extend_from_slice(&signature.to_bytes());
-        let puzzle_sol = {
-            let puzzle =
-                lrs_crypto::puzzle::Puzzle::new(puzzle_chain.anchor(), params.puzzle_strength);
-            puzzle_chain.solve(&puzzle, params.version as u32, &puzzle_msg)
-        };
-
-        let mut signature_body = Vec::new();
-        signature_body.extend_from_slice(&root.0);
-        signature_body.extend_from_slice(&signature.to_bytes());
-        signature_body.extend_from_slice(&puzzle_sol.key.0);
-        signature_body.extend_from_slice(&puzzle_sol.solution.to_be_bytes());
-        debug_assert_eq!(signature_body.len(), Self::signature_body_len());
+        let (root, hash_page_packets) = frame_hash_page(&chunks);
+        let signature_body = seal_signature_body(
+            &root,
+            &Self::signed_message(&params, &root),
+            keypair,
+            puzzle_chain,
+            params.version,
+            params.puzzle_strength,
+        );
 
         SelugeArtifacts {
             params,
@@ -205,36 +183,6 @@ impl SelugeArtifacts {
             &params.hash_page_chunks.to_be_bytes(),
             &root.0,
         ])
-    }
-
-    /// Wire length of the signature body.
-    pub fn signature_body_len() -> usize {
-        32 + SIGNATURE_LEN + 32 + 8
-    }
-
-    /// Splits a signature body into `(root, signature, puzzle solution)`.
-    pub fn parse_signature_body(
-        body: &[u8],
-    ) -> Option<(Digest, [u8; SIGNATURE_LEN], PuzzleSolution)> {
-        if body.len() != Self::signature_body_len() {
-            return None;
-        }
-        let mut root = [0u8; 32];
-        root.copy_from_slice(&body[..32]);
-        let mut sig = [0u8; SIGNATURE_LEN];
-        sig.copy_from_slice(&body[32..32 + SIGNATURE_LEN]);
-        let mut key = [0u8; 32];
-        key.copy_from_slice(&body[32 + SIGNATURE_LEN..64 + SIGNATURE_LEN]);
-        let mut sol = [0u8; 8];
-        sol.copy_from_slice(&body[64 + SIGNATURE_LEN..]);
-        Some((
-            Digest(root),
-            sig,
-            PuzzleSolution {
-                key: Digest(key),
-                solution: u64::from_be_bytes(sol),
-            },
-        ))
     }
 
     /// Layout parameters.
@@ -262,30 +210,17 @@ impl SelugeArtifacts {
         &self.page_packets[i as usize][j as usize]
     }
 
-    /// Pre-fills a run's packet-digest memo with the hash image of every
-    /// predetermined data packet, computed one multi-buffer batch per
-    /// page. Receivers then verify even first-contact packets against
-    /// warm entries; per-node `hashes` cost counters are unaffected
-    /// (hits land in `memoized_hashes`, exactly as with lazy fills).
-    pub fn warm_digest_cache(&self, cache: &crate::scheme::PacketDigestCache) {
-        for (i, packets) in self.page_packets.iter().enumerate() {
-            let item = (i + 2) as u16;
-            let hashes = crate::packet_hash_batch(self.params.version, item, packets);
-            cache.warm(
-                packets
-                    .iter()
-                    .zip(hashes)
-                    .enumerate()
-                    .map(|(j, (p, h))| ((self.params.version, item, j as u16), p.as_slice(), h)),
-            );
-        }
+    /// Pre-fills a per-run packet-digest memo with this image's page
+    /// packets (see [`lrs_deluge::bootstrap::warm_digest_cache`]).
+    pub fn warm_digest_cache(&self, cache: &PacketDigestCache) {
+        warm_digest_cache(cache, self.params.version, &self.page_packets);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet_hash;
+    use lrs_deluge::bootstrap::packet_hash;
 
     fn small_params() -> SelugeParams {
         SelugeParams {
@@ -298,15 +233,14 @@ mod tests {
         }
     }
 
-    fn build() -> (SelugeArtifacts, Vec<u8>, Keypair, PuzzleKeyChain) {
+    fn build() -> SelugeArtifacts {
         let params = small_params();
         let image: Vec<u8> = (0..params.image_len as u32)
             .map(|i| (i % 253) as u8)
             .collect();
         let kp = Keypair::from_seed(b"bs");
         let chain = PuzzleKeyChain::generate(b"puzzles", 4);
-        let art = SelugeArtifacts::build(&image, params, &kp, &chain);
-        (art, image, kp, chain)
+        SelugeArtifacts::build(&image, params, &kp, &chain)
     }
 
     #[test]
@@ -323,7 +257,7 @@ mod tests {
 
     #[test]
     fn chaining_is_consistent() {
-        let (art, _, _, _) = build();
+        let art = build();
         let p = art.params();
         // The hash embedded in packet j of page i equals the hash of
         // packet j of page i+1.
@@ -343,7 +277,7 @@ mod tests {
 
     #[test]
     fn hash_page_contains_page0_hashes() {
-        let (art, _, _, _) = build();
+        let art = build();
         let p = art.params();
         // Reconstruct M0 from the chunk parts of the hash-page packets.
         let mut m0 = Vec::new();
@@ -355,42 +289,5 @@ mod tests {
             let off = j as usize * HASH_IMAGE_LEN;
             assert_eq!(&m0[off..off + HASH_IMAGE_LEN], expected.0);
         }
-    }
-
-    #[test]
-    fn merkle_paths_verify_against_root() {
-        let (art, _, _, _) = build();
-        let p = art.params();
-        for j in 0..p.hash_page_chunks {
-            let payload = art.hash_page_packet(j);
-            let chunk = &payload[..p.chunk_len()];
-            let siblings: Vec<Digest> = payload[p.chunk_len()..]
-                .chunks(32)
-                .map(|c| {
-                    let mut d = [0u8; 32];
-                    d.copy_from_slice(c);
-                    Digest(d)
-                })
-                .collect();
-            let proof = lrs_crypto::merkle::MerkleProof::from_parts(j as usize, siblings);
-            assert!(proof.verify(chunk, &art.root()), "chunk {j}");
-        }
-    }
-
-    #[test]
-    fn signature_body_roundtrip_and_validity() {
-        let (art, _, kp, chain) = build();
-        let p = art.params();
-        let (root, sig_bytes, sol) =
-            SelugeArtifacts::parse_signature_body(art.signature_body()).unwrap();
-        assert_eq!(root, art.root());
-        let signed = SelugeArtifacts::signed_message(&p, &root);
-        let sig = lrs_crypto::schnorr::Signature::from_bytes(&sig_bytes).unwrap();
-        assert!(kp.public().verify(&signed.0, &sig));
-        let puzzle = lrs_crypto::puzzle::Puzzle::new(chain.anchor(), p.puzzle_strength);
-        let mut puzzle_msg = signed.0.to_vec();
-        puzzle_msg.extend_from_slice(&sig_bytes);
-        assert!(puzzle.verify(p.version as u32, &puzzle_msg, &sol));
-        assert!(SelugeArtifacts::parse_signature_body(&art.signature_body()[1..]).is_none());
     }
 }

@@ -4,41 +4,45 @@
 //! authenticates the Merkle root (guarded by the puzzle), the Merkle
 //! paths authenticate hash-page packets, the hash page authenticates
 //! page 1's packets, and every completed page authenticates the next.
+//!
+//! All of that checking is the shared [`lrs_deluge::bootstrap`]; this
+//! module adds Seluge's chaining rule: an item is complete when every
+//! one of its packets arrived, and packet `j` of a page carries the hash
+//! image of packet `j` of the next.
 
-use crate::packet_hash;
 use crate::preprocess::{SelugeArtifacts, SelugeParams};
-use lrs_crypto::hash::{Digest, HashImage, HASH_IMAGE_LEN};
-use lrs_crypto::merkle::MerkleProof;
+use lrs_crypto::hash::HashImage;
 use lrs_crypto::puzzle::Puzzle;
-use lrs_crypto::schnorr::{PublicKey, Signature};
+use lrs_crypto::schnorr::PublicKey;
+use lrs_deluge::bootstrap::{self, Bootstrap, Layout};
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
 use lrs_deluge::wire::BitVec;
-use lrs_netsim::digest::DigestCache;
 use lrs_netsim::node::PacketKind;
-use lrs_netsim::violation::{BufferKind, ContentDigest, InvariantViolation};
+use lrs_netsim::violation::{ContentDigest, InvariantViolation};
 
-/// The shared per-run packet-digest memo used by Seluge schemes.
-pub type PacketDigestCache = DigestCache<HashImage>;
+pub use lrs_deluge::bootstrap::PacketDigestCache;
 
 /// Per-node Seluge state (base station or receiver).
 #[derive(Clone, Debug)]
 pub struct SelugeScheme {
     params: SelugeParams,
-    pubkey: PublicKey,
-    puzzle: Puzzle,
-    complete: u16,
-    signature_body: Option<Vec<u8>>,
-    root: Option<Digest>,
-    hash_page: Vec<Option<Vec<u8>>>,
+    /// Verified signature and root, the hash page (received packets stay
+    /// in its buffer and are served from there), the receive buffer of
+    /// the page in flight and the hash images its packets must match.
+    boot: Bootstrap,
     /// Completed page packets (with chained hash tails), for serving.
     pages: Vec<Vec<Vec<u8>>>,
-    /// Packets of the page being received.
-    current: Vec<Option<Vec<u8>>>,
-    /// Expected hash images for the packets of the next incomplete page.
-    expected: Vec<HashImage>,
-    /// Optional run-wide packet-digest memo (see [`PacketDigestCache`]).
-    digest_cache: Option<PacketDigestCache>,
-    cost: CryptoCost,
+}
+
+fn layout(params: &SelugeParams) -> Layout {
+    Layout {
+        version: params.version,
+        num_items: params.num_items(),
+        hash_page_packets: params.hash_page_chunks,
+        hash_block_len: params.chunk_len(),
+        page_packets: params.packets_per_page,
+        page_payload_len: params.data_payload_len(),
+    }
 }
 
 impl SelugeScheme {
@@ -46,17 +50,8 @@ impl SelugeScheme {
     pub fn receiver(params: SelugeParams, pubkey: PublicKey, puzzle: Puzzle) -> Self {
         SelugeScheme {
             params,
-            pubkey,
-            puzzle,
-            complete: 0,
-            signature_body: None,
-            root: None,
-            hash_page: vec![None; params.hash_page_chunks as usize],
+            boot: Bootstrap::receiver(layout(&params), pubkey, puzzle),
             pages: Vec::new(),
-            current: vec![None; params.packets_per_page as usize],
-            expected: Vec::new(),
-            digest_cache: None,
-            cost: CryptoCost::default(),
         }
     }
 
@@ -65,41 +60,32 @@ impl SelugeScheme {
     /// `hashes` cost counter are unchanged; cache hits are tallied in
     /// `CryptoCost::memoized_hashes`.
     pub fn with_digest_cache(mut self, cache: PacketDigestCache) -> Self {
-        self.digest_cache = Some(cache);
+        self.boot.set_digest_cache(cache);
         self
     }
 
     /// The base station: everything precomputed and complete.
     pub fn base(artifacts: &SelugeArtifacts, pubkey: PublicKey, puzzle: Puzzle) -> Self {
         let params = artifacts.params();
-        let pages = (0..params.pages())
-            .map(|i| {
-                (0..params.packets_per_page)
-                    .map(|j| artifacts.page_packet(i, j).to_vec())
-                    .collect()
-            })
-            .collect();
-        SelugeScheme {
-            params,
+        // The hash-page packets are served out of the receive buffer.
+        let boot = Bootstrap::base(
+            layout(&params),
             pubkey,
             puzzle,
-            complete: params.num_items(),
-            signature_body: Some(artifacts.signature_body().to_vec()),
-            root: Some(artifacts.root()),
-            hash_page: (0..params.hash_page_chunks)
-                .map(|j| Some(artifacts.hash_page_packet(j).to_vec()))
-                .collect(),
-            pages,
-            current: Vec::new(),
-            expected: Vec::new(),
-            digest_cache: None,
-            cost: CryptoCost::default(),
+            artifacts.signature_body(),
+            artifacts.root(),
+            &artifacts.hash_page_packets,
+        );
+        SelugeScheme {
+            params,
+            boot,
+            pages: artifacts.page_packets.clone(),
         }
     }
 
     /// The reassembled, verified image once dissemination completed.
     pub fn image(&self) -> Option<Vec<u8>> {
-        if self.complete != self.params.num_items() {
+        if !self.boot.is_complete() {
             return None;
         }
         let mut out = Vec::with_capacity(self.params.image_len);
@@ -118,89 +104,26 @@ impl SelugeScheme {
     }
 
     /// Checks the protocol invariants the chaos layer enforces after
-    /// every delivery (see DESIGN.md §7): only authenticated packets
-    /// buffered, buffer occupancy within the per-page packet bound,
-    /// completed pages identical to preprocessing, and a complete
+    /// every delivery (see DESIGN.md §7): the shared ones
+    /// ([`Bootstrap::verify_invariants`]: only authenticated packets
+    /// buffered, buffer occupancy within the per-item packet bound),
+    /// then completed pages identical to preprocessing and a complete
     /// node's image byte-identical to the origin.
     pub fn verify_invariants(
         &self,
         artifacts: &SelugeArtifacts,
         image: &[u8],
     ) -> Result<(), InvariantViolation> {
-        let n_items = self.params.num_items();
-        if self.complete > n_items {
-            return Err(InvariantViolation::CompletionOverflow {
-                complete: u64::from(self.complete),
-                total: u64::from(n_items),
-            });
-        }
-        if self.hash_page.len() != self.params.hash_page_chunks as usize {
-            return Err(InvariantViolation::BufferBound {
-                buffer: BufferKind::HashPage,
-                slots: self.hash_page.len() as u64,
-                held: self.hash_page.iter().flatten().count() as u64,
-                count: self.params.hash_page_chunks as u64,
-            });
-        }
-        for (j, slot) in self.hash_page.iter().enumerate() {
-            if let Some(p) = slot {
-                let authentic = artifacts.hash_page_packet(j as u16);
-                if p.as_slice() != authentic {
-                    return Err(InvariantViolation::UnauthenticPacket {
-                        buffer: BufferKind::HashPage,
-                        page: None,
-                        index: j as u32,
-                        expected: ContentDigest::of(authentic),
-                        actual: ContentDigest::of(p),
-                    });
-                }
-            }
-        }
-        let cur_held = self.current.iter().flatten().count();
-        if self.current.len() > self.params.packets_per_page as usize {
-            return Err(InvariantViolation::BufferBound {
-                buffer: BufferKind::Page,
-                slots: self.current.len() as u64,
-                held: cur_held as u64,
-                count: self.params.packets_per_page as u64,
-            });
-        }
-        if cur_held > 0 {
-            if self.complete < 2 || self.complete >= n_items {
-                return Err(InvariantViolation::UnexpectedBufferOccupancy {
-                    complete: u64::from(self.complete),
-                });
-            }
-            let page = self.complete - 2;
-            for (j, slot) in self.current.iter().enumerate() {
-                if let Some(p) = slot {
-                    let authentic = artifacts.page_packet(page, j as u16);
-                    if p.as_slice() != authentic {
-                        return Err(InvariantViolation::UnauthenticPacket {
-                            buffer: BufferKind::Page,
-                            page: Some(u32::from(page)),
-                            index: j as u32,
-                            expected: ContentDigest::of(authentic),
-                            actual: ContentDigest::of(p),
-                        });
-                    }
-                }
-            }
-        }
-        if self.complete >= 1 && self.signature_body.as_deref() != Some(artifacts.signature_body())
-        {
-            return Err(InvariantViolation::SignatureMismatch {
-                expected: ContentDigest::of(artifacts.signature_body()),
-                actual: self
-                    .signature_body
-                    .as_deref()
-                    .map_or(ContentDigest::MISSING, ContentDigest::of),
-            });
-        }
-        let pages_done = (self.complete as usize).saturating_sub(2);
+        self.boot.verify_invariants(
+            artifacts.signature_body(),
+            &artifacts.hash_page_packets,
+            &artifacts.page_packets,
+        )?;
+        let complete = self.boot.complete();
+        let pages_done = (complete as usize).saturating_sub(2);
         if self.pages.len() < pages_done {
             return Err(InvariantViolation::PagesMissing {
-                complete: u64::from(self.complete),
+                complete: u64::from(complete),
                 held: self.pages.len() as u64,
             });
         }
@@ -217,146 +140,25 @@ impl SelugeScheme {
                 }
             }
         }
-        if self.complete == n_items {
-            match self.image() {
-                Some(img) if img == image => {}
-                other => {
-                    return Err(InvariantViolation::ImageMismatch {
-                        expected: ContentDigest::of(image),
-                        actual: other
-                            .as_deref()
-                            .map_or(ContentDigest::MISSING, ContentDigest::of),
-                    })
-                }
-            }
-        }
-        Ok(())
+        self.boot.verify_image(self.image(), image)
     }
 
-    fn handle_signature(&mut self, payload: &[u8]) -> PacketDisposition {
-        if self.signature_body.is_some() {
-            return PacketDisposition::Duplicate;
-        }
-        let Some((root, sig_bytes, sol)) = SelugeArtifacts::parse_signature_body(payload) else {
-            return PacketDisposition::Rejected;
-        };
-        let signed = SelugeArtifacts::signed_message(&self.params, &root);
-        self.cost.hashes += 1;
-        // Weak authenticator first: cheap filter against forged floods.
-        self.cost.puzzle_checks += 1;
-        self.cost.hashes += self.params.version as u64 + 1;
-        let mut puzzle_msg = signed.0.to_vec();
-        puzzle_msg.extend_from_slice(&sig_bytes);
-        if !self
-            .puzzle
-            .verify(self.params.version as u32, &puzzle_msg, &sol)
-        {
-            return PacketDisposition::Rejected;
-        }
-        // Only now the expensive verification.
-        self.cost.signature_verifications += 1;
-        let Some(sig) = Signature::from_bytes(&sig_bytes) else {
-            return PacketDisposition::Rejected;
-        };
-        if !self.pubkey.verify(&signed.0, &sig) {
-            return PacketDisposition::Rejected;
-        }
-        self.signature_body = Some(payload.to_vec());
-        self.root = Some(root);
-        self.complete = 1;
-        PacketDisposition::Accepted
+    /// The chaining rule (§II-B): the tail of packet `j` of a page is
+    /// the hash image of packet `j` of the next page.
+    fn chained_images(&self, page: &[Vec<u8>]) -> Vec<HashImage> {
+        page.iter()
+            .map(|p| HashImage::from_slice(&p[self.params.slice_len..]).expect("payload sizing"))
+            .collect()
     }
 
-    fn handle_hash_page(&mut self, index: u16, payload: &[u8]) -> PacketDisposition {
-        if index >= self.params.hash_page_chunks
-            || payload.len() != self.params.hash_page_payload_len()
-        {
-            return PacketDisposition::Rejected;
-        }
-        if self.hash_page[index as usize].is_some() {
-            return PacketDisposition::Duplicate;
-        }
+    /// `M0`, once every hash-page packet is held: their chunks in order.
+    fn hash_page_bytes(&self) -> Vec<u8> {
         let chunk_len = self.params.chunk_len();
-        let chunk = &payload[..chunk_len];
-        let siblings: Vec<Digest> = payload[chunk_len..]
-            .chunks(32)
-            .map(|c| {
-                let mut d = [0u8; 32];
-                d.copy_from_slice(c);
-                Digest(d)
-            })
-            .collect();
-        let proof = MerkleProof::from_parts(index as usize, siblings);
-        self.cost.hashes += self.params.merkle_depth() as u64 + 1;
-        let root = self.root.expect("item 1 only requested after item 0");
-        if !proof.verify(chunk, &root) {
-            return PacketDisposition::Rejected;
+        let mut m0 = Vec::new();
+        for (_, packet) in self.boot.hash_page().iter() {
+            m0.extend_from_slice(&packet[..chunk_len]);
         }
-        self.hash_page[index as usize] = Some(payload.to_vec());
-        if self.hash_page.iter().all(|s| s.is_some()) {
-            // M0 complete: extract the hash images of page 0's packets.
-            let mut m0 = Vec::new();
-            for slot in &self.hash_page {
-                let p = slot.as_ref().expect("all present");
-                m0.extend_from_slice(&p[..chunk_len]);
-            }
-            self.expected = (0..self.params.packets_per_page as usize)
-                .map(|j| {
-                    HashImage::from_slice(&m0[j * HASH_IMAGE_LEN..(j + 1) * HASH_IMAGE_LEN])
-                        .expect("chunk sizing")
-                })
-                .collect();
-            self.complete = 2;
-        }
-        PacketDisposition::Accepted
-    }
-
-    fn handle_page_packet(&mut self, item: u16, index: u16, payload: &[u8]) -> PacketDisposition {
-        if index as usize >= self.current.len()
-            || payload.len() != self.params.data_payload_len()
-            || self.expected.len() != self.current.len()
-        {
-            return PacketDisposition::Rejected;
-        }
-        if self.current[index as usize].is_some() {
-            return PacketDisposition::Duplicate;
-        }
-        self.cost.hashes += 1;
-        let h = match &self.digest_cache {
-            Some(cache) => match cache.lookup(self.params.version, item, index, payload) {
-                Some(h) => {
-                    self.cost.memoized_hashes += 1;
-                    h
-                }
-                None => {
-                    let h = packet_hash(self.params.version, item, index, payload);
-                    cache.insert(self.params.version, item, index, payload, h);
-                    h
-                }
-            },
-            None => packet_hash(self.params.version, item, index, payload),
-        };
-        if h != self.expected[index as usize] {
-            return PacketDisposition::Rejected;
-        }
-        self.current[index as usize] = Some(payload.to_vec());
-        if self.current.iter().all(|s| s.is_some()) {
-            let packets: Vec<Vec<u8>> = self
-                .current
-                .iter_mut()
-                .map(|s| s.take().expect("all present"))
-                .collect();
-            // Chained hashes for the next page live in the packet tails.
-            self.expected = packets
-                .iter()
-                .map(|p| {
-                    HashImage::from_slice(&p[self.params.slice_len..]).expect("payload sizing")
-                })
-                .collect();
-            self.pages.push(packets);
-            self.complete += 1;
-        }
-        PacketDisposition::Accepted
+        m0
     }
 }
 
@@ -382,54 +184,57 @@ impl Scheme for SelugeScheme {
     }
 
     fn complete_items(&self) -> u16 {
-        self.complete
+        self.boot.complete()
     }
 
     fn handle_packet(&mut self, item: u16, index: u16, payload: &[u8]) -> PacketDisposition {
-        debug_assert_eq!(item, self.complete, "engine only feeds the next item");
+        debug_assert_eq!(
+            item,
+            self.boot.complete(),
+            "engine only feeds the next item"
+        );
         match item {
             0 => {
-                if index != 0 {
-                    return PacketDisposition::Rejected;
-                }
-                self.handle_signature(payload)
+                let params = self.params;
+                self.boot.handle_signature(index, payload, |root| {
+                    SelugeArtifacts::signed_message(&params, root)
+                })
             }
-            1 => self.handle_hash_page(index, payload),
-            _ => self.handle_page_packet(item, index, payload),
+            1 => {
+                let disposition = self.boot.handle_hash_page(index, payload);
+                if disposition == PacketDisposition::Accepted && self.boot.hash_page().is_full() {
+                    let m0 = self.hash_page_bytes();
+                    self.boot.hash_page_complete(&m0);
+                }
+                disposition
+            }
+            _ => {
+                let disposition = self.boot.handle_page_packet(item, index, payload);
+                if disposition == PacketDisposition::Accepted && self.boot.page().is_full() {
+                    let packets = self.boot.take_page();
+                    self.boot.page_complete(self.chained_images(&packets));
+                    self.pages.push(packets);
+                }
+                disposition
+            }
         }
     }
 
     fn wanted(&self, item: u16) -> BitVec {
-        match item {
-            0 => BitVec::ones(1),
-            1 => {
-                let mut bits = BitVec::zeros(self.params.hash_page_chunks as usize);
-                for (i, slot) in self.hash_page.iter().enumerate() {
-                    if slot.is_none() {
-                        bits.set(i, true);
-                    }
-                }
-                bits
-            }
-            _ => {
-                let mut bits = BitVec::zeros(self.params.packets_per_page as usize);
-                for (i, slot) in self.current.iter().enumerate() {
-                    if slot.is_none() {
-                        bits.set(i, true);
-                    }
-                }
-                bits
-            }
-        }
+        self.boot.wanted(item)
     }
 
     fn packet_payload(&mut self, item: u16, index: u16) -> Option<Vec<u8>> {
-        if item >= self.complete {
+        if item >= self.boot.complete() {
             return None;
         }
         match item {
-            0 => self.signature_body.clone(),
-            1 => self.hash_page.get(index as usize)?.clone(),
+            0 => self.boot.signature_body().map(<[u8]>::to_vec),
+            1 => self
+                .boot
+                .hash_page()
+                .get(index as usize)
+                .map(<[u8]>::to_vec),
             _ => {
                 let page = self.pages.get((item - 2) as usize)?;
                 page.get(index as usize).cloned()
@@ -438,15 +243,11 @@ impl Scheme for SelugeScheme {
     }
 
     fn item_kind(&self, item: u16) -> PacketKind {
-        match item {
-            0 => PacketKind::Signature,
-            1 => PacketKind::HashPage,
-            _ => PacketKind::Data,
-        }
+        bootstrap::item_kind(item)
     }
 
     fn cost(&self) -> CryptoCost {
-        self.cost
+        self.boot.cost
     }
 
     fn reboot(&mut self) {
@@ -456,44 +257,17 @@ impl Scheme for SelugeScheme {
         // the in-progress item's partial packets. A partially received
         // hash page counts as RAM: its packets only reach flash once
         // the whole of M0 is assembled.
-        for slot in &mut self.current {
-            *slot = None;
-        }
-        let m0_done = !self.hash_page.is_empty() && self.hash_page.iter().all(|s| s.is_some());
+        let m0_done = self.boot.hash_page().is_full();
         if !m0_done {
-            for slot in &mut self.hash_page {
-                *slot = None;
-            }
+            self.boot.clear_hash_page();
         }
-        self.complete = if self.signature_body.is_none() {
-            0
-        } else if !m0_done {
-            1
-        } else {
-            2 + self.pages.len() as u16
+        // The hash images authenticating the next page.
+        let expected = match self.pages.last() {
+            Some(page) => self.chained_images(page),
+            None if m0_done => self.boot.first_page_images(&self.hash_page_bytes()),
+            None => Vec::new(),
         };
-        // Rebuild the hash images authenticating the next page.
-        self.expected = if let Some(page) = self.pages.last() {
-            page.iter()
-                .map(|p| {
-                    HashImage::from_slice(&p[self.params.slice_len..]).expect("payload sizing")
-                })
-                .collect()
-        } else if m0_done {
-            let chunk_len = self.params.chunk_len();
-            let mut m0 = Vec::new();
-            for slot in &self.hash_page {
-                m0.extend_from_slice(&slot.as_ref().expect("all present")[..chunk_len]);
-            }
-            (0..self.params.packets_per_page as usize)
-                .map(|j| {
-                    HashImage::from_slice(&m0[j * HASH_IMAGE_LEN..(j + 1) * HASH_IMAGE_LEN])
-                        .expect("chunk sizing")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        self.boot.resume(m0_done, self.pages.len(), expected);
     }
 }
 
@@ -502,42 +276,18 @@ mod tests {
     use super::*;
     use lrs_crypto::puzzle::PuzzleKeyChain;
     use lrs_crypto::schnorr::Keypair;
+    use lrs_netsim::violation::BufferKind;
 
     fn setup() -> (SelugeScheme, SelugeScheme, Vec<u8>) {
-        let params = SelugeParams {
-            version: 1,
-            image_len: 500,
-            packets_per_page: 4,
-            slice_len: 32,
-            hash_page_chunks: 4,
-            puzzle_strength: 4,
-        };
-        let image: Vec<u8> = (0..500u32).map(|i| (i % 249) as u8).collect();
-        let kp = Keypair::from_seed(b"bs");
-        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
-        let art = SelugeArtifacts::build(&image, params, &kp, &chain);
-        let puzzle = Puzzle::new(chain.anchor(), params.puzzle_strength);
-        let base = SelugeScheme::base(&art, kp.public(), puzzle);
-        let rx = SelugeScheme::receiver(params, kp.public(), puzzle);
+        let (base, rx, image, _) = setup_with_artifacts();
         (base, rx, image)
-    }
-
-    /// Drives a full item-by-item transfer from base to receiver.
-    fn transfer_all(base: &mut SelugeScheme, rx: &mut SelugeScheme) {
-        while rx.complete_items() < rx.num_items() {
-            let item = rx.complete_items();
-            for idx in rx.wanted(item).iter_ones().collect::<Vec<_>>() {
-                let payload = base.packet_payload(item, idx as u16).expect("base has all");
-                let disp = rx.handle_packet(item, idx as u16, &payload);
-                assert_eq!(disp, PacketDisposition::Accepted, "item {item} idx {idx}");
-            }
-        }
     }
 
     #[test]
     fn full_transfer_reconstructs_image() {
         let (mut base, mut rx, image) = setup();
-        transfer_all(&mut base, &mut rx);
+        let total = rx.num_items();
+        advance_to(&mut base, &mut rx, total);
         assert_eq!(rx.image().unwrap(), image);
         // Exactly one expensive verification on the receiver.
         assert_eq!(rx.cost().signature_verifications, 1);
@@ -545,26 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn forged_signature_rejected_by_puzzle_before_verification() {
-        let (_, mut rx, _) = setup();
-        let forged = vec![0xAA; SelugeArtifacts::signature_body_len()];
-        assert_eq!(rx.handle_packet(0, 0, &forged), PacketDisposition::Rejected);
-        // The puzzle filtered it: no expensive verification ran.
-        assert_eq!(rx.cost().signature_verifications, 0);
-        assert_eq!(rx.cost().puzzle_checks, 1);
-    }
-
-    #[test]
     fn tampered_page_packet_rejected() {
         let (mut base, mut rx, _) = setup();
-        // Complete items 0 and 1 honestly.
-        for item in 0..2u16 {
-            for idx in rx.wanted(item).iter_ones().collect::<Vec<_>>() {
-                let p = base.packet_payload(item, idx as u16).unwrap();
-                rx.handle_packet(item, idx as u16, &p);
-            }
-        }
-        assert_eq!(rx.complete_items(), 2);
+        advance_to(&mut base, &mut rx, 2);
         let mut p = base.packet_payload(2, 0).unwrap();
         p[0] ^= 0xFF;
         assert_eq!(rx.handle_packet(2, 0, &p), PacketDisposition::Rejected);
@@ -574,25 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn tampered_hash_page_packet_rejected() {
-        let (mut base, mut rx, _) = setup();
-        let sig = base.packet_payload(0, 0).unwrap();
-        assert_eq!(rx.handle_packet(0, 0, &sig), PacketDisposition::Accepted);
-        let mut p = base.packet_payload(1, 2).unwrap();
-        let len = p.len();
-        p[len - 1] ^= 0x01; // corrupt a Merkle sibling
-        assert_eq!(rx.handle_packet(1, 2, &p), PacketDisposition::Rejected);
-    }
-
-    #[test]
     fn wrong_position_packet_rejected() {
         let (mut base, mut rx, _) = setup();
-        for item in 0..2u16 {
-            for idx in rx.wanted(item).iter_ones().collect::<Vec<_>>() {
-                let p = base.packet_payload(item, idx as u16).unwrap();
-                rx.handle_packet(item, idx as u16, &p);
-            }
-        }
+        advance_to(&mut base, &mut rx, 2);
         // Packet 1's payload presented as packet 0: hash mismatch.
         let p1 = base.packet_payload(2, 1).unwrap();
         assert_eq!(rx.handle_packet(2, 0, &p1), PacketDisposition::Rejected);
@@ -629,12 +346,14 @@ mod tests {
         (base, rx, image, art)
     }
 
+    /// Transfers item by item from `base` until `rx` holds `level` items.
     fn advance_to(base: &mut SelugeScheme, rx: &mut SelugeScheme, level: u16) {
         while rx.complete_items() < level {
             let item = rx.complete_items();
             for idx in rx.wanted(item).iter_ones().collect::<Vec<_>>() {
-                let p = base.packet_payload(item, idx as u16).unwrap();
-                rx.handle_packet(item, idx as u16, &p);
+                let p = base.packet_payload(item, idx as u16).expect("base has all");
+                let disp = rx.handle_packet(item, idx as u16, &p);
+                assert_eq!(disp, PacketDisposition::Accepted, "item {item} idx {idx}");
             }
         }
     }
@@ -698,8 +417,62 @@ mod tests {
         let p = base.packet_payload(2, 0).unwrap();
         rx.handle_packet(2, 0, &p);
         rx.verify_invariants(&art, &image).unwrap();
-        rx.current[0].as_mut().unwrap()[3] ^= 1;
-        assert!(rx.verify_invariants(&art, &image).is_err());
+        base.verify_invariants(&art, &image).unwrap();
+        let kp = Keypair::from_seed(b"bs");
+        let puzzle = Puzzle::new(lrs_crypto::hash::Digest([0; 32]), 4);
+        let good = layout(&rx.params());
+
+        // A receiver whose hash chain was subverted: it "authenticated"
+        // a packet that differs from the authentic one in one bit.
+        let mut bad = p.clone();
+        bad[3] ^= 1;
+        let mut m0 = vec![0u8; rx.params().hash_page_len()];
+        m0[..8].copy_from_slice(&bootstrap::packet_hash(1, 2, 0, &bad).0);
+        let mut forged = Bootstrap::receiver(good, kp.public(), puzzle);
+        forged.hash_page_complete(&m0);
+        assert_eq!(
+            forged.handle_page_packet(2, 0, &bad),
+            PacketDisposition::Accepted
+        );
+        rx.boot = forged;
+        assert!(matches!(
+            rx.verify_invariants(&art, &image),
+            Err(InvariantViolation::UnauthenticPacket { index: 0, .. })
+        ));
+
+        // Receive buffers that do not have one slot per packet: a page
+        // buffer with a slot too many on a receiver, and the slotless
+        // page buffer base stations used to be built with.
+        let extra = Layout {
+            page_packets: good.page_packets + 1,
+            ..good
+        };
+        rx.boot = Bootstrap::receiver(extra, kp.public(), puzzle);
+        assert!(matches!(
+            rx.verify_invariants(&art, &image),
+            Err(InvariantViolation::BufferBound {
+                buffer: BufferKind::Page,
+                slots: 5,
+                held: 0,
+                count: 0
+            })
+        ));
+        let none = Layout {
+            page_packets: 0,
+            ..good
+        };
+        base.boot = Bootstrap::base(
+            none,
+            kp.public(),
+            puzzle,
+            art.signature_body(),
+            art.root(),
+            &[],
+        );
+        assert!(matches!(
+            base.verify_invariants(&art, &image),
+            Err(InvariantViolation::BufferBound { .. })
+        ));
     }
 
     #[test]

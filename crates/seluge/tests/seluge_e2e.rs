@@ -140,7 +140,7 @@ fn bogus_data_flood_is_rejected_and_dissemination_completes() {
 #[test]
 fn forged_signature_flood_never_triggers_expensive_verification() {
     let s = setup(1_200);
-    let body_len = SelugeArtifacts::signature_body_len();
+    let body_len = lrs_deluge::bootstrap::SIGNATURE_BODY_LEN;
     let mut sim = SimBuilder::new(Topology::star(5), 13, |id| {
         if id == NodeId(4) {
             MaybeAdversary::Attacker(Attacker::outsider(

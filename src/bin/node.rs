@@ -1,7 +1,7 @@
 //! One LR-Seluge/Seluge node as a real OS process.
 //!
 //! Wraps the exact `Protocol` state machine the simulator drives in a
-//! real-time [`Host`](lrs_host::Host) clocked by the OS monotonic
+//! real-time [`lrs_host::Host`] clocked by the OS monotonic
 //! clock, speaking length-framed `Message` bytes inside the transport
 //! envelope over UDP. All data traffic goes to one peer — the swarm
 //! proxy — which applies the loss model and fans out to the rest of the

@@ -27,17 +27,12 @@ use lrs_bench::capsules::{
     attack_params, campaign_params, chaos_params, scale_image, scale_params,
 };
 use lrs_bench::runner::{matched_seluge_params, test_image};
-use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::sha256;
-use lrs_deluge::engine::{DisseminationNode, EngineConfig};
-use lrs_deluge::policy::UnionPolicy;
 use lrs_host::node::{Context, NodeId, Protocol, TimerId};
 use lrs_host::time::SimTime;
 use lrs_netsim::fault::{FaultEvent, FaultPlan, PPM_ONE};
 use lrs_rng::DetRng;
-use lrs_seluge::{SelugeArtifacts, SelugeScheme};
+use lrs_seluge::{SelugeDeployment, SelugeNode};
 use std::collections::HashMap;
 
 /// Which dissemination scheme a swarm runs.
@@ -129,24 +124,10 @@ impl SwarmScenario {
                 Ok(SwarmNode::Lr { node, deployment })
             }
             SchemeKind::Seluge => {
-                let sp = matched_seluge_params(&params);
-                let kp = Keypair::from_seed(context);
-                let chain = PuzzleKeyChain::generate(context, sp.version as u32 + 4);
-                let artifacts = SelugeArtifacts::build(&image, sp, &kp, &chain);
-                let puzzle = Puzzle::new(chain.anchor(), sp.puzzle_strength);
-                let key = ClusterKey::derive(context, 0);
-                let scheme = if id == NodeId(0) {
-                    SelugeScheme::base(&artifacts, kp.public(), puzzle)
-                } else {
-                    SelugeScheme::receiver(sp, kp.public(), puzzle)
-                };
-                let node = DisseminationNode::new(
-                    scheme,
-                    UnionPolicy::new(),
-                    key,
-                    EngineConfig::default(),
-                );
-                Ok(SwarmNode::Seluge { node, artifacts })
+                let deployment =
+                    SelugeDeployment::new(&image, matched_seluge_params(&params), context);
+                let node = deployment.node(id, NodeId(0));
+                Ok(SwarmNode::Seluge { node, deployment })
             }
         }
     }
@@ -165,12 +146,12 @@ pub enum SwarmNode {
         /// Deployment artifacts for invariant checking.
         deployment: Deployment,
     },
-    /// Seluge node plus its build artifacts.
+    /// Seluge node plus its deployment (source of `SelugeArtifacts`).
     Seluge {
         /// The protocol state machine.
-        node: DisseminationNode<SelugeScheme, UnionPolicy>,
-        /// Build artifacts for invariant checking.
-        artifacts: SelugeArtifacts,
+        node: SelugeNode,
+        /// Deployment artifacts for invariant checking.
+        deployment: SelugeDeployment,
     },
 }
 
@@ -187,10 +168,10 @@ impl SwarmNode {
                     .is_ok(),
                 node.scheme().image(),
             ),
-            SwarmNode::Seluge { node, artifacts } => (
+            SwarmNode::Seluge { node, deployment } => (
                 node.is_complete(),
                 node.scheme()
-                    .verify_invariants(artifacts, expected_image)
+                    .verify_invariants(deployment.artifacts(), expected_image)
                     .is_ok(),
                 node.scheme().image(),
             ),

@@ -3,6 +3,7 @@
 
 use lr_seluge::LrSelugeParams;
 use lrs_bench::{average, matched_seluge_params, run_deluge, run_lr, run_seluge, RunSpec};
+use lrs_deluge::bootstrap::DeploymentKeys;
 use lrs_deluge::image::ImageParams;
 
 fn small_lr(image_len: usize) -> LrSelugeParams {
@@ -116,4 +117,77 @@ fn multi_hop_grid_both_schemes() {
     assert_eq!(m_lr.completed, 1.0, "LR stalled on grid");
     let m_s = run_seluge(&spec, matched_seluge_params(&lr_params), 5);
     assert_eq!(m_s.completed, 1.0, "Seluge stalled on grid");
+}
+
+/// SHA-256 over `signature_body ‖ hash-page packets ‖ page packets`.
+fn preprocessing_digest<'a>(
+    signature_body: &'a [u8],
+    packets: impl Iterator<Item = &'a [u8]>,
+) -> String {
+    let mut h = lrs_crypto::sha256::Sha256::new();
+    std::iter::once(signature_body)
+        .chain(packets)
+        .for_each(|p| h.update(p));
+    h.finalize().to_hex()
+}
+
+/// Every byte preprocessing puts on the air, pinned per scheme (the
+/// digests were taken before the two bootstraps were merged into
+/// `lrs_deluge::bootstrap`), and the shared key derivation reproduces
+/// the keys both deployments sign with.
+#[test]
+fn preprocessing_output_is_pinned() {
+    let lr = small_lr(2048);
+    let image = lrs_bench::runner::test_image(lr.image_len);
+    let deployment = lr_seluge::Deployment::new(&image, lr, b"bench keys");
+    let art = deployment.artifacts();
+    let hash_page = (0..lr.n0).map(|j| art.hash_page_packet(j));
+    let pages = (0..lr.pages()).flat_map(|i| (0..lr.n).map(move |j| art.page_packet(i, j)));
+    assert_eq!(
+        preprocessing_digest(art.signature_body(), hash_page.chain(pages)),
+        "d198b6b1700d1c95ff124ccaeeda46c51731b13ef6ff5b7563807cd5069286ac"
+    );
+    let keys = DeploymentKeys::derive(b"bench keys", lr.version, lr.puzzle_strength);
+    let by_hand = lr_seluge::LrArtifacts::build(&image, lr, &keys.keypair, &keys.chain);
+    assert_eq!(by_hand.root(), art.root());
+    assert_eq!(by_hand.signature_body(), art.signature_body());
+
+    let sp = matched_seluge_params(&lr);
+    let deployment = lrs_seluge::SelugeDeployment::new(&image, sp, b"bench keys");
+    let art = deployment.artifacts();
+    let hash_page = (0..sp.hash_page_chunks).map(|j| art.hash_page_packet(j));
+    let pages =
+        (0..sp.pages()).flat_map(|i| (0..sp.packets_per_page).map(move |j| art.page_packet(i, j)));
+    assert_eq!(
+        preprocessing_digest(art.signature_body(), hash_page.chain(pages)),
+        "8c24af950f42396a8921c3a2fcb03b5b463da9e13a46bac0b56f156cd68644e6"
+    );
+}
+
+/// Domain separation survives the merge: the two schemes share keys and
+/// the whole bootstrap, yet a signature body sealed for one is turned
+/// away by the other's receivers, because each signs its own tag and
+/// parameter fields.
+#[test]
+fn a_signature_body_sealed_for_one_scheme_is_rejected_by_the_other() {
+    use lrs_deluge::engine::PacketDisposition::{Accepted, Rejected};
+    use lrs_deluge::engine::Scheme;
+    let lr = small_lr(2048);
+    let sp = matched_seluge_params(&lr);
+    let image = lrs_bench::runner::test_image(lr.image_len);
+    let keys = DeploymentKeys::derive(b"bench keys", lr.version, lr.puzzle_strength);
+    let pubkey = keys.keypair.public();
+    let lr_art = lr_seluge::LrArtifacts::build(&image, lr, &keys.keypair, &keys.chain);
+    let s_art = lrs_seluge::SelugeArtifacts::build(&image, sp, &keys.keypair, &keys.chain);
+
+    let mut lr_rx = lr_seluge::LrScheme::receiver(lr, pubkey, keys.puzzle);
+    let mut s_rx = lrs_seluge::SelugeScheme::receiver(sp, pubkey, keys.puzzle);
+    assert_eq!(lr_rx.handle_packet(0, 0, s_art.signature_body()), Rejected);
+    assert_eq!(s_rx.handle_packet(0, 0, lr_art.signature_body()), Rejected);
+    // The puzzle covers the signed message, so the foreign body already
+    // fails the weak check.
+    assert_eq!(lr_rx.cost().signature_verifications, 0);
+    assert_eq!(s_rx.cost().signature_verifications, 0);
+    assert_eq!(lr_rx.handle_packet(0, 0, lr_art.signature_body()), Accepted);
+    assert_eq!(s_rx.handle_packet(0, 0, s_art.signature_body()), Accepted);
 }

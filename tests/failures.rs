@@ -5,11 +5,7 @@
 //! the per-node energy ledger.
 
 use lr_seluge::{Deployment, LrSelugeParams};
-use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
-use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme as _};
-use lrs_deluge::policy::UnionPolicy;
+use lrs_deluge::engine::Scheme as _;
 use lrs_netsim::energy::EnergyModel;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::Simulator;
@@ -18,7 +14,7 @@ use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::{SharedRingTrace, TraceEvent};
 use lrs_netsim::SimBuilder;
-use lrs_seluge::{SelugeArtifacts, SelugeScheme};
+use lrs_seluge::{SelugeDeployment, SelugeNode};
 
 fn params() -> LrSelugeParams {
     LrSelugeParams {
@@ -174,30 +170,12 @@ fn lr_reboot_during_m0_keeps_the_signature() {
     assert_strictly_increasing(&completion_levels(&trace, NodeId(2)));
 }
 
-type SelugeNode = DisseminationNode<SelugeScheme, UnionPolicy>;
-
 fn seluge_sim(trace: &SharedRingTrace) -> (Simulator<SelugeNode>, Vec<u8>) {
     let sp = lrs_bench::runner::matched_seluge_params(&params());
     let image = image();
-    let kp = Keypair::from_seed(b"failures keys");
-    let chain = PuzzleKeyChain::generate(b"failures keys", sp.version as u32 + 4);
-    let artifacts = SelugeArtifacts::build(&image, sp, &kp, &chain);
-    let puzzle = Puzzle::new(chain.anchor(), sp.puzzle_strength);
-    let key = ClusterKey::derive(b"failures keys", 0);
-    let mut sim = SimBuilder::new(Topology::star(3), 11, |id| {
-        let scheme = if id == NodeId(0) {
-            SelugeScheme::base(&artifacts, kp.public(), puzzle)
-        } else {
-            SelugeScheme::receiver(sp, kp.public(), puzzle)
-        };
-        DisseminationNode::new(
-            scheme,
-            UnionPolicy::new(),
-            key.clone(),
-            EngineConfig::default(),
-        )
-    })
-    .build();
+    let deployment = SelugeDeployment::new(&image, sp, b"failures keys");
+    let mut sim =
+        SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0))).build();
     sim.set_trace(Box::new(trace.clone()));
     (sim, image)
 }

@@ -5,11 +5,6 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_bench::matched_seluge_params;
-use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
-use lrs_deluge::engine::DisseminationNode;
-use lrs_deluge::policy::UnionPolicy;
 use lrs_netsim::capsule::{Capsule, EngineDigest, RunDigest, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
@@ -22,8 +17,7 @@ use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::SharedRingTrace;
 use lrs_netsim::SimBuilder;
-use lrs_seluge::preprocess::SelugeArtifacts;
-use lrs_seluge::scheme::SelugeScheme;
+use lrs_seluge::SelugeDeployment;
 use std::path::PathBuf;
 
 fn deadline() -> Duration {
@@ -176,19 +170,8 @@ fn lr_capsule_with_faults_replays_bit_identically() {
 fn seluge_capsule_replays_bit_identically_on_sharded_engine() {
     let image = test_image(1024);
     let params = matched_seluge_params(&small_lr(image.len()));
-    let kp = Keypair::from_seed(b"flight recorder");
-    let chain = PuzzleKeyChain::generate(b"flight recorder", params.version as u32 + 4);
-    let artifacts = SelugeArtifacts::build(&image, params, &kp, &chain);
-    let puzzle = Puzzle::new(chain.anchor(), params.puzzle_strength);
-    let key = ClusterKey::derive(b"flight recorder", 0);
-    let make = |id: NodeId| {
-        let scheme = if id == NodeId(0) {
-            SelugeScheme::base(&artifacts, kp.public(), puzzle)
-        } else {
-            SelugeScheme::receiver(params, kp.public(), puzzle)
-        };
-        DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), Default::default())
-    };
+    let deployment = SelugeDeployment::new(&image, params, b"flight recorder");
+    let make = |id: NodeId| deployment.node(id, NodeId(0));
     let topology = Topology::grid(6, 10.0, 77);
     let captured = SimBuilder::new(topology.clone(), 7, make)
         .shards(2)

@@ -15,19 +15,13 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_bench::matched_seluge_params;
-use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
-use lrs_crypto::schnorr::Keypair;
-use lrs_deluge::engine::DisseminationNode;
-use lrs_deluge::policy::UnionPolicy;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::Outcome;
 use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
-use lrs_seluge::preprocess::SelugeArtifacts;
-use lrs_seluge::scheme::SelugeScheme;
+use lrs_seluge::SelugeDeployment;
 
 /// Fast-core shard counts: 1 (the reference), one even split, one
 /// split finer than the grid's row structure.
@@ -96,18 +90,9 @@ fn run_seluge_sharded(
 ) -> lrs_netsim::ShardedRun<NodeResult> {
     let image = test_image(1024);
     let params = matched_seluge_params(&small_lr(image.len()));
-    let kp = Keypair::from_seed(b"sharding tests");
-    let chain = PuzzleKeyChain::generate(b"sharding tests", params.version as u32 + 4);
-    let artifacts = SelugeArtifacts::build(&image, params, &kp, &chain);
-    let puzzle = Puzzle::new(chain.anchor(), params.puzzle_strength);
-    let key = ClusterKey::derive(b"sharding tests", 0);
+    let deployment = SelugeDeployment::new(&image, params, b"sharding tests");
     SimBuilder::new(Topology::grid(grid_side, 10.0, 77), seed, |id| {
-        let scheme = if id == NodeId(0) {
-            SelugeScheme::base(&artifacts, kp.public(), puzzle)
-        } else {
-            SelugeScheme::receiver(params, kp.public(), puzzle)
-        };
-        DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), Default::default())
+        deployment.node(id, NodeId(0))
     })
     .shards(shards)
     .collect_trace(true)
