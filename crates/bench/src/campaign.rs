@@ -129,7 +129,7 @@ impl JobRecord {
         Json::Obj(vec![
             ("job".into(), Json::Num(self.job as f64)),
             ("cell".into(), Json::Num(self.cell as f64)),
-            ("seed".into(), Json::Num(self.seed as f64)),
+            ("seed".into(), Json::uint(self.seed)),
             ("outcome".into(), Json::str(&self.outcome)),
             (
                 "metrics".into(),
@@ -140,24 +140,11 @@ impl JobRecord {
 
     /// Parses one log line's JSON value.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_num)
-                .filter(|n| n.is_finite() && *n >= 0.0)
-                .ok_or_else(|| format!("job record is missing numeric {key:?}"))
-        };
-        let outcome = v
-            .get("outcome")
-            .and_then(Json::as_str)
-            .ok_or("job record is missing \"outcome\"")?
-            .to_string();
+        let outcome = v.str_at("outcome")?.to_string();
         if !OUTCOME_LABELS.contains(&outcome.as_str()) {
             return Err(format!("job record has unknown outcome {outcome:?}"));
         }
-        let arr = v
-            .get("metrics")
-            .and_then(Json::as_arr)
-            .ok_or("job record is missing \"metrics\"")?;
+        let arr = v.arr_at("metrics")?;
         if arr.len() != ExperimentMetrics::NAMES.len() {
             return Err(format!(
                 "job record has {} metrics; expected {}",
@@ -172,9 +159,9 @@ impl JobRecord {
                 .ok_or("job record metric is not a number or null")?;
         }
         Ok(JobRecord {
-            job: num("job")? as usize,
-            cell: num("cell")? as usize,
-            seed: num("seed")? as u64,
+            job: v.uint_at("job")?,
+            cell: v.uint_at("cell")?,
+            seed: v.uint_at("seed")?,
             outcome,
             metrics,
         })

@@ -149,24 +149,10 @@ impl ReportDoc {
     /// the 9- and 12-metric schema generations.
     pub fn parse(text: &str) -> Result<ReportDoc, String> {
         let doc = parse_json(text)?;
-        let name = doc
-            .get("campaign")
-            .and_then(Json::as_str)
-            .ok_or("report has no \"campaign\" name")?
-            .to_string();
-        let req_count = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_num)
-                .filter(|n| n.is_finite() && *n >= 0.0)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("report has no numeric {key:?}"))
-        };
-        let jobs = req_count("jobs")?;
-        let seeds = req_count("seeds")?;
-        let cells_json = doc
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("report has no \"cells\" array")?;
+        let name = doc.str_at("campaign")?.to_string();
+        let jobs = doc.uint_at("jobs")?;
+        let seeds = doc.uint_at("seeds")?;
+        let cells_json = doc.arr_at("cells")?;
         let mut cells = Vec::with_capacity(cells_json.len());
         let mut seen: BTreeMap<CellKey, usize> = BTreeMap::new();
         for (i, cell) in cells_json.iter().enumerate() {
@@ -218,63 +204,33 @@ impl ReportDoc {
 
 fn parse_cell(cell: &Json) -> Result<ReportCell, String> {
     let params = cell.get("params").ok_or("cell has no \"params\"")?;
-    let req_str = |key: &str| {
-        params
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("cell params missing {key:?}"))
-    };
-    let loss = params
-        .get("loss_ppm")
-        .and_then(Json::as_num)
-        .filter(|n| n.is_finite() && *n >= 0.0)
-        .ok_or("cell params missing \"loss_ppm\"")?;
     let key = CellKey {
-        scheme: req_str("scheme")?,
-        topology: req_str("topology")?,
-        loss_ppm: loss as u32,
-        fault: req_str("fault")?,
-        attacker: req_str("attacker")?,
+        scheme: params.str_at("scheme")?.to_string(),
+        topology: params.str_at("topology")?.to_string(),
+        loss_ppm: params.uint_at("loss_ppm")?,
+        fault: params.str_at("fault")?.to_string(),
+        attacker: params.str_at("attacker")?.to_string(),
     };
-    let jobs = cell
-        .get("jobs")
-        .and_then(Json::as_num)
-        .filter(|n| n.is_finite() && *n >= 0.0)
-        .map(|n| n as u64)
-        .ok_or("cell missing \"jobs\"")?;
-    let outcomes = match cell.get("outcomes") {
-        Some(Json::Obj(fields)) => fields
-            .iter()
-            .map(|(label, count)| {
-                count
-                    .as_num()
-                    .filter(|n| n.is_finite() && *n >= 0.0)
-                    .map(|n| (label.clone(), n as u64))
-                    .ok_or_else(|| format!("outcome {label:?} is not a count"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("cell missing \"outcomes\"".to_string()),
-    };
-    let metrics_json = match cell.get("metrics") {
-        Some(Json::Obj(fields)) => fields,
-        _ => return Err("cell missing \"metrics\"".to_string()),
-    };
+    let jobs = cell.uint_at("jobs")?;
+    let outcomes = cell
+        .obj_at("outcomes")?
+        .iter()
+        .map(|(label, count)| {
+            count
+                .as_u64()
+                .map(|n| (label.clone(), n))
+                .ok_or_else(|| format!("outcome {label:?} is not a count"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let metrics_json = cell.obj_at("metrics")?;
     let mut metrics = Vec::with_capacity(metrics_json.len());
     for (name, m) in metrics_json {
-        let field = |key: &str| {
-            m.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("metric {name:?} missing {key:?}"))
-        };
-        let n = field("n")?;
-        if !(n.is_finite() && n >= 0.0) {
-            return Err(format!("metric {name:?} has non-count n"));
-        }
+        let named = |e: String| format!("metric {name:?}: {e}");
+        let field = |key: &str| m.num_at(key).map_err(named);
         metrics.push((
             name.clone(),
             MetricSummary {
-                n: n as u64,
+                n: m.uint_at("n").map_err(named)?,
                 mean: field("mean")?,
                 ci95: field("ci95")?,
                 p50: field("p50")?,

@@ -1,7 +1,5 @@
-//! Minimal JSON emission and the experiment result-file schema.
-//!
-//! The workspace resolves dependencies offline, so there is no serde;
-//! this module hand-renders the small, fixed shape the bench bins emit.
+//! The experiment result-file schema, on the workspace's one JSON
+//! codec ([`lrs_json`], re-exported here as [`Json`] / [`parse_json`]).
 //! Next to each `results/<name>.csv` the bins write a
 //! `results/<name>.json` carrying what the CSV cannot: per-seed raw
 //! samples, the sample mean, and a 95 % confidence interval per metric.
@@ -30,298 +28,10 @@
 
 use crate::runner::ExperimentMetrics;
 use crate::stats::summarize;
+pub use lrs_json::{parse_json, Json};
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
-
-/// A JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number (non-finite values render as `null`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for string values.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Convenience constructor for numbers.
-    pub fn num(v: impl Into<f64>) -> Json {
-        Json::Num(v.into())
-    }
-
-    /// Renders the value as compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // Shortest round-trip representation; integral values
-                    // print without an exponent or trailing zeros, which
-                    // keeps golden files stable and diffs readable.
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).render_into(out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl Json {
-    /// Looks up a key in an object value (`None` on missing key or
-    /// non-object).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a finite-or-NaN number (`null` reads as NaN, the
-    /// inverse of [`render`](Self::render)'s NaN → `null` mapping).
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            Json::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document. Strict on structure (unbalanced brackets,
-/// trailing garbage, and bad escapes are errors), permissive on
-/// whitespace. Errors carry the byte offset so a torn `jobs.log` tail
-/// is diagnosable.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == b {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", b as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos).map(Json::Num),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogates never appear in our own output;
-                        // map them to the replacement character rather
-                        // than failing the whole document.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
 
 /// Writes `value` to `results/<name>.json` (creating the directory),
 /// returning the path written. Counterpart of
@@ -436,81 +146,6 @@ impl JsonReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scalars_render() {
-        assert_eq!(Json::Null.render(), "null");
-        assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(Json::num(2.5f64).render(), "2.5");
-        assert_eq!(Json::num(10u16).render(), "10");
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
-        assert_eq!(Json::str("a\"b\\c\nd").render(), r#""a\"b\\c\nd""#);
-    }
-
-    #[test]
-    fn containers_render_in_order() {
-        let v = Json::Obj(vec![
-            ("b".into(), Json::num(1u8)),
-            ("a".into(), Json::Arr(vec![Json::Null, Json::num(2u8)])),
-        ]);
-        assert_eq!(v.render(), r#"{"b":1,"a":[null,2]}"#);
-    }
-
-    #[test]
-    fn parse_round_trips_render() {
-        let v = Json::Obj(vec![
-            ("id".into(), Json::num(17u32)),
-            ("scheme".into(), Json::str("lr-seluge")),
-            (
-                "metrics".into(),
-                Json::Arr(vec![Json::num(2.5f64), Json::Null]),
-            ),
-            ("note".into(), Json::str("quo\"te\\slash\nnewline")),
-            ("ok".into(), Json::Bool(true)),
-        ]);
-        assert_eq!(parse_json(&v.render()).unwrap(), v);
-    }
-
-    #[test]
-    fn parse_handles_whitespace_and_numbers() {
-        let v = parse_json(" { \"a\" : [ 1 , -2.5e3 , 0.125 ] } ").unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap(),
-            &[Json::Num(1.0), Json::Num(-2500.0), Json::Num(0.125)]
-        );
-    }
-
-    #[test]
-    fn parse_rejects_torn_documents() {
-        // The shapes a kill -9 mid-append leaves in jobs.log.
-        for torn in [
-            r#"{"id":3,"metrics":[1.0,"#,
-            r#"{"id":3"#,
-            r#"{"id":3} extra"#,
-            r#"{"id":"#,
-            "",
-        ] {
-            assert!(parse_json(torn).is_err(), "accepted torn {torn:?}");
-        }
-    }
-
-    #[test]
-    fn null_reads_back_as_nan() {
-        let v = parse_json("[null,2]").unwrap();
-        let arr = v.as_arr().unwrap();
-        assert!(arr[0].as_num().unwrap().is_nan());
-        assert_eq!(arr[1].as_num(), Some(2.0));
-    }
-
-    #[test]
-    fn float_bits_survive_a_render_parse_cycle() {
-        // Aggregate bit-identity across resume depends on this: the log
-        // stores f64s as shortest-round-trip decimal.
-        for &v in &[0.1, 1.0 / 3.0, 123456.789012345, f64::MIN_POSITIVE, 1e300] {
-            let back = parse_json(&Json::Num(v).render()).unwrap();
-            assert_eq!(back.as_num().unwrap().to_bits(), v.to_bits());
-        }
-    }
 
     #[test]
     fn report_schema_shape() {

@@ -94,26 +94,33 @@ impl CampaignSpec {
     /// Builds and validates a spec from a parsed document (spec file or
     /// manifest-embedded copy).
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let name = req_str(doc, "name")?;
+        let strs = |key: &str, default: &[&str]| {
+            let default = default.iter().map(|s| s.to_string()).collect();
+            list(doc, key, default, "strings", |v| {
+                v.as_str().map(str::to_string)
+            })
+        };
         let spec = CampaignSpec {
-            name,
-            schemes: str_list(doc, "schemes", &["lr-seluge", "seluge"])?,
-            topologies: str_list(doc, "topologies", &["star:6"])?,
-            loss_ppm: num_list(doc, "loss_ppm", &[50_000.0])?
-                .into_iter()
-                .map(|v| v as u32)
-                .collect(),
-            faults: str_list(doc, "faults", &["none"])?,
-            attackers: str_list(doc, "attackers", &["none"])?,
-            seeds: opt_num(doc, "seeds", 8.0)? as u64,
-            seed_base: opt_num(doc, "seed_base", 1_000.0)? as u64,
-            image_bytes: opt_num(doc, "image_bytes", 1_024.0)? as usize,
-            deadline_s: opt_num(doc, "deadline_s", 3_600.0)? as u64,
-            stall_s: opt_num(doc, "stall_s", 400.0)? as u64,
-            max_sim_s: opt_num(doc, "max_sim_s", 3_000.0)? as u64,
-            engine: opt_str(doc, "engine", "auto")?,
-            shards: opt_num(doc, "shards", 4.0)? as usize,
-            sharded_threshold: opt_num(doc, "sharded_threshold", 64.0)? as usize,
+            name: doc.str_at("name")?.to_string(),
+            schemes: strs("schemes", &["lr-seluge", "seluge"])?,
+            topologies: strs("topologies", &["star:6"])?,
+            loss_ppm: list(doc, "loss_ppm", vec![50_000], "u32 integers", |v| {
+                v.as_u64().and_then(|n| u32::try_from(n).ok())
+            })?,
+            faults: strs("faults", &["none"])?,
+            attackers: strs("attackers", &["none"])?,
+            seeds: uint_or(doc, "seeds", 8)?,
+            seed_base: uint_or(doc, "seed_base", 1_000)?,
+            image_bytes: uint_or(doc, "image_bytes", 1_024)?,
+            deadline_s: uint_or(doc, "deadline_s", 3_600)?,
+            stall_s: uint_or(doc, "stall_s", 400)?,
+            max_sim_s: uint_or(doc, "max_sim_s", 3_000)?,
+            engine: doc
+                .opt("engine", Json::str_at)?
+                .unwrap_or("auto")
+                .to_string(),
+            shards: uint_or(doc, "shards", 4)?,
+            sharded_threshold: uint_or(doc, "sharded_threshold", 64)?,
         };
         spec.validate()?;
         Ok(spec)
@@ -176,7 +183,7 @@ impl CampaignSpec {
             ("faults".into(), strs(&self.faults)),
             ("attackers".into(), strs(&self.attackers)),
             ("seeds".into(), Json::num(self.seeds as u32)),
-            ("seed_base".into(), Json::Num(self.seed_base as f64)),
+            ("seed_base".into(), Json::uint(self.seed_base)),
             ("image_bytes".into(), Json::Num(self.image_bytes as f64)),
             ("deadline_s".into(), Json::Num(self.deadline_s as f64)),
             ("stall_s".into(), Json::Num(self.stall_s as f64)),
@@ -664,68 +671,30 @@ fn split_toml_items(s: &str) -> Vec<&str> {
     items
 }
 
-fn req_str(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("spec is missing required string field {key:?}"))
+/// The unsigned integer at `key`, or `default` when the spec omits it.
+fn uint_or<T: TryFrom<u64>>(doc: &Json, key: &str, default: T) -> Result<T, String> {
+    Ok(doc.opt(key, Json::uint_at)?.unwrap_or(default))
 }
 
-fn opt_str(doc: &Json, key: &str, default: &str) -> Result<String, String> {
-    match doc.get(key) {
-        None => Ok(default.to_string()),
-        Some(v) => v
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("spec field {key:?} must be a string")),
-    }
-}
-
-fn opt_num(doc: &Json, key: &str, default: f64) -> Result<f64, String> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_num() {
-            Some(n) if n.is_finite() && n >= 0.0 => Ok(n),
-            _ => Err(format!("spec field {key:?} must be a non-negative number")),
-        },
-    }
-}
-
-fn str_list(doc: &Json, key: &str, default: &[&str]) -> Result<Vec<String>, String> {
-    let Some(v) = doc.get(key) else {
-        return Ok(default.iter().map(|s| s.to_string()).collect());
+/// The non-empty array at `key` with every item read through `read`
+/// (`what` names the item type in the error), or `default` when the
+/// spec omits the field.
+fn list<T>(
+    doc: &Json,
+    key: &str,
+    default: Vec<T>,
+    what: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let Some(arr) = doc.opt(key, Json::arr_at)? else {
+        return Ok(default);
     };
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("spec field {key:?} must be an array of strings"))?;
     if arr.is_empty() {
         return Err(format!("spec field {key:?} must be non-empty"));
     }
     arr.iter()
         .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("spec field {key:?} must contain only strings"))
-        })
-        .collect()
-}
-
-fn num_list(doc: &Json, key: &str, default: &[f64]) -> Result<Vec<f64>, String> {
-    let Some(v) = doc.get(key) else {
-        return Ok(default.to_vec());
-    };
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("spec field {key:?} must be an array of numbers"))?;
-    if arr.is_empty() {
-        return Err(format!("spec field {key:?} must be non-empty"));
-    }
-    arr.iter()
-        .map(|item| match item.as_num() {
-            Some(n) if n.is_finite() && n >= 0.0 => Ok(n),
-            _ => Err(format!(
-                "spec field {key:?} must contain only non-negative numbers"
-            )),
+            read(item).ok_or_else(|| format!("spec field {key:?} must contain only {what}"))
         })
         .collect()
 }

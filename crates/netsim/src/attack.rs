@@ -22,10 +22,10 @@
 //! capsule's scenario tags, so an attacked failure capsule replays
 //! bit-identically and ddmin-shrinks like any other.
 
-use crate::fault::{json_str_field, json_u64_field};
 use crate::node::NodeId;
 use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
+use lrs_json::{parse_json, Json, ObjWriter};
 use lrs_rng::DetRng;
 
 /// What an adversarial node injects — the five §III/§IV-E attack kinds.
@@ -107,47 +107,47 @@ impl AttackEntry {
     /// Renders the entry as one JSON object in trace-event shape
     /// (`"t"` in microseconds of virtual time).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            r#"{{"t":{},"ev":"attack_{}","node":{},"interval_us":{},"target":{},"pool":{}"#,
-            self.at.as_micros(),
-            self.vector.label(),
-            self.node.0,
-            self.interval.as_micros(),
-            self.target.0,
-            self.spoof_pool,
-        );
+        let mut line = ObjWriter::new()
+            .uint("t", self.at.as_micros())
+            .str("ev", &format!("attack_{}", self.vector.label()))
+            .uint("node", self.node.0)
+            .uint("interval_us", self.interval.as_micros())
+            .uint("target", self.target.0)
+            .uint("pool", self.spoof_pool);
         if let Some((on, off)) = self.burst {
-            out.push_str(&format!(
-                r#","on_us":{},"off_us":{}"#,
-                on.as_micros(),
-                off.as_micros()
-            ));
+            line = line
+                .uint("on_us", on.as_micros())
+                .uint("off_us", off.as_micros());
         }
-        out.push('}');
-        out
+        line.finish()
     }
 
     /// Parses one entry from its [`to_json`](Self::to_json) form.
-    /// Returns `None` on any malformed or unknown input.
+    /// Returns `None` on any malformed, unknown or out-of-range input.
     pub fn from_json(line: &str) -> Option<Self> {
-        let ev = json_str_field(line, "ev")?;
-        let vector = AttackVector::from_label(ev.strip_prefix("attack_")?)?;
-        let burst = match (
-            json_u64_field(line, "on_us"),
-            json_u64_field(line, "off_us"),
-        ) {
-            (Some(on), Some(off)) => Some((Duration::from_micros(on), Duration::from_micros(off))),
+        Self::from_value(&parse_json(line).ok()?).ok()
+    }
+
+    fn from_value(line: &Json) -> Result<Self, String> {
+        let ev = line.str_at("ev")?;
+        let vector = ev
+            .strip_prefix("attack_")
+            .and_then(AttackVector::from_label)
+            .ok_or_else(|| format!("unknown attack event {ev:?}"))?;
+        let micros = |key: &str| line.uint_at(key).map(Duration::from_micros);
+        let burst = match (line.get("on_us"), line.get("off_us")) {
             (None, None) => None,
-            _ => return None,
+            // A burst needs both halves of the duty cycle.
+            _ => Some((micros("on_us")?, micros("off_us")?)),
         };
-        Some(AttackEntry {
-            node: NodeId(json_u64_field(line, "node")? as u32),
+        Ok(AttackEntry {
+            node: NodeId(line.uint_at("node")?),
             vector,
-            at: SimTime(json_u64_field(line, "t")?),
-            interval: Duration::from_micros(json_u64_field(line, "interval_us")?),
+            at: SimTime(line.uint_at("t")?),
+            interval: micros("interval_us")?,
             burst,
-            target: NodeId(json_u64_field(line, "target")? as u32),
-            spoof_pool: json_u64_field(line, "pool")? as u32,
+            target: NodeId(line.uint_at("target")?),
+            spoof_pool: line.uint_at("pool")?,
         })
     }
 }
@@ -375,6 +375,17 @@ mod tests {
             None
         );
         assert_eq!(AttackEntry::from_json("not json"), None);
+        // Ids and the spoof pool are u32: 2^32 + 2 is out of range.
+        let good = sample_entry(AttackVector::BogusData).to_json();
+        for (from, to) in [
+            (r#""node":5"#, r#""node":4294967298"#),
+            (r#""target":0"#, r#""target":4294967298"#),
+            (r#""pool":12"#, r#""pool":4294967298"#),
+            (r#""on_us":5000000"#, r#""on_us":"5""#),
+        ] {
+            assert!(good.contains(from), "fixture drifted: {from}");
+            assert_eq!(AttackEntry::from_json(&good.replacen(from, to, 1)), None);
+        }
         assert!(AttackPlan::from_jsonl("{}\n").is_none());
         assert!(AttackPlan::from_tag("{}").is_none());
     }

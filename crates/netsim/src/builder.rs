@@ -46,6 +46,9 @@ use crate::violation::InvariantViolation;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// The most spatial shards (worker threads) a sharded run may use.
+pub const MAX_SHARDS: usize = 64;
+
 /// A shareable per-delivery invariant check, callable from any shard.
 pub type SharedInvariant<P> =
     Arc<dyn Fn(&P, NodeId) -> Result<(), InvariantViolation> + Send + Sync>;
@@ -125,8 +128,8 @@ impl<P, F> SimBuilder<P, F> {
     /// Panics if `shards` is 0 or exceeds 64.
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(
-            (1..=64).contains(&shards),
-            "shard count must be in 1..=64, got {shards}"
+            (1..=MAX_SHARDS).contains(&shards),
+            "shard count must be in 1..={MAX_SHARDS}, got {shards}"
         );
         self.shards = shards;
         self

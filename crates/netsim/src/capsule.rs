@@ -10,9 +10,10 @@
 //!
 //! Two encodings share one line dialect:
 //!
-//! * **JSONL** — the repo's existing hand-rolled one-object-per-line
-//!   dialect (see `trace.rs`/`fault.rs`), extended with `capsule*`
-//!   event labels. Human-greppable, diff-friendly.
+//! * **JSONL** — the repo's one-object-per-line dialect (see
+//!   `trace.rs`/`fault.rs`), extended with `capsule*` event labels and
+//!   read and written through `lrs-json`. Human-greppable,
+//!   diff-friendly.
 //! * **Binary-framed** — an `LRSC` magic, a little-endian `u32`
 //!   version, then length-prefixed frames each holding one JSONL line.
 //!   Same information, self-delimiting, safe to concatenate with other
@@ -23,7 +24,8 @@
 //! exact — a capsule that re-derives even one PRR differently would
 //! silently break bit-identical replay.
 
-use crate::fault::{json_str_field, json_u64_field, FaultEvent, FaultPlan};
+use crate::builder::MAX_SHARDS;
+use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::Metrics;
 use crate::node::NodeId;
 use crate::noise::{BurstyNoise, NoiseModel};
@@ -32,6 +34,7 @@ use crate::time::{Duration, SimTime};
 use crate::topology::{Link, Position, Topology};
 use crate::trace::{KeyedTraceEvent, TraceEvent};
 use crate::violation::ContentDigest;
+use lrs_json::{parse_json, Json, ObjWriter};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -229,27 +232,6 @@ impl From<io::Error> for CapsuleError {
     }
 }
 
-/// Escapes `"` and `\` for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Extracts `"key":"…"` honoring `\"`/`\\` escapes (the plain
-/// [`json_str_field`] stops at the first quote).
-fn json_escaped_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-}
-
 impl Capsule {
     /// Looks up a scenario tag by key.
     pub fn scenario_value(&self, key: &str) -> Option<&str> {
@@ -268,246 +250,250 @@ impl Capsule {
     /// Renders the capsule as JSON Lines (trailing newline included).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            r#"{{"ev":"capsule","version":{CAPSULE_VERSION},"seed":{},"engine":"{}","shards":{},"deadline_us":{},"rng_streams":"{RNG_STREAMS}"}}"#,
-            self.seed,
-            self.engine,
-            self.shards,
-            self.deadline.as_micros(),
-        ));
-        out.push('\n');
+        let mut push = |line: String| {
+            out.push_str(&line);
+            out.push('\n');
+        };
+        let line = |ev: &str| ObjWriter::new().str("ev", ev);
+        push(
+            line("capsule")
+                .uint("version", CAPSULE_VERSION)
+                .uint("seed", self.seed)
+                .str("engine", &self.engine)
+                .uint("shards", self.shards)
+                .uint("deadline_us", self.deadline.as_micros())
+                .str("rng_streams", RNG_STREAMS)
+                .finish(),
+        );
         let medium = &self.config.medium;
-        out.push_str(&format!(
-            r#"{{"ev":"capsule_config","us_per_byte":{},"overhead_us":{},"max_backoff_us":{},"csma":{},"collisions":{},"app_loss_bits":{},"diag_events":{}"#,
-            medium.us_per_byte,
-            medium.per_packet_overhead_us,
-            medium.max_backoff_us,
-            u8::from(medium.csma),
-            u8::from(medium.collisions),
-            medium.app_loss.to_bits(),
-            self.config.diag_events,
-        ));
+        let mut config = line("capsule_config")
+            .uint("us_per_byte", medium.us_per_byte)
+            .uint("overhead_us", medium.per_packet_overhead_us)
+            .uint("max_backoff_us", medium.max_backoff_us)
+            .uint("csma", u8::from(medium.csma))
+            .uint("collisions", u8::from(medium.collisions))
+            .uint("app_loss_bits", medium.app_loss.to_bits())
+            .uint("diag_events", self.config.diag_events);
         if let Some(limit) = self.config.max_sim_time {
-            out.push_str(&format!(r#","max_sim_time_us":{}"#, limit.as_micros()));
+            config = config.uint("max_sim_time_us", limit.as_micros());
         }
         if let Some(window) = self.config.stall_window {
-            out.push_str(&format!(r#","stall_window_us":{}"#, window.as_micros()));
+            config = config.uint("stall_window_us", window.as_micros());
         }
         if let NoiseModel::Bursty(noise) = medium.noise {
-            out.push_str(&format!(
-                r#","noise":"bursty","noise_quiet_us":{},"noise_noisy_us":{},"noise_factor_bits":{}"#,
-                noise.mean_quiet_us,
-                noise.mean_noisy_us,
-                noise.noisy_prr_factor.to_bits(),
-            ));
+            config = config
+                .str("noise", "bursty")
+                .uint("noise_quiet_us", noise.mean_quiet_us)
+                .uint("noise_noisy_us", noise.mean_noisy_us)
+                .uint("noise_factor_bits", noise.noisy_prr_factor.to_bits());
         }
-        out.push_str("}\n");
+        push(config.finish());
         for (i, position) in self.topology.positions().iter().enumerate() {
-            out.push_str(&format!(
-                r#"{{"ev":"capsule_node","node":{i},"x_bits":{},"y_bits":{}}}"#,
-                position.x.to_bits(),
-                position.y.to_bits(),
-            ));
-            out.push('\n');
+            push(
+                line("capsule_node")
+                    .uint("node", i)
+                    .uint("x_bits", position.x.to_bits())
+                    .uint("y_bits", position.y.to_bits())
+                    .finish(),
+            );
         }
         for from in 0..self.topology.len() {
             for link in self.topology.links_from(NodeId(from as u32)) {
-                out.push_str(&format!(
-                    r#"{{"ev":"capsule_link","from":{from},"to":{},"prr_bits":{}}}"#,
-                    link.to.0,
-                    link.prr.to_bits(),
-                ));
-                out.push('\n');
+                push(
+                    line("capsule_link")
+                        .uint("from", from)
+                        .uint("to", link.to.0)
+                        .uint("prr_bits", link.prr.to_bits())
+                        .finish(),
+                );
             }
         }
         for (key, value) in &self.scenario {
-            out.push_str(&format!(
-                r#"{{"ev":"capsule_scenario","key":"{}","value":"{}"}}"#,
-                escape(key),
-                escape(value),
-            ));
-            out.push('\n');
+            push(
+                line("capsule_scenario")
+                    .str("key", key)
+                    .str("value", value)
+                    .finish(),
+            );
         }
         for event in self.faults.events() {
-            out.push_str(&event.to_json());
-            out.push('\n');
+            push(event.to_json());
         }
         for entry in &self.digests {
-            out.push_str(&format!(
-                r#"{{"ev":"capsule_digest","engine":"{}","shards":{},"outcome":"{}","final_time":{},"events":{},"trace":"{}","metrics":"{}","order":"{}"}}"#,
-                entry.engine,
-                entry.shards,
-                entry.digest.outcome,
-                entry.digest.final_time.as_micros(),
-                entry.digest.events,
-                entry.digest.trace,
-                entry.digest.metrics,
-                entry.digest.order,
-            ));
-            out.push('\n');
+            let digest = &entry.digest;
+            push(
+                line("capsule_digest")
+                    .str("engine", &entry.engine)
+                    .uint("shards", entry.shards)
+                    .str("outcome", &digest.outcome)
+                    .uint("final_time", digest.final_time.as_micros())
+                    .uint("events", digest.events)
+                    .str("trace", &digest.trace.to_string())
+                    .str("metrics", &digest.metrics.to_string())
+                    .str("order", &digest.order.to_string())
+                    .finish(),
+            );
         }
         out
     }
 
-    /// Parses the JSONL encoding.
+    /// Parses the JSONL encoding. Every line is parsed as one JSON
+    /// object and every integer is narrowed with a checked conversion;
+    /// what fails names its 1-based line.
     pub fn from_jsonl(text: &str) -> Result<Self, CapsuleError> {
-        let mal = |line: usize, reason: &str| CapsuleError::Malformed {
-            line,
-            reason: reason.to_string(),
-        };
+        let mal = |line: usize, reason: String| CapsuleError::Malformed { line, reason };
         let mut header: Option<(u64, String, usize, Duration)> = None;
         let mut config: Option<SimConfig> = None;
         let mut positions: Vec<(usize, Position)> = Vec::new();
-        let mut link_rows: Vec<(usize, Link)> = Vec::new();
+        let mut link_rows: Vec<(usize, usize, Link)> = Vec::new();
         let mut scenario: Vec<(String, String)> = Vec::new();
-        let mut fault_events: Vec<FaultEvent> = Vec::new();
+        let mut fault_events: Vec<(usize, FaultEvent)> = Vec::new();
         let mut digests: Vec<EngineDigest> = Vec::new();
-        for (index, line) in text.lines().enumerate() {
+        for (index, text) in text.lines().enumerate() {
             let no = index + 1;
-            if line.trim().is_empty() {
+            if text.trim().is_empty() {
                 continue;
             }
-            let ev = json_str_field(line, "ev").ok_or_else(|| mal(no, "missing \"ev\" field"))?;
-            match ev {
-                "capsule" => {
-                    let version = json_u64_field(line, "version")
-                        .ok_or_else(|| mal(no, "missing version"))?;
-                    if version > CAPSULE_VERSION {
-                        return Err(CapsuleError::UnsupportedVersion(version));
-                    }
-                    header = Some((
-                        json_u64_field(line, "seed").ok_or_else(|| mal(no, "missing seed"))?,
-                        json_str_field(line, "engine")
-                            .ok_or_else(|| mal(no, "missing engine"))?
-                            .to_string(),
-                        json_u64_field(line, "shards").ok_or_else(|| mal(no, "missing shards"))?
-                            as usize,
-                        Duration::from_micros(
-                            json_u64_field(line, "deadline_us")
-                                .ok_or_else(|| mal(no, "missing deadline_us"))?,
-                        ),
-                    ));
-                }
-                "capsule_config" => {
-                    let field = |key: &str| {
-                        json_u64_field(line, key).ok_or_else(|| mal(no, &format!("missing {key}")))
-                    };
-                    let noise = match json_str_field(line, "noise") {
-                        Some("bursty") => NoiseModel::Bursty(BurstyNoise {
-                            mean_quiet_us: field("noise_quiet_us")?,
-                            mean_noisy_us: field("noise_noisy_us")?,
-                            noisy_prr_factor: f64::from_bits(field("noise_factor_bits")?),
-                        }),
-                        Some(other) => {
-                            return Err(mal(no, &format!("unknown noise model \"{other}\"")))
+            let line = parse_json(text).map_err(|e| mal(no, e))?;
+            let bits = |key: &str| line.uint_at(key).map(f64::from_bits);
+            // The medium hands these to `gen_bool`, which panics
+            // outside [0, 1] (NaN included).
+            let probability = |key: &str| match bits(key)? {
+                p if (0.0..=1.0).contains(&p) => Ok(p),
+                p => Err(format!("field {key:?} encodes {p}, not a probability")),
+            };
+            let micros = |key: &str| line.uint_at(key).map(Duration::from_micros);
+            // One closure per line so `?` inside reads fields with
+            // `String` errors; the line number is attached once below.
+            let mut read = || -> Result<Option<u64>, String> {
+                match line.str_at("ev")? {
+                    "capsule" => {
+                        let version = line.uint_at("version")?;
+                        if version > CAPSULE_VERSION {
+                            return Ok(Some(version));
                         }
-                        None => NoiseModel::None,
-                    };
-                    config = Some(SimConfig {
-                        medium: crate::medium::MediumConfig {
-                            us_per_byte: field("us_per_byte")?,
-                            per_packet_overhead_us: field("overhead_us")?,
-                            max_backoff_us: field("max_backoff_us")?,
-                            csma: field("csma")? != 0,
-                            collisions: field("collisions")? != 0,
-                            app_loss: f64::from_bits(field("app_loss_bits")?),
-                            noise,
-                        },
-                        max_sim_time: json_u64_field(line, "max_sim_time_us")
-                            .map(Duration::from_micros),
-                        stall_window: json_u64_field(line, "stall_window_us")
-                            .map(Duration::from_micros),
-                        diag_events: field("diag_events")? as usize,
-                    });
-                }
-                "capsule_node" => {
-                    let field = |key: &str| {
-                        json_u64_field(line, key).ok_or_else(|| mal(no, &format!("missing {key}")))
-                    };
-                    positions.push((
-                        field("node")? as usize,
+                        let shards = line.uint_at("shards")?;
+                        if !(1..=MAX_SHARDS).contains(&shards) {
+                            return Err(format!(
+                                "field \"shards\" must be in 1..={MAX_SHARDS}, got {shards}"
+                            ));
+                        }
+                        header = Some((
+                            line.uint_at("seed")?,
+                            line.str_at("engine")?.to_string(),
+                            shards,
+                            micros("deadline_us")?,
+                        ));
+                    }
+                    "capsule_config" => {
+                        let noise = match line.opt("noise", Json::str_at)? {
+                            Some("bursty") => NoiseModel::Bursty(BurstyNoise {
+                                mean_quiet_us: line.uint_at("noise_quiet_us")?,
+                                mean_noisy_us: line.uint_at("noise_noisy_us")?,
+                                noisy_prr_factor: probability("noise_factor_bits")?,
+                            }),
+                            Some(other) => return Err(format!("unknown noise model {other:?}")),
+                            None => NoiseModel::None,
+                        };
+                        config = Some(SimConfig {
+                            medium: crate::medium::MediumConfig {
+                                us_per_byte: line.uint_at("us_per_byte")?,
+                                per_packet_overhead_us: line.uint_at("overhead_us")?,
+                                max_backoff_us: line.uint_at("max_backoff_us")?,
+                                csma: line.uint_at::<u64>("csma")? != 0,
+                                collisions: line.uint_at::<u64>("collisions")? != 0,
+                                app_loss: probability("app_loss_bits")?,
+                                noise,
+                            },
+                            max_sim_time: line
+                                .opt("max_sim_time_us", Json::uint_at)?
+                                .map(Duration::from_micros),
+                            stall_window: line
+                                .opt("stall_window_us", Json::uint_at)?
+                                .map(Duration::from_micros),
+                            diag_events: line.uint_at("diag_events")?,
+                        });
+                    }
+                    "capsule_node" => positions.push((
+                        line.uint_at("node")?,
                         Position {
-                            x: f64::from_bits(field("x_bits")?),
-                            y: f64::from_bits(field("y_bits")?),
+                            x: bits("x_bits")?,
+                            y: bits("y_bits")?,
                         },
-                    ));
-                }
-                "capsule_link" => {
-                    let field = |key: &str| {
-                        json_u64_field(line, key).ok_or_else(|| mal(no, &format!("missing {key}")))
-                    };
-                    link_rows.push((
-                        field("from")? as usize,
+                    )),
+                    "capsule_link" => link_rows.push((
+                        no,
+                        line.uint_at("from")?,
                         Link {
-                            to: NodeId(field("to")? as u32),
-                            prr: f64::from_bits(field("prr_bits")?),
+                            to: NodeId(line.uint_at("to")?),
+                            prr: probability("prr_bits")?,
                         },
-                    ));
+                    )),
+                    "capsule_scenario" => scenario.push((
+                        line.str_at("key")?.to_string(),
+                        line.str_at("value")?.to_string(),
+                    )),
+                    "capsule_digest" => {
+                        let hex = |key: &str| {
+                            u64::from_str_radix(line.str_at(key)?, 16)
+                                .map(ContentDigest)
+                                .map_err(|_| format!("field {key:?} must be a hex digest"))
+                        };
+                        digests.push(EngineDigest {
+                            engine: line.str_at("engine")?.to_string(),
+                            shards: line.uint_at("shards")?,
+                            digest: RunDigest {
+                                outcome: line.str_at("outcome")?.to_string(),
+                                final_time: SimTime(line.uint_at("final_time")?),
+                                events: line.uint_at("events")?,
+                                trace: hex("trace")?,
+                                metrics: hex("metrics")?,
+                                order: hex("order")?,
+                            },
+                        });
+                    }
+                    ev if ev.starts_with("fault_") => {
+                        fault_events.push((no, FaultEvent::from_value(&line)?));
+                    }
+                    other => return Err(format!("unknown event {other:?}")),
                 }
-                "capsule_scenario" => {
-                    scenario.push((
-                        json_escaped_str_field(line, "key")
-                            .ok_or_else(|| mal(no, "missing key"))?,
-                        json_escaped_str_field(line, "value")
-                            .ok_or_else(|| mal(no, "missing value"))?,
-                    ));
-                }
-                "capsule_digest" => {
-                    let hex = |key: &str| -> Result<ContentDigest, CapsuleError> {
-                        let text = json_str_field(line, key)
-                            .ok_or_else(|| mal(no, &format!("missing {key}")))?;
-                        u64::from_str_radix(text, 16)
-                            .map(ContentDigest)
-                            .map_err(|_| mal(no, &format!("non-hex {key} digest")))
-                    };
-                    let field = |key: &str| {
-                        json_u64_field(line, key).ok_or_else(|| mal(no, &format!("missing {key}")))
-                    };
-                    digests.push(EngineDigest {
-                        engine: json_str_field(line, "engine")
-                            .ok_or_else(|| mal(no, "missing engine"))?
-                            .to_string(),
-                        shards: field("shards")? as usize,
-                        digest: RunDigest {
-                            outcome: json_str_field(line, "outcome")
-                                .ok_or_else(|| mal(no, "missing outcome"))?
-                                .to_string(),
-                            final_time: SimTime(field("final_time")?),
-                            events: field("events")?,
-                            trace: hex("trace")?,
-                            metrics: hex("metrics")?,
-                            order: hex("order")?,
-                        },
-                    });
-                }
-                other if other.starts_with("fault_") => {
-                    let event = FaultEvent::from_json(line)
-                        .ok_or_else(|| mal(no, "unparseable fault event"))?;
-                    fault_events.push(event);
-                }
-                other => return Err(mal(no, &format!("unknown event \"{other}\""))),
+                Ok(None)
+            };
+            if let Some(version) = read().map_err(|e| mal(no, e))? {
+                return Err(CapsuleError::UnsupportedVersion(version));
             }
         }
         let (seed, engine, shards, deadline) =
-            header.ok_or_else(|| mal(0, "no \"capsule\" header line"))?;
-        let config = config.ok_or_else(|| mal(0, "no \"capsule_config\" line"))?;
+            header.ok_or_else(|| mal(0, "no \"capsule\" header line".into()))?;
+        let config = config.ok_or_else(|| mal(0, "no \"capsule_config\" line".into()))?;
         positions.sort_by_key(|(i, _)| *i);
         for (slot, (index, _)) in positions.iter().enumerate() {
             if slot != *index {
-                return Err(mal(0, &format!("node table has a gap at n{slot}")));
+                return Err(mal(0, format!("node table has a gap at n{slot}")));
             }
         }
         let n = positions.len();
         let mut links: Vec<Vec<Link>> = vec![Vec::new(); n];
-        for (from, link) in link_rows {
+        for (no, from, link) in link_rows {
             if from >= n || (link.to.0 as usize) >= n {
-                return Err(mal(0, &format!("link n{from}→n{} out of range", link.to.0)));
+                let to = link.to.0;
+                return Err(mal(
+                    no,
+                    format!("link n{from}→n{to} is outside the {n}-node table"),
+                ));
             }
             links[from].push(link);
         }
         let topology = Topology::from_parts(positions.into_iter().map(|(_, p)| p).collect(), links);
         let mut faults = FaultPlan::new();
-        for event in fault_events {
+        for (no, event) in fault_events {
+            // The engines index per-node state by these ids.
+            if let Some(node) = event.nodes().into_iter().find(|id| id.0 as usize >= n) {
+                return Err(mal(
+                    no,
+                    format!("fault event names n{}, outside the {n}-node table", node.0),
+                ));
+            }
             faults.push(event);
         }
         Ok(Capsule {
@@ -748,6 +734,172 @@ mod tests {
             Some("quote \" and back\\slash")
         );
         assert_eq!(parsed.scenario_value("absent"), None);
+        // Quotes and backslashes are written as they always were.
+        assert!(capsule.to_jsonl().contains(
+            r#"{"ev":"capsule_scenario","key":"note","value":"quote \" and back\\slash"}"#
+        ));
+    }
+
+    #[test]
+    fn control_characters_keep_one_record_on_one_line() {
+        let mut capsule = sample_capsule();
+        let nasty = "a\nb\t\u{1}\"\\";
+        capsule
+            .scenario
+            .push((nasty.to_string(), nasty.to_string()));
+        let text = capsule.to_jsonl();
+        assert_eq!(
+            text.lines().count(),
+            sample_capsule().to_jsonl().lines().count() + 1
+        );
+        assert_eq!(Capsule::from_jsonl(&text).expect("parse"), capsule);
+        assert_eq!(
+            Capsule::from_framed(&capsule.to_framed()).expect("parse"),
+            capsule
+        );
+    }
+
+    /// `good` with `bad` appended as its last line, and that line's
+    /// 1-based number.
+    fn with_line(bad: &str) -> (String, usize) {
+        let good = sample_capsule().to_jsonl();
+        let no = good.lines().count() + 1;
+        (format!("{good}{bad}\n"), no)
+    }
+
+    fn malformed(text: &str) -> (usize, String) {
+        match Capsule::from_jsonl(text) {
+            Err(CapsuleError::Malformed { line, reason }) => (line, reason),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_lines_are_rejected_with_their_line_number() {
+        for (bad, needle) in [
+            (r#"{"t":1,"ev":"fault_crash","node":1"#, "expected"),
+            (
+                r#"{"t":1,"ev":"fault_crash","node":1} tail"#,
+                "trailing garbage",
+            ),
+            (
+                r#"{"t":1000,"ev":"fault_crash","node":2 GARBAGE "node":1"#,
+                "expected",
+            ),
+            (r#"{"t":1,"ev":"fault_crash","node":"1"}"#, "\"node\""),
+            (r#"{"t":"1","ev":"fault_crash","node":1}"#, "\"t\""),
+            (r#"{"t":1,"ev":"fault_melt","node":1}"#, "fault_melt"),
+            (r#"{"t":1,"ev":"tx","node":1}"#, "unknown event"),
+            (r#"{"t":1,"node":1}"#, "\"ev\""),
+            (r#"[1]"#, "\"ev\""),
+            (r#"{"ev":"capsule_scenario","key":"k"}"#, "\"value\""),
+            (
+                r#"{"ev":"capsule_scenario","key":"k","value":7}"#,
+                "\"value\"",
+            ),
+            (
+                r#"{"ev":"capsule_digest","engine":"sharded","shards":1,"outcome":"x","final_time":1,"events":1,"trace":"xyz","metrics":"0","order":"0"}"#,
+                "hex",
+            ),
+        ] {
+            let (text, no) = with_line(bad);
+            let (line, reason) = malformed(&text);
+            assert_eq!(line, no, "{bad}: {reason}");
+            assert!(reason.contains(needle), "{bad}: {reason}");
+        }
+        // Numbering counts blank lines and is not just "the last line".
+        let good = sample_capsule().to_jsonl();
+        let (first, rest) = good.split_once('\n').unwrap();
+        let text = format!("\n{first}\n{{\"ev\":\"nope\"}}\n{rest}");
+        assert_eq!(malformed(&text).0, 3);
+    }
+
+    #[test]
+    fn faults_and_links_outside_the_node_table_are_rejected() {
+        // The engines index per-node state by these ids: before this
+        // check `replay --replay` panicked in `Simulator::apply_fault`.
+        for bad in [
+            r#"{"t":1000,"ev":"fault_crash","node":99}"#,
+            r#"{"t":1000,"ev":"fault_reboot","node":9}"#,
+            r#"{"t":1000,"ev":"fault_drift","node":9,"ppm":1000000}"#,
+            r#"{"t":1000,"ev":"fault_link_down","from":9,"to":0}"#,
+            r#"{"t":1000,"ev":"fault_link_up","from":0,"to":9}"#,
+            r#"{"t":1000,"ev":"fault_degrade","from":0,"to":9,"ppm":5}"#,
+            r#"{"ev":"capsule_link","from":0,"to":9,"prr_bits":0}"#,
+            r#"{"ev":"capsule_link","from":9,"to":0,"prr_bits":0}"#,
+        ] {
+            let (text, no) = with_line(bad);
+            let (line, reason) = malformed(&text);
+            assert_eq!(line, no, "{bad}: {reason}");
+            assert!(reason.contains("9-node table"), "{bad}: {reason}");
+        }
+        let (text, _) = with_line(r#"{"t":1000,"ev":"fault_crash","node":8}"#);
+        assert!(Capsule::from_jsonl(&text).is_ok(), "n8 is the last node");
+        // The framed encoding carries the same lines.
+        let mut framed = sample_capsule().to_framed();
+        let bad = r#"{"t":1000,"ev":"fault_crash","node":99}"#;
+        framed.extend_from_slice(&(bad.len() as u32).to_le_bytes());
+        framed.extend_from_slice(bad.as_bytes());
+        assert!(matches!(
+            Capsule::from_framed(&framed),
+            Err(CapsuleError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected_not_wrapped() {
+        let good = sample_capsule().to_jsonl();
+        // (field as written, replacement): `as u32`/`as usize` used to
+        // wrap the first four; the rest used to reach a panic later.
+        for (from, to) in [
+            (
+                r#""ev":"fault_crash","node":3"#,
+                r#""ev":"fault_crash","node":4294967299"#,
+            ),
+            (r#""from":0,"to":1,"#, r#""from":0,"to":4294967297,"#),
+            (
+                r#""ev":"capsule_node","node":0,"#,
+                r#""ev":"capsule_node","node":18446744073709551616,"#,
+            ),
+            (
+                r#""diag_events":64"#,
+                r#""diag_events":18446744073709551616"#,
+            ),
+            (
+                r#""engine":"sharded","shards":4,"deadline_us""#,
+                r#""engine":"sharded","shards":18446744073709551620,"deadline_us""#,
+            ),
+            (
+                r#""engine":"sharded","shards":4,"deadline_us""#,
+                r#""engine":"sharded","shards":0,"deadline_us""#,
+            ),
+            (
+                r#""engine":"sharded","shards":4,"deadline_us""#,
+                r#""engine":"sharded","shards":65,"deadline_us""#,
+            ),
+            (r#""seed":3735928559"#, r#""seed":-1"#),
+            (r#""seed":3735928559"#, r#""seed":1.5"#),
+            // 2.0, -0.5 and NaN are not probabilities.
+            (
+                r#""app_loss_bits":4587366580439587226"#,
+                r#""app_loss_bits":4611686018427387904"#,
+            ),
+            (r#""to":1,"prr_bits":"#, r#""to":1,"prr_bits":1"#),
+            (
+                r#""noise_factor_bits":4598175219545276416"#,
+                r#""noise_factor_bits":9221120237041090560"#,
+            ),
+        ] {
+            assert!(good.contains(from), "fixture drifted: {from}");
+            let text = good.replacen(from, to, 1);
+            assert!(
+                matches!(
+                    Capsule::from_jsonl(&text),
+                    Err(CapsuleError::Malformed { .. })
+                ),
+                "{to} was accepted"
+            );
+        }
     }
 
     #[test]

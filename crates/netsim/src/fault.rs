@@ -23,6 +23,7 @@
 use crate::node::NodeId;
 use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
+use lrs_json::{parse_json, Json, ObjWriter};
 use lrs_rng::DetRng;
 
 /// Parts-per-million fixed point: the identity scale factor.
@@ -106,122 +107,97 @@ impl FaultEvent {
         }
     }
 
+    /// Every node the event names, as `[transmitter, receiver]` for
+    /// link-scoped faults and the faulted node twice for node-scoped
+    /// ones.
+    pub fn nodes(&self) -> [NodeId; 2] {
+        match *self {
+            FaultEvent::Crash { node, .. }
+            | FaultEvent::Reboot { node, .. }
+            | FaultEvent::ClockDrift { node, .. } => [node, node],
+            FaultEvent::LinkDown { from, to, .. }
+            | FaultEvent::LinkUp { from, to, .. }
+            | FaultEvent::Degrade { from, to, .. } => [from, to],
+        }
+    }
+
     /// The node whose shard must apply the event: the faulted node for
     /// node-scoped faults, the *receiver* for link-scoped faults (link
     /// state is consulted on delivery, which runs on the receiver's
     /// shard).
     pub fn owner(&self) -> NodeId {
-        match *self {
-            FaultEvent::Crash { node, .. }
-            | FaultEvent::Reboot { node, .. }
-            | FaultEvent::ClockDrift { node, .. } => node,
-            FaultEvent::LinkDown { to, .. }
-            | FaultEvent::LinkUp { to, .. }
-            | FaultEvent::Degrade { to, .. } => to,
-        }
+        self.nodes()[1]
     }
 
     /// Renders the event as one JSON object in trace-event shape
     /// (`"t"` in microseconds of virtual time).
     pub fn to_json(&self) -> String {
+        let line = |ev: &str| {
+            ObjWriter::new()
+                .uint("t", self.at().as_micros())
+                .str("ev", ev)
+        };
+        let link =
+            |ev: &str, from: NodeId, to: NodeId| line(ev).uint("from", from.0).uint("to", to.0);
         match *self {
-            FaultEvent::Crash { node, at } => format!(
-                r#"{{"t":{},"ev":"fault_crash","node":{}}}"#,
-                at.as_micros(),
-                node.0
-            ),
-            FaultEvent::Reboot { node, at } => format!(
-                r#"{{"t":{},"ev":"fault_reboot","node":{}}}"#,
-                at.as_micros(),
-                node.0
-            ),
-            FaultEvent::LinkDown { from, to, at } => format!(
-                r#"{{"t":{},"ev":"fault_link_down","from":{},"to":{}}}"#,
-                at.as_micros(),
-                from.0,
-                to.0
-            ),
-            FaultEvent::LinkUp { from, to, at } => format!(
-                r#"{{"t":{},"ev":"fault_link_up","from":{},"to":{}}}"#,
-                at.as_micros(),
-                from.0,
-                to.0
-            ),
-            FaultEvent::Degrade { from, to, ppm, at } => format!(
-                r#"{{"t":{},"ev":"fault_degrade","from":{},"to":{},"ppm":{}}}"#,
-                at.as_micros(),
-                from.0,
-                to.0,
-                ppm
-            ),
-            FaultEvent::ClockDrift { node, ppm, at } => format!(
-                r#"{{"t":{},"ev":"fault_drift","node":{},"ppm":{}}}"#,
-                at.as_micros(),
-                node.0,
-                ppm
-            ),
+            FaultEvent::Crash { node, .. } => line("fault_crash").uint("node", node.0),
+            FaultEvent::Reboot { node, .. } => line("fault_reboot").uint("node", node.0),
+            FaultEvent::LinkDown { from, to, .. } => link("fault_link_down", from, to),
+            FaultEvent::LinkUp { from, to, .. } => link("fault_link_up", from, to),
+            FaultEvent::Degrade { from, to, ppm, .. } => {
+                link("fault_degrade", from, to).uint("ppm", ppm)
+            }
+            FaultEvent::ClockDrift { node, ppm, .. } => {
+                line("fault_drift").uint("node", node.0).uint("ppm", ppm)
+            }
         }
+        .finish()
     }
 
     /// Parses one event from its [`to_json`](Self::to_json) form.
     /// Returns `None` on any malformed or unknown input.
     pub fn from_json(line: &str) -> Option<Self> {
-        let ev = json_str_field(line, "ev")?;
-        let at = SimTime(json_u64_field(line, "t")?);
-        let node = || json_u64_field(line, "node").map(|n| NodeId(n as u32));
-        let from = || json_u64_field(line, "from").map(|n| NodeId(n as u32));
-        let to = || json_u64_field(line, "to").map(|n| NodeId(n as u32));
-        let ppm = || json_u64_field(line, "ppm").map(|p| p as u32);
-        Some(match ev {
-            "fault_crash" => FaultEvent::Crash { node: node()?, at },
-            "fault_reboot" => FaultEvent::Reboot { node: node()?, at },
+        Self::from_value(&parse_json(line).ok()?).ok()
+    }
+
+    /// Reads one event from a parsed line; the error names the field
+    /// that is missing, mistyped or out of range.
+    pub(crate) fn from_value(line: &Json) -> Result<Self, String> {
+        let at = SimTime(line.uint_at("t")?);
+        let node = |key: &str| line.uint_at(key).map(NodeId);
+        Ok(match line.str_at("ev")? {
+            "fault_crash" => FaultEvent::Crash {
+                node: node("node")?,
+                at,
+            },
+            "fault_reboot" => FaultEvent::Reboot {
+                node: node("node")?,
+                at,
+            },
             "fault_link_down" => FaultEvent::LinkDown {
-                from: from()?,
-                to: to()?,
+                from: node("from")?,
+                to: node("to")?,
                 at,
             },
             "fault_link_up" => FaultEvent::LinkUp {
-                from: from()?,
-                to: to()?,
+                from: node("from")?,
+                to: node("to")?,
                 at,
             },
             "fault_degrade" => FaultEvent::Degrade {
-                from: from()?,
-                to: to()?,
-                ppm: ppm()?,
+                from: node("from")?,
+                to: node("to")?,
+                ppm: line.uint_at("ppm")?,
                 at,
             },
             "fault_drift" => FaultEvent::ClockDrift {
-                node: node()?,
-                ppm: ppm()?,
+                node: node("node")?,
+                ppm: line.uint_at("ppm")?,
                 at,
             },
-            _ => return None,
+            other => return Err(format!("unknown fault event {other:?}")),
         })
     }
-}
-
-/// Extracts the numeric value of `"key":<digits>` from a flat JSON object.
-pub(crate) fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Extracts the string value of `"key":"<value>"` from a flat JSON object.
-pub(crate) fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
 }
 
 /// Knobs for [`FaultPlan::generate`]. Rates are per-horizon
@@ -495,6 +471,24 @@ mod tests {
         assert_eq!(FaultEvent::from_json(r#"{"t":5,"ev":"fault_crash"}"#), None);
         assert_eq!(FaultEvent::from_json("not json"), None);
         assert!(FaultPlan::from_jsonl("{}\n").is_none());
+        // Ids and ppm are u32: 2^32 + 2 is out of range, not node 2.
+        for line in [
+            r#"{"t":5,"ev":"fault_crash","node":4294967298}"#,
+            r#"{"t":5,"ev":"fault_link_up","from":1,"to":4294967298}"#,
+            r#"{"t":5,"ev":"fault_drift","node":1,"ppm":4294967298}"#,
+            r#"{"t":18446744073709551616,"ev":"fault_crash","node":1}"#,
+            r#"{"t":5,"ev":"fault_crash","node":2 GARBAGE "node":1"#,
+        ] {
+            assert_eq!(FaultEvent::from_json(line), None, "{line}");
+        }
+        // The full u64 time range is exact.
+        assert_eq!(
+            FaultEvent::from_json(r#"{"t":18446744073709551615,"ev":"fault_crash","node":1}"#),
+            Some(FaultEvent::Crash {
+                node: NodeId(1),
+                at: SimTime(u64::MAX)
+            })
+        );
     }
 
     #[test]

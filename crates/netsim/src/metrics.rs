@@ -7,6 +7,7 @@
 
 use crate::node::{NodeId, PacketKind};
 use crate::time::SimTime;
+use lrs_json::ObjWriter;
 use std::collections::HashMap;
 
 /// Aggregated counters for one simulation run.
@@ -165,32 +166,24 @@ impl Metrics {
     /// event (`"ev":"metrics"`). Appending it to a JSONL run trace gives
     /// the log a closing summary line that tools can key on.
     pub fn to_trace_json(&self, at: SimTime) -> String {
-        let mut kinds = String::new();
+        let mut tx = ObjWriter::new();
         for kind in PacketKind::ALL {
-            if !kinds.is_empty() {
-                kinds.push(',');
-            }
-            kinds.push_str(&format!(
-                r#""{}":{{"pkts":{},"bytes":{}}}"#,
-                kind.label(),
-                self.tx_packets(kind),
-                self.tx_bytes(kind)
-            ));
+            let counters = ObjWriter::new()
+                .uint("pkts", self.tx_packets(kind))
+                .uint("bytes", self.tx_bytes(kind));
+            tx = tx.raw(kind.label(), &counters.finish());
         }
-        format!(
-            concat!(
-                r#"{{"t":{},"ev":"metrics","tx":{{{}}},"rx_pkts":{},"rx_bytes":{},"#,
-                r#""lost_phy":{},"lost_collision":{},"lost_app":{},"completed":{}}}"#
-            ),
-            at.as_micros(),
-            kinds,
-            self.rx_packets,
-            self.rx_bytes,
-            self.lost_phy,
-            self.lost_collision,
-            self.lost_app,
-            self.completion.len()
-        )
+        ObjWriter::new()
+            .uint("t", at.as_micros())
+            .str("ev", "metrics")
+            .raw("tx", &tx.finish())
+            .uint("rx_pkts", self.rx_packets)
+            .uint("rx_bytes", self.rx_bytes)
+            .uint("lost_phy", self.lost_phy)
+            .uint("lost_collision", self.lost_collision)
+            .uint("lost_app", self.lost_app)
+            .uint("completed", self.completion.len())
+            .finish()
     }
 }
 

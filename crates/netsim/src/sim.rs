@@ -11,6 +11,7 @@ use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{LossCause, RingTrace, TraceEvent, TraceSink};
 use crate::violation::{InvariantViolation, ViolationRecord};
+use lrs_json::ObjWriter;
 use lrs_rng::DetRng;
 use std::collections::{HashMap, VecDeque};
 
@@ -127,49 +128,30 @@ pub struct DiagnosticDump {
     pub violation: Option<ViolationRecord>,
 }
 
-/// Escapes `"` and `\` for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl DiagnosticDump {
     /// Renders the dump as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut nodes = String::new();
-        for d in &self.nodes {
-            if !nodes.is_empty() {
-                nodes.push(',');
-            }
-            nodes.push_str(&format!(
-                r#"{{"node":{},"complete":{},"failed":{},"progress":{},"detail":"{}"}}"#,
-                d.node.0,
-                d.complete,
-                d.failed,
-                d.progress,
-                escape_json(&d.detail)
-            ));
+        let nodes = self.nodes.iter().map(|d| {
+            ObjWriter::new()
+                .uint("node", d.node.0)
+                .bool("complete", d.complete)
+                .bool("failed", d.failed)
+                .uint("progress", d.progress)
+                .str("detail", &d.detail)
+                .finish()
+        });
+        let mut dump = ObjWriter::new()
+            .uint("t", self.at.as_micros())
+            .str("ev", "diagnostic")
+            .str("reason", &self.reason)
+            .uint("queue", self.queue_len)
+            .uint("pending_timers", self.pending_timers)
+            .arr("nodes", nodes)
+            .arr("recent", self.recent.iter().map(TraceEvent::to_json));
+        if let Some(record) = &self.violation {
+            dump = dump.raw("violation", &record.to_json());
         }
-        let mut recent = String::new();
-        for event in &self.recent {
-            if !recent.is_empty() {
-                recent.push(',');
-            }
-            recent.push_str(&event.to_json());
-        }
-        let violation = match &self.violation {
-            Some(record) => format!(r#","violation":{}"#, record.to_json()),
-            None => String::new(),
-        };
-        format!(
-            r#"{{"t":{},"ev":"diagnostic","reason":"{}","queue":{},"pending_timers":{},"nodes":[{}],"recent":[{}]{}}}"#,
-            self.at.as_micros(),
-            escape_json(&self.reason),
-            self.queue_len,
-            self.pending_timers,
-            nodes,
-            recent,
-            violation
-        )
+        dump.finish()
     }
 }
 
@@ -1252,7 +1234,7 @@ mod tests {
         sim.set_invariant_checker(Box::new(|node: &Pinger, _id| {
             if node.pings_heard >= 2 {
                 Err(InvariantViolation::Custom {
-                    message: format!("pings_heard reached {}", node.pings_heard),
+                    message: format!("pings_heard \"reached\"\n\t{}\u{1}", node.pings_heard),
                 })
             } else {
                 Ok(())
@@ -1271,6 +1253,14 @@ mod tests {
         // The violation is serialized structurally, not only as a string.
         assert!(json.contains(r#""violation":{"t":"#), "{json}");
         assert!(json.contains(r#""kind":"custom""#), "{json}");
+        // Control characters in the message (and in the reason built
+        // from it) are escaped: the dump is one line and parses back.
+        assert!(!json.contains(['\n', '\t', '\u{1}']), "{json}");
+        let doc = lrs_json::parse_json(&json).expect("dump is one JSON document");
+        let message = record.violation.to_string();
+        assert!(doc.str_at("reason").unwrap().contains(&message));
+        let nested = doc.get("violation").and_then(|v| v.get("violation"));
+        assert_eq!(nested.unwrap().str_at("message"), Ok(message.as_str()));
     }
 
     #[test]

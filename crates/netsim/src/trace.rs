@@ -20,6 +20,7 @@
 use crate::event::OrderKey;
 use crate::node::{NodeId, PacketKind, TimerId};
 use crate::time::SimTime;
+use lrs_json::ObjWriter;
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -177,81 +178,64 @@ impl TraceEvent {
     }
 
     /// Renders the event as a single JSON object (no trailing newline).
-    /// Times are microseconds of virtual time.
+    /// Times are microseconds of virtual time. [`RunDigest`] hashes
+    /// these bytes, so key order and number formatting are frozen.
+    ///
+    /// [`RunDigest`]: crate::capsule::RunDigest
     pub fn to_json(&self) -> String {
+        let line = |ev: &str, node: NodeId| {
+            ObjWriter::new()
+                .uint("t", self.at().as_micros())
+                .str("ev", ev)
+                .uint("node", node.0)
+        };
         match *self {
             TraceEvent::Tx {
-                at,
                 from,
                 kind,
                 bytes,
                 tx_id,
-            } => format!(
-                r#"{{"t":{},"ev":"tx","node":{},"kind":"{}","bytes":{},"tx":{}}}"#,
-                at.as_micros(),
-                from.0,
-                kind.label(),
-                bytes,
-                tx_id
-            ),
+                ..
+            } => line("tx", from)
+                .str("kind", kind.label())
+                .uint("bytes", bytes)
+                .uint("tx", tx_id),
             TraceEvent::Rx {
-                at,
                 to,
                 from,
                 kind,
                 bytes,
                 tx_id,
-            } => format!(
-                r#"{{"t":{},"ev":"rx","node":{},"from":{},"kind":"{}","bytes":{},"tx":{}}}"#,
-                at.as_micros(),
-                to.0,
-                from.0,
-                kind.label(),
-                bytes,
-                tx_id
-            ),
+                ..
+            } => line("rx", to)
+                .uint("from", from.0)
+                .str("kind", kind.label())
+                .uint("bytes", bytes)
+                .uint("tx", tx_id),
             TraceEvent::Loss {
-                at,
                 to,
                 from,
                 kind,
                 cause,
                 tx_id,
-            } => format!(
-                r#"{{"t":{},"ev":"loss","node":{},"from":{},"kind":"{}","cause":"{}","tx":{}}}"#,
-                at.as_micros(),
-                to.0,
-                from.0,
-                kind.label(),
-                cause.label(),
-                tx_id
-            ),
-            TraceEvent::TimerFired { at, node, timer } => format!(
-                r#"{{"t":{},"ev":"timer","node":{},"timer":{}}}"#,
-                at.as_micros(),
-                node.0,
-                timer.0
-            ),
-            TraceEvent::NodeComplete { at, node } => format!(
-                r#"{{"t":{},"ev":"complete","node":{}}}"#,
-                at.as_micros(),
-                node.0
-            ),
+                ..
+            } => line("loss", to)
+                .uint("from", from.0)
+                .str("kind", kind.label())
+                .str("cause", cause.label())
+                .uint("tx", tx_id),
+            TraceEvent::TimerFired { node, timer, .. } => {
+                line("timer", node).uint("timer", timer.0)
+            }
+            TraceEvent::NodeComplete { node, .. } => line("complete", node),
             TraceEvent::Note {
-                at,
-                node,
-                label,
-                a,
-                b,
-            } => format!(
-                r#"{{"t":{},"ev":"note","node":{},"label":"{}","a":{},"b":{}}}"#,
-                at.as_micros(),
-                node.0,
-                label,
-                a,
-                b
-            ),
+                node, label, a, b, ..
+            } => line("note", node)
+                .str("label", label)
+                .uint("a", a)
+                .uint("b", b),
         }
+        .finish()
     }
 }
 

@@ -14,6 +14,7 @@
 
 use crate::node::NodeId;
 use crate::time::SimTime;
+use lrs_json::ObjWriter;
 use std::fmt;
 
 /// A 64-bit content digest (FNV-1a) used to report expected/actual
@@ -186,57 +187,61 @@ impl InvariantViolation {
     /// Renders the violation as one JSON object with a `"kind"` tag and
     /// the variant's fields.
     pub fn to_json(&self) -> String {
-        let kind = self.kind();
+        let obj = ObjWriter::new().str("kind", self.kind());
+        let digests = |obj: ObjWriter, expected: &ContentDigest, actual: &ContentDigest| {
+            obj.str("expected", &expected.to_string())
+                .str("actual", &actual.to_string())
+        };
         match self {
             InvariantViolation::CompletionOverflow { complete, total } => {
-                format!(r#"{{"kind":"{kind}","complete":{complete},"total":{total}}}"#)
+                obj.uint("complete", *complete).uint("total", *total)
             }
             InvariantViolation::BufferBound {
                 buffer,
                 slots,
                 held,
                 count,
-            } => format!(
-                r#"{{"kind":"{kind}","buffer":"{}","slots":{slots},"held":{held},"count":{count}}}"#,
-                buffer.label()
-            ),
+            } => obj
+                .str("buffer", buffer.label())
+                .uint("slots", *slots)
+                .uint("held", *held)
+                .uint("count", *count),
             InvariantViolation::UnauthenticPacket {
                 buffer,
                 page,
                 index,
                 expected,
                 actual,
-            } => format!(
-                r#"{{"kind":"{kind}","buffer":"{}","page":{},"index":{index},"expected":"{expected}","actual":"{actual}"}}"#,
-                buffer.label(),
-                page.map_or("null".to_string(), |p| p.to_string()),
+            } => digests(
+                obj.str("buffer", buffer.label())
+                    .opt_uint("page", *page)
+                    .uint("index", *index),
+                expected,
+                actual,
             ),
             InvariantViolation::UnexpectedBufferOccupancy { complete } => {
-                format!(r#"{{"kind":"{kind}","complete":{complete}}}"#)
+                obj.uint("complete", *complete)
             }
-            InvariantViolation::SignatureMismatch { expected, actual } => {
-                format!(r#"{{"kind":"{kind}","expected":"{expected}","actual":"{actual}"}}"#)
+            InvariantViolation::SignatureMismatch { expected, actual }
+            | InvariantViolation::ImageMismatch { expected, actual } => {
+                digests(obj, expected, actual)
             }
             InvariantViolation::PageMismatch {
                 page,
                 packet,
                 expected,
                 actual,
-            } => format!(
-                r#"{{"kind":"{kind}","page":{page},"packet":{},"expected":"{expected}","actual":"{actual}"}}"#,
-                packet.map_or("null".to_string(), |p| p.to_string()),
+            } => digests(
+                obj.uint("page", *page).opt_uint("packet", *packet),
+                expected,
+                actual,
             ),
             InvariantViolation::PagesMissing { complete, held } => {
-                format!(r#"{{"kind":"{kind}","complete":{complete},"held":{held}}}"#)
+                obj.uint("complete", *complete).uint("held", *held)
             }
-            InvariantViolation::ImageMismatch { expected, actual } => {
-                format!(r#"{{"kind":"{kind}","expected":"{expected}","actual":"{actual}"}}"#)
-            }
-            InvariantViolation::Custom { message } => format!(
-                r#"{{"kind":"{kind}","message":"{}"}}"#,
-                message.replace('\\', "\\\\").replace('"', "\\\"")
-            ),
+            InvariantViolation::Custom { message } => obj.str("message", message),
         }
+        .finish()
     }
 }
 
@@ -328,12 +333,11 @@ pub struct ViolationRecord {
 impl ViolationRecord {
     /// Renders the record as one JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"t":{},"node":{},"violation":{}}}"#,
-            self.at.as_micros(),
-            self.node.0,
-            self.violation.to_json()
-        )
+        ObjWriter::new()
+            .uint("t", self.at.as_micros())
+            .uint("node", self.node.0)
+            .raw("violation", &self.violation.to_json())
+            .finish()
     }
 }
 

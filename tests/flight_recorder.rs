@@ -4,6 +4,7 @@
 //! chaos-scenario shrinking.
 
 use lr_seluge::{Deployment, LrSelugeParams};
+use lrs_bench::capsules::{replay_capsule, ScenarioTags};
 use lrs_bench::matched_seluge_params;
 use lrs_netsim::capsule::{Capsule, EngineDigest, RunDigest, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::fault::FaultPlan;
@@ -17,6 +18,7 @@ use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::SharedRingTrace;
 use lrs_netsim::SimBuilder;
+use lrs_rng::DetRng;
 use lrs_seluge::SelugeDeployment;
 use std::path::PathBuf;
 
@@ -366,4 +368,77 @@ fn bisector_finds_engine_divergence_but_no_shard_divergence() {
     assert!(divergence.left.is_some() || divergence.right.is_some());
     let rendered = divergence.to_string();
     assert!(rendered.contains("streams diverge at event"), "{rendered}");
+}
+
+/// The capsule `chaos --smoke` rewrites on every run, as committed by
+/// an earlier commit: the cross-version format pin.
+const COMMITTED_CAPSULE: &str = "results/capsules/chaos-watchdog-demo.jsonl";
+
+#[test]
+fn committed_capsule_loads_and_rewrites_byte_for_byte() {
+    let text = std::fs::read_to_string(COMMITTED_CAPSULE).expect("committed capsule");
+    let capsule = Capsule::from_jsonl(&text).expect("committed capsule loads");
+    assert_eq!(capsule.to_jsonl(), text, "writer drifted from the file");
+    // The 64-bit patterns in it (`"x_bits":13835058055282163712` is
+    // -2.0) survive exactly, and the framed encoding carries the same.
+    assert_eq!(capsule.topology.positions()[2].x, -2.0);
+    assert_eq!(Capsule::from_framed(&capsule.to_framed()).unwrap(), capsule);
+    let tags = ScenarioTags::decode(&capsule).expect("tags decode");
+    assert_eq!((tags.scheme.as_str(), tags.image_len), ("lr-seluge", 2048));
+}
+
+#[test]
+fn mutated_capsules_are_ok_or_err_never_a_panic() {
+    let seed_file = std::fs::read(COMMITTED_CAPSULE).expect("committed capsule");
+    let mut rng = DetRng::seed_from_u64(0x00C0_FFEE);
+    let (mut loaded, mut replayed) = (0, 0);
+    for case in 0..4_000 {
+        let mut bytes = seed_file.clone();
+        for _ in 0..rng.gen_range(1..=3u64) {
+            // Odd cases edit any byte (mostly breaking the grammar);
+            // even cases edit digits only, so the line still parses
+            // and the value checks behind the parser are reached.
+            let at = if case % 2 == 0 {
+                let digits: Vec<usize> = (0..bytes.len())
+                    .filter(|&i| bytes[i].is_ascii_digit())
+                    .collect();
+                digits[rng.gen_range(0..digits.len() as u64) as usize]
+            } else {
+                rng.gen_range(0..bytes.len() as u64) as usize
+            };
+            let fresh = if case % 2 == 0 {
+                b'0' + rng.gen_range(0..10u64) as u8
+            } else {
+                const ALPHABET: &[u8] = b"0123456789\"{}[]:,-e.\\\n x";
+                ALPHABET[rng.gen_range(0..ALPHABET.len() as u64) as usize]
+            };
+            match rng.gen_range(0..3u64) {
+                0 if case % 2 == 0 => bytes[at] = fresh,
+                0 => bytes[at] ^= 1 << rng.gen_range(0..8u64),
+                1 => bytes.insert(at, fresh),
+                _ => {
+                    bytes.remove(at);
+                }
+            }
+        }
+        // Non-UTF-8 is `Capsule::load`'s `BadFrame`, before any parser.
+        let Ok(text) = String::from_utf8(bytes) else {
+            continue;
+        };
+        let Ok(capsule) = Capsule::from_jsonl(&text) else {
+            continue;
+        };
+        loaded += 1;
+        if ScenarioTags::decode(&capsule).is_ok() && loaded % 16 == 0 {
+            // What loads must also run: every id, probability and
+            // shard count the engines index or sample was checked.
+            let _ = replay_capsule(&capsule, &capsule.engine, capsule.shards);
+            replayed += 1;
+        }
+    }
+    assert!(
+        loaded > 500,
+        "only {loaded} mutants loaded: the loop lost its reach"
+    );
+    assert!(replayed > 30, "only {replayed} mutants replayed");
 }
