@@ -20,21 +20,16 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use lr_seluge::Deployment;
-use lrs_bench::capsules::{attack_params, lr_attacker_profile, ScenarioTags};
-use lrs_bench::runner::test_image;
+use lrs_bench::capsules::{attack_params, population, LrScheme, ScenarioTags};
+use lrs_bench::runner::{simulate, Finished, Matched, SimSetup};
 use lrs_bench::{sample_grid, stat_json, write_csv, write_json, Json, Table};
-use lrs_deluge::attack::{Attacker, AttackerProfile, MaybeAdversary};
-use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
-use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
-use lrs_deluge::policy::UnionPolicy;
+use lrs_deluge::engine::EngineConfig;
+use lrs_deluge::image::DelugeScheme;
 use lrs_netsim::attack::{AttackEntry, AttackPlan, AttackVector};
-use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::node::NodeId;
-use lrs_netsim::sim::SimConfig;
 use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
-use lrs_netsim::SimBuilder;
+use lrs_netsim::CapsuleSpec;
 
 const N_HONEST: usize = 10;
 
@@ -83,164 +78,65 @@ impl FloodOutcome {
     }
 }
 
-/// Runs LR-Seluge with one plan-driven attacker node. When
-/// `capsule_dir` is set and the run uses the registry's default engine
-/// configuration (no §IV-E budget), the flight recorder is armed with
-/// "attack"-profile scenario tags so a diagnostic outcome dumps a
-/// bit-replayable capsule.
-fn run_lr_under_attack(
+/// Runs scheme family `S` (the "attack" profile, matched) on the star
+/// with one plan-driven attacker at the last leaf, for `window` of
+/// virtual time. When `capsule_dir` is set the flight recorder is armed
+/// with the run's scenario tags, so a diagnostic outcome dumps a
+/// bit-replayable capsule; only runs on the registry's default engine
+/// configuration (no §IV-E budget) may pass one.
+fn run_with_attacker<S: Matched>(
     image_len: usize,
     vector: AttackVector,
     interval: Duration,
     budget: Option<u32>,
     seed: u64,
+    window: Duration,
     capsule_dir: Option<&Path>,
-) -> Result<FloodOutcome, String> {
-    let p = attack_params(image_len);
-    let image = test_image(image_len);
-    let engine = EngineConfig {
+) -> Result<Finished<S>, String> {
+    let tags = ScenarioTags::new(S::NAME, "attack", image_len, "attack keys")
+        .with_attack_plan(single_attacker_plan(vector, interval));
+    let pop = population::<S>(&tags)?.with_engine_config(EngineConfig {
         per_neighbor_item_budget: budget,
         ..EngineConfig::default()
-    };
-    let deployment = Deployment::new(&image, p, b"attack keys").with_engine_config(engine);
-    let profile = lr_attacker_profile(&p, Some(deployment.cluster_key().clone()));
-    let plan = single_attacker_plan(vector, interval);
-    let attacker_id = NodeId((N_HONEST + 1) as u32);
-    let mut builder = SimBuilder::new(Topology::star(N_HONEST + 2), seed, |id| {
-        match plan.entry_for(id) {
-            Some(entry) => MaybeAdversary::Attacker(Attacker::from_plan_entry(entry, &profile)),
-            None => MaybeAdversary::Honest(deployment.node(id, NodeId(0))),
-        }
-    })
-    .config(SimConfig {
-        medium: MediumConfig::default(),
-        ..SimConfig::default()
     });
-    // Budgeted runs deviate from the registry's default engine
-    // configuration, so only unbudgeted runs are capsule-armed.
-    if let (Some(dir), None) = (capsule_dir, budget) {
-        let name = format!(
-            "attack-{}-{}ms-seed{}.jsonl",
-            vector.label(),
-            interval.as_micros() / 1_000,
-            seed,
-        );
-        let tags = ScenarioTags::new("lr-seluge", "attack", image_len, "attack keys")
-            .with_attack_plan(plan.clone());
-        builder = builder.capsule_on_failure(dir.join(name));
-        for (key, value) in tags.pairs() {
-            builder = builder.scenario(key, value);
-        }
-    }
-    let mut sim = builder.build();
-    let report = sim.run(Duration::from_secs(20_000));
-    let mut wrong = 0usize;
+    let name = format!(
+        "attack-{}-{}ms-seed{}.jsonl",
+        vector.label(),
+        interval.as_micros() / 1_000,
+        seed,
+    );
+    let setup = SimSetup {
+        capsule: capsule_dir.map(|dir| tags.apply(CapsuleSpec::new(dir.join(name)))),
+        ..SimSetup::new(Topology::star(N_HONEST + 2), seed, window)
+    };
+    Ok(simulate(&pop, setup))
+}
+
+/// One flood run of family `S`, summarized over the honest receivers.
+fn run_under_attack<S: Matched>(
+    image_len: usize,
+    vector: AttackVector,
+    interval: Duration,
+    seed: u64,
+    capsule_dir: Option<&Path>,
+) -> Result<FloodOutcome, String> {
+    let window = Duration::from_secs(20_000);
+    let done =
+        run_with_attacker::<S>(image_len, vector, interval, None, seed, window, capsule_dir)?;
     let mut rejects = 0u64;
     let mut sig_verifs = 0u64;
-    for i in 1..=N_HONEST as u32 {
-        let node = sim
-            .node(NodeId(i))
-            .honest()
-            .ok_or_else(|| format!("node {i} should be honest but is not"))?;
-        match node.scheme().image() {
-            Some(got) if got == image => {}
-            _ => wrong += 1,
-        }
+    // Receivers only: the base station is the flood's bystander.
+    for (_, node) in done.honest().skip(1) {
         let st = node.stats();
         rejects += st.auth_rejects + st.mac_rejects + st.out_of_order_drops;
         sig_verifs += node.scheme().cost().signature_verifications;
     }
-    let injected = sim
-        .node(attacker_id)
-        .attacker()
-        .ok_or_else(|| format!("node {} should be the attacker but is not", attacker_id.0))?
-        .injected;
     Ok(FloodOutcome {
-        injected: injected as f64,
-        complete: if report.all_complete { 1.0 } else { 0.0 },
-        wrong: wrong as f64,
+        injected: done.injected() as f64,
+        complete: if done.report.all_complete { 1.0 } else { 0.0 },
+        wrong: done.wrong_images() as f64,
         rejects: rejects as f64,
         sig_verifs: sig_verifs as f64,
-    })
-}
-
-/// The same bogus-data flood against plain Deluge.
-fn run_deluge_under_attack(
-    image_len: usize,
-    interval: Duration,
-    seed: u64,
-) -> Result<FloodOutcome, String> {
-    let ip = ImageParams {
-        version: 1,
-        image_len,
-        packets_per_page: 32,
-        payload_len: 72,
-    };
-    let image = test_image(image_len);
-    let deluge_image = DelugeImage::new(image.clone(), ip);
-    let key = lrs_crypto::cluster::ClusterKey::derive(b"attack keys", 0);
-    let engine = EngineConfig {
-        authenticate_control: false,
-        ..EngineConfig::default()
-    };
-    // Plain Deluge has no signatures or puzzles; only the bogus-data
-    // fields of the profile are ever read.
-    let profile = AttackerProfile {
-        payload_len: ip.payload_len,
-        index_space: ip.packets_per_page,
-        sig_body_len: 0,
-        n_bits: 0,
-        version: ip.version,
-        cluster_key: None,
-    };
-    let plan = single_attacker_plan(AttackVector::BogusData, interval);
-    let attacker_id = NodeId((N_HONEST + 1) as u32);
-    let mut sim = SimBuilder::new(Topology::star(N_HONEST + 2), seed, |id| {
-        match plan.entry_for(id) {
-            Some(entry) => MaybeAdversary::Attacker(Attacker::from_plan_entry(entry, &profile)),
-            None => {
-                let scheme = if id == NodeId(0) {
-                    DelugeScheme::base(&deluge_image)
-                } else {
-                    DelugeScheme::receiver(ip)
-                };
-                MaybeAdversary::Honest(DisseminationNode::new(
-                    scheme,
-                    UnionPolicy::new(),
-                    key.clone(),
-                    engine,
-                ))
-            }
-        }
-    })
-    .config(SimConfig {
-        medium: MediumConfig::default(),
-        ..SimConfig::default()
-    })
-    .build();
-    let report = sim.run(Duration::from_secs(20_000));
-    let mut wrong = 0usize;
-    for i in 1..=N_HONEST as u32 {
-        let node = sim
-            .node(NodeId(i))
-            .honest()
-            .ok_or_else(|| format!("node {i} should be honest but is not"))?;
-        match node.scheme().image() {
-            Some(got) if got == image => {}
-            _ => wrong += 1,
-        }
-    }
-    let injected = sim
-        .node(attacker_id)
-        .attacker()
-        .ok_or_else(|| format!("node {} should be the attacker but is not", attacker_id.0))?
-        .injected;
-    Ok(FloodOutcome {
-        injected: injected as f64,
-        complete: if report.all_complete { 1.0 } else { 0.0 },
-        wrong: wrong as f64,
-        rejects: f64::NAN,
-        sig_verifs: f64::NAN,
     })
 }
 
@@ -251,30 +147,19 @@ fn run_denial_of_receipt(
     budget: Option<u32>,
     seed: u64,
 ) -> Result<(u64, u64), String> {
-    let p = attack_params(image_len);
-    let image = test_image(image_len);
-    let engine = EngineConfig {
-        per_neighbor_item_budget: budget,
-        ..EngineConfig::default()
-    };
-    let deployment = Deployment::new(&image, p, b"attack keys").with_engine_config(engine);
-    let profile = lr_attacker_profile(&p, Some(deployment.cluster_key().clone()));
-    let plan = single_attacker_plan(AttackVector::DenialOfReceipt, Duration::from_millis(250));
-    let mut sim = SimBuilder::new(Topology::star(N_HONEST + 2), seed, |id| {
-        match plan.entry_for(id) {
-            Some(entry) => MaybeAdversary::Attacker(Attacker::from_plan_entry(entry, &profile)),
-            None => MaybeAdversary::Honest(deployment.node(id, NodeId(0))),
-        }
-    })
-    .config(SimConfig {
-        medium: MediumConfig::default(),
-        ..SimConfig::default()
-    })
-    .build();
     // Fixed observation window: the unbounded variant is a total DoS and
     // would otherwise run to any deadline.
-    let _ = sim.run(Duration::from_secs(2_000));
-    let base = sim
+    let done = run_with_attacker::<LrScheme>(
+        image_len,
+        AttackVector::DenialOfReceipt,
+        Duration::from_millis(250),
+        budget,
+        seed,
+        Duration::from_secs(2_000),
+        None,
+    )?;
+    let base = done
+        .sim
         .node(NodeId(0))
         .honest()
         .ok_or("the base station should be honest but is not")?;
@@ -354,22 +239,32 @@ fn run() -> Result<(), String> {
         Scenario::ForgedSig { interval_ms: 400 },
     ];
     let grid = sample_grid(&scenarios, seeds, threads, |sc, seed| match *sc {
-        Scenario::LrBogus { interval_ms } => run_lr_under_attack(
+        Scenario::LrBogus { interval_ms } => run_under_attack::<LrScheme>(
             image_len,
             AttackVector::BogusData,
             Duration::from_millis(interval_ms),
-            None,
             seed,
             capsule_dir.as_deref(),
         ),
-        Scenario::DelugeBogus { interval_ms } => {
-            run_deluge_under_attack(image_len, Duration::from_millis(interval_ms), seed)
-        }
-        Scenario::ForgedSig { interval_ms } => run_lr_under_attack(
+        // Plain Deluge authenticates nothing, so it has no rejection or
+        // verification counts to report, and its capsules have no
+        // registered scheme to replay under.
+        Scenario::DelugeBogus { interval_ms } => run_under_attack::<DelugeScheme>(
+            image_len,
+            AttackVector::BogusData,
+            Duration::from_millis(interval_ms),
+            seed,
+            None,
+        )
+        .map(|o| FloodOutcome {
+            rejects: f64::NAN,
+            sig_verifs: f64::NAN,
+            ..o
+        }),
+        Scenario::ForgedSig { interval_ms } => run_under_attack::<LrScheme>(
             image_len,
             AttackVector::ForgedSignature,
             Duration::from_millis(interval_ms),
-            None,
             seed,
             capsule_dir.as_deref(),
         ),

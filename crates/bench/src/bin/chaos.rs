@@ -15,47 +15,27 @@
 //! `--smoke` runs a reduced grid with fixed seeds for CI; `--quick`
 //! trims seeds for local iteration.
 
-use lr_seluge::Deployment;
-use lrs_bench::capsules::{
-    chaos_params as params, chaos_sim_config as sim_config, storm_attacker, ScenarioTags,
-};
-use lrs_bench::runner::{matched_seluge_params, test_image};
-use lrs_bench::{sample_grid, stat_json, write_csv, write_json, Json, Table};
-use lrs_deluge::attack::MaybeAdversary;
-use lrs_netsim::energy::EnergyModel;
+use lrs_bench::capsules::{chaos_sim_config as sim_config, population, LrScheme, ScenarioTags};
+use lrs_bench::runner::{simulate, Matched, SimSetup};
+use lrs_bench::{sample_grid, stat_json, with_scheme, write_csv, write_json, Json, Table};
+use lrs_deluge::deployment::SchemeFamily;
 use lrs_netsim::fault::{FaultConfig, FaultPlan};
 use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::Outcome;
-
 use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
-use lrs_netsim::{CapsuleSpec, SimBuilder};
-use lrs_seluge::SelugeDeployment;
+use lrs_netsim::CapsuleSpec;
 use std::path::{Path, PathBuf};
 
 /// Honest receivers; one more node is either an extra receiver or the
 /// packet-storm attacker, and node 0 is the base station.
 const N_HONEST: usize = 8;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SchemeKind {
-    LrSeluge,
-    Seluge,
-}
-
-impl SchemeKind {
-    fn label(self) -> &'static str {
-        match self {
-            SchemeKind::LrSeluge => "lr-seluge",
-            SchemeKind::Seluge => "seluge",
-        }
-    }
-}
-
 /// One cell of the fault-intensity grid.
 #[derive(Clone, Copy, Debug)]
 struct Scenario {
-    scheme: SchemeKind,
+    /// Scheme family name.
+    scheme: &'static str,
     /// Per-node crash probability over the fault horizon.
     crash_rate: f64,
     /// Fraction of directed links that flap down/up.
@@ -125,193 +105,59 @@ fn fault_config(sc: &Scenario) -> FaultConfig {
     }
 }
 
-/// Flight-recorder spec for one sweep cell: a capsule lands in
-/// `dir` under a name encoding the scenario, tagged so the `replay`
-/// binary can reconstruct the node population.
-fn capsule_spec(
-    dir: &Path,
-    sc: &Scenario,
-    seed: u64,
-    image_len: usize,
-    attacker_id: NodeId,
-) -> CapsuleSpec {
-    let name = format!(
+/// Flight-recorder file name encoding the scenario.
+fn capsule_name(sc: &Scenario, seed: u64) -> String {
+    format!(
         "chaos-{}-c{:02}-f{:02}-{}-seed{}.jsonl",
-        sc.scheme.label(),
+        sc.scheme,
         (sc.crash_rate * 100.0) as u32,
         (sc.link_flap * 100.0) as u32,
         if sc.storm { "storm" } else { "calm" },
         seed,
-    );
-    let mut tags = ScenarioTags::new(sc.scheme.label(), "chaos", image_len, "chaos keys");
-    if sc.storm {
-        tags = tags.with_attacker(attacker_id);
-    }
-    tags.apply(CapsuleSpec::new(dir.join(name)))
+    )
 }
 
-/// Summarizes a finished run. `images_ok(i)` reports whether honest
-/// node `i` holds the correct image.
-#[allow(clippy::too_many_arguments)]
-fn outcome_from(
-    report: &lrs_netsim::sim::RunReport,
-    reboots: u64,
-    injected: u64,
-    violations: u64,
-    unfinished: usize,
-    energy_j: f64,
+/// Runs scheme family `S` under the scenario's fault plan with the
+/// per-delivery invariant checker armed.
+fn run_chaos<S: Matched>(
+    image_len: usize,
+    sc: &Scenario,
+    seed: u64,
+    capsule_dir: Option<&Path>,
 ) -> ChaosOutcome {
-    ChaosOutcome {
-        complete: if report.outcome == Outcome::Complete && unfinished == 0 {
-            1.0
-        } else {
-            0.0
+    // What the capsule registry rebuilds the node population from, here
+    // and in the `replay` binary.
+    let mut tags = ScenarioTags::new(sc.scheme, "chaos", image_len, "chaos keys");
+    if sc.storm {
+        tags = tags.with_attacker(NodeId((N_HONEST + 1) as u32));
+    }
+    let pop = population::<S>(&tags).expect("the chaos profile is registered");
+    let topo = Topology::star(N_HONEST + 2);
+    let done = simulate(
+        &pop,
+        SimSetup {
+            config: sim_config(),
+            faults: FaultPlan::generate(&fault_config(sc), &topo, seed),
+            capsule: capsule_dir
+                .map(|dir| tags.apply(CapsuleSpec::new(dir.join(capsule_name(sc, seed))))),
+            check_deliveries: true,
+            ..SimSetup::new(topo, seed, Duration::from_secs(5_000))
         },
+    );
+    let report = &done.report;
+    let unfinished = done.wrong_images();
+    let violations = usize::from(done.sim.invariant_violation().is_some()) + done.violations();
+    let flag = |on: bool| if on { 1.0 } else { 0.0 };
+    ChaosOutcome {
+        complete: flag(report.outcome == Outcome::Complete && unfinished == 0),
         unfinished: unfinished as f64,
         latency_s: report.latency.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN),
-        reboots: reboots as f64,
-        injected: injected as f64,
-        stalled: if report.outcome == Outcome::Stalled {
-            1.0
-        } else {
-            0.0
-        },
+        reboots: done.sim.reboots() as f64,
+        injected: done.injected() as f64,
+        stalled: flag(report.outcome == Outcome::Stalled),
         violations: violations as f64,
-        energy_j,
+        energy_j: done.energy_j(),
     }
-}
-
-/// Runs LR-Seluge under the scenario's fault plan and invariant checker.
-fn run_lr_chaos(
-    image_len: usize,
-    sc: &Scenario,
-    seed: u64,
-    capsule_dir: Option<&Path>,
-) -> ChaosOutcome {
-    let p = params(image_len);
-    let image = test_image(image_len);
-    let deployment = Deployment::new(&image, p, b"chaos keys");
-    let artifacts = deployment.artifacts().clone();
-    let attacker_id = NodeId((N_HONEST + 1) as u32);
-    let storm = sc.storm;
-    let topo = Topology::star(N_HONEST + 2);
-    let mut sim = SimBuilder::new(topo.clone(), seed, |id| {
-        if storm && id == attacker_id {
-            MaybeAdversary::Attacker(storm_attacker(p.payload_len, p.n, p.version))
-        } else {
-            MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
-        }
-    })
-    .config(sim_config())
-    .build();
-    sim.inject_faults(&FaultPlan::generate(&fault_config(sc), &topo, seed));
-    if let Some(dir) = capsule_dir {
-        sim.set_capsule_on_failure(capsule_spec(dir, sc, seed, image_len, attacker_id));
-    }
-    let check_art = artifacts.clone();
-    let check_img = image.clone();
-    sim.set_invariant_checker(Box::new(move |node, _id| match node.honest() {
-        Some(n) => n.scheme().verify_invariants(&check_art, &check_img),
-        None => Ok(()),
-    }));
-    let report = sim.run(Duration::from_secs(5_000));
-    let mut violations = u64::from(sim.invariant_violation().is_some());
-    let mut unfinished = 0usize;
-    for i in 0..topo.len() as u32 {
-        let id = NodeId(i);
-        let Some(node) = sim.node(id).honest() else {
-            continue;
-        };
-        // End-of-run sweep: the per-delivery checker sees every accepted
-        // packet, this catches anything corrupted after the last one.
-        if node.scheme().verify_invariants(&artifacts, &image).is_err() {
-            violations += 1;
-        }
-        if node.scheme().image().as_deref() != Some(&image[..]) {
-            unfinished += 1;
-        }
-    }
-    let injected = if storm {
-        sim.node(attacker_id).attacker().map_or(0, |a| a.injected)
-    } else {
-        0
-    };
-    let energy_j = sim.energy().total_joules(&EnergyModel::default());
-    outcome_from(
-        &report,
-        sim.reboots(),
-        injected,
-        violations,
-        unfinished,
-        energy_j,
-    )
-}
-
-/// Runs Seluge under the same fault plan and its invariant checker.
-fn run_seluge_chaos(
-    image_len: usize,
-    sc: &Scenario,
-    seed: u64,
-    capsule_dir: Option<&Path>,
-) -> ChaosOutcome {
-    let sp = matched_seluge_params(&params(image_len));
-    let image = test_image(image_len);
-    let deployment = SelugeDeployment::new(&image, sp, b"chaos keys");
-    let artifacts = deployment.artifacts().clone();
-    let attacker_id = NodeId((N_HONEST + 1) as u32);
-    let storm = sc.storm;
-    let topo = Topology::star(N_HONEST + 2);
-    let mut sim = SimBuilder::new(topo.clone(), seed, |id| {
-        if storm && id == attacker_id {
-            MaybeAdversary::Attacker(storm_attacker(
-                sp.data_payload_len(),
-                sp.packets_per_page,
-                sp.version,
-            ))
-        } else {
-            MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
-        }
-    })
-    .config(sim_config())
-    .build();
-    sim.inject_faults(&FaultPlan::generate(&fault_config(sc), &topo, seed));
-    if let Some(dir) = capsule_dir {
-        sim.set_capsule_on_failure(capsule_spec(dir, sc, seed, image_len, attacker_id));
-    }
-    let check_art = artifacts.clone();
-    let check_img = image.clone();
-    sim.set_invariant_checker(Box::new(move |node, _id| match node.honest() {
-        Some(n) => n.scheme().verify_invariants(&check_art, &check_img),
-        None => Ok(()),
-    }));
-    let report = sim.run(Duration::from_secs(5_000));
-    let mut violations = u64::from(sim.invariant_violation().is_some());
-    let mut unfinished = 0usize;
-    for i in 0..topo.len() as u32 {
-        let Some(node) = sim.node(NodeId(i)).honest() else {
-            continue;
-        };
-        if node.scheme().verify_invariants(&artifacts, &image).is_err() {
-            violations += 1;
-        }
-        if node.scheme().image().as_deref() != Some(&image[..]) {
-            unfinished += 1;
-        }
-    }
-    let injected = if storm {
-        sim.node(attacker_id).attacker().map_or(0, |a| a.injected)
-    } else {
-        0
-    };
-    let energy_j = sim.energy().total_joules(&EnergyModel::default());
-    outcome_from(
-        &report,
-        sim.reboots(),
-        injected,
-        violations,
-        unfinished,
-        energy_j,
-    )
 }
 
 fn run_scenario(
@@ -320,32 +166,17 @@ fn run_scenario(
     seed: u64,
     capsule_dir: Option<&Path>,
 ) -> ChaosOutcome {
-    match sc.scheme {
-        SchemeKind::LrSeluge => run_lr_chaos(image_len, sc, seed, capsule_dir),
-        SchemeKind::Seluge => run_seluge_chaos(image_len, sc, seed, capsule_dir),
-    }
+    with_scheme!(sc.scheme, S => run_chaos::<S>(image_len, sc, seed, capsule_dir))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Deliberately partitions a network and shows the watchdog converting
 /// the resulting livelock into a structured diagnostic dump — and, when
 /// the flight recorder is armed, a replay capsule.
 fn watchdog_demo(image_len: usize, capsule_dir: Option<&Path>) -> String {
-    let p = params(image_len);
-    let image = test_image(image_len);
-    let deployment = Deployment::new(&image, p, b"chaos keys");
+    let tags = ScenarioTags::new(LrScheme::NAME, "chaos", image_len, "chaos keys");
+    let pop = population::<LrScheme>(&tags).expect("the chaos profile is registered");
     let topo = Topology::star(4);
-    let mut sim = SimBuilder::new(topo.clone(), 3, |id| deployment.node(id, NodeId(0)))
-        .config(lrs_netsim::sim::SimConfig {
-            stall_window: Some(Duration::from_secs(60)),
-            ..sim_config()
-        })
-        .build();
-    if let Some(dir) = capsule_dir {
-        sim.set_capsule_on_failure(
-            ScenarioTags::new("lr-seluge", "chaos", image_len, "chaos keys")
-                .apply(CapsuleSpec::new(dir.join("chaos-watchdog-demo.jsonl"))),
-        );
-    }
     // Cut the base station off in both directions, forever: receivers
     // keep advertising and requesting but can never make progress.
     let mut plan = FaultPlan::new();
@@ -361,8 +192,20 @@ fn watchdog_demo(image_len: usize, capsule_dir: Option<&Path>) -> String {
             at: SimTime(2_000_000),
         });
     }
-    sim.inject_faults(&plan);
-    let report = sim.run(Duration::from_secs(5_000));
+    let report = simulate(
+        &pop,
+        SimSetup {
+            config: lrs_netsim::sim::SimConfig {
+                stall_window: Some(Duration::from_secs(60)),
+                ..sim_config()
+            },
+            faults: plan,
+            capsule: capsule_dir
+                .map(|dir| tags.apply(CapsuleSpec::new(dir.join("chaos-watchdog-demo.jsonl")))),
+            ..SimSetup::new(topo, 3, Duration::from_secs(5_000))
+        },
+    )
+    .report;
     assert_eq!(
         report.outcome,
         Outcome::Stalled,
@@ -428,7 +271,7 @@ fn run() -> Result<(), lrs_bench::CliError> {
     };
     let flap_rates: &[f64] = &[0.0, 0.4];
     let mut scenarios = Vec::new();
-    for &scheme in &[SchemeKind::LrSeluge, SchemeKind::Seluge] {
+    for scheme in ["lr-seluge", "seluge"] {
         for &crash_rate in crash_rates {
             for &link_flap in flap_rates {
                 for &storm in &[false, true] {
@@ -493,7 +336,7 @@ fn run() -> Result<(), lrs_bench::CliError> {
             }
         };
         t.row(vec![
-            sc.scheme.label().to_string(),
+            sc.scheme.to_string(),
             format!("{:.2}", sc.crash_rate),
             format!("{:.2}", sc.link_flap),
             if sc.storm { "yes" } else { "no" }.to_string(),
@@ -514,7 +357,7 @@ fn run() -> Result<(), lrs_bench::CliError> {
             (
                 "params".into(),
                 Json::Obj(vec![
-                    ("scheme".into(), Json::str(sc.scheme.label())),
+                    ("scheme".into(), Json::str(sc.scheme)),
                     ("crash_rate".into(), Json::num(sc.crash_rate)),
                     ("link_flap".into(), Json::num(sc.link_flap)),
                     ("storm".into(), Json::num(u8::from(sc.storm))),
@@ -528,7 +371,7 @@ fn run() -> Result<(), lrs_bench::CliError> {
     // Seed determinism: the same scenario and seed must reproduce every
     // observable bit for bit.
     let probe = Scenario {
-        scheme: SchemeKind::LrSeluge,
+        scheme: "lr-seluge",
         crash_rate: 0.5,
         link_flap: 0.4,
         storm: true,

@@ -9,36 +9,37 @@
 //! GF(256) table arithmetic (see `cargo bench -p lrs-bench` for the
 //! per-operation costs).
 
-use lr_seluge::{Deployment, LrSelugeParams};
-use lrs_bench::runner::test_image;
+use lr_seluge::LrSelugeParams;
+use lrs_bench::capsules::Population;
+use lrs_bench::runner::{simulate, test_image, Matched};
 use lrs_bench::{
-    configured_threads, matched_seluge_params, sample_grid, stat_json, write_csv, write_json, Json,
+    configured_threads, sample_grid, stat_json, with_scheme, write_csv, write_json, Json, RunSpec,
     Table,
 };
-use lrs_deluge::engine::{CryptoCost, DisseminationNode, Scheme};
-use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::NodeId;
-use lrs_netsim::sim::{SimConfig, Simulator};
+use lrs_deluge::deployment::Deployment;
+use lrs_deluge::engine::CryptoCost;
 
-use lrs_netsim::time::Duration;
-use lrs_netsim::topology::Topology;
-use lrs_netsim::SimBuilder;
-use lrs_seluge::{SelugeDeployment, SelugeParams};
-
-fn mean_receiver_cost<S: Scheme, P: lrs_deluge::policy::TxPolicy>(
-    sim: &Simulator<DisseminationNode<S, P>>,
+/// Disseminates `image` with scheme family `S` (parameters matched to
+/// `lr`) under `spec` and returns the mean per-receiver cost.
+fn mean_receiver_cost<S: Matched>(
+    image: &[u8],
+    lr: &LrSelugeParams,
+    spec: &RunSpec,
+    seed: u64,
 ) -> CryptoCost {
-    let n = sim.topology().len();
+    let deployment = Deployment::<S>::new(image, S::matched(lr), b"overhead");
+    let done = simulate(&Population::honest(deployment), spec.setup(seed));
+    assert!(done.report.all_complete);
     let mut acc = CryptoCost::default();
-    for i in 1..n {
-        let c = sim.node(NodeId(i as u32)).scheme().cost();
+    for (_, node) in done.honest().skip(1) {
+        let c = node.scheme().cost();
         acc.hashes += c.hashes;
         acc.signature_verifications += c.signature_verifications;
         acc.puzzle_checks += c.puzzle_checks;
         acc.decodes += c.decodes;
         acc.encodes += c.encodes;
     }
-    let d = (n - 1) as u64;
+    let d = (spec.topology.len() - 1) as u64;
     CryptoCost {
         hashes: acc.hashes / d,
         signature_verifications: acc.signature_verifications / d,
@@ -78,38 +79,14 @@ fn main() {
         image_len,
         ..LrSelugeParams::default()
     };
-    let s_params: SelugeParams = matched_seluge_params(&lr_params);
     let image = test_image(image_len);
-    let cfg = SimConfig {
-        medium: MediumConfig {
-            app_loss: p_loss,
-            ..MediumConfig::default()
-        },
-        ..SimConfig::default()
-    };
+    let spec = RunSpec::one_hop(n_rx, p_loss);
 
     // Interleaved (scheme) points: row 0 LR-Seluge, row 1 Seluge.
-    let schemes = [true, false];
-    let costs = sample_grid(&schemes, seeds, threads, |&is_lr, seed| {
-        if is_lr {
-            let deployment = Deployment::new(&image, lr_params, b"overhead");
-            let mut sim = SimBuilder::new(Topology::star(n_rx + 1), seed, |id| {
-                deployment.node(id, NodeId(0))
-            })
-            .config(cfg)
-            .build();
-            assert!(sim.run(Duration::from_secs(100_000)).all_complete);
-            mean_receiver_cost(&sim)
-        } else {
-            let deployment = SelugeDeployment::new(&image, s_params, b"overhead");
-            let mut sim = SimBuilder::new(Topology::star(n_rx + 1), seed, |id| {
-                deployment.node(id, NodeId(0))
-            })
-            .config(cfg)
-            .build();
-            assert!(sim.run(Duration::from_secs(100_000)).all_complete);
-            mean_receiver_cost(&sim)
-        }
+    let schemes = ["lr-seluge", "seluge"];
+    let costs = sample_grid(&schemes, seeds, threads, |&scheme, seed| {
+        with_scheme!(scheme, S => mean_receiver_cost::<S>(&image, &lr_params, &spec, seed))
+            .unwrap_or_else(|e| panic!("{e}"))
     });
 
     println!(
@@ -125,7 +102,7 @@ fn main() {
         "encodes",
     ]);
     let mut rows = Vec::new();
-    for (i, name) in [(0usize, "lr-seluge"), (1, "seluge")] {
+    for (i, name) in schemes.into_iter().enumerate() {
         let samples: Vec<[f64; 5]> = costs[i].iter().map(cost_fields).collect();
         // Exactly one expensive signature verification per receiver per
         // image, every seed — the puzzle's whole point.

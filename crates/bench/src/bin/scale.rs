@@ -20,23 +20,18 @@
 //! synchronization overhead, not parallel speedup — see
 //! `BENCH_scale.json`).
 
-use lr_seluge::Deployment;
-use lrs_bench::capsules::{scale_image as test_image, scale_params as small_lr, ScenarioTags};
-use lrs_bench::{matched_seluge_params, write_json, Json, Table};
-use lrs_netsim::node::{NodeId, Protocol};
+use lrs_bench::capsules::{population, ScenarioTags};
+use lrs_bench::runner::{simulate_sharded, Matched, SimSetup};
+use lrs_bench::{with_scheme, write_json, Json, Table};
+use lrs_netsim::node::Protocol;
 use lrs_netsim::sim::Outcome;
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
-use lrs_netsim::{ShardedRun, SimBuilder};
-use lrs_seluge::SelugeDeployment;
+use lrs_netsim::CapsuleSpec;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const SEED: u64 = 1;
-
-fn deadline() -> Duration {
-    Duration::from_secs(100_000)
-}
 
 /// Per-run record: completion fraction plus the numbers that must be
 /// shard-count independent.
@@ -48,65 +43,32 @@ struct CaseRun {
     metrics: lrs_netsim::metrics::Metrics,
 }
 
-fn summarize(run: ShardedRun<bool>, wall_s: f64) -> CaseRun {
+/// Disseminates the "scale" profile's 1 KiB image with scheme family
+/// `S` over a `side`×`side` grid on `shards` shards. `--capsule <dir>`
+/// arms the flight recorder: a run ending in a diagnostic outcome
+/// (stall, invariant violation, worker panic) drops a tagged replay
+/// capsule into the directory.
+fn run_case<S: Matched>(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun {
+    let tags = ScenarioTags::new(S::NAME, "scale", 1024, "scale sweep");
+    let pop = population::<S>(&tags).expect("the scale profile is registered");
+    let start = Instant::now();
+    let name = format!("scale-{}-{side}x{side}-s{shards}.jsonl", S::NAME);
+    let setup = SimSetup {
+        capsule: capsule_dir.map(|dir| tags.apply(CapsuleSpec::new(dir.join(name)))),
+        ..SimSetup::new(
+            Topology::grid(side, 10.0, 77),
+            SEED,
+            Duration::from_secs(100_000),
+        )
+    };
+    let run = simulate_sharded(&pop, setup, shards, Protocol::is_complete);
     CaseRun {
-        wall_s,
+        wall_s: start.elapsed().as_secs_f64(),
         outcome: run.report.outcome,
         final_time_us: run.report.final_time.0,
-        completed: run.harvest.iter().filter(|c| **c).count(),
+        completed: run.harvest.iter().filter(|c| **c == Some(true)).count(),
         metrics: run.metrics,
     }
-}
-
-/// Arms the flight recorder when `--capsule <dir>` was given: a run
-/// ending in a diagnostic outcome (stall, invariant violation, worker
-/// panic) drops a tagged replay capsule into the directory.
-fn with_capsule<P, F>(
-    builder: SimBuilder<P, F>,
-    capsule_dir: Option<&Path>,
-    scheme: &str,
-    side: usize,
-    shards: usize,
-) -> SimBuilder<P, F> {
-    let Some(dir) = capsule_dir else {
-        return builder;
-    };
-    let tags = ScenarioTags::new(scheme, "scale", 1024, "scale sweep");
-    let mut b = builder
-        .capsule_on_failure(dir.join(format!("scale-{scheme}-{side}x{side}-s{shards}.jsonl")));
-    for (key, value) in tags.pairs() {
-        b = b.scenario(key, value);
-    }
-    b
-}
-
-fn run_lr(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun {
-    let image = test_image(1024);
-    let deployment = Deployment::new(&image, small_lr(image.len()), b"scale sweep");
-    let start = Instant::now();
-    let builder = SimBuilder::new(Topology::grid(side, 10.0, 77), SEED, |id| {
-        // No shared digest cache: the memo is Rc-based and nodes are
-        // constructed inside shard worker threads.
-        deployment.node(id, NodeId(0))
-    })
-    .shards(shards);
-    let run = with_capsule(builder, capsule_dir, "lr-seluge", side, shards)
-        .run_sharded(deadline(), |_, node| Protocol::is_complete(node));
-    summarize(run, start.elapsed().as_secs_f64())
-}
-
-fn run_seluge(side: usize, shards: usize, capsule_dir: Option<&Path>) -> CaseRun {
-    let image = test_image(1024);
-    let params = matched_seluge_params(&small_lr(image.len()));
-    let deployment = SelugeDeployment::new(&image, params, b"scale sweep");
-    let start = Instant::now();
-    let builder = SimBuilder::new(Topology::grid(side, 10.0, 77), SEED, |id| {
-        deployment.node(id, NodeId(0))
-    })
-    .shards(shards);
-    let run = with_capsule(builder, capsule_dir, "seluge", side, shards)
-        .run_sharded(deadline(), |_, node| Protocol::is_complete(node));
-    summarize(run, start.elapsed().as_secs_f64())
 }
 
 const FLAGS: &[lrs_bench::cli::Flag] = &[
@@ -156,10 +118,9 @@ fn run() -> Result<(), lrs_bench::CliError> {
             let mut baseline: Option<CaseRun> = None;
             let mut runs_json = Vec::new();
             for &shards in shard_counts {
-                let run = match scheme {
-                    "lr-seluge" => run_lr(side, shards, capsule_dir.as_deref()),
-                    _ => run_seluge(side, shards, capsule_dir.as_deref()),
-                };
+                let run =
+                    with_scheme!(scheme, S => run_case::<S>(side, shards, capsule_dir.as_deref()))
+                        .unwrap_or_else(|e| panic!("{e}"));
                 assert_eq!(
                     run.outcome,
                     Outcome::Complete,

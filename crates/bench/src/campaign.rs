@@ -42,29 +42,23 @@
 //! `BTreeMap` until the next id arrives. Final reports are byte-identical
 //! across `--threads 1/2/8` and across any kill/resume split.
 
-use crate::capsules::{campaign_params, lr_factory, seluge_factory, ScenarioTags};
+use crate::capsules::{population, ScenarioTags};
 use crate::json::{parse_json, Json};
-use crate::runner::{matched_seluge_params, test_image, ExperimentMetrics};
+use crate::runner::{
+    simulate, simulate_sharded, ExperimentMetrics, HonestTotals, Matched, SimSetup,
+};
 use crate::spec::{
     attack_config, build_topology, fault_config, topology_nodes, CampaignSpec, CellParams,
 };
-use lr_seluge::{Deployment, LrNode};
+use crate::with_scheme;
 use lrs_analysis::StreamingSummary;
-use lrs_deluge::attack::MaybeAdversary;
-use lrs_deluge::engine::{DisseminationNode, Scheme};
-use lrs_deluge::policy::TxPolicy;
 use lrs_netsim::attack::AttackPlan;
-use lrs_netsim::capsule::{Capsule, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
+use lrs_netsim::capsule::{Capsule, CapsuleSpec, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::energy::EnergyModel;
 use lrs_netsim::fault::FaultPlan;
-use lrs_netsim::metrics::Metrics;
-use lrs_netsim::node::{NodeId, PacketKind, Protocol};
-use lrs_netsim::sim::RunReport;
+use lrs_netsim::node::NodeId;
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
-use lrs_netsim::violation::InvariantViolation;
-use lrs_netsim::SimBuilder;
-use lrs_seluge::{SelugeDeployment, SelugeNode};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -652,6 +646,12 @@ impl Campaign {
     /// exact seed, config, topology, fault plan, and scenario tags the
     /// job executes, consumable by the `replay` binary.
     pub fn job_capsule(&self, job: usize) -> Result<Capsule, String> {
+        Ok(self.job_plan(job)?.0)
+    }
+
+    /// Job `id` as the capsule it executes (and exports) plus the tags
+    /// that capsule carries, still decoded.
+    fn job_plan(&self, job: usize) -> Result<(Capsule, ScenarioTags), String> {
         if job >= self.total_jobs() {
             return Err(format!(
                 "job {job} outside this campaign's {} jobs",
@@ -667,8 +667,8 @@ impl Campaign {
             seed,
         );
         let (engine, shards) = self.job_engine(&cell.topology)?;
-        let scenario = self.job_tags(cell, seed, &topology)?.pairs();
-        Ok(Capsule {
+        let tags = self.job_tags(cell, seed, &topology)?;
+        let capsule = Capsule {
             seed,
             engine: engine.to_string(),
             shards,
@@ -676,9 +676,10 @@ impl Campaign {
             config: self.spec.sim_config(cell.loss_ppm),
             topology,
             faults,
-            scenario,
+            scenario: tags.pairs(),
             digests: Vec::new(),
-        })
+        };
+        Ok((capsule, tags))
     }
 
     /// Engine and shard count a job on `topology` runs with: `auto`
@@ -697,215 +698,59 @@ impl Campaign {
         }
     }
 
-    /// Executes one job to a loggable record.
+    /// Executes one job, literally its own capsule, to a loggable
+    /// record.
     ///
     /// Spec and tokens were validated at parse time, so failures here
     /// are I/O-free logic errors; panicking (not `Err`) is correct —
     /// the job would never become retryable.
     fn execute(&self, job: usize) -> JobRecord {
-        let cell = &self.cells[job / self.spec.seeds as usize];
-        let seed = self.job_seed(job);
-        let topology = build_topology(&cell.topology, seed).expect("validated at parse time");
-        let tags = self
-            .job_tags(cell, seed, &topology)
-            .expect("tags validated at parse time");
-        match cell.scheme.as_str() {
-            "lr-seluge" => {
-                let make = lr_factory(&tags).expect("campaign profile is registered");
-                self.run_job(job, cell, seed, &tags, topology, make, lr_invariant(&tags))
-            }
-            "seluge" => {
-                let make = seluge_factory(&tags).expect("campaign profile is registered");
-                self.run_job(
-                    job,
-                    cell,
-                    seed,
-                    &tags,
-                    topology,
-                    make,
-                    seluge_invariant(&tags),
-                )
-            }
-            other => unreachable!("scheme {other:?} validated at parse time"),
-        }
+        let (capsule, tags) = self.job_plan(job).expect("validated at parse time");
+        with_scheme!(tags.scheme.as_str(), S => self.run_job::<S>(job, capsule, &tags))
+            .unwrap_or_else(|e| unreachable!("scheme validated at parse time: {e}"))
     }
 
-    /// Scheme-generic single-job runner: builds the sim from the cell's
-    /// parameters, arms the flight recorder, runs on the engine
-    /// [`job_engine`](Self::job_engine) picked, and extracts metrics.
-    #[allow(clippy::too_many_arguments)]
-    fn run_job<S, Pol, F, V>(
-        &self,
-        job: usize,
-        cell: &CellParams,
-        seed: u64,
-        tags: &ScenarioTags,
-        topology: Topology,
-        make: F,
-        invariant: V,
-    ) -> JobRecord
-    where
-        S: Scheme + 'static,
-        Pol: TxPolicy + 'static,
-        F: Fn(NodeId) -> MaybeAdversary<DisseminationNode<S, Pol>> + Sync,
-        V: Fn(&MaybeAdversary<DisseminationNode<S, Pol>>, NodeId) -> Result<(), InvariantViolation>
-            + Send
-            + Sync
-            + 'static,
-    {
-        let nodes = topology.len();
-        let faults = FaultPlan::generate(
-            &fault_config(&cell.fault, Duration::from_secs(self.spec.max_sim_s))
-                .expect("validated at parse time"),
-            &topology,
-            seed,
+    /// Scheme-generic single-job runner: one deployment per job supplies
+    /// the node factory and the per-delivery invariant checker; the sim
+    /// is built from the job's capsule with the flight recorder armed,
+    /// run on the engine [`job_engine`](Self::job_engine) picked, and
+    /// its metrics extracted.
+    fn run_job<S: Matched>(&self, job: usize, capsule: Capsule, tags: &ScenarioTags) -> JobRecord {
+        let pop = population::<S>(tags).expect("campaign profile is registered");
+        let (seed, sharded, shards) = (
+            capsule.seed,
+            capsule.engine == SHARDED_ENGINE,
+            capsule.shards,
         );
-        let deadline = Duration::from_secs(self.spec.deadline_s);
-        let (engine, shards) = self
-            .job_engine(&cell.topology)
-            .expect("validated at parse time");
-        let mut builder = SimBuilder::new(topology, seed, make)
-            .config(self.spec.sim_config(cell.loss_ppm))
-            .faults(faults)
-            .invariants(invariant)
-            .capsule_on_failure(self.failure_capsule_path(job));
-        for (key, value) in tags.pairs() {
-            builder = builder.scenario(key, value);
-        }
+        let setup = SimSetup {
+            config: capsule.config,
+            faults: capsule.faults,
+            capsule: Some(CapsuleSpec {
+                path: self.failure_capsule_path(job).into(),
+                scenario: capsule.scenario,
+            }),
+            check_deliveries: true,
+            ..SimSetup::new(capsule.topology, seed, capsule.deadline)
+        };
 
-        let (report, totals, metrics, energy_j) = if engine == SHARDED_ENGINE {
-            let run = builder
-                .shards(shards)
-                .run_sharded(deadline, |_, node| node.honest().map(harvest_node));
-            let mut totals = HarvestTotals::default();
-            for h in run.harvest.into_iter().flatten() {
-                totals.add(h);
-            }
+        let (report, metrics) = if sharded {
+            let run = simulate_sharded(&pop, setup, shards, HonestTotals::of);
+            let honest = run.harvest.into_iter().flatten().sum();
             let energy_j = run.energy.total_joules(&EnergyModel::default());
-            (run.report, totals, run.metrics, energy_j)
+            let metrics = ExperimentMetrics::extract(&run.report, &run.metrics, energy_j, &honest);
+            (run.report, metrics)
         } else {
-            let mut sim = builder.build();
-            let report = sim.run(deadline);
-            let mut totals = HarvestTotals::default();
-            for i in 0..nodes {
-                if let Some(n) = sim.node(NodeId(i as u32)).honest() {
-                    totals.add(harvest_node(n));
-                }
-            }
-            let energy_j = sim.energy().total_joules(&EnergyModel::default());
-            let metrics = sim.metrics().clone();
-            (report, totals, metrics, energy_j)
+            let done = simulate(&pop, setup);
+            let metrics = done.metrics();
+            (done.report, metrics)
         };
 
         JobRecord {
             job,
-            cell: cell.index,
+            cell: job / self.spec.seeds as usize,
             seed,
             outcome: report.outcome.label().to_string(),
-            metrics: extract_metrics(&report, &metrics, &totals, energy_j),
+            metrics: metrics.named().map(|(_, value)| value),
         }
-    }
-}
-
-/// Per-honest-node observables harvested after a run: signature
-/// verifications, authentication rejections, verification operations
-/// (hashes + puzzle checks + signature verifications), and completion
-/// (1.0 / 0.0). Attackers are excluded — degradation is measured over
-/// the honest population only.
-fn harvest_node<S: Scheme, Pol: TxPolicy>(n: &DisseminationNode<S, Pol>) -> (f64, f64, f64, f64) {
-    let cost = n.scheme().cost();
-    let st = n.stats();
-    (
-        cost.signature_verifications as f64,
-        (st.auth_rejects + st.mac_rejects) as f64,
-        (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64,
-        if n.is_complete() { 1.0 } else { 0.0 },
-    )
-}
-
-/// Network-wide totals of [`harvest_node`] over the honest population.
-#[derive(Clone, Copy, Debug, Default)]
-struct HarvestTotals {
-    honest: f64,
-    sig: f64,
-    rejects: f64,
-    verify_ops: f64,
-    complete: f64,
-}
-
-impl HarvestTotals {
-    fn add(&mut self, (sig, rejects, verify_ops, complete): (f64, f64, f64, f64)) {
-        self.honest += 1.0;
-        self.sig += sig;
-        self.rejects += rejects;
-        self.verify_ops += verify_ops;
-        self.complete += complete;
-    }
-}
-
-/// Metric extraction shared by both engines, in
-/// [`ExperimentMetrics::NAMES`] order.
-fn extract_metrics(
-    report: &RunReport,
-    m: &Metrics,
-    totals: &HarvestTotals,
-    energy_j: f64,
-) -> [f64; ExperimentMetrics::NAMES.len()] {
-    let em = ExperimentMetrics {
-        page_data_pkts: m.tx_packets(PacketKind::Data) as f64,
-        data_pkts: (m.tx_packets(PacketKind::Data)
-            + m.tx_packets(PacketKind::HashPage)
-            + m.tx_packets(PacketKind::Signature)) as f64,
-        snack_pkts: m.tx_packets(PacketKind::Snack) as f64,
-        adv_pkts: m.tx_packets(PacketKind::Adv) as f64,
-        total_bytes: m.total_tx_bytes() as f64,
-        latency_s: report.latency.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN),
-        completed: if report.all_complete { 1.0 } else { 0.0 },
-        sig_verifications: totals.sig,
-        auth_rejects: totals.rejects,
-        completion_frac: if totals.honest > 0.0 {
-            totals.complete / totals.honest
-        } else {
-            f64::NAN
-        },
-        verify_inflation: if totals.honest > 0.0 {
-            totals.verify_ops / totals.honest
-        } else {
-            f64::NAN
-        },
-        energy_j,
-    };
-    let mut out = [0.0; ExperimentMetrics::NAMES.len()];
-    for (slot, (_, value)) in out.iter_mut().zip(em.named()) {
-        *slot = value;
-    }
-    out
-}
-
-/// Per-delivery invariant check for LR-Seluge campaign jobs.
-fn lr_invariant(
-    tags: &ScenarioTags,
-) -> impl Fn(&MaybeAdversary<LrNode>, NodeId) -> Result<(), InvariantViolation> + Send + Sync {
-    let p = campaign_params(tags.image_len);
-    let image = test_image(tags.image_len);
-    let deployment = Deployment::new(&image, p, tags.key_context.as_bytes());
-    let artifacts = deployment.artifacts().clone();
-    move |node, _id| match node.honest() {
-        Some(n) => n.scheme().verify_invariants(&artifacts, &image),
-        None => Ok(()),
-    }
-}
-
-/// Per-delivery invariant check for Seluge campaign jobs.
-fn seluge_invariant(
-    tags: &ScenarioTags,
-) -> impl Fn(&MaybeAdversary<SelugeNode>, NodeId) -> Result<(), InvariantViolation> + Send + Sync {
-    let sp = matched_seluge_params(&campaign_params(tags.image_len));
-    let image = test_image(tags.image_len);
-    let deployment = SelugeDeployment::new(&image, sp, tags.key_context.as_bytes());
-    let artifacts = deployment.artifacts().clone();
-    move |node, _id| match node.honest() {
-        Some(n) => n.scheme().verify_invariants(&artifacts, &image),
-        None => Ok(()),
     }
 }

@@ -7,26 +7,56 @@
 //! protocol population produced the run — that travels as free-form
 //! scenario tags. This module is the bench-side registry for those
 //! tags: the chaos/scale capture paths write them through
-//! [`ScenarioTags::apply`], and the `replay` binary turns them back
-//! into `make_node` closures via [`replay_capsule`],
-//! [`bisect_capsule_shards`], and [`bisect_capsule_engines`].
+//! [`ScenarioTags::apply`], and [`population`] turns them back into a
+//! [`Population`] (node factory plus invariant checker) for any scheme
+//! family; [`with_scheme!`](crate::with_scheme) is the one place a
+//! scheme *name* becomes a scheme *type*.
 
-use crate::runner::{matched_seluge_params, test_image};
-use lr_seluge::{Deployment, LrNode, LrSelugeParams};
-use lrs_crypto::cluster::ClusterKey;
+use crate::runner::{test_image, Matched};
+use lr_seluge::LrSelugeParams;
 use lrs_deluge::attack::{AttackKind, Attacker, AttackerProfile, MaybeAdversary};
-use lrs_deluge::bootstrap::SIGNATURE_BODY_LEN;
+use lrs_deluge::bootstrap::PacketDigestCache;
+use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
+use lrs_deluge::engine::EngineConfig;
 use lrs_netsim::attack::AttackPlan;
 use lrs_netsim::capsule::{SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::SimConfig;
 use lrs_netsim::time::Duration;
+use lrs_netsim::violation::InvariantViolation;
 use lrs_netsim::{
     bisect_engines, bisect_shard_counts, replay_sequential, replay_sharded, Capsule, CapsuleSpec,
     Divergence, ReplayRun,
 };
-use lrs_seluge::{SelugeDeployment, SelugeNode};
+
+pub use lr_seluge::LrScheme;
+pub use lrs_seluge::SelugeScheme;
+
+/// Evaluates `$body` with the type alias `$S` bound to the scheme
+/// family called `$name`, as `Ok(..)`; an unknown name is an `Err`
+/// string. This is the only place scheme names map to types: replay,
+/// the bisectors, the campaign engine and the `chaos`, `scale`, `node`
+/// and `swarm` binaries all dispatch through it, each into one generic
+/// function.
+#[macro_export]
+macro_rules! with_scheme {
+    ($name:expr, $S:ident => $body:expr) => {
+        match $name {
+            "lr-seluge" | "lr" => {
+                type $S = $crate::capsules::LrScheme;
+                Ok($body)
+            }
+            "seluge" => {
+                type $S = $crate::capsules::SelugeScheme;
+                Ok($body)
+            }
+            other => Err(format!(
+                "unknown scheme {other:?}; known: \"lr-seluge\" and \"seluge\""
+            )),
+        }
+    };
+}
 
 /// Tag key: scheme under test (`lr-seluge` or `seluge`).
 pub const TAG_SCHEME: &str = "scheme";
@@ -61,7 +91,11 @@ pub fn chaos_params(image_len: usize) -> LrSelugeParams {
     }
 }
 
-/// The scale sweep's LR-Seluge parameter set.
+/// The scale sweep's LR-Seluge parameter set, also the small geometry
+/// of the integration tests. Rate 2.0: with only k = 8 blocks per page,
+/// the rate-1.5 knee sits at p = 1/3 and p = 0.4 needs a second round
+/// per page; the paper's k = 32 pages concentrate much better. The
+/// small geometry compensates with a higher rate.
 pub fn scale_params(image_len: usize) -> LrSelugeParams {
     LrSelugeParams {
         image_len,
@@ -107,12 +141,17 @@ pub fn attack_params(image_len: usize) -> LrSelugeParams {
     }
 }
 
-fn profile_params(profile: &str, image_len: usize) -> Result<LrSelugeParams, String> {
-    match profile {
-        "chaos" => Ok(chaos_params(image_len)),
-        "scale" => Ok(scale_params(image_len)),
-        "campaign" => Ok(campaign_params(image_len)),
-        "attack" => Ok(attack_params(image_len)),
+/// What a profile name selects: an LR-Seluge parameter set and a test
+/// image generator, both by image length.
+type Profile = (fn(usize) -> LrSelugeParams, fn(usize) -> Vec<u8>);
+
+/// The profile registry.
+fn profile(name: &str) -> Result<Profile, String> {
+    match name {
+        "chaos" => Ok((chaos_params, test_image)),
+        "scale" => Ok((scale_params, scale_image)),
+        "campaign" => Ok((campaign_params, test_image)),
+        "attack" => Ok((attack_params, test_image)),
         other => Err(format!(
             "unknown parameter profile {other:?}; this registry knows \"chaos\", \"scale\", \
              \"campaign\", and \"attack\""
@@ -120,15 +159,29 @@ fn profile_params(profile: &str, image_len: usize) -> Result<LrSelugeParams, Str
     }
 }
 
-fn profile_image(profile: &str, len: usize) -> Result<Vec<u8>, String> {
-    match profile {
-        "chaos" | "campaign" | "attack" => Ok(test_image(len)),
-        "scale" => Ok(scale_image(len)),
-        other => Err(format!(
-            "unknown parameter profile {other:?}; this registry knows \"chaos\", \"scale\", \
-             \"campaign\", and \"attack\""
-        )),
-    }
+/// The LR-Seluge parameter set of `profile` for an `image_len`-byte image.
+pub fn profile_params(profile_name: &str, image_len: usize) -> Result<LrSelugeParams, String> {
+    Ok(profile(profile_name)?.0(image_len))
+}
+
+/// The `len`-byte test image `profile`'s capture path disseminates.
+pub fn profile_image(profile_name: &str, len: usize) -> Result<Vec<u8>, String> {
+    Ok(profile(profile_name)?.1(len))
+}
+
+/// The deployment of family `S` that a profile, an image length and a
+/// key context name: parameters matched to the profile's LR-Seluge set,
+/// the profile's image, keys derived from the context. Every process of
+/// a swarm and every replay of a capsule rebuild the same one.
+pub fn profile_deployment<S: Matched>(
+    profile_name: &str,
+    image_len: usize,
+    key_context: &str,
+) -> Result<Deployment<S>, String> {
+    let params = S::matched(&profile_params(profile_name, image_len)?);
+    let image = profile_image(profile_name, image_len)?;
+    Deployment::try_new(&image, params, key_context.as_bytes())
+        .map_err(|e| format!("deployment: {e}"))
 }
 
 /// The chaos sweep's simulator configuration (5% application-layer
@@ -265,85 +318,79 @@ impl ScenarioTags {
     }
 }
 
-/// The [`AttackerProfile`] matching an LR-Seluge parameter set. Pass
-/// the deployment's cluster key to let insider vectors use it.
-pub fn lr_attacker_profile(p: &LrSelugeParams, cluster_key: Option<ClusterKey>) -> AttackerProfile {
-    AttackerProfile {
-        payload_len: p.payload_len,
-        index_space: p.n,
-        sig_body_len: SIGNATURE_BODY_LEN,
-        n_bits: p.n as usize,
-        version: p.version,
-        cluster_key,
-    }
+/// One node of a [`Population`]: honest, or an adversary.
+pub type Member<S> = MaybeAdversary<Node<S>>;
+
+/// Who runs in a simulation: one deployment's honest nodes (node 0 is
+/// the base station) and whatever adversaries the scenario places.
+pub struct Population<S: SchemeFamily> {
+    deployment: Deployment<S>,
+    profile: AttackerProfile,
+    storm: Option<NodeId>,
+    plan: Option<AttackPlan>,
 }
 
-/// The [`AttackerProfile`] matching a Seluge parameter set.
-pub fn seluge_attacker_profile(
-    sp: &lrs_seluge::SelugeParams,
-    cluster_key: Option<ClusterKey>,
-) -> AttackerProfile {
-    AttackerProfile {
-        payload_len: sp.data_payload_len(),
-        index_space: sp.packets_per_page,
-        sig_body_len: SIGNATURE_BODY_LEN,
-        n_bits: sp.packets_per_page as usize,
-        version: sp.version,
-        cluster_key,
-    }
-}
-
-/// Reconstructs the LR-Seluge node population described by `tags`.
-pub fn lr_factory(
-    tags: &ScenarioTags,
-) -> Result<impl Fn(NodeId) -> MaybeAdversary<LrNode> + Sync, String> {
-    let p = profile_params(&tags.profile, tags.image_len)?;
-    let image = profile_image(&tags.profile, tags.image_len)?;
-    let deployment = Deployment::new(&image, p, tags.key_context.as_bytes());
-    let profile = lr_attacker_profile(&p, Some(deployment.cluster_key().clone()));
-    let attacker = tags.attacker;
-    let plan = tags.attack_plan.clone();
-    Ok(move |id: NodeId| {
-        if let Some(entry) = plan.as_ref().and_then(|pl| pl.entry_for(id)) {
-            MaybeAdversary::Attacker(Attacker::from_plan_entry(entry, &profile))
-        } else if Some(id) == attacker {
-            MaybeAdversary::Attacker(storm_attacker(p.payload_len, p.n, p.version))
-        } else {
-            MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
-        }
+/// Reconstructs the population of family `S` that `tags` describe. The
+/// node factory and the invariant checker come from this one
+/// deployment, so the image is preprocessed and signed once.
+pub fn population<S: Matched>(tags: &ScenarioTags) -> Result<Population<S>, String> {
+    let deployment = profile_deployment(&tags.profile, tags.image_len, &tags.key_context)?;
+    Ok(Population {
+        storm: tags.attacker,
+        plan: tags.attack_plan.clone(),
+        ..Population::honest(deployment)
     })
 }
 
-/// Reconstructs the Seluge node population described by `tags`.
-pub fn seluge_factory(
-    tags: &ScenarioTags,
-) -> Result<impl Fn(NodeId) -> MaybeAdversary<SelugeNode> + Sync, String> {
-    let sp = matched_seluge_params(&profile_params(&tags.profile, tags.image_len)?);
-    let image = profile_image(&tags.profile, tags.image_len)?;
-    let deployment = SelugeDeployment::new(&image, sp, tags.key_context.as_bytes());
-    let profile = seluge_attacker_profile(&sp, Some(deployment.cluster_key().clone()));
-    let attacker = tags.attacker;
-    let plan = tags.attack_plan.clone();
-    Ok(move |id: NodeId| {
-        if let Some(entry) = plan.as_ref().and_then(|pl| pl.entry_for(id)) {
-            MaybeAdversary::Attacker(Attacker::from_plan_entry(entry, &profile))
-        } else if Some(id) == attacker {
-            MaybeAdversary::Attacker(storm_attacker(
-                sp.data_payload_len(),
-                sp.packets_per_page,
-                sp.version,
-            ))
-        } else {
-            MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
+impl<S: SchemeFamily> Population<S> {
+    /// `deployment`'s nodes and no adversary.
+    pub fn honest(deployment: Deployment<S>) -> Self {
+        Population {
+            profile: deployment.attacker_profile(true),
+            deployment,
+            storm: None,
+            plan: None,
         }
-    })
-}
+    }
 
-fn unknown_scheme(scheme: &str) -> String {
-    format!(
-        "unknown scheme tag {scheme:?}; this registry can reconstruct \
-         \"lr-seluge\" and \"seluge\" populations"
-    )
+    /// Overrides the honest nodes' engine configuration.
+    pub fn with_engine_config(mut self, engine: EngineConfig) -> Self {
+        self.deployment = self.deployment.with_engine_config(engine);
+        self
+    }
+
+    /// The deployment the honest nodes belong to.
+    pub fn deployment(&self) -> &Deployment<S> {
+        &self.deployment
+    }
+
+    /// The node at `id`: a plan entry's attacker, else the storm
+    /// attacker, else an honest node (sharing `digests` when given).
+    pub fn node(&self, id: NodeId, digests: Option<&PacketDigestCache>) -> Member<S> {
+        let p = &self.profile;
+        if let Some(entry) = self.plan.as_ref().and_then(|pl| pl.entry_for(id)) {
+            MaybeAdversary::Attacker(Attacker::from_plan_entry(entry, p))
+        } else if Some(id) == self.storm {
+            MaybeAdversary::Attacker(storm_attacker(p.payload_len, p.index_space, p.version))
+        } else {
+            MaybeAdversary::Honest(match digests {
+                Some(cache) => self.deployment.node_cached(id, NodeId(0), cache),
+                None => self.deployment.node(id, NodeId(0)),
+            })
+        }
+    }
+
+    /// The per-delivery invariant check for this population: every
+    /// honest node against the deployment's origin (DESIGN.md §7).
+    pub fn checker(
+        &self,
+    ) -> impl Fn(&Member<S>, NodeId) -> Result<(), InvariantViolation> + Send + Sync + 'static {
+        let deployment = self.deployment.clone();
+        move |member, _id| match member.honest() {
+            Some(node) => deployment.verify(node.scheme()),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Reconstructs `capsule`'s node population from its scenario tags and
@@ -351,36 +398,19 @@ fn unknown_scheme(scheme: &str) -> String {
 /// [`SHARDED_ENGINE`]; `shards` only applies to the latter.
 pub fn replay_capsule(capsule: &Capsule, engine: &str, shards: usize) -> Result<ReplayRun, String> {
     let tags = ScenarioTags::decode(capsule)?;
-    match tags.scheme.as_str() {
-        "lr-seluge" => {
-            let make = lr_factory(&tags)?;
-            run_engine(capsule, engine, shards, make)
+    with_scheme!(tags.scheme.as_str(), S => {
+        let pop = population::<S>(&tags)?;
+        let make = |id| pop.node(id, None);
+        match engine {
+            SEQUENTIAL_ENGINE => replay_sequential(capsule, make),
+            SHARDED_ENGINE => replay_sharded(capsule, shards, make),
+            other => {
+                return Err(format!(
+                    "unknown engine {other:?}; use {SEQUENTIAL_ENGINE:?} or {SHARDED_ENGINE:?}"
+                ))
+            }
         }
-        "seluge" => {
-            let make = seluge_factory(&tags)?;
-            run_engine(capsule, engine, shards, make)
-        }
-        other => Err(unknown_scheme(other)),
-    }
-}
-
-fn run_engine<P, F>(
-    capsule: &Capsule,
-    engine: &str,
-    shards: usize,
-    make: F,
-) -> Result<ReplayRun, String>
-where
-    P: lrs_netsim::node::Protocol + 'static,
-    F: Fn(NodeId) -> P + Sync,
-{
-    match engine {
-        SEQUENTIAL_ENGINE => Ok(replay_sequential(capsule, make)),
-        SHARDED_ENGINE => Ok(replay_sharded(capsule, shards, make)),
-        other => Err(format!(
-            "unknown engine {other:?}; use {SEQUENTIAL_ENGINE:?} or {SHARDED_ENGINE:?}"
-        )),
-    }
+    })
 }
 
 /// Replays `capsule` at two shard counts and reports the first
@@ -392,21 +422,10 @@ pub fn bisect_capsule_shards(
     shards_b: usize,
 ) -> Result<Option<Divergence>, String> {
     let tags = ScenarioTags::decode(capsule)?;
-    match tags.scheme.as_str() {
-        "lr-seluge" => Ok(bisect_shard_counts(
-            capsule,
-            shards_a,
-            shards_b,
-            lr_factory(&tags)?,
-        )),
-        "seluge" => Ok(bisect_shard_counts(
-            capsule,
-            shards_a,
-            shards_b,
-            seluge_factory(&tags)?,
-        )),
-        other => Err(unknown_scheme(other)),
-    }
+    with_scheme!(tags.scheme.as_str(), S => {
+        let pop = population::<S>(&tags)?;
+        bisect_shard_counts(capsule, shards_a, shards_b, |id| pop.node(id, None))
+    })
 }
 
 /// Replays `capsule` on both engines and reports where their event
@@ -414,11 +433,10 @@ pub fn bisect_capsule_shards(
 /// differently by design).
 pub fn bisect_capsule_engines(capsule: &Capsule) -> Result<Option<Divergence>, String> {
     let tags = ScenarioTags::decode(capsule)?;
-    match tags.scheme.as_str() {
-        "lr-seluge" => Ok(bisect_engines(capsule, lr_factory(&tags)?)),
-        "seluge" => Ok(bisect_engines(capsule, seluge_factory(&tags)?)),
-        other => Err(unknown_scheme(other)),
-    }
+    with_scheme!(tags.scheme.as_str(), S => {
+        let pop = population::<S>(&tags)?;
+        bisect_engines(capsule, |id| pop.node(id, None))
+    })
 }
 
 #[cfg(test)]

@@ -23,6 +23,15 @@
 //! Run any of them with `cargo run -p lrs-bench --release --bin <name>`.
 //! Each prints the paper-style series and writes a CSV next to it under
 //! `results/`.
+//!
+//! Every harness is written once over `S: SchemeFamily`
+//! (`lrs_deluge::deployment`): [`runner::run`]`::<S>` is the single
+//! measured run behind `run_lr` / `run_seluge` / `run_deluge`,
+//! [`runner::simulate`] the single build-and-run core under `chaos`,
+//! `attack`, `overhead` and the campaign engine,
+//! [`capsules::population`] the single node factory plus invariant
+//! checker, and [`with_scheme!`] the one place a scheme name picks the
+//! type.
 
 pub mod campaign;
 pub mod capsules;
@@ -41,8 +50,8 @@ pub use diff::{diff_reports, CellKey, DiffReport, ReportDoc, Verdict};
 pub use harness::{configured_threads, parallel_map, sample_grid};
 pub use json::{parse_json, stat_json, write_json, Json, JsonReport};
 pub use runner::{
-    aggregate, average, matched_seluge_params, run_deluge, run_lr, run_seluge, sample_seeds,
-    ExperimentMetrics, RunSpec,
+    aggregate, average, matched_seluge_params, run, run_deluge, run_lr, run_seluge, sample_seeds,
+    ExperimentMetrics, Matched, RunSpec,
 };
 pub use spec::CampaignSpec;
 pub use stats::{summarize, Summary};

@@ -1,18 +1,23 @@
 //! Shared experiment runners for all figures and tables.
 
-use lr_seluge::{Deployment, LrSelugeParams};
-use lrs_crypto::cluster::ClusterKey;
+use crate::capsules::{Member, Population};
+use lr_seluge::{LrScheme, LrSelugeParams};
+use lrs_deluge::bootstrap::PacketDigestCache;
+use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
 use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
-use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
-use lrs_deluge::policy::UnionPolicy;
+use lrs_deluge::image::{DelugeScheme, ImageParams};
+use lrs_deluge::policy::TxPolicy;
+use lrs_netsim::capsule::CapsuleSpec;
+use lrs_netsim::energy::EnergyModel;
+use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::{NodeId, PacketKind};
-use lrs_netsim::sim::{SimConfig, Simulator};
-
+use lrs_netsim::metrics::Metrics;
+use lrs_netsim::node::{NodeId, PacketKind, Protocol};
+use lrs_netsim::sim::{RunReport, SimConfig, Simulator};
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
-use lrs_netsim::SimBuilder;
-use lrs_seluge::{SelugeDeployment, SelugeParams};
+use lrs_netsim::{ShardedRun, SimBuilder};
+use lrs_seluge::{SelugeParams, SelugeScheme};
 
 /// The metrics the paper reports, per run (or averaged over seeds).
 ///
@@ -100,6 +105,28 @@ impl ExperimentMetrics {
             .unwrap_or_else(|| panic!("unknown metric {name:?}"))
     }
 
+    /// The one metrics extractor: network counters from the engine,
+    /// per-node observables over the honest population only (with no
+    /// attacker that is every node).
+    pub fn extract(report: &RunReport, m: &Metrics, energy_j: f64, honest: &HonestTotals) -> Self {
+        ExperimentMetrics {
+            page_data_pkts: m.tx_packets(PacketKind::Data) as f64,
+            data_pkts: (m.tx_packets(PacketKind::Data)
+                + m.tx_packets(PacketKind::HashPage)
+                + m.tx_packets(PacketKind::Signature)) as f64,
+            snack_pkts: m.tx_packets(PacketKind::Snack) as f64,
+            adv_pkts: m.tx_packets(PacketKind::Adv) as f64,
+            total_bytes: m.total_tx_bytes() as f64,
+            latency_s: report.latency.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN),
+            completed: if report.all_complete { 1.0 } else { 0.0 },
+            sig_verifications: honest.sig,
+            auth_rejects: honest.rejects,
+            completion_frac: honest.complete / honest.nodes,
+            verify_inflation: honest.verify_ops / honest.nodes,
+            energy_j,
+        }
+    }
+
     fn add(&mut self, other: &ExperimentMetrics) {
         self.page_data_pkts += other.page_data_pkts;
         self.data_pkts += other.data_pkts;
@@ -158,6 +185,19 @@ impl RunSpec {
             engine: EngineConfig::default(),
         }
     }
+
+    /// The simulation this spec describes under `seed` (the engine
+    /// configuration travels in the deployment instead).
+    pub fn setup(&self, seed: u64) -> SimSetup {
+        let config = SimConfig {
+            medium: self.medium,
+            ..SimConfig::default()
+        };
+        SimSetup {
+            config,
+            ..SimSetup::new(self.topology.clone(), seed, self.deadline)
+        }
+    }
 }
 
 /// Deterministic pseudo-random image bytes.
@@ -171,138 +211,215 @@ pub fn test_image(len: usize) -> Vec<u8> {
         .collect()
 }
 
-fn collect<S, P>(
-    sim: &Simulator<DisseminationNode<S, P>>,
-    all_complete: bool,
-    latency: Option<lrs_netsim::time::SimTime>,
-) -> ExperimentMetrics
-where
-    S: Scheme,
-    P: lrs_deluge::policy::TxPolicy,
-{
-    let m = sim.metrics();
-    let n = sim.topology().len();
-    let mut sig_verifications = 0.0;
-    let mut auth_rejects = 0.0;
-    let mut verify_ops = 0.0;
-    for i in 0..n {
-        let node = sim.node(NodeId(i as u32));
+/// Per-node observables summed over the honest population: signature
+/// verifications, authentication rejections, verification operations
+/// (hashes + puzzle checks + signature verifications) and completions.
+/// Attackers are excluded: degradation is measured over honest nodes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HonestTotals {
+    nodes: f64,
+    sig: f64,
+    rejects: f64,
+    verify_ops: f64,
+    complete: f64,
+}
+
+impl HonestTotals {
+    /// One honest node's contribution.
+    pub fn of<S: Scheme, P: TxPolicy>(node: &DisseminationNode<S, P>) -> Self {
         let cost = node.scheme().cost();
-        sig_verifications += cost.signature_verifications as f64;
-        verify_ops += (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64;
         let st = node.stats();
-        auth_rejects += (st.auth_rejects + st.mac_rejects) as f64;
+        HonestTotals {
+            nodes: 1.0,
+            sig: cost.signature_verifications as f64,
+            rejects: (st.auth_rejects + st.mac_rejects) as f64,
+            verify_ops: (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64,
+            complete: if node.is_complete() { 1.0 } else { 0.0 },
+        }
     }
-    ExperimentMetrics {
-        completion_frac: m.completion_fraction(n),
-        verify_inflation: verify_ops / n as f64,
-        energy_j: sim
-            .energy()
-            .total_joules(&lrs_netsim::energy::EnergyModel::default()),
-        page_data_pkts: m.tx_packets(PacketKind::Data) as f64,
-        data_pkts: (m.tx_packets(PacketKind::Data)
-            + m.tx_packets(PacketKind::HashPage)
-            + m.tx_packets(PacketKind::Signature)) as f64,
-        snack_pkts: m.tx_packets(PacketKind::Snack) as f64,
-        adv_pkts: m.tx_packets(PacketKind::Adv) as f64,
-        total_bytes: m.total_tx_bytes() as f64,
-        latency_s: latency.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN),
-        completed: if all_complete { 1.0 } else { 0.0 },
-        sig_verifications,
-        auth_rejects,
+}
+
+impl std::iter::Sum for HonestTotals {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(HonestTotals::default(), |a, b| HonestTotals {
+            nodes: a.nodes + b.nodes,
+            sig: a.sig + b.sig,
+            rejects: a.rejects + b.rejects,
+            verify_ops: a.verify_ops + b.verify_ops,
+            complete: a.complete + b.complete,
+        })
     }
+}
+
+/// Everything about one simulation except who its nodes are (that is
+/// the [`Population`]).
+pub struct SimSetup {
+    /// Network topology (node 0 is the base station).
+    pub topology: Topology,
+    /// Simulator seed.
+    pub seed: u64,
+    /// Medium, watchdog and time limits.
+    pub config: SimConfig,
+    /// Virtual-time budget.
+    pub deadline: Duration,
+    /// Faults applied as virtual time passes.
+    pub faults: FaultPlan,
+    /// Where a diagnostic outcome dumps its tagged replay capsule.
+    pub capsule: Option<CapsuleSpec>,
+    /// Whether the population's per-delivery invariant checker is armed.
+    pub check_deliveries: bool,
+}
+
+impl SimSetup {
+    /// A fault-free, unrecorded, unchecked run on the default medium.
+    pub fn new(topology: Topology, seed: u64, deadline: Duration) -> Self {
+        SimSetup {
+            topology,
+            seed,
+            config: SimConfig::default(),
+            deadline,
+            faults: FaultPlan::new(),
+            capsule: None,
+            check_deliveries: false,
+        }
+    }
+
+    fn builder<S: SchemeFamily, F>(self, pop: &Population<S>, make: F) -> SimBuilder<Member<S>, F> {
+        let mut builder = SimBuilder::new(self.topology, self.seed, make)
+            .config(self.config)
+            .faults(self.faults);
+        if self.check_deliveries {
+            builder = builder.invariants(pop.checker());
+        }
+        if let Some(spec) = self.capsule {
+            builder = builder.capsule_on_failure(spec.path);
+            for (key, value) in spec.scenario {
+                builder = builder.scenario(key, value);
+            }
+        }
+        builder
+    }
+}
+
+/// A finished sequential run, nodes still inspectable.
+pub struct Finished<S: SchemeFamily> {
+    /// The simulator after the run.
+    pub sim: Simulator<Member<S>>,
+    /// The engine's report.
+    pub report: RunReport,
+    deployment: Deployment<S>,
+}
+
+impl<S: SchemeFamily> Finished<S> {
+    /// The honest nodes, in id order.
+    pub fn honest(&self) -> impl Iterator<Item = (NodeId, &Node<S>)> {
+        (0..self.sim.topology().len() as u32)
+            .map(NodeId)
+            .filter_map(|id| Some((id, self.sim.node(id).honest()?)))
+    }
+
+    /// End-of-run sweep: honest nodes whose invariants do not hold. The
+    /// per-delivery checker sees every accepted packet; this catches
+    /// anything corrupted after the last one.
+    pub fn violations(&self) -> usize {
+        self.honest()
+            .filter(|(_, node)| self.deployment.verify(node.scheme()).is_err())
+            .count()
+    }
+
+    /// Honest nodes that do not hold the origin image.
+    pub fn wrong_images(&self) -> usize {
+        let image = self.deployment.image();
+        self.honest()
+            .filter(|(_, node)| node.scheme().image().as_deref() != Some(image))
+            .count()
+    }
+
+    /// Packets the adversaries injected.
+    pub fn injected(&self) -> u64 {
+        (0..self.sim.topology().len() as u32)
+            .filter_map(|i| self.sim.node(NodeId(i)).attacker())
+            .map(|a| a.injected)
+            .sum()
+    }
+
+    /// Whole-network radio energy under the default CC1000 model (J).
+    pub fn energy_j(&self) -> f64 {
+        self.sim.energy().total_joules(&EnergyModel::default())
+    }
+
+    /// The paper's metrics for this run.
+    pub fn metrics(&self) -> ExperimentMetrics {
+        let honest = self.honest().map(|(_, node)| HonestTotals::of(node)).sum();
+        ExperimentMetrics::extract(&self.report, self.sim.metrics(), self.energy_j(), &honest)
+    }
+}
+
+/// Runs `pop` under `setup` on the sequential engine.
+///
+/// One digest memo per run: a broadcast hashed by one receiver is
+/// served from memory at the others (per-node `hashes` counters are
+/// unaffected; hits land in `memoized_hashes`). The base-station
+/// artifacts enumerate every predetermined packet, so the memo is
+/// warmed up front in multi-buffer batches instead of filling
+/// packet-by-packet on first reception.
+pub fn simulate<S: SchemeFamily>(pop: &Population<S>, setup: SimSetup) -> Finished<S> {
+    let digests = PacketDigestCache::default();
+    pop.deployment().warm_digest_cache(&digests);
+    let deadline = setup.deadline;
+    let mut sim = setup
+        .builder(pop, |id| pop.node(id, Some(&digests)))
+        .build();
+    let report = sim.run(deadline);
+    Finished {
+        sim,
+        report,
+        deployment: pop.deployment().clone(),
+    }
+}
+
+/// Runs `pop` under `setup` on the sharded engine, harvesting every
+/// honest node (`None` for an adversary). No shared digest memo: it is
+/// `Rc`-based and nodes are constructed inside shard worker threads.
+pub fn simulate_sharded<S: SchemeFamily, H: Send>(
+    pop: &Population<S>,
+    setup: SimSetup,
+    shards: usize,
+    harvest: impl Fn(&Node<S>) -> H + Sync,
+) -> ShardedRun<Option<H>> {
+    let deadline = setup.deadline;
+    setup
+        .builder(pop, |id| pop.node(id, None))
+        .shards(shards)
+        .run_sharded(deadline, |_, member| member.honest().map(&harvest))
+}
+
+/// Runs scheme family `S` once under `spec` and collects the metrics:
+/// preprocess [`test_image`], build the population, run, sweep every
+/// node's invariants (a completed node holds the exact image), extract.
+pub fn run<S: SchemeFamily>(spec: &RunSpec, params: S::Params, seed: u64) -> ExperimentMetrics {
+    let image = test_image(S::image_len(&params));
+    let deployment =
+        Deployment::<S>::new(&image, params, b"bench keys").with_engine_config(spec.engine);
+    let done = simulate(&Population::honest(deployment), spec.setup(seed));
+    assert_eq!(done.violations(), 0, "{} invariants broken", S::NAME);
+    done.metrics()
 }
 
 /// Runs LR-Seluge once and collects the metrics.
 pub fn run_lr(spec: &RunSpec, params: LrSelugeParams, seed: u64) -> ExperimentMetrics {
-    let image = test_image(params.image_len);
-    let deployment = Deployment::new(&image, params, b"bench keys").with_engine_config(spec.engine);
-    let cfg = SimConfig {
-        medium: spec.medium,
-        ..SimConfig::default()
-    };
-    // One digest memo per run: a broadcast hashed by one receiver is
-    // served from memory at the others (per-node `hashes` counters are
-    // unaffected; hits land in `memoized_hashes`). The base-station
-    // artifacts enumerate every predetermined packet, so the memo is
-    // warmed up front in multi-buffer batches instead of filling
-    // packet-by-packet on first reception.
-    let digests = lr_seluge::scheme::PacketDigestCache::default();
-    deployment.warm_digest_cache(&digests);
-    let mut sim = SimBuilder::new(spec.topology.clone(), seed, |id| {
-        deployment.node_cached(id, NodeId(0), &digests)
-    })
-    .config(cfg)
-    .build();
-    let report = sim.run(spec.deadline);
-    // Correctness check: completed nodes must hold the exact image.
-    if report.all_complete {
-        for i in 1..sim.topology().len() {
-            assert_eq!(
-                sim.node(NodeId(i as u32)).scheme().image().as_deref(),
-                Some(&image[..]),
-                "node {i} completed with a wrong image"
-            );
-        }
-    }
-    collect(&sim, report.all_complete, report.latency)
+    run::<LrScheme>(spec, params, seed)
 }
 
 /// Runs Seluge once and collects the metrics.
 pub fn run_seluge(spec: &RunSpec, params: SelugeParams, seed: u64) -> ExperimentMetrics {
-    let image = test_image(params.image_len);
-    let deployment =
-        SelugeDeployment::new(&image, params, b"bench keys").with_engine_config(spec.engine);
-    let cfg = SimConfig {
-        medium: spec.medium,
-        ..SimConfig::default()
-    };
-    let digests = lrs_seluge::scheme::PacketDigestCache::default();
-    deployment.artifacts().warm_digest_cache(&digests);
-    let mut sim = SimBuilder::new(spec.topology.clone(), seed, |id| {
-        deployment.node_cached(id, NodeId(0), &digests)
-    })
-    .config(cfg)
-    .build();
-    let report = sim.run(spec.deadline);
-    if report.all_complete {
-        for i in 1..sim.topology().len() {
-            assert_eq!(
-                sim.node(NodeId(i as u32)).scheme().image().as_deref(),
-                Some(&image[..]),
-                "node {i} completed with a wrong image"
-            );
-        }
-    }
-    collect(&sim, report.all_complete, report.latency)
+    run::<SelugeScheme>(spec, params, seed)
 }
 
-/// Runs plain (insecure) Deluge once — the contrast case for the attack
+/// Runs plain (insecure) Deluge once, the contrast case for the attack
 /// experiments.
 pub fn run_deluge(spec: &RunSpec, params: ImageParams, seed: u64) -> ExperimentMetrics {
-    let image = test_image(params.image_len);
-    let deluge_image = DelugeImage::new(image, params);
-    let key = ClusterKey::derive(b"bench keys", 0);
-    let engine = EngineConfig {
-        authenticate_control: false,
-        ..spec.engine
-    };
-    let cfg = SimConfig {
-        medium: spec.medium,
-        ..SimConfig::default()
-    };
-    let mut sim = SimBuilder::new(spec.topology.clone(), seed, |id| {
-        let scheme = if id == NodeId(0) {
-            DelugeScheme::base(&deluge_image)
-        } else {
-            DelugeScheme::receiver(params)
-        };
-        DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), engine)
-    })
-    .config(cfg)
-    .build();
-    let report = sim.run(spec.deadline);
-    collect(&sim, report.all_complete, report.latency)
+    run::<DelugeScheme>(spec, params, seed)
 }
 
 /// Runs `f` once per seed (`1..=seeds`) on the harness threads and
@@ -375,27 +492,48 @@ pub fn matched_seluge_params(lr: &LrSelugeParams) -> SelugeParams {
     }
 }
 
+/// A scheme family the harness can run against an LR-Seluge parameter
+/// profile: how its parameters are matched to the profile "for fair
+/// comparison" (§VI-A). Lives here, not in the protocol crates, because
+/// `lrs-deluge` cannot name [`LrSelugeParams`].
+pub trait Matched: SchemeFamily {
+    /// This family's parameters for the same image, packets per page
+    /// and on-air payload as `lr`.
+    fn matched(lr: &LrSelugeParams) -> Self::Params;
+}
+
+impl Matched for LrScheme {
+    fn matched(lr: &LrSelugeParams) -> LrSelugeParams {
+        *lr
+    }
+}
+
+impl Matched for SelugeScheme {
+    fn matched(lr: &LrSelugeParams) -> SelugeParams {
+        matched_seluge_params(lr)
+    }
+}
+
+impl Matched for DelugeScheme {
+    fn matched(lr: &LrSelugeParams) -> ImageParams {
+        ImageParams {
+            version: lr.version,
+            image_len: lr.image_len,
+            packets_per_page: lr.k,
+            payload_len: lr.payload_len,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_lr() -> LrSelugeParams {
-        LrSelugeParams {
-            image_len: 1024,
-            k: 8,
-            n: 12,
-            payload_len: 56,
-            k0: 4,
-            n0: 8,
-            puzzle_strength: 4,
-            ..LrSelugeParams::default()
-        }
-    }
+    use crate::capsules::chaos_params;
 
     #[test]
     fn lr_and_seluge_runs_complete_and_count() {
         let spec = RunSpec::one_hop(3, 0.1);
-        let lr = run_lr(&spec, tiny_lr(), 1);
+        let lr = run_lr(&spec, chaos_params(1024), 1);
         assert_eq!(lr.completed, 1.0);
         assert!(lr.page_data_pkts > 0.0);
         assert!(lr.total_bytes > 0.0);
@@ -405,7 +543,7 @@ mod tests {
         assert!(lr.verify_inflation > 0.0);
         assert!(lr.energy_j > 0.0);
 
-        let s = run_seluge(&spec, matched_seluge_params(&tiny_lr()), 1);
+        let s = run_seluge(&spec, matched_seluge_params(&chaos_params(1024)), 1);
         assert_eq!(s.completed, 1.0);
         assert!(s.snack_pkts > 0.0);
     }
@@ -426,7 +564,7 @@ mod tests {
     #[test]
     fn average_is_stable() {
         let spec = RunSpec::one_hop(2, 0.2);
-        let m = average(3, |seed| run_lr(&spec, tiny_lr(), seed));
+        let m = average(3, |seed| run_lr(&spec, chaos_params(1024), seed));
         assert_eq!(m.completed, 1.0);
         assert!(m.page_data_pkts > 0.0);
     }
@@ -468,15 +606,15 @@ mod tests {
     #[test]
     fn sample_seeds_is_thread_count_invariant() {
         let spec = RunSpec::one_hop(2, 0.2);
-        let one = sample_seeds(3, 1, |seed| run_lr(&spec, tiny_lr(), seed));
-        let many = sample_seeds(3, 4, |seed| run_lr(&spec, tiny_lr(), seed));
+        let one = sample_seeds(3, 1, |seed| run_lr(&spec, chaos_params(1024), seed));
+        let many = sample_seeds(3, 4, |seed| run_lr(&spec, chaos_params(1024), seed));
         assert_eq!(one, many);
         assert_eq!(one.len(), 3);
     }
 
     #[test]
     fn matched_params_align_packet_sizes() {
-        let lr = tiny_lr();
+        let lr = chaos_params(1024);
         let s = matched_seluge_params(&lr);
         assert_eq!(s.data_payload_len(), lr.payload_len);
         assert_eq!(s.packets_per_page, lr.k);

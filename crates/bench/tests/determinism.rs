@@ -9,74 +9,52 @@
 //! 3. Attaching a trace sink is observational only — it never perturbs
 //!    the simulation it watches.
 
-use lr_seluge::{Deployment, LrSelugeParams};
+use lr_seluge::{Deployment, LrScheme};
+use lrs_bench::capsules::chaos_params;
 use lrs_bench::runner::test_image;
-use lrs_bench::{
-    matched_seluge_params, run_deluge, run_lr, run_seluge, sample_grid, sample_seeds, RunSpec,
-};
-use lrs_deluge::image::ImageParams;
+use lrs_bench::{run, run_lr, sample_grid, sample_seeds, Matched, RunSpec};
+use lrs_deluge::image::DelugeScheme;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::node::{NodeId, PacketKind};
 use lrs_netsim::sim::SimConfig;
+use lrs_seluge::SelugeScheme;
 
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::{JsonlTrace, RingTrace};
 use lrs_netsim::SimBuilder;
 
-fn tiny_lr() -> LrSelugeParams {
-    LrSelugeParams {
-        image_len: 1024,
-        k: 8,
-        n: 12,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 4,
-        ..LrSelugeParams::default()
-    }
+/// A seed reproduces family `S`'s run bit for bit, and a different seed
+/// actually changes something.
+fn runs_are_bit_identical_across_repeats<S: Matched>() {
+    let spec = RunSpec::one_hop(3, 0.15);
+    let params = S::matched(&chaos_params(1024));
+    let a = run::<S>(&spec, params, 7);
+    assert_eq!(a, run::<S>(&spec, params, 7), "{}", S::NAME);
+    assert_ne!(a, run::<S>(&spec, params, 8), "{}", S::NAME);
 }
 
 #[test]
 fn lr_runs_are_bit_identical_across_repeats() {
-    let spec = RunSpec::one_hop(3, 0.15);
-    let a = run_lr(&spec, tiny_lr(), 7);
-    let b = run_lr(&spec, tiny_lr(), 7);
-    assert_eq!(a, b);
-    // And a different seed actually changes something.
-    let c = run_lr(&spec, tiny_lr(), 8);
-    assert_ne!(a, c);
+    runs_are_bit_identical_across_repeats::<LrScheme>();
 }
 
 #[test]
 fn seluge_runs_are_bit_identical_across_repeats() {
-    let spec = RunSpec::one_hop(3, 0.15);
-    let params = matched_seluge_params(&tiny_lr());
-    let a = run_seluge(&spec, params, 5);
-    let b = run_seluge(&spec, params, 5);
-    assert_eq!(a, b);
+    runs_are_bit_identical_across_repeats::<SelugeScheme>();
 }
 
 #[test]
 fn deluge_runs_are_bit_identical_across_repeats() {
-    let spec = RunSpec::one_hop(3, 0.05);
-    let params = ImageParams {
-        version: 1,
-        image_len: 1024,
-        packets_per_page: 8,
-        payload_len: 48,
-    };
-    let a = run_deluge(&spec, params, 3);
-    let b = run_deluge(&spec, params, 3);
-    assert_eq!(a, b);
+    runs_are_bit_identical_across_repeats::<DelugeScheme>();
 }
 
 #[test]
 fn thread_count_does_not_change_per_seed_metrics() {
     let spec = RunSpec::one_hop(3, 0.2);
-    let sequential = sample_seeds(4, 1, |seed| run_lr(&spec, tiny_lr(), seed));
+    let sequential = sample_seeds(4, 1, |seed| run_lr(&spec, chaos_params(1024), seed));
     for threads in [2, 4, 8] {
-        let parallel = sample_seeds(4, threads, |seed| run_lr(&spec, tiny_lr(), seed));
+        let parallel = sample_seeds(4, threads, |seed| run_lr(&spec, chaos_params(1024), seed));
         assert_eq!(sequential, parallel, "{threads} threads diverged");
     }
 }
@@ -85,13 +63,13 @@ fn thread_count_does_not_change_per_seed_metrics() {
 fn grid_fanout_matches_sequential_sweep() {
     let points = [0.0f64, 0.2, 0.4];
     let par = sample_grid(&points, 2, 8, |&p, seed| {
-        run_lr(&RunSpec::one_hop(2, p), tiny_lr(), seed)
+        run_lr(&RunSpec::one_hop(2, p), chaos_params(1024), seed)
     });
     let seq: Vec<Vec<_>> = points
         .iter()
         .map(|&p| {
             (1..=2)
-                .map(|seed| run_lr(&RunSpec::one_hop(2, p), tiny_lr(), seed))
+                .map(|seed| run_lr(&RunSpec::one_hop(2, p), chaos_params(1024), seed))
                 .collect()
         })
         .collect();
@@ -103,7 +81,7 @@ fn grid_fanout_matches_sequential_sweep() {
 fn traced_run(
     trace: Option<Box<dyn lrs_netsim::trace::TraceSink>>,
 ) -> (u64, u64, u64, u64, bool, Option<lrs_netsim::time::SimTime>) {
-    let params = tiny_lr();
+    let params = chaos_params(1024);
     let image = test_image(params.image_len);
     let deployment = Deployment::new(&image, params, b"trace test");
     let cfg = SimConfig {
@@ -153,7 +131,7 @@ impl lrs_netsim::trace::TraceSink for SharedSink {
 fn trace_sink_sees_every_event_family() {
     use lrs_netsim::trace::TraceEvent;
 
-    let params = tiny_lr();
+    let params = chaos_params(1024);
     let image = test_image(params.image_len);
     let deployment = Deployment::new(&image, params, b"trace test");
     let cfg = SimConfig {

@@ -12,7 +12,7 @@
 //!
 //! and review the diff like any other code change.
 
-use lr_seluge::LrSelugeParams;
+use lrs_bench::capsules::chaos_params;
 use lrs_bench::{
     aggregate, matched_seluge_params, run_lr, run_seluge, sample_grid, Json, JsonReport, RunSpec,
     Table,
@@ -25,25 +25,12 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn tiny_lr() -> LrSelugeParams {
-    LrSelugeParams {
-        image_len: 1024,
-        k: 8,
-        n: 12,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 4,
-        ..LrSelugeParams::default()
-    }
-}
-
 /// The sweep under test: one-hop, N = 2, p ∈ {0.0, 0.2}, 2 seeds,
 /// Seluge and LR-Seluge interleaved — a miniature fig3(a).
 fn tiny_fig3_sweep() -> (Table, JsonReport) {
     let seeds = 2;
     let threads = 2; // fixed, so the pinned "threads" field is stable
-    let lr = tiny_lr();
+    let lr = chaos_params(1024);
     let seluge = matched_seluge_params(&lr);
     let n_rx = 2usize;
     let ps = [0.0f64, 0.2];

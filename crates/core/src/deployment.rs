@@ -1,153 +1,83 @@
-//! A convenience facade bundling key material, preprocessing and node
-//! construction for a whole deployment.
+//! LR-Seluge as a [`SchemeFamily`], and its deployment facade: key
+//! material, preprocessing and node construction for one image are the
+//! generic [`lrs_deluge::deployment::Deployment`].
 
 use crate::params::{LrSelugeParams, ParamError};
 use crate::preprocess::LrArtifacts;
 use crate::scheduler::GreedyRoundRobinPolicy;
 use crate::scheme::{LrScheme, PacketDigestCache};
 use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::leap::LeapKeyring;
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
-use lrs_deluge::bootstrap::DeploymentKeys;
-use lrs_deluge::engine::{DisseminationNode, EngineConfig};
-use lrs_deluge::policy::TxPolicy;
-use lrs_netsim::node::NodeId;
+use lrs_deluge::attack::AttackerProfile;
+use lrs_deluge::bootstrap::{DeploymentKeys, SIGNATURE_BODY_LEN};
+use lrs_deluge::deployment::SchemeFamily;
+use lrs_netsim::violation::InvariantViolation;
+
+/// A prepared LR-Seluge deployment.
+pub type Deployment = lrs_deluge::deployment::Deployment<LrScheme>;
 
 /// An LR-Seluge protocol node, ready for the simulator.
-pub type LrNode = DisseminationNode<LrScheme, GreedyRoundRobinPolicy>;
+pub type LrNode = lrs_deluge::deployment::Node<LrScheme>;
 
-/// A prepared deployment: one image, one base-station keypair, one
-/// cluster key, preprocessed artifacts.
-#[derive(Clone)]
-pub struct Deployment {
-    artifacts: LrArtifacts,
-    pubkey: PublicKey,
-    puzzle: Puzzle,
-    cluster_key: ClusterKey,
-    engine: EngineConfig,
-    /// Initial network key for LEAP bootstrap, when enabled.
-    leap_seed: Option<Vec<u8>>,
-}
+impl SchemeFamily for LrScheme {
+    const NAME: &'static str = "lr-seluge";
+    type Params = LrSelugeParams;
+    type Artifacts = LrArtifacts;
+    type Policy = GreedyRoundRobinPolicy;
 
-impl Deployment {
-    /// Preprocesses `image` with keys derived from `seed_material`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters are inconsistent or the image length does
-    /// not match `params.image_len`; use [`try_new`](Self::try_new) to
-    /// get a typed error instead.
-    pub fn new(image: &[u8], params: LrSelugeParams, seed_material: &[u8]) -> Self {
-        match Self::try_new(image, params, seed_material) {
-            Ok(deployment) => deployment,
-            Err(err) => panic!("{err}"),
-        }
+    fn key_schedule(params: &LrSelugeParams) -> (u16, u32) {
+        (params.version, params.puzzle_strength)
     }
 
-    /// Fallible [`new`](Self::new): rejects inconsistent parameters or
-    /// a mismatched image with a [`ParamError`] instead of panicking —
-    /// the entry point when the configuration comes from user input.
-    pub fn try_new(
+    fn image_len(params: &LrSelugeParams) -> usize {
+        params.image_len
+    }
+
+    fn try_build(
         image: &[u8],
         params: LrSelugeParams,
-        seed_material: &[u8],
-    ) -> Result<Self, ParamError> {
-        let keys = DeploymentKeys::derive(seed_material, params.version, params.puzzle_strength);
-        let artifacts = LrArtifacts::try_build(image, params, &keys.keypair, &keys.chain)?;
-        Ok(Deployment {
-            artifacts,
-            pubkey: keys.keypair.public(),
-            puzzle: keys.puzzle,
-            cluster_key: keys.cluster_key,
-            engine: EngineConfig::default(),
-            leap_seed: None,
-        })
+        keys: &DeploymentKeys,
+    ) -> Result<LrArtifacts, ParamError> {
+        LrArtifacts::try_build(image, params, &keys.keypair, &keys.chain)
     }
 
-    /// Enables LEAP pairwise source authentication of SNACK packets (the
-    /// paper's §IV-E proposal, required for a spoof-proof
-    /// denial-of-receipt budget).
-    pub fn with_leap(mut self, initial_network_key: &[u8]) -> Self {
-        self.leap_seed = Some(initial_network_key.to_vec());
-        self
+    fn base(artifacts: &LrArtifacts, pubkey: PublicKey, puzzle: Puzzle) -> Self {
+        LrScheme::base(artifacts, pubkey, puzzle)
     }
 
-    /// Overrides the engine configuration (timers, retry limits,
-    /// denial-of-receipt budget).
-    pub fn with_engine_config(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
+    fn receiver(params: LrSelugeParams, pubkey: PublicKey, puzzle: Puzzle) -> Self {
+        LrScheme::receiver(params, pubkey, puzzle)
     }
 
-    /// The preprocessed artifacts.
-    pub fn artifacts(&self) -> &LrArtifacts {
-        &self.artifacts
+    fn with_digest_cache(self, cache: PacketDigestCache) -> Self {
+        LrScheme::with_digest_cache(self, cache)
     }
 
-    /// The deployment-wide cluster key.
-    pub fn cluster_key(&self) -> &ClusterKey {
-        &self.cluster_key
+    fn warm_digest_cache(artifacts: &LrArtifacts, cache: &PacketDigestCache) {
+        artifacts.warm_digest_cache(cache);
     }
 
-    /// Layout parameters.
-    pub fn params(&self) -> LrSelugeParams {
-        self.artifacts.params()
+    fn image(&self) -> Option<Vec<u8>> {
+        LrScheme::image(self)
     }
 
-    /// Builds a node with a custom TX policy (used by the scheduler
-    /// ablation, which runs LR-Seluge with the Deluge/Seluge union rule
-    /// instead of the greedy round-robin scheduler).
-    pub fn node_with_policy<P: TxPolicy>(
+    fn verify_invariants(
         &self,
-        id: NodeId,
-        base_id: NodeId,
-        policy: P,
-    ) -> DisseminationNode<LrScheme, P> {
-        self.wrap(self.make_scheme(id, base_id), policy, id)
+        artifacts: &LrArtifacts,
+        image: &[u8],
+    ) -> Result<(), InvariantViolation> {
+        LrScheme::verify_invariants(self, artifacts, image)
     }
 
-    /// Builds the protocol node for `id` (`base_id` gets the full image).
-    pub fn node(&self, id: NodeId, base_id: NodeId) -> LrNode {
-        self.node_with_policy(id, base_id, GreedyRoundRobinPolicy::new())
-    }
-
-    /// Like [`Deployment::node`], but shares a per-run packet-digest memo
-    /// across the run's nodes. The cache is `Rc`-based and deliberately
-    /// *not* stored in the deployment (which is shared across harness
-    /// threads): create one per sim run and pass it to every node.
-    pub fn node_cached(&self, id: NodeId, base_id: NodeId, cache: &PacketDigestCache) -> LrNode {
-        let scheme = self.make_scheme(id, base_id);
-        let policy = GreedyRoundRobinPolicy::new();
-        self.wrap(scheme.with_digest_cache(cache.clone()), policy, id)
-    }
-
-    /// Pre-fills a per-run packet-digest memo from the preprocessed
-    /// artifacts (see [`LrArtifacts::warm_digest_cache`]): all
-    /// predetermined packet hashes are computed in multi-buffer batches
-    /// up front, so receivers hit warm entries from the first packet.
-    pub fn warm_digest_cache(&self, cache: &PacketDigestCache) {
-        self.artifacts.warm_digest_cache(cache);
-    }
-
-    fn make_scheme(&self, id: NodeId, base_id: NodeId) -> LrScheme {
-        if id == base_id {
-            LrScheme::base(&self.artifacts, self.pubkey, self.puzzle)
-        } else {
-            LrScheme::receiver(self.params(), self.pubkey, self.puzzle)
-        }
-    }
-
-    fn wrap<P: TxPolicy>(
-        &self,
-        scheme: LrScheme,
-        policy: P,
-        id: NodeId,
-    ) -> DisseminationNode<LrScheme, P> {
-        let node = DisseminationNode::new(scheme, policy, self.cluster_key.clone(), self.engine);
-        match &self.leap_seed {
-            Some(seed) => node.with_leap(LeapKeyring::bootstrap(seed, id.0)),
-            None => node,
+    fn attacker_profile(p: &LrSelugeParams, cluster_key: Option<ClusterKey>) -> AttackerProfile {
+        AttackerProfile {
+            payload_len: p.payload_len,
+            index_space: p.n,
+            sig_body_len: SIGNATURE_BODY_LEN,
+            n_bits: p.n as usize,
+            version: p.version,
+            cluster_key,
         }
     }
 }
@@ -155,7 +85,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrs_netsim::node::Protocol as _;
+    use lrs_netsim::node::{NodeId, Protocol as _};
 
     #[test]
     fn deployment_builds_base_and_receivers() {
@@ -195,9 +125,17 @@ mod tests {
             Ok(_) => panic!("n < k must be rejected"),
             Err(err) => err,
         };
-        assert!(err.to_string().contains("invalid LR-Seluge configuration"));
+        assert!(err.to_string().contains("invalid configuration"));
         // Image/params length mismatch.
         assert!(Deployment::try_new(&[0u8; 100], good, b"seed").is_err());
+        // 65 539 pages of this geometry's 144 bytes: the u16 page count
+        // used to wrap to 3 and a 432-byte image was signed instead.
+        let huge = LrSelugeParams {
+            image_len: 144 * 65_539,
+            ..good
+        };
+        assert_eq!(huge.pages(), 3);
+        assert!(Deployment::try_new(&vec![0u8; huge.image_len], huge, b"seed").is_err());
         // The good configuration still builds.
         assert!(Deployment::try_new(&[0u8; 512], good, b"seed").is_ok());
     }

@@ -2,29 +2,10 @@
 
 use crate::code::CodeKind;
 use lrs_crypto::hash::HASH_IMAGE_LEN;
+use lrs_deluge::deployment::check_layout;
 use lrs_erasure::sparse::DEFAULT_OVERHEAD;
-use std::fmt;
 
-/// A rejected deployment configuration: inconsistent
-/// [`LrSelugeParams`] or an image that does not match them. Returned
-/// by the fallible constructor paths ([`LrArtifacts::try_build`],
-/// [`LrScheme::try_receiver`], [`Deployment::try_new`]) so callers
-/// wiring user-supplied configuration get a typed error instead of a
-/// panic.
-///
-/// [`LrArtifacts::try_build`]: crate::preprocess::LrArtifacts::try_build
-/// [`LrScheme::try_receiver`]: crate::scheme::LrScheme::try_receiver
-/// [`Deployment::try_new`]: crate::deployment::Deployment::try_new
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParamError(pub String);
-
-impl fmt::Display for ParamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid LR-Seluge configuration: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParamError {}
+pub use lrs_deluge::deployment::ParamError;
 
 /// Static parameters preloaded on every node (paper §IV-B: the same
 /// instances of the erasure codes `f` and `f0`, the base station's public
@@ -167,10 +148,7 @@ impl LrSelugeParams {
                 self.hash_region_len()
             ));
         }
-        if self.image_len == 0 {
-            return Err("empty image".to_string());
-        }
-        Ok(())
+        check_layout(self.image_len, self.page_capacity())
     }
 }
 

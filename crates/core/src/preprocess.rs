@@ -19,6 +19,7 @@ use lrs_crypto::sha256::sha256_concat;
 use lrs_deluge::bootstrap::{
     frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
 };
+use lrs_deluge::deployment::check_image_len;
 use lrs_erasure::ErasureCode;
 
 /// Everything the base station precomputes for one image.
@@ -66,13 +67,7 @@ impl LrArtifacts {
         puzzle_chain: &PuzzleKeyChain,
     ) -> Result<Self, ParamError> {
         params.validate().map_err(ParamError)?;
-        if image.len() != params.image_len {
-            return Err(ParamError(format!(
-                "image is {} bytes but params.image_len is {}",
-                image.len(),
-                params.image_len
-            )));
-        }
+        check_image_len(image, params.image_len)?;
         let g = params.pages() as usize;
         let code = PageCode::new(params.code_kind, params.k as usize, params.n as usize)
             .expect("params validated");

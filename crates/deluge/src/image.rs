@@ -6,9 +6,17 @@
 //! weakness Seluge/LR-Seluge address (and which the adversarial
 //! experiments demonstrate).
 
-use crate::engine::{PacketDisposition, Scheme};
+use crate::attack::AttackerProfile;
+use crate::bootstrap::DeploymentKeys;
+use crate::deployment::{check_image_len, check_layout, ParamError, SchemeFamily};
+use crate::engine::{EngineConfig, PacketDisposition, Scheme};
+use crate::policy::UnionPolicy;
 use crate::wire::BitVec;
+use lrs_crypto::cluster::ClusterKey;
+use lrs_crypto::puzzle::Puzzle;
+use lrs_crypto::schnorr::PublicKey;
 use lrs_netsim::node::PacketKind;
+use lrs_netsim::violation::InvariantViolation;
 
 /// Static layout parameters, preloaded on every node (in real Deluge
 /// they travel in the advertisement profile).
@@ -51,12 +59,26 @@ impl DelugeImage {
     ///
     /// # Panics
     ///
-    /// Panics if `params.image_len` does not match `data.len()`.
+    /// Panics on what [`try_new`](Self::try_new) rejects.
     pub fn new(data: Vec<u8>, params: ImageParams) -> Self {
-        assert_eq!(data.len(), params.image_len, "image length mismatch");
+        match Self::try_new(data, params) {
+            Ok(image) => image,
+            Err(err) => panic!("{err}"),
+        }
+    }
+
+    /// Fallible [`new`](Self::new).
+    ///
+    /// # Errors
+    ///
+    /// An empty image, one whose length is not `params.image_len`, a
+    /// zero page capacity, or more pages than are addressable.
+    pub fn try_new(data: Vec<u8>, params: ImageParams) -> Result<Self, ParamError> {
+        check_layout(params.image_len, params.page_capacity()).map_err(ParamError)?;
+        check_image_len(&data, params.image_len)?;
         let mut padded = data;
         padded.resize(params.pages() as usize * params.page_capacity(), 0);
-        DelugeImage { params, padded }
+        Ok(DelugeImage { params, padded })
     }
 
     /// Layout parameters.
@@ -200,6 +222,72 @@ impl Scheme for DelugeScheme {
         // received page is RAM and is lost.
         for slot in &mut self.current {
             *slot = None;
+        }
+    }
+}
+
+/// Plain Deluge as a [`SchemeFamily`]: no keys are used, nothing is
+/// authenticated, so there is no digest memo and
+/// `verify_invariants` is vacuous by design (a flooded Deluge node
+/// commits forged bytes; that is the contrast case, not a violation of
+/// anything Deluge promises).
+impl SchemeFamily for DelugeScheme {
+    const NAME: &'static str = "deluge";
+    type Params = ImageParams;
+    type Artifacts = DelugeImage;
+    type Policy = UnionPolicy;
+
+    fn key_schedule(params: &ImageParams) -> (u16, u32) {
+        (params.version, 0)
+    }
+
+    fn image_len(params: &ImageParams) -> usize {
+        params.image_len
+    }
+
+    fn try_build(
+        image: &[u8],
+        params: ImageParams,
+        _keys: &DeploymentKeys,
+    ) -> Result<DelugeImage, ParamError> {
+        DelugeImage::try_new(image.to_vec(), params)
+    }
+
+    fn base(artifacts: &DelugeImage, _pubkey: PublicKey, _puzzle: Puzzle) -> Self {
+        DelugeScheme::base(artifacts)
+    }
+
+    fn receiver(params: ImageParams, _pubkey: PublicKey, _puzzle: Puzzle) -> Self {
+        DelugeScheme::receiver(params)
+    }
+
+    fn image(&self) -> Option<Vec<u8>> {
+        DelugeScheme::image(self)
+    }
+
+    fn verify_invariants(
+        &self,
+        _artifacts: &DelugeImage,
+        _image: &[u8],
+    ) -> Result<(), InvariantViolation> {
+        Ok(())
+    }
+
+    fn attacker_profile(params: &ImageParams, cluster_key: Option<ClusterKey>) -> AttackerProfile {
+        AttackerProfile {
+            payload_len: params.payload_len,
+            index_space: params.packets_per_page,
+            sig_body_len: 0,
+            n_bits: params.packets_per_page as usize,
+            version: params.version,
+            cluster_key,
+        }
+    }
+
+    fn engine_config(cfg: EngineConfig) -> EngineConfig {
+        EngineConfig {
+            authenticate_control: false,
+            ..cfg
         }
     }
 }

@@ -24,17 +24,22 @@
 //!   (signed Merkle root behind a puzzle, Merkle-authenticated hash page,
 //!   per-packet hash check, receive buffers, deployment keys), leaving
 //!   each scheme only its page-chaining rule;
+//! * [`deployment`] — the [`SchemeFamily`] trait the three schemes
+//!   implement and the one generic [`Deployment`] built over it, so
+//!   harnesses, replay and the real-UDP host are written once;
 //! * [`attack`] — adversarial node behaviours (bogus-data floods, forged
 //!   control packets, forged signatures, denial-of-receipt) used by the
 //!   attack-resilience experiments.
 
 pub mod attack;
 pub mod bootstrap;
+pub mod deployment;
 pub mod engine;
 pub mod image;
 pub mod policy;
 pub mod wire;
 
+pub use deployment::{Deployment, ParamError, SchemeFamily};
 pub use engine::{DisseminationNode, EngineConfig, PacketDisposition, Scheme};
 pub use image::{DelugeImage, DelugeScheme};
 pub use policy::{TxPolicy, UnionPolicy};

@@ -16,10 +16,15 @@
 //! Engine items: item 0 = signature packet, item 1 = hash page,
 //! items `2..2+g` = code pages.
 
-pub mod deployment;
 pub mod preprocess;
 pub mod scheme;
 
-pub use deployment::{SelugeDeployment, SelugeNode};
 pub use preprocess::{SelugeArtifacts, SelugeParams};
 pub use scheme::SelugeScheme;
+
+/// A prepared Seluge deployment (the counterpart of
+/// `lr_seluge::Deployment`).
+pub type SelugeDeployment = lrs_deluge::deployment::Deployment<SelugeScheme>;
+
+/// A Seluge protocol node, ready for the simulator.
+pub type SelugeNode = lrs_deluge::deployment::Node<SelugeScheme>;

@@ -12,6 +12,7 @@ use lrs_crypto::sha256::sha256_concat;
 use lrs_deluge::bootstrap::{
     frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
 };
+use lrs_deluge::deployment::{check_image_len, check_layout, ParamError};
 
 /// Static Seluge layout parameters, preloaded on every node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,6 +90,21 @@ impl SelugeParams {
     pub fn hash_page_payload_len(&self) -> usize {
         self.chunk_len() + 32 * self.merkle_depth()
     }
+
+    /// Validates internal consistency.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.hash_page_chunks.is_power_of_two() {
+            return Err(format!(
+                "hash_page_chunks must be a power of two, got {}",
+                self.hash_page_chunks
+            ));
+        }
+        check_layout(self.image_len, self.page_capacity())
+    }
 }
 
 /// Everything the base station precomputes for one image.
@@ -111,15 +127,30 @@ impl SelugeArtifacts {
     ///
     /// # Panics
     ///
-    /// Panics if `image.len() != params.image_len` or the chunk count is
-    /// not a power of two.
+    /// Panics on what [`try_build`](Self::try_build) rejects.
     pub fn build(
         image: &[u8],
         params: SelugeParams,
         keypair: &Keypair,
         puzzle_chain: &PuzzleKeyChain,
     ) -> Self {
-        assert_eq!(image.len(), params.image_len, "image length mismatch");
+        match Self::try_build(image, params, keypair, puzzle_chain) {
+            Ok(artifacts) => artifacts,
+            Err(err) => panic!("{err}"),
+        }
+    }
+
+    /// Fallible [`build`](Self::build): rejects inconsistent parameters
+    /// (see [`SelugeParams::validate`]) or a mismatched image with a
+    /// [`ParamError`] instead of panicking.
+    pub fn try_build(
+        image: &[u8],
+        params: SelugeParams,
+        keypair: &Keypair,
+        puzzle_chain: &PuzzleKeyChain,
+    ) -> Result<Self, ParamError> {
+        params.validate().map_err(ParamError)?;
+        check_image_len(image, params.image_len)?;
         let g = params.pages() as usize;
         let k = params.packets_per_page as usize;
         let mut padded = image.to_vec();
@@ -162,13 +193,13 @@ impl SelugeArtifacts {
             params.puzzle_strength,
         );
 
-        SelugeArtifacts {
+        Ok(SelugeArtifacts {
             params,
             page_packets,
             hash_page_packets,
             signature_body,
             root,
-        }
+        })
     }
 
     /// The message covered by the signature: binds the root to the image
@@ -241,6 +272,31 @@ mod tests {
         let kp = Keypair::from_seed(b"bs");
         let chain = PuzzleKeyChain::generate(b"puzzles", 4);
         SelugeArtifacts::build(&image, params, &kp, &chain)
+    }
+
+    #[test]
+    fn try_build_rejects_what_lr_seluge_rejects() {
+        let kp = Keypair::from_seed(b"bs");
+        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
+        let build = |image: &[u8], p| SelugeArtifacts::try_build(image, p, &kp, &chain).map(|_| ());
+        let p = small_params();
+        let image = vec![0u8; p.image_len];
+        assert_eq!(build(&image, p), Ok(()));
+        let empty = SelugeParams { image_len: 0, ..p };
+        assert!(build(&[], empty).is_err(), "empty image");
+        assert!(build(&image[1..], p).is_err(), "mismatched length");
+        let chunks = SelugeParams {
+            hash_page_chunks: 6,
+            ..p
+        };
+        assert!(build(&image, chunks).is_err(), "chunk count not 2^d");
+        // 65 539 pages of 128 bytes: the u16 page count used to wrap to 3.
+        let huge = SelugeParams {
+            image_len: 128 * 65_539,
+            ..p
+        };
+        assert_eq!(huge.pages(), 3);
+        assert!(build(&vec![0u8; huge.image_len], huge).is_err(), "wrapped");
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //! image of packet `j` of the next.
 
 use crate::preprocess::{SelugeArtifacts, SelugeParams};
+use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::hash::HashImage;
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
-use lrs_deluge::bootstrap::{self, Bootstrap, Layout};
+use lrs_deluge::attack::AttackerProfile;
+use lrs_deluge::bootstrap::{self, Bootstrap, DeploymentKeys, Layout, SIGNATURE_BODY_LEN};
+use lrs_deluge::deployment::{ParamError, SchemeFamily};
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
+use lrs_deluge::policy::UnionPolicy;
 use lrs_deluge::wire::BitVec;
 use lrs_netsim::node::PacketKind;
 use lrs_netsim::violation::{ContentDigest, InvariantViolation};
@@ -268,6 +272,68 @@ impl Scheme for SelugeScheme {
             None => Vec::new(),
         };
         self.boot.resume(m0_done, self.pages.len(), expected);
+    }
+}
+
+impl SchemeFamily for SelugeScheme {
+    const NAME: &'static str = "seluge";
+    type Params = SelugeParams;
+    type Artifacts = SelugeArtifacts;
+    type Policy = UnionPolicy;
+
+    fn key_schedule(params: &SelugeParams) -> (u16, u32) {
+        (params.version, params.puzzle_strength)
+    }
+
+    fn image_len(params: &SelugeParams) -> usize {
+        params.image_len
+    }
+
+    fn try_build(
+        image: &[u8],
+        params: SelugeParams,
+        keys: &DeploymentKeys,
+    ) -> Result<SelugeArtifacts, ParamError> {
+        SelugeArtifacts::try_build(image, params, &keys.keypair, &keys.chain)
+    }
+
+    fn base(artifacts: &SelugeArtifacts, pubkey: PublicKey, puzzle: Puzzle) -> Self {
+        SelugeScheme::base(artifacts, pubkey, puzzle)
+    }
+
+    fn receiver(params: SelugeParams, pubkey: PublicKey, puzzle: Puzzle) -> Self {
+        SelugeScheme::receiver(params, pubkey, puzzle)
+    }
+
+    fn with_digest_cache(self, cache: PacketDigestCache) -> Self {
+        SelugeScheme::with_digest_cache(self, cache)
+    }
+
+    fn warm_digest_cache(artifacts: &SelugeArtifacts, cache: &PacketDigestCache) {
+        artifacts.warm_digest_cache(cache);
+    }
+
+    fn image(&self) -> Option<Vec<u8>> {
+        SelugeScheme::image(self)
+    }
+
+    fn verify_invariants(
+        &self,
+        artifacts: &SelugeArtifacts,
+        image: &[u8],
+    ) -> Result<(), InvariantViolation> {
+        SelugeScheme::verify_invariants(self, artifacts, image)
+    }
+
+    fn attacker_profile(sp: &SelugeParams, cluster_key: Option<ClusterKey>) -> AttackerProfile {
+        AttackerProfile {
+            payload_len: sp.data_payload_len(),
+            index_space: sp.packets_per_page,
+            sig_body_len: SIGNATURE_BODY_LEN,
+            n_bits: sp.packets_per_page as usize,
+            version: sp.version,
+            cluster_key,
+        }
     }
 }
 

@@ -22,7 +22,7 @@
 //! stragglers.
 
 use lr_seluge_repro::swarm::{NodeReport, SwarmNode, SwarmScenario, CONTROL_QUIT};
-use lrs_bench::Cli;
+use lrs_bench::{with_scheme, Cli, Matched};
 use lrs_host::{Host, HostConfig, NodeId, UdpTransport};
 use std::net::{SocketAddr, UdpSocket};
 use std::process::ExitCode;
@@ -69,8 +69,6 @@ fn run() -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad --control: {e}"))?;
     let scenario = SwarmScenario {
-        scheme: lr_seluge_repro::swarm::SchemeKind::parse(required(&cli, "--scheme")?)
-            .ok_or_else(|| "bad --scheme; use lr-seluge or seluge".to_string())?,
         profile: cli.value("--profile").unwrap_or("campaign").to_string(),
         image_len: cli
             .parsed_or::<usize>("--image-bytes", 2048)
@@ -94,8 +92,22 @@ fn run() -> Result<(), String> {
             .map_err(|e| e.to_string())?,
     );
 
-    let image = scenario.image()?;
-    let protocol: SwarmNode = scenario.build_node(id)?;
+    with_scheme!(
+        required(&cli, "--scheme")?,
+        S => serve::<S>(id, proxy, control_addr, &scenario, cfg, deadline)?
+    )
+}
+
+/// Runs scheme family `S`'s node `id` until told to quit or `deadline`.
+fn serve<S: Matched>(
+    id: NodeId,
+    proxy: SocketAddr,
+    control_addr: SocketAddr,
+    scenario: &SwarmScenario,
+    cfg: HostConfig,
+    deadline: Duration,
+) -> Result<(), String> {
+    let protocol: SwarmNode<S> = scenario.build_node(id)?;
 
     let any_port: SocketAddr = "127.0.0.1:0"
         .parse()
@@ -130,7 +142,7 @@ fn run() -> Result<(), String> {
     while !quit && start.elapsed() < deadline {
         host.step().map_err(|e| format!("step: {e}"))?;
         if last_report.elapsed() >= REPORT_EVERY {
-            send_report(&control, control_addr, &host, &image);
+            send_report(&control, control_addr, &host);
             last_report = Instant::now();
         }
         let mut buf = [0u8; 256];
@@ -142,18 +154,17 @@ fn run() -> Result<(), String> {
     }
     // Final report, repeated: the control channel is UDP too.
     for _ in 0..3 {
-        send_report(&control, control_addr, &host, &image);
+        send_report(&control, control_addr, &host);
     }
     Ok(())
 }
 
-fn send_report(
+fn send_report<S: Matched>(
     control: &UdpSocket,
     to: SocketAddr,
-    host: &Host<SwarmNode, UdpTransport>,
-    image: &[u8],
+    host: &Host<SwarmNode<S>, UdpTransport>,
 ) {
-    let status = host.protocol().status(image);
+    let status = host.protocol().status();
     let counters = host.report();
     let line = NodeReport {
         id: host.id().0,

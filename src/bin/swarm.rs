@@ -22,9 +22,11 @@
 //! Writes `results/swarm.json`.
 
 use lr_seluge_repro::swarm::{
-    asymmetry_plan, LossyLinks, NodeReport, ReorderRelay, SchemeKind, SwarmScenario, CONTROL_QUIT,
+    asymmetry_plan, LossyLinks, NodeReport, ReorderRelay, SwarmScenario, CONTROL_QUIT,
 };
-use lrs_bench::{write_json, Cli, Json};
+use lrs_bench::capsules::{LrScheme, SelugeScheme};
+use lrs_bench::{with_scheme, write_json, Cli, Json};
+use lrs_deluge::deployment::SchemeFamily;
 use lrs_host::{decode_frame, NodeId, SimTime};
 use lrs_netsim::fault::PPM_ONE;
 use std::collections::HashMap;
@@ -85,7 +87,7 @@ struct SwarmConfig {
 
 /// Outcome of one scheme's swarm run.
 struct SwarmRun {
-    scheme: SchemeKind,
+    scheme: &'static str,
     wall_s: f64,
     reports: Vec<NodeReport>,
 }
@@ -151,6 +153,7 @@ fn spawn_node(
     id: u32,
     proxy: SocketAddr,
     control: SocketAddr,
+    scheme: &str,
     scenario: &SwarmScenario,
     cfg: &SwarmConfig,
 ) -> Result<Child, String> {
@@ -163,7 +166,7 @@ fn spawn_node(
             "--control",
             &control.to_string(),
             "--scheme",
-            scenario.scheme.label(),
+            scheme,
             "--profile",
             &scenario.profile,
             "--image-bytes",
@@ -185,7 +188,11 @@ fn spawn_node(
 
 /// Runs one scheme's swarm end-to-end and verifies every node against
 /// the scenario's expected digest.
-fn run_swarm(scenario: &SwarmScenario, cfg: &SwarmConfig) -> Result<SwarmRun, String> {
+fn run_swarm(
+    scheme: &'static str,
+    scenario: &SwarmScenario,
+    cfg: &SwarmConfig,
+) -> Result<SwarmRun, String> {
     let expected_digest = scenario.expected_digest()?;
     let node_bin = std::env::current_exe()
         .map_err(|e| format!("current_exe: {e}"))?
@@ -232,7 +239,7 @@ fn run_swarm(scenario: &SwarmScenario, cfg: &SwarmConfig) -> Result<SwarmRun, St
 
     println!(
         "[{}] spawning {} node processes (proxy {}, control {}, {} degraded links)",
-        scenario.scheme.label(),
+        scheme,
         cfg.nodes,
         proxy_addr,
         control_addr,
@@ -246,6 +253,7 @@ fn run_swarm(scenario: &SwarmScenario, cfg: &SwarmConfig) -> Result<SwarmRun, St
             id,
             proxy_addr,
             control_addr,
+            scheme,
             scenario,
             cfg,
         )?);
@@ -271,7 +279,7 @@ fn run_swarm(scenario: &SwarmScenario, cfg: &SwarmConfig) -> Result<SwarmRun, St
         if last_progress.elapsed() >= Duration::from_secs(2) {
             println!(
                 "[{}] t={:.1}s: {}/{} complete, {} reporting",
-                scenario.scheme.label(),
+                scheme,
                 start.elapsed().as_secs_f64(),
                 complete,
                 cfg.nodes,
@@ -317,7 +325,7 @@ fn run_swarm(scenario: &SwarmScenario, cfg: &SwarmConfig) -> Result<SwarmRun, St
             .collect();
         return Err(format!(
             "[{}] deadline ({:?}) exceeded with {}/{} complete; incomplete nodes: {:?}",
-            scenario.scheme.label(),
+            scheme,
             cfg.deadline,
             cfg.nodes - missing.len() as u32,
             cfg.nodes,
@@ -345,13 +353,13 @@ fn run_swarm(scenario: &SwarmScenario, cfg: &SwarmConfig) -> Result<SwarmRun, St
     reports.sort_by_key(|r| r.id);
     println!(
         "[{}] {} nodes complete in {:.1} s wall; all digests match {}",
-        scenario.scheme.label(),
+        scheme,
         cfg.nodes,
         wall_s,
         &expected_digest[..16],
     );
     Ok(SwarmRun {
-        scheme: scenario.scheme,
+        scheme,
         wall_s,
         reports,
     })
@@ -407,10 +415,10 @@ fn run() -> Result<(), String> {
             return Err(format!("{name} {ppm} exceeds {PPM_ONE} (= certainty)"));
         }
     }
-    let schemes: Vec<SchemeKind> = match cli.value("--scheme").unwrap_or("both") {
-        "both" => vec![SchemeKind::LrSeluge, SchemeKind::Seluge],
-        name => vec![SchemeKind::parse(name)
-            .ok_or_else(|| format!("bad --scheme {name:?}; use lr-seluge, seluge, or both"))?],
+    let schemes: Vec<&'static str> = match cli.value("--scheme").unwrap_or("both") {
+        "both" => vec![LrScheme::NAME, SelugeScheme::NAME],
+        name => vec![with_scheme!(name, S => S::NAME)
+            .map_err(|e| format!("bad --scheme: {e}, or \"both\""))?],
     };
     let image_len = cli
         .parsed_or::<usize>("--image-bytes", 2048)
@@ -419,17 +427,15 @@ fn run() -> Result<(), String> {
         .parsed_or::<u64>("--seed", 7)
         .map_err(|e| e.to_string())?;
     let profile = cli.value("--profile").unwrap_or("campaign").to_string();
-
     let mut runs = Vec::new();
+    let scenario = SwarmScenario {
+        profile,
+        image_len,
+        key_context: "swarm keys".to_string(),
+        seed,
+    };
     for scheme in schemes {
-        let scenario = SwarmScenario {
-            scheme,
-            profile: profile.clone(),
-            image_len,
-            key_context: "swarm keys".to_string(),
-            seed,
-        };
-        runs.push(run_swarm(&scenario, &cfg)?);
+        runs.push(run_swarm(scheme, &scenario, &cfg)?);
     }
 
     let rows: Vec<Json> = runs
@@ -439,7 +445,7 @@ fn run() -> Result<(), String> {
             let rx: u64 = run.reports.iter().map(|r| r.rx_frames).sum();
             let rejected: u64 = run.reports.iter().map(|r| r.rx_rejected).sum();
             Json::Obj(vec![
-                ("scheme".into(), Json::str(run.scheme.label())),
+                ("scheme".into(), Json::str(run.scheme)),
                 ("nodes".into(), Json::num(run.reports.len() as u32)),
                 ("wall_s".into(), Json::num(run.wall_s)),
                 ("tx_frames".into(), Json::num(tx as f64)),

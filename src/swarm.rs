@@ -7,13 +7,13 @@
 //! over localhost UDP through a seeded lossy proxy. This module holds
 //! everything both sides must agree on:
 //!
-//! * [`SwarmScenario`] — the deterministic recipe (scheme, parameter
-//!   profile, image length, key context, seed) from which every process
+//! * [`SwarmScenario`] — the deterministic recipe (parameter profile,
+//!   image length, key context, seed) from which every process
 //!   independently reconstructs the same keys, artifacts, and expected
 //!   image, exactly as the capsule registry does for sim replays.
-//! * [`SwarmNode`] — a scheme-erased protocol node plus the artifacts
-//!   needed to self-check the sim's invariants (final image identity,
-//!   authenticated-only buffering) at the end of a run.
+//! * [`SwarmNode`] — a protocol node of any scheme family plus its
+//!   deployment, to self-check the sim's invariants (final image
+//!   identity, authenticated-only buffering) at the end of a run.
 //! * [`NodeReport`] / [`CONTROL_QUIT`] — the line-oriented control
 //!   protocol between node processes and the swarm harness.
 //! * [`LossyLinks`] — the proxy's seeded loss model: uniform
@@ -21,57 +21,25 @@
 //!   asymmetry expressed in the simulator's `FaultPlan` vocabulary
 //!   (`Degrade`/`LinkDown`/`LinkUp`).
 
-use lr_seluge::deployment::{Deployment, LrNode};
-use lr_seluge::LrSelugeParams;
-use lrs_bench::capsules::{
-    attack_params, campaign_params, chaos_params, scale_image, scale_params,
-};
-use lrs_bench::runner::{matched_seluge_params, test_image};
+use lrs_bench::capsules::{profile_deployment, profile_image};
+use lrs_bench::Matched;
 use lrs_crypto::sha256::sha256;
+use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
 use lrs_host::node::{Context, NodeId, Protocol, TimerId};
 use lrs_host::time::SimTime;
 use lrs_netsim::fault::{FaultEvent, FaultPlan, PPM_ONE};
 use lrs_rng::DetRng;
-use lrs_seluge::{SelugeDeployment, SelugeNode};
 use std::collections::HashMap;
-
-/// Which dissemination scheme a swarm runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SchemeKind {
-    /// The paper's protocol.
-    LrSeluge,
-    /// The fixed-packet baseline.
-    Seluge,
-}
-
-impl SchemeKind {
-    /// Parses a scheme name as used on the command line.
-    pub fn parse(s: &str) -> Option<SchemeKind> {
-        match s {
-            "lr-seluge" | "lr" => Some(SchemeKind::LrSeluge),
-            "seluge" => Some(SchemeKind::Seluge),
-            _ => None,
-        }
-    }
-
-    /// Canonical name.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchemeKind::LrSeluge => "lr-seluge",
-            SchemeKind::Seluge => "seluge",
-        }
-    }
-}
 
 /// The deterministic recipe every process reconstructs its world from.
 ///
 /// Mirrors the capsule registry's scenario tags: the same (profile,
 /// image_len, key_context) triple produces bit-identical keys,
-/// artifacts, and images here and in sim replays.
+/// artifacts, and images here and in sim replays, through the same
+/// registry (`lrs_bench::capsules`). The scheme is a type parameter of
+/// [`build_node`](Self::build_node), not data.
 #[derive(Clone, Debug)]
 pub struct SwarmScenario {
-    /// Scheme under test.
-    pub scheme: SchemeKind,
     /// Parameter profile from the capsule registry ("chaos", "scale",
     /// "campaign", "attack").
     pub profile: String,
@@ -84,26 +52,9 @@ pub struct SwarmScenario {
 }
 
 impl SwarmScenario {
-    /// The LR-Seluge parameter set for this profile.
-    pub fn params(&self) -> Result<LrSelugeParams, String> {
-        match self.profile.as_str() {
-            "chaos" => Ok(chaos_params(self.image_len)),
-            "scale" => Ok(scale_params(self.image_len)),
-            "campaign" => Ok(campaign_params(self.image_len)),
-            "attack" => Ok(attack_params(self.image_len)),
-            other => Err(format!(
-                "unknown parameter profile {other:?}; known: chaos, scale, campaign, attack"
-            )),
-        }
-    }
-
     /// The image being disseminated.
     pub fn image(&self) -> Result<Vec<u8>, String> {
-        match self.profile.as_str() {
-            "chaos" | "campaign" | "attack" => Ok(test_image(self.image_len)),
-            "scale" => Ok(scale_image(self.image_len)),
-            other => Err(format!("unknown parameter profile {other:?}")),
-        }
+        profile_image(&self.profile, self.image_len)
     }
 
     /// Hex SHA-256 of the image — what every completed node must hold.
@@ -111,127 +62,66 @@ impl SwarmScenario {
         Ok(sha256(&self.image()?).to_hex())
     }
 
-    /// Builds the protocol node for `id` (node 0 is the base station).
-    pub fn build_node(&self, id: NodeId) -> Result<SwarmNode, String> {
-        let params = self.params()?;
-        let image = self.image()?;
-        let context = self.key_context.as_bytes();
-        match self.scheme {
-            SchemeKind::LrSeluge => {
-                let deployment = Deployment::try_new(&image, params, context)
-                    .map_err(|e| format!("deployment: {e}"))?;
-                let node = deployment.node(id, NodeId(0));
-                Ok(SwarmNode::Lr { node, deployment })
-            }
-            SchemeKind::Seluge => {
-                let deployment =
-                    SelugeDeployment::new(&image, matched_seluge_params(&params), context);
-                let node = deployment.node(id, NodeId(0));
-                Ok(SwarmNode::Seluge { node, deployment })
-            }
-        }
+    /// Builds scheme family `S`'s protocol node for `id` (node 0 is the
+    /// base station).
+    pub fn build_node<S: Matched>(&self, id: NodeId) -> Result<SwarmNode<S>, String> {
+        let deployment = profile_deployment::<S>(&self.profile, self.image_len, &self.key_context)?;
+        Ok(SwarmNode {
+            node: deployment.node(id, NodeId(0)),
+            deployment,
+        })
     }
 }
 
-/// A scheme-erased protocol node bundled with the artifacts needed to
-/// re-run the sim checker's invariants locally.
-// One SwarmNode exists per process (or per loopback host thread), so
-// the variant size gap is irrelevant; boxing would only add noise.
-#[allow(clippy::large_enum_variant)]
-pub enum SwarmNode {
-    /// LR-Seluge node plus its deployment (source of `LrArtifacts`).
-    Lr {
-        /// The protocol state machine.
-        node: LrNode,
-        /// Deployment artifacts for invariant checking.
-        deployment: Deployment,
-    },
-    /// Seluge node plus its deployment (source of `SelugeArtifacts`).
-    Seluge {
-        /// The protocol state machine.
-        node: SelugeNode,
-        /// Deployment artifacts for invariant checking.
-        deployment: SelugeDeployment,
-    },
+/// A protocol node bundled with its deployment, the origin against
+/// which the sim checker's invariants are re-run locally.
+pub struct SwarmNode<S: SchemeFamily> {
+    node: Node<S>,
+    deployment: Deployment<S>,
 }
 
-impl SwarmNode {
+impl<S: SchemeFamily> SwarmNode<S> {
     /// Self-check: completion, the sim checker's per-node invariants
-    /// (buffered content must be authenticated content), and the hex
-    /// digest of the reassembled image when complete.
-    pub fn status(&self, expected_image: &[u8]) -> NodeStatus {
-        let (complete, invariants_ok, image) = match self {
-            SwarmNode::Lr { node, deployment } => (
-                node.is_complete(),
-                node.scheme()
-                    .verify_invariants(deployment.artifacts(), expected_image)
-                    .is_ok(),
-                node.scheme().image(),
-            ),
-            SwarmNode::Seluge { node, deployment } => (
-                node.is_complete(),
-                node.scheme()
-                    .verify_invariants(deployment.artifacts(), expected_image)
-                    .is_ok(),
-                node.scheme().image(),
-            ),
-        };
+    /// (buffered content must be authenticated content, a complete
+    /// node's image is the origin image), and the hex digest of the
+    /// reassembled image when complete.
+    pub fn status(&self) -> NodeStatus {
+        let scheme = self.node.scheme();
         NodeStatus {
-            complete,
-            invariants_ok,
-            digest: image.map(|img| sha256(&img).to_hex()),
+            complete: self.node.is_complete(),
+            invariants_ok: self.deployment.verify(scheme).is_ok(),
+            digest: scheme.image().map(|img| sha256(&img).to_hex()),
         }
     }
 }
 
-impl Protocol for SwarmNode {
+impl<S: SchemeFamily> Protocol for SwarmNode<S> {
     fn on_init(&mut self, ctx: &mut Context<'_>) {
-        match self {
-            SwarmNode::Lr { node, .. } => node.on_init(ctx),
-            SwarmNode::Seluge { node, .. } => node.on_init(ctx),
-        }
+        self.node.on_init(ctx)
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, from: NodeId, data: &[u8]) {
-        match self {
-            SwarmNode::Lr { node, .. } => node.on_packet(ctx, from, data),
-            SwarmNode::Seluge { node, .. } => node.on_packet(ctx, from, data),
-        }
+        self.node.on_packet(ctx, from, data)
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerId) {
-        match self {
-            SwarmNode::Lr { node, .. } => node.on_timer(ctx, timer),
-            SwarmNode::Seluge { node, .. } => node.on_timer(ctx, timer),
-        }
+        self.node.on_timer(ctx, timer)
     }
 
     fn is_complete(&self) -> bool {
-        match self {
-            SwarmNode::Lr { node, .. } => node.is_complete(),
-            SwarmNode::Seluge { node, .. } => node.is_complete(),
-        }
+        self.node.is_complete()
     }
 
     fn on_reboot(&mut self, ctx: &mut Context<'_>) {
-        match self {
-            SwarmNode::Lr { node, .. } => node.on_reboot(ctx),
-            SwarmNode::Seluge { node, .. } => node.on_reboot(ctx),
-        }
+        self.node.on_reboot(ctx)
     }
 
     fn progress(&self) -> u64 {
-        match self {
-            SwarmNode::Lr { node, .. } => node.progress(),
-            SwarmNode::Seluge { node, .. } => node.progress(),
-        }
+        self.node.progress()
     }
 
     fn diagnostic(&self) -> String {
-        match self {
-            SwarmNode::Lr { node, .. } => node.diagnostic(),
-            SwarmNode::Seluge { node, .. } => node.diagnostic(),
-        }
+        self.node.diagnostic()
     }
 }
 
@@ -545,6 +435,7 @@ pub fn asymmetry_plan(nodes: u32, link_frac_ppm: u32, keep_ppm: u32, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrs_bench::capsules::{LrScheme, SelugeScheme};
 
     #[test]
     fn report_round_trips() {
@@ -682,7 +573,6 @@ mod tests {
     #[test]
     fn scenario_is_deterministic_across_reconstructions() {
         let scenario = SwarmScenario {
-            scheme: SchemeKind::LrSeluge,
             profile: "campaign".into(),
             image_len: 512,
             key_context: "swarm test".into(),
@@ -692,12 +582,30 @@ mod tests {
         let b = scenario.expected_digest().expect("digest");
         assert_eq!(a, b);
         // Both schemes construct nodes for the same scenario.
-        assert!(scenario.build_node(NodeId(0)).is_ok());
-        let seluge = SwarmScenario {
-            scheme: SchemeKind::Seluge,
-            ..scenario
-        };
-        assert!(seluge.build_node(NodeId(1)).is_ok());
+        assert!(scenario.build_node::<LrScheme>(NodeId(0)).is_ok());
+        assert!(scenario.build_node::<SelugeScheme>(NodeId(1)).is_ok());
+    }
+
+    #[test]
+    fn unbuildable_images_are_errors_for_both_schemes() {
+        // Empty, and past the u16 item space (at 23 069 728 bytes,
+        // 65 539 pages of 352, LR-Seluge's count used to wrap to 3 and
+        // the base station signed a 1 056-byte image).
+        for image_len in [0, 30_000_000] {
+            let scenario = SwarmScenario {
+                profile: "campaign".into(),
+                image_len,
+                key_context: "swarm test".into(),
+                seed: 9,
+            };
+            for err in [
+                scenario.build_node::<LrScheme>(NodeId(0)).err(),
+                scenario.build_node::<SelugeScheme>(NodeId(0)).err(),
+            ] {
+                let err = err.expect("must not build");
+                assert!(err.starts_with("deployment: "), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -1,46 +1,92 @@
 //! Cross-scheme integration tests: LR-Seluge vs Seluge vs Deluge on the
 //! same images, topologies and loss processes.
 
-use lr_seluge::LrSelugeParams;
-use lrs_bench::{average, matched_seluge_params, run_deluge, run_lr, run_seluge, RunSpec};
-use lrs_deluge::bootstrap::DeploymentKeys;
-use lrs_deluge::image::ImageParams;
+use lr_seluge::LrScheme;
+use lrs_bench::capsules::{scale_params as small_lr, Population};
+use lrs_bench::runner::{simulate, test_image};
+use lrs_bench::{average, matched_seluge_params, run_lr, run_seluge, Matched, RunSpec};
+use lrs_deluge::bootstrap::{DeploymentKeys, PacketDigestCache};
+use lrs_deluge::deployment::Deployment;
+use lrs_deluge::image::DelugeScheme;
+use lrs_netsim::node::NodeId;
+use lrs_seluge::SelugeScheme;
 
-fn small_lr(image_len: usize) -> LrSelugeParams {
-    // Rate 2.0: with only k = 8 blocks per page, the rate-1.5 knee sits
-    // at p = 1/3 and p = 0.4 needs a second round per page; the paper's
-    // k = 32 pages concentrate much better. The small test geometry
-    // compensates with a higher rate.
-    LrSelugeParams {
-        image_len,
-        k: 8,
-        n: 16,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 6,
-        ..LrSelugeParams::default()
+/// What every scheme family owes the harnesses written over it: a
+/// one-hop run completes with the base station and every receiver
+/// holding the image and `verify_invariants` clean on all of them,
+/// derivation from other seed material is a different deployment whose
+/// origin the nodes do not match (vacuously fine for Deluge, which
+/// authenticates nothing), the digest memo is observational, and an
+/// image the `u16` item space cannot address, an empty one and a
+/// mismatched one are typed errors rather than a wrapped page count.
+fn family_contract<S: Matched>() {
+    let name = S::NAME;
+    let lr = small_lr(2048);
+    let params = S::matched(&lr);
+    let image = test_image(lr.image_len);
+    let deployment = Deployment::<S>::new(&image, params, b"contract keys");
+
+    let done = simulate(
+        &Population::honest(deployment.clone()),
+        RunSpec::one_hop(4, 0.1).setup(1),
+    );
+    assert!(done.report.all_complete, "{name}: one-hop run stalled");
+    assert_eq!(done.honest().count(), 5, "{name}");
+    let other = Deployment::<S>::new(&image, params, b"other keys");
+    let signs = deployment.attacker_profile(false).sig_body_len > 0;
+    for (id, node) in done.honest() {
+        let scheme = node.scheme();
+        assert_eq!(scheme.image().as_deref(), Some(&image[..]), "{name} {id:?}");
+        assert_eq!(deployment.verify(scheme), Ok(()), "{name} {id:?}");
+        assert_eq!(other.verify(scheme).is_err(), signs, "{name} {id:?}");
     }
+
+    // Feed a receiver the base station's packets in order, with and
+    // without the memo: same dispositions, same per-node `hashes`.
+    let feed = |cache: Option<&PacketDigestCache>| {
+        let mut base = deployment.node(NodeId(0), NodeId(0));
+        let mut rx = match cache {
+            Some(cache) => deployment.node_cached(NodeId(1), NodeId(0), cache),
+            None => deployment.node(NodeId(1), NodeId(0)),
+        };
+        let mut dispositions = Vec::new();
+        for item in 0..base.scheme().num_items() {
+            for index in 0..base.scheme().item_packets(item) {
+                let payload = base.scheme_mut().packet_payload(item, index).expect("base");
+                if rx.scheme().complete_items() == item {
+                    dispositions.push(rx.scheme_mut().handle_packet(item, index, &payload));
+                }
+            }
+        }
+        assert_eq!(rx.scheme().image().as_deref(), Some(&image[..]), "{name}");
+        (dispositions, rx.scheme().cost().hashes)
+    };
+    let cache = PacketDigestCache::default();
+    deployment.warm_digest_cache(&cache);
+    assert_eq!(feed(None), feed(Some(&cache)), "{name}");
+
+    let too_long = vec![0u8; lr.image_len + 1];
+    for (bad, why) in [(&[][..], "empty"), (&too_long[..], "mismatched")] {
+        assert!(
+            Deployment::<S>::try_new(bad, params, b"contract keys").is_err(),
+            "{name}: {why} image"
+        );
+    }
+    // More pages than `u16` items can address: at 48c2dc1 the count
+    // wrapped and a truncated image was signed. The check runs before
+    // any page is built, so the huge image costs one allocation.
+    let huge = vec![0u8; 30_000_000];
+    let err = Deployment::<S>::try_new(&huge, S::matched(&small_lr(huge.len())), b"contract keys")
+        .err()
+        .unwrap_or_else(|| panic!("{name}: unaddressable image accepted"));
+    assert!(err.to_string().contains("addressable"), "{name}: {err}");
 }
 
 #[test]
 fn all_three_protocols_complete_one_hop() {
-    let spec = RunSpec::one_hop(4, 0.1);
-    let lr = run_lr(&spec, small_lr(2048), 1);
-    assert_eq!(lr.completed, 1.0);
-    let s = run_seluge(&spec, matched_seluge_params(&small_lr(2048)), 1);
-    assert_eq!(s.completed, 1.0);
-    let d = run_deluge(
-        &spec,
-        ImageParams {
-            version: 1,
-            image_len: 2048,
-            packets_per_page: 8,
-            payload_len: 56,
-        },
-        1,
-    );
-    assert_eq!(d.completed, 1.0);
+    family_contract::<LrScheme>();
+    family_contract::<SelugeScheme>();
+    family_contract::<DelugeScheme>();
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! capsules from the watchdog, divergence bisection, and delta-debugged
 //! chaos-scenario shrinking.
 
-use lr_seluge::{Deployment, LrSelugeParams};
-use lrs_bench::capsules::{replay_capsule, ScenarioTags};
+use lr_seluge::Deployment;
+use lrs_bench::capsules::{replay_capsule, scale_params as small_lr, ScenarioTags};
 use lrs_bench::matched_seluge_params;
 use lrs_netsim::capsule::{Capsule, EngineDigest, RunDigest, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::fault::FaultPlan;
@@ -24,19 +24,6 @@ use std::path::PathBuf;
 
 fn deadline() -> Duration {
     Duration::from_secs(100_000)
-}
-
-fn small_lr(image_len: usize) -> LrSelugeParams {
-    LrSelugeParams {
-        image_len,
-        k: 8,
-        n: 16,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 6,
-        ..LrSelugeParams::default()
-    }
 }
 
 fn test_image(len: usize) -> Vec<u8> {

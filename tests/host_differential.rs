@@ -11,8 +11,10 @@
 //! This is the loopback (no-UDP) version of what the `swarm` binary
 //! asserts across OS processes, fast enough for tier-1 CI.
 
+use lr_seluge_repro::lrs_bench::capsules::{LrScheme, SelugeScheme};
+use lr_seluge_repro::lrs_bench::Matched;
 use lr_seluge_repro::lrs_host::{ChannelTransport, Host, HostConfig, NodeId};
-use lr_seluge_repro::swarm::{LossyLinks, NodeStatus, SchemeKind, SwarmScenario};
+use lr_seluge_repro::swarm::{LossyLinks, NodeStatus, SwarmNode, SwarmScenario};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::sim::Outcome;
 use lrs_netsim::time::Duration as SimDuration;
@@ -24,9 +26,8 @@ use std::time::Duration;
 
 const NODES: usize = 5;
 
-fn scenario(scheme: SchemeKind) -> SwarmScenario {
+fn scenario() -> SwarmScenario {
     SwarmScenario {
-        scheme,
         profile: "campaign".into(),
         image_len: 768,
         key_context: "loopback differential".into(),
@@ -36,13 +37,12 @@ fn scenario(scheme: SchemeKind) -> SwarmScenario {
 
 /// Runs the scenario in the discrete-event simulator and harvests each
 /// node's final status.
-fn run_sim(scenario: &SwarmScenario) -> Vec<NodeStatus> {
-    let image = scenario.image().expect("image");
+fn run_sim<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
     let run = SimBuilder::new(Topology::star(NODES), scenario.seed, |id| {
-        scenario.build_node(id).expect("node")
+        scenario.build_node::<S>(id).expect("node")
     })
-    .run_sharded(SimDuration::from_secs(10_000), |_, node| {
-        node.status(&image)
+    .run_sharded(SimDuration::from_secs(10_000), |_, node: &SwarmNode<S>| {
+        node.status()
     });
     assert_eq!(run.report.outcome, Outcome::Complete, "sim run completed");
     run.harvest
@@ -50,8 +50,7 @@ fn run_sim(scenario: &SwarmScenario) -> Vec<NodeStatus> {
 
 /// Runs the scenario on real-time hosts wired through an in-process
 /// lossy router and harvests each node's final status.
-fn run_hosts(scenario: &SwarmScenario) -> Vec<NodeStatus> {
-    let image = Arc::new(scenario.image().expect("image"));
+fn run_hosts<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
     let cfg = HostConfig {
         // 50x so the protocol's multi-second timers fire every few
         // tens of milliseconds: the whole dissemination takes ~1 s.
@@ -97,11 +96,10 @@ fn run_hosts(scenario: &SwarmScenario) -> Vec<NodeStatus> {
         let transport = ChannelTransport::new(to_router.clone(), rx);
         let scenario = scenario.clone();
         let done = Arc::clone(&done);
-        let image = Arc::clone(&image);
         threads.push(std::thread::spawn(move || {
             // The LR node's digest memo is Rc-based, so the protocol is
             // built inside its thread, as the sharded engine does.
-            let protocol = scenario.build_node(NodeId(id as u32)).expect("node");
+            let protocol = scenario.build_node::<S>(NodeId(id as u32)).expect("node");
             let mut host = Host::new(NodeId(id as u32), protocol, transport, scenario.seed, cfg);
             host.run(Duration::from_secs(60)).expect("host run");
             done.fetch_add(1, Ordering::SeqCst);
@@ -110,7 +108,7 @@ fn run_hosts(scenario: &SwarmScenario) -> Vec<NodeStatus> {
             while done.load(Ordering::SeqCst) < NODES {
                 host.step().expect("host step");
             }
-            host.protocol().status(&image)
+            host.protocol().status()
         }));
     }
     drop(to_router);
@@ -122,35 +120,36 @@ fn run_hosts(scenario: &SwarmScenario) -> Vec<NodeStatus> {
     statuses
 }
 
-fn differential(scheme: SchemeKind) {
-    let scenario = scenario(scheme);
+fn differential<S: Matched>() {
+    let scenario = scenario();
+    let scheme = S::NAME;
     let expected = scenario.expected_digest().expect("digest");
-    let sim = run_sim(&scenario);
-    let hosts = run_hosts(&scenario);
+    let sim = run_sim::<S>(&scenario);
+    let hosts = run_hosts::<S>(&scenario);
     assert_eq!(sim.len(), NODES);
     assert_eq!(hosts.len(), NODES);
     for (id, (s, h)) in sim.iter().zip(&hosts).enumerate() {
-        assert!(s.complete, "{scheme:?} sim node {id} complete");
-        assert!(h.complete, "{scheme:?} host node {id} complete");
-        assert!(s.invariants_ok, "{scheme:?} sim node {id} invariants");
-        assert!(h.invariants_ok, "{scheme:?} host node {id} invariants");
+        assert!(s.complete, "{scheme} sim node {id} complete");
+        assert!(h.complete, "{scheme} host node {id} complete");
+        assert!(s.invariants_ok, "{scheme} sim node {id} invariants");
+        assert!(h.invariants_ok, "{scheme} host node {id} invariants");
         assert_eq!(
             s.digest.as_deref(),
             Some(expected.as_str()),
-            "{scheme:?} sim node {id} image"
+            "{scheme} sim node {id} image"
         );
         // The load-bearing agreement: both drivers left every node
         // holding the byte-identical image.
-        assert_eq!(s, h, "{scheme:?} node {id} end state diverges");
+        assert_eq!(s, h, "{scheme} node {id} end state diverges");
     }
 }
 
 #[test]
 fn lr_seluge_sim_and_hosts_agree() {
-    differential(SchemeKind::LrSeluge);
+    differential::<LrScheme>();
 }
 
 #[test]
 fn seluge_sim_and_hosts_agree() {
-    differential(SchemeKind::Seluge);
+    differential::<SelugeScheme>();
 }

@@ -13,7 +13,8 @@
 //! cargo test --release --test sharding -- --ignored
 //! ```
 
-use lr_seluge::{Deployment, LrSelugeParams};
+use lr_seluge::Deployment;
+use lrs_bench::capsules::scale_params as small_lr;
 use lrs_bench::matched_seluge_params;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::node::NodeId;
@@ -28,19 +29,6 @@ use lrs_seluge::SelugeDeployment;
 const FAST_SHARDS: [usize; 3] = [1, 2, 4];
 /// Full-sweep shard counts, the original tier: adds the 8-way split.
 const FULL_SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-fn small_lr(image_len: usize) -> LrSelugeParams {
-    LrSelugeParams {
-        image_len,
-        k: 8,
-        n: 16,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 6,
-        ..LrSelugeParams::default()
-    }
-}
 
 fn test_image(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 31 % 251) as u8).collect()
