@@ -27,14 +27,13 @@
 //!     quiet/crashy faults × 3 seeds) into results/campaign-smoke.
 //! ```
 //!
-//! Jobs that end diagnostically (stalled, invariant violated, worker
-//! panicked) dump failure capsules under `<dir>/failures/`, loadable by
+//! Jobs that end diagnostically (stalled, invariant violated) dump
+//! failure capsules under `<dir>/failures/`, loadable by
 //! `replay --replay`.
 
 use lrs_bench::campaign::{Campaign, CampaignReport, JOB_LOG, REPORT};
 use lrs_bench::capsules::replay_capsule;
 use lrs_bench::{CampaignSpec, Cli, Json};
-use lrs_netsim::capsule::EngineDigest;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -181,12 +180,7 @@ fn run() -> Result<ExitCode, String> {
         let mut capsule = campaign.job_capsule(job)?;
         // Execute the job once to pin its digest, so `replay --replay`
         // has something to verify against.
-        let run = replay_capsule(&capsule, &capsule.engine.clone(), capsule.shards)?;
-        capsule.digests.push(EngineDigest {
-            engine: run.engine,
-            shards: run.shards,
-            digest: run.digest,
-        });
+        capsule.digest = Some(replay_capsule(&capsule)?.digest);
         print!("{}", capsule.to_jsonl());
         return Ok(ExitCode::SUCCESS);
     }

@@ -1,47 +1,37 @@
-//! Flight-recorder front-end: capture, replay, and bisect run capsules.
+//! Flight-recorder front-end: capture and replay run capsules.
 //!
 //! A capsule (`lrs_netsim::capsule`) records everything needed to
 //! re-execute a simulation bit-identically — seed, config, sampled
-//! topology, fault schedule, scenario tags, and per-engine run digests.
+//! topology, fault schedule, scenario tags, and the run digest.
 //! This binary drives the whole loop from the command line:
 //!
 //! ```text
 //! replay --capture <path> [--scheme lr-seluge|seluge] [--seed N] [--image-bytes N]
-//!     Run a small chaos-profile scenario on both engines and save a
-//!     capsule with both digests (extension lrsc/bin → framed binary,
-//!     anything else → JSONL).
+//!     Run a small chaos-profile scenario and save a capsule with its
+//!     digest (extension lrsc/bin → framed binary, anything else →
+//!     JSONL).
 //!
-//! replay --replay <path> [--engine sequential|sharded] [--shards N]
+//! replay --replay <path>
 //!     Load a capsule, reconstruct its node population from the
 //!     scenario tags, re-execute, and verify the recomputed digest
 //!     against the recorded one. Exits 1 on divergence.
 //!
-//! replay --bisect <path> [--shards A,B | --engines]
-//!     Replay at two shard counts (default 1,4) and report the first
-//!     diverging OrderKey with context — or compare the sequential and
-//!     sharded engines' event orders.
-//!
 //! replay --smoke
-//!     CI gate: capture both schemes, replay each on the sequential
-//!     engine and at 1/4 shards, verify every digest, and assert the
-//!     shard bisector finds no divergence.
+//!     CI gate: capture both schemes, replay each, verify every digest.
 //! ```
 //!
-//! Capsules written by `chaos --capsule DIR` and `scale --capsule DIR`
+//! Capsules written by `chaos --capsule DIR` and the campaign engine
 //! load here directly: their scenario tags name the scheme,
 //! parameter profile, image length, and key context, which is all the
 //! registry in `lrs_bench::capsules` needs to rebuild `make_node`.
 
-use lrs_bench::capsules::{
-    bisect_capsule_engines, bisect_capsule_shards, chaos_sim_config, replay_capsule, ScenarioTags,
-};
+use lrs_bench::capsules::{chaos_sim_config, replay_capsule, ScenarioTags};
 use lrs_bench::Cli;
-use lrs_netsim::capsule::{SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
-use lrs_netsim::{verify_replay, Capsule, EngineDigest, ReplayRun};
+use lrs_netsim::{verify_replay, Capsule};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -61,24 +51,14 @@ const FLAGS: &[lrs_bench::cli::Flag] = &[
         "--replay",
         "load capsule <path>, re-execute, verify its digest",
     ),
-    lrs_bench::cli::valued("--engine", "replay engine: sequential or sharded"),
-    lrs_bench::cli::valued("--shards", "shard count (replay) or pair like 1,4 (bisect)"),
-    lrs_bench::cli::valued(
-        "--bisect",
-        "replay capsule <path> at two shard counts and diff",
-    ),
-    lrs_bench::cli::flag(
-        "--engines",
-        "bisect sequential vs sharded event orders instead",
-    ),
     lrs_bench::cli::flag(
         "--smoke",
-        "CI gate: capture + replay both schemes, assert lockstep",
+        "CI gate: capture + replay both schemes, verify digests",
     ),
 ];
 
 /// Builds and captures a demo scenario: a chaos-profile run with a
-/// small deterministic fault plan, digested on both engines.
+/// small deterministic fault plan, with its digest.
 fn capture(path: &PathBuf, scheme: &str, seed: u64, image_len: usize) -> Result<(), String> {
     let tags = ScenarioTags::new(scheme, "chaos", image_len, "chaos keys");
     let mut faults = FaultPlan::new();
@@ -95,37 +75,20 @@ fn capture(path: &PathBuf, scheme: &str, seed: u64, image_len: usize) -> Result<
     );
     let mut capsule = Capsule {
         seed,
-        engine: SHARDED_ENGINE.to_string(),
-        shards: 2,
         deadline: Duration::from_secs(5_000),
         config: chaos_sim_config(),
         topology: Topology::star(CAPTURE_NODES),
         faults,
         scenario: tags.pairs(),
-        digests: Vec::new(),
+        digest: None,
     };
-    let sequential = replay_capsule(&capsule, SEQUENTIAL_ENGINE, 1)?;
-    let sharded = replay_capsule(&capsule, SHARDED_ENGINE, 2)?;
+    let run = replay_capsule(&capsule)?;
     println!(
-        "captured {scheme} (seed {seed}, {image_len} B image): \
-         sequential {} @ {:.1} s, sharded {} @ {:.1} s",
-        sequential.digest.outcome,
-        sequential.report.final_time.as_secs_f64(),
-        sharded.digest.outcome,
-        sharded.report.final_time.as_secs_f64(),
+        "captured {scheme} (seed {seed}, {image_len} B image): {} @ {:.1} s",
+        run.digest.outcome,
+        run.report.final_time.as_secs_f64(),
     );
-    capsule.digests = vec![
-        EngineDigest {
-            engine: SEQUENTIAL_ENGINE.to_string(),
-            shards: 1,
-            digest: sequential.digest,
-        },
-        EngineDigest {
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 2,
-            digest: sharded.digest,
-        },
-    ];
+    capsule.digest = Some(run.digest);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir:?}: {e}"))?;
@@ -140,95 +103,38 @@ fn capture(path: &PathBuf, scheme: &str, seed: u64, image_len: usize) -> Result<
 
 /// Replays a loaded capsule and verifies the digest, printing a
 /// human-readable verdict. Returns `Err` on divergence.
-fn replay_and_verify(capsule: &Capsule, engine: &str, shards: usize) -> Result<ReplayRun, String> {
-    let run = replay_capsule(capsule, engine, shards)?;
-    match verify_replay(capsule, &run) {
-        Ok(()) => {
-            println!(
-                "replay OK: {engine}{} reproduced outcome {:?} at {:.1} s, \
-                 {} trace events, digests match",
-                if engine == SHARDED_ENGINE {
-                    format!(" @ {shards} shards")
-                } else {
-                    String::new()
-                },
-                run.report.outcome,
-                run.report.final_time.as_secs_f64(),
-                run.trace.len(),
-            );
-            Ok(run)
-        }
-        Err(err) => Err(format!("replay FAILED: {err}")),
-    }
+fn replay_and_verify(capsule: &Capsule) -> Result<(), String> {
+    let run = replay_capsule(capsule)?;
+    verify_replay(capsule, &run).map_err(|err| format!("replay FAILED: {err}"))?;
+    println!(
+        "replay OK: reproduced outcome {:?} at {:.1} s, {} trace events, digests match",
+        run.report.outcome,
+        run.report.final_time.as_secs_f64(),
+        run.trace.len(),
+    );
+    Ok(())
 }
 
-fn cmd_replay(cli: &Cli, path: &PathBuf) -> Result<(), String> {
+fn cmd_replay(path: &PathBuf) -> Result<(), String> {
     let capsule = Capsule::load(path).map_err(|e| format!("loading {path:?}: {e}"))?;
-    let engine = cli
-        .value("--engine")
-        .map(str::to_string)
-        .unwrap_or_else(|| capsule.engine.clone());
-    let shards = cli
-        .parsed::<usize>("--shards")
-        .map_err(|e| e.to_string())?
-        .unwrap_or(capsule.shards);
     println!(
-        "capsule: seed {}, captured on {} @ {} shard(s), {} nodes, {} fault events",
+        "capsule: seed {}, {} nodes, {} fault events",
         capsule.seed,
-        capsule.engine,
-        capsule.shards,
         capsule.topology.len(),
         capsule.faults.events().len(),
     );
-    replay_and_verify(&capsule, &engine, shards).map(|_| ())
-}
-
-fn cmd_bisect(cli: &Cli, path: &PathBuf) -> Result<(), String> {
-    let capsule = Capsule::load(path).map_err(|e| format!("loading {path:?}: {e}"))?;
-    if cli.flag("--engines") {
-        match bisect_capsule_engines(&capsule)? {
-            Some(div) => println!(
-                "sequential and sharded event orders part ways (expected by design):\n{div}"
-            ),
-            None => println!("engines produced identical event orders"),
-        }
-        return Ok(());
-    }
-    let spec = cli.value("--shards").unwrap_or("1,4");
-    let (a, b) = spec
-        .split_once(',')
-        .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)))
-        .ok_or_else(|| format!("bad --shards {spec:?}; expected two counts like 1,4"))?;
-    match bisect_capsule_shards(&capsule, a, b)? {
-        Some(div) => {
-            // A shard-count divergence is an engine bug: surface it loudly.
-            Err(format!("shard counts {a} and {b} DIVERGE:\n{div}"))
-        }
-        None => {
-            println!("shard counts {a} and {b} are lockstep-identical");
-            Ok(())
-        }
-    }
+    replay_and_verify(&capsule)
 }
 
 fn cmd_smoke() -> Result<(), String> {
     let dir = PathBuf::from("results/capsules");
-    let mut verified = 0usize;
     for scheme in ["lr-seluge", "seluge"] {
         let path = dir.join(format!("replay-smoke-{scheme}.lrsc"));
         capture(&path, scheme, 7, 2 * 1024)?;
         let capsule = Capsule::load(&path).map_err(|e| format!("loading {path:?}: {e}"))?;
-        replay_and_verify(&capsule, SEQUENTIAL_ENGINE, 1)?;
-        for shards in [1, 4] {
-            replay_and_verify(&capsule, SHARDED_ENGINE, shards)?;
-        }
-        if let Some(div) = bisect_capsule_shards(&capsule, 1, 4)? {
-            return Err(format!("{scheme}: shard counts 1 and 4 diverge:\n{div}"));
-        }
-        println!("{scheme}: shard counts 1 and 4 are lockstep-identical");
-        verified += 3;
+        replay_and_verify(&capsule)?;
     }
-    println!("replay smoke: {verified} replays verified bit-identical across both schemes");
+    println!("replay smoke: both schemes replayed bit-identically");
     Ok(())
 }
 
@@ -245,16 +151,13 @@ fn run() -> Result<(), String> {
         return capture(&PathBuf::from(path), &scheme, seed, image_len);
     }
     if let Some(path) = cli.value("--replay") {
-        return cmd_replay(&cli, &PathBuf::from(path));
-    }
-    if let Some(path) = cli.value("--bisect") {
-        return cmd_bisect(&cli, &PathBuf::from(path));
+        return cmd_replay(&PathBuf::from(path));
     }
     if cli.smoke() {
         return cmd_smoke();
     }
     Err(format!(
-        "no mode given; use --capture <path>, --replay <path>, --bisect <path>, or --smoke\n{}",
+        "no mode given; use --capture <path>, --replay <path>, or --smoke\n{}",
         cli.usage()
     ))
 }

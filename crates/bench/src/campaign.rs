@@ -10,9 +10,9 @@
 //!
 //! * any job can be exported as a bit-exact reproducer *before* it runs
 //!   ([`Campaign::job_capsule`], via `SimBuilder::capsule`);
-//! * any job that ends diagnostically (stalled, invariant violated,
-//!   worker panicked) dumps a failure capsule under `failures/`,
-//!   immediately consumable by the `replay` binary; and
+//! * any job that ends diagnostically (stalled, invariant violated)
+//!   dumps a failure capsule under `failures/`, immediately consumable
+//!   by the `replay` binary; and
 //! * the campaign state on disk is nothing but a manifest plus an
 //!   append-only completion log — kill -9 at any instant loses at most
 //!   the jobs in flight.
@@ -44,17 +44,12 @@
 
 use crate::capsules::{population, ScenarioTags};
 use crate::json::{parse_json, Json};
-use crate::runner::{
-    simulate, simulate_sharded, ExperimentMetrics, HonestTotals, Matched, SimSetup,
-};
-use crate::spec::{
-    attack_config, build_topology, fault_config, topology_nodes, CampaignSpec, CellParams,
-};
+use crate::runner::{simulate, ExperimentMetrics, Matched, SimSetup};
+use crate::spec::{attack_config, build_topology, fault_config, CampaignSpec, CellParams};
 use crate::with_scheme;
 use lrs_analysis::StreamingSummary;
 use lrs_netsim::attack::AttackPlan;
-use lrs_netsim::capsule::{Capsule, CapsuleSpec, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
-use lrs_netsim::energy::EnergyModel;
+use lrs_netsim::capsule::{Capsule, CapsuleSpec};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::time::Duration;
@@ -80,17 +75,16 @@ pub const MANIFEST_VERSION: f64 = 1.0;
 
 /// Outcome labels in fixed report order (the order of
 /// [`Outcome`](lrs_netsim::sim::Outcome)'s variants).
-pub const OUTCOME_LABELS: [&str; 6] = [
+pub const OUTCOME_LABELS: [&str; 5] = [
     "complete",
     "timed_out",
     "drained",
     "stalled",
     "invariant_violated",
-    "worker_panicked",
 ];
 
 /// Outcome labels that dump a failure capsule.
-const DIAGNOSTIC_LABELS: [&str; 3] = ["stalled", "invariant_violated", "worker_panicked"];
+const DIAGNOSTIC_LABELS: [&str; 2] = ["stalled", "invariant_violated"];
 
 /// One completed job, as logged: the unit of checkpointing.
 ///
@@ -165,7 +159,7 @@ impl JobRecord {
 /// Per-cell streaming state: O(1) per metric, O(cells) total.
 struct CellAgg {
     jobs: u64,
-    outcomes: [u64; 6],
+    outcomes: [u64; OUTCOME_LABELS.len()],
     metrics: Vec<StreamingSummary>,
     failures: Vec<usize>,
 }
@@ -174,7 +168,7 @@ impl CellAgg {
     fn new() -> Self {
         CellAgg {
             jobs: 0,
-            outcomes: [0; 6],
+            outcomes: [0; OUTCOME_LABELS.len()],
             metrics: (0..ExperimentMetrics::NAMES.len())
                 .map(|_| StreamingSummary::new())
                 .collect(),
@@ -666,36 +660,17 @@ impl Campaign {
             &topology,
             seed,
         );
-        let (engine, shards) = self.job_engine(&cell.topology)?;
         let tags = self.job_tags(cell, seed, &topology)?;
         let capsule = Capsule {
             seed,
-            engine: engine.to_string(),
-            shards,
             deadline: Duration::from_secs(self.spec.deadline_s),
             config: self.spec.sim_config(cell.loss_ppm),
             topology,
             faults,
             scenario: tags.pairs(),
-            digests: Vec::new(),
+            digest: None,
         };
         Ok((capsule, tags))
-    }
-
-    /// Engine and shard count a job on `topology` runs with: `auto`
-    /// hands grids at/above the threshold to the sharded engine.
-    fn job_engine(&self, topology: &str) -> Result<(&'static str, usize), String> {
-        let nodes = topology_nodes(topology)?;
-        let sharded = match self.spec.engine.as_str() {
-            "sharded" => true,
-            "auto" => nodes >= self.spec.sharded_threshold,
-            _ => false,
-        };
-        if sharded {
-            Ok((SHARDED_ENGINE, self.spec.shards))
-        } else {
-            Ok((SEQUENTIAL_ENGINE, 1))
-        }
     }
 
     /// Executes one job, literally its own capsule, to a loggable
@@ -713,15 +688,10 @@ impl Campaign {
     /// Scheme-generic single-job runner: one deployment per job supplies
     /// the node factory and the per-delivery invariant checker; the sim
     /// is built from the job's capsule with the flight recorder armed,
-    /// run on the engine [`job_engine`](Self::job_engine) picked, and
-    /// its metrics extracted.
+    /// run, and its metrics extracted.
     fn run_job<S: Matched>(&self, job: usize, capsule: Capsule, tags: &ScenarioTags) -> JobRecord {
         let pop = population::<S>(tags).expect("campaign profile is registered");
-        let (seed, sharded, shards) = (
-            capsule.seed,
-            capsule.engine == SHARDED_ENGINE,
-            capsule.shards,
-        );
+        let seed = capsule.seed;
         let setup = SimSetup {
             config: capsule.config,
             faults: capsule.faults,
@@ -732,25 +702,13 @@ impl Campaign {
             check_deliveries: true,
             ..SimSetup::new(capsule.topology, seed, capsule.deadline)
         };
-
-        let (report, metrics) = if sharded {
-            let run = simulate_sharded(&pop, setup, shards, HonestTotals::of);
-            let honest = run.harvest.into_iter().flatten().sum();
-            let energy_j = run.energy.total_joules(&EnergyModel::default());
-            let metrics = ExperimentMetrics::extract(&run.report, &run.metrics, energy_j, &honest);
-            (run.report, metrics)
-        } else {
-            let done = simulate(&pop, setup);
-            let metrics = done.metrics();
-            (done.report, metrics)
-        };
-
+        let done = simulate(&pop, setup);
         JobRecord {
             job,
             cell: job / self.spec.seeds as usize,
             seed,
-            outcome: report.outcome.label().to_string(),
-            metrics: metrics.named().map(|(_, value)| value),
+            outcome: done.report.outcome.label().to_string(),
+            metrics: done.metrics().named().map(|(_, value)| value),
         }
     }
 }

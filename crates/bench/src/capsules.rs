@@ -6,7 +6,7 @@
 //! replay. What the capture format *cannot* regenerate is which
 //! protocol population produced the run — that travels as free-form
 //! scenario tags. This module is the bench-side registry for those
-//! tags: the chaos/scale capture paths write them through
+//! tags: the capture paths (chaos, campaign) write them through
 //! [`ScenarioTags::apply`], and [`population`] turns them back into a
 //! [`Population`] (node factory plus invariant checker) for any scheme
 //! family; [`with_scheme!`](crate::with_scheme) is the one place a
@@ -19,16 +19,12 @@ use lrs_deluge::bootstrap::PacketDigestCache;
 use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
 use lrs_deluge::engine::EngineConfig;
 use lrs_netsim::attack::AttackPlan;
-use lrs_netsim::capsule::{SEQUENTIAL_ENGINE, SHARDED_ENGINE};
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::SimConfig;
 use lrs_netsim::time::Duration;
 use lrs_netsim::violation::InvariantViolation;
-use lrs_netsim::{
-    bisect_engines, bisect_shard_counts, replay_sequential, replay_sharded, Capsule, CapsuleSpec,
-    Divergence, ReplayRun,
-};
+use lrs_netsim::{replay, Capsule, CapsuleSpec, ReplayRun};
 
 pub use lr_seluge::LrScheme;
 pub use lrs_seluge::SelugeScheme;
@@ -36,9 +32,8 @@ pub use lrs_seluge::SelugeScheme;
 /// Evaluates `$body` with the type alias `$S` bound to the scheme
 /// family called `$name`, as `Ok(..)`; an unknown name is an `Err`
 /// string. This is the only place scheme names map to types: replay,
-/// the bisectors, the campaign engine and the `chaos`, `scale`, `node`
-/// and `swarm` binaries all dispatch through it, each into one generic
-/// function.
+/// the campaign engine and the `chaos`, `node` and `swarm` binaries all
+/// dispatch through it, each into one generic function.
 #[macro_export]
 macro_rules! with_scheme {
     ($name:expr, $S:ident => $body:expr) => {
@@ -384,7 +379,7 @@ impl<S: SchemeFamily> Population<S> {
     /// honest node against the deployment's origin (DESIGN.md §7).
     pub fn checker(
         &self,
-    ) -> impl Fn(&Member<S>, NodeId) -> Result<(), InvariantViolation> + Send + Sync + 'static {
+    ) -> impl Fn(&Member<S>, NodeId) -> Result<(), InvariantViolation> + 'static {
         let deployment = self.deployment.clone();
         move |member, _id| match member.honest() {
             Some(node) => deployment.verify(node.scheme()),
@@ -394,48 +389,12 @@ impl<S: SchemeFamily> Population<S> {
 }
 
 /// Reconstructs `capsule`'s node population from its scenario tags and
-/// re-executes it: `engine` is [`SEQUENTIAL_ENGINE`] or
-/// [`SHARDED_ENGINE`]; `shards` only applies to the latter.
-pub fn replay_capsule(capsule: &Capsule, engine: &str, shards: usize) -> Result<ReplayRun, String> {
+/// re-executes it.
+pub fn replay_capsule(capsule: &Capsule) -> Result<ReplayRun, String> {
     let tags = ScenarioTags::decode(capsule)?;
     with_scheme!(tags.scheme.as_str(), S => {
         let pop = population::<S>(&tags)?;
-        let make = |id| pop.node(id, None);
-        match engine {
-            SEQUENTIAL_ENGINE => replay_sequential(capsule, make),
-            SHARDED_ENGINE => replay_sharded(capsule, shards, make),
-            other => {
-                return Err(format!(
-                    "unknown engine {other:?}; use {SEQUENTIAL_ENGINE:?} or {SHARDED_ENGINE:?}"
-                ))
-            }
-        }
-    })
-}
-
-/// Replays `capsule` at two shard counts and reports the first
-/// diverging `OrderKey` (`None` means lockstep-identical, the invariant
-/// the sharded engine promises).
-pub fn bisect_capsule_shards(
-    capsule: &Capsule,
-    shards_a: usize,
-    shards_b: usize,
-) -> Result<Option<Divergence>, String> {
-    let tags = ScenarioTags::decode(capsule)?;
-    with_scheme!(tags.scheme.as_str(), S => {
-        let pop = population::<S>(&tags)?;
-        bisect_shard_counts(capsule, shards_a, shards_b, |id| pop.node(id, None))
-    })
-}
-
-/// Replays `capsule` on both engines and reports where their event
-/// orders part ways (expected: the engines order concurrent events
-/// differently by design).
-pub fn bisect_capsule_engines(capsule: &Capsule) -> Result<Option<Divergence>, String> {
-    let tags = ScenarioTags::decode(capsule)?;
-    with_scheme!(tags.scheme.as_str(), S => {
-        let pop = population::<S>(&tags)?;
-        bisect_engines(capsule, |id| pop.node(id, None))
+        replay(capsule, |id| pop.node(id, None))
     })
 }
 
@@ -462,14 +421,12 @@ mod tests {
         let pairs = tags.pairs();
         let capsule = Capsule {
             seed: 1,
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 2,
             deadline: Duration::from_secs(1),
             config: SimConfig::default(),
             topology: lrs_netsim::Topology::star(2),
             faults: lrs_netsim::FaultPlan::new(),
             scenario: pairs,
-            digests: Vec::new(),
+            digest: None,
         };
         assert_eq!(ScenarioTags::decode(&capsule).unwrap(), tags);
     }

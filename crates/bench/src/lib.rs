@@ -15,8 +15,7 @@
 //! | `overhead` | §V-B           | Per-receiver hashes / signature verifications / erasure ops |
 //! | `probe`    | diagnostics    | One run with per-node statistics (`LRS_TRACE=1` for a TX/SNACK trace) |
 //! | `chaos`    | robustness     | Fault-intensity sweep with invariant checking and a watchdog demo |
-//! | `scale`    | engine         | Shard-scaling sweep of the parallel engine |
-//! | `replay`   | flight recorder| Capture, replay, and bisect run capsules (see `capsules`) |
+//! | `replay`   | flight recorder| Capture and replay run capsules (see `capsules`) |
 //! | `campaign` | fleets         | Checkpointed Monte-Carlo campaigns over a grid spec (see `campaign`) |
 //! | `campdiff` | regression gate| Statistical diff of two campaign reports (see `diff`) |
 //!

@@ -16,7 +16,7 @@ use lrs_netsim::node::{NodeId, PacketKind, Protocol};
 use lrs_netsim::sim::{RunReport, SimConfig, Simulator};
 use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
-use lrs_netsim::{ShardedRun, SimBuilder};
+use lrs_netsim::SimBuilder;
 use lrs_seluge::{SelugeParams, SelugeScheme};
 
 /// The metrics the paper reports, per run (or averaged over seeds).
@@ -108,7 +108,7 @@ impl ExperimentMetrics {
     /// The one metrics extractor: network counters from the engine,
     /// per-node observables over the honest population only (with no
     /// attacker that is every node).
-    pub fn extract(report: &RunReport, m: &Metrics, energy_j: f64, honest: &HonestTotals) -> Self {
+    fn extract(report: &RunReport, m: &Metrics, energy_j: f64, honest: &HonestTotals) -> Self {
         ExperimentMetrics {
             page_data_pkts: m.tx_packets(PacketKind::Data) as f64,
             data_pkts: (m.tx_packets(PacketKind::Data)
@@ -216,7 +216,7 @@ pub fn test_image(len: usize) -> Vec<u8> {
 /// (hashes + puzzle checks + signature verifications) and completions.
 /// Attackers are excluded: degradation is measured over honest nodes.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct HonestTotals {
+struct HonestTotals {
     nodes: f64,
     sig: f64,
     rejects: f64,
@@ -226,7 +226,7 @@ pub struct HonestTotals {
 
 impl HonestTotals {
     /// One honest node's contribution.
-    pub fn of<S: Scheme, P: TxPolicy>(node: &DisseminationNode<S, P>) -> Self {
+    fn of<S: Scheme, P: TxPolicy>(node: &DisseminationNode<S, P>) -> Self {
         let cost = node.scheme().cost();
         let st = node.stats();
         HonestTotals {
@@ -283,25 +283,9 @@ impl SimSetup {
             check_deliveries: false,
         }
     }
-
-    fn builder<S: SchemeFamily, F>(self, pop: &Population<S>, make: F) -> SimBuilder<Member<S>, F> {
-        let mut builder = SimBuilder::new(self.topology, self.seed, make)
-            .config(self.config)
-            .faults(self.faults);
-        if self.check_deliveries {
-            builder = builder.invariants(pop.checker());
-        }
-        if let Some(spec) = self.capsule {
-            builder = builder.capsule_on_failure(spec.path);
-            for (key, value) in spec.scenario {
-                builder = builder.scenario(key, value);
-            }
-        }
-        builder
-    }
 }
 
-/// A finished sequential run, nodes still inspectable.
+/// A finished run, nodes still inspectable.
 pub struct Finished<S: SchemeFamily> {
     /// The simulator after the run.
     pub sim: Simulator<Member<S>>,
@@ -355,7 +339,7 @@ impl<S: SchemeFamily> Finished<S> {
     }
 }
 
-/// Runs `pop` under `setup` on the sequential engine.
+/// Runs `pop` under `setup`.
 ///
 /// One digest memo per run: a broadcast hashed by one receiver is
 /// served from memory at the others (per-node `hashes` counters are
@@ -366,32 +350,27 @@ impl<S: SchemeFamily> Finished<S> {
 pub fn simulate<S: SchemeFamily>(pop: &Population<S>, setup: SimSetup) -> Finished<S> {
     let digests = PacketDigestCache::default();
     pop.deployment().warm_digest_cache(&digests);
-    let deadline = setup.deadline;
-    let mut sim = setup
-        .builder(pop, |id| pop.node(id, Some(&digests)))
-        .build();
-    let report = sim.run(deadline);
+    let mut builder = SimBuilder::new(setup.topology, setup.seed, |id| {
+        pop.node(id, Some(&digests))
+    })
+    .config(setup.config)
+    .faults(setup.faults);
+    if setup.check_deliveries {
+        builder = builder.invariants(pop.checker());
+    }
+    if let Some(spec) = setup.capsule {
+        builder = builder.capsule_on_failure(spec.path);
+        for (key, value) in spec.scenario {
+            builder = builder.scenario(key, value);
+        }
+    }
+    let mut sim = builder.build();
+    let report = sim.run(setup.deadline);
     Finished {
         sim,
         report,
         deployment: pop.deployment().clone(),
     }
-}
-
-/// Runs `pop` under `setup` on the sharded engine, harvesting every
-/// honest node (`None` for an adversary). No shared digest memo: it is
-/// `Rc`-based and nodes are constructed inside shard worker threads.
-pub fn simulate_sharded<S: SchemeFamily, H: Send>(
-    pop: &Population<S>,
-    setup: SimSetup,
-    shards: usize,
-    harvest: impl Fn(&Node<S>) -> H + Sync,
-) -> ShardedRun<Option<H>> {
-    let deadline = setup.deadline;
-    setup
-        .builder(pop, |id| pop.node(id, None))
-        .shards(shards)
-        .run_sharded(deadline, |_, member| member.honest().map(&harvest))
 }
 
 /// Runs scheme family `S` once under `spec` and collects the metrics:

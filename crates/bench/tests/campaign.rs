@@ -7,7 +7,7 @@ use lrs_bench::campaign::{Campaign, JOB_LOG, REPORT};
 use lrs_bench::capsules::replay_capsule;
 use lrs_bench::spec::{attack_config, canonical_attack_token, canonical_fault_token, fault_config};
 use lrs_bench::{CampaignSpec, ExperimentMetrics};
-use lrs_netsim::capsule::{Capsule, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
+use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::{FaultEvent, FaultPlan};
 use lrs_netsim::node::NodeId;
 use lrs_netsim::shrink::shrink_fault_plan;
@@ -158,7 +158,7 @@ fn every_job_exports_as_a_replayable_capsule() {
     // capsule alone: the outcome must match what the campaign logged.
     for &job in &[0usize, campaign.total_jobs() - 1] {
         let capsule = campaign.job_capsule(job).expect("export");
-        let run = replay_capsule(&capsule, &capsule.engine, capsule.shards).expect("replay");
+        let run = replay_capsule(&capsule).expect("replay");
         let logged = records.iter().find(|r| r.job == job).expect("job logged");
         assert_eq!(
             run.report.outcome.label(),
@@ -301,32 +301,17 @@ fn attack_fault_sweep_completes_with_zero_violations() {
 }
 
 #[test]
-fn attacked_jobs_replay_bit_identically_on_both_engines() {
+fn attacked_jobs_replay_bit_identically() {
     let campaign = Campaign::offline(attack_spec(), PathBuf::new());
     // One job per attacker family: the attacker axis is innermost in
     // the canonical cell order, so consecutive jobs walk the vectors.
     for job in 0..5 {
         let capsule = campaign.job_capsule(job).expect("export");
-        let seq = replay_capsule(&capsule, SEQUENTIAL_ENGINE, 1).expect("sequential replay");
-        let sharded = replay_capsule(&capsule, SHARDED_ENGINE, 2).expect("sharded replay");
-        // Each engine reproduces itself bit-for-bit...
-        let seq2 = replay_capsule(&capsule, SEQUENTIAL_ENGINE, 1).expect("sequential again");
-        let sharded2 = replay_capsule(&capsule, SHARDED_ENGINE, 2).expect("sharded again");
+        let first = replay_capsule(&capsule).expect("replay");
+        let again = replay_capsule(&capsule).expect("replay again");
         assert_eq!(
-            seq.digest, seq2.digest,
-            "job {job}: sequential replay is not bit-identical under attack"
-        );
-        assert_eq!(
-            sharded.digest, sharded2.digest,
-            "job {job}: sharded replay is not bit-identical under attack"
-        );
-        // ...and the engines agree on the verdict. (Their event orders
-        // and timings differ by design — see `bisect_capsule_engines` —
-        // so cross-engine bit-identity is per-engine digest fidelity,
-        // the same contract the `replay` bin verifies.)
-        assert_eq!(
-            seq.report.outcome, sharded.report.outcome,
-            "job {job}: engines disagree on the outcome"
+            first.digest, again.digest,
+            "job {job}: replay is not bit-identical under attack"
         );
     }
 }
@@ -365,7 +350,7 @@ fn an_attacked_capsule_shrinks_via_ddmin() {
     let fails = |plan: &FaultPlan| {
         let mut candidate = capsule.clone();
         candidate.faults = plan.clone();
-        replay_capsule(&candidate, SEQUENTIAL_ENGINE, 1)
+        replay_capsule(&candidate)
             .map(|run| run.report.outcome != Outcome::Complete)
             .unwrap_or(false)
     };
@@ -412,15 +397,14 @@ max_sim_s = 600
     let path = PathBuf::from(&report.failures[0]);
     assert!(path.exists(), "missing failure capsule {}", path.display());
     let capsule = Capsule::load(&path).expect("failure capsule loads");
-    let seq = replay_capsule(&capsule, SEQUENTIAL_ENGINE, 1).expect("sequential replay");
-    let seq2 = replay_capsule(&capsule, SEQUENTIAL_ENGINE, 1).expect("sequential again");
-    let sharded = replay_capsule(&capsule, SHARDED_ENGINE, 2).expect("sharded replay");
-    assert_eq!(seq.report.outcome, Outcome::Stalled);
-    assert_eq!(seq.report.outcome, sharded.report.outcome);
+    let first = replay_capsule(&capsule).expect("replay");
+    let again = replay_capsule(&capsule).expect("replay again");
+    assert_eq!(first.report.outcome, Outcome::Stalled);
     assert_eq!(
-        seq.digest, seq2.digest,
+        first.digest, again.digest,
         "the failure capsule must replay bit-identically"
     );
+    lrs_netsim::verify_replay(&capsule, &first).expect("replay matches the dumped digest");
 }
 
 #[test]

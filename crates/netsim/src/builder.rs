@@ -21,51 +21,31 @@
 //! assert!(report.all_complete);
 //! ```
 //!
-//! Two terminal operations exist:
-//!
-//! * [`SimBuilder::build`] constructs the classic sequential
-//!   [`Simulator`]. This is the bit-compatibility anchor: its event
-//!   ordering (and therefore every golden file) is exactly the
-//!   pre-builder engine's.
-//! * [`SimBuilder::run_sharded`] runs the conservatively-synchronized
-//!   parallel engine in [`crate::shard`] with the configured
-//!   [`shards`](SimBuilder::shards) worker threads. Its results are
-//!   identical at every shard count for a fixed seed (including 1), but
-//!   intentionally *not* bit-identical to the sequential engine, whose
-//!   single global RNG cannot be partitioned — see `DESIGN.md` §9.
+//! [`SimBuilder::build`] constructs the [`Simulator`]; its event
+//! ordering (and therefore every golden file) is exactly the pre-builder
+//! engine's.
 
 use crate::capsule::CapsuleSpec;
 use crate::fault::FaultPlan;
 use crate::node::{NodeId, Protocol};
-use crate::shard::{self, ShardedRun};
-use crate::sim::{SimConfig, Simulator};
+use crate::sim::{InvariantChecker, RunReport, SimConfig, Simulator};
 use crate::time::Duration;
 use crate::topology::Topology;
 use crate::trace::TraceSink;
 use crate::violation::InvariantViolation;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-/// The most spatial shards (worker threads) a sharded run may use.
-pub const MAX_SHARDS: usize = 64;
-
-/// A shareable per-delivery invariant check, callable from any shard.
-pub type SharedInvariant<P> =
-    Arc<dyn Fn(&P, NodeId) -> Result<(), InvariantViolation> + Send + Sync>;
-
-/// Fluent constructor for sequential and sharded simulations.
+/// Fluent constructor for simulations.
 pub struct SimBuilder<P, F> {
-    pub(crate) topology: Topology,
-    pub(crate) seed: u64,
-    pub(crate) make_node: F,
-    pub(crate) config: SimConfig,
-    pub(crate) trace: Option<Box<dyn TraceSink>>,
-    pub(crate) invariant: Option<SharedInvariant<P>>,
-    pub(crate) faults: FaultPlan,
-    pub(crate) shards: usize,
-    pub(crate) collect_trace: bool,
-    pub(crate) capsule_path: Option<PathBuf>,
-    pub(crate) scenario: Vec<(String, String)>,
+    topology: Topology,
+    seed: u64,
+    make_node: F,
+    config: SimConfig,
+    trace: Option<Box<dyn TraceSink>>,
+    invariant: Option<InvariantChecker<P>>,
+    faults: FaultPlan,
+    capsule_path: Option<PathBuf>,
+    scenario: Vec<(String, String)>,
 }
 
 impl<P, F> SimBuilder<P, F> {
@@ -80,8 +60,6 @@ impl<P, F> SimBuilder<P, F> {
             trace: None,
             invariant: None,
             faults: FaultPlan::new(),
-            shards: 1,
-            collect_trace: false,
             capsule_path: None,
             scenario: Vec::new(),
         }
@@ -94,9 +72,7 @@ impl<P, F> SimBuilder<P, F> {
     }
 
     /// Attaches a structured-event sink. Sinks observe the run; they
-    /// can never alter it. Under [`run_sharded`](Self::run_sharded) the
-    /// sink receives the merged event stream, in deterministic global
-    /// order, after the run finishes.
+    /// can never alter it.
     pub fn trace(mut self, sink: impl TraceSink + 'static) -> Self {
         self.trace = Some(Box::new(sink));
         self
@@ -108,9 +84,9 @@ impl<P, F> SimBuilder<P, F> {
     /// [`Outcome::InvariantViolated`](crate::sim::Outcome::InvariantViolated).
     pub fn invariants(
         mut self,
-        check: impl Fn(&P, NodeId) -> Result<(), InvariantViolation> + Send + Sync + 'static,
+        check: impl FnMut(&P, NodeId) -> Result<(), InvariantViolation> + 'static,
     ) -> Self {
-        self.invariant = Some(Arc::new(check));
+        self.invariant = Some(Box::new(check));
         self
     }
 
@@ -120,30 +96,8 @@ impl<P, F> SimBuilder<P, F> {
         self
     }
 
-    /// Sets the shard count for [`run_sharded`](Self::run_sharded)
-    /// (1–64 spatial shards, each with its own worker thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0 or exceeds 64.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(
-            (1..=MAX_SHARDS).contains(&shards),
-            "shard count must be in 1..={MAX_SHARDS}, got {shards}"
-        );
-        self.shards = shards;
-        self
-    }
-
-    /// Makes [`run_sharded`](Self::run_sharded) return the full merged
-    /// trace in [`ShardedRun::trace`] even without a sink attached.
-    pub fn collect_trace(mut self, collect: bool) -> Self {
-        self.collect_trace = collect;
-        self
-    }
-
     /// Arms the flight recorder: if the run ends in a diagnostic
-    /// outcome (stall, invariant violation, worker panic), a replay
+    /// outcome (stall, invariant violation), a replay
     /// [`Capsule`](crate::capsule::Capsule) is written to `path` —
     /// framed binary when the extension is `lrsc`/`bin`, JSONL
     /// otherwise. See `crate::replay` for loading and re-running it.
@@ -164,56 +118,33 @@ impl<P, F> SimBuilder<P, F> {
     /// Snapshots the configured (not yet run) simulation as a replay
     /// [`Capsule`](crate::capsule::Capsule) with the given deadline: the
     /// exact seed, config, topology, fault schedule, and scenario tags
-    /// this builder would execute, with no digests recorded. The engine
-    /// field follows the shard count — [`SHARDED_ENGINE`] above one
-    /// shard, [`SEQUENTIAL_ENGINE`] otherwise.
+    /// this builder would execute, with no digest recorded.
     ///
     /// This is how a job queue turns *any* pending job into a bit-exact
     /// reproducer before it runs, not only after it fails.
-    ///
-    /// [`SEQUENTIAL_ENGINE`]: crate::capsule::SEQUENTIAL_ENGINE
-    /// [`SHARDED_ENGINE`]: crate::capsule::SHARDED_ENGINE
     pub fn capsule(&self, deadline: Duration) -> crate::capsule::Capsule {
-        let engine = if self.shards > 1 {
-            crate::capsule::SHARDED_ENGINE
-        } else {
-            crate::capsule::SEQUENTIAL_ENGINE
-        };
         crate::capsule::Capsule {
             seed: self.seed,
-            engine: engine.to_string(),
-            shards: self.shards,
             deadline,
             config: self.config,
             topology: self.topology.clone(),
             faults: self.faults.clone(),
             scenario: self.scenario.clone(),
-            digests: Vec::new(),
+            digest: None,
         }
     }
 }
 
 impl<P: Protocol + 'static, F: FnMut(NodeId) -> P> SimBuilder<P, F> {
-    /// Builds the classic sequential [`Simulator`] — bit-identical to
-    /// the pre-builder engine; all golden files pin this path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`shards`](Self::shards) was set above 1: the
-    /// sequential engine cannot honor a shard count, use
-    /// [`run_sharded`](Self::run_sharded) instead.
+    /// Builds the [`Simulator`] — bit-identical to the pre-builder
+    /// engine; all golden files pin this path.
     pub fn build(self) -> Simulator<P> {
-        assert!(
-            self.shards <= 1,
-            "SimBuilder::build constructs the sequential engine; \
-             use run_sharded for shard counts above 1"
-        );
         let mut sim = Simulator::from_parts(self.topology, self.config, self.seed, self.make_node);
         if let Some(sink) = self.trace {
             sim.set_trace(sink);
         }
         if let Some(check) = self.invariant {
-            sim.set_invariant_checker(Box::new(move |p, id| check(p, id)));
+            sim.set_invariant_checker(check);
         }
         if !self.faults.is_empty() {
             sim.inject_faults(&self.faults);
@@ -226,27 +157,34 @@ impl<P: Protocol + 'static, F: FnMut(NodeId) -> P> SimBuilder<P, F> {
         }
         sim
     }
+
+    // The next three items are the removed sharded engine's call shape,
+    // kept only because `benchmark/src/workloads/sim.rs` still calls
+    // `.shards(2).run_sharded(..)` and `benchmark/` changes in its own
+    // PR. The `benchmark/` refresh (ROADMAP item 1) deletes them.
+    #[doc(hidden)]
+    pub fn shards(self, _shards: usize) -> Self {
+        self
+    }
+
+    #[doc(hidden)]
+    pub fn run_sharded<R>(
+        self,
+        deadline: Duration,
+        harvest: impl Fn(NodeId, &P) -> R,
+    ) -> HarvestedRun<R> {
+        let mut sim = self.build();
+        let report = sim.run(deadline);
+        let nodes = (0..sim.topology().len() as u32).map(NodeId);
+        let harvest = nodes.map(|id| harvest(id, sim.node(id))).collect();
+        HarvestedRun { report, harvest }
+    }
 }
 
-impl<P, F> SimBuilder<P, F>
-where
-    P: Protocol,
-    F: Fn(NodeId) -> P + Sync,
-{
-    /// Runs the sharded parallel engine to completion and returns the
-    /// merged results. `harvest` extracts whatever per-node state the
-    /// caller needs (final image bytes, counters, …) before the
-    /// protocol instances are dropped inside their worker threads.
-    ///
-    /// For a fixed seed the outcome, metrics, energy, trace order, and
-    /// harvest are identical at every shard count.
-    pub fn run_sharded<R, H>(self, deadline: Duration, harvest: H) -> ShardedRun<R>
-    where
-        R: Send,
-        H: Fn(NodeId, &P) -> R + Sync,
-    {
-        shard::run(self, deadline, harvest)
-    }
+#[doc(hidden)]
+pub struct HarvestedRun<R> {
+    pub report: RunReport,
+    pub harvest: Vec<R>,
 }
 
 #[cfg(test)]
@@ -300,24 +238,13 @@ mod tests {
                 .scenario("scheme", "lr-seluge");
         let capsule = builder.capsule(Duration::from_secs(30));
         assert_eq!(capsule.seed, 99);
-        assert_eq!(capsule.engine, crate::capsule::SEQUENTIAL_ENGINE);
-        assert_eq!(capsule.shards, 1);
         assert_eq!(capsule.deadline, Duration::from_secs(30));
         assert_eq!(capsule.faults, plan);
         assert_eq!(
             capsule.scenario,
             vec![("scheme".to_string(), "lr-seluge".to_string())]
         );
-        assert!(capsule.digests.is_empty());
-        // The snapshot is engine-aware: above one shard it records the
-        // sharded engine.
-        let sharded = SimBuilder::<Beacon, _>::new(Topology::star(3), 99, |_: NodeId| Beacon {
-            heard: false,
-        })
-        .shards(4)
-        .capsule(Duration::from_secs(30));
-        assert_eq!(sharded.engine, crate::capsule::SHARDED_ENGINE);
-        assert_eq!(sharded.shards, 4);
+        assert!(capsule.digest.is_none());
     }
 
     #[test]
@@ -335,20 +262,5 @@ mod tests {
         assert_eq!(implicit.final_time, explicit.final_time);
         assert_eq!(implicit.latency, explicit.latency);
         assert!(implicit.all_complete && explicit.all_complete);
-    }
-
-    #[test]
-    #[should_panic(expected = "run_sharded")]
-    fn build_rejects_multi_shard() {
-        let _ = SimBuilder::new(Topology::star(2), 0, |_| Beacon { heard: false })
-            .shards(2)
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_rejected() {
-        let _: SimBuilder<Beacon, _> =
-            SimBuilder::new(Topology::star(2), 0, |_: NodeId| Beacon { heard: false }).shards(0);
     }
 }

@@ -5,7 +5,7 @@
 //! is derived), the full [`SimConfig`], the exact topology (positions
 //! *and* the sampled link table, so no link model is resampled on
 //! replay), the complete fault schedule, free-form scenario tags that
-//! let tooling reconstruct the protocol under test, and the run digests
+//! let tooling reconstruct the protocol under test, and the run digest
 //! ([`RunDigest`]) that replay must reproduce.
 //!
 //! Two encodings share one line dialect:
@@ -23,8 +23,16 @@
 //! stored as IEEE-754 bit patterns (`f64::to_bits`) so a round trip is
 //! exact — a capsule that re-derives even one PRR differently would
 //! silently break bit-identical replay.
+//!
+//! The wire format is version 1 and frozen. It was designed when a
+//! second, sharded engine existed, so the header carries
+//! `"engine"`/`"shards"` and each digest line
+//! `"engine"`/`"shards"`/`"order"`. The writer emits them as the
+//! constants the sequential engine always wrote; the reader checks
+//! their types, ignores their values, and drops digest lines recorded
+//! by the removed engine, so an old sharded capsule still loads and
+//! replays — it just has no digest to verify against.
 
-use crate::builder::MAX_SHARDS;
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::Metrics;
 use crate::node::NodeId;
@@ -32,7 +40,7 @@ use crate::noise::{BurstyNoise, NoiseModel};
 use crate::sim::{Outcome, RunReport, SimConfig};
 use crate::time::{Duration, SimTime};
 use crate::topology::{Link, Position, Topology};
-use crate::trace::{KeyedTraceEvent, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::violation::ContentDigest;
 use lrs_json::{parse_json, Json, ObjWriter};
 use std::fmt;
@@ -45,18 +53,14 @@ pub const CAPSULE_VERSION: u64 = 1;
 /// Magic prefix of the binary-framed encoding.
 pub const FRAME_MAGIC: [u8; 4] = *b"LRSC";
 
-/// Engine label for the sequential [`Simulator`](crate::sim::Simulator).
-pub const SEQUENTIAL_ENGINE: &str = "sequential";
+/// Engine label of the one [`Simulator`](crate::sim::Simulator), as
+/// version-1 header and digest lines spell it.
+const SEQUENTIAL_ENGINE: &str = "sequential";
 
-/// Engine label for the sharded engine
-/// ([`SimBuilder::run_sharded`](crate::SimBuilder::run_sharded)).
-pub const SHARDED_ENGINE: &str = "sharded";
-
-/// The per-node RNG stream-derivation constants, recorded in the
-/// header so a capsule documents its own reproduction recipe: protocol
-/// stream `seed·c₀ ^ node`, tx stream `seed·c₁ ^ node`, rx stream
-/// `seed·c₂ ^ node`.
-pub const RNG_STREAMS: &str = "9e3779b97f4a7c15,ff51afd7ed558ccd,c4ceb9fe1a85ec53";
+/// Header field of the frozen version-1 format (RNG stream-derivation
+/// multipliers; the one engine uses the first); written verbatim, never
+/// read.
+const RNG_STREAMS: &str = "9e3779b97f4a7c15,ff51afd7ed558ccd,c4ceb9fe1a85ec53";
 
 /// Condensed identity of a finished run: what replay must reproduce.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,57 +77,29 @@ pub struct RunDigest {
     pub trace: ContentDigest,
     /// FNV-1a over the canonical metrics JSON line.
     pub metrics: ContentDigest,
-    /// FNV-1a over the `(OrderKey, emit index)` sequence of the merged
-    /// keyed trace — sharded engine only; [`ContentDigest::MISSING`]
-    /// for sequential runs, whose event order is queue-internal.
-    pub order: ContentDigest,
 }
 
 impl RunDigest {
-    /// Digests a finished run from its report, metrics, and (merged)
-    /// trace. Pass `keyed` when the sharded engine's keyed trace is
-    /// available; the order digest is `MISSING` otherwise.
-    pub fn compute(
-        report: &RunReport,
-        metrics: &Metrics,
-        trace: &[TraceEvent],
-        keyed: Option<&[KeyedTraceEvent]>,
-    ) -> Self {
+    /// Digests a finished run from its report, metrics, and trace.
+    pub fn compute(report: &RunReport, metrics: &Metrics, trace: &[TraceEvent]) -> Self {
         let mut trace_digest = ContentDigest::EMPTY;
         for event in trace {
             trace_digest = trace_digest
                 .absorb(event.to_json().as_bytes())
                 .absorb(b"\n");
         }
-        let order = match keyed {
-            Some(keys) => {
-                let mut d = ContentDigest::EMPTY;
-                for (key, seq, _) in keys {
-                    d = d
-                        .absorb(&key.at.to_le_bytes())
-                        .absorb(&[key.class])
-                        .absorb(&key.a.to_le_bytes())
-                        .absorb(&key.b.to_le_bytes())
-                        .absorb(&key.c.to_le_bytes())
-                        .absorb(&seq.to_le_bytes());
-                }
-                d
-            }
-            None => ContentDigest::MISSING,
-        };
         RunDigest {
             outcome: report.outcome.label().to_string(),
             final_time: report.final_time,
             events: trace.len() as u64,
             trace: trace_digest,
             metrics: Self::metrics_digest(report.final_time, metrics),
-            order,
         }
     }
 
-    /// Digest of a run whose trace was not collected (e.g. the
-    /// sequential engine's automatic failure dump): outcome, final
-    /// time, and metrics only; trace/order digests are `MISSING`.
+    /// Digest of a run whose trace was not collected (the automatic
+    /// failure dump): outcome, final time, and metrics only; the trace
+    /// digest is `MISSING`.
     pub fn metrics_only(outcome: Outcome, final_time: SimTime, metrics: &Metrics) -> Self {
         RunDigest {
             outcome: outcome.label().to_string(),
@@ -131,7 +107,6 @@ impl RunDigest {
             events: 0,
             trace: ContentDigest::MISSING,
             metrics: Self::metrics_digest(final_time, metrics),
-            order: ContentDigest::MISSING,
         }
     }
 
@@ -140,31 +115,11 @@ impl RunDigest {
     }
 }
 
-/// A [`RunDigest`] tagged with the engine that produced it. The two
-/// engines legitimately differ event-for-event (the sharded engine's
-/// content-derived order is not the sequential queue order), so a
-/// capsule records one digest per engine; the sharded digest is
-/// shard-count independent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EngineDigest {
-    /// [`SEQUENTIAL_ENGINE`] or [`SHARDED_ENGINE`].
-    pub engine: String,
-    /// Shard count of the digested run (1 for sequential).
-    pub shards: usize,
-    /// The digest itself.
-    pub digest: RunDigest,
-}
-
 /// Everything needed to re-execute a run bit-identically.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Capsule {
-    /// The run seed; all per-node RNG streams derive from it (see
-    /// [`RNG_STREAMS`]).
+    /// The run seed; every RNG stream derives from it.
     pub seed: u64,
-    /// Engine of the captured run.
-    pub engine: String,
-    /// Shard count of the captured run (1 for sequential).
-    pub shards: usize,
     /// The deadline the run was started with.
     pub deadline: Duration,
     /// Full simulation configuration (radio, noise, watchdog).
@@ -176,8 +131,8 @@ pub struct Capsule {
     /// Free-form key/value tags describing how to reconstruct the
     /// protocol under test (scheme name, image length, params, …).
     pub scenario: Vec<(String, String)>,
-    /// Recorded run digests, one per engine that executed the scenario.
-    pub digests: Vec<EngineDigest>,
+    /// The recorded run digest, if the scenario has been executed.
+    pub digest: Option<RunDigest>,
 }
 
 /// Errors loading or parsing a capsule.
@@ -241,12 +196,6 @@ impl Capsule {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The recorded digest for `engine`, if any. Sharded digests are
-    /// shard-count independent, so the first match wins.
-    pub fn digest_for(&self, engine: &str) -> Option<&EngineDigest> {
-        self.digests.iter().find(|d| d.engine == engine)
-    }
-
     /// Renders the capsule as JSON Lines (trailing newline included).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -259,8 +208,9 @@ impl Capsule {
             line("capsule")
                 .uint("version", CAPSULE_VERSION)
                 .uint("seed", self.seed)
-                .str("engine", &self.engine)
-                .uint("shards", self.shards)
+                // Frozen v1 fields: the one engine, one shard.
+                .str("engine", SEQUENTIAL_ENGINE)
+                .uint("shards", 1u8)
                 .uint("deadline_us", self.deadline.as_micros())
                 .str("rng_streams", RNG_STREAMS)
                 .finish(),
@@ -319,18 +269,19 @@ impl Capsule {
         for event in self.faults.events() {
             push(event.to_json());
         }
-        for entry in &self.digests {
-            let digest = &entry.digest;
+        if let Some(digest) = &self.digest {
             push(
                 line("capsule_digest")
-                    .str("engine", &entry.engine)
-                    .uint("shards", entry.shards)
+                    // Frozen v1 fields, as in the header; `order` was
+                    // always `MISSING` on the one engine.
+                    .str("engine", SEQUENTIAL_ENGINE)
+                    .uint("shards", 1u8)
                     .str("outcome", &digest.outcome)
                     .uint("final_time", digest.final_time.as_micros())
                     .uint("events", digest.events)
                     .str("trace", &digest.trace.to_string())
                     .str("metrics", &digest.metrics.to_string())
-                    .str("order", &digest.order.to_string())
+                    .str("order", &ContentDigest::MISSING.to_string())
                     .finish(),
             );
         }
@@ -342,13 +293,13 @@ impl Capsule {
     /// what fails names its 1-based line.
     pub fn from_jsonl(text: &str) -> Result<Self, CapsuleError> {
         let mal = |line: usize, reason: String| CapsuleError::Malformed { line, reason };
-        let mut header: Option<(u64, String, usize, Duration)> = None;
+        let mut header: Option<(u64, Duration)> = None;
         let mut config: Option<SimConfig> = None;
         let mut positions: Vec<(usize, Position)> = Vec::new();
         let mut link_rows: Vec<(usize, usize, Link)> = Vec::new();
         let mut scenario: Vec<(String, String)> = Vec::new();
         let mut fault_events: Vec<(usize, FaultEvent)> = Vec::new();
-        let mut digests: Vec<EngineDigest> = Vec::new();
+        let mut digest: Option<RunDigest> = None;
         for (index, text) in text.lines().enumerate() {
             let no = index + 1;
             if text.trim().is_empty() {
@@ -372,18 +323,9 @@ impl Capsule {
                         if version > CAPSULE_VERSION {
                             return Ok(Some(version));
                         }
-                        let shards = line.uint_at("shards")?;
-                        if !(1..=MAX_SHARDS).contains(&shards) {
-                            return Err(format!(
-                                "field \"shards\" must be in 1..={MAX_SHARDS}, got {shards}"
-                            ));
-                        }
-                        header = Some((
-                            line.uint_at("seed")?,
-                            line.str_at("engine")?.to_string(),
-                            shards,
-                            micros("deadline_us")?,
-                        ));
+                        line.str_at("engine")?;
+                        line.uint_at::<u64>("shards")?;
+                        header = Some((line.uint_at("seed")?, micros("deadline_us")?));
                     }
                     "capsule_config" => {
                         let noise = match line.opt("noise", Json::str_at)? {
@@ -439,18 +381,20 @@ impl Capsule {
                                 .map(ContentDigest)
                                 .map_err(|_| format!("field {key:?} must be a hex digest"))
                         };
-                        digests.push(EngineDigest {
-                            engine: line.str_at("engine")?.to_string(),
-                            shards: line.uint_at("shards")?,
-                            digest: RunDigest {
-                                outcome: line.str_at("outcome")?.to_string(),
-                                final_time: SimTime(line.uint_at("final_time")?),
-                                events: line.uint_at("events")?,
-                                trace: hex("trace")?,
-                                metrics: hex("metrics")?,
-                                order: hex("order")?,
-                            },
-                        });
+                        line.uint_at::<u64>("shards")?;
+                        hex("order")?;
+                        let recorded = RunDigest {
+                            outcome: line.str_at("outcome")?.to_string(),
+                            final_time: SimTime(line.uint_at("final_time")?),
+                            events: line.uint_at("events")?,
+                            trace: hex("trace")?,
+                            metrics: hex("metrics")?,
+                        };
+                        // Only the one engine's digest can be verified;
+                        // as before, the first such line wins.
+                        if line.str_at("engine")? == SEQUENTIAL_ENGINE {
+                            digest.get_or_insert(recorded);
+                        }
                     }
                     ev if ev.starts_with("fault_") => {
                         fault_events.push((no, FaultEvent::from_value(&line)?));
@@ -463,8 +407,7 @@ impl Capsule {
                 return Err(CapsuleError::UnsupportedVersion(version));
             }
         }
-        let (seed, engine, shards, deadline) =
-            header.ok_or_else(|| mal(0, "no \"capsule\" header line".into()))?;
+        let (seed, deadline) = header.ok_or_else(|| mal(0, "no \"capsule\" header line".into()))?;
         let config = config.ok_or_else(|| mal(0, "no \"capsule_config\" line".into()))?;
         positions.sort_by_key(|(i, _)| *i);
         for (slot, (index, _)) in positions.iter().enumerate() {
@@ -487,7 +430,7 @@ impl Capsule {
         let topology = Topology::from_parts(positions.into_iter().map(|(_, p)| p).collect(), links);
         let mut faults = FaultPlan::new();
         for (no, event) in fault_events {
-            // The engines index per-node state by these ids.
+            // The engine indexes per-node state by these ids.
             if let Some(node) = event.nodes().into_iter().find(|id| id.0 as usize >= n) {
                 return Err(mal(
                     no,
@@ -498,14 +441,12 @@ impl Capsule {
         }
         Ok(Capsule {
             seed,
-            engine,
-            shards,
             deadline,
             config,
             topology,
             faults,
             scenario,
-            digests,
+            digest,
         })
     }
 
@@ -646,8 +587,6 @@ mod tests {
         );
         Capsule {
             seed: 0xDEAD_BEEF,
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 4,
             deadline: Duration::from_secs(100),
             config: SimConfig {
                 medium: MediumConfig {
@@ -665,18 +604,13 @@ mod tests {
                 ("scheme".to_string(), "lr-seluge".to_string()),
                 ("note".to_string(), "quote \" and back\\slash".to_string()),
             ],
-            digests: vec![EngineDigest {
-                engine: SHARDED_ENGINE.to_string(),
-                shards: 4,
-                digest: RunDigest {
-                    outcome: "stalled".to_string(),
-                    final_time: SimTime(123_456),
-                    events: 42,
-                    trace: ContentDigest(0x1122_3344_5566_7788),
-                    metrics: ContentDigest(0x99AA_BBCC_DDEE_FF00),
-                    order: ContentDigest::MISSING,
-                },
-            }],
+            digest: Some(RunDigest {
+                outcome: "stalled".to_string(),
+                final_time: SimTime(123_456),
+                events: 42,
+                trace: ContentDigest(0x1122_3344_5566_7788),
+                metrics: ContentDigest(0x99AA_BBCC_DDEE_FF00),
+            }),
         }
     }
 
@@ -816,7 +750,7 @@ mod tests {
 
     #[test]
     fn faults_and_links_outside_the_node_table_are_rejected() {
-        // The engines index per-node state by these ids: before this
+        // The engine indexes per-node state by these ids: before this
         // check `replay --replay` panicked in `Simulator::apply_fault`.
         for bad in [
             r#"{"t":1000,"ev":"fault_crash","node":99}"#,
@@ -865,17 +799,14 @@ mod tests {
                 r#""diag_events":64"#,
                 r#""diag_events":18446744073709551616"#,
             ),
+            // The frozen header fields are ignored but still typed.
             (
-                r#""engine":"sharded","shards":4,"deadline_us""#,
-                r#""engine":"sharded","shards":18446744073709551620,"deadline_us""#,
+                r#""engine":"sequential","shards":1,"deadline_us""#,
+                r#""engine":"sequential","shards":18446744073709551620,"deadline_us""#,
             ),
             (
-                r#""engine":"sharded","shards":4,"deadline_us""#,
-                r#""engine":"sharded","shards":0,"deadline_us""#,
-            ),
-            (
-                r#""engine":"sharded","shards":4,"deadline_us""#,
-                r#""engine":"sharded","shards":65,"deadline_us""#,
+                r#""engine":"sequential","shards":1,"deadline_us""#,
+                r#""engine":7,"shards":1,"deadline_us""#,
             ),
             (r#""seed":3735928559"#, r#""seed":-1"#),
             (r#""seed":3735928559"#, r#""seed":1.5"#),
@@ -902,10 +833,65 @@ mod tests {
         }
     }
 
+    /// A version-1 capsule as the removed sharded engine wrote it at 4
+    /// shards: `sharded` header, its own digest line with a non-zero
+    /// `order`, then (unless `sharded_only`) a sequential one.
+    fn legacy_sharded_jsonl(sharded_only: bool) -> String {
+        let mut text = String::from(concat!(
+            r#"{"ev":"capsule","version":1,"seed":11,"engine":"sharded","shards":4,"deadline_us":60000000,"rng_streams":"9e3779b97f4a7c15,ff51afd7ed558ccd,c4ceb9fe1a85ec53"}"#,
+            "\n",
+            r#"{"ev":"capsule_config","us_per_byte":416,"overhead_us":2000,"max_backoff_us":12000,"csma":1,"collisions":1,"app_loss_bits":0,"diag_events":64}"#,
+            "\n",
+            r#"{"ev":"capsule_node","node":0,"x_bits":0,"y_bits":0}"#,
+            "\n",
+            r#"{"ev":"capsule_node","node":1,"x_bits":4607182418800017408,"y_bits":0}"#,
+            "\n",
+            r#"{"ev":"capsule_link","from":0,"to":1,"prr_bits":4607182418800017408}"#,
+            "\n",
+            r#"{"ev":"capsule_link","from":1,"to":0,"prr_bits":4607182418800017408}"#,
+            "\n",
+            r#"{"ev":"capsule_scenario","key":"scheme","value":"lr-seluge"}"#,
+            "\n",
+            r#"{"t":5000,"ev":"fault_crash","node":1}"#,
+            "\n",
+            r#"{"ev":"capsule_digest","engine":"sharded","shards":4,"outcome":"complete","final_time":99,"events":7,"trace":"00000000000000aa","metrics":"00000000000000bb","order":"1f2e3d4c5b6a7988"}"#,
+            "\n",
+        ));
+        if !sharded_only {
+            text.push_str(r#"{"ev":"capsule_digest","engine":"sequential","shards":1,"outcome":"complete","final_time":101,"events":9,"trace":"00000000000000cc","metrics":"00000000000000dd","order":"0000000000000000"}"#);
+            text.push('\n');
+        }
+        text
+    }
+
     #[test]
-    fn digest_lookup_by_engine() {
-        let capsule = sample_capsule();
-        assert!(capsule.digest_for(SHARDED_ENGINE).is_some());
-        assert!(capsule.digest_for(SEQUENTIAL_ENGINE).is_none());
+    fn legacy_sharded_capsules_load_and_keep_only_the_sequential_digest() {
+        let capsule = Capsule::from_jsonl(&legacy_sharded_jsonl(false)).expect("parse");
+        assert_eq!(capsule.seed, 11);
+        assert_eq!(capsule.topology.len(), 2);
+        assert_eq!(capsule.faults.events().len(), 1);
+        assert_eq!(
+            capsule.digest,
+            Some(RunDigest {
+                outcome: "complete".to_string(),
+                final_time: SimTime(101),
+                events: 9,
+                trace: ContentDigest(0xcc),
+                metrics: ContentDigest(0xdd),
+            })
+        );
+        // Written back, it is the one engine's version-1 text.
+        let rewritten = capsule.to_jsonl();
+        assert!(!rewritten.contains("sharded"), "{rewritten}");
+        assert_eq!(Capsule::from_jsonl(&rewritten).expect("parse"), capsule);
+
+        let sharded_only = Capsule::from_jsonl(&legacy_sharded_jsonl(true)).expect("parse");
+        assert_eq!(
+            sharded_only,
+            Capsule {
+                digest: None,
+                ..capsule
+            }
+        );
     }
 }

@@ -68,19 +68,6 @@ impl EnergyLedger {
         self.rx_bytes[node.index()]
     }
 
-    /// Adds `other`'s counters elementwise. Both ledgers must cover the
-    /// same node count; the sharded engine merges per-shard ledgers
-    /// (each zero outside its own nodes) into one network-wide view.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        assert_eq!(self.tx_bytes.len(), other.tx_bytes.len());
-        for (a, b) in self.tx_bytes.iter_mut().zip(&other.tx_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.rx_bytes.iter_mut().zip(&other.rx_bytes) {
-            *a += b;
-        }
-    }
-
     /// Energy spent by `node` under `model` (joules).
     pub fn joules(&self, node: NodeId, model: &EnergyModel) -> f64 {
         self.tx_bytes[node.index()] as f64 * model.tx_j_per_byte

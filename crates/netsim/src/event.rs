@@ -2,15 +2,6 @@
 //!
 //! A binary heap keyed by `(time, sequence)`; the sequence number breaks
 //! ties in insertion order, making runs fully deterministic.
-//!
-//! The sequential engine orders simultaneous events by insertion
-//! sequence — a global counter that only exists on one thread. The
-//! sharded engine ([`crate::shard`]) cannot share such a counter without
-//! serializing, so it orders events by [`OrderKey`], a total order
-//! derived purely from event *content* (time, event class, node ids,
-//! transmission id). Content-based keys make the processing order — and
-//! therefore every metric and trace — independent of how nodes are
-//! split across shards.
 
 use crate::node::{NodeId, PacketKind, TimerId};
 use crate::time::SimTime;
@@ -57,76 +48,6 @@ pub enum Event {
         /// Arm generation, used to invalidate superseded arms.
         generation: u64,
     },
-}
-
-/// A content-derived total order over simulation steps.
-///
-/// Keys sort by `(time, class, a, b, c)`. Classes separate step
-/// categories at equal times: fault applications first (matching the
-/// sequential engine's fault-before-event tie rule — a `t = 0` clock
-/// drift must precede node init so the very first timer arm sees it),
-/// then node initialization, then packet deliveries, then timer
-/// firings. The remaining fields are the step's identifying content —
-/// never an insertion counter — so two runs that produce the same steps
-/// order them identically no matter which threads produced them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct OrderKey {
-    /// Virtual time of the step (µs).
-    pub at: u64,
-    /// Step class: 0 fault, 1 init, 2 deliver, 3 timer.
-    pub class: u8,
-    /// First content discriminant (receiver / node / fault index).
-    pub a: u64,
-    /// Second content discriminant (sender / timer id).
-    pub b: u64,
-    /// Third content discriminant (transmission id / generation).
-    pub c: u64,
-}
-
-impl OrderKey {
-    /// Key of applying the `index`-th fault of a time-sorted plan.
-    pub fn fault(at: SimTime, index: u64) -> Self {
-        OrderKey {
-            at: at.as_micros(),
-            class: 0,
-            a: index,
-            b: 0,
-            c: 0,
-        }
-    }
-
-    /// Key of a node's `on_init` step.
-    pub fn init(node: NodeId) -> Self {
-        OrderKey {
-            at: 0,
-            class: 1,
-            a: u64::from(node.0),
-            b: 0,
-            c: 0,
-        }
-    }
-
-    /// Key of a packet delivery.
-    pub fn deliver(at: SimTime, to: NodeId, from: NodeId, tx_id: u64) -> Self {
-        OrderKey {
-            at: at.as_micros(),
-            class: 2,
-            a: u64::from(to.0),
-            b: u64::from(from.0),
-            c: tx_id,
-        }
-    }
-
-    /// Key of a timer firing.
-    pub fn timer(at: SimTime, node: NodeId, timer: TimerId, generation: u64) -> Self {
-        OrderKey {
-            at: at.as_micros(),
-            class: 3,
-            a: u64::from(node.0),
-            b: u64::from(timer.0),
-            c: generation,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -235,25 +156,6 @@ mod tests {
             })
             .collect();
         assert_eq!(gens, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn order_key_classes_rank_fault_init_deliver_timer() {
-        let t = SimTime(100);
-        let init = OrderKey::init(NodeId(5));
-        let fault0 = OrderKey::fault(SimTime::ZERO, 0);
-        let fault = OrderKey::fault(t, 0);
-        let deliver = OrderKey::deliver(t, NodeId(1), NodeId(2), 9);
-        let timer = OrderKey::timer(t, NodeId(1), TimerId(0), 1);
-        assert!(fault0 < init, "t=0 faults apply before node init");
-        assert!(init < fault, "time dominates: later faults follow init");
-        assert!(fault < deliver, "fault applies before a same-time event");
-        assert!(deliver < timer, "deliveries precede timers at equal time");
-        // Content discriminants break remaining ties deterministically.
-        assert!(deliver < OrderKey::deliver(t, NodeId(1), NodeId(2), 10));
-        assert!(deliver < OrderKey::deliver(t, NodeId(1), NodeId(3), 0));
-        // Time dominates class.
-        assert!(timer < OrderKey::deliver(SimTime(101), NodeId(0), NodeId(0), 0));
     }
 
     #[test]

@@ -121,14 +121,6 @@ impl FaultEvent {
         }
     }
 
-    /// The node whose shard must apply the event: the faulted node for
-    /// node-scoped faults, the *receiver* for link-scoped faults (link
-    /// state is consulted on delivery, which runs on the receiver's
-    /// shard).
-    pub fn owner(&self) -> NodeId {
-        self.nodes()[1]
-    }
-
     /// Renders the event as one JSON object in trace-event shape
     /// (`"t"` in microseconds of virtual time).
     pub fn to_json(&self) -> String {

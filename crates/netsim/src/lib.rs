@@ -30,10 +30,9 @@
 //!   serialized into capsule scenario tags.
 //!
 //! * [`builder`] provides the fluent [`SimBuilder`] entry point, and
-//!   [`shard`] a conservatively-synchronized parallel engine that
-//!   partitions the topology into spatial shards with per-shard event
-//!   queues and worker threads; for a fixed seed its results are
-//!   identical at every shard count.
+//!   [`capsule`] / [`mod@replay`] the flight recorder: a run's seed, config,
+//!   topology and faults captured to a file and re-executed
+//!   bit-identically. One sequential engine executes every run.
 //!
 //! # Example
 //!
@@ -82,7 +81,6 @@ pub mod metrics;
 pub mod node;
 pub mod noise;
 pub mod replay;
-pub mod shard;
 pub mod shrink;
 pub mod sim;
 pub mod time;
@@ -93,17 +91,11 @@ pub mod violation;
 
 pub use attack::{AttackConfig, AttackEntry, AttackPlan, AttackVector};
 pub use builder::SimBuilder;
-pub use capsule::{Capsule, CapsuleError, CapsuleSpec, EngineDigest, RunDigest};
-pub use event::OrderKey;
+pub use capsule::{Capsule, CapsuleError, CapsuleSpec, RunDigest};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, PPM_ONE};
 pub use metrics::Metrics;
 pub use node::{Context, NodeId, PacketKind, Protocol, TimerId};
-pub use replay::{
-    bisect_engines, bisect_shard_counts, first_divergence, first_keyed_divergence,
-    replay_sequential, replay_sharded, verify_replay, DigestMismatch, Divergence, ReplayError,
-    ReplayRun,
-};
-pub use shard::ShardedRun;
+pub use replay::{replay, verify_replay, DigestMismatch, ReplayError, ReplayRun};
 pub use shrink::{ddmin, shrink_fault_plan, ShrinkStats};
 pub use sim::{DiagnosticDump, NodeDiag, Outcome, RunReport, SimConfig, Simulator};
 pub use time::{Duration, SimTime};

@@ -59,15 +59,6 @@ impl MediumConfig {
     pub fn airtime(&self, bytes: usize) -> Duration {
         Duration::from_micros(self.per_packet_overhead_us + self.us_per_byte * bytes as u64)
     }
-
-    /// Conservative lookahead for the sharded engine (µs): a lower bound
-    /// on the delay between a broadcast's decision time and any resulting
-    /// delivery. Every packet spends at least the per-packet overhead on
-    /// the air, so a transmission started in one lookahead window cannot
-    /// be heard before the next window begins.
-    pub fn lookahead_us(&self) -> u64 {
-        self.per_packet_overhead_us.max(1)
-    }
 }
 
 /// Outcome of a reception attempt.
@@ -101,7 +92,7 @@ const MIN_COLLISION_HORIZON_US: u64 = 400_000;
 /// airtime therefore never forgets a collision partner. Below the floor
 /// the horizon only decides when a delivery that arrives late starts to
 /// report [`Delivery::Pruned`].
-pub(crate) fn collision_horizon_us(longest_airtime_us: u64) -> u64 {
+fn collision_horizon_us(longest_airtime_us: u64) -> u64 {
     MIN_COLLISION_HORIZON_US.max(longest_airtime_us)
 }
 

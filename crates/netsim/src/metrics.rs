@@ -138,30 +138,6 @@ impl Metrics {
         self.completion.values().copied().max()
     }
 
-    /// Folds `other`'s counters into `self`: sums every counter and
-    /// unions completion times keeping the earliest per node. Used by
-    /// the sharded engine to combine per-shard metrics; shards observe
-    /// disjoint nodes, so the union never actually conflicts.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (kind, n) in &other.tx_packets {
-            *self.tx_packets.entry(*kind).or_insert(0) += n;
-        }
-        for (kind, n) in &other.tx_bytes {
-            *self.tx_bytes.entry(*kind).or_insert(0) += n;
-        }
-        self.rx_packets += other.rx_packets;
-        self.rx_bytes += other.rx_bytes;
-        self.lost_phy += other.lost_phy;
-        self.lost_collision += other.lost_collision;
-        self.lost_app += other.lost_app;
-        for (node, at) in &other.completion {
-            self.completion
-                .entry(*node)
-                .and_modify(|t| *t = (*t).min(*at))
-                .or_insert(*at);
-        }
-    }
-
     /// Renders the counters as one JSON object, in the shape of a trace
     /// event (`"ev":"metrics"`). Appending it to a JSONL run trace gives
     /// the log a closing summary line that tools can key on.

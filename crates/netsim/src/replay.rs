@@ -1,55 +1,38 @@
-//! Deterministic capsule replay and divergence bisection.
+//! Deterministic capsule replay.
 //!
-//! [`replay_sequential`] and [`replay_sharded`] re-execute a
-//! [`Capsule`] on the corresponding engine and hand back the run plus
-//! its recomputed [`RunDigest`]; [`verify_replay`] asserts the digest
+//! [`replay`] re-executes a [`Capsule`] and hands back the run plus its
+//! recomputed [`RunDigest`]; [`verify_replay`] asserts the digest
 //! matches what the capsule recorded. The caller supplies `make_node`
 //! (reconstructed from the capsule's scenario tags), because protocol
 //! state is the one thing the capture format deliberately does not
 //! serialize — the whole point of deterministic replay is that seed +
 //! config + topology + faults regenerate it.
-//!
-//! The divergence bisector ([`first_divergence`] /
-//! [`first_keyed_divergence`] and the [`bisect_shard_counts`] /
-//! [`bisect_engines`] drivers) compares two event streams element by
-//! element and reports the first disagreement with surrounding context
-//! — the "which `OrderKey` went wrong" answer that turns a
-//! shard-count-dependent bug from a bisection-by-hand afternoon into
-//! one function call.
 
 use crate::builder::SimBuilder;
-use crate::capsule::{Capsule, EngineDigest, RunDigest, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
-use crate::event::OrderKey;
+use crate::capsule::{Capsule, RunDigest};
 use crate::metrics::Metrics;
 use crate::node::{NodeId, Protocol};
 use crate::sim::RunReport;
-use crate::trace::{KeyedTraceEvent, SharedRingTrace, TraceEvent};
+use crate::trace::{SharedRingTrace, TraceEvent};
 use crate::violation::ContentDigest;
 use std::fmt;
 
 /// A re-executed capsule: the run's report, metrics, trace, and the
 /// digest recomputed from them.
 pub struct ReplayRun {
-    /// Engine that executed the replay.
-    pub engine: String,
-    /// Shard count used (1 for sequential).
-    pub shards: usize,
     /// The run's report.
     pub report: RunReport,
     /// The run's metric counters.
     pub metrics: Metrics,
-    /// The full event trace, globally ordered.
+    /// The full event trace.
     pub trace: Vec<TraceEvent>,
-    /// The keyed trace (sharded replays only).
-    pub keyed: Option<Vec<KeyedTraceEvent>>,
     /// Digest recomputed from this replay.
     pub digest: RunDigest,
 }
 
-/// Re-executes `capsule` on the sequential engine, collecting the full
-/// trace through a [`SharedRingTrace`] so the digest covers every
-/// event.
-pub fn replay_sequential<P, F>(capsule: &Capsule, make_node: F) -> ReplayRun
+/// Re-executes `capsule`, collecting the full trace through a
+/// [`SharedRingTrace`] so the digest covers every event.
+pub fn replay<P, F>(capsule: &Capsule, make_node: F) -> ReplayRun
 where
     P: Protocol + 'static,
     F: FnMut(NodeId) -> P,
@@ -65,44 +48,11 @@ where
     let report = sim.run(capsule.deadline);
     let trace = shared.events();
     let metrics = sim.metrics().clone();
-    let digest = RunDigest::compute(&report, &metrics, &trace, None);
+    let digest = RunDigest::compute(&report, &metrics, &trace);
     ReplayRun {
-        engine: SEQUENTIAL_ENGINE.to_string(),
-        shards: 1,
         report,
         metrics,
         trace,
-        keyed: None,
-        digest,
-    }
-}
-
-/// Re-executes `capsule` on the sharded engine at `shards` shards with
-/// trace collection enabled.
-pub fn replay_sharded<P, F>(capsule: &Capsule, shards: usize, make_node: F) -> ReplayRun
-where
-    P: Protocol,
-    F: Fn(NodeId) -> P + Sync,
-{
-    let run = SimBuilder::new(capsule.topology.clone(), capsule.seed, make_node)
-        .config(capsule.config)
-        .faults(capsule.faults.clone())
-        .shards(shards)
-        .collect_trace(true)
-        .run_sharded(capsule.deadline, |_, _| ());
-    let digest = RunDigest::compute(
-        &run.report,
-        &run.metrics,
-        &run.trace,
-        Some(&run.keyed_trace),
-    );
-    ReplayRun {
-        engine: SHARDED_ENGINE.to_string(),
-        shards,
-        report: run.report,
-        metrics: run.metrics,
-        trace: run.trace,
-        keyed: Some(run.keyed_trace),
         digest,
     }
 }
@@ -111,7 +61,7 @@ where
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DigestMismatch {
     /// Which field diverged (`"outcome"`, `"final_time"`, `"events"`,
-    /// `"trace"`, `"metrics"`, or `"order"`).
+    /// `"trace"`, or `"metrics"`).
     pub field: &'static str,
     /// The capsule's recorded value.
     pub expected: String,
@@ -132,11 +82,9 @@ impl fmt::Display for DigestMismatch {
 /// Why [`verify_replay`] rejected a replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayError {
-    /// The capsule records no digest for the replayed engine.
-    NoRecordedDigest {
-        /// The engine that was replayed.
-        engine: String,
-    },
+    /// The capsule records no digest (it was snapshotted before running,
+    /// or captured on the removed sharded engine).
+    NoRecordedDigest,
     /// The replay's digest differs from the recorded one.
     Mismatch(DigestMismatch),
 }
@@ -144,9 +92,7 @@ pub enum ReplayError {
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplayError::NoRecordedDigest { engine } => {
-                write!(f, "capsule records no digest for the {engine} engine")
-            }
+            ReplayError::NoRecordedDigest => f.write_str("capsule records no digest"),
             ReplayError::Mismatch(mismatch) => mismatch.fmt(f),
         }
     }
@@ -155,9 +101,9 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// Compares a recorded digest against a replayed one, skipping fields
-/// the recording could not capture ([`ContentDigest::MISSING`] trace or
-/// order digests, e.g. from the sequential engine's automatic failure
-/// dump, whose full trace is not retained).
+/// the recording could not capture (a [`ContentDigest::MISSING`] trace
+/// digest, e.g. from the automatic failure dump, whose full trace is not
+/// retained).
 pub fn check_digest(recorded: &RunDigest, actual: &RunDigest) -> Result<(), DigestMismatch> {
     let diff = |field, expected: &dyn fmt::Display, actual: &dyn fmt::Display| DigestMismatch {
         field,
@@ -185,177 +131,14 @@ pub fn check_digest(recorded: &RunDigest, actual: &RunDigest) -> Result<(), Dige
             return Err(diff("trace", &recorded.trace, &actual.trace));
         }
     }
-    if recorded.order != ContentDigest::MISSING
-        && actual.order != ContentDigest::MISSING
-        && recorded.order != actual.order
-    {
-        return Err(diff("order", &recorded.order, &actual.order));
-    }
     Ok(())
 }
 
-/// Verifies a replay against the capsule's recorded digest for the same
-/// engine. Sharded digests are shard-count independent, so any recorded
-/// sharded digest verifies a replay at any shard count.
+/// Verifies a replay against the capsule's recorded digest.
 pub fn verify_replay(capsule: &Capsule, run: &ReplayRun) -> Result<(), ReplayError> {
-    let recorded: &EngineDigest =
-        capsule
-            .digest_for(&run.engine)
-            .ok_or_else(|| ReplayError::NoRecordedDigest {
-                engine: run.engine.clone(),
-            })?;
-    check_digest(&recorded.digest, &run.digest).map_err(ReplayError::Mismatch)
-}
-
-/// The first point where two event streams disagree, with surrounding
-/// context from both sides.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// Index of the first differing event; equals the shorter stream's
-    /// length when one stream is a strict prefix of the other.
-    pub index: usize,
-    /// The left stream's event at `index`, if it has one.
-    pub left: Option<TraceEvent>,
-    /// The right stream's event at `index`, if it has one.
-    pub right: Option<TraceEvent>,
-    /// The left event's [`OrderKey`], when keyed streams were compared.
-    pub left_key: Option<OrderKey>,
-    /// The right event's [`OrderKey`], when keyed streams were compared.
-    pub right_key: Option<OrderKey>,
-    /// Events surrounding the divergence in the left stream.
-    pub context_left: Vec<TraceEvent>,
-    /// Events surrounding the divergence in the right stream.
-    pub context_right: Vec<TraceEvent>,
-}
-
-impl fmt::Display for Divergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "streams diverge at event {}", self.index)?;
-        let side = |f: &mut fmt::Formatter<'_>,
-                    name: &str,
-                    event: &Option<TraceEvent>,
-                    key: &Option<OrderKey>|
-         -> fmt::Result {
-            match event {
-                Some(e) => write!(f, "  {name}: {}", e.to_json())?,
-                None => write!(f, "  {name}: <stream ended>")?,
-            }
-            if let Some(k) = key {
-                write!(
-                    f,
-                    " @ key(t={},class={},a={},b={},c={})",
-                    k.at, k.class, k.a, k.b, k.c
-                )?;
-            }
-            writeln!(f)
-        };
-        side(f, "left ", &self.left, &self.left_key)?;
-        side(f, "right", &self.right, &self.right_key)?;
-        writeln!(f, "  left context:")?;
-        for e in &self.context_left {
-            writeln!(f, "    {}", e.to_json())?;
-        }
-        writeln!(f, "  right context:")?;
-        for e in &self.context_right {
-            writeln!(f, "    {}", e.to_json())?;
-        }
-        Ok(())
-    }
-}
-
-fn context_window(stream: &[TraceEvent], index: usize, context: usize) -> Vec<TraceEvent> {
-    let lo = index.saturating_sub(context);
-    let hi = index.saturating_add(context + 1).min(stream.len());
-    if lo >= hi {
-        Vec::new()
-    } else {
-        stream[lo..hi].to_vec()
-    }
-}
-
-/// Finds the first index where two plain event streams disagree
-/// (`None` if identical), with `context` events of surrounding context
-/// per side.
-pub fn first_divergence(a: &[TraceEvent], b: &[TraceEvent], context: usize) -> Option<Divergence> {
-    let shorter = a.len().min(b.len());
-    let index = (0..shorter)
-        .find(|&i| a[i] != b[i])
-        .or_else(|| (a.len() != b.len()).then_some(shorter))?;
-    Some(Divergence {
-        index,
-        left: a.get(index).cloned(),
-        right: b.get(index).cloned(),
-        left_key: None,
-        right_key: None,
-        context_left: context_window(a, index, context),
-        context_right: context_window(b, index, context),
-    })
-}
-
-/// Keyed variant of [`first_divergence`]: compares `(OrderKey, emit
-/// index, event)` triples, so a reordering is reported even when the
-/// same events appear in both streams.
-pub fn first_keyed_divergence(
-    a: &[KeyedTraceEvent],
-    b: &[KeyedTraceEvent],
-    context: usize,
-) -> Option<Divergence> {
-    let shorter = a.len().min(b.len());
-    let index = (0..shorter)
-        .find(|&i| a[i] != b[i])
-        .or_else(|| (a.len() != b.len()).then_some(shorter))?;
-    let events = |s: &[KeyedTraceEvent]| -> Vec<TraceEvent> {
-        s.iter().map(|(_, _, e)| e.clone()).collect()
-    };
-    let a_events = events(a);
-    let b_events = events(b);
-    Some(Divergence {
-        index,
-        left: a_events.get(index).cloned(),
-        right: b_events.get(index).cloned(),
-        left_key: a.get(index).map(|(k, _, _)| *k),
-        right_key: b.get(index).map(|(k, _, _)| *k),
-        context_left: context_window(&a_events, index, context),
-        context_right: context_window(&b_events, index, context),
-    })
-}
-
-/// Events of context reported on each side of a divergence.
-const BISECT_CONTEXT: usize = 5;
-
-/// Replays `capsule` at two shard counts and reports the first
-/// diverging `OrderKey` (`None` means the runs were lockstep-identical,
-/// the invariant the sharded engine promises).
-pub fn bisect_shard_counts<P, F>(
-    capsule: &Capsule,
-    shards_a: usize,
-    shards_b: usize,
-    make_node: F,
-) -> Option<Divergence>
-where
-    P: Protocol,
-    F: Fn(NodeId) -> P + Sync,
-{
-    let a = replay_sharded(capsule, shards_a, &make_node);
-    let b = replay_sharded(capsule, shards_b, &make_node);
-    first_keyed_divergence(
-        a.keyed.as_deref().unwrap_or(&[]),
-        b.keyed.as_deref().unwrap_or(&[]),
-        BISECT_CONTEXT,
-    )
-}
-
-/// Replays `capsule` on both engines and reports their first trace
-/// difference. The engines order concurrent events differently by
-/// design, so a divergence here is expected — this locates *where* the
-/// orders part ways, which is the starting point when only one engine
-/// reproduces a failure.
-pub fn bisect_engines<P, F>(capsule: &Capsule, make_node: F) -> Option<Divergence>
-where
-    P: Protocol + 'static,
-    F: Fn(NodeId) -> P + Sync,
-{
-    let sequential = replay_sequential(capsule, &make_node);
-    let sharded = replay_sharded(capsule, 1, &make_node);
-    first_divergence(&sequential.trace, &sharded.trace, BISECT_CONTEXT)
+    let recorded = capsule
+        .digest
+        .as_ref()
+        .ok_or(ReplayError::NoRecordedDigest)?;
+    check_digest(recorded, &run.digest).map_err(ReplayError::Mismatch)
 }

@@ -9,7 +9,7 @@
 //!
 //! The oracle closure decides what "fails" means: typically "replaying
 //! the capsule with this candidate plan still ends in the same
-//! `Outcome`". Because both engines are deterministic, the oracle is a
+//! `Outcome`". Because the engine is deterministic, the oracle is a
 //! pure function of its input and the shrink result is reproducible.
 
 use crate::fault::{FaultEvent, FaultPlan};

@@ -1,6 +1,6 @@
 //! The simulator main loop.
 
-use crate::capsule::{Capsule, CapsuleSpec, EngineDigest, RunDigest, SEQUENTIAL_ENGINE};
+use crate::capsule::{Capsule, CapsuleSpec, RunDigest};
 use crate::energy::EnergyLedger;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan, PPM_ONE};
@@ -58,10 +58,6 @@ pub enum Outcome {
     Stalled,
     /// The attached invariant checker reported a violation.
     InvariantViolated,
-    /// A worker thread of the sharded engine panicked. The first panic
-    /// message is surfaced in the report's diagnostic reason, instead of
-    /// cascading into `"control poisoned"` secondary panics.
-    WorkerPanicked,
 }
 
 impl Outcome {
@@ -73,19 +69,15 @@ impl Outcome {
             Outcome::Drained => "drained",
             Outcome::Stalled => "stalled",
             Outcome::InvariantViolated => "invariant_violated",
-            Outcome::WorkerPanicked => "worker_panicked",
         }
     }
 
     /// Whether this outcome is diagnostic — the run ended abnormally
-    /// (stall, invariant violation, worker panic) rather than by a
+    /// (stall, invariant violation) rather than by a
     /// normal terminal condition. Diagnostic outcomes are the ones the
     /// flight recorder dumps failure capsules for.
     pub fn is_diagnostic(self) -> bool {
-        matches!(
-            self,
-            Outcome::Stalled | Outcome::InvariantViolated | Outcome::WorkerPanicked
-        )
+        matches!(self, Outcome::Stalled | Outcome::InvariantViolated)
     }
 }
 
@@ -696,9 +688,9 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Writes the armed failure capsule, if any. The sequential engine
-    /// does not retain its full trace, so the recorded digest covers
-    /// outcome, final time, and metrics; trace/order digests are
+    /// Writes the armed failure capsule, if any. The engine does not
+    /// retain its full trace, so the recorded digest covers outcome,
+    /// final time, and metrics; the trace digest is
     /// [`ContentDigest::MISSING`](crate::violation::ContentDigest::MISSING)
     /// and skipped by replay verification.
     fn write_failure_capsule(&self, outcome: Outcome, deadline: Duration) {
@@ -712,18 +704,12 @@ impl<P: Protocol> Simulator<P> {
         let digest = RunDigest::metrics_only(outcome, self.now, &self.metrics);
         let capsule = Capsule {
             seed: self.seed,
-            engine: SEQUENTIAL_ENGINE.to_string(),
-            shards: 1,
             deadline,
             config: self.config,
             topology: self.topology.clone(),
             faults,
             scenario: spec.scenario.clone(),
-            digests: vec![EngineDigest {
-                engine: SEQUENTIAL_ENGINE.to_string(),
-                shards: 1,
-                digest,
-            }],
+            digest: Some(digest),
         };
         spec.write(&capsule);
     }
@@ -1016,12 +1002,8 @@ mod tests {
             Outcome::Drained,
             Outcome::Stalled,
             Outcome::InvariantViolated,
-            Outcome::WorkerPanicked,
         ] {
-            let expected = matches!(
-                outcome,
-                Outcome::Stalled | Outcome::InvariantViolated | Outcome::WorkerPanicked
-            );
+            let expected = matches!(outcome, Outcome::Stalled | Outcome::InvariantViolated);
             assert_eq!(outcome.is_diagnostic(), expected, "{}", outcome.label());
         }
     }
@@ -1389,6 +1371,36 @@ mod tests {
         assert_eq!(report.outcome, Outcome::TimedOut);
         assert_eq!(sim.metrics().rx_packets(), 1);
         assert_eq!(sim.node(NodeId(2)).pings_heard, 1);
+    }
+
+    /// A delivery whose transmission record is gone must drop with a
+    /// structured `Pruned` loss event, not panic mid-run.
+    #[test]
+    fn delivery_for_pruned_transmission_is_dropped_not_panicked() {
+        let ring = crate::trace::SharedRingTrace::new(64);
+        let mut sim = pinger_sim(1);
+        sim.set_trace(Box::new(ring.clone()));
+        sim.queue.push(
+            SimTime(42),
+            Event::Deliver {
+                to: NodeId(2),
+                from: NodeId(0),
+                data: std::sync::Arc::new(vec![1, 2, 3]),
+                kind: PacketKind::Data,
+                tx_id: 999,
+            },
+        );
+        sim.run(Duration::from_millis(500));
+        assert_eq!(sim.node(NodeId(2)).pings_heard, 0);
+        assert_eq!(sim.metrics().phy_losses(), 1);
+        assert!(ring.events().iter().any(|event| matches!(
+            event,
+            TraceEvent::Loss {
+                cause: LossCause::Pruned,
+                tx_id: 999,
+                ..
+            }
+        )));
     }
 
     /// A node nobody can hear, broadcasting once.

@@ -269,21 +269,6 @@ impl Topology {
         self.links.iter().map(|l| l.len()).sum::<usize>() as f64 / self.positions.len() as f64
     }
 
-    /// Longest distance between any linked pair (m). Zero for
-    /// link-only topologies with degenerate positions.
-    pub fn max_link_distance(&self) -> f64 {
-        let mut max = 0.0f64;
-        for (i, out) in self.links.iter().enumerate() {
-            for l in out {
-                let d = self.positions[i].distance(&self.positions[l.to.index()]);
-                if d > max {
-                    max = d;
-                }
-            }
-        }
-        max
-    }
-
     /// Whether the directed link graph is strongly connected (every node
     /// reachable from node 0 and vice versa), which dissemination needs.
     pub fn is_connected(&self) -> bool {
@@ -310,90 +295,6 @@ impl Topology {
             seen.into_iter().filter(|&s| s).count()
         };
         reach(0, false) == self.positions.len() && reach(0, true) == self.positions.len()
-    }
-}
-
-/// A spatial tiling of a topology into square cells at least as wide as
-/// the longest link, used by the sharded engine ([`crate::shard`]).
-///
-/// Because the cell side is ≥ every link distance, two linked nodes are
-/// always in the same or adjacent cells. Cells are ranked in row-major
-/// `(cy, cx)` order of the *occupied* cells only, and shard assignment
-/// slices that ranking into contiguous blocks — both derived purely from
-/// the topology, never from the shard count, so the partition at `k`
-/// shards is always a coarsening of the same underlying cell order.
-#[derive(Clone, Debug)]
-pub struct SpatialPartition {
-    /// Occupied-cell rank of each node (dense, 0-based).
-    cell_of: Vec<u32>,
-    /// Number of occupied cells.
-    num_cells: usize,
-    /// Cell side length (m).
-    cell_side: f64,
-}
-
-impl SpatialPartition {
-    /// Tiles `topology` by its longest link distance.
-    pub fn new(topology: &Topology) -> Self {
-        let positions = topology.positions();
-        if positions.is_empty() {
-            return SpatialPartition {
-                cell_of: Vec::new(),
-                num_cells: 0,
-                cell_side: 1.0,
-            };
-        }
-        // Side must cover the longest link so linked nodes never sit more
-        // than one cell apart; 1 m floor guards all-colocated layouts.
-        let side = topology.max_link_distance().max(1.0);
-        let min_x = positions.iter().map(|p| p.x).fold(f64::INFINITY, f64::min);
-        let min_y = positions.iter().map(|p| p.y).fold(f64::INFINITY, f64::min);
-        let coord = |p: &Position| {
-            (
-                ((p.y - min_y) / side).floor() as i64,
-                ((p.x - min_x) / side).floor() as i64,
-            )
-        };
-        let mut occupied: Vec<(i64, i64)> = positions.iter().map(coord).collect();
-        occupied.sort_unstable();
-        occupied.dedup();
-        let rank = |c: (i64, i64)| occupied.binary_search(&c).expect("own cell occupied") as u32;
-        let cell_of = positions.iter().map(|p| rank(coord(p))).collect();
-        SpatialPartition {
-            cell_of,
-            num_cells: occupied.len(),
-            cell_side: side,
-        }
-    }
-
-    /// Occupied-cell rank of `node`.
-    pub fn cell_of(&self, node: NodeId) -> u32 {
-        self.cell_of[node.index()]
-    }
-
-    /// Number of occupied cells.
-    pub fn num_cells(&self) -> usize {
-        self.num_cells
-    }
-
-    /// Cell side length in meters (≥ the longest link distance).
-    pub fn cell_side(&self) -> f64 {
-        self.cell_side
-    }
-
-    /// Assigns every cell to one of `shards` contiguous blocks and
-    /// returns the shard of each node. Cells are never split, so nodes
-    /// sharing a cell always share a shard.
-    pub fn shard_assignment(&self, shards: usize) -> Vec<u32> {
-        let shards = shards.max(1);
-        self.cell_of
-            .iter()
-            .map(|&cell| {
-                (cell as usize * shards)
-                    .checked_div(self.num_cells)
-                    .unwrap_or(0) as u32
-            })
-            .collect()
     }
 }
 
@@ -459,46 +360,6 @@ mod tests {
         let b = Topology::grid(5, 10.0, 7);
         for i in 0..25u32 {
             assert_eq!(a.links_from(NodeId(i)), b.links_from(NodeId(i)));
-        }
-    }
-
-    #[test]
-    fn partition_keeps_linked_nodes_within_adjacent_cells() {
-        let t = Topology::grid(10, 15.0, 3);
-        let p = SpatialPartition::new(&t);
-        assert!(p.cell_side() >= t.max_link_distance());
-        assert!(p.num_cells() >= 2);
-        // Every link spans at most one cell in each axis: verify via the
-        // assignment being monotone-contiguous and covering all shards.
-        for k in [1usize, 2, 4, 8] {
-            let assign = p.shard_assignment(k);
-            assert_eq!(assign.len(), t.len());
-            let max = *assign.iter().max().unwrap() as usize;
-            assert!(max < k);
-            // Nodes sharing a cell share a shard.
-            for i in 0..t.len() {
-                for j in 0..t.len() {
-                    if p.cell_of(NodeId(i as u32)) == p.cell_of(NodeId(j as u32)) {
-                        assert_eq!(assign[i], assign[j]);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partition_shard_assignment_is_coarsening_of_cells() {
-        let t = Topology::random(60, 120.0, 90.0, 5);
-        let p = SpatialPartition::new(&t);
-        let a2 = p.shard_assignment(2);
-        let a4 = p.shard_assignment(4);
-        // Cells mapped together at 4 shards are also together at 2.
-        for i in 0..t.len() {
-            for j in 0..t.len() {
-                if a4[i] == a4[j] {
-                    assert_eq!(a2[i], a2[j]);
-                }
-            }
         }
     }
 

@@ -17,41 +17,12 @@
 //! post-mortem inspection in tests), and [`JsonlTrace`], which streams
 //! every event as one JSON object per line for offline analysis.
 
-use crate::event::OrderKey;
 use crate::node::{NodeId, PacketKind, TimerId};
 use crate::time::SimTime;
 use lrs_json::ObjWriter;
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-
-/// One trace event tagged for cross-shard merging: the [`OrderKey`] of
-/// the simulation step that emitted it, plus the emission index within
-/// that step (a step can emit several events — e.g. an `Rx` followed by
-/// a `NodeComplete`).
-pub type KeyedTraceEvent = (OrderKey, u32, TraceEvent);
-
-/// Merges per-shard trace buffers into one globally ordered stream.
-///
-/// A simulation step runs on exactly one shard, so `(key, emit index)`
-/// totally orders the union; the merged stream is identical no matter
-/// how nodes were split across shards. Buffers need not be pre-sorted.
-pub fn merge_keyed_traces(buffers: Vec<Vec<KeyedTraceEvent>>) -> Vec<TraceEvent> {
-    merge_keyed(buffers)
-        .into_iter()
-        .map(|(_, _, event)| event)
-        .collect()
-}
-
-/// The keyed form of [`merge_keyed_traces`]: merges per-shard buffers
-/// into one globally ordered stream but keeps the `(OrderKey, emit
-/// index)` tags, which the flight recorder's divergence bisector needs
-/// to name the first point where two runs disagree.
-pub fn merge_keyed(buffers: Vec<Vec<KeyedTraceEvent>>) -> Vec<KeyedTraceEvent> {
-    let mut all: Vec<KeyedTraceEvent> = buffers.into_iter().flatten().collect();
-    all.sort_by_key(|(key, seq, _)| (*key, *seq));
-    all
-}
 
 /// Why a delivery failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,7 +37,7 @@ pub enum LossCause {
     /// [`FaultPlan`](crate::fault::FaultPlan).
     Fault,
     /// The delivery's transmission record had already been pruned when
-    /// the delivery was processed. Defensive path in the engines: the
+    /// the delivery was processed. Defensive path in the engine: the
     /// packet is dropped with this structured event instead of
     /// panicking mid-run.
     Pruned,
@@ -467,26 +438,6 @@ mod tests {
         for l in lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
-    }
-
-    #[test]
-    fn keyed_merge_orders_across_buffers() {
-        let key = |t: u64, node: u32| OrderKey::timer(SimTime(t), NodeId(node), TimerId(0), 0);
-        let a = vec![(key(10, 0), 0, ev(1)), (key(30, 0), 0, ev(3))];
-        let b = vec![
-            (key(20, 1), 0, ev(2)),
-            (key(30, 1), 0, ev(4)),
-            (key(30, 1), 1, ev(5)),
-        ];
-        let merged = merge_keyed_traces(vec![a, b]);
-        let order: Vec<u64> = merged
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Note { a, .. } => *a,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/bin/bash
 # Regenerates every figure/table at paper scale, then runs the
-# robustness suites (chaos sweep, shard-scaling sweep, flight-recorder
-# and campaign gates). Run from the repo root; extra args are forwarded
-# to the figure/table bins (e.g. --quick).
+# robustness suites (chaos sweep, flight-recorder and campaign gates).
+# Run from the repo root; extra args are forwarded to the figure/table
+# bins (e.g. --quick).
 set -e
 cd "$(dirname "$0")"
 mkdir -p results
@@ -34,13 +34,8 @@ echo "=== attack ==="
 echo "=== chaos ==="
 ./target/release/chaos --capsule results/capsules "$@" | tee results/chaos.txt
 
-# Shard-scaling sweep; asserts sharded metrics are shard-count
-# invariant and writes results/scale.json.
-echo "=== scale ==="
-./target/release/scale --capsule results/capsules "$@" | tee results/scale.txt
-
-# Flight-recorder gate: capture both schemes, replay across engines and
-# shard counts, verify digest bit-identity.
+# Flight-recorder gate: capture both schemes, replay, verify digest
+# bit-identity.
 echo "=== replay ==="
 ./target/release/replay --smoke | tee results/replay.txt
 

@@ -1,17 +1,15 @@
 //! Flight-recorder end-to-end tests: capture → capsule → replay
-//! bit-identity on both engines and both schemes, automatic failure
-//! capsules from the watchdog, divergence bisection, and delta-debugged
-//! chaos-scenario shrinking.
+//! bit-identity for both schemes, automatic failure capsules from the
+//! watchdog, capsules from the removed sharded engine, and
+//! delta-debugged chaos-scenario shrinking.
 
 use lr_seluge::Deployment;
 use lrs_bench::capsules::{replay_capsule, scale_params as small_lr, ScenarioTags};
 use lrs_bench::matched_seluge_params;
-use lrs_netsim::capsule::{Capsule, EngineDigest, RunDigest, SEQUENTIAL_ENGINE, SHARDED_ENGINE};
+use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
-use lrs_netsim::replay::{
-    bisect_engines, bisect_shard_counts, replay_sequential, replay_sharded, verify_replay,
-};
+use lrs_netsim::replay::{replay, verify_replay, ReplayError};
 use lrs_netsim::shrink::shrink_fault_plan;
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::time::{Duration, SimTime};
@@ -42,74 +40,50 @@ fn unique_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lrs-flight-{}-{name}", std::process::id()))
 }
 
-/// Captures one LR-Seluge run on each engine and packages both digests
-/// into a capsule — what `lrs-bench`'s `replay --capture` does.
-fn lr_capsule(side: usize, seed: u64) -> Capsule {
-    let topology = Topology::grid(side, 10.0, 77);
-    let deployment = lr_deployment();
-    let sharded = SimBuilder::new(topology.clone(), seed, |id| deployment.node(id, NodeId(0)))
-        .shards(2)
-        .collect_trace(true)
-        .run_sharded(deadline(), |_, _| ());
-    assert_eq!(sharded.report.outcome, Outcome::Complete);
-    let sharded_digest = RunDigest::compute(
-        &sharded.report,
-        &sharded.metrics,
-        &sharded.trace,
-        Some(&sharded.keyed_trace),
-    );
+fn grid() -> Topology {
+    Topology::grid(6, 10.0, 77)
+}
+
+/// Runs `builder` to completion and packages its own snapshot
+/// ([`SimBuilder::capsule`]) with the run's digest — what `lrs-bench`'s
+/// `replay --capture` does, but digested by hand rather than through
+/// `replay`.
+fn capture<P: Protocol + 'static, F: FnMut(NodeId) -> P>(
+    scheme: &str,
+    builder: SimBuilder<P, F>,
+) -> Capsule {
+    let builder = builder.scenario("scheme", scheme);
+    let mut capsule = builder.capsule(deadline());
     let ring = SharedRingTrace::new(usize::MAX);
-    let mut sim = SimBuilder::new(topology.clone(), seed, |id| deployment.node(id, NodeId(0)))
-        .trace(ring.clone())
-        .build();
+    let mut sim = builder.trace(ring.clone()).build();
     let report = sim.run(deadline());
     assert_eq!(report.outcome, Outcome::Complete);
-    let sequential_digest = RunDigest::compute(&report, sim.metrics(), &ring.events(), None);
-    Capsule {
-        seed,
-        engine: SHARDED_ENGINE.to_string(),
-        shards: 2,
-        deadline: deadline(),
-        config: SimConfig::default(),
-        topology,
-        faults: FaultPlan::new(),
-        scenario: vec![("scheme".to_string(), "lr-seluge".to_string())],
-        digests: vec![
-            EngineDigest {
-                engine: SEQUENTIAL_ENGINE.to_string(),
-                shards: 1,
-                digest: sequential_digest,
-            },
-            EngineDigest {
-                engine: SHARDED_ENGINE.to_string(),
-                shards: 2,
-                digest: sharded_digest,
-            },
-        ],
-    }
+    assert!(report.diagnostic.is_none(), "zero violations expected");
+    capsule.digest = Some(RunDigest::compute(&report, sim.metrics(), &ring.events()));
+    capsule
 }
+
+// The next three ids predate the removal of the sharded engine (two
+// name it); they are kept so the test floor can follow them across
+// that change. Each captures and replays on the one engine.
 
 #[test]
 fn lr_capsule_replays_bit_identically_on_both_engines() {
-    let capsule = lr_capsule(6, 42);
+    let deployment = lr_deployment();
+    let make = |id: NodeId| deployment.node(id, NodeId(0));
+    let capsule = capture("lr-seluge", SimBuilder::new(grid(), 42, make));
     // The capsule must survive a serialization round trip before the
-    // replays, so what is verified is what a file would carry.
+    // replay, so what is verified is what a file would carry.
     let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
     assert_eq!(restored, capsule);
-    let deployment = lr_deployment();
-    let sequential = replay_sequential(&restored, |id| deployment.node(id, NodeId(0)));
-    verify_replay(&restored, &sequential).expect("sequential replay diverged");
-    for shards in [1usize, 2, 4] {
-        let run = replay_sharded(&restored, shards, |id| deployment.node(id, NodeId(0)));
-        verify_replay(&restored, &run)
-            .unwrap_or_else(|err| panic!("sharded replay @ {shards} shards diverged: {err}"));
-    }
+    verify_replay(&restored, &replay(&restored, make)).expect("replay diverged");
 }
 
 #[test]
 fn lr_capsule_with_faults_replays_bit_identically() {
-    // Cross-shard chaos in the capture must be reproduced exactly by
-    // the replay, because the capsule carries the full fault schedule.
+    // Chaos in the capture (with the per-delivery invariant checker
+    // armed: it must stay silent) must be reproduced exactly by the
+    // replay, because the capsule carries the full fault schedule.
     let mut faults = FaultPlan::new();
     faults.crash_and_reboot(NodeId(7), SimTime(400_000), Duration::from_secs(2));
     faults.crash(NodeId(34), SimTime(700_000));
@@ -119,40 +93,19 @@ fn lr_capsule_with_faults_replays_bit_identically() {
         SimTime(300_000),
         Duration::from_secs(1),
     );
-    let topology = Topology::grid(6, 10.0, 77);
     let deployment = lr_deployment();
-    let captured = SimBuilder::new(topology.clone(), 3, |id| deployment.node(id, NodeId(0)))
-        .faults(faults.clone())
-        .shards(4)
-        .collect_trace(true)
-        .run_sharded(deadline(), |_, _| ());
-    assert_eq!(captured.report.outcome, Outcome::Complete);
-    let capsule = Capsule {
-        seed: 3,
-        engine: SHARDED_ENGINE.to_string(),
-        shards: 4,
-        deadline: deadline(),
-        config: SimConfig::default(),
-        topology,
-        faults,
-        scenario: Vec::new(),
-        digests: vec![EngineDigest {
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 4,
-            digest: RunDigest::compute(
-                &captured.report,
-                &captured.metrics,
-                &captured.trace,
-                Some(&captured.keyed_trace),
-            ),
-        }],
-    };
+    let make = |id: NodeId| deployment.node(id, NodeId(0));
+    let (artifacts, image) = (deployment.artifacts().clone(), test_image(1024));
+    let builder = SimBuilder::new(grid(), 3, make).faults(faults).invariants(
+        move |node: &lr_seluge::deployment::LrNode, _| {
+            node.scheme().verify_invariants(&artifacts, &image)
+        },
+    );
+    let capsule = capture("lr-seluge", builder);
+    assert_eq!(capsule.faults.len(), 5);
     let restored = Capsule::from_framed(&capsule.to_framed()).expect("framed round trip");
-    for shards in [1usize, 2] {
-        let run = replay_sharded(&restored, shards, |id| deployment.node(id, NodeId(0)));
-        verify_replay(&restored, &run)
-            .unwrap_or_else(|err| panic!("faulted replay @ {shards} shards diverged: {err}"));
-    }
+    assert_eq!(restored, capsule);
+    verify_replay(&restored, &replay(&restored, make)).expect("faulted replay diverged");
 }
 
 #[test]
@@ -161,38 +114,9 @@ fn seluge_capsule_replays_bit_identically_on_sharded_engine() {
     let params = matched_seluge_params(&small_lr(image.len()));
     let deployment = SelugeDeployment::new(&image, params, b"flight recorder");
     let make = |id: NodeId| deployment.node(id, NodeId(0));
-    let topology = Topology::grid(6, 10.0, 77);
-    let captured = SimBuilder::new(topology.clone(), 7, make)
-        .shards(2)
-        .collect_trace(true)
-        .run_sharded(deadline(), |_, _| ());
-    assert_eq!(captured.report.outcome, Outcome::Complete);
-    let capsule = Capsule {
-        seed: 7,
-        engine: SHARDED_ENGINE.to_string(),
-        shards: 2,
-        deadline: deadline(),
-        config: SimConfig::default(),
-        topology,
-        faults: FaultPlan::new(),
-        scenario: vec![("scheme".to_string(), "seluge".to_string())],
-        digests: vec![EngineDigest {
-            engine: SHARDED_ENGINE.to_string(),
-            shards: 2,
-            digest: RunDigest::compute(
-                &captured.report,
-                &captured.metrics,
-                &captured.trace,
-                Some(&captured.keyed_trace),
-            ),
-        }],
-    };
+    let capsule = capture("seluge", SimBuilder::new(grid(), 7, make));
     let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
-    for shards in [1usize, 4] {
-        let run = replay_sharded(&restored, shards, make);
-        verify_replay(&restored, &run)
-            .unwrap_or_else(|err| panic!("seluge replay @ {shards} shards diverged: {err}"));
-    }
+    verify_replay(&restored, &replay(&restored, make)).expect("seluge replay diverged");
 }
 
 /// A beacon protocol that keeps virtual time moving whether or not
@@ -286,35 +210,6 @@ fn shrinker_reduces_failing_chaos_plan_to_minimal_reproducer() {
 }
 
 #[test]
-fn stalled_sharded_run_dumps_a_loadable_capsule() {
-    let path = unique_path("stall-sharded.lrsc");
-    let _ = std::fs::remove_file(&path);
-    let mut faults = FaultPlan::new();
-    faults.crash(NodeId(0), SimTime(100_000));
-    let run = SimBuilder::new(Topology::star(5), 9, |_| Beacon { heard: false })
-        .config(beacon_config())
-        .faults(faults)
-        .shards(2)
-        .collect_trace(true)
-        .capsule_on_failure(&path)
-        .scenario("protocol", "beacon")
-        .run_sharded(Duration::from_secs(120), |_, b| b.heard);
-    assert_eq!(run.report.outcome, Outcome::Stalled);
-
-    let capsule = Capsule::load(&path).expect("failure capsule must load");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(capsule.engine, SHARDED_ENGINE);
-    assert_eq!(capsule.shards, 2);
-    assert_eq!(capsule.scenario_value("protocol"), Some("beacon"));
-    assert_eq!(capsule.faults.len(), 1);
-    let recorded = capsule.digest_for(SHARDED_ENGINE).expect("sharded digest");
-    assert_eq!(recorded.digest.outcome, "stalled");
-    // The capsule must reproduce the stall bit-identically.
-    let replayed = replay_sharded(&capsule, 4, |_| Beacon { heard: false });
-    verify_replay(&capsule, &replayed).expect("stall replay diverged");
-}
-
-#[test]
 fn stalled_sequential_run_dumps_a_loadable_capsule() {
     let path = unique_path("stall-sequential.jsonl");
     let _ = std::fs::remove_file(&path);
@@ -331,30 +226,15 @@ fn stalled_sequential_run_dumps_a_loadable_capsule() {
 
     let capsule = Capsule::load(&path).expect("failure capsule must load");
     std::fs::remove_file(&path).ok();
-    assert_eq!(capsule.engine, SEQUENTIAL_ENGINE);
-    // The sequential dump digests outcome/time/metrics only (the full
-    // trace is not retained on the failure path); replay must still
-    // verify against those fields.
-    let replayed = replay_sequential(&capsule, |_| Beacon { heard: false });
-    verify_replay(&capsule, &replayed).expect("sequential stall replay diverged");
-}
-
-#[test]
-fn bisector_finds_engine_divergence_but_no_shard_divergence() {
-    let capsule = lr_capsule(4, 11);
-    let deployment = lr_deployment();
-    // The sharded engine is shard-count independent: no divergence.
-    assert!(
-        bisect_shard_counts(&capsule, 1, 4, |id| deployment.node(id, NodeId(0))).is_none(),
-        "shard counts must be lockstep-identical"
-    );
-    // The two engines intentionally order concurrent events differently;
-    // the bisector pinpoints where, with context on both sides.
-    let divergence = bisect_engines(&capsule, |id| deployment.node(id, NodeId(0)))
-        .expect("engines are expected to diverge in event order");
-    assert!(divergence.left.is_some() || divergence.right.is_some());
-    let rendered = divergence.to_string();
-    assert!(rendered.contains("streams diverge at event"), "{rendered}");
+    assert_eq!(capsule.scenario_value("protocol"), Some("beacon"));
+    assert_eq!(capsule.faults.len(), 1);
+    let recorded = capsule.digest.as_ref().expect("the dump records a digest");
+    assert_eq!(recorded.outcome, "stalled");
+    // The dump digests outcome/time/metrics only (the full trace is not
+    // retained on the failure path); replay must still verify against
+    // those fields.
+    let replayed = replay(&capsule, |_| Beacon { heard: false });
+    verify_replay(&capsule, &replayed).expect("stall replay diverged");
 }
 
 /// The capsule `chaos --smoke` rewrites on every run, as committed by
@@ -372,6 +252,32 @@ fn committed_capsule_loads_and_rewrites_byte_for_byte() {
     assert_eq!(Capsule::from_framed(&capsule.to_framed()).unwrap(), capsule);
     let tags = ScenarioTags::decode(&capsule).expect("tags decode");
     assert_eq!((tags.scheme.as_str(), tags.image_len), ("lr-seluge", 2048));
+}
+
+#[test]
+fn capsule_from_the_removed_sharded_engine_replays_with_no_digest_to_verify() {
+    // The committed capsule as the sharded engine would have written
+    // it: its own engine label and shard count, its own digest line
+    // (non-zero `order`), no sequential one.
+    let text = std::fs::read_to_string(COMMITTED_CAPSULE)
+        .expect("committed capsule")
+        .replace(
+            r#""engine":"sequential","shards":1,"#,
+            r#""engine":"sharded","shards":4,"#,
+        )
+        .replace(
+            r#""order":"0000000000000000""#,
+            r#""order":"1f2e3d4c5b6a7988""#,
+        );
+    assert_eq!(text.matches(r#""engine":"sharded""#).count(), 2);
+    let capsule = Capsule::from_jsonl(&text).expect("legacy capsule loads");
+    assert_eq!(capsule.digest, None);
+    let run = replay_capsule(&capsule).expect("legacy capsule replays");
+    assert_eq!(run.report.outcome, Outcome::Stalled);
+    assert_eq!(
+        verify_replay(&capsule, &run),
+        Err(ReplayError::NoRecordedDigest)
+    );
 }
 
 #[test]
@@ -417,9 +323,9 @@ fn mutated_capsules_are_ok_or_err_never_a_panic() {
         };
         loaded += 1;
         if ScenarioTags::decode(&capsule).is_ok() && loaded % 16 == 0 {
-            // What loads must also run: every id, probability and
-            // shard count the engines index or sample was checked.
-            let _ = replay_capsule(&capsule, &capsule.engine, capsule.shards);
+            // What loads must also run: every id and probability the
+            // engine indexes or samples was checked.
+            let _ = replay_capsule(&capsule);
             replayed += 1;
         }
     }

@@ -14,7 +14,7 @@
 use lr_seluge_repro::lrs_bench::capsules::{LrScheme, SelugeScheme};
 use lr_seluge_repro::lrs_bench::Matched;
 use lr_seluge_repro::lrs_host::{ChannelTransport, Host, HostConfig, NodeId};
-use lr_seluge_repro::swarm::{LossyLinks, NodeStatus, SwarmNode, SwarmScenario};
+use lr_seluge_repro::swarm::{LossyLinks, NodeStatus, SwarmScenario};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::sim::Outcome;
 use lrs_netsim::time::Duration as SimDuration;
@@ -38,14 +38,15 @@ fn scenario() -> SwarmScenario {
 /// Runs the scenario in the discrete-event simulator and harvests each
 /// node's final status.
 fn run_sim<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
-    let run = SimBuilder::new(Topology::star(NODES), scenario.seed, |id| {
+    let mut sim = SimBuilder::new(Topology::star(NODES), scenario.seed, |id| {
         scenario.build_node::<S>(id).expect("node")
     })
-    .run_sharded(SimDuration::from_secs(10_000), |_, node: &SwarmNode<S>| {
-        node.status()
-    });
-    assert_eq!(run.report.outcome, Outcome::Complete, "sim run completed");
-    run.harvest
+    .build();
+    let report = sim.run(SimDuration::from_secs(10_000));
+    assert_eq!(report.outcome, Outcome::Complete, "sim run completed");
+    (0..NODES as u32)
+        .map(|id| sim.node(NodeId(id)).status())
+        .collect()
 }
 
 /// Runs the scenario on real-time hosts wired through an in-process
@@ -98,7 +99,7 @@ fn run_hosts<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
         let done = Arc::clone(&done);
         threads.push(std::thread::spawn(move || {
             // The LR node's digest memo is Rc-based, so the protocol is
-            // built inside its thread, as the sharded engine does.
+            // built inside its thread.
             let protocol = scenario.build_node::<S>(NodeId(id as u32)).expect("node");
             let mut host = Host::new(NodeId(id as u32), protocol, transport, scenario.seed, cfg);
             host.run(Duration::from_secs(60)).expect("host run");
