@@ -27,7 +27,7 @@ use lrs_erasure::gf256::{slice_mul_add_assign, Gf};
 use lrs_erasure::kernel::Kernel;
 use lrs_erasure::matrix::Matrix;
 use lrs_erasure::{ErasureCode, ReedSolomon};
-use lrs_netsim::node::NodeId;
+use lrs_host::node::NodeId;
 use std::hint::black_box;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};

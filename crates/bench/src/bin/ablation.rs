@@ -9,16 +9,13 @@
 
 use lr_seluge::{CodeKind, Deployment, GreedyRoundRobinPolicy, LrSelugeParams};
 use lrs_bench::runner::test_image;
-use lrs_bench::{
-    aggregate, configured_threads, sample_grid, write_csv, ExperimentMetrics, Json, JsonReport,
-    Table,
-};
+use lrs_bench::{aggregate, sample_grid, write_csv, ExperimentMetrics, Json, JsonReport, Table};
 use lrs_deluge::policy::UnionPolicy;
+use lrs_host::node::{NodeId, PacketKind, Protocol};
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::{NodeId, PacketKind, Protocol};
 use lrs_netsim::sim::SimConfig;
 
-use lrs_netsim::time::Duration;
+use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 
@@ -65,9 +62,8 @@ where
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (quick, threads) = lrs_bench::cli::sweep_args("ablation");
     let seeds = 3;
-    let threads = configured_threads();
     let params = LrSelugeParams {
         image_len: if quick { 4 * 1024 } else { 20 * 1024 },
         ..LrSelugeParams::default()

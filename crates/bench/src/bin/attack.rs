@@ -23,11 +23,11 @@ use std::process::ExitCode;
 use lrs_bench::capsules::{attack_params, population, LrScheme, ScenarioTags};
 use lrs_bench::runner::{simulate, Finished, Matched, SimSetup};
 use lrs_bench::{sample_grid, stat_json, write_csv, write_json, Json, Table};
+use lrs_deluge::attack::{AttackEntry, AttackPlan, AttackVector};
 use lrs_deluge::engine::EngineConfig;
 use lrs_deluge::image::DelugeScheme;
-use lrs_netsim::attack::{AttackEntry, AttackPlan, AttackVector};
-use lrs_netsim::node::NodeId;
-use lrs_netsim::time::{Duration, SimTime};
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::CapsuleSpec;
 
@@ -84,7 +84,7 @@ impl FloodOutcome {
 /// with the run's scenario tags, so a diagnostic outcome dumps a
 /// bit-replayable capsule; only runs on the registry's default engine
 /// configuration (no §IV-E budget) may pass one.
-fn run_with_attacker<S: Matched>(
+fn run_attacked<S: Matched>(
     image_len: usize,
     vector: AttackVector,
     interval: Duration,
@@ -121,8 +121,7 @@ fn run_under_attack<S: Matched>(
     capsule_dir: Option<&Path>,
 ) -> Result<FloodOutcome, String> {
     let window = Duration::from_secs(20_000);
-    let done =
-        run_with_attacker::<S>(image_len, vector, interval, None, seed, window, capsule_dir)?;
+    let done = run_attacked::<S>(image_len, vector, interval, None, seed, window, capsule_dir)?;
     let mut rejects = 0u64;
     let mut sig_verifs = 0u64;
     // Receivers only: the base station is the flood's bystander.
@@ -149,7 +148,7 @@ fn run_denial_of_receipt(
 ) -> Result<(u64, u64), String> {
     // Fixed observation window: the unbounded variant is a total DoS and
     // would otherwise run to any deadline.
-    let done = run_with_attacker::<LrScheme>(
+    let done = run_attacked::<LrScheme>(
         image_len,
         AttackVector::DenialOfReceipt,
         Duration::from_millis(250),

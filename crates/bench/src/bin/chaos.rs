@@ -19,10 +19,10 @@ use lrs_bench::capsules::{chaos_sim_config as sim_config, population, LrScheme, 
 use lrs_bench::runner::{simulate, Matched, SimSetup};
 use lrs_bench::{sample_grid, stat_json, with_scheme, write_csv, write_json, Json, Table};
 use lrs_deluge::deployment::SchemeFamily;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::fault::{FaultConfig, FaultPlan};
-use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::Outcome;
-use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::CapsuleSpec;
 use std::path::{Path, PathBuf};
@@ -129,7 +129,7 @@ fn run_chaos<S: Matched>(
     // and in the `replay` binary.
     let mut tags = ScenarioTags::new(sc.scheme, "chaos", image_len, "chaos keys");
     if sc.storm {
-        tags = tags.with_attacker(NodeId((N_HONEST + 1) as u32));
+        tags = tags.with_storm(NodeId((N_HONEST + 1) as u32));
     }
     let pop = population::<S>(&tags).expect("the chaos profile is registered");
     let topo = Topology::star(N_HONEST + 2);

@@ -14,14 +14,13 @@
 use lr_seluge::LrSelugeParams;
 use lrs_analysis::{ack_lr_expected_data_packets, seluge_expected_data_packets, AckLrModel};
 use lrs_bench::{
-    aggregate, configured_threads, matched_seluge_params, run_lr, run_seluge, sample_grid,
-    write_csv, Json, JsonReport, RunSpec, Table,
+    aggregate, matched_seluge_params, run_lr, run_seluge, sample_grid, write_csv, Json, JsonReport,
+    RunSpec, Table,
 };
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (quick, threads) = lrs_bench::cli::sweep_args("fig3");
     let seeds = if quick { 3 } else { 10 };
-    let threads = configured_threads();
     let mc = AckLrModel::MonteCarlo {
         trials: if quick { 3_000 } else { 20_000 },
         seed: 99,

@@ -10,14 +10,13 @@
 
 use lr_seluge::LrSelugeParams;
 use lrs_bench::{
-    aggregate, configured_threads, matched_seluge_params, run_lr, run_seluge, sample_grid,
-    write_csv, Json, JsonReport, RunSpec, Table,
+    aggregate, matched_seluge_params, run_lr, run_seluge, sample_grid, write_csv, Json, JsonReport,
+    RunSpec, Table,
 };
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (quick, threads) = lrs_bench::cli::sweep_args("fig4");
     let seeds = if quick { 1 } else { 3 };
-    let threads = configured_threads();
     let lr = if quick {
         LrSelugeParams {
             image_len: 4 * 1024,

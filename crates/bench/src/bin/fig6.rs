@@ -7,14 +7,11 @@
 //! `n·8` eats into each page's image capacity, adding pages.
 
 use lr_seluge::LrSelugeParams;
-use lrs_bench::{
-    aggregate, configured_threads, run_lr, sample_grid, write_csv, Json, JsonReport, RunSpec, Table,
-};
+use lrs_bench::{aggregate, run_lr, sample_grid, write_csv, Json, JsonReport, RunSpec, Table};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (quick, threads) = lrs_bench::cli::sweep_args("fig6");
     let seeds = if quick { 1 } else { 3 };
-    let threads = configured_threads();
     let base = if quick {
         LrSelugeParams {
             image_len: 4 * 1024,

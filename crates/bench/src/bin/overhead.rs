@@ -12,10 +12,7 @@
 use lr_seluge::LrSelugeParams;
 use lrs_bench::capsules::Population;
 use lrs_bench::runner::{simulate, test_image, Matched};
-use lrs_bench::{
-    configured_threads, sample_grid, stat_json, with_scheme, write_csv, write_json, Json, RunSpec,
-    Table,
-};
+use lrs_bench::{sample_grid, stat_json, with_scheme, write_csv, write_json, Json, RunSpec, Table};
 use lrs_deluge::deployment::Deployment;
 use lrs_deluge::engine::CryptoCost;
 
@@ -69,9 +66,8 @@ fn cost_fields(c: &CryptoCost) -> [f64; 5] {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (quick, threads) = lrs_bench::cli::sweep_args("overhead");
     let seeds = if quick { 1 } else { 3 };
-    let threads = configured_threads();
     let image_len = if quick { 4 * 1024 } else { 20 * 1024 };
     let p_loss = 0.2f64;
     let n_rx = 10usize;

@@ -27,9 +27,9 @@
 
 use lrs_bench::capsules::{chaos_sim_config, replay_capsule, ScenarioTags};
 use lrs_bench::Cli;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::fault::FaultPlan;
-use lrs_netsim::node::NodeId;
-use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::{verify_replay, Capsule};
 use std::path::PathBuf;

@@ -9,12 +9,12 @@
 
 use lr_seluge::LrSelugeParams;
 use lrs_bench::{
-    aggregate, configured_threads, matched_seluge_params, run_lr, run_seluge, sample_grid,
-    write_csv, Json, JsonReport, RunSpec, Table,
+    aggregate, matched_seluge_params, run_lr, run_seluge, sample_grid, write_csv, Json, JsonReport,
+    RunSpec, Table,
 };
+use lrs_host::time::Duration;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::noise::{BurstyNoise, NoiseModel};
-use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 
 fn grid_spec(spacing: f64, seed: u64) -> RunSpec {
@@ -31,9 +31,8 @@ fn grid_spec(spacing: f64, seed: u64) -> RunSpec {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (quick, threads) = lrs_bench::cli::sweep_args("table2_3");
     let seeds = 1;
-    let threads = configured_threads();
     let lr = if quick {
         LrSelugeParams {
             image_len: 4 * 1024,

@@ -48,11 +48,11 @@ use crate::runner::{simulate, ExperimentMetrics, Matched, SimSetup};
 use crate::spec::{attack_config, build_topology, fault_config, CampaignSpec, CellParams};
 use crate::with_scheme;
 use lrs_analysis::StreamingSummary;
-use lrs_netsim::attack::AttackPlan;
+use lrs_deluge::attack::AttackPlan;
+use lrs_host::node::NodeId;
+use lrs_host::time::Duration;
 use lrs_netsim::capsule::{Capsule, CapsuleSpec};
 use lrs_netsim::fault::FaultPlan;
-use lrs_netsim::node::NodeId;
-use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -629,9 +629,10 @@ impl Campaign {
             "campaign keys",
         );
         if cell.attacker == "storm" {
-            tags = tags.with_attacker(NodeId(topology.len() as u32 - 1));
+            tags = tags.with_storm(NodeId(topology.len() as u32 - 1));
         } else if let Some(config) = attack_config(&cell.attacker)? {
-            tags = tags.with_attack_plan(AttackPlan::generate(&config, topology, seed));
+            let nodes = topology.len() as u32;
+            tags = tags.with_attack_plan(AttackPlan::generate(&config, nodes, seed));
         }
         Ok(tags)
     }

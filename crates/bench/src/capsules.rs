@@ -14,16 +14,17 @@
 
 use crate::runner::{test_image, Matched};
 use lr_seluge::LrSelugeParams;
-use lrs_deluge::attack::{AttackKind, Attacker, AttackerProfile, MaybeAdversary};
+use lrs_deluge::attack::{
+    AttackEntry, AttackPlan, AttackVector, Attacker, AttackerProfile, MaybeAdversary,
+};
 use lrs_deluge::bootstrap::PacketDigestCache;
 use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
 use lrs_deluge::engine::EngineConfig;
-use lrs_netsim::attack::AttackPlan;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
+use lrs_host::violation::InvariantViolation;
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::SimConfig;
-use lrs_netsim::time::Duration;
-use lrs_netsim::violation::InvariantViolation;
 use lrs_netsim::{replay, Capsule, CapsuleSpec, ReplayRun};
 
 pub use lr_seluge::LrScheme;
@@ -64,8 +65,9 @@ pub const TAG_IMAGE_LEN: &str = "image_len";
 /// Tag key: key-derivation context (the `Deployment::new` seed
 /// material, as a UTF-8 string).
 pub const TAG_KEY_CONTEXT: &str = "key_context";
-/// Tag key: node id of the packet-storm attacker, when one ran.
-pub const TAG_ATTACKER: &str = "attacker";
+/// Tag key: node id of the packet-storm attacker. Read only: capsules
+/// written before the storm became an [`AttackPlan`] entry carry it.
+const TAG_ATTACKER: &str = "attacker";
 /// Tag key: the serialized [`AttackPlan`] (entry JSONs joined by `;`)
 /// that placed plan-driven adversaries, when one ran. Replay rebuilds
 /// the exact attacker population from this tag alone — the plan, like
@@ -193,17 +195,17 @@ pub fn chaos_sim_config() -> SimConfig {
     }
 }
 
-/// The chaos sweep's bursty bogus-data packet-storm attacker.
-pub fn storm_attacker(payload_len: usize, index_space: u16, version: u16) -> Attacker {
-    Attacker::outsider(
-        AttackKind::BogusData {
-            payload_len,
-            index_space,
-        },
-        Duration::from_millis(80),
-        version,
-    )
-    .with_burst(Duration::from_secs(5), Duration::from_secs(15))
+/// The chaos sweep's bursty bogus-data packet storm, mounted at `node`.
+fn storm_entry(node: NodeId) -> AttackEntry {
+    AttackEntry {
+        node,
+        vector: AttackVector::BogusData,
+        at: SimTime::ZERO,
+        interval: Duration::from_millis(80),
+        burst: Some((Duration::from_secs(5), Duration::from_secs(15))),
+        target: NodeId(0),
+        spoof_pool: 0,
+    }
 }
 
 /// The decoded (or to-be-written) scenario tags of a capsule.
@@ -217,9 +219,7 @@ pub struct ScenarioTags {
     pub image_len: usize,
     /// Key-derivation context string.
     pub key_context: String,
-    /// Packet-storm attacker node, if one ran.
-    pub attacker: Option<NodeId>,
-    /// Plan-driven adversary schedule, if one ran.
+    /// The adversary schedule, if one ran.
     pub attack_plan: Option<AttackPlan>,
 }
 
@@ -231,21 +231,22 @@ impl ScenarioTags {
             profile: profile.to_string(),
             image_len,
             key_context: key_context.to_string(),
-            attacker: None,
             attack_plan: None,
         }
     }
 
-    /// Marks `id` as the packet-storm attacker.
-    pub fn with_attacker(mut self, id: NodeId) -> Self {
-        self.attacker = Some(id);
+    /// Attaches an adversary schedule.
+    pub fn with_attack_plan(mut self, plan: AttackPlan) -> Self {
+        self.attack_plan = Some(plan);
         self
     }
 
-    /// Attaches a plan-driven adversary schedule. Plan entries take
-    /// precedence over the storm attacker at overlapping node ids.
-    pub fn with_attack_plan(mut self, plan: AttackPlan) -> Self {
-        self.attack_plan = Some(plan);
+    /// Adds the chaos sweep's packet storm (bogus data every 80 ms,
+    /// 5 s on / 15 s off) at `node` to the adversary schedule.
+    pub fn with_storm(mut self, node: NodeId) -> Self {
+        self.attack_plan
+            .get_or_insert_with(AttackPlan::new)
+            .push(storm_entry(node));
         self
     }
 
@@ -256,9 +257,6 @@ impl ScenarioTags {
             .tag(TAG_PROFILE, &self.profile)
             .tag(TAG_IMAGE_LEN, self.image_len)
             .tag(TAG_KEY_CONTEXT, &self.key_context);
-        if let Some(id) = self.attacker {
-            spec = spec.tag(TAG_ATTACKER, id.0);
-        }
         if let Some(plan) = &self.attack_plan {
             spec = spec.tag(TAG_ATTACK_PLAN, plan.to_tag());
         }
@@ -289,27 +287,29 @@ impl ScenarioTags {
             .scenario_value(TAG_KEY_CONTEXT)
             .unwrap_or("chaos keys")
             .to_string();
-        let attacker = match capsule.scenario_value(TAG_ATTACKER) {
-            Some(v) => Some(NodeId(
-                v.parse::<u32>()
-                    .map_err(|e| format!("bad attacker tag: {e}"))?,
-            )),
-            None => None,
-        };
         let attack_plan = match capsule.scenario_value(TAG_ATTACK_PLAN) {
             Some(v) => {
                 Some(AttackPlan::from_tag(v).ok_or_else(|| format!("bad attack_plan tag {v:?}"))?)
             }
             None => None,
         };
-        Ok(ScenarioTags {
+        let mut tags = ScenarioTags {
             scheme,
             profile,
             image_len,
             key_context,
-            attacker,
             attack_plan,
-        })
+        };
+        // A legacy storm tag is that node's plan entry, unless the plan
+        // already names the node (plan entries always took precedence).
+        if let Some(v) = capsule.scenario_value(TAG_ATTACKER) {
+            let node = NodeId(v.parse().map_err(|e| format!("bad attacker tag: {e}"))?);
+            let planned = tags.attack_plan.as_ref().and_then(|pl| pl.entry_for(node));
+            if planned.is_none() {
+                tags = tags.with_storm(node);
+            }
+        }
+        Ok(tags)
     }
 }
 
@@ -321,7 +321,6 @@ pub type Member<S> = MaybeAdversary<Node<S>>;
 pub struct Population<S: SchemeFamily> {
     deployment: Deployment<S>,
     profile: AttackerProfile,
-    storm: Option<NodeId>,
     plan: Option<AttackPlan>,
 }
 
@@ -331,7 +330,6 @@ pub struct Population<S: SchemeFamily> {
 pub fn population<S: Matched>(tags: &ScenarioTags) -> Result<Population<S>, String> {
     let deployment = profile_deployment(&tags.profile, tags.image_len, &tags.key_context)?;
     Ok(Population {
-        storm: tags.attacker,
         plan: tags.attack_plan.clone(),
         ..Population::honest(deployment)
     })
@@ -343,7 +341,6 @@ impl<S: SchemeFamily> Population<S> {
         Population {
             profile: deployment.attacker_profile(true),
             deployment,
-            storm: None,
             plan: None,
         }
     }
@@ -359,14 +356,11 @@ impl<S: SchemeFamily> Population<S> {
         &self.deployment
     }
 
-    /// The node at `id`: a plan entry's attacker, else the storm
-    /// attacker, else an honest node (sharing `digests` when given).
+    /// The node at `id`: a plan entry's attacker, else an honest node
+    /// (sharing `digests` when given).
     pub fn node(&self, id: NodeId, digests: Option<&PacketDigestCache>) -> Member<S> {
-        let p = &self.profile;
         if let Some(entry) = self.plan.as_ref().and_then(|pl| pl.entry_for(id)) {
-            MaybeAdversary::Attacker(Attacker::from_plan_entry(entry, p))
-        } else if Some(id) == self.storm {
-            MaybeAdversary::Attacker(storm_attacker(p.payload_len, p.index_space, p.version))
+            MaybeAdversary::Attacker(Attacker::new(*entry, self.profile.clone()))
         } else {
             MaybeAdversary::Honest(match digests {
                 Some(cache) => self.deployment.node_cached(id, NodeId(0), cache),
@@ -401,10 +395,26 @@ pub fn replay_capsule(capsule: &Capsule) -> Result<ReplayRun, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrs_deluge::attack::AttackConfig;
+
+    /// A capsule carrying exactly `scenario` as its tags.
+    fn tagged(scenario: &[(&str, &str)]) -> Capsule {
+        Capsule {
+            seed: 1,
+            deadline: Duration::from_secs(1),
+            config: SimConfig::default(),
+            topology: lrs_netsim::Topology::star(2),
+            faults: lrs_netsim::FaultPlan::new(),
+            scenario: scenario
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            digest: None,
+        }
+    }
 
     #[test]
     fn tags_round_trip_through_a_spec() {
-        use lrs_netsim::attack::{AttackConfig, AttackVector};
         let plan = AttackPlan::generate(
             &AttackConfig {
                 vector: AttackVector::SpoofedDenialOfReceipt,
@@ -412,23 +422,67 @@ mod tests {
                 burst: Some((Duration::from_secs(2), Duration::from_secs(5))),
                 ..AttackConfig::default()
             },
-            &lrs_netsim::Topology::star(8),
+            8,
             7,
         );
         let tags = ScenarioTags::new("lr-seluge", "chaos", 2048, "chaos keys")
-            .with_attacker(NodeId(9))
-            .with_attack_plan(plan);
-        let pairs = tags.pairs();
+            .with_attack_plan(plan)
+            .with_storm(NodeId(9));
         let capsule = Capsule {
-            seed: 1,
-            deadline: Duration::from_secs(1),
-            config: SimConfig::default(),
-            topology: lrs_netsim::Topology::star(2),
-            faults: lrs_netsim::FaultPlan::new(),
-            scenario: pairs,
-            digest: None,
+            scenario: tags.pairs(),
+            ..tagged(&[])
         };
+        assert!(capsule.scenario_value(TAG_ATTACKER).is_none());
         assert_eq!(ScenarioTags::decode(&capsule).unwrap(), tags);
+    }
+
+    const BASE_TAGS: [(&str, &str); 4] = [
+        ("scheme", "lr-seluge"),
+        ("profile", "chaos"),
+        ("image_len", "2048"),
+        ("key_context", "chaos keys"),
+    ];
+    const STORM_AT_5: &str = r#"{"t":0,"ev":"attack_bogus","node":5,"interval_us":80000,"target":0,"pool":0,"on_us":5000000,"off_us":15000000}"#;
+
+    #[test]
+    fn legacy_attacker_tag_decodes_to_the_storm_plan_entry() {
+        let legacy = [&BASE_TAGS[..], &[("attacker", "5")]].concat();
+        let planned = [&BASE_TAGS[..], &[("attack_plan", STORM_AT_5)]].concat();
+        let legacy = ScenarioTags::decode(&tagged(&legacy)).unwrap();
+        assert_eq!(legacy, ScenarioTags::decode(&tagged(&planned)).unwrap());
+        assert_eq!(
+            legacy,
+            ScenarioTags::new("lr-seluge", "chaos", 2048, "chaos keys").with_storm(NodeId(5))
+        );
+        // Writers emit the plan form only.
+        assert_eq!(legacy.pairs()[4], ("attack_plan".into(), STORM_AT_5.into()));
+        let bad = [&BASE_TAGS[..], &[("attacker", "five")]].concat();
+        assert!(ScenarioTags::decode(&tagged(&bad)).is_err());
+    }
+
+    #[test]
+    fn plan_entry_wins_over_a_legacy_attacker_tag_on_the_same_node() {
+        let forge_at_5 =
+            r#"{"t":0,"ev":"attack_forgeadv","node":5,"interval_us":250000,"target":0,"pool":6}"#;
+        let both = |attacker| {
+            let tags = [
+                &BASE_TAGS[..],
+                &[("attacker", attacker), ("attack_plan", forge_at_5)],
+            ]
+            .concat();
+            ScenarioTags::decode(&tagged(&tags)).unwrap().attack_plan
+        };
+        // Overlap: node 5 stays the plan's forged-adv attacker.
+        let plan = both("5").unwrap();
+        assert_eq!(plan.to_tag(), forge_at_5);
+        // No overlap: the storm joins the plan at its own node.
+        let plan = both("4").unwrap();
+        assert_eq!(plan.len(), 2);
+        assert_eq!(
+            plan.entry_for(NodeId(5)).map(|e| e.vector),
+            Some(AttackVector::ForgedAdv)
+        );
+        assert_eq!(plan.entry_for(NodeId(4)), Some(&storm_entry(NodeId(4))));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! `eprintln!` + `exit` at each parse site. Common conveniences
 //! (`--smoke`/`--quick`/`--json` flags, `--threads` with the
 //! `LRS_THREADS` fallback, the `--capsule <dir>` flight-recorder knob)
-//! live here so they behave identically across `chaos`, `scale`,
-//! `attack`, `campaign`, `replay`, and the swarm binaries.
+//! live here so they behave identically across `chaos`, `attack`,
+//! `campaign`, `replay`, the swarm binaries, and the figure and table
+//! bins, which all share [`SWEEP_FLAGS`].
 
 use crate::harness::configured_threads;
 use std::collections::HashMap;
@@ -43,6 +44,29 @@ pub const fn valued(name: &'static str, help: &'static str) -> Flag {
         takes_value: true,
         help,
     }
+}
+
+/// The whole flag set of the figure and table bins (`fig3`-`fig6`,
+/// `imgsize`, `table2_3`, `ablation`, `overhead`): the pair
+/// `run_all_experiments.sh` forwards.
+pub const SWEEP_FLAGS: &[Flag] = &[
+    flag("--quick", "reduced sweep: smaller image, fewer seeds"),
+    valued(
+        "--threads",
+        "Monte-Carlo worker threads (default: LRS_THREADS, else all cores)",
+    ),
+];
+
+/// Parses the process arguments of figure/table bin `bin` into
+/// `(quick, threads)`; anything but [`SWEEP_FLAGS`] with a positive
+/// thread count prints the error and exits with failure.
+pub fn sweep_args(bin: &'static str) -> (bool, usize) {
+    Cli::parse(bin, SWEEP_FLAGS)
+        .and_then(|cli| Ok((cli.quick(), cli.threads()?)))
+        .unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}");
+            std::process::exit(1)
+        })
 }
 
 /// A parse or validation failure; renders as the message the user sees.
@@ -290,6 +314,25 @@ mod tests {
         assert_eq!(cli.threads().unwrap(), 3);
         let cli = parse(&["--threads", "0"]).unwrap();
         assert!(cli.threads().is_err());
+    }
+
+    #[test]
+    fn sweep_flags_reject_unknown_flags_and_bad_thread_counts() {
+        let threads = |args: &[&str]| {
+            Cli::parse_from("fig5", SWEEP_FLAGS, args.iter().map(|s| s.to_string()))
+                .and_then(|cli| cli.threads())
+        };
+        assert_eq!(threads(&["--quick", "--threads", "2"]), Ok(2));
+        for (args, flagged) in [
+            (&["--quik"][..], "unknown argument \"--quik\""),
+            (&["--threads=2"], "unknown argument \"--threads=2\""),
+            (&["--threads", "abc"], "bad --threads \"abc\""),
+            (&["--threads", "0"], "bad --threads \"0\""),
+            (&["--threads"], "--threads requires a value"),
+        ] {
+            let err = threads(args).unwrap_err().to_string();
+            assert!(err.starts_with(flagged), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -18,22 +18,11 @@ use std::sync::Mutex;
 
 /// Number of worker threads the harness should use.
 ///
-/// Resolution order: an explicit `--threads N` on the command line, the
-/// `LRS_THREADS` environment variable, then the machine's available
-/// parallelism. The floor is 1.
+/// The fallback when no `--threads N` was given (that flag is parsed by
+/// [`Cli::threads`](crate::cli::Cli::threads)): the `LRS_THREADS`
+/// environment variable, then the machine's available parallelism. The
+/// floor is 1.
 pub fn configured_threads() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
     if let Ok(v) = std::env::var("LRS_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);

@@ -46,7 +46,7 @@ pub mod table;
 pub use campaign::{Campaign, CampaignReport};
 pub use cli::{Cli, CliError};
 pub use diff::{diff_reports, CellKey, DiffReport, ReportDoc, Verdict};
-pub use harness::{configured_threads, parallel_map, sample_grid};
+pub use harness::{parallel_map, sample_grid};
 pub use json::{parse_json, stat_json, write_json, Json, JsonReport};
 pub use runner::{
     aggregate, average, matched_seluge_params, run, run_deluge, run_lr, run_seluge, sample_seeds,

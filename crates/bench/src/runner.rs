@@ -7,14 +7,14 @@ use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
 use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
 use lrs_deluge::image::{DelugeScheme, ImageParams};
 use lrs_deluge::policy::TxPolicy;
+use lrs_host::node::{NodeId, PacketKind, Protocol};
+use lrs_host::time::Duration;
 use lrs_netsim::capsule::CapsuleSpec;
 use lrs_netsim::energy::EnergyModel;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::metrics::Metrics;
-use lrs_netsim::node::{NodeId, PacketKind, Protocol};
 use lrs_netsim::sim::{RunReport, SimConfig, Simulator};
-use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 use lrs_seluge::{SelugeParams, SelugeScheme};

@@ -23,11 +23,11 @@
 //! without nested tables.
 
 use crate::json::{parse_json, Json};
-use lrs_netsim::attack::{AttackConfig, AttackVector};
+use lrs_deluge::attack::{AttackConfig, AttackVector};
+use lrs_host::time::Duration;
 use lrs_netsim::fault::FaultConfig;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::sim::SimConfig;
-use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 
 /// Schemes the campaign engine can run.

@@ -7,12 +7,12 @@ use lrs_bench::campaign::{Campaign, JOB_LOG, REPORT};
 use lrs_bench::capsules::replay_capsule;
 use lrs_bench::spec::{attack_config, canonical_attack_token, canonical_fault_token, fault_config};
 use lrs_bench::{CampaignSpec, ExperimentMetrics};
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::{FaultEvent, FaultPlan};
-use lrs_netsim::node::NodeId;
 use lrs_netsim::shrink::shrink_fault_plan;
 use lrs_netsim::sim::Outcome;
-use lrs_netsim::time::{Duration, SimTime};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;

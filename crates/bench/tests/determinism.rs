@@ -14,12 +14,12 @@ use lrs_bench::capsules::chaos_params;
 use lrs_bench::runner::test_image;
 use lrs_bench::{run, run_lr, sample_grid, sample_seeds, Matched, RunSpec};
 use lrs_deluge::image::DelugeScheme;
+use lrs_host::node::{NodeId, PacketKind};
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::{NodeId, PacketKind};
 use lrs_netsim::sim::SimConfig;
 use lrs_seluge::SelugeScheme;
 
-use lrs_netsim::time::Duration;
+use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::{JsonlTrace, RingTrace};
 use lrs_netsim::SimBuilder;
@@ -80,7 +80,7 @@ fn grid_fanout_matches_sequential_sweep() {
 /// counters a trace could plausibly perturb.
 fn traced_run(
     trace: Option<Box<dyn lrs_netsim::trace::TraceSink>>,
-) -> (u64, u64, u64, u64, bool, Option<lrs_netsim::time::SimTime>) {
+) -> (u64, u64, u64, u64, bool, Option<lrs_host::time::SimTime>) {
     let params = chaos_params(1024);
     let image = test_image(params.image_len);
     let deployment = Deployment::new(&image, params, b"trace test");

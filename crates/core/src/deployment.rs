@@ -12,7 +12,7 @@ use lrs_crypto::schnorr::PublicKey;
 use lrs_deluge::attack::AttackerProfile;
 use lrs_deluge::bootstrap::{DeploymentKeys, SIGNATURE_BODY_LEN};
 use lrs_deluge::deployment::SchemeFamily;
-use lrs_netsim::violation::InvariantViolation;
+use lrs_host::violation::InvariantViolation;
 
 /// A prepared LR-Seluge deployment.
 pub type Deployment = lrs_deluge::deployment::Deployment<LrScheme>;
@@ -85,7 +85,7 @@ impl SchemeFamily for LrScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrs_netsim::node::{NodeId, Protocol as _};
+    use lrs_host::node::{NodeId, Protocol as _};
 
     #[test]
     fn deployment_builds_base_and_receivers() {

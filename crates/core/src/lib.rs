@@ -34,7 +34,8 @@
 //!
 //! ```
 //! use lr_seluge::{LrSelugeParams, Deployment};
-//! use lrs_netsim::{SimBuilder, topology::Topology, time::Duration};
+//! use lrs_host::{node::NodeId, time::Duration};
+//! use lrs_netsim::{SimBuilder, topology::Topology};
 //!
 //! // A 4 KiB image, small pages for the doctest.
 //! let image: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
@@ -43,12 +44,12 @@
 //! let deployment = Deployment::new(&image, params, b"demo keys");
 //!
 //! let mut sim = SimBuilder::new(Topology::star(4), 7,
-//!                               |id| deployment.node(id, lrs_netsim::node::NodeId(0)))
+//!                               |id| deployment.node(id, NodeId(0)))
 //!     .build();
 //! let report = sim.run(Duration::from_secs(3600));
 //! assert!(report.all_complete);
 //! # use lrs_deluge::engine::Scheme;
-//! assert_eq!(sim.node(lrs_netsim::node::NodeId(3)).scheme().image().unwrap(), image);
+//! assert_eq!(sim.node(NodeId(3)).scheme().image().unwrap(), image);
 //! ```
 
 pub mod code;

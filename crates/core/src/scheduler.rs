@@ -16,7 +16,7 @@
 
 use lrs_deluge::policy::TxPolicy;
 use lrs_deluge::wire::BitVec;
-use lrs_netsim::node::NodeId;
+use lrs_host::node::NodeId;
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]

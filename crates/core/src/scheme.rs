@@ -21,8 +21,8 @@ use lrs_deluge::bootstrap::{self, frame_hash_page, hash_images, Bootstrap, Layou
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
 use lrs_deluge::wire::BitVec;
 use lrs_erasure::{CodeError, ErasureCode};
-use lrs_netsim::node::PacketKind;
-use lrs_netsim::violation::{ContentDigest, InvariantViolation};
+use lrs_host::node::PacketKind;
+use lrs_host::violation::{ContentDigest, InvariantViolation};
 use std::collections::HashMap;
 
 pub use lrs_deluge::bootstrap::PacketDigestCache;

@@ -14,7 +14,7 @@
 use crate::deployment::{Deployment, LrNode};
 use lrs_deluge::engine::Scheme as _;
 use lrs_deluge::wire::Message;
-use lrs_netsim::node::{Context, NodeId, Protocol, TimerId};
+use lrs_host::node::{Context, NodeId, Protocol, TimerId};
 
 /// A node that can be reprogrammed across image versions.
 ///
@@ -123,7 +123,7 @@ mod tests {
     use lrs_netsim::medium::MediumConfig;
     use lrs_netsim::sim::SimConfig;
 
-    use lrs_netsim::time::Duration;
+    use lrs_host::time::Duration;
     use lrs_netsim::topology::Topology;
     use lrs_netsim::SimBuilder;
 

@@ -2,11 +2,11 @@
 
 use lr_seluge::{CodeKind, Deployment, LrSelugeParams};
 use lrs_deluge::engine::Scheme as _;
+use lrs_host::node::NodeId;
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::{SimConfig, Simulator};
 
-use lrs_netsim::time::Duration;
+use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 

@@ -7,85 +7,37 @@
 //! compromised insider — mounts the *denial-of-receipt* attack of §IV-E
 //! by repeatedly SNACKing a victim with an all-ones bit vector.
 
+mod plan;
+
+pub use plan::{AttackConfig, AttackEntry, AttackPlan, AttackVector};
+
 use crate::wire::{BitVec, Message};
 use lrs_crypto::cluster::ClusterKey;
-use lrs_netsim::attack::{AttackEntry, AttackVector};
-use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
-use lrs_netsim::time::Duration;
+use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
+use lrs_host::time::{Duration, SimTime};
 
-/// The item a plan-built denial-of-receipt attacker requests (the first
-/// code page under LR-Seluge's item numbering) — matching the attack
-/// bin's historical choice so plan-driven runs reproduce it.
+/// The item a denial-of-receipt attacker requests (the first code page
+/// under LR-Seluge's item numbering) — matching the attack bin's
+/// historical choice so plan-driven runs reproduce it.
 pub const DOR_ITEM: u16 = 2;
 
-/// What the attacker injects.
-#[derive(Clone, Debug)]
-pub enum AttackKind {
-    /// Data packets with plausible headers and random payloads, aimed at
-    /// the highest level currently advertised by any victim.
-    BogusData {
-        /// Payload length to mimic.
-        payload_len: usize,
-        /// Packet index space to draw from.
-        index_space: u16,
-    },
-    /// Forged signature packets (random bodies) to trigger expensive
-    /// verifications — what the message-specific puzzle defends against.
-    ForgedSignature {
-        /// Body length to mimic.
-        body_len: usize,
-    },
-    /// Forged advertisements claiming a high level, without knowing the
-    /// cluster key.
-    ForgedAdv,
-    /// Denial-of-receipt (§IV-E): a *compromised insider* (holds the
-    /// cluster key) repeatedly requests everything from a victim.
-    DenialOfReceipt {
-        /// The victim that will burn energy serving the requests.
-        target: NodeId,
-        /// Item to request.
-        item: u16,
-        /// Bit-vector width (the item's packet count).
-        n_bits: usize,
-    },
-    /// Denial-of-receipt with *source spoofing*: each SNACK claims a
-    /// different forged sender id, evading any per-neighbor budget that
-    /// relies on the (unauthenticated) source field. LEAP pairwise MACs
-    /// close exactly this hole.
-    SpoofedDenialOfReceipt {
-        /// The victim.
-        target: NodeId,
-        /// Item to request.
-        item: u16,
-        /// Bit-vector width.
-        n_bits: usize,
-        /// Pool of honest ids to impersonate.
-        spoof_pool: u32,
-    },
-}
-
-/// An attacking node.
+/// An attacking node: one [`AttackEntry`] mounted against one scheme.
 #[derive(Debug)]
 pub struct Attacker {
-    kind: AttackKind,
-    /// Injection period.
-    interval: Duration,
-    /// Cluster key, present only for insider attacks.
-    key: Option<ClusterKey>,
-    version: u16,
+    /// What to inject, from when, how fast and under which duty cycle.
+    entry: AttackEntry,
+    /// The constants of the scheme under attack; its cluster key is
+    /// kept only for insider vectors.
+    profile: AttackerProfile,
     /// Highest level overheard from honest advertisements.
     observed_level: u16,
-    /// Optional packet-storm duty cycle `(on, off)`: injection happens
-    /// only during the on-phase of each cycle.
-    burst: Option<(Duration, Duration)>,
     /// Packets injected.
     pub injected: u64,
 }
 
-/// Scheme-specific constants an [`AttackPlan`](lrs_netsim::attack::AttackPlan)
-/// entry needs to become a live [`Attacker`]: the plan itself stores only
-/// scheme-agnostic placement and timing, so the same plan drives both the
-/// LR-Seluge and Seluge factories.
+/// Scheme-specific constants an [`AttackEntry`] needs to become a live
+/// [`Attacker`]: the entry itself stores only scheme-agnostic placement
+/// and timing, so the same plan drives every scheme family.
 #[derive(Clone, Debug)]
 pub struct AttackerProfile {
     /// Data-payload length to mimic in bogus packets.
@@ -105,79 +57,32 @@ pub struct AttackerProfile {
 const TIMER_INJECT: TimerId = TimerId(9);
 
 impl Attacker {
-    /// Creates an outsider attacker (no cluster key).
-    pub fn outsider(kind: AttackKind, interval: Duration, version: u16) -> Self {
+    /// Builds the attacker `entry` describes, using `profile`'s scheme
+    /// constants. Insider vectors keep the cluster key when the profile
+    /// carries one and outsider vectors never do; an entry demanding
+    /// insider power without a key degrades to an outsider, whose
+    /// denial-of-receipt SNACKs cannot carry the cluster MAC and inject
+    /// nothing — the graceful outcome, not a panic. A zero spoof pool is
+    /// clamped to one identity.
+    pub fn new(mut entry: AttackEntry, mut profile: AttackerProfile) -> Self {
+        entry.spoof_pool = entry.spoof_pool.max(1);
+        if !entry.vector.requires_insider() {
+            profile.cluster_key = None;
+        }
         Attacker {
-            kind,
-            interval,
-            key: None,
-            version,
+            entry,
+            profile,
             observed_level: 0,
-            burst: None,
             injected: 0,
         }
     }
 
-    /// Creates a compromised insider (holds the cluster key).
-    pub fn insider(kind: AttackKind, interval: Duration, version: u16, key: ClusterKey) -> Self {
-        Attacker {
-            key: Some(key),
-            ..Self::outsider(kind, interval, version)
-        }
-    }
-
-    /// Restricts injection to a periodic packet-storm duty cycle: `on`
-    /// of injection followed by `off` of silence, repeating. Bursty
-    /// interference stresses loss recovery harder than the same packet
-    /// budget spread evenly.
-    pub fn with_burst(mut self, on: Duration, off: Duration) -> Self {
-        self.burst = Some((on, off));
-        self
-    }
-
-    /// Builds the attacker an [`AttackEntry`] describes, using
-    /// `profile`'s scheme constants. Insider vectors get the cluster key
-    /// when the profile carries one; an entry demanding insider power
-    /// without a key degrades to an outsider, whose denial-of-receipt
-    /// SNACKs are forged without the cluster MAC and inject nothing —
-    /// the graceful outcome, not a panic.
-    pub fn from_plan_entry(entry: &AttackEntry, profile: &AttackerProfile) -> Self {
-        let kind = match entry.vector {
-            AttackVector::BogusData => AttackKind::BogusData {
-                payload_len: profile.payload_len,
-                index_space: profile.index_space,
-            },
-            AttackVector::ForgedSignature => AttackKind::ForgedSignature {
-                body_len: profile.sig_body_len,
-            },
-            AttackVector::ForgedAdv => AttackKind::ForgedAdv,
-            AttackVector::DenialOfReceipt => AttackKind::DenialOfReceipt {
-                target: entry.target,
-                item: DOR_ITEM,
-                n_bits: profile.n_bits,
-            },
-            AttackVector::SpoofedDenialOfReceipt => AttackKind::SpoofedDenialOfReceipt {
-                target: entry.target,
-                item: DOR_ITEM,
-                n_bits: profile.n_bits,
-                spoof_pool: entry.spoof_pool.max(1),
-            },
-        };
-        let attacker = match (&profile.cluster_key, entry.vector.requires_insider()) {
-            (Some(key), true) => {
-                Attacker::insider(kind, entry.interval, profile.version, key.clone())
-            }
-            _ => Attacker::outsider(kind, entry.interval, profile.version),
-        };
-        match entry.burst {
-            Some((on, off)) => attacker.with_burst(on, off),
-            None => attacker,
-        }
-    }
-
-    /// Whether the duty cycle allows injecting at `now`.
-    fn burst_active(&self, now: lrs_netsim::time::SimTime) -> bool {
-        match self.burst {
+    /// Whether the duty cycle allows injecting at `now`: injection
+    /// happens only during the on-phase of each `(on, off)` cycle.
+    /// Bursty interference stresses loss recovery harder than the same
+    /// packet budget spread evenly.
+    fn burst_active(&self, now: SimTime) -> bool {
+        match self.entry.burst {
             None => true,
             Some((on, off)) => {
                 let cycle = (on.as_micros() + off.as_micros()).max(1);
@@ -186,72 +91,61 @@ impl Attacker {
         }
     }
 
-    fn forge(&mut self, ctx: &mut Context<'_>) -> Option<(PacketKind, Vec<u8>)> {
-        match &self.kind {
-            AttackKind::BogusData {
-                payload_len,
-                index_space,
-            } => {
-                let payload: Vec<u8> = (0..*payload_len).map(|_| ctx.rng().gen()).collect();
-                let index = ctx.rng().gen_range(0..*index_space);
+    fn forge(&self, ctx: &mut Context<'_>) -> Option<(PacketKind, Vec<u8>)> {
+        let (entry, p) = (&self.entry, &self.profile);
+        match entry.vector {
+            AttackVector::BogusData => {
+                let payload: Vec<u8> = (0..p.payload_len).map(|_| ctx.rng().gen()).collect();
+                let index = ctx.rng().gen_range(0..p.index_space);
                 let msg = Message::Data {
-                    version: self.version,
+                    version: p.version,
                     item: self.observed_level,
                     index,
                     payload,
                 };
                 Some((PacketKind::Data, msg.to_bytes()))
             }
-            AttackKind::ForgedSignature { body_len } => {
-                let body: Vec<u8> = (0..*body_len).map(|_| ctx.rng().gen()).collect();
+            AttackVector::ForgedSignature => {
+                let body: Vec<u8> = (0..p.sig_body_len).map(|_| ctx.rng().gen()).collect();
                 let msg = Message::Data {
-                    version: self.version,
+                    version: p.version,
                     item: 0,
                     index: 0,
                     payload: body,
                 };
                 Some((PacketKind::Signature, msg.to_bytes()))
             }
-            AttackKind::ForgedAdv => {
+            AttackVector::ForgedAdv => {
                 // No cluster key: fabricate a MAC-less advertisement (a
                 // random tag) claiming a huge level.
                 let fake_key = ClusterKey::derive(b"attacker guess", ctx.rng().gen());
-                let msg = Message::adv(&fake_key, ctx.id, self.version, u16::MAX);
+                let msg = Message::adv(&fake_key, ctx.id, p.version, u16::MAX);
                 Some((PacketKind::Adv, msg.to_bytes()))
             }
-            AttackKind::DenialOfReceipt {
-                target,
-                item,
-                n_bits,
-            } => {
-                let key = self.key.as_ref()?;
+            AttackVector::DenialOfReceipt => {
+                let key = p.cluster_key.as_ref()?;
                 let msg = Message::snack(
                     key,
                     ctx.id,
-                    *target,
-                    self.version,
-                    *item,
-                    BitVec::ones(*n_bits),
+                    entry.target,
+                    p.version,
+                    DOR_ITEM,
+                    BitVec::ones(p.n_bits),
                 );
                 Some((PacketKind::Snack, msg.to_bytes()))
             }
-            AttackKind::SpoofedDenialOfReceipt {
-                target,
-                item,
-                n_bits,
-                spoof_pool,
-            } => {
-                let key = self.key.as_ref()?;
+            AttackVector::SpoofedDenialOfReceipt => {
+                let key = p.cluster_key.as_ref()?;
                 // Rotate through forged sender ids; the cluster-key MAC
                 // still verifies because the insider holds the key.
-                let spoofed = NodeId(self.injected as u32 % *spoof_pool);
+                let spoofed = NodeId(self.injected as u32 % entry.spoof_pool);
                 let msg = Message::snack(
                     key,
                     spoofed,
-                    *target,
-                    self.version,
-                    *item,
-                    BitVec::ones(*n_bits),
+                    entry.target,
+                    p.version,
+                    DOR_ITEM,
+                    BitVec::ones(p.n_bits),
                 );
                 Some((PacketKind::Snack, msg.to_bytes()))
             }
@@ -261,8 +155,11 @@ impl Attacker {
 
 impl Protocol for Attacker {
     fn on_init(&mut self, ctx: &mut Context<'_>) {
-        // Start injecting after a short delay so honest traffic exists.
-        ctx.set_timer(TIMER_INJECT, self.interval);
+        // The first injection comes one period after the entry's start
+        // time, so honest traffic exists even for `at = 0`.
+        let wait = self.entry.at.saturating_since(ctx.now).as_micros();
+        let delay = wait.saturating_add(self.entry.interval.as_micros());
+        ctx.set_timer(TIMER_INJECT, Duration::from_micros(delay));
     }
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, _from: NodeId, data: &[u8]) {
@@ -284,7 +181,7 @@ impl Protocol for Attacker {
                 self.injected += 1;
             }
         }
-        ctx.set_timer(TIMER_INJECT, self.interval);
+        ctx.set_timer(TIMER_INJECT, self.entry.interval);
     }
 
     fn is_complete(&self) -> bool {
@@ -367,38 +264,8 @@ impl<P: Protocol> Protocol for MaybeAdversary<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn outsider_cannot_mount_denial_of_receipt() {
-        let a = Attacker::outsider(
-            AttackKind::DenialOfReceipt {
-                target: NodeId(1),
-                item: 0,
-                n_bits: 8,
-            },
-            Duration::from_millis(100),
-            1,
-        );
-        // forge() needs the cluster key; without it nothing is produced.
-        // (Exercised indirectly: injected stays 0 after a timer fire.)
-        assert!(a.key.is_none());
-        assert_eq!(a.injected, 0);
-    }
-
-    #[test]
-    fn burst_duty_cycle_gates_injection() {
-        use lrs_netsim::time::SimTime;
-        let a = Attacker::outsider(AttackKind::ForgedAdv, Duration::from_millis(50), 1)
-            .with_burst(Duration::from_secs(1), Duration::from_secs(3));
-        assert!(a.burst_active(SimTime(0)));
-        assert!(a.burst_active(SimTime(999_999)));
-        assert!(!a.burst_active(SimTime(1_000_000)));
-        assert!(!a.burst_active(SimTime(3_999_999)));
-        assert!(a.burst_active(SimTime(4_000_000)));
-        // No duty cycle: always active.
-        let b = Attacker::outsider(AttackKind::ForgedAdv, Duration::from_millis(50), 1);
-        assert!(b.burst_active(SimTime(123_456_789)));
-    }
+    use lrs_host::node::Action;
+    use lrs_rng::DetRng;
 
     fn profile(key: Option<ClusterKey>) -> AttackerProfile {
         AttackerProfile {
@@ -415,7 +282,7 @@ mod tests {
         AttackEntry {
             node: NodeId(7),
             vector,
-            at: lrs_netsim::time::SimTime(0),
+            at: SimTime(0),
             interval: Duration::from_millis(250),
             burst: None,
             target: NodeId(3),
@@ -423,65 +290,111 @@ mod tests {
         }
     }
 
+    /// Runs `a` alone until `until` — its own timer is the only event
+    /// source — and returns how many packets it broadcast.
+    fn injections_until(a: &mut Attacker, until: SimTime) -> usize {
+        let mut rng = DetRng::seed_from_u64(1);
+        let mut actions = Vec::new();
+        let (mut now, mut init, mut sent) = (SimTime::ZERO, true, 0);
+        while now <= until {
+            let mut ctx = Context::new(now, a.entry.node, &mut rng, &mut actions, 0, 0);
+            if std::mem::take(&mut init) {
+                a.on_init(&mut ctx);
+            } else {
+                a.on_timer(&mut ctx, TIMER_INJECT);
+            }
+            for action in actions.drain(..) {
+                match action {
+                    Action::Broadcast { .. } => sent += 1,
+                    Action::SetTimer { delay, .. } => now += delay,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        sent
+    }
+
+    #[test]
+    fn outsider_cannot_mount_denial_of_receipt() {
+        let mut a = Attacker::new(entry(AttackVector::DenialOfReceipt), profile(None));
+        // forge() needs the cluster key; without it nothing is produced.
+        assert!(a.profile.cluster_key.is_none());
+        assert_eq!(injections_until(&mut a, SimTime(10_000_000)), 0);
+        assert_eq!(a.injected, 0);
+    }
+
+    #[test]
+    fn burst_duty_cycle_gates_injection() {
+        let mut e = entry(AttackVector::ForgedAdv);
+        e.burst = Some((Duration::from_secs(1), Duration::from_secs(3)));
+        let a = Attacker::new(e, profile(None));
+        assert!(a.burst_active(SimTime(0)));
+        assert!(a.burst_active(SimTime(999_999)));
+        assert!(!a.burst_active(SimTime(1_000_000)));
+        assert!(!a.burst_active(SimTime(3_999_999)));
+        assert!(a.burst_active(SimTime(4_000_000)));
+        // No duty cycle: always active.
+        let b = Attacker::new(entry(AttackVector::ForgedAdv), profile(None));
+        assert!(b.burst_active(SimTime(123_456_789)));
+    }
+
     #[test]
     fn plan_entry_builds_matching_kind_and_burst() {
         let mut e = entry(AttackVector::BogusData);
         e.burst = Some((Duration::from_secs(2), Duration::from_secs(5)));
-        let a = Attacker::from_plan_entry(&e, &profile(None));
-        assert!(matches!(
-            a.kind,
-            AttackKind::BogusData {
-                payload_len: 48,
-                index_space: 24
-            }
-        ));
+        let a = Attacker::new(e, profile(None));
+        assert_eq!(a.entry.vector, AttackVector::BogusData);
+        assert_eq!((a.profile.payload_len, a.profile.index_space), (48, 24));
         assert_eq!(
-            a.burst,
+            a.entry.burst,
             Some((Duration::from_secs(2), Duration::from_secs(5)))
         );
-        assert_eq!(a.interval, Duration::from_millis(250));
-        assert!(a.key.is_none());
+        assert_eq!(a.entry.interval, Duration::from_millis(250));
+        assert!(a.profile.cluster_key.is_none());
 
-        let a = Attacker::from_plan_entry(&entry(AttackVector::ForgedSignature), &profile(None));
-        assert!(matches!(
-            a.kind,
-            AttackKind::ForgedSignature { body_len: 64 }
-        ));
+        let a = Attacker::new(entry(AttackVector::ForgedSignature), profile(None));
+        assert_eq!(a.entry.vector, AttackVector::ForgedSignature);
+        assert_eq!(a.profile.sig_body_len, 64);
     }
 
     #[test]
     fn insider_vectors_take_the_key_and_outsiders_never_do() {
         let key = ClusterKey::derive(b"test", 0);
-        let a = Attacker::from_plan_entry(
-            &entry(AttackVector::DenialOfReceipt),
-            &profile(Some(key.clone())),
+        let a = Attacker::new(
+            entry(AttackVector::DenialOfReceipt),
+            profile(Some(key.clone())),
         );
-        assert!(a.key.is_some());
-        assert!(matches!(
-            a.kind,
-            AttackKind::DenialOfReceipt {
-                target: NodeId(3),
-                item: DOR_ITEM,
-                n_bits: 24,
-            }
-        ));
+        assert!(a.profile.cluster_key.is_some());
+        assert_eq!(a.entry.vector, AttackVector::DenialOfReceipt);
+        assert_eq!((a.entry.target, a.profile.n_bits), (NodeId(3), 24));
         // Outsider vectors never receive the key, even when available.
-        let a = Attacker::from_plan_entry(&entry(AttackVector::ForgedAdv), &profile(Some(key)));
-        assert!(a.key.is_none());
+        let a = Attacker::new(entry(AttackVector::ForgedAdv), profile(Some(key)));
+        assert!(a.profile.cluster_key.is_none());
         // A keyless profile degrades insider vectors to outsiders.
-        let a =
-            Attacker::from_plan_entry(&entry(AttackVector::SpoofedDenialOfReceipt), &profile(None));
-        assert!(a.key.is_none());
+        let a = Attacker::new(entry(AttackVector::SpoofedDenialOfReceipt), profile(None));
+        assert!(a.profile.cluster_key.is_none());
         // A zero spoof pool is clamped so the modulus never divides by 0.
-        assert!(matches!(
-            a.kind,
-            AttackKind::SpoofedDenialOfReceipt { spoof_pool: 1, .. }
-        ));
+        assert_eq!(a.entry.spoof_pool, 1);
+    }
+
+    #[test]
+    fn entry_start_time_delays_the_first_injection() {
+        let mut e = entry(AttackVector::BogusData);
+        e.at = SimTime::ZERO + Duration::from_secs(60);
+        let mut a = Attacker::new(e, profile(None));
+        assert_eq!(injections_until(&mut a, e.at), 0, "silent until `at`");
+        // 60.25 s, 60.5 s, 60.75 s and 61 s.
+        let mut a = Attacker::new(e, profile(None));
+        assert_eq!(injections_until(&mut a, e.at + Duration::from_secs(1)), 4);
+        // `at = 0` keeps the historical schedule: one packet per period
+        // from one period in.
+        let mut a = Attacker::new(entry(AttackVector::BogusData), profile(None));
+        assert_eq!(injections_until(&mut a, SimTime(1_000_000)), 4);
     }
 
     #[test]
     fn wrapper_dispatch() {
-        let a = Attacker::outsider(AttackKind::ForgedAdv, Duration::from_millis(50), 1);
+        let a = Attacker::new(entry(AttackVector::ForgedAdv), profile(None));
         let w: MaybeAdversary<Attacker> = MaybeAdversary::Attacker(a);
         assert!(w.attacker().is_some());
         assert!(w.honest().is_none());

@@ -1,47 +1,51 @@
 //! Deterministic, replayable attack schedules.
 //!
-//! An [`AttackPlan`] is the adversary-side sibling of
-//! [`FaultPlan`](crate::fault::FaultPlan): a schedule of
-//! [`AttackEntry`]s naming which nodes behave adversarially, what they
-//! inject ([`AttackVector`]), at what rate, under which duty cycle, and
-//! against which victim. Plans are either hand-built through
-//! [`AttackPlan::push`] or generated from an [`AttackConfig`] with
-//! [`AttackPlan::generate`], which draws attacker placement from its own
-//! `DetRng` stream. Like the fault layer, the attack layer never touches
-//! the medium's or the nodes' RNGs, so an empty plan leaves a run
-//! bit-identical to one with no attack layer at all, and any plan is
-//! reproducible from `(config, topology, seed)`.
+//! An [`AttackPlan`] is the adversary-side sibling of `lrs-netsim`'s
+//! `FaultPlan`: a schedule of [`AttackEntry`]s naming which nodes behave
+//! adversarially, what they inject ([`AttackVector`]), from when, at
+//! what rate, under which duty cycle, and against which victim. Plans
+//! are either hand-built through [`AttackPlan::push`] or generated from
+//! an [`AttackConfig`] with [`AttackPlan::generate`], which draws
+//! attacker placement from its own `DetRng` stream. Like the fault
+//! layer, the attack layer never touches the medium's or the nodes'
+//! RNGs, so an empty plan leaves a run bit-identical to one with no
+//! attack layer at all, and any plan is reproducible from
+//! `(config, node count, seed)`.
 //!
-//! The netsim crate deliberately knows nothing about *how* a vector is
-//! mounted — protocol crates map entries onto concrete adversarial
-//! nodes (`lrs-deluge`'s `Attacker::from_plan_entry`). What lives here
-//! is the schedule itself and its serial forms: JSONL
+//! An entry is scheme-agnostic: [`Attacker::new`](super::Attacker::new)
+//! mounts it with the constants of the scheme under attack. What lives
+//! here is the schedule itself and its serial forms: JSONL
 //! ([`AttackPlan::to_jsonl`] / [`from_jsonl`](AttackPlan::from_jsonl))
 //! for files, and a single-line tag form ([`AttackPlan::to_tag`] /
 //! [`from_tag`](AttackPlan::from_tag)) that travels inside a replay
 //! capsule's scenario tags, so an attacked failure capsule replays
 //! bit-identically and ddmin-shrinks like any other.
 
-use crate::node::NodeId;
-use crate::time::{Duration, SimTime};
-use crate::topology::Topology;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_json::{parse_json, Json, ObjWriter};
 use lrs_rng::DetRng;
 
 /// What an adversarial node injects — the five §III/§IV-E attack kinds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttackVector {
-    /// Data packets with plausible headers and random payloads.
+    /// Data packets with plausible headers and random payloads, aimed at
+    /// the highest level currently advertised by any victim.
     BogusData,
-    /// Forged signature packets, to force expensive verifications.
+    /// Forged signature packets (random bodies) to trigger expensive
+    /// verifications — what the message-specific puzzle defends against.
     ForgedSignature,
-    /// Forged advertisements claiming a huge level.
+    /// Forged advertisements claiming a huge level, without knowing the
+    /// cluster key.
     ForgedAdv,
-    /// Denial-of-receipt: an insider repeatedly SNACKs a victim with an
-    /// all-ones bit vector.
+    /// Denial-of-receipt (§IV-E): a *compromised insider* (holds the
+    /// cluster key) repeatedly SNACKs a victim with an all-ones bit
+    /// vector, and the victim burns energy serving the requests.
     DenialOfReceipt,
-    /// Denial-of-receipt with source spoofing, rotating forged sender
-    /// ids to evade per-neighbor budgets.
+    /// Denial-of-receipt with *source spoofing*: each SNACK claims a
+    /// different forged sender id, evading any per-neighbor budget that
+    /// relies on the (unauthenticated) source field. LEAP pairwise MACs
+    /// close exactly this hole.
     SpoofedDenialOfReceipt,
 }
 
@@ -90,7 +94,8 @@ pub struct AttackEntry {
     pub node: NodeId,
     /// What it injects.
     pub vector: AttackVector,
-    /// When injection may begin.
+    /// When injection may begin: the first packet goes out one
+    /// `interval` after this instant.
     pub at: SimTime,
     /// Injection period.
     pub interval: Duration,
@@ -166,7 +171,7 @@ pub struct AttackConfig {
     pub burst: Option<(Duration, Duration)>,
     /// Victim of targeted vectors (default: the base station).
     pub target: NodeId,
-    /// Spoof-pool size; `0` resolves to the topology size at generation.
+    /// Spoof-pool size; `0` resolves to the node count at generation.
     pub spoof_pool: u32,
     /// Node ids below this are never attackers (protects the base
     /// station and the victim's role as an honest node).
@@ -227,17 +232,16 @@ impl AttackPlan {
         self.entries.is_empty()
     }
 
-    /// Generates a plan from `config` for `topology`, drawing attacker
-    /// placement from a `DetRng` seeded with `seed` (a stream distinct
-    /// from the fault generator's). Same inputs, same plan — byte for
-    /// byte. Placement is a partial Fisher–Yates draw over the
-    /// unprotected ids; the chosen set is emitted in ascending node
-    /// order so the plan is canonical.
-    pub fn generate(config: &AttackConfig, topology: &Topology, seed: u64) -> Self {
+    /// Generates a plan from `config` for a network of `nodes` nodes,
+    /// drawing attacker placement from a `DetRng` seeded with `seed` (a
+    /// stream distinct from the fault generator's). Same inputs, same
+    /// plan — byte for byte. Placement is a partial Fisher–Yates draw
+    /// over the unprotected ids; the chosen set is emitted in ascending
+    /// node order so the plan is canonical.
+    pub fn generate(config: &AttackConfig, nodes: u32, seed: u64) -> Self {
         let mut rng = DetRng::seed_from_u64(seed ^ 0x00AD_7E55_A21E_u64);
         let mut plan = AttackPlan::new();
-        let n = topology.len() as u32;
-        let mut eligible: Vec<u32> = (config.protect_first.min(n)..n).collect();
+        let mut eligible: Vec<u32> = (config.protect_first.min(nodes)..nodes).collect();
         let count = (config.attackers as usize).min(eligible.len());
         for k in 0..count {
             let j = rng.gen_range(k as u64..eligible.len() as u64) as usize;
@@ -246,7 +250,7 @@ impl AttackPlan {
         let mut chosen = eligible[..count].to_vec();
         chosen.sort_unstable();
         let spoof_pool = if config.spoof_pool == 0 {
-            n
+            nodes
         } else {
             config.spoof_pool
         };
@@ -392,15 +396,14 @@ mod tests {
 
     #[test]
     fn generate_is_deterministic_and_respects_protection() {
-        let topo = Topology::star(8);
         let config = AttackConfig {
             attackers: 3,
             protect_first: 2,
             ..AttackConfig::default()
         };
-        let a = AttackPlan::generate(&config, &topo, 42);
-        let b = AttackPlan::generate(&config, &topo, 42);
-        let c = AttackPlan::generate(&config, &topo, 43);
+        let a = AttackPlan::generate(&config, 8, 42);
+        let b = AttackPlan::generate(&config, 8, 42);
+        let c = AttackPlan::generate(&config, 8, 43);
         assert_eq!(a, b);
         assert_ne!(a, c, "different seeds should place differently");
         assert_eq!(a.len(), 3);
@@ -421,28 +424,26 @@ mod tests {
 
     #[test]
     fn generate_caps_attackers_and_resolves_spoof_pool() {
-        let topo = Topology::star(4);
         let config = AttackConfig {
             vector: AttackVector::SpoofedDenialOfReceipt,
             attackers: 99,
             spoof_pool: 0,
             ..AttackConfig::default()
         };
-        let plan = AttackPlan::generate(&config, &topo, 1);
+        let plan = AttackPlan::generate(&config, 4, 1);
         assert_eq!(plan.len(), 3, "only unprotected nodes can attack");
         assert!(plan.entries().iter().all(|e| e.spoof_pool == 4));
     }
 
     #[test]
     fn plan_jsonl_and_tag_round_trips_are_exact() {
-        let topo = Topology::star(9);
         let config = AttackConfig {
             vector: AttackVector::DenialOfReceipt,
             attackers: 4,
             burst: Some((Duration::from_secs(5), Duration::from_secs(15))),
             ..AttackConfig::default()
         };
-        let plan = AttackPlan::generate(&config, &topo, 5);
+        let plan = AttackPlan::generate(&config, 9, 5);
         assert!(!plan.is_empty());
         let jsonl = plan.to_jsonl();
         assert_eq!(AttackPlan::from_jsonl(&jsonl), Some(plan.clone()));

@@ -17,8 +17,8 @@ use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::leap::LeapKeyring;
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
-use lrs_netsim::node::NodeId;
-use lrs_netsim::violation::InvariantViolation;
+use lrs_host::node::NodeId;
+use lrs_host::violation::InvariantViolation;
 use std::fmt;
 use std::sync::Arc;
 

@@ -23,12 +23,12 @@
 //! ignored.
 
 use crate::policy::TxPolicy;
+use crate::trickle::{Trickle, TrickleConfig};
 use crate::wire::{BitVec, Message};
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::leap::LeapKeyring;
-use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
-use lrs_netsim::time::Duration;
-use lrs_netsim::trickle::{Trickle, TrickleConfig};
+use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
+use lrs_host::time::Duration;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 

@@ -15,8 +15,8 @@ use crate::wire::BitVec;
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
-use lrs_netsim::node::PacketKind;
-use lrs_netsim::violation::InvariantViolation;
+use lrs_host::node::PacketKind;
+use lrs_host::violation::InvariantViolation;
 
 /// Static layout parameters, preloaded on every node (in real Deluge
 /// they travel in the advertisement profile).

@@ -14,6 +14,7 @@
 //!   Deluge, Seluge and LR-Seluge and parameterized by a [`Scheme`]
 //!   (what the transfer units are and how packets are validated) and a
 //!   [`TxPolicy`] (which requested packet to transmit next);
+//! * [`trickle`] — the Trickle timer that paces those advertisements;
 //! * [`policy`] — the union-of-bit-vectors TX policy used by Deluge and
 //!   Seluge (§IV-D-3: "a node in Deluge and Seluge simply transmits
 //!   packets corresponding to the union of bit vectors in SNACK
@@ -27,9 +28,14 @@
 //! * [`deployment`] — the [`SchemeFamily`] trait the three schemes
 //!   implement and the one generic [`Deployment`] built over it, so
 //!   harnesses, replay and the real-UDP host are written once;
-//! * [`attack`] — adversarial node behaviours (bogus-data floods, forged
-//!   control packets, forged signatures, denial-of-receipt) used by the
-//!   attack-resilience experiments.
+//! * [`attack`] — the §III adversary: seeded, replayable attack plans
+//!   (who attacks, with which vector, from when, how fast) and the
+//!   [`Attacker`](attack::Attacker) node that mounts one plan entry
+//!   (bogus-data floods, forged control packets, forged signatures,
+//!   denial-of-receipt) against a scheme.
+//!
+//! Everything here is written against `lrs-host`'s protocol contract;
+//! the simulator is a dev-dependency of the tests only.
 
 pub mod attack;
 pub mod bootstrap;
@@ -37,6 +43,7 @@ pub mod deployment;
 pub mod engine;
 pub mod image;
 pub mod policy;
+pub mod trickle;
 pub mod wire;
 
 pub use deployment::{Deployment, ParamError, SchemeFamily};

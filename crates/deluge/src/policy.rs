@@ -6,7 +6,7 @@
 //! `lr-seluge` crate against the same [`TxPolicy`] trait).
 
 use crate::wire::BitVec;
-use lrs_netsim::node::NodeId;
+use lrs_host::node::NodeId;
 use std::collections::BTreeMap;
 
 /// Decides which requested packet a TX-state node transmits next.

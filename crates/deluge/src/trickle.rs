@@ -11,7 +11,7 @@
 //! This module is a pure state machine; protocols drive it with two
 //! timers and feed it heard advertisements.
 
-use crate::time::Duration;
+use lrs_host::time::Duration;
 use lrs_rng::DetRng;
 
 /// Trickle parameters.

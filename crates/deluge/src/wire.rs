@@ -10,7 +10,7 @@
 //! cluster-key MAC, as in Seluge/LR-Seluge §IV-E.
 
 use lrs_crypto::cluster::{ClusterKey, MacTag, MAC_LEN};
-use lrs_netsim::node::NodeId;
+use lrs_host::node::NodeId;
 use std::fmt;
 
 /// A fixed-length bit vector used in SNACK requests.

@@ -4,11 +4,11 @@ use lrs_crypto::cluster::ClusterKey;
 use lrs_deluge::engine::{DisseminationNode, EngineConfig};
 use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
 use lrs_deluge::policy::UnionPolicy;
+use lrs_host::node::NodeId;
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::{SimConfig, Simulator};
 
-use lrs_netsim::time::Duration;
+use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 
@@ -126,7 +126,7 @@ fn lossier_runs_cost_more() {
         let mut sim = build_sim(Topology::star(10), 4_000, p, 5);
         let report = sim.run(Duration::from_secs(36_000));
         assert!(report.all_complete, "p={p} stalled");
-        sim.metrics().tx_packets(lrs_netsim::node::PacketKind::Data)
+        sim.metrics().tx_packets(lrs_host::node::PacketKind::Data)
     };
     let low = cost(0.0);
     let high = cost(0.4);

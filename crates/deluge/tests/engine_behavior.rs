@@ -6,11 +6,10 @@ use lrs_crypto::cluster::ClusterKey;
 use lrs_deluge::engine::{CryptoCost, DisseminationNode, EngineConfig, PacketDisposition, Scheme};
 use lrs_deluge::policy::UnionPolicy;
 use lrs_deluge::wire::BitVec;
+use lrs_host::node::{NodeId, PacketKind};
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::{NodeId, PacketKind};
 use lrs_netsim::sim::{SimConfig, Simulator};
-
-use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 
@@ -121,7 +120,9 @@ fn minimal_scheme_disseminates() {
 fn out_of_order_data_is_dropped_not_buffered() {
     // An attacker injecting data for future items: the engine must count
     // the packets as out-of-order drops and never advance the level.
-    use lrs_deluge::attack::{AttackKind, Attacker, MaybeAdversary};
+    use lrs_deluge::attack::{
+        AttackEntry, AttackVector, Attacker, AttackerProfile, MaybeAdversary,
+    };
 
     let key = ClusterKey::derive(b"engine-test", 0);
     let cfg = SimConfig {
@@ -132,16 +133,26 @@ fn out_of_order_data_is_dropped_not_buffered() {
     // with no server available (level stays 0).
     let mut sim = SimBuilder::new(Topology::star(2), 7, move |id| {
         if id == NodeId(0) {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::BogusData {
-                    // Wrong payload length: the scheme rejects it, so the
-                    // honest node can never advance on forged data.
-                    payload_len: 5,
-                    index_space: 4,
-                },
-                Duration::from_millis(300),
-                1,
-            ))
+            let entry = AttackEntry {
+                node: id,
+                vector: AttackVector::BogusData,
+                at: SimTime::ZERO,
+                interval: Duration::from_millis(300),
+                burst: None,
+                target: NodeId(1),
+                spoof_pool: 0,
+            };
+            let profile = AttackerProfile {
+                // Wrong payload length: the scheme rejects it, so the
+                // honest node can never advance on forged data.
+                payload_len: 5,
+                index_space: 4,
+                sig_body_len: 0,
+                n_bits: 4,
+                version: 1,
+                cluster_key: None,
+            };
+            MaybeAdversary::Attacker(Attacker::new(entry, profile))
         } else {
             MaybeAdversary::Honest(DisseminationNode::new(
                 TestScheme::new(false),

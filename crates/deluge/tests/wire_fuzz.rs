@@ -5,7 +5,7 @@
 
 use lrs_crypto::cluster::{ClusterKey, MacTag};
 use lrs_deluge::wire::{BitVec, Message};
-use lrs_netsim::node::NodeId;
+use lrs_host::node::NodeId;
 use lrs_rng::DetRng;
 
 /// Arbitrary byte soup: parse returns None or Some, never panics.

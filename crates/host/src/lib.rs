@@ -16,6 +16,11 @@
 //!   generation semantics, and the [`envelope`] framing that carries
 //!   protocol packets between processes.
 //!
+//! Beside the contract sits the vocabulary both a driver and a protocol
+//! must name: [`violation`] holds the typed invariant violations a
+//! scheme's checker returns and a host's per-delivery hook records.
+//! Protocol crates depend on this crate and never on the simulator.
+//!
 //! The envelope (magic + version + sender + length) lives strictly at
 //! the transport layer: the bytes handed to `Protocol::on_packet` are
 //! the same `Message` encodings the simulator delivers, so packet
@@ -27,6 +32,7 @@ pub mod host;
 pub mod node;
 pub mod time;
 pub mod timer;
+pub mod violation;
 
 pub use envelope::{decode_frame, encode_frame, Frame};
 pub use host::{ChannelTransport, Host, HostConfig, HostReport, Transport, UdpTransport};

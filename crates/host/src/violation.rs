@@ -1,16 +1,16 @@
 //! Typed protocol-invariant violations.
 //!
-//! PR 3 introduced per-delivery invariant checking with stringly-typed
-//! errors (`Result<(), String>`); this module replaces them with a
-//! structured [`InvariantViolation`] shared by every scheme (LR-Seluge,
-//! Seluge, and custom checkers) so diagnostic dumps can serialize the
-//! failure structurally — which buffer, which page, which packet index,
-//! and the expected/actual content digests — instead of an opaque
-//! message.
+//! A structured [`InvariantViolation`] shared by every scheme
+//! (LR-Seluge, Seluge, and custom checkers) and every driver, so
+//! diagnostic dumps can serialize a failure structurally — which
+//! buffer, which page, which packet index, and the expected/actual
+//! content digests — instead of an opaque message. It lives beside the
+//! protocol contract because both sides name it: a scheme's checker
+//! returns it and a driver's per-delivery hook records it.
 //!
 //! Digests are 64-bit FNV-1a condensations of the compared byte
 //! strings: enough to tell *that* and *where* two buffers diverged in a
-//! dump, without pulling a crypto dependency into the simulator.
+//! dump, without pulling a crypto dependency into a driver.
 
 use crate::node::NodeId;
 use crate::time::SimTime;

@@ -6,7 +6,7 @@
 //!
 //! ```
 //! use lrs_netsim::{SimBuilder, Topology, FaultPlan};
-//! # use lrs_netsim::{node::*, time::*};
+//! # use lrs_host::{node::*, time::*};
 //! # struct Quiet;
 //! # impl Protocol for Quiet {
 //! #     fn on_init(&mut self, _: &mut Context<'_>) {}
@@ -27,12 +27,12 @@
 
 use crate::capsule::CapsuleSpec;
 use crate::fault::FaultPlan;
-use crate::node::{NodeId, Protocol};
 use crate::sim::{InvariantChecker, RunReport, SimConfig, Simulator};
-use crate::time::Duration;
 use crate::topology::Topology;
 use crate::trace::TraceSink;
-use crate::violation::InvariantViolation;
+use lrs_host::node::{NodeId, Protocol};
+use lrs_host::time::Duration;
+use lrs_host::violation::InvariantViolation;
 use std::path::PathBuf;
 
 /// Fluent constructor for simulations.
@@ -190,8 +190,8 @@ pub struct HarvestedRun<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{Context, PacketKind, TimerId};
-    use crate::time::SimTime;
+    use lrs_host::node::{Context, PacketKind, TimerId};
+    use lrs_host::time::SimTime;
 
     struct Beacon {
         heard: bool,

@@ -35,13 +35,13 @@
 
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::Metrics;
-use crate::node::NodeId;
 use crate::noise::{BurstyNoise, NoiseModel};
 use crate::sim::{Outcome, RunReport, SimConfig};
-use crate::time::{Duration, SimTime};
 use crate::topology::{Link, Position, Topology};
 use crate::trace::TraceEvent;
-use crate::violation::ContentDigest;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
+use lrs_host::violation::ContentDigest;
 use lrs_json::{parse_json, Json, ObjWriter};
 use std::fmt;
 use std::io;

@@ -6,7 +6,7 @@
 //! turns the byte counters into joules using mica2/CC1000-class
 //! constants, so experiments can report per-node energy directly.
 
-use crate::node::NodeId;
+use lrs_host::node::NodeId;
 
 /// Radio energy parameters.
 ///

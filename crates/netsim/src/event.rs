@@ -3,8 +3,8 @@
 //! A binary heap keyed by `(time, sequence)`; the sequence number breaks
 //! ties in insertion order, making runs fully deterministic.
 
-use crate::node::{NodeId, PacketKind, TimerId};
-use crate::time::SimTime;
+use lrs_host::node::{NodeId, PacketKind, TimerId};
+use lrs_host::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::Arc;

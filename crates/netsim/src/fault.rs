@@ -20,9 +20,9 @@
 //! [`FaultPlan::from_jsonl`]. Replaying a parsed plan reproduces the
 //! original run exactly; `tests/properties.rs` pins this.
 
-use crate::node::NodeId;
-use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_json::{parse_json, Json, ObjWriter};
 use lrs_rng::DetRng;
 

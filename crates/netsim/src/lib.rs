@@ -6,8 +6,12 @@
 //!
 //! * A virtual-time event queue drives per-node protocol state machines
 //!   ([`sim`], [`event`]).
-//! * Protocols are implemented against the [`Protocol`] trait and interact
-//!   with the world through a [`Context`] (broadcast, timers, RNG).
+//! * Protocols are implemented against `lrs-host`'s
+//!   [`Protocol`](lrs_host::node::Protocol) trait and interact with the
+//!   world through a [`Context`](lrs_host::node::Context) (broadcast,
+//!   timers, RNG). This crate is one driver of that contract and holds
+//!   only what an engine run needs: no protocol crate depends on it
+//!   outside its tests.
 //! * The broadcast [`medium`] models transmission airtime, CSMA-style
 //!   deferral with random backoff, half-duplex radios, and collisions
 //!   between overlapping in-range transmissions.
@@ -19,16 +23,13 @@
 //! * [`topology`] builds one-hop stars, 15×15 grids at tight/medium
 //!   density (standing in for the TinyOS `15-15-*-mica2-grid.txt` files),
 //!   and random deployments.
-//! * [`trickle`] implements the Trickle advertisement timer used by the
-//!   MAINTAIN state, and [`metrics`] the counters behind every figure.
+//! * [`metrics`] holds the counters behind every figure.
 //! * [`fault`] schedules deterministic crash/reboot, link-churn,
 //!   asymmetric-degradation, and clock-drift faults; the simulator's
 //!   stall watchdog and per-delivery invariant hooks turn livelocks and
-//!   protocol violations into structured diagnostics instead of hangs.
-//! * [`attack`] is the adversary-side sibling of [`fault`]: seeded,
-//!   replayable schedules of adversarial-node placement and behaviour,
-//!   serialized into capsule scenario tags.
-//!
+//!   protocol violations (reported in `lrs-host`'s
+//!   [`violation`](lrs_host::violation) vocabulary) into structured
+//!   diagnostics instead of hangs.
 //! * [`builder`] provides the fluent [`SimBuilder`] entry point, and
 //!   [`capsule`] / [`mod@replay`] the flight recorder: a run's seed, config,
 //!   topology and faults captured to a file and re-executed
@@ -37,12 +38,9 @@
 //! # Example
 //!
 //! ```
-//! use lrs_netsim::{
-//!     builder::SimBuilder,
-//!     topology::Topology,
-//!     node::{Context, NodeId, PacketKind, Protocol, TimerId},
-//!     time::Duration,
-//! };
+//! use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
+//! use lrs_host::time::Duration;
+//! use lrs_netsim::{builder::SimBuilder, topology::Topology};
 //!
 //! /// Every node floods a token once.
 //! struct Flood { seen: bool }
@@ -69,36 +67,31 @@
 //! assert!(report.all_complete);
 //! ```
 
-pub mod attack;
 pub mod builder;
 pub mod capsule;
-pub mod digest;
 pub mod energy;
 pub mod event;
 pub mod fault;
 pub mod medium;
 pub mod metrics;
+// Re-export shim: imported by `benchmark/` alone, deleted by its refresh
+// (ROADMAP item 1).
 pub mod node;
 pub mod noise;
 pub mod replay;
 pub mod shrink;
 pub mod sim;
+// Re-export shim, as `node` above.
 pub mod time;
 pub mod topology;
 pub mod trace;
-pub mod trickle;
-pub mod violation;
 
-pub use attack::{AttackConfig, AttackEntry, AttackPlan, AttackVector};
 pub use builder::SimBuilder;
 pub use capsule::{Capsule, CapsuleError, CapsuleSpec, RunDigest};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, PPM_ONE};
 pub use metrics::Metrics;
-pub use node::{Context, NodeId, PacketKind, Protocol, TimerId};
 pub use replay::{replay, verify_replay, DigestMismatch, ReplayError, ReplayRun};
 pub use shrink::{ddmin, shrink_fault_plan, ShrinkStats};
 pub use sim::{DiagnosticDump, NodeDiag, Outcome, RunReport, SimConfig, Simulator};
-pub use time::{Duration, SimTime};
 pub use topology::Topology;
 pub use trace::{JsonlTrace, LossCause, RingTrace, SharedRingTrace, TraceEvent, TraceSink};
-pub use violation::{BufferKind, ContentDigest, InvariantViolation, ViolationRecord};

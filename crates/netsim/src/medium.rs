@@ -14,10 +14,10 @@
 //! * **Losses** — per-link PRR (topology), optional bursty noise, and the
 //!   paper's application-layer i.i.d. drop probability `p`.
 
-use crate::node::NodeId;
 use crate::noise::{NoiseModel, NoiseState};
-use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_rng::DetRng;
 use std::collections::VecDeque;
 

@@ -5,8 +5,8 @@
 //! in bytes (SNACKs in LR-Seluge are `n − k` bits longer, so raw packet
 //! counts alone would be unfair), and overall dissemination latency.
 
-use crate::node::{NodeId, PacketKind};
-use crate::time::SimTime;
+use lrs_host::node::{NodeId, PacketKind};
+use lrs_host::time::SimTime;
 use lrs_json::ObjWriter;
 use std::collections::HashMap;
 

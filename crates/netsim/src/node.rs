@@ -1,10 +1,8 @@
-//! Node identities, the protocol trait, and the execution context.
+//! Re-export shim for the protocol contract, which lives in `lrs-host`.
 //!
-//! The contract lives in `lrs-host`: protocols written against
-//! [`Protocol`] are host-agnostic, and this simulator is one of two
-//! drivers (the other being `lrs_host::host::Host`, a real-time socket
-//! loop). This module re-exports the contract under its historical
-//! simulator paths; see the crate root for the simulator-side
-//! semantics of each [`Action`].
+//! Nothing in this workspace imports it: the separate `benchmark/`
+//! package still names these types through their historical simulator
+//! path and may only change in a PR of its own, so this file stays until
+//! that refresh (ROADMAP item 1) deletes it.
 
 pub use lrs_host::node::{Action, Context, NodeId, PacketKind, Protocol, TimerId};

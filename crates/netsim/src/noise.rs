@@ -10,7 +10,7 @@
 //! interference that correlates consecutive losses — rather than the
 //! exact sample path.
 
-use crate::time::SimTime;
+use lrs_host::time::SimTime;
 use lrs_rng::DetRng;
 
 /// Noise model selection.

@@ -11,10 +11,10 @@
 use crate::builder::SimBuilder;
 use crate::capsule::{Capsule, RunDigest};
 use crate::metrics::Metrics;
-use crate::node::{NodeId, Protocol};
 use crate::sim::RunReport;
 use crate::trace::{SharedRingTrace, TraceEvent};
-use crate::violation::ContentDigest;
+use lrs_host::node::{NodeId, Protocol};
+use lrs_host::violation::ContentDigest;
 use std::fmt;
 
 /// A re-executed capsule: the run's report, metrics, trace, and the

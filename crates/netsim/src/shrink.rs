@@ -106,8 +106,8 @@ fn plan_from(events: &[FaultEvent]) -> FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeId;
-    use crate::time::SimTime;
+    use lrs_host::node::NodeId;
+    use lrs_host::time::SimTime;
 
     #[test]
     fn ddmin_isolates_a_single_culprit() {

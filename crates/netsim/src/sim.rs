@@ -6,11 +6,11 @@ use crate::event::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan, PPM_ONE};
 use crate::medium::{Delivery, Medium, MediumConfig};
 use crate::metrics::Metrics;
-use crate::node::{Action, Context, NodeId, PacketKind, Protocol, TimerId};
-use crate::time::{Duration, SimTime};
 use crate::topology::Topology;
 use crate::trace::{LossCause, RingTrace, TraceEvent, TraceSink};
-use crate::violation::{InvariantViolation, ViolationRecord};
+use lrs_host::node::{Action, Context, NodeId, PacketKind, Protocol, TimerId};
+use lrs_host::time::{Duration, SimTime};
+use lrs_host::violation::{InvariantViolation, ViolationRecord};
 use lrs_json::ObjWriter;
 use lrs_rng::DetRng;
 use std::collections::{HashMap, VecDeque};
@@ -691,7 +691,7 @@ impl<P: Protocol> Simulator<P> {
     /// Writes the armed failure capsule, if any. The engine does not
     /// retain its full trace, so the recorded digest covers outcome,
     /// final time, and metrics; the trace digest is
-    /// [`ContentDigest::MISSING`](crate::violation::ContentDigest::MISSING)
+    /// [`ContentDigest::MISSING`](lrs_host::violation::ContentDigest::MISSING)
     /// and skipped by replay verification.
     fn write_failure_capsule(&self, outcome: Outcome, deadline: Duration) {
         let Some(spec) = self.capsule.as_ref() else {

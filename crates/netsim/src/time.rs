@@ -1,8 +1,5 @@
-//! Virtual time for the discrete-event simulation.
+//! Re-export shim for the clock vocabulary, which lives in `lrs-host`.
 //!
-//! The types live in `lrs-host` (the host-agnostic protocol contract)
-//! so that real-time hosts and the simulator share one clock
-//! vocabulary; this module re-exports them under their historical
-//! simulator paths.
+//! Kept for `benchmark/` alone, exactly as [`node`](crate::node) is.
 
 pub use lrs_host::time::{Duration, SimTime};

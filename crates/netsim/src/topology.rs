@@ -8,7 +8,7 @@
 //! link model with per-link log-normal-style shadowing jitter — what the
 //! TinyOS topology tool itself does from a propagation model.
 
-use crate::node::NodeId;
+use lrs_host::node::NodeId;
 use lrs_rng::DetRng;
 
 /// A node position in meters.

@@ -17,8 +17,8 @@
 //! post-mortem inspection in tests), and [`JsonlTrace`], which streams
 //! every event as one JSON object per line for offline analysis.
 
-use crate::node::{NodeId, PacketKind, TimerId};
-use crate::time::SimTime;
+use lrs_host::node::{NodeId, PacketKind, TimerId};
+use lrs_host::time::SimTime;
 use lrs_json::ObjWriter;
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
@@ -120,7 +120,7 @@ pub enum TraceEvent {
     },
     /// A protocol-level annotation (SNACK round, page completion,
     /// scheduler decision, …) emitted via
-    /// [`Context::note`](crate::node::Context::note).
+    /// [`Context::note`](lrs_host::node::Context::note).
     Note {
         /// Emission time.
         at: SimTime,
@@ -414,7 +414,7 @@ mod tests {
     fn jsonl_emits_one_line_per_event() {
         let mut sink = JsonlTrace::new(Vec::new());
         sink.record(&TraceEvent::Tx {
-            at: SimTime::ZERO + crate::time::Duration::from_micros(42),
+            at: SimTime::ZERO + lrs_host::time::Duration::from_micros(42),
             from: NodeId(3),
             kind: PacketKind::Data,
             bytes: 90,

@@ -1,11 +1,11 @@
 //! Simulator-level semantics of crash-failure injection and the energy
 //! ledger, using a minimal protocol.
 
+use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_netsim::energy::EnergyModel;
-use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_netsim::sim::Simulator;
 
-use lrs_netsim::time::{Duration, SimTime};
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 

@@ -21,8 +21,8 @@ use lrs_deluge::deployment::{ParamError, SchemeFamily};
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
 use lrs_deluge::policy::UnionPolicy;
 use lrs_deluge::wire::BitVec;
-use lrs_netsim::node::PacketKind;
-use lrs_netsim::violation::{ContentDigest, InvariantViolation};
+use lrs_host::node::PacketKind;
+use lrs_host::violation::{ContentDigest, InvariantViolation};
 
 pub use lrs_deluge::bootstrap::PacketDigestCache;
 
@@ -342,7 +342,7 @@ mod tests {
     use super::*;
     use lrs_crypto::puzzle::PuzzleKeyChain;
     use lrs_crypto::schnorr::Keypair;
-    use lrs_netsim::violation::BufferKind;
+    use lrs_host::violation::BufferKind;
 
     fn setup() -> (SelugeScheme, SelugeScheme, Vec<u8>) {
         let (base, rx, image, _) = setup_with_artifacts();

@@ -3,14 +3,14 @@
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
 use lrs_crypto::schnorr::Keypair;
-use lrs_deluge::attack::{AttackKind, Attacker, MaybeAdversary};
+use lrs_deluge::attack::{AttackEntry, AttackVector, Attacker, MaybeAdversary};
 use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
 use lrs_deluge::policy::UnionPolicy;
+use lrs_deluge::SchemeFamily;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::SimConfig;
-
-use lrs_netsim::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 use lrs_seluge::{SelugeArtifacts, SelugeParams, SelugeScheme};
@@ -98,21 +98,28 @@ fn multi_hop_secure_dissemination() {
     }
 }
 
+/// An outsider at `node` injecting `vector` every `interval_ms` from
+/// the start, mimicking `s`'s Seluge parameters.
+fn outsider(s: &Setup, node: NodeId, vector: AttackVector, interval_ms: u64) -> Attacker {
+    let entry = AttackEntry {
+        node,
+        vector,
+        at: SimTime::ZERO,
+        interval: Duration::from_millis(interval_ms),
+        burst: None,
+        target: NodeId(0),
+        spoof_pool: 0,
+    };
+    Attacker::new(entry, SelugeScheme::attacker_profile(&s.params, None))
+}
+
 #[test]
 fn bogus_data_flood_is_rejected_and_dissemination_completes() {
     let s = setup(1_200);
-    let payload_len = s.params.data_payload_len();
     let cfg = SimConfig::default();
     let mut sim = SimBuilder::new(Topology::star(6), 9, |id| {
         if id == NodeId(5) {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::BogusData {
-                    payload_len,
-                    index_space: s.params.packets_per_page,
-                },
-                Duration::from_millis(150),
-                1,
-            ))
+            MaybeAdversary::Attacker(outsider(&s, id, AttackVector::BogusData, 150))
         } else {
             MaybeAdversary::Honest(make_node(&s, id))
         }
@@ -140,14 +147,9 @@ fn bogus_data_flood_is_rejected_and_dissemination_completes() {
 #[test]
 fn forged_signature_flood_never_triggers_expensive_verification() {
     let s = setup(1_200);
-    let body_len = lrs_deluge::bootstrap::SIGNATURE_BODY_LEN;
     let mut sim = SimBuilder::new(Topology::star(5), 13, |id| {
         if id == NodeId(4) {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::ForgedSignature { body_len },
-                Duration::from_millis(400),
-                1,
-            ))
+            MaybeAdversary::Attacker(outsider(&s, id, AttackVector::ForgedSignature, 400))
         } else {
             MaybeAdversary::Honest(make_node(&s, id))
         }
@@ -170,11 +172,7 @@ fn forged_control_packets_rejected_by_mac() {
     let s = setup(800);
     let mut sim = SimBuilder::new(Topology::star(5), 17, |id| {
         if id == NodeId(4) {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::ForgedAdv,
-                Duration::from_millis(400),
-                1,
-            ))
+            MaybeAdversary::Attacker(outsider(&s, id, AttackVector::ForgedAdv, 400))
         } else {
             MaybeAdversary::Honest(make_node(&s, id))
         }

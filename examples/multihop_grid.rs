@@ -11,12 +11,12 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_deluge::engine::Scheme as _;
+use lrs_host::node::{NodeId, PacketKind};
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::{NodeId, PacketKind};
 use lrs_netsim::noise::{BurstyNoise, NoiseModel};
 use lrs_netsim::sim::SimConfig;
 
-use lrs_netsim::time::Duration;
+use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 

@@ -6,11 +6,11 @@
 //! ```
 
 use lr_seluge::{Deployment, LrSelugeParams};
+use lrs_host::node::{NodeId, PacketKind};
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::{NodeId, PacketKind};
 use lrs_netsim::sim::SimConfig;
 
-use lrs_netsim::time::Duration;
+use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 

@@ -11,13 +11,13 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_crypto::cluster::ClusterKey;
-use lrs_deluge::attack::{AttackKind, Attacker, MaybeAdversary};
+use lrs_deluge::attack::{AttackEntry, AttackVector, Attacker, MaybeAdversary};
 use lrs_deluge::engine::{DisseminationNode, EngineConfig};
 use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
 use lrs_deluge::policy::UnionPolicy;
-use lrs_netsim::node::NodeId;
-
-use lrs_netsim::time::Duration;
+use lrs_deluge::SchemeFamily;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 
@@ -32,7 +32,17 @@ fn image() -> Vec<u8> {
 
 fn main() {
     let attacker_id = NodeId((N + 1) as u32);
-    let flood = Duration::from_millis(250);
+    // The same plan entry mounts the flood against either scheme: bogus
+    // data every 250 ms from the start, no duty cycle.
+    let flood = AttackEntry {
+        node: attacker_id,
+        vector: AttackVector::BogusData,
+        at: SimTime::ZERO,
+        interval: Duration::from_millis(250),
+        burst: None,
+        target: NodeId(0),
+        spoof_pool: 0,
+    };
 
     // --- Plain Deluge under the flood --------------------------------
     let ip = ImageParams {
@@ -49,13 +59,9 @@ fn main() {
     };
     let mut deluge_sim = SimBuilder::new(Topology::star(N + 2), 5, |id| {
         if id == attacker_id {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::BogusData {
-                    payload_len: ip.payload_len,
-                    index_space: ip.packets_per_page,
-                },
+            MaybeAdversary::Attacker(Attacker::new(
                 flood,
-                1,
+                DelugeScheme::attacker_profile(&ip, None),
             ))
         } else {
             let scheme = if id == NodeId(0) {
@@ -93,14 +99,7 @@ fn main() {
     let deployment = Deployment::new(&image(), params, b"demo");
     let mut lr_sim = SimBuilder::new(Topology::star(N + 2), 5, |id| {
         if id == attacker_id {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::BogusData {
-                    payload_len: params.payload_len,
-                    index_space: params.n,
-                },
-                flood,
-                1,
-            ))
+            MaybeAdversary::Attacker(Attacker::new(flood, deployment.attacker_profile(false)))
         } else {
             MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
         }

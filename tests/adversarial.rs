@@ -4,13 +4,13 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_crypto::cluster::ClusterKey;
-use lrs_deluge::attack::{AttackKind, Attacker, MaybeAdversary};
+use lrs_deluge::attack::{AttackEntry, AttackVector, Attacker, MaybeAdversary};
 use lrs_deluge::engine::{DisseminationNode, EngineConfig};
 use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
 use lrs_deluge::policy::UnionPolicy;
-use lrs_netsim::node::NodeId;
-
-use lrs_netsim::time::Duration;
+use lrs_deluge::SchemeFamily;
+use lrs_host::node::NodeId;
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 
@@ -36,9 +36,24 @@ fn lr_params() -> LrSelugeParams {
     }
 }
 
+const ATTACKER: NodeId = NodeId((N + 1) as u32);
+
+/// The attacker's plan entry: `vector` every `interval` from the start,
+/// aimed at the base station.
+fn entry(vector: AttackVector, interval: Duration) -> AttackEntry {
+    AttackEntry {
+        node: ATTACKER,
+        vector,
+        at: SimTime::ZERO,
+        interval,
+        burst: None,
+        target: NodeId(0),
+        spoof_pool: 64, // plenty of forged identities
+    }
+}
+
 #[test]
 fn deluge_is_corrupted_by_bogus_data_while_lr_seluge_is_not() {
-    let attacker_id = NodeId((N + 1) as u32);
     let flood = Duration::from_millis(200);
 
     // Deluge run.
@@ -55,14 +70,10 @@ fn deluge_is_corrupted_by_bogus_data_while_lr_seluge_is_not() {
         ..EngineConfig::default()
     };
     let mut dsim = SimBuilder::new(Topology::star(N + 2), 3, |id| {
-        if id == attacker_id {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::BogusData {
-                    payload_len: ip.payload_len,
-                    index_space: ip.packets_per_page,
-                },
-                flood,
-                1,
+        if id == ATTACKER {
+            MaybeAdversary::Attacker(Attacker::new(
+                entry(AttackVector::BogusData, flood),
+                DelugeScheme::attacker_profile(&ip, None),
             ))
         } else {
             let scheme = if id == NodeId(0) {
@@ -97,14 +108,10 @@ fn deluge_is_corrupted_by_bogus_data_while_lr_seluge_is_not() {
     // LR-Seluge run under the identical flood.
     let deployment = Deployment::new(&image(), lr_params(), b"adv");
     let mut lsim = SimBuilder::new(Topology::star(N + 2), 3, |id| {
-        if id == attacker_id {
-            MaybeAdversary::Attacker(Attacker::outsider(
-                AttackKind::BogusData {
-                    payload_len: lr_params().payload_len,
-                    index_space: lr_params().n,
-                },
-                flood,
-                1,
+        if id == ATTACKER {
+            MaybeAdversary::Attacker(Attacker::new(
+                entry(AttackVector::BogusData, flood),
+                deployment.attacker_profile(false),
             ))
         } else {
             MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
@@ -128,19 +135,11 @@ fn denial_of_receipt_budget_caps_victim_transmissions() {
             ..EngineConfig::default()
         };
         let deployment = Deployment::new(&image(), p, b"dor").with_engine_config(engine);
-        let insider_key = deployment.cluster_key().clone();
-        let attacker_id = NodeId((N + 1) as u32);
         let mut sim = SimBuilder::new(Topology::star(N + 2), 9, |id| {
-            if id == attacker_id {
-                MaybeAdversary::Attacker(Attacker::insider(
-                    AttackKind::DenialOfReceipt {
-                        target: NodeId(0),
-                        item: 2,
-                        n_bits: p.n as usize,
-                    },
-                    Duration::from_millis(150),
-                    p.version,
-                    insider_key.clone(),
+            if id == ATTACKER {
+                MaybeAdversary::Attacker(Attacker::new(
+                    entry(AttackVector::DenialOfReceipt, Duration::from_millis(150)),
+                    deployment.attacker_profile(true),
                 ))
             } else {
                 MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
@@ -172,19 +171,11 @@ fn insider_snack_flood_does_not_prevent_completion() {
         per_neighbor_item_budget: Some(3 * p.n as u32),
         ..EngineConfig::default()
     });
-    let insider_key = deployment.cluster_key().clone();
-    let attacker_id = NodeId((N + 1) as u32);
     let mut sim = SimBuilder::new(Topology::star(N + 2), 21, |id| {
-        if id == attacker_id {
-            MaybeAdversary::Attacker(Attacker::insider(
-                AttackKind::DenialOfReceipt {
-                    target: NodeId(0),
-                    item: 2,
-                    n_bits: p.n as usize,
-                },
-                Duration::from_millis(150),
-                p.version,
-                insider_key.clone(),
+        if id == ATTACKER {
+            MaybeAdversary::Attacker(Attacker::new(
+                entry(AttackVector::DenialOfReceipt, Duration::from_millis(150)),
+                deployment.attacker_profile(true),
             ))
         } else {
             MaybeAdversary::Honest(deployment.node(id, NodeId(0)))
@@ -214,20 +205,14 @@ fn spoofed_denial_of_receipt_evades_budget_without_leap_but_not_with_it() {
         if leap {
             deployment = deployment.with_leap(b"initial network key");
         }
-        let insider_key = deployment.cluster_key().clone();
-        let attacker_id = NodeId((N + 1) as u32);
         let mut sim = SimBuilder::new(Topology::star(N + 2), 13, |id| {
-            if id == attacker_id {
-                MaybeAdversary::Attacker(Attacker::insider(
-                    AttackKind::SpoofedDenialOfReceipt {
-                        target: NodeId(0),
-                        item: 2,
-                        n_bits: p.n as usize,
-                        spoof_pool: 64, // plenty of forged identities
-                    },
-                    Duration::from_millis(150),
-                    p.version,
-                    insider_key.clone(),
+            if id == ATTACKER {
+                MaybeAdversary::Attacker(Attacker::new(
+                    entry(
+                        AttackVector::SpoofedDenialOfReceipt,
+                        Duration::from_millis(150),
+                    ),
+                    deployment.attacker_profile(true),
                 ))
             } else {
                 MaybeAdversary::Honest(deployment.node(id, NodeId(0)))

@@ -8,7 +8,7 @@ use lrs_bench::{average, matched_seluge_params, run_lr, run_seluge, Matched, Run
 use lrs_deluge::bootstrap::{DeploymentKeys, PacketDigestCache};
 use lrs_deluge::deployment::Deployment;
 use lrs_deluge::image::DelugeScheme;
-use lrs_netsim::node::NodeId;
+use lrs_host::node::NodeId;
 use lrs_seluge::SelugeScheme;
 
 /// What every scheme family owes the harnesses written over it: a
@@ -148,8 +148,8 @@ fn exactly_one_signature_verification_per_node() {
 
 #[test]
 fn multi_hop_grid_both_schemes() {
+    use lrs_host::time::Duration;
     use lrs_netsim::medium::MediumConfig;
-    use lrs_netsim::time::Duration;
     use lrs_netsim::topology::Topology;
 
     let spec = RunSpec {

@@ -6,11 +6,11 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_deluge::engine::Scheme as _;
+use lrs_host::node::NodeId;
 use lrs_netsim::energy::EnergyModel;
-use lrs_netsim::node::NodeId;
 use lrs_netsim::sim::Simulator;
 
-use lrs_netsim::time::{Duration, SimTime};
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::{SharedRingTrace, TraceEvent};
 use lrs_netsim::SimBuilder;

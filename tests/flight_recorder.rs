@@ -6,13 +6,13 @@
 use lr_seluge::Deployment;
 use lrs_bench::capsules::{replay_capsule, scale_params as small_lr, ScenarioTags};
 use lrs_bench::matched_seluge_params;
+use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
+use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::fault::FaultPlan;
-use lrs_netsim::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_netsim::replay::{replay, verify_replay, ReplayError};
 use lrs_netsim::shrink::shrink_fault_plan;
 use lrs_netsim::sim::{Outcome, SimConfig};
-use lrs_netsim::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::SharedRingTrace;
 use lrs_netsim::SimBuilder;

@@ -15,9 +15,9 @@ use lr_seluge_repro::lrs_bench::capsules::{LrScheme, SelugeScheme};
 use lr_seluge_repro::lrs_bench::Matched;
 use lr_seluge_repro::lrs_host::{ChannelTransport, Host, HostConfig, NodeId};
 use lr_seluge_repro::swarm::{LossyLinks, NodeStatus, SwarmScenario};
+use lrs_host::time::Duration as SimDuration;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::sim::Outcome;
-use lrs_netsim::time::Duration as SimDuration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};

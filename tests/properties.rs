@@ -2,12 +2,12 @@
 //! for randomized images, parameters and loss patterns.
 
 use lr_seluge::{Deployment, LrSelugeParams};
+use lrs_host::node::{NodeId, Protocol};
 use lrs_netsim::fault::{FaultConfig, FaultPlan};
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::node::{NodeId, Protocol};
 use lrs_netsim::sim::SimConfig;
 
-use lrs_netsim::time::Duration;
+use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
 use lrs_rng::DetRng;
