@@ -22,7 +22,8 @@ use std::process::ExitCode;
 
 use lrs_bench::capsules::{attack_params, population, LrScheme, ScenarioTags};
 use lrs_bench::runner::{simulate, Finished, Matched, SimSetup};
-use lrs_bench::{sample_grid, stat_json, write_csv, write_json, Json, Table};
+use lrs_bench::sweep::mean_cell;
+use lrs_bench::{sample_grid, Json, Report, Sample, Table};
 use lrs_deluge::attack::{AttackEntry, AttackPlan, AttackVector};
 use lrs_deluge::engine::EngineConfig;
 use lrs_deluge::image::DelugeScheme;
@@ -58,23 +59,38 @@ struct FloodOutcome {
     sig_verifs: f64,
 }
 
-const FLOOD_NAMES: [&str; 5] = [
-    "injected",
-    "complete",
-    "wrong_images",
-    "rejects",
-    "sig_verifs",
-];
+impl Sample for FloodOutcome {
+    const NAMES: &'static [&'static str] = &[
+        "injected",
+        "complete",
+        "wrong_images",
+        "rejects",
+        "sig_verifs",
+    ];
 
-impl FloodOutcome {
-    fn fields(&self) -> [f64; 5] {
-        [
+    fn values(&self) -> Vec<f64> {
+        vec![
             self.injected,
             self.complete,
             self.wrong,
             self.rejects,
             self.sig_verifs,
         ]
+    }
+}
+
+/// The victim base station under denial-of-receipt.
+#[derive(Clone, Copy, Debug)]
+struct VictimLoad {
+    data_pkts: f64,
+    budget_rejections: f64,
+}
+
+impl Sample for VictimLoad {
+    const NAMES: &'static [&'static str] = &["victim_data_pkts", "budget_rejections"];
+
+    fn values(&self) -> Vec<f64> {
+        vec![self.data_pkts, self.budget_rejections]
     }
 }
 
@@ -140,12 +156,12 @@ fn run_under_attack<S: Matched>(
 }
 
 /// Runs the insider denial-of-receipt attack; returns the victim base
-/// station's (data packets sent, budget rejections).
+/// station's data packets sent and budget rejections.
 fn run_denial_of_receipt(
     image_len: usize,
     budget: Option<u32>,
     seed: u64,
-) -> Result<(u64, u64), String> {
+) -> Result<VictimLoad, String> {
     // Fixed observation window: the unbounded variant is a total DoS and
     // would otherwise run to any deadline.
     let done = run_attacked::<LrScheme>(
@@ -162,7 +178,10 @@ fn run_denial_of_receipt(
         .node(NodeId(0))
         .honest()
         .ok_or("the base station should be honest but is not")?;
-    Ok((base.stats().data_sent, base.stats().budget_rejections))
+    Ok(VictimLoad {
+        data_pkts: base.stats().data_sent as f64,
+        budget_rejections: base.stats().budget_rejections as f64,
+    })
 }
 
 /// A flood scenario row: (label, scheme).
@@ -269,16 +288,8 @@ fn run() -> Result<(), String> {
         ),
     });
 
-    let mut t = Table::new(vec![
-        "experiment",
-        "scheme",
-        "injected",
-        "complete",
-        "wrong_images",
-        "rejects",
-        "sig_verifs",
-    ]);
-    let mut rows = Vec::new();
+    let columns = [&["experiment", "scheme"], FloodOutcome::NAMES].concat();
+    let mut report = Report::new("attack", columns, seeds, threads);
     for (sc, results) in scenarios.iter().zip(grid) {
         let samples = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Security invariants hold per seed, not just on average.
@@ -306,93 +317,50 @@ fn run() -> Result<(), String> {
                 Scenario::DelugeBogus { .. } => {}
             }
         }
-        let col = |f: usize| samples.iter().map(|o| o.fields()[f]).collect::<Vec<f64>>();
-        let mean = |f: usize| {
-            let v = col(f);
-            v.iter().sum::<f64>() / v.len() as f64
-        };
-        let cell = |f: usize| {
-            if mean(f).is_finite() {
-                format!("{:.1}", mean(f))
-            } else {
-                "-".to_string()
-            }
-        };
-        t.row(vec![
-            sc.label(),
-            sc.scheme().to_string(),
-            cell(0),
-            cell(1),
-            cell(2),
-            cell(3),
-            cell(4),
-        ]);
-        let metrics: Vec<(String, Json)> = FLOOD_NAMES
+        let means = FloodOutcome::NAMES
             .iter()
-            .enumerate()
-            .map(|(f, name)| (name.to_string(), stat_json(&col(f))))
-            .collect();
-        rows.push(Json::Obj(vec![
-            (
-                "params".into(),
-                Json::Obj(vec![
-                    ("experiment".into(), Json::str(sc.label())),
-                    ("scheme".into(), Json::str(sc.scheme())),
-                ]),
-            ),
-            ("metrics".into(), Json::Obj(metrics)),
-        ]));
+            .map(|name| mean_cell(&samples, name, 1));
+        report.row([vec![sc.label(), sc.scheme().to_string()], means.collect()].concat());
+        report.push(
+            &[
+                ("experiment", Json::str(sc.label())),
+                ("scheme", Json::str(sc.scheme())),
+            ],
+            &samples,
+        );
     }
 
     // 3. Denial-of-receipt: victim transmissions with and without budget.
     println!("Denial-of-receipt (insider SNACK flood at the base station):");
     let budgets = [None, Some(3 * p.n as u32)];
     let dor_grid = sample_grid(&budgets, seeds, threads, |&budget, seed| {
-        run_denial_of_receipt(image_len, budget, seed).map(|(data, rej)| (data as f64, rej as f64))
+        run_denial_of_receipt(image_len, budget, seed)
     });
     let mut dor = Table::new(vec!["budget", "victim_data_pkts", "budget_rejections"]);
     for (budget, results) in budgets.iter().zip(dor_grid) {
         let samples = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let data: Vec<f64> = samples.iter().map(|s| s.0).collect();
-        let rej: Vec<f64> = samples.iter().map(|s| s.1).collect();
         dor.row(vec![
             budget.map_or("none".to_string(), |b| b.to_string()),
-            format!("{:.0}", data.iter().sum::<f64>() / data.len() as f64),
-            format!("{:.0}", rej.iter().sum::<f64>() / rej.len() as f64),
+            mean_cell(&samples, "victim_data_pkts", 0),
+            mean_cell(&samples, "budget_rejections", 0),
         ]);
-        rows.push(Json::Obj(vec![
-            (
-                "params".into(),
-                Json::Obj(vec![
-                    ("experiment".into(), Json::str("denial-of-receipt")),
-                    ("budget".into(), budget.map_or(Json::Null, Json::num)),
-                ]),
-            ),
-            (
-                "metrics".into(),
-                Json::Obj(vec![
-                    ("victim_data_pkts".into(), stat_json(&data)),
-                    ("budget_rejections".into(), stat_json(&rej)),
-                ]),
-            ),
-        ]));
+        report.push(
+            &[
+                ("experiment", Json::str("denial-of-receipt")),
+                ("budget", budget.map_or(Json::Null, Json::num)),
+            ],
+            &samples,
+        );
     }
     println!("{}", dor.render());
 
-    println!("{}", t.render());
+    println!("{}", report.table().render());
     if let Some(dir) = &capsule_dir {
         println!(
             "flight recorder armed: diagnostic flood runs dump capsules to {}",
             dir.display()
         );
     }
-    println!("wrote {}", write_csv("attack", &t));
-    let report = Json::Obj(vec![
-        ("experiment".into(), Json::str("attack")),
-        ("threads".into(), Json::num(threads as u32)),
-        ("seeds".into(), Json::num(seeds as u32)),
-        ("rows".into(), Json::Arr(rows)),
-    ]);
-    println!("wrote {}", write_json("attack", &report));
+    report.write();
     Ok(())
 }

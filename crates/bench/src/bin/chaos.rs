@@ -17,7 +17,8 @@
 
 use lrs_bench::capsules::{chaos_sim_config as sim_config, population, LrScheme, ScenarioTags};
 use lrs_bench::runner::{simulate, Matched, SimSetup};
-use lrs_bench::{sample_grid, stat_json, with_scheme, write_csv, write_json, Json, Table};
+use lrs_bench::sweep::mean_cell;
+use lrs_bench::{sample_grid, with_scheme, Json, Report, Sample};
 use lrs_deluge::deployment::SchemeFamily;
 use lrs_host::node::NodeId;
 use lrs_host::time::{Duration, SimTime};
@@ -59,20 +60,20 @@ struct ChaosOutcome {
     energy_j: f64,
 }
 
-const METRIC_NAMES: [&str; 8] = [
-    "complete",
-    "unfinished_nodes",
-    "latency_s",
-    "reboots",
-    "injected",
-    "stalled",
-    "violations",
-    "energy_j",
-];
+impl Sample for ChaosOutcome {
+    const NAMES: &'static [&'static str] = &[
+        "complete",
+        "unfinished_nodes",
+        "latency_s",
+        "reboots",
+        "injected",
+        "stalled",
+        "violations",
+        "energy_j",
+    ];
 
-impl ChaosOutcome {
-    fn fields(&self) -> [f64; 8] {
-        [
+    fn values(&self) -> Vec<f64> {
+        vec![
             self.complete,
             self.unfinished,
             self.latency_s,
@@ -82,11 +83,6 @@ impl ChaosOutcome {
             self.violations,
             self.energy_j,
         ]
-    }
-
-    /// A canonical string of every field, used by the determinism check.
-    fn canonical(&self) -> String {
-        format!("{:?}", self.fields())
     }
 }
 
@@ -290,7 +286,7 @@ fn run() -> Result<(), lrs_bench::CliError> {
         run_scenario(image_len, sc, seed, capsule_dir.as_deref())
     });
 
-    let mut t = Table::new(vec![
+    let columns = vec![
         "scheme",
         "crash",
         "flap",
@@ -302,8 +298,8 @@ fn run() -> Result<(), lrs_bench::CliError> {
         "stalled",
         "violations",
         "energy_j",
-    ]);
-    let mut rows = Vec::new();
+    ];
+    let mut report = Report::new("chaos", columns, seeds, threads);
     for (sc, samples) in scenarios.iter().zip(&grid) {
         // Hard acceptance criteria hold per seed, not just on average.
         for o in samples {
@@ -318,55 +314,31 @@ fn run() -> Result<(), lrs_bench::CliError> {
                 );
             }
         }
-        let col = |f: usize| samples.iter().map(|o| o.fields()[f]).collect::<Vec<f64>>();
-        let mean = |f: usize| {
-            let v = col(f);
-            let finite: Vec<f64> = v.into_iter().filter(|x| x.is_finite()).collect();
-            if finite.is_empty() {
-                f64::NAN
-            } else {
-                finite.iter().sum::<f64>() / finite.len() as f64
-            }
-        };
-        let cell = |f: usize| {
-            if mean(f).is_finite() {
-                format!("{:.1}", mean(f))
-            } else {
-                "-".to_string()
-            }
-        };
-        t.row(vec![
+        let cell = |metric| mean_cell(samples, metric, 1);
+        report.row(vec![
             sc.scheme.to_string(),
             format!("{:.2}", sc.crash_rate),
             format!("{:.2}", sc.link_flap),
             if sc.storm { "yes" } else { "no" }.to_string(),
-            cell(0),
-            cell(1),
-            cell(2),
-            cell(3),
-            cell(5),
-            cell(6),
-            cell(7),
+            cell("complete"),
+            cell("unfinished_nodes"),
+            cell("latency_s"),
+            cell("reboots"),
+            cell("stalled"),
+            cell("violations"),
+            cell("energy_j"),
         ]);
-        let metrics: Vec<(String, Json)> = METRIC_NAMES
-            .iter()
-            .enumerate()
-            .map(|(f, name)| (name.to_string(), stat_json(&col(f))))
-            .collect();
-        rows.push(Json::Obj(vec![
-            (
-                "params".into(),
-                Json::Obj(vec![
-                    ("scheme".into(), Json::str(sc.scheme)),
-                    ("crash_rate".into(), Json::num(sc.crash_rate)),
-                    ("link_flap".into(), Json::num(sc.link_flap)),
-                    ("storm".into(), Json::num(u8::from(sc.storm))),
-                ]),
-            ),
-            ("metrics".into(), Json::Obj(metrics)),
-        ]));
+        report.push(
+            &[
+                ("scheme", Json::str(sc.scheme)),
+                ("crash_rate", Json::num(sc.crash_rate)),
+                ("link_flap", Json::num(sc.link_flap)),
+                ("storm", Json::num(u8::from(sc.storm))),
+            ],
+            samples,
+        );
     }
-    println!("{}", t.render());
+    println!("{}", report.table().render());
 
     // Seed determinism: the same scenario and seed must reproduce every
     // observable bit for bit.
@@ -376,9 +348,13 @@ fn run() -> Result<(), lrs_bench::CliError> {
         link_flap: 0.4,
         storm: true,
     };
-    let a = run_scenario(image_len, &probe, 7, None).canonical();
-    let b = run_scenario(image_len, &probe, 7, None).canonical();
-    assert_eq!(a, b, "same seed must reproduce the identical outcome");
+    let a = run_scenario(image_len, &probe, 7, None);
+    let b = run_scenario(image_len, &probe, 7, None);
+    assert_eq!(
+        format!("{a:?}"),
+        format!("{b:?}"),
+        "same seed must reproduce the identical outcome"
+    );
     println!("determinism: seed 7 reproduced bit-identically\n");
 
     // Watchdog demonstration: a partitioned network terminates with a
@@ -393,14 +369,7 @@ fn run() -> Result<(), lrs_bench::CliError> {
         );
     }
 
-    println!("wrote {}", write_csv("chaos", &t));
-    let report = Json::Obj(vec![
-        ("experiment".into(), Json::str("chaos")),
-        ("threads".into(), Json::num(threads as u32)),
-        ("seeds".into(), Json::num(seeds as u32)),
-        ("rows".into(), Json::Arr(rows)),
-    ]);
-    println!("wrote {}", write_json("chaos", &report));
+    report.write();
     println!("all invariant and watchdog assertions held");
     Ok(())
 }

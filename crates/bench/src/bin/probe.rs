@@ -1,18 +1,19 @@
 //! Diagnostic probe for large-N one-hop LR-Seluge runs.
 //!
-//! Usage: `probe [N] [seed] [p] [--trace=FILE.jsonl]`
+//! Usage: `probe [N] [seed] [p] [--trace FILE.jsonl]`
 //!
 //! `probe --kernels` prints the GF(256) and SHA-256 kernels this CPU
 //! supports, which one runtime dispatch selected, and the env knobs
 //! (`LRS_GF_KERNEL` / `LRS_SHA_KERNEL`) that force a choice — then
 //! exits. Scripts use it to record the compute configuration of a run.
 //!
-//! With `--trace=FILE`, every simulator event (tx/rx/loss-with-cause,
+//! With `--trace FILE`, every simulator event (tx/rx/loss-with-cause,
 //! timers, completions, protocol notes) is streamed to `FILE` as JSON
 //! Lines, and a closing `"ev":"metrics"` summary line is appended.
 //! Attaching the trace is observational only — the run's metrics are
 //! identical with and without it.
 use lr_seluge::{Deployment, LrSelugeParams};
+use lrs_bench::cli::{exit_with_usage, flag, positional, valued, Cli, CliError, Flag};
 use lrs_bench::runner::test_image;
 use lrs_bench::{write_json, Json};
 use lrs_deluge::engine::Scheme as _;
@@ -26,8 +27,36 @@ use lrs_netsim::trace::JsonlTrace;
 use lrs_netsim::SimBuilder;
 use std::io::Write as _;
 
+const FLAGS: &[Flag] = &[
+    positional("[N]", "receivers (default 35)"),
+    positional("[seed]", "simulator seed (default 1)"),
+    positional("[p]", "application-layer loss rate (default 0.1)"),
+    flag(
+        "--kernels",
+        "print the supported and selected GF(256) / SHA-256 kernels, then exit",
+    ),
+    valued(
+        "--trace",
+        "stream every simulator event to <value> as JSON Lines",
+    ),
+];
+
+/// `(N, seed, p, trace file)` of a parsed command line.
+fn run_args(cli: &Cli) -> Result<(usize, u64, f64, Option<String>), CliError> {
+    Ok((
+        cli.parsed_or("[N]", 35)?,
+        cli.parsed_or("[seed]", 1)?,
+        cli.parsed_or("[p]", 0.1)?,
+        cli.value("--trace").map(str::to_string),
+    ))
+}
+
 fn main() {
-    if std::env::args().any(|a| a == "--kernels") {
+    let parsed =
+        Cli::parse("probe", FLAGS).and_then(|cli| Ok((cli.flag("--kernels"), run_args(&cli)?)));
+    let (kernels, (n_rx, seed, p_loss, trace_path)) =
+        parsed.unwrap_or_else(|e| exit_with_usage("probe", FLAGS, &e));
+    if kernels {
         let gf: Vec<&str> = lrs_erasure::kernel::Kernel::supported()
             .into_iter()
             .map(|k| k.name())
@@ -48,22 +77,6 @@ fn main() {
         );
         return;
     }
-    let positional: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    let trace_path: Option<String> = std::env::args()
-        .find_map(|a| a.strip_prefix("--trace=").map(str::to_string))
-        .or_else(|| std::env::var("LRS_TRACE_FILE").ok());
-    let n_rx: usize = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(35);
-    let seed: u64 = positional.get(1).and_then(|a| a.parse().ok()).unwrap_or(1);
-    let p_loss: f64 = positional
-        .get(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0.1);
     let params = LrSelugeParams::default(); // 20 KB
     let image = test_image(params.image_len);
     let deployment = Deployment::new(&image, params, b"probe");
@@ -179,4 +192,44 @@ fn main() {
         ),
     ]);
     println!("wrote {}", write_json("probe", &report_json));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(usize, u64, f64, Option<String>), CliError> {
+        Cli::parse_from("probe", FLAGS, args.iter().map(|s| s.to_string()))
+            .and_then(|cli| run_args(&cli))
+    }
+
+    #[test]
+    fn positionals_and_trace_parse_or_are_typed_errors() {
+        assert_eq!(parse(&[]), Ok((35, 1, 0.1, None)));
+        assert_eq!(parse(&["5"]), Ok((5, 1, 0.1, None)));
+        assert_eq!(
+            parse(&["5", "2", "0.3", "--trace", "out.jsonl"]),
+            Ok((5, 2, 0.3, Some("out.jsonl".to_string())))
+        );
+        assert_eq!(parse(&["--trace", "t", "5"]).map(|a| a.0), Ok(5));
+        for (args, flagged) in [
+            (&["--kernel"][..], "unknown argument \"--kernel\""),
+            (&["--help"], "unknown argument \"--help\""),
+            (
+                &["--trace=out.jsonl"],
+                "unknown argument \"--trace=out.jsonl\"",
+            ),
+            (&["5", "1", "0.3", "7"], "unknown argument \"7\""),
+            (&["5", "x", "0.3"], "bad [seed] \"x\""),
+            (&["many"], "bad [N] \"many\""),
+            (&["5", "1", "lossy"], "bad [p] \"lossy\""),
+            (&["--trace"], "--trace requires a value"),
+        ] {
+            let err = parse(args).unwrap_err().to_string();
+            assert!(err.starts_with(flagged), "{args:?}: {err}");
+        }
+        assert!(Cli::parse_from("probe", FLAGS, ["--kernels".to_string()])
+            .unwrap()
+            .flag("--kernels"));
+    }
 }

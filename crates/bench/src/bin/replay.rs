@@ -8,8 +8,7 @@
 //! ```text
 //! replay --capture <path> [--scheme lr-seluge|seluge] [--seed N] [--image-bytes N]
 //!     Run a small chaos-profile scenario and save a capsule with its
-//!     digest (extension lrsc/bin → framed binary, anything else →
-//!     JSONL).
+//!     digest.
 //!
 //! replay --replay <path>
 //!     Load a capsule, reconstruct its node population from the
@@ -129,7 +128,7 @@ fn cmd_replay(path: &PathBuf) -> Result<(), String> {
 fn cmd_smoke() -> Result<(), String> {
     let dir = PathBuf::from("results/capsules");
     for scheme in ["lr-seluge", "seluge"] {
-        let path = dir.join(format!("replay-smoke-{scheme}.lrsc"));
+        let path = dir.join(format!("replay-smoke-{scheme}.jsonl"));
         capture(&path, scheme, 7, 2 * 1024)?;
         let capsule = Capsule::load(&path).map_err(|e| format!("loading {path:?}: {e}"))?;
         replay_and_verify(&capsule)?;

@@ -2,14 +2,14 @@
 //!
 //! Every bench bin used to hand-roll `std::env::args()` scans; this
 //! module replaces them with one declarative parser: a bin declares its
-//! flag set, parsing rejects anything undeclared, and errors are typed
-//! ([`CliError`]) so `main` can render them once instead of sprinkling
-//! `eprintln!` + `exit` at each parse site. Common conveniences
-//! (`--smoke`/`--quick`/`--json` flags, `--threads` with the
-//! `LRS_THREADS` fallback, the `--capsule <dir>` flight-recorder knob)
-//! live here so they behave identically across `chaos`, `attack`,
-//! `campaign`, `replay`, the swarm binaries, and the figure and table
-//! bins, which all share [`SWEEP_FLAGS`].
+//! flags and positional slots, parsing rejects anything undeclared, and
+//! errors are typed ([`CliError`]) so `main` can render them once
+//! instead of sprinkling `eprintln!` + `exit` at each parse site.
+//! Common conveniences (`--smoke`/`--quick`/`--json` flags, `--threads`
+//! with the `LRS_THREADS` fallback, the `--capsule <dir>`
+//! flight-recorder knob) live here so they behave identically across
+//! `chaos`, `attack`, `campaign`, `replay`, `probe`, the swarm binaries
+//! and `paper`, whose declaration is [`SWEEP_FLAGS`].
 
 use crate::harness::configured_threads;
 use std::collections::HashMap;
@@ -17,10 +17,11 @@ use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-/// One declared flag.
+/// One declared flag or positional slot.
 #[derive(Clone, Copy, Debug)]
 pub struct Flag {
-    /// Full spelling including the leading dashes, e.g. `"--smoke"`.
+    /// Full spelling including the leading dashes, e.g. `"--smoke"`; a
+    /// positional slot (see [`positional`]) has no leading dash.
     pub name: &'static str,
     /// Whether the flag consumes the following argument as its value.
     pub takes_value: bool,
@@ -46,10 +47,22 @@ pub const fn valued(name: &'static str, help: &'static str) -> Flag {
     }
 }
 
-/// The whole flag set of the figure and table bins (`fig3`-`fig6`,
-/// `imgsize`, `table2_3`, `ablation`, `overhead`): the pair
+/// Declares a positional slot, filled in declaration order by the
+/// arguments that do not start with `-`. `name` is how the usage line
+/// spells it: `"[N]"` is optional, `"<file>"` is required, and a slot
+/// ending in `...` takes every remaining positional. A bin that
+/// declares no slot rejects positionals.
+pub const fn positional(name: &'static str, help: &'static str) -> Flag {
+    flag(name, help)
+}
+
+/// Everything `paper` accepts: the experiments to run and the flag pair
 /// `run_all_experiments.sh` forwards.
 pub const SWEEP_FLAGS: &[Flag] = &[
+    positional(
+        "<experiment>...",
+        "fig3 fig4 fig5 fig6 imgsize ablation overhead table2_3, or all (in that order)",
+    ),
     flag("--quick", "reduced sweep: smaller image, fewer seeds"),
     valued(
         "--threads",
@@ -57,16 +70,33 @@ pub const SWEEP_FLAGS: &[Flag] = &[
     ),
 ];
 
-/// Parses the process arguments of figure/table bin `bin` into
-/// `(quick, threads)`; anything but [`SWEEP_FLAGS`] with a positive
-/// thread count prints the error and exits with failure.
-pub fn sweep_args(bin: &'static str) -> (bool, usize) {
-    Cli::parse(bin, SWEEP_FLAGS)
-        .and_then(|cli| Ok((cli.quick(), cli.threads()?)))
-        .unwrap_or_else(|e| {
-            eprintln!("{bin}: {e}");
-            std::process::exit(1)
-        })
+/// The usage listing of `bin` declaring `spec`.
+pub fn usage(bin: &str, spec: &[Flag]) -> String {
+    let mut out = format!("usage: {bin} [flags]");
+    for slot in spec.iter().filter(|d| !d.name.starts_with('-')) {
+        out.push_str(&format!(" {}", slot.name));
+    }
+    out.push('\n');
+    for decl in spec {
+        let name = if decl.takes_value {
+            format!("{} <value>", decl.name)
+        } else {
+            decl.name.to_string()
+        };
+        out.push_str(&format!("  {name:<24} {}\n", decl.help));
+    }
+    out.pop();
+    out
+}
+
+/// Reports `err` on stderr, with `bin`'s usage when the error does not
+/// already carry it, and exits with failure.
+pub fn exit_with_usage(bin: &str, spec: &[Flag], err: &CliError) -> ! {
+    eprintln!("{bin}: {err}");
+    if !matches!(err, CliError::UnknownArg { .. }) {
+        eprintln!("{}", usage(bin, spec));
+    }
+    std::process::exit(1)
 }
 
 /// A parse or validation failure; renders as the message the user sees.
@@ -79,7 +109,8 @@ pub enum CliError {
         /// The full usage listing for the bin.
         usage: String,
     },
-    /// A valued flag appeared last, with nothing following it.
+    /// A valued flag appeared last, with nothing following it, or a
+    /// required positional slot stayed empty.
     MissingValue {
         /// The flag missing its value.
         flag: &'static str,
@@ -122,6 +153,8 @@ pub struct Cli {
     spec: &'static [Flag],
     /// Present flags; valued flags map to `Some(value)`.
     present: HashMap<&'static str, Option<String>>,
+    /// The positional arguments, in order.
+    positionals: Vec<String>,
 }
 
 impl Cli {
@@ -140,15 +173,28 @@ impl Cli {
             bin,
             spec,
             present: HashMap::new(),
+            positionals: Vec::new(),
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            let Some(decl) = spec.iter().find(|d| d.name == arg) else {
+            let positional = !arg.starts_with('-');
+            let decl = if positional {
+                // The next empty slot, or the last one again if it repeats.
+                let last = cli.slots().last().filter(|d| d.name.ends_with("..."));
+                cli.slots().nth(cli.positionals.len()).or(last)
+            } else {
+                spec.iter().find(|d| d.name == arg)
+            };
+            let Some(decl) = decl else {
                 return Err(CliError::UnknownArg {
                     arg,
                     usage: cli.usage(),
                 });
             };
+            if positional {
+                cli.positionals.push(arg);
+                continue;
+            }
             let value = if decl.takes_value {
                 Some(
                     args.next()
@@ -160,22 +206,22 @@ impl Cli {
             // Last occurrence wins, matching the common CLI convention.
             cli.present.insert(decl.name, value);
         }
-        Ok(cli)
+        match cli.slots().nth(cli.positionals.len()) {
+            Some(empty) if empty.name.starts_with('<') => {
+                Err(CliError::MissingValue { flag: empty.name })
+            }
+            _ => Ok(cli),
+        }
+    }
+
+    /// The declared positional slots, in order.
+    fn slots(&self) -> impl Iterator<Item = &'static Flag> {
+        self.spec.iter().filter(|d| !d.name.starts_with('-'))
     }
 
     /// The rendered usage listing.
     pub fn usage(&self) -> String {
-        let mut out = format!("usage: {} [flags]\n", self.bin);
-        for decl in self.spec {
-            let name = if decl.takes_value {
-                format!("{} <value>", decl.name)
-            } else {
-                decl.name.to_string()
-            };
-            out.push_str(&format!("  {name:<24} {}\n", decl.help));
-        }
-        out.pop();
-        out
+        usage(self.bin, self.spec)
     }
 
     /// Whether `name` was given.
@@ -183,9 +229,17 @@ impl Cli {
         self.present.contains_key(name)
     }
 
-    /// The raw value of a valued flag, if given.
+    /// The raw value of a valued flag or positional slot, if given.
     pub fn value(&self, name: &str) -> Option<&str> {
-        self.present.get(name)?.as_deref()
+        match self.slots().position(|d| d.name == name) {
+            Some(slot) => self.positionals.get(slot).map(String::as_str),
+            None => self.present.get(name)?.as_deref(),
+        }
+    }
+
+    /// Every positional argument, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 
     /// Parses the value of `name`, if given.
@@ -318,21 +372,61 @@ mod tests {
 
     #[test]
     fn sweep_flags_reject_unknown_flags_and_bad_thread_counts() {
-        let threads = |args: &[&str]| {
-            Cli::parse_from("fig5", SWEEP_FLAGS, args.iter().map(|s| s.to_string()))
-                .and_then(|cli| cli.threads())
+        // `paper`'s whole command line: how many experiments, and threads.
+        let paper = |args: &[&str]| {
+            let cli = Cli::parse_from("paper", SWEEP_FLAGS, args.iter().map(|s| s.to_string()))?;
+            Ok((crate::paper::select(&cli)?.len(), cli.threads()?))
         };
-        assert_eq!(threads(&["--quick", "--threads", "2"]), Ok(2));
+        assert_eq!(paper(&["fig5", "--quick", "--threads", "2"]), Ok((1, 2)));
+        assert_eq!(paper(&["--threads", "2", "fig3", "table2_3"]), Ok((2, 2)));
+        assert_eq!(paper(&["all", "--threads", "2"]), Ok((8, 2)));
         for (args, flagged) in [
-            (&["--quik"][..], "unknown argument \"--quik\""),
-            (&["--threads=2"], "unknown argument \"--threads=2\""),
-            (&["--threads", "abc"], "bad --threads \"abc\""),
-            (&["--threads", "0"], "bad --threads \"0\""),
-            (&["--threads"], "--threads requires a value"),
+            (&["fig5", "--quik"][..], "unknown argument \"--quik\""),
+            (&["fig5", "--threads=2"], "unknown argument \"--threads=2\""),
+            (&["fig5", "--threads", "abc"], "bad --threads \"abc\""),
+            (&["fig5", "--threads", "0"], "bad --threads \"0\""),
+            (&["fig5", "--threads"], "--threads requires a value"),
+            (&["fig3", "fig7"], "unknown argument \"fig7\""),
+            (&["--quick"], "<experiment>... requires a value"),
         ] {
-            let err = threads(args).unwrap_err().to_string();
-            assert!(err.starts_with(flagged), "{args:?}: {err}");
+            let err: CliError = paper(args).unwrap_err();
+            assert!(err.to_string().starts_with(flagged), "{args:?}: {err}");
         }
+        // The usage an unknown name prints lists the names it could be.
+        let usage = paper(&["fig7"]).unwrap_err().to_string();
+        for (name, _) in crate::paper::EXPERIMENTS {
+            assert!(usage.contains(name), "{name}: {usage}");
+        }
+    }
+
+    const SLOTS: &[Flag] = &[
+        positional("[N]", "receivers"),
+        positional("<file>...", "inputs"),
+        valued("--seed", "base seed"),
+    ];
+
+    #[test]
+    fn positionals_fill_declared_slots_in_order() {
+        let slots =
+            |args: &[&str]| Cli::parse_from("test", SLOTS, args.iter().map(|s| s.to_string()));
+        let cli = slots(&["7", "--seed", "3", "a", "b"]).unwrap();
+        assert_eq!(cli.parsed::<u32>("[N]").unwrap(), Some(7));
+        assert_eq!(cli.value("<file>..."), Some("a"));
+        assert_eq!(cli.positionals(), ["7", "a", "b"]);
+        assert_eq!(cli.parsed::<u64>("--seed").unwrap(), Some(3));
+        assert!(cli
+            .usage()
+            .starts_with("usage: test [flags] [N] <file>...\n"));
+        // A required slot left empty, and a slot value that does not parse.
+        assert_eq!(
+            slots(&["7"]).map(|_| ()),
+            Err(CliError::MissingValue { flag: "<file>..." })
+        );
+        let err = slots(&["x", "a"])
+            .unwrap()
+            .parsed::<u32>("[N]")
+            .unwrap_err();
+        assert!(err.to_string().starts_with("bad [N] \"x\""), "{err}");
     }
 
     #[test]

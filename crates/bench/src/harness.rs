@@ -79,7 +79,7 @@ where
 /// threads and regroups the results per point (inner `Vec` indexed by
 /// seed − 1; seeds are `1..=seeds` as everywhere in the bench).
 ///
-/// This is the shape every sweep bin wants: with `points × seeds` jobs
+/// This is the shape every sweep wants: with `points × seeds` jobs
 /// in one pool, the tail of a slow point overlaps the start of the next
 /// instead of serializing on per-point barriers.
 pub fn sample_grid<P, O, F>(points: &[P], seeds: u64, threads: usize, f: F) -> Vec<Vec<O>>

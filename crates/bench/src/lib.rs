@@ -1,33 +1,40 @@
 //! Experiment harness for the LR-Seluge reproduction.
 //!
-//! One binary per figure/table of the paper's evaluation (§VI):
+//! The paper's evaluation (§VI) is one binary, `paper <experiment>...`
+//! (or `paper all`), over the experiments of [`paper::EXPERIMENTS`]:
 //!
-//! | Binary     | Paper artifact | What it sweeps |
+//! | Experiment | Paper artifact | What it sweeps |
 //! |------------|----------------|----------------|
 //! | `fig3`     | Fig. 3(a)/(b)  | One-page data-packet count vs `p` and vs `N`: analytical Seluge, analytical ACK-based LR-Seluge, simulated Seluge, simulated LR-Seluge |
 //! | `fig4`     | Fig. 4(a)–(e)  | One-hop, `N = 20`, 20 KB image, sweep `p`: five metrics for LR-Seluge vs Seluge |
 //! | `fig5`     | Fig. 5(a)–(e)  | One-hop, `p = 0.1`, sweep `N` |
 //! | `fig6`     | Fig. 6(a)–(e)  | LR-Seluge, `k = 32`, sweep coding rate `n/k` under several `p` |
-//! | `table2_3` | Tables II/III  | 15×15 multi-hop grids (tight/medium density) with bursty noise |
-//! | `attack`   | §IV-E claims   | Bogus-data / forged-signature floods; Deluge corruption contrast; denial-of-receipt budget |
 //! | `imgsize`  | §VI-C          | Image-size sweep (4–80 KB) |
 //! | `ablation` | design choices | Greedy scheduler vs union rule; RS vs XOR vs LT page codes |
 //! | `overhead` | §V-B           | Per-receiver hashes / signature verifications / erasure ops |
-//! | `probe`    | diagnostics    | One run with per-node statistics (`LRS_TRACE=1` for a TX/SNACK trace) |
+//! | `table2_3` | Tables II/III  | 15×15 multi-hop grids (tight/medium density) with bursty noise |
+//!
+//! Six more binaries sit beside it:
+//!
+//! | Binary     | Purpose        | What it does |
+//! |------------|----------------|--------------|
+//! | `attack`   | §IV-E claims   | Bogus-data / forged-signature floods; Deluge corruption contrast; denial-of-receipt budget |
 //! | `chaos`    | robustness     | Fault-intensity sweep with invariant checking and a watchdog demo |
+//! | `probe`    | diagnostics    | One run with per-node statistics (`--trace <file>` for a JSONL event trace, `LRS_TRACE=1` for a TX/SNACK trace on stderr) |
 //! | `replay`   | flight recorder| Capture and replay run capsules (see `capsules`) |
 //! | `campaign` | fleets         | Checkpointed Monte-Carlo campaigns over a grid spec (see `campaign`) |
 //! | `campdiff` | regression gate| Statistical diff of two campaign reports (see `diff`) |
 //!
 //! Run any of them with `cargo run -p lrs-bench --release --bin <name>`.
-//! Each prints the paper-style series and writes a CSV next to it under
-//! `results/`.
+//! The sweeps (`paper`, `attack`, `chaos`) share one driver, [`sweep`]:
+//! each prints the paper-style series and writes
+//! `results/<name>.{csv,json}` through its one [`Report`].
 //!
 //! Every harness is written once over `S: SchemeFamily`
 //! (`lrs_deluge::deployment`): [`runner::run`]`::<S>` is the single
 //! measured run behind `run_lr` / `run_seluge` / `run_deluge`,
 //! [`runner::simulate`] the single build-and-run core under `chaos`,
-//! `attack`, `overhead` and the campaign engine,
+//! `attack`, the `overhead` experiment and the campaign engine,
 //! [`capsules::population`] the single node factory plus invariant
 //! checker, and [`with_scheme!`] the one place a scheme name picks the
 //! type.
@@ -38,20 +45,23 @@ pub mod cli;
 pub mod diff;
 pub mod harness;
 pub mod json;
+pub mod paper;
 pub mod runner;
 pub mod spec;
 pub mod stats;
+pub mod sweep;
 pub mod table;
 
 pub use campaign::{Campaign, CampaignReport};
 pub use cli::{Cli, CliError};
 pub use diff::{diff_reports, CellKey, DiffReport, ReportDoc, Verdict};
 pub use harness::{parallel_map, sample_grid};
-pub use json::{parse_json, stat_json, write_json, Json, JsonReport};
+pub use json::{parse_json, stat_json, write_json, Json};
 pub use runner::{
-    aggregate, average, matched_seluge_params, run, run_deluge, run_lr, run_seluge, sample_seeds,
-    ExperimentMetrics, Matched, RunSpec,
+    aggregate, average, matched_seluge_params, run, run_deluge, run_lr, run_seluge,
+    run_with_policy, sample_seeds, ExperimentMetrics, Matched, RunSpec,
 };
 pub use spec::CampaignSpec;
 pub use stats::{summarize, Summary};
+pub use sweep::{per_scheme, Report, Sample};
 pub use table::{write_csv, Table};

@@ -385,6 +385,38 @@ pub fn run<S: SchemeFamily>(spec: &RunSpec, params: S::Params, seed: u64) -> Exp
     done.metrics()
 }
 
+/// [`run`] with the TX policy swapped: family `S` under `make_policy()`
+/// at every node instead of `S::Policy`, for the scheduler and code
+/// ablations. Honest nodes only, no digest memo; the same invariant
+/// sweep and the same extractor.
+pub fn run_with_policy<S: SchemeFamily, P: TxPolicy + 'static>(
+    spec: &RunSpec,
+    params: S::Params,
+    seed: u64,
+    make_policy: impl Fn() -> P,
+) -> ExperimentMetrics {
+    let image = test_image(S::image_len(&params));
+    let deployment =
+        Deployment::<S>::new(&image, params, b"bench keys").with_engine_config(spec.engine);
+    let setup = spec.setup(seed);
+    let nodes = (0..setup.topology.len() as u32).map(NodeId);
+    let mut sim = SimBuilder::new(setup.topology, seed, |id| {
+        deployment.node_with_policy(id, NodeId(0), make_policy())
+    })
+    .config(setup.config)
+    .build();
+    let report = sim.run(setup.deadline);
+    let honest = nodes
+        .map(|id| {
+            let node = sim.node(id);
+            assert!(deployment.verify(node.scheme()).is_ok(), "{}", S::NAME);
+            HonestTotals::of(node)
+        })
+        .sum();
+    let energy_j = sim.energy().total_joules(&EnergyModel::default());
+    ExperimentMetrics::extract(&report, sim.metrics(), energy_j, &honest)
+}
+
 /// Runs LR-Seluge once and collects the metrics.
 pub fn run_lr(spec: &RunSpec, params: LrSelugeParams, seed: u64) -> ExperimentMetrics {
     run::<LrScheme>(spec, params, seed)
@@ -525,6 +557,28 @@ mod tests {
         let s = run_seluge(&spec, matched_seluge_params(&chaos_params(1024)), 1);
         assert_eq!(s.completed, 1.0);
         assert!(s.snack_pkts > 0.0);
+    }
+
+    #[test]
+    fn policy_runs_end_in_the_shared_extractor() {
+        use lr_seluge::GreedyRoundRobinPolicy;
+        use lrs_deluge::policy::UnionPolicy;
+        let spec = RunSpec::one_hop(3, 0.1);
+        let greedy = run_with_policy::<LrScheme, _>(
+            &spec,
+            chaos_params(1024),
+            1,
+            GreedyRoundRobinPolicy::new,
+        );
+        let union = run_with_policy::<LrScheme, _>(&spec, chaos_params(1024), 1, UnionPolicy::new);
+        for m in [greedy, union] {
+            assert_eq!(m.completed, 1.0);
+            assert_eq!(m.completion_frac, 1.0);
+            assert_eq!(m.sig_verifications, 3.0);
+            assert!(m.energy_j > 0.0);
+        }
+        // The family's own policy through either runner is the same run.
+        assert_eq!(greedy, run_lr(&spec, chaos_params(1024), 1));
     }
 
     #[test]

@@ -98,9 +98,8 @@ impl<P, F> SimBuilder<P, F> {
 
     /// Arms the flight recorder: if the run ends in a diagnostic
     /// outcome (stall, invariant violation), a replay
-    /// [`Capsule`](crate::capsule::Capsule) is written to `path` —
-    /// framed binary when the extension is `lrsc`/`bin`, JSONL
-    /// otherwise. See `crate::replay` for loading and re-running it.
+    /// [`Capsule`](crate::capsule::Capsule) is written to `path`. See
+    /// `crate::replay` for loading and re-running it.
     pub fn capsule_on_failure(mut self, path: impl Into<PathBuf>) -> Self {
         self.capsule_path = Some(path.into());
         self

@@ -8,16 +8,10 @@
 //! let tooling reconstruct the protocol under test, and the run digest
 //! ([`RunDigest`]) that replay must reproduce.
 //!
-//! Two encodings share one line dialect:
-//!
-//! * **JSONL** — the repo's one-object-per-line dialect (see
-//!   `trace.rs`/`fault.rs`), extended with `capsule*` event labels and
-//!   read and written through `lrs-json`. Human-greppable,
-//!   diff-friendly.
-//! * **Binary-framed** — an `LRSC` magic, a little-endian `u32`
-//!   version, then length-prefixed frames each holding one JSONL line.
-//!   Same information, self-delimiting, safe to concatenate with other
-//!   artifacts.
+//! The one encoding is JSONL: the repo's one-object-per-line dialect
+//! (see `trace.rs`/`fault.rs`), extended with `capsule*` event labels
+//! and read and written through `lrs-json`. Human-greppable,
+//! diff-friendly.
 //!
 //! Floating-point fields (positions, PRRs, loss probabilities) are
 //! stored as IEEE-754 bit patterns (`f64::to_bits`) so a round trip is
@@ -49,9 +43,6 @@ use std::path::{Path, PathBuf};
 
 /// Current capture-format version, written in the header line.
 pub const CAPSULE_VERSION: u64 = 1;
-
-/// Magic prefix of the binary-framed encoding.
-pub const FRAME_MAGIC: [u8; 4] = *b"LRSC";
 
 /// Engine label of the one [`Simulator`](crate::sim::Simulator), as
 /// version-1 header and digest lines spell it.
@@ -140,9 +131,8 @@ pub struct Capsule {
 pub enum CapsuleError {
     /// File-system error while loading.
     Io(io::Error),
-    /// The byte stream is not a framed capsule (bad magic, truncated
-    /// frame, or non-UTF-8 content).
-    BadFrame(&'static str),
+    /// The file is not UTF-8 text.
+    NotUtf8,
     /// The capsule was written by a newer format version.
     UnsupportedVersion(u64),
     /// A JSONL line failed to parse.
@@ -158,7 +148,7 @@ impl fmt::Display for CapsuleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CapsuleError::Io(err) => write!(f, "capsule I/O error: {err}"),
-            CapsuleError::BadFrame(why) => write!(f, "bad capsule frame: {why}"),
+            CapsuleError::NotUtf8 => write!(f, "capsule is not UTF-8 text"),
             CapsuleError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -450,78 +440,15 @@ impl Capsule {
         })
     }
 
-    /// Renders the binary-framed encoding: `LRSC` magic, `u32` LE
-    /// version, then one length-prefixed frame per JSONL line.
-    pub fn to_framed(&self) -> Vec<u8> {
-        let jsonl = self.to_jsonl();
-        let mut out = Vec::with_capacity(jsonl.len() + 64);
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.extend_from_slice(&(CAPSULE_VERSION as u32).to_le_bytes());
-        for line in jsonl.lines() {
-            out.extend_from_slice(&(line.len() as u32).to_le_bytes());
-            out.extend_from_slice(line.as_bytes());
-        }
-        out
-    }
-
-    /// Parses the binary-framed encoding.
-    pub fn from_framed(bytes: &[u8]) -> Result<Self, CapsuleError> {
-        if bytes.len() < 8 || bytes[..4] != FRAME_MAGIC {
-            return Err(CapsuleError::BadFrame("missing LRSC magic"));
-        }
-        let version = u64::from(u32::from_le_bytes(
-            bytes[4..8].try_into().expect("4 bytes sliced"),
-        ));
-        if version > CAPSULE_VERSION {
-            return Err(CapsuleError::UnsupportedVersion(version));
-        }
-        let mut text = String::with_capacity(bytes.len());
-        let mut off = 8;
-        while off < bytes.len() {
-            if off + 4 > bytes.len() {
-                return Err(CapsuleError::BadFrame("truncated frame length"));
-            }
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes sliced"))
-                as usize;
-            off += 4;
-            if off + len > bytes.len() {
-                return Err(CapsuleError::BadFrame("truncated frame body"));
-            }
-            let line = std::str::from_utf8(&bytes[off..off + len])
-                .map_err(|_| CapsuleError::BadFrame("frame is not UTF-8"))?;
-            text.push_str(line);
-            text.push('\n');
-            off += len;
-        }
-        Self::from_jsonl(&text)
-    }
-
-    /// Saves to `path`: binary-framed when the extension is `lrsc` or
-    /// `bin`, JSONL otherwise.
+    /// Saves to `path` as JSONL.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let framed = matches!(
-            path.extension().and_then(|e| e.to_str()),
-            Some("lrsc" | "bin")
-        );
-        if framed {
-            std::fs::write(path, self.to_framed())
-        } else {
-            std::fs::write(path, self.to_jsonl())
-        }
+        std::fs::write(path, self.to_jsonl())
     }
 
-    /// Loads from `path`, auto-detecting the encoding by the frame
-    /// magic.
+    /// Loads the JSONL capsule at `path`.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CapsuleError> {
-        let bytes = std::fs::read(path)?;
-        if bytes.starts_with(&FRAME_MAGIC) {
-            Self::from_framed(&bytes)
-        } else {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| CapsuleError::BadFrame("capsule is not UTF-8"))?;
-            Self::from_jsonl(&text)
-        }
+        let text = String::from_utf8(std::fs::read(path)?).map_err(|_| CapsuleError::NotUtf8)?;
+        Self::from_jsonl(&text)
     }
 }
 
@@ -627,14 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn framed_round_trip_is_exact_and_magic_prefixed() {
-        let capsule = sample_capsule();
-        let bytes = capsule.to_framed();
-        assert_eq!(&bytes[..4], b"LRSC");
-        assert_eq!(Capsule::from_framed(&bytes).expect("parse"), capsule);
-    }
-
-    #[test]
     fn newer_versions_are_rejected() {
         let text = sample_capsule()
             .to_jsonl()
@@ -646,16 +565,21 @@ mod tests {
     }
 
     #[test]
-    fn truncated_frames_are_rejected() {
-        let bytes = sample_capsule().to_framed();
+    fn load_rejects_binary_files_without_panicking() {
+        let path = std::env::temp_dir().join(format!("lrs-capsule-load-{}", std::process::id()));
+        // The removed binary framing: magic, u32 LE version, one
+        // length-prefixed line. All valid UTF-8, so the line parser
+        // sees it and refuses line 1.
+        let mut framed = b"LRSC\x01\0\0\0\x02\0\0\0{}".to_vec();
+        std::fs::write(&path, &framed).expect("write");
         assert!(matches!(
-            Capsule::from_framed(&bytes[..bytes.len() - 3]),
-            Err(CapsuleError::BadFrame(_))
+            Capsule::load(&path),
+            Err(CapsuleError::Malformed { line: 1, .. })
         ));
-        assert!(matches!(
-            Capsule::from_framed(b"NOPE"),
-            Err(CapsuleError::BadFrame(_))
-        ));
+        framed.push(0xFF);
+        std::fs::write(&path, &framed).expect("write");
+        assert!(matches!(Capsule::load(&path), Err(CapsuleError::NotUtf8)));
+        std::fs::remove_file(&path).expect("clean up");
     }
 
     #[test]
@@ -687,10 +611,6 @@ mod tests {
             sample_capsule().to_jsonl().lines().count() + 1
         );
         assert_eq!(Capsule::from_jsonl(&text).expect("parse"), capsule);
-        assert_eq!(
-            Capsule::from_framed(&capsule.to_framed()).expect("parse"),
-            capsule
-        );
     }
 
     /// `good` with `bad` appended as its last line, and that line's
@@ -769,15 +689,6 @@ mod tests {
         }
         let (text, _) = with_line(r#"{"t":1000,"ev":"fault_crash","node":8}"#);
         assert!(Capsule::from_jsonl(&text).is_ok(), "n8 is the last node");
-        // The framed encoding carries the same lines.
-        let mut framed = sample_capsule().to_framed();
-        let bad = r#"{"t":1000,"ev":"fault_crash","node":99}"#;
-        framed.extend_from_slice(&(bad.len() as u32).to_le_bytes());
-        framed.extend_from_slice(bad.as_bytes());
-        assert!(matches!(
-            Capsule::from_framed(&framed),
-            Err(CapsuleError::Malformed { .. })
-        ));
     }
 
     #[test]

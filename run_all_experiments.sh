@@ -2,7 +2,7 @@
 # Regenerates every figure/table at paper scale, then runs the
 # robustness suites (chaos sweep, flight-recorder and campaign gates).
 # Run from the repo root; extra args are forwarded to the figure/table
-# bins (e.g. --quick).
+# experiments (e.g. --quick).
 set -e
 cd "$(dirname "$0")"
 mkdir -p results
@@ -17,9 +17,9 @@ cargo build --workspace --release
 echo "=== kernels ==="
 ./target/release/probe --kernels | tee results/kernels.txt
 
-for bin in fig3 fig4 fig5 fig6 imgsize ablation overhead table2_3; do
-  echo "=== $bin ==="
-  ./target/release/$bin "$@" | tee results/$bin.txt
+for x in fig3 fig4 fig5 fig6 imgsize ablation overhead table2_3; do
+  echo "=== $x ==="
+  ./target/release/paper $x "$@" | tee results/$x.txt
 done
 
 # Attack-resilience suite; --capsule arms the flight recorder on the

@@ -103,7 +103,7 @@ fn lr_capsule_with_faults_replays_bit_identically() {
     );
     let capsule = capture("lr-seluge", builder);
     assert_eq!(capsule.faults.len(), 5);
-    let restored = Capsule::from_framed(&capsule.to_framed()).expect("framed round trip");
+    let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
     assert_eq!(restored, capsule);
     verify_replay(&restored, &replay(&restored, make)).expect("faulted replay diverged");
 }
@@ -247,9 +247,8 @@ fn committed_capsule_loads_and_rewrites_byte_for_byte() {
     let capsule = Capsule::from_jsonl(&text).expect("committed capsule loads");
     assert_eq!(capsule.to_jsonl(), text, "writer drifted from the file");
     // The 64-bit patterns in it (`"x_bits":13835058055282163712` is
-    // -2.0) survive exactly, and the framed encoding carries the same.
+    // -2.0) survive exactly.
     assert_eq!(capsule.topology.positions()[2].x, -2.0);
-    assert_eq!(Capsule::from_framed(&capsule.to_framed()).unwrap(), capsule);
     let tags = ScenarioTags::decode(&capsule).expect("tags decode");
     assert_eq!((tags.scheme.as_str(), tags.image_len), ("lr-seluge", 2048));
 }
@@ -314,7 +313,7 @@ fn mutated_capsules_are_ok_or_err_never_a_panic() {
                 }
             }
         }
-        // Non-UTF-8 is `Capsule::load`'s `BadFrame`, before any parser.
+        // Non-UTF-8 is `Capsule::load`'s `NotUtf8`, before any parser.
         let Ok(text) = String::from_utf8(bytes) else {
             continue;
         };
