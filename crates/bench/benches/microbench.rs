@@ -16,7 +16,9 @@
 //!   committed `BENCH_micro.json` baseline; see EXPERIMENTS.md)
 
 use lr_seluge::GreedyRoundRobinPolicy;
+use lrs_crypto::bignum::U256;
 use lrs_crypto::cluster::ClusterKey;
+use lrs_crypto::ec::{double_mul, fmul, fsqr, generator};
 use lrs_crypto::merkle::MerkleTree;
 use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::{sha256, Sha256};
@@ -238,6 +240,19 @@ fn bench_merkle() {
 }
 
 fn bench_signature() {
+    // The layers under a verification: field multiplication and squaring
+    // (~2 900 per verify), then the two-scalar ladder itself.
+    let a = U256::from_be_bytes(&sha256(b"bench a").0);
+    let b = U256::from_be_bytes(&sha256(b"bench b").0);
+    bench("ec/fmul", 0, || {
+        black_box(fmul(black_box(a), black_box(b)));
+    });
+    bench("ec/fsqr", 0, || {
+        black_box(fsqr(black_box(a)));
+    });
+    bench("ec/double_mul", 0, || {
+        black_box(double_mul(black_box(&a), black_box(&b), generator()));
+    });
     let kp = Keypair::from_seed(b"bench");
     let msg = [0x42u8; 32];
     let sig = kp.sign(&msg);

@@ -9,10 +9,12 @@
 //! correctly from scratch.
 //!
 //! A signature is `(R, s)` with `R = rG`, `e = H(R || P || m) mod n`,
-//! `s = r + e·x mod n`; verification checks `sG = R + eP`.
+//! `s = r + e·x mod n`; verification checks `sG − eP = R` with one
+//! two-scalar ladder ([`double_mul`]) and no field inversion.
 
 use crate::bignum::U256;
-use crate::ec::{group_order, mul_generator, Affine, Jacobian};
+use crate::ec::{double_mul, group_order, mul_generator, Affine};
+use crate::hash::Digest;
 use crate::sha256::sha256_concat;
 use std::fmt;
 
@@ -68,8 +70,15 @@ impl PublicKey {
     }
 
     /// Parses a public key, checking the curve equation.
+    ///
+    /// The point at infinity is not a key: under it `sG − eP = R` no
+    /// longer involves the challenge, so `(R = rG, s = r)` would verify
+    /// for every message.
     pub fn from_bytes(bytes: &[u8; 64]) -> Option<Self> {
-        Affine::from_bytes(bytes).map(|point| PublicKey { point })
+        match Affine::from_bytes(bytes)? {
+            Affine::Infinity => None,
+            point => Some(PublicKey { point }),
+        }
     }
 
     /// Verifies `sig` over `message`.
@@ -81,16 +90,13 @@ impl PublicKey {
         if sig.s.is_zero() || sig.s >= n {
             return false;
         }
-        if matches!(sig.r_point, Affine::Infinity) {
+        if self.point == Affine::Infinity || sig.r_point == Affine::Infinity {
             return false;
         }
         let e = challenge(&sig.r_point, &self.point, message);
-        // sG == R + eP
-        let lhs = mul_generator(&sig.s);
-        let rhs = Jacobian::from_affine(sig.r_point)
-            .add(&Jacobian::from_affine(self.point).mul_scalar(&e))
-            .to_affine();
-        lhs == rhs
+        // sG + (n − e)P == R
+        let minus_e = U256::ZERO.sub_mod(e, &n);
+        double_mul(&sig.s, &minus_e, self.point).eq_affine(&sig.r_point)
     }
 }
 
@@ -113,11 +119,10 @@ impl Keypair {
     /// The seed is hashed to a scalar; a counter is appended and rehashed
     /// in the (negligible-probability) event the scalar is zero mod `n`.
     pub fn from_seed(seed: &[u8]) -> Self {
-        let n = group_order();
         let mut counter = 0u32;
         let secret = loop {
             let d = sha256_concat(&[b"lrs-keygen", seed, &counter.to_be_bytes()]);
-            let x = U256::from_be_bytes(&d.0).full_mul(U256::ONE).reduce(&n);
+            let x = scalar_from_digest(&d);
             if !x.is_zero() {
                 break x;
             }
@@ -145,7 +150,7 @@ impl Keypair {
                 message,
                 &counter.to_be_bytes(),
             ]);
-            let r = U256::from_be_bytes(&nd.0).full_mul(U256::ONE).reduce(&n);
+            let r = scalar_from_digest(&nd);
             if r.is_zero() {
                 counter += 1;
                 continue;
@@ -166,14 +171,24 @@ impl Keypair {
 
 /// Fiat-Shamir challenge `e = H(R || P || m) mod n`.
 fn challenge(r_point: &Affine, pubkey: &Affine, message: &[u8]) -> U256 {
-    let n = group_order();
-    let d = sha256_concat(&[
+    scalar_from_digest(&sha256_concat(&[
         b"lrs-schnorr",
         &r_point.to_bytes(),
         &pubkey.to_bytes(),
         message,
-    ]);
-    U256::from_be_bytes(&d.0).full_mul(U256::ONE).reduce(&n)
+    ]))
+}
+
+/// A 256-bit digest as a scalar mod `n`. `n > 2²⁵⁵`, so the digest is
+/// below `2n` and one conditional subtraction reduces it.
+fn scalar_from_digest(d: &Digest) -> U256 {
+    let x = U256::from_be_bytes(&d.0);
+    let n = group_order();
+    if x >= n {
+        x.wrapping_sub(n)
+    } else {
+        x
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +249,48 @@ mod tests {
     fn deterministic_signing() {
         let kp = Keypair::from_seed(b"bs");
         assert_eq!(kp.sign(b"m").to_bytes(), kp.sign(b"m").to_bytes());
+    }
+
+    #[test]
+    fn identity_is_not_a_public_key() {
+        assert_eq!(PublicKey::from_bytes(&[0u8; 64]), None);
+        // Under P = ∞ the equation is sG = R, which (R = rG, s = r)
+        // satisfies for every message: verify must refuse such a key
+        // even if one is ever constructed.
+        let r = U256::from(0x5eed);
+        let forged = Signature {
+            r_point: mul_generator(&r),
+            s: r,
+        };
+        let identity = PublicKey {
+            point: Affine::Infinity,
+        };
+        assert!(!identity.verify(b"any message", &forged));
+        assert!(!identity.verify(b"", &forged));
+    }
+
+    #[test]
+    fn scalar_from_digest_is_reduction_mod_n() {
+        let n = group_order();
+        let reference = |x: U256| x.full_mul(U256::ONE).reduce(&n);
+        let mut cases = vec![
+            U256::ZERO,
+            n.wrapping_sub(U256::ONE),
+            n,
+            n.overflowing_add(U256::ONE).0,
+            U256([u64::MAX; 4]),
+        ];
+        // Digests of a counter: random 256-bit values, none of which will
+        // be ≥ n (n is within 2^129 of 2^256), hence the edges above.
+        cases.extend(
+            (0u32..512)
+                .map(|i| U256::from_be_bytes(&sha256_concat(&[b"digest", &i.to_be_bytes()]).0)),
+        );
+        for x in cases {
+            let got = scalar_from_digest(&Digest(x.to_be_bytes()));
+            assert_eq!(got, reference(x), "x={x}");
+            assert!(got < n);
+        }
     }
 
     #[test]
