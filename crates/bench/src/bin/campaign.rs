@@ -29,7 +29,7 @@
 //!
 //! Jobs that end diagnostically (stalled, invariant violated) dump
 //! failure capsules under `<dir>/failures/`, loadable by
-//! `replay --replay`.
+//! `replay <capsule>`.
 
 use lrs_bench::campaign::{Campaign, CampaignReport, JOB_LOG, REPORT};
 use lrs_bench::capsules::replay_capsule;
@@ -178,8 +178,8 @@ fn run() -> Result<ExitCode, String> {
     {
         let campaign = export_campaign(&cli)?;
         let mut capsule = campaign.job_capsule(job)?;
-        // Execute the job once to pin its digest, so `replay --replay`
-        // has something to verify against.
+        // Execute the job once to pin its digest, so `replay` has
+        // something to verify against.
         capsule.digest = Some(replay_capsule(&capsule)?.digest);
         print!("{}", capsule.to_jsonl());
         return Ok(ExitCode::SUCCESS);

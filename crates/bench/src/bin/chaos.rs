@@ -242,7 +242,7 @@ fn run() -> Result<(), lrs_bench::CliError> {
     let (smoke, quick) = (cli.smoke(), cli.quick());
     // `--capsule <dir>` arms the flight recorder: any run that ends in
     // a diagnostic outcome drops a replay capsule into <dir>, loadable
-    // by `cargo run -p lrs-bench --bin replay -- --replay <file>`.
+    // by `cargo run -p lrs-bench --bin replay -- <file>`.
     let capsule_dir: Option<PathBuf> = cli.capsule_dir();
     let seeds: u64 = if smoke || quick { 2 } else { 5 };
     let image_len = if smoke {

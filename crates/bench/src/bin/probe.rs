@@ -87,23 +87,21 @@ fn main() {
         },
         ..SimConfig::default()
     };
-    let mut sim = SimBuilder::new(Topology::star(n_rx + 1), seed, |id| {
+    let builder = SimBuilder::new(Topology::star(n_rx + 1), seed, |id| {
         deployment.node(id, NodeId(0))
     })
-    .config(cfg)
-    .build();
-    if let Some(path) = &trace_path {
-        sim.set_trace(Box::new(
-            JsonlTrace::create(path).expect("create trace file"),
-        ));
-    }
+    .config(cfg);
+    let mut sim = match &trace_path {
+        Some(path) => builder
+            .trace(JsonlTrace::create(path).expect("create trace file"))
+            .build(),
+        None => builder.build(),
+    };
     let report = sim.run(Duration::from_secs(100_000));
     if let Some(path) = &trace_path {
-        // Drop the sink (flushing it), then append the closing metrics
-        // summary line so tools can key on `"ev":"metrics"`.
-        let now = sim.now();
-        let line = sim.metrics().to_trace_json(now);
-        drop(sim.take_trace());
+        // `run` flushed the sink; append the closing metrics summary
+        // line so tools can key on `"ev":"metrics"`.
+        let line = sim.metrics().to_trace_json(sim.now());
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(path)

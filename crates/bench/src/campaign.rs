@@ -9,7 +9,8 @@
 //! plan × scenario tags), which buys three properties at once:
 //!
 //! * any job can be exported as a bit-exact reproducer *before* it runs
-//!   ([`Campaign::job_capsule`], via `SimBuilder::capsule`);
+//!   ([`Campaign::job_capsule`]: the job's plan is built as a capsule
+//!   first and executed from it);
 //! * any job that ends diagnostically (stalled, invariant violated)
 //!   dumps a failure capsule under `failures/`, immediately consumable
 //!   by the `replay` binary; and

@@ -20,8 +20,8 @@
 //! |------------|----------------|--------------|
 //! | `attack`   | §IV-E claims   | Bogus-data / forged-signature floods; Deluge corruption contrast; denial-of-receipt budget |
 //! | `chaos`    | robustness     | Fault-intensity sweep with invariant checking and a watchdog demo |
-//! | `probe`    | diagnostics    | One run with per-node statistics (`--trace <file>` for a JSONL event trace, `LRS_TRACE=1` for a TX/SNACK trace on stderr) |
-//! | `replay`   | flight recorder| Capture and replay run capsules (see `capsules`) |
+//! | `probe`    | diagnostics    | One run with per-node statistics (`--trace <file>` for a JSONL event trace) |
+//! | `replay`   | flight recorder| `replay <capsule>`: re-execute a run capsule and verify its digest (see `capsules`) |
 //! | `campaign` | fleets         | Checkpointed Monte-Carlo campaigns over a grid spec (see `campaign`) |
 //! | `campdiff` | regression gate| Statistical diff of two campaign reports (see `diff`) |
 //!

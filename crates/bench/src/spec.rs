@@ -25,7 +25,7 @@
 use crate::json::{parse_json, Json};
 use lrs_deluge::attack::{AttackConfig, AttackVector};
 use lrs_host::time::Duration;
-use lrs_netsim::fault::FaultConfig;
+use lrs_netsim::fault::{FaultConfig, MAX_DRIFT_PPM};
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::sim::SimConfig;
 use lrs_netsim::topology::Topology;
@@ -341,7 +341,8 @@ fn duration_to_secs(d: Duration) -> f64 {
 ///   schedules no reboots at all.
 /// * `flap=R` — per-link flap probability.
 /// * `degrade=R` — per-link asymmetric degradation probability.
-/// * `drift=ppm` — per-node clock-drift amplitude in ppm (0..=500000).
+/// * `drift=ppm` — per-node clock-drift amplitude in ppm, at most
+///   [`MAX_DRIFT_PPM`].
 pub fn fault_config(token: &str, horizon: Duration) -> Result<FaultConfig, String> {
     let mut config = FaultConfig {
         horizon,
@@ -364,8 +365,8 @@ pub fn fault_config(token: &str, horizon: Duration) -> Result<FaultConfig, Strin
                 let ppm: u32 = value
                     .parse()
                     .map_err(|e| format!("bad drift ppm in {part:?}: {e}"))?;
-                if ppm > 500_000 {
-                    return Err(format!("drift ppm {ppm} in {part:?} above 500000"));
+                if ppm > MAX_DRIFT_PPM {
+                    return Err(format!("drift ppm {ppm} in {part:?} above {MAX_DRIFT_PPM}"));
                 }
                 config.drift_ppm = ppm;
             }

@@ -7,11 +7,8 @@ use lrs_bench::campaign::{Campaign, JOB_LOG, REPORT};
 use lrs_bench::capsules::replay_capsule;
 use lrs_bench::spec::{attack_config, canonical_attack_token, canonical_fault_token, fault_config};
 use lrs_bench::{CampaignSpec, ExperimentMetrics};
-use lrs_host::node::NodeId;
-use lrs_host::time::{Duration, SimTime};
+use lrs_host::time::Duration;
 use lrs_netsim::capsule::Capsule;
-use lrs_netsim::fault::{FaultEvent, FaultPlan};
-use lrs_netsim::shrink::shrink_fault_plan;
 use lrs_netsim::sim::Outcome;
 use std::collections::BTreeSet;
 use std::fs;
@@ -314,56 +311,6 @@ fn attacked_jobs_replay_bit_identically() {
             "job {job}: replay is not bit-identical under attack"
         );
     }
-}
-
-#[test]
-fn an_attacked_capsule_shrinks_via_ddmin() {
-    let campaign = Campaign::offline(attack_spec(), PathBuf::new());
-    let mut capsule = campaign.job_capsule(0).expect("export");
-
-    // Overwrite the fault schedule with one that provably breaks the
-    // run — partition the base station from every receiver before
-    // dissemination starts, which trips the stall watchdog (crashing
-    // nodes would not do: a crashed node is excluded from the
-    // completion predicate) — plus noise events ddmin should strip.
-    let mut plan = FaultPlan::new();
-    for node in 1..capsule.topology.len() as u32 {
-        plan.push(FaultEvent::LinkDown {
-            from: NodeId(0),
-            to: NodeId(node),
-            at: SimTime(1_000_000),
-        });
-        plan.push(FaultEvent::LinkDown {
-            from: NodeId(node),
-            to: NodeId(0),
-            at: SimTime(1_000_000),
-        });
-    }
-    for node in 1..capsule.topology.len() as u32 {
-        plan.push(FaultEvent::Reboot {
-            node: NodeId(node),
-            at: SimTime(3_000_000),
-        });
-    }
-    capsule.faults = plan.clone();
-
-    let fails = |plan: &FaultPlan| {
-        let mut candidate = capsule.clone();
-        candidate.faults = plan.clone();
-        replay_capsule(&candidate)
-            .map(|run| run.report.outcome != Outcome::Complete)
-            .unwrap_or(false)
-    };
-    assert!(fails(&plan), "the seeded fault plan must break the run");
-
-    let (minimal, stats) = shrink_fault_plan(&plan, fails);
-    assert!(
-        minimal.len() < plan.len(),
-        "ddmin failed to strip any of the noise events"
-    );
-    assert!(fails(&minimal), "the shrunk plan no longer reproduces");
-    assert_eq!(stats.from, plan.len());
-    assert_eq!(stats.to, minimal.len());
 }
 
 #[test]

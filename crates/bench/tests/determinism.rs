@@ -21,7 +21,7 @@ use lrs_seluge::SelugeScheme;
 
 use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
-use lrs_netsim::trace::{JsonlTrace, RingTrace};
+use lrs_netsim::trace::{JsonlTrace, RingTrace, TraceSink};
 use lrs_netsim::SimBuilder;
 
 /// A seed reproduces family `S`'s run bit for bit, and a different seed
@@ -79,7 +79,7 @@ fn grid_fanout_matches_sequential_sweep() {
 /// Runs one tiny LR-Seluge sim, optionally traced, and returns the
 /// counters a trace could plausibly perturb.
 fn traced_run(
-    trace: Option<Box<dyn lrs_netsim::trace::TraceSink>>,
+    trace: Option<impl TraceSink + 'static>,
 ) -> (u64, u64, u64, u64, bool, Option<lrs_host::time::SimTime>) {
     let params = chaos_params(1024);
     let image = test_image(params.image_len);
@@ -91,12 +91,12 @@ fn traced_run(
         },
         ..SimConfig::default()
     };
-    let mut sim = SimBuilder::new(Topology::star(4), 11, |id| deployment.node(id, NodeId(0)))
-        .config(cfg)
-        .build();
-    if let Some(sink) = trace {
-        sim.set_trace(sink);
-    }
+    let builder =
+        SimBuilder::new(Topology::star(4), 11, |id| deployment.node(id, NodeId(0))).config(cfg);
+    let mut sim = match trace {
+        Some(sink) => builder.trace(sink).build(),
+        None => builder.build(),
+    };
     let report = sim.run(Duration::from_secs(100_000));
     let m = sim.metrics();
     (
@@ -111,9 +111,9 @@ fn traced_run(
 
 #[test]
 fn attaching_a_trace_does_not_change_metrics() {
-    let bare = traced_run(None);
-    let ringed = traced_run(Some(Box::new(RingTrace::new(512))));
-    let jsonl = traced_run(Some(Box::new(JsonlTrace::new(Vec::new()))));
+    let bare = traced_run(None::<RingTrace>);
+    let ringed = traced_run(Some(RingTrace::new(512)));
+    let jsonl = traced_run(Some(JsonlTrace::new(Vec::new())));
     assert_eq!(bare, ringed);
     assert_eq!(bare, jsonl);
 }
@@ -121,7 +121,7 @@ fn attaching_a_trace_does_not_change_metrics() {
 /// A sink that shares its event log with the test.
 struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<lrs_netsim::trace::TraceEvent>>>);
 
-impl lrs_netsim::trace::TraceSink for SharedSink {
+impl TraceSink for SharedSink {
     fn record(&mut self, event: &lrs_netsim::trace::TraceEvent) {
         self.0.lock().unwrap().push(event.clone());
     }
@@ -144,8 +144,8 @@ fn trace_sink_sees_every_event_family() {
     let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut sim = SimBuilder::new(Topology::star(4), 1, |id| deployment.node(id, NodeId(0)))
         .config(cfg)
+        .trace(SharedSink(events.clone()))
         .build();
-    sim.set_trace(Box::new(SharedSink(events.clone())));
     let report = sim.run(Duration::from_secs(100_000));
     assert!(report.all_complete);
     drop(sim);

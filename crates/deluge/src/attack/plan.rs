@@ -19,7 +19,7 @@
 //! for files, and a single-line tag form ([`AttackPlan::to_tag`] /
 //! [`from_tag`](AttackPlan::from_tag)) that travels inside a replay
 //! capsule's scenario tags, so an attacked failure capsule replays
-//! bit-identically and ddmin-shrinks like any other.
+//! bit-identically like any other.
 
 use lrs_host::node::NodeId;
 use lrs_host::time::{Duration, SimTime};

@@ -30,7 +30,6 @@ use lrs_crypto::leap::LeapKeyring;
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::Duration;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Outcome of handing a data packet to a [`Scheme`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,14 +194,6 @@ const TIMER_TRICKLE_END: TimerId = TimerId(1);
 const TIMER_SNACK: TimerId = TimerId(2);
 const TIMER_RETRY: TimerId = TimerId(3);
 const TIMER_TX: TimerId = TimerId(4);
-
-/// Whether `LRS_TRACE` asks for the TX/SNACK trace on stderr. Read once
-/// per process: the call sites run per packet sent, and each `getenv`
-/// takes the process-wide environment lock.
-fn trace_to_stderr() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("LRS_TRACE").is_some())
-}
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
@@ -381,15 +372,6 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         let item = self.level();
         let bits = self.scheme.wanted(item);
         ctx.note("snack", item as u64, bits.count_ones() as u64);
-        if trace_to_stderr() {
-            eprintln!(
-                "{:.3} n{} SNACK item={item} q={} -> n{}",
-                ctx.now.as_secs_f64(),
-                ctx.id.0,
-                bits.count_ones(),
-                server.0
-            );
-        }
         let mut msg = Message::snack(&self.key, ctx.id, server, self.scheme.version(), item, bits);
         if let Some(keyring) = &self.leap {
             let parts = Message::snack_pairwise_parts(ctx.id, server, self.scheme.version(), item);
@@ -429,13 +411,6 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             return;
         };
         ctx.note("sched_tx", item as u64, index as u64);
-        if trace_to_stderr() {
-            eprintln!(
-                "{:.3} n{} TX item={item} idx={index}",
-                ctx.now.as_secs_f64(),
-                ctx.id.0
-            );
-        }
         let msg = Message::Data {
             version: self.scheme.version(),
             item,

@@ -1,8 +1,8 @@
 //! Fluent simulation construction.
 //!
-//! [`SimBuilder`] replaced the retired positional `Simulator::new`
-//! constructor plus the post-hoc `set_trace` / `set_invariant_checker` /
-//! `inject_faults` mutation dance with one chainable entry point:
+//! [`SimBuilder`] is the one way to configure a run: topology, seed,
+//! config, trace sink, invariant checker, fault plan and failure capsule
+//! are all fixed before the [`Simulator`] exists, which has no setters.
 //!
 //! ```
 //! use lrs_netsim::{SimBuilder, Topology, FaultPlan};
@@ -20,12 +20,7 @@
 //! let report = sim.run(Duration::from_secs(60));
 //! assert!(report.all_complete);
 //! ```
-//!
-//! [`SimBuilder::build`] constructs the [`Simulator`]; its event
-//! ordering (and therefore every golden file) is exactly the pre-builder
-//! engine's.
 
-use crate::capsule::CapsuleSpec;
 use crate::fault::FaultPlan;
 use crate::sim::{InvariantChecker, RunReport, SimConfig, Simulator};
 use crate::topology::Topology;
@@ -35,17 +30,18 @@ use lrs_host::time::Duration;
 use lrs_host::violation::InvariantViolation;
 use std::path::PathBuf;
 
-/// Fluent constructor for simulations.
+/// Fluent constructor for simulations; `Simulator::from_parts` takes its
+/// fields as they are.
 pub struct SimBuilder<P, F> {
-    topology: Topology,
-    seed: u64,
-    make_node: F,
-    config: SimConfig,
-    trace: Option<Box<dyn TraceSink>>,
-    invariant: Option<InvariantChecker<P>>,
-    faults: FaultPlan,
-    capsule_path: Option<PathBuf>,
-    scenario: Vec<(String, String)>,
+    pub(crate) topology: Topology,
+    pub(crate) seed: u64,
+    pub(crate) make_node: F,
+    pub(crate) config: SimConfig,
+    pub(crate) trace: Option<Box<dyn TraceSink>>,
+    pub(crate) invariant: Option<InvariantChecker<P>>,
+    pub(crate) faults: FaultPlan,
+    pub(crate) capsule_path: Option<PathBuf>,
+    pub(crate) scenario: Vec<(String, String)>,
 }
 
 impl<P, F> SimBuilder<P, F> {
@@ -90,7 +86,8 @@ impl<P, F> SimBuilder<P, F> {
         self
     }
 
-    /// Injects a fault plan, applied as virtual time passes.
+    /// Injects a fault plan, applied in its (time-sorted) order as
+    /// virtual time passes.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -98,8 +95,11 @@ impl<P, F> SimBuilder<P, F> {
 
     /// Arms the flight recorder: if the run ends in a diagnostic
     /// outcome (stall, invariant violation), a replay
-    /// [`Capsule`](crate::capsule::Capsule) is written to `path`. See
-    /// `crate::replay` for loading and re-running it.
+    /// [`Capsule`](crate::capsule::Capsule) (seed, config, topology,
+    /// fault plan, scenario tags, metrics digest) is written to `path`.
+    /// The write is best-effort: an I/O error is reported on stderr but
+    /// never changes the run's report. See `crate::replay` for loading
+    /// and re-running it.
     pub fn capsule_on_failure(mut self, path: impl Into<PathBuf>) -> Self {
         self.capsule_path = Some(path.into());
         self
@@ -113,48 +113,12 @@ impl<P, F> SimBuilder<P, F> {
         self.scenario.push((key.into(), value.to_string()));
         self
     }
-
-    /// Snapshots the configured (not yet run) simulation as a replay
-    /// [`Capsule`](crate::capsule::Capsule) with the given deadline: the
-    /// exact seed, config, topology, fault schedule, and scenario tags
-    /// this builder would execute, with no digest recorded.
-    ///
-    /// This is how a job queue turns *any* pending job into a bit-exact
-    /// reproducer before it runs, not only after it fails.
-    pub fn capsule(&self, deadline: Duration) -> crate::capsule::Capsule {
-        crate::capsule::Capsule {
-            seed: self.seed,
-            deadline,
-            config: self.config,
-            topology: self.topology.clone(),
-            faults: self.faults.clone(),
-            scenario: self.scenario.clone(),
-            digest: None,
-        }
-    }
 }
 
 impl<P: Protocol + 'static, F: FnMut(NodeId) -> P> SimBuilder<P, F> {
-    /// Builds the [`Simulator`] — bit-identical to the pre-builder
-    /// engine; all golden files pin this path.
+    /// Builds the [`Simulator`]; all golden files pin this path.
     pub fn build(self) -> Simulator<P> {
-        let mut sim = Simulator::from_parts(self.topology, self.config, self.seed, self.make_node);
-        if let Some(sink) = self.trace {
-            sim.set_trace(sink);
-        }
-        if let Some(check) = self.invariant {
-            sim.set_invariant_checker(check);
-        }
-        if !self.faults.is_empty() {
-            sim.inject_faults(&self.faults);
-        }
-        if let Some(path) = self.capsule_path {
-            sim.set_capsule_on_failure(CapsuleSpec {
-                path,
-                scenario: self.scenario,
-            });
-        }
-        sim
+        Simulator::from_parts(self)
     }
 
     // The next three items are the removed sharded engine's call shape,
@@ -225,25 +189,6 @@ mod tests {
         assert!(report.all_complete);
         assert!(sim.is_failed(NodeId(2)));
         assert!(sim.invariant_violation().is_none());
-    }
-
-    #[test]
-    fn capsule_snapshots_the_configured_run() {
-        let mut plan = FaultPlan::new();
-        plan.crash(NodeId(1), SimTime(7));
-        let builder: SimBuilder<Beacon, _> =
-            SimBuilder::new(Topology::star(3), 99, |_: NodeId| Beacon { heard: false })
-                .faults(plan.clone())
-                .scenario("scheme", "lr-seluge");
-        let capsule = builder.capsule(Duration::from_secs(30));
-        assert_eq!(capsule.seed, 99);
-        assert_eq!(capsule.deadline, Duration::from_secs(30));
-        assert_eq!(capsule.faults, plan);
-        assert_eq!(
-            capsule.scenario,
-            vec![("scheme".to_string(), "lr-seluge".to_string())]
-        );
-        assert!(capsule.digest.is_none());
     }
 
     #[test]

@@ -453,10 +453,9 @@ impl Capsule {
 }
 
 /// Where (and with which scenario tags) the automatic failure dump
-/// writes its capsule. Built by
+/// writes its capsule, as armed by
 /// [`SimBuilder::capsule_on_failure`](crate::SimBuilder::capsule_on_failure)
-/// or handed to
-/// [`Simulator::set_capsule_on_failure`](crate::sim::Simulator::set_capsule_on_failure).
+/// and [`SimBuilder::scenario`](crate::SimBuilder::scenario).
 #[derive(Clone, Debug)]
 pub struct CapsuleSpec {
     /// Output path; parent directories are created on demand.
@@ -643,6 +642,15 @@ mod tests {
             (r#"{"t":1,"ev":"fault_crash","node":"1"}"#, "\"node\""),
             (r#"{"t":"1","ev":"fault_crash","node":1}"#, "\"t\""),
             (r#"{"t":1,"ev":"fault_melt","node":1}"#, "fault_melt"),
+            // A zero clock rate froze virtual time and hung `replay`.
+            (
+                r#"{"t":0,"ev":"fault_drift","node":1,"ppm":0}"#,
+                "clock rate 0 ppm",
+            ),
+            (
+                r#"{"t":0,"ev":"fault_drift","node":1,"ppm":1500001}"#,
+                "outside",
+            ),
             (r#"{"t":1,"ev":"tx","node":1}"#, "unknown event"),
             (r#"{"t":1,"node":1}"#, "\"ev\""),
             (r#"[1]"#, "\"ev\""),
@@ -671,7 +679,7 @@ mod tests {
     #[test]
     fn faults_and_links_outside_the_node_table_are_rejected() {
         // The engine indexes per-node state by these ids: before this
-        // check `replay --replay` panicked in `Simulator::apply_fault`.
+        // check `replay` panicked applying the fault.
         for bad in [
             r#"{"t":1000,"ev":"fault_crash","node":99}"#,
             r#"{"t":1000,"ev":"fault_reboot","node":9}"#,

@@ -29,6 +29,12 @@ use lrs_rng::DetRng;
 /// Parts-per-million fixed point: the identity scale factor.
 pub const PPM_ONE: u32 = 1_000_000;
 
+/// The widest clock-drift deviation from [`PPM_ONE`] a plan may carry,
+/// in ppm: what a campaign `drift=` token generates at most, and what a
+/// loaded event must respect (a rate of 0 collapses every timer delay
+/// to 0, so virtual time would never advance).
+pub const MAX_DRIFT_PPM: u32 = 500_000;
+
 /// One scheduled fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultEvent {
@@ -182,11 +188,19 @@ impl FaultEvent {
                 ppm: line.uint_at("ppm")?,
                 at,
             },
-            "fault_drift" => FaultEvent::ClockDrift {
-                node: node("node")?,
-                ppm: line.uint_at("ppm")?,
-                at,
-            },
+            "fault_drift" => {
+                let ppm: u32 = line.uint_at("ppm")?;
+                if ppm.abs_diff(PPM_ONE) > MAX_DRIFT_PPM {
+                    return Err(format!(
+                        "clock rate {ppm} ppm is outside {PPM_ONE} ± {MAX_DRIFT_PPM}"
+                    ));
+                }
+                FaultEvent::ClockDrift {
+                    node: node("node")?,
+                    ppm,
+                    at,
+                }
+            }
             other => return Err(format!("unknown fault event {other:?}")),
         })
     }

@@ -30,7 +30,8 @@
 //!   protocol violations (reported in `lrs-host`'s
 //!   [`violation`](lrs_host::violation) vocabulary) into structured
 //!   diagnostics instead of hangs.
-//! * [`builder`] provides the fluent [`SimBuilder`] entry point, and
+//! * [`builder`] provides [`SimBuilder`], the one way to configure a
+//!   run, and
 //!   [`capsule`] / [`mod@replay`] the flight recorder: a run's seed, config,
 //!   topology and faults captured to a file and re-executed
 //!   bit-identically. One sequential engine executes every run.
@@ -79,7 +80,6 @@ pub mod metrics;
 pub mod node;
 pub mod noise;
 pub mod replay;
-pub mod shrink;
 pub mod sim;
 // Re-export shim, as `node` above.
 pub mod time;
@@ -91,7 +91,6 @@ pub use capsule::{Capsule, CapsuleError, CapsuleSpec, RunDigest};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, PPM_ONE};
 pub use metrics::Metrics;
 pub use replay::{replay, verify_replay, DigestMismatch, ReplayError, ReplayRun};
-pub use shrink::{ddmin, shrink_fault_plan, ShrinkStats};
 pub use sim::{DiagnosticDump, NodeDiag, Outcome, RunReport, SimConfig, Simulator};
 pub use topology::Topology;
 pub use trace::{JsonlTrace, LossCause, RingTrace, SharedRingTrace, TraceEvent, TraceSink};

@@ -1,5 +1,6 @@
 //! The simulator main loop.
 
+use crate::builder::SimBuilder;
 use crate::capsule::{Capsule, CapsuleSpec, RunDigest};
 use crate::energy::EnergyLedger;
 use crate::event::{Event, EventQueue};
@@ -13,7 +14,7 @@ use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::{InvariantViolation, ViolationRecord};
 use lrs_json::ObjWriter;
 use lrs_rng::DetRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Simulation-wide configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -210,10 +211,12 @@ pub struct Simulator<P: Protocol> {
     /// Nodes currently crash-failed (a pending reboot can clear this).
     failed: Vec<bool>,
     /// How many nodes still gate completion (see [`Self::gates`]); kept
-    /// in step wherever `complete`, `failed` or `faults` change.
+    /// in step wherever `complete`, `failed` or `next_fault` change.
     gating: usize,
-    /// Scheduled faults, applied as virtual time passes.
-    faults: VecDeque<FaultEvent>,
+    /// The whole fault schedule, sorted by time; failure capsules copy it.
+    faults: FaultPlan,
+    /// Index in `faults` of the first fault not yet applied.
+    next_fault: usize,
     /// Fault overlay per directed link `(from, to)`.
     link_state: HashMap<(u32, u32), LinkFault>,
     /// Per-node clock rate in ppm of nominal.
@@ -238,23 +241,25 @@ pub struct Simulator<P: Protocol> {
     config: SimConfig,
     /// The run seed, retained for failure capsules.
     seed: u64,
-    /// Every scheduled fault in arrival order, retained for failure
-    /// capsules (`faults` itself is consumed as virtual time passes).
-    fault_log: Vec<FaultEvent>,
     /// When set, a watchdog/invariant failure writes a replay capsule.
     capsule: Option<CapsuleSpec>,
 }
 
 impl<P: Protocol> Simulator<P> {
-    /// Constructor backing
-    /// [`SimBuilder::build`](crate::builder::SimBuilder::build), the
-    /// sole public way to obtain a simulator.
-    pub(crate) fn from_parts(
-        topology: Topology,
-        config: SimConfig,
-        seed: u64,
-        mut make_node: impl FnMut(NodeId) -> P,
-    ) -> Self {
+    /// Constructor backing [`SimBuilder::build`], the sole way to
+    /// obtain and configure a simulator.
+    pub(crate) fn from_parts<F: FnMut(NodeId) -> P>(parts: SimBuilder<P, F>) -> Self {
+        let SimBuilder {
+            topology,
+            seed,
+            mut make_node,
+            config,
+            trace,
+            invariant,
+            faults,
+            capsule_path,
+            scenario,
+        } = parts;
         let n = topology.len();
         let medium = Medium::new(config.medium, n, seed);
         let protocols: Vec<Option<P>> = (0..n).map(|i| Some(make_node(NodeId(i as u32)))).collect();
@@ -276,48 +281,23 @@ impl<P: Protocol> Simulator<P> {
             complete: vec![false; n],
             failed: vec![false; n],
             gating: n,
-            faults: VecDeque::new(),
+            faults,
+            next_fault: 0,
             link_state: HashMap::new(),
             drift_ppm: vec![PPM_ONE; n],
             fault_rng: DetRng::seed_from_u64(seed.wrapping_mul(0xa076_1d64_78bd_642f) ^ 0xFA),
             reboots: 0,
-            invariant: None,
+            invariant,
             violation: None,
             diag: RingTrace::new(config.diag_events.max(1)),
             diag_capacity: config.diag_events,
             max_sim_time: config.max_sim_time,
             stall_window: config.stall_window,
-            trace: None,
+            trace,
             config,
             seed,
-            fault_log: Vec::new(),
-            capsule: None,
+            capsule: capsule_path.map(|path| CapsuleSpec { path, scenario }),
         }
-    }
-
-    /// Attaches a structured-event sink. Sinks observe the run; they can
-    /// never alter it, so metrics and outcome are identical with or
-    /// without one.
-    pub fn set_trace(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
-    }
-
-    /// Detaches and returns the current trace sink (flushed), if any.
-    pub fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        let mut sink = self.trace.take();
-        if let Some(s) = sink.as_mut() {
-            s.flush();
-        }
-        sink
-    }
-
-    /// Attaches a per-delivery invariant checker: called with the
-    /// receiving node's state after every accepted packet, aborting the
-    /// run with [`Outcome::InvariantViolated`] on the first `Err`.
-    /// Runtime-toggleable (attach for chaos runs, skip for perf runs);
-    /// checkers receive `&P` and so can never alter the run.
-    pub fn set_invariant_checker(&mut self, check: InvariantChecker<P>) {
-        self.invariant = Some(check);
     }
 
     /// The first invariant violation, if any.
@@ -335,38 +315,6 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Schedules a crash failure: from `at` onward the node neither
-    /// transmits nor receives, and no longer gates run completion.
-    /// Call before [`run`](Self::run).
-    pub fn schedule_failure(&mut self, node: NodeId, at: SimTime) {
-        self.faults.push_back(FaultEvent::Crash { node, at });
-        self.fault_log.push(FaultEvent::Crash { node, at });
-    }
-
-    /// Schedules a reboot of a (by then) crashed node: RAM state is
-    /// lost and [`Protocol::on_reboot`] decides what flash restores.
-    /// Call before [`run`](Self::run).
-    pub fn schedule_reboot(&mut self, node: NodeId, at: SimTime) {
-        self.faults.push_back(FaultEvent::Reboot { node, at });
-        self.fault_log.push(FaultEvent::Reboot { node, at });
-    }
-
-    /// Schedules every event of `plan`. Call before [`run`](Self::run).
-    pub fn inject_faults(&mut self, plan: &FaultPlan) {
-        self.faults.extend(plan.events().iter().copied());
-        self.fault_log.extend(plan.events().iter().copied());
-    }
-
-    /// Arms the flight recorder: when the run ends in
-    /// [`Outcome::Stalled`] or [`Outcome::InvariantViolated`], a replay
-    /// capsule (seed, config, topology, full fault schedule, scenario
-    /// tags) is written to the spec's path so the failure ships its own
-    /// reproducer. The write is best-effort: an I/O error is reported on
-    /// stderr but never changes the run's report.
-    pub fn set_capsule_on_failure(&mut self, spec: CapsuleSpec) {
-        self.capsule = Some(spec);
-    }
-
     /// Whether `node` is currently crash-failed.
     pub fn is_failed(&self, node: NodeId) -> bool {
         self.failed[node.index()]
@@ -382,7 +330,18 @@ impl<P: Protocol> Simulator<P> {
         &self.energy
     }
 
-    fn apply_fault(&mut self, event: FaultEvent) {
+    /// When the next unapplied fault falls due, if any is left.
+    fn next_fault_at(&self) -> Option<SimTime> {
+        self.faults
+            .events()
+            .get(self.next_fault)
+            .map(FaultEvent::at)
+    }
+
+    /// Applies the next unapplied fault (the caller checked there is one).
+    fn apply_next_fault(&mut self) {
+        let event = self.faults.events()[self.next_fault];
+        self.next_fault += 1;
         match event {
             FaultEvent::Crash { node, .. } => {
                 let i = node.index();
@@ -534,8 +493,8 @@ impl<P: Protocol> Simulator<P> {
 
     /// Runs until every node completes, the event queue drains, a time
     /// limit (`deadline` or [`SimConfig::max_sim_time`]) passes, the
-    /// stall watchdog trips, or an invariant fails. Returns a report;
-    /// metrics stay accessible.
+    /// stall watchdog trips, or an invariant fails, then flushes the
+    /// trace sink. Returns a report; metrics stay accessible.
     pub fn run(&mut self, deadline: Duration) -> RunReport {
         let requested_deadline = deadline;
         let mut deadline = SimTime::ZERO + deadline;
@@ -545,17 +504,10 @@ impl<P: Protocol> Simulator<P> {
                 deadline = limit;
             }
         }
-        self.faults.make_contiguous().sort_by_key(FaultEvent::at);
-        self.recount_gating();
         // Faults at t = 0 (clock drift, pre-severed links) take effect
         // before node init, so the very first timer arm sees them.
-        while self
-            .faults
-            .front()
-            .is_some_and(|event| event.at() <= self.now)
-        {
-            let fault = self.faults.pop_front().expect("peeked");
-            self.apply_fault(fault);
+        while self.next_fault_at().is_some_and(|at| at <= self.now) {
+            self.apply_next_fault();
         }
         // Initialize every node.
         for i in 0..self.protocols.len() {
@@ -571,7 +523,7 @@ impl<P: Protocol> Simulator<P> {
             // Faults are events too: a reboot must fire even if the
             // packet/timer queue has drained, and a crash scheduled
             // between two queued events applies at its exact time.
-            let next_fault = self.faults.front().map(FaultEvent::at);
+            let next_fault = self.next_fault_at();
             let at = match (next_fault, self.queue.peek_time()) {
                 (Some(f), Some(e)) => f.min(e),
                 (Some(f), None) => f,
@@ -587,8 +539,7 @@ impl<P: Protocol> Simulator<P> {
             }
             if next_fault.is_some_and(|f| f <= at) {
                 self.now = at;
-                let fault = self.faults.pop_front().expect("peeked");
-                self.apply_fault(fault);
+                self.apply_next_fault();
                 continue;
             }
             let (at, event) = self.queue.pop().expect("peeked");
@@ -679,6 +630,9 @@ impl<P: Protocol> Simulator<P> {
         } else {
             None
         };
+        if let Some(sink) = self.trace.as_mut() {
+            sink.flush();
+        }
         RunReport {
             outcome,
             all_complete: self.all_complete(),
@@ -697,17 +651,13 @@ impl<P: Protocol> Simulator<P> {
         let Some(spec) = self.capsule.as_ref() else {
             return;
         };
-        let mut faults = FaultPlan::new();
-        for event in &self.fault_log {
-            faults.push(*event);
-        }
         let digest = RunDigest::metrics_only(outcome, self.now, &self.metrics);
         let capsule = Capsule {
             seed: self.seed,
             deadline,
             config: self.config,
             topology: self.topology.clone(),
-            faults,
+            faults: self.faults.clone(),
             scenario: spec.scenario.clone(),
             digest: Some(digest),
         };
@@ -749,15 +699,14 @@ impl<P: Protocol> Simulator<P> {
         !self.complete[i] && (!self.failed[i] || self.reboot_pending(NodeId(i as u32)))
     }
 
-    /// Recomputes `gating` from scratch: after a crash or reboot, and
-    /// once the fault schedule is final.
+    /// Recomputes `gating` from scratch after a crash or reboot.
     fn recount_gating(&mut self) {
         self.gating = (0..self.complete.len()).filter(|&i| self.gates(i)).count();
     }
 
     /// Whether the remaining fault schedule reboots `node`.
     fn reboot_pending(&self, node: NodeId) -> bool {
-        self.faults
+        self.faults.events()[self.next_fault..]
             .iter()
             .any(|f| matches!(f, FaultEvent::Reboot { node: n, .. } if *n == node))
     }
@@ -992,7 +941,6 @@ impl<P: Protocol> Simulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::SimBuilder;
 
     #[test]
     fn diagnostic_outcomes_are_exactly_the_capsule_dump_triggers() {
@@ -1037,22 +985,31 @@ mod tests {
     }
 
     fn pinger_sim(seed: u64) -> Simulator<Pinger> {
-        pinger_sim_with(seed, SimConfig::default())
+        pinger(seed).build()
     }
 
     fn pinger_sim_with(seed: u64, config: SimConfig) -> Simulator<Pinger> {
-        pinger_sim_goals(seed, config, [3; 4])
+        pinger(seed).config(config).build()
+    }
+
+    fn pinger_with_faults(seed: u64, plan: FaultPlan) -> Simulator<Pinger> {
+        pinger(seed).faults(plan).build()
+    }
+
+    fn pinger(seed: u64) -> SimBuilder<Pinger, impl FnMut(NodeId) -> Pinger> {
+        pinger_goals(seed, [3; 4])
     }
 
     /// A star of four whose node `i` needs `goals[i]` pings.
-    fn pinger_sim_goals(seed: u64, config: SimConfig, goals: [u32; 4]) -> Simulator<Pinger> {
-        SimBuilder::new(Topology::star(4), seed, |id: NodeId| Pinger {
+    fn pinger_goals(
+        seed: u64,
+        goals: [u32; 4],
+    ) -> SimBuilder<Pinger, impl FnMut(NodeId) -> Pinger> {
+        SimBuilder::new(Topology::star(4), seed, move |id: NodeId| Pinger {
             is_source: id == NodeId(0),
             pings_heard: 0,
             goal: goals[id.index()],
         })
-        .config(config)
-        .build()
     }
 
     #[test]
@@ -1104,9 +1061,7 @@ mod tests {
     #[test]
     fn empty_fault_plan_leaves_run_identical() {
         let baseline = pinger_sim(7).run(Duration::from_secs(60));
-        let mut sim = pinger_sim(7);
-        sim.inject_faults(&FaultPlan::new());
-        let report = sim.run(Duration::from_secs(60));
+        let report = pinger_with_faults(7, FaultPlan::new()).run(Duration::from_secs(60));
         assert_eq!(report.final_time, baseline.final_time);
         assert_eq!(report.latency, baseline.latency);
     }
@@ -1116,9 +1071,9 @@ mod tests {
         // The source crashes after its second ping and reboots two
         // seconds later; `on_reboot` re-runs `on_init`, so pings resume
         // and receivers still reach their goal.
-        let mut sim = pinger_sim(1);
-        sim.schedule_failure(NodeId(0), SimTime(2_500_000));
-        sim.schedule_reboot(NodeId(0), SimTime(4_500_000));
+        let mut plan = FaultPlan::new();
+        plan.crash_and_reboot(NodeId(0), SimTime(2_500_000), Duration::from_secs(2));
+        let mut sim = pinger_with_faults(1, plan);
         let report = sim.run(Duration::from_secs(60));
         assert!(report.all_complete);
         assert_eq!(report.outcome, Outcome::Complete);
@@ -1136,8 +1091,7 @@ mod tests {
             SimTime::ZERO,
             Duration::from_millis(2500),
         );
-        let mut sim = pinger_sim(1);
-        sim.inject_faults(&plan);
+        let mut sim = pinger_with_faults(1, plan);
         let report = sim.run(Duration::from_secs(60));
         assert!(report.all_complete);
         // Nodes 2/3 heard the early pings node 1 missed.
@@ -1149,8 +1103,7 @@ mod tests {
     fn degraded_link_loses_some_deliveries() {
         let mut plan = FaultPlan::new();
         plan.degrade(NodeId(0), NodeId(1), 200_000, SimTime::ZERO);
-        let mut sim = pinger_sim(1);
-        sim.inject_faults(&plan);
+        let mut sim = pinger_with_faults(1, plan);
         let report = sim.run(Duration::from_secs(120));
         // Node 1 eventually completes, but needs more source pings than
         // the healthy receivers did.
@@ -1164,9 +1117,7 @@ mod tests {
         // The source's clock runs at half speed: timers take twice as
         // long, so pings land at 2 s, 4 s, 6 s instead of 1/2/3 s.
         plan.clock_drift(NodeId(0), 2_000_000, SimTime::ZERO);
-        let mut sim = pinger_sim(1);
-        sim.inject_faults(&plan);
-        let report = sim.run(Duration::from_secs(60));
+        let report = pinger_with_faults(1, plan).run(Duration::from_secs(60));
         assert!(report.all_complete);
         let drifted = report.latency.expect("complete");
         let baseline = pinger_sim(1)
@@ -1188,15 +1139,15 @@ mod tests {
                 at: SimTime::ZERO,
             });
         }
-        let mut sim = pinger_sim_with(
-            1,
-            SimConfig {
-                stall_window: Some(Duration::from_secs(5)),
-                ..SimConfig::default()
-            },
-        );
-        sim.inject_faults(&plan);
-        let report = sim.run(Duration::from_secs(3600));
+        let config = SimConfig {
+            stall_window: Some(Duration::from_secs(5)),
+            ..SimConfig::default()
+        };
+        let report = pinger(1)
+            .config(config)
+            .faults(plan)
+            .build()
+            .run(Duration::from_secs(3600));
         assert_eq!(report.outcome, Outcome::Stalled);
         assert!(!report.all_complete);
         let dump = report.diagnostic.expect("stall dump");
@@ -1212,16 +1163,17 @@ mod tests {
 
     #[test]
     fn invariant_checker_aborts_the_run() {
-        let mut sim = pinger_sim(1);
-        sim.set_invariant_checker(Box::new(|node: &Pinger, _id| {
-            if node.pings_heard >= 2 {
-                Err(InvariantViolation::Custom {
-                    message: format!("pings_heard \"reached\"\n\t{}\u{1}", node.pings_heard),
-                })
-            } else {
-                Ok(())
-            }
-        }));
+        let mut sim = pinger(1)
+            .invariants(|node: &Pinger, _id| {
+                if node.pings_heard >= 2 {
+                    Err(InvariantViolation::Custom {
+                        message: format!("pings_heard \"reached\"\n\t{}\u{1}", node.pings_heard),
+                    })
+                } else {
+                    Ok(())
+                }
+            })
+            .build();
         let report = sim.run(Duration::from_secs(60));
         assert_eq!(report.outcome, Outcome::InvariantViolated);
         let record = sim.invariant_violation().expect("violation");
@@ -1249,7 +1201,7 @@ mod tests {
     fn run_completing_on_a_middle_link_skips_the_rest_of_the_broadcast() {
         // Node 3 is done after two pings, so the third ping completes
         // the run at node 2 and node 3's copy is never delivered.
-        let mut sim = pinger_sim_goals(1, SimConfig::default(), [0, 3, 3, 2]);
+        let mut sim = pinger_goals(1, [0, 3, 3, 2]).build();
         let report = sim.run(Duration::from_secs(60));
         assert_eq!(report.outcome, Outcome::Complete);
         assert_eq!(sim.metrics().tx_packets(PacketKind::Data), 3);
@@ -1259,8 +1211,9 @@ mod tests {
 
     #[test]
     fn crashed_middle_receiver_skips_only_its_own_delivery() {
-        let mut sim = pinger_sim(1);
-        sim.schedule_failure(NodeId(2), SimTime(500_000));
+        let mut plan = FaultPlan::new();
+        plan.crash(NodeId(2), SimTime(500_000));
+        let mut sim = pinger_with_faults(1, plan);
         let report = sim.run(Duration::from_secs(60));
         assert_eq!(report.outcome, Outcome::Complete);
         assert_eq!(sim.metrics().rx_packets(), 6);
@@ -1279,8 +1232,7 @@ mod tests {
             SimTime::ZERO,
             Duration::from_millis(2500),
         );
-        let mut sim = pinger_sim(1);
-        sim.inject_faults(&plan);
+        let mut sim = pinger_with_faults(1, plan);
         let report = sim.run(Duration::from_secs(60));
         assert_eq!(report.outcome, Outcome::Complete);
         let heard = |n| sim.node(NodeId(n)).pings_heard;
@@ -1378,8 +1330,7 @@ mod tests {
     #[test]
     fn delivery_for_pruned_transmission_is_dropped_not_panicked() {
         let ring = crate::trace::SharedRingTrace::new(64);
-        let mut sim = pinger_sim(1);
-        sim.set_trace(Box::new(ring.clone()));
+        let mut sim = pinger(1).trace(ring.clone()).build();
         sim.queue.push(
             SimTime(42),
             Event::Deliver {

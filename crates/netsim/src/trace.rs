@@ -282,11 +282,10 @@ impl TraceSink for RingTrace {
 
 /// A cloneable handle around a shared [`RingTrace`].
 ///
-/// [`Simulator::set_trace`](crate::sim::Simulator::set_trace) takes
-/// ownership of its sink, which makes post-run inspection awkward;
-/// cloning a `SharedRingTrace`, handing one clone to the simulator and
-/// keeping the other lets a test read the recorded events afterwards
-/// without taking the sink back out.
+/// [`SimBuilder::trace`](crate::SimBuilder::trace) takes ownership of
+/// its sink; cloning a `SharedRingTrace`, handing one clone to the
+/// builder and keeping the other lets a caller read the recorded events
+/// after the run.
 #[derive(Clone, Debug, Default)]
 pub struct SharedRingTrace(std::rc::Rc<std::cell::RefCell<RingTrace>>);
 

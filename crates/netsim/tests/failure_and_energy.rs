@@ -3,6 +3,7 @@
 
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_netsim::energy::EnergyModel;
+use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::sim::Simulator;
 
 use lrs_host::time::{Duration, SimTime};
@@ -33,18 +34,25 @@ impl Protocol for Beacon {
     }
 }
 
-fn beacon_sim(seed: u64) -> Simulator<Beacon> {
+fn beacon_sim(seed: u64, faults: FaultPlan) -> Simulator<Beacon> {
     SimBuilder::new(Topology::star(3), seed, |id| Beacon {
         source: id == NodeId(0),
         heard: 0,
     })
+    .faults(faults)
     .build()
+}
+
+/// `node` crashes for good at `at`.
+fn crash(node: u32, at: SimTime) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    plan.crash(NodeId(node), at);
+    plan
 }
 
 #[test]
 fn failed_source_stops_transmitting() {
-    let mut sim = beacon_sim(1);
-    sim.schedule_failure(NodeId(0), SimTime(1_050_000)); // after ~10 beacons
+    let mut sim = beacon_sim(1, crash(0, SimTime(1_050_000))); // after ~10 beacons
     let _ = sim.run(Duration::from_secs(10));
     assert!(sim.is_failed(NodeId(0)));
     let heard = sim.node(NodeId(1)).heard;
@@ -56,8 +64,7 @@ fn failed_source_stops_transmitting() {
 
 #[test]
 fn failed_receiver_neither_hears_nor_pays_energy() {
-    let mut sim = beacon_sim(2);
-    sim.schedule_failure(NodeId(2), SimTime(1)); // dead from the start
+    let mut sim = beacon_sim(2, crash(2, SimTime(1))); // dead from the start
     let _ = sim.run(Duration::from_secs(5));
     assert_eq!(sim.node(NodeId(2)).heard, 0);
     assert_eq!(sim.energy().rx_bytes(NodeId(2)), 0);
@@ -68,7 +75,7 @@ fn failed_receiver_neither_hears_nor_pays_energy() {
 
 #[test]
 fn energy_split_matches_byte_counters() {
-    let mut sim = beacon_sim(3);
+    let mut sim = beacon_sim(3, FaultPlan::new());
     let _ = sim.run(Duration::from_secs(3));
     let model = EnergyModel::default();
     let tx = sim.energy().tx_bytes(NodeId(0));

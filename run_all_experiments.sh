@@ -34,10 +34,10 @@ echo "=== attack ==="
 echo "=== chaos ==="
 ./target/release/chaos --capsule results/capsules "$@" | tee results/chaos.txt
 
-# Flight-recorder gate: capture both schemes, replay, verify digest
-# bit-identity.
+# Flight-recorder gate: the committed watchdog capsule must replay to
+# its recorded digest.
 echo "=== replay ==="
-./target/release/replay --smoke | tee results/replay.txt
+./target/release/replay results/capsules/chaos-watchdog-demo.jsonl | tee results/replay.txt
 
 # Campaign gate: the built-in 24-job checkpointed Monte-Carlo grid,
 # including a kill + resume cycle to exercise crash recovery. The final

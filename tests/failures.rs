@@ -8,6 +8,7 @@ use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_deluge::engine::Scheme as _;
 use lrs_host::node::NodeId;
 use lrs_netsim::energy::EnergyModel;
+use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::sim::Simulator;
 
 use lrs_host::time::{Duration, SimTime};
@@ -33,15 +34,33 @@ fn image() -> Vec<u8> {
     (0..1024u32).map(|i| (i * 73 % 251) as u8).collect()
 }
 
+/// `node` crashes for good at `at_us`.
+fn crash(node: u32, at_us: u64) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    plan.crash(NodeId(node), SimTime(at_us));
+    plan
+}
+
+/// Receiver 2 crashes at `down_us` and reboots at `up_us`.
+fn reboot_of_node_2(down_us: u64, up_us: u64) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    plan.crash_and_reboot(
+        NodeId(2),
+        SimTime(down_us),
+        Duration::from_micros(up_us - down_us),
+    );
+    plan
+}
+
 #[test]
 fn grid_routes_around_a_dead_relay() {
     let deployment = Deployment::new(&image(), params(), b"failures");
+    // Kill an interior relay shortly after dissemination starts.
     let mut sim = SimBuilder::new(Topology::grid(4, 10.0, 21), 4, |id| {
         deployment.node(id, NodeId(0))
     })
+    .faults(crash(5, 2_000_000))
     .build();
-    // Kill an interior relay shortly after dissemination starts.
-    sim.schedule_failure(NodeId(5), SimTime(2_000_000));
     let report = sim.run(Duration::from_secs(36_000));
     assert!(
         report.all_complete,
@@ -63,12 +82,12 @@ fn grid_routes_around_a_dead_relay() {
 #[test]
 fn line_partition_stops_at_the_dead_node() {
     let deployment = Deployment::new(&image(), params(), b"failures");
+    // Node 3 dies immediately: nodes 4 and 5 are partitioned from the base.
     let mut sim = SimBuilder::new(Topology::line(6, 1.0), 9, |id| {
         deployment.node(id, NodeId(0))
     })
+    .faults(crash(3, 1))
     .build();
-    // Node 3 dies immediately: nodes 4 and 5 are partitioned from the base.
-    sim.schedule_failure(NodeId(3), SimTime(1));
     let report = sim.run(Duration::from_secs(2_000));
     assert!(!report.all_complete, "partitioned nodes cannot complete");
     // Upstream of the failure everything completes...
@@ -119,12 +138,11 @@ fn assert_strictly_increasing(levels: &[u64]) {
 fn lr_reboot_mid_page_resumes_from_flash() {
     let deployment = Deployment::new(&image(), params(), b"failures");
     let trace = SharedRingTrace::new(100_000);
-    let mut sim =
-        SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0))).build();
-    sim.set_trace(Box::new(trace.clone()));
     // At 1.3s (seed 11) the receiver holds three completed items.
-    sim.schedule_failure(NodeId(2), SimTime(1_300_000));
-    sim.schedule_reboot(NodeId(2), SimTime(2_000_000));
+    let mut sim = SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0)))
+        .trace(trace.clone())
+        .faults(reboot_of_node_2(1_300_000, 2_000_000))
+        .build();
     let report = sim.run(Duration::from_secs(36_000));
     assert!(report.all_complete, "rebooted node should still finish");
     assert_eq!(sim.reboots(), 1);
@@ -150,12 +168,11 @@ fn lr_reboot_mid_page_resumes_from_flash() {
 fn lr_reboot_during_m0_keeps_the_signature() {
     let deployment = Deployment::new(&image(), params(), b"failures");
     let trace = SharedRingTrace::new(100_000);
-    let mut sim =
-        SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0))).build();
-    sim.set_trace(Box::new(trace.clone()));
     // At 0.4s (seed 11) the receiver has the signature but not M0.
-    sim.schedule_failure(NodeId(2), SimTime(400_000));
-    sim.schedule_reboot(NodeId(2), SimTime(1_200_000));
+    let mut sim = SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0)))
+        .trace(trace.clone())
+        .faults(reboot_of_node_2(400_000, 1_200_000))
+        .build();
     let report = sim.run(Duration::from_secs(36_000));
     assert!(report.all_complete);
     assert_eq!(sim.reboots(), 1);
@@ -170,13 +187,14 @@ fn lr_reboot_during_m0_keeps_the_signature() {
     assert_strictly_increasing(&completion_levels(&trace, NodeId(2)));
 }
 
-fn seluge_sim(trace: &SharedRingTrace) -> (Simulator<SelugeNode>, Vec<u8>) {
+fn seluge_sim(trace: &SharedRingTrace, faults: FaultPlan) -> (Simulator<SelugeNode>, Vec<u8>) {
     let sp = lrs_bench::runner::matched_seluge_params(&params());
     let image = image();
     let deployment = SelugeDeployment::new(&image, sp, b"failures keys");
-    let mut sim =
-        SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0))).build();
-    sim.set_trace(Box::new(trace.clone()));
+    let sim = SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0)))
+        .trace(trace.clone())
+        .faults(faults)
+        .build();
     (sim, image)
 }
 
@@ -185,9 +203,7 @@ fn seluge_sim(trace: &SharedRingTrace) -> (Simulator<SelugeNode>, Vec<u8>) {
 #[test]
 fn seluge_reboot_mid_page_resumes_from_flash() {
     let trace = SharedRingTrace::new(100_000);
-    let (mut sim, image) = seluge_sim(&trace);
-    sim.schedule_failure(NodeId(2), SimTime(1_300_000));
-    sim.schedule_reboot(NodeId(2), SimTime(2_000_000));
+    let (mut sim, image) = seluge_sim(&trace, reboot_of_node_2(1_300_000, 2_000_000));
     let report = sim.run(Duration::from_secs(36_000));
     assert!(report.all_complete);
     assert_eq!(sim.reboots(), 1);
@@ -204,9 +220,7 @@ fn seluge_reboot_mid_page_resumes_from_flash() {
 #[test]
 fn seluge_reboot_during_m0_keeps_the_signature() {
     let trace = SharedRingTrace::new(100_000);
-    let (mut sim, image) = seluge_sim(&trace);
-    sim.schedule_failure(NodeId(2), SimTime(400_000));
-    sim.schedule_reboot(NodeId(2), SimTime(1_200_000));
+    let (mut sim, image) = seluge_sim(&trace, reboot_of_node_2(400_000, 1_200_000));
     let report = sim.run(Duration::from_secs(36_000));
     assert!(report.all_complete);
     assert_eq!(sim.reboots(), 1);

@@ -1,17 +1,17 @@
 //! Flight-recorder end-to-end tests: capture → capsule → replay
 //! bit-identity for both schemes, automatic failure capsules from the
-//! watchdog, capsules from the removed sharded engine, and
-//! delta-debugged chaos-scenario shrinking.
+//! watchdog, and capsules from the removed sharded engine.
 
 use lr_seluge::Deployment;
-use lrs_bench::capsules::{replay_capsule, scale_params as small_lr, ScenarioTags};
+use lrs_bench::capsules::{
+    chaos_sim_config, replay_capsule, scale_params as small_lr, ScenarioTags,
+};
 use lrs_bench::matched_seluge_params;
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::replay::{replay, verify_replay, ReplayError};
-use lrs_netsim::shrink::shrink_fault_plan;
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::SharedRingTrace;
@@ -44,23 +44,32 @@ fn grid() -> Topology {
     Topology::grid(6, 10.0, 77)
 }
 
-/// Runs `builder` to completion and packages its own snapshot
-/// ([`SimBuilder::capsule`]) with the run's digest — what `lrs-bench`'s
-/// `replay --capture` does, but digested by hand rather than through
-/// `replay`.
+/// Runs a `scheme` population on `grid()` from `seed` under `faults`
+/// (with whatever else `arm` attaches) to completion and packages it as
+/// a capsule with the run's digest, digested by hand rather than
+/// through `replay`.
 fn capture<P: Protocol + 'static, F: FnMut(NodeId) -> P>(
     scheme: &str,
-    builder: SimBuilder<P, F>,
+    seed: u64,
+    faults: FaultPlan,
+    make: F,
+    arm: impl FnOnce(SimBuilder<P, F>) -> SimBuilder<P, F>,
 ) -> Capsule {
-    let builder = builder.scenario("scheme", scheme);
-    let mut capsule = builder.capsule(deadline());
     let ring = SharedRingTrace::new(usize::MAX);
-    let mut sim = builder.trace(ring.clone()).build();
+    let builder = SimBuilder::new(grid(), seed, make).faults(faults.clone());
+    let mut sim = arm(builder).trace(ring.clone()).build();
     let report = sim.run(deadline());
     assert_eq!(report.outcome, Outcome::Complete);
     assert!(report.diagnostic.is_none(), "zero violations expected");
-    capsule.digest = Some(RunDigest::compute(&report, sim.metrics(), &ring.events()));
-    capsule
+    Capsule {
+        seed,
+        deadline: deadline(),
+        config: SimConfig::default(),
+        topology: grid(),
+        faults,
+        scenario: vec![("scheme".to_string(), scheme.to_string())],
+        digest: Some(RunDigest::compute(&report, sim.metrics(), &ring.events())),
+    }
 }
 
 // The next three ids predate the removal of the sharded engine (two
@@ -71,7 +80,7 @@ fn capture<P: Protocol + 'static, F: FnMut(NodeId) -> P>(
 fn lr_capsule_replays_bit_identically_on_both_engines() {
     let deployment = lr_deployment();
     let make = |id: NodeId| deployment.node(id, NodeId(0));
-    let capsule = capture("lr-seluge", SimBuilder::new(grid(), 42, make));
+    let capsule = capture("lr-seluge", 42, FaultPlan::new(), make, |b| b);
     // The capsule must survive a serialization round trip before the
     // replay, so what is verified is what a file would carry.
     let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
@@ -96,12 +105,11 @@ fn lr_capsule_with_faults_replays_bit_identically() {
     let deployment = lr_deployment();
     let make = |id: NodeId| deployment.node(id, NodeId(0));
     let (artifacts, image) = (deployment.artifacts().clone(), test_image(1024));
-    let builder = SimBuilder::new(grid(), 3, make).faults(faults).invariants(
-        move |node: &lr_seluge::deployment::LrNode, _| {
+    let capsule = capture("lr-seluge", 3, faults, make, |builder| {
+        builder.invariants(move |node: &lr_seluge::deployment::LrNode, _| {
             node.scheme().verify_invariants(&artifacts, &image)
-        },
-    );
-    let capsule = capture("lr-seluge", builder);
+        })
+    });
     assert_eq!(capsule.faults.len(), 5);
     let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
     assert_eq!(restored, capsule);
@@ -114,9 +122,45 @@ fn seluge_capsule_replays_bit_identically_on_sharded_engine() {
     let params = matched_seluge_params(&small_lr(image.len()));
     let deployment = SelugeDeployment::new(&image, params, b"flight recorder");
     let make = |id: NodeId| deployment.node(id, NodeId(0));
-    let capsule = capture("seluge", SimBuilder::new(grid(), 7, make));
+    let capsule = capture("seluge", 7, FaultPlan::new(), make, |b| b);
     let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
     verify_replay(&restored, &replay(&restored, make)).expect("seluge replay diverged");
+}
+
+#[test]
+fn tagged_capsules_of_both_schemes_replay_with_a_full_trace_digest() {
+    // What the `replay` bin does with a capsule, from the scenario tags
+    // alone, on a chaos-profile run with churn on every fault path:
+    // one receiver reboots, one stays down, the spare's uplink flaps.
+    let mut faults = FaultPlan::new();
+    faults.crash_and_reboot(NodeId(3), SimTime(2_000_000), Duration::from_secs(5));
+    faults.crash(NodeId(7), SimTime(4_000_000));
+    faults.link_outage(
+        NodeId(9),
+        NodeId(0),
+        SimTime(1_000_000),
+        Duration::from_secs(3),
+    );
+    // Trace lengths as the removed `replay --smoke` printed them.
+    for (scheme, events) in [("lr-seluge", 2074), ("seluge", 2508)] {
+        let mut capsule = Capsule {
+            seed: 7,
+            deadline: Duration::from_secs(5_000),
+            config: chaos_sim_config(),
+            topology: Topology::star(10),
+            faults: faults.clone(),
+            scenario: ScenarioTags::new(scheme, "chaos", 2048, "chaos keys").pairs(),
+            digest: None,
+        };
+        let captured = replay_capsule(&capsule).expect("tags rebuild the population");
+        assert_eq!(captured.report.outcome, Outcome::Complete, "{scheme}");
+        assert_eq!(captured.digest.events, events, "{scheme}");
+        capsule.digest = Some(captured.digest);
+        let restored = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
+        assert_eq!(restored, capsule, "{scheme}");
+        let replayed = replay_capsule(&restored).expect("replays");
+        verify_replay(&restored, &replayed).expect("tagged replay diverged");
+    }
 }
 
 /// A beacon protocol that keeps virtual time moving whether or not
@@ -159,54 +203,6 @@ fn beacon_config() -> SimConfig {
         stall_window: Some(Duration::from_secs(5)),
         ..SimConfig::default()
     }
-}
-
-fn beacon_outcome(faults: &FaultPlan) -> Outcome {
-    let mut sim = SimBuilder::new(Topology::star(5), 9, |_| Beacon { heard: false })
-        .config(beacon_config())
-        .faults(faults.clone())
-        .build();
-    sim.run(Duration::from_secs(120)).outcome
-}
-
-#[test]
-fn shrinker_reduces_failing_chaos_plan_to_minimal_reproducer() {
-    // One culprit — the permanent crash of the only source — buried in
-    // 40 decoy events that never prevent completion on their own.
-    let mut plan = FaultPlan::new();
-    for i in 0..10u32 {
-        let node = NodeId(1 + (i % 4));
-        let at = SimTime(200_000 + u64::from(i) * 130_000);
-        plan.crash_and_reboot(node, at, Duration::from_millis(700));
-        plan.link_outage(
-            NodeId(1 + (i % 4)),
-            NodeId(1 + ((i + 1) % 4)),
-            SimTime(150_000 + u64::from(i) * 90_000),
-            Duration::from_millis(400),
-        );
-    }
-    plan.crash(NodeId(0), SimTime(100_000));
-    let original = plan.len();
-    assert!(original >= 41, "expected a large haystack, got {original}");
-    assert_eq!(beacon_outcome(&plan), Outcome::Stalled);
-
-    let (shrunk, stats) = shrink_fault_plan(&plan, |candidate| {
-        beacon_outcome(candidate) == Outcome::Stalled
-    });
-    assert_eq!(
-        beacon_outcome(&shrunk),
-        Outcome::Stalled,
-        "shrunk plan must still fail"
-    );
-    assert!(
-        shrunk.len() * 4 <= original,
-        "shrunk to {} of {original} events — expected ≤ 25%",
-        shrunk.len()
-    );
-    assert_eq!(stats.from, original);
-    assert_eq!(stats.to, shrunk.len());
-    // The actual 1-minimal answer is the single crash of the source.
-    assert_eq!(shrunk.len(), 1);
 }
 
 #[test]

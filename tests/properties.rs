@@ -138,8 +138,8 @@ fn fault_plans_round_trip_and_replay_identically() {
             let mut sim =
                 SimBuilder::new(topology.clone(), case, |id| deployment.node(id, NodeId(0)))
                     .config(cfg)
+                    .faults(p.clone())
                     .build();
-            sim.inject_faults(p);
             let report = sim.run(Duration::from_secs(2_000));
             let progress: Vec<u64> = (0..topology.len() as u32)
                 .map(|i| sim.node(NodeId(i)).progress())
