@@ -1,8 +1,9 @@
 //! Microbenchmarks for the primitives every packet exercises: hashing,
 //! GF(256) slice kernels, erasure coding (with and without the decode-
-//! matrix cache), Merkle verification, signature verification and the
-//! TX scheduler. These quantify the per-packet computation overhead
-//! discussed in the paper's §V-B.
+//! matrix cache), Merkle verification, signature verification, the
+//! TX scheduler, the simulator's event queue and the wire parser. These
+//! quantify the per-packet computation overhead discussed in the
+//! paper's §V-B.
 //!
 //! Self-timed (`harness = false`): the registry is unreachable in this
 //! environment, so Criterion is unavailable. Each benchmark warms up,
@@ -24,12 +25,14 @@ use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::{sha256, Sha256};
 use lrs_crypto::sha256_mb::{sha256_batch, ShaKernel};
 use lrs_deluge::policy::{TxPolicy, UnionPolicy};
-use lrs_deluge::wire::{BitVec, Message};
+use lrs_deluge::wire::{BitVec, Frame, Message};
 use lrs_erasure::gf256::{slice_mul_add_assign, Gf};
 use lrs_erasure::kernel::Kernel;
 use lrs_erasure::matrix::Matrix;
 use lrs_erasure::{ErasureCode, ReedSolomon};
-use lrs_host::node::NodeId;
+use lrs_host::node::{NodeId, TimerId};
+use lrs_host::time::SimTime;
+use lrs_netsim::event::{Event, EventQueue};
 use std::hint::black_box;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -303,6 +306,48 @@ fn bench_scheduler() {
     });
 }
 
+fn bench_event_queue() {
+    // One push and one pop on a queue held at the mean heap lengths the
+    // ledger measured: ~208 on `onehop_mc`, ~8 216 on `grid_wide_seluge`.
+    // New events land up to one data-packet airtime ahead of the clock.
+    for depth in [208usize, 8216] {
+        let mut rng = lrs_rng::DetRng::seed_from_u64(0x6576_7471);
+        let mut queue = EventQueue::new();
+        let timer = |generation| Event::Timer {
+            node: NodeId(1),
+            timer: TimerId(0),
+            generation,
+        };
+        for i in 0..depth {
+            queue.push(SimTime(rng.gen_range(0..40_000u64)), timer(i as u64));
+        }
+        let mut now = 0u64;
+        bench(&format!("netsim/eventq_push_pop_{depth}"), 0, || {
+            let at = SimTime(now + rng.gen_range(0..40_000u64));
+            queue.push(at, timer(now));
+            if let Some((at, event)) = queue.pop() {
+                now = now.max(at.0);
+                black_box(event);
+            }
+        });
+    }
+}
+
+fn bench_wire() {
+    // What every reception does first: the borrowed parse of a data
+    // packet at the paper's 72-byte payload.
+    let bytes = Message::Data {
+        version: 1,
+        item: 2,
+        index: 7,
+        payload: vec![0xA5; 72],
+    }
+    .to_bytes();
+    bench("wire/parse_data_72B", 72, || {
+        black_box(Frame::parse(black_box(&bytes)));
+    });
+}
+
 /// Writes the collected results as a small hand-rolled JSON document
 /// with the same shape as the committed `BENCH_micro.json` baseline.
 fn write_json(path: &str) {
@@ -357,6 +402,8 @@ fn main() {
     bench_merkle();
     bench_signature();
     bench_scheduler();
+    bench_event_queue();
+    bench_wire();
     if let Some(path) = json_path {
         write_json(&path);
     }

@@ -2,7 +2,7 @@
 
 use crate::code::CodeKind;
 use lrs_crypto::hash::HASH_IMAGE_LEN;
-use lrs_deluge::deployment::check_layout;
+use lrs_deluge::deployment::{check_layout, check_payload_len};
 use lrs_erasure::sparse::DEFAULT_OVERHEAD;
 
 pub use lrs_deluge::deployment::ParamError;
@@ -141,6 +141,8 @@ impl LrSelugeParams {
         if !self.n0.is_power_of_two() {
             return Err(format!("n0 must be a power of two, got {}", self.n0));
         }
+        // The hash-page packets are bounded by n <= 255 and n0 <= 128.
+        check_payload_len("payload_len", self.payload_len)?;
         if self.k as usize * self.payload_len <= self.hash_region_len() {
             return Err(format!(
                 "page has no image capacity: k*payload = {} <= n*hash = {}",
@@ -195,5 +197,26 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn payload_longer_than_the_wire_length_field_is_rejected() {
+        // 70 000 bytes used to validate, then wrap the u16 length on
+        // the wire, so every receiver dropped every data packet.
+        let p = LrSelugeParams::default();
+        let err = LrSelugeParams {
+            payload_len: 70_000,
+            ..p
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("payload_len is 70000 bytes"), "{err}");
+        let max = lrs_deluge::wire::MAX_PAYLOAD_LEN;
+        assert!(LrSelugeParams {
+            payload_len: max,
+            ..p
+        }
+        .validate()
+        .is_ok());
     }
 }

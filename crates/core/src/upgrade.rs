@@ -13,7 +13,7 @@
 
 use crate::deployment::{Deployment, LrNode};
 use lrs_deluge::engine::Scheme as _;
-use lrs_deluge::wire::Message;
+use lrs_deluge::wire::Frame;
 use lrs_host::node::{Context, NodeId, Protocol, TimerId};
 
 /// A node that can be reprogrammed across image versions.
@@ -66,7 +66,8 @@ impl VersionedNode {
     /// Checks whether `data` is an authenticated advertisement for a
     /// newer registered version; returns the matching deployment index.
     fn upgrade_for(&self, data: &[u8]) -> Option<usize> {
-        let Some(Message::Adv { version, .. }) = Message::from_bytes(data) else {
+        let frame = Frame::parse(data)?;
+        let Frame::Adv { version, .. } = frame else {
             return None;
         };
         if version <= self.version() {
@@ -78,8 +79,7 @@ impl VersionedNode {
             .enumerate()
             .find(|(_, d)| d.params().version == version)?;
         // Only a MAC-valid advertisement may trigger the switch.
-        let msg = Message::from_bytes(data).expect("parsed above");
-        if !msg.mac_ok(deployment.cluster_key()) {
+        if !frame.mac_ok(deployment.cluster_key()) {
             return None;
         }
         Some(idx)
@@ -120,6 +120,7 @@ impl Protocol for VersionedNode {
 mod tests {
     use super::*;
     use crate::params::LrSelugeParams;
+    use lrs_deluge::wire::Message;
     use lrs_netsim::medium::MediumConfig;
     use lrs_netsim::sim::SimConfig;
 

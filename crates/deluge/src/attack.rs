@@ -11,7 +11,7 @@ mod plan;
 
 pub use plan::{AttackConfig, AttackEntry, AttackPlan, AttackVector};
 
-use crate::wire::{BitVec, Message};
+use crate::wire::{BitVec, Frame, Message};
 use lrs_crypto::cluster::ClusterKey;
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::{Duration, SimTime};
@@ -164,7 +164,7 @@ impl Protocol for Attacker {
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, _from: NodeId, data: &[u8]) {
         // Track victim progress so bogus data targets the current item.
-        if let Some(Message::Adv { level, .. }) = Message::from_bytes(data) {
+        if let Some(Frame::Adv { level, .. }) = Frame::parse(data) {
             if level != u16::MAX {
                 self.observed_level = self.observed_level.max(level);
             }

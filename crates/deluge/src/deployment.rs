@@ -13,6 +13,7 @@ use crate::attack::AttackerProfile;
 use crate::bootstrap::{DeploymentKeys, PacketDigestCache};
 use crate::engine::{DisseminationNode, EngineConfig, Scheme};
 use crate::policy::TxPolicy;
+use crate::wire::MAX_PAYLOAD_LEN;
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::leap::LeapKeyring;
 use lrs_crypto::puzzle::Puzzle;
@@ -62,6 +63,22 @@ pub fn check_layout(image_len: usize, page_capacity: usize) -> Result<(), String
         return Err(format!(
             "a {image_len}-byte image needs {pages} pages of {page_capacity} bytes; \
              at most {MAX_PAGES} are addressable"
+        ));
+    }
+    Ok(())
+}
+
+/// Rejects a packet whose `len`-byte payload (`what` names it) would not
+/// fit the wire's `u16` length field, [`MAX_PAYLOAD_LEN`]: its length
+/// would wrap and every receiver would drop it as malformed.
+///
+/// # Errors
+///
+/// Names the payload and its length.
+pub fn check_payload_len(what: &str, len: usize) -> Result<(), String> {
+    if len > MAX_PAYLOAD_LEN {
+        return Err(format!(
+            "{what} is {len} bytes; a wire packet carries at most {MAX_PAYLOAD_LEN}"
         ));
     }
     Ok(())

@@ -24,7 +24,7 @@
 
 use crate::policy::TxPolicy;
 use crate::trickle::{Trickle, TrickleConfig};
-use crate::wire::{BitVec, Message};
+use crate::wire::{BitVec, Frame, Message};
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::leap::LeapKeyring;
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
@@ -455,15 +455,22 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         }
     }
 
-    fn handle_snack(
-        &mut self,
-        ctx: &mut Context<'_>,
-        from: NodeId,
-        target: NodeId,
-        item: u16,
-        bits: &BitVec,
-        pairwise_mac: Option<&lrs_crypto::cluster::MacTag>,
-    ) {
+    /// Handles a MAC-checked SNACK of this version. The request bits are
+    /// only materialised as a [`BitVec`] when this node serves them; an
+    /// overheard request needs its item alone.
+    fn handle_snack(&mut self, ctx: &mut Context<'_>, snack: Frame<'_>) {
+        let Frame::Snack {
+            from,
+            target,
+            item,
+            nbits,
+            bits,
+            pairwise_mac,
+            ..
+        } = snack
+        else {
+            return;
+        };
         let my_level = self.level();
         if target == ctx.id {
             if item >= my_level {
@@ -475,17 +482,24 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
                 let parts =
                     Message::snack_pairwise_parts(from, target, self.scheme.version(), item);
                 let valid = pairwise_mac.is_some_and(|tag| {
-                    keyring.check_from(from.0, &[b"snack-pw", &parts[0], &parts[1], &parts[2]], tag)
+                    keyring.check_from(
+                        from.0,
+                        &[b"snack-pw", &parts[0], &parts[1], &parts[2]],
+                        &tag,
+                    )
                 });
                 if !valid {
                     self.stats.mac_rejects += 1;
                     return;
                 }
             }
-            if bits.len() != self.scheme.item_packets(item) as usize {
-                self.stats.mac_rejects += 1;
-                return;
-            }
+            let bits = match BitVec::from_bytes(bits, nbits) {
+                Some(bits) if nbits == self.scheme.item_packets(item) as usize => bits,
+                _ => {
+                    self.stats.mac_rejects += 1;
+                    return;
+                }
+            };
             let q = bits.count_ones() as u32;
             if let Some(budget) = self.cfg.per_neighbor_item_budget {
                 let count = self.served.entry((from, item)).or_insert(0);
@@ -498,7 +512,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             let n_pk = self.scheme.item_packets(item);
             let needed = self.scheme.packets_needed(item);
             let distance = (q as u16 + needed).saturating_sub(n_pk).max(1);
-            self.policy.on_snack(from, item, bits, distance);
+            self.policy.on_snack(from, item, &bits, distance);
             if self.state != State::Tx {
                 self.enter_tx(ctx);
             }
@@ -660,16 +674,16 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, from: NodeId, data: &[u8]) {
-        let Some(msg) = Message::from_bytes(data) else {
+        let Some(frame) = Frame::parse(data) else {
             self.stats.mac_rejects += 1;
             return;
         };
-        if self.cfg.authenticate_control && !msg.mac_ok(&self.key) {
+        if self.cfg.authenticate_control && !frame.mac_ok(&self.key) {
             self.stats.mac_rejects += 1;
             return;
         }
-        match msg {
-            Message::Adv {
+        match frame {
+            Frame::Adv {
                 from: adv_from,
                 version,
                 level,
@@ -682,21 +696,13 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
                 let _ = from;
                 self.handle_adv(ctx, adv_from, level);
             }
-            Message::Snack {
-                from: req_from,
-                target,
-                version,
-                item,
-                bits,
-                pairwise_mac,
-                ..
-            } => {
+            Frame::Snack { version, .. } => {
                 if version != self.scheme.version() {
                     return;
                 }
-                self.handle_snack(ctx, req_from, target, item, &bits, pairwise_mac.as_ref());
+                self.handle_snack(ctx, frame);
             }
-            Message::Data {
+            Frame::Data {
                 version,
                 item,
                 index,
@@ -705,14 +711,14 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
                 if version != self.scheme.version() {
                     return;
                 }
-                self.handle_data(ctx, from, item, index, &payload);
+                self.handle_data(ctx, from, item, index, payload);
             }
-            Message::Signature { version, body } => {
+            Frame::Signature { version, body } => {
                 if version != self.scheme.version() {
                     return;
                 }
                 // Equivalent to item 0, packet 0.
-                self.handle_data(ctx, from, 0, 0, &body);
+                self.handle_data(ctx, from, 0, 0, body);
             }
         }
     }

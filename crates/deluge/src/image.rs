@@ -8,7 +8,9 @@
 
 use crate::attack::AttackerProfile;
 use crate::bootstrap::DeploymentKeys;
-use crate::deployment::{check_image_len, check_layout, ParamError, SchemeFamily};
+use crate::deployment::{
+    check_image_len, check_layout, check_payload_len, ParamError, SchemeFamily,
+};
 use crate::engine::{EngineConfig, PacketDisposition, Scheme};
 use crate::policy::UnionPolicy;
 use crate::wire::BitVec;
@@ -72,8 +74,10 @@ impl DelugeImage {
     /// # Errors
     ///
     /// An empty image, one whose length is not `params.image_len`, a
-    /// zero page capacity, or more pages than are addressable.
+    /// zero page capacity, more pages than are addressable, or a payload
+    /// longer than the wire can frame.
     pub fn try_new(data: Vec<u8>, params: ImageParams) -> Result<Self, ParamError> {
+        check_payload_len("payload_len", params.payload_len).map_err(ParamError)?;
         check_layout(params.image_len, params.page_capacity()).map_err(ParamError)?;
         check_image_len(&data, params.image_len)?;
         let mut padded = data;
@@ -421,6 +425,23 @@ mod tests {
             }
         }
         assert_eq!(rx.image().unwrap(), img.bytes());
+    }
+
+    #[test]
+    fn payload_longer_than_the_wire_length_field_is_rejected() {
+        // 65 536 bytes used to wrap the u16 length to 0: every receiver
+        // dropped the frame as malformed and the run never completed.
+        let p = ImageParams {
+            payload_len: crate::wire::MAX_PAYLOAD_LEN + 1,
+            ..params()
+        };
+        let err = DelugeImage::try_new(vec![0u8; p.image_len], p).unwrap_err();
+        assert!(err.0.contains("payload_len is 65536 bytes"), "{err}");
+        let fits = ImageParams {
+            payload_len: crate::wire::MAX_PAYLOAD_LEN,
+            ..params()
+        };
+        assert!(DelugeImage::try_new(vec![0u8; fits.image_len], fits).is_ok());
     }
 
     #[test]

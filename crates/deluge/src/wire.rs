@@ -8,6 +8,10 @@
 //!
 //! All control packets (advertisements and SNACKs) carry a truncated
 //! cluster-key MAC, as in Seluge/LR-Seluge §IV-E.
+//!
+//! One layout, one reader, one writer: [`Frame`] is a borrowed view of a
+//! message whose `parse` and `to_bytes` are the only code that knows the
+//! byte layout; [`Message`] is its owned form for senders and tests.
 
 use lrs_crypto::cluster::{ClusterKey, MacTag, MAC_LEN};
 use lrs_host::node::NodeId;
@@ -286,20 +290,276 @@ impl Message {
         }
     }
 
-    /// Verifies the cluster-key MAC of a control packet. Data and
-    /// signature packets are authenticated by their scheme instead.
-    pub fn mac_ok(&self, key: &ClusterKey) -> bool {
-        match self {
+    /// The borrowed view of this message, which checks its MAC and
+    /// writes its bytes.
+    pub fn as_frame(&self) -> Frame<'_> {
+        match *self {
             Message::Adv {
                 from,
                 version,
                 level,
                 mac,
-            } => {
-                let parts = Self::adv_mac_parts(*from, *version, *level);
-                key.check(&[b"adv", &parts[0], &parts[1], &parts[2]], mac)
-            }
+            } => Frame::Adv {
+                from,
+                version,
+                level,
+                mac,
+            },
             Message::Snack {
+                from,
+                target,
+                version,
+                item,
+                ref bits,
+                mac,
+                pairwise_mac,
+            } => Frame::Snack {
+                from,
+                target,
+                version,
+                item,
+                nbits: bits.len(),
+                bits: bits.as_bytes(),
+                mac,
+                pairwise_mac,
+            },
+            Message::Data {
+                version,
+                item,
+                index,
+                ref payload,
+            } => Frame::Data {
+                version,
+                item,
+                index,
+                payload,
+            },
+            Message::Signature { version, ref body } => Frame::Signature { version, body },
+        }
+    }
+
+    /// Verifies the cluster-key MAC of a control packet (see
+    /// [`Frame::mac_ok`]).
+    pub fn mac_ok(&self, key: &ClusterKey) -> bool {
+        self.as_frame().mac_ok(key)
+    }
+
+    /// Serializes to wire bytes (see [`Frame::to_bytes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a length field would not fit the wire.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.as_frame().to_bytes()
+    }
+
+    /// Parses wire bytes into an owned message; returns `None` on any
+    /// malformation (an adversary may send arbitrary garbage).
+    pub fn from_bytes(bytes: &[u8]) -> Option<Message> {
+        Frame::parse(bytes).map(Frame::to_message)
+    }
+}
+
+/// Longest variable-length field the wire can carry: SNACK bit counts,
+/// data payloads and signature bodies are framed by a `u16` length. A
+/// parameter set whose packets exceed it is rejected at validation
+/// (`ParamError`); [`Frame::to_bytes`] asserts it rather than wrap.
+pub const MAX_PAYLOAD_LEN: usize = u16::MAX as usize;
+
+/// A borrowed view of one wire message: the fixed fields decoded, the
+/// variable-length ones pointing into the bytes it was parsed from.
+/// [`Frame::parse`] is the only reader of the wire layout and
+/// [`Frame::to_bytes`] the only writer; [`Message`] is the owned form
+/// ([`Frame::to_message`], [`Message::as_frame`]). A receiver matches on
+/// the view, so a data payload reaches the scheme without a copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// See [`Message::Adv`].
+    Adv {
+        /// Advertising node.
+        from: NodeId,
+        /// Code image version.
+        version: u16,
+        /// Number of leading complete items.
+        level: u16,
+        /// Cluster-key MAC over the fields above.
+        mac: MacTag,
+    },
+    /// See [`Message::Snack`].
+    Snack {
+        /// Requesting node.
+        from: NodeId,
+        /// The node expected to serve the request.
+        target: NodeId,
+        /// Code image version.
+        version: u16,
+        /// Requested item.
+        item: u16,
+        /// Length of the request bit vector, in bits.
+        nbits: usize,
+        /// The bit vector's `ceil(nbits / 8)` raw bytes
+        /// ([`BitVec::as_bytes`] layout).
+        bits: &'a [u8],
+        /// Cluster-key MAC over the fields above.
+        mac: MacTag,
+        /// Optional LEAP pairwise MAC.
+        pairwise_mac: Option<MacTag>,
+    },
+    /// See [`Message::Data`].
+    Data {
+        /// Code image version.
+        version: u16,
+        /// Item index.
+        item: u16,
+        /// Packet index within the item.
+        index: u16,
+        /// Scheme-defined payload.
+        payload: &'a [u8],
+    },
+    /// See [`Message::Signature`].
+    Signature {
+        /// Code image version.
+        version: u16,
+        /// Scheme-defined body.
+        body: &'a [u8],
+    },
+}
+
+impl<'a> Frame<'a> {
+    /// Parses wire bytes; returns `None` on any malformation (an
+    /// adversary may send arbitrary garbage).
+    pub fn parse(bytes: &'a [u8]) -> Option<Frame<'a>> {
+        let (&tag, rest) = bytes.split_first()?;
+        let mut r = Reader(rest);
+        let frame = match tag {
+            TAG_ADV => Frame::Adv {
+                from: NodeId(r.u32()?),
+                version: r.u16()?,
+                level: r.u16()?,
+                mac: MacTag(r.array::<MAC_LEN>()?),
+            },
+            TAG_SNACK => {
+                let from = NodeId(r.u32()?);
+                let target = NodeId(r.u32()?);
+                let version = r.u16()?;
+                let item = r.u16()?;
+                let nbits = r.u16()? as usize;
+                let bits = r.take(nbits.div_ceil(8))?;
+                let mac = MacTag(r.array::<MAC_LEN>()?);
+                let pairwise_mac = match r.take(1)?[0] {
+                    0 => None,
+                    1 => Some(MacTag(r.array::<MAC_LEN>()?)),
+                    _ => return None,
+                };
+                Frame::Snack {
+                    from,
+                    target,
+                    version,
+                    item,
+                    nbits,
+                    bits,
+                    mac,
+                    pairwise_mac,
+                }
+            }
+            TAG_DATA => {
+                let version = r.u16()?;
+                let item = r.u16()?;
+                let index = r.u16()?;
+                let len = r.u16()? as usize;
+                Frame::Data {
+                    version,
+                    item,
+                    index,
+                    payload: r.take(len)?,
+                }
+            }
+            TAG_SIG => {
+                let version = r.u16()?;
+                let len = r.u16()? as usize;
+                Frame::Signature {
+                    version,
+                    body: r.take(len)?,
+                }
+            }
+            _ => return None,
+        };
+        if !r.0.is_empty() {
+            return None;
+        }
+        Some(frame)
+    }
+
+    /// The owned message, copying the variable-length fields.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a hand-built SNACK frame whose `bits` is not
+    /// `ceil(nbits / 8)` bytes long; [`parse`](Self::parse) never
+    /// produces one.
+    pub fn to_message(self) -> Message {
+        match self {
+            Frame::Adv {
+                from,
+                version,
+                level,
+                mac,
+            } => Message::Adv {
+                from,
+                version,
+                level,
+                mac,
+            },
+            Frame::Snack {
+                from,
+                target,
+                version,
+                item,
+                nbits,
+                bits,
+                mac,
+                pairwise_mac,
+            } => Message::Snack {
+                from,
+                target,
+                version,
+                item,
+                bits: BitVec::from_bytes(bits, nbits).expect("a frame's bits span its bit count"),
+                mac,
+                pairwise_mac,
+            },
+            Frame::Data {
+                version,
+                item,
+                index,
+                payload,
+            } => Message::Data {
+                version,
+                item,
+                index,
+                payload: payload.to_vec(),
+            },
+            Frame::Signature { version, body } => Message::Signature {
+                version,
+                body: body.to_vec(),
+            },
+        }
+    }
+
+    /// Verifies the cluster-key MAC of a control packet. Data and
+    /// signature packets are authenticated by their scheme instead.
+    pub fn mac_ok(&self, key: &ClusterKey) -> bool {
+        match *self {
+            Frame::Adv {
+                from,
+                version,
+                level,
+                mac,
+            } => {
+                let parts = Message::adv_mac_parts(from, version, level);
+                key.check(&[b"adv", &parts[0], &parts[1], &parts[2]], &mac)
+            }
+            Frame::Snack {
                 from,
                 target,
                 version,
@@ -314,19 +574,25 @@ impl Message {
                     &target.0.to_be_bytes(),
                     &version.to_be_bytes(),
                     &item.to_be_bytes(),
-                    bits.as_bytes(),
+                    bits,
                 ],
-                mac,
+                &mac,
             ),
-            Message::Data { .. } | Message::Signature { .. } => true,
+            Frame::Data { .. } | Frame::Signature { .. } => true,
         }
     }
 
     /// Serializes to wire bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a SNACK's bit count, a data payload or a signature body
+    /// exceeds [`MAX_PAYLOAD_LEN`]: a wrapped length field would make
+    /// every receiver drop the frame as malformed.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match self {
-            Message::Adv {
+        match *self {
+            Frame::Adv {
                 from,
                 version,
                 level,
@@ -338,11 +604,12 @@ impl Message {
                 out.extend_from_slice(&level.to_be_bytes());
                 out.extend_from_slice(&mac.0);
             }
-            Message::Snack {
+            Frame::Snack {
                 from,
                 target,
                 version,
                 item,
+                nbits,
                 bits,
                 mac,
                 pairwise_mac,
@@ -352,8 +619,8 @@ impl Message {
                 out.extend_from_slice(&target.0.to_be_bytes());
                 out.extend_from_slice(&version.to_be_bytes());
                 out.extend_from_slice(&item.to_be_bytes());
-                out.extend_from_slice(&(bits.len() as u16).to_be_bytes());
-                out.extend_from_slice(bits.as_bytes());
+                out.extend_from_slice(&length_field(nbits));
+                out.extend_from_slice(bits);
                 out.extend_from_slice(&mac.0);
                 match pairwise_mac {
                     Some(t) => {
@@ -363,7 +630,7 @@ impl Message {
                     None => out.push(0),
                 }
             }
-            Message::Data {
+            Frame::Data {
                 version,
                 item,
                 index,
@@ -373,87 +640,31 @@ impl Message {
                 out.extend_from_slice(&version.to_be_bytes());
                 out.extend_from_slice(&item.to_be_bytes());
                 out.extend_from_slice(&index.to_be_bytes());
-                out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+                out.extend_from_slice(&length_field(payload.len()));
                 out.extend_from_slice(payload);
             }
-            Message::Signature { version, body } => {
+            Frame::Signature { version, body } => {
                 out.push(TAG_SIG);
                 out.extend_from_slice(&version.to_be_bytes());
-                out.extend_from_slice(&(body.len() as u16).to_be_bytes());
+                out.extend_from_slice(&length_field(body.len()));
                 out.extend_from_slice(body);
             }
         }
         out
     }
+}
 
-    /// Parses wire bytes; returns `None` on any malformation (an
-    /// adversary may send arbitrary garbage).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Message> {
-        let (&tag, rest) = bytes.split_first()?;
-        let mut r = Reader(rest);
-        let msg = match tag {
-            TAG_ADV => {
-                let from = NodeId(r.u32()?);
-                let version = r.u16()?;
-                let level = r.u16()?;
-                let mac = MacTag(r.array::<MAC_LEN>()?);
-                Message::Adv {
-                    from,
-                    version,
-                    level,
-                    mac,
-                }
-            }
-            TAG_SNACK => {
-                let from = NodeId(r.u32()?);
-                let target = NodeId(r.u32()?);
-                let version = r.u16()?;
-                let item = r.u16()?;
-                let nbits = r.u16()? as usize;
-                let bytes = r.take(nbits.div_ceil(8))?;
-                let bits = BitVec::from_bytes(bytes, nbits)?;
-                let mac = MacTag(r.array::<MAC_LEN>()?);
-                let pairwise_mac = match r.take(1)?[0] {
-                    0 => None,
-                    1 => Some(MacTag(r.array::<MAC_LEN>()?)),
-                    _ => return None,
-                };
-                Message::Snack {
-                    from,
-                    target,
-                    version,
-                    item,
-                    bits,
-                    mac,
-                    pairwise_mac,
-                }
-            }
-            TAG_DATA => {
-                let version = r.u16()?;
-                let item = r.u16()?;
-                let index = r.u16()?;
-                let len = r.u16()? as usize;
-                let payload = r.take(len)?.to_vec();
-                Message::Data {
-                    version,
-                    item,
-                    index,
-                    payload,
-                }
-            }
-            TAG_SIG => {
-                let version = r.u16()?;
-                let len = r.u16()? as usize;
-                let body = r.take(len)?.to_vec();
-                Message::Signature { version, body }
-            }
-            _ => return None,
-        };
-        if !r.0.is_empty() {
-            return None;
-        }
-        Some(msg)
-    }
+/// A `u16` length field, big-endian.
+///
+/// # Panics
+///
+/// Panics past [`MAX_PAYLOAD_LEN`].
+fn length_field(len: usize) -> [u8; 2] {
+    assert!(
+        len <= MAX_PAYLOAD_LEN,
+        "length {len} does not fit the wire's u16 length field (max {MAX_PAYLOAD_LEN})"
+    );
+    (len as u16).to_be_bytes()
 }
 
 struct Reader<'a>(&'a [u8]);
@@ -561,6 +772,23 @@ mod tests {
             let parsed = Message::from_bytes(&bytes).expect("parse");
             assert_eq!(parsed, m);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "length 65536 does not fit the wire's u16 length field")]
+    fn oversized_payload_asserts_instead_of_wrapping() {
+        // The longest payload the length field holds round-trips; one
+        // byte more used to be written with length 0, a frame every
+        // receiver rejects.
+        let data = |len| Message::Data {
+            version: 1,
+            item: 2,
+            index: 3,
+            payload: vec![0x5A; len],
+        };
+        let longest = data(MAX_PAYLOAD_LEN);
+        assert_eq!(Message::from_bytes(&longest.to_bytes()), Some(longest));
+        data(MAX_PAYLOAD_LEN + 1).to_bytes();
     }
 
     #[test]

@@ -4,9 +4,24 @@
 //! the suite runs offline and reproduces exactly.
 
 use lrs_crypto::cluster::{ClusterKey, MacTag};
-use lrs_deluge::wire::{BitVec, Message};
+use lrs_deluge::wire::{BitVec, Frame, Message};
 use lrs_host::node::NodeId;
 use lrs_rng::DetRng;
+
+/// `Message::from_bytes`, checked on every call against the borrowed
+/// parse a receiver matches on: both accept exactly the same bytes, the
+/// view's owned form is the message, and the message views back to the
+/// same frame.
+fn parse(bytes: &[u8]) -> Option<Message> {
+    let owned = Message::from_bytes(bytes);
+    let view = Frame::parse(bytes);
+    assert_eq!(view.is_some(), owned.is_some(), "{bytes:02x?}");
+    if let (Some(view), Some(owned)) = (view, &owned) {
+        assert_eq!(view.to_message(), *owned);
+        assert_eq!(owned.as_frame(), view);
+    }
+    owned
+}
 
 /// Arbitrary byte soup: parse returns None or Some, never panics.
 #[test]
@@ -16,7 +31,7 @@ fn parser_never_panics() {
         let len = rng.gen_range(0usize..300);
         let mut bytes = vec![0u8; len];
         rng.fill_bytes(&mut bytes);
-        let _ = Message::from_bytes(&bytes);
+        let _ = parse(&bytes);
     }
 }
 
@@ -30,7 +45,7 @@ fn truncations_never_panic() {
     for _ in 0..256 {
         let bytes = Message::adv(&key, NodeId(rng.gen()), rng.gen(), rng.gen()).to_bytes();
         let cut = rng.gen_range(0usize..14).min(bytes.len());
-        let _ = Message::from_bytes(&bytes[..bytes.len() - cut]);
+        let _ = parse(&bytes[..bytes.len() - cut]);
     }
 }
 
@@ -41,7 +56,7 @@ fn adv_roundtrip() {
     let mut rng = DetRng::seed_from_u64(0x61_64_76);
     for _ in 0..256 {
         let m = Message::adv(&key, NodeId(rng.gen()), rng.gen(), rng.gen());
-        assert_eq!(Message::from_bytes(&m.to_bytes()), Some(m));
+        assert_eq!(parse(&m.to_bytes()), Some(m));
     }
 }
 
@@ -69,7 +84,7 @@ fn snack_roundtrip() {
             rng.fill_bytes(&mut tag);
             m = m.with_pairwise_mac(MacTag(tag));
         }
-        assert_eq!(Message::from_bytes(&m.to_bytes()), Some(m));
+        assert_eq!(parse(&m.to_bytes()), Some(m));
     }
 }
 
@@ -86,7 +101,7 @@ fn data_roundtrip() {
             index: rng.gen(),
             payload,
         };
-        assert_eq!(Message::from_bytes(&m.to_bytes()), Some(m));
+        assert_eq!(parse(&m.to_bytes()), Some(m));
     }
 }
 
@@ -125,13 +140,13 @@ fn every_prefix_of_every_kind_is_rejected() {
         let bytes = m.to_bytes();
         for cut in 0..bytes.len() {
             assert_eq!(
-                Message::from_bytes(&bytes[..cut]),
+                parse(&bytes[..cut]),
                 None,
                 "prefix of length {cut}/{} parsed for {m:?}",
                 bytes.len()
             );
         }
-        assert_eq!(Message::from_bytes(&bytes), Some(m));
+        assert_eq!(parse(&bytes), Some(m));
     }
 }
 
@@ -147,7 +162,7 @@ fn flipped_kind_tags_never_panic_and_stay_canonical() {
         for tag in 0u8..=255 {
             let mut flipped = bytes.clone();
             flipped[0] = tag;
-            match Message::from_bytes(&flipped) {
+            match parse(&flipped) {
                 None => {}
                 Some(reframed) => assert_eq!(reframed.to_bytes(), flipped),
             }
@@ -171,12 +186,12 @@ fn oversized_length_fields_are_rejected() {
     for claimed in [41u16, 64, 1024, u16::MAX] {
         let mut bytes = data.clone();
         bytes[7..9].copy_from_slice(&claimed.to_be_bytes());
-        assert_eq!(Message::from_bytes(&bytes), None, "claimed {claimed}");
+        assert_eq!(parse(&bytes), None, "claimed {claimed}");
     }
     // Undersized claims leave trailing garbage: also rejected.
     let mut bytes = data.clone();
     bytes[7..9].copy_from_slice(&10u16.to_be_bytes());
-    assert_eq!(Message::from_bytes(&bytes), None);
+    assert_eq!(parse(&bytes), None);
 
     // Signature packet: the body-length u16 lives at bytes 3..5.
     let sig = Message::Signature {
@@ -187,7 +202,7 @@ fn oversized_length_fields_are_rejected() {
     for claimed in [17u16, 4096, u16::MAX] {
         let mut bytes = sig.clone();
         bytes[3..5].copy_from_slice(&claimed.to_be_bytes());
-        assert_eq!(Message::from_bytes(&bytes), None, "claimed {claimed}");
+        assert_eq!(parse(&bytes), None, "claimed {claimed}");
     }
 
     // SNACK: the bit-count u16 lives at bytes 13..15; an oversized
@@ -197,7 +212,7 @@ fn oversized_length_fields_are_rejected() {
     for claimed in [u16::MAX, 1024, 33] {
         let mut bytes = snack.clone();
         bytes[13..15].copy_from_slice(&claimed.to_be_bytes());
-        assert_eq!(Message::from_bytes(&bytes), None, "claimed {claimed}");
+        assert_eq!(parse(&bytes), None, "claimed {claimed}");
     }
 }
 
@@ -214,7 +229,7 @@ fn accepted_byte_strings_are_canonical() {
         rng.fill_bytes(&mut bytes);
         // Bias toward valid tags so some parses succeed.
         bytes[0] = rng.gen_range(0u32..6) as u8;
-        if let Some(m) = Message::from_bytes(&bytes) {
+        if let Some(m) = parse(&bytes) {
             accepted += 1;
             assert_eq!(m.to_bytes(), bytes);
         }
@@ -237,7 +252,7 @@ fn flipped_control_packets_fail_mac() {
         let pos = rng.gen_range(1usize..bytes.len());
         let mask = rng.gen_range(1u32..=255) as u8;
         bytes[pos] ^= mask;
-        match Message::from_bytes(&bytes) {
+        match parse(&bytes) {
             None => {}
             Some(m) => assert!(!m.mac_ok(&key), "flipped byte {pos} accepted"),
         }

@@ -164,19 +164,27 @@ impl<P: Protocol, T: Transport> Host<P, T> {
             );
             f(&mut self.protocol, &mut ctx);
         }
-        let actions = std::mem::take(&mut self.actions);
-        for action in actions {
-            match action {
-                Action::Broadcast { kind, data } => {
-                    let frame = encode_frame(self.id, kind, &data);
-                    self.transport.send(&frame)?;
-                    self.tx_frames += 1;
-                }
-                Action::SetTimer { timer, delay } => self.wheel.arm(timer, now + delay),
-                Action::CancelTimer { timer } => self.wheel.cancel(timer),
-                // Observational only; real hosts have no trace sink yet.
-                Action::Note { .. } => {}
+        // The buffer goes back afterwards, so dispatches reuse one
+        // allocation (a failed send drops the actions after it).
+        let mut actions = std::mem::take(&mut self.actions);
+        let applied = actions
+            .drain(..)
+            .try_for_each(|action| self.apply(now, action));
+        self.actions = actions;
+        applied
+    }
+
+    fn apply(&mut self, now: SimTime, action: Action) -> io::Result<()> {
+        match action {
+            Action::Broadcast { kind, data } => {
+                let frame = encode_frame(self.id, kind, &data);
+                self.transport.send(&frame)?;
+                self.tx_frames += 1;
             }
+            Action::SetTimer { timer, delay } => self.wheel.arm(timer, now + delay),
+            Action::CancelTimer { timer } => self.wheel.cancel(timer),
+            // Observational only; real hosts have no trace sink yet.
+            Action::Note { .. } => {}
         }
         Ok(())
     }
@@ -211,8 +219,8 @@ impl<P: Protocol, T: Transport> Host<P, T> {
             match decode_frame(&datagram) {
                 Some(frame) if frame.from != self.id => {
                     self.rx_frames += 1;
-                    let (from, payload) = (frame.from, frame.payload.to_vec());
-                    self.dispatch(|p, ctx| p.on_packet(ctx, from, &payload))?;
+                    // `frame` borrows the local datagram, not `self`.
+                    self.dispatch(|p, ctx| p.on_packet(ctx, frame.from, frame.payload))?;
                 }
                 _ => self.rx_rejected += 1,
             }

@@ -5,7 +5,7 @@
 
 use lrs_host::node::{NodeId, PacketKind, TimerId};
 use lrs_host::time::SimTime;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -50,34 +50,17 @@ pub enum Event {
     },
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// A deterministic future-event list.
+///
+/// The heap orders 24-byte `(at, seq, slot)` keys; the events themselves
+/// sit still in a slab (`slot` indexes it) whose vacated slots are
+/// reused, so a sift moves keys, never payloads. `seq` is unique, so the
+/// order is exactly `(at, seq)` and `slot` never breaks a tie.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Scheduled>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slab: Vec<Option<Event>>,
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -91,17 +74,30 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let event = self.slab[slot as usize].take();
+        self.free.push(slot);
+        Some((at, event.expect("a queued key's slot holds its event")))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.at)
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     /// Number of pending events.
@@ -112,7 +108,10 @@ impl EventQueue {
     /// Iterates over pending events in arbitrary (heap) order, without
     /// draining them. Used for diagnostic dumps.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &Event)> {
-        self.heap.iter().map(|Reverse(s)| (s.at, &s.event))
+        self.heap.iter().map(|Reverse((at, _, slot))| {
+            let event = self.slab[*slot as usize].as_ref();
+            (*at, event.expect("a queued key's slot holds its event"))
+        })
     }
 
     /// Whether no events are pending.
@@ -156,6 +155,67 @@ mod tests {
             })
             .collect();
         assert_eq!(gens, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// Drives the queue and a reference `BinaryHeap<Reverse<(at, seq)>>`
+    /// with one random push/pop interleaving: four timestamps ahead of
+    /// the clock (so ties are the rule), alternating fill and drain
+    /// phases that empty the slab and refill it through the free list.
+    /// Each event carries its sequence number as its timer generation,
+    /// so a pop names the key it came from.
+    fn differential(seed: u64, ops: usize) {
+        let mut rng = lrs_rng::DetRng::seed_from_u64(seed);
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let generation = |event: &Event| match event {
+            Event::Timer { generation, .. } => *generation,
+            _ => unreachable!("only timers are pushed"),
+        };
+        for op in 0..ops {
+            let filling = (op / 256) % 2 == 0;
+            if rng.gen_bool(if filling { 0.8 } else { 0.2 }) {
+                let at = SimTime(now + rng.gen_range(0u64..4) * 10);
+                q.push(at, timer(rng.gen_range(0u32..8), seq));
+                model.push(Reverse((at, seq)));
+                seq += 1;
+            } else {
+                let got = q.pop().map(|(at, e)| (at, generation(&e)));
+                let want = model.pop().map(|Reverse(key)| key);
+                assert_eq!(got, want, "seed {seed} op {op}");
+                if let Some((at, _)) = want {
+                    now = at.0;
+                }
+            }
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.is_empty(), model.is_empty());
+            assert_eq!(q.peek_time(), model.peek().map(|Reverse((at, _))| *at));
+            if op % 8 == 0 {
+                let mut pending: Vec<_> = q.iter().map(|(at, e)| (at, generation(e))).collect();
+                let mut expected: Vec<_> = model.iter().map(|Reverse(key)| *key).collect();
+                pending.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(pending, expected, "seed {seed} op {op}");
+            }
+        }
+        assert!(q.slab.len() * 2 < seq as usize, "slots were reused");
+    }
+
+    #[test]
+    fn matches_a_reference_heap_under_ties_and_slot_reuse() {
+        for seed in 0..8 {
+            differential(seed, 2_000);
+        }
+    }
+
+    /// The long form, run by CI in release (`-- --ignored`).
+    #[test]
+    #[ignore]
+    fn matches_a_reference_heap_long() {
+        for seed in 0..64 {
+            differential(0x6576_0000 + seed, 50_000);
+        }
     }
 
     #[test]

@@ -195,7 +195,7 @@ pub struct Simulator<P: Protocol> {
     topology: Topology,
     medium: Medium,
     queue: EventQueue,
-    protocols: Vec<Option<P>>,
+    protocols: Vec<P>,
     rngs: Vec<DetRng>,
     /// Per node, the arm generation of each timer it has touched.
     timer_gens: Vec<Vec<(TimerId, u64)>>,
@@ -262,7 +262,7 @@ impl<P: Protocol> Simulator<P> {
         } = parts;
         let n = topology.len();
         let medium = Medium::new(config.medium, n, seed);
-        let protocols: Vec<Option<P>> = (0..n).map(|i| Some(make_node(NodeId(i as u32)))).collect();
+        let protocols: Vec<P> = (0..n).map(|i| make_node(NodeId(i as u32))).collect();
         let rngs = (0..n)
             .map(|i| DetRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15) ^ (i as u64)))
             .collect();
@@ -427,9 +427,7 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &P {
-        self.protocols[id.index()]
-            .as_ref()
-            .expect("node is not mid-callback")
+        &self.protocols[id.index()]
     }
 
     /// Sum of per-node progress over live nodes, for the watchdog.
@@ -438,8 +436,7 @@ impl<P: Protocol> Simulator<P> {
             .iter()
             .enumerate()
             .filter(|&(i, _)| !self.failed[i])
-            .filter_map(|(_, p)| p.as_ref())
-            .map(|p| p.progress() as u128)
+            .map(|(_, p)| p.progress() as u128)
             .sum()
     }
 
@@ -476,8 +473,8 @@ impl<P: Protocol> Simulator<P> {
                 node: NodeId(i as u32),
                 complete: self.complete[i],
                 failed: self.failed[i],
-                progress: p.as_ref().map_or(0, |p| p.progress()),
-                detail: p.as_ref().map(|p| p.diagnostic()).unwrap_or_default(),
+                progress: p.progress(),
+                detail: p.diagnostic(),
             })
             .collect();
         DiagnosticDump {
@@ -669,19 +666,16 @@ impl<P: Protocol> Simulator<P> {
         if self.violation.is_some() {
             return;
         }
-        let Some(mut check) = self.invariant.take() else {
+        let Some(check) = self.invariant.as_mut() else {
             return;
         };
-        if let Some(p) = self.protocols[node.index()].as_ref() {
-            if let Err(violation) = check(p, node) {
-                self.violation = Some(ViolationRecord {
-                    at: self.now,
-                    node,
-                    violation,
-                });
-            }
+        if let Err(violation) = check(&self.protocols[node.index()], node) {
+            self.violation = Some(ViolationRecord {
+                at: self.now,
+                node,
+                violation,
+            });
         }
-        self.invariant = Some(check);
     }
 
     /// Whether every node is complete or crash-failed (a dead node no
@@ -726,7 +720,7 @@ impl<P: Protocol> Simulator<P> {
 
     fn refresh_completion(&mut self) {
         for i in 0..self.protocols.len() {
-            if !self.complete[i] && self.protocols[i].as_ref().is_some_and(P::is_complete) {
+            if !self.complete[i] && self.protocols[i].is_complete() {
                 self.mark_complete(i);
             }
         }
@@ -841,28 +835,24 @@ impl<P: Protocol> Simulator<P> {
         true
     }
 
-    /// Runs `f` with node `i`'s protocol and a fresh context, then applies
-    /// the produced actions.
+    /// Runs `f` on node `i`'s protocol in place, with a context over its
+    /// RNG stream and the shared action buffer (disjoint fields), then
+    /// checks completion and applies the produced actions.
     fn with_node(&mut self, i: usize, f: impl FnOnce(&mut P, &mut Context<'_>)) {
-        let mut node = self.protocols[i].take().expect("re-entrant node callback");
-        let mut actions = std::mem::take(&mut self.actions);
-        {
-            let cfg = self.medium.config();
-            let mut ctx = Context::new(
-                self.now,
-                NodeId(i as u32),
-                &mut self.rngs[i],
-                &mut actions,
-                cfg.us_per_byte,
-                cfg.per_packet_overhead_us,
-            );
-            f(&mut node, &mut ctx);
-        }
-        // Completion check before re-inserting.
-        if !self.complete[i] && node.is_complete() {
+        let cfg = self.medium.config();
+        let mut ctx = Context::new(
+            self.now,
+            NodeId(i as u32),
+            &mut self.rngs[i],
+            &mut self.actions,
+            cfg.us_per_byte,
+            cfg.per_packet_overhead_us,
+        );
+        f(&mut self.protocols[i], &mut ctx);
+        if !self.complete[i] && self.protocols[i].is_complete() {
             self.mark_complete(i);
         }
-        self.protocols[i] = Some(node);
+        let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
             self.apply_action(NodeId(i as u32), action);
         }

@@ -12,7 +12,7 @@ use lrs_crypto::sha256::sha256_concat;
 use lrs_deluge::bootstrap::{
     frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
 };
-use lrs_deluge::deployment::{check_image_len, check_layout, ParamError};
+use lrs_deluge::deployment::{check_image_len, check_layout, check_payload_len, ParamError};
 
 /// Static Seluge layout parameters, preloaded on every node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +103,8 @@ impl SelugeParams {
                 self.hash_page_chunks
             ));
         }
+        check_payload_len("a data packet payload", self.data_payload_len())?;
+        check_payload_len("a hash-page packet payload", self.hash_page_payload_len())?;
         check_layout(self.image_len, self.page_capacity())
     }
 }
@@ -297,6 +299,36 @@ mod tests {
         };
         assert_eq!(huge.pages(), 3);
         assert!(build(&vec![0u8; huge.image_len], huge).is_err(), "wrapped");
+    }
+
+    #[test]
+    fn payloads_longer_than_the_wire_length_field_are_rejected() {
+        // Both used to validate, then wrap their u16 length on the wire,
+        // so every receiver dropped every such packet.
+        let p = small_params();
+        let slice = SelugeParams {
+            slice_len: 70_000,
+            ..p
+        };
+        let err = slice.validate().unwrap_err();
+        assert!(err.contains("data packet payload is 70008 bytes"), "{err}");
+        // 16 384 hash images of page 1 in one chunk: a 131 072-byte
+        // hash-page packet.
+        let hash_page = SelugeParams {
+            packets_per_page: 16_384,
+            hash_page_chunks: 1,
+            ..p
+        };
+        let err = hash_page.validate().unwrap_err();
+        assert!(
+            err.contains("hash-page packet payload is 131072 bytes"),
+            "{err}"
+        );
+        let fits = SelugeParams {
+            slice_len: lrs_deluge::wire::MAX_PAYLOAD_LEN - HASH_IMAGE_LEN,
+            ..p
+        };
+        assert_eq!(fits.validate(), Ok(()));
     }
 
     #[test]
