@@ -22,10 +22,11 @@
 //!     With --spec the grid is built in memory: no campaign directory
 //!     is created or required.
 //!
-//! campaign --smoke [--kill-after K]
-//!     CI gate: a built-in 24-job grid (both schemes × two loss rates ×
-//!     quiet/crashy faults × 3 seeds) into results/campaign-smoke.
 //! ```
+//!
+//! The committed grids live in `examples/campaign/`: `smoke.toml` is
+//! the CI gate, `chaos.toml` the fault sweep and `attack.toml` the
+//! §IV-E adversary grid.
 //!
 //! Jobs that end diagnostically (stalled, invariant violated) dump
 //! failure capsules under `<dir>/failures/`, loadable by
@@ -37,21 +38,7 @@ use lrs_bench::{CampaignSpec, Cli, Json};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// The CI smoke grid: small enough for one core, wide enough to cover
-/// both schemes, a lossy cell, and a crash-faulted cell.
-const SMOKE_SPEC: &str = r#"
-name = "smoke"
-schemes = ["lr-seluge", "seluge"]
-topologies = ["star:6"]
-loss_ppm = [50_000, 200_000]
-faults = ["none", "crash=0.5"]
-seeds = 3
-image_bytes = 768
-deadline_s = 3000
-"#;
-
 const FLAGS: &[lrs_bench::cli::Flag] = &[
-    lrs_bench::cli::flag("--smoke", "CI gate: the built-in 24-job grid"),
     lrs_bench::cli::valued("--spec", "start a campaign from a TOML/JSON grid spec"),
     lrs_bench::cli::valued(
         "--resume",
@@ -73,18 +60,14 @@ const FLAGS: &[lrs_bench::cli::Flag] = &[
 ];
 
 fn parse_spec(cli: &Cli) -> Result<CampaignSpec, String> {
-    let (text, source) = if cli.smoke() {
-        (SMOKE_SPEC.to_string(), "built-in smoke grid".to_string())
-    } else if let Some(path) = cli.value("--spec") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read spec {path}: {e}"))?;
-        (text, path.to_string())
-    } else {
+    let Some(path) = cli.value("--spec") else {
         return Err(format!(
-            "no grid given; pass --spec, --resume, or --smoke\n{}",
+            "no grid given; pass --spec or --resume\n{}",
             cli.usage()
         ));
     };
-    CampaignSpec::parse(&text).map_err(|e| format!("{source}: {e}"))
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read spec {path}: {e}"))?;
+    CampaignSpec::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn open_campaign(cli: &Cli) -> Result<Campaign, String> {
@@ -100,7 +83,7 @@ fn open_campaign(cli: &Cli) -> Result<Campaign, String> {
 }
 
 /// The campaign for `--export-job`: exporting is a pure function of
-/// the grid, so a `--spec`/`--smoke` invocation builds the campaign in
+/// the grid, so a `--spec` invocation builds the campaign in
 /// memory — it must not create (or collide with) an on-disk campaign
 /// directory as a side effect. `--resume` still reads the manifest.
 fn export_campaign(cli: &Cli) -> Result<Campaign, String> {

@@ -9,8 +9,8 @@
 //! on a capsule it refuses to load, on tags it cannot rebuild, and on
 //! divergence.
 //!
-//! Capsules written by `chaos --capsule DIR`, a campaign's `failures/`
-//! and `campaign --export-job` all load here directly.
+//! Capsules from a campaign's `failures/`, `campaign --export-job` and
+//! the committed `results/capsules/` all load here directly.
 
 use lrs_bench::capsules::replay_capsule;
 use lrs_bench::cli::{exit_with_usage, positional, Cli, Flag};

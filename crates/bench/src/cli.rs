@@ -5,16 +5,14 @@
 //! flags and positional slots, parsing rejects anything undeclared, and
 //! errors are typed ([`CliError`]) so `main` can render them once
 //! instead of sprinkling `eprintln!` + `exit` at each parse site.
-//! Common conveniences (`--smoke`/`--quick`/`--json` flags, `--threads`
-//! with the `LRS_THREADS` fallback, the `--capsule <dir>`
-//! flight-recorder knob) live here so they behave identically across
-//! `chaos`, `attack`, `campaign`, `replay`, `probe`, the swarm binaries
-//! and `paper`, whose declaration is [`SWEEP_FLAGS`].
+//! Common conveniences (`--smoke`/`--quick` flags, `--threads` with the
+//! `LRS_THREADS` fallback) live here so they behave identically across
+//! `campaign`, `replay`, `probe`, the swarm binaries and `paper`, whose
+//! declaration is [`SWEEP_FLAGS`].
 
 use crate::harness::configured_threads;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
 use std::str::FromStr;
 
 /// One declared flag or positional slot.
@@ -278,11 +276,6 @@ impl Cli {
         self.flag("--quick")
     }
 
-    /// The common `--json` output-format flag.
-    pub fn json(&self) -> bool {
-        self.flag("--json")
-    }
-
     /// Worker threads: `--threads N` when given (and declared),
     /// otherwise the `LRS_THREADS`/auto-detection fallback every bin
     /// shares.
@@ -296,11 +289,6 @@ impl Cli {
             Some(n) => Ok(n),
             None => Ok(configured_threads()),
         }
-    }
-
-    /// The common `--capsule <dir>` flight-recorder knob.
-    pub fn capsule_dir(&self) -> Option<PathBuf> {
-        self.value("--capsule").map(PathBuf::from)
     }
 }
 
@@ -325,7 +313,7 @@ mod tests {
         let cli = parse(&["--smoke", "--capsule", "results/capsules", "--seed", "9"]).unwrap();
         assert!(cli.smoke());
         assert!(!cli.quick());
-        assert_eq!(cli.capsule_dir(), Some(PathBuf::from("results/capsules")));
+        assert_eq!(cli.value("--capsule"), Some("results/capsules"));
         assert_eq!(cli.parsed::<u64>("--seed").unwrap(), Some(9));
         assert_eq!(cli.parsed_or::<u64>("--seed", 7).unwrap(), 9);
     }

@@ -14,27 +14,25 @@
 //! | `overhead` | §V-B           | Per-receiver hashes / signature verifications / erasure ops |
 //! | `table2_3` | Tables II/III  | 15×15 multi-hop grids (tight/medium density) with bursty noise |
 //!
-//! Six more binaries sit beside it:
+//! Four more binaries sit beside it:
 //!
 //! | Binary     | Purpose        | What it does |
 //! |------------|----------------|--------------|
-//! | `attack`   | §IV-E claims   | Bogus-data / forged-signature floods; Deluge corruption contrast; denial-of-receipt budget |
-//! | `chaos`    | robustness     | Fault-intensity sweep with invariant checking and a watchdog demo |
 //! | `probe`    | diagnostics    | One run with per-node statistics (`--trace <file>` for a JSONL event trace) |
 //! | `replay`   | flight recorder| `replay <capsule>`: re-execute a run capsule and verify its digest (see `capsules`) |
-//! | `campaign` | fleets         | Checkpointed Monte-Carlo campaigns over a grid spec (see `campaign`) |
+//! | `campaign` | fleets         | Checkpointed Monte-Carlo campaigns over a grid spec (see `campaign`); the fault sweep and the §IV-E attack grid are the specs `examples/campaign/{chaos,attack}.toml` |
 //! | `campdiff` | regression gate| Statistical diff of two campaign reports (see `diff`) |
 //!
 //! Run any of them with `cargo run -p lrs-bench --release --bin <name>`.
-//! The sweeps (`paper`, `attack`, `chaos`) share one driver, [`sweep`]:
-//! each prints the paper-style series and writes
-//! `results/<name>.{csv,json}` through its one [`Report`].
+//! The `paper` experiments share one driver, [`sweep`]: each prints the
+//! paper-style series and writes `results/<name>.{csv,json}` through
+//! its one [`Report`].
 //!
 //! Every harness is written once over `S: SchemeFamily`
 //! (`lrs_deluge::deployment`): [`runner::run`]`::<S>` is the single
 //! measured run behind `run_lr` / `run_seluge` / `run_deluge`,
-//! [`runner::simulate`] the single build-and-run core under `chaos`,
-//! `attack`, the `overhead` experiment and the campaign engine,
+//! [`runner::simulate`] the single build-and-run core under the
+//! `overhead` experiment and the campaign engine,
 //! [`capsules::population`] the single node factory plus invariant
 //! checker, and [`with_scheme!`] the one place a scheme name picks the
 //! type.
@@ -64,4 +62,4 @@ pub use runner::{
 pub use spec::CampaignSpec;
 pub use stats::{summarize, Summary};
 pub use sweep::{per_scheme, Report, Sample};
-pub use table::{write_csv, Table};
+pub use table::write_csv;

@@ -4,10 +4,10 @@ use crate::capsules::{Member, Population};
 use lr_seluge::{LrScheme, LrSelugeParams};
 use lrs_deluge::bootstrap::PacketDigestCache;
 use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
-use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
+use lrs_deluge::engine::{DisseminationNode, EngineConfig};
 use lrs_deluge::image::{DelugeScheme, ImageParams};
 use lrs_deluge::policy::TxPolicy;
-use lrs_host::node::{NodeId, PacketKind, Protocol};
+use lrs_host::node::{NodeId, PacketKind};
 use lrs_host::time::Duration;
 use lrs_netsim::capsule::CapsuleSpec;
 use lrs_netsim::energy::EnergyModel;
@@ -44,8 +44,9 @@ pub struct ExperimentMetrics {
     pub sig_verifications: f64,
     /// Network-wide authentication rejections (data + control).
     pub auth_rejects: f64,
-    /// Fraction of nodes that completed — the graceful-degradation
-    /// outcome, meaningful even when `completed` is 0.
+    /// Fraction of honest nodes that hold the origin image — the
+    /// graceful-degradation outcome, meaningful even when `completed`
+    /// is 0, and below 1 for a scheme that commits forged bytes.
     pub completion_frac: f64,
     /// Mean verification operations (hashes + puzzle checks + signature
     /// verifications) per node. Under a flood this quantifies how much
@@ -213,8 +214,9 @@ pub fn test_image(len: usize) -> Vec<u8> {
 
 /// Per-node observables summed over the honest population: signature
 /// verifications, authentication rejections, verification operations
-/// (hashes + puzzle checks + signature verifications) and completions.
-/// Attackers are excluded: degradation is measured over honest nodes.
+/// (hashes + puzzle checks + signature verifications) and nodes holding
+/// the origin image. Attackers are excluded: degradation is measured
+/// over honest nodes.
 #[derive(Clone, Copy, Debug, Default)]
 struct HonestTotals {
     nodes: f64,
@@ -225,8 +227,8 @@ struct HonestTotals {
 }
 
 impl HonestTotals {
-    /// One honest node's contribution.
-    fn of<S: Scheme, P: TxPolicy>(node: &DisseminationNode<S, P>) -> Self {
+    /// One honest node's contribution, against the origin `image`.
+    fn of<S: SchemeFamily, P: TxPolicy>(node: &DisseminationNode<S, P>, image: &[u8]) -> Self {
         let cost = node.scheme().cost();
         let st = node.stats();
         HonestTotals {
@@ -234,7 +236,11 @@ impl HonestTotals {
             sig: cost.signature_verifications as f64,
             rejects: (st.auth_rejects + st.mac_rejects) as f64,
             verify_ops: (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64,
-            complete: if node.is_complete() { 1.0 } else { 0.0 },
+            complete: if node.scheme().image().as_deref() == Some(image) {
+                1.0
+            } else {
+                0.0
+            },
         }
     }
 }
@@ -311,22 +317,6 @@ impl<S: SchemeFamily> Finished<S> {
             .count()
     }
 
-    /// Honest nodes that do not hold the origin image.
-    pub fn wrong_images(&self) -> usize {
-        let image = self.deployment.image();
-        self.honest()
-            .filter(|(_, node)| node.scheme().image().as_deref() != Some(image))
-            .count()
-    }
-
-    /// Packets the adversaries injected.
-    pub fn injected(&self) -> u64 {
-        (0..self.sim.topology().len() as u32)
-            .filter_map(|i| self.sim.node(NodeId(i)).attacker())
-            .map(|a| a.injected)
-            .sum()
-    }
-
     /// Whole-network radio energy under the default CC1000 model (J).
     pub fn energy_j(&self) -> f64 {
         self.sim.energy().total_joules(&EnergyModel::default())
@@ -334,7 +324,11 @@ impl<S: SchemeFamily> Finished<S> {
 
     /// The paper's metrics for this run.
     pub fn metrics(&self) -> ExperimentMetrics {
-        let honest = self.honest().map(|(_, node)| HonestTotals::of(node)).sum();
+        let image = self.deployment.image();
+        let honest = self
+            .honest()
+            .map(|(_, node)| HonestTotals::of(node, image))
+            .sum();
         ExperimentMetrics::extract(&self.report, self.sim.metrics(), self.energy_j(), &honest)
     }
 }
@@ -410,7 +404,7 @@ pub fn run_with_policy<S: SchemeFamily, P: TxPolicy + 'static>(
         .map(|id| {
             let node = sim.node(id);
             assert!(deployment.verify(node.scheme()).is_ok(), "{}", S::NAME);
-            HonestTotals::of(node)
+            HonestTotals::of(node, deployment.image())
         })
         .sum();
     let energy_j = sim.energy().total_joules(&EnergyModel::default());

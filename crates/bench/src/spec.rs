@@ -31,10 +31,10 @@ use lrs_netsim::sim::SimConfig;
 use lrs_netsim::topology::Topology;
 
 /// Schemes the campaign engine can run.
-pub const SCHEMES: [&str; 2] = ["lr-seluge", "seluge"];
+pub const SCHEMES: [&str; 3] = ["lr-seluge", "seluge", "deluge"];
 
 /// Every key a spec document may carry: the [`CampaignSpec`] fields.
-const KEYS: [&str; 12] = [
+const KEYS: [&str; 13] = [
     "name",
     "schemes",
     "topologies",
@@ -47,6 +47,7 @@ const KEYS: [&str; 12] = [
     "deadline_s",
     "stall_s",
     "max_sim_s",
+    "fault_horizon_s",
 ];
 
 /// A validated campaign grid specification.
@@ -54,7 +55,7 @@ const KEYS: [&str; 12] = [
 pub struct CampaignSpec {
     /// Campaign name; also the default output directory stem.
     pub name: String,
-    /// Schemes under test (`lr-seluge`, `seluge`).
+    /// Schemes under test (`lr-seluge`, `seluge`, `deluge`).
     pub schemes: Vec<String>,
     /// Topology tokens: `star:N` (one-hop cluster of N) or `grid:S`
     /// (S×S multihop grid, tight 8 m spacing, per-job sampled links).
@@ -66,8 +67,8 @@ pub struct CampaignSpec {
     /// `reboot=lo-hi` seconds), `flap=R`, `degrade=R`, `drift=ppm` —
     /// e.g. `crash=0.5,reboot=10-60,flap=0.3`. See [`fault_config`].
     pub faults: Vec<String>,
-    /// Attacker tokens: `none`, `storm` (the chaos sweep's legacy
-    /// bursty bogus-data packet storm from the highest-id node), or a
+    /// Attacker tokens: `none`, `storm` (the chaos grid's bursty
+    /// bogus-data packet storm from the highest-id node), or a
     /// comma-joined [`attack_config`] token naming one of the five §7
     /// vectors with a packets-per-second rate — `bogus=R`, `forgesig=R`,
     /// `forgeadv=R`, `dor=R`, `spoofdor=R` — composable with
@@ -86,6 +87,9 @@ pub struct CampaignSpec {
     pub stall_s: u64,
     /// Hard virtual-time ceiling in seconds.
     pub max_sim_s: u64,
+    /// Window in virtual seconds that generated faults are drawn over
+    /// (default `max_sim_s`); see [`fault_config`].
+    pub fault_horizon_s: u64,
 }
 
 impl CampaignSpec {
@@ -115,6 +119,7 @@ impl CampaignSpec {
                 v.as_str().map(str::to_string)
             })
         };
+        let max_sim_s = uint_or(doc, "max_sim_s", 3_000)?;
         let spec = CampaignSpec {
             name: doc.str_at("name")?.to_string(),
             schemes: strs("schemes", &["lr-seluge", "seluge"])?,
@@ -129,7 +134,8 @@ impl CampaignSpec {
             image_bytes: uint_or(doc, "image_bytes", 1_024)?,
             deadline_s: uint_or(doc, "deadline_s", 3_600)?,
             stall_s: uint_or(doc, "stall_s", 400)?,
-            max_sim_s: uint_or(doc, "max_sim_s", 3_000)?,
+            max_sim_s,
+            fault_horizon_s: uint_or(doc, "fault_horizon_s", max_sim_s)?,
         };
         spec.validate()?;
         Ok(spec)
@@ -152,8 +158,11 @@ impl CampaignSpec {
                 return Err(format!("loss_ppm {ppm} must be below 1000000 (100%)"));
             }
         }
+        if self.fault_horizon_s == 0 {
+            return Err("fault_horizon_s must be at least 1".into());
+        }
         for f in &self.faults {
-            fault_config(f, Duration::from_secs(self.max_sim_s))?;
+            fault_config(f, self.fault_horizon())?;
         }
         for a in &self.attackers {
             attack_config(a)?;
@@ -185,7 +194,16 @@ impl CampaignSpec {
             ("deadline_s".into(), Json::Num(self.deadline_s as f64)),
             ("stall_s".into(), Json::Num(self.stall_s as f64)),
             ("max_sim_s".into(), Json::Num(self.max_sim_s as f64)),
+            (
+                "fault_horizon_s".into(),
+                Json::Num(self.fault_horizon_s as f64),
+            ),
         ])
+    }
+
+    /// The window every cell's fault plan is drawn over.
+    pub fn fault_horizon(&self) -> Duration {
+        Duration::from_secs(self.fault_horizon_s)
     }
 
     /// Enumerates the grid cells in canonical order: scheme (outermost)
@@ -339,13 +357,18 @@ fn duration_to_secs(d: Duration) -> f64 {
 /// * `crash=R` — per-node crash probability. Reboot window defaults to
 ///   30–120 s; override with `reboot=lo-hi` (seconds). A `crash=0`
 ///   schedules no reboots at all.
-/// * `flap=R` — per-link flap probability.
+/// * `flap=R` — per-link flap probability. A flapping link alternates
+///   up and down sojourns averaging 8/20 and 3/20 of `horizon` (8 s up,
+///   3 s down over 20 s).
 /// * `degrade=R` — per-link asymmetric degradation probability.
 /// * `drift=ppm` — per-node clock-drift amplitude in ppm, at most
 ///   [`MAX_DRIFT_PPM`].
 pub fn fault_config(token: &str, horizon: Duration) -> Result<FaultConfig, String> {
+    let share = |twentieths: u64| Duration::from_micros(horizon.as_micros() / 20 * twentieths);
     let mut config = FaultConfig {
         horizon,
+        down_sojourn: share(3),
+        up_sojourn: share(8),
         ..FaultConfig::default()
     };
     if token == "none" {
@@ -796,6 +819,10 @@ mod tests {
             ),
             ("name = \"x\"\nattackers = [\"ddos\"]", "unknown attacker"),
             ("name = \"x\"\nseeds = 0", "at least 1"),
+            (
+                "name = \"x\"\nfault_horizon_s = 0",
+                "fault_horizon_s must be",
+            ),
             // A misspelt key used to run the default grid silently.
             (
                 "name = \"x\"\ntopologys = [\"star:10\"]\nseed = 2",
@@ -819,6 +846,26 @@ mod tests {
             let err = CampaignSpec::parse(text).unwrap_err();
             assert!(err.contains(needle), "{text:?} gave {err:?}");
         }
+    }
+
+    #[test]
+    fn fault_horizon_defaults_to_the_ceiling_and_scales_flaps() {
+        let spec = CampaignSpec::parse(MINI).unwrap();
+        assert_eq!(spec.fault_horizon_s, spec.max_sim_s);
+        // A manifest written before the key existed resumes unchanged.
+        let Json::Obj(mut fields) = spec.to_json() else {
+            unreachable!("a spec renders as an object")
+        };
+        fields.retain(|(k, _)| k != "fault_horizon_s");
+        assert_eq!(CampaignSpec::from_json(&Json::Obj(fields)).unwrap(), spec);
+
+        let short =
+            CampaignSpec::parse("name = \"x\"\nschemes = [\"deluge\"]\nfault_horizon_s = 20")
+                .unwrap();
+        assert_eq!(short.fault_horizon(), Duration::from_secs(20));
+        let flap = fault_config("flap=0.4", short.fault_horizon()).unwrap();
+        assert_eq!(flap.up_sojourn, Duration::from_secs(8));
+        assert_eq!(flap.down_sojourn, Duration::from_secs(3));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The one sweep driver: every experiment is "run each point over
 //! `1..=seeds`, tabulate the means, keep the per-seed samples". The
-//! pieces here are what the `paper` experiments and the `chaos` and
-//! `attack` bins share: what a per-run observation is ([`Sample`]), the
-//! `results/<name>.{csv,json}` pair and its one writer ([`Report`]), the
-//! (point × scheme × seed) fan-out ([`per_scheme`]), the matched run of
-//! a scheme named at run time ([`run_matched`]) and the five metric
-//! columns of Figs. 4-6 and Tables II/III ([`five_metrics`]).
+//! pieces here are what the `paper` experiments share: what a per-run
+//! observation is ([`Sample`]), the `results/<name>.{csv,json}` pair
+//! and its one writer ([`Report`]), the (point × scheme × seed) fan-out
+//! ([`per_scheme`]), the matched run of a scheme named at run time
+//! ([`run_matched`]) and the five metric columns of Figs. 4-6 and
+//! Tables II/III ([`five_metrics`]).
 
 use crate::harness::sample_grid;
 use crate::json::{stat_json, write_json, Json};

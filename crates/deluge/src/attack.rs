@@ -17,8 +17,8 @@ use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::{Duration, SimTime};
 
 /// The item a denial-of-receipt attacker requests (the first code page
-/// under LR-Seluge's item numbering) — matching the attack bin's
-/// historical choice so plan-driven runs reproduce it.
+/// under LR-Seluge's item numbering), the choice every denial-of-receipt
+/// run has made, so plan-driven runs reproduce it.
 pub const DOR_ITEM: u16 = 2;
 
 /// An attacking node: one [`AttackEntry`] mounted against one scheme.

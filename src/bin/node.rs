@@ -32,7 +32,7 @@ const FLAGS: &[lrs_bench::cli::Flag] = &[
     lrs_bench::cli::valued("--id", "this node's id (0 = base station)"),
     lrs_bench::cli::valued("--proxy", "data address of the swarm proxy"),
     lrs_bench::cli::valued("--control", "control address of the swarm harness"),
-    lrs_bench::cli::valued("--scheme", "lr-seluge or seluge"),
+    lrs_bench::cli::valued("--scheme", "lr-seluge, seluge or deluge"),
     lrs_bench::cli::valued("--profile", "parameter profile (default campaign)"),
     lrs_bench::cli::valued("--image-bytes", "image size (default 2048)"),
     lrs_bench::cli::valued(

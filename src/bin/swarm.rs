@@ -11,7 +11,7 @@
 //! digest — the swarm analog of the simulator's end-of-run checks.
 //!
 //! ```text
-//! swarm [--nodes N] [--scheme lr-seluge|seluge|both] [--smoke]
+//! swarm [--nodes N] [--scheme lr-seluge|seluge|deluge|both] [--smoke]
 //!       [--drop-ppm P] [--dup-ppm P] [--reorder-ppm P]
 //!       [--asym-frac-ppm P] [--asym-keep-ppm P]
 //!       [--profile <name>] [--image-bytes N] [--seed S]
@@ -42,7 +42,10 @@ const FLAGS: &[lrs_bench::cli::Flag] = &[
         "--nodes",
         "node processes per scheme (default 64; smoke 16)",
     ),
-    lrs_bench::cli::valued("--scheme", "lr-seluge, seluge, or both (default both)"),
+    lrs_bench::cli::valued(
+        "--scheme",
+        "lr-seluge, seluge, deluge, or both (default: lr-seluge and seluge)",
+    ),
     lrs_bench::cli::valued(
         "--drop-ppm",
         "uniform drop probability in ppm (default 50000)",

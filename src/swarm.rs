@@ -41,7 +41,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct SwarmScenario {
     /// Parameter profile from the capsule registry ("chaos", "scale",
-    /// "campaign", "attack").
+    /// "campaign").
     pub profile: String,
     /// Image length in bytes.
     pub image_len: usize,

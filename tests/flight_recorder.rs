@@ -1,16 +1,18 @@
 //! Flight-recorder end-to-end tests: capture → capsule → replay
 //! bit-identity for both schemes, automatic failure capsules from the
-//! watchdog, and capsules from the removed sharded engine.
+//! watchdog (the committed watchdog demo among them), and capsules from
+//! the removed sharded engine.
 
 use lr_seluge::Deployment;
 use lrs_bench::capsules::{
-    chaos_sim_config, replay_capsule, scale_params as small_lr, ScenarioTags,
+    chaos_sim_config, population, replay_capsule, scale_params as small_lr, LrScheme, ScenarioTags,
 };
 use lrs_bench::matched_seluge_params;
+use lrs_bench::runner::{simulate, SimSetup};
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::{Duration, SimTime};
-use lrs_netsim::capsule::{Capsule, RunDigest};
-use lrs_netsim::fault::FaultPlan;
+use lrs_netsim::capsule::{Capsule, CapsuleSpec, RunDigest};
+use lrs_netsim::fault::{FaultEvent, FaultPlan};
 use lrs_netsim::replay::{replay, verify_replay, ReplayError};
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::topology::Topology;
@@ -233,9 +235,56 @@ fn stalled_sequential_run_dumps_a_loadable_capsule() {
     verify_replay(&capsule, &replayed).expect("stall replay diverged");
 }
 
-/// The capsule `chaos --smoke` rewrites on every run, as committed by
-/// an earlier commit: the cross-version format pin.
+/// The watchdog demo's capsule as committed by an earlier commit: the
+/// cross-version format pin, which
+/// `partitioned_star_stalls_and_rewrites_the_committed_capsule` must
+/// reproduce byte for byte.
 const COMMITTED_CAPSULE: &str = "results/capsules/chaos-watchdog-demo.jsonl";
+
+#[test]
+fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
+    // Cut the base station off in both directions, forever: receivers
+    // keep advertising and requesting but can never make progress, so
+    // the watchdog must end the run with a structured dump instead of
+    // letting it spin to the deadline.
+    let tags = ScenarioTags::new("lr-seluge", "chaos", 2048, "chaos keys");
+    let pop = population::<LrScheme>(&tags).expect("chaos profile");
+    let topo = Topology::star(4);
+    let mut faults = FaultPlan::new();
+    for i in 1..topo.len() as u32 {
+        for (from, to) in [(NodeId(0), NodeId(i)), (NodeId(i), NodeId(0))] {
+            faults.push(FaultEvent::LinkDown {
+                from,
+                to,
+                at: SimTime(2_000_000),
+            });
+        }
+    }
+    let path = unique_path("chaos-watchdog-demo.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let report = simulate(
+        &pop,
+        SimSetup {
+            config: SimConfig {
+                stall_window: Some(Duration::from_secs(60)),
+                ..chaos_sim_config()
+            },
+            faults,
+            capsule: Some(tags.apply(CapsuleSpec::new(&path))),
+            ..SimSetup::new(topo, 3, Duration::from_secs(5_000))
+        },
+    )
+    .report;
+    assert_eq!(report.outcome, Outcome::Stalled);
+    let dump = report.diagnostic.expect("a stalled run carries a dump");
+    assert!(!dump.nodes.is_empty());
+    let written = std::fs::read(&path).expect("the stall dumped a capsule");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        written == std::fs::read(COMMITTED_CAPSULE).expect("committed capsule"),
+        "the capsule writer drifted from {COMMITTED_CAPSULE}"
+    );
+}
 
 #[test]
 fn committed_capsule_loads_and_rewrites_byte_for_byte() {
