@@ -21,7 +21,7 @@
 //! # On-disk layout
 //!
 //! ```text
-//! <dir>/manifest.json   # {"version":1,"spec":{…}} — the canonical spec
+//! <dir>/manifest.json   # {"version":2,"spec":{…}} — the canonical spec
 //! <dir>/jobs.log        # JSONL, one completed job per line, appended+flushed
 //! <dir>/report.json     # per-cell aggregates; written only on completion
 //! <dir>/failures/       # job-<id>.jsonl failure capsules
@@ -71,8 +71,10 @@ pub const REPORT: &str = "report.json";
 /// Subdirectory failure capsules land in.
 pub const FAILURE_DIR: &str = "failures";
 
-/// Manifest format version this code writes and accepts.
-pub const MANIFEST_VERSION: f64 = 1.0;
+/// Manifest format version this code writes and accepts. Version 1
+/// embedded a spec with a second time limit (`max_sim_s`) and, before
+/// `fault_horizon_s` existed, fixed flap sojourns.
+pub const MANIFEST_VERSION: f64 = 2.0;
 
 /// Outcome labels in fixed report order (the order of
 /// [`Outcome`](lrs_netsim::sim::Outcome)'s variants).
@@ -303,7 +305,8 @@ impl Campaign {
         let version = doc.get("version").and_then(Json::as_num).unwrap_or(0.0);
         if version != MANIFEST_VERSION {
             return Err(format!(
-                "{}: manifest version {version} unsupported (want {MANIFEST_VERSION})",
+                "{}: manifest version {version} unsupported (want {MANIFEST_VERSION}); \
+                 restart it from its spec file",
                 manifest.display()
             ));
         }
@@ -311,18 +314,6 @@ impl Campaign {
             .get("spec")
             .ok_or_else(|| format!("{}: manifest has no spec", manifest.display()))?;
         let spec = CampaignSpec::from_json(spec_doc)?;
-        // Before `fault_horizon_s` existed, flap sojourns were a fixed
-        // 30 s down / 120 s up; the jobs still to run would draw them
-        // from the horizon instead and pool with the logged ones.
-        if spec_doc.get("fault_horizon_s").is_none()
-            && spec.faults.iter().any(|f| f.contains("flap"))
-        {
-            return Err(format!(
-                "{}: this campaign's flap cells were drawn with the old fixed flap \
-                 sojourns; restart it from its spec file",
-                manifest.display()
-            ));
-        }
         fs::create_dir_all(dir.join(FAILURE_DIR))
             .map_err(|e| format!("create {}: {e}", dir.display()))?;
         Ok(Campaign {

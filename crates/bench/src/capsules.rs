@@ -177,16 +177,14 @@ pub fn profile_deployment<S: Matched>(
 }
 
 /// The simulator configuration `chaos`-profile capsules run (5%
-/// application-layer loss, 3000 s ceiling, 400 s stall watchdog).
+/// application-layer loss, 400 s stall watchdog).
 pub fn chaos_sim_config() -> SimConfig {
     SimConfig {
         medium: MediumConfig {
             app_loss: 0.05,
             ..MediumConfig::default()
         },
-        max_sim_time: Some(Duration::from_secs(3_000)),
         stall_window: Some(Duration::from_secs(400)),
-        ..SimConfig::default()
     }
 }
 

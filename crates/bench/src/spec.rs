@@ -34,7 +34,7 @@ use lrs_netsim::topology::Topology;
 pub const SCHEMES: [&str; 3] = ["lr-seluge", "seluge", "deluge"];
 
 /// Every key a spec document may carry: the [`CampaignSpec`] fields.
-const KEYS: [&str; 13] = [
+const KEYS: [&str; 12] = [
     "name",
     "schemes",
     "topologies",
@@ -46,9 +46,13 @@ const KEYS: [&str; 13] = [
     "image_bytes",
     "deadline_s",
     "stall_s",
-    "max_sim_s",
     "fault_horizon_s",
 ];
+
+/// Longest time a spec may name, in seconds (about 136 years): its
+/// microseconds, and the sums fault and attack schedules form from a
+/// few such spans, stay far inside a `u64`.
+const MAX_SECS: u64 = 1 << 32;
 
 /// A validated campaign grid specification.
 #[derive(Clone, Debug, PartialEq)]
@@ -81,14 +85,12 @@ pub struct CampaignSpec {
     pub seed_base: u64,
     /// Image size in bytes (the `campaign` parameter profile).
     pub image_bytes: usize,
-    /// Per-job wall deadline in virtual seconds.
+    /// Per-job time limit in virtual seconds.
     pub deadline_s: u64,
     /// Stall-watchdog window in virtual seconds.
     pub stall_s: u64,
-    /// Hard virtual-time ceiling in seconds.
-    pub max_sim_s: u64,
     /// Window in virtual seconds that generated faults are drawn over
-    /// (default `max_sim_s`); see [`fault_config`].
+    /// (default `deadline_s`); see [`fault_config`].
     pub fault_horizon_s: u64,
 }
 
@@ -119,7 +121,7 @@ impl CampaignSpec {
                 v.as_str().map(str::to_string)
             })
         };
-        let max_sim_s = uint_or(doc, "max_sim_s", 3_000)?;
+        let deadline_s = uint_or(doc, "deadline_s", 3_000)?;
         let spec = CampaignSpec {
             name: doc.str_at("name")?.to_string(),
             schemes: strs("schemes", &["lr-seluge", "seluge"])?,
@@ -132,10 +134,9 @@ impl CampaignSpec {
             seeds: uint_or(doc, "seeds", 8)?,
             seed_base: uint_or(doc, "seed_base", 1_000)?,
             image_bytes: uint_or(doc, "image_bytes", 1_024)?,
-            deadline_s: uint_or(doc, "deadline_s", 3_600)?,
+            deadline_s,
             stall_s: uint_or(doc, "stall_s", 400)?,
-            max_sim_s,
-            fault_horizon_s: uint_or(doc, "fault_horizon_s", max_sim_s)?,
+            fault_horizon_s: uint_or(doc, "fault_horizon_s", deadline_s)?,
         };
         spec.validate()?;
         Ok(spec)
@@ -158,6 +159,15 @@ impl CampaignSpec {
                 return Err(format!("loss_ppm {ppm} must be below 1000000 (100%)"));
             }
         }
+        for (key, secs) in [
+            ("deadline_s", self.deadline_s),
+            ("stall_s", self.stall_s),
+            ("fault_horizon_s", self.fault_horizon_s),
+        ] {
+            if secs > MAX_SECS {
+                return Err(format!("{key} = {secs} is above the {MAX_SECS} s ceiling"));
+            }
+        }
         if self.fault_horizon_s == 0 {
             return Err("fault_horizon_s must be at least 1".into());
         }
@@ -169,6 +179,18 @@ impl CampaignSpec {
         }
         if self.seeds == 0 {
             return Err("seeds must be at least 1".into());
+        }
+        // Job `j` runs seed `seed_base + j`, for every `j` below the
+        // job count.
+        let cells = self.cells().len() as u64;
+        let jobs = cells
+            .checked_mul(self.seeds)
+            .ok_or_else(|| format!("seeds = {} times {cells} cells overflows", self.seeds))?;
+        if self.seed_base.checked_add(jobs).is_none() {
+            return Err(format!(
+                "seed_base = {} plus {jobs} jobs overflows a u64 seed",
+                self.seed_base
+            ));
         }
         Ok(())
     }
@@ -188,16 +210,12 @@ impl CampaignSpec {
             ),
             ("faults".into(), strs(&self.faults)),
             ("attackers".into(), strs(&self.attackers)),
-            ("seeds".into(), Json::num(self.seeds as u32)),
+            ("seeds".into(), Json::uint(self.seeds)),
             ("seed_base".into(), Json::uint(self.seed_base)),
-            ("image_bytes".into(), Json::Num(self.image_bytes as f64)),
-            ("deadline_s".into(), Json::Num(self.deadline_s as f64)),
-            ("stall_s".into(), Json::Num(self.stall_s as f64)),
-            ("max_sim_s".into(), Json::Num(self.max_sim_s as f64)),
-            (
-                "fault_horizon_s".into(),
-                Json::Num(self.fault_horizon_s as f64),
-            ),
+            ("image_bytes".into(), Json::uint(self.image_bytes as u64)),
+            ("deadline_s".into(), Json::uint(self.deadline_s)),
+            ("stall_s".into(), Json::uint(self.stall_s)),
+            ("fault_horizon_s".into(), Json::uint(self.fault_horizon_s)),
         ])
     }
 
@@ -245,9 +263,7 @@ impl CampaignSpec {
                 app_loss: loss_ppm as f64 / 1e6,
                 ..MediumConfig::default()
             },
-            max_sim_time: Some(Duration::from_secs(self.max_sim_s)),
             stall_window: Some(Duration::from_secs(self.stall_s)),
-            ..SimConfig::default()
         }
     }
 }
@@ -334,9 +350,9 @@ fn parse_secs_range(part: &str, value: &str) -> Result<(Duration, Duration), Str
     let hi: f64 = hi
         .parse()
         .map_err(|e| format!("bad range in {part:?}: {e}"))?;
-    if !(lo.is_finite() && hi.is_finite()) || lo <= 0.0 || hi < lo {
+    if !(lo > 0.0 && lo <= hi && hi <= MAX_SECS as f64) {
         return Err(format!(
-            "bad range in {part:?}; need 0 < lo <= hi, got {lo}-{hi}"
+            "bad range in {part:?}; need 0 < lo <= hi <= {MAX_SECS}, got {lo}-{hi}"
         ));
     }
     Ok((secs_to_duration(lo), secs_to_duration(hi)))
@@ -492,9 +508,10 @@ pub fn attack_config(token: &str) -> Result<Option<AttackConfig>, String> {
             let rate: f64 = value
                 .parse()
                 .map_err(|e| format!("bad rate in attacker token {part:?}: {e}"))?;
-            if !rate.is_finite() || rate <= 0.0 || rate > MAX_ATTACK_RATE {
+            // The interval, 1/rate, must not exceed the time ceiling.
+            if !(1.0 / MAX_SECS as f64..=MAX_ATTACK_RATE).contains(&rate) {
                 return Err(format!(
-                    "attack rate {rate} in {part:?} outside (0, {MAX_ATTACK_RATE}]"
+                    "attack rate {rate} in {part:?} outside [1/{MAX_SECS}, {MAX_ATTACK_RATE}]"
                 ));
             }
             config.interval = Duration::from_micros((1e6 / rate).round() as u64);
@@ -511,9 +528,11 @@ pub fn attack_config(token: &str) -> Result<Option<AttackConfig>, String> {
                 let off: f64 = off
                     .parse()
                     .map_err(|e| format!("bad burst in {part:?}: {e}"))?;
-                if !(on.is_finite() && off.is_finite()) || on <= 0.0 || off <= 0.0 {
+                let span = 0.0..=MAX_SECS as f64;
+                if !(span.contains(&on) && span.contains(&off)) || on == 0.0 || off == 0.0 {
                     return Err(format!(
-                        "bad burst in {part:?}; need on > 0 and off > 0, got {on}-{off}"
+                        "bad burst in {part:?}; need on > 0 and off > 0, both at most \
+                         {MAX_SECS}, got {on}-{off}"
                     ));
                 }
                 config.burst = Some((secs_to_duration(on), secs_to_duration(off)));
@@ -766,6 +785,13 @@ mod tests {
             CampaignSpec::from_json(&parse_json(&text).unwrap()).unwrap(),
             spec
         );
+        // Counts past u32 (`seeds` was written as one) and past f64's
+        // exact integers survive the manifest.
+        let big = CampaignSpec::parse(
+            "{\"name\":\"x\",\"seeds\":5000000000,\"seed_base\":9007199254740993}",
+        )
+        .unwrap();
+        assert_eq!(CampaignSpec::parse(&big.to_json().render()).unwrap(), big);
     }
 
     #[test]
@@ -823,6 +849,33 @@ mod tests {
                 "name = \"x\"\nfault_horizon_s = 0",
                 "fault_horizon_s must be",
             ),
+            // Each of these panicked converting to microseconds (debug)
+            // or wrapped to a wrong limit (release).
+            (
+                "name = \"x\"\nfaults = [\"crash=0.5\"]\nfault_horizon_s = 20_000_000_000_000",
+                "fault_horizon_s = 20000000000000 is above",
+            ),
+            (
+                "name = \"x\"\ndeadline_s = 20_000_000_000_000",
+                "deadline_s = 20000000000000 is above",
+            ),
+            (
+                "name = \"x\"\nstall_s = 20_000_000_000_000",
+                "stall_s = 20000000000000 is above",
+            ),
+            // `Campaign::job_seed` overflowed on the last jobs.
+            (
+                "{\"name\":\"x\",\"seed_base\":18446744073709551615}",
+                "seed_base = 18446744073709551615 plus 16 jobs overflows",
+            ),
+            (
+                "{\"name\":\"x\",\"seeds\":18446744073709551615}",
+                "seeds = 18446744073709551615 times 2 cells overflows",
+            ),
+            (
+                "name = \"x\"\nmax_sim_s = 600",
+                "unknown spec key \"max_sim_s\"",
+            ),
             // A misspelt key used to run the default grid silently.
             (
                 "name = \"x\"\ntopologys = [\"star:10\"]\nseed = 2",
@@ -850,14 +903,12 @@ mod tests {
 
     #[test]
     fn fault_horizon_defaults_to_the_ceiling_and_scales_flaps() {
+        // The one time limit is the deadline, 3000 s unless set.
         let spec = CampaignSpec::parse(MINI).unwrap();
-        assert_eq!(spec.fault_horizon_s, spec.max_sim_s);
-        // A manifest written before the key existed resumes unchanged.
-        let Json::Obj(mut fields) = spec.to_json() else {
-            unreachable!("a spec renders as an object")
-        };
-        fields.retain(|(k, _)| k != "fault_horizon_s");
-        assert_eq!(CampaignSpec::from_json(&Json::Obj(fields)).unwrap(), spec);
+        assert_eq!(spec.deadline_s, 3_000);
+        assert_eq!(spec.fault_horizon_s, spec.deadline_s);
+        let long = CampaignSpec::parse("name = \"x\"\ndeadline_s = 5000").unwrap();
+        assert_eq!(long.fault_horizon_s, 5_000);
 
         let short =
             CampaignSpec::parse("name = \"x\"\nschemes = [\"deluge\"]\nfault_horizon_s = 20")
@@ -932,6 +983,8 @@ mod tests {
             ("crash=0.5,reboot=60", "expected lo-hi"),
             ("crash=0.5,reboot=60-10", "0 < lo <= hi"),
             ("crash=0.5,reboot=0-10", "0 < lo <= hi"),
+            // A downtime of u64::MAX µs overflowed the reboot time.
+            ("crash=0.5,reboot=1-1e300", "hi <= 4294967296"),
             ("drift=abc", "bad drift ppm"),
             ("drift=900000", "above 500000"),
             ("degrade=1.5", "outside [0, 1]"),
@@ -991,11 +1044,15 @@ mod tests {
             ("blizzard=4", "unknown attacker"),
             ("burst=2-8", "names no vector knob"),
             ("bogus=4,dor=2", "more than one vector"),
-            ("bogus=0", "outside (0, 100]"),
-            ("bogus=200", "outside (0, 100]"),
+            ("bogus=0", "outside [1/4294967296, 100]"),
+            ("bogus=200", "outside [1/4294967296, 100]"),
+            // A rate this small saturated the interval at u64::MAX µs.
+            ("bogus=1e-300", "outside [1/4294967296, 100]"),
             ("bogus=nope", "bad rate"),
             ("dor=2,burst=5", "expected on-off"),
             ("dor=2,burst=0-5", "on > 0"),
+            // `on + off` overflowed at the first injection.
+            ("dor=2,burst=1e300-1e300", "at most 4294967296"),
             ("dor=2,n=0", "outside 1..=16"),
             ("dor=2,n=99", "outside 1..=16"),
         ] {

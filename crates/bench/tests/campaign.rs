@@ -7,7 +7,7 @@
 use lrs_bench::campaign::{Campaign, JobRecord, JOB_LOG, MANIFEST, REPORT};
 use lrs_bench::capsules::{replay_capsule, ScenarioTags};
 use lrs_bench::spec::{attack_config, canonical_attack_token, canonical_fault_token, fault_config};
-use lrs_bench::{parse_json, CampaignSpec, ExperimentMetrics, Json};
+use lrs_bench::{CampaignSpec, ExperimentMetrics};
 use lrs_host::time::Duration;
 use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::FaultEvent;
@@ -134,35 +134,18 @@ fn a_torn_log_tail_is_discarded_and_the_job_reruns() {
 }
 
 #[test]
-fn a_manifest_without_a_fault_horizon_resumes_unless_it_flaps() {
-    // A manifest written before `fault_horizon_s` existed: the key is
-    // absent and the horizon defaults to `max_sim_s`.
-    let legacy = |name: &str, faults: &str| {
-        let dir = scratch(name);
-        let mut spec = spec();
-        spec.faults = vec![faults.into()];
-        Campaign::create(spec, &dir).expect("create");
-        let path = dir.join(MANIFEST);
-        let Json::Obj(mut fields) =
-            parse_json(&fs::read_to_string(&path).expect("manifest")).expect("manifest parses")
-        else {
-            panic!("a manifest is an object")
-        };
-        for (key, value) in &mut fields {
-            if let ("spec", Json::Obj(spec)) = (key.as_str(), value) {
-                spec.retain(|(k, _)| k != "fault_horizon_s");
-            }
-        }
-        fs::write(&path, Json::Obj(fields).render()).expect("rewrite manifest");
-        dir
-    };
-    let resumed = Campaign::resume(legacy("legacy-crash", "crash=0.5,reboot=5-20"))
-        .expect("a legacy manifest without flap cells resumes");
-    assert_eq!(resumed.spec().fault_horizon_s, resumed.spec().max_sim_s);
-    // Its flap cells' logged jobs used the old fixed sojourns, so the
-    // rest of the grid would not pool with them.
-    let err = match Campaign::resume(legacy("legacy-flap", "flap=0.4")) {
-        Ok(_) => panic!("a legacy manifest with flap cells resumed"),
+fn a_version_1_manifest_is_refused_with_a_restart_hint() {
+    // Version 1 embedded a spec with a second time limit; its logged
+    // jobs would not pool with the ones still to run.
+    let dir = scratch("legacy");
+    Campaign::create(spec(), &dir).expect("create");
+    let path = dir.join(MANIFEST);
+    let text = fs::read_to_string(&path).expect("manifest");
+    assert!(text.starts_with(r#"{"version":2,"#), "{text}");
+    fs::write(&path, text.replacen(r#""version":2"#, r#""version":1"#, 1))
+        .expect("rewrite manifest");
+    let err = match Campaign::resume(&dir) {
+        Ok(_) => panic!("a version-1 manifest resumed"),
         Err(e) => e,
     };
     assert!(err.contains("restart"), "unhelpful error: {err}");
@@ -221,7 +204,6 @@ seeds = 1
 image_bytes = 512
 deadline_s = 1200
 stall_s = 300
-max_sim_s = 1200
 fault_horizon_s = 2
 "#;
 
@@ -375,7 +357,6 @@ seeds = 1
 image_bytes = 512
 deadline_s = 600
 stall_s = 60
-max_sim_s = 600
 "#,
     )
     .expect("stall spec parses");

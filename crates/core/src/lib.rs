@@ -58,7 +58,6 @@ pub mod params;
 pub mod preprocess;
 pub mod scheduler;
 pub mod scheme;
-pub mod upgrade;
 
 pub use code::{CodeKind, PageCode};
 pub use deployment::{Deployment, LrNode};
@@ -66,6 +65,5 @@ pub use params::{LrSelugeParams, ParamError};
 pub use preprocess::LrArtifacts;
 pub use scheduler::GreedyRoundRobinPolicy;
 pub use scheme::LrScheme;
-pub use upgrade::VersionedNode;
 
 pub use lrs_deluge::bootstrap::{packet_hash, packet_hash_batch};

@@ -2,22 +2,12 @@
 //!
 //! The inner loop of Reed-Solomon encode/decode and of Gauss-Jordan
 //! elimination is `dst[i] ^= c · src[i]` over whole block slices. This
-//! module provides four interchangeable implementations of that loop
+//! module provides three interchangeable implementations of that loop
 //! and of `buf[i] = c · buf[i]` / `dst[i] ^= src[i]`:
 //!
 //! * [`Kernel::Scalar`] — the full-mul-table row kernel (one 256-byte
 //!   table row per coefficient, one load + XOR per byte). This is the
 //!   reference anchor every other kernel is property-tested against.
-//! * [`Kernel::Swar`] — a portable 64-bit SWAR path: four 8-byte lanes
-//!   per round, multiplying by the coefficient bit-by-bit with a
-//!   branch-predictable carry-less doubling step. No `std::arch`
-//!   intrinsics, so it runs on every target — and no tables, so it
-//!   costs no cache footprint. Measured on cached cores the full-table
-//!   scalar kernel still outruns it (one L1 load + XOR per byte beats
-//!   ~7 doubling rounds per 8 bytes), so auto-dispatch ranks SWAR
-//!   *below* scalar; it is selected explicitly (`LRS_GF_KERNEL=swar`)
-//!   by the forced-kernel CI jobs and by anyone trading speed for a
-//!   table-free memory profile.
 //! * [`Kernel::Ssse3`] / [`Kernel::Avx2`] — the classic 4-bit
 //!   split-table shuffle kernels (`PSHUFB`/`VPSHUFB`): the product
 //!   `c · b` is `c·lo(b) ⊕ c·(hi(b)·16)`, so two 16-entry nibble tables
@@ -26,8 +16,8 @@
 //!
 //! Selection happens once per process via [`Kernel::active`]: the
 //! best path supported by the CPU (`is_x86_feature_detected!`), unless
-//! the `LRS_GF_KERNEL` environment variable (`scalar`, `swar`, `ssse3`,
-//! `avx2`) forces a specific one — the hook the forced-kernel CI jobs
+//! the `LRS_GF_KERNEL` environment variable (`scalar`, `ssse3`, `avx2`)
+//! forces a specific one — the hook the forced-kernel CI jobs
 //! and the microbenchmarks use. Every kernel produces bit-identical
 //! output (GF(256) arithmetic is exact), so dispatch can never change
 //! simulation results; `erasure/tests/kernel_equivalence.rs` pins each
@@ -41,8 +31,6 @@ use std::sync::OnceLock;
 pub enum Kernel {
     /// Full-mul-table scalar kernel (the reference anchor).
     Scalar,
-    /// Portable 64-bit SWAR kernel (no intrinsics).
-    Swar,
     /// 4-bit split-table shuffle kernel over 128-bit registers.
     Ssse3,
     /// 4-bit split-table shuffle kernel over 256-bit registers.
@@ -50,16 +38,13 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// All kernels, slowest first (as measured on cached cores: the
-    /// table-free SWAR path trails the L1-resident full-table scalar
-    /// kernel, so scalar outranks it for auto-dispatch).
-    pub const ALL: [Kernel; 4] = [Kernel::Swar, Kernel::Scalar, Kernel::Ssse3, Kernel::Avx2];
+    /// All kernels, slowest first.
+    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Ssse3, Kernel::Avx2];
 
     /// The kernel's name as used by `LRS_GF_KERNEL`.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Swar => "swar",
             Kernel::Ssse3 => "ssse3",
             Kernel::Avx2 => "avx2",
         }
@@ -73,7 +58,7 @@ impl Kernel {
     /// Whether this kernel can run on the current CPU.
     pub fn is_supported(self) -> bool {
         match self {
-            Kernel::Scalar | Kernel::Swar => true,
+            Kernel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Kernel::Ssse3 => is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
@@ -140,7 +125,6 @@ pub fn mul_add_assign(kernel: Kernel, dst: &mut [u8], coeff: Gf, src: &[u8]) {
     }
     match kernel {
         Kernel::Scalar => mul_add_table(dst, coeff, src),
-        Kernel::Swar => mul_add_swar(dst, coeff, src),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects these kernels after
         // `is_x86_feature_detected!` confirmed the feature.
@@ -148,7 +132,7 @@ pub fn mul_add_assign(kernel: Kernel, dst: &mut [u8], coeff: Gf, src: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { x86::mul_add_avx2(dst, coeff, src) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Ssse3 | Kernel::Avx2 => mul_add_swar(dst, coeff, src),
+        Kernel::Ssse3 | Kernel::Avx2 => mul_add_table(dst, coeff, src),
     }
 }
 
@@ -194,14 +178,13 @@ pub fn scale(kernel: Kernel, buf: &mut [u8], coeff: Gf) {
     }
     match kernel {
         Kernel::Scalar => scale_table(buf, coeff),
-        Kernel::Swar => scale_swar(buf, coeff),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `mul_add_assign`.
         Kernel::Ssse3 => unsafe { x86::scale_ssse3(buf, coeff) },
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { x86::scale_avx2(buf, coeff) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Ssse3 | Kernel::Avx2 => scale_swar(buf, coeff),
+        Kernel::Ssse3 | Kernel::Avx2 => scale_table(buf, coeff),
     }
 }
 
@@ -274,108 +257,6 @@ fn scale_table(buf: &mut [u8], coeff: Gf) {
         b[6] = row[b[6] as usize];
         b[7] = row[b[7] as usize];
     }
-    for b in chunks.into_remainder() {
-        *b = row[*b as usize];
-    }
-}
-
-/// Doubles all eight GF(256) bytes of `x` at once: shift each byte left
-/// and reduce the bytes that carried out by `0x1b` (the low byte of the
-/// AES polynomial `0x11b`). The reduction is spelled as shift-XORs of
-/// the per-byte carry bit (`0x1b = 0b11011`) rather than a 64-bit
-/// multiply so the four-lane loops below stay autovectorizable.
-#[inline]
-fn gf8_double(x: u64) -> u64 {
-    let carries = (x & 0x8080_8080_8080_8080) >> 7;
-    ((x & 0x7f7f_7f7f_7f7f_7f7f) << 1) ^ (carries << 4) ^ (carries << 3) ^ (carries << 1) ^ carries
-}
-
-/// SWAR product of the eight bytes of `x` by `coeff`, bit-by-bit over
-/// the coefficient. At most 8 rounds, each ~4 ALU ops for 8 bytes; the
-/// branch pattern depends only on `coeff`, so it predicts perfectly
-/// inside a slice loop.
-#[inline]
-fn gf8_mul(mut x: u64, coeff: u8) -> u64 {
-    let mut acc = if coeff & 1 != 0 { x } else { 0 };
-    let mut bits = coeff >> 1;
-    while bits != 0 {
-        x = gf8_double(x);
-        if bits & 1 != 0 {
-            acc ^= x;
-        }
-        bits >>= 1;
-    }
-    acc
-}
-
-/// Four-lane SWAR product: 32 bytes per call. A single `gf8_mul` chain
-/// is latency-bound (every doubling depends on the previous one); four
-/// independent lanes per round give a scalar core instruction-level
-/// parallelism and let LLVM autovectorize the lane loops where wider
-/// registers exist.
-#[inline]
-fn gf32_mul(x: &mut [u64; 4], coeff: u8) -> [u64; 4] {
-    let mut acc = if coeff & 1 != 0 { *x } else { [0u64; 4] };
-    let mut bits = coeff >> 1;
-    while bits != 0 {
-        for lane in x.iter_mut() {
-            *lane = gf8_double(*lane);
-        }
-        if bits & 1 != 0 {
-            for (a, lane) in acc.iter_mut().zip(x.iter()) {
-                *a ^= lane;
-            }
-        }
-        bits >>= 1;
-    }
-    acc
-}
-
-fn mul_add_swar(dst: &mut [u8], coeff: Gf, src: &[u8]) {
-    let mut d = dst.chunks_exact_mut(32);
-    let mut s = src.chunks_exact(32);
-    for (d32, s32) in d.by_ref().zip(s.by_ref()) {
-        let mut x = [0u64; 4];
-        for (lane, s8) in x.iter_mut().zip(s32.chunks_exact(8)) {
-            *lane = u64::from_le_bytes(s8.try_into().expect("8-byte lane"));
-        }
-        let prod = gf32_mul(&mut x, coeff.0);
-        for (p, d8) in prod.iter().zip(d32.chunks_exact_mut(8)) {
-            let cur = u64::from_le_bytes((&*d8).try_into().expect("8-byte lane"));
-            d8.copy_from_slice(&(cur ^ p).to_le_bytes());
-        }
-    }
-    let mut d = d.into_remainder().chunks_exact_mut(8);
-    let mut s = s.remainder().chunks_exact(8);
-    for (d8, s8) in d.by_ref().zip(s.by_ref()) {
-        let x = u64::from_le_bytes(s8.try_into().expect("8-byte chunk"));
-        let cur = u64::from_le_bytes((&*d8).try_into().expect("8-byte chunk"));
-        d8.copy_from_slice(&(cur ^ gf8_mul(x, coeff.0)).to_le_bytes());
-    }
-    let row = mul_row(coeff);
-    for (d1, s1) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *d1 ^= row[*s1 as usize];
-    }
-}
-
-fn scale_swar(buf: &mut [u8], coeff: Gf) {
-    let mut chunks = buf.chunks_exact_mut(32);
-    for b32 in chunks.by_ref() {
-        let mut x = [0u64; 4];
-        for (lane, b8) in x.iter_mut().zip(b32.chunks_exact(8)) {
-            *lane = u64::from_le_bytes(b8.try_into().expect("8-byte lane"));
-        }
-        let prod = gf32_mul(&mut x, coeff.0);
-        for (p, b8) in prod.iter().zip(b32.chunks_exact_mut(8)) {
-            b8.copy_from_slice(&p.to_le_bytes());
-        }
-    }
-    let mut chunks = chunks.into_remainder().chunks_exact_mut(8);
-    for b8 in chunks.by_ref() {
-        let x = u64::from_le_bytes((&*b8).try_into().expect("8-byte chunk"));
-        b8.copy_from_slice(&gf8_mul(x, coeff.0).to_le_bytes());
-    }
-    let row = mul_row(coeff);
     for b in chunks.into_remainder() {
         *b = row[*b as usize];
     }
@@ -640,40 +521,9 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_swar_always_supported() {
+    fn scalar_always_supported() {
         assert!(Kernel::Scalar.is_supported());
-        assert!(Kernel::Swar.is_supported());
         assert!(Kernel::supported().contains(&Kernel::best_supported()));
         assert!(Kernel::active().is_supported());
-    }
-
-    #[test]
-    fn gf8_double_matches_per_byte_doubling() {
-        for b in 0..=255u8 {
-            let x = u64::from_le_bytes([b, b ^ 0x5a, 0, 1, 0x80, 0x7f, b.wrapping_add(1), 0xff]);
-            let doubled = gf8_double(x);
-            for (lane, &src) in x.to_le_bytes().iter().enumerate() {
-                assert_eq!(
-                    doubled.to_le_bytes()[lane],
-                    Gf(src).mul(Gf(2)).0,
-                    "b={b} lane={lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gf8_mul_matches_table_mul() {
-        for c in 0..=255u8 {
-            let x = u64::from_le_bytes([0, 1, 2, 0x53, 0x80, 0xca, 0xfe, 0xff]);
-            let prod = gf8_mul(x, c);
-            for (lane, &src) in x.to_le_bytes().iter().enumerate() {
-                assert_eq!(
-                    prod.to_le_bytes()[lane],
-                    Gf(src).mul(Gf(c)).0,
-                    "c={c} lane={lane}"
-                );
-            }
-        }
     }
 }

@@ -17,7 +17,7 @@ use lrs_rng::DetRng;
 const PAPER_POINTS: [(usize, usize); 4] = [(32, 48), (32, 64), (8, 16), (3, 6)];
 
 /// Lengths that straddle every kernel's internal boundaries: the 8-byte
-/// SWAR chunk, the 16-byte SSSE3 vector, the 32-byte AVX2 vector, and a
+/// unrolled chunk, the 16-byte SSSE3 vector, the 32-byte AVX2 vector, and a
 /// large body with a ragged tail.
 const ADVERSARIAL_LENS: [usize; 13] = [0, 1, 7, 8, 15, 16, 17, 31, 32, 63, 64, 65, 4096 + 29];
 
@@ -26,7 +26,6 @@ fn every_supported_kernel_matches_scalar_on_adversarial_lengths() {
     let mut rng = DetRng::seed_from_u64(0x6b65_726e);
     let kernels = Kernel::supported();
     assert!(kernels.contains(&Kernel::Scalar));
-    assert!(kernels.contains(&Kernel::Swar));
     for &len in &ADVERSARIAL_LENS {
         for trial in 0..8 {
             let coeff = match trial {

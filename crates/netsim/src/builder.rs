@@ -61,7 +61,7 @@ impl<P, F> SimBuilder<P, F> {
         }
     }
 
-    /// Replaces the whole [`SimConfig`] (medium, watchdog, time limits).
+    /// Replaces the whole [`SimConfig`] (medium and watchdog).
     pub fn config(mut self, config: SimConfig) -> Self {
         self.config = config;
         self

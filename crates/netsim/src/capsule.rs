@@ -18,14 +18,14 @@
 //! exact — a capsule that re-derives even one PRR differently would
 //! silently break bit-identical replay.
 //!
-//! The wire format is version 1 and frozen. It was designed when a
-//! second, sharded engine existed, so the header carries
-//! `"engine"`/`"shards"` and each digest line
-//! `"engine"`/`"shards"`/`"order"`. The writer emits them as the
-//! constants the sequential engine always wrote; the reader checks
-//! their types, ignores their values, and drops digest lines recorded
-//! by the removed engine, so an old sharded capsule still loads and
-//! replays — it just has no digest to verify against.
+//! The writer emits version 2. The reader also accepts version 1,
+//! which carried fields for things that no longer exist: it ignores the
+//! removed sharded engine's `engine`/`shards`/`rng_streams`/`order`
+//! and the fixed `diag_events`, takes the smaller of `deadline_us` and
+//! the old second limit `max_sim_time_us` as the deadline, and keeps a
+//! digest line only if no other engine recorded it, so an old sharded
+//! capsule still loads and replays — it just has no digest to verify
+//! against.
 
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::Metrics;
@@ -41,17 +41,9 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Current capture-format version, written in the header line.
-pub const CAPSULE_VERSION: u64 = 1;
-
-/// Engine label of the one [`Simulator`](crate::sim::Simulator), as
-/// version-1 header and digest lines spell it.
-const SEQUENTIAL_ENGINE: &str = "sequential";
-
-/// Header field of the frozen version-1 format (RNG stream-derivation
-/// multipliers; the one engine uses the first); written verbatim, never
-/// read.
-const RNG_STREAMS: &str = "9e3779b97f4a7c15,ff51afd7ed558ccd,c4ceb9fe1a85ec53";
+/// Current capture-format version, written in the header line; the
+/// reader accepts `1..=CAPSULE_VERSION`.
+pub const CAPSULE_VERSION: u64 = 2;
 
 /// Condensed identity of a finished run: what replay must reproduce.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,7 +125,7 @@ pub enum CapsuleError {
     Io(io::Error),
     /// The file is not UTF-8 text.
     NotUtf8,
-    /// The capsule was written by a newer format version.
+    /// The capsule names a format version this reader does not know.
     UnsupportedVersion(u64),
     /// A JSONL line failed to parse.
     Malformed {
@@ -152,7 +144,7 @@ impl fmt::Display for CapsuleError {
             CapsuleError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "capsule version {v} is newer than supported {CAPSULE_VERSION}"
+                    "capsule version {v} is not one of the supported 1..={CAPSULE_VERSION}"
                 )
             }
             CapsuleError::Malformed { line, reason } => {
@@ -198,11 +190,7 @@ impl Capsule {
             line("capsule")
                 .uint("version", CAPSULE_VERSION)
                 .uint("seed", self.seed)
-                // Frozen v1 fields: the one engine, one shard.
-                .str("engine", SEQUENTIAL_ENGINE)
-                .uint("shards", 1u8)
                 .uint("deadline_us", self.deadline.as_micros())
-                .str("rng_streams", RNG_STREAMS)
                 .finish(),
         );
         let medium = &self.config.medium;
@@ -212,11 +200,7 @@ impl Capsule {
             .uint("max_backoff_us", medium.max_backoff_us)
             .uint("csma", u8::from(medium.csma))
             .uint("collisions", u8::from(medium.collisions))
-            .uint("app_loss_bits", medium.app_loss.to_bits())
-            .uint("diag_events", self.config.diag_events);
-        if let Some(limit) = self.config.max_sim_time {
-            config = config.uint("max_sim_time_us", limit.as_micros());
-        }
+            .uint("app_loss_bits", medium.app_loss.to_bits());
         if let Some(window) = self.config.stall_window {
             config = config.uint("stall_window_us", window.as_micros());
         }
@@ -262,16 +246,11 @@ impl Capsule {
         if let Some(digest) = &self.digest {
             push(
                 line("capsule_digest")
-                    // Frozen v1 fields, as in the header; `order` was
-                    // always `MISSING` on the one engine.
-                    .str("engine", SEQUENTIAL_ENGINE)
-                    .uint("shards", 1u8)
                     .str("outcome", &digest.outcome)
                     .uint("final_time", digest.final_time.as_micros())
                     .uint("events", digest.events)
                     .str("trace", &digest.trace.to_string())
                     .str("metrics", &digest.metrics.to_string())
-                    .str("order", &ContentDigest::MISSING.to_string())
                     .finish(),
             );
         }
@@ -285,6 +264,8 @@ impl Capsule {
         let mal = |line: usize, reason: String| CapsuleError::Malformed { line, reason };
         let mut header: Option<(u64, Duration)> = None;
         let mut config: Option<SimConfig> = None;
+        // Version 1's second time limit, folded into the deadline below.
+        let mut max_sim_time: Option<Duration> = None;
         let mut positions: Vec<(usize, Position)> = Vec::new();
         let mut link_rows: Vec<(usize, usize, Link)> = Vec::new();
         let mut scenario: Vec<(String, String)> = Vec::new();
@@ -310,11 +291,9 @@ impl Capsule {
                 match line.str_at("ev")? {
                     "capsule" => {
                         let version = line.uint_at("version")?;
-                        if version > CAPSULE_VERSION {
+                        if !(1..=CAPSULE_VERSION).contains(&version) {
                             return Ok(Some(version));
                         }
-                        line.str_at("engine")?;
-                        line.uint_at::<u64>("shards")?;
                         header = Some((line.uint_at("seed")?, micros("deadline_us")?));
                     }
                     "capsule_config" => {
@@ -327,6 +306,9 @@ impl Capsule {
                             Some(other) => return Err(format!("unknown noise model {other:?}")),
                             None => NoiseModel::None,
                         };
+                        max_sim_time = line
+                            .opt("max_sim_time_us", Json::uint_at)?
+                            .map(Duration::from_micros);
                         config = Some(SimConfig {
                             medium: crate::medium::MediumConfig {
                                 us_per_byte: line.uint_at("us_per_byte")?,
@@ -337,13 +319,9 @@ impl Capsule {
                                 app_loss: probability("app_loss_bits")?,
                                 noise,
                             },
-                            max_sim_time: line
-                                .opt("max_sim_time_us", Json::uint_at)?
-                                .map(Duration::from_micros),
                             stall_window: line
                                 .opt("stall_window_us", Json::uint_at)?
                                 .map(Duration::from_micros),
-                            diag_events: line.uint_at("diag_events")?,
                         });
                     }
                     "capsule_node" => positions.push((
@@ -371,8 +349,6 @@ impl Capsule {
                                 .map(ContentDigest)
                                 .map_err(|_| format!("field {key:?} must be a hex digest"))
                         };
-                        line.uint_at::<u64>("shards")?;
-                        hex("order")?;
                         let recorded = RunDigest {
                             outcome: line.str_at("outcome")?.to_string(),
                             final_time: SimTime(line.uint_at("final_time")?),
@@ -380,9 +356,11 @@ impl Capsule {
                             trace: hex("trace")?,
                             metrics: hex("metrics")?,
                         };
-                        // Only the one engine's digest can be verified;
-                        // as before, the first such line wins.
-                        if line.str_at("engine")? == SEQUENTIAL_ENGINE {
+                        // Only the one engine's digest can be verified
+                        // (version 1 names it `sequential`); the first
+                        // such line wins.
+                        let engine = line.opt("engine", Json::str_at)?;
+                        if matches!(engine, None | Some("sequential")) {
                             digest.get_or_insert(recorded);
                         }
                     }
@@ -397,7 +375,11 @@ impl Capsule {
                 return Err(CapsuleError::UnsupportedVersion(version));
             }
         }
-        let (seed, deadline) = header.ok_or_else(|| mal(0, "no \"capsule\" header line".into()))?;
+        let (seed, mut deadline) =
+            header.ok_or_else(|| mal(0, "no \"capsule\" header line".into()))?;
+        if let Some(limit) = max_sim_time {
+            deadline = deadline.min(limit);
+        }
         let config = config.ok_or_else(|| mal(0, "no \"capsule_config\" line".into()))?;
         positions.sort_by_key(|(i, _)| *i);
         for (slot, (index, _)) in positions.iter().enumerate() {
@@ -520,9 +502,7 @@ mod tests {
                     noise: NoiseModel::Bursty(BurstyNoise::heavy()),
                     ..MediumConfig::default()
                 },
-                max_sim_time: Some(Duration::from_secs(3_000)),
                 stall_window: Some(Duration::from_secs(400)),
-                diag_events: 64,
             },
             topology: Topology::grid(3, 10.0, 7),
             faults,
@@ -554,13 +534,17 @@ mod tests {
 
     #[test]
     fn newer_versions_are_rejected() {
-        let text = sample_capsule()
-            .to_jsonl()
-            .replacen("\"version\":1", "\"version\":99", 1);
-        assert!(matches!(
-            Capsule::from_jsonl(&text),
-            Err(CapsuleError::UnsupportedVersion(99))
-        ));
+        for version in [0, 3, 99] {
+            let text = sample_capsule().to_jsonl().replacen(
+                "\"version\":2",
+                &format!("\"version\":{version}"),
+                1,
+            );
+            assert!(matches!(
+                Capsule::from_jsonl(&text),
+                Err(CapsuleError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -703,7 +687,7 @@ mod tests {
     fn out_of_range_values_are_rejected_not_wrapped() {
         let good = sample_capsule().to_jsonl();
         // (field as written, replacement): `as u32`/`as usize` used to
-        // wrap the first four; the rest used to reach a panic later.
+        // wrap the first three; the rest used to reach a panic later.
         for (from, to) in [
             (
                 r#""ev":"fault_crash","node":3"#,
@@ -713,19 +697,6 @@ mod tests {
             (
                 r#""ev":"capsule_node","node":0,"#,
                 r#""ev":"capsule_node","node":18446744073709551616,"#,
-            ),
-            (
-                r#""diag_events":64"#,
-                r#""diag_events":18446744073709551616"#,
-            ),
-            // The frozen header fields are ignored but still typed.
-            (
-                r#""engine":"sequential","shards":1,"deadline_us""#,
-                r#""engine":"sequential","shards":18446744073709551620,"deadline_us""#,
-            ),
-            (
-                r#""engine":"sequential","shards":1,"deadline_us""#,
-                r#""engine":7,"shards":1,"deadline_us""#,
             ),
             (r#""seed":3735928559"#, r#""seed":-1"#),
             (r#""seed":3735928559"#, r#""seed":1.5"#),
@@ -799,7 +770,7 @@ mod tests {
                 metrics: ContentDigest(0xdd),
             })
         );
-        // Written back, it is the one engine's version-1 text.
+        // Written back, it is version-2 text with no engine in it.
         let rewritten = capsule.to_jsonl();
         assert!(!rewritten.contains("sharded"), "{rewritten}");
         assert_eq!(Capsule::from_jsonl(&rewritten).expect("parse"), capsule);

@@ -16,42 +16,28 @@ use lrs_json::ObjWriter;
 use lrs_rng::DetRng;
 use std::collections::HashMap;
 
-/// Simulation-wide configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Simulation-wide configuration. The run's time limit is not part of
+/// it: that is the [`Simulator::run`] deadline.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SimConfig {
     /// Radio and loss-process parameters.
     pub medium: MediumConfig,
-    /// Hard virtual-time limit; a run that reaches it stops with
-    /// [`Outcome::TimedOut`] regardless of the `run` deadline argument.
-    /// `None` leaves only the per-run deadline.
-    pub max_sim_time: Option<Duration>,
     /// Stall watchdog: if no node makes [`Protocol::progress`] within a
     /// window of this length, the run aborts with [`Outcome::Stalled`]
     /// and a [`DiagnosticDump`]. `None` disables the watchdog.
     pub stall_window: Option<Duration>,
-    /// How many recent trace events the simulator retains internally
-    /// for diagnostic dumps (0 disables retention).
-    pub diag_events: usize,
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            medium: MediumConfig::default(),
-            max_sim_time: None,
-            stall_window: None,
-            diag_events: 64,
-        }
-    }
-}
+/// How many recent trace events the simulator retains for diagnostic
+/// dumps.
+const DIAG_EVENTS: usize = 64;
 
 /// Why a run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// Every (non-failed) node reported completion.
     Complete,
-    /// The virtual-time limit (`run` deadline or
-    /// [`SimConfig::max_sim_time`]) passed first.
+    /// The `run` deadline passed first.
     TimedOut,
     /// The event queue drained with nodes still incomplete.
     Drained,
@@ -112,8 +98,7 @@ pub struct DiagnosticDump {
     pub pending_timers: usize,
     /// Per-node state snapshots.
     pub nodes: Vec<NodeDiag>,
-    /// The most recent trace events (bounded by
-    /// [`SimConfig::diag_events`]).
+    /// The most recent trace events (at most 64).
     pub recent: Vec<TraceEvent>,
     /// The violated invariant, when the dump was taken for
     /// [`Outcome::InvariantViolated`] — serialized structurally by
@@ -232,8 +217,6 @@ pub struct Simulator<P: Protocol> {
     violation: Option<ViolationRecord>,
     /// Always-on bounded event ring feeding diagnostic dumps.
     diag: RingTrace,
-    diag_capacity: usize,
-    max_sim_time: Option<Duration>,
     stall_window: Option<Duration>,
     /// Optional structured event sink (purely observational).
     trace: Option<Box<dyn TraceSink>>,
@@ -289,9 +272,7 @@ impl<P: Protocol> Simulator<P> {
             reboots: 0,
             invariant,
             violation: None,
-            diag: RingTrace::new(config.diag_events.max(1)),
-            diag_capacity: config.diag_events,
-            max_sim_time: config.max_sim_time,
+            diag: RingTrace::new(DIAG_EVENTS),
             stall_window: config.stall_window,
             trace,
             config,
@@ -307,9 +288,7 @@ impl<P: Protocol> Simulator<P> {
 
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
-        if self.diag_capacity > 0 {
-            self.diag.record(&event);
-        }
+        self.diag.record(&event);
         if let Some(sink) = self.trace.as_mut() {
             sink.record(&event);
         }
@@ -488,19 +467,12 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Runs until every node completes, the event queue drains, a time
-    /// limit (`deadline` or [`SimConfig::max_sim_time`]) passes, the
-    /// stall watchdog trips, or an invariant fails, then flushes the
-    /// trace sink. Returns a report; metrics stay accessible.
+    /// Runs until every node completes, the event queue drains, the
+    /// virtual-time `deadline` passes, the stall watchdog trips, or an
+    /// invariant fails, then flushes the trace sink. Returns a report;
+    /// metrics stay accessible.
     pub fn run(&mut self, deadline: Duration) -> RunReport {
-        let requested_deadline = deadline;
-        let mut deadline = SimTime::ZERO + deadline;
-        if let Some(limit) = self.max_sim_time {
-            let limit = SimTime::ZERO + limit;
-            if limit < deadline {
-                deadline = limit;
-            }
-        }
+        let limit = SimTime::ZERO + deadline;
         // Faults at t = 0 (clock drift, pre-severed links) take effect
         // before node init, so the very first timer arm sees them.
         while self.next_fault_at().is_some_and(|at| at <= self.now) {
@@ -530,7 +502,7 @@ impl<P: Protocol> Simulator<P> {
                     break;
                 }
             };
-            if at > deadline {
+            if at > limit {
                 stopped = Some(Outcome::TimedOut);
                 break;
             }
@@ -620,7 +592,7 @@ impl<P: Protocol> Simulator<P> {
             _ => None,
         };
         if matches!(outcome, Outcome::Stalled | Outcome::InvariantViolated) {
-            self.write_failure_capsule(outcome, requested_deadline);
+            self.write_failure_capsule(outcome, deadline);
         }
         let latency = if self.all_complete() {
             self.metrics.dissemination_latency()
@@ -978,10 +950,6 @@ mod tests {
         pinger(seed).build()
     }
 
-    fn pinger_sim_with(seed: u64, config: SimConfig) -> Simulator<Pinger> {
-        pinger(seed).config(config).build()
-    }
-
     fn pinger_with_faults(seed: u64, plan: FaultPlan) -> Simulator<Pinger> {
         pinger(seed).faults(plan).build()
     }
@@ -1031,21 +999,6 @@ mod tests {
         assert!(!report.all_complete);
         assert!(report.latency.is_none());
         assert_eq!(report.outcome, Outcome::TimedOut);
-    }
-
-    #[test]
-    fn max_sim_time_overrides_longer_deadlines() {
-        let mut sim = pinger_sim_with(
-            3,
-            SimConfig {
-                max_sim_time: Some(Duration::from_millis(500)),
-                ..SimConfig::default()
-            },
-        );
-        let report = sim.run(Duration::from_secs(3600));
-        assert_eq!(report.outcome, Outcome::TimedOut);
-        assert!(!report.all_complete);
-        assert!(report.final_time <= SimTime::ZERO + Duration::from_millis(500));
     }
 
     #[test]

@@ -11,6 +11,7 @@ use lrs_bench::matched_seluge_params;
 use lrs_bench::runner::{simulate, SimSetup};
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::{Duration, SimTime};
+use lrs_host::violation::ContentDigest;
 use lrs_netsim::capsule::{Capsule, CapsuleSpec, RunDigest};
 use lrs_netsim::fault::{FaultEvent, FaultPlan};
 use lrs_netsim::replay::{replay, verify_replay, ReplayError};
@@ -74,12 +75,8 @@ fn capture<P: Protocol + 'static, F: FnMut(NodeId) -> P>(
     }
 }
 
-// The next three ids predate the removal of the sharded engine (two
-// name it); they are kept so the test floor can follow them across
-// that change. Each captures and replays on the one engine.
-
 #[test]
-fn lr_capsule_replays_bit_identically_on_both_engines() {
+fn lr_capsule_replays_bit_identically() {
     let deployment = lr_deployment();
     let make = |id: NodeId| deployment.node(id, NodeId(0));
     let capsule = capture("lr-seluge", 42, FaultPlan::new(), make, |b| b);
@@ -119,7 +116,7 @@ fn lr_capsule_with_faults_replays_bit_identically() {
 }
 
 #[test]
-fn seluge_capsule_replays_bit_identically_on_sharded_engine() {
+fn seluge_capsule_replays_bit_identically() {
     let image = test_image(1024);
     let params = matched_seluge_params(&small_lr(image.len()));
     let deployment = SelugeDeployment::new(&image, params, b"flight recorder");
@@ -147,7 +144,7 @@ fn tagged_capsules_of_both_schemes_replay_with_a_full_trace_digest() {
     for (scheme, events) in [("lr-seluge", 2074), ("seluge", 2508)] {
         let mut capsule = Capsule {
             seed: 7,
-            deadline: Duration::from_secs(5_000),
+            deadline: Duration::from_secs(3_000),
             config: chaos_sim_config(),
             topology: Topology::star(10),
             faults: faults.clone(),
@@ -201,7 +198,6 @@ impl Protocol for Beacon {
 
 fn beacon_config() -> SimConfig {
     SimConfig {
-        max_sim_time: Some(Duration::from_secs(60)),
         stall_window: Some(Duration::from_secs(5)),
         ..SimConfig::default()
     }
@@ -219,7 +215,7 @@ fn stalled_sequential_run_dumps_a_loadable_capsule() {
         .capsule_on_failure(&path)
         .scenario("protocol", "beacon")
         .build();
-    let report = sim.run(Duration::from_secs(120));
+    let report = sim.run(Duration::from_secs(60));
     assert_eq!(report.outcome, Outcome::Stalled);
 
     let capsule = Capsule::load(&path).expect("failure capsule must load");
@@ -235,11 +231,15 @@ fn stalled_sequential_run_dumps_a_loadable_capsule() {
     verify_replay(&capsule, &replayed).expect("stall replay diverged");
 }
 
-/// The watchdog demo's capsule as committed by an earlier commit: the
-/// cross-version format pin, which
+/// The watchdog demo's capsule as committed in capsule format version
+/// 1: the reader's cross-version fixture, which
 /// `partitioned_star_stalls_and_rewrites_the_committed_capsule` must
-/// reproduce byte for byte.
+/// reproduce.
 const COMMITTED_CAPSULE: &str = "results/capsules/chaos-watchdog-demo.jsonl";
+
+/// FNV-1a of the committed capsule rewritten as version 2: the writer's
+/// byte pin.
+const REWRITTEN_CAPSULE: ContentDigest = ContentDigest(0xc211_ff90_437d_444c);
 
 #[test]
 fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
@@ -271,18 +271,19 @@ fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
             },
             faults,
             capsule: Some(tags.apply(CapsuleSpec::new(&path))),
-            ..SimSetup::new(topo, 3, Duration::from_secs(5_000))
+            ..SimSetup::new(topo, 3, Duration::from_secs(3_000))
         },
     )
     .report;
     assert_eq!(report.outcome, Outcome::Stalled);
     let dump = report.diagnostic.expect("a stalled run carries a dump");
     assert!(!dump.nodes.is_empty());
-    let written = std::fs::read(&path).expect("the stall dumped a capsule");
+    let written = Capsule::load(&path).expect("the stall dumped a capsule");
     std::fs::remove_file(&path).ok();
-    assert!(
-        written == std::fs::read(COMMITTED_CAPSULE).expect("committed capsule"),
-        "the capsule writer drifted from {COMMITTED_CAPSULE}"
+    assert_eq!(
+        written,
+        Capsule::load(COMMITTED_CAPSULE).expect("committed capsule"),
+        "the run drifted from {COMMITTED_CAPSULE}"
     );
 }
 
@@ -290,7 +291,31 @@ fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
 fn committed_capsule_loads_and_rewrites_byte_for_byte() {
     let text = std::fs::read_to_string(COMMITTED_CAPSULE).expect("committed capsule");
     let capsule = Capsule::from_jsonl(&text).expect("committed capsule loads");
-    assert_eq!(capsule.to_jsonl(), text, "writer drifted from the file");
+    // Version 1 ran to the smaller of its two limits.
+    assert_eq!(capsule.deadline, Duration::from_secs(3_000));
+    let rewritten = capsule.to_jsonl();
+    assert!(rewritten.starts_with(r#"{"ev":"capsule","version":2,"#));
+    for dropped in [
+        "engine",
+        "shards",
+        "rng_streams",
+        "diag_events",
+        "max_sim_time_us",
+        "order",
+    ] {
+        assert!(
+            !rewritten.contains(&format!("\"{dropped}\"")),
+            "{dropped}: {rewritten}"
+        );
+    }
+    let again = Capsule::from_jsonl(&rewritten).expect("version 2 loads");
+    assert_eq!(again, capsule);
+    assert_eq!(again.to_jsonl(), rewritten, "writer is not a fixed point");
+    assert_eq!(
+        ContentDigest::of(rewritten.as_bytes()),
+        REWRITTEN_CAPSULE,
+        "the capsule writer drifted:\n{rewritten}"
+    );
     // The 64-bit patterns in it (`"x_bits":13835058055282163712` is
     // -2.0) survive exactly.
     assert_eq!(capsule.topology.positions()[2].x, -2.0);
