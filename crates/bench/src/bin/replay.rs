@@ -36,7 +36,7 @@ fn replay(path: &str) -> Result<(), String> {
         "replay OK: reproduced outcome {:?} at {:.1} s, {} trace events, digests match",
         run.report.outcome,
         run.report.final_time.as_secs_f64(),
-        run.trace.len(),
+        run.digest.events,
     );
     Ok(())
 }

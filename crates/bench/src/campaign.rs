@@ -45,14 +45,14 @@
 
 use crate::capsules::{population, ScenarioTags};
 use crate::json::{parse_json, Json};
-use crate::runner::{simulate, ExperimentMetrics, Matched, SimSetup};
+use crate::runner::{simulate, ExperimentMetrics, Matched};
 use crate::spec::{attack_config, build_topology, fault_config, CampaignSpec, CellParams};
 use crate::with_scheme;
 use lrs_analysis::StreamingSummary;
 use lrs_deluge::attack::AttackPlan;
 use lrs_host::node::NodeId;
 use lrs_host::time::Duration;
-use lrs_netsim::capsule::{Capsule, CapsuleSpec};
+use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::topology::Topology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -686,32 +686,30 @@ impl Campaign {
     /// the job would never become retryable.
     fn execute(&self, job: usize) -> JobRecord {
         let (capsule, tags) = self.job_plan(job).expect("validated at parse time");
-        with_scheme!(tags.scheme.as_str(), S => self.run_job::<S>(job, capsule, &tags))
+        with_scheme!(tags.scheme.as_str(), S => self.run_job::<S>(job, &capsule, &tags))
             .unwrap_or_else(|e| unreachable!("scheme validated at parse time: {e}"))
     }
 
     /// Scheme-generic single-job runner: one deployment per job supplies
     /// the node factory and the per-delivery invariant checker; the sim
-    /// is built from the job's capsule with the flight recorder armed,
-    /// run, and its metrics extracted.
-    fn run_job<S: Matched>(&self, job: usize, capsule: Capsule, tags: &ScenarioTags) -> JobRecord {
+    /// is built from the job's capsule, run, and its metrics extracted.
+    /// A diagnostic outcome saves the capsule with its digest to
+    /// [`failure_capsule_path`](Self::failure_capsule_path); the write is
+    /// best-effort (an I/O error goes to stderr and the job still logs
+    /// its record), because the run itself succeeded.
+    fn run_job<S: Matched>(&self, job: usize, capsule: &Capsule, tags: &ScenarioTags) -> JobRecord {
         let pop = population::<S>(tags).expect("campaign profile is registered");
-        let seed = capsule.seed;
-        let setup = SimSetup {
-            config: capsule.config,
-            faults: capsule.faults,
-            capsule: Some(CapsuleSpec {
-                path: self.failure_capsule_path(job).into(),
-                scenario: capsule.scenario,
-            }),
-            check_deliveries: true,
-            ..SimSetup::new(capsule.topology, seed, capsule.deadline)
-        };
-        let done = simulate(&pop, setup);
+        let done = simulate(&pop, capsule, true);
+        if let Some(failure) = done.failure_capsule(capsule) {
+            let path = self.failure_capsule_path(job);
+            if let Err(err) = failure.save(&path) {
+                eprintln!("warning: failed to write failure capsule {path}: {err}");
+            }
+        }
         JobRecord {
             job,
             cell: job / self.spec.seeds as usize,
-            seed,
+            seed: capsule.seed,
             outcome: done.report.outcome.label().to_string(),
             metrics: done.metrics().named().map(|(_, value)| value),
         }

@@ -7,7 +7,7 @@
 //! protocol population produced the run — that travels as free-form
 //! scenario tags. This module is the bench-side registry for those
 //! tags: the campaign engine writes them through
-//! [`ScenarioTags::apply`], and [`population`] turns them back into a
+//! [`ScenarioTags::pairs`], and [`population`] turns them back into a
 //! [`Population`] (node factory plus invariant checker) for any scheme
 //! family; [`with_scheme!`](crate::with_scheme) is the one place a
 //! scheme *name* becomes a scheme *type*.
@@ -18,13 +18,13 @@ use lrs_deluge::attack::{
     AttackEntry, AttackPlan, AttackVector, Attacker, AttackerProfile, MaybeAdversary,
 };
 use lrs_deluge::bootstrap::PacketDigestCache;
-use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
+use lrs_deluge::deployment::{check_layout, Deployment, Node, SchemeFamily};
 use lrs_host::node::NodeId;
 use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::InvariantViolation;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::sim::SimConfig;
-use lrs_netsim::{replay, Capsule, CapsuleSpec, ReplayRun};
+use lrs_netsim::{replay, Capsule, ReplayRun};
 
 pub use lr_seluge::LrScheme;
 pub use lrs_deluge::image::DelugeScheme;
@@ -69,9 +69,6 @@ pub const TAG_IMAGE_LEN: &str = "image_len";
 /// Tag key: key-derivation context (the `Deployment::new` seed
 /// material, as a UTF-8 string).
 pub const TAG_KEY_CONTEXT: &str = "key_context";
-/// Tag key: node id of the packet-storm attacker. Read only: capsules
-/// written before the storm became an [`AttackPlan`] entry carry it.
-const TAG_ATTACKER: &str = "attacker";
 /// Tag key: the serialized [`AttackPlan`] (entry JSONs joined by `;`)
 /// that placed plan-driven adversaries, when one ran. Replay rebuilds
 /// the exact attacker population from this tag alone — the plan, like
@@ -157,8 +154,16 @@ pub fn profile_params(profile_name: &str, image_len: usize) -> Result<LrSelugePa
 }
 
 /// The `len`-byte test image `profile`'s capture path disseminates.
+///
+/// # Errors
+///
+/// An unknown profile, or a length the profile's page geometry cannot
+/// lay out (empty, or more pages than the wire addresses), which is
+/// refused before any byte is generated.
 pub fn profile_image(profile_name: &str, len: usize) -> Result<Vec<u8>, String> {
-    Ok(profile(profile_name)?.1(len))
+    let (params, image) = profile(profile_name)?;
+    check_layout(len, params(len).page_capacity()).map_err(|e| format!("deployment: {e}"))?;
+    Ok(image(len))
 }
 
 /// The deployment of family `S` that a profile, an image length and a
@@ -185,20 +190,6 @@ pub fn chaos_sim_config() -> SimConfig {
             ..MediumConfig::default()
         },
         stall_window: Some(Duration::from_secs(400)),
-    }
-}
-
-/// The campaign `storm` attacker's bursty bogus-data packet storm,
-/// mounted at `node`.
-fn storm_entry(node: NodeId) -> AttackEntry {
-    AttackEntry {
-        node,
-        vector: AttackVector::BogusData,
-        at: SimTime::ZERO,
-        interval: Duration::from_millis(80),
-        burst: Some((Duration::from_secs(5), Duration::from_secs(15))),
-        target: NodeId(0),
-        spoof_pool: 0,
     }
 }
 
@@ -240,70 +231,58 @@ impl ScenarioTags {
     pub fn with_storm(mut self, node: NodeId) -> Self {
         self.attack_plan
             .get_or_insert_with(AttackPlan::new)
-            .push(storm_entry(node));
+            .push(AttackEntry {
+                node,
+                vector: AttackVector::BogusData,
+                at: SimTime::ZERO,
+                interval: Duration::from_millis(80),
+                burst: Some((Duration::from_secs(5), Duration::from_secs(15))),
+                target: NodeId(0),
+                spoof_pool: 0,
+            });
         self
     }
 
-    /// Writes these tags onto a [`CapsuleSpec`].
-    pub fn apply(&self, spec: CapsuleSpec) -> CapsuleSpec {
-        let mut spec = spec
-            .tag(TAG_SCHEME, &self.scheme)
-            .tag(TAG_PROFILE, &self.profile)
-            .tag(TAG_IMAGE_LEN, self.image_len)
-            .tag(TAG_KEY_CONTEXT, &self.key_context);
-        if let Some(plan) = &self.attack_plan {
-            spec = spec.tag(TAG_ATTACK_PLAN, plan.to_tag());
-        }
-        spec
-    }
-
-    /// The raw key/value pairs, for direct [`Capsule`] construction.
+    /// The key/value pairs a [`Capsule`] carries as its scenario tags.
     pub fn pairs(&self) -> Vec<(String, String)> {
-        self.apply(CapsuleSpec::new("unused")).scenario
+        let mut pairs = vec![
+            (TAG_SCHEME, self.scheme.clone()),
+            (TAG_PROFILE, self.profile.clone()),
+            (TAG_IMAGE_LEN, self.image_len.to_string()),
+            (TAG_KEY_CONTEXT, self.key_context.clone()),
+        ];
+        if let Some(plan) = &self.attack_plan {
+            pairs.push((TAG_ATTACK_PLAN, plan.to_tag()));
+        }
+        pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
     }
 
-    /// Decodes the tags of a loaded capsule.
+    /// Decodes the tags of a loaded capsule: exactly what
+    /// [`pairs`](Self::pairs) writes, every tag but `attack_plan`
+    /// required.
     pub fn decode(capsule: &Capsule) -> Result<Self, String> {
-        let scheme = capsule
-            .scenario_value(TAG_SCHEME)
-            .ok_or("capsule has no \"scheme\" scenario tag; it was not written by this harness")?
-            .to_string();
-        let image_len = capsule
-            .scenario_value(TAG_IMAGE_LEN)
-            .ok_or("capsule has no \"image_len\" scenario tag")?
+        let tag = |key: &str| {
+            capsule.scenario_value(key).ok_or_else(|| {
+                format!("capsule has no {key:?} scenario tag; it was not written by this harness")
+            })
+        };
+        let scheme = tag(TAG_SCHEME)?.to_string();
+        let image_len = tag(TAG_IMAGE_LEN)?
             .parse::<usize>()
-            .map_err(|e| format!("bad image_len tag: {e}"))?;
-        let profile = capsule
-            .scenario_value(TAG_PROFILE)
-            .unwrap_or("chaos")
-            .to_string();
-        let key_context = capsule
-            .scenario_value(TAG_KEY_CONTEXT)
-            .unwrap_or("chaos keys")
-            .to_string();
+            .map_err(|e| format!("bad {TAG_IMAGE_LEN} tag: {e}"))?;
         let attack_plan = match capsule.scenario_value(TAG_ATTACK_PLAN) {
             Some(v) => {
                 Some(AttackPlan::from_tag(v).ok_or_else(|| format!("bad attack_plan tag {v:?}"))?)
             }
             None => None,
         };
-        let mut tags = ScenarioTags {
+        Ok(ScenarioTags {
             scheme,
-            profile,
+            profile: tag(TAG_PROFILE)?.to_string(),
             image_len,
-            key_context,
+            key_context: tag(TAG_KEY_CONTEXT)?.to_string(),
             attack_plan,
-        };
-        // A legacy storm tag is that node's plan entry, unless the plan
-        // already names the node (plan entries always took precedence).
-        if let Some(v) = capsule.scenario_value(TAG_ATTACKER) {
-            let node = NodeId(v.parse().map_err(|e| format!("bad attacker tag: {e}"))?);
-            let planned = tags.attack_plan.as_ref().and_then(|pl| pl.entry_for(node));
-            if planned.is_none() {
-                tags = tags.with_storm(node);
-            }
-        }
-        Ok(tags)
+        })
     }
 }
 
@@ -322,7 +301,13 @@ pub struct Population<S: SchemeFamily> {
 /// node factory and the invariant checker come from this one
 /// deployment, so the image is preprocessed and signed once.
 pub fn population<S: Matched>(tags: &ScenarioTags) -> Result<Population<S>, String> {
-    let deployment = profile_deployment(&tags.profile, tags.image_len, &tags.key_context)?;
+    let deployment = profile_deployment(&tags.profile, tags.image_len, &tags.key_context)
+        .map_err(|e| {
+            format!(
+                "tags {TAG_PROFILE} = {:?}, {TAG_IMAGE_LEN} = {}: {e}",
+                tags.profile, tags.image_len
+            )
+        })?;
     Ok(Population {
         plan: tags.attack_plan.clone(),
         ..Population::honest(deployment)
@@ -420,62 +405,41 @@ mod tests {
             scenario: tags.pairs(),
             ..tagged(&[])
         };
-        assert!(capsule.scenario_value(TAG_ATTACKER).is_none());
         assert_eq!(ScenarioTags::decode(&capsule).unwrap(), tags);
-    }
-
-    const BASE_TAGS: [(&str, &str); 4] = [
-        ("scheme", "lr-seluge"),
-        ("profile", "chaos"),
-        ("image_len", "2048"),
-        ("key_context", "chaos keys"),
-    ];
-    const STORM_AT_5: &str = r#"{"t":0,"ev":"attack_bogus","node":5,"interval_us":80000,"target":0,"pool":0,"on_us":5000000,"off_us":15000000}"#;
-
-    #[test]
-    fn legacy_attacker_tag_decodes_to_the_storm_plan_entry() {
-        let legacy = [&BASE_TAGS[..], &[("attacker", "5")]].concat();
-        let planned = [&BASE_TAGS[..], &[("attack_plan", STORM_AT_5)]].concat();
-        let legacy = ScenarioTags::decode(&tagged(&legacy)).unwrap();
-        assert_eq!(legacy, ScenarioTags::decode(&tagged(&planned)).unwrap());
-        assert_eq!(
-            legacy,
-            ScenarioTags::new("lr-seluge", "chaos", 2048, "chaos keys").with_storm(NodeId(5))
-        );
-        // Writers emit the plan form only.
-        assert_eq!(legacy.pairs()[4], ("attack_plan".into(), STORM_AT_5.into()));
-        let bad = [&BASE_TAGS[..], &[("attacker", "five")]].concat();
-        assert!(ScenarioTags::decode(&tagged(&bad)).is_err());
-    }
-
-    #[test]
-    fn plan_entry_wins_over_a_legacy_attacker_tag_on_the_same_node() {
-        let forge_at_5 =
-            r#"{"t":0,"ev":"attack_forgeadv","node":5,"interval_us":250000,"target":0,"pool":6}"#;
-        let both = |attacker| {
-            let tags = [
-                &BASE_TAGS[..],
-                &[("attacker", attacker), ("attack_plan", forge_at_5)],
-            ]
-            .concat();
-            ScenarioTags::decode(&tagged(&tags)).unwrap().attack_plan
-        };
-        // Overlap: node 5 stays the plan's forged-adv attacker.
-        let plan = both("5").unwrap();
-        assert_eq!(plan.to_tag(), forge_at_5);
-        // No overlap: the storm joins the plan at its own node.
-        let plan = both("4").unwrap();
-        assert_eq!(plan.len(), 2);
-        assert_eq!(
-            plan.entry_for(NodeId(5)).map(|e| e.vector),
-            Some(AttackVector::ForgedAdv)
-        );
-        assert_eq!(plan.entry_for(NodeId(4)), Some(&storm_entry(NodeId(4))));
+        // Every tag but the plan is required.
+        for key in [TAG_SCHEME, TAG_PROFILE, TAG_IMAGE_LEN, TAG_KEY_CONTEXT] {
+            let partial = Capsule {
+                scenario: tags.pairs().into_iter().filter(|(k, _)| k != key).collect(),
+                ..tagged(&[])
+            };
+            let err = ScenarioTags::decode(&partial).unwrap_err();
+            assert!(err.contains(&format!("no {key:?} scenario tag")), "{err}");
+        }
     }
 
     #[test]
     fn unknown_profile_is_rejected() {
         assert!(profile_params("nope", 1024).is_err());
         assert!(profile_image("nope", 1024).is_err());
+    }
+
+    #[test]
+    fn an_unbuildable_image_len_tag_is_an_error_not_an_abort() {
+        // The huge length used to reach the allocator and abort the
+        // process; the empty one panicked building the deployment.
+        for (len, needle) in [
+            ("100000000000000", "at most 65533 are addressable"),
+            ("0", "empty image"),
+        ] {
+            let capsule = tagged(&[
+                ("scheme", "lr-seluge"),
+                ("profile", "chaos"),
+                ("image_len", len),
+                ("key_context", "chaos keys"),
+            ]);
+            let err = replay_capsule(&capsule).err().expect("must not replay");
+            assert!(err.contains(&format!("image_len = {len}")), "{err}");
+            assert!(err.contains(needle), "{err}");
+        }
     }
 }

@@ -481,7 +481,7 @@ fn mean_receiver_cost<S: Matched>(
     seed: u64,
 ) -> CryptoCost {
     let deployment = Deployment::<S>::new(image, S::matched(lr), b"overhead");
-    let done = simulate(&Population::honest(deployment), spec.setup(seed));
+    let done = simulate(&Population::honest(deployment), &spec.capsule(seed), false);
     assert!(done.report.all_complete);
     let mut acc = CryptoCost::default();
     for (_, node) in done.honest().skip(1) {
@@ -556,7 +556,6 @@ fn grid_spec(spacing: f64, seed: u64) -> RunSpec {
             ..MediumConfig::default()
         },
         deadline: Duration::from_secs(400_000),
-        engine: Default::default(),
     }
 }
 

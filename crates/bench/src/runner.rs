@@ -4,12 +4,12 @@ use crate::capsules::{Member, Population};
 use lr_seluge::{LrScheme, LrSelugeParams};
 use lrs_deluge::bootstrap::PacketDigestCache;
 use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
-use lrs_deluge::engine::{DisseminationNode, EngineConfig};
+use lrs_deluge::engine::DisseminationNode;
 use lrs_deluge::image::{DelugeScheme, ImageParams};
 use lrs_deluge::policy::TxPolicy;
 use lrs_host::node::{NodeId, PacketKind};
 use lrs_host::time::Duration;
-use lrs_netsim::capsule::CapsuleSpec;
+use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::energy::EnergyModel;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::medium::MediumConfig;
@@ -168,8 +168,6 @@ pub struct RunSpec {
     pub medium: MediumConfig,
     /// Virtual-time budget before declaring the run stalled.
     pub deadline: Duration,
-    /// Engine (timer) configuration.
-    pub engine: EngineConfig,
 }
 
 impl RunSpec {
@@ -183,20 +181,23 @@ impl RunSpec {
                 ..MediumConfig::default()
             },
             deadline: Duration::from_secs(100_000),
-            engine: EngineConfig::default(),
         }
     }
 
-    /// The simulation this spec describes under `seed` (the engine
-    /// configuration travels in the deployment instead).
-    pub fn setup(&self, seed: u64) -> SimSetup {
-        let config = SimConfig {
-            medium: self.medium,
-            ..SimConfig::default()
-        };
-        SimSetup {
-            config,
-            ..SimSetup::new(self.topology.clone(), seed, self.deadline)
+    /// The run this spec describes under `seed`: a fault-free capsule
+    /// with no scenario tags and no digest.
+    pub fn capsule(&self, seed: u64) -> Capsule {
+        Capsule {
+            seed,
+            deadline: self.deadline,
+            config: SimConfig {
+                medium: self.medium,
+                ..SimConfig::default()
+            },
+            topology: self.topology.clone(),
+            faults: FaultPlan::new(),
+            scenario: Vec::new(),
+            digest: None,
         }
     }
 }
@@ -257,40 +258,6 @@ impl std::iter::Sum for HonestTotals {
     }
 }
 
-/// Everything about one simulation except who its nodes are (that is
-/// the [`Population`]).
-pub struct SimSetup {
-    /// Network topology (node 0 is the base station).
-    pub topology: Topology,
-    /// Simulator seed.
-    pub seed: u64,
-    /// Medium, watchdog and time limits.
-    pub config: SimConfig,
-    /// Virtual-time budget.
-    pub deadline: Duration,
-    /// Faults applied as virtual time passes.
-    pub faults: FaultPlan,
-    /// Where a diagnostic outcome dumps its tagged replay capsule.
-    pub capsule: Option<CapsuleSpec>,
-    /// Whether the population's per-delivery invariant checker is armed.
-    pub check_deliveries: bool,
-}
-
-impl SimSetup {
-    /// A fault-free, unrecorded, unchecked run on the default medium.
-    pub fn new(topology: Topology, seed: u64, deadline: Duration) -> Self {
-        SimSetup {
-            topology,
-            seed,
-            config: SimConfig::default(),
-            deadline,
-            faults: FaultPlan::new(),
-            capsule: None,
-            check_deliveries: false,
-        }
-    }
-}
-
 /// A finished run, nodes still inspectable.
 pub struct Finished<S: SchemeFamily> {
     /// The simulator after the run.
@@ -331,9 +298,24 @@ impl<S: SchemeFamily> Finished<S> {
             .sum();
         ExperimentMetrics::extract(&self.report, self.sim.metrics(), self.energy_j(), &honest)
     }
+
+    /// The failure dump: if the run ended diagnostically (stalled,
+    /// invariant violated), `ran` — the capsule it ran — with the run's
+    /// digest recorded. The trace was not collected, so the digest
+    /// covers outcome, final time and metrics, and replay verification
+    /// skips the trace hash.
+    pub fn failure_capsule(&self, ran: &Capsule) -> Option<Capsule> {
+        let (outcome, at) = (self.report.outcome, self.report.final_time);
+        outcome.is_diagnostic().then(|| Capsule {
+            digest: Some(RunDigest::metrics_only(outcome, at, self.sim.metrics())),
+            ..ran.clone()
+        })
+    }
 }
 
-/// Runs `pop` under `setup`.
+/// Runs `pop` as `capsule` describes (its scenario tags and digest are
+/// not read), with the population's per-delivery invariant checker
+/// armed when `check_deliveries` is set.
 ///
 /// One digest memo per run: a broadcast hashed by one receiver is
 /// served from memory at the others (per-node `hashes` counters are
@@ -341,25 +323,23 @@ impl<S: SchemeFamily> Finished<S> {
 /// artifacts enumerate every predetermined packet, so the memo is
 /// warmed up front in multi-buffer batches instead of filling
 /// packet-by-packet on first reception.
-pub fn simulate<S: SchemeFamily>(pop: &Population<S>, setup: SimSetup) -> Finished<S> {
+pub fn simulate<S: SchemeFamily>(
+    pop: &Population<S>,
+    capsule: &Capsule,
+    check_deliveries: bool,
+) -> Finished<S> {
     let digests = PacketDigestCache::default();
     pop.deployment().warm_digest_cache(&digests);
-    let mut builder = SimBuilder::new(setup.topology, setup.seed, |id| {
+    let mut builder = SimBuilder::new(capsule.topology.clone(), capsule.seed, |id| {
         pop.node(id, Some(&digests))
     })
-    .config(setup.config)
-    .faults(setup.faults);
-    if setup.check_deliveries {
+    .config(capsule.config)
+    .faults(capsule.faults.clone());
+    if check_deliveries {
         builder = builder.invariants(pop.checker());
     }
-    if let Some(spec) = setup.capsule {
-        builder = builder.capsule_on_failure(spec.path);
-        for (key, value) in spec.scenario {
-            builder = builder.scenario(key, value);
-        }
-    }
     let mut sim = builder.build();
-    let report = sim.run(setup.deadline);
+    let report = sim.run(capsule.deadline);
     Finished {
         sim,
         report,
@@ -372,9 +352,8 @@ pub fn simulate<S: SchemeFamily>(pop: &Population<S>, setup: SimSetup) -> Finish
 /// node's invariants (a completed node holds the exact image), extract.
 pub fn run<S: SchemeFamily>(spec: &RunSpec, params: S::Params, seed: u64) -> ExperimentMetrics {
     let image = test_image(S::image_len(&params));
-    let deployment =
-        Deployment::<S>::new(&image, params, b"bench keys").with_engine_config(spec.engine);
-    let done = simulate(&Population::honest(deployment), spec.setup(seed));
+    let deployment = Deployment::<S>::new(&image, params, b"bench keys");
+    let done = simulate(&Population::honest(deployment), &spec.capsule(seed), false);
     assert_eq!(done.violations(), 0, "{} invariants broken", S::NAME);
     done.metrics()
 }
@@ -390,16 +369,15 @@ pub fn run_with_policy<S: SchemeFamily, P: TxPolicy + 'static>(
     make_policy: impl Fn() -> P,
 ) -> ExperimentMetrics {
     let image = test_image(S::image_len(&params));
-    let deployment =
-        Deployment::<S>::new(&image, params, b"bench keys").with_engine_config(spec.engine);
-    let setup = spec.setup(seed);
-    let nodes = (0..setup.topology.len() as u32).map(NodeId);
-    let mut sim = SimBuilder::new(setup.topology, seed, |id| {
+    let deployment = Deployment::<S>::new(&image, params, b"bench keys");
+    let capsule = spec.capsule(seed);
+    let nodes = (0..capsule.topology.len() as u32).map(NodeId);
+    let mut sim = SimBuilder::new(capsule.topology, seed, |id| {
         deployment.node_with_policy(id, NodeId(0), make_policy())
     })
-    .config(setup.config)
+    .config(capsule.config)
     .build();
-    let report = sim.run(setup.deadline);
+    let report = sim.run(capsule.deadline);
     let honest = nodes
         .map(|id| {
             let node = sim.node(id);

@@ -22,8 +22,10 @@
 //! of scalars that can be logged, diffed, and embedded in capsule tags
 //! without nested tables.
 
+use crate::capsules::campaign_params;
 use crate::json::{parse_json, Json};
 use lrs_deluge::attack::{AttackConfig, AttackVector};
+use lrs_deluge::deployment::check_layout;
 use lrs_host::time::Duration;
 use lrs_netsim::fault::{FaultConfig, MAX_DRIFT_PPM};
 use lrs_netsim::medium::MediumConfig;
@@ -180,6 +182,10 @@ impl CampaignSpec {
         if self.seeds == 0 {
             return Err("seeds must be at least 1".into());
         }
+        // Jobs lay their image out in the `campaign` profile's pages.
+        let capacity = campaign_params(self.image_bytes).page_capacity();
+        check_layout(self.image_bytes, capacity)
+            .map_err(|e| format!("image_bytes = {}: {e}", self.image_bytes))?;
         // Job `j` runs seed `seed_base + j`, for every `j` below the
         // job count.
         let cells = self.cells().len() as u64;
@@ -362,10 +368,6 @@ fn secs_to_duration(s: f64) -> Duration {
     Duration::from_micros((s * 1e6).round() as u64)
 }
 
-fn duration_to_secs(d: Duration) -> f64 {
-    d.as_micros() as f64 / 1e6
-}
-
 /// Builds the [`FaultConfig`] a fault token describes, with `horizon`
 /// as the scheduling window. `none` yields the quiet default config;
 /// comma-joined knobs cover the full fault vocabulary:
@@ -430,39 +432,6 @@ pub fn fault_config(token: &str, horizon: Duration) -> Result<FaultConfig, Strin
         None
     };
     Ok(config)
-}
-
-/// Renders a [`FaultConfig`] back into the canonical token
-/// [`fault_config`] parses. `fault_config(canonical_fault_token(c), h)`
-/// reproduces `c` exactly (for configs expressible in the grammar —
-/// i.e. those `fault_config` itself produces), and the canonical token
-/// is a fixed point of the round trip.
-pub fn canonical_fault_token(config: &FaultConfig) -> String {
-    let mut parts = Vec::new();
-    if config.crash_rate > 0.0 {
-        parts.push(format!("crash={}", config.crash_rate));
-        if let Some((lo, hi)) = config.reboot_after {
-            parts.push(format!(
-                "reboot={}-{}",
-                duration_to_secs(lo),
-                duration_to_secs(hi)
-            ));
-        }
-    }
-    if config.link_flap_rate > 0.0 {
-        parts.push(format!("flap={}", config.link_flap_rate));
-    }
-    if config.degrade_rate > 0.0 {
-        parts.push(format!("degrade={}", config.degrade_rate));
-    }
-    if config.drift_ppm > 0 {
-        parts.push(format!("drift={}", config.drift_ppm));
-    }
-    if parts.is_empty() {
-        "none".into()
-    } else {
-        parts.join(",")
-    }
 }
 
 /// Maximum injection rate an attacker token may ask for (packets/s).
@@ -556,25 +525,6 @@ pub fn attack_config(token: &str) -> Result<Option<AttackConfig>, String> {
     };
     config.vector = vector;
     Ok(Some(config))
-}
-
-/// Renders an [`AttackConfig`] back into the canonical token
-/// [`attack_config`] parses: `attack_config(canonical_attack_token(c))`
-/// reproduces `c` exactly for configs the grammar can express.
-pub fn canonical_attack_token(config: &AttackConfig) -> String {
-    let rate = 1e6 / config.interval.as_micros() as f64;
-    let mut token = format!("{}={}", config.vector.label(), rate);
-    if let Some((on, off)) = config.burst {
-        token.push_str(&format!(
-            ",burst={}-{}",
-            duration_to_secs(on),
-            duration_to_secs(off)
-        ));
-    }
-    if config.attackers != 1 {
-        token.push_str(&format!(",n={}", config.attackers));
-    }
-    token
 }
 
 /// Parses the flat TOML subset campaign specs use: `key = value` lines
@@ -893,6 +843,13 @@ mod tests {
                 concat!("name = \"x\"\nsharded_", "threshold = 64"),
                 concat!("unknown spec key \"sharded_", "threshold\""),
             ),
+            // The first job aborted allocating the image; the second
+            // panicked building an empty deployment.
+            (
+                "name = \"huge\"\nschemes = [\"lr-seluge\"]\nimage_bytes = 100000000000000\nseeds = 1\n",
+                "image_bytes = 100000000000000: a 100000000000000-byte image needs",
+            ),
+            ("name = \"x\"\nimage_bytes = 0", "image_bytes = 0: empty image"),
             ("[table]\nname = \"x\"", "tables are not supported"),
             ("name = \"x\"\nloss_ppm = [[1]]", "nested arrays"),
         ] {
@@ -995,27 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_tokens_round_trip_through_canonical_form() {
-        let horizon = Duration::from_secs(3_000);
-        for token in [
-            "none",
-            "crash=0.5",
-            "crash=0.5,reboot=10-60",
-            "crash=0.125,reboot=2.5-7.25,flap=0.3,degrade=0.99,drift=200000",
-            "flap=1",
-            "degrade=0.001",
-            "drift=42",
-        ] {
-            let config = fault_config(token, horizon).unwrap();
-            let canonical = canonical_fault_token(&config);
-            let reparsed = fault_config(&canonical, horizon).unwrap();
-            assert_eq!(reparsed, config, "{token:?} → {canonical:?}");
-            // The canonical form is a fixed point.
-            assert_eq!(canonical_fault_token(&reparsed), canonical);
-        }
-    }
-
-    #[test]
     fn attack_tokens_build_configs() {
         // Legacy tokens bypass the plan engine.
         assert_eq!(attack_config("none").unwrap(), None);
@@ -1058,24 +994,6 @@ mod tests {
         ] {
             let err = attack_config(token).unwrap_err();
             assert!(err.contains(needle), "{token:?} gave {err:?}");
-        }
-    }
-
-    #[test]
-    fn attack_tokens_round_trip_through_canonical_form() {
-        for token in [
-            "bogus=4",
-            "forgesig=10",
-            "forgeadv=0.25",
-            "dor=2,burst=1.5-3",
-            "spoofdor=100,burst=2-0.5,n=16",
-            "bogus=0.001,n=2",
-        ] {
-            let config = attack_config(token).unwrap().unwrap();
-            let canonical = canonical_attack_token(&config);
-            let reparsed = attack_config(&canonical).unwrap().unwrap();
-            assert_eq!(reparsed, config, "{token:?} → {canonical:?}");
-            assert_eq!(canonical_attack_token(&reparsed), canonical);
         }
     }
 

@@ -6,9 +6,8 @@
 
 use lrs_bench::campaign::{Campaign, JobRecord, JOB_LOG, MANIFEST, REPORT};
 use lrs_bench::capsules::{replay_capsule, ScenarioTags};
-use lrs_bench::spec::{attack_config, canonical_attack_token, canonical_fault_token, fault_config};
 use lrs_bench::{CampaignSpec, ExperimentMetrics};
-use lrs_host::time::Duration;
+use lrs_host::violation::ContentDigest;
 use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::FaultEvent;
 use lrs_netsim::sim::Outcome;
@@ -219,45 +218,6 @@ fn metric_index(name: &str) -> usize {
 }
 
 #[test]
-fn fault_and_attacker_tokens_survive_canonicalization() {
-    // Parse → canonical string → parse must be the identity for every
-    // token family: that is what makes manifests and capsule tags
-    // stable spellings rather than whatever the user typed.
-    let horizon = Duration::from_secs(600);
-    for token in [
-        "none",
-        "crash=0.5",
-        "crash=0.5,reboot=10-60",
-        "flap=0.25",
-        "degrade=0.75",
-        "drift=150000",
-        "crash=0.3,reboot=5-20,flap=0.2,degrade=0.1,drift=40000",
-    ] {
-        let config = fault_config(token, horizon).expect("fault token parses");
-        let canonical = canonical_fault_token(&config);
-        let reparsed = fault_config(&canonical, horizon).expect("canonical form parses");
-        assert_eq!(reparsed, config, "fault token {token:?} drifted");
-    }
-    for token in [
-        "bogus=4",
-        "forgesig=2.5",
-        "forgeadv=1",
-        "dor=2,burst=3-9",
-        "spoofdor=2,n=3,burst=1-4",
-        "bogus=8,n=2",
-    ] {
-        let config = attack_config(token)
-            .expect("attack token parses")
-            .expect("a vector token yields a config");
-        let canonical = canonical_attack_token(&config);
-        let reparsed = attack_config(&canonical)
-            .expect("canonical form parses")
-            .expect("canonical form yields a config");
-        assert_eq!(reparsed, config, "attack token {token:?} drifted");
-    }
-}
-
-#[test]
 fn specs_with_malformed_fault_or_attacker_tokens_are_rejected() {
     for (field, value) in [
         ("faults", "reboot=10-60"),           // reboot without crash
@@ -341,6 +301,11 @@ fn attacked_jobs_replay_bit_identically() {
     }
 }
 
+/// FNV-1a of the failure capsule the stalled attacked job below writes,
+/// measured when the simulator still wrote it: moving the dump into the
+/// campaign runner must keep every byte.
+const STALLED_JOB_CAPSULE: ContentDigest = ContentDigest(0x6cc0_f246_9995_c690);
+
 #[test]
 fn an_attacked_run_that_stalls_dumps_a_replayable_failure_capsule() {
     // Near-total loss: no page traffic survives, so the stall watchdog
@@ -369,7 +334,12 @@ stall_s = 60
     );
 
     let path = PathBuf::from(&report.failures[0]);
-    assert!(path.exists(), "missing failure capsule {}", path.display());
+    let bytes = fs::read(&path).expect("failure capsule written");
+    assert_eq!(
+        ContentDigest::of(&bytes),
+        STALLED_JOB_CAPSULE,
+        "the failure capsule's bytes drifted"
+    );
     let capsule = Capsule::load(&path).expect("failure capsule loads");
     let first = replay_capsule(&capsule).expect("replay");
     let again = replay_capsule(&capsule).expect("replay again");

@@ -14,12 +14,10 @@
 //!
 //! An entry is scheme-agnostic: [`Attacker::new`](super::Attacker::new)
 //! mounts it with the constants of the scheme under attack. What lives
-//! here is the schedule itself and its serial forms: JSONL
-//! ([`AttackPlan::to_jsonl`] / [`from_jsonl`](AttackPlan::from_jsonl))
-//! for files, and a single-line tag form ([`AttackPlan::to_tag`] /
-//! [`from_tag`](AttackPlan::from_tag)) that travels inside a replay
-//! capsule's scenario tags, so an attacked failure capsule replays
-//! bit-identically like any other.
+//! here is the schedule itself and its serial form: a single-line tag
+//! ([`AttackPlan::to_tag`] / [`from_tag`](AttackPlan::from_tag)) that
+//! travels inside a replay capsule's scenario tags, so an attacked
+//! failure capsule replays bit-identically like any other.
 
 use lrs_host::node::NodeId;
 use lrs_host::time::{Duration, SimTime};
@@ -268,30 +266,6 @@ impl AttackPlan {
         plan
     }
 
-    /// Serializes the plan to JSON Lines (one entry per line).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for entry in &self.entries {
-            out.push_str(&entry.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a plan back from [`to_jsonl`](Self::to_jsonl) output.
-    /// Returns `None` if any non-blank line fails to parse.
-    pub fn from_jsonl(text: &str) -> Option<Self> {
-        let mut plan = AttackPlan::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            plan.push(AttackEntry::from_json(line)?);
-        }
-        Some(plan)
-    }
-
     /// The plan as a single line — entry JSON objects joined by `;`
     /// (which never occurs inside them) — the form that travels in a
     /// capsule scenario tag.
@@ -390,7 +364,6 @@ mod tests {
             assert!(good.contains(from), "fixture drifted: {from}");
             assert_eq!(AttackEntry::from_json(&good.replacen(from, to, 1)), None);
         }
-        assert!(AttackPlan::from_jsonl("{}\n").is_none());
         assert!(AttackPlan::from_tag("{}").is_none());
     }
 
@@ -436,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_jsonl_and_tag_round_trips_are_exact() {
+    fn plan_tag_round_trip_is_exact() {
         let config = AttackConfig {
             vector: AttackVector::DenialOfReceipt,
             attackers: 4,
@@ -445,8 +418,6 @@ mod tests {
         };
         let plan = AttackPlan::generate(&config, 9, 5);
         assert!(!plan.is_empty());
-        let jsonl = plan.to_jsonl();
-        assert_eq!(AttackPlan::from_jsonl(&jsonl), Some(plan.clone()));
         let tag = plan.to_tag();
         assert!(!tag.contains('\n'));
         assert_eq!(AttackPlan::from_tag(&tag), Some(plan.clone()));

@@ -1,8 +1,8 @@
 //! Fluent simulation construction.
 //!
 //! [`SimBuilder`] is the one way to configure a run: topology, seed,
-//! config, trace sink, invariant checker, fault plan and failure capsule
-//! are all fixed before the [`Simulator`] exists, which has no setters.
+//! config, trace sink, invariant checker and fault plan are all fixed
+//! before the [`Simulator`] exists, which has no setters.
 //!
 //! ```
 //! use lrs_netsim::{SimBuilder, Topology, FaultPlan};
@@ -28,7 +28,6 @@ use crate::trace::TraceSink;
 use lrs_host::node::{NodeId, Protocol};
 use lrs_host::time::Duration;
 use lrs_host::violation::InvariantViolation;
-use std::path::PathBuf;
 
 /// Fluent constructor for simulations; `Simulator::from_parts` takes its
 /// fields as they are.
@@ -40,8 +39,6 @@ pub struct SimBuilder<P, F> {
     pub(crate) trace: Option<Box<dyn TraceSink>>,
     pub(crate) invariant: Option<InvariantChecker<P>>,
     pub(crate) faults: FaultPlan,
-    pub(crate) capsule_path: Option<PathBuf>,
-    pub(crate) scenario: Vec<(String, String)>,
 }
 
 impl<P, F> SimBuilder<P, F> {
@@ -56,8 +53,6 @@ impl<P, F> SimBuilder<P, F> {
             trace: None,
             invariant: None,
             faults: FaultPlan::new(),
-            capsule_path: None,
-            scenario: Vec::new(),
         }
     }
 
@@ -90,27 +85,6 @@ impl<P, F> SimBuilder<P, F> {
     /// virtual time passes.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Arms the flight recorder: if the run ends in a diagnostic
-    /// outcome (stall, invariant violation), a replay
-    /// [`Capsule`](crate::capsule::Capsule) (seed, config, topology,
-    /// fault plan, scenario tags, metrics digest) is written to `path`.
-    /// The write is best-effort: an I/O error is reported on stderr but
-    /// never changes the run's report. See `crate::replay` for loading
-    /// and re-running it.
-    pub fn capsule_on_failure(mut self, path: impl Into<PathBuf>) -> Self {
-        self.capsule_path = Some(path.into());
-        self
-    }
-
-    /// Tags the capsule with a free-form scenario key/value pair (for
-    /// example the scheme name and image length a replay harness needs
-    /// to reconstruct `make_node`). No effect unless
-    /// [`capsule_on_failure`](Self::capsule_on_failure) is also set.
-    pub fn scenario(mut self, key: impl Into<String>, value: impl ToString) -> Self {
-        self.scenario.push((key.into(), value.to_string()));
         self
     }
 }

@@ -32,14 +32,14 @@ use crate::metrics::Metrics;
 use crate::noise::{BurstyNoise, NoiseModel};
 use crate::sim::{Outcome, RunReport, SimConfig};
 use crate::topology::{Link, Position, Topology};
-use crate::trace::TraceEvent;
+use crate::trace::TraceDigest;
 use lrs_host::node::NodeId;
 use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::ContentDigest;
 use lrs_json::{parse_json, Json, ObjWriter};
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Current capture-format version, written in the header line; the
 /// reader accepts `1..=CAPSULE_VERSION`.
@@ -63,24 +63,19 @@ pub struct RunDigest {
 }
 
 impl RunDigest {
-    /// Digests a finished run from its report, metrics, and trace.
-    pub fn compute(report: &RunReport, metrics: &Metrics, trace: &[TraceEvent]) -> Self {
-        let mut trace_digest = ContentDigest::EMPTY;
-        for event in trace {
-            trace_digest = trace_digest
-                .absorb(event.to_json().as_bytes())
-                .absorb(b"\n");
-        }
+    /// Digests a finished run from its report, its metrics, and the
+    /// [`TraceDigest`] sink that watched it.
+    pub fn compute(report: &RunReport, metrics: &Metrics, trace: &TraceDigest) -> Self {
         RunDigest {
             outcome: report.outcome.label().to_string(),
             final_time: report.final_time,
-            events: trace.len() as u64,
-            trace: trace_digest,
+            events: trace.events(),
+            trace: trace.digest(),
             metrics: Self::metrics_digest(report.final_time, metrics),
         }
     }
 
-    /// Digest of a run whose trace was not collected (the automatic
+    /// Digest of a run whose trace was not collected (a harness's
     /// failure dump): outcome, final time, and metrics only; the trace
     /// digest is `MISSING`.
     pub fn metrics_only(outcome: Outcome, final_time: SimTime, metrics: &Metrics) -> Self {
@@ -431,51 +426,6 @@ impl Capsule {
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CapsuleError> {
         let text = String::from_utf8(std::fs::read(path)?).map_err(|_| CapsuleError::NotUtf8)?;
         Self::from_jsonl(&text)
-    }
-}
-
-/// Where (and with which scenario tags) the automatic failure dump
-/// writes its capsule, as armed by
-/// [`SimBuilder::capsule_on_failure`](crate::SimBuilder::capsule_on_failure)
-/// and [`SimBuilder::scenario`](crate::SimBuilder::scenario).
-#[derive(Clone, Debug)]
-pub struct CapsuleSpec {
-    /// Output path; parent directories are created on demand.
-    pub path: PathBuf,
-    /// Scenario tags recorded into the capsule.
-    pub scenario: Vec<(String, String)>,
-}
-
-impl CapsuleSpec {
-    /// A spec writing to `path` with no scenario tags.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CapsuleSpec {
-            path: path.into(),
-            scenario: Vec::new(),
-        }
-    }
-
-    /// Adds a scenario tag.
-    pub fn tag(mut self, key: impl Into<String>, value: impl ToString) -> Self {
-        self.scenario.push((key.into(), value.to_string()));
-        self
-    }
-
-    /// Best-effort write used by the automatic failure dumps: creates
-    /// parent directories and reports (rather than propagates) I/O
-    /// errors, because a failing run must still return its report.
-    pub(crate) fn write(&self, capsule: &Capsule) {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-        }
-        if let Err(err) = capsule.save(&self.path) {
-            eprintln!(
-                "warning: failed to write failure capsule {}: {err}",
-                self.path.display()
-            );
-        }
     }
 }
 

@@ -15,15 +15,15 @@
 //! reproducible from `(config, topology, seed)`.
 //!
 //! Every event serializes to a single JSON object in the same shape as
-//! a [`TraceEvent`](crate::trace::TraceEvent) line, and a whole plan
-//! round-trips through [`FaultPlan::to_jsonl`] /
-//! [`FaultPlan::from_jsonl`]. Replaying a parsed plan reproduces the
-//! original run exactly; `tests/properties.rs` pins this.
+//! a [`TraceEvent`](crate::trace::TraceEvent) line; a plan travels as
+//! those lines inside a [`Capsule`](crate::capsule::Capsule). Replaying
+//! a parsed plan reproduces the original run exactly;
+//! `tests/properties.rs` pins this.
 
 use crate::topology::Topology;
 use lrs_host::node::NodeId;
 use lrs_host::time::{Duration, SimTime};
-use lrs_json::{parse_json, Json, ObjWriter};
+use lrs_json::{Json, ObjWriter};
 use lrs_rng::DetRng;
 
 /// Parts-per-million fixed point: the identity scale factor.
@@ -152,14 +152,9 @@ impl FaultEvent {
         .finish()
     }
 
-    /// Parses one event from its [`to_json`](Self::to_json) form.
-    /// Returns `None` on any malformed or unknown input.
-    pub fn from_json(line: &str) -> Option<Self> {
-        Self::from_value(&parse_json(line).ok()?).ok()
-    }
-
-    /// Reads one event from a parsed line; the error names the field
-    /// that is missing, mistyped or out of range.
+    /// Reads one event from a parsed [`to_json`](Self::to_json) line;
+    /// the error names the field that is missing, mistyped or out of
+    /// range.
     pub(crate) fn from_value(line: &Json) -> Result<Self, String> {
         let at = SimTime(line.uint_at("t")?);
         let node = |key: &str| line.uint_at(key).map(NodeId);
@@ -377,31 +372,6 @@ impl FaultPlan {
         }
         plan
     }
-
-    /// Serializes the plan to JSON Lines (one event per line), its
-    /// trace-event form.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a plan back from [`to_jsonl`](Self::to_jsonl) output.
-    /// Returns `None` if any non-blank line fails to parse.
-    pub fn from_jsonl(text: &str) -> Option<Self> {
-        let mut plan = FaultPlan::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            plan.push(FaultEvent::from_json(line)?);
-        }
-        Some(plan)
-    }
 }
 
 /// Uniform draw from `[lo, hi]` in microseconds (handles `hi < lo`).
@@ -419,6 +389,11 @@ fn sample_sojourn_us(rng: &mut DetRng, mean: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrs_json::parse_json;
+
+    fn parse(line: &str) -> Option<FaultEvent> {
+        FaultEvent::from_value(&parse_json(line).ok()?).ok()
+    }
 
     fn busy_config() -> FaultConfig {
         FaultConfig {
@@ -467,16 +442,15 @@ mod tests {
         ];
         for event in events {
             let json = event.to_json();
-            assert_eq!(FaultEvent::from_json(&json), Some(event), "{json}");
+            assert_eq!(parse(&json), Some(event), "{json}");
         }
     }
 
     #[test]
     fn malformed_json_is_rejected() {
-        assert_eq!(FaultEvent::from_json(r#"{"t":5,"ev":"tx","node":1}"#), None);
-        assert_eq!(FaultEvent::from_json(r#"{"t":5,"ev":"fault_crash"}"#), None);
-        assert_eq!(FaultEvent::from_json("not json"), None);
-        assert!(FaultPlan::from_jsonl("{}\n").is_none());
+        assert_eq!(parse(r#"{"t":5,"ev":"tx","node":1}"#), None);
+        assert_eq!(parse(r#"{"t":5,"ev":"fault_crash"}"#), None);
+        assert_eq!(parse("not json"), None);
         // Ids and ppm are u32: 2^32 + 2 is out of range, not node 2.
         for line in [
             r#"{"t":5,"ev":"fault_crash","node":4294967298}"#,
@@ -485,11 +459,11 @@ mod tests {
             r#"{"t":18446744073709551616,"ev":"fault_crash","node":1}"#,
             r#"{"t":5,"ev":"fault_crash","node":2 GARBAGE "node":1"#,
         ] {
-            assert_eq!(FaultEvent::from_json(line), None, "{line}");
+            assert_eq!(parse(line), None, "{line}");
         }
         // The full u64 time range is exact.
         assert_eq!(
-            FaultEvent::from_json(r#"{"t":18446744073709551615,"ev":"fault_crash","node":1}"#),
+            parse(r#"{"t":18446744073709551615,"ev":"fault_crash","node":1}"#),
             Some(FaultEvent::Crash {
                 node: NodeId(1),
                 at: SimTime(u64::MAX)
@@ -538,11 +512,21 @@ mod tests {
 
     #[test]
     fn plan_jsonl_round_trip_is_exact() {
-        let topo = Topology::grid(3, 10.0, 1);
-        let plan = FaultPlan::generate(&busy_config(), &topo, 5);
-        let text = plan.to_jsonl();
-        let parsed = FaultPlan::from_jsonl(&text).expect("parse");
-        assert_eq!(plan, parsed);
+        // A plan's JSONL form is its lines inside a capsule.
+        let topology = Topology::grid(3, 10.0, 1);
+        let plan = FaultPlan::generate(&busy_config(), &topology, 5);
+        let capsule = crate::capsule::Capsule {
+            seed: 5,
+            deadline: Duration::from_secs(600),
+            config: crate::sim::SimConfig::default(),
+            topology,
+            faults: plan.clone(),
+            scenario: Vec::new(),
+            digest: None,
+        };
+        let text = capsule.to_jsonl();
+        let parsed = crate::capsule::Capsule::from_jsonl(&text).expect("parse");
+        assert_eq!(parsed.faults, plan);
         assert_eq!(parsed.to_jsonl(), text);
     }
 

@@ -87,10 +87,12 @@ pub mod topology;
 pub mod trace;
 
 pub use builder::SimBuilder;
-pub use capsule::{Capsule, CapsuleError, CapsuleSpec, RunDigest};
+pub use capsule::{Capsule, CapsuleError, RunDigest};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, PPM_ONE};
 pub use metrics::Metrics;
 pub use replay::{replay, verify_replay, DigestMismatch, ReplayError, ReplayRun};
 pub use sim::{DiagnosticDump, NodeDiag, Outcome, RunReport, SimConfig, Simulator};
 pub use topology::Topology;
-pub use trace::{JsonlTrace, LossCause, RingTrace, SharedRingTrace, TraceEvent, TraceSink};
+pub use trace::{
+    JsonlTrace, LossCause, RingTrace, SharedRingTrace, TraceDigest, TraceEvent, TraceSink,
+};

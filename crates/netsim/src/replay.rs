@@ -12,47 +12,42 @@ use crate::builder::SimBuilder;
 use crate::capsule::{Capsule, RunDigest};
 use crate::metrics::Metrics;
 use crate::sim::RunReport;
-use crate::trace::{SharedRingTrace, TraceEvent};
+use crate::trace::TraceDigest;
 use lrs_host::node::{NodeId, Protocol};
 use lrs_host::violation::ContentDigest;
 use std::fmt;
 
-/// A re-executed capsule: the run's report, metrics, trace, and the
-/// digest recomputed from them.
+/// A re-executed capsule: the run's report, metrics, and the digest
+/// recomputed from them and its trace.
 pub struct ReplayRun {
     /// The run's report.
     pub report: RunReport,
     /// The run's metric counters.
     pub metrics: Metrics,
-    /// The full event trace.
-    pub trace: Vec<TraceEvent>,
     /// Digest recomputed from this replay.
     pub digest: RunDigest,
 }
 
-/// Re-executes `capsule`, collecting the full trace through a
-/// [`SharedRingTrace`] so the digest covers every event.
+/// Re-executes `capsule`, hashing every trace event through a
+/// [`TraceDigest`] as it is emitted, so the digest covers the whole
+/// trace without holding it.
 pub fn replay<P, F>(capsule: &Capsule, make_node: F) -> ReplayRun
 where
     P: Protocol + 'static,
     F: FnMut(NodeId) -> P,
 {
-    // `usize::MAX` capacity: the ring's bound is an eviction limit, the
-    // buffer itself grows with what is actually recorded.
-    let shared = SharedRingTrace::new(usize::MAX);
+    let trace = TraceDigest::default();
     let mut sim = SimBuilder::new(capsule.topology.clone(), capsule.seed, make_node)
         .config(capsule.config)
         .faults(capsule.faults.clone())
-        .trace(shared.clone())
+        .trace(trace.clone())
         .build();
     let report = sim.run(capsule.deadline);
-    let trace = shared.events();
     let metrics = sim.metrics().clone();
     let digest = RunDigest::compute(&report, &metrics, &trace);
     ReplayRun {
         report,
         metrics,
-        trace,
         digest,
     }
 }
@@ -102,8 +97,8 @@ impl std::error::Error for ReplayError {}
 
 /// Compares a recorded digest against a replayed one, skipping fields
 /// the recording could not capture (a [`ContentDigest::MISSING`] trace
-/// digest, e.g. from the automatic failure dump, whose full trace is not
-/// retained).
+/// digest, e.g. from a harness's failure dump, whose trace was not
+/// collected).
 pub fn check_digest(recorded: &RunDigest, actual: &RunDigest) -> Result<(), DigestMismatch> {
     let diff = |field, expected: &dyn fmt::Display, actual: &dyn fmt::Display| DigestMismatch {
         field,

@@ -1,7 +1,6 @@
 //! The simulator main loop.
 
 use crate::builder::SimBuilder;
-use crate::capsule::{Capsule, CapsuleSpec, RunDigest};
 use crate::energy::EnergyLedger;
 use crate::event::{Event, EventQueue};
 use crate::fault::{FaultEvent, FaultPlan, PPM_ONE};
@@ -61,8 +60,8 @@ impl Outcome {
 
     /// Whether this outcome is diagnostic — the run ended abnormally
     /// (stall, invariant violation) rather than by a
-    /// normal terminal condition. Diagnostic outcomes are the ones the
-    /// flight recorder dumps failure capsules for.
+    /// normal terminal condition. Diagnostic outcomes are the ones a
+    /// harness dumps failure capsules for.
     pub fn is_diagnostic(self) -> bool {
         matches!(self, Outcome::Stalled | Outcome::InvariantViolated)
     }
@@ -198,7 +197,7 @@ pub struct Simulator<P: Protocol> {
     /// How many nodes still gate completion (see [`Self::gates`]); kept
     /// in step wherever `complete`, `failed` or `next_fault` change.
     gating: usize,
-    /// The whole fault schedule, sorted by time; failure capsules copy it.
+    /// The whole fault schedule, sorted by time.
     faults: FaultPlan,
     /// Index in `faults` of the first fault not yet applied.
     next_fault: usize,
@@ -220,12 +219,6 @@ pub struct Simulator<P: Protocol> {
     stall_window: Option<Duration>,
     /// Optional structured event sink (purely observational).
     trace: Option<Box<dyn TraceSink>>,
-    /// The full configuration, retained for failure capsules.
-    config: SimConfig,
-    /// The run seed, retained for failure capsules.
-    seed: u64,
-    /// When set, a watchdog/invariant failure writes a replay capsule.
-    capsule: Option<CapsuleSpec>,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -240,8 +233,6 @@ impl<P: Protocol> Simulator<P> {
             trace,
             invariant,
             faults,
-            capsule_path,
-            scenario,
         } = parts;
         let n = topology.len();
         let medium = Medium::new(config.medium, n, seed);
@@ -275,9 +266,6 @@ impl<P: Protocol> Simulator<P> {
             diag: RingTrace::new(DIAG_EVENTS),
             stall_window: config.stall_window,
             trace,
-            config,
-            seed,
-            capsule: capsule_path.map(|path| CapsuleSpec { path, scenario }),
         }
     }
 
@@ -591,9 +579,6 @@ impl<P: Protocol> Simulator<P> {
             }
             _ => None,
         };
-        if matches!(outcome, Outcome::Stalled | Outcome::InvariantViolated) {
-            self.write_failure_capsule(outcome, deadline);
-        }
         let latency = if self.all_complete() {
             self.metrics.dissemination_latency()
         } else {
@@ -609,28 +594,6 @@ impl<P: Protocol> Simulator<P> {
             latency,
             diagnostic,
         }
-    }
-
-    /// Writes the armed failure capsule, if any. The engine does not
-    /// retain its full trace, so the recorded digest covers outcome,
-    /// final time, and metrics; the trace digest is
-    /// [`ContentDigest::MISSING`](lrs_host::violation::ContentDigest::MISSING)
-    /// and skipped by replay verification.
-    fn write_failure_capsule(&self, outcome: Outcome, deadline: Duration) {
-        let Some(spec) = self.capsule.as_ref() else {
-            return;
-        };
-        let digest = RunDigest::metrics_only(outcome, self.now, &self.metrics);
-        let capsule = Capsule {
-            seed: self.seed,
-            deadline,
-            config: self.config,
-            topology: self.topology.clone(),
-            faults: self.faults.clone(),
-            scenario: spec.scenario.clone(),
-            digest: Some(digest),
-        };
-        spec.write(&capsule);
     }
 
     /// Runs the invariant checker (if attached) against `node`.

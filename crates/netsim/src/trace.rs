@@ -12,14 +12,17 @@
 //! and cannot influence the event stream, so attaching one never
 //! changes metrics or outcome.
 //!
-//! Two sinks are provided: [`RingTrace`], a bounded in-memory ring
+//! Three sinks are provided: [`RingTrace`], a bounded in-memory ring
 //! buffer that keeps the most recent events (the default choice for
-//! post-mortem inspection in tests), and [`JsonlTrace`], which streams
-//! every event as one JSON object per line for offline analysis.
+//! post-mortem inspection in tests), [`JsonlTrace`], which streams
+//! every event as one JSON object per line for offline analysis, and
+//! [`TraceDigest`], which hashes the stream as it goes by for replay.
 
 use lrs_host::node::{NodeId, PacketKind, TimerId};
 use lrs_host::time::SimTime;
+use lrs_host::violation::ContentDigest;
 use lrs_json::ObjWriter;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -314,6 +317,42 @@ impl TraceSink for SharedRingTrace {
     }
 }
 
+/// A cloneable sink that digests the event stream as it arrives: the
+/// event count and FNV-1a over every [`TraceEvent::to_json`] line,
+/// newline-terminated, which is what a
+/// [`RunDigest`](crate::capsule::RunDigest) records of a trace. Memory
+/// stays constant however long the run; keep a clone to read the digest
+/// after handing the sink to the builder.
+#[derive(Clone, Debug)]
+pub struct TraceDigest(std::rc::Rc<Cell<(u64, ContentDigest)>>);
+
+impl Default for TraceDigest {
+    /// The digest of no events.
+    fn default() -> Self {
+        TraceDigest(std::rc::Rc::new(Cell::new((0, ContentDigest::EMPTY))))
+    }
+}
+
+impl TraceDigest {
+    /// Events digested so far.
+    pub fn events(&self) -> u64 {
+        self.0.get().0
+    }
+
+    /// The digest of every event so far.
+    pub fn digest(&self) -> ContentDigest {
+        self.0.get().1
+    }
+}
+
+impl TraceSink for TraceDigest {
+    fn record(&mut self, event: &TraceEvent) {
+        let (events, digest) = self.0.get();
+        let digest = digest.absorb(event.to_json().as_bytes()).absorb(b"\n");
+        self.0.set((events + 1, digest));
+    }
+}
+
 /// Streams every event as one JSON object per line (JSON Lines).
 pub struct JsonlTrace<W: Write> {
     out: BufWriter<W>,
@@ -437,6 +476,21 @@ mod tests {
         for l in lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
+    }
+
+    #[test]
+    fn trace_digest_hashes_the_jsonl_stream() {
+        let digest = TraceDigest::default();
+        let mut jsonl = JsonlTrace::new(Vec::new());
+        let mut sink = digest.clone();
+        for i in 0..3 {
+            sink.record(&ev(i));
+            jsonl.record(&ev(i));
+        }
+        let text = jsonl.into_inner().unwrap();
+        assert_eq!(digest.events(), 3);
+        assert_eq!(digest.digest(), ContentDigest::of(&text));
+        assert_eq!(TraceDigest::default().digest(), ContentDigest::EMPTY);
     }
 
     #[test]

@@ -28,7 +28,8 @@ fn family_contract<S: Matched>() {
 
     let done = simulate(
         &Population::honest(deployment.clone()),
-        RunSpec::one_hop(4, 0.1).setup(1),
+        &RunSpec::one_hop(4, 0.1).capsule(1),
+        false,
     );
     assert!(done.report.all_complete, "{name}: one-hop run stalled");
     assert_eq!(done.honest().count(), 5, "{name}");
@@ -156,7 +157,6 @@ fn multi_hop_grid_both_schemes() {
         topology: Topology::grid(4, 10.0, 11),
         medium: MediumConfig::default(),
         deadline: Duration::from_secs(200_000),
-        engine: Default::default(),
     };
     let lr_params = small_lr(2048);
     let m_lr = run_lr(&spec, lr_params, 5);

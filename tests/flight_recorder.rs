@@ -1,27 +1,26 @@
 //! Flight-recorder end-to-end tests: capture → capsule → replay
-//! bit-identity for both schemes, automatic failure capsules from the
-//! watchdog (the committed watchdog demo among them), and capsules from
-//! the removed sharded engine.
+//! bit-identity for both schemes, metrics-only failure digests, the
+//! harness's failure capsule for the committed watchdog demo, and
+//! capsules from the removed sharded engine.
 
 use lr_seluge::Deployment;
 use lrs_bench::capsules::{
     chaos_sim_config, population, replay_capsule, scale_params as small_lr, LrScheme, ScenarioTags,
 };
 use lrs_bench::matched_seluge_params;
-use lrs_bench::runner::{simulate, SimSetup};
+use lrs_bench::runner::simulate;
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::ContentDigest;
-use lrs_netsim::capsule::{Capsule, CapsuleSpec, RunDigest};
+use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::fault::{FaultEvent, FaultPlan};
 use lrs_netsim::replay::{replay, verify_replay, ReplayError};
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::topology::Topology;
-use lrs_netsim::trace::SharedRingTrace;
+use lrs_netsim::trace::TraceDigest;
 use lrs_netsim::SimBuilder;
 use lrs_rng::DetRng;
 use lrs_seluge::SelugeDeployment;
-use std::path::PathBuf;
 
 fn deadline() -> Duration {
     Duration::from_secs(100_000)
@@ -39,10 +38,6 @@ fn lr_deployment() -> Deployment {
     Deployment::new(&image, small_lr(image.len()), b"flight recorder")
 }
 
-fn unique_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lrs-flight-{}-{name}", std::process::id()))
-}
-
 fn grid() -> Topology {
     Topology::grid(6, 10.0, 77)
 }
@@ -58,9 +53,9 @@ fn capture<P: Protocol + 'static, F: FnMut(NodeId) -> P>(
     make: F,
     arm: impl FnOnce(SimBuilder<P, F>) -> SimBuilder<P, F>,
 ) -> Capsule {
-    let ring = SharedRingTrace::new(usize::MAX);
+    let trace = TraceDigest::default();
     let builder = SimBuilder::new(grid(), seed, make).faults(faults.clone());
-    let mut sim = arm(builder).trace(ring.clone()).build();
+    let mut sim = arm(builder).trace(trace.clone()).build();
     let report = sim.run(deadline());
     assert_eq!(report.outcome, Outcome::Complete);
     assert!(report.diagnostic.is_none(), "zero violations expected");
@@ -71,7 +66,7 @@ fn capture<P: Protocol + 'static, F: FnMut(NodeId) -> P>(
         topology: grid(),
         faults,
         scenario: vec![("scheme".to_string(), scheme.to_string())],
-        digest: Some(RunDigest::compute(&report, sim.metrics(), &ring.events())),
+        digest: Some(RunDigest::compute(&report, sim.metrics(), &trace)),
     }
 }
 
@@ -204,29 +199,26 @@ fn beacon_config() -> SimConfig {
 }
 
 #[test]
-fn stalled_sequential_run_dumps_a_loadable_capsule() {
-    let path = unique_path("stall-sequential.jsonl");
-    let _ = std::fs::remove_file(&path);
+fn stalled_run_verifies_against_a_metrics_only_digest() {
     let mut faults = FaultPlan::new();
     faults.crash(NodeId(0), SimTime(100_000));
-    let mut sim = SimBuilder::new(Topology::star(5), 9, |_| Beacon { heard: false })
-        .config(beacon_config())
-        .faults(faults)
-        .capsule_on_failure(&path)
-        .scenario("protocol", "beacon")
-        .build();
-    let report = sim.run(Duration::from_secs(60));
-    assert_eq!(report.outcome, Outcome::Stalled);
-
-    let capsule = Capsule::load(&path).expect("failure capsule must load");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(capsule.scenario_value("protocol"), Some("beacon"));
-    assert_eq!(capsule.faults.len(), 1);
-    let recorded = capsule.digest.as_ref().expect("the dump records a digest");
-    assert_eq!(recorded.outcome, "stalled");
-    // The dump digests outcome/time/metrics only (the full trace is not
-    // retained on the failure path); replay must still verify against
-    // those fields.
+    let mut capsule = Capsule {
+        seed: 9,
+        deadline: Duration::from_secs(60),
+        config: beacon_config(),
+        topology: Topology::star(5),
+        faults,
+        scenario: Vec::new(),
+        digest: None,
+    };
+    let run = replay(&capsule, |_| Beacon { heard: false });
+    assert_eq!(run.report.outcome, Outcome::Stalled);
+    assert!(run.digest.events > 0);
+    // A failure dump digests outcome/time/metrics only (its trace is not
+    // collected); replay must still verify against those fields.
+    let (outcome, at) = (run.report.outcome, run.report.final_time);
+    capsule.digest = Some(RunDigest::metrics_only(outcome, at, &run.metrics));
+    let capsule = Capsule::from_jsonl(&capsule.to_jsonl()).expect("round trip");
     let replayed = replay(&capsule, |_| Beacon { heard: false });
     verify_replay(&capsule, &replayed).expect("stall replay diverged");
 }
@@ -260,29 +252,25 @@ fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
             });
         }
     }
-    let path = unique_path("chaos-watchdog-demo.jsonl");
-    let _ = std::fs::remove_file(&path);
-    let report = simulate(
-        &pop,
-        SimSetup {
-            config: SimConfig {
-                stall_window: Some(Duration::from_secs(60)),
-                ..chaos_sim_config()
-            },
-            faults,
-            capsule: Some(tags.apply(CapsuleSpec::new(&path))),
-            ..SimSetup::new(topo, 3, Duration::from_secs(3_000))
+    let capsule = Capsule {
+        seed: 3,
+        deadline: Duration::from_secs(3_000),
+        config: SimConfig {
+            stall_window: Some(Duration::from_secs(60)),
+            ..chaos_sim_config()
         },
-    )
-    .report;
-    assert_eq!(report.outcome, Outcome::Stalled);
-    let dump = report.diagnostic.expect("a stalled run carries a dump");
+        topology: topo,
+        faults,
+        scenario: tags.pairs(),
+        digest: None,
+    };
+    let done = simulate(&pop, &capsule, false);
+    assert_eq!(done.report.outcome, Outcome::Stalled);
+    let dump = done.report.diagnostic.as_ref().expect("a stalled run carries a dump");
     assert!(!dump.nodes.is_empty());
-    let written = Capsule::load(&path).expect("the stall dumped a capsule");
-    std::fs::remove_file(&path).ok();
     assert_eq!(
-        written,
-        Capsule::load(COMMITTED_CAPSULE).expect("committed capsule"),
+        done.failure_capsule(&capsule),
+        Some(Capsule::load(COMMITTED_CAPSULE).expect("committed capsule")),
         "the run drifted from {COMMITTED_CAPSULE}"
     );
 }

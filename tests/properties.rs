@@ -3,6 +3,7 @@
 
 use lr_seluge::{Deployment, LrSelugeParams};
 use lrs_host::node::{NodeId, Protocol};
+use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::{FaultConfig, FaultPlan};
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::sim::SimConfig;
@@ -99,9 +100,10 @@ fn arbitrary_topology(rng: &mut DetRng) -> Topology {
     }
 }
 
-/// Any generated `FaultPlan` survives a trip through its trace-event
-/// (JSONL) form bit-identically, and the deserialized plan replays to
-/// the exact same simulation outcome as the original.
+/// Any generated `FaultPlan` survives a trip through a capsule's JSONL
+/// form, the path plans take to disk, bit-identically, and the
+/// deserialized plan replays to the exact same simulation outcome as
+/// the original.
 #[test]
 fn fault_plans_round_trip_and_replay_identically() {
     let mut rng = DetRng::seed_from_u64(0x7069_7065);
@@ -120,7 +122,18 @@ fn fault_plans_round_trip_and_replay_identically() {
         let config = arbitrary_fault_config(&mut rng);
         let topology = arbitrary_topology(&mut rng);
         let plan = FaultPlan::generate(&config, &topology, case);
-        let parsed = FaultPlan::from_jsonl(&plan.to_jsonl()).expect("parseable");
+        let capsule = Capsule {
+            seed: case,
+            deadline: Duration::from_secs(2_000),
+            config: SimConfig::default(),
+            topology: topology.clone(),
+            faults: plan.clone(),
+            scenario: Vec::new(),
+            digest: None,
+        };
+        let parsed = Capsule::from_jsonl(&capsule.to_jsonl())
+            .expect("parseable")
+            .faults;
         assert_eq!(plan, parsed, "case {case}: round trip changed the plan");
 
         // Replaying the deserialized plan must be indistinguishable
