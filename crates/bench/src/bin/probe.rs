@@ -51,6 +51,12 @@ fn run_args(cli: &Cli) -> Result<(usize, u64, f64, Option<String>), CliError> {
     ))
 }
 
+/// Reports an I/O error on the trace file at `path` and exits 1.
+fn fail(path: &str, err: std::io::Error) -> ! {
+    eprintln!("probe: {path}: {err}");
+    std::process::exit(1)
+}
+
 fn main() {
     let parsed =
         Cli::parse("probe", FLAGS).and_then(|cli| Ok((cli.flag("--kernels"), run_args(&cli)?)));
@@ -77,6 +83,10 @@ fn main() {
         );
         return;
     }
+    // Open the trace first: a bad path fails before any work is done.
+    let trace = trace_path
+        .as_deref()
+        .map(|path| JsonlTrace::create(path).unwrap_or_else(|e| fail(path, e)));
     let params = LrSelugeParams::default(); // 20 KB
     let image = test_image(params.image_len);
     let deployment = Deployment::new(&image, params, b"probe");
@@ -91,10 +101,8 @@ fn main() {
         deployment.node(id, NodeId(0))
     })
     .config(cfg);
-    let mut sim = match &trace_path {
-        Some(path) => builder
-            .trace(JsonlTrace::create(path).expect("create trace file"))
-            .build(),
+    let mut sim = match trace {
+        Some(trace) => builder.trace(trace).build(),
         None => builder.build(),
     };
     let report = sim.run(Duration::from_secs(100_000));
@@ -102,11 +110,11 @@ fn main() {
         // `run` flushed the sink; append the closing metrics summary
         // line so tools can key on `"ev":"metrics"`.
         let line = sim.metrics().to_trace_json(sim.now());
-        let mut f = std::fs::OpenOptions::new()
+        std::fs::OpenOptions::new()
             .append(true)
             .open(path)
-            .expect("reopen trace file");
-        writeln!(f, "{line}").expect("append metrics line");
+            .and_then(|mut f| writeln!(f, "{line}"))
+            .unwrap_or_else(|e| fail(path, e));
         eprintln!("trace written to {path}");
     }
     let m = sim.metrics();

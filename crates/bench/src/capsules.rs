@@ -33,8 +33,8 @@ pub use lrs_seluge::SelugeScheme;
 /// Evaluates `$body` with the type alias `$S` bound to the scheme
 /// family called `$name`, as `Ok(..)`; an unknown name is an `Err`
 /// string. This is the only place scheme names map to types: replay,
-/// the campaign engine, the `paper` sweeps and the `node` and `swarm`
-/// binaries all dispatch through it, each into one generic function.
+/// the campaign engine, the `paper` sweeps, the `node` binary and the
+/// swarm's capsule check all dispatch through it.
 #[macro_export]
 macro_rules! with_scheme {
     ($name:expr, $S:ident => $body:expr) => {
@@ -301,8 +301,8 @@ pub struct Population<S: SchemeFamily> {
 /// node factory and the invariant checker come from this one
 /// deployment, so the image is preprocessed and signed once.
 pub fn population<S: Matched>(tags: &ScenarioTags) -> Result<Population<S>, String> {
-    let deployment = profile_deployment(&tags.profile, tags.image_len, &tags.key_context)
-        .map_err(|e| {
+    let deployment =
+        profile_deployment(&tags.profile, tags.image_len, &tags.key_context).map_err(|e| {
             format!(
                 "tags {TAG_PROFILE} = {:?}, {TAG_IMAGE_LEN} = {}: {e}",
                 tags.profile, tags.image_len

@@ -30,8 +30,9 @@ use std::time::Instant;
 /// How a host maps wall time onto protocol time and airtime.
 #[derive(Clone, Copy, Debug)]
 pub struct HostConfig {
-    /// Airtime per payload byte reported to the protocol (µs); matches
-    /// the simulator's default 19.2 kbps radio model so pacing
+    /// Airtime per payload byte reported to the protocol (µs). The
+    /// default is the simulator's 19.2 kbps radio; a `node` process
+    /// takes both airtime constants from its capsule's medium, so pacing
     /// decisions are identical.
     pub us_per_byte: u64,
     /// Fixed per-packet overhead reported to the protocol (µs).
@@ -39,10 +40,11 @@ pub struct HostConfig {
     /// Virtual microseconds per wall microsecond (≥ 1). At 10, the
     /// protocol's 2.5 s retry timer fires after 250 ms of wall time.
     pub time_scale: u64,
-    /// Longest wall-clock block in one receive call when no timer is
-    /// pending sooner.
-    pub poll: std::time::Duration,
 }
+
+/// Longest wall-clock block in one receive call when no timer is
+/// pending sooner.
+const POLL: std::time::Duration = std::time::Duration::from_millis(20);
 
 impl Default for HostConfig {
     fn default() -> Self {
@@ -50,7 +52,6 @@ impl Default for HostConfig {
             us_per_byte: 416,
             per_packet_overhead_us: 2_000,
             time_scale: 10,
-            poll: std::time::Duration::from_millis(20),
         }
     }
 }
@@ -211,9 +212,9 @@ impl<P: Protocol, T: Transport> Host<P, T> {
                 // Round the wall wait up so we do not spin short of the
                 // deadline; pop_due tolerates firing late.
                 let wall_us = virtual_gap.div_ceil(self.cfg.time_scale);
-                std::time::Duration::from_micros(wall_us).min(self.cfg.poll)
+                std::time::Duration::from_micros(wall_us).min(POLL)
             }
-            None => self.cfg.poll,
+            None => POLL,
         };
         if let Some(datagram) = self.transport.recv(wait)? {
             match decode_frame(&datagram) {
@@ -237,17 +238,6 @@ impl<P: Protocol, T: Transport> Host<P, T> {
             self.step()?;
         }
         Ok(self.report())
-    }
-
-    /// Keeps answering peers for `linger` after completion — a
-    /// completed node is a seeder: its advertisements and data answers
-    /// are what finish the stragglers.
-    pub fn linger(&mut self, linger: std::time::Duration) -> io::Result<()> {
-        let start = Instant::now();
-        while start.elapsed() < linger {
-            self.step()?;
-        }
-        Ok(())
     }
 }
 

@@ -5,7 +5,9 @@
 //! node crashes and reboots (RAM state is lost; protocols recover what
 //! their flash model retains), link churn (links flap down and up with
 //! configurable sojourn times), asymmetric per-direction degradation,
-//! and per-node clock drift.
+//! and per-node clock drift. [`LinkFaults`] is the one interpreter of
+//! the link-scoped events, for the simulator and the swarm's UDP proxy
+//! alike.
 //!
 //! Plans are either hand-built through the push helpers or generated
 //! from a [`FaultConfig`] with [`FaultPlan::generate`], which draws
@@ -25,6 +27,7 @@ use lrs_host::node::NodeId;
 use lrs_host::time::{Duration, SimTime};
 use lrs_json::{Json, ObjWriter};
 use lrs_rng::DetRng;
+use std::collections::HashMap;
 
 /// Parts-per-million fixed point: the identity scale factor.
 pub const PPM_ONE: u32 = 1_000_000;
@@ -374,6 +377,64 @@ impl FaultPlan {
     }
 }
 
+/// Fault overlay on one directed link.
+#[derive(Clone, Copy, Debug)]
+struct LinkFault {
+    up: bool,
+    ppm: u32,
+}
+
+impl Default for LinkFault {
+    fn default() -> Self {
+        LinkFault {
+            up: true,
+            ppm: PPM_ONE,
+        }
+    }
+}
+
+/// The state the link-scoped events of a plan leave behind: the one
+/// interpreter of `LinkDown`, `LinkUp` and `Degrade`, shared by the
+/// simulator and the swarm's UDP proxy. Each applies events as their
+/// time passes and asks [`keep_ppm`](Self::keep_ppm) per delivery.
+#[derive(Clone, Debug, Default)]
+pub struct LinkFaults {
+    /// Overlay per directed link `(from, to)`; absent = untouched.
+    links: HashMap<(u32, u32), LinkFault>,
+}
+
+impl LinkFaults {
+    /// Applies `event` if it is link-scoped. Node-scoped events
+    /// (crash, reboot, clock drift) are not a link's business and
+    /// change nothing here.
+    pub fn apply(&mut self, event: FaultEvent) {
+        match event {
+            FaultEvent::LinkDown { from, to, .. } => self.link(from, to).up = false,
+            FaultEvent::LinkUp { from, to, .. } => self.link(from, to).up = true,
+            FaultEvent::Degrade { from, to, ppm, .. } => self.link(from, to).ppm = ppm,
+            FaultEvent::Crash { .. }
+            | FaultEvent::Reboot { .. }
+            | FaultEvent::ClockDrift { .. } => {}
+        }
+    }
+
+    fn link(&mut self, from: NodeId, to: NodeId) -> &mut LinkFault {
+        self.links.entry((from.0, to.0)).or_default()
+    }
+
+    /// `None` when the directed link `from → to` is down, else the
+    /// share of its deliveries the faults let through, in ppm
+    /// ([`PPM_ONE`] when nothing degrades it). One map lookup.
+    #[inline]
+    pub fn keep_ppm(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        match self.links.get(&(from.0, to.0)) {
+            Some(f) if !f.up => None,
+            Some(f) => Some(f.ppm),
+            None => Some(PPM_ONE),
+        }
+    }
+}
+
 /// Uniform draw from `[lo, hi]` in microseconds (handles `hi < lo`).
 fn sample_range_us(rng: &mut DetRng, lo: Duration, hi: Duration) -> u64 {
     let (a, b) = (lo.as_micros(), hi.as_micros().max(lo.as_micros()));
@@ -528,6 +589,38 @@ mod tests {
         let parsed = crate::capsule::Capsule::from_jsonl(&text).expect("parse");
         assert_eq!(parsed.faults, plan);
         assert_eq!(parsed.to_jsonl(), text);
+    }
+
+    #[test]
+    fn link_faults_track_outages_and_degradation_per_direction() {
+        let (a, b) = (NodeId(1), NodeId(2));
+        let mut links = LinkFaults::default();
+        assert_eq!(links.keep_ppm(a, b), Some(PPM_ONE));
+        links.apply(FaultEvent::Degrade {
+            from: a,
+            to: b,
+            ppm: 300_000,
+            at: SimTime::ZERO,
+        });
+        links.apply(FaultEvent::LinkDown {
+            from: a,
+            to: b,
+            at: SimTime(5),
+        });
+        assert_eq!(links.keep_ppm(a, b), None);
+        // Asymmetric: the reverse direction is untouched.
+        assert_eq!(links.keep_ppm(b, a), Some(PPM_ONE));
+        // Recovery keeps the degradation; node faults change nothing.
+        links.apply(FaultEvent::LinkUp {
+            from: a,
+            to: b,
+            at: SimTime(9),
+        });
+        links.apply(FaultEvent::Crash {
+            node: b,
+            at: SimTime(9),
+        });
+        assert_eq!(links.keep_ppm(a, b), Some(300_000));
     }
 
     #[test]

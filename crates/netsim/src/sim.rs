@@ -3,7 +3,7 @@
 use crate::builder::SimBuilder;
 use crate::energy::EnergyLedger;
 use crate::event::{Event, EventQueue};
-use crate::fault::{FaultEvent, FaultPlan, PPM_ONE};
+use crate::fault::{FaultEvent, FaultPlan, LinkFaults, PPM_ONE};
 use crate::medium::{Delivery, Medium, MediumConfig};
 use crate::metrics::Metrics;
 use crate::topology::Topology;
@@ -13,7 +13,6 @@ use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::{InvariantViolation, ViolationRecord};
 use lrs_json::ObjWriter;
 use lrs_rng::DetRng;
-use std::collections::HashMap;
 
 /// Simulation-wide configuration. The run's time limit is not part of
 /// it: that is the [`Simulator::run`] deadline.
@@ -148,22 +147,6 @@ pub struct RunReport {
     pub diagnostic: Option<DiagnosticDump>,
 }
 
-/// Fault overlay on one directed link.
-#[derive(Clone, Copy, Debug)]
-struct LinkFault {
-    up: bool,
-    ppm: u32,
-}
-
-impl Default for LinkFault {
-    fn default() -> Self {
-        LinkFault {
-            up: true,
-            ppm: PPM_ONE,
-        }
-    }
-}
-
 /// Stall-watchdog state: the fleet's progress when last seen to advance.
 struct Watchdog {
     progress: u128,
@@ -201,8 +184,8 @@ pub struct Simulator<P: Protocol> {
     faults: FaultPlan,
     /// Index in `faults` of the first fault not yet applied.
     next_fault: usize,
-    /// Fault overlay per directed link `(from, to)`.
-    link_state: HashMap<(u32, u32), LinkFault>,
+    /// What the link-scoped faults applied so far leave behind.
+    link_faults: LinkFaults,
     /// Per-node clock rate in ppm of nominal.
     drift_ppm: Vec<u32>,
     /// Dedicated stream for fault-layer draws (link degradation), so an
@@ -257,7 +240,7 @@ impl<P: Protocol> Simulator<P> {
             gating: n,
             faults,
             next_fault: 0,
-            link_state: HashMap::new(),
+            link_faults: LinkFaults::default(),
             drift_ppm: vec![PPM_ONE; n],
             fault_rng: DetRng::seed_from_u64(seed.wrapping_mul(0xa076_1d64_78bd_642f) ^ 0xFA),
             reboots: 0,
@@ -348,28 +331,20 @@ impl<P: Protocol> Simulator<P> {
                 });
                 self.with_node(i, |n, ctx| n.on_reboot(ctx));
             }
-            FaultEvent::LinkDown { from, to, .. } => {
-                self.link_state.entry((from.0, to.0)).or_default().up = false;
-            }
-            FaultEvent::LinkUp { from, to, .. } => {
-                self.link_state.entry((from.0, to.0)).or_default().up = true;
-            }
-            FaultEvent::Degrade { from, to, ppm, .. } => {
-                self.link_state.entry((from.0, to.0)).or_default().ppm = ppm;
-            }
             FaultEvent::ClockDrift { node, ppm, .. } => {
                 self.drift_ppm[node.index()] = ppm;
             }
+            link => self.link_faults.apply(link),
         }
     }
 
     /// Whether the fault overlay blocks this delivery (link forced
     /// down, or a degradation draw fails).
     fn fault_blocks_delivery(&mut self, from: NodeId, to: NodeId) -> bool {
-        match self.link_state.get(&(from.0, to.0)).copied() {
-            Some(f) if !f.up => true,
-            Some(f) if f.ppm < PPM_ONE => !self.fault_rng.gen_bool(f.ppm as f64 / PPM_ONE as f64),
-            _ => false,
+        match self.link_faults.keep_ppm(from, to) {
+            None => true,
+            Some(ppm) if ppm < PPM_ONE => !self.fault_rng.gen_bool(ppm as f64 / PPM_ONE as f64),
+            Some(_) => false,
         }
     }
 

@@ -1,5 +1,9 @@
 //! One LR-Seluge/Seluge node as a real OS process.
 //!
+//! ```text
+//! node --id <n> --proxy <addr> --control <addr> --capsule <file> [--time-scale K]
+//! ```
+//!
 //! Wraps the exact `Protocol` state machine the simulator drives in a
 //! real-time [`lrs_host::Host`] clocked by the OS monotonic
 //! clock, speaking length-framed `Message` bytes inside the transport
@@ -8,9 +12,11 @@
 //! swarm.
 //!
 //! The process reconstructs its entire world (keys, artifacts, image)
-//! from the [`SwarmScenario`] flags, so the harness never ships key
-//! material or images across process boundaries; every node derives the
-//! same world the way capsule replays do.
+//! from the capsule's scenario tags, seeds its host from the capsule's
+//! seed and takes its airtime constants from the capsule's medium, so
+//! the harness never ships key material or images across process
+//! boundaries; every node derives the same world the way capsule
+//! replays do. It runs for the capsule's deadline, scaled to wall time.
 //!
 //! Control protocol (UDP, line-oriented text):
 //! * the node sends a `lrs-swarm report ...` line to `--control` every
@@ -21,9 +27,14 @@
 //! node is a seeder, and its advertisements are what finish the
 //! stragglers.
 
-use lr_seluge_repro::swarm::{NodeReport, SwarmNode, SwarmScenario, CONTROL_QUIT};
+use lr_seluge_repro::swarm::{
+    check_capsule, status, time_scale, wall_deadline, NodeReport, CONTROL_QUIT,
+};
+use lrs_bench::capsules::{profile_deployment, ScenarioTags};
 use lrs_bench::{with_scheme, Cli, Matched};
+use lrs_deluge::deployment::{Deployment, Node};
 use lrs_host::{Host, HostConfig, NodeId, UdpTransport};
+use lrs_netsim::Capsule;
 use std::net::{SocketAddr, UdpSocket};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -32,19 +43,8 @@ const FLAGS: &[lrs_bench::cli::Flag] = &[
     lrs_bench::cli::valued("--id", "this node's id (0 = base station)"),
     lrs_bench::cli::valued("--proxy", "data address of the swarm proxy"),
     lrs_bench::cli::valued("--control", "control address of the swarm harness"),
-    lrs_bench::cli::valued("--scheme", "lr-seluge, seluge or deluge"),
-    lrs_bench::cli::valued("--profile", "parameter profile (default campaign)"),
-    lrs_bench::cli::valued("--image-bytes", "image size (default 2048)"),
-    lrs_bench::cli::valued(
-        "--key-context",
-        "key-derivation context (default \"swarm keys\")",
-    ),
-    lrs_bench::cli::valued("--seed", "scenario seed (default 7)"),
+    lrs_bench::cli::valued("--capsule", "the run to join, as a capsule file"),
     lrs_bench::cli::valued("--time-scale", "virtual us per wall us (default 10)"),
-    lrs_bench::cli::valued(
-        "--deadline-s",
-        "wall-clock deadline in seconds (default 120)",
-    ),
 ];
 
 /// How often the node pushes a status line to the harness.
@@ -57,6 +57,7 @@ fn required<'a>(cli: &'a Cli, flag: &str) -> Result<&'a str, String> {
 
 fn run() -> Result<(), String> {
     let cli = Cli::parse("node", FLAGS).map_err(|e| e.to_string())?;
+    let time_scale = time_scale(&cli).map_err(|e| e.to_string())?;
     let id = NodeId(
         required(&cli, "--id")?
             .parse()
@@ -68,46 +69,33 @@ fn run() -> Result<(), String> {
     let control_addr: SocketAddr = required(&cli, "--control")?
         .parse()
         .map_err(|e| format!("bad --control: {e}"))?;
-    let scenario = SwarmScenario {
-        profile: cli.value("--profile").unwrap_or("campaign").to_string(),
-        image_len: cli
-            .parsed_or::<usize>("--image-bytes", 2048)
-            .map_err(|e| e.to_string())?,
-        key_context: cli
-            .value("--key-context")
-            .unwrap_or("swarm keys")
-            .to_string(),
-        seed: cli
-            .parsed_or::<u64>("--seed", 7)
-            .map_err(|e| e.to_string())?,
-    };
-    let cfg = HostConfig {
-        time_scale: cli
-            .parsed_or::<u64>("--time-scale", 10)
-            .map_err(|e| e.to_string())?,
-        ..HostConfig::default()
-    };
-    let deadline = Duration::from_secs(
-        cli.parsed_or::<u64>("--deadline-s", 120)
-            .map_err(|e| e.to_string())?,
-    );
-
+    let path = required(&cli, "--capsule")?;
+    let capsule = Capsule::load(path).map_err(|e| format!("{path}: {e}"))?;
+    let tags = check_capsule(&capsule).map_err(|e| format!("{path}: {e}"))?;
+    if id.index() >= capsule.topology.len() {
+        return Err(format!(
+            "--id {} is outside the capsule's {}-node topology",
+            id.0,
+            capsule.topology.len()
+        ));
+    }
     with_scheme!(
-        required(&cli, "--scheme")?,
-        S => serve::<S>(id, proxy, control_addr, &scenario, cfg, deadline)?
+        tags.scheme.as_str(),
+        S => serve::<S>(id, proxy, control_addr, &capsule, &tags, time_scale)?
     )
 }
 
-/// Runs scheme family `S`'s node `id` until told to quit or `deadline`.
+/// Runs scheme family `S`'s node `id` of `capsule` until told to quit
+/// or the capsule's deadline passes.
 fn serve<S: Matched>(
     id: NodeId,
     proxy: SocketAddr,
     control_addr: SocketAddr,
-    scenario: &SwarmScenario,
-    cfg: HostConfig,
-    deadline: Duration,
+    capsule: &Capsule,
+    tags: &ScenarioTags,
+    time_scale: u64,
 ) -> Result<(), String> {
-    let protocol: SwarmNode<S> = scenario.build_node(id)?;
+    let deployment = profile_deployment::<S>(&tags.profile, tags.image_len, &tags.key_context)?;
 
     let any_port: SocketAddr = "127.0.0.1:0"
         .parse()
@@ -133,16 +121,24 @@ fn serve<S: Matched>(
         .set_nonblocking(true)
         .map_err(|e| format!("control socket: {e}"))?;
 
-    let mut host = Host::new(id, protocol, transport, scenario.seed, cfg);
+    let medium = &capsule.config.medium;
+    let cfg = HostConfig {
+        us_per_byte: medium.us_per_byte,
+        per_packet_overhead_us: medium.per_packet_overhead_us,
+        time_scale,
+    };
+    let node = deployment.node(id, NodeId(0));
+    let mut host = Host::new(id, node, transport, capsule.seed, cfg);
     host.init().map_err(|e| format!("init: {e}"))?;
 
+    let deadline = wall_deadline(capsule, time_scale);
     let start = Instant::now();
     let mut last_report = Instant::now() - REPORT_EVERY;
     let mut quit = false;
     while !quit && start.elapsed() < deadline {
         host.step().map_err(|e| format!("step: {e}"))?;
         if last_report.elapsed() >= REPORT_EVERY {
-            send_report(&control, control_addr, &host);
+            send_report(&control, control_addr, &deployment, &host);
             last_report = Instant::now();
         }
         let mut buf = [0u8; 256];
@@ -154,7 +150,7 @@ fn serve<S: Matched>(
     }
     // Final report, repeated: the control channel is UDP too.
     for _ in 0..3 {
-        send_report(&control, control_addr, &host);
+        send_report(&control, control_addr, &deployment, &host);
     }
     Ok(())
 }
@@ -162,9 +158,10 @@ fn serve<S: Matched>(
 fn send_report<S: Matched>(
     control: &UdpSocket,
     to: SocketAddr,
-    host: &Host<SwarmNode<S>, UdpTransport>,
+    deployment: &Deployment<S>,
+    host: &Host<Node<S>, UdpTransport>,
 ) {
-    let status = host.protocol().status();
+    let status = status(deployment, host.protocol());
     let counters = host.report();
     let line = NodeReport {
         id: host.id().0,

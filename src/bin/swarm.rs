@@ -1,34 +1,35 @@
 //! Swarm harness: the paper's experiment over real OS processes.
 //!
-//! Spawns N `node` processes on localhost, each a real-time host around
-//! the same `Protocol` state machine the simulator drives, and routes
-//! every data frame through a seeded lossy UDP proxy (uniform
-//! drop/duplicate/reorder ppm composed with per-directed-link asymmetry
-//! in the simulator's `FaultPlan` vocabulary). Nodes stream status
-//! lines to a control socket; the run ends when every node reports
-//! completion with the sim checker's invariants intact, and the harness
-//! asserts all reassembled image digests equal the scenario's expected
-//! digest — the swarm analog of the simulator's end-of-run checks.
-//!
 //! ```text
-//! swarm [--nodes N] [--scheme lr-seluge|seluge|deluge|both] [--smoke]
-//!       [--drop-ppm P] [--dup-ppm P] [--reorder-ppm P]
-//!       [--asym-frac-ppm P] [--asym-keep-ppm P]
-//!       [--profile <name>] [--image-bytes N] [--seed S]
-//!       [--time-scale K] [--deadline-s T]
+//! swarm [--dup-ppm P] [--reorder-ppm P] [--time-scale K] <capsule>...
 //! ```
 //!
-//! `--smoke` is the CI gate: 16 nodes per scheme at 5% uniform loss.
+//! Runs each capsule in turn — the files `campaign --export-job`
+//! writes and `replay` reads. For one capsule it spawns a `node`
+//! process per topology node on localhost, each a real-time host around
+//! the same `Protocol` state machine the simulator drives, and routes
+//! every data frame through a seeded lossy UDP proxy: the capsule's
+//! topology, application-layer loss and link faults, plus the harness's
+//! own duplication and reordering. Nodes stream status lines to a
+//! control socket; a run ends when every node reports completion with
+//! the sim checker's invariants intact, and the harness asserts all
+//! reassembled image digests equal the SHA-256 of the capsule's image —
+//! the swarm analog of the simulator's end-of-run checks. A run gets
+//! the capsule's deadline, scaled to wall time.
+//!
+//! Every capsule is checked before anything spawns: node faults, a
+//! noise model and adversaries are refused, naming the item.
 //! Writes `results/swarm.json`.
 
 use lr_seluge_repro::swarm::{
-    asymmetry_plan, LossyLinks, NodeReport, ReorderRelay, SwarmScenario, CONTROL_QUIT,
+    check_capsule, time_scale, wall_deadline, LossyLinks, NodeReport, ReorderRelay, CONTROL_QUIT,
 };
-use lrs_bench::capsules::{LrScheme, SelugeScheme};
-use lrs_bench::{with_scheme, write_json, Cli, Json};
-use lrs_deluge::deployment::SchemeFamily;
-use lrs_host::{decode_frame, NodeId, SimTime};
+use lrs_bench::capsules::{profile_image, ScenarioTags};
+use lrs_bench::{write_json, Cli, Json};
+use lrs_crypto::sha256::sha256;
+use lrs_host::{decode_frame, SimTime};
 use lrs_netsim::fault::PPM_ONE;
+use lrs_netsim::Capsule;
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::process::{Child, Command, ExitCode, Stdio};
@@ -37,19 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const FLAGS: &[lrs_bench::cli::Flag] = &[
-    lrs_bench::cli::flag("--smoke", "CI gate: 16 nodes per scheme at 5% uniform loss"),
-    lrs_bench::cli::valued(
-        "--nodes",
-        "node processes per scheme (default 64; smoke 16)",
-    ),
-    lrs_bench::cli::valued(
-        "--scheme",
-        "lr-seluge, seluge, deluge, or both (default: lr-seluge and seluge)",
-    ),
-    lrs_bench::cli::valued(
-        "--drop-ppm",
-        "uniform drop probability in ppm (default 50000)",
-    ),
+    lrs_bench::cli::positional("<capsule>...", "capsules to run in turn"),
     lrs_bench::cli::valued(
         "--dup-ppm",
         "duplication probability in ppm (default 10000)",
@@ -58,50 +47,39 @@ const FLAGS: &[lrs_bench::cli::Flag] = &[
         "--reorder-ppm",
         "reorder probability in ppm (default 20000)",
     ),
-    lrs_bench::cli::valued(
-        "--asym-frac-ppm",
-        "fraction of directed links degraded (default 100000)",
-    ),
-    lrs_bench::cli::valued(
-        "--asym-keep-ppm",
-        "delivery scale on degraded links (default 700000)",
-    ),
-    lrs_bench::cli::valued("--profile", "parameter profile (default campaign)"),
-    lrs_bench::cli::valued("--image-bytes", "image size (default 2048)"),
-    lrs_bench::cli::valued("--seed", "scenario seed (default 7)"),
     lrs_bench::cli::valued("--time-scale", "virtual us per wall us (default 10)"),
-    lrs_bench::cli::valued(
-        "--deadline-s",
-        "per-scheme wall deadline in seconds (default 180)",
-    ),
 ];
 
-/// Everything one scheme's run needs, parsed once.
-struct SwarmConfig {
-    nodes: u32,
-    drop_ppm: u32,
+/// The harness's own knobs: what the proxy adds to every capsule.
+struct Knobs {
     dup_ppm: u32,
     reorder_ppm: u32,
-    asym_frac_ppm: u32,
-    asym_keep_ppm: u32,
     time_scale: u64,
-    deadline: Duration,
 }
 
-/// Outcome of one scheme's swarm run.
+/// A capsule that passed the check, ready to run.
+struct Job {
+    path: String,
+    capsule: Capsule,
+    tags: ScenarioTags,
+    /// Hex SHA-256 of the capsule's image: what every node must hold.
+    expected_digest: String,
+}
+
+/// Outcome of one capsule's swarm run.
 struct SwarmRun {
-    scheme: &'static str,
     wall_s: f64,
     reports: Vec<NodeReport>,
 }
 
 /// The lossy proxy: receives every node's frames on one socket, applies
-/// the per-link loss model, and fans each frame out to every other
-/// registered node. Node addresses are learned from `hello` datagrams
-/// and refreshed from the envelope `from` field of data frames, so the
-/// map heals even if every hello is lost. Per-destination reordering
-/// (and the delivery of every granted copy, duplicate-of-a-reordered-
-/// frame included) is [`ReorderRelay`]'s job, unit-tested in the lib.
+/// the capsule's loss model, and forwards each frame along the sender's
+/// topology links to the registered nodes. Node addresses are learned
+/// from `hello` datagrams and refreshed from the envelope `from` field
+/// of data frames, so the map heals even if every hello is lost.
+/// Per-destination reordering (and the delivery of every granted copy,
+/// duplicate-of-a-reordered-frame included) is [`ReorderRelay`]'s job,
+/// unit-tested in the lib.
 ///
 /// The socket's read timeout is configured by the caller before this
 /// thread starts, so the loop body has no panicking paths.
@@ -137,28 +115,23 @@ fn proxy_loop(socket: UdpSocket, mut links: LossyLinks, time_scale: u64, stop: A
         let from = frame.from;
         addrs.insert(from.0, src);
         links.advance(SimTime(epoch.elapsed().as_micros() as u64 * time_scale));
-        let targets: Vec<(u32, SocketAddr)> = addrs
-            .iter()
-            .filter(|(id, _)| **id != from.0)
-            .map(|(id, addr)| (*id, *addr))
-            .collect();
-        for (dest, addr) in targets {
-            let verdict = links.verdict(from, NodeId(dest));
-            relay.apply(dest, datagram, verdict, |f| {
-                let _ = socket.send_to(f, addr);
-            });
-        }
+        links.fan_out(from, |dest, verdict| {
+            if let Some(addr) = addrs.get(&dest.0) {
+                relay.apply(dest.0, datagram, verdict, |f| {
+                    let _ = socket.send_to(f, addr);
+                });
+            }
+        });
     }
 }
 
 fn spawn_node(
     node_bin: &std::path::Path,
-    id: u32,
+    id: usize,
     proxy: SocketAddr,
     control: SocketAddr,
-    scheme: &str,
-    scenario: &SwarmScenario,
-    cfg: &SwarmConfig,
+    capsule: &str,
+    time_scale: u64,
 ) -> Result<Child, String> {
     Command::new(node_bin)
         .args([
@@ -168,20 +141,10 @@ fn spawn_node(
             &proxy.to_string(),
             "--control",
             &control.to_string(),
-            "--scheme",
-            scheme,
-            "--profile",
-            &scenario.profile,
-            "--image-bytes",
-            &scenario.image_len.to_string(),
-            "--key-context",
-            &scenario.key_context,
-            "--seed",
-            &scenario.seed.to_string(),
+            "--capsule",
+            capsule,
             "--time-scale",
-            &cfg.time_scale.to_string(),
-            "--deadline-s",
-            &cfg.deadline.as_secs().to_string(),
+            &time_scale.to_string(),
         ])
         .stdin(Stdio::null())
         .stdout(Stdio::null())
@@ -189,25 +152,32 @@ fn spawn_node(
         .map_err(|e| format!("spawning {}: {e}", node_bin.display()))
 }
 
-/// Runs one scheme's swarm end-to-end and verifies every node against
-/// the scenario's expected digest.
-fn run_swarm(
-    scheme: &'static str,
-    scenario: &SwarmScenario,
-    cfg: &SwarmConfig,
-) -> Result<SwarmRun, String> {
-    let expected_digest = scenario.expected_digest()?;
-    let node_bin = std::env::current_exe()
-        .map_err(|e| format!("current_exe: {e}"))?
-        .parent()
-        .ok_or("current_exe has no parent")?
-        .join("node");
-    if !node_bin.exists() {
-        return Err(format!(
-            "{} not found; build it with `cargo build --release --bin node`",
-            node_bin.display()
-        ));
-    }
+/// Loads and checks the capsule at `path`, and derives the digest its
+/// nodes must end with.
+fn load(path: &str) -> Result<Job, String> {
+    let capsule = Capsule::load(path).map_err(|e| format!("{path}: {e}"))?;
+    let tags = check_capsule(&capsule).map_err(|e| format!("{path}: {e}"))?;
+    let image = profile_image(&tags.profile, tags.image_len).map_err(|e| format!("{path}: {e}"))?;
+    Ok(Job {
+        path: path.to_string(),
+        expected_digest: sha256(&image).to_hex(),
+        capsule,
+        tags,
+    })
+}
+
+/// Runs one capsule's swarm end-to-end and verifies every node against
+/// the capsule's image digest.
+fn run_swarm(node_bin: &std::path::Path, job: &Job, knobs: &Knobs) -> Result<SwarmRun, String> {
+    let Job {
+        path,
+        capsule,
+        tags,
+        expected_digest,
+    } = job;
+    let scheme = &tags.scheme;
+    let nodes = capsule.topology.len();
+    let deadline = wall_deadline(capsule, knobs.time_scale);
 
     let control = UdpSocket::bind("127.0.0.1:0").map_err(|e| format!("control socket: {e}"))?;
     control
@@ -220,45 +190,29 @@ fn run_swarm(
         .set_read_timeout(Some(Duration::from_millis(50)))
         .map_err(|e| format!("proxy socket: {e}"))?;
     let proxy_addr = proxy.local_addr().map_err(|e| e.to_string())?;
-    let plan = asymmetry_plan(
-        cfg.nodes,
-        cfg.asym_frac_ppm,
-        cfg.asym_keep_ppm,
-        scenario.seed,
-    );
-    let links = LossyLinks::new(
-        cfg.drop_ppm,
-        cfg.dup_ppm,
-        cfg.reorder_ppm,
-        &plan,
-        scenario.seed,
-    );
+    let links = LossyLinks::new(capsule, knobs.dup_ppm, knobs.reorder_ppm);
     let stop = Arc::new(AtomicBool::new(false));
     let proxy_thread = {
         let stop = Arc::clone(&stop);
-        let time_scale = cfg.time_scale;
+        let time_scale = knobs.time_scale;
         std::thread::spawn(move || proxy_loop(proxy, links, time_scale, stop))
     };
 
     println!(
-        "[{}] spawning {} node processes (proxy {}, control {}, {} degraded links)",
-        scheme,
-        cfg.nodes,
-        proxy_addr,
-        control_addr,
-        plan.events().len(),
+        "[{scheme}] {path}: spawning {nodes} node processes (proxy {proxy_addr}, control \
+         {control_addr}, {} link faults)",
+        capsule.faults.len(),
     );
     let start = Instant::now();
     let mut children: Vec<Child> = Vec::new();
-    for id in 0..cfg.nodes {
+    for id in 0..nodes {
         children.push(spawn_node(
-            &node_bin,
+            node_bin,
             id,
             proxy_addr,
             control_addr,
-            scheme,
-            scenario,
-            cfg,
+            path,
+            knobs.time_scale,
         )?);
     }
 
@@ -275,22 +229,19 @@ fn run_swarm(
                 latest.insert(report.id, (report, src));
             }
         }
-        let complete = latest.values().filter(|(r, _)| r.complete).count() as u32;
-        if complete == cfg.nodes && latest.values().all(|(r, _)| r.invariants_ok) {
+        let complete = latest.values().filter(|(r, _)| r.complete).count();
+        if complete == nodes && latest.values().all(|(r, _)| r.invariants_ok) {
             break true;
         }
         if last_progress.elapsed() >= Duration::from_secs(2) {
             println!(
-                "[{}] t={:.1}s: {}/{} complete, {} reporting",
-                scheme,
+                "[{scheme}] t={:.1}s: {complete}/{nodes} complete, {} reporting",
                 start.elapsed().as_secs_f64(),
-                complete,
-                cfg.nodes,
                 latest.len(),
             );
             last_progress = Instant::now();
         }
-        if start.elapsed() > cfg.deadline {
+        if start.elapsed() > deadline {
             break false;
         }
     };
@@ -323,16 +274,13 @@ fn run_swarm(
     proxy_thread.join().map_err(|_| "proxy thread panicked")?;
 
     if !all_done {
-        let missing: Vec<u32> = (0..cfg.nodes)
+        let missing: Vec<u32> = (0..nodes as u32)
             .filter(|id| !latest.get(id).map(|(r, _)| r.complete).unwrap_or(false))
             .collect();
         return Err(format!(
-            "[{}] deadline ({:?}) exceeded with {}/{} complete; incomplete nodes: {:?}",
-            scheme,
-            cfg.deadline,
-            cfg.nodes - missing.len() as u32,
-            cfg.nodes,
-            missing,
+            "[{scheme}] {path}: deadline ({deadline:?}) exceeded with {}/{nodes} complete; \
+             incomplete nodes: {missing:?}",
+            nodes - missing.len(),
         ));
     }
     // The sim checker's end-of-run assertions, over real processes:
@@ -343,11 +291,11 @@ fn run_swarm(
             return Err(format!("node {} violated invariants", report.id));
         }
         match &report.digest {
-            Some(d) if *d == expected_digest => {}
+            Some(d) if d == expected_digest => {}
             other => {
                 return Err(format!(
-                    "node {} image digest {:?} != expected {}",
-                    report.id, other, expected_digest
+                    "node {} image digest {other:?} != expected {expected_digest}",
+                    report.id
                 ))
             }
         }
@@ -355,123 +303,79 @@ fn run_swarm(
     let mut reports: Vec<NodeReport> = latest.into_values().map(|(r, _)| r).collect();
     reports.sort_by_key(|r| r.id);
     println!(
-        "[{}] {} nodes complete in {:.1} s wall; all digests match {}",
-        scheme,
-        cfg.nodes,
-        wall_s,
+        "[{scheme}] {nodes} nodes complete in {wall_s:.1} s wall; all digests match {}",
         &expected_digest[..16],
     );
-    Ok(SwarmRun {
-        scheme,
-        wall_s,
-        reports,
-    })
+    Ok(SwarmRun { wall_s, reports })
 }
 
 fn run() -> Result<(), String> {
     let cli = Cli::parse("swarm", FLAGS).map_err(|e| e.to_string())?;
-    let smoke = cli.smoke();
-    let cfg = SwarmConfig {
-        nodes: cli
-            .parsed_or::<u32>("--nodes", if smoke { 16 } else { 64 })
-            .map_err(|e| e.to_string())?,
-        drop_ppm: cli
-            .parsed_or::<u32>("--drop-ppm", 50_000)
-            .map_err(|e| e.to_string())?,
+    let knobs = Knobs {
         dup_ppm: cli
             .parsed_or::<u32>("--dup-ppm", 10_000)
             .map_err(|e| e.to_string())?,
         reorder_ppm: cli
             .parsed_or::<u32>("--reorder-ppm", 20_000)
             .map_err(|e| e.to_string())?,
-        asym_frac_ppm: cli
-            .parsed_or::<u32>("--asym-frac-ppm", 100_000)
-            .map_err(|e| e.to_string())?,
-        asym_keep_ppm: cli
-            .parsed_or::<u32>("--asym-keep-ppm", 700_000)
-            .map_err(|e| e.to_string())?,
-        time_scale: cli
-            .parsed_or::<u64>("--time-scale", 10)
-            .map_err(|e| e.to_string())?,
-        deadline: Duration::from_secs(
-            cli.parsed_or::<u64>("--deadline-s", 180)
-                .map_err(|e| e.to_string())?,
-        ),
+        time_scale: time_scale(&cli).map_err(|e| e.to_string())?,
     };
-    if cfg.nodes < 2 {
-        return Err("need at least 2 nodes".to_string());
-    }
-    // LossyLinks asserts this; fail as a CLI error instead of a panic.
-    if cfg.drop_ppm >= PPM_ONE {
-        return Err(format!(
-            "--drop-ppm {} would drop everything; need < {PPM_ONE}",
-            cfg.drop_ppm
-        ));
-    }
     for (name, ppm) in [
-        ("--dup-ppm", cfg.dup_ppm),
-        ("--reorder-ppm", cfg.reorder_ppm),
-        ("--asym-frac-ppm", cfg.asym_frac_ppm),
-        ("--asym-keep-ppm", cfg.asym_keep_ppm),
+        ("--dup-ppm", knobs.dup_ppm),
+        ("--reorder-ppm", knobs.reorder_ppm),
     ] {
         if ppm > PPM_ONE {
             return Err(format!("{name} {ppm} exceeds {PPM_ONE} (= certainty)"));
         }
     }
-    let schemes: Vec<&'static str> = match cli.value("--scheme").unwrap_or("both") {
-        "both" => vec![LrScheme::NAME, SelugeScheme::NAME],
-        name => vec![with_scheme!(name, S => S::NAME)
-            .map_err(|e| format!("bad --scheme: {e}, or \"both\""))?],
-    };
-    let image_len = cli
-        .parsed_or::<usize>("--image-bytes", 2048)
-        .map_err(|e| e.to_string())?;
-    let seed = cli
-        .parsed_or::<u64>("--seed", 7)
-        .map_err(|e| e.to_string())?;
-    let profile = cli.value("--profile").unwrap_or("campaign").to_string();
-    let mut runs = Vec::new();
-    let scenario = SwarmScenario {
-        profile,
-        image_len,
-        key_context: "swarm keys".to_string(),
-        seed,
-    };
-    for scheme in schemes {
-        runs.push(run_swarm(scheme, &scenario, &cfg)?);
+    // Every capsule is checked before the first process spawns.
+    let jobs = cli
+        .positionals()
+        .iter()
+        .map(|path| load(path))
+        .collect::<Result<Vec<Job>, String>>()?;
+    let node_bin = std::env::current_exe()
+        .map_err(|e| format!("current_exe: {e}"))?
+        .with_file_name("node");
+    if !node_bin.exists() {
+        return Err(format!(
+            "{} not found; build it with `cargo build --release --bin node`",
+            node_bin.display()
+        ));
     }
 
-    let rows: Vec<Json> = runs
-        .iter()
-        .map(|run| {
-            let tx: u64 = run.reports.iter().map(|r| r.tx_frames).sum();
-            let rx: u64 = run.reports.iter().map(|r| r.rx_frames).sum();
-            let rejected: u64 = run.reports.iter().map(|r| r.rx_rejected).sum();
-            Json::Obj(vec![
-                ("scheme".into(), Json::str(run.scheme)),
-                ("nodes".into(), Json::num(run.reports.len() as u32)),
-                ("wall_s".into(), Json::num(run.wall_s)),
-                ("tx_frames".into(), Json::num(tx as f64)),
-                ("rx_frames".into(), Json::num(rx as f64)),
-                ("rx_rejected".into(), Json::num(rejected as f64)),
-            ])
-        })
-        .collect();
+    let mut rows = Vec::new();
+    for job in &jobs {
+        let run = run_swarm(&node_bin, job, &knobs)?;
+        let total = |count: fn(&NodeReport) -> u64| -> f64 {
+            run.reports.iter().map(count).sum::<u64>() as f64
+        };
+        let medium = &job.capsule.config.medium;
+        rows.push(Json::Obj(vec![
+            ("capsule".into(), Json::str(&job.path)),
+            ("scheme".into(), Json::str(&job.tags.scheme)),
+            ("nodes".into(), Json::num(run.reports.len() as u32)),
+            ("seed".into(), Json::uint(job.capsule.seed)),
+            ("image_bytes".into(), Json::num(job.tags.image_len as u32)),
+            (
+                "app_loss_ppm".into(),
+                Json::num((medium.app_loss * f64::from(PPM_ONE)).round()),
+            ),
+            (
+                "link_faults".into(),
+                Json::num(job.capsule.faults.len() as u32),
+            ),
+            ("wall_s".into(), Json::num(run.wall_s)),
+            ("tx_frames".into(), Json::num(total(|r| r.tx_frames))),
+            ("rx_frames".into(), Json::num(total(|r| r.rx_frames))),
+            ("rx_rejected".into(), Json::num(total(|r| r.rx_rejected))),
+        ]));
+    }
     let doc = Json::Obj(vec![
         ("experiment".into(), Json::str("swarm")),
-        (
-            "mode".into(),
-            Json::str(if smoke { "smoke" } else { "full" }),
-        ),
-        ("nodes_per_scheme".into(), Json::num(cfg.nodes)),
-        ("drop_ppm".into(), Json::num(cfg.drop_ppm)),
-        ("dup_ppm".into(), Json::num(cfg.dup_ppm)),
-        ("reorder_ppm".into(), Json::num(cfg.reorder_ppm)),
-        ("asym_frac_ppm".into(), Json::num(cfg.asym_frac_ppm)),
-        ("asym_keep_ppm".into(), Json::num(cfg.asym_keep_ppm)),
-        ("time_scale".into(), Json::num(cfg.time_scale as u32)),
-        ("image_bytes".into(), Json::num(image_len as u32)),
-        ("seed".into(), Json::num(seed as u32)),
+        ("dup_ppm".into(), Json::num(knobs.dup_ppm)),
+        ("reorder_ppm".into(), Json::num(knobs.reorder_ppm)),
+        ("time_scale".into(), Json::uint(knobs.time_scale)),
         ("runs".into(), Json::Arr(rows)),
     ]);
     println!("wrote {}", write_json("swarm", &doc));

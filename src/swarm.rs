@@ -4,124 +4,98 @@
 //! A swarm run is "the paper's experiment, but real": dozens–hundreds
 //! of OS processes, each wrapping the identical `Protocol` state
 //! machine the simulator drives, exchanging enveloped `Message` bytes
-//! over localhost UDP through a seeded lossy proxy. This module holds
+//! over localhost UDP through a seeded lossy proxy. Its one input is a
+//! [`Capsule`], the file `campaign --export-job` writes and `replay`
+//! reads, so one file runs in both drivers. This module holds
 //! everything both sides must agree on:
 //!
-//! * [`SwarmScenario`] — the deterministic recipe (parameter profile,
-//!   image length, key context, seed) from which every process
-//!   independently reconstructs the same keys, artifacts, and expected
-//!   image, exactly as the capsule registry does for sim replays.
-//! * [`SwarmNode`] — a protocol node of any scheme family plus its
-//!   deployment, to self-check the sim's invariants (final image
-//!   identity, authenticated-only buffering) at the end of a run.
+//! * [`check_capsule`] — what of a capsule the swarm can run: its
+//!   scenario tags, after refusing what the proxy cannot express.
+//! * [`status`] — a node's self-check against its deployment: final
+//!   image identity and authenticated-only buffering, the sim checker's
+//!   invariants.
 //! * [`NodeReport`] / [`CONTROL_QUIT`] — the line-oriented control
 //!   protocol between node processes and the swarm harness.
-//! * [`LossyLinks`] — the proxy's seeded loss model: uniform
-//!   drop/duplicate/reorder ppm composed with per-directed-link
-//!   asymmetry expressed in the simulator's `FaultPlan` vocabulary
-//!   (`Degrade`/`LinkDown`/`LinkUp`).
+//! * [`LossyLinks`] — the proxy's seeded loss model: the capsule's
+//!   topology, application-layer loss and link faults (through the
+//!   simulator's own [`LinkFaults`]), plus duplicate/reorder ppm.
 
-use lrs_bench::capsules::{profile_deployment, profile_image};
-use lrs_bench::Matched;
+use lrs_bench::capsules::ScenarioTags;
+use lrs_bench::cli::{Cli, CliError};
+use lrs_bench::with_scheme;
 use lrs_crypto::sha256::sha256;
 use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
-use lrs_host::node::{Context, NodeId, Protocol, TimerId};
+use lrs_host::node::{NodeId, Protocol as _};
 use lrs_host::time::SimTime;
-use lrs_netsim::fault::{FaultEvent, FaultPlan, PPM_ONE};
+use lrs_netsim::capsule::Capsule;
+use lrs_netsim::fault::{FaultEvent, LinkFaults, PPM_ONE};
+use lrs_netsim::noise::NoiseModel;
 use lrs_rng::DetRng;
 use std::collections::HashMap;
 
-/// The deterministic recipe every process reconstructs its world from.
-///
-/// Mirrors the capsule registry's scenario tags: the same (profile,
-/// image_len, key_context) triple produces bit-identical keys,
-/// artifacts, and images here and in sim replays, through the same
-/// registry (`lrs_bench::capsules`). The scheme is a type parameter of
-/// [`build_node`](Self::build_node), not data.
-#[derive(Clone, Debug)]
-pub struct SwarmScenario {
-    /// Parameter profile from the capsule registry ("chaos", "scale",
-    /// "campaign").
-    pub profile: String,
-    /// Image length in bytes.
-    pub image_len: usize,
-    /// Key-derivation context string.
-    pub key_context: String,
-    /// Seed for host RNG streams and the proxy loss model.
-    pub seed: u64,
+/// The scenario tags of a capsule the swarm can run. The proxy
+/// interprets link faults, the topology's PRRs and i.i.d.
+/// application-layer loss; anything else the capsule asks for is
+/// refused here, naming the item, before any process is spawned.
+pub fn check_capsule(capsule: &Capsule) -> Result<ScenarioTags, String> {
+    // A node fault would need the process itself killed or restarted.
+    let node_fault = capsule.faults.events().iter().find(|event| {
+        matches!(
+            event,
+            FaultEvent::Crash { .. } | FaultEvent::Reboot { .. } | FaultEvent::ClockDrift { .. }
+        )
+    });
+    if let Some(event) = node_fault {
+        return Err(format!(
+            "the proxy cannot express node fault {}",
+            event.to_json()
+        ));
+    }
+    if let NoiseModel::Bursty(_) = capsule.config.medium.noise {
+        return Err("the proxy cannot express the capsule's bursty noise model".to_string());
+    }
+    let tags = ScenarioTags::decode(capsule)?;
+    if tags.attack_plan.is_some() {
+        return Err("the proxy cannot express the attack_plan tag's adversaries".to_string());
+    }
+    with_scheme!(tags.scheme.as_str(), S => ())?;
+    Ok(tags)
 }
 
-impl SwarmScenario {
-    /// The image being disseminated.
-    pub fn image(&self) -> Result<Vec<u8>, String> {
-        profile_image(&self.profile, self.image_len)
-    }
+/// The largest `--time-scale`: a host's virtual clock, wall µs times
+/// the scale, stays inside a `u64` for half a year of wall time.
+const MAX_TIME_SCALE: u64 = 1_000_000;
 
-    /// Hex SHA-256 of the image — what every completed node must hold.
-    pub fn expected_digest(&self) -> Result<String, String> {
-        Ok(sha256(&self.image()?).to_hex())
-    }
-
-    /// Builds scheme family `S`'s protocol node for `id` (node 0 is the
-    /// base station).
-    pub fn build_node<S: Matched>(&self, id: NodeId) -> Result<SwarmNode<S>, String> {
-        let deployment = profile_deployment::<S>(&self.profile, self.image_len, &self.key_context)?;
-        Ok(SwarmNode {
-            node: deployment.node(id, NodeId(0)),
-            deployment,
-        })
-    }
-}
-
-/// A protocol node bundled with its deployment, the origin against
-/// which the sim checker's invariants are re-run locally.
-pub struct SwarmNode<S: SchemeFamily> {
-    node: Node<S>,
-    deployment: Deployment<S>,
-}
-
-impl<S: SchemeFamily> SwarmNode<S> {
-    /// Self-check: completion, the sim checker's per-node invariants
-    /// (buffered content must be authenticated content, a complete
-    /// node's image is the origin image), and the hex digest of the
-    /// reassembled image when complete.
-    pub fn status(&self) -> NodeStatus {
-        let scheme = self.node.scheme();
-        NodeStatus {
-            complete: self.node.is_complete(),
-            invariants_ok: self.deployment.verify(scheme).is_ok(),
-            digest: scheme.image().map(|img| sha256(&img).to_hex()),
-        }
+/// `--time-scale` as both bins read it: virtual µs per wall µs,
+/// default 10. 0 is refused (virtual time would never advance), and so
+/// is a scale past `MAX_TIME_SCALE`.
+pub fn time_scale(cli: &Cli) -> Result<u64, CliError> {
+    match cli.parsed_or::<u64>("--time-scale", 10)? {
+        scale @ 1..=MAX_TIME_SCALE => Ok(scale),
+        scale => Err(CliError::BadValue {
+            flag: "--time-scale".to_string(),
+            value: scale.to_string(),
+            reason: format!("need 1..={MAX_TIME_SCALE}"),
+        }),
     }
 }
 
-impl<S: SchemeFamily> Protocol for SwarmNode<S> {
-    fn on_init(&mut self, ctx: &mut Context<'_>) {
-        self.node.on_init(ctx)
-    }
+/// The wall-clock run limit of `capsule` at `time_scale`: its virtual
+/// deadline, scaled.
+pub fn wall_deadline(capsule: &Capsule, time_scale: u64) -> std::time::Duration {
+    std::time::Duration::from_micros(capsule.deadline.as_micros() / time_scale)
+}
 
-    fn on_packet(&mut self, ctx: &mut Context<'_>, from: NodeId, data: &[u8]) {
-        self.node.on_packet(ctx, from, data)
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: TimerId) {
-        self.node.on_timer(ctx, timer)
-    }
-
-    fn is_complete(&self) -> bool {
-        self.node.is_complete()
-    }
-
-    fn on_reboot(&mut self, ctx: &mut Context<'_>) {
-        self.node.on_reboot(ctx)
-    }
-
-    fn progress(&self) -> u64 {
-        self.node.progress()
-    }
-
-    fn diagnostic(&self) -> String {
-        self.node.diagnostic()
+/// Self-check of `node` against its `deployment`: completion, the sim
+/// checker's per-node invariants (buffered content must be
+/// authenticated content, a complete node's image is the origin image),
+/// and the hex digest of the reassembled image when complete.
+pub fn status<S: SchemeFamily>(deployment: &Deployment<S>, node: &Node<S>) -> NodeStatus {
+    let scheme = node.scheme();
+    NodeStatus {
+        complete: node.is_complete(),
+        invariants_ok: deployment.verify(scheme).is_ok(),
+        digest: scheme.image().map(|img| sha256(&img).to_hex()),
     }
 }
 
@@ -311,131 +285,141 @@ impl ReorderRelay {
     }
 }
 
-/// The proxy's seeded loss model.
+/// The proxy's seeded loss model, read from a [`Capsule`].
 ///
-/// Composes three processes per directed link, mirroring the
-/// simulator's vocabulary:
-///
-/// 1. uniform i.i.d. drop/duplicate/reorder ppm (the paper's `p` knob),
-/// 2. `FaultPlan::degrade(from, to, ppm, at)` — from `at` onward the
-///    link keeps only `ppm`/1e6 of deliveries (one direction only ⇒
-///    asymmetric link),
-/// 3. `FaultPlan::link_down` / `link_up` outages.
-///
-/// Node-side events in the plan (crash, reboot, clock drift) are not a
-/// proxy concern and are ignored.
+/// A frame from `from` goes out along `from`'s links in the capsule's
+/// topology only. Each link keeps it with probability `prr × (1 −
+/// app_loss) × overlay`, where the overlay is what the capsule's link
+/// faults (`Degrade`, `LinkDown`/`LinkUp`) leave in force, interpreted
+/// by the simulator's own [`LinkFaults`]; a downed link draws nothing.
+/// A kept frame is then duplicated and reordered with the harness's
+/// own ppm. On `star:N` (a clique with PRR 1) this is a uniform drop
+/// composed with per-link degradation.
 pub struct LossyLinks {
-    drop_ppm: u32,
+    /// Per node, its out-links in topology order, each with the share
+    /// of frames it keeps before faults, in ppm.
+    out: Vec<Vec<(NodeId, u32)>>,
     dup_ppm: u32,
     reorder_ppm: u32,
-    /// Remaining plan events, soonest last (popped as time passes).
-    pending: Vec<FaultEvent>,
-    /// Per-directed-link delivery scale (absent = [`PPM_ONE`]).
-    degrade: HashMap<(u32, u32), u32>,
-    /// Per-directed-link outage flag.
-    down: HashMap<(u32, u32), bool>,
+    /// The capsule's fault schedule, sorted by time.
+    faults: Vec<FaultEvent>,
+    /// Index in `faults` of the first event not yet applied.
+    next_fault: usize,
+    link_faults: LinkFaults,
     rng: DetRng,
 }
 
 impl LossyLinks {
-    /// Builds the model. `plan` events are applied as [`advance`]
-    /// passes their timestamps (virtual time, like the simulator).
-    ///
-    /// [`advance`]: LossyLinks::advance
-    pub fn new(drop_ppm: u32, dup_ppm: u32, reorder_ppm: u32, plan: &FaultPlan, seed: u64) -> Self {
-        assert!(drop_ppm < PPM_ONE, "drop_ppm must leave some deliveries");
-        let mut pending = plan.events().to_vec();
-        // events() is sorted soonest-first; pop from the back.
-        pending.reverse();
+    /// Builds the model for `capsule`, seeded from its seed. Fault
+    /// events are applied as [`advance`](Self::advance) passes their
+    /// timestamps (virtual time, like the simulator).
+    pub fn new(capsule: &Capsule, dup_ppm: u32, reorder_ppm: u32) -> Self {
+        let app_keep = 1.0 - capsule.config.medium.app_loss;
+        let out = (0..capsule.topology.len() as u32)
+            .map(|from| {
+                capsule
+                    .topology
+                    .links_from(NodeId(from))
+                    .iter()
+                    .map(|link| {
+                        let keep = (link.prr * app_keep * f64::from(PPM_ONE)).round();
+                        (link.to, keep as u32)
+                    })
+                    .collect()
+            })
+            .collect();
         LossyLinks {
-            drop_ppm,
+            out,
             dup_ppm,
             reorder_ppm,
-            pending,
-            degrade: HashMap::new(),
-            down: HashMap::new(),
-            rng: DetRng::seed_from_u64(seed ^ 0x4C52_5357_4C4F_5353),
+            faults: capsule.faults.events().to_vec(),
+            next_fault: 0,
+            link_faults: LinkFaults::default(),
+            rng: DetRng::seed_from_u64(capsule.seed ^ 0x4C52_5357_4C4F_5353),
         }
     }
 
-    /// Applies every plan event with timestamp ≤ `now`.
+    /// Applies every fault event with timestamp ≤ `now`.
     pub fn advance(&mut self, now: SimTime) {
-        while self.pending.last().is_some_and(|event| event.at() <= now) {
-            let Some(event) = self.pending.pop() else {
+        while let Some(&event) = self.faults.get(self.next_fault) {
+            if event.at() > now {
                 break;
-            };
-            match event {
-                FaultEvent::LinkDown { from, to, .. } => {
-                    self.down.insert((from.0, to.0), true);
-                }
-                FaultEvent::LinkUp { from, to, .. } => {
-                    self.down.insert((from.0, to.0), false);
-                }
-                FaultEvent::Degrade { from, to, ppm, .. } => {
-                    self.degrade.insert((from.0, to.0), ppm);
-                }
-                // Node-side faults are not the proxy's job.
-                FaultEvent::Crash { .. }
-                | FaultEvent::Reboot { .. }
-                | FaultEvent::ClockDrift { .. } => {}
             }
+            self.link_faults.apply(event);
+            self.next_fault += 1;
         }
     }
 
-    /// Rolls the dice for one packet on the directed link `from → to`.
-    pub fn verdict(&mut self, from: NodeId, to: NodeId) -> Delivery {
-        if self.down.get(&(from.0, to.0)).copied().unwrap_or(false) {
-            return Delivery {
-                copies: 0,
-                reorder: false,
-            };
-        }
-        let scale = self
-            .degrade
-            .get(&(from.0, to.0))
-            .copied()
-            .unwrap_or(PPM_ONE);
-        // Survive the uniform drop AND the link's degradation scale.
-        let keep_ppm = ((PPM_ONE - self.drop_ppm) as u64 * scale as u64 / PPM_ONE as u64) as u32;
-        if self.rng.gen_range(0..u64::from(PPM_ONE)) >= u64::from(keep_ppm) {
-            return Delivery {
-                copies: 0,
-                reorder: false,
-            };
-        }
-        let copies = if self.rng.gen_range(0..u64::from(PPM_ONE)) < u64::from(self.dup_ppm) {
-            2
-        } else {
-            1
+    /// Rolls the dice for one frame from `from`: `deliver` gets one
+    /// verdict per out-link, in topology order. An id outside the
+    /// topology (the envelope is wire input) has no links.
+    pub fn fan_out(&mut self, from: NodeId, mut deliver: impl FnMut(NodeId, Delivery)) {
+        let Some(links) = self.out.get(from.index()) else {
+            return;
         };
-        let reorder = self.rng.gen_range(0..u64::from(PPM_ONE)) < u64::from(self.reorder_ppm);
-        Delivery { copies, reorder }
-    }
-}
-
-/// A seeded plan degrading a fraction of directed links from time zero
-/// — the swarm's default per-link asymmetry. Each ordered pair `(i, j)`
-/// is independently selected with probability `link_frac_ppm`/1e6 and,
-/// if selected, keeps only `keep_ppm`/1e6 of its deliveries; the
-/// reverse direction is rolled separately, so most degraded links are
-/// asymmetric, exactly like the simulator's degrade vocabulary.
-pub fn asymmetry_plan(nodes: u32, link_frac_ppm: u32, keep_ppm: u32, seed: u64) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    let mut rng = DetRng::seed_from_u64(seed ^ 0x4153_594D_504C_414E);
-    for i in 0..nodes {
-        for j in 0..nodes {
-            if i != j && rng.gen_range(0..u64::from(PPM_ONE)) < u64::from(link_frac_ppm) {
-                plan.degrade(NodeId(i), NodeId(j), keep_ppm, SimTime::ZERO);
-            }
+        let mut roll = |ppm: u32| self.rng.gen_range(0..u64::from(PPM_ONE)) < u64::from(ppm);
+        for &(to, keep) in links {
+            let scale = self.link_faults.keep_ppm(from, to);
+            let kept = scale.is_some_and(|scale| {
+                roll((u64::from(keep) * u64::from(scale) / u64::from(PPM_ONE)) as u32)
+            });
+            let verdict = if kept {
+                Delivery {
+                    copies: if roll(self.dup_ppm) { 2 } else { 1 },
+                    reorder: roll(self.reorder_ppm),
+                }
+            } else {
+                Delivery {
+                    copies: 0,
+                    reorder: false,
+                }
+            };
+            deliver(to, verdict);
         }
     }
-    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrs_bench::capsules::{LrScheme, SelugeScheme};
+    use lrs_bench::capsules::{profile_deployment, profile_image, LrScheme, SelugeScheme};
+    use lrs_host::time::Duration;
+    use lrs_netsim::fault::FaultPlan;
+    use lrs_netsim::medium::MediumConfig;
+    use lrs_netsim::noise::BurstyNoise;
+    use lrs_netsim::sim::SimConfig;
+    use lrs_netsim::topology::Topology;
+
+    /// A fault-free `star:nodes` capsule at `app_loss`, tagged for a
+    /// `campaign`-profile LR-Seluge run of `image_len` bytes.
+    fn capsule(nodes: usize, app_loss: f64, image_len: usize, seed: u64) -> Capsule {
+        Capsule {
+            seed,
+            deadline: Duration::from_secs(1800),
+            config: SimConfig {
+                medium: MediumConfig {
+                    app_loss,
+                    ..MediumConfig::default()
+                },
+                stall_window: None,
+            },
+            topology: Topology::star(nodes),
+            faults: FaultPlan::new(),
+            scenario: ScenarioTags::new("lr-seluge", "campaign", image_len, "swarm test").pairs(),
+            digest: None,
+        }
+    }
+
+    /// The one verdict `links` rolls for a frame `from → to`.
+    fn verdict(links: &mut LossyLinks, from: u32, to: u32) -> Delivery {
+        let mut found = None;
+        links.fan_out(NodeId(from), |dest, verdict| {
+            if dest == NodeId(to) {
+                found = Some(verdict);
+            }
+        });
+        found.expect("a link of the topology")
+    }
 
     #[test]
     fn report_round_trips() {
@@ -518,13 +502,13 @@ mod tests {
         // Conservation over the real verdict stream: every copy the
         // loss model grants reaches the wire, none invented. Rates are
         // cranked so dup+reorder coincidences are common.
-        let mut links = LossyLinks::new(100_000, 300_000, 300_000, &FaultPlan::new(), 42);
+        let mut links = LossyLinks::new(&capsule(2, 0.1, 512, 42), 300_000, 300_000);
         let mut relay = ReorderRelay::new();
         let mut granted: u64 = 0;
         let mut sent: u64 = 0;
         let mut dup_reorder = 0u64;
         for i in 0u32..10_000 {
-            let verdict = links.verdict(NodeId(0), NodeId(1));
+            let verdict = verdict(&mut links, 0, 1);
             if verdict.copies == 2 && verdict.reorder {
                 dup_reorder += 1;
             }
@@ -541,80 +525,164 @@ mod tests {
 
     #[test]
     fn lossy_links_honor_down_and_degrade() {
-        let mut plan = FaultPlan::new();
-        plan.push(FaultEvent::LinkDown {
+        let mut capsule = capsule(4, 0.0, 512, 1);
+        capsule.faults.push(FaultEvent::LinkDown {
             from: NodeId(0),
             to: NodeId(1),
             at: SimTime(5),
         });
-        plan.degrade(NodeId(2), NodeId(3), 0, SimTime::ZERO);
-        let mut links = LossyLinks::new(0, 0, 0, &plan, 1);
+        capsule
+            .faults
+            .degrade(NodeId(2), NodeId(3), 0, SimTime::ZERO);
+        let mut links = LossyLinks::new(&capsule, 0, 0);
         links.advance(SimTime::ZERO);
         // Degraded-to-zero link never delivers; the down event is still
         // in the future, so 0→1 delivers.
-        assert_eq!(links.verdict(NodeId(2), NodeId(3)).copies, 0);
-        assert_eq!(links.verdict(NodeId(0), NodeId(1)).copies, 1);
+        assert_eq!(verdict(&mut links, 2, 3).copies, 0);
+        assert_eq!(verdict(&mut links, 0, 1).copies, 1);
         links.advance(SimTime(5));
-        assert_eq!(links.verdict(NodeId(0), NodeId(1)).copies, 0);
+        assert_eq!(verdict(&mut links, 0, 1).copies, 0);
         // Asymmetric: the reverse direction is untouched.
-        assert_eq!(links.verdict(NodeId(1), NodeId(0)).copies, 1);
+        assert_eq!(verdict(&mut links, 1, 0).copies, 1);
     }
 
     #[test]
     fn lossy_links_drop_rate_is_plausible() {
-        let mut links = LossyLinks::new(100_000, 0, 0, &FaultPlan::new(), 7);
+        let mut links = LossyLinks::new(&capsule(2, 0.1, 512, 7), 0, 0);
         let delivered = (0..10_000)
-            .filter(|_| links.verdict(NodeId(0), NodeId(1)).copies > 0)
+            .filter(|_| verdict(&mut links, 0, 1).copies > 0)
             .count();
         // 10% drop ±2% over 10k rolls.
         assert!((8_800..=9_200).contains(&delivered), "{delivered}");
     }
 
     #[test]
+    fn lossy_links_fan_out_along_the_topology_only() {
+        // A line 0 - 1 - 2 with PRR 0.5: node 1 reaches both ends,
+        // node 0 only node 1, and each link keeps about half.
+        let mut capsule = capsule(3, 0.0, 512, 3);
+        capsule.topology = Topology::line(3, 0.5);
+        let mut links = LossyLinks::new(&capsule, 0, 0);
+        let mut heard = [[0u32; 3]; 3];
+        for _ in 0..4_000 {
+            for from in 0..3 {
+                links.fan_out(NodeId(from), |to, verdict| {
+                    heard[from as usize][to.index()] += u32::from(verdict.copies);
+                });
+            }
+        }
+        assert_eq!([heard[0][2], heard[2][0]], [0, 0], "no link, no frame");
+        for (from, to) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+            let n = heard[from][to];
+            assert!((1_800..=2_200).contains(&n), "{from}→{to}: {n}");
+        }
+        // A sender outside the topology reaches nobody.
+        links.fan_out(NodeId(9), |to, _| panic!("n9 reached {to:?}"));
+    }
+
+    #[test]
     fn scenario_is_deterministic_across_reconstructions() {
-        let scenario = SwarmScenario {
-            profile: "campaign".into(),
-            image_len: 512,
-            key_context: "swarm test".into(),
-            seed: 9,
-        };
-        let a = scenario.expected_digest().expect("digest");
-        let b = scenario.expected_digest().expect("digest");
-        assert_eq!(a, b);
-        // Both schemes construct nodes for the same scenario.
-        assert!(scenario.build_node::<LrScheme>(NodeId(0)).is_ok());
-        assert!(scenario.build_node::<SelugeScheme>(NodeId(1)).is_ok());
+        let capsule = capsule(16, 0.05, 512, 9);
+        let tags = check_capsule(&capsule).expect("a swarm capsule");
+        assert_eq!(check_capsule(&capsule), Ok(tags.clone()));
+        let image = profile_image(&tags.profile, tags.image_len).expect("image");
+        assert_eq!(image, profile_image(&tags.profile, tags.image_len).unwrap());
+        // Both schemes build the same image's deployment from the tags,
+        // and a fresh node of either passes its self-check.
+        let lr = profile_deployment::<LrScheme>(&tags.profile, tags.image_len, &tags.key_context)
+            .expect("lr");
+        let seluge =
+            profile_deployment::<SelugeScheme>(&tags.profile, tags.image_len, &tags.key_context)
+                .expect("seluge");
+        assert_eq!(lr.image(), image.as_slice());
+        assert_eq!(seluge.image(), image.as_slice());
+        let base = status(&lr, &lr.node(NodeId(0), NodeId(0)));
+        assert!(base.complete && base.invariants_ok);
+        assert_eq!(base.digest, Some(sha256(&image).to_hex()));
+        let fresh = status(&seluge, &seluge.node(NodeId(1), NodeId(0)));
+        assert_eq!((fresh.complete, fresh.digest), (false, None));
     }
 
     #[test]
     fn unbuildable_images_are_errors_for_both_schemes() {
         // Empty, and past the u16 item space (at 23 069 728 bytes,
         // 65 539 pages of 352, LR-Seluge's count used to wrap to 3 and
-        // the base station signed a 1 056-byte image).
+        // the base station signed a 1 056-byte image). The capsule check
+        // passes them; building the node's deployment refuses them.
         for image_len in [0, 30_000_000] {
-            let scenario = SwarmScenario {
-                profile: "campaign".into(),
-                image_len,
-                key_context: "swarm test".into(),
-                seed: 9,
-            };
+            let tags = check_capsule(&capsule(4, 0.0, image_len, 9)).expect("tags decode");
+            let (profile, keys) = (&tags.profile, &tags.key_context);
             for err in [
-                scenario.build_node::<LrScheme>(NodeId(0)).err(),
-                scenario.build_node::<SelugeScheme>(NodeId(0)).err(),
+                profile_deployment::<LrScheme>(profile, image_len, keys).map(|_| ()),
+                profile_deployment::<SelugeScheme>(profile, image_len, keys).map(|_| ()),
             ] {
-                let err = err.expect("must not build");
+                let err = err.expect_err("must not build");
                 assert!(err.starts_with("deployment: "), "{err}");
             }
         }
     }
 
     #[test]
-    fn asymmetry_plan_is_seeded_and_directional() {
-        let a = asymmetry_plan(16, 100_000, 500_000, 3);
-        let b = asymmetry_plan(16, 100_000, 500_000, 3);
-        assert_eq!(a.events().len(), b.events().len());
-        assert!(!a.events().is_empty(), "some links degraded");
-        // Expect roughly 10% of 240 directed links.
-        assert!(a.events().len() < 60);
+    fn capsule_check_refuses_what_the_proxy_cannot_express() {
+        let at = SimTime(1_000);
+        let node = NodeId(3);
+        let with_fault = |event: FaultEvent| {
+            let mut capsule = capsule(4, 0.05, 512, 1);
+            capsule.faults.push(event);
+            capsule
+        };
+        let mut noisy = capsule(4, 0.05, 512, 1);
+        noisy.config.medium.noise = NoiseModel::Bursty(BurstyNoise::heavy());
+        let attacked = Capsule {
+            scenario: ScenarioTags::new("lr-seluge", "campaign", 512, "swarm test")
+                .with_storm(NodeId(3))
+                .pairs(),
+            ..capsule(4, 0.05, 512, 1)
+        };
+        for (capsule, needle) in [
+            (with_fault(FaultEvent::Crash { node, at }), "fault_crash"),
+            (with_fault(FaultEvent::Reboot { node, at }), "fault_reboot"),
+            (
+                with_fault(FaultEvent::ClockDrift {
+                    node,
+                    ppm: 1_100_000,
+                    at,
+                }),
+                "fault_drift",
+            ),
+            (noisy, "noise model"),
+            (attacked, "attack_plan"),
+        ] {
+            let err = check_capsule(&capsule).unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+        // Link faults are the proxy's to interpret.
+        let degraded = with_fault(FaultEvent::Degrade {
+            from: NodeId(1),
+            to: node,
+            ppm: 500_000,
+            at,
+        });
+        assert!(check_capsule(&degraded).is_ok());
+    }
+
+    #[test]
+    fn time_scale_defaults_to_10_and_refuses_0_and_overflow() {
+        const FLAGS: &[lrs_bench::cli::Flag] = &[lrs_bench::cli::valued("--time-scale", "")];
+        let scale = |args: &[&str]| {
+            Cli::parse_from("test", FLAGS, args.iter().map(|s| s.to_string()))
+                .and_then(|cli| time_scale(&cli))
+        };
+        assert_eq!(scale(&[]), Ok(10));
+        assert_eq!(scale(&["--time-scale", "50"]), Ok(50));
+        for bad in ["0", "1000001"] {
+            let err = scale(&["--time-scale", bad]).unwrap_err().to_string();
+            assert_eq!(err, format!("bad --time-scale \"{bad}\": need 1..=1000000"));
+        }
+        let capsule = capsule(2, 0.0, 512, 1);
+        assert_eq!(
+            wall_deadline(&capsule, 10),
+            std::time::Duration::from_secs(180)
+        );
     }
 }

@@ -1,14 +1,16 @@
 //! Flight-recorder end-to-end tests: capture → capsule → replay
 //! bit-identity for both schemes, metrics-only failure digests, the
-//! harness's failure capsule for the committed watchdog demo, and
-//! capsules from the removed sharded engine.
+//! harness's failure capsule for the committed watchdog demo, capsules
+//! from the removed sharded engine, and the degrade draws of the swarm
+//! grid's first job.
 
 use lr_seluge::Deployment;
+use lrs_bench::campaign::Campaign;
 use lrs_bench::capsules::{
     chaos_sim_config, population, replay_capsule, scale_params as small_lr, LrScheme, ScenarioTags,
 };
-use lrs_bench::matched_seluge_params;
 use lrs_bench::runner::simulate;
+use lrs_bench::{matched_seluge_params, CampaignSpec};
 use lrs_host::node::{Context, NodeId, PacketKind, Protocol, TimerId};
 use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::ContentDigest;
@@ -266,12 +268,41 @@ fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
     };
     let done = simulate(&pop, &capsule, false);
     assert_eq!(done.report.outcome, Outcome::Stalled);
-    let dump = done.report.diagnostic.as_ref().expect("a stalled run carries a dump");
+    let dump = done
+        .report
+        .diagnostic
+        .as_ref()
+        .expect("a stalled run carries a dump");
     assert!(!dump.nodes.is_empty());
     assert_eq!(
         done.failure_capsule(&capsule),
         Some(Capsule::load(COMMITTED_CAPSULE).expect("committed capsule")),
         "the run drifted from {COMMITTED_CAPSULE}"
+    );
+}
+
+/// The swarm grid's first job: `star:16` with ~10 % of directed links
+/// degraded. No committed golden has a `degrade` cell, so this pins the
+/// simulator's degradation draws.
+#[test]
+fn swarm_grid_degrade_job_replays_to_its_pinned_digest() {
+    let text = std::fs::read_to_string("examples/campaign/swarm.toml").expect("swarm spec");
+    let spec = CampaignSpec::parse(&text).expect("spec parses");
+    let capsule = Campaign::offline(spec, std::path::PathBuf::new())
+        .job_capsule(0)
+        .expect("job 0");
+    assert_eq!(capsule.topology.len(), 16);
+    assert_eq!(capsule.faults.len(), 17, "degraded links");
+    let run = replay_capsule(&capsule).expect("replays");
+    assert_eq!(
+        run.digest,
+        RunDigest {
+            outcome: "complete".to_string(),
+            final_time: SimTime(573_919_801),
+            events: 9_167,
+            trace: ContentDigest(0x6ebf_cde0_61cf_5493),
+            metrics: ContentDigest(0xc38c_3e29_554c_e096),
+        }
     );
 }
 

@@ -1,67 +1,85 @@
-//! Differential check: the same scenario executed by the discrete-event
+//! Differential check: one capsule executed by the discrete-event
 //! simulator and by real-time channel-backed hosts must agree.
 //!
 //! Both drivers run the *identical* `Protocol` state machines built
-//! from one [`SwarmScenario`]; the simulator schedules them on virtual
-//! time while the hosts run on the scaled monotonic clock with a lossy
-//! in-process router between them. The end states must line up: every
-//! node completes, the sim checker's invariants hold on both sides, and
-//! every node on both sides reassembles the byte-identical image.
+//! from one capsule's scenario tags; the simulator schedules them on
+//! virtual time while the hosts run on the scaled monotonic clock with
+//! the swarm proxy's loss model between them, read from the same
+//! capsule. The end states must line up: every node completes, the sim
+//! checker's invariants hold on both sides, and every node on both
+//! sides reassembles the byte-identical image.
 //!
 //! This is the loopback (no-UDP) version of what the `swarm` binary
 //! asserts across OS processes, fast enough for tier-1 CI.
 
-use lr_seluge_repro::lrs_bench::capsules::{LrScheme, SelugeScheme};
+use lr_seluge_repro::lrs_bench::capsules::{
+    population, profile_deployment, profile_image, LrScheme, ScenarioTags, SelugeScheme,
+};
+use lr_seluge_repro::lrs_bench::runner::simulate;
 use lr_seluge_repro::lrs_bench::Matched;
 use lr_seluge_repro::lrs_host::{ChannelTransport, Host, HostConfig, NodeId};
-use lr_seluge_repro::swarm::{LossyLinks, NodeStatus, SwarmScenario};
+use lr_seluge_repro::swarm::{status, LossyLinks, NodeStatus};
+use lrs_crypto::sha256::sha256;
 use lrs_host::time::Duration as SimDuration;
+use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::FaultPlan;
-use lrs_netsim::sim::Outcome;
+use lrs_netsim::medium::MediumConfig;
+use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::topology::Topology;
-use lrs_netsim::SimBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const NODES: usize = 5;
 
-fn scenario() -> SwarmScenario {
-    SwarmScenario {
-        profile: "campaign".into(),
-        image_len: 768,
-        key_context: "loopback differential".into(),
+/// `star:5` at 2 % application-layer loss, no faults, running scheme
+/// `S` in the `campaign` profile at 768 bytes.
+fn capsule<S: Matched>() -> Capsule {
+    Capsule {
         seed: 11,
+        deadline: SimDuration::from_secs(10_000),
+        config: SimConfig {
+            medium: MediumConfig {
+                app_loss: 0.02,
+                ..MediumConfig::default()
+            },
+            stall_window: None,
+        },
+        topology: Topology::star(NODES),
+        faults: FaultPlan::new(),
+        scenario: ScenarioTags::new(S::NAME, "campaign", 768, "loopback differential").pairs(),
+        digest: None,
     }
 }
 
-/// Runs the scenario in the discrete-event simulator and harvests each
+/// Runs the capsule in the discrete-event simulator and harvests each
 /// node's final status.
-fn run_sim<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
-    let mut sim = SimBuilder::new(Topology::star(NODES), scenario.seed, |id| {
-        scenario.build_node::<S>(id).expect("node")
-    })
-    .build();
-    let report = sim.run(SimDuration::from_secs(10_000));
-    assert_eq!(report.outcome, Outcome::Complete, "sim run completed");
-    (0..NODES as u32)
-        .map(|id| sim.node(NodeId(id)).status())
+fn run_sim<S: Matched>(capsule: &Capsule) -> Vec<NodeStatus> {
+    let tags = ScenarioTags::decode(capsule).expect("tags");
+    let pop = population::<S>(&tags).expect("population");
+    let done = simulate(&pop, capsule, true);
+    assert_eq!(done.report.outcome, Outcome::Complete, "sim run completed");
+    done.honest()
+        .map(|(_, node)| status(pop.deployment(), node))
         .collect()
 }
 
-/// Runs the scenario on real-time hosts wired through an in-process
-/// lossy router and harvests each node's final status.
-fn run_hosts<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
+/// Runs the capsule on real-time hosts wired through an in-process
+/// router with the swarm proxy's loss model and harvests each node's
+/// final status.
+fn run_hosts<S: Matched>(capsule: &Capsule) -> Vec<NodeStatus> {
+    let medium = &capsule.config.medium;
     let cfg = HostConfig {
+        us_per_byte: medium.us_per_byte,
+        per_packet_overhead_us: medium.per_packet_overhead_us,
         // 50x so the protocol's multi-second timers fire every few
         // tens of milliseconds: the whole dissemination takes ~1 s.
         time_scale: 50,
-        ..HostConfig::default()
     };
 
     // Every host sends into one shared router queue; the router fans
-    // frames out to everyone but the sender, through the same loss
-    // model vocabulary the UDP proxy uses.
+    // frames out along the capsule's links through the proxy's loss
+    // model.
     let (to_router, router_rx) = mpsc::channel::<Vec<u8>>();
     let mut host_rxs = Vec::new();
     let mut host_txs = Vec::new();
@@ -70,24 +88,19 @@ fn run_hosts<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
         host_txs.push(tx);
         host_rxs.push(rx);
     }
+    let mut links = LossyLinks::new(capsule, 5_000, 10_000);
     let router = std::thread::spawn(move || {
-        let mut links = LossyLinks::new(20_000, 5_000, 10_000, &FaultPlan::new(), 11);
         // Exits when every host thread has returned and dropped its
         // clone of the router sender.
         while let Ok(frame) = router_rx.recv() {
             let Some(decoded) = lr_seluge_repro::lrs_host::decode_frame(&frame) else {
                 continue;
             };
-            let from = decoded.from;
-            for (dest, tx) in host_txs.iter().enumerate() {
-                if dest as u32 == from.0 {
-                    continue;
-                }
-                let verdict = links.verdict(from, NodeId(dest as u32));
+            links.fan_out(decoded.from, |dest, verdict| {
                 for _ in 0..verdict.copies {
-                    let _ = tx.send(frame.clone());
+                    let _ = host_txs[dest.index()].send(frame.clone());
                 }
-            }
+            });
         }
     });
 
@@ -95,13 +108,17 @@ fn run_hosts<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
     let mut threads = Vec::new();
     for (id, rx) in host_rxs.into_iter().enumerate() {
         let transport = ChannelTransport::new(to_router.clone(), rx);
-        let scenario = scenario.clone();
+        let tags = ScenarioTags::decode(capsule).expect("tags");
+        let seed = capsule.seed;
         let done = Arc::clone(&done);
         threads.push(std::thread::spawn(move || {
             // The LR node's digest memo is Rc-based, so the protocol is
             // built inside its thread.
-            let protocol = scenario.build_node::<S>(NodeId(id as u32)).expect("node");
-            let mut host = Host::new(NodeId(id as u32), protocol, transport, scenario.seed, cfg);
+            let deployment =
+                profile_deployment::<S>(&tags.profile, tags.image_len, &tags.key_context)
+                    .expect("deployment");
+            let id = NodeId(id as u32);
+            let mut host = Host::new(id, deployment.node(id, NodeId(0)), transport, seed, cfg);
             host.run(Duration::from_secs(60)).expect("host run");
             done.fetch_add(1, Ordering::SeqCst);
             // A completed node is a seeder: keep answering until the
@@ -109,7 +126,7 @@ fn run_hosts<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
             while done.load(Ordering::SeqCst) < NODES {
                 host.step().expect("host step");
             }
-            host.protocol().status()
+            status(&deployment, host.protocol())
         }));
     }
     drop(to_router);
@@ -122,11 +139,12 @@ fn run_hosts<S: Matched>(scenario: &SwarmScenario) -> Vec<NodeStatus> {
 }
 
 fn differential<S: Matched>() {
-    let scenario = scenario();
+    let capsule = capsule::<S>();
     let scheme = S::NAME;
-    let expected = scenario.expected_digest().expect("digest");
-    let sim = run_sim::<S>(&scenario);
-    let hosts = run_hosts::<S>(&scenario);
+    let image = profile_image("campaign", 768).expect("image");
+    let expected = sha256(&image).to_hex();
+    let sim = run_sim::<S>(&capsule);
+    let hosts = run_hosts::<S>(&capsule);
     assert_eq!(sim.len(), NODES);
     assert_eq!(hosts.len(), NODES);
     for (id, (s, h)) in sim.iter().zip(&hosts).enumerate() {
