@@ -628,7 +628,7 @@ impl Campaign {
     ) -> Result<ScenarioTags, String> {
         let mut tags = ScenarioTags::new(
             &cell.scheme,
-            "campaign",
+            &self.spec.profile,
             self.spec.image_bytes,
             "campaign keys",
         );
@@ -698,8 +698,8 @@ impl Campaign {
     /// best-effort (an I/O error goes to stderr and the job still logs
     /// its record), because the run itself succeeded.
     fn run_job<S: Matched>(&self, job: usize, capsule: &Capsule, tags: &ScenarioTags) -> JobRecord {
-        let pop = population::<S>(tags).expect("campaign profile is registered");
-        let done = simulate(&pop, capsule, true);
+        let pop = population::<S>(tags).expect("profile validated at parse time");
+        let done = simulate(&pop, capsule, true, Vec::new());
         if let Some(failure) = done.failure_capsule(capsule) {
             let path = self.failure_capsule_path(job);
             if let Err(err) = failure.save(&path) {

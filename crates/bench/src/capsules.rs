@@ -10,21 +10,29 @@
 //! [`ScenarioTags::pairs`], and [`population`] turns them back into a
 //! [`Population`] (node factory plus invariant checker) for any scheme
 //! family; [`with_scheme!`](crate::with_scheme) is the one place a
-//! scheme *name* becomes a scheme *type*.
+//! scheme *name* becomes a scheme *type*. [`replay_observed`] runs a
+//! capsule the way its campaign job ran, and [`ItemSummary`] folds the
+//! per-item rows `replay --summary` prints from that run's trace.
 
-use crate::runner::{test_image, Matched};
+use crate::runner::{simulate, test_image, Matched};
 use lr_seluge::LrSelugeParams;
 use lrs_deluge::attack::{
     AttackEntry, AttackPlan, AttackVector, Attacker, AttackerProfile, MaybeAdversary,
 };
 use lrs_deluge::bootstrap::PacketDigestCache;
 use lrs_deluge::deployment::{check_layout, Deployment, Node, SchemeFamily};
+use lrs_deluge::engine::{NodeStats, Scheme as _};
 use lrs_host::node::NodeId;
+use lrs_host::node::PacketKind::{Adv, Snack};
 use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::InvariantViolation;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::sim::SimConfig;
-use lrs_netsim::{replay, Capsule, ReplayRun};
+use lrs_netsim::trace::{TraceDigest, TraceEvent, TraceSink};
+use lrs_netsim::{Capsule, ReplayRun, RunDigest};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 pub use lr_seluge::LrScheme;
 pub use lrs_deluge::image::DelugeScheme;
@@ -60,7 +68,7 @@ macro_rules! with_scheme {
 
 /// Tag key: scheme under test (`lr-seluge`, `seluge` or `deluge`).
 pub const TAG_SCHEME: &str = "scheme";
-/// Tag key: parameter profile (`chaos`, `scale`, or `campaign`),
+/// Tag key: parameter profile (`chaos`, `scale`, `campaign` or `paper`),
 /// selecting both the parameter set and the test-image generator of the
 /// capture path.
 pub const TAG_PROFILE: &str = "profile";
@@ -75,20 +83,26 @@ pub const TAG_KEY_CONTEXT: &str = "key_context";
 /// the fault schedule, is data, not code.
 pub const TAG_ATTACK_PLAN: &str = "attack_plan";
 
+/// The small page geometry of every profile but `paper`: k = 8 blocks
+/// of 56 bytes, a k0 = 4 of n0 = 8 hash page; `n` and the puzzle vary.
+fn small_params(image_len: usize, n: u16, puzzle_strength: u32) -> LrSelugeParams {
+    LrSelugeParams {
+        image_len,
+        k: 8,
+        n,
+        payload_len: 56,
+        k0: 4,
+        n0: 8,
+        puzzle_strength,
+        ..LrSelugeParams::default()
+    }
+}
+
 /// The `chaos` profile's LR-Seluge parameter set: the profile of the
 /// committed watchdog capsule and the small geometry of the golden and
 /// determinism tests.
 pub fn chaos_params(image_len: usize) -> LrSelugeParams {
-    LrSelugeParams {
-        image_len,
-        k: 8,
-        n: 12,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 4,
-        ..LrSelugeParams::default()
-    }
+    small_params(image_len, 12, 4)
 }
 
 /// The scale sweep's LR-Seluge parameter set, also the small geometry
@@ -97,31 +111,13 @@ pub fn chaos_params(image_len: usize) -> LrSelugeParams {
 /// per page; the paper's k = 32 pages concentrate much better. The
 /// small geometry compensates with a higher rate.
 pub fn scale_params(image_len: usize) -> LrSelugeParams {
-    LrSelugeParams {
-        image_len,
-        k: 8,
-        n: 16,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 6,
-        ..LrSelugeParams::default()
-    }
+    small_params(image_len, 16, 6)
 }
 
 /// The campaign engine's LR-Seluge parameter set: the chaos code rate
 /// with a cheaper puzzle, sized for fleets of thousands of runs.
 pub fn campaign_params(image_len: usize) -> LrSelugeParams {
-    LrSelugeParams {
-        image_len,
-        k: 8,
-        n: 12,
-        payload_len: 56,
-        k0: 4,
-        n0: 8,
-        puzzle_strength: 2,
-        ..LrSelugeParams::default()
-    }
+    small_params(image_len, 12, 2)
 }
 
 /// The scale sweep's historical test image (distinct from
@@ -135,15 +131,23 @@ pub fn scale_image(len: usize) -> Vec<u8> {
 /// image generator, both by image length.
 type Profile = (fn(usize) -> LrSelugeParams, fn(usize) -> Vec<u8>);
 
-/// The profile registry.
+/// The profile registry. `paper` is the paper's own geometry (k = 32,
+/// the `paper` sweeps' parameter set) at any image length.
 fn profile(name: &str) -> Result<Profile, String> {
     match name {
         "chaos" => Ok((chaos_params, test_image)),
         "scale" => Ok((scale_params, scale_image)),
         "campaign" => Ok((campaign_params, test_image)),
+        "paper" => Ok((
+            |image_len| LrSelugeParams {
+                image_len,
+                ..LrSelugeParams::default()
+            },
+            test_image,
+        )),
         other => Err(format!(
-            "unknown parameter profile {other:?}; this registry knows \"chaos\", \"scale\" \
-             and \"campaign\""
+            "unknown parameter profile {other:?}; this registry knows \"chaos\", \"scale\", \
+             \"campaign\" and \"paper\""
         )),
     }
 }
@@ -198,7 +202,7 @@ pub fn chaos_sim_config() -> SimConfig {
 pub struct ScenarioTags {
     /// `lr-seluge`, `seluge` or `deluge`.
     pub scheme: String,
-    /// Parameter profile: `chaos`, `scale`, or `campaign`.
+    /// Parameter profile: `chaos`, `scale`, `campaign` or `paper`.
     pub profile: String,
     /// Image length in bytes.
     pub image_len: usize,
@@ -330,15 +334,11 @@ impl<S: SchemeFamily> Population<S> {
     }
 
     /// The node at `id`: a plan entry's attacker, else an honest node
-    /// (sharing `digests` when given).
-    pub fn node(&self, id: NodeId, digests: Option<&PacketDigestCache>) -> Member<S> {
-        if let Some(entry) = self.plan.as_ref().and_then(|pl| pl.entry_for(id)) {
-            MaybeAdversary::Attacker(Attacker::new(*entry, self.profile.clone()))
-        } else {
-            MaybeAdversary::Honest(match digests {
-                Some(cache) => self.deployment.node_cached(id, NodeId(0), cache),
-                None => self.deployment.node(id, NodeId(0)),
-            })
+    /// sharing `digests`.
+    pub fn node(&self, id: NodeId, digests: &PacketDigestCache) -> Member<S> {
+        match self.plan.as_ref().and_then(|pl| pl.entry_for(id)) {
+            Some(entry) => MaybeAdversary::Attacker(Attacker::new(*entry, self.profile.clone())),
+            None => MaybeAdversary::Honest(self.deployment.node_cached(id, NodeId(0), digests)),
         }
     }
 
@@ -355,14 +355,112 @@ impl<S: SchemeFamily> Population<S> {
     }
 }
 
+/// One node at the end of a replay: its level and the engine's
+/// counters.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeRow {
+    /// Leading complete items (the base station's level is all of them).
+    pub level: u16,
+    /// The engine's per-node counters.
+    pub stats: NodeStats,
+}
+
 /// Reconstructs `capsule`'s node population from its scenario tags and
-/// re-executes it.
+/// re-executes it the way a campaign job runs: through
+/// [`simulate`], with the per-delivery invariant checker and the digest
+/// memo armed, the trace digested as it streams by.
 pub fn replay_capsule(capsule: &Capsule) -> Result<ReplayRun, String> {
+    replay_observed(capsule, Vec::new()).map(|(run, _)| run)
+}
+
+/// [`replay_capsule`] with every trace event also teed into `sinks`,
+/// handing back each node's [`NodeRow`] too, in id order (`None` for an
+/// attacker).
+pub fn replay_observed(
+    capsule: &Capsule,
+    mut sinks: Vec<Box<dyn TraceSink>>,
+) -> Result<(ReplayRun, Vec<Option<NodeRow>>), String> {
     let tags = ScenarioTags::decode(capsule)?;
+    let trace = TraceDigest::default();
+    sinks.insert(0, Box::new(trace.clone()));
     with_scheme!(tags.scheme.as_str(), S => {
-        let pop = population::<S>(&tags)?;
-        replay(capsule, |id| pop.node(id, None))
+        let done = simulate(&population::<S>(&tags)?, capsule, true, sinks);
+        let nodes = (0..capsule.topology.len() as u32)
+            .map(|id| {
+                let node = done.sim.node(NodeId(id)).honest()?;
+                let (level, stats) = (node.scheme().complete_items(), node.stats());
+                Some(NodeRow { level, stats })
+            })
+            .collect();
+        let metrics = done.sim.metrics().clone();
+        let digest = RunDigest::compute(&done.report, &metrics, &trace);
+        (ReplayRun { report: done.report, metrics, digest }, nodes)
     })
+}
+
+/// One item's row of a run summary, folded from the trace.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ItemRow {
+    /// Nodes that completed the item (`page_complete` notes with
+    /// `a == item + 1`).
+    pub completers: u64,
+    /// The first of those completions.
+    pub first: Option<SimTime>,
+    /// The last of those completions.
+    pub last: Option<SimTime>,
+    /// `sched_tx` notes for the item: data packets sent of it.
+    pub sched_tx: u64,
+    /// `snack` notes for the item: requests for it.
+    pub snacks: u64,
+    /// Data-bearing receptions the completers had while the item was
+    /// their next one.
+    pub receptions: u64,
+}
+
+/// A trace sink folding the per-item rows of `replay --summary` out of
+/// the engine's notes. A clone reads what the one handed to the run saw.
+#[derive(Clone, Debug, Default)]
+pub struct ItemSummary(Rc<RefCell<ItemFold>>);
+
+#[derive(Debug, Default)]
+struct ItemFold {
+    items: BTreeMap<u64, ItemRow>,
+    /// Per node, data-bearing receptions since its last completed item.
+    receptions: HashMap<NodeId, u64>,
+}
+
+impl ItemSummary {
+    /// The rows so far, by item.
+    pub fn rows(&self) -> BTreeMap<u64, ItemRow> {
+        self.0.borrow().items.clone()
+    }
+}
+
+impl TraceSink for ItemSummary {
+    fn record(&mut self, event: &TraceEvent) {
+        let fold = &mut *self.0.borrow_mut();
+        match *event {
+            TraceEvent::Rx { to, kind, .. } if kind != Adv && kind != Snack => {
+                *fold.receptions.entry(to).or_default() += 1;
+            }
+            TraceEvent::Note {
+                at, node, label, a, ..
+            } => match label {
+                "sched_tx" => fold.items.entry(a).or_default().sched_tx += 1,
+                "snack" => fold.items.entry(a).or_default().snacks += 1,
+                // `a` is the level the completion reached.
+                "page_complete" if a > 0 => {
+                    let row = fold.items.entry(a - 1).or_default();
+                    row.completers += 1;
+                    row.first.get_or_insert(at);
+                    row.last = Some(at);
+                    row.receptions += fold.receptions.remove(&node).unwrap_or(0);
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]

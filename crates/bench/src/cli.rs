@@ -5,9 +5,9 @@
 //! flags and positional slots, parsing rejects anything undeclared, and
 //! errors are typed ([`CliError`]) so `main` can render them once
 //! instead of sprinkling `eprintln!` + `exit` at each parse site.
-//! Common conveniences (`--smoke`/`--quick` flags, `--threads` with the
+//! Common conveniences (the `--quick` flag, `--threads` with the
 //! `LRS_THREADS` fallback) live here so they behave identically across
-//! `campaign`, `replay`, `probe`, the swarm binaries and `paper`, whose
+//! `campaign`, `replay`, the swarm binaries and `paper`, whose
 //! declaration is [`SWEEP_FLAGS`].
 
 use crate::harness::configured_threads;
@@ -266,11 +266,6 @@ impl Cli {
         Ok(self.parsed(name)?.unwrap_or(default))
     }
 
-    /// The common `--smoke` CI-gate flag.
-    pub fn smoke(&self) -> bool {
-        self.flag("--smoke")
-    }
-
     /// The common `--quick` reduced-sweep flag.
     pub fn quick(&self) -> bool {
         self.flag("--quick")
@@ -311,7 +306,7 @@ mod tests {
     #[test]
     fn flags_and_values_parse() {
         let cli = parse(&["--smoke", "--capsule", "results/capsules", "--seed", "9"]).unwrap();
-        assert!(cli.smoke());
+        assert!(cli.flag("--smoke"));
         assert!(!cli.quick());
         assert_eq!(cli.value("--capsule"), Some("results/capsules"));
         assert_eq!(cli.parsed::<u64>("--seed").unwrap(), Some(9));

@@ -14,12 +14,11 @@
 //! | `overhead` | §V-B           | Per-receiver hashes / signature verifications / erasure ops |
 //! | `table2_3` | Tables II/III  | 15×15 multi-hop grids (tight/medium density) with bursty noise |
 //!
-//! Four more binaries sit beside it:
+//! Three more binaries sit beside it:
 //!
 //! | Binary     | Purpose        | What it does |
 //! |------------|----------------|--------------|
-//! | `probe`    | diagnostics    | One run with per-node statistics (`--trace <file>` for a JSONL event trace) |
-//! | `replay`   | flight recorder| `replay <capsule>`: re-execute a run capsule and verify its digest (see `capsules`) |
+//! | `replay`   | flight recorder| `replay <capsule>`: re-execute a run capsule the way its campaign job ran and verify its digest (see `capsules`); `--trace <file>` streams its JSONL event trace, `--summary` prints one row per node and per item |
 //! | `campaign` | fleets         | Checkpointed Monte-Carlo campaigns over a grid spec (see `campaign`); the fault sweep and the §IV-E attack grid are the specs `examples/campaign/{chaos,attack}.toml` |
 //! | `campdiff` | regression gate| Statistical diff of two campaign reports (see `diff`) |
 //!
@@ -32,7 +31,7 @@
 //! (`lrs_deluge::deployment`): [`runner::run`]`::<S>` is the single
 //! measured run behind `run_lr` / `run_seluge` / `run_deluge`,
 //! [`runner::simulate`] the single build-and-run core under the
-//! `overhead` experiment and the campaign engine,
+//! `overhead` experiment, the campaign engine and `replay`,
 //! [`capsules::population`] the single node factory plus invariant
 //! checker, and [`with_scheme!`] the one place a scheme name picks the
 //! type.

@@ -481,7 +481,8 @@ fn mean_receiver_cost<S: Matched>(
     seed: u64,
 ) -> CryptoCost {
     let deployment = Deployment::<S>::new(image, S::matched(lr), b"overhead");
-    let done = simulate(&Population::honest(deployment), &spec.capsule(seed), false);
+    let pop = Population::honest(deployment);
+    let done = simulate(&pop, &spec.capsule(seed), false, Vec::new());
     assert!(done.report.all_complete);
     let mut acc = CryptoCost::default();
     for (_, node) in done.honest().skip(1) {

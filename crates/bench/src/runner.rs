@@ -16,6 +16,7 @@ use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::metrics::Metrics;
 use lrs_netsim::sim::{RunReport, SimConfig, Simulator};
 use lrs_netsim::topology::Topology;
+use lrs_netsim::trace::{TraceEvent, TraceSink};
 use lrs_netsim::SimBuilder;
 use lrs_seluge::{SelugeParams, SelugeScheme};
 
@@ -315,7 +316,8 @@ impl<S: SchemeFamily> Finished<S> {
 
 /// Runs `pop` as `capsule` describes (its scenario tags and digest are
 /// not read), with the population's per-delivery invariant checker
-/// armed when `check_deliveries` is set.
+/// armed when `check_deliveries` is set and every event teed into
+/// `sinks` (with none, no trace is attached).
 ///
 /// One digest memo per run: a broadcast hashed by one receiver is
 /// served from memory at the others (per-node `hashes` counters are
@@ -327,16 +329,20 @@ pub fn simulate<S: SchemeFamily>(
     pop: &Population<S>,
     capsule: &Capsule,
     check_deliveries: bool,
+    sinks: Vec<Box<dyn TraceSink>>,
 ) -> Finished<S> {
     let digests = PacketDigestCache::default();
     pop.deployment().warm_digest_cache(&digests);
     let mut builder = SimBuilder::new(capsule.topology.clone(), capsule.seed, |id| {
-        pop.node(id, Some(&digests))
+        pop.node(id, &digests)
     })
     .config(capsule.config)
     .faults(capsule.faults.clone());
     if check_deliveries {
         builder = builder.invariants(pop.checker());
+    }
+    if !sinks.is_empty() {
+        builder = builder.trace(Tee(sinks));
     }
     let mut sim = builder.build();
     let report = sim.run(capsule.deadline);
@@ -347,13 +353,27 @@ pub fn simulate<S: SchemeFamily>(
     }
 }
 
+/// Fans every trace event out to each sink in turn.
+struct Tee(Vec<Box<dyn TraceSink>>);
+
+impl TraceSink for Tee {
+    fn record(&mut self, event: &TraceEvent) {
+        self.0.iter_mut().for_each(|sink| sink.record(event));
+    }
+
+    fn flush(&mut self) {
+        self.0.iter_mut().for_each(|sink| sink.flush());
+    }
+}
+
 /// Runs scheme family `S` once under `spec` and collects the metrics:
 /// preprocess [`test_image`], build the population, run, sweep every
 /// node's invariants (a completed node holds the exact image), extract.
 pub fn run<S: SchemeFamily>(spec: &RunSpec, params: S::Params, seed: u64) -> ExperimentMetrics {
     let image = test_image(S::image_len(&params));
     let deployment = Deployment::<S>::new(&image, params, b"bench keys");
-    let done = simulate(&Population::honest(deployment), &spec.capsule(seed), false);
+    let pop = Population::honest(deployment);
+    let done = simulate(&pop, &spec.capsule(seed), false, Vec::new());
     assert_eq!(done.violations(), 0, "{} invariants broken", S::NAME);
     done.metrics()
 }

@@ -22,7 +22,7 @@
 //! of scalars that can be logged, diffed, and embedded in capsule tags
 //! without nested tables.
 
-use crate::capsules::campaign_params;
+use crate::capsules::profile_params;
 use crate::json::{parse_json, Json};
 use lrs_deluge::attack::{AttackConfig, AttackVector};
 use lrs_deluge::deployment::check_layout;
@@ -36,7 +36,7 @@ use lrs_netsim::topology::Topology;
 pub const SCHEMES: [&str; 3] = ["lr-seluge", "seluge", "deluge"];
 
 /// Every key a spec document may carry: the [`CampaignSpec`] fields.
-const KEYS: [&str; 12] = [
+const KEYS: [&str; 13] = [
     "name",
     "schemes",
     "topologies",
@@ -46,6 +46,7 @@ const KEYS: [&str; 12] = [
     "seeds",
     "seed_base",
     "image_bytes",
+    "profile",
     "deadline_s",
     "stall_s",
     "fault_horizon_s",
@@ -85,8 +86,11 @@ pub struct CampaignSpec {
     /// First simulator seed; job `s` of a cell runs seed
     /// `seed_base + cell_index * seeds + s`.
     pub seed_base: u64,
-    /// Image size in bytes (the `campaign` parameter profile).
+    /// Image size in bytes.
     pub image_bytes: usize,
+    /// LR-Seluge parameter profile every job runs (`campaign` unless
+    /// set; the registry is `capsules::profile_params`).
+    pub profile: String,
     /// Per-job time limit in virtual seconds.
     pub deadline_s: u64,
     /// Stall-watchdog window in virtual seconds.
@@ -124,6 +128,7 @@ impl CampaignSpec {
             })
         };
         let deadline_s = uint_or(doc, "deadline_s", 3_000)?;
+        let profile = doc.opt("profile", Json::str_at)?.unwrap_or("campaign");
         let spec = CampaignSpec {
             name: doc.str_at("name")?.to_string(),
             schemes: strs("schemes", &["lr-seluge", "seluge"])?,
@@ -136,6 +141,7 @@ impl CampaignSpec {
             seeds: uint_or(doc, "seeds", 8)?,
             seed_base: uint_or(doc, "seed_base", 1_000)?,
             image_bytes: uint_or(doc, "image_bytes", 1_024)?,
+            profile: profile.to_string(),
             deadline_s,
             stall_s: uint_or(doc, "stall_s", 400)?,
             fault_horizon_s: uint_or(doc, "fault_horizon_s", deadline_s)?,
@@ -182,8 +188,10 @@ impl CampaignSpec {
         if self.seeds == 0 {
             return Err("seeds must be at least 1".into());
         }
-        // Jobs lay their image out in the `campaign` profile's pages.
-        let capacity = campaign_params(self.image_bytes).page_capacity();
+        // Jobs lay their image out in the profile's pages.
+        let capacity = profile_params(&self.profile, self.image_bytes)
+            .map_err(|e| format!("profile = {:?}: {e}", self.profile))?
+            .page_capacity();
         check_layout(self.image_bytes, capacity)
             .map_err(|e| format!("image_bytes = {}: {e}", self.image_bytes))?;
         // Job `j` runs seed `seed_base + j`, for every `j` below the
@@ -219,6 +227,7 @@ impl CampaignSpec {
             ("seeds".into(), Json::uint(self.seeds)),
             ("seed_base".into(), Json::uint(self.seed_base)),
             ("image_bytes".into(), Json::uint(self.image_bytes as u64)),
+            ("profile".into(), Json::str(&self.profile)),
             ("deadline_s".into(), Json::uint(self.deadline_s)),
             ("stall_s".into(), Json::uint(self.stall_s)),
             ("fault_horizon_s".into(), Json::uint(self.fault_horizon_s)),
@@ -255,11 +264,6 @@ impl CampaignSpec {
             }
         }
         cells
-    }
-
-    /// Total job count: cells × seeds.
-    pub fn job_count(&self) -> usize {
-        self.cells().len() * self.seeds as usize
     }
 
     /// The simulator configuration for a cell at `loss_ppm`.
@@ -721,7 +725,8 @@ mod tests {
         assert_eq!(spec.seeds, 3);
         // Defaults fill the rest.
         assert_eq!(spec.faults, ["none"]);
-        assert_eq!(spec.job_count(), 2 * 2 * 3);
+        assert_eq!(spec.profile, "campaign");
+        assert_eq!(spec.cells().len() as u64 * spec.seeds, 2 * 2 * 3);
     }
 
     #[test]
@@ -850,12 +855,31 @@ mod tests {
                 "image_bytes = 100000000000000: a 100000000000000-byte image needs",
             ),
             ("name = \"x\"\nimage_bytes = 0", "image_bytes = 0: empty image"),
+            (
+                "name = \"x\"\nprofile = \"nope\"",
+                "profile = \"nope\": unknown parameter profile",
+            ),
+            // 65533 of the paper's 1920-byte pages hold 125823360 bytes.
+            (
+                "name = \"x\"\nprofile = \"paper\"\nimage_bytes = 125823361",
+                "image_bytes = 125823361: a 125823361-byte image needs",
+            ),
             ("[table]\nname = \"x\"", "tables are not supported"),
             ("name = \"x\"\nloss_ppm = [[1]]", "nested arrays"),
         ] {
             let err = CampaignSpec::parse(text).unwrap_err();
             assert!(err.contains(needle), "{text:?} gave {err:?}");
         }
+        // The layout check is the chosen profile's: 30 MB needs more of
+        // the `campaign` profile's 352-byte pages than the wire
+        // addresses, and fits the paper's.
+        let sized = |profile: &str| {
+            CampaignSpec::parse(&format!(
+                "name = \"x\"\nprofile = \"{profile}\"\nimage_bytes = 30000000"
+            ))
+        };
+        assert!(sized("campaign").is_err());
+        assert_eq!(sized("paper").unwrap().profile, "paper");
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub use builder::SimBuilder;
 pub use capsule::{Capsule, CapsuleError, RunDigest};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, PPM_ONE};
 pub use metrics::Metrics;
-pub use replay::{replay, verify_replay, DigestMismatch, ReplayError, ReplayRun};
+pub use replay::{verify_replay, DigestMismatch, ReplayError, ReplayRun};
 pub use sim::{DiagnosticDump, NodeDiag, Outcome, RunReport, SimConfig, Simulator};
 pub use topology::Topology;
 pub use trace::{

@@ -1,19 +1,15 @@
-//! Deterministic capsule replay.
+//! Deterministic capsule replay verification.
 //!
-//! [`replay`] re-executes a [`Capsule`] and hands back the run plus its
-//! recomputed [`RunDigest`]; [`verify_replay`] asserts the digest
-//! matches what the capsule recorded. The caller supplies `make_node`
-//! (reconstructed from the capsule's scenario tags), because protocol
-//! state is the one thing the capture format deliberately does not
-//! serialize — the whole point of deterministic replay is that seed +
-//! config + topology + faults regenerate it.
+//! A harness re-executes a [`Capsule`] (rebuilding its nodes from the
+//! scenario tags, because protocol state is the one thing the capture
+//! format deliberately does not serialize — seed + config + topology +
+//! faults regenerate it) and packages the run as a [`ReplayRun`];
+//! [`verify_replay`] asserts the recomputed [`RunDigest`] matches what
+//! the capsule recorded.
 
-use crate::builder::SimBuilder;
 use crate::capsule::{Capsule, RunDigest};
 use crate::metrics::Metrics;
 use crate::sim::RunReport;
-use crate::trace::TraceDigest;
-use lrs_host::node::{NodeId, Protocol};
 use lrs_host::violation::ContentDigest;
 use std::fmt;
 
@@ -26,30 +22,6 @@ pub struct ReplayRun {
     pub metrics: Metrics,
     /// Digest recomputed from this replay.
     pub digest: RunDigest,
-}
-
-/// Re-executes `capsule`, hashing every trace event through a
-/// [`TraceDigest`] as it is emitted, so the digest covers the whole
-/// trace without holding it.
-pub fn replay<P, F>(capsule: &Capsule, make_node: F) -> ReplayRun
-where
-    P: Protocol + 'static,
-    F: FnMut(NodeId) -> P,
-{
-    let trace = TraceDigest::default();
-    let mut sim = SimBuilder::new(capsule.topology.clone(), capsule.seed, make_node)
-        .config(capsule.config)
-        .faults(capsule.faults.clone())
-        .trace(trace.clone())
-        .build();
-    let report = sim.run(capsule.deadline);
-    let metrics = sim.metrics().clone();
-    let digest = RunDigest::compute(&report, &metrics, &trace);
-    ReplayRun {
-        report,
-        metrics,
-        digest,
-    }
 }
 
 /// One digest field that differed between a capsule and its replay.

@@ -356,7 +356,6 @@ impl TraceSink for TraceDigest {
 /// Streams every event as one JSON object per line (JSON Lines).
 pub struct JsonlTrace<W: Write> {
     out: BufWriter<W>,
-    lines: u64,
 }
 
 impl JsonlTrace<std::fs::File> {
@@ -371,13 +370,7 @@ impl<W: Write> JsonlTrace<W> {
     pub fn new(out: W) -> Self {
         JsonlTrace {
             out: BufWriter::new(out),
-            lines: 0,
         }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
     }
 
     /// Flushes and returns the inner writer.
@@ -391,7 +384,6 @@ impl<W: Write> TraceSink for JsonlTrace<W> {
         // Trace output is best-effort diagnostics; an I/O error must not
         // abort the simulation it observes.
         let _ = writeln!(self.out, "{}", event.to_json());
-        self.lines += 1;
     }
 
     fn flush(&mut self) {
@@ -466,7 +458,6 @@ mod tests {
             cause: LossCause::Collision,
             tx_id: 7,
         });
-        assert_eq!(sink.lines(), 2);
         let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -11,20 +11,16 @@ mkdir -p results
 echo "=== build ==="
 cargo build --workspace --release
 
-# Record the compute configuration: which GF(256) and SHA-256 kernels
-# this CPU supports and which ones runtime dispatch selected. Results
-# are bit-identical across kernels, but throughput/runtime comparisons
-# between recorded runs need to know the ISA they measured on.
-echo "=== kernels ==="
-./target/release/probe --kernels | tee results/kernels.txt
-
 for x in fig3 fig4 fig5 fig6 imgsize ablation overhead table2_3; do
   echo "=== $x ==="
   ./target/release/paper $x "$@" | tee results/$x.txt
 done
 
 # Flight-recorder gate: the committed watchdog capsule must replay to
-# its recorded digest.
+# its recorded digest. Its first line records the GF(256) and SHA-256
+# kernels this CPU supports and which ones runtime dispatch selected:
+# results are bit-identical across kernels, but runtime comparisons
+# between recorded runs need to know the ISA they measured on.
 echo "=== replay ==="
 ./target/release/replay results/capsules/chaos-watchdog-demo.jsonl | tee results/replay.txt
 

@@ -30,6 +30,7 @@ fn family_contract<S: Matched>() {
         &Population::honest(deployment.clone()),
         &RunSpec::one_hop(4, 0.1).capsule(1),
         false,
+        Vec::new(),
     );
     assert!(done.report.all_complete, "{name}: one-hop run stalled");
     assert_eq!(done.honest().count(), 5, "{name}");

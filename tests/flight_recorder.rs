@@ -1,13 +1,15 @@
 //! Flight-recorder end-to-end tests: capture → capsule → replay
 //! bit-identity for both schemes, metrics-only failure digests, the
 //! harness's failure capsule for the committed watchdog demo, capsules
-//! from the removed sharded engine, and the degrade draws of the swarm
-//! grid's first job.
+//! from the removed sharded engine, the degrade draws of the swarm
+//! grid's first job, the paper-geometry probe world's digest, and the
+//! `replay --summary` rows checked against each other.
 
 use lr_seluge::Deployment;
 use lrs_bench::campaign::Campaign;
 use lrs_bench::capsules::{
-    chaos_sim_config, population, replay_capsule, scale_params as small_lr, LrScheme, ScenarioTags,
+    chaos_sim_config, population, replay_capsule, replay_observed, scale_params as small_lr,
+    ItemSummary, LrScheme, ScenarioTags,
 };
 use lrs_bench::runner::simulate;
 use lrs_bench::{matched_seluge_params, CampaignSpec};
@@ -16,7 +18,7 @@ use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::ContentDigest;
 use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::fault::{FaultEvent, FaultPlan};
-use lrs_netsim::replay::{replay, verify_replay, ReplayError};
+use lrs_netsim::replay::{verify_replay, ReplayError, ReplayRun};
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::TraceDigest;
@@ -42,6 +44,35 @@ fn lr_deployment() -> Deployment {
 
 fn grid() -> Topology {
     Topology::grid(6, 10.0, 77)
+}
+
+/// Re-executes `capsule` with `make`'s nodes, digesting the trace as it
+/// streams by.
+fn replay<P: Protocol + 'static>(capsule: &Capsule, make: impl FnMut(NodeId) -> P) -> ReplayRun {
+    let trace = TraceDigest::default();
+    let mut sim = SimBuilder::new(capsule.topology.clone(), capsule.seed, make)
+        .config(capsule.config)
+        .faults(capsule.faults.clone())
+        .trace(trace.clone())
+        .build();
+    let report = sim.run(capsule.deadline);
+    let metrics = sim.metrics().clone();
+    let digest = RunDigest::compute(&report, &metrics, &trace);
+    ReplayRun {
+        report,
+        metrics,
+        digest,
+    }
+}
+
+/// Job 0 of the committed spec at `path`, as `campaign --export-job 0`
+/// prints it (before its digest is pinned).
+fn job0(path: &str) -> Capsule {
+    let text = std::fs::read_to_string(path).expect("committed spec");
+    let spec = CampaignSpec::parse(&text).expect("spec parses");
+    Campaign::offline(spec, std::path::PathBuf::new())
+        .job_capsule(0)
+        .expect("job 0")
 }
 
 /// Runs a `scheme` population on `grid()` from `seed` under `faults`
@@ -266,7 +297,7 @@ fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
         scenario: tags.pairs(),
         digest: None,
     };
-    let done = simulate(&pop, &capsule, false);
+    let done = simulate(&pop, &capsule, false, Vec::new());
     assert_eq!(done.report.outcome, Outcome::Stalled);
     let dump = done
         .report
@@ -286,11 +317,7 @@ fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
 /// simulator's degradation draws.
 #[test]
 fn swarm_grid_degrade_job_replays_to_its_pinned_digest() {
-    let text = std::fs::read_to_string("examples/campaign/swarm.toml").expect("swarm spec");
-    let spec = CampaignSpec::parse(&text).expect("spec parses");
-    let capsule = Campaign::offline(spec, std::path::PathBuf::new())
-        .job_capsule(0)
-        .expect("job 0");
+    let capsule = job0("examples/campaign/swarm.toml");
     assert_eq!(capsule.topology.len(), 16);
     assert_eq!(capsule.faults.len(), 17, "degraded links");
     let run = replay_capsule(&capsule).expect("replays");
@@ -304,6 +331,66 @@ fn swarm_grid_degrade_job_replays_to_its_pinned_digest() {
             metrics: ContentDigest(0xc38c_3e29_554c_e096),
         }
     );
+}
+
+/// The world the retired `probe 60 1 0.3` built, as a one-job spec: its
+/// `--trace` file (464 318 lines, 37 609 572 bytes) pinned these values,
+/// and `replay --trace` of the exported job writes it byte for byte.
+#[test]
+fn probe_world_replays_to_its_pinned_digest() {
+    let capsule = job0("examples/campaign/probe.toml");
+    assert_eq!(capsule.topology.len(), 61);
+    let run = replay_capsule(&capsule).expect("replays");
+    assert_eq!(
+        run.digest,
+        RunDigest {
+            outcome: "complete".to_string(),
+            final_time: SimTime(260_641_390),
+            events: 464_317,
+            trace: ContentDigest(0x9987_e36b_ae7f_4e0a),
+            metrics: ContentDigest(0xe51d_6d65_37f8_6525),
+        }
+    );
+}
+
+/// `replay --summary`'s item rows come from trace notes, its node rows
+/// from the engine's counters: they must tell the same story.
+#[test]
+fn summary_rows_agree_with_node_counters_for_all_three_schemes() {
+    let spec = CampaignSpec::parse(
+        "name = \"summary\"\nschemes = [\"lr-seluge\", \"seluge\", \"deluge\"]\n\
+         topologies = [\"star:6\"]\nloss_ppm = [100000]\nseeds = 1",
+    )
+    .expect("spec parses");
+    let campaign = Campaign::offline(spec, std::path::PathBuf::new());
+    // The signing schemes' base station opens with its signature packet,
+    // which counts as sent data but is no scheduler pick.
+    for (job, (scheme, opening)) in [("lr-seluge", 1), ("seluge", 1), ("deluge", 0)]
+        .into_iter()
+        .enumerate()
+    {
+        let capsule = campaign.job_capsule(job).expect("job");
+        let summary = ItemSummary::default();
+        let (run, nodes) =
+            replay_observed(&capsule, vec![Box::new(summary.clone())]).expect("replays");
+        assert_eq!(run.report.outcome, Outcome::Complete, "{scheme}");
+        let (items, nodes): (_, Vec<_>) = (summary.rows(), nodes.into_iter().flatten().collect());
+        assert_eq!(nodes.len(), capsule.topology.len(), "{scheme}");
+        let total = |f: fn(&lrs_deluge::engine::NodeStats) -> u64| -> u64 {
+            nodes.iter().map(|n| f(&n.stats)).sum()
+        };
+        let sched_tx: u64 = items.values().map(|i| i.sched_tx).sum();
+        assert_eq!(sched_tx + opening, total(|s| s.data_sent), "{scheme}");
+        let snacks: u64 = items.values().map(|i| i.snacks).sum();
+        assert_eq!(snacks, total(|s| s.snacks_sent), "{scheme}");
+        let sent = run.metrics.tx_packets(PacketKind::Snack);
+        assert_eq!(snacks, sent, "{scheme}");
+        // Every complete receiver completed the last item; the base
+        // station (node 0) started with it.
+        let complete = nodes.iter().filter(|n| n.level == nodes[0].level).count() as u64;
+        let (_, last) = items.last_key_value().expect("items");
+        assert_eq!(last.completers, complete - 1, "{scheme}");
+    }
 }
 
 #[test]

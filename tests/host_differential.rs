@@ -57,7 +57,7 @@ fn capsule<S: Matched>() -> Capsule {
 fn run_sim<S: Matched>(capsule: &Capsule) -> Vec<NodeStatus> {
     let tags = ScenarioTags::decode(capsule).expect("tags");
     let pop = population::<S>(&tags).expect("population");
-    let done = simulate(&pop, capsule, true);
+    let done = simulate(&pop, capsule, true, Vec::new());
     assert_eq!(done.report.outcome, Outcome::Complete, "sim run completed");
     done.honest()
         .map(|(_, node)| status(pop.deployment(), node))
