@@ -12,14 +12,15 @@
 //! relative ordering, pacing vs. timeout proportions — while letting a
 //! localhost swarm disseminate in wall-clock seconds.
 //!
-//! Timer semantics mirror the simulator exactly via the generation-
-//! checked [`TimerWheel`]; broadcasts are wrapped in the transport
-//! [`envelope`](crate::envelope) and handed to the transport, and
+//! Timers live in the same [`TimerWheel`] the simulator keeps per
+//! node, and the RNG is seeded by the same [`node_rng`]; broadcasts
+//! are wrapped in the transport [`envelope`](crate::envelope) and
+//! handed to the transport, and
 //! inbound datagrams are unwrapped (malformed or self-originated
 //! frames dropped and counted) before reaching `on_packet`.
 
 use crate::envelope::{decode_frame, encode_frame};
-use crate::node::{Action, Context, NodeId, Protocol};
+use crate::node::{node_rng, Action, Context, NodeId, Protocol};
 use crate::time::SimTime;
 use crate::timer::TimerWheel;
 use lrs_rng::DetRng;
@@ -99,11 +100,11 @@ pub struct Host<P: Protocol, T: Transport> {
 }
 
 impl<P: Protocol, T: Transport> Host<P, T> {
-    /// Builds a host for node `id`. The RNG stream is seeded exactly
-    /// like the simulator seeds per-node streams would be — callers
-    /// pick the mixing; determinism across hosts is not required (real
-    /// networks are not deterministic), only per-node reproducibility
-    /// of protocol-internal choices.
+    /// Builds a host for node `id`. Its RNG stream is
+    /// [`node_rng`]`(seed, id)`, the stream the simulator gives the same
+    /// node under the same seed, so a host draws the backoffs its
+    /// simulated twin draws (what it then receives depends on the real
+    /// network).
     pub fn new(id: NodeId, protocol: P, transport: T, seed: u64, cfg: HostConfig) -> Self {
         assert!(cfg.time_scale >= 1, "time_scale must be >= 1");
         Host {
@@ -111,7 +112,7 @@ impl<P: Protocol, T: Transport> Host<P, T> {
             protocol,
             transport,
             cfg,
-            rng: DetRng::seed_from_u64(seed ^ u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            rng: node_rng(seed, id),
             wheel: TimerWheel::new(),
             epoch: Instant::now(),
             actions: Vec::new(),
@@ -182,7 +183,9 @@ impl<P: Protocol, T: Transport> Host<P, T> {
                 self.transport.send(&frame)?;
                 self.tx_frames += 1;
             }
-            Action::SetTimer { timer, delay } => self.wheel.arm(timer, now + delay),
+            Action::SetTimer { timer, delay } => {
+                self.wheel.arm(timer, now + delay);
+            }
             Action::CancelTimer { timer } => self.wheel.cancel(timer),
             // Observational only; real hosts have no trace sink yet.
             Action::Note { .. } => {}

@@ -12,9 +12,9 @@
 //! * **[`Host`]** (this crate) — a real-time event loop over a
 //!   [`Transport`] (UDP sockets, in-process channels): monotonic-clock
 //!   virtual time via a configurable [`time scale`](HostConfig::time_scale),
-//!   a [`TimerWheel`] mirroring the simulator's `set_timer`/`cancel_timer`
-//!   generation semantics, and the [`envelope`] framing that carries
-//!   protocol packets between processes.
+//!   the per-node [`TimerWheel`] and [`node_rng`] stream the simulator
+//!   keeps too, and the [`envelope`] framing that carries protocol
+//!   packets between processes.
 //!
 //! Beside the contract sits the vocabulary both a driver and a protocol
 //! must name: [`violation`] holds the typed invariant violations a
@@ -36,6 +36,6 @@ pub mod violation;
 
 pub use envelope::{decode_frame, encode_frame, Frame};
 pub use host::{ChannelTransport, Host, HostConfig, HostReport, Transport, UdpTransport};
-pub use node::{Action, Context, NodeId, PacketKind, Protocol, TimerId};
+pub use node::{node_rng, Action, Context, NodeId, PacketKind, Protocol, TimerId};
 pub use time::{Duration, SimTime};
 pub use timer::TimerWheel;

@@ -27,6 +27,13 @@ impl std::fmt::Display for NodeId {
     }
 }
 
+/// Node `id`'s protocol RNG stream under run seed `seed`. The simulator
+/// and the real-time host both seed through it, so a node process draws
+/// what its simulated twin draws.
+pub fn node_rng(seed: u64, id: NodeId) -> DetRng {
+    DetRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(id.0))
+}
+
 /// A protocol-chosen timer identifier. Re-arming the same id replaces the
 /// pending expiration (only the latest arm fires).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -89,33 +89,6 @@ impl EnergyLedger {
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap_or((NodeId(0), 0.0))
     }
-
-    /// One-line drain summary under `model` — the graceful-degradation
-    /// report's energy column.
-    pub fn summary(&self, model: &EnergyModel) -> EnergySummary {
-        let n = self.tx_bytes.len();
-        let total_j = self.total_joules(model);
-        let (max_node, max_j) = self.max_joules(model);
-        EnergySummary {
-            total_j,
-            mean_j: if n > 0 { total_j / n as f64 } else { 0.0 },
-            max_j,
-            max_node,
-        }
-    }
-}
-
-/// Network-wide energy-drain summary (see [`EnergyLedger::summary`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EnergySummary {
-    /// Total energy spent across all nodes (joules).
-    pub total_j: f64,
-    /// Mean per-node energy (joules).
-    pub mean_j: f64,
-    /// Energy spent by the worst-off node (joules).
-    pub max_j: f64,
-    /// The worst-off node.
-    pub max_node: NodeId,
 }
 
 #[cfg(test)]
@@ -148,21 +121,6 @@ mod tests {
         let (node, j) = ledger.max_joules(&model);
         assert_eq!(node, NodeId(2));
         assert!(j > 0.0);
-    }
-
-    #[test]
-    fn summary_matches_scalar_accessors() {
-        let model = EnergyModel::default();
-        let mut ledger = EnergyLedger::new(4);
-        ledger.record_tx(NodeId(1), 300);
-        ledger.record_rx(NodeId(3), 700);
-        let s = ledger.summary(&model);
-        assert_eq!(s.total_j, ledger.total_joules(&model));
-        assert_eq!(s.mean_j, s.total_j / 4.0);
-        let (node, j) = ledger.max_joules(&model);
-        assert_eq!((s.max_node, s.max_j), (node, j));
-        // An empty ledger summarizes to zeros, not NaN.
-        assert_eq!(EnergyLedger::new(0).summary(&model).mean_j, 0.0);
     }
 
     #[test]

@@ -39,13 +39,14 @@ pub enum Event {
         /// Transmission id, for collision lookup.
         tx_id: u64,
     },
-    /// A protocol timer firing (only valid if `generation` still matches).
+    /// A protocol timer firing (only if `generation` is still the
+    /// node's live arm of `timer`).
     Timer {
         /// Owner of the timer.
         node: NodeId,
         /// Protocol timer id.
         timer: TimerId,
-        /// Arm generation, used to invalidate superseded arms.
+        /// The stamp `TimerWheel::arm` returned for this arm.
         generation: u64,
     },
 }

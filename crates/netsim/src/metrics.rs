@@ -117,22 +117,6 @@ impl Metrics {
         self.completion.get(&node).copied()
     }
 
-    /// Number of nodes that completed.
-    pub fn completed_count(&self) -> usize {
-        self.completion.len()
-    }
-
-    /// Fraction of `population` nodes that completed — the
-    /// graceful-degradation outcome: *how far* dissemination got, even
-    /// when the run as a whole timed out or stalled. Clamped to 1.0 and
-    /// `NaN` for an empty population.
-    pub fn completion_fraction(&self, population: usize) -> f64 {
-        if population == 0 {
-            return f64::NAN;
-        }
-        (self.completion.len().min(population)) as f64 / population as f64
-    }
-
     /// Dissemination latency: the time the *last* node completed.
     pub fn dissemination_latency(&self) -> Option<SimTime> {
         self.completion.values().copied().max()
@@ -188,12 +172,6 @@ mod tests {
         m.record_completion(NodeId(2), SimTime(150));
         assert_eq!(m.completion_of(NodeId(1)), Some(SimTime(100)));
         assert_eq!(m.dissemination_latency(), Some(SimTime(150)));
-        assert_eq!(m.completed_count(), 2);
-        assert_eq!(m.completion_fraction(4), 0.5);
-        // Clamped (an attacker self-reporting completion cannot push the
-        // honest fraction past 1) and NaN-safe for an empty population.
-        assert_eq!(m.completion_fraction(1), 1.0);
-        assert!(m.completion_fraction(0).is_nan());
     }
 
     #[test]

@@ -8,8 +8,9 @@ use crate::medium::{Delivery, Medium, MediumConfig};
 use crate::metrics::Metrics;
 use crate::topology::Topology;
 use crate::trace::{LossCause, RingTrace, TraceEvent, TraceSink};
-use lrs_host::node::{Action, Context, NodeId, PacketKind, Protocol, TimerId};
+use lrs_host::node::{node_rng, Action, Context, NodeId, PacketKind, Protocol};
 use lrs_host::time::{Duration, SimTime};
+use lrs_host::timer::TimerWheel;
 use lrs_host::violation::{InvariantViolation, ViolationRecord};
 use lrs_json::ObjWriter;
 use lrs_rng::DetRng;
@@ -92,7 +93,8 @@ pub struct DiagnosticDump {
     pub reason: String,
     /// Pending deliveries and timer events.
     pub queue_len: usize,
-    /// Pending *live* timers (superseded generations excluded).
+    /// Timers armed on nodes that are not crash-failed (superseded and
+    /// cancelled arms excluded).
     pub pending_timers: usize,
     /// Per-node state snapshots.
     pub nodes: Vec<NodeDiag>,
@@ -164,8 +166,9 @@ pub struct Simulator<P: Protocol> {
     queue: EventQueue,
     protocols: Vec<P>,
     rngs: Vec<DetRng>,
-    /// Per node, the arm generation of each timer it has touched.
-    timer_gens: Vec<Vec<(TimerId, u64)>>,
+    /// Per node, its timer table: a queued [`Event::Timer`] fires only
+    /// if its stamp is still the live arm.
+    timers: Vec<TimerWheel>,
     /// Action buffer reused across node callbacks.
     actions: Vec<Action>,
     /// Deliveries of the broadcast being delivered that have not been
@@ -220,16 +223,14 @@ impl<P: Protocol> Simulator<P> {
         let n = topology.len();
         let medium = Medium::new(config.medium, n, seed);
         let protocols: Vec<P> = (0..n).map(|i| make_node(NodeId(i as u32))).collect();
-        let rngs = (0..n)
-            .map(|i| DetRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15) ^ (i as u64)))
-            .collect();
+        let rngs = (0..n).map(|i| node_rng(seed, NodeId(i as u32))).collect();
         Simulator {
             topology,
             medium,
             queue: EventQueue::new(),
             protocols,
             rngs,
-            timer_gens: vec![Vec::new(); n],
+            timers: vec![TimerWheel::new(); n],
             actions: Vec::new(),
             batch_left: 0,
             metrics: Metrics::new(),
@@ -316,9 +317,7 @@ impl<P: Protocol> Simulator<P> {
                 self.failed[i] = false;
                 self.reboots += 1;
                 // Timers armed before the crash died with the RAM.
-                for (_, gen) in &mut self.timer_gens[i] {
-                    *gen += 1;
-                }
+                self.timers[i].clear();
                 // Completion is re-evaluated from what flash restored.
                 self.complete[i] = false;
                 self.recount_gating();
@@ -386,17 +385,12 @@ impl<P: Protocol> Simulator<P> {
     /// this when it trips).
     pub fn dump(&self, reason: impl Into<String>) -> DiagnosticDump {
         let pending_timers = self
-            .queue
+            .timers
             .iter()
-            .filter(|(_, event)| match event {
-                Event::Timer {
-                    node,
-                    timer,
-                    generation,
-                } => !self.failed[node.index()] && *generation == self.timer_gen(*node, *timer),
-                _ => false,
-            })
-            .count();
+            .enumerate()
+            .filter(|&(i, _)| !self.failed[i])
+            .map(|(_, timers)| timers.pending())
+            .sum();
         // A queued broadcast stands for one pending delivery per link.
         let queue_len = self.batch_left
             + self
@@ -524,7 +518,7 @@ impl<P: Protocol> Simulator<P> {
                     if self.failed[node.index()] {
                         continue;
                     }
-                    if generation == self.timer_gen(node, timer) {
+                    if self.timers[node.index()].fire(timer, generation) {
                         self.emit(TraceEvent::TimerFired { at, node, timer });
                         self.with_node(node.index(), |n, ctx| n.on_timer(ctx, timer));
                     }
@@ -634,29 +628,6 @@ impl<P: Protocol> Simulator<P> {
                 self.mark_complete(i);
             }
         }
-    }
-
-    /// Current arm generation of `node`'s `timer` (0 if never touched).
-    fn timer_gen(&self, node: NodeId, timer: TimerId) -> u64 {
-        self.timer_gens[node.index()]
-            .iter()
-            .find(|(t, _)| *t == timer)
-            .map_or(0, |&(_, gen)| gen)
-    }
-
-    /// Bumps the generation of `node`'s `timer`, invalidating every
-    /// pending event for it, and returns the new generation.
-    fn bump_timer_gen(&mut self, node: NodeId, timer: TimerId) -> u64 {
-        let slots = &mut self.timer_gens[node.index()];
-        let slot = match slots.iter().position(|(t, _)| *t == timer) {
-            Some(slot) => slot,
-            None => {
-                slots.push((timer, 0));
-                slots.len() - 1
-            }
-        };
-        slots[slot].1 += 1;
-        slots[slot].1
     }
 
     /// The checks that follow every processed event: invariant abort
@@ -812,9 +783,10 @@ impl<P: Protocol> Simulator<P> {
                         (delay.as_micros() as u128 * ppm as u128 / PPM_ONE as u128) as u64,
                     )
                 };
-                let generation = self.bump_timer_gen(from, timer);
+                let at = self.now + delay;
+                let generation = self.timers[from.index()].arm(timer, at);
                 self.queue.push(
-                    self.now + delay,
+                    at,
                     Event::Timer {
                         node: from,
                         timer,
@@ -822,9 +794,7 @@ impl<P: Protocol> Simulator<P> {
                     },
                 );
             }
-            Action::CancelTimer { timer } => {
-                self.bump_timer_gen(from, timer);
-            }
+            Action::CancelTimer { timer } => self.timers[from.index()].cancel(timer),
             Action::Note { label, a, b } => {
                 self.emit(TraceEvent::Note {
                     at: self.now,
@@ -841,6 +811,7 @@ impl<P: Protocol> Simulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrs_host::node::TimerId;
 
     #[test]
     fn diagnostic_outcomes_are_exactly_the_capsule_dump_triggers() {

@@ -11,13 +11,18 @@
 //!
 //! This is the loopback (no-UDP) version of what the `swarm` binary
 //! asserts across OS processes, fast enough for tier-1 CI.
+//!
+//! Beneath the end states, both drivers seed each node's protocol RNG
+//! the same way, so a host draws what its simulated twin draws.
 
 use lr_seluge_repro::lrs_bench::capsules::{
     population, profile_deployment, profile_image, LrScheme, ScenarioTags, SelugeScheme,
 };
 use lr_seluge_repro::lrs_bench::runner::simulate;
 use lr_seluge_repro::lrs_bench::Matched;
-use lr_seluge_repro::lrs_host::{ChannelTransport, Host, HostConfig, NodeId};
+use lr_seluge_repro::lrs_host::{
+    ChannelTransport, Context, Host, HostConfig, NodeId, Protocol, TimerId,
+};
 use lr_seluge_repro::swarm::{status, LossyLinks, NodeStatus};
 use lrs_crypto::sha256::sha256;
 use lrs_host::time::Duration as SimDuration;
@@ -26,6 +31,7 @@ use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::topology::Topology;
+use lrs_netsim::SimBuilder;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -171,4 +177,33 @@ fn lr_seluge_sim_and_hosts_agree() {
 #[test]
 fn seluge_sim_and_hosts_agree() {
     differential::<SelugeScheme>();
+}
+
+/// Records its first four RNG draws at init and is then done.
+#[derive(Default)]
+struct Draws(Vec<u64>);
+
+impl Protocol for Draws {
+    fn on_init(&mut self, ctx: &mut Context<'_>) {
+        self.0 = (0..4).map(|_| ctx.rng().next_u64()).collect();
+    }
+    fn on_packet(&mut self, _: &mut Context<'_>, _: NodeId, _: &[u8]) {}
+    fn on_timer(&mut self, _: &mut Context<'_>, _: TimerId) {}
+    fn is_complete(&self) -> bool {
+        !self.0.is_empty()
+    }
+}
+
+#[test]
+fn hosts_draw_what_their_simulated_twins_draw() {
+    let mut sim = SimBuilder::new(Topology::star(4), 11, |_| Draws::default()).build();
+    let report = sim.run(SimDuration::from_secs(1));
+    assert_eq!(report.outcome, Outcome::Complete);
+    for id in (0..4).map(NodeId) {
+        let (tx, rx) = mpsc::channel();
+        let transport = ChannelTransport::new(tx, rx);
+        let mut host = Host::new(id, Draws::default(), transport, 11, HostConfig::default());
+        host.init().expect("init");
+        assert_eq!(host.protocol().0, sim.node(id).0, "node {id}");
+    }
 }
