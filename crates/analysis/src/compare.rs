@@ -7,10 +7,10 @@
 //! statistical machinery the `campdiff` tool answers that with:
 //!
 //! * [`SampleStats`] — the (n, mean, variance) summary a group of runs
-//!   reduces to. Obtainable from a live [`Welford`] accumulator
-//!   ([`Welford::sample_stats`]) or reconstructed from a rendered
+//!   reduces to. Obtainable from a [`Summary`] of the samples
+//!   ([`Summary::sample_stats`]) or reconstructed from a rendered
 //!   report's `(n, mean, ci95)` triple ([`SampleStats::from_ci95`],
-//!   which inverts the same t-table [`Welford::ci95`] used).
+//!   which inverts the same t-table [`Summary::of`] used).
 //! * [`welch_t`] — Welch's unequal-variance t-test with the
 //!   Welch–Satterthwaite degrees of freedom and an exact two-sided
 //!   p-value via the regularized incomplete beta function. Welch (not
@@ -27,10 +27,9 @@
 //! Everything is a pure function of its inputs; the property suite
 //! (`tests/compare_props.rs`) pins each piece against an exact
 //! reference computation — closed-form t CDFs at df ∈ {1, 2}, numeric
-//! integration of the beta density, brute-force BH — in the same
-//! streaming-vs-exact style the campaign estimators are tested with.
+//! integration of the beta density, brute-force BH, two-pass moments.
 
-use crate::streaming::{t95, Welford};
+use crate::summary::{t95, Summary};
 
 /// Summary statistics of one sample group: the sufficient statistics
 /// for every comparison in this module.
@@ -48,7 +47,7 @@ impl SampleStats {
     /// Reconstructs the summary from a rendered report's `(n, mean,
     /// ci95)` triple by inverting `ci95 = t·sd/√n` through the same
     /// t-table the CI was computed with, so the round trip
-    /// Welford → report → `from_ci95` recovers the variance exactly up
+    /// summary → report → `from_ci95` recovers the variance exactly up
     /// to float rounding. For `n < 2` the CI carries no spread
     /// information; the variance is recorded as 0.
     pub fn from_ci95(n: u64, mean: f64, ci95: f64) -> SampleStats {
@@ -73,13 +72,13 @@ impl SampleStats {
     }
 }
 
-impl Welford {
-    /// This accumulator's state as comparison-ready summary statistics.
+impl Summary {
+    /// This summary as comparison-ready sample statistics.
     pub fn sample_stats(&self) -> SampleStats {
         SampleStats {
-            n: self.count(),
-            mean: self.mean(),
-            var: self.variance(),
+            n: self.n as u64,
+            mean: self.mean,
+            var: self.sd * self.sd,
         }
     }
 }
@@ -342,11 +341,7 @@ mod tests {
     use super::*;
 
     fn stats(samples: &[f64]) -> SampleStats {
-        let mut w = Welford::new();
-        for &x in samples {
-            w.push(x);
-        }
-        w.sample_stats()
+        Summary::of(samples).sample_stats()
     }
 
     #[test]

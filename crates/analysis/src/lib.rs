@@ -21,12 +21,18 @@
 //! increase … when the packet loss rate increases from 0.3 to 0.4" —
 //! falls out of the round structure: with `n = 1.5k` one round suffices
 //! w.h.p. while `n(1−p) ≥ k'`, i.e. up to `p = 1/3`.
+//!
+//! Beside the model sit the statistics every experiment reports with:
+//! [`Summary::of`], the one mean / 95 % CI / quantile summary of a set
+//! of per-seed samples (a `paper` sweep point and a campaign cell are
+//! summarized by it alike), and [`compare`], the Welch tests and
+//! false-discovery-rate control the campaign diff runs over summaries.
 
 pub mod binomial;
 pub mod compare;
 pub mod lr;
 pub mod seluge;
-pub mod streaming;
+pub mod summary;
 
 pub use binomial::binomial_pmf;
 pub use compare::{
@@ -35,4 +41,4 @@ pub use compare::{
 };
 pub use lr::{ack_lr_exact_single, ack_lr_expected_data_packets, AckLrModel};
 pub use seluge::{seluge_expected_data_packets, seluge_expected_heterogeneous};
-pub use streaming::{Extrema, P2Quantile, StreamingSummary, Welford};
+pub use summary::{t95, Summary};

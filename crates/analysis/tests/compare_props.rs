@@ -2,14 +2,14 @@
 //! `lrs_analysis::compare` is pinned against an *exact, independently
 //! computed* reference — numeric integration for the special functions,
 //! closed-form t CDFs at df ∈ {1, 2}, two-pass batch moments for the
-//! streaming summaries, and a brute-force O(m²) Benjamini–Hochberg —
-//! in the same streaming-vs-exact style `streaming_props.rs` uses for
-//! the campaign estimators.
+//! Welford recurrence of `Summary::of`, and a brute-force O(m²)
+//! Benjamini–Hochberg — in the same recurrence-vs-exact style
+//! `summary_props.rs` uses for the summary itself.
 
 use lrs_analysis::compare::{ln_gamma, reg_inc_beta};
 use lrs_analysis::{
     benjamini_hochberg, bh_adjusted_p, ci95_overlap, cohens_d, student_t_two_sided_p, welch_t,
-    SampleStats, Welford,
+    SampleStats, Summary,
 };
 use lrs_rng::DetRng;
 
@@ -30,11 +30,7 @@ fn batch_stats(samples: &[f64]) -> SampleStats {
 }
 
 fn welford_stats(samples: &[f64]) -> SampleStats {
-    let mut w = Welford::new();
-    for &x in samples {
-        w.push(x);
-    }
-    w.sample_stats()
+    Summary::of(samples).sample_stats()
 }
 
 /// Simpson's rule over [0, x] of the beta density — an exact-reference
@@ -103,7 +99,7 @@ fn welch_on_streaming_stats_equals_welch_on_exact_batch() {
             .collect();
         let (sa, sb) = (welford_stats(&a), welford_stats(&b));
         let (ea, eb) = (batch_stats(&a), batch_stats(&b));
-        // Streaming moments agree with the exact two-pass batch.
+        // Recurrence moments agree with the exact two-pass batch.
         assert!((sa.mean - ea.mean).abs() < 1e-12, "mean case {case}");
         assert!((sa.var - ea.var).abs() < 1e-10, "var case {case}");
         // And the tests built on them agree to float noise.

@@ -1,12 +1,12 @@
 //! Checkpointed Monte-Carlo campaign engine.
 //!
 //! A campaign is a fleet of simulation jobs — the full product grid of a
-//! [`CampaignSpec`] — executed by a work-stealing pool and aggregated
-//! *streamingly*: per grid cell, online mean/variance
-//! ([`lrs_analysis::streaming::Welford`]) and P² quantile sketches, so
-//! memory stays O(cells) no matter how many runs the grid names. Each
-//! job **is** a PR 5 replay capsule (seed × config × topology × fault
-//! plan × scenario tags), which buys three properties at once:
+//! [`CampaignSpec`] — executed by the harness's work-stealing pool
+//! ([`run_jobs`]). Each cell keeps its jobs' logged records, and the
+//! report summarizes each metric over them with [`Summary::of`], the
+//! same function that summarizes a `paper` sweep point. Each job **is**
+//! a replay capsule (seed × config × topology × fault plan × scenario
+//! tags), which buys three properties at once:
 //!
 //! * any job can be exported as a bit-exact reproducer *before* it runs
 //!   ([`Campaign::job_capsule`]: the job's plan is built as a capsule
@@ -37,30 +37,29 @@
 //!
 //! Job results are deterministic (each job's seed derives from its id),
 //! but workers complete them in schedule-dependent order, and the
-//! streaming estimators are order-*sensitive* in their low-order bits.
-//! The aggregator therefore applies results in **canonical job-id
-//! order** through a reorder buffer: out-of-order completions wait in a
-//! `BTreeMap` until the next id arrives. Final reports are byte-identical
-//! across `--threads 1/2/8` and across any kill/resume split.
+//! summary's mean is order-*sensitive* in its low-order bits. Records
+//! are therefore filed by job id as they arrive, and the report hands
+//! each cell's samples to the summary in **canonical job-id order**.
+//! Final reports are byte-identical across `--threads 1/2/8` and across
+//! any kill/resume split.
 
 use crate::capsules::{population, ScenarioTags};
+use crate::harness::run_jobs;
 use crate::json::{parse_json, Json};
 use crate::runner::{simulate, ExperimentMetrics, Matched};
 use crate::spec::{attack_config, build_topology, fault_config, CampaignSpec, CellParams};
 use crate::with_scheme;
-use lrs_analysis::StreamingSummary;
+use lrs_analysis::Summary;
 use lrs_deluge::attack::AttackPlan;
 use lrs_host::node::NodeId;
 use lrs_host::time::Duration;
 use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::topology::Topology;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Manifest file name inside a campaign directory.
 pub const MANIFEST: &str = "manifest.json";
@@ -159,82 +158,53 @@ impl JobRecord {
     }
 }
 
-/// Per-cell streaming state: O(1) per metric, O(cells) total.
-struct CellAgg {
-    jobs: u64,
-    outcomes: [u64; OUTCOME_LABELS.len()],
-    metrics: Vec<StreamingSummary>,
-    failures: Vec<usize>,
-}
-
-impl CellAgg {
-    fn new() -> Self {
-        CellAgg {
-            jobs: 0,
-            outcomes: [0; OUTCOME_LABELS.len()],
-            metrics: (0..ExperimentMetrics::NAMES.len())
-                .map(|_| StreamingSummary::new())
-                .collect(),
-            failures: Vec::new(),
-        }
-    }
-}
-
-/// Canonical-order streaming aggregator.
-///
-/// Records may arrive in any order (workers race, resume replays the
-/// log); they are *applied* strictly in job-id order via a reorder
-/// buffer, so the final estimator state — and thus the rendered report —
-/// is independent of thread count and of where a crash split the run.
+/// Completed jobs filed by job id, whatever order they arrive in (workers
+/// race, resume replays the log): the report reads them back in id
+/// order, so it is independent of thread count and of where a crash
+/// split the run.
 struct Aggregator {
-    cells: Vec<CellAgg>,
-    pending: BTreeMap<usize, JobRecord>,
-    next: usize,
+    cells: usize,
+    records: Vec<Option<JobRecord>>,
 }
 
 impl Aggregator {
-    fn new(cells: usize) -> Self {
+    fn new(jobs: usize, cells: usize) -> Self {
         Aggregator {
-            cells: (0..cells).map(|_| CellAgg::new()).collect(),
-            pending: BTreeMap::new(),
-            next: 0,
+            cells,
+            records: vec![None; jobs],
         }
     }
 
     fn insert(&mut self, record: JobRecord) -> Result<(), String> {
-        if record.job < self.next || self.pending.contains_key(&record.job) {
-            return Err(format!("job {} aggregated twice", record.job));
+        if record.cell >= self.cells {
+            return Err(format!(
+                "job {} names cell {} out of range",
+                record.job, record.cell
+            ));
         }
-        self.pending.insert(record.job, record);
-        while let Some(record) = self.pending.remove(&self.next) {
-            self.apply(&record)?;
-            self.next += 1;
+        match self.records.get_mut(record.job) {
+            None => Err(format!("job {} out of range", record.job)),
+            Some(Some(_)) => Err(format!("job {} aggregated twice", record.job)),
+            Some(slot) => {
+                *slot = Some(record);
+                Ok(())
+            }
         }
-        Ok(())
     }
 
-    fn apply(&mut self, record: &JobRecord) -> Result<(), String> {
-        let cell = self
-            .cells
-            .get_mut(record.cell)
-            .ok_or_else(|| format!("job {} names cell {} out of range", record.job, record.cell))?;
-        cell.jobs += 1;
-        let idx = OUTCOME_LABELS
+    /// Every record in job-id order, or an error naming the first job
+    /// that has none.
+    fn all(&self) -> Result<Vec<&JobRecord>, String> {
+        let total = self.records.len();
+        self.records
             .iter()
-            .position(|&l| l == record.outcome)
-            .expect("outcome validated in from_json");
-        cell.outcomes[idx] += 1;
-        for (summary, &value) in cell.metrics.iter_mut().zip(&record.metrics) {
-            summary.push(value);
-        }
-        if record.is_failure() {
-            cell.failures.push(record.job);
-        }
-        Ok(())
-    }
-
-    fn applied(&self) -> usize {
-        self.next
+            .enumerate()
+            .map(|(job, record)| {
+                record.as_ref().ok_or_else(|| {
+                    format!("completion log has gaps: job {job} of {total} never completed")
+                })
+            })
+            .collect()
     }
 }
 
@@ -455,16 +425,12 @@ impl Campaign {
         kill_after: Option<usize>,
     ) -> Result<Option<CampaignReport>, String> {
         let total = self.total_jobs();
-        let logged = self.completed()?;
-        let mut done = BTreeSet::new();
-        let mut agg = Aggregator::new(self.cells.len());
-        for record in logged {
-            done.insert(record.job);
+        let mut agg = Aggregator::new(total, self.cells.len());
+        for record in self.completed()? {
             agg.insert(record)?;
         }
-        let todo: Vec<usize> = (0..total).filter(|id| !done.contains(id)).collect();
+        let todo: Vec<usize> = (0..total).filter(|&id| agg.records[id].is_none()).collect();
         let limit = kill_after.unwrap_or(todo.len()).min(todo.len());
-        let killed = limit < todo.len();
 
         if limit > 0 {
             self.repair_log_tail()?;
@@ -474,59 +440,36 @@ impl Campaign {
                 .append(true)
                 .open(&log_path)
                 .map_err(|e| format!("open {}: {e}", log_path.display()))?;
-            let next = AtomicUsize::new(0);
-            let workers = threads.max(1).min(limit);
-            let (tx, rx) = mpsc::channel::<JobRecord>();
-            std::thread::scope(|scope| -> Result<(), String> {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let (next, todo) = (&next, &todo);
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= limit {
-                            break;
-                        }
-                        if tx.send(self.execute(todo[i])).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                // Checkpoint-then-aggregate, one line per completion.
-                // The aggregator is fed the *reparsed* line, so the live
-                // path and the resume path see byte-for-byte the same
-                // values.
-                for record in rx {
+            // Checkpoint-then-aggregate, one line per completion. The
+            // aggregator is fed the *reparsed* line, so the live path
+            // and the resume path see byte-for-byte the same values.
+            run_jobs(
+                limit,
+                threads,
+                |i| self.execute(todo[i]),
+                |_, record| {
                     let line = record.to_json().render();
                     log.write_all(line.as_bytes())
                         .and_then(|_| log.write_all(b"\n"))
                         .and_then(|_| log.flush())
                         .map_err(|e| format!("append {}: {e}", log_path.display()))?;
-                    let reparsed = JobRecord::from_json(&parse_json(&line)?)?;
-                    agg.insert(reparsed)?;
-                }
-                Ok(())
-            })?;
+                    agg.insert(JobRecord::from_json(&parse_json(&line)?)?)
+                },
+            )?;
         }
 
-        if killed {
+        if limit < todo.len() {
             return Ok(None);
         }
-        if agg.applied() != total {
-            return Err(format!(
-                "aggregated {} of {total} jobs; completion log has gaps",
-                agg.applied()
-            ));
-        }
-        let json = self.render_report(&agg);
+        let records = agg.all()?;
+        let json = self.render_report(&records);
         let path = self.dir.join(REPORT);
         fs::write(&path, json.render() + "\n")
             .map_err(|e| format!("write {}: {e}", path.display()))?;
-        let failures = agg
-            .cells
+        let failures = records
             .iter()
-            .flat_map(|c| c.failures.iter())
-            .map(|&job| self.failure_capsule_path(job))
+            .filter(|record| record.is_failure())
+            .map(|record| self.failure_capsule_path(record.job))
             .collect();
         Ok(Some(CampaignReport {
             jobs: total,
@@ -535,36 +478,43 @@ impl Campaign {
         }))
     }
 
-    /// Renders the consolidated per-cell report. Deliberately excludes
-    /// wall-clock time and thread count, so the document is a pure
-    /// function of the aggregator state — the golden-file and
-    /// bit-identity tests diff it byte for byte.
-    fn render_report(&self, agg: &Aggregator) -> Json {
-        let cells = agg
-            .cells
+    /// Renders the consolidated per-cell report from every job's record,
+    /// in job-id order: each metric of a cell is [`Summary::of`] its
+    /// jobs' values in that order. Deliberately excludes wall-clock time
+    /// and thread count, so the document is a pure function of the
+    /// records — the golden-file and bit-identity tests diff it byte for
+    /// byte.
+    fn render_report(&self, records: &[&JobRecord]) -> Json {
+        let mut by_cell: Vec<Vec<&JobRecord>> = vec![Vec::new(); self.cells.len()];
+        for &record in records {
+            by_cell[record.cell].push(record);
+        }
+        let cells = by_cell
             .iter()
             .zip(&self.cells)
-            .map(|(state, params)| {
+            .map(|(jobs, params)| {
                 let outcomes = OUTCOME_LABELS
                     .iter()
-                    .zip(state.outcomes)
+                    .map(|&label| (label, jobs.iter().filter(|r| r.outcome == label).count()))
                     .filter(|&(_, count)| count > 0)
-                    .map(|(&label, count)| (label.to_string(), Json::Num(count as f64)))
+                    .map(|(label, count)| (label.to_string(), Json::Num(count as f64)))
                     .collect();
                 let metrics = ExperimentMetrics::NAMES
                     .iter()
-                    .zip(&state.metrics)
-                    .map(|(&name, s)| {
+                    .enumerate()
+                    .map(|(i, &name)| {
+                        let values: Vec<f64> = jobs.iter().map(|r| r.metrics[i]).collect();
+                        let s = Summary::of(&values);
                         (
                             name.to_string(),
                             Json::Obj(vec![
-                                ("n".into(), Json::Num(s.moments.count() as f64)),
-                                ("mean".into(), Json::Num(s.moments.mean())),
-                                ("ci95".into(), Json::Num(s.moments.ci95())),
-                                ("p50".into(), Json::Num(s.p50.estimate())),
-                                ("p95".into(), Json::Num(s.p95.estimate())),
-                                ("min".into(), Json::Num(s.extrema.min())),
-                                ("max".into(), Json::Num(s.extrema.max())),
+                                ("n".into(), Json::Num(s.n as f64)),
+                                ("mean".into(), Json::Num(s.mean)),
+                                ("ci95".into(), Json::Num(s.ci95)),
+                                ("p50".into(), Json::Num(s.p50)),
+                                ("p95".into(), Json::Num(s.p95)),
+                                ("min".into(), Json::Num(s.min)),
+                                ("max".into(), Json::Num(s.max)),
                             ]),
                         )
                     })
@@ -580,21 +530,17 @@ impl Campaign {
                             ("attacker".into(), Json::str(&params.attacker)),
                         ]),
                     ),
-                    ("jobs".into(), Json::Num(state.jobs as f64)),
+                    ("jobs".into(), Json::Num(jobs.len() as f64)),
                     ("outcomes".into(), Json::Obj(outcomes)),
                     ("metrics".into(), Json::Obj(metrics)),
                 ];
-                if !state.failures.is_empty() {
-                    fields.push((
-                        "failures".into(),
-                        Json::Arr(
-                            state
-                                .failures
-                                .iter()
-                                .map(|&job| Json::Num(job as f64))
-                                .collect(),
-                        ),
-                    ));
+                let failures: Vec<Json> = jobs
+                    .iter()
+                    .filter(|r| r.is_failure())
+                    .map(|r| Json::Num(r.job as f64))
+                    .collect();
+                if !failures.is_empty() {
+                    fields.push(("failures".into(), Json::Arr(failures)));
                 }
                 Json::Obj(fields)
             })

@@ -1,20 +1,21 @@
 //! Work-stealing parallel fan-out for Monte-Carlo experiments.
 //!
 //! Every figure and table is an average over many independent
-//! (sweep-point × seed) simulations. Each simulation builds its own
+//! (sweep-point × seed) simulations, and a campaign is a fleet of
+//! independent jobs. Each simulation builds its own
 //! [`Simulator`](lrs_netsim::sim::Simulator) with its own seeded RNG
 //! streams, so runs are embarrassingly parallel and — crucially —
 //! per-seed results are bit-identical regardless of how many worker
 //! threads execute them or in which order jobs are stolen.
 //!
-//! No external dependencies: workers are `std::thread::scope` threads
-//! pulling job indices from a shared atomic counter (work stealing in
-//! its simplest form — the next free worker takes the next job), and
-//! results land in their job's slot so output order never depends on
-//! scheduling.
+//! No external dependencies: [`run_jobs`] is the one pool, workers
+//! that are `std::thread::scope` threads pulling job indices from a
+//! shared atomic counter (work stealing in its simplest form — the next
+//! free worker takes the next job) and sending each output back to the
+//! calling thread, which sees it tagged with its job index.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 /// Number of worker threads the harness should use.
 ///
@@ -33,45 +34,66 @@ pub fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every element of `items` on `threads` workers and
-/// returns the outputs in input order.
+/// Runs `job(0)`..`job(n - 1)` on `threads` workers and hands each
+/// `(index, output)` to `done` on the calling thread as the job
+/// finishes, in completion order.
 ///
-/// Jobs are claimed from a shared counter, so a long-running item only
-/// occupies one worker while the rest steal ahead. With `threads == 1`
-/// this degenerates to a sequential loop over the same order — outputs
-/// are identical either way because each job is independent and results
-/// are written to per-job slots.
+/// With `threads == 1` the jobs run inline, in index order. An error
+/// from `done` stops the fleet: it is returned once the workers have
+/// finished the jobs in hand, and they claim no more. A panicking job
+/// propagates its panic.
+pub fn run_jobs<O, E>(
+    n: usize,
+    threads: usize,
+    job: impl Fn(usize) -> O + Sync,
+    mut done: impl FnMut(usize, O) -> Result<(), E>,
+) -> Result<(), E>
+where
+    O: Send,
+{
+    let threads = threads.max(1).min(n);
+    if threads <= 1 {
+        return (0..n).try_for_each(|i| done(i, job(i)));
+    }
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let (tx, next, job) = (tx.clone(), &next, &job);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n || tx.send((i, job(i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        rx.into_iter().try_for_each(|(i, out)| done(i, out))
+    })
+}
+
+/// Applies `f` to every element of `items` on `threads` workers
+/// ([`run_jobs`]) and returns the outputs in input order: each output
+/// lands in its job's slot, so the result never depends on scheduling.
 pub fn parallel_map<I, O, F>(items: &[I], threads: usize, f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= items.len() {
-                    break;
-                }
-                let out = f(&items[idx]);
-                *slots[idx].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
+    let mut slots: Vec<Option<O>> = items.iter().map(|_| None).collect();
+    let Ok(()) = run_jobs(
+        items.len(),
+        threads,
+        |i| f(&items[i]),
+        |i, out| {
+            slots[i] = Some(out);
+            Ok::<(), std::convert::Infallible>(())
+        },
+    );
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker exited without writing its slot")
-        })
+        .map(|slot| slot.expect("every job ran"))
         .collect()
 }
 
@@ -157,5 +179,55 @@ mod tests {
             .map(|p| (1..=3).map(|s| f(p, s)).collect())
             .collect();
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn one_thread_runs_inline_in_index_order() {
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        let result: Result<(), ()> = run_jobs(
+            5,
+            1,
+            |i| (i, std::thread::current().id()),
+            |i, (j, thread)| {
+                assert_eq!((i, thread), (j, caller));
+                seen.push(i);
+                Ok(())
+            },
+        );
+        assert_eq!(result, Ok(()));
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_callback_error_stops_the_fleet() {
+        for threads in [1, 4] {
+            let started = AtomicUsize::new(0);
+            let result = run_jobs(
+                200,
+                threads,
+                |i| {
+                    started.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    i
+                },
+                |_, i| if i >= 3 { Err(i) } else { Ok(()) },
+            );
+            assert!(matches!(result, Err(i) if i >= 3), "threads {threads}");
+            // Workers finish the jobs in hand and claim no more.
+            let ran = started.load(Ordering::Relaxed);
+            assert!(ran < 200, "threads {threads}: all {ran} jobs ran");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_worker_panic_propagates() {
+        let _ = run_jobs(
+            20,
+            3,
+            |i| assert!(i != 7, "job {i} failed"),
+            |_, ()| Ok::<(), ()>(()),
+        );
     }
 }

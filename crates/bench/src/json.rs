@@ -27,7 +27,7 @@
 //! Non-finite numbers render as `null` (JSON has no NaN), so a latency
 //! column over stalled runs stays machine-readable.
 
-use crate::stats::summarize;
+use lrs_analysis::Summary;
 pub use lrs_json::{parse_json, Json};
 use std::fs;
 use std::io::Write as _;
@@ -52,9 +52,10 @@ pub fn write_json(name: &str, value: &Json) -> String {
 }
 
 /// A `{"samples": […], "mean": …, "ci95": …}` object for one metric —
-/// the per-metric leaf shape every results file uses.
+/// the per-metric leaf shape every results file uses, with mean and
+/// interval from [`Summary::of`].
 pub fn stat_json(samples: &[f64]) -> Json {
-    let s = summarize(samples);
+    let s = Summary::of(samples);
     Json::Obj(vec![
         (
             "samples".into(),

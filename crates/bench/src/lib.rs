@@ -45,7 +45,6 @@ pub mod json;
 pub mod paper;
 pub mod runner;
 pub mod spec;
-pub mod stats;
 pub mod sweep;
 pub mod table;
 
@@ -59,6 +58,5 @@ pub use runner::{
     run_with_policy, sample_seeds, ExperimentMetrics, Matched, RunSpec,
 };
 pub use spec::CampaignSpec;
-pub use stats::{summarize, Summary};
 pub use sweep::{per_scheme, Report, Sample};
 pub use table::write_csv;

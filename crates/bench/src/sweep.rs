@@ -10,10 +10,10 @@
 use crate::harness::sample_grid;
 use crate::json::{stat_json, write_json, Json};
 use crate::runner::{run, ExperimentMetrics, Matched, RunSpec};
-use crate::stats::summarize;
 use crate::table::{write_csv, Table};
 use crate::with_scheme;
 use lr_seluge::LrSelugeParams;
+use lrs_analysis::Summary;
 
 /// One run's observables, as floats for aggregation over seeds.
 pub trait Sample {
@@ -49,7 +49,7 @@ pub fn column<T: Sample>(samples: &[T], metric: &str) -> Vec<f64> {
 /// A table cell: the mean of `metric` over the finite samples to
 /// `decimals` places, or `-` when no sample is finite.
 pub fn mean_cell<T: Sample>(samples: &[T], metric: &str, decimals: usize) -> String {
-    let mean = summarize(&column(samples, metric)).mean;
+    let mean = Summary::of(&column(samples, metric)).mean;
     if mean.is_finite() {
         format!("{mean:.decimals$}")
     } else {

@@ -16,7 +16,8 @@ use std::fs;
 use std::path::PathBuf;
 
 /// A deliberately small grid that still spans both schemes and several
-/// cells, so the reorder buffer and per-cell aggregation actually work.
+/// cells, so jobs finish out of order and per-cell aggregation has
+/// more than one cell to file them under.
 const SPEC: &str = r#"
 name = "test-grid"
 schemes = ["lr-seluge", "seluge"]
@@ -97,6 +98,70 @@ fn reports_are_identical_across_thread_counts() {
     let (_d8, r8) = run_full("threads8", 8);
     assert_eq!(r1, r2, "threads=2 changed the report bytes");
     assert_eq!(r1, r8, "threads=8 changed the report bytes");
+}
+
+/// The type-7 quantile (linear interpolation at rank `q·(n−1)`) of the
+/// finite values, sorted here independently of the crate's summary.
+fn type7(values: &[f64], q: f64) -> f64 {
+    let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (pos - lo as f64) * (sorted[hi] - sorted[lo])
+}
+
+#[test]
+fn report_quantiles_and_extrema_are_exact_over_the_logged_jobs() {
+    // One cell, seven seeds, 35 % loss: enough spread that the 95th
+    // percentile sits strictly between the median and the maximum.
+    let spec = CampaignSpec::parse(
+        r#"
+name = "quantiles"
+schemes = ["lr-seluge"]
+topologies = ["star:4"]
+loss_ppm = [350_000]
+seeds = 7
+image_bytes = 512
+deadline_s = 3000
+"#,
+    )
+    .expect("spec parses");
+    let dir = scratch("quantiles");
+    let campaign = Campaign::create(spec, &dir).expect("create");
+    let report = campaign.run(2, None).expect("run").expect("complete");
+    let records = campaign.completed().expect("log");
+    assert_eq!(records.len(), 7);
+    let cell = &report.json.arr_at("cells").expect("cells")[0];
+    let metrics = cell.get("metrics").expect("metrics");
+    for (i, name) in ExperimentMetrics::NAMES.iter().enumerate() {
+        let values: Vec<f64> = records.iter().map(|r| r.metrics[i]).collect();
+        let finite = || values.iter().copied().filter(|v| v.is_finite());
+        let entry = metrics.get(name).expect("metric reported");
+        let expect = [
+            ("p50", type7(&values, 0.5)),
+            ("p95", type7(&values, 0.95)),
+            ("min", finite().fold(f64::NAN, f64::min)),
+            ("max", finite().fold(f64::NAN, f64::max)),
+        ];
+        for (field, want) in expect {
+            let got = entry.get(field).and_then(|v| v.as_num()).expect(field);
+            assert!(
+                got.to_bits() == want.to_bits(),
+                "{name}.{field}: report {got}, logged jobs {want} ({values:?})"
+            );
+        }
+    }
+    for name in ["latency_s", "data_pkts"] {
+        let entry = metrics.get(name).expect("metric reported");
+        let at = |field| entry.get(field).and_then(|v| v.as_num()).expect(field);
+        assert!(
+            at("p50") < at("p95") && at("p95") < at("max"),
+            "{name}: the spec no longer spreads it"
+        );
+    }
 }
 
 #[test]
@@ -272,7 +337,7 @@ fn attack_fault_sweep_completes_with_zero_violations() {
         );
     }
 
-    // The streaming report carries the degradation axes per cell.
+    // The report carries the degradation axes per cell.
     let json = fs::read_to_string(dir.join(REPORT)).expect("report");
     for key in ["completion_frac", "verify_inflation", "energy_j"] {
         assert!(

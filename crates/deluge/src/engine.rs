@@ -297,8 +297,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         }
     }
 
-    fn pick_server(&self, ctx: &mut Context<'_>) -> Option<NodeId> {
-        let _ = ctx;
+    fn pick_server(&self) -> Option<NodeId> {
         let level = self.level();
         // Deterministic choice (highest level, lowest id) concentrates a
         // neighborhood's requests on one server, so its transmissions
@@ -429,7 +428,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
     fn after_tx(&mut self, ctx: &mut Context<'_>) {
         self.state = State::Maintain;
         if !self.done() {
-            if let Some(server) = self.pick_server(ctx) {
+            if let Some(server) = self.pick_server() {
                 self.enter_rx(ctx, server);
             }
         }
@@ -644,7 +643,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             let next_server = if server_level > self.level() {
                 Some(server)
             } else {
-                self.pick_server(ctx)
+                self.pick_server()
             };
             match next_server {
                 Some(s) => self.enter_rx(ctx, s),
@@ -746,7 +745,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
                         // on every retry would duplicate service across
                         // senders. Rotate on every third fruitless retry.
                         let next = if (retries + 1) % 3 == 0 {
-                            self.pick_server(ctx).unwrap_or(server)
+                            self.pick_server().unwrap_or(server)
                         } else {
                             server
                         };
