@@ -20,11 +20,13 @@
 //! With `--trace FILE`, every simulator event (tx/rx/loss-with-cause,
 //! timers, completions, protocol notes) is streamed to `FILE` as JSON
 //! Lines, closed by the `"ev":"metrics"` line the run's digest hashes.
-//! With `--summary`, a verified replay is explained: network totals, one
-//! row per node and one per item.
+//! With `--summary`, a verified replay is explained: network totals, the
+//! twelve metrics its campaign job logs (so a `paper` point's job reads
+//! against its cell's `jobs.log`), one row per node and one per item.
 
 use lrs_bench::capsules::{replay_observed, ItemRow, ItemSummary, NodeRow};
 use lrs_bench::cli::{exit_with_usage, flag, positional, valued, Cli, Flag};
+use lrs_bench::ExperimentMetrics;
 use lrs_crypto::sha256_mb::ShaKernel;
 use lrs_erasure::kernel::Kernel;
 use lrs_host::node::{NodeId, PacketKind};
@@ -90,7 +92,7 @@ fn replay(cli: &Cli, out: &mut impl Write) -> Result<(), Stop> {
         capsule.topology.len(),
         capsule.faults.events().len(),
     )?;
-    let (run, nodes) = replay_observed(&capsule, sinks).map_err(Stop::Failed)?;
+    let (run, nodes, paper) = replay_observed(&capsule, sinks).map_err(Stop::Failed)?;
     if let Some(p) = trace_path {
         // The run flushed the sink; close the file with the metrics line.
         let line = run.metrics.to_trace_json(run.report.final_time);
@@ -109,7 +111,7 @@ fn replay(cli: &Cli, out: &mut impl Write) -> Result<(), Stop> {
         run.digest.events,
     )?;
     if cli.flag("--summary") {
-        summary(out, &run.metrics, &nodes, &items.rows())?;
+        summary(out, &run.metrics, &paper, &nodes, &items.rows())?;
     }
     Ok(())
 }
@@ -124,6 +126,7 @@ fn secs(t: Option<SimTime>) -> String {
 fn summary(
     out: &mut impl Write,
     m: &Metrics,
+    paper: &ExperimentMetrics,
     nodes: &[Option<NodeRow>],
     items: &BTreeMap<u64, ItemRow>,
 ) -> io::Result<()> {
@@ -133,6 +136,12 @@ fn summary(
     }
     let (collision, phy, app) = (m.collision_losses(), m.phy_losses(), m.app_drops());
     writeln!(out, " lost collision={collision} phy={phy} app={app}")?;
+    // The record a campaign job logs for this run, metric by metric.
+    write!(out, "metrics:")?;
+    for (name, value) in paper.named() {
+        write!(out, " {name}={value}")?;
+    }
+    writeln!(out)?;
     writeln!(
         out,
         " node level  done_s  snacks    data    advs     dup     ooo gave_up rejects"

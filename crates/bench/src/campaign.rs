@@ -3,8 +3,9 @@
 //! A campaign is a fleet of simulation jobs — the full product grid of a
 //! [`CampaignSpec`] — executed by the harness's work-stealing pool
 //! ([`run_jobs`]). Each cell keeps its jobs' logged records, and the
-//! report summarizes each metric over them with [`Summary::of`], the
-//! same function that summarizes a `paper` sweep point. Each job **is**
+//! report summarizes each metric over them with [`Summary::of`]. Every
+//! `paper` figure and table point is a one-cell campaign
+//! ([`run_cells`](crate::sweep::run_cells)). Each job **is**
 //! a replay capsule (seed × config × topology × fault plan × scenario
 //! tags), which buys three properties at once:
 //!
@@ -109,6 +110,16 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
+    /// The value of the metric called `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not one of [`ExperimentMetrics::NAMES`].
+    pub fn get(&self, name: &str) -> f64 {
+        let at = ExperimentMetrics::NAMES.iter().position(|n| *n == name);
+        self.metrics[at.unwrap_or_else(|| panic!("unknown metric {name:?}"))]
+    }
+
     /// Whether this job ended diagnostically (and dumped a capsule).
     pub fn is_failure(&self) -> bool {
         DIAGNOSTIC_LABELS.contains(&self.outcome.as_str())
@@ -215,6 +226,8 @@ pub struct CampaignReport {
     pub jobs: usize,
     /// Failure-capsule paths, one per diagnostic job, in job order.
     pub failures: Vec<String>,
+    /// Every job's record, in job-id order.
+    pub records: Vec<JobRecord>,
     /// The rendered `report.json` document.
     pub json: Json,
 }
@@ -475,6 +488,7 @@ impl Campaign {
             jobs: total,
             failures,
             json,
+            records: records.into_iter().cloned().collect(),
         }))
     }
 

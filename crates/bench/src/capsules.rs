@@ -14,14 +14,16 @@
 //! capsule the way its campaign job ran, and [`ItemSummary`] folds the
 //! per-item rows `replay --summary` prints from that run's trace.
 
-use crate::runner::{simulate, test_image, Matched};
-use lr_seluge::LrSelugeParams;
+use crate::runner::{simulate, test_image, ExperimentMetrics, Matched};
+use lr_seluge::{CodeKind, LrSelugeParams};
 use lrs_deluge::attack::{
     AttackEntry, AttackPlan, AttackVector, Attacker, AttackerProfile, MaybeAdversary,
 };
 use lrs_deluge::bootstrap::PacketDigestCache;
-use lrs_deluge::deployment::{check_layout, Deployment, Node, SchemeFamily};
-use lrs_deluge::engine::{NodeStats, Scheme as _};
+use lrs_deluge::deployment::{check_layout, Deployment, SchemeFamily};
+use lrs_deluge::engine::{DisseminationNode, NodeStats, Scheme as _};
+use lrs_deluge::policy::{TxPolicy, UnionPolicy};
+use lrs_deluge::wire::BitVec;
 use lrs_host::node::NodeId;
 use lrs_host::node::PacketKind::{Adv, Snack};
 use lrs_host::time::{Duration, SimTime};
@@ -68,9 +70,10 @@ macro_rules! with_scheme {
 
 /// Tag key: scheme under test (`lr-seluge`, `seluge` or `deluge`).
 pub const TAG_SCHEME: &str = "scheme";
-/// Tag key: parameter profile (`chaos`, `scale`, `campaign` or `paper`),
-/// selecting both the parameter set and the test-image generator of the
-/// capture path.
+/// Tag key: parameter profile token (`chaos`, `scale`, `campaign` or
+/// `paper`, optionally with knobs; see [`profile`]), selecting the
+/// parameter set, the test-image generator of the capture path and the
+/// honest nodes' TX rule.
 pub const TAG_PROFILE: &str = "profile";
 /// Tag key: image length in bytes.
 pub const TAG_IMAGE_LEN: &str = "image_len";
@@ -127,34 +130,86 @@ pub fn scale_image(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 31 % 251) as u8).collect()
 }
 
-/// What a profile name selects: an LR-Seluge parameter set and a test
-/// image generator, both by image length.
-type Profile = (fn(usize) -> LrSelugeParams, fn(usize) -> Vec<u8>);
+/// What a profile token selects: an LR-Seluge parameter set and a test
+/// image generator, both by image length, and the honest nodes' TX rule.
+#[derive(Clone, Copy, Debug)]
+pub struct Profile {
+    /// The parameter set, but for its image length.
+    template: LrSelugeParams,
+    image: fn(usize) -> Vec<u8>,
+    /// `tx=union`: honest nodes transmit by the Deluge/Seluge union rule
+    /// instead of their family's own policy.
+    pub union_tx: bool,
+}
 
-/// The profile registry. `paper` is the paper's own geometry (k = 32,
-/// the `paper` sweeps' parameter set) at any image length.
-fn profile(name: &str) -> Result<Profile, String> {
-    match name {
-        "chaos" => Ok((chaos_params, test_image)),
-        "scale" => Ok((scale_params, scale_image)),
-        "campaign" => Ok((campaign_params, test_image)),
-        "paper" => Ok((
-            |image_len| LrSelugeParams {
-                image_len,
-                ..LrSelugeParams::default()
-            },
-            test_image,
-        )),
-        other => Err(format!(
-            "unknown parameter profile {other:?}; this registry knows \"chaos\", \"scale\", \
-             \"campaign\" and \"paper\""
-        )),
+impl Profile {
+    /// The LR-Seluge parameter set for an `image_len`-byte image.
+    pub fn params(&self, image_len: usize) -> LrSelugeParams {
+        LrSelugeParams {
+            image_len,
+            ..self.template
+        }
     }
+}
+
+/// The profile registry. A token is a profile name, optionally followed
+/// by comma-joined knobs: `"<name>:knob=v,..."`. `paper` is the paper's
+/// own geometry (k = 32, the `paper` sweeps' parameter set) at any image
+/// length. The knobs are `n=N` (coded packets per page: Fig. 6's coding
+/// rate), `code=rs|xor|lt` (the page code) and `tx=union` (the
+/// scheduler ablation's TX rule); a knob that leaves an inconsistent
+/// page geometry is refused.
+pub fn profile(token: &str) -> Result<Profile, String> {
+    let (name, knobs) = match token.split_once(':') {
+        Some((name, knobs)) => (name, knobs.split(',').collect()),
+        None => (token, Vec::new()),
+    };
+    let (template, image): (_, fn(usize) -> Vec<u8>) = match name {
+        "chaos" => (chaos_params(0), test_image),
+        "scale" => (scale_params(0), scale_image),
+        "campaign" => (campaign_params(0), test_image),
+        "paper" => (LrSelugeParams::default(), test_image),
+        other => {
+            return Err(format!(
+                "unknown parameter profile {other:?}; this registry knows \"chaos\", \"scale\", \
+                 \"campaign\" and \"paper\""
+            ))
+        }
+    };
+    let mut profile = Profile {
+        template,
+        image,
+        union_tx: false,
+    };
+    for knob in knobs {
+        let params = &mut profile.template;
+        match knob.split_once('=') {
+            Some(("n", n)) => {
+                params.n = n.parse().map_err(|e| format!("bad knob {knob:?}: {e}"))?
+            }
+            Some(("code", "rs")) => params.code_kind = CodeKind::ReedSolomon,
+            Some(("code", "xor")) => params.code_kind = CodeKind::SparseXor,
+            Some(("code", "lt")) => params.code_kind = CodeKind::Lt,
+            Some(("tx", "union")) => profile.union_tx = true,
+            _ => {
+                return Err(format!(
+                    "bad profile knob {knob:?} in {token:?}; known: \"n=N\", \
+                     \"code=rs|xor|lt\", \"tx=union\""
+                ))
+            }
+        }
+    }
+    // Every image length shares the page geometry; one byte checks it.
+    profile
+        .params(1)
+        .validate()
+        .map_err(|e| format!("knobs leave a bad page geometry: {e}"))?;
+    Ok(profile)
 }
 
 /// The LR-Seluge parameter set of `profile` for an `image_len`-byte image.
 pub fn profile_params(profile_name: &str, image_len: usize) -> Result<LrSelugeParams, String> {
-    Ok(profile(profile_name)?.0(image_len))
+    Ok(profile(profile_name)?.params(image_len))
 }
 
 /// The `len`-byte test image `profile`'s capture path disseminates.
@@ -165,9 +220,10 @@ pub fn profile_params(profile_name: &str, image_len: usize) -> Result<LrSelugePa
 /// lay out (empty, or more pages than the wire addresses), which is
 /// refused before any byte is generated.
 pub fn profile_image(profile_name: &str, len: usize) -> Result<Vec<u8>, String> {
-    let (params, image) = profile(profile_name)?;
-    check_layout(len, params(len).page_capacity()).map_err(|e| format!("deployment: {e}"))?;
-    Ok(image(len))
+    let profile = profile(profile_name)?;
+    check_layout(len, profile.params(len).page_capacity())
+        .map_err(|e| format!("deployment: {e}"))?;
+    Ok((profile.image)(len))
 }
 
 /// The deployment of family `S` that a profile, an image length and a
@@ -202,7 +258,7 @@ pub fn chaos_sim_config() -> SimConfig {
 pub struct ScenarioTags {
     /// `lr-seluge`, `seluge` or `deluge`.
     pub scheme: String,
-    /// Parameter profile: `chaos`, `scale`, `campaign` or `paper`.
+    /// Parameter profile token (see [`profile`]).
     pub profile: String,
     /// Image length in bytes.
     pub image_len: usize,
@@ -290,8 +346,56 @@ impl ScenarioTags {
     }
 }
 
+/// An honest node's TX policy: its family's own (`P`), or the union
+/// rule a `tx=union` profile asks for.
+pub enum TxRule<P> {
+    /// The family's own policy.
+    Own(P),
+    /// The Deluge/Seluge union of requested bit vectors.
+    Union(UnionPolicy),
+}
+
+/// Evaluates `$body` with `$p` bound to whichever policy `$rule` holds.
+macro_rules! either {
+    ($rule:expr, $p:ident => $body:expr) => {
+        match $rule {
+            TxRule::Own($p) => $body,
+            TxRule::Union($p) => $body,
+        }
+    };
+}
+
+impl<P: TxPolicy> TxPolicy for TxRule<P> {
+    fn on_snack(&mut self, from: NodeId, item: u16, bits: &BitVec, needed: u16) {
+        either!(self, p => p.on_snack(from, item, bits, needed))
+    }
+
+    fn next(&mut self) -> Option<(u16, u16)> {
+        either!(self, p => p.next())
+    }
+
+    fn on_overheard_data(&mut self, item: u16, index: u16) {
+        either!(self, p => p.on_overheard_data(item, index))
+    }
+
+    fn is_empty(&self) -> bool {
+        either!(self, p => p.is_empty())
+    }
+
+    fn min_pending_item(&self) -> Option<u16> {
+        either!(self, p => p.min_pending_item())
+    }
+
+    fn clear(&mut self) {
+        either!(self, p => p.clear())
+    }
+}
+
+/// An honest node of a [`Population`].
+pub type HonestNode<S> = DisseminationNode<S, TxRule<<S as SchemeFamily>::Policy>>;
+
 /// One node of a [`Population`]: honest, or an adversary.
-pub type Member<S> = MaybeAdversary<Node<S>>;
+pub type Member<S> = MaybeAdversary<HonestNode<S>>;
 
 /// Who runs in a simulation: one deployment's honest nodes (node 0 is
 /// the base station) and whatever adversaries the scenario places.
@@ -299,6 +403,7 @@ pub struct Population<S: SchemeFamily> {
     deployment: Deployment<S>,
     profile: AttackerProfile,
     plan: Option<AttackPlan>,
+    union_tx: bool,
 }
 
 /// Reconstructs the population of family `S` that `tags` describe. The
@@ -314,6 +419,7 @@ pub fn population<S: Matched>(tags: &ScenarioTags) -> Result<Population<S>, Stri
         })?;
     Ok(Population {
         plan: tags.attack_plan.clone(),
+        union_tx: profile(&tags.profile)?.union_tx,
         ..Population::honest(deployment)
     })
 }
@@ -325,6 +431,7 @@ impl<S: SchemeFamily> Population<S> {
             profile: deployment.attacker_profile(true),
             deployment,
             plan: None,
+            union_tx: false,
         }
     }
 
@@ -336,10 +443,15 @@ impl<S: SchemeFamily> Population<S> {
     /// The node at `id`: a plan entry's attacker, else an honest node
     /// sharing `digests`.
     pub fn node(&self, id: NodeId, digests: &PacketDigestCache) -> Member<S> {
-        match self.plan.as_ref().and_then(|pl| pl.entry_for(id)) {
-            Some(entry) => MaybeAdversary::Attacker(Attacker::new(*entry, self.profile.clone())),
-            None => MaybeAdversary::Honest(self.deployment.node_cached(id, NodeId(0), digests)),
+        if let Some(entry) = self.plan.as_ref().and_then(|pl| pl.entry_for(id)) {
+            return MaybeAdversary::Attacker(Attacker::new(*entry, self.profile.clone()));
         }
+        let policy = match self.union_tx {
+            true => TxRule::Union(UnionPolicy::new()),
+            false => TxRule::Own(S::Policy::default()),
+        };
+        let deployment = &self.deployment;
+        MaybeAdversary::Honest(deployment.node_with_policy(id, NodeId(0), digests, policy))
     }
 
     /// The per-delivery invariant check for this population: every
@@ -370,16 +482,16 @@ pub struct NodeRow {
 /// [`simulate`], with the per-delivery invariant checker and the digest
 /// memo armed, the trace digested as it streams by.
 pub fn replay_capsule(capsule: &Capsule) -> Result<ReplayRun, String> {
-    replay_observed(capsule, Vec::new()).map(|(run, _)| run)
+    replay_observed(capsule, Vec::new()).map(|(run, _, _)| run)
 }
 
 /// [`replay_capsule`] with every trace event also teed into `sinks`,
 /// handing back each node's [`NodeRow`] too, in id order (`None` for an
-/// attacker).
+/// attacker), and the paper's metrics the capsule's campaign job logs.
 pub fn replay_observed(
     capsule: &Capsule,
     mut sinks: Vec<Box<dyn TraceSink>>,
-) -> Result<(ReplayRun, Vec<Option<NodeRow>>), String> {
+) -> Result<(ReplayRun, Vec<Option<NodeRow>>, ExperimentMetrics), String> {
     let tags = ScenarioTags::decode(capsule)?;
     let trace = TraceDigest::default();
     sinks.insert(0, Box::new(trace.clone()));
@@ -392,9 +504,10 @@ pub fn replay_observed(
                 Some(NodeRow { level, stats })
             })
             .collect();
+        let paper = done.metrics();
         let metrics = done.sim.metrics().clone();
         let digest = RunDigest::compute(&done.report, &metrics, &trace);
-        (ReplayRun { report: done.report, metrics, digest }, nodes)
+        (ReplayRun { report: done.report, metrics, digest }, nodes, paper)
     })
 }
 
@@ -504,6 +617,18 @@ mod tests {
             ..tagged(&[])
         };
         assert_eq!(ScenarioTags::decode(&capsule).unwrap(), tags);
+        // A knobbed profile travels in the one `profile` tag.
+        let knobbed = ScenarioTags::new("lr-seluge", "paper:n=40,code=lt,tx=union", 4096, "k");
+        let capsule = Capsule {
+            scenario: knobbed.pairs(),
+            ..tagged(&[])
+        };
+        let decoded = ScenarioTags::decode(&capsule).unwrap();
+        assert_eq!(decoded, knobbed);
+        let profile = profile(&decoded.profile).unwrap();
+        let params = profile.params(4096);
+        assert_eq!((params.n, params.code_kind), (40, CodeKind::Lt));
+        assert!(profile.union_tx);
         // Every tag but the plan is required.
         for key in [TAG_SCHEME, TAG_PROFILE, TAG_IMAGE_LEN, TAG_KEY_CONTEXT] {
             let partial = Capsule {

@@ -1,8 +1,8 @@
 //! Work-stealing parallel fan-out for Monte-Carlo experiments.
 //!
-//! Every figure and table is an average over many independent
-//! (sweep-point × seed) simulations, and a campaign is a fleet of
-//! independent jobs. Each simulation builds its own
+//! A campaign is a fleet of independent jobs, and every figure and
+//! table is a set of such campaigns, one per point. Each simulation
+//! builds its own
 //! [`Simulator`](lrs_netsim::sim::Simulator) with its own seeded RNG
 //! streams, so runs are embarrassingly parallel and — crucially —
 //! per-seed results are bit-identical regardless of how many worker
@@ -97,30 +97,6 @@ where
         .collect()
 }
 
-/// Fans the full (sweep-point × seed) product out over the harness
-/// threads and regroups the results per point (inner `Vec` indexed by
-/// seed − 1; seeds are `1..=seeds` as everywhere in the bench).
-///
-/// This is the shape every sweep wants: with `points × seeds` jobs
-/// in one pool, the tail of a slow point overlaps the start of the next
-/// instead of serializing on per-point barriers.
-pub fn sample_grid<P, O, F>(points: &[P], seeds: u64, threads: usize, f: F) -> Vec<Vec<O>>
-where
-    P: Sync,
-    O: Send,
-    F: Fn(&P, u64) -> O + Sync,
-{
-    let jobs: Vec<(usize, u64)> = (0..points.len())
-        .flat_map(|p| (1..=seeds).map(move |s| (p, s)))
-        .collect();
-    let flat = parallel_map(&jobs, threads, |&(p, s)| f(&points[p], s));
-    let mut grouped: Vec<Vec<O>> = (0..points.len()).map(|_| Vec::new()).collect();
-    for ((p, _), out) in jobs.into_iter().zip(flat) {
-        grouped[p].push(out);
-    }
-    grouped
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,10 +136,14 @@ mod tests {
         assert!(parallel_map(&items, 4, |&x| x).is_empty());
     }
 
+    /// What `sweep::run_cells` hands `parallel_map`: one item per cell,
+    /// each producing its own seeds in order.
     #[test]
     fn grid_groups_by_point_in_seed_order() {
         let points = [10u64, 20, 30];
-        let grid = sample_grid(&points, 4, 6, |&p, seed| p + seed);
+        let grid = parallel_map(&points, 6, |&p| {
+            (1..=4).map(|seed| p + seed).collect::<Vec<_>>()
+        });
         assert_eq!(grid.len(), 3);
         assert_eq!(grid[0], vec![11, 12, 13, 14]);
         assert_eq!(grid[2], vec![31, 32, 33, 34]);
@@ -172,12 +152,13 @@ mod tests {
     #[test]
     fn grid_matches_sequential_reference() {
         let points: Vec<u64> = (0..5).collect();
-        let f = |&p: &u64, s: u64| p.wrapping_mul(31).wrapping_add(s);
-        let par = sample_grid(&points, 3, 8, f);
-        let seq: Vec<Vec<u64>> = points
-            .iter()
-            .map(|p| (1..=3).map(|s| f(p, s)).collect())
-            .collect();
+        let f = |&p: &u64| {
+            (1..=3)
+                .map(|s| p.wrapping_mul(31).wrapping_add(s))
+                .collect::<Vec<_>>()
+        };
+        let par = parallel_map(&points, 8, f);
+        let seq: Vec<Vec<u64>> = points.iter().map(f).collect();
         assert_eq!(par, seq);
     }
 

@@ -23,18 +23,22 @@
 //! | `campdiff` | regression gate| Statistical diff of two campaign reports (see `diff`) |
 //!
 //! Run any of them with `cargo run -p lrs-bench --release --bin <name>`.
-//! The `paper` experiments share one driver, [`sweep`]: each prints the
-//! paper-style series and writes `results/<name>.{csv,json}` through
-//! its one [`Report`].
+//! There is one way to run many seeds, the campaign engine
+//! ([`Campaign`]): every `paper` figure and table point is a one-cell
+//! campaign ([`paper::cell`]) whose jobs run seeds `1..=S`, run through
+//! the one driver, [`sweep`] ([`sweep::run_cells`]), so any point's job
+//! exports as a capsule with `campaign --resume <cell dir> --export-job
+//! N` and `replay` explains it. Each experiment prints the paper-style
+//! series and writes `results/<name>.{csv,json}` through its one
+//! [`Report`].
 //!
 //! Every harness is written once over `S: SchemeFamily`
-//! (`lrs_deluge::deployment`): [`runner::run`]`::<S>` is the single
-//! measured run behind `run_lr` / `run_seluge` / `run_deluge`,
-//! [`runner::simulate`] the single build-and-run core under the
-//! `overhead` experiment, the campaign engine and `replay`,
-//! [`capsules::population`] the single node factory plus invariant
-//! checker, and [`with_scheme!`] the one place a scheme name picks the
-//! type.
+//! (`lrs_deluge::deployment`): [`runner::simulate`] is the single
+//! build-and-run core under the campaign engine, `replay` and the
+//! `overhead` experiment, [`capsules::population`] the single node
+//! factory plus invariant checker, [`capsules::profile`] the one
+//! registry of parameter profiles and their knobs, and [`with_scheme!`]
+//! the one place a scheme name picks the type.
 
 pub mod campaign;
 pub mod capsules;
@@ -51,12 +55,8 @@ pub mod table;
 pub use campaign::{Campaign, CampaignReport};
 pub use cli::{Cli, CliError};
 pub use diff::{diff_reports, CellKey, DiffReport, ReportDoc, Verdict};
-pub use harness::{parallel_map, sample_grid};
 pub use json::{parse_json, stat_json, write_json, Json};
-pub use runner::{
-    aggregate, average, matched_seluge_params, run, run_deluge, run_lr, run_seluge,
-    run_with_policy, sample_seeds, ExperimentMetrics, Matched, RunSpec,
-};
+pub use runner::{matched_seluge_params, ExperimentMetrics, Matched, RunSpec};
 pub use spec::CampaignSpec;
-pub use sweep::{per_scheme, Report, Sample};
+pub use sweep::{run_cells, Report};
 pub use table::write_csv;

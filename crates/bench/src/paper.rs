@@ -1,28 +1,26 @@
 //! The paper's evaluation (§VI, plus the §V-B overhead claims and the
 //! design-choice ablations) as one table of experiments over the
-//! [`sweep`](crate::sweep) driver. The `paper` bin runs them by name;
-//! each prints its series and writes `results/<name>.{csv,json}`.
+//! [`sweep`](crate::sweep) driver. Every point of every figure and
+//! table is a one-cell campaign ([`cell`]) whose jobs run seeds
+//! `1..=S`: an experiment runs its cells under `results/paper/`
+//! (`results/paper-quick/` with `--quick`), resuming any cell already
+//! there, and renders its table, CSV and JSON from the cells' job
+//! records. The `paper` bin runs the experiments by name; each prints
+//! its series and writes `results/<name>.{csv,json}`.
 
-use crate::capsules::Population;
+use crate::campaign::{Campaign, JobRecord};
+use crate::capsules::{population, profile_params, ScenarioTags};
 use crate::cli::{Cli, CliError};
-use crate::harness::sample_grid;
-use crate::runner::{
-    aggregate, matched_seluge_params, run_lr, run_with_policy, simulate, test_image,
-    ExperimentMetrics, Matched, RunSpec,
-};
-use crate::sweep::{
-    five_metrics, mean_cell, per_scheme, run_matched, Report, Sample, FIVE_METRICS,
-};
+use crate::harness::parallel_map;
+use crate::runner::{matched_seluge_params, simulate};
+use crate::spec::CampaignSpec;
+use crate::sweep::{five_metrics, mean, mean_cell, run_cells, Report, Sample, FIVE_METRICS};
 use crate::{with_scheme, Json};
-use lr_seluge::{CodeKind, GreedyRoundRobinPolicy, LrScheme, LrSelugeParams};
+use lr_seluge::LrSelugeParams;
 use lrs_analysis::{ack_lr_expected_data_packets, seluge_expected_data_packets, AckLrModel};
-use lrs_deluge::deployment::Deployment;
-use lrs_deluge::engine::CryptoCost;
-use lrs_deluge::policy::UnionPolicy;
-use lrs_host::time::Duration;
-use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::noise::{BurstyNoise, NoiseModel};
-use lrs_netsim::topology::Topology;
+use lrs_deluge::engine::{CryptoCost, Scheme as _};
+use lrs_netsim::capsule::Capsule;
+use std::path::PathBuf;
 
 /// One experiment: `(quick, threads)`.
 pub type Experiment = fn(bool, usize);
@@ -64,11 +62,59 @@ pub fn select(cli: &Cli) -> Result<Vec<Experiment>, CliError> {
 /// LR-Seluge first, the order of every LR-Seluge vs Seluge table.
 const LR_FIRST: [&str; 2] = ["lr-seluge", "seluge"];
 
-/// The paper's defaults (20 KB image), or a 4 KB image when `quick`.
-fn image_params(quick: bool) -> LrSelugeParams {
-    LrSelugeParams {
-        image_len: if quick { 4 * 1024 } else { 20 * 1024 },
-        ..LrSelugeParams::default()
+/// A one-hop job's time limit, also its stall window (virtual seconds).
+const ONE_HOP_DEADLINE_S: u64 = 100_000;
+
+/// A 15×15 grid job's time limit and stall window.
+const GRID_DEADLINE_S: u64 = 400_000;
+
+/// The one-cell campaign of a paper point: `scheme` on `topology` at
+/// application-layer loss `p`, under the `paper` profile with an
+/// `image_bytes` image, its jobs running seeds `1..=seeds` with the
+/// one-hop time limit as their stall window.
+pub fn cell(
+    name: String,
+    scheme: &str,
+    topology: String,
+    p: f64,
+    image_bytes: usize,
+    seeds: u64,
+) -> CampaignSpec {
+    CampaignSpec {
+        name,
+        schemes: vec![scheme.to_string()],
+        topologies: vec![topology],
+        loss_ppm: vec![(p * 1e6).round() as u32],
+        faults: vec!["none".into()],
+        attackers: vec!["none".into()],
+        seeds,
+        seed_base: 1,
+        image_bytes,
+        profile: "paper".into(),
+        noise: "none".into(),
+        deadline_s: ONE_HOP_DEADLINE_S,
+        stall_s: ONE_HOP_DEADLINE_S,
+        fault_horizon_s: ONE_HOP_DEADLINE_S,
+    }
+}
+
+/// The topology token of a one-hop star of `receivers` around the base.
+fn star(receivers: usize) -> String {
+    format!("star:{}", receivers + 1)
+}
+
+/// Runs an experiment's cells in the quick or the full cell directory.
+fn run(cells: &[CampaignSpec], quick: bool, threads: usize) -> Vec<Vec<JobRecord>> {
+    let root = PathBuf::from("results").join(if quick { "paper-quick" } else { "paper" });
+    run_cells(cells, &root, threads)
+}
+
+/// The paper's 20 KB image, or a 4 KB one when `quick`.
+fn image_bytes(quick: bool) -> usize {
+    if quick {
+        4 * 1024
+    } else {
+        20 * 1024
     }
 }
 
@@ -94,33 +140,28 @@ fn fig3(quick: bool, threads: usize) {
         trials: if quick { 3_000 } else { 20_000 },
         seed: 99,
     };
-    // One page exactly: k = 32, n = 48 encoded packets, 72 B payloads;
-    // Seluge's one page is 32 x 64 B slices.
-    let mut lr = LrSelugeParams::default();
-    lr.image_len = lr.page_capacity();
-    let seluge_page = LrSelugeParams {
-        image_len: matched_seluge_params(&lr).page_capacity(),
-        ..lr
-    };
+    // One page exactly: k = 32, n = 48 encoded packets, 72 B payloads
+    // (1 920 image bytes); Seluge's one page is 32 x 64 B slices.
+    let lr = LrSelugeParams::default();
     let (k, n) = (lr.k as usize, lr.n as usize);
-    let schemes = ["seluge", "lr-seluge"];
+    let one_page = [
+        ("seluge", matched_seluge_params(&lr).page_capacity()),
+        ("lr-seluge", lr.page_capacity()),
+    ];
+    let schemes = one_page.map(|(scheme, _)| scheme);
 
     // `points` are `(N, p)`; `vs_p` says which of the two is the axis.
     let half = |name: &str, vs_p: bool, points: &[(usize, f64)]| {
-        let grid = per_scheme(
-            points,
-            &schemes,
-            seeds,
-            threads,
-            |&(n_rx, p), scheme, seed| {
-                let one_page = if scheme == "seluge" {
-                    &seluge_page
-                } else {
-                    &lr
-                };
-                run_matched(scheme, &RunSpec::one_hop(n_rx, p), one_page, seed)
-            },
-        );
+        let cells: Vec<CampaignSpec> = points
+            .iter()
+            .flat_map(|&(n_rx, p)| {
+                one_page.map(|(scheme, bytes)| {
+                    let name = format!("{name}-n{n_rx}-p{p}-{scheme}");
+                    cell(name, scheme, star(n_rx), p, bytes, seeds)
+                })
+            })
+            .collect();
+        let grid = run(&cells, quick, threads);
         let axis = if vs_p { "p" } else { "N" };
         let columns = vec![
             axis,
@@ -130,7 +171,7 @@ fn fig3(quick: bool, threads: usize) {
             "lr_sim",
         ];
         let mut report = Report::new(name, columns, seeds, threads);
-        for (&(n_rx, p), by_scheme) in points.iter().zip(&grid) {
+        for (&(n_rx, p), by_scheme) in points.iter().zip(grid.chunks(2)) {
             let (param, cell) = if vs_p {
                 (Json::num(p), format!("{p:.2}"))
             } else {
@@ -141,8 +182,8 @@ fn fig3(quick: bool, threads: usize) {
                 cell,
                 format!("{:.1}", seluge_expected_data_packets(k, n_rx, p)),
                 format!("{:.1}", ack_lr_expected_data_packets(k, n, p, n_rx, mc)),
-                format!("{:.1}", aggregate(&by_scheme[0]).page_data_pkts),
-                format!("{:.1}", aggregate(&by_scheme[1]).page_data_pkts),
+                mean_cell(&by_scheme[0], "page_data_pkts", 1),
+                mean_cell(&by_scheme[1], "page_data_pkts", 1),
             ]);
         }
         println!("{}", report.table().render());
@@ -163,6 +204,26 @@ fn fig3(quick: bool, threads: usize) {
     );
 }
 
+/// The LR-Seluge and Seluge cells of every point, in point order, each
+/// `(name, topology, p, image_bytes)`.
+fn lr_first(points: &[(String, String, f64, usize)], seeds: u64) -> Vec<CampaignSpec> {
+    points
+        .iter()
+        .flat_map(|(name, topology, p, bytes)| {
+            LR_FIRST.map(|scheme| {
+                cell(
+                    format!("{name}-{scheme}"),
+                    scheme,
+                    topology.clone(),
+                    *p,
+                    *bytes,
+                    seeds,
+                )
+            })
+        })
+        .collect()
+}
+
 /// Figure 4: impact of the packet-loss rate `p` (one-hop, N = 20,
 /// 20 KB image) on the five metrics: (a) data packets, (b) SNACK
 /// packets, (c) advertisement packets, (d) total bytes, (e) latency,
@@ -174,28 +235,28 @@ fn fig3(quick: bool, threads: usize) {
 /// savings at `p = 0.4`.
 fn fig4(quick: bool, threads: usize) {
     let seeds = if quick { 1 } else { 3 };
-    let lr = image_params(quick);
+    let bytes = image_bytes(quick);
     let n_rx = 20;
     let ps = [0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5];
     println!(
         "Fig 4: one-hop, N = {n_rx}, image {} KB, sweep p (seeds = {seeds}, threads = {threads})\n",
-        lr.image_len / 1024
+        bytes / 1024
     );
-    let grid = per_scheme(&ps, &LR_FIRST, seeds, threads, |&p, scheme, seed| {
-        run_matched(scheme, &RunSpec::one_hop(n_rx, p), &lr, seed)
-    });
+    let points = ps.map(|p| (format!("fig4-p{p}"), star(n_rx), p, bytes));
+    let grid = run(&lr_first(&points, seeds), quick, threads);
     let columns = [&["p", "scheme"], FIVE_METRICS].concat();
     let mut report = Report::new("fig4", columns, seeds, threads);
-    for (&p, by_scheme) in ps.iter().zip(&grid) {
+    for (&p, by_scheme) in ps.iter().zip(grid.chunks(2)) {
         report.push_schemes(&[("p", Json::num(p))], &LR_FIRST, by_scheme);
-        let means = [aggregate(&by_scheme[0]), aggregate(&by_scheme[1])];
-        for (scheme, m) in LR_FIRST.iter().zip(&means) {
-            report.row([vec![format!("{p:.2}"), scheme.to_string()], five_metrics(m)].concat());
+        for (scheme, samples) in LR_FIRST.iter().zip(by_scheme) {
+            let lead = vec![format!("{p:.2}"), scheme.to_string()];
+            report.row([lead, five_metrics(samples)].concat());
         }
+        let saved = |metric| saving(mean(&by_scheme[0], metric), mean(&by_scheme[1], metric));
         println!(
             "p = {p:<4}: LR saves {:5.1} % bytes, {:5.1} % latency",
-            saving(means[0].total_bytes, means[1].total_bytes),
-            saving(means[0].latency_s, means[1].latency_s)
+            saved("total_bytes"),
+            saved("latency_s")
         );
     }
     println!("\n{}", report.table().render());
@@ -212,27 +273,29 @@ fn fig4(quick: bool, threads: usize) {
 /// node decodes the page and requests the next one).
 fn fig5(quick: bool, threads: usize) {
     let seeds = if quick { 1 } else { 3 };
-    let lr = image_params(quick);
+    let bytes = image_bytes(quick);
     let p = 0.1;
     println!(
         "Fig 5: one-hop, p = {p}, image {} KB, sweep N (seeds = {seeds}, threads = {threads})\n",
-        lr.image_len / 1024
+        bytes / 1024
     );
     let ns: &[usize] = if quick {
         &[5, 20, 40]
     } else {
         &[5, 10, 15, 20, 25, 30, 35, 40]
     };
-    let grid = per_scheme(ns, &LR_FIRST, seeds, threads, |&n_rx, scheme, seed| {
-        run_matched(scheme, &RunSpec::one_hop(n_rx, p), &lr, seed)
-    });
+    let points: Vec<_> = ns
+        .iter()
+        .map(|&n_rx| (format!("fig5-n{n_rx}"), star(n_rx), p, bytes))
+        .collect();
+    let grid = run(&lr_first(&points, seeds), quick, threads);
     let columns = [&["N", "scheme"], FIVE_METRICS].concat();
     let mut report = Report::new("fig5", columns, seeds, threads);
-    for (&n_rx, by_scheme) in ns.iter().zip(&grid) {
+    for (&n_rx, by_scheme) in ns.iter().zip(grid.chunks(2)) {
         report.push_schemes(&[("N", Json::num(n_rx as u32))], &LR_FIRST, by_scheme);
         for (scheme, samples) in LR_FIRST.iter().zip(by_scheme) {
-            let cells = five_metrics(&aggregate(samples));
-            report.row([vec![format!("{n_rx}"), scheme.to_string()], cells].concat());
+            let lead = vec![format!("{n_rx}"), scheme.to_string()];
+            report.row([lead, five_metrics(samples)].concat());
         }
     }
     println!("{}", report.table().render());
@@ -248,12 +311,12 @@ fn fig5(quick: bool, threads: usize) {
 /// `n·8` eats into each page's image capacity, adding pages.
 fn fig6(quick: bool, threads: usize) {
     let seeds = if quick { 1 } else { 3 };
-    let base = image_params(quick);
+    let (bytes, k) = (image_bytes(quick), LrSelugeParams::default().k);
     let n_rx = 20;
     println!(
         "Fig 6: one-hop, N = {n_rx}, k = {}, image {} KB, sweep n (seeds = {seeds}, threads = {threads})\n",
-        base.k,
-        base.image_len / 1024
+        k,
+        bytes / 1024
     );
     let loss_rates: &[f64] = if quick {
         &[0.1, 0.3]
@@ -265,17 +328,29 @@ fn fig6(quick: bool, threads: usize) {
     } else {
         &[32, 36, 40, 44, 48, 56, 64]
     };
-    let points: Vec<(f64, LrSelugeParams)> = loss_rates
+    let cells: Vec<CampaignSpec> = loss_rates
         .iter()
-        .flat_map(|&p| ns.iter().map(move |&n| (p, LrSelugeParams { n, ..base })))
+        .flat_map(|&p| {
+            ns.iter().map(move |&n| CampaignSpec {
+                profile: format!("paper:n={n}"),
+                ..cell(
+                    format!("fig6-p{p}-n{n}"),
+                    "lr-seluge",
+                    star(n_rx),
+                    p,
+                    bytes,
+                    seeds,
+                )
+            })
+        })
         .collect();
-    let grid = sample_grid(&points, seeds, threads, |&(p, params), seed| {
-        run_lr(&RunSpec::one_hop(n_rx, p), params, seed)
-    });
+    let grid = run(&cells, quick, threads);
     let columns = [&["p", "n", "rate", "pages"], FIVE_METRICS].concat();
     let mut report = Report::new("fig6", columns, seeds, threads);
-    for (&(p, params), samples) in points.iter().zip(&grid) {
-        let rate = params.n as f64 / base.k as f64;
+    for (spec, samples) in cells.iter().zip(&grid) {
+        let p = spec.loss_ppm[0] as f64 / 1e6;
+        let params = profile_params(&spec.profile, spec.image_bytes).expect("valid profile");
+        let rate = params.n as f64 / k as f64;
         report.push(
             &[
                 ("p", Json::num(p)),
@@ -290,7 +365,7 @@ fn fig6(quick: bool, threads: usize) {
             format!("{rate:.2}"),
             format!("{}", params.pages()),
         ];
-        report.row([lead, five_metrics(&aggregate(samples))].concat());
+        report.row([lead, five_metrics(samples)].concat());
     }
     println!("{}", report.table().render());
     report.write();
@@ -311,13 +386,11 @@ fn imgsize(quick: bool, threads: usize) {
     println!(
         "Image-size sweep: one-hop, N = {n_rx}, p = {p} (seeds = {seeds}, threads = {threads})\n"
     );
-    let grid = per_scheme(sizes, &LR_FIRST, seeds, threads, |&size, scheme, seed| {
-        let lr = LrSelugeParams {
-            image_len: size,
-            ..LrSelugeParams::default()
-        };
-        run_matched(scheme, &RunSpec::one_hop(n_rx, p), &lr, seed)
-    });
+    let points: Vec<_> = sizes
+        .iter()
+        .map(|&size| (format!("imgsize-{size}"), star(n_rx), p, size))
+        .collect();
+    let grid = run(&lr_first(&points, seeds), quick, threads);
     let columns = vec![
         "image_kb",
         "scheme",
@@ -327,21 +400,24 @@ fn imgsize(quick: bool, threads: usize) {
         "byte_saving_pct",
     ];
     let mut report = Report::new("imgsize", columns, seeds, threads);
-    for (&size, by_scheme) in sizes.iter().zip(&grid) {
+    for (&size, by_scheme) in sizes.iter().zip(grid.chunks(2)) {
         let kb = ("image_kb", Json::num((size / 1024) as u32));
         report.push_schemes(&[kb], &LR_FIRST, by_scheme);
-        let means = [aggregate(&by_scheme[0]), aggregate(&by_scheme[1])];
+        let bytes = by_scheme
+            .iter()
+            .map(|s| mean(s, "total_bytes"))
+            .collect::<Vec<_>>();
         let savings = [
-            format!("{:.1}", saving(means[0].total_bytes, means[1].total_bytes)),
+            format!("{:.1}", saving(bytes[0], bytes[1])),
             "-".to_string(),
         ];
-        for ((scheme, m), saved) in LR_FIRST.iter().zip(&means).zip(savings) {
+        for ((scheme, samples), saved) in LR_FIRST.iter().zip(by_scheme).zip(savings) {
             report.row(vec![
                 format!("{}", size / 1024),
                 scheme.to_string(),
-                format!("{:.0}", m.data_pkts),
-                format!("{:.1}", m.total_bytes / 1024.0),
-                format!("{:.1}", m.latency_s),
+                mean_cell(samples, "data_pkts", 0),
+                format!("{:.1}", mean(samples, "total_bytes") / 1024.0),
+                mean_cell(samples, "latency_s", 1),
                 saved,
             ]);
         }
@@ -354,30 +430,50 @@ fn imgsize(quick: bool, threads: usize) {
 ///
 /// 1. **Scheduler**: LR-Seluge with the greedy round-robin tracking
 ///    table (§IV-D-3) vs the same protocol with the Deluge/Seluge
-///    union-of-bit-vectors rule. Isolates how much of LR-Seluge's win
-///    comes from the scheduler rather than from erasure coding alone.
+///    union-of-bit-vectors rule (profile knob `tx=union`). Isolates how
+///    much of LR-Seluge's win comes from the scheduler rather than from
+///    erasure coding alone.
 /// 2. **Erasure code**: Reed-Solomon (`k' = k`) vs the XOR code
-///    (`k' = k + ε`): the reception-overhead cost of XOR-only decoding.
+///    (`k' = k + ε`) and the LT code (profile knob `code=rs|xor|lt`):
+///    the reception-overhead cost of XOR-only decoding.
+///
+/// Every ablation job must complete.
 fn ablation(quick: bool, threads: usize) {
     let seeds = 3;
-    let params = image_params(quick);
+    let image_bytes = image_bytes(quick);
     let n_rx = 20;
-    let policy_run = |p: f64, params: LrSelugeParams, greedy: bool, seed: u64| {
-        let spec = RunSpec::one_hop(n_rx, p);
-        let m = if greedy {
-            run_with_policy::<LrScheme, _>(&spec, params, seed, GreedyRoundRobinPolicy::new)
-        } else {
-            run_with_policy::<LrScheme, _>(&spec, params, seed, UnionPolicy::new)
-        };
-        assert_eq!(m.completed, 1.0, "run stalled");
-        m
+    let loss_rates = [0.1, 0.3];
+    // `(label, profile)` per variant, run at every loss rate.
+    let run_variants = |table: &str, variants: &[(&str, &str)]| {
+        let cells: Vec<CampaignSpec> = loss_rates
+            .iter()
+            .flat_map(|&p| {
+                variants.iter().map(move |&(label, profile)| CampaignSpec {
+                    profile: profile.to_string(),
+                    ..cell(
+                        format!("{table}-p{p}-{label}"),
+                        "lr-seluge",
+                        star(n_rx),
+                        p,
+                        image_bytes,
+                        seeds,
+                    )
+                })
+            })
+            .collect();
+        let grid = run(&cells, quick, threads);
+        for (spec, records) in cells.iter().zip(&grid) {
+            let complete = records.iter().all(|r| r.outcome == "complete");
+            assert!(complete, "{}: run stalled", spec.name);
+        }
+        (cells, grid)
     };
     // The three columns both ablation tables end in.
-    let cells = |m: &ExperimentMetrics| {
+    let tail_cells = |samples: &[JobRecord]| {
         vec![
-            format!("{:.0}", m.page_data_pkts),
-            format!("{:.1}", m.total_bytes / 1024.0),
-            format!("{:.1}", m.latency_s),
+            mean_cell(samples, "page_data_pkts", 0),
+            format!("{:.1}", mean(samples, "total_bytes") / 1024.0),
+            mean_cell(samples, "latency_s", 1),
         ]
     };
     let tail: &[&str] = &["data_pkts", "total_kbytes", "latency_s"];
@@ -385,54 +481,45 @@ fn ablation(quick: bool, threads: usize) {
     println!(
         "Ablation 1: greedy round-robin scheduler vs union rule (N = {n_rx}, threads = {threads})\n"
     );
-    let policies = ["greedy", "union"];
-    let loss_rates = [0.1, 0.3];
-    let grid = per_scheme(
-        &loss_rates,
-        &policies,
-        seeds,
-        threads,
-        |&p, policy, seed| policy_run(p, params, policy == "greedy", seed),
-    );
+    let policies = [("greedy", "paper"), ("union", "paper:tx=union")];
+    let (_, grid) = run_variants("ablation_scheduler", &policies);
     let columns = [&["p", "policy"], tail].concat();
     let mut report = Report::new("ablation_scheduler", columns, seeds, threads);
-    for (&p, by_policy) in loss_rates.iter().zip(&grid) {
-        let means = [aggregate(&by_policy[0]), aggregate(&by_policy[1])];
-        for ((policy, samples), m) in policies.iter().zip(by_policy).zip(&means) {
+    for (&p, by_policy) in loss_rates.iter().zip(grid.chunks(2)) {
+        for (&(policy, _), samples) in policies.iter().zip(by_policy) {
             report.push(
-                &[("p", Json::num(p)), ("policy", Json::str(*policy))],
+                &[("p", Json::num(p)), ("policy", Json::str(policy))],
                 samples,
             );
-            report.row([vec![format!("{p}"), policy.to_string()], cells(m)].concat());
+            report.row(
+                [
+                    vec![format!("{p}"), policy.to_string()],
+                    tail_cells(samples),
+                ]
+                .concat(),
+            );
         }
+        let sent = |samples| mean(samples, "page_data_pkts");
         println!(
             "p = {p}: scheduler saves {:.1} % data packets",
-            saving(means[0].page_data_pkts, means[1].page_data_pkts)
+            saving(sent(&by_policy[0]), sent(&by_policy[1]))
         );
     }
     println!("\n{}", report.table().render());
     report.write();
 
     println!("\nAblation 2: Reed-Solomon (k' = k) vs sparse XOR (k' = k + 4)\n");
-    let kinds = [CodeKind::ReedSolomon, CodeKind::SparseXor, CodeKind::Lt];
-    let points: Vec<(f64, LrSelugeParams)> = loss_rates
-        .iter()
-        .flat_map(|&p| {
-            kinds.iter().map(move |&code_kind| {
-                let coded = LrSelugeParams {
-                    code_kind,
-                    ..params
-                };
-                (p, coded)
-            })
-        })
-        .collect();
-    let grid = sample_grid(&points, seeds, threads, |&(p, coded), seed| {
-        policy_run(p, coded, true, seed)
-    });
+    let codes = [
+        ("rs", "paper:code=rs"),
+        ("xor", "paper:code=xor"),
+        ("lt", "paper:code=lt"),
+    ];
+    let (cells, grid) = run_variants("ablation_code", &codes);
     let columns = [&["p", "code", "k_prime"], tail].concat();
     let mut report = Report::new("ablation_code", columns, seeds, threads);
-    for (&(p, coded), samples) in points.iter().zip(&grid) {
+    for (spec, samples) in cells.iter().zip(&grid) {
+        let p = spec.loss_ppm[0] as f64 / 1e6;
+        let coded = profile_params(&spec.profile, image_bytes).expect("valid profile");
         let (code, k_prime) = (format!("{:?}", coded.code_kind), coded.k_prime());
         report.push(
             &[
@@ -443,7 +530,7 @@ fn ablation(quick: bool, threads: usize) {
             samples,
         );
         let lead = vec![format!("{p}"), code, format!("{k_prime}")];
-        report.row([lead, cells(&aggregate(samples))].concat());
+        report.row([lead, tail_cells(samples)].concat());
     }
     println!("{}", report.table().render());
     report.write();
@@ -472,36 +559,28 @@ impl Sample for CryptoCost {
     }
 }
 
-/// Disseminates `image` with scheme family `S` (parameters matched to
-/// `lr`) under `spec` and returns the mean per-receiver cost.
-fn mean_receiver_cost<S: Matched>(
-    image: &[u8],
-    lr: &LrSelugeParams,
-    spec: &RunSpec,
-    seed: u64,
-) -> CryptoCost {
-    let deployment = Deployment::<S>::new(image, S::matched(lr), b"overhead");
-    let pop = Population::honest(deployment);
-    let done = simulate(&pop, &spec.capsule(seed), false, Vec::new());
-    assert!(done.report.all_complete);
-    let mut acc = CryptoCost::default();
-    for (_, node) in done.honest().skip(1) {
-        let c = node.scheme().cost();
-        acc.hashes += c.hashes;
-        acc.signature_verifications += c.signature_verifications;
-        acc.puzzle_checks += c.puzzle_checks;
-        acc.decodes += c.decodes;
-        acc.encodes += c.encodes;
-    }
-    let d = (spec.topology.len() - 1) as u64;
-    CryptoCost {
-        hashes: acc.hashes / d,
-        signature_verifications: acc.signature_verifications / d,
-        puzzle_checks: acc.puzzle_checks / d,
-        decodes: acc.decodes / d,
-        encodes: acc.encodes / d,
-        ..CryptoCost::default()
-    }
+/// Runs a campaign job's `capsule` the way the job runs and returns the
+/// mean per-receiver cost.
+fn mean_receiver_cost(capsule: &Capsule) -> CryptoCost {
+    let tags = ScenarioTags::decode(capsule).expect("a job capsule carries its tags");
+    with_scheme!(tags.scheme.as_str(), S => {
+        let pop = population::<S>(&tags).expect("paper profiles build");
+        let done = simulate(&pop, capsule, true, Vec::new());
+        assert!(done.report.all_complete);
+        let receivers: Vec<CryptoCost> = done.honest().skip(1).map(|(_, n)| n.scheme().cost()).collect();
+        let mean = |count: fn(&CryptoCost) -> u64| {
+            receivers.iter().map(count).sum::<u64>() / receivers.len() as u64
+        };
+        CryptoCost {
+            hashes: mean(|c| c.hashes),
+            signature_verifications: mean(|c| c.signature_verifications),
+            puzzle_checks: mean(|c| c.puzzle_checks),
+            decodes: mean(|c| c.decodes),
+            encodes: mean(|c| c.encodes),
+            ..CryptoCost::default()
+        }
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Computation overhead (§V-B): cryptographic and coding work per
@@ -514,20 +593,25 @@ fn mean_receiver_cost<S: Matched>(
 /// the price of loss resilience, affordable because the codes are
 /// GF(256) table arithmetic (see `cargo bench -p lrs-bench` for the
 /// per-operation costs).
+///
+/// The cells are built like every other experiment's, but their
+/// observable is per-node state, not a job record: each job's capsule
+/// runs here and no campaign directory is written.
 fn overhead(quick: bool, threads: usize) {
     let seeds = if quick { 1 } else { 3 };
-    let lr = image_params(quick);
-    let p_loss = 0.2;
-    let n_rx = 10;
-    let image = test_image(lr.image_len);
-    let spec = RunSpec::one_hop(n_rx, p_loss);
-    let costs = sample_grid(&LR_FIRST, seeds, threads, |&scheme, seed| {
-        with_scheme!(scheme, S => mean_receiver_cost::<S>(&image, &lr, &spec, seed))
-            .unwrap_or_else(|e| panic!("{e}"))
+    let image_bytes = image_bytes(quick);
+    let (p_loss, n_rx) = (0.2, 10);
+    let points = [("overhead".into(), star(n_rx), p_loss, image_bytes)];
+    let cells = lr_first(&points, seeds);
+    let costs = parallel_map(&cells, threads, |spec| {
+        let campaign = Campaign::offline(spec.clone(), PathBuf::new());
+        (0..campaign.total_jobs())
+            .map(|job| mean_receiver_cost(&campaign.job_capsule(job).expect("valid cell")))
+            .collect::<Vec<_>>()
     });
     println!(
         "Computation overhead per receiver: one-hop, N = {n_rx}, p = {p_loss}, image {} KB (seeds = {seeds}, threads = {threads})\n",
-        lr.image_len / 1024
+        image_bytes / 1024
     );
     let columns = [&["scheme"], CryptoCost::NAMES].concat();
     let mut report = Report::new("overhead", columns, seeds, threads);
@@ -547,64 +631,56 @@ fn overhead(quick: bool, threads: usize) {
     report.write();
 }
 
-/// The 15×15 grid at `spacing` under heavy bursty noise.
-fn grid_spec(spacing: f64, seed: u64) -> RunSpec {
-    RunSpec {
-        topology: Topology::grid(15, spacing, seed),
-        medium: MediumConfig {
-            app_loss: 0.0,
-            noise: NoiseModel::Bursty(BurstyNoise::heavy()),
-            ..MediumConfig::default()
-        },
-        deadline: Duration::from_secs(400_000),
-    }
-}
-
 /// Tables II and III: multi-hop 15×15 grid networks.
 ///
-/// Table II uses the high-density ("tight") grid, Table III the
-/// low-density ("medium") grid (our regenerated equivalents of the
-/// TinyOS `15-15-{tight,medium}-mica2-grid.txt` topologies) under
+/// Table II uses the high-density ("tight", 8 m) grid, Table III the
+/// low-density ("medium", 15 m) grid (our regenerated equivalents of
+/// the TinyOS `15-15-{tight,medium}-mica2-grid.txt` topologies) under
 /// heavy bursty noise standing in for the `meyer-heavy` trace. Expected
 /// shape: LR-Seluge beats Seluge on every metric by a significant
 /// margin, as in the one-hop case.
 fn table2_3(quick: bool, threads: usize) {
     let seeds = 1;
-    let lr = image_params(quick);
+    let bytes = image_bytes(quick);
     let cases = [
-        ("Table II", "high (tight grid)", 8.0),
-        ("Table III", "low (medium grid)", 15.0),
+        ("Table II", "high (tight grid)", "table2", "grid:15"),
+        ("Table III", "low (medium grid)", "table3", "grid:15:15"),
     ];
-    let grid = per_scheme(
-        &cases,
-        &LR_FIRST,
-        seeds,
-        threads,
-        |&(_, _, spacing), scheme, seed| run_matched(scheme, &grid_spec(spacing, seed), &lr, seed),
-    );
+    let points = cases.map(|(_, _, name, grid)| (name.to_string(), grid.to_string(), 0.0, bytes));
+    let cells: Vec<CampaignSpec> = lr_first(&points, seeds)
+        .into_iter()
+        .map(|spec| CampaignSpec {
+            noise: "heavy".into(),
+            deadline_s: GRID_DEADLINE_S,
+            stall_s: GRID_DEADLINE_S,
+            fault_horizon_s: GRID_DEADLINE_S,
+            ..spec
+        })
+        .collect();
+    let grid = run(&cells, quick, threads);
     let columns = [&["table", "density", "scheme", "completed"], FIVE_METRICS].concat();
     let mut report = Report::new("table2_3", columns, seeds, threads);
-    for (&(label, density, _), by_scheme) in cases.iter().zip(&grid) {
+    for (&(label, density, _, _), by_scheme) in cases.iter().zip(grid.chunks(2)) {
         println!(
             "{label}: 15x15 grid, {density}, image {} KB, bursty noise",
-            lr.image_len / 1024
+            bytes / 1024
         );
         report.push_schemes(&[("table", Json::str(label))], &LR_FIRST, by_scheme);
-        let means = [aggregate(&by_scheme[0]), aggregate(&by_scheme[1])];
-        for (scheme, m) in LR_FIRST.iter().zip(&means) {
+        for (scheme, samples) in LR_FIRST.iter().zip(by_scheme) {
             let lead = vec![
                 label.to_string(),
                 density.to_string(),
                 scheme.to_string(),
-                format!("{:.2}", m.completed),
+                mean_cell(samples, "completed", 2),
             ];
-            report.row([lead, five_metrics(m)].concat());
+            report.row([lead, five_metrics(samples)].concat());
         }
+        let saved = |metric| saving(mean(&by_scheme[0], metric), mean(&by_scheme[1], metric));
         println!(
             "  LR saves {:.1} % data pkts, {:.1} % bytes, {:.1} % latency\n",
-            saving(means[0].data_pkts, means[1].data_pkts),
-            saving(means[0].total_bytes, means[1].total_bytes),
-            saving(means[0].latency_s, means[1].latency_s),
+            saved("data_pkts"),
+            saved("total_bytes"),
+            saved("latency_s"),
         );
     }
     println!("{}", report.table().render());

@@ -1,20 +1,17 @@
-//! Shared experiment runners for all figures and tables.
+//! The one build-and-run core under the campaign engine, `replay` and
+//! the `overhead` experiment ([`simulate`]), and the paper's metrics
+//! extracted from a finished run ([`ExperimentMetrics`]).
 
-use crate::capsules::{Member, Population};
+use crate::capsules::{HonestNode, Member, Population};
 use lr_seluge::{LrScheme, LrSelugeParams};
 use lrs_deluge::bootstrap::PacketDigestCache;
-use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
-use lrs_deluge::engine::DisseminationNode;
+use lrs_deluge::deployment::{Deployment, SchemeFamily};
 use lrs_deluge::image::{DelugeScheme, ImageParams};
-use lrs_deluge::policy::TxPolicy;
 use lrs_host::node::{NodeId, PacketKind};
-use lrs_host::time::Duration;
 use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::energy::EnergyModel;
-use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::medium::MediumConfig;
-use lrs_netsim::metrics::Metrics;
-use lrs_netsim::sim::{RunReport, SimConfig, Simulator};
+use lrs_netsim::sim::{RunReport, Simulator};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::{TraceEvent, TraceSink};
 use lrs_netsim::SimBuilder;
@@ -93,82 +90,16 @@ impl ExperimentMetrics {
             ("energy_j", self.energy_j),
         ]
     }
-
-    /// Value of the metric called `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not one of [`Self::NAMES`].
-    pub fn get(&self, name: &str) -> f64 {
-        self.named()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("unknown metric {name:?}"))
-    }
-
-    /// The one metrics extractor: network counters from the engine,
-    /// per-node observables over the honest population only (with no
-    /// attacker that is every node).
-    fn extract(report: &RunReport, m: &Metrics, energy_j: f64, honest: &HonestTotals) -> Self {
-        ExperimentMetrics {
-            page_data_pkts: m.tx_packets(PacketKind::Data) as f64,
-            data_pkts: (m.tx_packets(PacketKind::Data)
-                + m.tx_packets(PacketKind::HashPage)
-                + m.tx_packets(PacketKind::Signature)) as f64,
-            snack_pkts: m.tx_packets(PacketKind::Snack) as f64,
-            adv_pkts: m.tx_packets(PacketKind::Adv) as f64,
-            total_bytes: m.total_tx_bytes() as f64,
-            latency_s: report.latency.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN),
-            completed: if report.all_complete { 1.0 } else { 0.0 },
-            sig_verifications: honest.sig,
-            auth_rejects: honest.rejects,
-            completion_frac: honest.complete / honest.nodes,
-            verify_inflation: honest.verify_ops / honest.nodes,
-            energy_j,
-        }
-    }
-
-    fn add(&mut self, other: &ExperimentMetrics) {
-        self.page_data_pkts += other.page_data_pkts;
-        self.data_pkts += other.data_pkts;
-        self.snack_pkts += other.snack_pkts;
-        self.adv_pkts += other.adv_pkts;
-        self.total_bytes += other.total_bytes;
-        self.latency_s += other.latency_s;
-        self.completed += other.completed;
-        self.sig_verifications += other.sig_verifications;
-        self.auth_rejects += other.auth_rejects;
-        self.completion_frac += other.completion_frac;
-        self.verify_inflation += other.verify_inflation;
-        self.energy_j += other.energy_j;
-    }
-
-    fn scale(&mut self, f: f64) {
-        self.page_data_pkts *= f;
-        self.data_pkts *= f;
-        self.snack_pkts *= f;
-        self.adv_pkts *= f;
-        self.total_bytes *= f;
-        self.latency_s *= f;
-        self.completed *= f;
-        self.sig_verifications *= f;
-        self.auth_rejects *= f;
-        self.completion_frac *= f;
-        self.verify_inflation *= f;
-        self.energy_j *= f;
-    }
 }
 
-/// Everything describing one simulation run.
+/// A one-hop star and its radio: the shape the `benchmark/` ledger's
+/// Monte-Carlo fleet builds its runs from.
 #[derive(Clone)]
 pub struct RunSpec {
     /// Network topology (node 0 is the base station).
     pub topology: Topology,
     /// Radio/loss configuration.
     pub medium: MediumConfig,
-    /// Virtual-time budget before declaring the run stalled.
-    pub deadline: Duration,
 }
 
 impl RunSpec {
@@ -181,24 +112,6 @@ impl RunSpec {
                 app_loss: p,
                 ..MediumConfig::default()
             },
-            deadline: Duration::from_secs(100_000),
-        }
-    }
-
-    /// The run this spec describes under `seed`: a fault-free capsule
-    /// with no scenario tags and no digest.
-    pub fn capsule(&self, seed: u64) -> Capsule {
-        Capsule {
-            seed,
-            deadline: self.deadline,
-            config: SimConfig {
-                medium: self.medium,
-                ..SimConfig::default()
-            },
-            topology: self.topology.clone(),
-            faults: FaultPlan::new(),
-            scenario: Vec::new(),
-            digest: None,
         }
     }
 }
@@ -214,51 +127,6 @@ pub fn test_image(len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Per-node observables summed over the honest population: signature
-/// verifications, authentication rejections, verification operations
-/// (hashes + puzzle checks + signature verifications) and nodes holding
-/// the origin image. Attackers are excluded: degradation is measured
-/// over honest nodes.
-#[derive(Clone, Copy, Debug, Default)]
-struct HonestTotals {
-    nodes: f64,
-    sig: f64,
-    rejects: f64,
-    verify_ops: f64,
-    complete: f64,
-}
-
-impl HonestTotals {
-    /// One honest node's contribution, against the origin `image`.
-    fn of<S: SchemeFamily, P: TxPolicy>(node: &DisseminationNode<S, P>, image: &[u8]) -> Self {
-        let cost = node.scheme().cost();
-        let st = node.stats();
-        HonestTotals {
-            nodes: 1.0,
-            sig: cost.signature_verifications as f64,
-            rejects: (st.auth_rejects + st.mac_rejects) as f64,
-            verify_ops: (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64,
-            complete: if node.scheme().image().as_deref() == Some(image) {
-                1.0
-            } else {
-                0.0
-            },
-        }
-    }
-}
-
-impl std::iter::Sum for HonestTotals {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(HonestTotals::default(), |a, b| HonestTotals {
-            nodes: a.nodes + b.nodes,
-            sig: a.sig + b.sig,
-            rejects: a.rejects + b.rejects,
-            verify_ops: a.verify_ops + b.verify_ops,
-            complete: a.complete + b.complete,
-        })
-    }
-}
-
 /// A finished run, nodes still inspectable.
 pub struct Finished<S: SchemeFamily> {
     /// The simulator after the run.
@@ -270,34 +138,47 @@ pub struct Finished<S: SchemeFamily> {
 
 impl<S: SchemeFamily> Finished<S> {
     /// The honest nodes, in id order.
-    pub fn honest(&self) -> impl Iterator<Item = (NodeId, &Node<S>)> {
+    pub fn honest(&self) -> impl Iterator<Item = (NodeId, &HonestNode<S>)> {
         (0..self.sim.topology().len() as u32)
             .map(NodeId)
             .filter_map(|id| Some((id, self.sim.node(id).honest()?)))
     }
 
-    /// End-of-run sweep: honest nodes whose invariants do not hold. The
-    /// per-delivery checker sees every accepted packet; this catches
-    /// anything corrupted after the last one.
-    pub fn violations(&self) -> usize {
-        self.honest()
-            .filter(|(_, node)| self.deployment.verify(node.scheme()).is_err())
-            .count()
-    }
-
-    /// Whole-network radio energy under the default CC1000 model (J).
-    pub fn energy_j(&self) -> f64 {
-        self.sim.energy().total_joules(&EnergyModel::default())
-    }
-
-    /// The paper's metrics for this run.
+    /// The paper's metrics for this run, the one metrics extractor:
+    /// network counters from the engine, radio energy under the default
+    /// CC1000 model, and per-node observables summed over the honest
+    /// population only (attackers are excluded: degradation is measured
+    /// over honest nodes; with no attacker that is every node).
     pub fn metrics(&self) -> ExperimentMetrics {
-        let image = self.deployment.image();
-        let honest = self
-            .honest()
-            .map(|(_, node)| HonestTotals::of(node, image))
-            .sum();
-        ExperimentMetrics::extract(&self.report, self.sim.metrics(), self.energy_j(), &honest)
+        let (mut nodes, mut sig, mut rejects, mut verify_ops, mut complete) =
+            (0.0, 0.0, 0.0, 0.0, 0.0);
+        for (_, node) in self.honest() {
+            let (cost, st) = (node.scheme().cost(), node.stats());
+            nodes += 1.0;
+            sig += cost.signature_verifications as f64;
+            rejects += (st.auth_rejects + st.mac_rejects) as f64;
+            verify_ops += (cost.hashes + cost.puzzle_checks + cost.signature_verifications) as f64;
+            if node.scheme().image().as_deref() == Some(self.deployment.image()) {
+                complete += 1.0;
+            }
+        }
+        let (m, report) = (self.sim.metrics(), &self.report);
+        let tx = |kind| m.tx_packets(kind);
+        ExperimentMetrics {
+            page_data_pkts: tx(PacketKind::Data) as f64,
+            data_pkts: (tx(PacketKind::Data) + tx(PacketKind::HashPage) + tx(PacketKind::Signature))
+                as f64,
+            snack_pkts: tx(PacketKind::Snack) as f64,
+            adv_pkts: tx(PacketKind::Adv) as f64,
+            total_bytes: m.total_tx_bytes() as f64,
+            latency_s: report.latency.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN),
+            completed: if report.all_complete { 1.0 } else { 0.0 },
+            sig_verifications: sig,
+            auth_rejects: rejects,
+            completion_frac: complete / nodes,
+            verify_inflation: verify_ops / nodes,
+            energy_j: self.sim.energy().total_joules(&EnergyModel::default()),
+        }
     }
 
     /// The failure dump: if the run ended diagnostically (stalled,
@@ -366,120 +247,6 @@ impl TraceSink for Tee {
     }
 }
 
-/// Runs scheme family `S` once under `spec` and collects the metrics:
-/// preprocess [`test_image`], build the population, run, sweep every
-/// node's invariants (a completed node holds the exact image), extract.
-pub fn run<S: SchemeFamily>(spec: &RunSpec, params: S::Params, seed: u64) -> ExperimentMetrics {
-    let image = test_image(S::image_len(&params));
-    let deployment = Deployment::<S>::new(&image, params, b"bench keys");
-    let pop = Population::honest(deployment);
-    let done = simulate(&pop, &spec.capsule(seed), false, Vec::new());
-    assert_eq!(done.violations(), 0, "{} invariants broken", S::NAME);
-    done.metrics()
-}
-
-/// [`run`] with the TX policy swapped: family `S` under `make_policy()`
-/// at every node instead of `S::Policy`, for the scheduler and code
-/// ablations. Honest nodes only, no digest memo; the same invariant
-/// sweep and the same extractor.
-pub fn run_with_policy<S: SchemeFamily, P: TxPolicy + 'static>(
-    spec: &RunSpec,
-    params: S::Params,
-    seed: u64,
-    make_policy: impl Fn() -> P,
-) -> ExperimentMetrics {
-    let image = test_image(S::image_len(&params));
-    let deployment = Deployment::<S>::new(&image, params, b"bench keys");
-    let capsule = spec.capsule(seed);
-    let nodes = (0..capsule.topology.len() as u32).map(NodeId);
-    let mut sim = SimBuilder::new(capsule.topology, seed, |id| {
-        deployment.node_with_policy(id, NodeId(0), make_policy())
-    })
-    .config(capsule.config)
-    .build();
-    let report = sim.run(capsule.deadline);
-    let honest = nodes
-        .map(|id| {
-            let node = sim.node(id);
-            assert!(deployment.verify(node.scheme()).is_ok(), "{}", S::NAME);
-            HonestTotals::of(node, deployment.image())
-        })
-        .sum();
-    let energy_j = sim.energy().total_joules(&EnergyModel::default());
-    ExperimentMetrics::extract(&report, sim.metrics(), energy_j, &honest)
-}
-
-/// Runs LR-Seluge once and collects the metrics.
-pub fn run_lr(spec: &RunSpec, params: LrSelugeParams, seed: u64) -> ExperimentMetrics {
-    run::<LrScheme>(spec, params, seed)
-}
-
-/// Runs Seluge once and collects the metrics.
-pub fn run_seluge(spec: &RunSpec, params: SelugeParams, seed: u64) -> ExperimentMetrics {
-    run::<SelugeScheme>(spec, params, seed)
-}
-
-/// Runs plain (insecure) Deluge once, the contrast case for the attack
-/// experiments.
-pub fn run_deluge(spec: &RunSpec, params: ImageParams, seed: u64) -> ExperimentMetrics {
-    run::<DelugeScheme>(spec, params, seed)
-}
-
-/// Runs `f` once per seed (`1..=seeds`) on the harness threads and
-/// returns the per-seed metrics in seed order.
-///
-/// Each seed is an independent simulation with its own RNG streams, so
-/// the result is bit-identical for any thread count — only wall-clock
-/// time changes.
-pub fn sample_seeds(
-    seeds: u64,
-    threads: usize,
-    f: impl Fn(u64) -> ExperimentMetrics + Sync,
-) -> Vec<ExperimentMetrics> {
-    let jobs: Vec<u64> = (1..=seeds).collect();
-    crate::harness::parallel_map(&jobs, threads, |&seed| f(seed))
-}
-
-/// Averages per-seed samples into one row of paper-style means.
-///
-/// Latency is averaged only over runs that completed (a stalled run has
-/// `NaN` latency); `completed` separately reports the completion rate,
-/// so nothing is hidden by the exclusion. With no completed run the
-/// latency is `NaN`.
-pub fn aggregate(samples: &[ExperimentMetrics]) -> ExperimentMetrics {
-    let mut acc = ExperimentMetrics::default();
-    let mut latency_runs = 0u64;
-    let mut latency_sum = 0.0;
-    for m in samples {
-        if m.latency_s.is_finite() {
-            latency_sum += m.latency_s;
-            latency_runs += 1;
-        }
-        acc.add(&ExperimentMetrics {
-            latency_s: 0.0,
-            ..*m
-        });
-    }
-    acc.scale(1.0 / samples.len() as f64);
-    acc.latency_s = if latency_runs > 0 {
-        latency_sum / latency_runs as f64
-    } else {
-        f64::NAN
-    };
-    acc
-}
-
-/// Averages a per-seed experiment over `seeds` runs, fanning the seeds
-/// out over the configured harness threads
-/// ([`configured_threads`](crate::harness::configured_threads)).
-pub fn average(seeds: u64, f: impl Fn(u64) -> ExperimentMetrics + Sync) -> ExperimentMetrics {
-    aggregate(&sample_seeds(
-        seeds,
-        crate::harness::configured_threads(),
-        f,
-    ))
-}
-
 /// Seluge parameters matched to an LR-Seluge configuration for a fair
 /// comparison (§VI-A): same on-air data-packet payload
 /// (`slice + hash = payload_len`), same packets per page (`k`), same
@@ -531,12 +298,49 @@ impl Matched for DelugeScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capsules::chaos_params;
+    use crate::campaign::{Campaign, JobRecord};
+    use crate::capsules::{chaos_params, population, ScenarioTags};
+    use crate::spec::CampaignSpec;
+    use crate::sweep::{mean, run_cells};
+    use crate::with_scheme;
+
+    /// The one-cell `chaos`-profile spec of `scheme` on a star of
+    /// `receivers` at `loss_ppm`, jobs running seeds from `seed`.
+    fn cell(
+        scheme: &str,
+        profile: &str,
+        receivers: usize,
+        loss_ppm: u32,
+        seed: u64,
+    ) -> CampaignSpec {
+        let toml = format!(
+            "name = \"{scheme}\"\nschemes = [\"{scheme}\"]\ntopologies = [\"star:{}\"]\n\
+             loss_ppm = [{loss_ppm}]\nseeds = 3\nseed_base = {seed}\nprofile = \"{profile}\"\n",
+            receivers + 1
+        );
+        CampaignSpec::parse(&toml).expect("cell spec")
+    }
+
+    /// Job 0 of `spec`, its own capsule run through [`simulate`].
+    fn job_metrics(spec: CampaignSpec) -> ExperimentMetrics {
+        let capsule = Campaign::offline(spec, "").job_capsule(0).expect("job 0");
+        let tags = ScenarioTags::decode(&capsule).expect("tags");
+        with_scheme!(tags.scheme.as_str(), S => {
+            let pop = population::<S>(&tags).expect("population");
+            simulate(&pop, &capsule, true, Vec::new()).metrics()
+        })
+        .expect("known scheme")
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("lrs-runner-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     #[test]
     fn lr_and_seluge_runs_complete_and_count() {
-        let spec = RunSpec::one_hop(3, 0.1);
-        let lr = run_lr(&spec, chaos_params(1024), 1);
+        let lr = job_metrics(cell("lr-seluge", "chaos", 3, 100_000, 1));
         assert_eq!(lr.completed, 1.0);
         assert!(lr.page_data_pkts > 0.0);
         assert!(lr.total_bytes > 0.0);
@@ -546,52 +350,39 @@ mod tests {
         assert!(lr.verify_inflation > 0.0);
         assert!(lr.energy_j > 0.0);
 
-        let s = run_seluge(&spec, matched_seluge_params(&chaos_params(1024)), 1);
+        let s = job_metrics(cell("seluge", "chaos", 3, 100_000, 1));
         assert_eq!(s.completed, 1.0);
         assert!(s.snack_pkts > 0.0);
     }
 
     #[test]
     fn policy_runs_end_in_the_shared_extractor() {
-        use lr_seluge::GreedyRoundRobinPolicy;
-        use lrs_deluge::policy::UnionPolicy;
-        let spec = RunSpec::one_hop(3, 0.1);
-        let greedy = run_with_policy::<LrScheme, _>(
-            &spec,
-            chaos_params(1024),
-            1,
-            GreedyRoundRobinPolicy::new,
-        );
-        let union = run_with_policy::<LrScheme, _>(&spec, chaos_params(1024), 1, UnionPolicy::new);
+        let greedy = job_metrics(cell("lr-seluge", "chaos", 3, 100_000, 1));
+        let union = job_metrics(cell("lr-seluge", "chaos:tx=union", 3, 100_000, 1));
         for m in [greedy, union] {
             assert_eq!(m.completed, 1.0);
             assert_eq!(m.completion_frac, 1.0);
             assert_eq!(m.sig_verifications, 3.0);
             assert!(m.energy_j > 0.0);
         }
-        // The family's own policy through either runner is the same run.
-        assert_eq!(greedy, run_lr(&spec, chaos_params(1024), 1));
+        // The knob reaches the nodes: the union rule is a different run.
+        assert_ne!(greedy, union);
     }
 
     #[test]
     fn deluge_run_completes() {
-        let spec = RunSpec::one_hop(3, 0.05);
-        let params = ImageParams {
-            version: 1,
-            image_len: 1024,
-            packets_per_page: 8,
-            payload_len: 48,
-        };
-        let d = run_deluge(&spec, params, 2);
+        let d = job_metrics(cell("deluge", "chaos", 3, 50_000, 2));
         assert_eq!(d.completed, 1.0);
     }
 
     #[test]
     fn average_is_stable() {
-        let spec = RunSpec::one_hop(2, 0.2);
-        let m = average(3, |seed| run_lr(&spec, chaos_params(1024), seed));
-        assert_eq!(m.completed, 1.0);
-        assert!(m.page_data_pkts > 0.0);
+        let dir = scratch("average");
+        let records = run_cells(&[cell("lr-seluge", "chaos", 2, 200_000, 1)], &dir, 1);
+        assert_eq!(records[0].len(), 3);
+        assert_eq!(mean(&records[0], "completed"), 1.0);
+        assert!(mean(&records[0], "page_data_pkts") > 0.0);
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]
@@ -600,40 +391,65 @@ mod tests {
             snack_pkts: 7.0,
             ..Default::default()
         };
-        assert_eq!(m.named().len(), ExperimentMetrics::NAMES.len());
+        assert_eq!(m.named().map(|(name, _)| name), ExperimentMetrics::NAMES);
+        // A logged record reads each metric back by name.
+        let record = JobRecord {
+            job: 0,
+            cell: 0,
+            seed: 1,
+            outcome: "complete".into(),
+            metrics: m.named().map(|(_, v)| v),
+        };
         for (name, value) in m.named() {
-            assert_eq!(m.get(name), value);
+            assert_eq!(record.get(name), value);
         }
-        assert_eq!(m.get("snack_pkts"), 7.0);
+        assert_eq!(record.get("snack_pkts"), 7.0);
     }
 
     #[test]
     fn aggregate_excludes_stalled_latency_but_counts_completion() {
-        let done = ExperimentMetrics {
+        let record = |m: ExperimentMetrics| JobRecord {
+            job: 0,
+            cell: 0,
+            seed: 1,
+            outcome: "complete".into(),
+            metrics: m.named().map(|(_, v)| v),
+        };
+        let done = record(ExperimentMetrics {
             latency_s: 10.0,
             completed: 1.0,
             data_pkts: 100.0,
             ..ExperimentMetrics::default()
-        };
-        let stalled = ExperimentMetrics {
+        });
+        let stalled = record(ExperimentMetrics {
             latency_s: f64::NAN,
             completed: 0.0,
             data_pkts: 300.0,
             ..ExperimentMetrics::default()
-        };
-        let m = aggregate(&[done, stalled]);
-        assert_eq!(m.latency_s, 10.0);
-        assert_eq!(m.completed, 0.5);
-        assert_eq!(m.data_pkts, 200.0);
-        assert!(aggregate(&[stalled]).latency_s.is_nan());
+        });
+        let both = [done, stalled.clone()];
+        assert_eq!(mean(&both, "latency_s"), 10.0);
+        assert_eq!(mean(&both, "completed"), 0.5);
+        assert_eq!(mean(&both, "data_pkts"), 200.0);
+        assert!(mean(&[stalled], "latency_s").is_nan());
     }
 
     #[test]
     fn sample_seeds_is_thread_count_invariant() {
-        let spec = RunSpec::one_hop(2, 0.2);
-        let one = sample_seeds(3, 1, |seed| run_lr(&spec, chaos_params(1024), seed));
-        let many = sample_seeds(3, 4, |seed| run_lr(&spec, chaos_params(1024), seed));
-        assert_eq!(one, many);
+        let records = |threads: usize| {
+            let dir = scratch(&format!("threads-{threads}"));
+            let campaign =
+                Campaign::create(cell("lr-seluge", "chaos", 2, 200_000, 1), &dir).expect("create");
+            let records = campaign
+                .run(threads, None)
+                .expect("run")
+                .expect("done")
+                .records;
+            std::fs::remove_dir_all(&dir).expect("clean up");
+            records
+        };
+        let one = records(1);
+        assert_eq!(one, records(4));
         assert_eq!(one.len(), 3);
     }
 

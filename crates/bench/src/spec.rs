@@ -17,7 +17,7 @@
 //! seeds = 8
 //! ```
 //!
-//! Axis tokens are deliberately strings — `"star:10"`, `"grid:4"`,
+//! Axis tokens are deliberately strings — `"star:10"`, `"grid:4:15"`,
 //! `"crash=0.5,flap=0.3"`, `"storm"` — so the grid stays a flat product
 //! of scalars that can be logged, diffed, and embedded in capsule tags
 //! without nested tables.
@@ -29,6 +29,7 @@ use lrs_deluge::deployment::check_layout;
 use lrs_host::time::Duration;
 use lrs_netsim::fault::{FaultConfig, MAX_DRIFT_PPM};
 use lrs_netsim::medium::MediumConfig;
+use lrs_netsim::noise::{BurstyNoise, NoiseModel};
 use lrs_netsim::sim::SimConfig;
 use lrs_netsim::topology::Topology;
 
@@ -36,7 +37,7 @@ use lrs_netsim::topology::Topology;
 pub const SCHEMES: [&str; 3] = ["lr-seluge", "seluge", "deluge"];
 
 /// Every key a spec document may carry: the [`CampaignSpec`] fields.
-const KEYS: [&str; 13] = [
+const KEYS: [&str; 14] = [
     "name",
     "schemes",
     "topologies",
@@ -47,6 +48,7 @@ const KEYS: [&str; 13] = [
     "seed_base",
     "image_bytes",
     "profile",
+    "noise",
     "deadline_s",
     "stall_s",
     "fault_horizon_s",
@@ -65,7 +67,8 @@ pub struct CampaignSpec {
     /// Schemes under test (`lr-seluge`, `seluge`, `deluge`).
     pub schemes: Vec<String>,
     /// Topology tokens: `star:N` (one-hop cluster of N) or `grid:S`
-    /// (S×S multihop grid, tight 8 m spacing, per-job sampled links).
+    /// (S×S multihop grid, tight 8 m spacing, per-job sampled links);
+    /// `grid:S:M` spaces the grid `M` metres apart.
     pub topologies: Vec<String>,
     /// Application-layer loss rates in parts per million.
     pub loss_ppm: Vec<u32>,
@@ -89,8 +92,11 @@ pub struct CampaignSpec {
     /// Image size in bytes.
     pub image_bytes: usize,
     /// LR-Seluge parameter profile every job runs (`campaign` unless
-    /// set; the registry is `capsules::profile_params`).
+    /// set; the registry, knobs included, is `capsules::profile`).
     pub profile: String,
+    /// Environmental noise every job runs under: `none` (the default)
+    /// or `heavy` ([`BurstyNoise::heavy`], Tables II/III).
+    pub noise: String,
     /// Per-job time limit in virtual seconds.
     pub deadline_s: u64,
     /// Stall-watchdog window in virtual seconds.
@@ -142,6 +148,10 @@ impl CampaignSpec {
             seed_base: uint_or(doc, "seed_base", 1_000)?,
             image_bytes: uint_or(doc, "image_bytes", 1_024)?,
             profile: profile.to_string(),
+            noise: doc
+                .opt("noise", Json::str_at)?
+                .unwrap_or("none")
+                .to_string(),
             deadline_s,
             stall_s: uint_or(doc, "stall_s", 400)?,
             fault_horizon_s: uint_or(doc, "fault_horizon_s", deadline_s)?,
@@ -150,7 +160,9 @@ impl CampaignSpec {
         Ok(spec)
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Checks every field the way [`from_json`](Self::from_json) does,
+    /// for a spec built in code.
+    pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("name must be non-empty".into());
         }
@@ -160,7 +172,7 @@ impl CampaignSpec {
             }
         }
         for t in &self.topologies {
-            topology_nodes(t)?;
+            parse_topology(t)?;
         }
         for &ppm in &self.loss_ppm {
             if ppm >= 1_000_000 {
@@ -178,6 +190,16 @@ impl CampaignSpec {
         }
         if self.fault_horizon_s == 0 {
             return Err("fault_horizon_s must be at least 1".into());
+        }
+        // A zero window would declare every job stalled at its start.
+        if self.stall_s == 0 {
+            return Err("stall_s must be at least 1".into());
+        }
+        if !["none", "heavy"].contains(&self.noise.as_str()) {
+            return Err(format!(
+                "unknown noise {:?}; known: \"none\", \"heavy\"",
+                self.noise
+            ));
         }
         for f in &self.faults {
             fault_config(f, self.fault_horizon())?;
@@ -228,6 +250,7 @@ impl CampaignSpec {
             ("seed_base".into(), Json::uint(self.seed_base)),
             ("image_bytes".into(), Json::uint(self.image_bytes as u64)),
             ("profile".into(), Json::str(&self.profile)),
+            ("noise".into(), Json::str(&self.noise)),
             ("deadline_s".into(), Json::uint(self.deadline_s)),
             ("stall_s".into(), Json::uint(self.stall_s)),
             ("fault_horizon_s".into(), Json::uint(self.fault_horizon_s)),
@@ -268,9 +291,14 @@ impl CampaignSpec {
 
     /// The simulator configuration for a cell at `loss_ppm`.
     pub fn sim_config(&self, loss_ppm: u32) -> SimConfig {
+        let noise = match self.noise.as_str() {
+            "heavy" => NoiseModel::Bursty(BurstyNoise::heavy()),
+            _ => NoiseModel::None,
+        };
         SimConfig {
             medium: MediumConfig {
                 app_loss: loss_ppm as f64 / 1e6,
+                noise,
                 ..MediumConfig::default()
             },
             stall_window: Some(Duration::from_secs(self.stall_s)),
@@ -299,15 +327,25 @@ pub struct CellParams {
 /// repo has run, far below what would exhaust memory building links.
 pub const MAX_NODES: usize = 16_384;
 
-/// Node count of a topology token (`star:N` → N, `grid:S` → S²),
-/// checked to lie in `2..=`[`MAX_NODES`].
-fn topology_nodes(token: &str) -> Result<usize, String> {
-    let (kind, arg) = token.split_once(':').ok_or_else(|| {
-        format!("bad topology token {token:?}; expected \"star:N\" or \"grid:S\"")
-    })?;
-    let n: usize = arg
+/// A topology token's kind, size and grid spacing in metres (`grid:S`
+/// is 8 m), its node count (`star:N` → N, `grid:S` → S²) checked to lie
+/// in `2..=`[`MAX_NODES`].
+fn parse_topology(token: &str) -> Result<(&str, usize, u32), String> {
+    let parts: Vec<&str> = token.split(':').collect();
+    let (kind, size, spacing) = match parts[..] {
+        [kind, size] => (kind, size, "8"),
+        ["grid", size, spacing] => ("grid", size, spacing),
+        _ => {
+            return Err(format!(
+                "bad topology token {token:?}; expected \"star:N\", \"grid:S\" or \"grid:S:M\""
+            ))
+        }
+    };
+    let n: usize = size
         .parse()
         .map_err(|e| format!("bad topology size in {token:?}: {e}"))?;
+    let spacing = (spacing.parse().ok().filter(|&m| m > 0))
+        .ok_or_else(|| format!("bad grid spacing in {token:?}; need M >= 1 metres"))?;
     let nodes = match kind {
         "star" => Some(n),
         "grid" => n.checked_mul(n),
@@ -318,7 +356,7 @@ fn topology_nodes(token: &str) -> Result<usize, String> {
         }
     };
     match nodes {
-        Some(nodes) if (2..=MAX_NODES).contains(&nodes) => Ok(nodes),
+        Some(nodes) if (2..=MAX_NODES).contains(&nodes) => Ok((kind, n, spacing)),
         _ => Err(format!(
             "topology {token:?} must have 2..={MAX_NODES} nodes"
         )),
@@ -329,13 +367,10 @@ fn topology_nodes(token: &str) -> Result<usize, String> {
 /// so each job sees its own link-quality draw (star links are perfect
 /// and seed-independent).
 pub fn build_topology(token: &str, seed: u64) -> Result<Topology, String> {
-    let (kind, arg) = token.split_once(':').ok_or("unreachable: validated")?;
-    let n: usize = arg.parse().map_err(|e| format!("{e}"))?;
-    match kind {
-        "star" => Ok(Topology::star(n)),
-        "grid" => Ok(Topology::grid(n, 8.0, seed)),
-        other => Err(format!("unknown topology kind {other:?}")),
-    }
+    Ok(match parse_topology(token)? {
+        ("star", n, _) => Topology::star(n),
+        (_, side, spacing) => Topology::grid(side, spacing as f64, seed),
+    })
 }
 
 /// Parses a probability knob value, shared by the fault rates.
@@ -747,6 +782,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(CampaignSpec::parse(&big.to_json().render()).unwrap(), big);
+        // So do the noise model, a grid spacing and profile knobs.
+        let table = CampaignSpec::parse(
+            "name = \"t\"\ntopologies = [\"grid:4:15\"]\nnoise = \"heavy\"\n\
+             profile = \"paper:n=40,code=xor,tx=union\"\nimage_bytes = 4096",
+        )
+        .unwrap();
+        assert_eq!(table.noise, "heavy");
+        assert_eq!(spec.noise, "none");
+        assert_eq!(
+            CampaignSpec::parse(&table.to_json().render()).unwrap(),
+            table
+        );
     }
 
     #[test]
@@ -803,6 +850,41 @@ mod tests {
             (
                 "name = \"x\"\nfault_horizon_s = 0",
                 "fault_horizon_s must be",
+            ),
+            // A zero stall window used to stall every job at its start.
+            ("name = \"x\"\nstall_s = 0", "stall_s must be at least 1"),
+            (
+                "name = \"x\"\ntopologies = [\"grid:15:0\"]",
+                "bad grid spacing in \"grid:15:0\"",
+            ),
+            (
+                "name = \"x\"\ntopologies = [\"grid:15:x\"]",
+                "bad grid spacing in \"grid:15:x\"",
+            ),
+            (
+                "name = \"x\"\ntopologies = [\"star:5:3\"]",
+                "bad topology token \"star:5:3\"; expected",
+            ),
+            ("name = \"x\"\nnoise = \"loud\"", "unknown noise \"loud\""),
+            (
+                "name = \"x\"\nprofile = \"paper:n=0\"",
+                "profile = \"paper:n=0\": knobs leave a bad page geometry: need 1 <= k <= n",
+            ),
+            (
+                "name = \"x\"\nprofile = \"paper:n=x\"",
+                "bad knob \"n=x\"",
+            ),
+            (
+                "name = \"x\"\nprofile = \"paper:code=foo\"",
+                "bad profile knob \"code=foo\" in \"paper:code=foo\"",
+            ),
+            (
+                "name = \"x\"\nprofile = \"paper:tx=greedy\"",
+                "bad profile knob \"tx=greedy\"",
+            ),
+            (
+                "name = \"x\"\nprofile = \"paper:k=8\"",
+                "bad profile knob \"k=8\"",
             ),
             // Each of these panicked converting to microseconds (debug)
             // or wrapped to a wrong limit (release).
@@ -1023,17 +1105,21 @@ mod tests {
 
     #[test]
     fn topology_tokens_size_and_build() {
-        assert_eq!(topology_nodes("star:10").unwrap(), 10);
-        assert_eq!(topology_nodes("grid:4").unwrap(), 16);
+        assert_eq!(parse_topology("star:10").unwrap(), ("star", 10, 8));
+        assert_eq!(parse_topology("grid:4").unwrap(), ("grid", 4, 8));
+        assert_eq!(parse_topology("grid:15:15").unwrap(), ("grid", 15, 15));
         // The cap admits the 100×100 grid and is inclusive.
-        assert_eq!(topology_nodes("grid:100").unwrap(), 10_000);
-        assert_eq!(topology_nodes("star:16384").unwrap(), MAX_NODES);
-        assert_eq!(topology_nodes("grid:128").unwrap(), MAX_NODES);
+        assert!(parse_topology("grid:100").is_ok());
+        assert!(parse_topology("star:16384").is_ok());
+        assert!(parse_topology("grid:128").is_ok());
         assert_eq!(build_topology("star:10", 7).unwrap().len(), 10);
         assert_eq!(build_topology("grid:3", 7).unwrap().len(), 9);
         // Grid links are a per-seed draw; star links are not.
         let a = build_topology("grid:3", 1).unwrap();
         let b = build_topology("grid:3", 2).unwrap();
         assert_ne!(a, b);
+        // `grid:S` is `grid:S:8`; another spacing is another grid.
+        assert_eq!(build_topology("grid:3:8", 1).unwrap(), a);
+        assert_ne!(build_topology("grid:3:15", 1).unwrap(), a);
     }
 }

@@ -1,19 +1,19 @@
-//! The one sweep driver: every experiment is "run each point over
-//! `1..=seeds`, tabulate the means, keep the per-seed samples". The
-//! pieces here are what the `paper` experiments share: what a per-run
-//! observation is ([`Sample`]), the `results/<name>.{csv,json}` pair
-//! and its one writer ([`Report`]), the (point × scheme × seed) fan-out
-//! ([`per_scheme`]), the matched run of a scheme named at run time
-//! ([`run_matched`]) and the five metric columns of Figs. 4-6 and
-//! Tables II/III ([`five_metrics`]).
+//! The one sweep driver: every `paper` point is a one-cell campaign
+//! whose jobs run seeds `1..=seeds`; an experiment runs its cells,
+//! tabulates the means and keeps the per-seed samples. The pieces here
+//! are what the experiments share: what a per-run observation is
+//! ([`Sample`]), the `results/<name>.{csv,json}` pair and its one
+//! writer ([`Report`]), the cell fan-out ([`run_cells`]) and the five
+//! metric columns of Figs. 4-6 and Tables II/III ([`five_metrics`]).
 
-use crate::harness::sample_grid;
+use crate::campaign::{Campaign, JobRecord, MANIFEST};
+use crate::harness::parallel_map;
 use crate::json::{stat_json, write_json, Json};
-use crate::runner::{run, ExperimentMetrics, Matched, RunSpec};
+use crate::runner::ExperimentMetrics;
+use crate::spec::CampaignSpec;
 use crate::table::{write_csv, Table};
-use crate::with_scheme;
-use lr_seluge::LrSelugeParams;
 use lrs_analysis::Summary;
+use std::path::Path;
 
 /// One run's observables, as floats for aggregation over seeds.
 pub trait Sample {
@@ -25,11 +25,11 @@ pub trait Sample {
     fn values(&self) -> Vec<f64>;
 }
 
-impl Sample for ExperimentMetrics {
+impl Sample for JobRecord {
     const NAMES: &'static [&'static str] = &ExperimentMetrics::NAMES;
 
     fn values(&self) -> Vec<f64> {
-        self.named().iter().map(|&(_, v)| v).collect()
+        self.metrics.to_vec()
     }
 }
 
@@ -46,10 +46,16 @@ pub fn column<T: Sample>(samples: &[T], metric: &str) -> Vec<f64> {
     samples.iter().map(|s| s.values()[at]).collect()
 }
 
+/// The mean of `metric` over the finite samples ([`Summary::of`]), NaN
+/// when none is finite.
+pub fn mean<T: Sample>(samples: &[T], metric: &str) -> f64 {
+    Summary::of(&column(samples, metric)).mean
+}
+
 /// A table cell: the mean of `metric` over the finite samples to
 /// `decimals` places, or `-` when no sample is finite.
 pub fn mean_cell<T: Sample>(samples: &[T], metric: &str, decimals: usize) -> String {
-    let mean = Summary::of(&column(samples, metric)).mean;
+    let mean = mean(samples, metric);
     if mean.is_finite() {
         format!("{mean:.decimals$}")
     } else {
@@ -105,8 +111,8 @@ impl Report {
         ]));
     }
 
-    /// [`push`](Self::push) once per scheme of a [`per_scheme`] point,
-    /// with `("scheme", name)` appended to the point's `params`.
+    /// [`push`](Self::push) once per scheme of a point, with
+    /// `("scheme", name)` appended to the point's `params`.
     pub fn push_schemes<T: Sample>(
         &mut self,
         params: &[(&str, Json)],
@@ -145,44 +151,53 @@ impl Report {
     }
 }
 
-/// Fans (point × scheme × seed) out over the harness threads through
-/// [`sample_grid`], schemes interleaved per point, and returns the
-/// per-seed samples as `[point][scheme]`.
-pub fn per_scheme<P: Sync, O: Send>(
-    points: &[P],
-    schemes: &[&'static str],
-    seeds: u64,
-    threads: usize,
-    f: impl Fn(&P, &'static str, u64) -> O + Sync,
-) -> Vec<Vec<Vec<O>>> {
-    let jobs: Vec<(&P, &'static str)> = points
-        .iter()
-        .flat_map(|p| schemes.iter().map(move |&scheme| (p, scheme)))
-        .collect();
-    let mut flat = sample_grid(&jobs, seeds, threads, |&(p, scheme), seed| {
-        f(p, scheme, seed)
-    })
-    .into_iter();
-    points
-        .iter()
-        .map(|_| flat.by_ref().take(schemes.len()).collect())
-        .collect()
-}
-
-/// One measured run ([`run`]) of the scheme family called `scheme`,
-/// with its parameters matched to `lr` (§VI-A).
+/// Runs every cell, a one-cell campaign each, on `threads` workers,
+/// one cell per worker, in the campaign directory `root/<name>`, and
+/// returns each cell's job records in job-id order. A directory whose
+/// manifest holds the same spec is resumed, so only its missing jobs
+/// run (the manifest records the spec, not the build that ran it).
 ///
 /// # Panics
 ///
-/// Panics on a name [`with_scheme!`] does not know.
-pub fn run_matched(
-    scheme: &str,
-    spec: &RunSpec,
-    lr: &LrSelugeParams,
-    seed: u64,
-) -> ExperimentMetrics {
-    with_scheme!(scheme, S => run::<S>(spec, S::matched(lr), seed))
-        .unwrap_or_else(|e| panic!("{e}"))
+/// Panics naming the directory when it holds a different spec, on I/O
+/// errors, and on a job that broke an invariant or ended `complete`
+/// without every honest node holding the image.
+pub fn run_cells(cells: &[CampaignSpec], root: &Path, threads: usize) -> Vec<Vec<JobRecord>> {
+    parallel_map(cells, threads, |spec| {
+        run_cell(spec, &root.join(&spec.name)).unwrap_or_else(|e| panic!("{e}"))
+    })
+}
+
+fn run_cell(spec: &CampaignSpec, dir: &Path) -> Result<Vec<JobRecord>, String> {
+    spec.validate()?;
+    let campaign = if dir.join(MANIFEST).exists() {
+        let campaign = Campaign::resume(dir)?;
+        if campaign.spec() != spec {
+            return Err(format!(
+                "{} holds a different campaign than {:?}; remove it to rerun",
+                dir.display(),
+                spec.name
+            ));
+        }
+        campaign
+    } else {
+        Campaign::create(spec.clone(), dir)?
+    };
+    let records = campaign.run(1, None)?.ok_or("ran to completion")?.records;
+    let frac = |r: &JobRecord| r.get("completion_frac");
+    let broken = |r: &&JobRecord| {
+        r.outcome == "invariant_violated" || r.outcome == "complete" && frac(r) != 1.0
+    };
+    match records.iter().find(broken) {
+        Some(r) => Err(format!(
+            "{}: job {} ended {} with completion_frac {}",
+            dir.display(),
+            r.job,
+            r.outcome,
+            frac(r)
+        )),
+        None => Ok(records),
+    }
 }
 
 /// Column names of [`five_metrics`].
@@ -194,14 +209,15 @@ pub const FIVE_METRICS: &[&str] = &[
     "latency_s",
 ];
 
-/// The five metrics of Figs. 4-6 and Tables II/III as table cells.
-pub fn five_metrics(m: &ExperimentMetrics) -> Vec<String> {
+/// The five metrics of Figs. 4-6 and Tables II/III as table cells: the
+/// means over `samples`.
+pub fn five_metrics(samples: &[JobRecord]) -> Vec<String> {
     vec![
-        format!("{:.0}", m.data_pkts),
-        format!("{:.0}", m.snack_pkts),
-        format!("{:.0}", m.adv_pkts),
-        format!("{:.1}", m.total_bytes / 1024.0),
-        format!("{:.1}", m.latency_s),
+        mean_cell(samples, "data_pkts", 0),
+        mean_cell(samples, "snack_pkts", 0),
+        mean_cell(samples, "adv_pkts", 0),
+        format!("{:.1}", mean(samples, "total_bytes") / 1024.0),
+        mean_cell(samples, "latency_s", 1),
     ]
 }
 
@@ -209,20 +225,26 @@ pub fn five_metrics(m: &ExperimentMetrics) -> Vec<String> {
 mod tests {
     use super::*;
 
+    /// A record whose metrics are all 0 but `data_pkts` and `latency_s`.
+    fn record(data_pkts: f64, latency_s: f64) -> JobRecord {
+        let mut metrics = [0.0; ExperimentMetrics::NAMES.len()];
+        metrics[1] = data_pkts;
+        metrics[5] = latency_s;
+        JobRecord {
+            job: 0,
+            cell: 0,
+            seed: 1,
+            outcome: "complete".into(),
+            metrics,
+        }
+    }
+
     #[test]
     fn report_schema_shape() {
         let mut report = Report::new("unit_test", vec!["p"], 2, 4);
-        let a = ExperimentMetrics {
-            data_pkts: 10.0,
-            latency_s: f64::NAN,
-            ..Default::default()
-        };
-        let b = ExperimentMetrics {
-            data_pkts: 14.0,
-            latency_s: 3.0,
-            ..Default::default()
-        };
-        report.push(&[("p", Json::num(0.1f64))], &[a, b]);
+        let (a, b) = (record(10.0, f64::NAN), record(14.0, 3.0));
+        assert_eq!((a.get("data_pkts"), b.get("latency_s")), (10.0, 3.0));
+        report.push(&[("p", Json::num(0.1f64))], &[a.clone(), b.clone()]);
         let text = report.to_json().render();
         assert!(text.starts_with(r#"{"experiment":"unit_test","threads":4,"seeds":2,"#));
         assert!(text.contains(r#""params":{"p":0.1}"#), "{text}");
@@ -235,21 +257,48 @@ mod tests {
             text.contains(r#""latency_s":{"samples":[null,3],"mean":3,"ci95":0}"#),
             "{text}"
         );
-        assert_eq!(mean_cell(&[a, b], "latency_s", 1), "3.0");
+        assert_eq!(mean_cell(&[a.clone(), b], "latency_s", 1), "3.0");
         assert_eq!(mean_cell(&[a], "latency_s", 1), "-");
     }
 
     #[test]
     fn per_scheme_groups_by_point_then_scheme_in_seed_order() {
-        let grid = per_scheme(&[10u64, 20], &["a", "bb"], 2, 3, |&p, scheme, seed| {
-            p + scheme.len() as u64 * 100 + seed
-        });
-        assert_eq!(
-            grid,
-            vec![
-                vec![vec![111, 112], vec![211, 212]],
-                vec![vec![121, 122], vec![221, 222]],
-            ]
-        );
+        let root = std::env::temp_dir().join(format!("lrs-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cell = |scheme: &str, loss_ppm: u32| {
+            let toml = format!(
+                "name = \"{scheme}-{loss_ppm}\"\nschemes = [\"{scheme}\"]\n\
+                 topologies = [\"star:3\"]\nloss_ppm = [{loss_ppm}]\nseeds = 2\n\
+                 seed_base = 1\nimage_bytes = 512\nprofile = \"chaos\"\n"
+            );
+            CampaignSpec::parse(&toml).expect("cell spec")
+        };
+        let cells: Vec<CampaignSpec> = [0, 200_000]
+            .into_iter()
+            .flat_map(|p| ["lr-seluge", "seluge"].map(|scheme| cell(scheme, p)))
+            .collect();
+        let grid = run_cells(&cells, &root.join("fanned"), 3);
+        assert_eq!(grid.len(), 4);
+        for (spec, records) in cells.iter().zip(&grid) {
+            let seeds: Vec<u64> = records.iter().map(|r| r.seed).collect();
+            assert_eq!(seeds, [1, 2], "{}", spec.name);
+            let alone = run_cells(std::slice::from_ref(spec), &root.join("alone"), 1);
+            assert_eq!(&alone[0], records, "{}", spec.name);
+        }
+        // A second run resumes every cell and runs no job.
+        let log = |name: &str| std::fs::read(root.join("fanned").join(name).join("jobs.log"));
+        let before: Vec<_> = cells.iter().map(|c| log(&c.name).unwrap()).collect();
+        assert_eq!(run_cells(&cells, &root.join("fanned"), 2), grid);
+        let after: Vec<_> = cells.iter().map(|c| log(&c.name).unwrap()).collect();
+        assert_eq!(before, after);
+        // A directory holding another spec is refused, by name.
+        let other = CampaignSpec {
+            seeds: 3,
+            ..cells[0].clone()
+        };
+        let dir = root.join("fanned").join(&other.name);
+        let err = run_cell(&other, &dir).unwrap_err();
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        std::fs::remove_dir_all(&root).expect("clean up");
     }
 }

@@ -5,7 +5,7 @@
 //! grids (`examples/campaign/{chaos,attack}.toml`).
 
 use lrs_bench::campaign::{Campaign, JobRecord, JOB_LOG, MANIFEST, REPORT};
-use lrs_bench::capsules::{replay_capsule, ScenarioTags};
+use lrs_bench::capsules::{replay_capsule, replay_observed, ScenarioTags};
 use lrs_bench::{CampaignSpec, ExperimentMetrics};
 use lrs_host::violation::ContentDigest;
 use lrs_netsim::capsule::Capsule;
@@ -251,6 +251,57 @@ fn every_job_exports_as_a_replayable_capsule() {
         );
     }
     let _ = report;
+}
+
+/// Every spec token a `paper` cell uses yields jobs that export from
+/// the cell directory (`campaign --resume <cell dir> --export-job 0`)
+/// and replay to exactly the record the cell logged: outcome, and all
+/// twelve metrics bit for bit.
+#[test]
+fn exported_paper_jobs_replay_to_their_logged_records() {
+    let one_hop =
+        lrs_bench::paper::cell("one-hop".into(), "lr-seluge", "star:4".into(), 0.1, 1920, 1);
+    let variant = |name: &str, profile: &str| CampaignSpec {
+        name: name.into(),
+        profile: profile.into(),
+        ..one_hop.clone()
+    };
+    let cells = [
+        one_hop.clone(),
+        CampaignSpec {
+            name: "grid".into(),
+            schemes: vec!["seluge".into()],
+            topologies: vec!["grid:3:15".into()],
+            loss_ppm: vec![0],
+            noise: "heavy".into(),
+            ..one_hop.clone()
+        },
+        variant("rate", "paper:n=40"),
+        variant("xor", "paper:code=xor"),
+        variant("union", "paper:tx=union"),
+    ];
+    let root = scratch("paper-cells");
+    let logged = lrs_bench::run_cells(&cells, &root, 2);
+    for (spec, records) in cells.iter().zip(&logged) {
+        let campaign = Campaign::resume(root.join(&spec.name)).expect("cell dir resumes");
+        let exported = campaign.job_capsule(0).expect("export").to_jsonl();
+        let capsule = Capsule::from_jsonl(&exported).expect("exported capsule loads");
+        let (run, _, metrics) = replay_observed(&capsule, Vec::new()).expect("replays");
+        assert_eq!(
+            run.report.outcome.label(),
+            records[0].outcome,
+            "{}",
+            spec.name
+        );
+        let replayed = metrics.named().map(|(_, v)| v.to_bits());
+        assert_eq!(
+            replayed,
+            records[0].metrics.map(f64::to_bits),
+            "{}",
+            spec.name
+        );
+    }
+    fs::remove_dir_all(&root).expect("clean up");
 }
 
 /// The §7 adversary grid: every attack vector crossed with every fault

@@ -1,79 +1,111 @@
 //! Determinism regression tests.
 //!
-//! The whole experiment pipeline rests on two properties:
+//! The whole experiment pipeline rests on three properties:
 //!
-//! 1. A given seed produces bit-identical [`ExperimentMetrics`] every
-//!    time — same machine, same run order, or not.
-//! 2. The parallel harness does not change results: fanning seeds out
-//!    over N workers yields exactly what a sequential loop yields.
+//! 1. A given seed produces bit-identical job records every time — same
+//!    machine, same run order, or not.
+//! 2. The parallel harness does not change results: fanning a cell's
+//!    jobs, or an experiment's cells, out over N workers yields exactly
+//!    what a sequential run yields.
 //! 3. Attaching a trace sink is observational only — it never perturbs
 //!    the simulation it watches.
 
-use lr_seluge::{Deployment, LrScheme};
+use lr_seluge::Deployment;
+use lrs_bench::campaign::{Campaign, JobRecord};
 use lrs_bench::capsules::chaos_params;
+use lrs_bench::paper::cell;
 use lrs_bench::runner::test_image;
-use lrs_bench::{run, run_lr, sample_grid, sample_seeds, Matched, RunSpec};
-use lrs_deluge::image::DelugeScheme;
+use lrs_bench::{run_cells, CampaignSpec};
 use lrs_host::node::{NodeId, PacketKind};
 use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::sim::SimConfig;
-use lrs_seluge::SelugeScheme;
+use std::path::PathBuf;
 
 use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::{JsonlTrace, RingTrace, TraceSink};
 use lrs_netsim::SimBuilder;
 
-/// A seed reproduces family `S`'s run bit for bit, and a different seed
-/// actually changes something.
-fn runs_are_bit_identical_across_repeats<S: Matched>() {
-    let spec = RunSpec::one_hop(3, 0.15);
-    let params = S::matched(&chaos_params(1024));
-    let a = run::<S>(&spec, params, 7);
-    assert_eq!(a, run::<S>(&spec, params, 7), "{}", S::NAME);
-    assert_ne!(a, run::<S>(&spec, params, 8), "{}", S::NAME);
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("lrs-determinism-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The `chaos`-profile cell of `scheme` on a star of `receivers` at
+/// loss `p`, jobs running seeds `1..=seeds`.
+fn chaos_cell(name: &str, scheme: &str, receivers: usize, p: f64, seeds: u64) -> CampaignSpec {
+    let topology = format!("star:{}", receivers + 1);
+    CampaignSpec {
+        profile: "chaos".into(),
+        ..cell(name.to_string(), scheme, topology, p, 1024, seeds)
+    }
+}
+
+/// `spec`'s job records, run on `threads` workers in a fresh directory.
+fn run_campaign(spec: CampaignSpec, threads: usize, name: &str) -> Vec<JobRecord> {
+    let dir = scratch(name);
+    let campaign = Campaign::create(spec, &dir).expect("create");
+    let records = campaign
+        .run(threads, None)
+        .expect("run")
+        .expect("done")
+        .records;
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    records
+}
+
+/// A cell's job reproduces family `scheme`'s run bit for bit, and a
+/// different seed actually changes something.
+fn runs_are_bit_identical_across_repeats(scheme: &str) {
+    let spec = chaos_cell(scheme, scheme, 3, 0.15, 2);
+    let a = run_campaign(spec.clone(), 1, &format!("{scheme}-a"));
+    assert_eq!(a, run_campaign(spec, 1, &format!("{scheme}-b")), "{scheme}");
+    assert_eq!((a[0].seed, a[1].seed), (1, 2));
+    assert_ne!(a[0].metrics, a[1].metrics, "{scheme}");
 }
 
 #[test]
 fn lr_runs_are_bit_identical_across_repeats() {
-    runs_are_bit_identical_across_repeats::<LrScheme>();
+    runs_are_bit_identical_across_repeats("lr-seluge");
 }
 
 #[test]
 fn seluge_runs_are_bit_identical_across_repeats() {
-    runs_are_bit_identical_across_repeats::<SelugeScheme>();
+    runs_are_bit_identical_across_repeats("seluge");
 }
 
 #[test]
 fn deluge_runs_are_bit_identical_across_repeats() {
-    runs_are_bit_identical_across_repeats::<DelugeScheme>();
+    runs_are_bit_identical_across_repeats("deluge");
 }
 
 #[test]
 fn thread_count_does_not_change_per_seed_metrics() {
-    let spec = RunSpec::one_hop(3, 0.2);
-    let sequential = sample_seeds(4, 1, |seed| run_lr(&spec, chaos_params(1024), seed));
+    let spec = chaos_cell("threads", "lr-seluge", 3, 0.2, 4);
+    let sequential = run_campaign(spec.clone(), 1, "threads-1");
     for threads in [2, 4, 8] {
-        let parallel = sample_seeds(4, threads, |seed| run_lr(&spec, chaos_params(1024), seed));
+        let parallel = run_campaign(spec.clone(), threads, &format!("threads-{threads}"));
         assert_eq!(sequential, parallel, "{threads} threads diverged");
     }
 }
 
 #[test]
 fn grid_fanout_matches_sequential_sweep() {
-    let points = [0.0f64, 0.2, 0.4];
-    let par = sample_grid(&points, 2, 8, |&p, seed| {
-        run_lr(&RunSpec::one_hop(2, p), chaos_params(1024), seed)
-    });
-    let seq: Vec<Vec<_>> = points
+    let cells: Vec<CampaignSpec> = [0.0f64, 0.2, 0.4]
         .iter()
-        .map(|&p| {
-            (1..=2)
-                .map(|seed| run_lr(&RunSpec::one_hop(2, p), chaos_params(1024), seed))
-                .collect()
-        })
+        .map(|&p| chaos_cell(&format!("p{p}"), "lr-seluge", 2, p, 2))
+        .collect();
+    let (fanned, one) = (scratch("fanned"), scratch("one"));
+    let par = run_cells(&cells, &fanned, 8);
+    let seq: Vec<Vec<JobRecord>> = cells
+        .iter()
+        .map(|spec| run_cells(std::slice::from_ref(spec), &one, 1).remove(0))
         .collect();
     assert_eq!(par, seq);
+    for dir in [fanned, one] {
+        std::fs::remove_dir_all(dir).expect("clean up");
+    }
 }
 
 /// Runs one tiny LR-Seluge sim, optionally traced, and returns the

@@ -13,9 +13,9 @@
 //!
 //! and review the diff like any other code change.
 
-use lrs_bench::capsules::chaos_params;
-use lrs_bench::sweep::run_matched;
-use lrs_bench::{aggregate, per_scheme, Json, Report, RunSpec};
+use lrs_bench::paper::cell;
+use lrs_bench::sweep::mean_cell;
+use lrs_bench::{run_cells, CampaignSpec, Json, Report};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -26,24 +26,41 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// The sweep under test: one-hop, N = 2, p ∈ {0.0, 0.2}, 2 seeds,
-/// Seluge and LR-Seluge interleaved — a miniature fig3(a).
+/// Seluge and LR-Seluge interleaved — a miniature fig3(a), each point
+/// and scheme a one-cell campaign of the `chaos` profile.
 fn tiny_fig3_sweep() -> Report {
     let seeds = 2;
     let threads = 2; // fixed, so the pinned "threads" field is stable
-    let lr = chaos_params(1024);
     let schemes = ["seluge", "lr-seluge"];
     let ps = [0.0f64, 0.2];
-    let grid = per_scheme(&ps, &schemes, seeds, threads, |&p, scheme, seed| {
-        run_matched(scheme, &RunSpec::one_hop(2, p), &lr, seed)
-    });
+    let cells: Vec<CampaignSpec> = ps
+        .iter()
+        .flat_map(|&p| {
+            schemes.map(|scheme| CampaignSpec {
+                profile: "chaos".into(),
+                ..cell(
+                    format!("p{p}-{scheme}"),
+                    scheme,
+                    "star:3".into(),
+                    p,
+                    1024,
+                    seeds,
+                )
+            })
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("lrs-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let grid = run_cells(&cells, &dir, threads);
+    std::fs::remove_dir_all(&dir).expect("clean up");
     let columns = vec!["p", "seluge_sim", "lr_sim"];
     let mut report = Report::new("fig3_tiny", columns, seeds, threads);
-    for (&p, by_scheme) in ps.iter().zip(&grid) {
+    for (&p, by_scheme) in ps.iter().zip(grid.chunks(2)) {
         report.push_schemes(&[("p", Json::num(p))], &schemes, by_scheme);
         report.row(vec![
             format!("{p:.2}"),
-            format!("{:.1}", aggregate(&by_scheme[0]).page_data_pkts),
-            format!("{:.1}", aggregate(&by_scheme[1]).page_data_pkts),
+            mean_cell(&by_scheme[0], "page_data_pkts", 1),
+            mean_cell(&by_scheme[1], "page_data_pkts", 1),
         ]);
     }
     report

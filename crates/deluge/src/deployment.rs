@@ -303,31 +303,27 @@ impl<S: SchemeFamily> Deployment<S> {
         scheme.verify_invariants(&self.artifacts, &self.image)
     }
 
-    /// Builds a node with a custom TX policy (used by the scheduler
-    /// ablation, which runs LR-Seluge with the Deluge/Seluge union rule
-    /// instead of the greedy round-robin scheduler).
+    /// Builds the protocol node for `id` (`base_id` gets the full image).
+    pub fn node(&self, id: NodeId, base_id: NodeId) -> Node<S> {
+        self.wrap(self.scheme(id, base_id), S::Policy::default(), id)
+    }
+
+    /// Like [`node`](Self::node), but running TX policy `policy` (the
+    /// scheduler ablation runs LR-Seluge with the Deluge/Seluge union
+    /// rule instead of the greedy round-robin scheduler) and sharing a
+    /// per-run packet-digest memo across the run's nodes. The cache is
+    /// `Rc`-based and deliberately *not* stored in the deployment (which
+    /// is shared across harness threads): create one per sim run and
+    /// pass it to every node.
     pub fn node_with_policy<P: TxPolicy>(
         &self,
         id: NodeId,
         base_id: NodeId,
+        cache: &PacketDigestCache,
         policy: P,
     ) -> DisseminationNode<S, P> {
-        self.wrap(self.scheme(id, base_id), policy, id)
-    }
-
-    /// Builds the protocol node for `id` (`base_id` gets the full image).
-    pub fn node(&self, id: NodeId, base_id: NodeId) -> Node<S> {
-        self.node_with_policy(id, base_id, S::Policy::default())
-    }
-
-    /// Like [`node`](Self::node), but shares a per-run packet-digest
-    /// memo across the run's nodes. The cache is `Rc`-based and
-    /// deliberately *not* stored in the deployment (which is shared
-    /// across harness threads): create one per sim run and pass it to
-    /// every node.
-    pub fn node_cached(&self, id: NodeId, base_id: NodeId, cache: &PacketDigestCache) -> Node<S> {
         let scheme = self.scheme(id, base_id).with_digest_cache(cache.clone());
-        self.wrap(scheme, S::Policy::default(), id)
+        self.wrap(scheme, policy, id)
     }
 
     /// Pre-fills a per-run packet-digest memo from the artifacts: all

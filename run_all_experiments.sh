@@ -11,6 +11,10 @@ mkdir -p results
 echo "=== build ==="
 cargo build --workspace --release
 
+# Every figure/table point is a campaign cell under results/paper/ (or
+# results/paper-quick/) that `paper` resumes when its spec matches; a
+# cell records its spec, not the build, so regenerating starts afresh.
+rm -rf results/paper results/paper-quick
 for x in fig3 fig4 fig5 fig6 imgsize ablation overhead table2_3; do
   echo "=== $x ==="
   ./target/release/paper $x "$@" | tee results/$x.txt

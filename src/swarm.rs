@@ -24,7 +24,9 @@ use lrs_bench::capsules::ScenarioTags;
 use lrs_bench::cli::{Cli, CliError};
 use lrs_bench::with_scheme;
 use lrs_crypto::sha256::sha256;
-use lrs_deluge::deployment::{Deployment, Node, SchemeFamily};
+use lrs_deluge::deployment::{Deployment, SchemeFamily};
+use lrs_deluge::engine::DisseminationNode;
+use lrs_deluge::policy::TxPolicy;
 use lrs_host::node::{NodeId, Protocol as _};
 use lrs_host::time::SimTime;
 use lrs_netsim::capsule::Capsule;
@@ -58,6 +60,9 @@ pub fn check_capsule(capsule: &Capsule) -> Result<ScenarioTags, String> {
     if tags.attack_plan.is_some() {
         return Err("the proxy cannot express the attack_plan tag's adversaries".to_string());
     }
+    if lrs_bench::capsules::profile(&tags.profile)?.union_tx {
+        return Err("a node process cannot run the profile's tx=union knob".to_string());
+    }
     with_scheme!(tags.scheme.as_str(), S => ())?;
     Ok(tags)
 }
@@ -90,7 +95,10 @@ pub fn wall_deadline(capsule: &Capsule, time_scale: u64) -> std::time::Duration 
 /// checker's per-node invariants (buffered content must be
 /// authenticated content, a complete node's image is the origin image),
 /// and the hex digest of the reassembled image when complete.
-pub fn status<S: SchemeFamily>(deployment: &Deployment<S>, node: &Node<S>) -> NodeStatus {
+pub fn status<S: SchemeFamily, P: TxPolicy>(
+    deployment: &Deployment<S>,
+    node: &DisseminationNode<S, P>,
+) -> NodeStatus {
     let scheme = node.scheme();
     NodeStatus {
         complete: node.is_complete(),
@@ -639,6 +647,11 @@ mod tests {
                 .pairs(),
             ..capsule(4, 0.05, 512, 1)
         };
+        let union = Capsule {
+            scenario: ScenarioTags::new("lr-seluge", "campaign:tx=union", 512, "swarm test")
+                .pairs(),
+            ..capsule(4, 0.05, 512, 1)
+        };
         for (capsule, needle) in [
             (with_fault(FaultEvent::Crash { node, at }), "fault_crash"),
             (with_fault(FaultEvent::Reboot { node, at }), "fault_reboot"),
@@ -652,6 +665,7 @@ mod tests {
             ),
             (noisy, "noise model"),
             (attacked, "attack_plan"),
+            (union, "tx=union"),
         ] {
             let err = check_capsule(&capsule).unwrap_err();
             assert!(err.contains(needle), "{needle}: {err}");

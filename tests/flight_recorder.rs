@@ -371,7 +371,7 @@ fn summary_rows_agree_with_node_counters_for_all_three_schemes() {
     {
         let capsule = campaign.job_capsule(job).expect("job");
         let summary = ItemSummary::default();
-        let (run, nodes) =
+        let (run, nodes, _) =
             replay_observed(&capsule, vec![Box::new(summary.clone())]).expect("replays");
         assert_eq!(run.report.outcome, Outcome::Complete, "{scheme}");
         let (items, nodes): (_, Vec<_>) = (summary.rows(), nodes.into_iter().flatten().collect());
