@@ -20,9 +20,12 @@
 //! With `--trace FILE`, every simulator event (tx/rx/loss-with-cause,
 //! timers, completions, protocol notes) is streamed to `FILE` as JSON
 //! Lines, closed by the `"ev":"metrics"` line the run's digest hashes.
-//! With `--summary`, a verified replay is explained: network totals, the
-//! twelve metrics its campaign job logs (so a `paper` point's job reads
-//! against its cell's `jobs.log`), one row per node and one per item.
+//! A verified replay whose run recorded an invariant violation prints it
+//! (`violation: …`: node, time, which invariant). With `--summary`, it
+//! is explained: network totals, the twelve metrics its campaign job
+//! logs (so a `paper` point's job reads against its cell's `jobs.log`),
+//! one row per node, ending in the node's own state line (level, engine
+//! state, wanted bits: where a stalled node is stuck), and one per item.
 
 use lrs_bench::capsules::{replay_observed, ItemRow, ItemSummary, NodeRow};
 use lrs_bench::cli::{exit_with_usage, flag, positional, valued, Cli, Flag};
@@ -110,6 +113,9 @@ fn replay(cli: &Cli, out: &mut impl Write) -> Result<(), Stop> {
         run.report.final_time.as_secs_f64(),
         run.digest.events,
     )?;
+    if let Some(record) = &run.report.violation {
+        writeln!(out, "violation: {record}")?;
+    }
     if cli.flag("--summary") {
         summary(out, &run.metrics, &paper, &nodes, &items.rows())?;
     }
@@ -144,11 +150,13 @@ fn summary(
     writeln!(out)?;
     writeln!(
         out,
-        " node level  done_s  snacks    data    advs     dup     ooo gave_up rejects"
+        " node level  done_s  snacks    data    advs     dup     ooo gave_up rejects detail"
     )?;
     for (id, row) in nodes.iter().enumerate() {
         let Some(NodeRow {
-            level, stats: s, ..
+            level,
+            stats: s,
+            detail,
         }) = row
         else {
             writeln!(out, "{id:>5} attacker")?;
@@ -163,7 +171,7 @@ fn summary(
         );
         writeln!(
             out,
-            "{id:>5} {level:>5} {done:>7} {snacks:>7} {data:>7} {advs:>7} {dup:>7} {ooo:>7} {gave_up:>7} {rejects:>7}"
+            "{id:>5} {level:>5} {done:>7} {snacks:>7} {data:>7} {advs:>7} {dup:>7} {ooo:>7} {gave_up:>7} {rejects:>7} {detail}"
         )?;
     }
     writeln!(

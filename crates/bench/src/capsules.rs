@@ -24,8 +24,8 @@ use lrs_deluge::deployment::{check_layout, Deployment, SchemeFamily};
 use lrs_deluge::engine::{DisseminationNode, NodeStats, Scheme as _};
 use lrs_deluge::policy::{TxPolicy, UnionPolicy};
 use lrs_deluge::wire::BitVec;
-use lrs_host::node::NodeId;
 use lrs_host::node::PacketKind::{Adv, Snack};
+use lrs_host::node::{NodeId, Protocol};
 use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::InvariantViolation;
 use lrs_netsim::medium::MediumConfig;
@@ -467,14 +467,16 @@ impl<S: SchemeFamily> Population<S> {
     }
 }
 
-/// One node at the end of a replay: its level and the engine's
-/// counters.
-#[derive(Clone, Copy, Debug)]
+/// One node at the end of a replay: its level, the engine's counters
+/// and its [`Protocol::diagnostic`] line.
+#[derive(Clone, Debug)]
 pub struct NodeRow {
     /// Leading complete items (the base station's level is all of them).
     pub level: u16,
     /// The engine's per-node counters.
     pub stats: NodeStats,
+    /// Level, engine state and the wanted bits of the item in flight.
+    pub detail: String,
 }
 
 /// Reconstructs `capsule`'s node population from its scenario tags and
@@ -501,7 +503,7 @@ pub fn replay_observed(
             .map(|id| {
                 let node = done.sim.node(NodeId(id)).honest()?;
                 let (level, stats) = (node.scheme().complete_items(), node.stats());
-                Some(NodeRow { level, stats })
+                Some(NodeRow { level, stats, detail: node.diagnostic() })
             })
             .collect();
         let paper = done.metrics();

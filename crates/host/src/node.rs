@@ -223,8 +223,8 @@ pub trait Protocol {
     }
 
     /// One-line state description (page/packet bit-vectors and the
-    /// like) included in the watchdog's diagnostic dump. Empty by
-    /// default.
+    /// like): the last column of `replay --summary`'s node rows, where
+    /// a stalled run shows each node's state. Empty by default.
     fn diagnostic(&self) -> String {
         String::new()
     }

@@ -1,20 +1,19 @@
 //! Typed protocol-invariant violations.
 //!
 //! A structured [`InvariantViolation`] shared by every scheme
-//! (LR-Seluge, Seluge, and custom checkers) and every driver, so
-//! diagnostic dumps can serialize a failure structurally — which
-//! buffer, which page, which packet index, and the expected/actual
-//! content digests — instead of an opaque message. It lives beside the
-//! protocol contract because both sides name it: a scheme's checker
-//! returns it and a driver's per-delivery hook records it.
+//! (LR-Seluge, Seluge, and custom checkers) and every driver, so a
+//! failure names which buffer, which page, which packet index, and the
+//! expected/actual content digests instead of an opaque message. It
+//! lives beside the protocol contract because both sides name it: a
+//! scheme's checker returns it and a driver's per-delivery hook records
+//! it.
 //!
 //! Digests are 64-bit FNV-1a condensations of the compared byte
-//! strings: enough to tell *that* and *where* two buffers diverged in a
-//! dump, without pulling a crypto dependency into a driver.
+//! strings: enough to tell *that* and *where* two buffers diverged,
+//! without pulling a crypto dependency into a driver.
 
 use crate::node::NodeId;
 use crate::time::SimTime;
-use lrs_json::ObjWriter;
 use std::fmt;
 
 /// A 64-bit content digest (FNV-1a) used to report expected/actual
@@ -73,7 +72,7 @@ pub enum BufferKind {
 }
 
 impl BufferKind {
-    /// Stable lowercase label for JSON output.
+    /// Stable lowercase label.
     pub fn label(self) -> &'static str {
         match self {
             BufferKind::HashPage => "hash_page",
@@ -169,7 +168,7 @@ pub enum InvariantViolation {
 }
 
 impl InvariantViolation {
-    /// Stable lowercase kind label for JSON output.
+    /// Stable lowercase kind label.
     pub fn kind(&self) -> &'static str {
         match self {
             InvariantViolation::CompletionOverflow { .. } => "completion_overflow",
@@ -182,66 +181,6 @@ impl InvariantViolation {
             InvariantViolation::ImageMismatch { .. } => "image_mismatch",
             InvariantViolation::Custom { .. } => "custom",
         }
-    }
-
-    /// Renders the violation as one JSON object with a `"kind"` tag and
-    /// the variant's fields.
-    pub fn to_json(&self) -> String {
-        let obj = ObjWriter::new().str("kind", self.kind());
-        let digests = |obj: ObjWriter, expected: &ContentDigest, actual: &ContentDigest| {
-            obj.str("expected", &expected.to_string())
-                .str("actual", &actual.to_string())
-        };
-        match self {
-            InvariantViolation::CompletionOverflow { complete, total } => {
-                obj.uint("complete", *complete).uint("total", *total)
-            }
-            InvariantViolation::BufferBound {
-                buffer,
-                slots,
-                held,
-                count,
-            } => obj
-                .str("buffer", buffer.label())
-                .uint("slots", *slots)
-                .uint("held", *held)
-                .uint("count", *count),
-            InvariantViolation::UnauthenticPacket {
-                buffer,
-                page,
-                index,
-                expected,
-                actual,
-            } => digests(
-                obj.str("buffer", buffer.label())
-                    .opt_uint("page", *page)
-                    .uint("index", *index),
-                expected,
-                actual,
-            ),
-            InvariantViolation::UnexpectedBufferOccupancy { complete } => {
-                obj.uint("complete", *complete)
-            }
-            InvariantViolation::SignatureMismatch { expected, actual }
-            | InvariantViolation::ImageMismatch { expected, actual } => {
-                digests(obj, expected, actual)
-            }
-            InvariantViolation::PageMismatch {
-                page,
-                packet,
-                expected,
-                actual,
-            } => digests(
-                obj.uint("page", *page).opt_uint("packet", *packet),
-                expected,
-                actual,
-            ),
-            InvariantViolation::PagesMissing { complete, held } => {
-                obj.uint("complete", *complete).uint("held", *held)
-            }
-            InvariantViolation::Custom { message } => obj.str("message", message),
-        }
-        .finish()
     }
 }
 
@@ -302,22 +241,6 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-impl From<String> for InvariantViolation {
-    /// Wraps a free-form message, easing migration of string-based
-    /// custom checkers.
-    fn from(message: String) -> Self {
-        InvariantViolation::Custom { message }
-    }
-}
-
-impl From<&str> for InvariantViolation {
-    fn from(message: &str) -> Self {
-        InvariantViolation::Custom {
-            message: message.to_string(),
-        }
-    }
-}
-
 /// A violation pinned to the node and virtual time where the simulator
 /// observed it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -328,17 +251,6 @@ pub struct ViolationRecord {
     pub node: NodeId,
     /// What was violated.
     pub violation: InvariantViolation,
-}
-
-impl ViolationRecord {
-    /// Renders the record as one JSON object.
-    pub fn to_json(&self) -> String {
-        ObjWriter::new()
-            .uint("t", self.at.as_micros())
-            .uint("node", self.node.0)
-            .raw("violation", &self.violation.to_json())
-            .finish()
-    }
 }
 
 impl fmt::Display for ViolationRecord {
@@ -367,36 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn json_is_structured_per_variant() {
-        let v = InvariantViolation::UnauthenticPacket {
-            buffer: BufferKind::Page,
-            page: Some(3),
-            index: 7,
-            expected: ContentDigest(1),
-            actual: ContentDigest(2),
-        };
-        let json = v.to_json();
-        assert!(json.contains(r#""kind":"unauthentic_packet""#), "{json}");
-        assert!(json.contains(r#""page":3"#), "{json}");
-        assert!(json.contains(r#""index":7"#), "{json}");
-        let hp = InvariantViolation::UnauthenticPacket {
-            buffer: BufferKind::HashPage,
-            page: None,
-            index: 2,
-            expected: ContentDigest(1),
-            actual: ContentDigest(2),
-        };
-        assert!(hp.to_json().contains(r#""page":null"#));
-        let c = InvariantViolation::Custom {
-            message: "say \"no\"".into(),
-        };
-        assert!(c.to_json().contains(r#"\"no\""#));
-    }
-
-    #[test]
     fn display_matches_legacy_strings() {
-        // Dump `reason` strings built from Display stay greppable like
-        // the PR 3 string errors they replace.
+        // `replay` prints a recorded violation through Display.
         let v = InvariantViolation::PageMismatch {
             page: 4,
             packet: None,
@@ -410,15 +294,5 @@ mod tests {
             violation: v,
         };
         assert!(r.to_string().contains("t=120us on n9"));
-        assert!(r
-            .to_json()
-            .contains(r#""violation":{"kind":"page_mismatch""#));
-    }
-
-    #[test]
-    fn string_conversion_builds_custom() {
-        let v: InvariantViolation = "boom".into();
-        assert_eq!(v.kind(), "custom");
-        assert_eq!(v.to_string(), "boom");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The workspace resolves dependencies offline, so there is no serde;
 //! everything that reads or writes JSON (the simulator's trace, fault,
-//! attack, capsule, diagnostic and metrics line dialects, the campaign
+//! attack, capsule and metrics line dialects, the campaign
 //! manifest, log and report, the experiment result files) goes through
 //! this crate, so the grammar, the string escaper and the integer rules
 //! exist once:
@@ -227,19 +227,6 @@ impl ObjWriter {
         self
     }
 
-    /// An unsigned integer field, or `null` for `None`.
-    pub fn opt_uint(self, key: &str, v: Option<impl Uint>) -> Self {
-        match v {
-            Some(v) => self.uint(key, v),
-            None => self.raw(key, "null"),
-        }
-    }
-
-    /// A `true` / `false` field.
-    pub fn bool(self, key: &str, v: bool) -> Self {
-        self.raw(key, if v { "true" } else { "false" })
-    }
-
     /// A string field, escaped.
     pub fn str(mut self, key: &str, v: &str) -> Self {
         self.key(key);
@@ -252,20 +239,6 @@ impl ObjWriter {
     pub fn raw(mut self, key: &str, json: &str) -> Self {
         self.key(key);
         self.out.push_str(json);
-        self
-    }
-
-    /// An array field whose items are already-rendered JSON.
-    pub fn arr(mut self, key: &str, items: impl IntoIterator<Item = String>) -> Self {
-        self.key(key);
-        self.out.push('[');
-        for (i, item) in items.into_iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            self.out.push_str(&item);
-        }
-        self.out.push(']');
         self
     }
 
@@ -732,22 +705,12 @@ mod tests {
         let tree = Json::Obj(vec![
             ("t".into(), Json::uint(u64::MAX)),
             ("ev".into(), Json::str("a\n\"b\"")),
-            ("page".into(), Json::Null),
-            ("idx".into(), Json::num(3u8)),
-            ("ok".into(), Json::Bool(false)),
             ("in".into(), Json::Obj(vec![("k".into(), Json::num(1u8))])),
-            ("xs".into(), Json::Arr(vec![Json::num(1u8), Json::str("s")])),
-            ("none".into(), Json::Arr(vec![])),
         ]);
         let line = ObjWriter::new()
             .uint("t", u64::MAX)
             .str("ev", "a\n\"b\"")
-            .opt_uint("page", None::<u16>)
-            .opt_uint("idx", Some(3u16))
-            .bool("ok", false)
             .raw("in", &ObjWriter::new().uint("k", 1u8).finish())
-            .arr("xs", [Json::num(1u8).render(), Json::str("s").render()])
-            .arr("none", [])
             .finish();
         assert_eq!(line, tree.render());
         assert_eq!(parse_json(&line).unwrap(), tree);

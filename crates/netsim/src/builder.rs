@@ -162,7 +162,7 @@ mod tests {
         // does not gate completion.
         assert!(report.all_complete);
         assert!(sim.is_failed(NodeId(2)));
-        assert!(sim.invariant_violation().is_none());
+        assert!(report.violation.is_none());
     }
 
     #[test]

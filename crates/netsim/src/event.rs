@@ -107,7 +107,7 @@ impl EventQueue {
     }
 
     /// Iterates over pending events in arbitrary (heap) order, without
-    /// draining them. Used for diagnostic dumps.
+    /// draining them (the differential test's pending-multiset check).
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &Event)> {
         self.heap.iter().map(|Reverse((at, _, slot))| {
             let event = self.slab[*slot as usize].as_ref();

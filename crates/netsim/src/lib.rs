@@ -26,10 +26,13 @@
 //! * [`metrics`] holds the counters behind every figure.
 //! * [`fault`] schedules deterministic crash/reboot, link-churn,
 //!   asymmetric-degradation, and clock-drift faults; the simulator's
-//!   stall watchdog and per-delivery invariant hooks turn livelocks and
-//!   protocol violations (reported in `lrs-host`'s
-//!   [`violation`](lrs_host::violation) vocabulary) into structured
-//!   diagnostics instead of hangs.
+//!   stall watchdog and per-delivery invariant hooks end livelocked and
+//!   protocol-violating runs with [`Outcome::Stalled`] and
+//!   [`Outcome::InvariantViolated`] instead of hangs, the violation
+//!   (in `lrs-host`'s [`violation`](lrs_host::violation) vocabulary)
+//!   in [`RunReport::violation`]. The simulator keeps no post-mortem of
+//!   its own: a harness saves the run's capsule, and `replay` explains
+//!   it (`--trace`, `--summary`).
 //! * [`builder`] provides [`SimBuilder`], the one way to configure a
 //!   run, and
 //!   [`capsule`] / [`mod@replay`] the flight recorder: a run's seed, config,
@@ -91,7 +94,7 @@ pub use capsule::{Capsule, CapsuleError, RunDigest};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, PPM_ONE};
 pub use metrics::Metrics;
 pub use replay::{verify_replay, DigestMismatch, ReplayError, ReplayRun};
-pub use sim::{DiagnosticDump, NodeDiag, Outcome, RunReport, SimConfig, Simulator};
+pub use sim::{Outcome, RunReport, SimConfig, Simulator};
 pub use topology::Topology;
 pub use trace::{
     JsonlTrace, LossCause, RingTrace, SharedRingTrace, TraceDigest, TraceEvent, TraceSink,

@@ -7,12 +7,11 @@ use crate::fault::{FaultEvent, FaultPlan, LinkFaults, PPM_ONE};
 use crate::medium::{Delivery, Medium, MediumConfig};
 use crate::metrics::Metrics;
 use crate::topology::Topology;
-use crate::trace::{LossCause, RingTrace, TraceEvent, TraceSink};
+use crate::trace::{LossCause, TraceEvent, TraceSink};
 use lrs_host::node::{node_rng, Action, Context, NodeId, PacketKind, Protocol};
 use lrs_host::time::{Duration, SimTime};
 use lrs_host::timer::TimerWheel;
 use lrs_host::violation::{InvariantViolation, ViolationRecord};
-use lrs_json::ObjWriter;
 use lrs_rng::DetRng;
 
 /// Simulation-wide configuration. The run's time limit is not part of
@@ -23,13 +22,10 @@ pub struct SimConfig {
     pub medium: MediumConfig,
     /// Stall watchdog: if no node makes [`Protocol::progress`] within a
     /// window of this length, the run aborts with [`Outcome::Stalled`]
-    /// and a [`DiagnosticDump`]. `None` disables the watchdog.
+    /// (a failure capsule `replay --summary` explains). `None` disables
+    /// the watchdog.
     pub stall_window: Option<Duration>,
 }
-
-/// How many recent trace events the simulator retains for diagnostic
-/// dumps.
-const DIAG_EVENTS: usize = 64;
 
 /// Why a run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,72 +63,6 @@ impl Outcome {
     }
 }
 
-/// One node's state snapshot inside a [`DiagnosticDump`].
-#[derive(Clone, Debug)]
-pub struct NodeDiag {
-    /// The node.
-    pub node: NodeId,
-    /// Whether it reported completion.
-    pub complete: bool,
-    /// Whether it is crash-failed right now.
-    pub failed: bool,
-    /// Its [`Protocol::progress`] value.
-    pub progress: u64,
-    /// Its [`Protocol::diagnostic`] line (page/packet bit-vectors).
-    pub detail: String,
-}
-
-/// Structured post-mortem emitted when the watchdog trips or an
-/// invariant fails: enough to explain a stall without rerunning under a
-/// debugger.
-#[derive(Clone, Debug)]
-pub struct DiagnosticDump {
-    /// Virtual time of the dump.
-    pub at: SimTime,
-    /// Why the dump was taken.
-    pub reason: String,
-    /// Pending deliveries and timer events.
-    pub queue_len: usize,
-    /// Timers armed on nodes that are not crash-failed (superseded and
-    /// cancelled arms excluded).
-    pub pending_timers: usize,
-    /// Per-node state snapshots.
-    pub nodes: Vec<NodeDiag>,
-    /// The most recent trace events (at most 64).
-    pub recent: Vec<TraceEvent>,
-    /// The violated invariant, when the dump was taken for
-    /// [`Outcome::InvariantViolated`] — serialized structurally by
-    /// [`DiagnosticDump::to_json`].
-    pub violation: Option<ViolationRecord>,
-}
-
-impl DiagnosticDump {
-    /// Renders the dump as one JSON object.
-    pub fn to_json(&self) -> String {
-        let nodes = self.nodes.iter().map(|d| {
-            ObjWriter::new()
-                .uint("node", d.node.0)
-                .bool("complete", d.complete)
-                .bool("failed", d.failed)
-                .uint("progress", d.progress)
-                .str("detail", &d.detail)
-                .finish()
-        });
-        let mut dump = ObjWriter::new()
-            .uint("t", self.at.as_micros())
-            .str("ev", "diagnostic")
-            .str("reason", &self.reason)
-            .uint("queue", self.queue_len)
-            .uint("pending_timers", self.pending_timers)
-            .arr("nodes", nodes)
-            .arr("recent", self.recent.iter().map(TraceEvent::to_json));
-        if let Some(record) = &self.violation {
-            dump = dump.raw("violation", &record.to_json());
-        }
-        dump.finish()
-    }
-}
-
 /// Result of a run.
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -144,9 +74,9 @@ pub struct RunReport {
     pub final_time: SimTime,
     /// Dissemination latency (time the last node completed), if all did.
     pub latency: Option<SimTime>,
-    /// Post-mortem attached on [`Outcome::Stalled`] and
+    /// The first invariant violation, on
     /// [`Outcome::InvariantViolated`].
-    pub diagnostic: Option<DiagnosticDump>,
+    pub violation: Option<ViolationRecord>,
 }
 
 /// Stall-watchdog state: the fleet's progress when last seen to advance.
@@ -171,9 +101,6 @@ pub struct Simulator<P: Protocol> {
     timers: Vec<TimerWheel>,
     /// Action buffer reused across node callbacks.
     actions: Vec<Action>,
-    /// Deliveries of the broadcast being delivered that have not been
-    /// attempted yet (still pending, for [`DiagnosticDump::queue_len`]).
-    batch_left: usize,
     metrics: Metrics,
     energy: EnergyLedger,
     now: SimTime,
@@ -200,8 +127,6 @@ pub struct Simulator<P: Protocol> {
     invariant: Option<InvariantChecker<P>>,
     /// First invariant violation, if any.
     violation: Option<ViolationRecord>,
-    /// Always-on bounded event ring feeding diagnostic dumps.
-    diag: RingTrace,
     stall_window: Option<Duration>,
     /// Optional structured event sink (purely observational).
     trace: Option<Box<dyn TraceSink>>,
@@ -232,7 +157,6 @@ impl<P: Protocol> Simulator<P> {
             rngs,
             timers: vec![TimerWheel::new(); n],
             actions: Vec::new(),
-            batch_left: 0,
             metrics: Metrics::new(),
             energy: EnergyLedger::new(n),
             now: SimTime::ZERO,
@@ -247,20 +171,13 @@ impl<P: Protocol> Simulator<P> {
             reboots: 0,
             invariant,
             violation: None,
-            diag: RingTrace::new(DIAG_EVENTS),
             stall_window: config.stall_window,
             trace,
         }
     }
 
-    /// The first invariant violation, if any.
-    pub fn invariant_violation(&self) -> Option<&ViolationRecord> {
-        self.violation.as_ref()
-    }
-
     #[inline]
     fn emit(&mut self, event: TraceEvent) {
-        self.diag.record(&event);
         if let Some(sink) = self.trace.as_mut() {
             sink.record(&event);
         }
@@ -381,49 +298,6 @@ impl<P: Protocol> Simulator<P> {
             .sum()
     }
 
-    /// Takes a structured state snapshot (any time; the watchdog calls
-    /// this when it trips).
-    pub fn dump(&self, reason: impl Into<String>) -> DiagnosticDump {
-        let pending_timers = self
-            .timers
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.failed[i])
-            .map(|(_, timers)| timers.pending())
-            .sum();
-        // A queued broadcast stands for one pending delivery per link.
-        let queue_len = self.batch_left
-            + self
-                .queue
-                .iter()
-                .map(|(_, event)| match event {
-                    Event::Broadcast { from, .. } => self.topology.links_from(*from).len(),
-                    Event::Deliver { .. } | Event::Timer { .. } => 1,
-                })
-                .sum::<usize>();
-        let nodes = self
-            .protocols
-            .iter()
-            .enumerate()
-            .map(|(i, p)| NodeDiag {
-                node: NodeId(i as u32),
-                complete: self.complete[i],
-                failed: self.failed[i],
-                progress: p.progress(),
-                detail: p.diagnostic(),
-            })
-            .collect();
-        DiagnosticDump {
-            at: self.now,
-            reason: reason.into(),
-            queue_len,
-            pending_timers,
-            nodes,
-            recent: self.diag.events().cloned().collect(),
-            violation: self.violation.clone(),
-        }
-    }
-
     /// Runs until every node completes, the event queue drains, the
     /// virtual-time `deadline` passes, the stall watchdog trips, or an
     /// invariant fails, then flushes the trace sink. Returns a report;
@@ -485,7 +359,6 @@ impl<P: Protocol> Simulator<P> {
                     // schedules for `at` sorts after this whole entry.
                     let links = self.topology.links_from(from).len();
                     for i in 0..links {
-                        self.batch_left = links - i - 1;
                         let link = self.topology.links_from(from)[i];
                         if !self.deliver(link.to, from, &data, kind, tx_id, link.prr) {
                             continue;
@@ -534,20 +407,6 @@ impl<P: Protocol> Simulator<P> {
         } else {
             Outcome::Drained
         });
-        let diagnostic = match outcome {
-            Outcome::Stalled => Some(self.dump(format!(
-                "stall: no goodput progress within the {:.0}s watchdog window",
-                self.stall_window.map_or(0.0, |w| w.as_secs_f64())
-            ))),
-            Outcome::InvariantViolated => {
-                let record = self
-                    .violation
-                    .as_ref()
-                    .expect("outcome is InvariantViolated only when a violation was recorded");
-                Some(self.dump(record.to_string()))
-            }
-            _ => None,
-        };
         let latency = if self.all_complete() {
             self.metrics.dissemination_latency()
         } else {
@@ -561,7 +420,7 @@ impl<P: Protocol> Simulator<P> {
             all_complete: self.all_complete(),
             final_time: self.now,
             latency,
-            diagnostic,
+            violation: self.violation.clone(),
         }
     }
 
@@ -886,7 +745,7 @@ mod tests {
         assert!(report.all_complete);
         assert_eq!(report.outcome, Outcome::Complete);
         assert!(report.latency.is_some());
-        assert!(report.diagnostic.is_none());
+        assert!(report.violation.is_none());
         assert_eq!(sim.metrics().tx_packets(PacketKind::Data), 3);
         // 3 broadcasts × 3 receivers.
         assert_eq!(sim.metrics().rx_packets(), 9);
@@ -980,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_trips_on_stall_with_a_dump() {
+    fn watchdog_trips_on_stall() {
         // Sever every source link: receivers can never progress, but
         // the source's timer keeps the queue alive forever.
         let mut plan = FaultPlan::new();
@@ -1002,13 +861,7 @@ mod tests {
             .run(Duration::from_secs(3600));
         assert_eq!(report.outcome, Outcome::Stalled);
         assert!(!report.all_complete);
-        let dump = report.diagnostic.expect("stall dump");
-        assert_eq!(dump.nodes.len(), 4);
-        assert!(dump.pending_timers >= 1);
-        assert!(!dump.recent.is_empty());
-        let json = dump.to_json();
-        assert!(json.contains(r#""ev":"diagnostic""#));
-        assert!(json.contains(r#""reason":"stall"#));
+        assert!(report.violation.is_none());
         // Aborted after roughly one window, not at the deadline.
         assert!(report.final_time < SimTime::ZERO + Duration::from_secs(60));
     }
@@ -1028,25 +881,18 @@ mod tests {
             .build();
         let report = sim.run(Duration::from_secs(60));
         assert_eq!(report.outcome, Outcome::InvariantViolated);
-        let record = sim.invariant_violation().expect("violation");
+        let record = report.violation.expect("violation");
         // The abort lands inside the second broadcast: its first
         // receiver trips the checker and the other two never hear it.
         assert_eq!(record.node, NodeId(1));
         assert_eq!(sim.metrics().rx_packets(), 4);
-        assert!(record.violation.to_string().contains("pings_heard"));
-        let json = report.diagnostic.expect("dump").to_json();
-        assert!(json.contains("invariant violated"));
-        // The violation is serialized structurally, not only as a string.
-        assert!(json.contains(r#""violation":{"t":"#), "{json}");
-        assert!(json.contains(r#""kind":"custom""#), "{json}");
-        // Control characters in the message (and in the reason built
-        // from it) are escaped: the dump is one line and parses back.
-        assert!(!json.contains(['\n', '\t', '\u{1}']), "{json}");
-        let doc = lrs_json::parse_json(&json).expect("dump is one JSON document");
-        let message = record.violation.to_string();
-        assert!(doc.str_at("reason").unwrap().contains(&message));
-        let nested = doc.get("violation").and_then(|v| v.get("violation"));
-        assert_eq!(nested.unwrap().str_at("message"), Ok(message.as_str()));
+        assert_eq!(
+            record.violation,
+            InvariantViolation::Custom {
+                message: "pings_heard \"reached\"\n\t2\u{1}".to_string(),
+            }
+        );
+        assert!(record.to_string().contains("on n1: pings_heard"));
     }
 
     #[test]
@@ -1137,22 +983,6 @@ mod tests {
         assert_eq!(sim.metrics().rx_packets(), 4);
         let heard = |n| sim.node(NodeId(n)).heard;
         assert_eq!([heard(1), heard(2), heard(3)], [2, 1, 1]);
-        // Still pending: the ping's other two deliveries and the 3 s timer.
-        let dump = report.diagnostic.expect("stall dump");
-        assert_eq!(dump.queue_len, 3);
-        assert_eq!(dump.pending_timers, 1);
-    }
-
-    #[test]
-    fn queue_len_counts_one_pending_delivery_per_link() {
-        // Stop with the first ping on the air: three deliveries and the
-        // re-armed timer are pending, in two heap entries.
-        let mut sim = pinger_sim(1);
-        let report = sim.run(Duration::from_millis(1005));
-        assert_eq!(report.outcome, Outcome::TimedOut);
-        let dump = sim.dump("probe");
-        assert_eq!(dump.queue_len, 4);
-        assert_eq!(dump.pending_timers, 1);
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn capture<P: Protocol + 'static, F: FnMut(NodeId) -> P>(
     let mut sim = arm(builder).trace(trace.clone()).build();
     let report = sim.run(deadline());
     assert_eq!(report.outcome, Outcome::Complete);
-    assert!(report.diagnostic.is_none(), "zero violations expected");
+    assert!(report.violation.is_none(), "zero violations expected");
     Capsule {
         seed,
         deadline: deadline(),
@@ -270,8 +270,9 @@ const REWRITTEN_CAPSULE: ContentDigest = ContentDigest(0xc211_ff90_437d_444c);
 fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
     // Cut the base station off in both directions, forever: receivers
     // keep advertising and requesting but can never make progress, so
-    // the watchdog must end the run with a structured dump instead of
-    // letting it spin to the deadline.
+    // the watchdog must end the run instead of letting it spin to the
+    // deadline, and `replay --summary` of the committed capsule must
+    // show where each node is stuck.
     let tags = ScenarioTags::new("lr-seluge", "chaos", 2048, "chaos keys");
     let pop = population::<LrScheme>(&tags).expect("chaos profile");
     let topo = Topology::star(4);
@@ -299,17 +300,21 @@ fn partitioned_star_stalls_and_rewrites_the_committed_capsule() {
     };
     let done = simulate(&pop, &capsule, false, Vec::new());
     assert_eq!(done.report.outcome, Outcome::Stalled);
-    let dump = done
-        .report
-        .diagnostic
-        .as_ref()
-        .expect("a stalled run carries a dump");
-    assert!(!dump.nodes.is_empty());
+    let committed = Capsule::load(COMMITTED_CAPSULE).expect("committed capsule");
     assert_eq!(
         done.failure_capsule(&capsule),
-        Some(Capsule::load(COMMITTED_CAPSULE).expect("committed capsule")),
+        Some(committed.clone()),
         "the run drifted from {COMMITTED_CAPSULE}"
     );
+    let (_, rows, _) = replay_observed(&committed, Vec::new()).expect("replays");
+    assert_eq!(rows.len(), 4);
+    for (id, row) in rows.iter().enumerate() {
+        let node = done.sim.node(NodeId(id as u32)).honest().expect("honest");
+        let row = row.as_ref().expect("an honest row");
+        assert_eq!(row.detail, node.diagnostic(), "n{id}");
+    }
+    let mut receivers = rows[1..].iter().flatten();
+    assert!(receivers.any(|row| !row.detail.ends_with(" complete")));
 }
 
 /// The swarm grid's first job: `star:16` with ~10 % of directed links
