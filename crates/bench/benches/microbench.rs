@@ -1,9 +1,8 @@
 //! Microbenchmarks for the primitives every packet exercises: hashing,
-//! GF(256) slice kernels, erasure coding (with and without the decode-
-//! matrix cache), Merkle verification, signature verification, the
-//! TX scheduler, the simulator's event queue and the wire parser. These
-//! quantify the per-packet computation overhead discussed in the
-//! paper's §V-B.
+//! GF(256) slice kernels, erasure coding, Merkle verification,
+//! signature verification, the TX scheduler, the simulator's event
+//! queue and the wire parser. These quantify the per-packet computation
+//! overhead discussed in the paper's §V-B.
 //!
 //! Self-timed (`harness = false`): the registry is unreachable in this
 //! environment, so Criterion is unavailable. Each benchmark warms up,
@@ -33,6 +32,7 @@ use lrs_erasure::{ErasureCode, ReedSolomon};
 use lrs_host::node::{NodeId, TimerId};
 use lrs_host::time::SimTime;
 use lrs_netsim::event::{Event, EventQueue};
+use lrs_rng::DetRng;
 use std::hint::black_box;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -203,22 +203,25 @@ fn bench_reed_solomon() {
     bench("rs/encode_k32_n48", (32 * 72) as u64, || {
         black_box(code.encode(black_box(&blocks)).unwrap());
     });
-    // Worst-case decode: all parity blocks, repeated pattern (the decode
-    // matrix cache is warm after the first iteration — this is the
-    // repeated-erasure-pattern case dominant in sim runs).
+    // Worst-case decode: all parity blocks, so 16 of the 32 sources are
+    // erased and solved for.
     let parity: Vec<(usize, Vec<u8>)> = (16..48).map(|i| (i, encoded[i].clone())).collect();
     bench("rs/decode_parity_k32_n48", (32 * 72) as u64, || {
         black_box(code.decode(black_box(&parity), 72).unwrap());
     });
-    let parity_refs: Vec<(usize, &[u8])> = (16..48).map(|i| (i, encoded[i].as_slice())).collect();
-    bench("rs/decode_cached_k32_n48", (32 * 72) as u64, || {
-        black_box(code.decode_refs(black_box(&parity_refs), 72).unwrap());
-    });
-    // The same pattern with the cache disabled: every decode pays the
-    // full Gauss-Jordan inversion.
-    let uncached = ReedSolomon::with_cache_capacity(32, 48, 0).unwrap();
-    bench("rs/decode_uncached_k32_n48", (32 * 72) as u64, || {
-        black_box(uncached.decode_refs(black_box(&parity_refs), 72).unwrap());
+    // The pattern the workloads see at ~30 % loss: the first k
+    // survivors of a seeded shuffle (this seed erases 10 sources).
+    let mut order: Vec<usize> = (0..48).collect();
+    DetRng::seed_from_u64(0x7273_3330).shuffle(&mut order);
+    let survivors: Vec<(usize, &[u8])> = order[..32]
+        .iter()
+        .map(|&i| (i, encoded[i].as_slice()))
+        .collect();
+    let mut page = Vec::new();
+    bench("rs/decode_erasure30_k32_n48", (32 * 72) as u64, || {
+        code.decode_into(black_box(&survivors), 72, &mut page)
+            .unwrap();
+        black_box(&page);
     });
     // Best-case decode: systematic blocks (memcpy path).
     let systematic: Vec<(usize, Vec<u8>)> = (0..32).map(|i| (i, encoded[i].clone())).collect();

@@ -2,38 +2,27 @@
 //!
 //! The generator matrix is derived from an `n × k` Vandermonde matrix `V`
 //! by normalizing its top `k × k` block to the identity:
-//! `A = V · (V_top)⁻¹`. Any `k` rows of `A` remain linearly independent
+//! `G = V · (V_top)⁻¹`. Any `k` rows of `G` remain linearly independent
 //! (row selection commutes with the right-multiplication), so the code is
 //! MDS: any `k' = k` encoded blocks recover the page. The first `k`
 //! encoded blocks equal the source blocks, which lets intermediate nodes
 //! that already decoded a page re-encode it cheaply (paper §IV-D-3: a TX
 //! node "applies the same erasure code f" before serving SNACKs).
+//!
+//! Decoding solves only for what was erased. The received systematic
+//! blocks `S` are copied; each received parity block `y_p` minus its
+//! `S` terms leaves `r_p = Σ_{j∈M} G[p][j]·x_j` over the `m` missing
+//! sources `M`, and the `m × m` system `G[P][M]` is inverted to recover
+//! them: `m³` field operations and `m·(k + 1)` row products instead of a
+//! `k × k` inversion and `k²` row products. The solution is unique (the
+//! code is MDS), so the bytes are those of any other exact decoder.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::gf256::{slice_mul_add_accumulate, Gf};
 use crate::matrix::Matrix;
 use crate::{check_decode_input, CodeError, ErasureCode};
-
-/// Default bound on the number of cached inverted decode matrices.
-///
-/// A cached entry is `k × k` bytes plus the key; at the paper's
-/// `k = 32` that is ~1 KiB per entry, so the default bound costs at
-/// most a few hundred KiB while covering far more erasure patterns
-/// than a sim run typically produces.
-pub const DEFAULT_DECODE_CACHE_CAPACITY: usize = 256;
-
-/// Bounded LRU map from a received-index set to the inverted generator
-/// submatrix for that set.
-#[derive(Debug, Default)]
-struct DecodeCache {
-    /// key → (last-touch stamp, inverse). Indices fit in `u8` (n ≤ 255).
-    map: HashMap<Box<[u8]>, (u64, Arc<Matrix>)>,
-    stamp: u64,
-    hits: u64,
-    misses: u64,
-}
 
 /// The systematic `n × k` generator `V · (V_top)⁻¹`, built once per
 /// `(k, n)` for the whole process: it is a pure function of the pair,
@@ -43,8 +32,8 @@ struct DecodeCache {
 /// in practice the two or three geometries a run uses.
 fn systematic_generator(k: usize, n: usize) -> Arc<Matrix> {
     static GENERATORS: Mutex<BTreeMap<(usize, usize), Arc<Matrix>>> = Mutex::new(BTreeMap::new());
-    // Poison-tolerant like the decode cache: entries are inserted
-    // whole, so a panicked holder cannot leave a half-built matrix.
+    // Poison-tolerant: entries are inserted whole, so a panicked holder
+    // cannot leave a half-built matrix.
     let mut memo = GENERATORS.lock().unwrap_or_else(PoisonError::into_inner);
     Arc::clone(memo.entry((k, n)).or_insert_with(|| {
         let v = Matrix::vandermonde(n, k);
@@ -58,40 +47,25 @@ fn systematic_generator(k: usize, n: usize) -> Arc<Matrix> {
 
 /// A systematic `(k, n)` Reed-Solomon code with `k' = k`.
 ///
-/// Cloning shares the decode-matrix cache: all clones of one instance
-/// (e.g. the per-node schemes of a sim run) reuse each other's inverted
-/// matrices. The cache only short-circuits Gauss-Jordan elimination —
-/// decoded bytes are identical with the cache on, off, warm, or cold.
-/// The generator matrix is shared wider still, by every instance of the
-/// same `(k, n)` in the process.
+/// The generator matrix is shared by every instance of the same
+/// `(k, n)` in the process, so constructing or cloning a code is cheap.
+/// A decode inverts only the `m × m` system of the `m` erased source
+/// blocks (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ReedSolomon {
     k: usize,
     n: usize,
     /// The systematic generator matrix (n × k); top k rows are identity.
     generator: Arc<Matrix>,
-    /// LRU of inverted decode matrices keyed by the received-index set.
-    cache: Arc<Mutex<DecodeCache>>,
-    cache_capacity: usize,
 }
 
 impl ReedSolomon {
-    /// Constructs the code with [`DEFAULT_DECODE_CACHE_CAPACITY`].
+    /// Constructs the code.
     ///
     /// # Errors
     ///
     /// Returns [`CodeError::BadParameters`] unless `1 ≤ k ≤ n ≤ 255`.
     pub fn new(k: usize, n: usize) -> Result<Self, CodeError> {
-        Self::with_cache_capacity(k, n, DEFAULT_DECODE_CACHE_CAPACITY)
-    }
-
-    /// Constructs the code with an explicit decode-matrix cache bound.
-    /// A capacity of 0 disables caching (every parity decode re-inverts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::BadParameters`] unless `1 ≤ k ≤ n ≤ 255`.
-    pub fn with_cache_capacity(k: usize, n: usize, capacity: usize) -> Result<Self, CodeError> {
         if k == 0 || n < k || n > 255 {
             return Err(CodeError::BadParameters { k, n });
         }
@@ -99,8 +73,6 @@ impl ReedSolomon {
             k,
             n,
             generator: systematic_generator(k, n),
-            cache: Arc::new(Mutex::new(DecodeCache::default())),
-            cache_capacity: capacity,
         })
     }
 
@@ -109,65 +81,15 @@ impl ReedSolomon {
         self.generator.row(idx)
     }
 
-    /// Decode-matrix cache counters `(hits, misses)` since construction.
-    pub fn cache_counters(&self) -> (u64, u64) {
-        // Poison-tolerant: the cache is pure memoization, so state left
-        // by a panicking thread (e.g. a crashed shard worker) is still
-        // coherent and safe to read.
-        let c = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        (c.hits, c.misses)
-    }
-
-    /// The inverted generator submatrix for the given (sorted, distinct)
-    /// row indices, from cache when warm.
-    fn inverse_for(&self, indices: &[usize]) -> Arc<Matrix> {
-        let invert =
-            || {
-                Arc::new(self.generator.select_rows(indices).inverse().expect(
-                    "any k rows of a systematic Vandermonde-derived matrix are independent",
-                ))
-            };
-        if self.cache_capacity == 0 {
-            return invert();
-        }
-        let key: Box<[u8]> = indices.iter().map(|&i| i as u8).collect();
-        // Poison-tolerant for the same reason as `cache_counters`: every
-        // mutation below leaves the map consistent at each step, so a
-        // panicked holder cannot have left it half-updated in a way that
-        // matters for a memo table.
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        cache.stamp += 1;
-        let stamp = cache.stamp;
-        if let Some((touched, inv)) = cache.map.get_mut(&key) {
-            *touched = stamp;
-            let inv = Arc::clone(inv);
-            cache.hits += 1;
-            return inv;
-        }
-        cache.misses += 1;
-        let inv = invert();
-        if cache.map.len() >= self.cache_capacity {
-            if let Some(oldest) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone())
-            {
-                cache.map.remove(&oldest);
-            }
-        }
-        cache.map.insert(key, (stamp, Arc::clone(&inv)));
-        inv
-    }
-
     /// Picks the `k`-row subset to decode from: systematic blocks first.
     ///
     /// Systematic indices (`< k`) sort before parity ones, so an
     /// ascending sort + truncate prefers them explicitly; whenever ≥ k
     /// systematic blocks are present — however interleaved with parity
-    /// blocks in the input — the chosen subset is exactly `0..k` and the
-    /// identity fast path applies. Any full-rank choice decodes to the
-    /// same bytes (the code is MDS), so this only affects speed.
+    /// blocks in the input — the chosen subset is exactly `0..k` and
+    /// decoding is a copy. Any full-rank choice decodes to the same bytes
+    /// (the code is MDS), so this only sets `m`, the size of the system
+    /// left to solve.
     fn choose_rows<'a>(&self, blocks: &[(usize, &'a [u8])]) -> Vec<(usize, &'a [u8])> {
         let mut chosen: Vec<(usize, &'a [u8])> = blocks.to_vec();
         chosen.sort_unstable_by_key(|(idx, _)| *idx);
@@ -222,31 +144,11 @@ impl ErasureCode for ReedSolomon {
         blocks: &[(usize, &[u8])],
         block_len: usize,
     ) -> Result<Vec<Vec<u8>>, CodeError> {
-        check_decode_input(blocks, self.n, block_len)?;
-        if blocks.len() < self.k {
-            return Err(CodeError::NotEnoughBlocks {
-                have: blocks.len(),
-                need: self.k,
-            });
-        }
-        let chosen = self.choose_rows(blocks);
-
-        // Fast path: all k systematic blocks present (indices are
-        // distinct and all < k, hence exactly 0..k in order).
-        if chosen.last().is_some_and(|(idx, _)| *idx < self.k) {
-            return Ok(chosen.into_iter().map(|(_, b)| b.to_vec()).collect());
-        }
-
-        let indices: Vec<usize> = chosen.iter().map(|(idx, _)| *idx).collect();
-        let inv = self.inverse_for(&indices);
-        let srcs: Vec<&[u8]> = chosen.iter().map(|(_, data)| *data).collect();
-        let mut out = Vec::with_capacity(self.k);
-        for r in 0..self.k {
-            let mut acc = vec![0u8; block_len];
-            slice_mul_add_accumulate(&mut acc, inv.row(r), &srcs);
-            out.push(acc);
-        }
-        Ok(out)
+        let mut page = Vec::new();
+        self.decode_into(blocks, block_len, &mut page)?;
+        Ok((0..self.k)
+            .map(|i| page[i * block_len..(i + 1) * block_len].to_vec())
+            .collect())
     }
 
     fn decode_into(
@@ -269,18 +171,53 @@ impl ErasureCode for ReedSolomon {
             return Ok(());
         }
 
-        if chosen.last().is_some_and(|(idx, _)| *idx < self.k) {
-            for (dst, (_, src)) in out.chunks_exact_mut(block_len).zip(&chosen) {
-                dst.copy_from_slice(src);
-            }
+        // S: the received systematic blocks are the sources themselves.
+        let (systematic, parity) = chosen.split_at(chosen.partition_point(|(i, _)| *i < self.k));
+        let mut present = vec![false; self.k];
+        for &(s, data) in systematic {
+            out[s * block_len..(s + 1) * block_len].copy_from_slice(data);
+            present[s] = true;
+        }
+        if parity.is_empty() {
             return Ok(());
         }
+        // M: the erased sources, one per chosen parity block P.
+        let missing: Vec<usize> = (0..self.k).filter(|&j| !present[j]).collect();
+        let mut a = Matrix::zero(parity.len(), missing.len());
+        for (i, &(p, _)) in parity.iter().enumerate() {
+            let row = self.gen_row(p);
+            for (j, &mj) in missing.iter().enumerate() {
+                a.set(i, j, row[mj]);
+            }
+        }
+        let a_inv = a
+            .inverse()
+            .expect("G[P][M] is invertible: any k rows of the generator are independent");
 
-        let indices: Vec<usize> = chosen.iter().map(|(idx, _)| *idx).collect();
-        let inv = self.inverse_for(&indices);
-        let srcs: Vec<&[u8]> = chosen.iter().map(|(_, data)| *data).collect();
-        for (r, acc) in out.chunks_exact_mut(block_len).enumerate() {
-            slice_mul_add_accumulate(acc, inv.row(r), &srcs);
+        // r_p = y_p + Σ_{s∈S} G[p][s]·x_s (subtraction is addition in
+        // GF(2⁸)), one fused row product with y_p as the unit-weight term.
+        let mut residual = vec![0u8; parity.len() * block_len];
+        let mut coeffs: Vec<Gf> = Vec::with_capacity(systematic.len() + 1);
+        let mut srcs: Vec<&[u8]> = Vec::with_capacity(systematic.len() + 1);
+        for (r, &(p, y)) in residual.chunks_exact_mut(block_len).zip(parity) {
+            let row = self.gen_row(p);
+            coeffs.clear();
+            coeffs.push(Gf::ONE);
+            coeffs.extend(systematic.iter().map(|&(s, _)| row[s]));
+            srcs.clear();
+            srcs.push(y);
+            srcs.extend(systematic.iter().map(|&(_, x)| x));
+            slice_mul_add_accumulate(r, &coeffs, &srcs);
+        }
+
+        // x_M = A⁻¹ · r.
+        let residuals: Vec<&[u8]> = residual.chunks_exact(block_len).collect();
+        for (j, &mj) in missing.iter().enumerate() {
+            slice_mul_add_accumulate(
+                &mut out[mj * block_len..(mj + 1) * block_len],
+                a_inv.row(j),
+                &residuals,
+            );
         }
         Ok(())
     }

@@ -1,14 +1,19 @@
-//! Equivalence properties for the optimized hot-path kernels.
+//! Equivalence properties for the optimized hot-path kernels and the
+//! Reed-Solomon decoder.
 //!
-//! The table-driven GF(256) slice kernels and the decode-matrix cache
-//! are pure speed changes: this suite pins them to the scalar reference
-//! implementation and to cache-off decoding, byte for byte, so any
-//! future kernel change that alters results fails loudly.
+//! The table-driven GF(256) slice kernels are pure speed changes: this
+//! suite pins them to the scalar reference implementation byte for byte.
+//! The RS decoder, which solves only for the erased source blocks, is
+//! pinned to a test-only full-inversion decoder built from the public
+//! `Matrix` (Vandermonde, systematic generator, chosen rows, inverse,
+//! multiply). Any future kernel or decoder change that alters results
+//! fails loudly.
 
 use lrs_erasure::gf256::{
     slice_mul_add_assign, slice_mul_add_assign_scalar, slice_scale, slice_scale_scalar, Gf,
 };
 use lrs_erasure::kernel::{self, Kernel};
+use lrs_erasure::matrix::Matrix;
 use lrs_erasure::{ErasureCode, ReedSolomon};
 use lrs_rng::DetRng;
 
@@ -283,59 +288,194 @@ fn random_blocks(rng: &mut DetRng, k: usize, len: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-#[test]
-fn decode_cache_on_off_bit_identical_at_paper_points() {
-    let mut rng = DetRng::seed_from_u64(0x6361_6368);
-    for (k, n) in PAPER_POINTS {
-        let cached = ReedSolomon::new(k, n).unwrap();
-        let uncached = ReedSolomon::with_cache_capacity(k, n, 0).unwrap();
-        let blocks = random_blocks(&mut rng, k, 72);
-        let enc = cached.encode(&blocks).unwrap();
-        assert_eq!(enc, uncached.encode(&blocks).unwrap());
+/// One encoded page and a full-inversion reference decoder for it: the
+/// systematic generator `G = V · (V_top)⁻¹` rebuilt from the public
+/// `Matrix`, the rows of the first `k` given blocks, a `k × k`
+/// inversion, and a scalar matrix-vector product per byte column.
+/// Test-only and deliberately slow.
+struct Page {
+    code: ReedSolomon,
+    generator: Matrix,
+    source: Vec<Vec<u8>>,
+    enc: Vec<Vec<u8>>,
+    len: usize,
+}
 
-        for _ in 0..40 {
-            // Random erasure pattern: keep a random k-subset.
-            let mut order: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut order);
-            let subset: Vec<(usize, &[u8])> =
-                order[..k].iter().map(|&i| (i, enc[i].as_slice())).collect();
-            let a = cached.decode_refs(&subset, 72).unwrap();
-            let b = uncached.decode_refs(&subset, 72).unwrap();
-            assert_eq!(a, b, "k={k} n={n}");
-            assert_eq!(a, blocks, "k={k} n={n}");
+impl Page {
+    /// A `(k, n)` code, random source blocks of `len` bytes and their
+    /// encoding.
+    fn new(rng: &mut DetRng, k: usize, n: usize, len: usize) -> Page {
+        let code = ReedSolomon::new(k, n).unwrap();
+        let source = random_blocks(rng, k, len);
+        let enc = code.encode(&source).unwrap();
+        let v = Matrix::vandermonde(n, k);
+        let top_inv = v
+            .select_rows(&(0..k).collect::<Vec<_>>())
+            .inverse()
+            .unwrap();
+        Page {
+            code,
+            generator: v.mul(&top_inv),
+            source,
+            enc,
+            len,
         }
-        let (hits, misses) = cached.cache_counters();
-        let (u_hits, _) = uncached.cache_counters();
-        assert_eq!(u_hits, 0, "capacity-0 cache must never hit");
-        // Repeated patterns across 40 draws make at least one hit
-        // overwhelmingly likely for the small points; for all points the
-        // totals must account for every non-identity decode.
-        assert!(hits + misses > 0 || n == k, "k={k} n={n}");
+    }
+
+    fn reference_decode(&self, blocks: &[(usize, &[u8])]) -> Vec<Vec<u8>> {
+        let used = &blocks[..self.code.k()];
+        let rows: Vec<usize> = used.iter().map(|(i, _)| *i).collect();
+        let inv = self.generator.select_rows(&rows).inverse().unwrap();
+        (0..used.len())
+            .map(|r| {
+                (0..self.len)
+                    .map(|b| {
+                        let mut acc = Gf(0);
+                        for (c, (_, y)) in used.iter().enumerate() {
+                            acc = acc.add(inv.get(r, c).mul(Gf(y[b])));
+                        }
+                        acc.0
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Decodes the blocks at `indices` through both entry points and
+    /// checks each byte for byte against the reference decoder, and the
+    /// reference against the source blocks.
+    fn check(&self, indices: &[usize]) {
+        let (k, n, len) = (self.code.k(), self.code.n(), self.len);
+        let subset: Vec<(usize, &[u8])> = indices
+            .iter()
+            .map(|&i| (i, self.enc[i].as_slice()))
+            .collect();
+        let reference = self.reference_decode(&subset);
+        assert_eq!(reference, self.source, "reference k={k} n={n} {indices:?}");
+        assert_eq!(
+            self.code.decode_refs(&subset, len).unwrap(),
+            reference,
+            "decode_refs k={k} n={n} {indices:?}"
+        );
+        let mut page = vec![0xA5; 3];
+        self.code.decode_into(&subset, len, &mut page).unwrap();
+        assert_eq!(
+            page,
+            reference.concat(),
+            "decode_into k={k} n={n} {indices:?}"
+        );
+    }
+}
+
+/// Calls `f` on every `k`-subset of `0..n`, in lexicographic order.
+fn for_each_subset(n: usize, k: usize, mut f: impl FnMut(&[usize])) {
+    let mut idx: Vec<usize> = (0..k).collect();
+    loop {
+        f(&idx);
+        let Some(i) = (0..k).rev().find(|&i| idx[i] < n - k + i) else {
+            return;
+        };
+        idx[i] += 1;
+        for j in i + 1..k {
+            idx[j] = idx[j - 1] + 1;
+        }
+    }
+}
+
+/// Every `k`-subset at the `exhaustive` points, then `trials` random
+/// erasure patterns (the first `k` survivors of a shuffle, unsorted, as
+/// the workloads see them) at the `random` points.
+fn differential(
+    seed: u64,
+    exhaustive: &[(usize, usize)],
+    random: &[(usize, usize)],
+    trials: usize,
+) {
+    let mut rng = DetRng::seed_from_u64(seed);
+    for &(k, n) in exhaustive {
+        let page = Page::new(&mut rng, k, n, 24);
+        for_each_subset(n, k, |indices| page.check(indices));
+    }
+    for &(k, n) in random {
+        let page = Page::new(&mut rng, k, n, 72);
+        let mut order: Vec<usize> = (0..n).collect();
+        for _ in 0..trials {
+            rng.shuffle(&mut order);
+            page.check(&order[..k]);
+        }
     }
 }
 
 #[test]
-fn warm_cache_decodes_repeated_pattern_identically() {
+fn erasure_only_decode_matches_full_inversion_reference() {
+    // Every k-subset of the worked example, the k = 4 code and the
+    // hash-page code (12 870 subsets), then 200 random patterns at each
+    // page geometry.
+    differential(
+        0x6572_6173,
+        &[(3, 6), (4, 8), (8, 16)],
+        &[(32, 48), (32, 64), (16, 24)],
+        200,
+    );
+
+    let mut rng = DetRng::seed_from_u64(0x6564_6765);
+    // m = 0: all k systematic blocks, interleaved with parity blocks.
+    Page::new(&mut rng, 8, 16, 24).check(&[9, 0, 12, 4, 1, 15, 2, 3, 10, 5, 6, 7]);
+    // m = n − k: every parity block, the rest systematic (at (32, 64)
+    // that is all parity, S empty).
+    for (k, n) in [(32, 48), (32, 64), (8, 16), (3, 5)] {
+        let indices: Vec<usize> = (n - k..n).collect();
+        Page::new(&mut rng, k, n, 40).check(&indices);
+    }
+    // k = n (no parity at all) and k = 1 (every block is a copy or a
+    // scalar multiple of the one source).
+    for (k, n) in [(1, 1), (5, 5), (1, 7)] {
+        let page = Page::new(&mut rng, k, n, 40);
+        for_each_subset(n, k, |indices| page.check(indices));
+    }
+}
+
+#[test]
+#[ignore = "long form: run with `cargo test -p lrs-erasure --release -- --ignored`"]
+fn erasure_only_decode_matches_full_inversion_reference_long_form() {
+    // Every 10-subset of (10, 20) (184 756 subsets) and 20 000 random
+    // patterns at each paper page geometry.
+    differential(0x6c6f_6e67, &[(10, 20)], &[(32, 48), (32, 64)], 20_000);
+}
+
+#[test]
+fn decode_matches_reference_at_paper_points() {
+    let mut rng = DetRng::seed_from_u64(0x6361_6368);
+    for (k, n) in PAPER_POINTS {
+        let page = Page::new(&mut rng, k, n, 72);
+        for _ in 0..40 {
+            // Random erasure pattern: keep a random k-subset.
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+            page.check(&order[..k]);
+        }
+    }
+}
+
+#[test]
+fn repeated_pattern_decodes_identically() {
     let mut rng = DetRng::seed_from_u64(0x7761_726d);
     let (k, n) = (32, 48);
     let code = ReedSolomon::new(k, n).unwrap();
     let blocks = random_blocks(&mut rng, k, 72);
     let enc = code.encode(&blocks).unwrap();
-    // One fixed all-parity-heavy pattern decoded repeatedly: the first
-    // decode misses, later ones hit, and every result is identical.
+    // One fixed all-parity-heavy pattern decoded repeatedly: every
+    // result is identical.
     let subset: Vec<(usize, &[u8])> = (n - k..n).map(|i| (i, enc[i].as_slice())).collect();
     let first = code.decode_refs(&subset, 72).unwrap();
     assert_eq!(first, blocks);
     for _ in 0..5 {
         assert_eq!(code.decode_refs(&subset, 72).unwrap(), first);
     }
-    let (hits, misses) = code.cache_counters();
-    assert_eq!(misses, 1, "one inversion for one pattern");
-    assert_eq!(hits, 5, "subsequent decodes served from cache");
 }
 
 #[test]
-fn clones_share_the_decode_cache() {
+fn clones_decode_identically() {
     let (k, n) = (8, 16);
     let code = ReedSolomon::new(k, n).unwrap();
     let clone = code.clone();
@@ -344,8 +484,6 @@ fn clones_share_the_decode_cache() {
     let subset: Vec<(usize, &[u8])> = (n - k..n).map(|i| (i, enc[i].as_slice())).collect();
     assert_eq!(code.decode_refs(&subset, 24).unwrap(), blocks);
     assert_eq!(clone.decode_refs(&subset, 24).unwrap(), blocks);
-    let (hits, misses) = code.cache_counters();
-    assert_eq!((hits, misses), (1, 1), "clone reused the original's entry");
 }
 
 #[test]
@@ -374,8 +512,8 @@ fn decode_entry_points_agree() {
 
 #[test]
 fn interleaved_systematic_blocks_take_identity_path() {
-    // >= k systematic blocks interleaved with parity blocks: no
-    // inversion may happen (the cache sees neither hit nor miss).
+    // >= k systematic blocks interleaved with parity blocks: the chosen
+    // rows are exactly 0..k, so decoding is a copy.
     let (k, n) = (8, 16);
     let code = ReedSolomon::new(k, n).unwrap();
     let blocks: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 3) as u8; 16]).collect();
@@ -387,9 +525,4 @@ fn interleaved_systematic_blocks_take_identity_path() {
     let mut scratch = Vec::new();
     code.decode_into(&subset, 16, &mut scratch).unwrap();
     assert_eq!(scratch, blocks.concat());
-    assert_eq!(
-        code.cache_counters(),
-        (0, 0),
-        "identity path must not invert"
-    );
 }
