@@ -1,8 +1,8 @@
 //! Microbenchmarks for the primitives every packet exercises: hashing,
 //! GF(256) slice kernels, erasure coding, Merkle verification,
 //! signature verification, the TX scheduler, the simulator's event
-//! queue and the wire parser. These quantify the per-packet computation
-//! overhead discussed in the paper's §V-B.
+//! queue and topology construction, and the wire parser. These quantify
+//! the per-packet computation overhead discussed in the paper's §V-B.
 //!
 //! Self-timed (`harness = false`): the registry is unreachable in this
 //! environment, so Criterion is unavailable. Each benchmark warms up,
@@ -32,6 +32,7 @@ use lrs_erasure::{ErasureCode, ReedSolomon};
 use lrs_host::node::{NodeId, TimerId};
 use lrs_host::time::SimTime;
 use lrs_netsim::event::{Event, EventQueue};
+use lrs_netsim::topology::Topology;
 use lrs_rng::DetRng;
 use std::hint::black_box;
 use std::sync::{Mutex, OnceLock};
@@ -336,6 +337,19 @@ fn bench_event_queue() {
     }
 }
 
+fn bench_topology() {
+    // One seeded grid build each for the ledger's grids: the Table II
+    // tight 15x15 grid (`grid_dense_lr` builds 8 per body) and the 56x56
+    // `grid_wide_seluge` fleet.
+    for (side, spacing) in [(15usize, 8.0), (56, 10.0)] {
+        let mut seed = 0u64;
+        bench(&format!("netsim/topology_grid_{side}x{side}"), 0, || {
+            seed += 1;
+            black_box(Topology::grid(side, spacing, seed));
+        });
+    }
+}
+
 fn bench_wire() {
     // What every reception does first: the borrowed parse of a data
     // packet at the paper's 72-byte payload.
@@ -406,6 +420,7 @@ fn main() {
     bench_signature();
     bench_scheduler();
     bench_event_queue();
+    bench_topology();
     bench_wire();
     if let Some(path) = json_path {
         write_json(&path);
