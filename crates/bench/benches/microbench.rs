@@ -20,6 +20,7 @@ use lrs_crypto::bignum::U256;
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::ec::{double_mul, fmul, fsqr, generator};
 use lrs_crypto::merkle::MerkleTree;
+use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
 use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::{sha256, Sha256};
 use lrs_crypto::sha256_mb::{sha256_batch, ShaKernel};
@@ -103,13 +104,14 @@ fn bench_sha256() {
             black_box(sha256(black_box(&data)));
         });
     }
-    // What one data-packet reception costs: the packet's header fields
-    // and 72-byte payload through the one-message-at-a-time hasher.
-    // The dispatched entry shows what production code gets; the pinned
-    // ones isolate the scalar reference (under any of the batch-only
-    // kernels) and SHA-NI.
+    // What one data-packet reception costs: the four-part
+    // `packet_hash` receivers call (three 2-byte header fields and the
+    // 72-byte payload, 78 bytes) through the one-message-at-a-time
+    // hasher. The dispatched entry shows what production code gets; the
+    // pinned ones isolate the scalar reference (under any of the
+    // batch-only kernels) and SHA-NI on the bare payload.
     let payload = vec![0xabu8; 72];
-    bench("sha256/single_72B", 72, || {
+    bench("sha256/packet_hash_78B", 78, || {
         black_box(lr_seluge::packet_hash(1, 2, 7, black_box(&payload)));
     });
     for k in [ShaKernel::Sequential, ShaKernel::ShaNi] {
@@ -129,6 +131,19 @@ fn bench_sha256() {
     let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
     bench("sha256/batch8_1024B", (8 * 1024) as u64, || {
         black_box(sha256_batch(black_box(&refs)));
+    });
+}
+
+fn bench_puzzle() {
+    // The base station's puzzle search over a signature-body-sized
+    // message: at strength 12 this key and message take 2 116 attempts
+    // (the solution is 2 115), one compression each from the
+    // `key ‖ message` midstate.
+    let chain = PuzzleKeyChain::generate(b"bench", 1);
+    let puzzle = Puzzle::new(chain.anchor(), 12);
+    let message = [0x5au8; 96];
+    bench("puzzle/solve_strength12", 0, || {
+        black_box(chain.solve(&puzzle, 1, black_box(&message)));
     });
 }
 
@@ -412,6 +427,7 @@ fn main() {
         "benchmark", "median latency", "throughput"
     );
     bench_sha256();
+    bench_puzzle();
     bench_cluster_mac();
     bench_gf_kernels();
     bench_matrix();

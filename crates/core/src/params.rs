@@ -2,7 +2,7 @@
 
 use crate::code::CodeKind;
 use lrs_crypto::hash::HASH_IMAGE_LEN;
-use lrs_deluge::deployment::{check_layout, check_payload_len};
+use lrs_deluge::deployment::{check_layout, check_payload_len, check_puzzle_strength};
 use lrs_erasure::sparse::DEFAULT_OVERHEAD;
 
 pub use lrs_deluge::deployment::ParamError;
@@ -143,6 +143,7 @@ impl LrSelugeParams {
         }
         // The hash-page packets are bounded by n <= 255 and n0 <= 128.
         check_payload_len("payload_len", self.payload_len)?;
+        check_puzzle_strength(self.puzzle_strength)?;
         if self.k as usize * self.payload_len <= self.hash_region_len() {
             return Err(format!(
                 "page has no image capacity: k*payload = {} <= n*hash = {}",

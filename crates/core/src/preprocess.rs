@@ -223,6 +223,31 @@ mod tests {
     }
 
     #[test]
+    fn try_build_bounds_the_puzzle_strength() {
+        let kp = Keypair::from_seed(b"bs");
+        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
+        let p = small_params();
+        let image = vec![0u8; p.image_len];
+        // 32 bits is accepted; checked by validation alone, since
+        // solving it would take ~4 billion hashes.
+        let at_bound = LrSelugeParams {
+            puzzle_strength: 32,
+            ..p
+        };
+        assert_eq!(at_bound.validate(), Ok(()));
+        for strength in [33, u32::MAX] {
+            let over = LrSelugeParams {
+                puzzle_strength: strength,
+                ..p
+            };
+            let err = LrArtifacts::try_build(&image, over, &kp, &chain)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.0.contains("puzzle_strength"), "{err}");
+        }
+    }
+
+    #[test]
     fn geometry() {
         let p = small_params();
         // capacity = 4*48 - 6*8 = 144; 700/144 → 5 pages.

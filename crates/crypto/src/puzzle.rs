@@ -16,7 +16,7 @@
 //! it; verifying costs two hashes.
 
 use crate::hash::Digest;
-use crate::sha256::{sha256, sha256_concat};
+use crate::sha256::{sha256, sha256_concat, PaddedTail, Sha256};
 
 /// A puzzle solution attached to a signature packet.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,12 +76,19 @@ impl PuzzleKeyChain {
         self.keys[version as usize]
     }
 
-    /// Brute-forces a solution for `message` under `puzzle`'s strength.
+    /// Brute-forces a solution for `message` under `puzzle`'s strength:
+    /// the least `s` counting up from 0 that solves it.
+    ///
+    /// `K_j ‖ message` is absorbed once; each attempt rewrites the
+    /// solution bytes of the padded tail and compresses it from the
+    /// saved midstate: one compression per attempt when `K_j ‖ message`
+    /// ends less than 48 bytes past a block boundary, two otherwise.
     pub fn solve(&self, puzzle: &Puzzle, version: u32, message: &[u8]) -> PuzzleSolution {
         let key = self.key(version);
+        let mut tail = solution_tail(&key, message);
         let mut solution = 0u64;
         loop {
-            if leading_zero_bits(&solution_digest(&key, message, solution)) >= puzzle.strength {
+            if solution_bits(&mut tail, solution) >= puzzle.strength {
                 return PuzzleSolution { key, solution };
             }
             solution += 1;
@@ -121,21 +128,35 @@ impl Puzzle {
         if acc != self.anchor {
             return false;
         }
-        leading_zero_bits(&solution_digest(&sol.key, message, sol.solution)) >= self.strength
+        let mut tail = solution_tail(&sol.key, message);
+        solution_bits(&mut tail, sol.solution) >= self.strength
     }
 }
 
-fn solution_digest(key: &Digest, message: &[u8], solution: u64) -> Digest {
-    sha256_concat(&[&key.0, message, &solution.to_be_bytes()])
+/// `H(key ‖ message ‖ s)` absorbed up to its padded tail, whose last 8
+/// message bytes hold `s`.
+fn solution_tail(key: &Digest, message: &[u8]) -> PaddedTail {
+    let mut h = Sha256::new();
+    h.update(&key.0);
+    h.update(message);
+    // The tail holds up to 63 buffered bytes plus these 8, always.
+    h.into_tail(&[&[0u8; 8]])
 }
 
-fn leading_zero_bits(d: &Digest) -> u32 {
+/// The leading zero bits of `H(key ‖ message ‖ solution)`, read
+/// straight from the digest's big-endian state words.
+fn solution_bits(tail: &mut PaddedTail, solution: u64) -> u32 {
+    let msg = tail.message_mut();
+    let at = msg.len() - 8;
+    msg[at..].copy_from_slice(&solution.to_be_bytes());
+    leading_zero_bits(&tail.final_state())
+}
+
+fn leading_zero_bits(words: &[u32; 8]) -> u32 {
     let mut bits = 0;
-    for b in &d.0 {
-        if *b == 0 {
-            bits += 8;
-        } else {
-            bits += b.leading_zeros();
+    for w in words {
+        bits += w.leading_zeros();
+        if *w != 0 {
             break;
         }
     }
@@ -145,6 +166,7 @@ fn leading_zero_bits(d: &Digest) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::tests::reference_sha256;
 
     #[test]
     fn solve_and_verify() {
@@ -196,12 +218,92 @@ mod tests {
 
     #[test]
     fn leading_zero_bits_counts() {
-        let mut d = Digest([0xffu8; 32]);
-        assert_eq!(leading_zero_bits(&d), 0);
-        d.0[0] = 0;
-        d.0[1] = 0x0f;
-        assert_eq!(leading_zero_bits(&d), 12);
-        let zero = Digest([0u8; 32]);
-        assert_eq!(leading_zero_bits(&zero), 256);
+        let mut w = [u32::MAX; 8];
+        assert_eq!(leading_zero_bits(&w), 0);
+        w[0] = 0x000f_ffff;
+        assert_eq!(leading_zero_bits(&w), 12);
+        w[0] = 0;
+        w[1] = 1;
+        assert_eq!(leading_zero_bits(&w), 63);
+        assert_eq!(leading_zero_bits(&[0; 8]), 256);
+    }
+
+    /// The search every commit before the midstate search ran: each
+    /// attempt hashes all of `key ‖ message ‖ s` (here through the
+    /// FIPS reference, not the hasher under test) and counts the
+    /// digest's leading zero bytes, then bits.
+    fn solve_reference(chain: &PuzzleKeyChain, strength: u32, version: u32, message: &[u8]) -> u64 {
+        let key = chain.key(version);
+        let mut solution = 0u64;
+        loop {
+            let d = reference_sha256(&[&key.0, message, &solution.to_be_bytes()]);
+            let mut bits = 0;
+            for b in d.0 {
+                bits += b.leading_zeros();
+                if b != 0 {
+                    break;
+                }
+            }
+            if bits >= strength {
+                return solution;
+            }
+            solution += 1;
+        }
+    }
+
+    /// `solve` against [`solve_reference`] on `message`, and `verify`
+    /// accepting the solution and rejecting the one before it.
+    fn check_solve(chain: &PuzzleKeyChain, strength: u32, version: u32, message: &[u8]) {
+        let puzzle = Puzzle::new(chain.anchor(), strength);
+        let sol = chain.solve(&puzzle, version, message);
+        let want = solve_reference(chain, strength, version, message);
+        let ctx = format!(
+            "len {} strength {strength} version {version}",
+            message.len()
+        );
+        assert_eq!(sol.key, chain.key(version), "{ctx}");
+        assert_eq!(sol.solution, want, "{ctx}");
+        assert!(puzzle.verify(version, message, &sol), "{ctx}");
+        if want > 0 {
+            let before = PuzzleSolution {
+                solution: want - 1,
+                ..sol
+            };
+            assert!(!puzzle.verify(version, message, &before), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn solve_matches_the_per_attempt_search() {
+        // Lengths put `key ‖ message ‖ s` on both sides of the one/two
+        // block tail (key + message = 32 + len bytes; 96 is the
+        // signature body) and past one whole streamed block.
+        let chain = PuzzleKeyChain::generate(b"differential", 5);
+        let mut rng = lrs_rng::DetRng::seed_from_u64(0x7075_7a7a);
+        for (i, len) in [0usize, 1, 55, 56, 63, 64, 95, 96, 97, 119, 120, 200]
+            .into_iter()
+            .enumerate()
+        {
+            let mut message = vec![0u8; len];
+            rng.fill_bytes(&mut message);
+            for strength in 0..=12u32 {
+                let version = 1 + (i as u32 + strength) % 5;
+                check_solve(&chain, strength, version, &message);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "long form: cargo test -p lrs-crypto --release -- --ignored"]
+    fn solve_matches_the_per_attempt_search_long() {
+        let chain = PuzzleKeyChain::generate(b"differential", 5);
+        let mut rng = lrs_rng::DetRng::seed_from_u64(0x6c6f_6e67);
+        for _ in 0..1000 {
+            let mut message = vec![0u8; rng.gen_range(0usize..301)];
+            rng.fill_bytes(&mut message);
+            let strength = rng.gen_range(0u32..15);
+            let version = rng.gen_range(1u32..6);
+            check_solve(&chain, strength, version, &message);
+        }
     }
 }

@@ -132,33 +132,96 @@ impl Sha256 {
     }
 
     /// Absorbs every part in order, then finishes.
-    pub(crate) fn finalize_parts(mut self, parts: &[&[u8]]) -> Digest {
-        for p in parts {
-            self.update(p);
-        }
-        self.finalize()
+    pub(crate) fn finalize_parts(self, parts: &[&[u8]]) -> Digest {
+        digest_of(&self.into_tail(parts).final_state())
     }
 
     /// Finishes the computation, returning the 32-byte digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian
-        // message bit length — assembled into one buffer and fed through
-        // a single bulk `update` (the old loop pushed the zeros one byte
-        // at a time, a measurable cost for the short messages packet
-        // hashing produces).
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = 1 + (55usize.wrapping_sub(self.buf_len) & 63);
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad[..pad_len + 8]);
-        debug_assert_eq!(self.buf_len, 0, "padding must end on a block boundary");
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+    pub fn finalize(self) -> Digest {
+        self.finalize_parts(&[])
     }
+
+    /// Absorbs `parts` up to the message's last one or two blocks and
+    /// lays those out with the FIPS padding, ready for one
+    /// `compress_blocks` call. Parts are streamed through [`update`]
+    /// (whole blocks straight from the caller's slices) only while the
+    /// buffered bytes plus the rest exceed [`MAX_TAIL`], so a short
+    /// message costs one copy and one kernel call.
+    ///
+    /// [`update`]: Self::update
+    pub(crate) fn into_tail(mut self, mut parts: &[&[u8]]) -> PaddedTail {
+        let mut rest: usize = parts.iter().map(|p| p.len()).sum();
+        while self.buf_len + rest > MAX_TAIL {
+            let (first, later) = parts.split_first().expect("rest > 0");
+            self.update(first);
+            rest -= first.len();
+            parts = later;
+        }
+        let bit_len = self.total_len.wrapping_add(rest as u64).wrapping_mul(8);
+        let mut block = [0u8; 128];
+        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        let mut msg_len = self.buf_len;
+        for p in parts {
+            block[msg_len..msg_len + p.len()].copy_from_slice(p);
+            msg_len += p.len();
+        }
+        // 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit length.
+        block[msg_len] = 0x80;
+        let len = if msg_len < 56 { 64 } else { 128 };
+        block[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        PaddedTail {
+            state: self.state,
+            shani: self.shani,
+            block,
+            msg_len,
+            len,
+        }
+    }
+}
+
+/// The most message bytes the final two blocks hold beside the `0x80`
+/// marker and the 8-byte length.
+const MAX_TAIL: usize = 2 * 64 - 9;
+
+/// A message's padded last one or two blocks and the chaining state
+/// they compress from: what [`Sha256::into_tail`] leaves. Rewriting
+/// bytes of [`message_mut`](Self::message_mut) and calling
+/// [`final_state`](Self::final_state) again hashes another message
+/// with the same prefix and length for one compression per block —
+/// how the puzzle search tries a solution.
+pub(crate) struct PaddedTail {
+    state: [u32; 8],
+    /// Copied from the [`Sha256`] that made the tail, so it carries the
+    /// same guarantee `compress_blocks` relies on.
+    shani: bool,
+    block: [u8; 128],
+    /// Message bytes at the front of `block`.
+    msg_len: usize,
+    /// Padded length of `block`: 64 or 128.
+    len: usize,
+}
+
+impl PaddedTail {
+    /// The message's bytes in the tail: its last `msg_len` bytes.
+    pub(crate) fn message_mut(&mut self) -> &mut [u8] {
+        &mut self.block[..self.msg_len]
+    }
+
+    /// The chaining state after the tail, whose words are the digest.
+    pub(crate) fn final_state(&self) -> [u32; 8] {
+        let mut state = self.state;
+        compress_blocks(self.shani, &mut state, &self.block[..self.len]);
+        state
+    }
+}
+
+/// The digest whose big-endian words are `state`.
+pub(crate) fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
 }
 
 /// Compresses every 64-byte block of `blocks` (a whole number of them)
@@ -168,7 +231,8 @@ fn compress_blocks(shani: bool, state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
     #[cfg(target_arch = "x86_64")]
     if shani {
-        // SAFETY: `shani` is only set from `ShaKernel::ShaNi` after its
+        // SAFETY: `shani` is only set from `ShaKernel::ShaNi` (directly
+        // in a `Sha256`, by copy in a `PaddedTail`) after its
         // `is_supported()` confirmed the `sha`, `ssse3` and `sse4.1`
         // CPU features (`Sha256::with_kernel` asserts it, and
         // `ShaKernel::active` never returns an unsupported kernel).
@@ -325,9 +389,7 @@ mod shani {
 /// );
 /// ```
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    Sha256::new().finalize_parts(&[data])
 }
 
 /// SHA-256 over the concatenation of several byte slices, avoiding an
@@ -337,11 +399,120 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use lrs_rng::DetRng;
 
     fn hex(d: &Digest) -> String {
         d.to_hex()
+    }
+
+    /// SHA-256 as FIPS 180-4 writes it, sharing nothing with the
+    /// hasher but the scalar compression: the parts concatenated and
+    /// padded into one `Vec`, then compressed block by block.
+    pub(crate) fn reference_sha256(parts: &[&[u8]]) -> Digest {
+        let mut m = parts.concat();
+        let bit_len = (m.len() as u64) * 8;
+        m.push(0x80);
+        while m.len() % 64 != 56 {
+            m.push(0);
+        }
+        m.extend_from_slice(&bit_len.to_be_bytes());
+        let mut state = H0;
+        for block in m.chunks_exact(64) {
+            compress_block(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest(out)
+    }
+
+    /// The supported kernels, saying so when SHA-NI is not among them.
+    fn kernels_under_test(test: &str) -> Vec<ShaKernel> {
+        if !ShaKernel::ShaNi.is_supported() {
+            eprintln!("{test}: this CPU lacks the SHA extensions, the shani kernel is skipped");
+        }
+        ShaKernel::supported()
+    }
+
+    /// `data` cut into 1-6 random parts; a random number of leading
+    /// parts go through `update` (leaving bytes buffered), the rest
+    /// through `finalize_parts`. Checked against [`reference_sha256`].
+    fn check_random_splits(kernel: ShaKernel, data: &[u8], rng: &mut DetRng) {
+        let want = reference_sha256(&[data]);
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0usize..6))
+            .map(|_| rng.gen_range(0..=data.len()))
+            .collect();
+        cuts.extend([0, data.len()]);
+        cuts.sort_unstable();
+        let parts: Vec<&[u8]> = cuts.windows(2).map(|w| &data[w[0]..w[1]]).collect();
+        let streamed = rng.gen_range(0..=parts.len());
+        let mut h = Sha256::with_kernel(kernel);
+        for p in &parts[..streamed] {
+            h.update(p);
+        }
+        assert_eq!(
+            h.finalize_parts(&parts[streamed..]),
+            want,
+            "kernel {} len {} cuts {cuts:?} streamed {streamed}",
+            kernel.name(),
+            data.len()
+        );
+    }
+
+    /// Every length in `lens` on every kernel, four random splits each.
+    fn check_lengths(test: &str, lens: std::ops::RangeInclusive<usize>, seed: u64) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let kernels = kernels_under_test(test);
+        for len in lens {
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            for &kernel in &kernels {
+                for _ in 0..4 {
+                    check_random_splits(kernel, &data, &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finishing_routine_matches_the_fips_reference() {
+        // 0..=300 meets the 55/56 (one or two padded blocks) and 119/120
+        // (the whole rest fits the tail, or whole blocks stream first)
+        // boundaries from every buffered length.
+        check_lengths(
+            "finishing_routine_matches_the_fips_reference",
+            0..=300,
+            0x6669_7073,
+        );
+    }
+
+    #[test]
+    #[ignore = "long form: cargo test -p lrs-crypto --release -- --ignored"]
+    fn finishing_routine_matches_the_fips_reference_long() {
+        check_lengths(
+            "finishing_routine_matches_the_fips_reference_long",
+            0..=2048,
+            0x6c6f_6e67,
+        );
+    }
+
+    #[test]
+    fn public_entry_points_match_the_fips_reference() {
+        let mut rng = DetRng::seed_from_u64(0x656e_7472);
+        for len in [0usize, 1, 55, 56, 63, 64, 78, 119, 120, 128, 300] {
+            let mut data = vec![0u8; len];
+            rng.fill_bytes(&mut data);
+            let want = reference_sha256(&[&data]);
+            assert_eq!(sha256(&data), want, "len {len}");
+            let (a, b) = data.split_at(len / 2);
+            assert_eq!(sha256_concat(&[a, b]), want, "len {len}");
+            let mut h = Sha256::new();
+            h.update(&data);
+            assert_eq!(h.finalize(), want, "len {len}");
+        }
     }
 
     #[test]

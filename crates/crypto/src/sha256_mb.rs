@@ -11,8 +11,9 @@
 //!
 //! [`sha256_batch`] / [`sha256_batch_parts`] bucket the input by padded
 //! block count so grouped lanes stay in lockstep, run full groups
-//! through the widest available kernel, and fall back to the sequential
-//! [`crate::sha256::Sha256`] hasher for remainders. Every kernel
+//! through the selected kernel's lanes, and fall back to the sequential
+//! [`crate::sha256::Sha256`] hasher for remainders (under `shani`, for
+//! every message). Every kernel
 //! computes exact FIPS 180-4 SHA-256, so results are bit-identical to
 //! [`crate::sha256::sha256`] — pinned by an equivalence property in
 //! `tests/crypto_props.rs`.
@@ -27,16 +28,14 @@
 //! | `sequential` | scalar | — | scalar |
 //! | `ilp4` | scalar | 4-lane scalar ILP | scalar |
 //! | `avx2` | scalar | 8-lane AVX2, then 4-lane ILP | scalar |
-//! | `shani` | SHA-NI | 8-lane AVX2 where the CPU has it | SHA-NI |
+//! | `shani` | SHA-NI | SHA-NI | SHA-NI |
 //!
-//! Under `shani` full groups of eight stay on the AVX2 kernel because
-//! for the two-block messages batches carry it measures faster (~143 ns
-//! per 72-byte packet vs ~151 ns for the same eight through the SHA-NI
-//! hasher one after another); everything narrower goes through the
-//! SHA-NI hasher, which beats the 4-lane ILP kernel.
+//! Under `shani` every message of a batch goes through the SHA-NI
+//! hasher one at a time: for the short messages batches carry, one
+//! SHA-NI call per message beats both lane kernels.
 
 use crate::hash::Digest;
-use crate::sha256::{Sha256, H0, K};
+use crate::sha256::{digest_of, Sha256, H0, K};
 use std::sync::OnceLock;
 
 /// One of the interchangeable batch-hash implementations.
@@ -48,8 +47,8 @@ pub enum ShaKernel {
     Ilp4,
     /// Eight lane-parallel message schedules on AVX2 registers.
     Avx2,
-    /// The x86 SHA extensions for every single-stream hash (and batch
-    /// remainders); full batch groups stay on the AVX2 lanes.
+    /// The x86 SHA extensions for every hash, batched messages one at
+    /// a time.
     ShaNi,
 }
 
@@ -172,7 +171,7 @@ pub fn sha256_batch_parts_with<'a, M: AsRef<[&'a [u8]]>>(
     if msgs.is_empty() {
         return out;
     }
-    if kernel == ShaKernel::Sequential {
+    if matches!(kernel, ShaKernel::Sequential | ShaKernel::ShaNi) {
         for (d, m) in out.iter_mut().zip(msgs) {
             *d = one(m.as_ref());
         }
@@ -193,12 +192,6 @@ pub fn sha256_batch_parts_with<'a, M: AsRef<[&'a [u8]]>>(
         .collect();
     order.sort_unstable();
 
-    // ShaNi borrows the 8-lane kernel for full groups where the CPU
-    // also has AVX2.
-    #[cfg(target_arch = "x86_64")]
-    let lanes8 =
-        matches!(kernel, ShaKernel::Avx2 | ShaKernel::ShaNi) && ShaKernel::Avx2.is_supported();
-
     let mut group = 0;
     while group < order.len() {
         let blocks = order[group].0;
@@ -211,12 +204,13 @@ pub fn sha256_batch_parts_with<'a, M: AsRef<[&'a [u8]]>>(
         // Full-width groups through the wide kernel; leftovers drop to
         // the next narrower width, then to the single-stream hasher.
         #[cfg(target_arch = "x86_64")]
-        if lanes8 {
+        if kernel == ShaKernel::Avx2 {
             let mut chunks = rest.chunks_exact(8);
             for chunk in chunks.by_ref() {
                 let lanes: [&[&[u8]]; 8] = std::array::from_fn(|l| msgs[chunk[l].1].as_ref());
-                // SAFETY: `lanes8` requires `ShaKernel::Avx2.is_supported()`,
-                // i.e. `is_x86_feature_detected!("avx2")`.
+                // SAFETY: `Sha256::with_kernel` above asserted
+                // `ShaKernel::Avx2.is_supported()`, i.e.
+                // `is_x86_feature_detected!("avx2")`.
                 let digests = unsafe { avx2::digest8(&lanes, blocks) };
                 for (l, d) in digests.into_iter().enumerate() {
                     out[chunk[l].1] = d;
@@ -224,18 +218,15 @@ pub fn sha256_batch_parts_with<'a, M: AsRef<[&'a [u8]]>>(
             }
             rest = chunks.remainder();
         }
-        // Single-stream SHA-NI beats the 4-lane ILP kernel per message.
-        if kernel != ShaKernel::ShaNi {
-            let mut chunks = rest.chunks_exact(4);
-            for chunk in chunks.by_ref() {
-                let lanes: [&[&[u8]]; 4] = std::array::from_fn(|l| msgs[chunk[l].1].as_ref());
-                let digests = digest4_ilp(&lanes, blocks);
-                for (l, d) in digests.into_iter().enumerate() {
-                    out[chunk[l].1] = d;
-                }
+        let mut chunks = rest.chunks_exact(4);
+        for chunk in chunks.by_ref() {
+            let lanes: [&[&[u8]]; 4] = std::array::from_fn(|l| msgs[chunk[l].1].as_ref());
+            let digests = digest4_ilp(&lanes, blocks);
+            for (l, d) in digests.into_iter().enumerate() {
+                out[chunk[l].1] = d;
             }
-            rest = chunks.remainder();
         }
+        rest = chunks.remainder();
         for &(_, i) in rest {
             out[i] = one(msgs[i].as_ref());
         }
@@ -302,14 +293,6 @@ impl<'a> BlockStream<'a> {
     }
 }
 
-fn state_to_digest(state: &[u32; 8]) -> Digest {
-    let mut out = [0u8; 32];
-    for (i, word) in state.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    Digest(out)
-}
-
 /// Four-lane scalar kernel: the four message schedules and round states
 /// live in fixed-size arrays indexed by a lane loop the compiler fully
 /// unrolls, so the four independent dependency chains interleave in the
@@ -325,7 +308,7 @@ fn digest4_ilp(lanes: &[&[&[u8]]; 4], nblocks: u64) -> [Digest; 4] {
         }
         compress4(&mut states, &blocks);
     }
-    std::array::from_fn(|l| state_to_digest(&states[l]))
+    std::array::from_fn(|l| digest_of(&states[l]))
 }
 
 fn compress4(states: &mut [[u32; 8]; 4], blocks: &[[u8; 64]; 4]) {
@@ -371,9 +354,9 @@ fn compress4(states: &mut [[u32; 8]; 4], blocks: &[[u8; 64]; 4]) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{state_to_digest, BlockStream};
+    use super::BlockStream;
     use crate::hash::Digest;
-    use crate::sha256::{H0, K};
+    use crate::sha256::{digest_of, H0, K};
     use core::arch::x86_64::*;
 
     /// `x >>> r` on eight packed u32 lanes.
@@ -411,7 +394,7 @@ mod avx2 {
         }
         std::array::from_fn(|l| {
             let words: [u32; 8] = std::array::from_fn(|j| out[j][l]);
-            state_to_digest(&words)
+            digest_of(&words)
         })
     }
 
@@ -523,7 +506,7 @@ mod tests {
                 stream.next_block(&mut block);
                 compress_block(&mut state, &block);
             }
-            assert_eq!(state_to_digest(&state), sha256(&data), "len={len}");
+            assert_eq!(digest_of(&state), sha256(&data), "len={len}");
         }
     }
 

@@ -340,6 +340,40 @@ fn concat_and_hash_image_match_scalar_on_random_parts() {
 }
 
 #[test]
+fn shani_batches_equal_one_message_at_a_time() {
+    // Under `shani` a batch is its messages hashed one at a time by the
+    // SHA-NI hasher: full groups of eight and the packet-sized
+    // four-part messages preprocessing batches included.
+    if !ShaKernel::ShaNi.is_supported() {
+        eprintln!("shani_batches_equal_one_message_at_a_time: skipped, CPU lacks `sha`");
+        return;
+    }
+    let mut rng = DetRng::seed_from_u64(0x6261_7463);
+    for batch_len in [1usize, 7, 8, 9, 16, 48] {
+        let msgs: Vec<Vec<u8>> = (0..batch_len)
+            .map(|_| {
+                let mut m = vec![0u8; rng.gen_range(66usize..200)];
+                rng.fill_bytes(&mut m);
+                m
+            })
+            .collect();
+        let parts: Vec<[&[u8]; 4]> = msgs
+            .iter()
+            .map(|m| [&m[..2], &m[2..4], &m[4..6], &m[6..]])
+            .collect();
+        let one_at_a_time: Vec<Digest> = parts
+            .iter()
+            .map(|p| single_stream(ShaKernel::ShaNi, p))
+            .collect();
+        assert_eq!(
+            sha256_batch_parts_with(ShaKernel::ShaNi, &parts),
+            one_at_a_time,
+            "batch of {batch_len}"
+        );
+    }
+}
+
+#[test]
 fn cluster_tag_is_the_truncated_reference_hmac() {
     // The keyed-midstate MAC against RFC 2104 computed from scratch,
     // for random keys and messages of 0..=200 bytes (inner hashes of

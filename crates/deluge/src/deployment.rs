@@ -84,6 +84,26 @@ pub fn check_payload_len(what: &str, len: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The strongest puzzle accepted, in leading zero bits: the base
+/// station's search takes about `2^strength` hashes, and no digest has
+/// more than 256.
+const MAX_PUZZLE_STRENGTH: u32 = 32;
+
+/// Rejects a puzzle strength above 32 bits, which the base station
+/// could not solve in practice (above 256, at all).
+///
+/// # Errors
+///
+/// Names the strength and the bound.
+pub fn check_puzzle_strength(strength: u32) -> Result<(), String> {
+    if strength > MAX_PUZZLE_STRENGTH {
+        return Err(format!(
+            "puzzle_strength is {strength} bits; at most {MAX_PUZZLE_STRENGTH} are solvable"
+        ));
+    }
+    Ok(())
+}
+
 /// Rejects an image whose length differs from the parameters' claim.
 ///
 /// # Errors

@@ -211,8 +211,8 @@ pub struct DisseminationNode<S: Scheme, P: TxPolicy> {
     cfg: EngineConfig,
     state: State,
     trickle: Trickle,
-    /// Latest advertised level per neighbor.
-    neighbors: HashMap<NodeId, u16>,
+    /// Latest advertised level per neighbor, sorted by id.
+    neighbors: Vec<(NodeId, u16)>,
     /// Data packets requested per (neighbor, item), for the
     /// denial-of-receipt budget.
     served: HashMap<(NodeId, u16), u32>,
@@ -242,7 +242,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             cfg,
             state: State::Maintain,
             trickle,
-            neighbors: HashMap::new(),
+            neighbors: Vec::new(),
             served: HashMap::new(),
             suppress_count: 0,
             leap: None,
@@ -305,10 +305,23 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         // several concurrent servers with largely duplicate streams.
         self.neighbors
             .iter()
-            .filter(|(_, &l)| l > level)
-            .map(|(&id, &l)| (l, std::cmp::Reverse(id.0)))
+            .filter(|&&(_, l)| l > level)
+            .map(|&(id, l)| (l, std::cmp::Reverse(id.0)))
             .max()
             .map(|(_, std::cmp::Reverse(id))| NodeId(id))
+    }
+
+    /// The latest level `id` advertised, if it has.
+    fn neighbor_level(&self, id: NodeId) -> Option<u16> {
+        let at = self.neighbors.binary_search_by_key(&id, |&(n, _)| n);
+        at.ok().map(|i| self.neighbors[i].1)
+    }
+
+    fn record_neighbor(&mut self, id: NodeId, level: u16) {
+        match self.neighbors.binary_search_by_key(&id, |&(n, _)| n) {
+            Ok(i) => self.neighbors[i].1 = level,
+            Err(i) => self.neighbors.insert(i, (id, level)),
+        }
     }
 
     fn enter_rx(&mut self, ctx: &mut Context<'_>, server: NodeId) {
@@ -435,7 +448,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
     }
 
     fn handle_adv(&mut self, ctx: &mut Context<'_>, from: NodeId, level: u16) {
-        self.neighbors.insert(from, level);
+        self.record_neighbor(from, level);
         let my_level = self.level();
         if level >= my_level {
             // A neighbor at our level or ahead: our advertisement adds
@@ -639,7 +652,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             return;
         }
         if let State::Rx { server, .. } = self.state {
-            let server_level = self.neighbors.get(&server).copied().unwrap_or(0);
+            let server_level = self.neighbor_level(server).unwrap_or(0);
             let next_server = if server_level > self.level() {
                 Some(server)
             } else {

@@ -12,7 +12,9 @@ use lrs_crypto::sha256::sha256_concat;
 use lrs_deluge::bootstrap::{
     frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
 };
-use lrs_deluge::deployment::{check_image_len, check_layout, check_payload_len, ParamError};
+use lrs_deluge::deployment::{
+    check_image_len, check_layout, check_payload_len, check_puzzle_strength, ParamError,
+};
 
 /// Static Seluge layout parameters, preloaded on every node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,6 +107,7 @@ impl SelugeParams {
         }
         check_payload_len("a data packet payload", self.data_payload_len())?;
         check_payload_len("a hash-page packet payload", self.hash_page_payload_len())?;
+        check_puzzle_strength(self.puzzle_strength)?;
         check_layout(self.image_len, self.page_capacity())
     }
 }
@@ -299,6 +302,31 @@ mod tests {
         };
         assert_eq!(huge.pages(), 3);
         assert!(build(&vec![0u8; huge.image_len], huge).is_err(), "wrapped");
+    }
+
+    #[test]
+    fn try_build_bounds_the_puzzle_strength() {
+        let kp = Keypair::from_seed(b"bs");
+        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
+        let p = small_params();
+        let image = vec![0u8; p.image_len];
+        // 32 bits is accepted; checked by validation alone, since
+        // solving it would take ~4 billion hashes.
+        let at_bound = SelugeParams {
+            puzzle_strength: 32,
+            ..p
+        };
+        assert_eq!(at_bound.validate(), Ok(()));
+        for strength in [33, u32::MAX] {
+            let over = SelugeParams {
+                puzzle_strength: strength,
+                ..p
+            };
+            let err = SelugeArtifacts::try_build(&image, over, &kp, &chain)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.0.contains("puzzle_strength"), "{err}");
+        }
     }
 
     #[test]
