@@ -23,7 +23,7 @@ use lrs_crypto::merkle::MerkleTree;
 use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain};
 use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::{sha256, Sha256};
-use lrs_crypto::sha256_mb::{sha256_batch, ShaKernel};
+use lrs_crypto::ShaKernel;
 use lrs_deluge::policy::{TxPolicy, UnionPolicy};
 use lrs_deluge::wire::{BitVec, Frame, Message};
 use lrs_erasure::gf256::{slice_mul_add_assign, Gf};
@@ -108,30 +108,19 @@ fn bench_sha256() {
     // `packet_hash` receivers call (three 2-byte header fields and the
     // 72-byte payload, 78 bytes) through the one-message-at-a-time
     // hasher. The dispatched entry shows what production code gets; the
-    // pinned ones isolate the scalar reference (under any of the
-    // batch-only kernels) and SHA-NI on the bare payload.
+    // pinned ones isolate the scalar reference and SHA-NI on the bare
+    // payload.
     let payload = vec![0xabu8; 72];
     bench("sha256/packet_hash_78B", 78, || {
         black_box(lr_seluge::packet_hash(1, 2, 7, black_box(&payload)));
     });
-    for k in [ShaKernel::Sequential, ShaKernel::ShaNi] {
-        if !k.is_supported() {
-            continue;
-        }
+    for k in ShaKernel::supported() {
         bench(&format!("sha256/single_{}_72B", k.name()), 72, || {
             let mut h = Sha256::with_kernel(k);
             h.update(black_box(&payload));
             black_box(h.finalize());
         });
     }
-    // Multi-buffer hashing: 8 independent 1 KiB messages per call. The
-    // interesting comparison is against 8x `sha256/1024B` — the batch
-    // amortises the message schedule across lanes.
-    let msgs: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 1024]).collect();
-    let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-    bench("sha256/batch8_1024B", (8 * 1024) as u64, || {
-        black_box(sha256_batch(black_box(&refs)));
-    });
 }
 
 fn bench_puzzle() {

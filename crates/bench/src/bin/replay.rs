@@ -30,7 +30,7 @@
 use lrs_bench::capsules::{replay_observed, ItemRow, ItemSummary, NodeRow};
 use lrs_bench::cli::{exit_with_usage, flag, positional, valued, Cli, Flag};
 use lrs_bench::ExperimentMetrics;
-use lrs_crypto::sha256_mb::ShaKernel;
+use lrs_crypto::ShaKernel;
 use lrs_erasure::kernel::Kernel;
 use lrs_host::node::{NodeId, PacketKind};
 use lrs_host::time::SimTime;

@@ -204,8 +204,8 @@ impl<S: SchemeFamily> Finished<S> {
 /// served from memory at the others (per-node `hashes` counters are
 /// unaffected; hits land in `memoized_hashes`). The base-station
 /// artifacts enumerate every predetermined packet, so the memo is
-/// warmed up front in multi-buffer batches instead of filling
-/// packet-by-packet on first reception.
+/// warmed up front instead of filling packet-by-packet on first
+/// reception.
 pub fn simulate<S: SchemeFamily>(
     pop: &Population<S>,
     capsule: &Capsule,

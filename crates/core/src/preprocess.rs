@@ -88,8 +88,6 @@ impl LrArtifacts {
                 .map(|c| c.to_vec())
                 .collect();
             let encoded = code.encode(&blocks).expect("consistent shapes");
-            // All n per-page packet hashes are independent: one batch
-            // through the multi-buffer SHA-256 kernels.
             next_hashes = packet_hash_batch(params.version, item, &encoded)
                 .iter()
                 .flat_map(|h| h.0)

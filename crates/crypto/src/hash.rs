@@ -112,17 +112,6 @@ pub fn hash_image(parts: &[&[u8]]) -> HashImage {
     sha256_concat(parts).truncate()
 }
 
-/// Computes [`hash_image`] for every multi-part message in `msgs`, in
-/// input order, batching independent messages through the multi-buffer
-/// SHA-256 kernels ([`crate::sha256_mb`]). Bit-identical to mapping
-/// [`hash_image`] over the batch.
-pub fn hash_image_batch<'a, M: AsRef<[&'a [u8]]>>(msgs: &[M]) -> Vec<HashImage> {
-    crate::sha256_mb::sha256_batch_parts(msgs)
-        .iter()
-        .map(Digest::truncate)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,11 +48,10 @@ pub mod merkle;
 pub mod puzzle;
 pub mod schnorr;
 pub mod sha256;
-pub mod sha256_mb;
 
 pub use hash::{hash_image, Digest, HashImage, HASH_IMAGE_LEN};
 pub use leap::LeapKeyring;
 pub use merkle::{MerkleProof, MerkleTree};
 pub use puzzle::{Puzzle, PuzzleKeyChain, PuzzleSolution};
 pub use schnorr::{Keypair, PublicKey, Signature};
-pub use sha256_mb::{sha256_batch, sha256_batch_parts, ShaKernel};
+pub use sha256::ShaKernel;

@@ -12,7 +12,6 @@
 
 use crate::hash::Digest;
 use crate::sha256::{sha256, sha256_concat};
-use crate::sha256_mb::{sha256_batch, sha256_batch_parts};
 
 /// A complete binary Merkle hash tree over `2^d` leaves.
 ///
@@ -34,10 +33,7 @@ impl MerkleTree {
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        // Leaves and the node pairs within a level are independent
-        // messages, so every level is one multi-buffer batch hash.
-        let leaf_slices: Vec<&[u8]> = leaves.into_iter().collect();
-        let leaf_hashes = sha256_batch(&leaf_slices);
+        let leaf_hashes: Vec<Digest> = leaves.into_iter().map(sha256).collect();
         assert!(
             !leaf_hashes.is_empty() && leaf_hashes.len().is_power_of_two(),
             "Merkle tree requires a power-of-two leaf count, got {}",
@@ -45,12 +41,12 @@ impl MerkleTree {
         );
         let mut levels = vec![leaf_hashes];
         while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap();
-            let pairs: Vec<[&[u8]; 2]> = prev
+            let next = levels
+                .last()
+                .unwrap()
                 .chunks_exact(2)
-                .map(|pair| [&pair[0].0[..], &pair[1].0[..]])
+                .map(|pair| sha256_concat(&[&pair[0].0, &pair[1].0]))
                 .collect();
-            let next = sha256_batch_parts(&pairs);
             levels.push(next);
         }
         MerkleTree { levels }

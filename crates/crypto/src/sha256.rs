@@ -4,19 +4,108 @@
 //! preloads on every sensor node. It is used for packet hash images, the
 //! hash chaining between pages, the Merkle hash tree over the hash page,
 //! message-specific puzzles, and as the compression primitive inside HMAC.
+//!
+//! Every hash runs through one compression function, chosen once per
+//! process like the GF(256) kernel ([`ShaKernel::active`]): the x86 SHA
+//! extensions where the CPU has them, the scalar reference otherwise.
+//! Both compute exact FIPS 180-4 SHA-256, so the choice never changes a
+//! digest.
 
 use crate::hash::Digest;
-use crate::sha256_mb::ShaKernel;
+use std::sync::OnceLock;
+
+/// One of the interchangeable SHA-256 compression functions.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ShaKernel {
+    /// The scalar reference compression.
+    Sequential,
+    /// The x86 SHA extensions.
+    ShaNi,
+}
+
+impl ShaKernel {
+    /// All kernels, slowest first.
+    pub const ALL: [ShaKernel; 2] = [ShaKernel::Sequential, ShaKernel::ShaNi];
+
+    /// The kernel's name as used by `LRS_SHA_KERNEL`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShaKernel::Sequential => "sequential",
+            ShaKernel::ShaNi => "shani",
+        }
+    }
+
+    /// Parses an `LRS_SHA_KERNEL` value.
+    pub fn from_name(name: &str) -> Option<ShaKernel> {
+        ShaKernel::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Whether this kernel can run on the current CPU.
+    pub fn is_supported(self) -> bool {
+        match self {
+            ShaKernel::Sequential => true,
+            #[cfg(target_arch = "x86_64")]
+            ShaKernel::ShaNi => {
+                is_x86_feature_detected!("sha")
+                    && is_x86_feature_detected!("ssse3")
+                    && is_x86_feature_detected!("sse4.1")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            ShaKernel::ShaNi => false,
+        }
+    }
+
+    /// The kernels the current CPU can run, slowest first.
+    pub fn supported() -> Vec<ShaKernel> {
+        ShaKernel::ALL
+            .into_iter()
+            .filter(|k| k.is_supported())
+            .collect()
+    }
+
+    /// The fastest kernel supported by the current CPU.
+    pub fn best_supported() -> ShaKernel {
+        *ShaKernel::supported()
+            .last()
+            .expect("sequential always supported")
+    }
+
+    /// The kernel all hashing dispatches to, resolved once per
+    /// process: `LRS_SHA_KERNEL` when set to a supported kernel
+    /// (unsupported or unknown values are ignored), otherwise the best
+    /// supported path.
+    pub fn active() -> ShaKernel {
+        static ACTIVE: OnceLock<ShaKernel> = OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            if let Ok(name) = std::env::var("LRS_SHA_KERNEL") {
+                match ShaKernel::from_name(&name) {
+                    Some(k) if k.is_supported() => return k,
+                    Some(k) => eprintln!(
+                        "LRS_SHA_KERNEL={} is not supported on this CPU; using {}",
+                        k.name(),
+                        ShaKernel::best_supported().name()
+                    ),
+                    None => eprintln!(
+                        "LRS_SHA_KERNEL={name} is not a kernel ({}); using {}",
+                        ShaKernel::ALL.map(ShaKernel::name).join("|"),
+                        ShaKernel::best_supported().name()
+                    ),
+                }
+            }
+            ShaKernel::best_supported()
+        })
+    }
+}
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes.
-pub(crate) const H0: [u32; 8] = [
+const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
-pub(crate) const K: [u32; 64] = [
+const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -66,10 +155,8 @@ impl Sha256 {
         Self::resume(H0, 0)
     }
 
-    /// Creates a hasher pinned to `kernel`'s single-stream compression
-    /// function: SHA-NI under [`ShaKernel::ShaNi`], the scalar reference
-    /// under every other kernel (those only differ in how *batches* are
-    /// hashed). The property suite pins each path through this.
+    /// Creates a hasher pinned to `kernel`'s compression function: the
+    /// property suite pins each path through this.
     ///
     /// # Panics
     ///
@@ -216,7 +303,7 @@ impl PaddedTail {
 }
 
 /// The digest whose big-endian words are `state`.
-pub(crate) fn digest_of(state: &[u32; 8]) -> Digest {
+fn digest_of(state: &[u32; 8]) -> Digest {
     let mut out = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -247,7 +334,7 @@ fn compress_blocks(shani: bool, state: &mut [u32; 8], blocks: &[u8]) {
 
 /// One SHA-256 compression round over `block`, updating `state` in
 /// place: the scalar reference every other kernel is pinned against.
-pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -405,6 +492,21 @@ pub(crate) mod tests {
 
     fn hex(d: &Digest) -> String {
         d.to_hex()
+    }
+
+    #[test]
+    fn names_roundtrip() {
+        for k in ShaKernel::ALL {
+            assert_eq!(ShaKernel::from_name(k.name()), Some(k));
+        }
+        assert_eq!(ShaKernel::from_name("sha-ni"), None);
+    }
+
+    #[test]
+    fn sequential_always_supported() {
+        assert!(ShaKernel::Sequential.is_supported());
+        assert!(ShaKernel::supported().contains(&ShaKernel::best_supported()));
+        assert!(ShaKernel::active().is_supported());
     }
 
     /// SHA-256 as FIPS 180-4 writes it, sharing nothing with the

@@ -19,7 +19,7 @@
 use crate::engine::{CryptoCost, PacketDisposition};
 use crate::wire::BitVec;
 use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::hash::{hash_image, hash_image_batch, Digest, HashImage, HASH_IMAGE_LEN};
+use lrs_crypto::hash::{hash_image, Digest, HashImage, HASH_IMAGE_LEN};
 use lrs_crypto::merkle::{MerkleProof, MerkleTree};
 use lrs_crypto::puzzle::{Puzzle, PuzzleKeyChain, PuzzleSolution};
 use lrs_crypto::schnorr::{Keypair, PublicKey, Signature, SIGNATURE_LEN};
@@ -42,26 +42,17 @@ pub fn packet_hash(version: u16, item: u16, index: u16, payload: &[u8]) -> HashI
     ])
 }
 
-/// [`packet_hash`] for all packets of one page at once, batched through
-/// the multi-buffer SHA-256 kernels. Entry `j` of the result is
-/// `packet_hash(version, item, j, payloads[j])`, bit-identical to the
-/// one-at-a-time function.
+/// [`packet_hash`] for all packets of one page at once: entry `j` of the
+/// result is `packet_hash(version, item, j, payloads[j])`.
 pub fn packet_hash_batch<P: AsRef<[u8]>>(
     version: u16,
     item: u16,
     payloads: &[P],
 ) -> Vec<HashImage> {
-    let version_be = version.to_be_bytes();
-    let item_be = item.to_be_bytes();
-    let index_be: Vec<[u8; 2]> = (0..payloads.len())
-        .map(|j| (j as u16).to_be_bytes())
-        .collect();
-    let msgs: Vec<[&[u8]; 4]> = payloads
-        .iter()
-        .zip(&index_be)
-        .map(|(p, idx)| [&version_be[..], &item_be[..], &idx[..], p.as_ref()])
-        .collect();
-    hash_image_batch(&msgs)
+    (0u16..)
+        .zip(payloads)
+        .map(|(j, p)| packet_hash(version, item, j, p.as_ref()))
+        .collect()
 }
 
 /// Default bound on distinct cached packet digests.
@@ -167,11 +158,10 @@ impl PacketDigestCache {
 
     /// Pre-fills the cache from an iterator of
     /// `((version, item, index), payload, digest)` entries — the
-    /// batch-hash fill path. A run that knows its packets up front
-    /// (the base-station artifacts enumerate every predetermined
-    /// packet) can compute all digests in one multi-buffer batch and
-    /// warm the cache once instead of hashing packet-by-packet on
-    /// first reception.
+    /// up-front fill path. A run that knows its packets up front (the
+    /// base-station artifacts enumerate every predetermined packet) can
+    /// compute all digests once and warm the cache instead of hashing
+    /// packet-by-packet on first reception.
     ///
     /// Uses the same first-writer-wins and capacity rules as
     /// [`PacketDigestCache::insert`] and, like it, never touches the
@@ -202,7 +192,7 @@ impl PacketDigestCache {
 
 /// Pre-fills a run's digest memo with the hash image of every
 /// predetermined data packet (`page_packets[i][j]` is packet `j` of wire
-/// item `i + 2`), one multi-buffer batch per page. Receivers then verify
+/// item `i + 2`), one [`packet_hash_batch`] per page. Receivers then verify
 /// even first-contact packets against warm entries; per-node `hashes`
 /// counters are unaffected (hits land in `memoized_hashes`).
 pub fn warm_digest_cache(cache: &PacketDigestCache, version: u16, page_packets: &[Vec<Vec<u8>>]) {
@@ -829,10 +819,15 @@ mod tests {
         assert_ne!(h, packet_hash(1, 3, 3, b"payload"), "item bound");
         assert_ne!(h, packet_hash(2, 2, 3, b"payload"), "version bound");
         assert_ne!(h, packet_hash(1, 2, 3, b"payloae"), "payload bound");
-        assert_eq!(
-            h,
-            packet_hash_batch(1, 2, &[&b""[..], b"", b"", b"payload"])[3]
-        );
+        // A 48-payload page of mixed lengths (one- and two-block
+        // messages and ones past the 119-byte tail) and an empty page.
+        let page: Vec<Vec<u8>> = (0..48usize).map(|j| vec![j as u8; j * 37 % 200]).collect();
+        let batch = packet_hash_batch(1, 2, &page);
+        assert_eq!(batch.len(), page.len());
+        for (j, (p, b)) in (0u16..).zip(page.iter().zip(&batch)) {
+            assert_eq!(*b, packet_hash(1, 2, j, p), "packet {j}");
+        }
+        assert!(packet_hash_batch::<Vec<u8>>(1, 2, &[]).is_empty());
     }
 
     #[test]

@@ -347,8 +347,8 @@ impl<S: SchemeFamily> Deployment<S> {
     }
 
     /// Pre-fills a per-run packet-digest memo from the artifacts: all
-    /// predetermined packet hashes are computed in multi-buffer batches
-    /// up front, so receivers hit warm entries from the first packet.
+    /// predetermined packet hashes are computed up front, so receivers
+    /// hit warm entries from the first packet.
     pub fn warm_digest_cache(&self, cache: &PacketDigestCache) {
         S::warm_digest_cache(&self.artifacts, cache);
     }

@@ -2,21 +2,21 @@
 //!
 //! The inner loop of Reed-Solomon encode/decode and of Gauss-Jordan
 //! elimination is `dst[i] ^= c · src[i]` over whole block slices. This
-//! module provides three interchangeable implementations of that loop
+//! module provides two interchangeable implementations of that loop
 //! and of `buf[i] = c · buf[i]` / `dst[i] ^= src[i]`:
 //!
 //! * [`Kernel::Scalar`] — the full-mul-table row kernel (one 256-byte
 //!   table row per coefficient, one load + XOR per byte). This is the
-//!   reference anchor every other kernel is property-tested against.
-//! * [`Kernel::Ssse3`] / [`Kernel::Avx2`] — the classic 4-bit
-//!   split-table shuffle kernels (`PSHUFB`/`VPSHUFB`): the product
-//!   `c · b` is `c·lo(b) ⊕ c·(hi(b)·16)`, so two 16-entry nibble tables
-//!   looked up with a byte shuffle multiply 16 (SSSE3) or 32 (AVX2)
-//!   bytes per instruction pair.
+//!   reference anchor the other kernel is property-tested against.
+//! * [`Kernel::Avx2`] — the classic 4-bit split-table shuffle kernel
+//!   (`VPSHUFB`): the product `c · b` is `c·lo(b) ⊕ c·(hi(b)·16)`, so
+//!   two 16-entry nibble tables looked up with a byte shuffle multiply
+//!   32 bytes per instruction pair; 8-31-byte tails take the same
+//!   tables at 128- and 64-bit width.
 //!
 //! Selection happens once per process via [`Kernel::active`]: the
 //! best path supported by the CPU (`is_x86_feature_detected!`), unless
-//! the `LRS_GF_KERNEL` environment variable (`scalar`, `ssse3`, `avx2`)
+//! the `LRS_GF_KERNEL` environment variable (`scalar`, `avx2`)
 //! forces a specific one — the hook the forced-kernel CI jobs
 //! and the microbenchmarks use. Every kernel produces bit-identical
 //! output (GF(256) arithmetic is exact), so dispatch can never change
@@ -31,21 +31,18 @@ use std::sync::OnceLock;
 pub enum Kernel {
     /// Full-mul-table scalar kernel (the reference anchor).
     Scalar,
-    /// 4-bit split-table shuffle kernel over 128-bit registers.
-    Ssse3,
     /// 4-bit split-table shuffle kernel over 256-bit registers.
     Avx2,
 }
 
 impl Kernel {
     /// All kernels, slowest first.
-    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Ssse3, Kernel::Avx2];
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::Avx2];
 
     /// The kernel's name as used by `LRS_GF_KERNEL`.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Ssse3 => "ssse3",
             Kernel::Avx2 => "avx2",
         }
     }
@@ -60,11 +57,9 @@ impl Kernel {
         match self {
             Kernel::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ssse3 => is_x86_feature_detected!("ssse3"),
-            #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Ssse3 | Kernel::Avx2 => false,
+            Kernel::Avx2 => false,
         }
     }
 
@@ -126,13 +121,11 @@ pub fn mul_add_assign(kernel: Kernel, dst: &mut [u8], coeff: Gf, src: &[u8]) {
     match kernel {
         Kernel::Scalar => mul_add_table(dst, coeff, src),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects these kernels after
+        // SAFETY: dispatch only selects this kernel after
         // `is_x86_feature_detected!` confirmed the feature.
-        Kernel::Ssse3 => unsafe { x86::mul_add_ssse3(dst, coeff, src) },
-        #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { x86::mul_add_avx2(dst, coeff, src) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Ssse3 | Kernel::Avx2 => mul_add_table(dst, coeff, src),
+        Kernel::Avx2 => mul_add_table(dst, coeff, src),
     }
 }
 
@@ -160,8 +153,6 @@ pub fn mul_add_accumulate(kernel: Kernel, dst: &mut [u8], coeffs: &[Gf], srcs: &
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `mul_add_assign`.
-        Kernel::Ssse3 => unsafe { x86::mul_add_accumulate_ssse3(dst, coeffs, srcs) },
-        #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { x86::mul_add_accumulate_avx2(dst, coeffs, srcs) },
         _ => {
             for (coeff, src) in coeffs.iter().zip(srcs) {
@@ -180,11 +171,9 @@ pub fn scale(kernel: Kernel, buf: &mut [u8], coeff: Gf) {
         Kernel::Scalar => scale_table(buf, coeff),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `mul_add_assign`.
-        Kernel::Ssse3 => unsafe { x86::scale_ssse3(buf, coeff) },
-        #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { x86::scale_avx2(buf, coeff) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Ssse3 | Kernel::Avx2 => scale_table(buf, coeff),
+        Kernel::Avx2 => scale_table(buf, coeff),
     }
 }
 
@@ -288,11 +277,14 @@ mod x86 {
         _mm_storel_epi64(dp as *mut __m128i, _mm_xor_si128(d, prod));
     }
 
+    /// `dst ^= coeff · src` at 128-bit width: the tail of
+    /// [`mul_add_avx2`] after its last whole 32-byte vector.
+    ///
     /// # Safety
     ///
-    /// Caller must have verified SSSE3 support.
+    /// Caller must have verified SSSE3 support (AVX2 implies it).
     #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn mul_add_ssse3(dst: &mut [u8], coeff: Gf, src: &[u8]) {
+    unsafe fn mul_add_ssse3(dst: &mut [u8], coeff: Gf, src: &[u8]) {
         let tbl = nib_row(coeff);
         let lo_tbl = _mm_loadu_si128(tbl.as_ptr() as *const __m128i);
         let hi_tbl = _mm_loadu_si128(tbl.as_ptr().add(16) as *const __m128i);
@@ -359,46 +351,8 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Caller must have verified SSSE3 support; slice lengths must
+    /// Caller must have verified AVX2 support; slice lengths must
     /// already be validated (`mul_add_accumulate` asserts them).
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn mul_add_accumulate_ssse3(dst: &mut [u8], coeffs: &[Gf], srcs: &[&[u8]]) {
-        let mask = _mm_set1_epi8(0x0f);
-        let body = dst.len() & !15;
-        let dp = dst.as_mut_ptr();
-        for (coeff, src) in coeffs.iter().zip(srcs) {
-            if coeff.0 == 0 {
-                continue;
-            }
-            let tbl = nib_row(*coeff);
-            let lo_tbl = _mm_loadu_si128(tbl.as_ptr() as *const __m128i);
-            let hi_tbl = _mm_loadu_si128(tbl.as_ptr().add(16) as *const __m128i);
-            let sp = src.as_ptr();
-            let mut i = 0;
-            while i < body {
-                let x = _mm_loadu_si128(sp.add(i) as *const __m128i);
-                let lo = _mm_and_si128(x, mask);
-                let hi = _mm_and_si128(_mm_srli_epi64::<4>(x), mask);
-                let prod =
-                    _mm_xor_si128(_mm_shuffle_epi8(lo_tbl, lo), _mm_shuffle_epi8(hi_tbl, hi));
-                let d = _mm_loadu_si128(dp.add(i) as *const __m128i);
-                _mm_storeu_si128(dp.add(i) as *mut __m128i, _mm_xor_si128(d, prod));
-                i += 16;
-            }
-            while i + 8 <= dst.len() {
-                mul_add_8(dp.add(i), sp.add(i), lo_tbl, hi_tbl);
-                i += 8;
-            }
-            for j in i..dst.len() {
-                let s = src[j];
-                dst[j] ^= tbl[(s & 0x0f) as usize] ^ tbl[16 + (s >> 4) as usize];
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// As in [`mul_add_accumulate_ssse3`], for AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn mul_add_accumulate_avx2(dst: &mut [u8], coeffs: &[Gf], srcs: &[&[u8]]) {
         let mask = _mm256_set1_epi8(0x0f);
@@ -452,11 +406,14 @@ mod x86 {
         }
     }
 
+    /// `buf = coeff · buf` at 128-bit width: the tail of
+    /// [`scale_avx2`] after its last whole 32-byte vector.
+    ///
     /// # Safety
     ///
-    /// Caller must have verified SSSE3 support.
+    /// Caller must have verified SSSE3 support (AVX2 implies it).
     #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn scale_ssse3(buf: &mut [u8], coeff: Gf) {
+    unsafe fn scale_ssse3(buf: &mut [u8], coeff: Gf) {
         let tbl = nib_row(coeff);
         let lo_tbl = _mm_loadu_si128(tbl.as_ptr() as *const __m128i);
         let hi_tbl = _mm_loadu_si128(tbl.as_ptr().add(16) as *const __m128i);

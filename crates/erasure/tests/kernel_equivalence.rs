@@ -22,8 +22,8 @@ use lrs_rng::DetRng;
 const PAPER_POINTS: [(usize, usize); 4] = [(32, 48), (32, 64), (8, 16), (3, 6)];
 
 /// Lengths that straddle every kernel's internal boundaries: the 8-byte
-/// unrolled chunk, the 16-byte SSSE3 vector, the 32-byte AVX2 vector, and a
-/// large body with a ragged tail.
+/// unrolled chunk, the AVX2 kernel's 16-byte tail step and 32-byte
+/// vector, and a large body with a ragged tail.
 const ADVERSARIAL_LENS: [usize; 13] = [0, 1, 7, 8, 15, 16, 17, 31, 32, 63, 64, 65, 4096 + 29];
 
 #[test]

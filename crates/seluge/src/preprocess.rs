@@ -174,8 +174,6 @@ impl SelugeArtifacts {
                 payload.extend_from_slice(next_hash);
                 packets.push(payload);
             }
-            // All per-page packet hashes are independent: one batch
-            // through the multi-buffer SHA-256 kernels.
             next_hashes = packet_hash_batch(params.version, item, &packets)
                 .iter()
                 .map(|h| h.0)
