@@ -210,9 +210,11 @@ fn bench_reed_solomon() {
     });
     // Worst-case decode: all parity blocks, so 16 of the 32 sources are
     // erased and solved for.
-    let parity: Vec<(usize, Vec<u8>)> = (16..48).map(|i| (i, encoded[i].clone())).collect();
+    let parity: Vec<(usize, &[u8])> = (16..48).map(|i| (i, encoded[i].as_slice())).collect();
+    let mut page = Vec::new();
     bench("rs/decode_parity_k32_n48", (32 * 72) as u64, || {
-        black_box(code.decode(black_box(&parity), 72).unwrap());
+        code.decode_into(black_box(&parity), 72, &mut page).unwrap();
+        black_box(&page);
     });
     // The pattern the workloads see at ~30 % loss: the first k
     // survivors of a seeded shuffle (this seed erases 10 sources).
@@ -222,16 +224,17 @@ fn bench_reed_solomon() {
         .iter()
         .map(|&i| (i, encoded[i].as_slice()))
         .collect();
-    let mut page = Vec::new();
     bench("rs/decode_erasure30_k32_n48", (32 * 72) as u64, || {
         code.decode_into(black_box(&survivors), 72, &mut page)
             .unwrap();
         black_box(&page);
     });
     // Best-case decode: systematic blocks (memcpy path).
-    let systematic: Vec<(usize, Vec<u8>)> = (0..32).map(|i| (i, encoded[i].clone())).collect();
+    let systematic: Vec<(usize, &[u8])> = (0..32).map(|i| (i, encoded[i].as_slice())).collect();
     bench("rs/decode_systematic_k32_n48", (32 * 72) as u64, || {
-        black_box(code.decode(black_box(&systematic), 72).unwrap());
+        code.decode_into(black_box(&systematic), 72, &mut page)
+            .unwrap();
+        black_box(&page);
     });
 }
 

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use lrs_host::time::Duration;
 use lrs_netsim::topology::Topology;
-use lrs_netsim::trace::{JsonlTrace, RingTrace, TraceSink};
+use lrs_netsim::trace::{JsonlTrace, TraceLog, TraceSink};
 use lrs_netsim::SimBuilder;
 
 fn scratch(name: &str) -> PathBuf {
@@ -143,20 +143,11 @@ fn traced_run(
 
 #[test]
 fn attaching_a_trace_does_not_change_metrics() {
-    let bare = traced_run(None::<RingTrace>);
-    let ringed = traced_run(Some(RingTrace::new(512)));
+    let bare = traced_run(None::<TraceLog>);
+    let logged = traced_run(Some(TraceLog::default()));
     let jsonl = traced_run(Some(JsonlTrace::new(Vec::new())));
-    assert_eq!(bare, ringed);
+    assert_eq!(bare, logged);
     assert_eq!(bare, jsonl);
-}
-
-/// A sink that shares its event log with the test.
-struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<lrs_netsim::trace::TraceEvent>>>);
-
-impl TraceSink for SharedSink {
-    fn record(&mut self, event: &lrs_netsim::trace::TraceEvent) {
-        self.0.lock().unwrap().push(event.clone());
-    }
 }
 
 #[test]
@@ -173,16 +164,14 @@ fn trace_sink_sees_every_event_family() {
         },
         ..SimConfig::default()
     };
-    let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = TraceLog::default();
     let mut sim = SimBuilder::new(Topology::star(4), 1, |id| deployment.node(id, NodeId(0)))
         .config(cfg)
-        .trace(SharedSink(events.clone()))
+        .trace(log.clone())
         .build();
     let report = sim.run(Duration::from_secs(100_000));
     assert!(report.all_complete);
-    drop(sim);
-
-    let events = events.lock().unwrap();
+    let events = log.events();
     assert!(!events.is_empty());
     let has = |f: &dyn Fn(&TraceEvent) -> bool| events.iter().any(f);
     assert!(has(&|e| matches!(e, TraceEvent::Tx { .. })));

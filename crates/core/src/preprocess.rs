@@ -305,11 +305,12 @@ mod tests {
         let code = ReedSolomon::new(p.k as usize, p.n as usize).unwrap();
         // Decode page 0 from its last k packets and recover the image
         // prefix.
-        let subset: Vec<(usize, Vec<u8>)> = (p.n - p.k..p.n)
-            .map(|j| (j as usize, art.page_packet(0, j).to_vec()))
+        let subset: Vec<(usize, &[u8])> = (p.n - p.k..p.n)
+            .map(|j| (j as usize, art.page_packet(0, j)))
             .collect();
-        let blocks = code.decode(&subset, p.payload_len).unwrap();
-        let input: Vec<u8> = blocks.concat();
+        let mut input = Vec::new();
+        code.decode_into(&subset, p.payload_len, &mut input)
+            .unwrap();
         assert_eq!(&input[..p.page_capacity()], &image[..p.page_capacity()]);
         assert_eq!(&input[..], art.page_input(0));
     }
@@ -319,15 +320,13 @@ mod tests {
         let (art, _) = build();
         let p = art.params();
         let code0 = ReedSolomon::new(p.k0 as usize, p.n0 as usize).unwrap();
-        let subset: Vec<(usize, Vec<u8>)> = (0..p.k0)
-            .map(|j| {
-                (
-                    j as usize,
-                    art.hash_page_packet(j)[..p.hash_block_len()].to_vec(),
-                )
-            })
+        let subset: Vec<(usize, &[u8])> = (0..p.k0)
+            .map(|j| (j as usize, &art.hash_page_packet(j)[..p.hash_block_len()]))
             .collect();
-        let m0: Vec<u8> = code0.decode(&subset, p.hash_block_len()).unwrap().concat();
+        let mut m0 = Vec::new();
+        code0
+            .decode_into(&subset, p.hash_block_len(), &mut m0)
+            .unwrap();
         for j in 0..p.n {
             let expected = packet_hash(p.version, 2, j, art.page_packet(0, j));
             let off = j as usize * HASH_IMAGE_LEN;

@@ -184,11 +184,6 @@ pub trait SchemeFamily: Scheme + Sized + 'static {
 
     /// The constants an attacker must mimic to look like this scheme.
     fn attacker_profile(params: &Self::Params, cluster_key: Option<ClusterKey>) -> AttackerProfile;
-
-    /// The family's fixed adjustment of an engine configuration.
-    fn engine_config(cfg: EngineConfig) -> EngineConfig {
-        cfg
-    }
 }
 
 /// A protocol node of family `S` under its default policy.
@@ -270,10 +265,9 @@ impl<S: SchemeFamily> Deployment<S> {
         self
     }
 
-    /// Overrides the engine configuration (timers, retry limits,
-    /// denial-of-receipt budget); the family's fixed adjustment
-    /// ([`SchemeFamily::engine_config`]) still applies on top.
-    pub fn with_engine_config(mut self, engine: EngineConfig) -> Self {
+    /// Overrides the engine configuration: the §IV-E denial-of-receipt
+    /// budget.
+    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
     }
@@ -362,8 +356,7 @@ impl<S: SchemeFamily> Deployment<S> {
     }
 
     fn wrap<P: TxPolicy>(&self, scheme: S, policy: P, id: NodeId) -> DisseminationNode<S, P> {
-        let engine = S::engine_config(self.engine);
-        let node = DisseminationNode::new(scheme, policy, self.cluster_key.clone(), engine);
+        let node = DisseminationNode::new(scheme, policy, self.cluster_key.clone(), self.engine);
         match &self.leap_seed {
             Some(seed) => node.with_leap(LeapKeyring::bootstrap(seed, id.0)),
             None => node,
@@ -388,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn deluge_deployment_validates_and_turns_control_authentication_off() {
+    fn deluge_deployment_validates_its_image() {
         let params = ImageParams {
             version: 1,
             image_len: 1000,
@@ -400,7 +393,6 @@ mod tests {
         assert_eq!(d.image(), &image[..]);
         let base = d.node(NodeId(0), NodeId(0));
         assert_eq!(base.scheme().image().as_deref(), Some(&image[..]));
-        assert!(!DelugeScheme::engine_config(EngineConfig::default()).authenticate_control);
         // Empty, mismatched and unaddressable images are typed errors.
         let try_new = Deployment::<DelugeScheme>::try_new;
         assert!(try_new(&[], params, b"seed").is_err());

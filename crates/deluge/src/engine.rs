@@ -23,7 +23,7 @@
 //! ignored.
 
 use crate::policy::TxPolicy;
-use crate::trickle::{Trickle, TrickleConfig};
+use crate::trickle::Trickle;
 use crate::wire::{BitVec, Frame, Message};
 use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::leap::LeapKeyring;
@@ -121,50 +121,33 @@ pub trait Scheme {
     }
 }
 
-/// Engine tuning knobs.
-#[derive(Clone, Copy, Debug)]
+/// Engine configuration: the one setting the paper adds to Deluge's
+/// machinery. The engine's timings are constants of this module and
+/// Trickle's of [`crate::trickle`]; whether control packets carry
+/// cluster MACs follows from the scheme (see [`DisseminationNode`]).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// Trickle parameters for advertisements.
-    pub trickle: TrickleConfig,
-    /// Minimum delay before sending a SNACK after deciding to.
-    pub snack_delay_min: Duration,
-    /// Maximum delay before sending a SNACK.
-    pub snack_delay_max: Duration,
-    /// Base delay before re-sending an unanswered SNACK.
-    pub retry_delay: Duration,
-    /// Extra uniform jitter added to the retry delay.
-    pub retry_jitter: Duration,
-    /// SNACK retries before giving up and returning to MAINTAIN.
-    pub retry_limit: u32,
-    /// Idle gap between consecutive data packets in TX.
-    pub tx_gap: Duration,
-    /// Whether advertisement/SNACK MACs are required (Seluge/LR-Seluge:
-    /// yes; plain Deluge: no).
-    pub authenticate_control: bool,
     /// Denial-of-receipt mitigation (§IV-E): maximum data packets a
     /// single neighbor may request per item before being ignored.
     /// `None` disables the mitigation.
     pub per_neighbor_item_budget: Option<u32>,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            trickle: TrickleConfig::default(),
-            snack_delay_min: Duration::from_millis(10),
-            snack_delay_max: Duration::from_millis(80),
-            // Above the worst-case service-round airtime (n packets of
-            // ~80 B at 19.2 kbps ≈ 2.1 s), so an answered-but-not-yet-
-            // served request does not retry into the ongoing round.
-            retry_delay: Duration::from_millis(2_500),
-            retry_jitter: Duration::from_millis(1_200),
-            retry_limit: 20,
-            tx_gap: Duration::from_millis(4),
-            authenticate_control: true,
-            per_neighbor_item_budget: None,
-        }
-    }
-}
+/// Minimum delay before sending a SNACK after deciding to.
+const SNACK_DELAY_MIN: Duration = Duration::from_millis(10);
+/// Maximum delay before sending a SNACK.
+const SNACK_DELAY_MAX: Duration = Duration::from_millis(80);
+/// Base delay before re-sending an unanswered SNACK. Above the
+/// worst-case service-round airtime (n packets of ~80 B at 19.2 kbps ≈
+/// 2.1 s), so an answered-but-not-yet-served request does not retry into
+/// the ongoing round.
+const RETRY_DELAY: Duration = Duration::from_millis(2_500);
+/// Extra uniform jitter added to the retry delay.
+const RETRY_JITTER: Duration = Duration::from_millis(1_200);
+/// SNACK retries before giving up and returning to MAINTAIN.
+const RETRY_LIMIT: u32 = 20;
+/// Idle gap between consecutive data packets in TX.
+const TX_GAP: Duration = Duration::from_millis(4);
 
 /// Observable per-node statistics (aggregated by the harness).
 #[derive(Clone, Copy, Debug, Default)]
@@ -204,6 +187,11 @@ enum State {
 
 /// A dissemination node: the engine instantiated with a scheme and a TX
 /// policy. Implements [`Protocol`] for the simulator.
+///
+/// Advertisements and SNACKs are checked against the cluster key exactly
+/// when the scheme is a signed one (its item 0 is the signature packet,
+/// as in Seluge and LR-Seluge); plain Deluge's control traffic carries
+/// no authentication the receiver relies on.
 pub struct DisseminationNode<S: Scheme, P: TxPolicy> {
     scheme: S,
     policy: P,
@@ -234,14 +222,13 @@ pub struct DisseminationNode<S: Scheme, P: TxPolicy> {
 impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
     /// Creates a node.
     pub fn new(scheme: S, policy: P, key: ClusterKey, cfg: EngineConfig) -> Self {
-        let trickle = Trickle::new(cfg.trickle);
         DisseminationNode {
             scheme,
             policy,
             key,
             cfg,
             state: State::Maintain,
-            trickle,
+            trickle: Trickle::new(),
             neighbors: Vec::new(),
             served: HashMap::new(),
             suppress_count: 0,
@@ -283,6 +270,12 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
 
     fn done(&self) -> bool {
         self.level() == self.scheme.num_items()
+    }
+
+    /// Whether the scheme is a signed one: the base station opens with
+    /// the signature packet and control packets must carry cluster MACs.
+    fn signed(&self) -> bool {
+        self.scheme.item_kind(0) == PacketKind::Signature
     }
 
     fn start_trickle_interval(&mut self, ctx: &mut Context<'_>) {
@@ -328,13 +321,8 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         self.state = State::Rx { server, retries: 0 };
         self.suppress_count = 0;
         self.awaiting_reply = false;
-        let span = self
-            .cfg
-            .snack_delay_max
-            .as_micros()
-            .saturating_sub(self.cfg.snack_delay_min.as_micros())
-            .max(1);
-        let delay = self.cfg.snack_delay_min + Duration::from_micros(ctx.rng().gen_range(0..span));
+        let span = SNACK_DELAY_MAX.as_micros() - SNACK_DELAY_MIN.as_micros();
+        let delay = SNACK_DELAY_MIN + Duration::from_micros(ctx.rng().gen_range(0..span));
         ctx.set_timer(TIMER_SNACK, delay);
     }
 
@@ -353,11 +341,8 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             _ => 0,
         };
         let factor = 1u64 << retries.min(3);
-        let jitter = Duration::from_micros(
-            ctx.rng()
-                .gen_range(0..=self.cfg.retry_jitter.as_micros().max(1)),
-        );
-        ctx.set_timer(TIMER_RETRY, self.cfg.retry_delay.mul(factor) + jitter);
+        let jitter = Duration::from_micros(ctx.rng().gen_range(0..=RETRY_JITTER.as_micros()));
+        ctx.set_timer(TIMER_RETRY, RETRY_DELAY.mul(factor) + jitter);
     }
 
     /// Arms a short channel-quiet probe: while data (for any item) keeps
@@ -435,7 +420,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         ctx.broadcast(kind, bytes);
         self.stats.data_sent += 1;
         let jitter = Duration::from_micros(ctx.rng().gen_range(0u64..2_000));
-        ctx.set_timer(TIMER_TX, air + self.cfg.tx_gap + jitter);
+        ctx.set_timer(TIMER_TX, air + TX_GAP + jitter);
     }
 
     fn after_tx(&mut self, ctx: &mut Context<'_>) {
@@ -599,7 +584,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             if let Some(min_item) = self.policy.min_pending_item() {
                 self.policy.on_overheard_data(item, index);
                 if self.state == State::Tx && item < min_item {
-                    let defer = ctx.airtime(payload.len()) + self.cfg.tx_gap;
+                    let defer = ctx.airtime(payload.len()) + TX_GAP;
                     ctx.set_timer(TIMER_TX, defer);
                 }
             }
@@ -671,7 +656,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
         self.start_trickle_interval(ctx);
         // The base station initiates dissemination by broadcasting the
         // signature packet (paper §IV-E).
-        if self.done() && self.scheme.item_kind(0) == PacketKind::Signature {
+        if self.done() && self.signed() {
             if let Some(body) = self.scheme.packet_payload(0, 0) {
                 let msg = Message::Data {
                     version: self.scheme.version(),
@@ -690,7 +675,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
             self.stats.mac_rejects += 1;
             return;
         };
-        if self.cfg.authenticate_control && !frame.mac_ok(&self.key) {
+        if self.signed() && !frame.mac_ok(&self.key) {
             self.stats.mac_rejects += 1;
             return;
         }
@@ -749,7 +734,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
             TIMER_SNACK => self.send_snack(ctx),
             TIMER_RETRY => {
                 if let State::Rx { server, retries } = self.state {
-                    if retries + 1 >= self.cfg.retry_limit {
+                    if retries + 1 >= RETRY_LIMIT {
                         self.stats.gave_up += 1;
                         self.leave_rx(ctx);
                         self.reset_trickle(ctx);
@@ -788,7 +773,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
         self.scheme.reboot();
         self.policy.clear();
         self.state = State::Maintain;
-        self.trickle = Trickle::new(self.cfg.trickle);
+        self.trickle = Trickle::new();
         self.neighbors.clear();
         self.served.clear();
         self.suppress_count = 0;

@@ -11,7 +11,7 @@ use crate::bootstrap::DeploymentKeys;
 use crate::deployment::{
     check_image_len, check_layout, check_payload_len, ParamError, SchemeFamily,
 };
-use crate::engine::{EngineConfig, PacketDisposition, Scheme};
+use crate::engine::{PacketDisposition, Scheme};
 use crate::policy::UnionPolicy;
 use crate::wire::BitVec;
 use lrs_crypto::cluster::ClusterKey;
@@ -285,13 +285,6 @@ impl SchemeFamily for DelugeScheme {
             n_bits: params.packets_per_page as usize,
             version: params.version,
             cluster_key,
-        }
-    }
-
-    fn engine_config(cfg: EngineConfig) -> EngineConfig {
-        EngineConfig {
-            authenticate_control: false,
-            ..cfg
         }
     }
 }

@@ -14,26 +14,12 @@
 use lrs_host::time::Duration;
 use lrs_rng::DetRng;
 
-/// Trickle parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct TrickleConfig {
-    /// Smallest interval.
-    pub i_min: Duration,
-    /// Largest interval.
-    pub i_max: Duration,
-    /// Redundancy constant `K`.
-    pub k: u32,
-}
-
-impl Default for TrickleConfig {
-    fn default() -> Self {
-        TrickleConfig {
-            i_min: Duration::from_millis(500),
-            i_max: Duration::from_secs(60),
-            k: 1,
-        }
-    }
-}
+/// Smallest interval, `I_min`.
+const I_MIN: Duration = Duration::from_millis(500);
+/// Largest interval, `I_max`.
+const I_MAX: Duration = Duration::from_secs(60);
+/// Redundancy constant `K`.
+const K: u32 = 1;
 
 /// What the protocol should do when an interval begins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,17 +33,21 @@ pub struct IntervalPlan {
 /// The Trickle state machine.
 #[derive(Clone, Debug)]
 pub struct Trickle {
-    config: TrickleConfig,
     interval: Duration,
     heard: u32,
 }
 
+impl Default for Trickle {
+    fn default() -> Self {
+        Trickle::new()
+    }
+}
+
 impl Trickle {
     /// Creates the timer at `I = I_min`.
-    pub fn new(config: TrickleConfig) -> Self {
+    pub fn new() -> Self {
         Trickle {
-            interval: config.i_min,
-            config,
+            interval: I_MIN,
             heard: 0,
         }
     }
@@ -77,7 +67,7 @@ impl Trickle {
     /// Interval ended: doubles `I` (clamped to `I_max`). The caller should
     /// then call [`begin_interval`](Self::begin_interval) again.
     pub fn interval_expired(&mut self) {
-        self.interval = self.interval.mul(2).min(self.config.i_max);
+        self.interval = self.interval.mul(2).min(I_MAX);
     }
 
     /// A consistent advertisement was overheard.
@@ -89,8 +79,8 @@ impl Trickle {
     /// if the interval actually changed (the caller should restart its
     /// interval timers in that case).
     pub fn reset(&mut self) -> bool {
-        if self.interval > self.config.i_min {
-            self.interval = self.config.i_min;
+        if self.interval > I_MIN {
+            self.interval = I_MIN;
             true
         } else {
             false
@@ -99,7 +89,7 @@ impl Trickle {
 
     /// Whether the advertisement at the fire point should be suppressed.
     pub fn suppress(&self) -> bool {
-        self.heard >= self.config.k
+        self.heard >= K
     }
 
     /// The current interval length.
@@ -112,56 +102,52 @@ impl Trickle {
 mod tests {
     use super::*;
 
-    fn cfg() -> TrickleConfig {
-        TrickleConfig {
-            i_min: Duration::from_secs(1),
-            i_max: Duration::from_secs(8),
-            k: 1,
-        }
-    }
-
     #[test]
     fn fire_point_in_second_half() {
-        let mut t = Trickle::new(cfg());
+        let mut t = Trickle::new();
         let mut rng = DetRng::seed_from_u64(3);
         for _ in 0..100 {
             let plan = t.begin_interval(&mut rng);
             assert!(plan.fire_in >= plan.interval.half());
             assert!(plan.fire_in < plan.interval + Duration::from_micros(1));
+            t.interval_expired();
         }
     }
 
     #[test]
-    fn interval_doubles_to_max() {
-        let mut t = Trickle::new(cfg());
-        assert_eq!(t.interval(), Duration::from_secs(1));
+    fn interval_doubles_from_half_a_second_to_a_minute() {
+        let mut t = Trickle::new();
+        let mut expected = Duration::from_millis(500);
+        // 0.5 s doubles seven times to 64 s, clamped to 60 s.
+        for _ in 0..7 {
+            assert_eq!(t.interval(), expected);
+            t.interval_expired();
+            expected = expected.mul(2);
+        }
+        assert_eq!(t.interval(), Duration::from_secs(60), "clamped at I_max");
         t.interval_expired();
-        assert_eq!(t.interval(), Duration::from_secs(2));
-        t.interval_expired();
-        t.interval_expired();
-        assert_eq!(t.interval(), Duration::from_secs(8));
-        t.interval_expired();
-        assert_eq!(t.interval(), Duration::from_secs(8), "clamped at i_max");
+        assert_eq!(t.interval(), Duration::from_secs(60));
     }
 
     #[test]
     fn reset_returns_to_imin() {
-        let mut t = Trickle::new(cfg());
+        let mut t = Trickle::new();
+        assert!(!t.reset(), "already at I_min");
         t.interval_expired();
         t.interval_expired();
         assert!(t.reset());
-        assert_eq!(t.interval(), Duration::from_secs(1));
-        assert!(!t.reset(), "already at i_min");
+        assert_eq!(t.interval(), Duration::from_millis(500));
+        assert!(!t.reset(), "already at I_min");
     }
 
     #[test]
     fn suppression_after_k_heard() {
-        let mut t = Trickle::new(cfg());
+        let mut t = Trickle::new();
         let mut rng = DetRng::seed_from_u64(0);
         let _ = t.begin_interval(&mut rng);
         assert!(!t.suppress());
         t.heard_consistent();
-        assert!(t.suppress());
+        assert!(t.suppress(), "K = 1");
         // New interval clears the counter.
         let _ = t.begin_interval(&mut rng);
         assert!(!t.suppress());

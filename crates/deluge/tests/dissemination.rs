@@ -29,13 +29,6 @@ fn test_image(len: usize) -> Vec<u8> {
         .collect()
 }
 
-fn engine_config() -> EngineConfig {
-    EngineConfig {
-        authenticate_control: false,
-        ..EngineConfig::default()
-    }
-}
-
 fn build_sim(topo: Topology, image_len: usize, app_loss: f64, seed: u64) -> Simulator<DelugeNode> {
     let p = params(image_len);
     let image = DelugeImage::new(test_image(image_len), p);
@@ -53,7 +46,12 @@ fn build_sim(topo: Topology, image_len: usize, app_loss: f64, seed: u64) -> Simu
         } else {
             DelugeScheme::receiver(p)
         };
-        DisseminationNode::new(scheme, UnionPolicy::new(), key.clone(), engine_config())
+        DisseminationNode::new(
+            scheme,
+            UnionPolicy::new(),
+            key.clone(),
+            EngineConfig::default(),
+        )
     })
     .config(cfg)
     .build()

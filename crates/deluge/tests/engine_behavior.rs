@@ -189,7 +189,6 @@ fn budget_limits_service_per_neighbor() {
     // a lot eventually gets refused by its first server and must rotate.
     let engine = EngineConfig {
         per_neighbor_item_budget: Some(4),
-        ..EngineConfig::default()
     };
     let mut sim = sim_with(engine, 0.3, 5, 4);
     let report = sim.run(Duration::from_secs(36_000));

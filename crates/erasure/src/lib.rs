@@ -29,9 +29,11 @@
 //! let blocks: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 16]).collect();
 //! let encoded = code.encode(&blocks)?;
 //! // Any k' = 4 of the 7 encoded blocks recover the originals.
-//! let subset: Vec<(usize, Vec<u8>)> =
-//!     [6, 2, 5, 0].iter().map(|&i| (i, encoded[i].clone())).collect();
-//! assert_eq!(code.decode(&subset, 16)?, blocks);
+//! let subset: Vec<(usize, &[u8])> =
+//!     [6, 2, 5, 0].iter().map(|&i| (i, encoded[i].as_slice())).collect();
+//! let mut page = Vec::new();
+//! code.decode_into(&subset, 16, &mut page)?;
+//! assert_eq!(page, blocks.concat());
 //! # Ok::<(), lrs_erasure::CodeError>(())
 //! ```
 
@@ -122,9 +124,10 @@ pub trait ErasureCode {
     fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError>;
 
     /// Decodes the original `k` blocks from borrowed `(index, block)`
-    /// pairs. This is the primary decode entry point: callers that
-    /// already hold the received blocks elsewhere (e.g. a scheme's
-    /// reception buffer) can decode without cloning each block first.
+    /// pairs into one contiguous page buffer (`k * block_len` bytes),
+    /// replacing the contents of `out`. Callers that hold the received
+    /// blocks elsewhere (a scheme's reception buffer) decode without
+    /// cloning them, and reuse one scratch buffer across decodes.
     ///
     /// `block_len` is the expected block length (used to validate input).
     ///
@@ -132,54 +135,13 @@ pub trait ErasureCode {
     ///
     /// Returns [`CodeError::NotEnoughBlocks`] if fewer than the required
     /// number of distinct valid blocks are provided, and other variants
-    /// for malformed input.
-    fn decode_refs(
-        &self,
-        blocks: &[(usize, &[u8])],
-        block_len: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError>;
-
-    /// Decodes from owned `(index, block)` pairs by forwarding to
-    /// [`ErasureCode::decode_refs`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ErasureCode::decode_refs`].
-    fn decode(
-        &self,
-        blocks: &[(usize, Vec<u8>)],
-        block_len: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
-        let refs: Vec<(usize, &[u8])> = blocks.iter().map(|(i, b)| (*i, b.as_slice())).collect();
-        self.decode_refs(&refs, block_len)
-    }
-
-    /// Decodes directly into a contiguous page buffer (`k * block_len`
-    /// bytes), replacing the contents of `out`. Lets callers reuse a
-    /// scratch buffer across decodes instead of concatenating `k`
-    /// freshly allocated blocks.
-    ///
-    /// The default implementation concatenates the blocks from
-    /// [`ErasureCode::decode_refs`]; implementations may write rows
-    /// in place.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ErasureCode::decode_refs`].
+    /// for malformed input; `out` is then left as it was.
     fn decode_into(
         &self,
         blocks: &[(usize, &[u8])],
         block_len: usize,
         out: &mut Vec<u8>,
-    ) -> Result<(), CodeError> {
-        let decoded = self.decode_refs(blocks, block_len)?;
-        out.clear();
-        out.reserve(decoded.len() * block_len);
-        for b in &decoded {
-            out.extend_from_slice(b);
-        }
-        Ok(())
-    }
+    ) -> Result<(), CodeError>;
 }
 
 /// Validates common decode-input invariants shared by implementations.
@@ -234,6 +196,20 @@ pub fn join_blocks(blocks: &[Vec<u8>], original_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes owned `(index, block)` pairs back into `k` blocks.
+    pub(crate) fn decode_blocks(
+        code: &impl ErasureCode,
+        blocks: &[(usize, Vec<u8>)],
+        block_len: usize,
+    ) -> Result<Vec<Vec<u8>>, CodeError> {
+        let refs: Vec<(usize, &[u8])> = blocks.iter().map(|(i, b)| (*i, b.as_slice())).collect();
+        let mut page = Vec::new();
+        code.decode_into(&refs, block_len, &mut page)?;
+        Ok((0..code.k())
+            .map(|i| page[i * block_len..(i + 1) * block_len].to_vec())
+            .collect())
+    }
 
     #[test]
     fn split_join_roundtrip() {

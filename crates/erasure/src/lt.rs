@@ -157,11 +157,12 @@ impl ErasureCode for Lt {
         Ok(out)
     }
 
-    fn decode_refs(
+    fn decode_into(
         &self,
         blocks: &[(usize, &[u8])],
         block_len: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
         check_decode_input(blocks, self.n, block_len)?;
         if blocks.len() < self.k {
             return Err(CodeError::NotEnoughBlocks {
@@ -225,13 +226,19 @@ impl ErasureCode for Lt {
                 need: self.k_prime(),
             });
         }
-        Ok(decoded.into_iter().map(|d| d.expect("resolved")).collect())
+        out.clear();
+        out.reserve(self.k * block_len);
+        for d in &decoded {
+            out.extend_from_slice(d.as_ref().expect("resolved"));
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::decode_blocks;
 
     fn sample_blocks(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -258,7 +265,7 @@ mod tests {
         let blocks = sample_blocks(8, 16);
         let enc = code.encode(&blocks).unwrap();
         let subset: Vec<(usize, Vec<u8>)> = (0..8).map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&subset, 16).unwrap(), blocks);
+        assert_eq!(decode_blocks(&code, &subset, 16).unwrap(), blocks);
     }
 
     #[test]
@@ -281,7 +288,7 @@ mod tests {
             let take = code.k_prime();
             let subset: Vec<(usize, Vec<u8>)> =
                 order[..take].iter().map(|&i| (i, enc[i].clone())).collect();
-            match code.decode(&subset, 12) {
+            match decode_blocks(&code, &subset, 12) {
                 Ok(dec) => {
                     assert_eq!(dec, blocks, "seed {seed}");
                     successes += 1;
@@ -303,7 +310,7 @@ mod tests {
         let blocks = sample_blocks(12, 8);
         let enc = code.encode(&blocks).unwrap();
         let all: Vec<(usize, Vec<u8>)> = (0..36).map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&all, 8).unwrap(), blocks);
+        assert_eq!(decode_blocks(&code, &all, 8).unwrap(), blocks);
     }
 
     #[test]
@@ -330,7 +337,7 @@ mod tests {
         let enc = code.encode(&blocks).unwrap();
         let subset: Vec<(usize, Vec<u8>)> = (8..14).map(|i| (i, enc[i].clone())).collect();
         assert!(matches!(
-            code.decode(&subset, 16),
+            decode_blocks(&code, &subset, 16),
             Err(CodeError::NotEnoughBlocks { .. })
         ));
     }

@@ -139,18 +139,6 @@ impl ErasureCode for ReedSolomon {
         Ok(out)
     }
 
-    fn decode_refs(
-        &self,
-        blocks: &[(usize, &[u8])],
-        block_len: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
-        let mut page = Vec::new();
-        self.decode_into(blocks, block_len, &mut page)?;
-        Ok((0..self.k)
-            .map(|i| page[i * block_len..(i + 1) * block_len].to_vec())
-            .collect())
-    }
-
     fn decode_into(
         &self,
         blocks: &[(usize, &[u8])],
@@ -226,6 +214,7 @@ impl ErasureCode for ReedSolomon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::decode_blocks;
 
     fn sample_blocks(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -257,7 +246,7 @@ mod tests {
                 for c in (b + 1)..6 {
                     let subset: Vec<(usize, Vec<u8>)> =
                         [a, b, c].iter().map(|&i| (i, enc[i].clone())).collect();
-                    let dec = code.decode(&subset, 10).unwrap();
+                    let dec = decode_blocks(&code, &subset, 10).unwrap();
                     assert_eq!(dec, blocks, "subset {a},{b},{c}");
                 }
             }
@@ -273,7 +262,11 @@ mod tests {
             let enc = code.encode(&blocks).unwrap();
             // Take the last k blocks (worst case: all parity where possible).
             let subset: Vec<(usize, Vec<u8>)> = (n - k..n).map(|i| (i, enc[i].clone())).collect();
-            assert_eq!(code.decode(&subset, 72).unwrap(), blocks, "k={k} n={n}");
+            assert_eq!(
+                decode_blocks(&code, &subset, 72).unwrap(),
+                blocks,
+                "k={k} n={n}"
+            );
         }
     }
 
@@ -296,7 +289,7 @@ mod tests {
         let enc = code.encode(&sample_blocks(3, 8)).unwrap();
         let too_few: Vec<(usize, Vec<u8>)> = vec![(0, enc[0].clone()), (1, enc[1].clone())];
         assert!(matches!(
-            code.decode(&too_few, 8),
+            decode_blocks(&code, &too_few, 8),
             Err(CodeError::NotEnoughBlocks { have: 2, need: 3 })
         ));
     }
@@ -320,7 +313,7 @@ mod tests {
         let blocks = sample_blocks(8, 20);
         let enc = code.encode(&blocks).unwrap();
         let subset: Vec<(usize, Vec<u8>)> = (4..12).map(|i| (i, enc[i].clone())).collect();
-        let dec = code.decode(&subset, 20).unwrap();
+        let dec = decode_blocks(&code, &subset, 20).unwrap();
         assert_eq!(code.encode(&dec).unwrap(), enc);
     }
 
@@ -347,7 +340,7 @@ mod tests {
             let subset: Vec<(usize, Vec<u8>)> =
                 order[..k].iter().map(|&i| (i, enc[i].clone())).collect();
             assert_eq!(
-                code.decode(&subset, len).unwrap(),
+                decode_blocks(&code, &subset, len).unwrap(),
                 blocks,
                 "k={k} n={n} len={len}"
             );
@@ -377,7 +370,7 @@ mod tests {
                         .map(|i| (i, enc[i].clone()))
                         .collect();
                     assert_eq!(
-                        code.decode(&subset, 48).unwrap(),
+                        decode_blocks(&code, &subset, 48).unwrap(),
                         blocks,
                         "k={k} n={n} mask={mask:b}"
                     );
@@ -388,7 +381,11 @@ mod tests {
                     rng.shuffle(&mut order);
                     let subset: Vec<(usize, Vec<u8>)> =
                         order[..k].iter().map(|&i| (i, enc[i].clone())).collect();
-                    assert_eq!(code.decode(&subset, 48).unwrap(), blocks, "k={k} n={n}");
+                    assert_eq!(
+                        decode_blocks(&code, &subset, 48).unwrap(),
+                        blocks,
+                        "k={k} n={n}"
+                    );
                 }
             }
         }

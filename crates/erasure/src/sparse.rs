@@ -140,11 +140,12 @@ impl ErasureCode for SparseXor {
         Ok(out)
     }
 
-    fn decode_refs(
+    fn decode_into(
         &self,
         blocks: &[(usize, &[u8])],
         block_len: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
         check_decode_input(blocks, self.n, block_len)?;
         if blocks.len() < self.k {
             return Err(CodeError::NotEnoughBlocks {
@@ -190,18 +191,20 @@ impl ErasureCode for SparseXor {
                 need: self.k_prime(),
             });
         }
-        let mut out = Vec::with_capacity(self.k);
+        out.clear();
+        out.reserve(self.k * block_len);
         for pivot in &pivot_of {
             let r = pivot.expect("checked above");
-            out.push(rows[r].1.clone());
+            out.extend_from_slice(&rows[r].1);
         }
-        Ok(out)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::decode_blocks;
 
     fn sample_blocks(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -227,7 +230,7 @@ mod tests {
         let blocks = sample_blocks(5, 8);
         let enc = code.encode(&blocks).unwrap();
         let subset: Vec<(usize, Vec<u8>)> = (0..5).map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&subset, 8).unwrap(), blocks);
+        assert_eq!(decode_blocks(&code, &subset, 8).unwrap(), blocks);
     }
 
     #[test]
@@ -239,7 +242,7 @@ mod tests {
         // for this fixed deterministic construction.
         let kp = code.k_prime();
         let subset: Vec<(usize, Vec<u8>)> = (8..8 + kp).map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&subset, 24).unwrap(), blocks);
+        assert_eq!(decode_blocks(&code, &subset, 24).unwrap(), blocks);
     }
 
     #[test]
@@ -264,7 +267,7 @@ mod tests {
         // Fewer than k blocks can never decode.
         let subset: Vec<(usize, Vec<u8>)> = (0..3).map(|i| (i, enc[i].clone())).collect();
         assert!(matches!(
-            code.decode(&subset, 8),
+            decode_blocks(&code, &subset, 8),
             Err(CodeError::NotEnoughBlocks { .. })
         ));
     }
@@ -277,7 +280,7 @@ mod tests {
         let enc = code.encode(&blocks).unwrap();
         let kp = code.k_prime();
         let subset: Vec<(usize, Vec<u8>)> = (100 - kp..100).map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&subset, 4).unwrap(), blocks);
+        assert_eq!(decode_blocks(&code, &subset, 4).unwrap(), blocks);
     }
 
     #[test]
@@ -297,11 +300,15 @@ mod tests {
             // With k' = k + 4 random blocks this succeeds with prob ≈ 97 %;
             // on the rare rank-deficient draw, adding the remaining blocks
             // must succeed (the full set always has rank k).
-            match code.decode(&subset, 16) {
+            match decode_blocks(&code, &subset, 16) {
                 Ok(dec) => assert_eq!(dec, blocks, "k={k} n={n}"),
                 Err(CodeError::NotEnoughBlocks { .. }) => {
                     let all: Vec<(usize, Vec<u8>)> = (0..n).map(|i| (i, enc[i].clone())).collect();
-                    assert_eq!(code.decode(&all, 16).unwrap(), blocks, "k={k} n={n}");
+                    assert_eq!(
+                        decode_blocks(&code, &all, 16).unwrap(),
+                        blocks,
+                        "k={k} n={n}"
+                    );
                 }
                 Err(e) => panic!("unexpected error {e} (k={k} n={n})"),
             }

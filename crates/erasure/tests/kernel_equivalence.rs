@@ -341,9 +341,9 @@ impl Page {
             .collect()
     }
 
-    /// Decodes the blocks at `indices` through both entry points and
-    /// checks each byte for byte against the reference decoder, and the
-    /// reference against the source blocks.
+    /// Decodes the blocks at `indices` and checks the page byte for byte
+    /// against the reference decoder, and the reference against the
+    /// source blocks.
     fn check(&self, indices: &[usize]) {
         let (k, n, len) = (self.code.k(), self.code.n(), self.len);
         let subset: Vec<(usize, &[u8])> = indices
@@ -352,11 +352,6 @@ impl Page {
             .collect();
         let reference = self.reference_decode(&subset);
         assert_eq!(reference, self.source, "reference k={k} n={n} {indices:?}");
-        assert_eq!(
-            self.code.decode_refs(&subset, len).unwrap(),
-            reference,
-            "decode_refs k={k} n={n} {indices:?}"
-        );
         let mut page = vec![0xA5; 3];
         self.code.decode_into(&subset, len, &mut page).unwrap();
         assert_eq!(
@@ -467,10 +462,13 @@ fn repeated_pattern_decodes_identically() {
     // One fixed all-parity-heavy pattern decoded repeatedly: every
     // result is identical.
     let subset: Vec<(usize, &[u8])> = (n - k..n).map(|i| (i, enc[i].as_slice())).collect();
-    let first = code.decode_refs(&subset, 72).unwrap();
-    assert_eq!(first, blocks);
+    let mut first = Vec::new();
+    code.decode_into(&subset, 72, &mut first).unwrap();
+    assert_eq!(first, blocks.concat());
+    let mut page = Vec::new();
     for _ in 0..5 {
-        assert_eq!(code.decode_refs(&subset, 72).unwrap(), first);
+        code.decode_into(&subset, 72, &mut page).unwrap();
+        assert_eq!(page, first);
     }
 }
 
@@ -482,32 +480,11 @@ fn clones_decode_identically() {
     let blocks: Vec<Vec<u8>> = (0..k).map(|i| vec![i as u8; 24]).collect();
     let enc = code.encode(&blocks).unwrap();
     let subset: Vec<(usize, &[u8])> = (n - k..n).map(|i| (i, enc[i].as_slice())).collect();
-    assert_eq!(code.decode_refs(&subset, 24).unwrap(), blocks);
-    assert_eq!(clone.decode_refs(&subset, 24).unwrap(), blocks);
-}
-
-#[test]
-fn decode_entry_points_agree() {
-    // decode (owned), decode_refs (borrowed) and decode_into (scratch)
-    // must produce the same bytes for identical inputs.
-    let mut rng = DetRng::seed_from_u64(0x656e_7472);
-    for (k, n) in PAPER_POINTS {
-        let code = ReedSolomon::new(k, n).unwrap();
-        let blocks = random_blocks(&mut rng, k, 40);
-        let enc = code.encode(&blocks).unwrap();
-        let mut order: Vec<usize> = (0..n).collect();
-        rng.shuffle(&mut order);
-        let owned: Vec<(usize, Vec<u8>)> =
-            order[..k].iter().map(|&i| (i, enc[i].clone())).collect();
-        let refs: Vec<(usize, &[u8])> =
-            order[..k].iter().map(|&i| (i, enc[i].as_slice())).collect();
-        let from_owned = code.decode(&owned, 40).unwrap();
-        let from_refs = code.decode_refs(&refs, 40).unwrap();
-        let mut scratch = Vec::new();
-        code.decode_into(&refs, 40, &mut scratch).unwrap();
-        assert_eq!(from_owned, from_refs, "k={k} n={n}");
-        assert_eq!(scratch, from_refs.concat(), "k={k} n={n}");
-    }
+    let (mut page, mut cloned) = (Vec::new(), Vec::new());
+    code.decode_into(&subset, 24, &mut page).unwrap();
+    clone.decode_into(&subset, 24, &mut cloned).unwrap();
+    assert_eq!(page, blocks.concat());
+    assert_eq!(cloned, page);
 }
 
 #[test]
@@ -521,7 +498,6 @@ fn interleaved_systematic_blocks_take_identity_path() {
     // All k systematic blocks plus interleaved parity blocks, shuffled.
     let indices = [9usize, 0, 12, 4, 1, 15, 2, 3, 10, 5, 6, 7];
     let subset: Vec<(usize, &[u8])> = indices.iter().map(|&i| (i, enc[i].as_slice())).collect();
-    assert_eq!(code.decode_refs(&subset, 16).unwrap(), blocks);
     let mut scratch = Vec::new();
     code.decode_into(&subset, 16, &mut scratch).unwrap();
     assert_eq!(scratch, blocks.concat());

@@ -47,17 +47,17 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Builds a span from microseconds.
-    pub fn from_micros(us: u64) -> Duration {
+    pub const fn from_micros(us: u64) -> Duration {
         Duration(us)
     }
 
     /// Builds a span from milliseconds.
-    pub fn from_millis(ms: u64) -> Duration {
+    pub const fn from_millis(ms: u64) -> Duration {
         Duration(ms * 1_000)
     }
 
     /// Builds a span from seconds.
-    pub fn from_secs(s: u64) -> Duration {
+    pub const fn from_secs(s: u64) -> Duration {
         Duration(s * 1_000_000)
     }
 

@@ -17,15 +17,6 @@
 //! stored as IEEE-754 bit patterns (`f64::to_bits`) so a round trip is
 //! exact — a capsule that re-derives even one PRR differently would
 //! silently break bit-identical replay.
-//!
-//! The writer emits version 2. The reader also accepts version 1,
-//! which carried fields for things that no longer exist: it ignores the
-//! removed sharded engine's `engine`/`shards`/`rng_streams`/`order`
-//! and the fixed `diag_events`, takes the smaller of `deadline_us` and
-//! the old second limit `max_sim_time_us` as the deadline, and keeps a
-//! digest line only if no other engine recorded it, so an old sharded
-//! capsule still loads and replays — it just has no digest to verify
-//! against.
 
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::metrics::Metrics;
@@ -41,8 +32,8 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-/// Current capture-format version, written in the header line; the
-/// reader accepts `1..=CAPSULE_VERSION`.
+/// Capture-format version, written in the header line; the reader
+/// accepts this version only.
 pub const CAPSULE_VERSION: u64 = 2;
 
 /// Condensed identity of a finished run: what replay must reproduce.
@@ -139,7 +130,7 @@ impl fmt::Display for CapsuleError {
             CapsuleError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "capsule version {v} is not one of the supported 1..={CAPSULE_VERSION}"
+                    "capsule version {v} is not the supported {CAPSULE_VERSION}"
                 )
             }
             CapsuleError::Malformed { line, reason } => {
@@ -259,8 +250,6 @@ impl Capsule {
         let mal = |line: usize, reason: String| CapsuleError::Malformed { line, reason };
         let mut header: Option<(u64, Duration)> = None;
         let mut config: Option<SimConfig> = None;
-        // Version 1's second time limit, folded into the deadline below.
-        let mut max_sim_time: Option<Duration> = None;
         let mut positions: Vec<(usize, Position)> = Vec::new();
         let mut link_rows: Vec<(usize, usize, Link)> = Vec::new();
         let mut scenario: Vec<(String, String)> = Vec::new();
@@ -286,7 +275,7 @@ impl Capsule {
                 match line.str_at("ev")? {
                     "capsule" => {
                         let version = line.uint_at("version")?;
-                        if !(1..=CAPSULE_VERSION).contains(&version) {
+                        if version != CAPSULE_VERSION {
                             return Ok(Some(version));
                         }
                         header = Some((line.uint_at("seed")?, micros("deadline_us")?));
@@ -301,9 +290,6 @@ impl Capsule {
                             Some(other) => return Err(format!("unknown noise model {other:?}")),
                             None => NoiseModel::None,
                         };
-                        max_sim_time = line
-                            .opt("max_sim_time_us", Json::uint_at)?
-                            .map(Duration::from_micros);
                         config = Some(SimConfig {
                             medium: crate::medium::MediumConfig {
                                 us_per_byte: line.uint_at("us_per_byte")?,
@@ -344,20 +330,13 @@ impl Capsule {
                                 .map(ContentDigest)
                                 .map_err(|_| format!("field {key:?} must be a hex digest"))
                         };
-                        let recorded = RunDigest {
+                        digest = Some(RunDigest {
                             outcome: line.str_at("outcome")?.to_string(),
                             final_time: SimTime(line.uint_at("final_time")?),
                             events: line.uint_at("events")?,
                             trace: hex("trace")?,
                             metrics: hex("metrics")?,
-                        };
-                        // Only the one engine's digest can be verified
-                        // (version 1 names it `sequential`); the first
-                        // such line wins.
-                        let engine = line.opt("engine", Json::str_at)?;
-                        if matches!(engine, None | Some("sequential")) {
-                            digest.get_or_insert(recorded);
-                        }
+                        });
                     }
                     ev if ev.starts_with("fault_") => {
                         fault_events.push((no, FaultEvent::from_value(&line)?));
@@ -370,11 +349,7 @@ impl Capsule {
                 return Err(CapsuleError::UnsupportedVersion(version));
             }
         }
-        let (seed, mut deadline) =
-            header.ok_or_else(|| mal(0, "no \"capsule\" header line".into()))?;
-        if let Some(limit) = max_sim_time {
-            deadline = deadline.min(limit);
-        }
+        let (seed, deadline) = header.ok_or_else(|| mal(0, "no \"capsule\" header line".into()))?;
         let config = config.ok_or_else(|| mal(0, "no \"capsule_config\" line".into()))?;
         positions.sort_by_key(|(i, _)| *i);
         for (slot, (index, _)) in positions.iter().enumerate() {
@@ -484,7 +459,7 @@ mod tests {
 
     #[test]
     fn newer_versions_are_rejected() {
-        for version in [0, 3, 99] {
+        for version in [0, 1, 3, 99] {
             let text = sample_capsule().to_jsonl().replacen(
                 "\"version\":2",
                 &format!("\"version\":{version}"),
@@ -594,7 +569,7 @@ mod tests {
                 "\"value\"",
             ),
             (
-                r#"{"ev":"capsule_digest","engine":"sharded","shards":1,"outcome":"x","final_time":1,"events":1,"trace":"xyz","metrics":"0","order":"0"}"#,
+                r#"{"ev":"capsule_digest","outcome":"x","final_time":1,"events":1,"trace":"xyz","metrics":"0"}"#,
                 "hex",
             ),
         ] {
@@ -671,67 +646,5 @@ mod tests {
                 "{to} was accepted"
             );
         }
-    }
-
-    /// A version-1 capsule as the removed sharded engine wrote it at 4
-    /// shards: `sharded` header, its own digest line with a non-zero
-    /// `order`, then (unless `sharded_only`) a sequential one.
-    fn legacy_sharded_jsonl(sharded_only: bool) -> String {
-        let mut text = String::from(concat!(
-            r#"{"ev":"capsule","version":1,"seed":11,"engine":"sharded","shards":4,"deadline_us":60000000,"rng_streams":"9e3779b97f4a7c15,ff51afd7ed558ccd,c4ceb9fe1a85ec53"}"#,
-            "\n",
-            r#"{"ev":"capsule_config","us_per_byte":416,"overhead_us":2000,"max_backoff_us":12000,"csma":1,"collisions":1,"app_loss_bits":0,"diag_events":64}"#,
-            "\n",
-            r#"{"ev":"capsule_node","node":0,"x_bits":0,"y_bits":0}"#,
-            "\n",
-            r#"{"ev":"capsule_node","node":1,"x_bits":4607182418800017408,"y_bits":0}"#,
-            "\n",
-            r#"{"ev":"capsule_link","from":0,"to":1,"prr_bits":4607182418800017408}"#,
-            "\n",
-            r#"{"ev":"capsule_link","from":1,"to":0,"prr_bits":4607182418800017408}"#,
-            "\n",
-            r#"{"ev":"capsule_scenario","key":"scheme","value":"lr-seluge"}"#,
-            "\n",
-            r#"{"t":5000,"ev":"fault_crash","node":1}"#,
-            "\n",
-            r#"{"ev":"capsule_digest","engine":"sharded","shards":4,"outcome":"complete","final_time":99,"events":7,"trace":"00000000000000aa","metrics":"00000000000000bb","order":"1f2e3d4c5b6a7988"}"#,
-            "\n",
-        ));
-        if !sharded_only {
-            text.push_str(r#"{"ev":"capsule_digest","engine":"sequential","shards":1,"outcome":"complete","final_time":101,"events":9,"trace":"00000000000000cc","metrics":"00000000000000dd","order":"0000000000000000"}"#);
-            text.push('\n');
-        }
-        text
-    }
-
-    #[test]
-    fn legacy_sharded_capsules_load_and_keep_only_the_sequential_digest() {
-        let capsule = Capsule::from_jsonl(&legacy_sharded_jsonl(false)).expect("parse");
-        assert_eq!(capsule.seed, 11);
-        assert_eq!(capsule.topology.len(), 2);
-        assert_eq!(capsule.faults.events().len(), 1);
-        assert_eq!(
-            capsule.digest,
-            Some(RunDigest {
-                outcome: "complete".to_string(),
-                final_time: SimTime(101),
-                events: 9,
-                trace: ContentDigest(0xcc),
-                metrics: ContentDigest(0xdd),
-            })
-        );
-        // Written back, it is version-2 text with no engine in it.
-        let rewritten = capsule.to_jsonl();
-        assert!(!rewritten.contains("sharded"), "{rewritten}");
-        assert_eq!(Capsule::from_jsonl(&rewritten).expect("parse"), capsule);
-
-        let sharded_only = Capsule::from_jsonl(&legacy_sharded_jsonl(true)).expect("parse");
-        assert_eq!(
-            sharded_only,
-            Capsule {
-                digest: None,
-                ..capsule
-            }
-        );
     }
 }

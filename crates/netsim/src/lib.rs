@@ -96,6 +96,4 @@ pub use metrics::Metrics;
 pub use replay::{verify_replay, DigestMismatch, ReplayError, ReplayRun};
 pub use sim::{Outcome, RunReport, SimConfig, Simulator};
 pub use topology::Topology;
-pub use trace::{
-    JsonlTrace, LossCause, RingTrace, SharedRingTrace, TraceDigest, TraceEvent, TraceSink,
-};
+pub use trace::{JsonlTrace, LossCause, TraceDigest, TraceEvent, TraceLog, TraceSink};

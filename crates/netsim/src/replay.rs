@@ -49,8 +49,7 @@ impl fmt::Display for DigestMismatch {
 /// Why [`verify_replay`] rejected a replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayError {
-    /// The capsule records no digest (it was snapshotted before running,
-    /// or captured on the removed sharded engine).
+    /// The capsule records no digest (it was snapshotted before running).
     NoRecordedDigest,
     /// The replay's digest differs from the recorded one.
     Mismatch(DigestMismatch),

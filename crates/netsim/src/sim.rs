@@ -1011,8 +1011,8 @@ mod tests {
     /// structured `Pruned` loss event, not panic mid-run.
     #[test]
     fn delivery_for_pruned_transmission_is_dropped_not_panicked() {
-        let ring = crate::trace::SharedRingTrace::new(64);
-        let mut sim = pinger(1).trace(ring.clone()).build();
+        let log = crate::trace::TraceLog::default();
+        let mut sim = pinger(1).trace(log.clone()).build();
         sim.queue.push(
             SimTime(42),
             Event::Deliver {
@@ -1026,7 +1026,7 @@ mod tests {
         sim.run(Duration::from_millis(500));
         assert_eq!(sim.node(NodeId(2)).pings_heard, 0);
         assert_eq!(sim.metrics().phy_losses(), 1);
-        assert!(ring.events().iter().any(|event| matches!(
+        assert!(log.events().iter().any(|event| matches!(
             event,
             TraceEvent::Loss {
                 cause: LossCause::Pruned,

@@ -12,20 +12,20 @@
 //! and cannot influence the event stream, so attaching one never
 //! changes metrics or outcome.
 //!
-//! Three sinks are provided: [`RingTrace`], a bounded in-memory ring
-//! buffer that keeps the most recent events (the default choice for
-//! post-mortem inspection in tests), [`JsonlTrace`], which streams
-//! every event as one JSON object per line for offline analysis, and
-//! [`TraceDigest`], which hashes the stream as it goes by for replay.
+//! Three sinks are provided: [`TraceLog`], which collects every event
+//! in memory for a test to read after the run, [`JsonlTrace`], which
+//! streams every event as one JSON object per line for offline
+//! analysis, and [`TraceDigest`], which hashes the stream as it goes by
+//! for replay.
 
 use lrs_host::node::{NodeId, PacketKind, TimerId};
 use lrs_host::time::SimTime;
 use lrs_host::violation::ContentDigest;
 use lrs_json::ObjWriter;
-use std::cell::Cell;
-use std::collections::VecDeque;
+use std::cell::{Cell, RefCell};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::rc::Rc;
 
 /// Why a delivery failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,98 +222,26 @@ pub trait TraceSink {
     fn flush(&mut self) {}
 }
 
-/// Bounded in-memory sink keeping the most recent `capacity` events.
-///
-/// The bound makes it safe to leave attached on long runs: memory use
-/// is `O(capacity)` regardless of run length, and the tail of the event
-/// stream — the part that explains a stall — is what survives.
-#[derive(Debug)]
-pub struct RingTrace {
-    capacity: usize,
-    /// Events seen over the whole run, including evicted ones.
-    seen: u64,
-    buf: VecDeque<TraceEvent>,
-}
-
-impl RingTrace {
-    /// A ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        RingTrace {
-            capacity: capacity.max(1),
-            seen: 0,
-            buf: VecDeque::new(),
-        }
-    }
-
-    /// Total events recorded over the run (including evicted ones).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl Default for RingTrace {
-    /// A ring with a 4096-event window.
-    fn default() -> Self {
-        RingTrace::new(4096)
-    }
-}
-
-impl TraceSink for RingTrace {
-    fn record(&mut self, event: &TraceEvent) {
-        self.seen += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event.clone());
-    }
-}
-
-/// A cloneable handle around a shared [`RingTrace`].
+/// A cloneable sink that collects every event in memory, oldest first.
 ///
 /// [`SimBuilder::trace`](crate::SimBuilder::trace) takes ownership of
-/// its sink; cloning a `SharedRingTrace`, handing one clone to the
-/// builder and keeping the other lets a caller read the recorded events
-/// after the run.
+/// its sink; handing it one clone and keeping another lets a caller
+/// read the events after the run. Nothing is evicted, so memory grows
+/// with the run: long runs stream with [`JsonlTrace`] or digest with
+/// [`TraceDigest`] instead.
 #[derive(Clone, Debug, Default)]
-pub struct SharedRingTrace(std::rc::Rc<std::cell::RefCell<RingTrace>>);
+pub struct TraceLog(Rc<RefCell<Vec<TraceEvent>>>);
 
-impl SharedRingTrace {
-    /// A shared ring holding at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        SharedRingTrace(std::rc::Rc::new(std::cell::RefCell::new(RingTrace::new(
-            capacity,
-        ))))
-    }
-
-    /// Total events recorded (including evicted ones).
-    pub fn seen(&self) -> u64 {
-        self.0.borrow().seen()
-    }
-
-    /// Clones out the retained events, oldest first.
+impl TraceLog {
+    /// Clones out the events recorded so far, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.0.borrow().events().cloned().collect()
+        self.0.borrow().clone()
     }
 }
 
-impl TraceSink for SharedRingTrace {
+impl TraceSink for TraceLog {
     fn record(&mut self, event: &TraceEvent) {
-        self.0.borrow_mut().record(event);
+        self.0.borrow_mut().push(event.clone());
     }
 }
 
@@ -324,12 +252,12 @@ impl TraceSink for SharedRingTrace {
 /// stays constant however long the run; keep a clone to read the digest
 /// after handing the sink to the builder.
 #[derive(Clone, Debug)]
-pub struct TraceDigest(std::rc::Rc<Cell<(u64, ContentDigest)>>);
+pub struct TraceDigest(Rc<Cell<(u64, ContentDigest)>>);
 
 impl Default for TraceDigest {
     /// The digest of no events.
     fn default() -> Self {
-        TraceDigest(std::rc::Rc::new(Cell::new((0, ContentDigest::EMPTY))))
+        TraceDigest(Rc::new(Cell::new((0, ContentDigest::EMPTY))))
     }
 }
 
@@ -406,38 +334,21 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent() {
-        let mut ring = RingTrace::new(3);
+    fn log_keeps_every_event_readable_from_a_clone() {
+        let log = TraceLog::default();
+        let mut sink = log.clone();
         for i in 0..10 {
-            ring.record(&ev(i));
+            sink.record(&ev(i));
         }
-        assert_eq!(ring.seen(), 10);
-        assert_eq!(ring.len(), 3);
-        let kept: Vec<u64> = ring
+        let kept: Vec<u64> = log
             .events()
+            .iter()
             .map(|e| match e {
                 TraceEvent::Note { a, .. } => *a,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(kept, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn ring_capacity_floor_is_one() {
-        let mut ring = RingTrace::new(0);
-        ring.record(&ev(1));
-        ring.record(&ev(2));
-        assert_eq!(ring.len(), 1);
-    }
-
-    #[test]
-    fn shared_ring_is_readable_from_a_clone() {
-        let shared = SharedRingTrace::new(8);
-        let mut sink = shared.clone();
-        sink.record(&ev(5));
-        assert_eq!(shared.seen(), 1);
-        assert!(matches!(shared.events()[0], TraceEvent::Note { a: 5, .. }));
+        assert_eq!(kept, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

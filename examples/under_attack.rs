@@ -53,10 +53,6 @@ fn main() {
     };
     let dimage = DelugeImage::new(image(), ip);
     let key = ClusterKey::derive(b"demo", 0);
-    let engine = EngineConfig {
-        authenticate_control: false,
-        ..EngineConfig::default()
-    };
     let mut deluge_sim = SimBuilder::new(Topology::star(N + 2), 5, |id| {
         if id == attacker_id {
             MaybeAdversary::Attacker(Attacker::new(
@@ -73,7 +69,7 @@ fn main() {
                 scheme,
                 UnionPolicy::new(),
                 key.clone(),
-                engine,
+                EngineConfig::default(),
             ))
         }
     })

@@ -2,17 +2,19 @@
 //! and LR-Seluge under active attack, and the §IV-E denial-of-receipt
 //! mitigation.
 
-use lr_seluge::{Deployment, LrSelugeParams};
+use lr_seluge::{Deployment, LrScheme, LrSelugeParams};
 use lrs_crypto::cluster::ClusterKey;
 use lrs_deluge::attack::{AttackEntry, AttackVector, Attacker, MaybeAdversary};
-use lrs_deluge::engine::{DisseminationNode, EngineConfig};
+use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
 use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
 use lrs_deluge::policy::UnionPolicy;
+use lrs_deluge::wire::Message;
 use lrs_deluge::SchemeFamily;
-use lrs_host::node::NodeId;
+use lrs_host::node::{Action, Context, NodeId, Protocol};
 use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::SimBuilder;
+use lrs_rng::DetRng;
 
 const N: usize = 5;
 const IMAGE_LEN: usize = 1536;
@@ -52,6 +54,43 @@ fn entry(vector: AttackVector, interval: Duration) -> AttackEntry {
     }
 }
 
+/// Hands a receiver of `scheme`, built by the bare engine constructor,
+/// one advertisement of a higher level MAC'd under a foreign cluster
+/// key; returns the node's MAC rejections and the actions it took.
+fn hear_foreign_adv<S: Scheme>(scheme: S) -> (u64, Vec<Action>) {
+    let version = scheme.version();
+    let key = ClusterKey::derive(b"adv", 0);
+    let mut node = DisseminationNode::new(scheme, UnionPolicy::new(), key, EngineConfig::default());
+    let foreign = ClusterKey::derive(b"another cluster", 0);
+    let adv = Message::adv(&foreign, NodeId(1), version, 1).to_bytes();
+    let (mut rng, mut actions) = (DetRng::seed_from_u64(1), Vec::new());
+    let mut ctx = Context::new(SimTime::ZERO, NodeId(2), &mut rng, &mut actions, 416, 2_000);
+    node.on_packet(&mut ctx, NodeId(1), &adv);
+    (node.stats().mac_rejects, actions)
+}
+
+#[test]
+fn control_macs_are_checked_exactly_for_signed_schemes() {
+    // Plain Deluge authenticates nothing: the advertisement counts, and
+    // the node schedules a request to the advertiser.
+    let ip = ImageParams {
+        version: 1,
+        image_len: IMAGE_LEN,
+        packets_per_page: 8,
+        payload_len: 56,
+    };
+    let (rejects, actions) = hear_foreign_adv(DelugeScheme::receiver(ip));
+    assert_eq!(rejects, 0);
+    assert!(!actions.is_empty(), "Deluge must act on the advertisement");
+    // LR-Seluge opens with a signature packet, so its control traffic
+    // must carry this cluster's MAC: the advertisement is dropped.
+    let deployment = Deployment::new(&image(), lr_params(), b"adv");
+    let lr = LrScheme::receiver(lr_params(), deployment.pubkey(), deployment.puzzle());
+    let (rejects, actions) = hear_foreign_adv(lr);
+    assert_eq!(rejects, 1);
+    assert!(actions.is_empty(), "{actions:?}");
+}
+
 #[test]
 fn deluge_is_corrupted_by_bogus_data_while_lr_seluge_is_not() {
     let flood = Duration::from_millis(200);
@@ -65,10 +104,6 @@ fn deluge_is_corrupted_by_bogus_data_while_lr_seluge_is_not() {
     };
     let dimage = DelugeImage::new(image(), ip);
     let key = ClusterKey::derive(b"adv", 0);
-    let engine = EngineConfig {
-        authenticate_control: false,
-        ..EngineConfig::default()
-    };
     let mut dsim = SimBuilder::new(Topology::star(N + 2), 3, |id| {
         if id == ATTACKER {
             MaybeAdversary::Attacker(Attacker::new(
@@ -85,7 +120,7 @@ fn deluge_is_corrupted_by_bogus_data_while_lr_seluge_is_not() {
                 scheme,
                 UnionPolicy::new(),
                 key.clone(),
-                engine,
+                EngineConfig::default(),
             ))
         }
     })
@@ -132,9 +167,8 @@ fn denial_of_receipt_budget_caps_victim_transmissions() {
         let p = lr_params();
         let engine = EngineConfig {
             per_neighbor_item_budget: budget,
-            ..EngineConfig::default()
         };
-        let deployment = Deployment::new(&image(), p, b"dor").with_engine_config(engine);
+        let deployment = Deployment::new(&image(), p, b"dor").with_engine(engine);
         let mut sim = SimBuilder::new(Topology::star(N + 2), 9, |id| {
             if id == ATTACKER {
                 MaybeAdversary::Attacker(Attacker::new(
@@ -167,9 +201,8 @@ fn denial_of_receipt_budget_caps_victim_transmissions() {
 #[test]
 fn insider_snack_flood_does_not_prevent_completion() {
     let p = lr_params();
-    let deployment = Deployment::new(&image(), p, b"dor2").with_engine_config(EngineConfig {
+    let deployment = Deployment::new(&image(), p, b"dor2").with_engine(EngineConfig {
         per_neighbor_item_budget: Some(3 * p.n as u32),
-        ..EngineConfig::default()
     });
     let mut sim = SimBuilder::new(Topology::star(N + 2), 21, |id| {
         if id == ATTACKER {
@@ -199,9 +232,8 @@ fn spoofed_denial_of_receipt_evades_budget_without_leap_but_not_with_it() {
         let p = lr_params();
         let engine = EngineConfig {
             per_neighbor_item_budget: Some(2 * p.n as u32),
-            ..EngineConfig::default()
         };
-        let mut deployment = Deployment::new(&image(), p, b"spoof").with_engine_config(engine);
+        let mut deployment = Deployment::new(&image(), p, b"spoof").with_engine(engine);
         if leap {
             deployment = deployment.with_leap(b"initial network key");
         }

@@ -13,7 +13,7 @@ use lrs_netsim::sim::Simulator;
 
 use lrs_host::time::{Duration, SimTime};
 use lrs_netsim::topology::Topology;
-use lrs_netsim::trace::{SharedRingTrace, TraceEvent};
+use lrs_netsim::trace::{TraceEvent, TraceLog};
 use lrs_netsim::SimBuilder;
 use lrs_seluge::{SelugeDeployment, SelugeNode};
 
@@ -107,7 +107,7 @@ fn line_partition_stops_at_the_dead_node() {
 /// Levels at which `node` announced a completed item, in emission order.
 /// Flash recovery shows up here as a strictly increasing sequence: a
 /// node that lost its completed pages would re-announce old levels.
-fn completion_levels(trace: &SharedRingTrace, node: NodeId) -> Vec<u64> {
+fn completion_levels(trace: &TraceLog, node: NodeId) -> Vec<u64> {
     trace
         .events()
         .iter()
@@ -137,7 +137,7 @@ fn assert_strictly_increasing(levels: &[u64]) {
 #[test]
 fn lr_reboot_mid_page_resumes_from_flash() {
     let deployment = Deployment::new(&image(), params(), b"failures");
-    let trace = SharedRingTrace::new(100_000);
+    let trace = TraceLog::default();
     // At 1.3s (seed 11) the receiver holds three completed items.
     let mut sim = SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0)))
         .trace(trace.clone())
@@ -167,7 +167,7 @@ fn lr_reboot_mid_page_resumes_from_flash() {
 #[test]
 fn lr_reboot_during_m0_keeps_the_signature() {
     let deployment = Deployment::new(&image(), params(), b"failures");
-    let trace = SharedRingTrace::new(100_000);
+    let trace = TraceLog::default();
     // At 0.4s (seed 11) the receiver has the signature but not M0.
     let mut sim = SimBuilder::new(Topology::star(3), 11, |id| deployment.node(id, NodeId(0)))
         .trace(trace.clone())
@@ -187,7 +187,7 @@ fn lr_reboot_during_m0_keeps_the_signature() {
     assert_strictly_increasing(&completion_levels(&trace, NodeId(2)));
 }
 
-fn seluge_sim(trace: &SharedRingTrace, faults: FaultPlan) -> (Simulator<SelugeNode>, Vec<u8>) {
+fn seluge_sim(trace: &TraceLog, faults: FaultPlan) -> (Simulator<SelugeNode>, Vec<u8>) {
     let sp = lrs_bench::runner::matched_seluge_params(&params());
     let image = image();
     let deployment = SelugeDeployment::new(&image, sp, b"failures keys");
@@ -202,7 +202,7 @@ fn seluge_sim(trace: &SharedRingTrace, faults: FaultPlan) -> (Simulator<SelugeNo
 /// mid-page crash→reboot loses only the partial page.
 #[test]
 fn seluge_reboot_mid_page_resumes_from_flash() {
-    let trace = SharedRingTrace::new(100_000);
+    let trace = TraceLog::default();
     let (mut sim, image) = seluge_sim(&trace, reboot_of_node_2(1_300_000, 2_000_000));
     let report = sim.run(Duration::from_secs(36_000));
     assert!(report.all_complete);
@@ -219,7 +219,7 @@ fn seluge_reboot_mid_page_resumes_from_flash() {
 /// M0 re-collects it from scratch but keeps the verified signature.
 #[test]
 fn seluge_reboot_during_m0_keeps_the_signature() {
-    let trace = SharedRingTrace::new(100_000);
+    let trace = TraceLog::default();
     let (mut sim, image) = seluge_sim(&trace, reboot_of_node_2(400_000, 1_200_000));
     let report = sim.run(Duration::from_secs(36_000));
     assert!(report.all_complete);

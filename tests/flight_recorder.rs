@@ -18,7 +18,7 @@ use lrs_host::time::{Duration, SimTime};
 use lrs_host::violation::ContentDigest;
 use lrs_netsim::capsule::{Capsule, RunDigest};
 use lrs_netsim::fault::{FaultEvent, FaultPlan};
-use lrs_netsim::replay::{verify_replay, ReplayError, ReplayRun};
+use lrs_netsim::replay::{verify_replay, ReplayRun};
 use lrs_netsim::sim::{Outcome, SimConfig};
 use lrs_netsim::topology::Topology;
 use lrs_netsim::trace::TraceDigest;
@@ -256,14 +256,13 @@ fn stalled_run_verifies_against_a_metrics_only_digest() {
     verify_replay(&capsule, &replayed).expect("stall replay diverged");
 }
 
-/// The watchdog demo's capsule as committed in capsule format version
-/// 1: the reader's cross-version fixture, which
+/// The watchdog demo's capsule as committed by an earlier commit: the
+/// reader's fixture, which
 /// `partitioned_star_stalls_and_rewrites_the_committed_capsule` must
 /// reproduce.
 const COMMITTED_CAPSULE: &str = "results/capsules/chaos-watchdog-demo.jsonl";
 
-/// FNV-1a of the committed capsule rewritten as version 2: the writer's
-/// byte pin.
+/// FNV-1a of the committed capsule: the writer's byte pin.
 const REWRITTEN_CAPSULE: ContentDigest = ContentDigest(0xc211_ff90_437d_444c);
 
 #[test]
@@ -401,63 +400,19 @@ fn summary_rows_agree_with_node_counters_for_all_three_schemes() {
 #[test]
 fn committed_capsule_loads_and_rewrites_byte_for_byte() {
     let text = std::fs::read_to_string(COMMITTED_CAPSULE).expect("committed capsule");
-    let capsule = Capsule::from_jsonl(&text).expect("committed capsule loads");
-    // Version 1 ran to the smaller of its two limits.
-    assert_eq!(capsule.deadline, Duration::from_secs(3_000));
-    let rewritten = capsule.to_jsonl();
-    assert!(rewritten.starts_with(r#"{"ev":"capsule","version":2,"#));
-    for dropped in [
-        "engine",
-        "shards",
-        "rng_streams",
-        "diag_events",
-        "max_sim_time_us",
-        "order",
-    ] {
-        assert!(
-            !rewritten.contains(&format!("\"{dropped}\"")),
-            "{dropped}: {rewritten}"
-        );
-    }
-    let again = Capsule::from_jsonl(&rewritten).expect("version 2 loads");
-    assert_eq!(again, capsule);
-    assert_eq!(again.to_jsonl(), rewritten, "writer is not a fixed point");
     assert_eq!(
-        ContentDigest::of(rewritten.as_bytes()),
+        ContentDigest::of(text.as_bytes()),
         REWRITTEN_CAPSULE,
-        "the capsule writer drifted:\n{rewritten}"
+        "{COMMITTED_CAPSULE} changed"
     );
+    let capsule = Capsule::from_jsonl(&text).expect("committed capsule loads");
+    assert_eq!(capsule.deadline, Duration::from_secs(3_000));
+    assert_eq!(capsule.to_jsonl(), text, "the capsule writer drifted");
     // The 64-bit patterns in it (`"x_bits":13835058055282163712` is
     // -2.0) survive exactly.
     assert_eq!(capsule.topology.positions()[2].x, -2.0);
     let tags = ScenarioTags::decode(&capsule).expect("tags decode");
     assert_eq!((tags.scheme.as_str(), tags.image_len), ("lr-seluge", 2048));
-}
-
-#[test]
-fn capsule_from_the_removed_sharded_engine_replays_with_no_digest_to_verify() {
-    // The committed capsule as the sharded engine would have written
-    // it: its own engine label and shard count, its own digest line
-    // (non-zero `order`), no sequential one.
-    let text = std::fs::read_to_string(COMMITTED_CAPSULE)
-        .expect("committed capsule")
-        .replace(
-            r#""engine":"sequential","shards":1,"#,
-            r#""engine":"sharded","shards":4,"#,
-        )
-        .replace(
-            r#""order":"0000000000000000""#,
-            r#""order":"1f2e3d4c5b6a7988""#,
-        );
-    assert_eq!(text.matches(r#""engine":"sharded""#).count(), 2);
-    let capsule = Capsule::from_jsonl(&text).expect("legacy capsule loads");
-    assert_eq!(capsule.digest, None);
-    let run = replay_capsule(&capsule).expect("legacy capsule replays");
-    assert_eq!(run.report.outcome, Outcome::Stalled);
-    assert_eq!(
-        verify_replay(&capsule, &run),
-        Err(ReplayError::NoRecordedDigest)
-    );
 }
 
 #[test]
