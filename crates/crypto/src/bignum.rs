@@ -119,11 +119,6 @@ impl U256 {
         self.0 == [0; 4]
     }
 
-    /// Whether the value is odd.
-    pub fn is_odd(&self) -> bool {
-        self.0[0] & 1 == 1
-    }
-
     /// Bit `i` (0 = least significant).
     pub fn bit(&self, i: usize) -> bool {
         (self.0[i / 64] >> (i % 64)) & 1 == 1

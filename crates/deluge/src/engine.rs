@@ -160,7 +160,10 @@ pub struct NodeStats {
     pub advs_sent: u64,
     /// Data packets rejected by authentication.
     pub auth_rejects: u64,
-    /// Control packets rejected by MAC verification.
+    /// Packets dropped as malformed or unauthentic before any state
+    /// changes: unparseable frames, control packets failing their cluster
+    /// MAC, and SNACKs to this node that fail the LEAP pairwise check or
+    /// whose bit vector has the wrong length for the item.
     pub mac_rejects: u64,
     /// Duplicate data packets ignored.
     pub duplicates: u64,
@@ -371,9 +374,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         ctx.note("snack", item as u64, bits.count_ones() as u64);
         let mut msg = Message::snack(&self.key, ctx.id, server, self.scheme.version(), item, bits);
         if let Some(keyring) = &self.leap {
-            let parts = Message::snack_pairwise_parts(ctx.id, server, self.scheme.version(), item);
-            let tag = keyring.tag_for(server.0, &[b"snack-pw", &parts[0], &parts[1], &parts[2]]);
-            msg = msg.with_pairwise_mac(tag);
+            msg = msg.with_leap(keyring);
         }
         ctx.broadcast(PacketKind::Snack, msg.to_bytes());
         self.stats.snacks_sent += 1;
@@ -455,14 +456,13 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
     /// Handles a MAC-checked SNACK of this version. The request bits are
     /// only materialised as a [`BitVec`] when this node serves them; an
     /// overheard request needs its item alone.
-    fn handle_snack(&mut self, ctx: &mut Context<'_>, snack: Frame<'_>) {
+    fn handle_snack(&mut self, ctx: &mut Context<'_>, snack: Frame<&[u8]>) {
         let Frame::Snack {
             from,
             target,
             item,
             nbits,
             bits,
-            pairwise_mac,
             ..
         } = snack
         else {
@@ -473,22 +473,12 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             if item >= my_level {
                 return; // cannot serve yet
             }
-            if let Some(keyring) = &self.leap {
-                // Source identification: the budget below is only sound
-                // if the claimed sender really produced this request.
-                let parts =
-                    Message::snack_pairwise_parts(from, target, self.scheme.version(), item);
-                let valid = pairwise_mac.is_some_and(|tag| {
-                    keyring.check_from(
-                        from.0,
-                        &[b"snack-pw", &parts[0], &parts[1], &parts[2]],
-                        &tag,
-                    )
-                });
-                if !valid {
-                    self.stats.mac_rejects += 1;
-                    return;
-                }
+            // Source identification: the budget below is only sound if
+            // the claimed sender really produced this request.
+            let unproven = self.leap.as_ref().is_some_and(|ring| !snack.leap_ok(ring));
+            if unproven {
+                self.stats.mac_rejects += 1;
+                return;
             }
             let bits = match BitVec::from_bytes(bits, nbits) {
                 Some(bits) if nbits == self.scheme.item_packets(item) as usize => bits,
@@ -529,14 +519,7 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
         }
     }
 
-    fn handle_data(
-        &mut self,
-        ctx: &mut Context<'_>,
-        from: NodeId,
-        item: u16,
-        index: u16,
-        payload: &[u8],
-    ) {
+    fn handle_data(&mut self, ctx: &mut Context<'_>, item: u16, index: u16, payload: &[u8]) {
         let my_level = self.level();
         if item > my_level || (item == my_level && self.done()) {
             // Cannot be authenticated yet (or nothing left to collect);
@@ -558,7 +541,6 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             // worth sending even into the stream; after that, probe
             // quietly (each further future-item packet re-requesting
             // would flood the channel exactly when it is busiest).
-            let _ = from;
             if !self.done() && item > my_level {
                 if let State::Rx { .. } = self.state {
                     if self.fast_rerequests.0 != my_level {
@@ -670,7 +652,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Context<'_>, from: NodeId, data: &[u8]) {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, _from: NodeId, data: &[u8]) {
         let Some(frame) = Frame::parse(data) else {
             self.stats.mac_rejects += 1;
             return;
@@ -681,7 +663,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
         }
         match frame {
             Frame::Adv {
-                from: adv_from,
+                from,
                 version,
                 level,
                 ..
@@ -690,8 +672,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
                     return;
                 }
                 // The MAC binds the claimed sender; use it.
-                let _ = from;
-                self.handle_adv(ctx, adv_from, level);
+                self.handle_adv(ctx, from, level);
             }
             Frame::Snack { version, .. } => {
                 if version != self.scheme.version() {
@@ -708,14 +689,7 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
                 if version != self.scheme.version() {
                     return;
                 }
-                self.handle_data(ctx, from, item, index, payload);
-            }
-            Frame::Signature { version, body } => {
-                if version != self.scheme.version() {
-                    return;
-                }
-                // Equivalent to item 0, packet 0.
-                self.handle_data(ctx, from, 0, 0, body);
+                self.handle_data(ctx, item, index, payload);
             }
         }
     }

@@ -5,9 +5,10 @@
 //! both Seluge and LR-Seluge build on. This crate provides:
 //!
 //! * [`wire`] — the on-air message formats (advertisement, SNACK with a
-//!   request bit vector, data, signature) and their byte-exact
-//!   serialization, which the experiments use for the paper's
-//!   "total communication cost in bytes" metric;
+//!   request bit vector, data; the signature travels as item 0's data
+//!   packet), their byte-exact serialization, which the experiments use
+//!   for the paper's "total communication cost in bytes" metric, and
+//!   every MAC input;
 //! * [`engine`] — a generic dissemination node implementing the
 //!   MAINTAIN / RX / TX state machine with Trickle-scheduled
 //!   advertisements, SNACK retries and the suppression rules, shared by

@@ -7,13 +7,18 @@
 //! per-item packet count.
 //!
 //! All control packets (advertisements and SNACKs) carry a truncated
-//! cluster-key MAC, as in Seluge/LR-Seluge §IV-E.
+//! cluster-key MAC, as in Seluge/LR-Seluge §IV-E, and a SNACK may add a
+//! LEAP pairwise tag; this module is the only code that spells a MAC's
+//! input. The signature packet that opens a secure image is item 0's one
+//! data packet: the wire has three kinds, not four.
 //!
-//! One layout, one reader, one writer: [`Frame`] is a borrowed view of a
-//! message whose `parse` and `to_bytes` are the only code that knows the
-//! byte layout; [`Message`] is its owned form for senders and tests.
+//! One enum, one reader, one writer: [`Frame`] is generic over its byte
+//! fields, [`Frame::parse`] returns the borrowed form a receiver matches
+//! on and [`Message`] is the owned form senders build; `parse` and
+//! `to_bytes` are the only code that knows the byte layout.
 
 use lrs_crypto::cluster::{ClusterKey, MacTag, MAC_LEN};
+use lrs_crypto::leap::LeapKeyring;
 use lrs_host::node::NodeId;
 use std::fmt;
 
@@ -132,9 +137,12 @@ impl fmt::Debug for BitVec {
     }
 }
 
-/// A dissemination protocol message.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Message {
+/// A dissemination protocol message, generic over its variable-length
+/// fields: [`Frame::parse`] returns `Frame<&[u8]>`, pointing into the
+/// bytes it was parsed from, so a data payload reaches the scheme without
+/// a copy; [`Message`] is the owned form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame<B> {
     /// Periodic advertisement: "I have `level` complete items of
     /// `version`".
     Adv {
@@ -158,8 +166,11 @@ pub enum Message {
         version: u16,
         /// Requested item (signature / hash page / code page index).
         item: u16,
-        /// Wanted packets.
-        bits: BitVec,
+        /// Length of the request bit vector, in bits.
+        nbits: usize,
+        /// The bit vector's `ceil(nbits / 8)` raw bytes
+        /// ([`BitVec::as_bytes`] layout).
+        bits: B,
         /// Cluster-key MAC over the fields above.
         mac: MacTag,
         /// Optional LEAP pairwise MAC binding the request to the claimed
@@ -167,7 +178,8 @@ pub enum Message {
         /// budgets cannot be evaded by spoofing).
         pairwise_mac: Option<MacTag>,
     },
-    /// A data packet of `item`.
+    /// A data packet of `item`; item 0's packet 0 is a signed scheme's
+    /// signature packet.
     Data {
         /// Code image version.
         version: u16,
@@ -176,22 +188,16 @@ pub enum Message {
         /// Packet index within the item.
         index: u16,
         /// Scheme-defined payload.
-        payload: Vec<u8>,
-    },
-    /// The signature packet (scheme-defined opaque body: Merkle root,
-    /// signature, puzzle solution, image metadata).
-    Signature {
-        /// Code image version.
-        version: u16,
-        /// Scheme-defined body.
-        body: Vec<u8>,
+        payload: B,
     },
 }
+
+/// The owned message a sender builds.
+pub type Message = Frame<Vec<u8>>;
 
 const TAG_ADV: u8 = 1;
 const TAG_SNACK: u8 = 2;
 const TAG_DATA: u8 = 3;
-const TAG_SIG: u8 = 4;
 
 impl Message {
     /// MAC input for an advertisement.
@@ -213,14 +219,13 @@ impl Message {
 
     /// Builds a MACed advertisement.
     pub fn adv(key: &ClusterKey, from: NodeId, version: u16, level: u16) -> Message {
-        let parts = Self::adv_mac_parts(from, version, level);
-        let mac = key.tag(&[b"adv", &parts[0], &parts[1], &parts[2]]);
         Message::Adv {
             from,
             version,
             level,
-            mac,
+            mac: MacTag::default(),
         }
+        .sealed(key)
     }
 
     /// Builds a MACed SNACK.
@@ -232,203 +237,48 @@ impl Message {
         item: u16,
         bits: BitVec,
     ) -> Message {
-        let mac = key.tag(&[
-            b"snack",
-            &from.0.to_be_bytes(),
-            &target.0.to_be_bytes(),
-            &version.to_be_bytes(),
-            &item.to_be_bytes(),
-            bits.as_bytes(),
-        ]);
         Message::Snack {
             from,
             target,
             version,
             item,
-            bits,
-            mac,
+            nbits: bits.len,
+            bits: bits.bits,
+            mac: MacTag::default(),
             pairwise_mac: None,
         }
+        .sealed(key)
     }
 
-    /// The canonical byte parts a pairwise (LEAP) SNACK MAC covers.
-    pub fn snack_pairwise_parts(
-        from: NodeId,
-        target: NodeId,
-        version: u16,
-        item: u16,
-    ) -> [[u8; 4]; 3] {
-        [from.0.to_be_bytes(), target.0.to_be_bytes(), {
-            let mut b = [0u8; 4];
-            b[..2].copy_from_slice(&version.to_be_bytes());
-            b[2..].copy_from_slice(&item.to_be_bytes());
-            b
-        }]
-    }
-
-    /// Attaches a LEAP pairwise MAC to a SNACK (no-op otherwise).
-    pub fn with_pairwise_mac(self, tag: MacTag) -> Message {
-        match self {
-            Message::Snack {
-                from,
-                target,
-                version,
-                item,
-                bits,
-                mac,
-                ..
-            } => Message::Snack {
-                from,
-                target,
-                version,
-                item,
-                bits,
-                mac,
-                pairwise_mac: Some(tag),
-            },
-            other => other,
+    /// Attaches the LEAP pairwise MAC `keyring` shares with a SNACK's
+    /// target (no-op for other messages).
+    pub fn with_leap(mut self, keyring: &LeapKeyring) -> Message {
+        if let Frame::Snack { target, .. } = self {
+            let tag = self.leap_tag(keyring, target);
+            if let Frame::Snack { pairwise_mac, .. } = &mut self {
+                *pairwise_mac = tag;
+            }
         }
-    }
-
-    /// The borrowed view of this message, which checks its MAC and
-    /// writes its bytes.
-    pub fn as_frame(&self) -> Frame<'_> {
-        match *self {
-            Message::Adv {
-                from,
-                version,
-                level,
-                mac,
-            } => Frame::Adv {
-                from,
-                version,
-                level,
-                mac,
-            },
-            Message::Snack {
-                from,
-                target,
-                version,
-                item,
-                ref bits,
-                mac,
-                pairwise_mac,
-            } => Frame::Snack {
-                from,
-                target,
-                version,
-                item,
-                nbits: bits.len(),
-                bits: bits.as_bytes(),
-                mac,
-                pairwise_mac,
-            },
-            Message::Data {
-                version,
-                item,
-                index,
-                ref payload,
-            } => Frame::Data {
-                version,
-                item,
-                index,
-                payload,
-            },
-            Message::Signature { version, ref body } => Frame::Signature { version, body },
-        }
-    }
-
-    /// Verifies the cluster-key MAC of a control packet (see
-    /// [`Frame::mac_ok`]).
-    pub fn mac_ok(&self, key: &ClusterKey) -> bool {
-        self.as_frame().mac_ok(key)
-    }
-
-    /// Serializes to wire bytes (see [`Frame::to_bytes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a length field would not fit the wire.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.as_frame().to_bytes()
+        self
     }
 
     /// Parses wire bytes into an owned message; returns `None` on any
     /// malformation (an adversary may send arbitrary garbage).
     pub fn from_bytes(bytes: &[u8]) -> Option<Message> {
-        Frame::parse(bytes).map(Frame::to_message)
+        Frame::parse(bytes).map(Frame::into_owned)
     }
 }
 
-/// Longest variable-length field the wire can carry: SNACK bit counts,
-/// data payloads and signature bodies are framed by a `u16` length. A
-/// parameter set whose packets exceed it is rejected at validation
-/// (`ParamError`); [`Frame::to_bytes`] asserts it rather than wrap.
+/// Longest variable-length field the wire can carry: SNACK bit counts
+/// and data payloads are framed by a `u16` length. A parameter set whose
+/// packets exceed it is rejected at validation (`ParamError`);
+/// [`Frame::to_bytes`] asserts it rather than wrap.
 pub const MAX_PAYLOAD_LEN: usize = u16::MAX as usize;
 
-/// A borrowed view of one wire message: the fixed fields decoded, the
-/// variable-length ones pointing into the bytes it was parsed from.
-/// [`Frame::parse`] is the only reader of the wire layout and
-/// [`Frame::to_bytes`] the only writer; [`Message`] is the owned form
-/// ([`Frame::to_message`], [`Message::as_frame`]). A receiver matches on
-/// the view, so a data payload reaches the scheme without a copy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Frame<'a> {
-    /// See [`Message::Adv`].
-    Adv {
-        /// Advertising node.
-        from: NodeId,
-        /// Code image version.
-        version: u16,
-        /// Number of leading complete items.
-        level: u16,
-        /// Cluster-key MAC over the fields above.
-        mac: MacTag,
-    },
-    /// See [`Message::Snack`].
-    Snack {
-        /// Requesting node.
-        from: NodeId,
-        /// The node expected to serve the request.
-        target: NodeId,
-        /// Code image version.
-        version: u16,
-        /// Requested item.
-        item: u16,
-        /// Length of the request bit vector, in bits.
-        nbits: usize,
-        /// The bit vector's `ceil(nbits / 8)` raw bytes
-        /// ([`BitVec::as_bytes`] layout).
-        bits: &'a [u8],
-        /// Cluster-key MAC over the fields above.
-        mac: MacTag,
-        /// Optional LEAP pairwise MAC.
-        pairwise_mac: Option<MacTag>,
-    },
-    /// See [`Message::Data`].
-    Data {
-        /// Code image version.
-        version: u16,
-        /// Item index.
-        item: u16,
-        /// Packet index within the item.
-        index: u16,
-        /// Scheme-defined payload.
-        payload: &'a [u8],
-    },
-    /// See [`Message::Signature`].
-    Signature {
-        /// Code image version.
-        version: u16,
-        /// Scheme-defined body.
-        body: &'a [u8],
-    },
-}
-
-impl<'a> Frame<'a> {
+impl<'a> Frame<&'a [u8]> {
     /// Parses wire bytes; returns `None` on any malformation (an
     /// adversary may send arbitrary garbage).
-    pub fn parse(bytes: &'a [u8]) -> Option<Frame<'a>> {
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
         let (&tag, rest) = bytes.split_first()?;
         let mut r = Reader(rest);
         let frame = match tag {
@@ -474,14 +324,6 @@ impl<'a> Frame<'a> {
                     payload: r.take(len)?,
                 }
             }
-            TAG_SIG => {
-                let version = r.u16()?;
-                let len = r.u16()? as usize;
-                Frame::Signature {
-                    version,
-                    body: r.take(len)?,
-                }
-            }
             _ => return None,
         };
         if !r.0.is_empty() {
@@ -491,20 +333,14 @@ impl<'a> Frame<'a> {
     }
 
     /// The owned message, copying the variable-length fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a hand-built SNACK frame whose `bits` is not
-    /// `ceil(nbits / 8)` bytes long; [`parse`](Self::parse) never
-    /// produces one.
-    pub fn to_message(self) -> Message {
+    pub fn into_owned(self) -> Message {
         match self {
             Frame::Adv {
                 from,
                 version,
                 level,
                 mac,
-            } => Message::Adv {
+            } => Frame::Adv {
                 from,
                 version,
                 level,
@@ -519,12 +355,13 @@ impl<'a> Frame<'a> {
                 bits,
                 mac,
                 pairwise_mac,
-            } => Message::Snack {
+            } => Frame::Snack {
                 from,
                 target,
                 version,
                 item,
-                bits: BitVec::from_bytes(bits, nbits).expect("a frame's bits span its bit count"),
+                nbits,
+                bits: bits.to_vec(),
                 mac,
                 pairwise_mac,
             },
@@ -533,31 +370,29 @@ impl<'a> Frame<'a> {
                 item,
                 index,
                 payload,
-            } => Message::Data {
+            } => Frame::Data {
                 version,
                 item,
                 index,
                 payload: payload.to_vec(),
             },
-            Frame::Signature { version, body } => Message::Signature {
-                version,
-                body: body.to_vec(),
-            },
         }
     }
+}
 
-    /// Verifies the cluster-key MAC of a control packet. Data and
-    /// signature packets are authenticated by their scheme instead.
-    pub fn mac_ok(&self, key: &ClusterKey) -> bool {
-        match *self {
-            Frame::Adv {
+impl<B: AsRef<[u8]>> Frame<B> {
+    /// The cluster-key MAC over a control packet's fields; `None` for a
+    /// data packet, which its scheme authenticates instead.
+    fn cluster_tag(&self, key: &ClusterKey) -> Option<MacTag> {
+        Some(match self {
+            &Frame::Adv {
                 from,
                 version,
                 level,
-                mac,
+                ..
             } => {
                 let parts = Message::adv_mac_parts(from, version, level);
-                key.check(&[b"adv", &parts[0], &parts[1], &parts[2]], &mac)
+                key.tag(&[b"adv", &parts[0], &parts[1], &parts[2]])
             }
             Frame::Snack {
                 from,
@@ -565,20 +400,75 @@ impl<'a> Frame<'a> {
                 version,
                 item,
                 bits,
-                mac,
                 ..
-            } => key.check(
-                &[
-                    b"snack",
-                    &from.0.to_be_bytes(),
-                    &target.0.to_be_bytes(),
-                    &version.to_be_bytes(),
-                    &item.to_be_bytes(),
-                    bits,
-                ],
-                &mac,
-            ),
-            Frame::Data { .. } | Frame::Signature { .. } => true,
+            } => key.tag(&[
+                b"snack",
+                &from.0.to_be_bytes(),
+                &target.0.to_be_bytes(),
+                &version.to_be_bytes(),
+                &item.to_be_bytes(),
+                bits.as_ref(),
+            ]),
+            Frame::Data { .. } => return None,
+        })
+    }
+
+    /// This message with its cluster-key MAC filled in.
+    fn sealed(mut self, key: &ClusterKey) -> Self {
+        if let Some(tag) = self.cluster_tag(key) {
+            if let Frame::Adv { mac, .. } | Frame::Snack { mac, .. } = &mut self {
+                *mac = tag;
+            }
+        }
+        self
+    }
+
+    /// Verifies the cluster-key MAC of a control packet. Data packets are
+    /// authenticated by their scheme instead.
+    pub fn mac_ok(&self, key: &ClusterKey) -> bool {
+        match self {
+            Frame::Adv { mac, .. } | Frame::Snack { mac, .. } => {
+                self.cluster_tag(key) == Some(*mac)
+            }
+            Frame::Data { .. } => true,
+        }
+    }
+
+    /// The LEAP pairwise MAC over a SNACK's addressing, under the key
+    /// `keyring` shares with `peer`; `None` for other messages.
+    fn leap_tag(&self, keyring: &LeapKeyring, peer: NodeId) -> Option<MacTag> {
+        let &Frame::Snack {
+            from,
+            target,
+            version,
+            item,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        Some(keyring.tag_for(
+            peer.0,
+            &[
+                b"snack-pw",
+                &from.0.to_be_bytes(),
+                &target.0.to_be_bytes(),
+                &version.to_be_bytes(),
+                &item.to_be_bytes(),
+            ],
+        ))
+    }
+
+    /// Whether this is a SNACK whose LEAP pairwise MAC its claimed sender
+    /// made for the holder of `keyring`.
+    pub fn leap_ok(&self, keyring: &LeapKeyring) -> bool {
+        match *self {
+            Frame::Snack {
+                from,
+                pairwise_mac: Some(tag),
+                ..
+            } => self.leap_tag(keyring, from) == Some(tag),
+            _ => false,
         }
     }
 
@@ -586,12 +476,12 @@ impl<'a> Frame<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a SNACK's bit count, a data payload or a signature body
-    /// exceeds [`MAX_PAYLOAD_LEN`]: a wrapped length field would make
-    /// every receiver drop the frame as malformed.
+    /// Panics if a SNACK's bit count or a data payload exceeds
+    /// [`MAX_PAYLOAD_LEN`]: a wrapped length field would make every
+    /// receiver drop the frame as malformed.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match *self {
+        match self {
             Frame::Adv {
                 from,
                 version,
@@ -619,8 +509,8 @@ impl<'a> Frame<'a> {
                 out.extend_from_slice(&target.0.to_be_bytes());
                 out.extend_from_slice(&version.to_be_bytes());
                 out.extend_from_slice(&item.to_be_bytes());
-                out.extend_from_slice(&length_field(nbits));
-                out.extend_from_slice(bits);
+                out.extend_from_slice(&length_field(*nbits));
+                out.extend_from_slice(bits.as_ref());
                 out.extend_from_slice(&mac.0);
                 match pairwise_mac {
                     Some(t) => {
@@ -640,14 +530,8 @@ impl<'a> Frame<'a> {
                 out.extend_from_slice(&version.to_be_bytes());
                 out.extend_from_slice(&item.to_be_bytes());
                 out.extend_from_slice(&index.to_be_bytes());
-                out.extend_from_slice(&length_field(payload.len()));
-                out.extend_from_slice(payload);
-            }
-            Frame::Signature { version, body } => {
-                out.push(TAG_SIG);
-                out.extend_from_slice(&version.to_be_bytes());
-                out.extend_from_slice(&length_field(body.len()));
-                out.extend_from_slice(body);
+                out.extend_from_slice(&length_field(payload.as_ref().len()));
+                out.extend_from_slice(payload.as_ref());
             }
         }
         out
@@ -697,6 +581,9 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::{seal_signature_body, DeploymentKeys};
+    use lrs_crypto::hash::Digest;
+    use lrs_crypto::leap::LeapKeyring;
 
     fn key() -> ClusterKey {
         ClusterKey::derive(b"master", 0)
@@ -761,10 +648,6 @@ mod tests {
                 item: 3,
                 index: 17,
                 payload: vec![0xAA; 72],
-            },
-            Message::Signature {
-                version: 2,
-                body: vec![1, 2, 3],
             },
         ];
         for m in messages {
@@ -849,9 +732,62 @@ mod tests {
             bits.set(i, true);
         }
         let snack = unhex("020000000c0000000900030002003021000280008007a6e45b00");
+        // Captured before the owned and borrowed message forms merged:
+        // a 72-byte data packet, the base station's opening item-0
+        // packet, and a SNACK carrying a LEAP pairwise tag.
+        let data = unhex(concat!(
+            "03000300020011004800254a6f94b9de03284d7297bce1062b50759abfe4092e",
+            "53789dc2e70c31567ba0c5ea0f34597ea3c8ed12375c81a6cbf0153a5f84a9ce",
+            "f3183d6287acd1f61b40658aafd4f91e43",
+        ));
+        let opening = unhex(concat!(
+            "0300030000000000a81111111111111111111111111111111111111111111111",
+            "111111111111111111d9b69efb3f692104103943e26313ef00f3055e448b47ee",
+            "68ed9fdb1913884abe7bde05a3bec062eec21d3308ecaab53f0f38f7651e5621",
+            "47b5c7b75315c105086a3e1d438512af60750e9e62a80d5fda74e0f8a73cd13c",
+            "a652bed9c97457df4eb144319820f498b1350e0b7db24aeae43748473832c4ac",
+            "95d01e4315eeffd9130000000000000002",
+        ));
+        let keys = DeploymentKeys::derive(b"wire golden", 3, 6);
+        let body = seal_signature_body(
+            &Digest([0x11; 32]),
+            &Digest([0x22; 32]),
+            &keys.keypair,
+            &keys.chain,
+            3,
+            6,
+        );
+        let leap = unhex("020000000c000000090003000200300201000000010572345a0181b6365e");
+        let ring = LeapKeyring::bootstrap(b"leap golden", 12);
+        let mut leap_bits = BitVec::zeros(48);
+        for i in [1, 8, 40] {
+            leap_bits.set(i, true);
+        }
         let rebuilt = [
             (adv, Message::adv(&k, NodeId(9), 3, 4)),
             (snack, Message::snack(&k, NodeId(12), NodeId(9), 3, 2, bits)),
+            (
+                data,
+                Message::Data {
+                    version: 3,
+                    item: 2,
+                    index: 17,
+                    payload: (0..72u8).map(|i| i.wrapping_mul(37)).collect(),
+                },
+            ),
+            (
+                opening,
+                Message::Data {
+                    version: 3,
+                    item: 0,
+                    index: 0,
+                    payload: body,
+                },
+            ),
+            (
+                leap.clone(),
+                Message::snack(&k, NodeId(12), NodeId(9), 3, 2, leap_bits).with_leap(&ring),
+            ),
         ];
         for (golden, today) in rebuilt {
             let parsed = Message::from_bytes(&golden).expect("golden bytes parse");
@@ -859,6 +795,9 @@ mod tests {
             assert_eq!(parsed.to_bytes(), golden);
             assert_eq!(today.to_bytes(), golden);
         }
+        // The target's keyring checks the pairwise tag the sender made.
+        let snack = Frame::parse(&leap).expect("golden bytes parse");
+        assert!(snack.leap_ok(&LeapKeyring::bootstrap(b"leap golden", 9)));
     }
 
     #[test]
@@ -879,7 +818,8 @@ mod tests {
                 target,
                 version,
                 item,
-                bits: BitVec::zeros(8),
+                nbits: 8,
+                bits: vec![0],
                 mac,
                 pairwise_mac: None,
             };

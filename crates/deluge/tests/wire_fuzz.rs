@@ -1,38 +1,54 @@
 //! Wire-format robustness: the parser must never panic and must
 //! round-trip every well-formed message (adversaries control the bytes
 //! a node parses). Driven by a fixed-seed deterministic generator so
-//! the suite runs offline and reproduces exactly.
+//! the suite runs offline and reproduces exactly. The `#[ignore]`d long
+//! forms run the soup and round-trip checks over 200 000 cases each; CI
+//! runs them in release
+//! (`cargo test -p lrs-deluge --release --test wire_fuzz -- --ignored`).
 
-use lrs_crypto::cluster::{ClusterKey, MacTag};
+use lrs_crypto::cluster::ClusterKey;
+use lrs_crypto::leap::LeapKeyring;
 use lrs_deluge::wire::{BitVec, Frame, Message};
 use lrs_host::node::NodeId;
 use lrs_rng::DetRng;
 
+/// Cases per long-form check.
+const LONG: usize = 200_000;
+
 /// `Message::from_bytes`, checked on every call against the borrowed
 /// parse a receiver matches on: both accept exactly the same bytes, the
-/// view's owned form is the message, and the message views back to the
-/// same frame.
+/// view's owned form is the message, and both write the same bytes.
 fn parse(bytes: &[u8]) -> Option<Message> {
     let owned = Message::from_bytes(bytes);
     let view = Frame::parse(bytes);
     assert_eq!(view.is_some(), owned.is_some(), "{bytes:02x?}");
     if let (Some(view), Some(owned)) = (view, &owned) {
-        assert_eq!(view.to_message(), *owned);
-        assert_eq!(owned.as_frame(), view);
+        assert_eq!(view.into_owned(), *owned);
+        assert_eq!(view.to_bytes(), owned.to_bytes());
     }
     owned
 }
 
 /// Arbitrary byte soup: parse returns None or Some, never panics.
-#[test]
-fn parser_never_panics() {
+fn soup(cases: usize) {
     let mut rng = DetRng::seed_from_u64(0x736f_7570);
-    for _ in 0..512 {
+    for _ in 0..cases {
         let len = rng.gen_range(0usize..300);
         let mut bytes = vec![0u8; len];
         rng.fill_bytes(&mut bytes);
         let _ = parse(&bytes);
     }
+}
+
+#[test]
+fn parser_never_panics() {
+    soup(512);
+}
+
+#[test]
+#[ignore = "long form: cargo test -p lrs-deluge --release --test wire_fuzz -- --ignored"]
+fn parser_never_panics_long() {
+    soup(LONG);
 }
 
 /// Truncating any valid message makes it unparseable or — for
@@ -50,22 +66,32 @@ fn truncations_never_panic() {
 }
 
 /// Round-trip for arbitrary advertisements.
-#[test]
-fn adv_roundtrip() {
+fn adv_roundtrips(cases: usize) {
     let key = ClusterKey::derive(b"fuzz", 1);
     let mut rng = DetRng::seed_from_u64(0x61_64_76);
-    for _ in 0..256 {
+    for _ in 0..cases {
         let m = Message::adv(&key, NodeId(rng.gen()), rng.gen(), rng.gen());
         assert_eq!(parse(&m.to_bytes()), Some(m));
     }
 }
 
-/// Round-trip for arbitrary SNACKs (with and without pairwise MACs).
 #[test]
-fn snack_roundtrip() {
+fn adv_roundtrip() {
+    adv_roundtrips(256);
+}
+
+#[test]
+#[ignore = "long form: cargo test -p lrs-deluge --release --test wire_fuzz -- --ignored"]
+fn adv_roundtrip_long() {
+    adv_roundtrips(LONG);
+}
+
+/// Round-trip for arbitrary SNACKs (with and without pairwise MACs).
+fn snack_roundtrips(cases: usize) {
     let key = ClusterKey::derive(b"fuzz", 2);
+    let ring = LeapKeyring::bootstrap(b"fuzz", 1);
     let mut rng = DetRng::seed_from_u64(0x73_6e_61);
-    for _ in 0..256 {
+    for _ in 0..cases {
         let nbits = rng.gen_range(1usize..128);
         let mut bits = BitVec::zeros(nbits);
         for _ in 0..rng.gen_range(0usize..16) {
@@ -80,19 +106,27 @@ fn snack_roundtrip() {
             bits,
         );
         if rng.gen_bool(0.5) {
-            let mut tag = [0u8; 4];
-            rng.fill_bytes(&mut tag);
-            m = m.with_pairwise_mac(MacTag(tag));
+            m = m.with_leap(&ring);
         }
         assert_eq!(parse(&m.to_bytes()), Some(m));
     }
 }
 
-/// Round-trip for arbitrary data packets.
 #[test]
-fn data_roundtrip() {
+fn snack_roundtrip() {
+    snack_roundtrips(256);
+}
+
+#[test]
+#[ignore = "long form: cargo test -p lrs-deluge --release --test wire_fuzz -- --ignored"]
+fn snack_roundtrip_long() {
+    snack_roundtrips(LONG);
+}
+
+/// Round-trip for arbitrary data packets.
+fn data_roundtrips(cases: usize) {
     let mut rng = DetRng::seed_from_u64(0x6461_7461);
-    for _ in 0..256 {
+    for _ in 0..cases {
         let mut payload = vec![0u8; rng.gen_range(0usize..256)];
         rng.fill_bytes(&mut payload);
         let m = Message::Data {
@@ -105,6 +139,17 @@ fn data_roundtrip() {
     }
 }
 
+#[test]
+fn data_roundtrip() {
+    data_roundtrips(256);
+}
+
+#[test]
+#[ignore = "long form: cargo test -p lrs-deluge --release --test wire_fuzz -- --ignored"]
+fn data_roundtrip_long() {
+    data_roundtrips(LONG);
+}
+
 /// One exemplar of every message kind, for the exhaustive adversarial
 /// sweeps below.
 fn exemplars() -> Vec<Message> {
@@ -112,21 +157,16 @@ fn exemplars() -> Vec<Message> {
     let mut bits = BitVec::zeros(48);
     bits.set(0, true);
     bits.set(47, true);
-    let mut tag = [0u8; 4];
-    tag.copy_from_slice(&[9, 9, 9, 9][..]);
+    let ring = LeapKeyring::bootstrap(b"fuzz", 1);
     vec![
         Message::adv(&key, NodeId(7), 3, 5),
         Message::snack(&key, NodeId(1), NodeId(2), 3, 4, bits.clone()),
-        Message::snack(&key, NodeId(1), NodeId(2), 3, 4, bits).with_pairwise_mac(MacTag(tag)),
+        Message::snack(&key, NodeId(1), NodeId(2), 3, 4, bits).with_leap(&ring),
         Message::Data {
             version: 3,
             item: 2,
             index: 17,
             payload: vec![0xA5; 72],
-        },
-        Message::Signature {
-            version: 3,
-            body: vec![1, 2, 3, 4, 5],
         },
     ]
 }
@@ -193,18 +233,6 @@ fn oversized_length_fields_are_rejected() {
     bytes[7..9].copy_from_slice(&10u16.to_be_bytes());
     assert_eq!(parse(&bytes), None);
 
-    // Signature packet: the body-length u16 lives at bytes 3..5.
-    let sig = Message::Signature {
-        version: 1,
-        body: vec![7; 16],
-    }
-    .to_bytes();
-    for claimed in [17u16, 4096, u16::MAX] {
-        let mut bytes = sig.clone();
-        bytes[3..5].copy_from_slice(&claimed.to_be_bytes());
-        assert_eq!(parse(&bytes), None, "claimed {claimed}");
-    }
-
     // SNACK: the bit-count u16 lives at bytes 13..15; an oversized
     // claim pushes the MAC read past the end of the datagram.
     let key = ClusterKey::derive(b"fuzz", 5);
@@ -247,7 +275,7 @@ fn flipped_control_packets_fail_mac() {
     for _ in 0..256 {
         let mut bytes = Message::adv(&key, NodeId(rng.gen()), rng.gen(), rng.gen()).to_bytes();
         // Skip byte 0: flipping the tag can re-frame the packet as a
-        // data/signature message, which is legitimately MAC-exempt (its
+        // data message, which is legitimately MAC-exempt (its
         // authentication is the scheme's hash chain instead).
         let pos = rng.gen_range(1usize..bytes.len());
         let mask = rng.gen_range(1u32..=255) as u8;

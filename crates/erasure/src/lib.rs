@@ -169,30 +169,6 @@ pub(crate) fn check_decode_input(
     Ok(())
 }
 
-/// Splits `data` into exactly `k` blocks of equal length (zero-padded),
-/// as the base station does when partitioning a page (paper §IV-C).
-pub fn split_into_blocks(data: &[u8], k: usize) -> Vec<Vec<u8>> {
-    assert!(k >= 1, "k must be at least 1");
-    let block_len = data.len().div_ceil(k).max(1);
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let start = (i * block_len).min(data.len());
-        let end = ((i + 1) * block_len).min(data.len());
-        let mut block = data[start..end].to_vec();
-        block.resize(block_len, 0);
-        out.push(block);
-    }
-    out
-}
-
-/// Reassembles blocks produced by [`split_into_blocks`], truncating the
-/// zero padding back to `original_len`.
-pub fn join_blocks(blocks: &[Vec<u8>], original_len: usize) -> Vec<u8> {
-    let mut out: Vec<u8> = blocks.iter().flatten().copied().collect();
-    out.truncate(original_len);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,20 +185,6 @@ mod tests {
         Ok((0..code.k())
             .map(|i| page[i * block_len..(i + 1) * block_len].to_vec())
             .collect())
-    }
-
-    #[test]
-    fn split_join_roundtrip() {
-        for len in [0usize, 1, 7, 16, 17, 100] {
-            for k in [1usize, 2, 3, 8] {
-                let data: Vec<u8> = (0..len as u32).map(|i| (i % 251) as u8).collect();
-                let blocks = split_into_blocks(&data, k);
-                assert_eq!(blocks.len(), k, "len={len} k={k}");
-                let lens: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
-                assert!(lens.windows(2).all(|w| w[0] == w[1]), "unequal blocks");
-                assert_eq!(join_blocks(&blocks, len), data, "len={len} k={k}");
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use lrs_deluge::attack::{AttackEntry, AttackVector, Attacker, MaybeAdversary};
 use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
 use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
 use lrs_deluge::policy::UnionPolicy;
-use lrs_deluge::wire::Message;
+use lrs_deluge::wire::{Frame, Message};
 use lrs_deluge::SchemeFamily;
 use lrs_host::node::{Action, Context, NodeId, Protocol};
 use lrs_host::time::{Duration, SimTime};
@@ -89,6 +89,52 @@ fn control_macs_are_checked_exactly_for_signed_schemes() {
     let (rejects, actions) = hear_foreign_adv(lr);
     assert_eq!(rejects, 1);
     assert!(actions.is_empty(), "{actions:?}");
+}
+
+#[test]
+fn the_signature_opens_a_receiver_only_as_an_item_zero_data_frame() {
+    // The wire has no signature frame of its own: the genuine signature
+    // body behind the retired tag 4 is an unparseable datagram, counted
+    // where unparseable frames are counted, and never reaches the
+    // signature check. The same body as item 0, packet 0 opens the image.
+    let deployment = Deployment::new(&image(), lr_params(), b"adv");
+    let (pubkey, puzzle) = (deployment.pubkey(), deployment.puzzle());
+    let mut base = LrScheme::base(deployment.artifacts(), pubkey, puzzle);
+    let body = base
+        .packet_payload(0, 0)
+        .expect("the base station holds the signature");
+    let version = lr_params().version;
+    let hear = |bytes: &[u8]| {
+        let lr = LrScheme::receiver(lr_params(), pubkey, puzzle);
+        let key = deployment.cluster_key().clone();
+        let mut node = DisseminationNode::new(lr, UnionPolicy::new(), key, EngineConfig::default());
+        let (mut rng, mut actions) = (DetRng::seed_from_u64(1), Vec::new());
+        let mut ctx = Context::new(SimTime::ZERO, NodeId(2), &mut rng, &mut actions, 416, 2_000);
+        node.on_packet(&mut ctx, NodeId(0), bytes);
+        let cost = node.scheme().cost();
+        (
+            node.stats().mac_rejects,
+            cost.signature_verifications,
+            cost.puzzle_checks,
+            node.scheme().complete_items(),
+        )
+    };
+
+    let mut tag4 = vec![4];
+    tag4.extend_from_slice(&version.to_be_bytes());
+    tag4.extend_from_slice(&(body.len() as u16).to_be_bytes());
+    tag4.extend_from_slice(&body);
+    assert_eq!(Frame::parse(&tag4), None);
+    assert_eq!(hear(&tag4), (1, 0, 0, 0));
+
+    let data = Message::Data {
+        version,
+        item: 0,
+        index: 0,
+        payload: body,
+    };
+    let (rejects, verifications, _, level) = hear(&data.to_bytes());
+    assert_eq!((rejects, verifications, level), (0, 1, 1));
 }
 
 #[test]
