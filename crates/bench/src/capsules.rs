@@ -19,7 +19,7 @@ use lr_seluge::{CodeKind, LrSelugeParams};
 use lrs_deluge::attack::{
     AttackEntry, AttackPlan, AttackVector, Attacker, AttackerProfile, MaybeAdversary,
 };
-use lrs_deluge::bootstrap::PacketDigestCache;
+use lrs_deluge::bootstrap::{PacketDigestCache, Watermark};
 use lrs_deluge::deployment::{check_layout, Deployment, SchemeFamily};
 use lrs_deluge::engine::{DisseminationNode, NodeStats, Scheme as _};
 use lrs_deluge::policy::{TxPolicy, UnionPolicy};
@@ -455,14 +455,23 @@ impl<S: SchemeFamily> Population<S> {
     }
 
     /// The per-delivery invariant check for this population: every
-    /// honest node against the deployment's origin (DESIGN.md §7).
+    /// honest node against the deployment's origin (DESIGN.md §7). It
+    /// keeps each node's [`Watermark`], so a verified page or a complete
+    /// image is compared once, the first time the check sees it.
     pub fn checker(
         &self,
-    ) -> impl Fn(&Member<S>, NodeId) -> Result<(), InvariantViolation> + 'static {
+    ) -> impl FnMut(&Member<S>, NodeId) -> Result<(), InvariantViolation> + 'static {
         let deployment = self.deployment.clone();
-        move |member, _id| match member.honest() {
-            Some(node) => deployment.verify(node.scheme()),
-            None => Ok(()),
+        let mut marks: Vec<Watermark> = Vec::new();
+        move |member, id| {
+            let Some(node) = member.honest() else {
+                return Ok(());
+            };
+            let i = id.index();
+            marks.resize(marks.len().max(i + 1), Watermark::default());
+            let (artifacts, image) = (deployment.artifacts(), deployment.image());
+            node.scheme()
+                .check_invariants(artifacts, image, &mut marks[i])
         }
     }
 }

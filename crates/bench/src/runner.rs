@@ -196,9 +196,11 @@ impl<S: SchemeFamily> Finished<S> {
 }
 
 /// Runs `pop` as `capsule` describes (its scenario tags and digest are
-/// not read), with the population's per-delivery invariant checker
-/// armed when `check_deliveries` is set and every event teed into
-/// `sinks` (with none, no trace is attached).
+/// not read), with the population's invariant checker armed when
+/// `check_deliveries` is set and every event teed into `sinks` (with
+/// none, no trace is attached). The checker runs after every delivery
+/// and reboot, and compares a node's stored pages and image with the
+/// origin once each, keeping a watermark per node (DESIGN.md §7).
 ///
 /// One digest memo per run: a broadcast hashed by one receiver is
 /// served from memory at the others (per-node `hashes` counters are

@@ -513,9 +513,10 @@ fn run_committed(spec: CampaignSpec, dir: &str) -> (Campaign, Vec<JobRecord>) {
                 "job {} ({cell:?}) buffered an unauthenticated byte",
                 record.job
             );
-            // The per-delivery checker sees nothing that happens after a
-            // node's last delivery (a reboot, say); the end-of-run count
-            // of origin-image holders does.
+            // The checker runs after every delivery and every reboot, so
+            // an unauthenticated byte would have aborted the job; the
+            // end-of-run count of origin-image holders is the same claim
+            // read off the metrics.
             if record.outcome == "complete" {
                 assert_eq!(
                     record.metrics[completion], 1.0,

@@ -10,7 +10,7 @@ use lrs_crypto::cluster::ClusterKey;
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
 use lrs_deluge::attack::AttackerProfile;
-use lrs_deluge::bootstrap::{DeploymentKeys, SIGNATURE_BODY_LEN};
+use lrs_deluge::bootstrap::{DeploymentKeys, Watermark, SIGNATURE_BODY_LEN};
 use lrs_deluge::deployment::SchemeFamily;
 use lrs_host::violation::InvariantViolation;
 
@@ -62,12 +62,20 @@ impl SchemeFamily for LrScheme {
         LrScheme::image(self)
     }
 
-    fn verify_invariants(
+    /// [`Bootstrap::verify_invariants`]: only authenticated packets
+    /// buffered, buffer occupancy within the paper's `n` / `n0` bounds,
+    /// every decoded page input past `mark` identical to preprocessing,
+    /// and, once, a complete node's image byte-identical to the origin.
+    ///
+    /// [`Bootstrap::verify_invariants`]: lrs_deluge::bootstrap::Bootstrap::verify_invariants
+    fn check_invariants(
         &self,
         artifacts: &LrArtifacts,
         image: &[u8],
+        mark: &mut Watermark,
     ) -> Result<(), InvariantViolation> {
-        LrScheme::verify_invariants(self, artifacts, image)
+        let (origin, packets) = (&artifacts.origin, &artifacts.page_packets);
+        self.boot.verify_invariants(origin, packets, image, mark)
     }
 
     fn attacker_profile(p: &LrSelugeParams, cluster_key: Option<ClusterKey>) -> AttackerProfile {

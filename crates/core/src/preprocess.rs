@@ -17,7 +17,8 @@ use lrs_crypto::puzzle::PuzzleKeyChain;
 use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::sha256_concat;
 use lrs_deluge::bootstrap::{
-    frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
+    frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, Origin,
+    PacketDigestCache, PageShape, PageStore,
 };
 use lrs_deluge::deployment::check_image_len;
 use lrs_erasure::ErasureCode;
@@ -26,15 +27,21 @@ use lrs_erasure::ErasureCode;
 #[derive(Clone, Debug)]
 pub struct LrArtifacts {
     params: LrSelugeParams,
-    /// `page_packets[i][j]` = encoded block `e_{i,j}` (wire item `i+2`).
-    pub(crate) page_packets: Vec<Vec<Vec<u8>>>,
-    /// Decoded page inputs (plaintext ‖ hash region), `k·payload` bytes
-    /// each — what intermediate nodes hold after decoding.
-    pub(crate) page_inputs: Vec<Vec<u8>>,
-    /// Hash-page packet payloads (encoded block ‖ Merkle path).
-    pub(crate) hash_page_packets: Vec<Vec<u8>>,
-    signature_body: Vec<u8>,
-    root: Digest,
+    /// Stride `j` of page `i` = encoded block `e_{i,j}` (wire item `i+2`).
+    pub(crate) page_packets: PageStore,
+    /// The signature, the hash page (`M0`: page 0's packet hashes,
+    /// zero-padded to `k0` blocks, framed as encoded block ‖ Merkle
+    /// path), and the decoded page inputs (plaintext ‖ hash region),
+    /// `k·payload` bytes each — what intermediate nodes hold after
+    /// decoding.
+    pub(crate) origin: Origin,
+}
+
+/// How an LR-Seluge node stores a decoded page: its whole input as one
+/// stride, the plaintext in front of the next page's hash images.
+pub(crate) fn page_shape(params: &LrSelugeParams) -> PageShape {
+    let input_len = params.k as usize * params.payload_len;
+    PageShape::new(1, input_len, params.page_capacity())
 }
 
 impl LrArtifacts {
@@ -74,27 +81,29 @@ impl LrArtifacts {
         let mut padded = image.to_vec();
         padded.resize(g * params.page_capacity(), 0);
 
-        let mut page_packets: Vec<Vec<Vec<u8>>> = vec![Vec::new(); g];
-        let mut page_inputs: Vec<Vec<u8>> = vec![Vec::new(); g];
+        let (cap, len) = (params.page_capacity(), params.payload_len);
+        let (input_len, packets_len) = (params.k as usize * len, params.n as usize * len);
+        let mut inputs = vec![0u8; g * input_len];
+        let mut packets = vec![0u8; g * packets_len];
         let mut next_hashes = vec![0u8; params.hash_region_len()];
         for i in (0..g).rev() {
             let item = (i + 2) as u16;
-            let mut input =
-                padded[i * params.page_capacity()..(i + 1) * params.page_capacity()].to_vec();
-            input.extend_from_slice(&next_hashes);
-            debug_assert_eq!(input.len(), params.k as usize * params.payload_len);
-            let blocks: Vec<Vec<u8>> = input
-                .chunks(params.payload_len)
-                .map(|c| c.to_vec())
-                .collect();
+            let input = &mut inputs[i * input_len..(i + 1) * input_len];
+            input[..cap].copy_from_slice(&padded[i * cap..(i + 1) * cap]);
+            input[cap..].copy_from_slice(&next_hashes);
+            let blocks: Vec<Vec<u8>> = input.chunks(len).map(|c| c.to_vec()).collect();
             let encoded = code.encode(&blocks).expect("consistent shapes");
             next_hashes = packet_hash_batch(params.version, item, &encoded)
                 .iter()
                 .flat_map(|h| h.0)
                 .collect();
-            page_inputs[i] = input;
-            page_packets[i] = encoded;
+            let page = packets[i * packets_len..].chunks_mut(len);
+            page.zip(&encoded)
+                .for_each(|(dst, src)| dst.copy_from_slice(src));
         }
+        let packet_shape = PageShape::new(params.n.into(), len, len);
+        let page_packets = PageStore::from_bytes(packet_shape, packets);
+        let pages = PageStore::from_bytes(page_shape(&params), inputs);
 
         // Hash page M0 = hashes of page 0's (wire item 2's) packets.
         let code0 = PageCode::new(params.code_kind, params.k0 as usize, params.n0 as usize)
@@ -119,10 +128,13 @@ impl LrArtifacts {
         Ok(LrArtifacts {
             params,
             page_packets,
-            page_inputs,
-            hash_page_packets,
-            signature_body,
-            root,
+            origin: Origin {
+                signature_body,
+                root,
+                hash_page: hash_page_packets,
+                m0,
+                pages,
+            },
         })
     }
 
@@ -153,33 +165,31 @@ impl LrArtifacts {
 
     /// Merkle root over the encoded hash page.
     pub fn root(&self) -> Digest {
-        self.root
+        self.origin.root
     }
 
     /// The signature packet body.
     pub fn signature_body(&self) -> &[u8] {
-        &self.signature_body
+        &self.origin.signature_body
     }
 
     /// Encoded hash-page packet `j` (block ‖ Merkle path).
     pub fn hash_page_packet(&self, j: u16) -> &[u8] {
-        &self.hash_page_packets[j as usize]
+        &self.origin.hash_page[j as usize]
     }
 
     /// Encoded block `e_{i,j}` of 0-based page `i`.
     pub fn page_packet(&self, i: u16, j: u16) -> &[u8] {
-        &self.page_packets[i as usize][j as usize]
+        let packet = self.page_packets.stride(usize::from(i), usize::from(j));
+        packet.expect("packet in range")
     }
 
     /// Decoded input (plaintext ‖ hash region) of 0-based page `i`.
     pub fn page_input(&self, i: u16) -> &[u8] {
-        &self.page_inputs[i as usize]
-    }
-
-    /// The hash images `h_{i+1,*}` chained into 0-based page `i`.
-    pub fn chained_hashes(&self, i: u16) -> &[u8] {
-        let input = self.page_input(i);
-        &input[self.params.page_capacity()..]
+        self.origin
+            .pages
+            .page(usize::from(i))
+            .expect("page in range")
     }
 
     /// Pre-fills a per-run packet-digest memo with this image's page
@@ -261,7 +271,7 @@ mod tests {
         let (art, _) = build();
         let p = art.params();
         for i in 0..p.pages() - 1 {
-            let chained = art.chained_hashes(i);
+            let chained = &art.page_input(i)[p.page_capacity()..];
             for j in 0..p.n {
                 let expected = packet_hash(p.version, (i + 1) + 2, j, art.page_packet(i + 1, j));
                 let off = j as usize * HASH_IMAGE_LEN;
@@ -273,7 +283,8 @@ mod tests {
             }
         }
         // Last page chains to zeros.
-        assert!(art.chained_hashes(p.pages() - 1).iter().all(|&b| b == 0));
+        let last = art.page_input(p.pages() - 1);
+        assert!(last[p.page_capacity()..].iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -13,16 +13,16 @@
 
 use crate::code::PageCode;
 use crate::params::{LrSelugeParams, ParamError};
-use crate::preprocess::LrArtifacts;
-use lrs_crypto::hash::HashImage;
+use crate::preprocess::{page_shape, LrArtifacts};
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
-use lrs_deluge::bootstrap::{self, frame_hash_page, hash_images, Bootstrap, Layout, SlotBuffer};
+use lrs_deluge::bootstrap::{self, frame_hash_page, Bootstrap, Layout, SlotBuffer, Watermark};
+use lrs_deluge::deployment::SchemeFamily;
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
 use lrs_deluge::wire::BitVec;
 use lrs_erasure::{CodeError, ErasureCode};
 use lrs_host::node::PacketKind;
-use lrs_host::violation::{ContentDigest, InvariantViolation};
+use lrs_host::violation::InvariantViolation;
 use std::collections::HashMap;
 
 pub use lrs_deluge::bootstrap::PacketDigestCache;
@@ -34,15 +34,11 @@ pub struct LrScheme {
     code: PageCode,
     code0: PageCode,
     /// Verified signature and root, the receive buffers of `M0` (packets
-    /// as block ‖ path) and of the page in flight, and the hash images
-    /// its packets must match.
-    boot: Bootstrap,
-    /// Decoded `M0` source blocks, once available.
-    hp_blocks: Option<Vec<Vec<u8>>>,
+    /// as block ‖ path) and of the page in flight, the decoded `M0` and
+    /// the decoded inputs (plaintext ‖ hash region) of completed pages.
+    pub(crate) boot: Bootstrap,
     /// Regenerated hash-page packets for serving (lazy).
     hp_cache: Option<Vec<Vec<u8>>>,
-    /// Decoded inputs (plaintext ‖ hash region) of completed pages.
-    page_inputs: Vec<Vec<u8>>,
     /// Re-encoded packets per completed page, built on first serve.
     encoded_cache: HashMap<u16, Vec<Vec<u8>>>,
     /// Scratch buffer for decoded pages, reused across decodes.
@@ -57,6 +53,8 @@ fn layout(params: &LrSelugeParams) -> Layout {
         hash_block_len: params.hash_block_len(),
         page_packets: params.n,
         page_payload_len: params.payload_len,
+        image_len: params.image_len,
+        page_shape: page_shape(params),
     }
 }
 
@@ -111,9 +109,7 @@ impl LrScheme {
             code0: PageCode::new(params.code_kind, params.k0 as usize, params.n0 as usize)
                 .expect("validated"),
             boot,
-            hp_blocks: None,
             hp_cache: None,
-            page_inputs: Vec::new(),
             encoded_cache: HashMap::new(),
             decode_scratch: Vec::new(),
         }
@@ -131,45 +127,28 @@ impl LrScheme {
     /// The base station: everything precomputed and complete.
     pub fn base(artifacts: &LrArtifacts, pubkey: PublicKey, puzzle: Puzzle) -> Self {
         let params = artifacts.params();
-        let boot = Bootstrap::base(
-            layout(&params),
-            pubkey,
-            puzzle,
-            artifacts.signature_body(),
-            artifacts.root(),
-            &[],
-        );
+        let boot = Bootstrap::base(layout(&params), pubkey, puzzle, &artifacts.origin);
         let mut scheme = Self::around(params, boot);
-        scheme.hp_cache = Some(artifacts.hash_page_packets.clone());
-        scheme.page_inputs = artifacts.page_inputs.clone();
-        for (i, packets) in (0u16..).zip(&artifacts.page_packets) {
-            scheme.encoded_cache.insert(i, packets.clone());
+        scheme.hp_cache = Some(artifacts.origin.hash_page.clone());
+        for i in 0..params.pages() {
+            let page = artifacts
+                .page_packets
+                .page(usize::from(i))
+                .expect("every page");
+            let packets = page.chunks(params.payload_len).map(<[u8]>::to_vec);
+            scheme.encoded_cache.insert(i, packets.collect());
         }
         scheme
     }
 
     /// The reassembled, verified image once dissemination completed.
     pub fn image(&self) -> Option<Vec<u8>> {
-        if !self.boot.is_complete() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.params.image_len);
-        for input in &self.page_inputs {
-            out.extend_from_slice(&input[..self.params.page_capacity()]);
-        }
-        out.truncate(self.params.image_len);
-        Some(out)
+        self.boot.image()
     }
 
     /// Layout parameters.
     pub fn params(&self) -> LrSelugeParams {
         self.params
-    }
-
-    /// The chaining rule (§IV-C): the tail of a decoded page input is
-    /// the hash images of the next page's `n` encoded packets.
-    fn chained_images(&self, input: &[u8]) -> Vec<HashImage> {
-        hash_images(&input[self.params.page_capacity()..])
     }
 
     /// Decodes `M0` once `k0'` authenticated hash-page packets are held.
@@ -181,18 +160,14 @@ impl LrScheme {
         self.boot.cost.decodes += 1;
         let scratch = &mut self.decode_scratch;
         if decode(&self.code0, self.boot.hash_page(), block_len, scratch) {
-            self.boot.hash_page_complete(scratch);
-            self.hp_blocks = Some(
-                scratch
-                    .chunks_exact(block_len)
-                    .map(|c| c.to_vec())
-                    .collect(),
-            );
+            self.boot.hash_page_complete(scratch.clone());
         }
     }
 
     /// Decodes the page in flight once `k'` authenticated packets are
-    /// held.
+    /// held and stores the decoded input: the chaining rule (§IV-C) puts
+    /// the hash images of the next page's `n` encoded packets in its
+    /// tail.
     fn try_decode_page(&mut self) {
         if self.boot.page().held() < self.params.k_prime() as usize {
             return;
@@ -205,9 +180,7 @@ impl LrScheme {
             self.params.payload_len,
             scratch,
         ) {
-            let input = std::mem::take(scratch);
-            self.boot.page_complete(self.chained_images(&input));
-            self.page_inputs.push(input);
+            self.boot.store_page(scratch);
         }
     }
 
@@ -216,62 +189,34 @@ impl LrScheme {
     /// authentication path can be reconstructed).
     fn ensure_hp_cache(&mut self) -> Option<&Vec<Vec<u8>>> {
         if self.hp_cache.is_none() {
-            let blocks = self.hp_blocks.as_ref()?;
+            let (m0, len) = (self.boot.m0()?, self.params.hash_block_len());
+            let blocks: Vec<Vec<u8>> = m0.chunks(len).map(<[u8]>::to_vec).collect();
             self.boot.cost.encodes += 1;
-            let encoded = self.code0.encode(blocks).expect("consistent shapes");
+            let encoded = self.code0.encode(&blocks).expect("consistent shapes");
             self.boot.cost.hashes += 2 * self.params.n0 as u64;
             self.hp_cache = Some(frame_hash_page(&encoded).1);
         }
         self.hp_cache.as_ref()
     }
 
-    /// Checks the protocol invariants the chaos layer enforces after
-    /// every delivery (see DESIGN.md §7): the shared ones
-    /// ([`Bootstrap::verify_invariants`]: only authenticated packets
-    /// buffered, buffer occupancy within the paper's `n` / `n0` bounds),
-    /// then that every completed page's decoded input matches
-    /// preprocessing and that a complete node's reassembled image is
-    /// byte-identical to the origin image.
+    /// Checks the protocol invariants the chaos layer enforces (see
+    /// DESIGN.md §7) from scratch: [`SchemeFamily::check_invariants`]
+    /// with an empty watermark, so every decoded page input and a
+    /// complete node's image are compared with preprocessing.
     pub fn verify_invariants(
         &self,
         artifacts: &LrArtifacts,
         image: &[u8],
     ) -> Result<(), InvariantViolation> {
-        self.boot.verify_invariants(
-            artifacts.signature_body(),
-            &artifacts.hash_page_packets,
-            &artifacts.page_packets,
-        )?;
-        let complete = self.boot.complete();
-        let pages_done = (complete as usize).saturating_sub(2);
-        if self.page_inputs.len() < pages_done {
-            return Err(InvariantViolation::PagesMissing {
-                complete: u64::from(complete),
-                held: self.page_inputs.len() as u64,
-            });
-        }
-        for (i, input) in self.page_inputs.iter().take(pages_done).enumerate() {
-            let authentic = artifacts.page_input(i as u16);
-            if input.as_slice() != authentic {
-                return Err(InvariantViolation::PageMismatch {
-                    page: i as u32,
-                    packet: None,
-                    expected: ContentDigest::of(authentic),
-                    actual: ContentDigest::of(input),
-                });
-            }
-        }
-        self.boot.verify_image(self.image(), image)
+        self.check_invariants(artifacts, image, &mut Watermark::default())
     }
 
     /// Re-encodes a completed page on first serve (§IV-D-3).
     fn ensure_page_cache(&mut self, page: u16) -> Option<&Vec<Vec<u8>>> {
         if !self.encoded_cache.contains_key(&page) {
-            let input = self.page_inputs.get(page as usize)?;
-            let blocks: Vec<Vec<u8>> = input
-                .chunks(self.params.payload_len)
-                .map(|c| c.to_vec())
-                .collect();
+            let input = self.boot.pages().page(page as usize)?;
+            let len = self.params.payload_len;
+            let blocks: Vec<Vec<u8>> = input.chunks(len).map(<[u8]>::to_vec).collect();
             self.boot.cost.encodes += 1;
             let encoded = self.code.encode(&blocks).expect("consistent shapes");
             self.encoded_cache.insert(page, encoded);
@@ -370,34 +315,25 @@ impl Scheme for LrScheme {
 
     fn reboot(&mut self) {
         // Flash (survives): the verified signature body, the decoded
-        // `M0` blocks, and every completed page's decoded input — real
-        // motes write each verified page to external flash before
-        // advancing (Seluge §V). RAM (lost): partially received packets
-        // of the in-progress item and all serving caches.
-        let has_m0 = self.hp_blocks.is_some() || self.hp_cache.is_some();
-        self.boot.clear_hash_page();
+        // `M0`, and every completed page's decoded input — real motes
+        // write each verified page to external flash before advancing
+        // (Seluge §V). RAM (lost): partially received packets of the
+        // in-progress item and all serving caches.
+        self.boot.reboot();
         self.decode_scratch = Vec::new();
+        self.hp_cache = None;
         self.encoded_cache.clear();
-        if self.hp_blocks.is_some() {
-            // Regenerable from the flash-resident blocks; the base
-            // station's precomputed cache (no blocks) must be kept.
-            self.hp_cache = None;
-        }
-        // The hash images authenticating the next page.
-        let expected = match (self.page_inputs.last(), &self.hp_blocks) {
-            (Some(input), _) => self.chained_images(input),
-            (None, Some(blocks)) => self.boot.first_page_images(&blocks.concat()),
-            (None, None) => Vec::new(),
-        };
-        self.boot.resume(has_m0, self.page_inputs.len(), expected);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrs_crypto::hash::HASH_IMAGE_LEN;
     use lrs_crypto::puzzle::PuzzleKeyChain;
     use lrs_crypto::schnorr::Keypair;
+    use lrs_deluge::bootstrap::PageStore;
+    use PacketDisposition::Accepted;
 
     fn setup() -> (LrScheme, LrScheme, Vec<u8>) {
         let (base, rx, image, _) = setup_with_artifacts();
@@ -637,7 +573,7 @@ mod tests {
         let kp = Keypair::from_seed(b"bs");
         let puzzle = Puzzle::new(lrs_crypto::hash::Digest([0; 32]), 4);
         let mut forged = Bootstrap::receiver(layout(&rx.params()), kp.public(), puzzle);
-        forged.hash_page_complete(&m0);
+        forged.hash_page_complete(m0);
         assert_eq!(
             forged.handle_page_packet(2, 0, &bad),
             PacketDisposition::Accepted
@@ -647,6 +583,132 @@ mod tests {
             rx.verify_invariants(&art, &image),
             Err(InvariantViolation::UnauthenticPacket { index: 0, .. })
         ));
+    }
+
+    /// The keys [`setup_with_artifacts`] preloads on every node.
+    fn keys() -> (PublicKey, Puzzle) {
+        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
+        (
+            Keypair::from_seed(b"bs").public(),
+            Puzzle::new(chain.anchor(), 4),
+        )
+    }
+
+    /// A receiver whose hash chain was subverted at `M0`: it holds the
+    /// authentic signature and authenticates page 0 against `m0`.
+    fn subverted(art: &LrArtifacts, m0: Vec<u8>) -> Bootstrap {
+        let (params, (pubkey, puzzle)) = (art.params(), keys());
+        let mut boot = Bootstrap::receiver(layout(&params), pubkey, puzzle);
+        let signed = |root: &_| LrArtifacts::signed_message(&params, root);
+        let body = art.signature_body();
+        assert_eq!(boot.handle_signature(0, body, signed), Accepted);
+        boot.hash_page_complete(m0);
+        boot
+    }
+
+    #[test]
+    fn a_page_corrupted_as_it_completes_is_caught_by_the_next_check() {
+        let (mut base, mut rx, image, art) = setup_with_artifacts();
+        // Page 0 decodes from packets 0..k'. The last to arrive has one
+        // bit flipped, and the subverted M0 vouches for it, so the page
+        // is corrupted as it completes, never while in flight.
+        let k = rx.params().k_prime();
+        let mut packets: Vec<_> = (0..k).map(|j| base.packet_payload(2, j).unwrap()).collect();
+        packets[usize::from(k) - 1][3] ^= 1;
+        let mut m0 = vec![0u8; rx.params().hash_page_len()];
+        for (j, p) in (0u16..).zip(&packets) {
+            let at = usize::from(j) * HASH_IMAGE_LEN;
+            m0[at..at + HASH_IMAGE_LEN].copy_from_slice(&crate::packet_hash(1, 2, j, p).0);
+        }
+        rx.boot = subverted(&art, m0);
+        let mut mark = Watermark::default();
+        for (j, p) in (0u16..).zip(&packets) {
+            rx.check_invariants(&art, &image, &mut mark).unwrap();
+            assert_eq!(rx.handle_packet(2, j, p), Accepted);
+        }
+        assert_eq!(rx.complete_items(), 3, "the corrupted page is stored");
+        let watermarked = rx.check_invariants(&art, &image, &mut mark);
+        assert_eq!(watermarked, rx.verify_invariants(&art, &image));
+        assert!(matches!(
+            watermarked,
+            Err(InvariantViolation::PageMismatch {
+                page: 0,
+                packet: None,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn an_in_flight_buffer_is_checked_past_the_watermark() {
+        let (mut base, mut rx, image, art) = setup_with_artifacts();
+        let mut mark = Watermark::default();
+        while rx.complete_items() < 4 {
+            let item = rx.complete_items();
+            let j = rx.wanted(item).iter_ones().next().unwrap() as u16;
+            rx.handle_packet(item, j, &base.packet_payload(item, j).unwrap());
+            rx.check_invariants(&art, &image, &mut mark).unwrap();
+        }
+        // Two pages are stored and compared. The node is swapped for one
+        // whose page 1 tail vouches for a corrupted packet 0 of page 2:
+        // the watermark is past page 1, so only the in-flight check can
+        // catch it.
+        let mut bad = base.packet_payload(4, 0).unwrap();
+        bad[3] ^= 1;
+        let mut forged_input = art.page_input(1).to_vec();
+        let at = rx.params().page_capacity();
+        forged_input[at..at + HASH_IMAGE_LEN].copy_from_slice(&crate::packet_hash(1, 4, 0, &bad).0);
+        let mut origin = art.origin.clone();
+        origin.pages = PageStore::new(page_shape(&rx.params()), 2);
+        origin.pages.push([art.page_input(0)]);
+        origin.pages.push([&forged_input[..]]);
+        let (pubkey, puzzle) = keys();
+        rx.boot = Bootstrap::base(layout(&rx.params()), pubkey, puzzle, &origin);
+        assert_eq!(rx.complete_items(), 4);
+        rx.check_invariants(&art, &image, &mut mark).unwrap();
+        assert_eq!(rx.handle_packet(4, 0, &bad), Accepted);
+        assert!(matches!(
+            rx.check_invariants(&art, &image, &mut mark),
+            Err(InvariantViolation::UnauthenticPacket {
+                page: Some(2),
+                index: 0,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn watermarked_and_from_scratch_checks_agree_over_a_lossy_transfer() {
+        let (mut base, mut rx, image, art) = setup_with_artifacts();
+        let mut rng = lrs_rng::DetRng::seed_from_u64(46);
+        let mut mark = Watermark::default();
+        let mut check = |rx: &LrScheme| {
+            let watermarked = rx.check_invariants(&art, &image, &mut mark);
+            assert_eq!(watermarked, rx.verify_invariants(&art, &image));
+            watermarked.unwrap();
+        };
+        let mut rebooted = false;
+        while rx.complete_items() < rx.num_items() {
+            let item = rx.complete_items();
+            for j in rx.wanted(item).iter_ones().map(|j| j as u16) {
+                if rng.gen_bool(0.4) {
+                    continue;
+                }
+                rx.handle_packet(item, j, &base.packet_payload(item, j).unwrap());
+                check(&rx);
+                if rx.complete_items() > item {
+                    break;
+                }
+                if item == 4 && !rebooted {
+                    rx.reboot();
+                    check(&rx);
+                    rebooted = true;
+                    break;
+                }
+            }
+        }
+        assert!(rebooted);
+        assert_eq!(rx.image().unwrap(), image);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hash image of a data packet as transmitted on the wire:
 /// `h_{i,j} = H(version ‖ item ‖ index ‖ payload)` truncated. Both
@@ -191,26 +192,26 @@ impl PacketDigestCache {
 }
 
 /// Pre-fills a run's digest memo with the hash image of every
-/// predetermined data packet (`page_packets[i][j]` is packet `j` of wire
-/// item `i + 2`), one [`packet_hash_batch`] per page. Receivers then verify
-/// even first-contact packets against warm entries; per-node `hashes`
+/// predetermined data packet (stride `j` of page `i` of `packets` is
+/// packet `j` of wire item `i + 2`). Receivers then verify even
+/// first-contact packets against warm entries; per-node `hashes`
 /// counters are unaffected (hits land in `memoized_hashes`).
-pub fn warm_digest_cache(cache: &PacketDigestCache, version: u16, page_packets: &[Vec<Vec<u8>>]) {
-    for (item, packets) in (2u16..).zip(page_packets) {
-        let hashes = packet_hash_batch(version, item, packets);
+pub fn warm_digest_cache(cache: &PacketDigestCache, version: u16, packets: &PageStore) {
+    for (i, item) in (0..packets.pages()).zip(2u16..) {
+        let page = packets.page(i).expect("stored");
         cache.warm(
             (0u16..)
-                .zip(packets.iter().zip(hashes))
-                .map(|(j, (p, h))| ((version, item, j), p.as_slice(), h)),
+                .zip(page.chunks(packets.shape.stride))
+                .map(|(j, p)| ((version, item, j), p, packet_hash(version, item, j, p))),
         );
     }
 }
 
-/// The hash images laid end to end in `bytes` (a whole number of them).
-pub fn hash_images(bytes: &[u8]) -> Vec<HashImage> {
-    bytes
-        .chunks(HASH_IMAGE_LEN)
-        .map(|c| HashImage::from_slice(c).expect("a whole number of hash images"))
+/// The hash images laid end to end in `bytes`, less a partial one.
+fn hash_images(bytes: &[u8]) -> Vec<HashImage> {
+    let images = bytes.chunks_exact(HASH_IMAGE_LEN);
+    images
+        .map(|c| HashImage::from_slice(c).expect("whole"))
         .collect()
 }
 
@@ -326,14 +327,26 @@ pub fn frame_hash_page<B: AsRef<[u8]>>(blocks: &[B]) -> (Digest, Vec<Vec<u8>>) {
 pub struct SlotBuffer {
     slots: Vec<Option<Vec<u8>>>,
     held: usize,
+    /// Unique to this buffer since it was last emptied. Until then slots
+    /// only fill, so a stamp and a count name one content.
+    stamp: u64,
+}
+
+/// The next [`SlotBuffer`] stamp; 0 is never issued. `Relaxed` is
+/// enough: a stamp only has to differ from every other, and it publishes
+/// no other data.
+fn next_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl SlotBuffer {
     /// An empty buffer of `slots` slots.
-    fn new(slots: usize) -> Self {
+    pub(crate) fn new(slots: usize) -> Self {
         SlotBuffer {
             slots: vec![None; slots],
             held: 0,
+            stamp: next_stamp(),
         }
     }
 
@@ -360,7 +373,7 @@ impl SlotBuffer {
     }
 
     /// Copies `payload` into slot `index`, which must be empty.
-    fn store(&mut self, index: usize, payload: &[u8]) {
+    pub(crate) fn store(&mut self, index: usize, payload: &[u8]) {
         let slot = &mut self.slots[index];
         assert!(slot.is_none(), "slot {index} is already occupied");
         *slot = Some(payload.to_vec());
@@ -378,9 +391,10 @@ impl SlotBuffer {
         bits
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots.fill(None);
         self.held = 0;
+        self.stamp = next_stamp();
     }
 
     /// One slot per authentic packet, and the count matches the slots.
@@ -397,24 +411,163 @@ impl SlotBuffer {
         Ok(())
     }
 
-    /// Every held packet is byte-identical to the authentic one: nothing
-    /// unauthenticated sits in the buffer.
-    fn verify_authentic(
+    /// Every held packet is byte-identical to the authentic one
+    /// (`authentic(j)` for slot `j`): nothing unauthenticated sits in the
+    /// buffer.
+    fn verify_authentic<'a>(
         &self,
         buffer: BufferKind,
         page: Option<u32>,
-        authentic: &[Vec<u8>],
+        authentic: impl Fn(usize) -> &'a [u8],
     ) -> Result<(), InvariantViolation> {
-        match self.iter().find(|&(j, held)| held != authentic[j]) {
+        match self.iter().find(|&(j, held)| held != authentic(j)) {
             None => Ok(()),
             Some((j, held)) => Err(InvariantViolation::UnauthenticPacket {
                 buffer,
                 page,
                 index: j as u32,
-                expected: ContentDigest::of(&authentic[j]),
+                expected: ContentDigest::of(authentic(j)),
                 actual: ContentDigest::of(held),
             }),
         }
+    }
+}
+
+/// How a verified page is laid out in a [`PageStore`]: a whole number
+/// of strides, each its image bytes followed by its chain tail.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PageShape {
+    /// Bytes of one page.
+    pub page_len: usize,
+    /// Bytes of one stride.
+    pub stride: usize,
+    /// Image bytes at the front of each stride; the rest is its tail.
+    pub image_bytes: usize,
+}
+
+impl PageShape {
+    /// A page of `strides` strides of `stride` bytes, each starting with
+    /// `image_bytes` of image.
+    pub fn new(strides: usize, stride: usize, image_bytes: usize) -> Self {
+        PageShape {
+            page_len: strides * stride,
+            stride,
+            image_bytes,
+        }
+    }
+}
+
+/// A node's flash: the pages it has verified, in order, end to end in
+/// one buffer.
+///
+/// The paper's nodes write each verified page to flash before asking
+/// for the next and never download it again, so the store is
+/// append-only: a pushed page is never rewritten or removed, a reboot
+/// keeps it, and the completion counter of a scheme is read off it.
+/// Each scheme picks the [`PageShape`]:
+/// - LR-Seluge stores a page's decoded input as one stride of
+///   `k·payload_len` bytes, `page_capacity` of them image;
+/// - Seluge stores a page's packets, strides of `payload_len` bytes,
+///   `slice_len` of them image;
+/// - Deluge stores a page's packets with no tail.
+///
+/// The tails of the last stored page, laid end to end, are the hash
+/// images of the next page's packets.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PageStore {
+    shape: PageShape,
+    bytes: Vec<u8>,
+}
+
+impl PageStore {
+    /// An empty store with room for the `capacity` pages of an image,
+    /// so that storing them never moves or over-allocates the bytes.
+    pub fn new(shape: PageShape, capacity: usize) -> Self {
+        Self::from_bytes(shape, Vec::with_capacity(capacity * shape.page_len))
+    }
+
+    /// A store holding `bytes`: whole pages of `shape` end to end.
+    pub fn from_bytes(shape: PageShape, bytes: Vec<u8>) -> Self {
+        assert!(shape.page_len.is_multiple_of(shape.stride) && shape.image_bytes <= shape.stride);
+        assert!(bytes.len().is_multiple_of(shape.page_len), "whole pages");
+        PageStore { shape, bytes }
+    }
+
+    /// Number of pages stored.
+    pub fn pages(&self) -> usize {
+        self.bytes.len() / self.shape.page_len
+    }
+
+    /// Appends one page, given as `parts` laid end to end.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the parts add up to one page.
+    pub fn push<'a>(&mut self, parts: impl IntoIterator<Item = &'a [u8]>) {
+        let start = self.bytes.len();
+        for part in parts {
+            self.bytes.extend_from_slice(part);
+        }
+        assert_eq!(self.bytes.len() - start, self.shape.page_len, "one page");
+    }
+
+    /// Page `i`, if stored.
+    pub fn page(&self, i: usize) -> Option<&[u8]> {
+        let len = self.shape.page_len;
+        self.bytes.get(i * len..(i + 1) * len)
+    }
+
+    /// Stride `j` of page `i` (packet `j` of a Seluge or Deluge page).
+    pub fn stride(&self, i: usize, j: usize) -> Option<&[u8]> {
+        let stride = self.shape.stride;
+        self.page(i)?.get(j * stride..(j + 1) * stride)
+    }
+
+    /// Strides per page.
+    pub(crate) fn strides(&self) -> usize {
+        self.shape.page_len / self.shape.stride
+    }
+
+    /// The first `len` image bytes: each stride's image bytes in order.
+    pub(crate) fn image(&self, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        for stride in self.bytes.chunks(self.shape.stride) {
+            out.extend_from_slice(&stride[..self.shape.image_bytes]);
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// The hash images laid end to end in the tails of the last stored
+    /// page: those of the next page's packets.
+    pub(crate) fn chained_images(&self) -> Vec<HashImage> {
+        let last = &self.bytes[self.bytes.len().saturating_sub(self.shape.page_len)..];
+        let tails = last
+            .chunks(self.shape.stride)
+            .flat_map(|s| &s[self.shape.image_bytes..]);
+        hash_images(&tails.copied().collect::<Vec<u8>>())
+    }
+
+    /// The store still holds the `checked` pages compared before, and
+    /// every page past them is byte-identical to `origin`'s.
+    fn verify(&self, checked: usize, origin: &PageStore) -> Result<(), InvariantViolation> {
+        let stride = self.shape.stride;
+        for i in checked.min(self.pages())..self.pages().max(checked) {
+            let held = self.page(i).unwrap_or_default();
+            let authentic = origin.page(i).unwrap_or_default();
+            if held != authentic {
+                // The first diverging stride: a Seluge or Deluge packet.
+                let pairs = held.chunks(stride).zip(authentic.chunks(stride));
+                let j = pairs.take_while(|(h, a)| h == a).count();
+                return Err(InvariantViolation::PageMismatch {
+                    page: i as u32,
+                    packet: (self.strides() > 1).then_some(j as u32),
+                    expected: content_digest(authentic.chunks(stride).nth(j)),
+                    actual: content_digest(held.chunks(stride).nth(j)),
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -423,6 +576,8 @@ impl SlotBuffer {
 pub struct Layout {
     /// Code image version.
     pub version: u16,
+    /// Image length in bytes.
+    pub image_len: usize,
     /// Items in the image: signature, hash page, then the code pages.
     pub num_items: u16,
     /// Hash-page packets (the Merkle leaf count, a power of two).
@@ -433,6 +588,41 @@ pub struct Layout {
     pub page_packets: u16,
     /// Payload bytes of each code-page packet.
     pub page_payload_len: usize,
+    /// How a verified page is stored.
+    pub page_shape: PageShape,
+}
+
+/// What the base station preprocessed for one image that the bootstrap
+/// reads: the sealed signature, the hash page `M0` with its framed
+/// packets, and every page as a node stores it. The base station starts
+/// from it, and a node's state is checked against it.
+#[derive(Clone, Debug)]
+pub struct Origin {
+    /// The sealed signature body.
+    pub signature_body: Vec<u8>,
+    /// The Merkle root it signs.
+    pub root: Digest,
+    /// The hash-page packets as framed for the air.
+    pub hash_page: Vec<Vec<u8>>,
+    /// The hash page `M0` they reassemble to.
+    pub m0: Vec<u8>,
+    /// Every page as a node stores it.
+    pub pages: PageStore,
+}
+
+/// How far the invariant check has got through one node's state: the
+/// complete hash page, the content of the page buffer, the leading
+/// stored pages and the complete image it has already compared with the
+/// origin. Flash only grows (see [`PageStore`]) and a buffer only fills
+/// until it is emptied and restamped, so what was compared once never
+/// needs comparing again; an empty watermark checks everything.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Watermark {
+    hash_page: bool,
+    /// The page buffer's stamp and count when it was last compared.
+    page: (u64, usize),
+    pages: usize,
+    image: bool,
 }
 
 /// A node's side of the bootstrap: what it has authenticated so far and
@@ -442,12 +632,15 @@ pub struct Bootstrap {
     layout: Layout,
     pubkey: PublicKey,
     puzzle: Puzzle,
-    complete: u16,
     signature_body: Option<Vec<u8>>,
     root: Option<Digest>,
     hash_page: SlotBuffer,
+    /// The hash page once complete; flash, like the pages.
+    m0: Option<Vec<u8>>,
     page: SlotBuffer,
-    /// Hash images of the packets of the next page to receive.
+    pages: PageStore,
+    /// Hash images of the packets of the next page to receive, read off
+    /// `M0` or the last stored page whenever either is written.
     expected: Vec<HashImage>,
     digest_cache: Option<PacketDigestCache>,
     /// Cryptographic work performed so far; the owning scheme adds its
@@ -462,36 +655,30 @@ impl Bootstrap {
             layout,
             pubkey,
             puzzle,
-            complete: 0,
             signature_body: None,
             root: None,
             hash_page: SlotBuffer::new(layout.hash_page_packets as usize),
+            m0: None,
             page: SlotBuffer::new(layout.page_packets as usize),
+            pages: PageStore::new(layout.page_shape, usize::from(layout.num_items - 2)),
             expected: Vec::new(),
             digest_cache: None,
             cost: CryptoCost::default(),
         }
     }
 
-    /// The base station: it sealed `signature_body` over `root` itself
-    /// and holds every item. `hash_page` is the framed hash-page packets
-    /// to keep in the receive buffer, for a scheme that serves them from
-    /// there (empty otherwise).
-    pub fn base(
-        layout: Layout,
-        pubkey: PublicKey,
-        puzzle: Puzzle,
-        signature_body: &[u8],
-        root: Digest,
-        hash_page: &[Vec<u8>],
-    ) -> Self {
+    /// A node holding what `origin` preprocessed: the base station, which
+    /// sealed the signature itself, buffers the framed hash-page packets
+    /// and stores every page.
+    pub fn base(layout: Layout, pubkey: PublicKey, puzzle: Puzzle, origin: &Origin) -> Self {
         let mut boot = Self::receiver(layout, pubkey, puzzle);
-        boot.complete = layout.num_items;
-        boot.signature_body = Some(signature_body.to_vec());
-        boot.root = Some(root);
-        for (j, packet) in hash_page.iter().enumerate() {
+        boot.signature_body = Some(origin.signature_body.clone());
+        boot.root = Some(origin.root);
+        for (j, packet) in origin.hash_page.iter().enumerate() {
             boot.hash_page.store(j, packet);
         }
+        boot.pages = origin.pages.clone();
+        boot.hash_page_complete(origin.m0.clone());
         boot
     }
 
@@ -500,14 +687,19 @@ impl Bootstrap {
         self.digest_cache = Some(cache);
     }
 
-    /// Number of leading complete items.
+    /// Number of leading complete items: the signature, the hash page,
+    /// then one per stored page.
     pub fn complete(&self) -> u16 {
-        self.complete
+        match (&self.m0, &self.signature_body) {
+            (Some(_), _) => 2 + self.pages.pages() as u16,
+            (None, Some(_)) => 1,
+            (None, None) => 0,
+        }
     }
 
     /// Whether every item is complete.
     pub fn is_complete(&self) -> bool {
-        self.complete == self.layout.num_items
+        self.complete() == self.layout.num_items
     }
 
     /// The verified signature body, for serving item 0.
@@ -520,9 +712,25 @@ impl Bootstrap {
         &self.hash_page
     }
 
+    /// The hash page, once complete.
+    pub fn m0(&self) -> Option<&[u8]> {
+        self.m0.as_deref()
+    }
+
     /// The receive buffer of the page in flight.
     pub fn page(&self) -> &SlotBuffer {
         &self.page
+    }
+
+    /// The verified pages.
+    pub fn pages(&self) -> &PageStore {
+        &self.pages
+    }
+
+    /// The verified image, once every item is complete.
+    pub fn image(&self) -> Option<Vec<u8>> {
+        self.is_complete()
+            .then(|| self.pages.image(self.layout.image_len))
     }
 
     /// Which packets of `item` this node still wants (the SNACK vector).
@@ -568,13 +776,13 @@ impl Bootstrap {
         }
         self.signature_body = Some(payload.to_vec());
         self.root = Some(root);
-        self.complete = 1;
         PacketDisposition::Accepted
     }
 
     /// Item 1: checks hash-page packet `index` against the signed root
     /// and buffers it. Without a verified root nothing can be
-    /// authenticated, so everything is rejected.
+    /// authenticated, so everything is rejected; once the hash page is
+    /// complete its buffer never changes again.
     pub fn handle_hash_page(&mut self, index: u16, payload: &[u8]) -> PacketDisposition {
         let block_len = self.layout.hash_block_len;
         let depth = self.layout.hash_page_packets.trailing_zeros() as usize;
@@ -584,7 +792,7 @@ impl Bootstrap {
         let Some(root) = self.root else {
             return PacketDisposition::Rejected;
         };
-        if self.hash_page.get(index as usize).is_some() {
+        if self.m0.is_some() || self.hash_page.get(index as usize).is_some() {
             return PacketDisposition::Duplicate;
         }
         let (block, path) = payload.split_at(block_len);
@@ -600,16 +808,21 @@ impl Bootstrap {
         PacketDisposition::Accepted
     }
 
-    /// The hash images of the first page's packets, which `m0` (the
-    /// reassembled hash page) starts with.
-    pub fn first_page_images(&self, m0: &[u8]) -> Vec<HashImage> {
-        hash_images(&m0[..self.layout.page_packets as usize * HASH_IMAGE_LEN])
+    /// The hash page is complete and reassembles to `m0`, which starts
+    /// with the hash images of the first page's packets.
+    pub fn hash_page_complete(&mut self, m0: Vec<u8>) {
+        self.m0 = Some(m0);
+        self.chain();
     }
 
-    /// The hash page is complete and reassembles to `m0`.
-    pub fn hash_page_complete(&mut self, m0: &[u8]) {
-        self.expected = self.first_page_images(m0);
-        self.complete = 2;
+    /// Reads the hash images the next page's packets must match off the
+    /// last stored page, or off `M0` before the first.
+    fn chain(&mut self) {
+        let len = usize::from(self.layout.page_packets) * HASH_IMAGE_LEN;
+        self.expected = match (self.pages.pages(), &self.m0) {
+            (0, Some(m0)) => hash_images(m0.get(..len).unwrap_or_default()),
+            _ => self.pages.chained_images(),
+        };
     }
 
     /// Items `2..`: checks packet `index` of the page in flight against
@@ -652,101 +865,104 @@ impl Bootstrap {
         PacketDisposition::Accepted
     }
 
-    /// Moves the packets of a fully received page out of its buffer.
-    pub fn take_page(&mut self) -> Vec<Vec<u8>> {
-        self.page.held = 0;
-        let taken = self.page.slots.iter_mut().map(Option::take);
-        taken.collect::<Option<_>>().expect("page is full")
-    }
-
-    /// The page in flight is complete and carried `next`, the hash images
-    /// of the following page's packets.
-    pub fn page_complete(&mut self, next: Vec<HashImage>) {
+    /// The page in flight is complete: `page` is what to store of it.
+    pub fn store_page(&mut self, page: &[u8]) {
+        self.pages.push([page]);
         self.page.clear();
-        self.expected = next;
-        self.complete += 1;
+        self.chain();
     }
 
-    /// Drops the received hash-page packets (RAM lost in a reboot).
-    pub fn clear_hash_page(&mut self) {
-        self.hash_page.clear();
-    }
-
-    /// Re-enters dissemination after a reboot. The partially received
-    /// page is RAM and is lost; the verified signature is flash and is
-    /// kept. The scheme says what else its flash holds: whether the hash
-    /// page survived (`m0_done`), how many completed `pages`, and the
-    /// hash images (`expected`) the last surviving item carries for the
-    /// next page.
-    pub fn resume(&mut self, m0_done: bool, pages: usize, expected: Vec<HashImage>) {
+    /// The page in flight is complete: stores its packets as received.
+    pub fn store_received_page(&mut self) {
+        self.pages.push(self.page.iter().map(|(_, p)| p));
         self.page.clear();
-        self.complete = match (&self.signature_body, m0_done) {
-            (None, _) => 0,
-            (Some(_), false) => 1,
-            (Some(_), true) => 2 + pages as u16,
-        };
-        self.expected = expected;
+        self.chain();
+    }
+
+    /// Re-enters dissemination after a reboot. RAM is lost: the page in
+    /// flight and an incomplete hash page. Flash is kept: the verified
+    /// signature, the complete hash page and the stored pages, from which
+    /// the node resumes.
+    pub fn reboot(&mut self) {
+        self.page.clear();
+        if self.m0.is_none() {
+            self.hash_page.clear();
+        }
     }
 
     /// Checks the scheme-independent invariants the chaos layer enforces
-    /// after every delivery (DESIGN.md §7) against the base station's
-    /// preprocessing output: the completion counter stays within the
-    /// item count; both receive buffers hold one slot per authentic
-    /// packet (the paper's `n0` / `n` bounds) and their counts match the
-    /// occupied slots; every buffered packet is byte-identical to the
-    /// authentic one, and page packets are only buffered while a page is
-    /// in flight; the stored signature body is the authentic one.
+    /// (DESIGN.md §7) against the base station's `origin`, the code-page
+    /// `packets` it sends and the `image`, skipping what `mark` says was
+    /// compared before and advancing it:
+    /// - the completion counter stays within the item count;
+    /// - both receive buffers hold one slot per authentic packet (the
+    ///   paper's `n0` / `n` bounds), their counts match the occupied
+    ///   slots, and every buffered packet is byte-identical to the
+    ///   authentic one; the hash page once, when complete, and the page
+    ///   in flight, which must be the next one to store, whenever its
+    ///   stamp or count moved;
+    /// - the stored signature body is the authentic one;
+    /// - the store still holds every page `mark` covers, and each page
+    ///   past it is byte-identical to the origin's;
+    /// - once, when complete, the image is byte-identical to the origin.
     pub fn verify_invariants(
         &self,
-        signature_body: &[u8],
-        hash_page_packets: &[Vec<u8>],
-        page_packets: &[Vec<Vec<u8>>],
+        origin: &Origin,
+        packets: &PageStore,
+        image: &[u8],
+        mark: &mut Watermark,
     ) -> Result<(), InvariantViolation> {
-        let (complete, total) = (self.complete, self.layout.num_items);
+        let (complete, total) = (self.complete(), self.layout.num_items);
         if complete > total {
             return Err(InvariantViolation::CompletionOverflow {
                 complete: u64::from(complete),
                 total: u64::from(total),
             });
         }
-        let hash_page = BufferKind::HashPage;
-        self.hash_page
-            .verify_bound(hash_page, hash_page_packets.len())?;
-        self.hash_page
-            .verify_authentic(hash_page, None, hash_page_packets)?;
-        self.page
-            .verify_bound(BufferKind::Page, page_packets[0].len())?;
-        if self.page.held > 0 {
-            if !(2..total).contains(&complete) {
-                return Err(InvariantViolation::UnexpectedBufferOccupancy {
-                    complete: u64::from(complete),
-                });
-            }
-            let page = usize::from(complete - 2);
-            self.page
-                .verify_authentic(BufferKind::Page, Some(page as u32), &page_packets[page])?;
+        if !mark.hash_page {
+            let hash_page = BufferKind::HashPage;
+            self.hash_page
+                .verify_bound(hash_page, origin.hash_page.len())?;
+            self.hash_page
+                .verify_authentic(hash_page, None, |j| &origin.hash_page[j])?;
+            mark.hash_page = self.m0.is_some();
         }
-        if complete >= 1 && self.signature_body.as_deref() != Some(signature_body) {
+        if mark.page != (self.page.stamp, self.page.held) {
+            self.page
+                .verify_bound(BufferKind::Page, packets.strides())?;
+            if self.page.held > 0 {
+                if !(2..total).contains(&complete) {
+                    return Err(InvariantViolation::UnexpectedBufferOccupancy {
+                        complete: u64::from(complete),
+                    });
+                }
+                let page = usize::from(complete - 2);
+                let authentic = |j| packets.stride(page, j).unwrap_or_default();
+                self.page
+                    .verify_authentic(BufferKind::Page, Some(page as u32), authentic)?;
+            }
+            mark.page = (self.page.stamp, self.page.held);
+        }
+        if complete >= 1 && self.signature_body.as_ref() != Some(&origin.signature_body) {
             return Err(InvariantViolation::SignatureMismatch {
-                expected: ContentDigest::of(signature_body),
+                expected: ContentDigest::of(&origin.signature_body),
                 actual: content_digest(self.signature_body.as_deref()),
             });
         }
-        Ok(())
-    }
-
-    /// A complete node's reassembled image (`held`) is byte-identical to
-    /// the origin `image`.
-    pub fn verify_image(
-        &self,
-        held: Option<Vec<u8>>,
-        image: &[u8],
-    ) -> Result<(), InvariantViolation> {
-        if self.is_complete() && held.as_deref() != Some(image) {
-            return Err(InvariantViolation::ImageMismatch {
-                expected: ContentDigest::of(image),
-                actual: content_digest(held.as_deref()),
-            });
+        let stored = self.pages.pages();
+        if mark.pages != stored {
+            self.pages.verify(mark.pages, &origin.pages)?;
+            mark.pages = stored;
+        }
+        if complete == total && !mark.image {
+            let held = self.image().expect("complete");
+            if held != image {
+                return Err(InvariantViolation::ImageMismatch {
+                    expected: ContentDigest::of(image),
+                    actual: ContentDigest::of(&held),
+                });
+            }
+            mark.image = true;
         }
         Ok(())
     }
@@ -762,13 +978,23 @@ mod tests {
     use super::*;
     use lrs_crypto::sha256::sha256_concat;
 
+    /// Seluge's page shape: packets of 12 image bytes and one chained
+    /// hash image.
+    const SHAPE: PageShape = PageShape {
+        page_len: 80,
+        stride: 20,
+        image_bytes: 12,
+    };
+
     const LAYOUT: Layout = Layout {
         version: 1,
+        image_len: 90,
         num_items: 4,
         hash_page_packets: 4,
         hash_block_len: 8,
         page_packets: 4,
         page_payload_len: 20,
+        page_shape: SHAPE,
     };
 
     fn signed(root: &Digest) -> Digest {
@@ -810,6 +1036,44 @@ mod tests {
         fn receiver(&self) -> Bootstrap {
             Bootstrap::receiver(LAYOUT, self.keys.keypair.public(), self.keys.puzzle)
         }
+
+        /// The origin of a two-page image whose pages are both
+        /// [`page`] (the chain past `M0` is not followed here).
+        fn origin(&self) -> Origin {
+            Origin {
+                signature_body: self.body.clone(),
+                root: self.root,
+                hash_page: self.hash_page.clone(),
+                m0: self.m0.clone(),
+                pages: two_pages().0,
+            }
+        }
+
+        fn base(&self) -> Bootstrap {
+            let (pubkey, puzzle) = (self.keys.keypair.public(), self.keys.puzzle);
+            Bootstrap::base(LAYOUT, pubkey, puzzle, &self.origin())
+        }
+    }
+
+    /// `node` checked against `origin`, whose pages are also the packets
+    /// sent, and `image`, from `mark`.
+    fn check(
+        node: &Bootstrap,
+        origin: &Origin,
+        image: &[u8],
+        mark: &mut Watermark,
+    ) -> Result<(), InvariantViolation> {
+        node.verify_invariants(origin, &origin.pages, image, mark)
+    }
+
+    /// Two copies of [`page`] and the 90 image bytes they carry.
+    fn two_pages() -> (PageStore, Vec<u8>) {
+        let mut pages = PageStore::new(SHAPE, 2);
+        for _ in 0..2 {
+            pages.push(page().iter().map(Vec::as_slice));
+        }
+        let image = pages.image(LAYOUT.image_len);
+        (pages, image)
     }
 
     #[test]
@@ -922,7 +1186,7 @@ mod tests {
         let mut rx = s.receiver();
         // Nothing delivered hash images yet.
         assert_eq!(rx.handle_page_packet(2, 0, &page[0]), Rejected);
-        rx.hash_page_complete(&s.m0);
+        rx.hash_page_complete(s.m0.clone());
         assert_eq!(rx.complete(), 2);
 
         let mut flipped = page[1].clone();
@@ -940,7 +1204,7 @@ mod tests {
         // A second node of the run is served the memoized digest and
         // still counts the hash.
         let mut rx2 = s.receiver();
-        rx2.hash_page_complete(&s.m0);
+        rx2.hash_page_complete(s.m0.clone());
         rx2.set_digest_cache(cache);
         assert_eq!(rx2.handle_page_packet(2, 1, &page[1]), Accepted);
         assert_eq!((rx2.cost.hashes, rx2.cost.memoized_hashes), (1, 1));
@@ -949,9 +1213,9 @@ mod tests {
             assert!(!rx.page().is_full());
             assert_eq!(rx.handle_page_packet(2, j, &page[j as usize]), Accepted);
         }
-        assert_eq!(rx.take_page(), page);
-        rx.page_complete(hash_images(&[0u8; 32]));
+        rx.store_received_page();
         assert_eq!((rx.complete(), rx.page().held()), (3, 0));
+        assert_eq!(rx.pages().page(0), Some(&page.concat()[..]));
         assert_eq!(rx.wanted(3).count_ones(), 4);
     }
 
@@ -965,18 +1229,11 @@ mod tests {
 
     #[test]
     fn invariants_catch_buffers_out_of_step_with_their_counts() {
-        let s = sealed(4);
-        let pages = [page()];
-        let base = Bootstrap::base(
-            LAYOUT,
-            s.keys.keypair.public(),
-            s.keys.puzzle,
-            &s.body,
-            s.root,
-            &s.hash_page,
-        );
-        let check = |b: &Bootstrap| b.verify_invariants(&s.body, &s.hash_page, &pages);
-        assert_eq!((check(&base), base.hash_page().is_full()), (Ok(()), true));
+        let (s, image) = (sealed(4), two_pages().1);
+        let (origin, base) = (s.origin(), s.base());
+        let verify = |b: &Bootstrap| check(b, &origin, &image, &mut Watermark::default());
+        assert_eq!((verify(&base), base.is_complete()), (Ok(()), true));
+        assert_eq!(base.image(), Some(image.clone()));
 
         let mut miscounted = base.clone();
         miscounted.page.held = 1;
@@ -986,46 +1243,147 @@ mod tests {
             held: 0,
             count: 1,
         };
-        assert_eq!(check(&miscounted), Err(bound));
+        assert_eq!(verify(&miscounted), Err(bound));
         let mut short = base.clone();
         short.hash_page.slots.pop();
-        assert_eq!(check(&short).unwrap_err().kind(), "buffer_bound");
+        assert_eq!(verify(&short).unwrap_err().kind(), "buffer_bound");
         let mut corrupt = base.clone();
         corrupt.hash_page.slots[2].as_mut().unwrap()[0] ^= 1;
-        assert_eq!(check(&corrupt).unwrap_err().kind(), "unauthentic_packet");
+        assert_eq!(verify(&corrupt).unwrap_err().kind(), "unauthentic_packet");
         // Page packets held although no page is in flight.
         let mut idle = base.clone();
-        idle.page.store(0, &pages[0][0]);
-        assert_eq!(check(&idle).unwrap_err().kind(), "unexpected_buffer");
+        idle.page.store(0, &page()[0]);
+        assert_eq!(verify(&idle).unwrap_err().kind(), "unexpected_buffer");
         let mut overflowed = base.clone();
-        overflowed.complete = 5;
+        overflowed.pages.push(page().iter().map(Vec::as_slice));
         assert_eq!(
-            check(&overflowed).unwrap_err().kind(),
+            verify(&overflowed).unwrap_err().kind(),
             "completion_overflow"
         );
-        let mismatch = base.verify_invariants(&s.body[1..], &s.hash_page, &pages);
+        let mut forged_body = s.origin();
+        forged_body.signature_body.pop();
+        let mismatch = check(&base, &forged_body, &image, &mut Watermark::default());
         assert_eq!(mismatch.unwrap_err().kind(), "signature_mismatch");
-        assert!(base.verify_image(Some(vec![1, 2]), &[1, 2]).is_ok());
-        assert!(base.verify_image(Some(vec![1, 3]), &[1, 2]).is_err());
-        assert!(base.verify_image(None, &[1, 2]).is_err());
     }
 
     #[test]
-    fn resume_re_enters_from_what_flash_holds() {
+    fn flash_is_compared_once_and_buffers_every_time() {
+        let (s, image) = (sealed(4), two_pages().1);
+        let (origin, base) = (s.origin(), s.base());
+        let mut wrong_image = image.clone();
+        wrong_image[0] ^= 1;
+        // Packet 2 of page 1 has one bit flipped.
+        let at = SHAPE.page_len + 2 * SHAPE.stride;
+        let mut wrong_page = s.origin();
+        wrong_page.pages.bytes[at] ^= 1;
+        // From an empty watermark the image and every page are compared.
+        let fresh = || Watermark::default();
+        let mismatch = check(&base, &origin, &wrong_image, &mut fresh());
+        assert_eq!(mismatch.unwrap_err().kind(), "image_mismatch");
+        assert_eq!(
+            check(&base, &wrong_page, &image, &mut fresh()),
+            Err(InvariantViolation::PageMismatch {
+                page: 1,
+                packet: Some(2),
+                expected: ContentDigest::of(&wrong_page.pages.bytes[at..at + SHAPE.stride]),
+                actual: ContentDigest::of(&origin.pages.bytes[at..at + SHAPE.stride]),
+            })
+        );
+        // Past a watermark that covers them they are not compared again,
+        // while the buffers and the signature still are.
+        let mut mark = fresh();
+        assert_eq!(check(&base, &origin, &image, &mut mark), Ok(()));
+        assert_eq!(
+            check(&base, &origin, &wrong_image, &mut mark.clone()),
+            Ok(())
+        );
+        assert_eq!(check(&base, &wrong_page, &image, &mut mark.clone()), Ok(()));
+        let mut corrupt = base.clone();
+        corrupt.page.store(0, &page()[0]);
+        let occupied = check(&corrupt, &origin, &image, &mut mark.clone());
+        assert_eq!(occupied.unwrap_err().kind(), "unexpected_buffer");
+        // A store holding fewer pages than the watermark covers lost one.
+        let lost = check(&s.receiver(), &origin, &image, &mut mark);
+        let missing = InvariantViolation::PageMismatch {
+            page: 0,
+            packet: Some(0),
+            expected: ContentDigest::of(&page()[0]),
+            actual: ContentDigest::MISSING,
+        };
+        assert_eq!(lost, Err(missing));
+    }
+
+    #[test]
+    fn a_page_buffer_is_compared_whenever_it_changed() {
+        let (s, image) = (sealed(4), two_pages().1);
+        let origin = s.origin();
+        let mut rx = s.receiver();
+        rx.handle_signature(0, &s.body, signed);
+        rx.hash_page_complete(s.m0.clone());
+        assert_eq!(rx.handle_page_packet(2, 0, &page()[0]), Accepted);
+        let mut mark = Watermark::default();
+        assert_eq!(check(&rx, &origin, &image, &mut mark), Ok(()));
+        // Emptied by a reboot and refilled to the same count with a
+        // packet the chain never vouched for: a new content, so it is
+        // compared although the count is the one the watermark saw.
+        rx.reboot();
+        rx.page.store(0, &page()[1]);
+        let refilled = check(&rx, &origin, &image, &mut mark);
+        assert_eq!(refilled.unwrap_err().kind(), "unauthentic_packet");
+    }
+
+    #[test]
+    fn page_store_appends_pages_and_reads_their_chain() {
+        // Seluge's shape: one hash image in the tail of every stride.
+        let (pages, image) = two_pages();
+        assert_eq!((pages.pages(), pages.strides()), (2, 4));
+        assert_eq!(pages.stride(1, 3), Some(&page()[3][..]));
+        assert_eq!((pages.stride(1, 4), pages.page(2)), (None, None));
+        let slices: Vec<u8> = page().iter().flat_map(|p| p[..12].to_vec()).collect();
+        assert_eq!(image, [&slices[..], &slices[..42]].concat());
+        let chain: Vec<_> = (0..4).map(|j| HashImage([j; 8])).collect();
+        assert_eq!(pages.chained_images(), chain);
+        // LR-Seluge's shape: the page is one stride whose tail holds
+        // every hash image of the next page.
+        let mut store = PageStore::new(PageShape::new(1, 40, 16), 1);
+        assert!(store.chained_images().is_empty(), "nothing stored yet");
+        let input: Vec<u8> = (0..40).collect();
+        store.push([&input[..10], &input[10..]]);
+        assert_eq!(store.chained_images(), hash_images(&input[16..]));
+        assert_eq!(store.chained_images().len(), 3);
+        assert_eq!(store.image(99), input[..16]);
+        // Deluge's shape has no tail and so no chain; a store can also be
+        // made of whole pages at once.
+        let store = PageStore::from_bytes(PageShape::new(2, 20, 20), input.clone());
+        assert!(store.chained_images().is_empty());
+        assert_eq!((store.pages(), store.image(30)), (1, input[..30].to_vec()));
+    }
+
+    #[test]
+    #[should_panic(expected = "one page")]
+    fn page_store_refuses_a_partial_page() {
+        PageStore::new(SHAPE, 1).push([&[0u8; 79][..]]);
+    }
+
+    #[test]
+    fn reboot_keeps_what_flash_holds() {
         let s = sealed(4);
         let mut rx = s.receiver();
-        rx.resume(false, 0, Vec::new());
+        rx.reboot();
         assert_eq!(rx.complete(), 0, "nothing verified, nothing kept");
         rx.handle_signature(0, &s.body, signed);
         rx.handle_hash_page(0, &s.hash_page[0]);
-        rx.clear_hash_page();
-        rx.resume(false, 0, Vec::new());
+        rx.reboot();
         assert_eq!((rx.complete(), rx.hash_page().held()), (1, 0));
-        rx.hash_page_complete(&s.m0);
+        // A complete hash page is flash and never changes again.
+        assert_eq!(rx.handle_hash_page(0, &s.hash_page[0]), Accepted);
+        rx.hash_page_complete(s.m0.clone());
+        assert_eq!(rx.handle_hash_page(1, &s.hash_page[1]), Duplicate);
         rx.handle_page_packet(2, 0, &page()[0]);
-        rx.resume(true, 1, hash_images(&[9u8; 32]));
-        assert_eq!((rx.complete(), rx.page().held()), (3, 0));
-        assert_eq!(rx.expected, hash_images(&[9u8; 32]));
+        rx.reboot();
+        assert_eq!((rx.complete(), rx.page().held()), (2, 0));
+        assert_eq!(rx.hash_page().held(), 1);
+        assert_eq!(rx.handle_page_packet(2, 0, &page()[0]), Accepted);
     }
 
     /// A distinct hash image per small integer, for the memo tests.

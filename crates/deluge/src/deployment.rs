@@ -10,7 +10,7 @@
 //! with and hands out ready protocol nodes.
 
 use crate::attack::AttackerProfile;
-use crate::bootstrap::{DeploymentKeys, PacketDigestCache};
+use crate::bootstrap::{DeploymentKeys, PacketDigestCache, Watermark};
 use crate::engine::{DisseminationNode, EngineConfig, Scheme};
 use crate::policy::TxPolicy;
 use crate::wire::MAX_PAYLOAD_LEN;
@@ -171,15 +171,20 @@ pub trait SchemeFamily: Scheme + Sized + 'static {
     fn image(&self) -> Option<Vec<u8>>;
 
     /// Checks the scheme's protocol invariants against the origin
-    /// `artifacts` and `image` (DESIGN.md §7).
+    /// `artifacts` and `image` (DESIGN.md §7), skipping the verified
+    /// flash that `mark` says an earlier check of this node compared,
+    /// and advancing it. The per-delivery checker keeps one `mark` per
+    /// node; from an empty one ([`Deployment::verify`], the schemes'
+    /// own `verify_invariants`) everything is compared.
     ///
     /// # Errors
     ///
     /// The first violated invariant.
-    fn verify_invariants(
+    fn check_invariants(
         &self,
         artifacts: &Self::Artifacts,
         image: &[u8],
+        mark: &mut Watermark,
     ) -> Result<(), InvariantViolation>;
 
     /// The constants an attacker must mimic to look like this scheme.
@@ -314,7 +319,8 @@ impl<S: SchemeFamily> Deployment<S> {
     ///
     /// The first violated invariant.
     pub fn verify(&self, scheme: &S) -> Result<(), InvariantViolation> {
-        scheme.verify_invariants(&self.artifacts, &self.image)
+        let mark = &mut Watermark::default();
+        scheme.check_invariants(&self.artifacts, &self.image, mark)
     }
 
     /// Builds the protocol node for `id` (`base_id` gets the full image).

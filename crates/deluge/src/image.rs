@@ -7,7 +7,7 @@
 //! experiments demonstrate).
 
 use crate::attack::AttackerProfile;
-use crate::bootstrap::DeploymentKeys;
+use crate::bootstrap::{DeploymentKeys, PageShape, PageStore, SlotBuffer, Watermark};
 use crate::deployment::{
     check_image_len, check_layout, check_payload_len, ParamError, SchemeFamily,
 };
@@ -46,14 +46,20 @@ impl ImageParams {
     pub fn page_capacity(&self) -> usize {
         self.packets_per_page as usize * self.payload_len
     }
+
+    /// How a page is stored: its packets, with no tail.
+    fn page_shape(&self) -> PageShape {
+        let len = self.payload_len;
+        PageShape::new(self.packets_per_page.into(), len, len)
+    }
 }
 
 /// A fully materialized image at the base station.
 #[derive(Clone, Debug)]
 pub struct DelugeImage {
     params: ImageParams,
-    /// Image data zero-padded to `pages * page_capacity`.
-    padded: Vec<u8>,
+    /// Image data zero-padded to `pages * page_capacity`, page by page.
+    pages: PageStore,
 }
 
 impl DelugeImage {
@@ -82,30 +88,8 @@ impl DelugeImage {
         check_image_len(&data, params.image_len)?;
         let mut padded = data;
         padded.resize(params.pages() as usize * params.page_capacity(), 0);
-        Ok(DelugeImage { params, padded })
-    }
-
-    /// Layout parameters.
-    pub fn params(&self) -> ImageParams {
-        self.params
-    }
-
-    /// The payload of packet `index` of `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of range.
-    pub fn packet(&self, page: u16, index: u16) -> Vec<u8> {
-        assert!(page < self.params.pages(), "page out of range");
-        assert!(index < self.params.packets_per_page, "packet out of range");
-        let off =
-            page as usize * self.params.page_capacity() + index as usize * self.params.payload_len;
-        self.padded[off..off + self.params.payload_len].to_vec()
-    }
-
-    /// The original (unpadded) image bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.padded[..self.params.image_len]
+        let pages = PageStore::from_bytes(params.page_shape(), padded);
+        Ok(DelugeImage { params, pages })
     }
 }
 
@@ -113,21 +97,18 @@ impl DelugeImage {
 #[derive(Clone, Debug)]
 pub struct DelugeScheme {
     params: ImageParams,
-    complete: u16,
-    /// Concatenated payloads of complete pages.
-    assembled: Vec<u8>,
+    /// Completed pages: flash.
+    pages: PageStore,
     /// Packets of the page currently being received.
-    current: Vec<Option<Vec<u8>>>,
+    current: SlotBuffer,
 }
 
 impl DelugeScheme {
     /// The base-station side: starts with every page complete.
     pub fn base(image: &DelugeImage) -> Self {
         DelugeScheme {
-            params: image.params(),
-            complete: image.params().pages(),
-            assembled: image.padded.clone(),
-            current: Vec::new(),
+            pages: image.pages.clone(),
+            ..Self::receiver(image.params)
         }
     }
 
@@ -135,19 +116,15 @@ impl DelugeScheme {
     pub fn receiver(params: ImageParams) -> Self {
         DelugeScheme {
             params,
-            complete: 0,
-            assembled: Vec::new(),
-            current: vec![None; params.packets_per_page as usize],
+            pages: PageStore::new(params.page_shape(), usize::from(params.pages())),
+            current: SlotBuffer::new(params.packets_per_page as usize),
         }
     }
 
     /// The reassembled image, once all pages are complete.
     pub fn image(&self) -> Option<Vec<u8>> {
-        if self.complete == self.params.pages() {
-            Some(self.assembled[..self.params.image_len].to_vec())
-        } else {
-            None
-        }
+        (self.complete_items() == self.params.pages())
+            .then(|| self.pages.image(self.params.image_len))
     }
 
     /// Layout parameters.
@@ -174,47 +151,37 @@ impl Scheme for DelugeScheme {
     }
 
     fn complete_items(&self) -> u16 {
-        self.complete
+        self.pages.pages() as u16
     }
 
     fn handle_packet(&mut self, item: u16, index: u16, payload: &[u8]) -> PacketDisposition {
-        debug_assert_eq!(item, self.complete, "engine only feeds the next item");
+        debug_assert_eq!(
+            item,
+            self.complete_items(),
+            "engine only feeds the next item"
+        );
         if index >= self.params.packets_per_page || payload.len() != self.params.payload_len {
             return PacketDisposition::Rejected;
         }
-        let slot = &mut self.current[index as usize];
-        if slot.is_some() {
+        if self.current.get(index as usize).is_some() {
             return PacketDisposition::Duplicate;
         }
-        *slot = Some(payload.to_vec());
-        if self.current.iter().all(|s| s.is_some()) {
-            for slot in &mut self.current {
-                let packet = slot.take().expect("all present");
-                self.assembled.extend_from_slice(&packet);
-            }
-            self.complete += 1;
+        self.current.store(index as usize, payload);
+        if self.current.is_full() {
+            self.pages.push(self.current.iter().map(|(_, p)| p));
+            self.current.clear();
         }
         PacketDisposition::Accepted
     }
 
     fn wanted(&self, item: u16) -> BitVec {
-        debug_assert_eq!(item, self.complete);
-        let mut bits = BitVec::zeros(self.params.packets_per_page as usize);
-        for (i, slot) in self.current.iter().enumerate() {
-            if slot.is_none() {
-                bits.set(i, true);
-            }
-        }
-        bits
+        debug_assert_eq!(item, self.complete_items());
+        self.current.wanted()
     }
 
     fn packet_payload(&mut self, item: u16, index: u16) -> Option<Vec<u8>> {
-        if item >= self.complete || index >= self.params.packets_per_page {
-            return None;
-        }
-        let off =
-            item as usize * self.params.page_capacity() + index as usize * self.params.payload_len;
-        Some(self.assembled[off..off + self.params.payload_len].to_vec())
+        let packet = self.pages.stride(usize::from(item), usize::from(index))?;
+        Some(packet.to_vec())
     }
 
     fn item_kind(&self, _item: u16) -> PacketKind {
@@ -222,11 +189,9 @@ impl Scheme for DelugeScheme {
     }
 
     fn reboot(&mut self) {
-        // Completed pages live in `assembled` (flash); only the partially
-        // received page is RAM and is lost.
-        for slot in &mut self.current {
-            *slot = None;
-        }
+        // Completed pages are flash; only the partially received page is
+        // RAM and is lost.
+        self.current.clear();
     }
 }
 
@@ -269,10 +234,11 @@ impl SchemeFamily for DelugeScheme {
         DelugeScheme::image(self)
     }
 
-    fn verify_invariants(
+    fn check_invariants(
         &self,
         _artifacts: &DelugeImage,
         _image: &[u8],
+        _mark: &mut Watermark,
     ) -> Result<(), InvariantViolation> {
         Ok(())
     }
@@ -302,9 +268,12 @@ mod tests {
         }
     }
 
+    fn data() -> Vec<u8> {
+        (0..1000u32).map(|i| (i % 251) as u8).collect()
+    }
+
     fn test_image() -> DelugeImage {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        DelugeImage::new(data, params())
+        DelugeImage::new(data(), params())
     }
 
     #[test]
@@ -323,13 +292,15 @@ mod tests {
         let img = test_image();
         let mut scheme = DelugeScheme::base(&img);
         assert_eq!(scheme.complete_items(), 4);
-        for page in 0..4 {
-            for idx in 0..4 {
-                let p = scheme.packet_payload(page, idx).unwrap();
-                assert_eq!(p, img.packet(page, idx));
+        let mut padded = data();
+        padded.resize(1024, 0);
+        for (page, packets) in (0..4).zip(padded.chunks(256)) {
+            for (idx, packet) in (0..4).zip(packets.chunks(64)) {
+                assert_eq!(scheme.packet_payload(page, idx).unwrap(), packet);
             }
+            assert_eq!(scheme.packet_payload(page, 4), None);
         }
-        assert_eq!(scheme.image().unwrap(), img.bytes());
+        assert_eq!(scheme.image().unwrap(), data());
     }
 
     #[test]
@@ -350,7 +321,7 @@ mod tests {
             }
             assert_eq!(rx.complete_items(), page + 1);
         }
-        assert_eq!(rx.image().unwrap(), img.bytes());
+        assert_eq!(rx.image().unwrap(), data());
     }
 
     #[test]
@@ -417,7 +388,7 @@ mod tests {
                 rx.handle_packet(page, idx, &p);
             }
         }
-        assert_eq!(rx.image().unwrap(), img.bytes());
+        assert_eq!(rx.image().unwrap(), data());
     }
 
     #[test]

@@ -134,7 +134,9 @@ pub enum InvariantViolation {
         /// Digest of the stored body (or [`ContentDigest::MISSING`]).
         actual: ContentDigest,
     },
-    /// A completed page's bytes differ from preprocessing.
+    /// A completed page's bytes differ from preprocessing, or a page
+    /// checked before is no longer held (`actual` is
+    /// [`ContentDigest::MISSING`]).
     PageMismatch {
         /// The diverging page.
         page: u32,
@@ -144,14 +146,6 @@ pub enum InvariantViolation {
         expected: ContentDigest,
         /// Digest of the node's bytes.
         actual: ContentDigest,
-    },
-    /// Fewer completed pages are held than the completion counter
-    /// implies.
-    PagesMissing {
-        /// The node's completion counter.
-        complete: u64,
-        /// Completed pages actually held.
-        held: u64,
     },
     /// A complete node's reassembled image differs from the origin.
     ImageMismatch {
@@ -177,7 +171,6 @@ impl InvariantViolation {
             InvariantViolation::UnexpectedBufferOccupancy { .. } => "unexpected_buffer",
             InvariantViolation::SignatureMismatch { .. } => "signature_mismatch",
             InvariantViolation::PageMismatch { .. } => "page_mismatch",
-            InvariantViolation::PagesMissing { .. } => "pages_missing",
             InvariantViolation::ImageMismatch { .. } => "image_mismatch",
             InvariantViolation::Custom { .. } => "custom",
         }
@@ -227,12 +220,6 @@ impl fmt::Display for InvariantViolation {
                 Some(j) => write!(f, "completed page {page} packet {j} differs"),
                 None => write!(f, "decoded page {page} differs from preprocessing"),
             },
-            InvariantViolation::PagesMissing { complete, held } => {
-                write!(
-                    f,
-                    "complete={complete} but only {held} completed pages held"
-                )
-            }
             InvariantViolation::ImageMismatch { .. } => {
                 write!(f, "complete node's image differs from origin")
             }

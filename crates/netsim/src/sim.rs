@@ -246,6 +246,7 @@ impl<P: Protocol> Simulator<P> {
                     b: 0,
                 });
                 self.with_node(i, |n, ctx| n.on_reboot(ctx));
+                self.check_invariant(node);
             }
             FaultEvent::ClockDrift { node, ppm, .. } => {
                 self.drift_ppm[node.index()] = ppm;
@@ -340,6 +341,12 @@ impl<P: Protocol> Simulator<P> {
             if next_fault.is_some_and(|f| f <= at) {
                 self.now = at;
                 self.apply_next_fault();
+                // A reboot is checked like a delivery; the watchdog only
+                // looks after events of the queue.
+                if self.violation.is_some() {
+                    stopped = Some(Outcome::InvariantViolated);
+                    break;
+                }
                 continue;
             }
             let (at, event) = self.queue.pop().expect("peeked");
@@ -691,6 +698,7 @@ mod tests {
         is_source: bool,
         pings_heard: u32,
         goal: u32,
+        reboots: u32,
     }
 
     impl Protocol for Pinger {
@@ -711,6 +719,10 @@ mod tests {
         }
         fn progress(&self) -> u64 {
             u64::from(self.pings_heard)
+        }
+        fn on_reboot(&mut self, ctx: &mut Context<'_>) {
+            self.reboots += 1;
+            self.on_init(ctx);
         }
     }
 
@@ -735,6 +747,7 @@ mod tests {
             is_source: id == NodeId(0),
             pings_heard: 0,
             goal: goals[id.index()],
+            reboots: 0,
         })
     }
 
@@ -893,6 +906,30 @@ mod tests {
             }
         );
         assert!(record.to_string().contains("on n1: pings_heard"));
+    }
+
+    #[test]
+    fn invariant_checker_runs_after_a_reboot() {
+        // Receiver 2 crashes between the first two pings and reboots
+        // between the second and the third; only the reboot breaks the
+        // invariant, and the run stops there, not at the next delivery.
+        let mut plan = FaultPlan::new();
+        let reboot_at = SimTime(2_500_000);
+        plan.crash_and_reboot(NodeId(2), SimTime(1_500_000), Duration::from_secs(1));
+        let report = pinger(1)
+            .faults(plan)
+            .invariants(|node: &Pinger, _id| match node.reboots {
+                0 => Ok(()),
+                n => Err(InvariantViolation::Custom {
+                    message: format!("rebooted {n} time(s)"),
+                }),
+            })
+            .build()
+            .run(Duration::from_secs(60));
+        assert_eq!(report.outcome, Outcome::InvariantViolated);
+        assert_eq!(report.final_time, reboot_at);
+        let record = report.violation.expect("violation");
+        assert_eq!((record.node, record.at), (NodeId(2), reboot_at));
     }
 
     #[test]

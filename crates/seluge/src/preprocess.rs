@@ -10,7 +10,8 @@ use lrs_crypto::puzzle::PuzzleKeyChain;
 use lrs_crypto::schnorr::Keypair;
 use lrs_crypto::sha256::sha256_concat;
 use lrs_deluge::bootstrap::{
-    frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, PacketDigestCache,
+    frame_hash_page, packet_hash_batch, seal_signature_body, warm_digest_cache, Origin,
+    PacketDigestCache, PageShape, PageStore,
 };
 use lrs_deluge::deployment::{
     check_image_len, check_layout, check_payload_len, check_puzzle_strength, ParamError,
@@ -88,6 +89,13 @@ impl SelugeParams {
         self.hash_page_chunks.trailing_zeros() as usize
     }
 
+    /// How a node stores a page: its packets as received, each the
+    /// slice in front of the chained hash image.
+    pub fn page_shape(&self) -> PageShape {
+        let len = self.data_payload_len();
+        PageShape::new(self.packets_per_page.into(), len, self.slice_len)
+    }
+
     /// Hash-page packet payload length (chunk + Merkle path).
     pub fn hash_page_payload_len(&self) -> usize {
         self.chunk_len() + 32 * self.merkle_depth()
@@ -116,15 +124,12 @@ impl SelugeParams {
 #[derive(Clone, Debug)]
 pub struct SelugeArtifacts {
     params: SelugeParams,
-    /// `packets[i][j]` = on-air payload of packet `j` of page `i`
-    /// (0-based pages; wire item = `i + 2`).
-    pub(crate) page_packets: Vec<Vec<Vec<u8>>>,
-    /// Hash-page packet payloads (chunk || Merkle path).
-    pub(crate) hash_page_packets: Vec<Vec<u8>>,
-    /// The signature packet body.
-    signature_body: Vec<u8>,
-    /// The Merkle root (for tests).
-    root: Digest,
+    /// The signature, the hash page (`M0`: page 0's packet hashes,
+    /// zero-padded to whole chunks, framed as chunk ‖ Merkle path), and
+    /// the pages: stride `j` of page `i` is the on-air payload of packet
+    /// `j` of page `i` (0-based pages; wire item = `i + 2`), which is
+    /// also how a node stores it.
+    pub(crate) origin: Origin,
 }
 
 impl SelugeArtifacts {
@@ -157,33 +162,34 @@ impl SelugeArtifacts {
         params.validate().map_err(ParamError)?;
         check_image_len(image, params.image_len)?;
         let g = params.pages() as usize;
-        let k = params.packets_per_page as usize;
         let mut padded = image.to_vec();
         padded.resize(g * params.page_capacity(), 0);
 
         // Build packets from the last page backwards; packet j of page i
         // carries the hash of packet j of page i+1 (zeroes for page g-1).
-        let mut page_packets: Vec<Vec<Vec<u8>>> = vec![Vec::new(); g];
-        let mut next_hashes: Vec<[u8; HASH_IMAGE_LEN]> = vec![[0u8; HASH_IMAGE_LEN]; k];
+        let (shape, slice_len) = (params.page_shape(), params.slice_len);
+        let mut pages = vec![0u8; g * shape.page_len];
+        let mut next_hashes = vec![0u8; params.hash_page_len()];
         for i in (0..g).rev() {
             let item = (i + 2) as u16;
-            let mut packets = Vec::with_capacity(k);
-            for (j, next_hash) in next_hashes.iter().enumerate().take(k) {
-                let off = i * params.page_capacity() + j * params.slice_len;
-                let mut payload = padded[off..off + params.slice_len].to_vec();
-                payload.extend_from_slice(next_hash);
-                packets.push(payload);
+            let page = &mut pages[i * shape.page_len..(i + 1) * shape.page_len];
+            let slices = padded[i * params.page_capacity()..].chunks(slice_len);
+            let hashes = next_hashes.chunks(HASH_IMAGE_LEN);
+            for ((packet, slice), hash) in page.chunks_mut(shape.stride).zip(slices).zip(hashes) {
+                packet[..slice_len].copy_from_slice(slice);
+                packet[slice_len..].copy_from_slice(hash);
             }
+            let packets: Vec<&[u8]> = page.chunks(shape.stride).collect();
             next_hashes = packet_hash_batch(params.version, item, &packets)
                 .iter()
-                .map(|h| h.0)
+                .flat_map(|h| h.0)
                 .collect();
-            page_packets[i] = packets;
         }
+        let pages = PageStore::from_bytes(shape, pages);
 
         // next_hashes now holds the hashes of page 0's packets (wire item
         // 2): they form the hash page M0.
-        let mut hash_page: Vec<u8> = next_hashes.iter().flatten().copied().collect();
+        let mut hash_page = next_hashes;
         hash_page.resize(params.chunk_len() * params.hash_page_chunks as usize, 0);
         let chunks: Vec<&[u8]> = hash_page.chunks(params.chunk_len()).collect();
         let (root, hash_page_packets) = frame_hash_page(&chunks);
@@ -198,10 +204,13 @@ impl SelugeArtifacts {
 
         Ok(SelugeArtifacts {
             params,
-            page_packets,
-            hash_page_packets,
-            signature_body,
-            root,
+            origin: Origin {
+                signature_body,
+                root,
+                hash_page: hash_page_packets,
+                m0: hash_page,
+                pages,
+            },
         })
     }
 
@@ -226,28 +235,29 @@ impl SelugeArtifacts {
 
     /// The Merkle root over the hash page.
     pub fn root(&self) -> Digest {
-        self.root
+        self.origin.root
     }
 
     /// The signature packet body.
     pub fn signature_body(&self) -> &[u8] {
-        &self.signature_body
+        &self.origin.signature_body
     }
 
     /// Payload of hash-page packet `j`.
     pub fn hash_page_packet(&self, j: u16) -> &[u8] {
-        &self.hash_page_packets[j as usize]
+        &self.origin.hash_page[j as usize]
     }
 
     /// Payload of packet `j` of 0-based page `i`.
     pub fn page_packet(&self, i: u16, j: u16) -> &[u8] {
-        &self.page_packets[i as usize][j as usize]
+        let packet = self.origin.pages.stride(usize::from(i), usize::from(j));
+        packet.expect("packet in range")
     }
 
     /// Pre-fills a per-run packet-digest memo with this image's page
     /// packets (see [`lrs_deluge::bootstrap::warm_digest_cache`]).
     pub fn warm_digest_cache(&self, cache: &PacketDigestCache) {
-        warm_digest_cache(cache, self.params.version, &self.page_packets);
+        warm_digest_cache(cache, self.params.version, &self.origin.pages);
     }
 }
 

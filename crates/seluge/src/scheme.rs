@@ -12,17 +12,18 @@
 
 use crate::preprocess::{SelugeArtifacts, SelugeParams};
 use lrs_crypto::cluster::ClusterKey;
-use lrs_crypto::hash::HashImage;
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
 use lrs_deluge::attack::AttackerProfile;
-use lrs_deluge::bootstrap::{self, Bootstrap, DeploymentKeys, Layout, SIGNATURE_BODY_LEN};
+use lrs_deluge::bootstrap::{
+    self, Bootstrap, DeploymentKeys, Layout, Watermark, SIGNATURE_BODY_LEN,
+};
 use lrs_deluge::deployment::{ParamError, SchemeFamily};
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
 use lrs_deluge::policy::UnionPolicy;
 use lrs_deluge::wire::BitVec;
 use lrs_host::node::PacketKind;
-use lrs_host::violation::{ContentDigest, InvariantViolation};
+use lrs_host::violation::InvariantViolation;
 
 pub use lrs_deluge::bootstrap::PacketDigestCache;
 
@@ -32,10 +33,9 @@ pub struct SelugeScheme {
     params: SelugeParams,
     /// Verified signature and root, the hash page (received packets stay
     /// in its buffer and are served from there), the receive buffer of
-    /// the page in flight and the hash images its packets must match.
+    /// the page in flight and the completed pages' packets (with chained
+    /// hash tails), stored as received and served from there.
     boot: Bootstrap,
-    /// Completed page packets (with chained hash tails), for serving.
-    pages: Vec<Vec<Vec<u8>>>,
 }
 
 fn layout(params: &SelugeParams) -> Layout {
@@ -46,6 +46,8 @@ fn layout(params: &SelugeParams) -> Layout {
         hash_block_len: params.chunk_len(),
         page_packets: params.packets_per_page,
         page_payload_len: params.data_payload_len(),
+        image_len: params.image_len,
+        page_shape: params.page_shape(),
     }
 }
 
@@ -55,7 +57,6 @@ impl SelugeScheme {
         SelugeScheme {
             params,
             boot: Bootstrap::receiver(layout(&params), pubkey, puzzle),
-            pages: Vec::new(),
         }
     }
 
@@ -71,35 +72,15 @@ impl SelugeScheme {
     /// The base station: everything precomputed and complete.
     pub fn base(artifacts: &SelugeArtifacts, pubkey: PublicKey, puzzle: Puzzle) -> Self {
         let params = artifacts.params();
-        // The hash-page packets are served out of the receive buffer.
-        let boot = Bootstrap::base(
-            layout(&params),
-            pubkey,
-            puzzle,
-            artifacts.signature_body(),
-            artifacts.root(),
-            &artifacts.hash_page_packets,
-        );
         SelugeScheme {
             params,
-            boot,
-            pages: artifacts.page_packets.clone(),
+            boot: Bootstrap::base(layout(&params), pubkey, puzzle, &artifacts.origin),
         }
     }
 
     /// The reassembled, verified image once dissemination completed.
     pub fn image(&self) -> Option<Vec<u8>> {
-        if !self.boot.is_complete() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.params.image_len);
-        for page in &self.pages {
-            for packet in page {
-                out.extend_from_slice(&packet[..self.params.slice_len]);
-            }
-        }
-        out.truncate(self.params.image_len);
-        Some(out)
+        self.boot.image()
     }
 
     /// Layout parameters.
@@ -107,62 +88,16 @@ impl SelugeScheme {
         self.params
     }
 
-    /// Checks the protocol invariants the chaos layer enforces after
-    /// every delivery (see DESIGN.md §7): the shared ones
-    /// ([`Bootstrap::verify_invariants`]: only authenticated packets
-    /// buffered, buffer occupancy within the per-item packet bound),
-    /// then completed pages identical to preprocessing and a complete
-    /// node's image byte-identical to the origin.
+    /// Checks the protocol invariants the chaos layer enforces (see
+    /// DESIGN.md §7) from scratch: [`SchemeFamily::check_invariants`]
+    /// with an empty watermark, so every stored page and a complete
+    /// node's image are compared with preprocessing.
     pub fn verify_invariants(
         &self,
         artifacts: &SelugeArtifacts,
         image: &[u8],
     ) -> Result<(), InvariantViolation> {
-        self.boot.verify_invariants(
-            artifacts.signature_body(),
-            &artifacts.hash_page_packets,
-            &artifacts.page_packets,
-        )?;
-        let complete = self.boot.complete();
-        let pages_done = (complete as usize).saturating_sub(2);
-        if self.pages.len() < pages_done {
-            return Err(InvariantViolation::PagesMissing {
-                complete: u64::from(complete),
-                held: self.pages.len() as u64,
-            });
-        }
-        for (i, page) in self.pages.iter().take(pages_done).enumerate() {
-            for (j, packet) in page.iter().enumerate() {
-                let authentic = artifacts.page_packet(i as u16, j as u16);
-                if packet.as_slice() != authentic {
-                    return Err(InvariantViolation::PageMismatch {
-                        page: i as u32,
-                        packet: Some(j as u32),
-                        expected: ContentDigest::of(authentic),
-                        actual: ContentDigest::of(packet),
-                    });
-                }
-            }
-        }
-        self.boot.verify_image(self.image(), image)
-    }
-
-    /// The chaining rule (§II-B): the tail of packet `j` of a page is
-    /// the hash image of packet `j` of the next page.
-    fn chained_images(&self, page: &[Vec<u8>]) -> Vec<HashImage> {
-        page.iter()
-            .map(|p| HashImage::from_slice(&p[self.params.slice_len..]).expect("payload sizing"))
-            .collect()
-    }
-
-    /// `M0`, once every hash-page packet is held: their chunks in order.
-    fn hash_page_bytes(&self) -> Vec<u8> {
-        let chunk_len = self.params.chunk_len();
-        let mut m0 = Vec::new();
-        for (_, packet) in self.boot.hash_page().iter() {
-            m0.extend_from_slice(&packet[..chunk_len]);
-        }
-        m0
+        self.check_invariants(artifacts, image, &mut Watermark::default())
     }
 }
 
@@ -207,17 +142,19 @@ impl Scheme for SelugeScheme {
             1 => {
                 let disposition = self.boot.handle_hash_page(index, payload);
                 if disposition == PacketDisposition::Accepted && self.boot.hash_page().is_full() {
-                    let m0 = self.hash_page_bytes();
-                    self.boot.hash_page_complete(&m0);
+                    // `M0`: the chunks of every hash-page packet in order.
+                    let chunks = self.boot.hash_page().iter();
+                    let m0 = chunks.flat_map(|(_, p)| &p[..self.params.chunk_len()]);
+                    self.boot.hash_page_complete(m0.copied().collect());
                 }
                 disposition
             }
             _ => {
                 let disposition = self.boot.handle_page_packet(item, index, payload);
+                // The chaining rule (§II-B): the tail of packet `j` of a
+                // page is the hash image of packet `j` of the next.
                 if disposition == PacketDisposition::Accepted && self.boot.page().is_full() {
-                    let packets = self.boot.take_page();
-                    self.boot.page_complete(self.chained_images(&packets));
-                    self.pages.push(packets);
+                    self.boot.store_received_page();
                 }
                 disposition
             }
@@ -239,10 +176,11 @@ impl Scheme for SelugeScheme {
                 .hash_page()
                 .get(index as usize)
                 .map(<[u8]>::to_vec),
-            _ => {
-                let page = self.pages.get((item - 2) as usize)?;
-                page.get(index as usize).cloned()
-            }
+            _ => self
+                .boot
+                .pages()
+                .stride(usize::from(item - 2), usize::from(index))
+                .map(<[u8]>::to_vec),
         }
     }
 
@@ -261,17 +199,7 @@ impl Scheme for SelugeScheme {
         // the in-progress item's partial packets. A partially received
         // hash page counts as RAM: its packets only reach flash once
         // the whole of M0 is assembled.
-        let m0_done = self.boot.hash_page().is_full();
-        if !m0_done {
-            self.boot.clear_hash_page();
-        }
-        // The hash images authenticating the next page.
-        let expected = match self.pages.last() {
-            Some(page) => self.chained_images(page),
-            None if m0_done => self.boot.first_page_images(&self.hash_page_bytes()),
-            None => Vec::new(),
-        };
-        self.boot.resume(m0_done, self.pages.len(), expected);
+        self.boot.reboot();
     }
 }
 
@@ -317,12 +245,18 @@ impl SchemeFamily for SelugeScheme {
         SelugeScheme::image(self)
     }
 
-    fn verify_invariants(
+    /// [`Bootstrap::verify_invariants`]: only authenticated packets
+    /// buffered, buffer occupancy within the per-item packet bound,
+    /// every completed page past `mark` identical to preprocessing, and,
+    /// once, a complete node's image byte-identical to the origin.
+    fn check_invariants(
         &self,
         artifacts: &SelugeArtifacts,
         image: &[u8],
+        mark: &mut Watermark,
     ) -> Result<(), InvariantViolation> {
-        SelugeScheme::verify_invariants(self, artifacts, image)
+        let (origin, packets) = (&artifacts.origin, &artifacts.origin.pages);
+        self.boot.verify_invariants(origin, packets, image, mark)
     }
 
     fn attacker_profile(sp: &SelugeParams, cluster_key: Option<ClusterKey>) -> AttackerProfile {
@@ -340,9 +274,12 @@ impl SchemeFamily for SelugeScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrs_crypto::hash::HASH_IMAGE_LEN;
     use lrs_crypto::puzzle::PuzzleKeyChain;
     use lrs_crypto::schnorr::Keypair;
+    use lrs_deluge::bootstrap::PageStore;
     use lrs_host::violation::BufferKind;
+    use PacketDisposition::Accepted;
 
     fn setup() -> (SelugeScheme, SelugeScheme, Vec<u8>) {
         let (base, rx, image, _) = setup_with_artifacts();
@@ -495,7 +432,7 @@ mod tests {
         let mut m0 = vec![0u8; rx.params().hash_page_len()];
         m0[..8].copy_from_slice(&bootstrap::packet_hash(1, 2, 0, &bad).0);
         let mut forged = Bootstrap::receiver(good, kp.public(), puzzle);
-        forged.hash_page_complete(&m0);
+        forged.hash_page_complete(m0);
         assert_eq!(
             forged.handle_page_packet(2, 0, &bad),
             PacketDisposition::Accepted
@@ -527,18 +464,148 @@ mod tests {
             page_packets: 0,
             ..good
         };
-        base.boot = Bootstrap::base(
-            none,
-            kp.public(),
-            puzzle,
-            art.signature_body(),
-            art.root(),
-            &[],
-        );
+        base.boot = Bootstrap::base(none, kp.public(), puzzle, &art.origin);
         assert!(matches!(
             base.verify_invariants(&art, &image),
             Err(InvariantViolation::BufferBound { .. })
         ));
+    }
+
+    /// The keys [`setup_with_artifacts`] preloads on every node.
+    fn keys() -> (PublicKey, Puzzle) {
+        let chain = PuzzleKeyChain::generate(b"puzzles", 4);
+        (
+            Keypair::from_seed(b"bs").public(),
+            Puzzle::new(chain.anchor(), 4),
+        )
+    }
+
+    /// `m0` listing the hash image of each of `packets` of page 0.
+    fn m0_for(params: &SelugeParams, packets: &[Vec<u8>]) -> Vec<u8> {
+        let mut m0 = vec![0u8; params.hash_page_len()];
+        for (j, p) in (0u16..).zip(packets) {
+            let at = usize::from(j) * HASH_IMAGE_LEN;
+            m0[at..at + HASH_IMAGE_LEN].copy_from_slice(&bootstrap::packet_hash(1, 2, j, p).0);
+        }
+        m0
+    }
+
+    #[test]
+    fn a_page_corrupted_as_it_completes_is_caught_by_the_next_check() {
+        let (mut base, mut rx, image, art) = setup_with_artifacts();
+        // The last packet of page 0 to arrive has one bit of its slice
+        // flipped, and a subverted M0 vouches for it: the page is
+        // corrupted as it completes, never while in flight.
+        let last = rx.params().packets_per_page - 1;
+        let mut packets: Vec<_> = (0..=last)
+            .map(|j| base.packet_payload(2, j).unwrap())
+            .collect();
+        packets[usize::from(last)][3] ^= 1;
+        let (pubkey, puzzle) = keys();
+        let params = rx.params();
+        let mut forged = Bootstrap::receiver(layout(&params), pubkey, puzzle);
+        let signed = |root: &_| SelugeArtifacts::signed_message(&params, root);
+        let body = art.signature_body();
+        assert_eq!(forged.handle_signature(0, body, signed), Accepted);
+        forged.hash_page_complete(m0_for(&params, &packets));
+        rx.boot = forged;
+        let mut mark = Watermark::default();
+        for (j, p) in (0u16..).zip(&packets) {
+            rx.check_invariants(&art, &image, &mut mark).unwrap();
+            assert_eq!(rx.handle_packet(2, j, p), Accepted);
+        }
+        assert_eq!(rx.complete_items(), 3, "the corrupted page is stored");
+        let watermarked = rx.check_invariants(&art, &image, &mut mark);
+        assert_eq!(watermarked, rx.verify_invariants(&art, &image));
+        assert!(matches!(
+            watermarked,
+            Err(InvariantViolation::PageMismatch {
+                page: 0,
+                packet: Some(j),
+                ..
+            }) if j == u32::from(last)
+        ));
+    }
+
+    #[test]
+    fn an_in_flight_buffer_is_checked_past_the_watermark() {
+        let (mut base, mut rx, image, art) = setup_with_artifacts();
+        let mut mark = Watermark::default();
+        while rx.complete_items() < 4 {
+            let item = rx.complete_items();
+            let j = rx.wanted(item).iter_ones().next().unwrap() as u16;
+            rx.handle_packet(item, j, &base.packet_payload(item, j).unwrap());
+            rx.check_invariants(&art, &image, &mut mark).unwrap();
+        }
+        // Two pages are stored and compared. The node is swapped for one
+        // whose packet 0 of page 1 chains to a corrupted packet 0 of
+        // page 2: the watermark is past page 1, so only the in-flight
+        // check can catch it.
+        let mut bad = base.packet_payload(4, 0).unwrap();
+        bad[3] ^= 1;
+        let (params, mut origin) = (rx.params(), art.origin.clone());
+        let mut forged_page = origin.pages.page(1).unwrap().to_vec();
+        let at = params.slice_len;
+        forged_page[at..at + HASH_IMAGE_LEN]
+            .copy_from_slice(&bootstrap::packet_hash(1, 4, 0, &bad).0);
+        origin.pages = PageStore::new(params.page_shape(), 2);
+        origin.pages.push([art.origin.pages.page(0).unwrap()]);
+        origin.pages.push([&forged_page[..]]);
+        let (pubkey, puzzle) = keys();
+        rx.boot = Bootstrap::base(layout(&params), pubkey, puzzle, &origin);
+        assert_eq!(rx.complete_items(), 4);
+        rx.check_invariants(&art, &image, &mut mark).unwrap();
+        assert_eq!(rx.handle_packet(4, 0, &bad), Accepted);
+        assert!(matches!(
+            rx.check_invariants(&art, &image, &mut mark),
+            Err(InvariantViolation::UnauthenticPacket {
+                page: Some(2),
+                index: 0,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn watermarked_and_from_scratch_checks_agree_over_a_lossy_transfer() {
+        let (mut base, mut rx, image, art) = setup_with_artifacts();
+        // A seeded 40 % loss: a packet is dropped when the top bits of
+        // a 64-bit LCG fall below 0.4 of their range.
+        let mut state = 46u64;
+        let mut lost = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % 10 < 4
+        };
+        let mut mark = Watermark::default();
+        let mut check = |rx: &SelugeScheme| {
+            let watermarked = rx.check_invariants(&art, &image, &mut mark);
+            assert_eq!(watermarked, rx.verify_invariants(&art, &image));
+            watermarked.unwrap();
+        };
+        let mut rebooted = false;
+        while rx.complete_items() < rx.num_items() {
+            let item = rx.complete_items();
+            for j in rx.wanted(item).iter_ones().map(|j| j as u16) {
+                if lost() {
+                    continue;
+                }
+                rx.handle_packet(item, j, &base.packet_payload(item, j).unwrap());
+                check(&rx);
+                if rx.complete_items() > item {
+                    break;
+                }
+                if item == 4 && !rebooted {
+                    rx.reboot();
+                    check(&rx);
+                    rebooted = true;
+                    break;
+                }
+            }
+        }
+        assert!(rebooted);
+        assert_eq!(rx.image().unwrap(), image);
     }
 
     #[test]
