@@ -48,10 +48,7 @@ const FLAGS: &[lrs_bench::cli::Flag] = &[
         "--out",
         "campaign directory (default: results/campaign-<name>)",
     ),
-    lrs_bench::cli::valued(
-        "--threads",
-        "worker threads (default: LRS_THREADS or all cores)",
-    ),
+    lrs_bench::cli::valued("--threads", "worker threads (default: all cores)"),
     lrs_bench::cli::valued("--kill-after", "stop (without a report) after K new jobs"),
     lrs_bench::cli::valued(
         "--export-job",

@@ -5,12 +5,11 @@
 //! flags and positional slots, parsing rejects anything undeclared, and
 //! errors are typed ([`CliError`]) so `main` can render them once
 //! instead of sprinkling `eprintln!` + `exit` at each parse site.
-//! Common conveniences (the `--quick` flag, `--threads` with the
-//! `LRS_THREADS` fallback) live here so they behave identically across
+//! Common conveniences (the `--quick` flag, `--threads` defaulting to
+//! every core) live here so they behave identically across
 //! `campaign`, `replay`, the swarm binaries and `paper`, whose
 //! declaration is [`SWEEP_FLAGS`].
 
-use crate::harness::configured_threads;
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
@@ -64,7 +63,7 @@ pub const SWEEP_FLAGS: &[Flag] = &[
     flag("--quick", "reduced sweep: smaller image, fewer seeds"),
     valued(
         "--threads",
-        "Monte-Carlo worker threads (default: LRS_THREADS, else all cores)",
+        "Monte-Carlo worker threads (default: all cores)",
     ),
 ];
 
@@ -272,8 +271,7 @@ impl Cli {
     }
 
     /// Worker threads: `--threads N` when given (and declared),
-    /// otherwise the `LRS_THREADS`/auto-detection fallback every bin
-    /// shares.
+    /// otherwise the machine's available parallelism (at least 1).
     pub fn threads(&self) -> Result<usize, CliError> {
         match self.parsed::<usize>("--threads")? {
             Some(0) => Err(CliError::BadValue {
@@ -282,7 +280,7 @@ impl Cli {
                 reason: "need at least one thread".to_string(),
             }),
             Some(n) => Ok(n),
-            None => Ok(configured_threads()),
+            None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
         }
     }
 }
@@ -344,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_fall_back_to_harness_default() {
+    fn threads_default_to_available_parallelism() {
         let cli = parse(&[]).unwrap();
         assert!(cli.threads().unwrap() >= 1);
         let cli = parse(&["--threads", "3"]).unwrap();

@@ -17,23 +17,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// Number of worker threads the harness should use.
-///
-/// The fallback when no `--threads N` was given (that flag is parsed by
-/// [`Cli::threads`](crate::cli::Cli::threads)): the `LRS_THREADS`
-/// environment variable, then the machine's available parallelism. The
-/// floor is 1.
-pub fn configured_threads() -> usize {
-    if let Ok(v) = std::env::var("LRS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs `job(0)`..`job(n - 1)` on `threads` workers and hands each
 /// `(index, output)` to `done` on the calling thread as the job
 /// finishes, in completion order.

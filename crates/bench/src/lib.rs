@@ -29,8 +29,9 @@
 //! the one driver, [`sweep`] ([`sweep::run_cells`]), so any point's job
 //! exports as a capsule with `campaign --resume <cell dir> --export-job
 //! N` and `replay` explains it. Each experiment prints the paper-style
-//! series and writes `results/<name>.{csv,json}` through its one
-//! [`Report`].
+//! series and writes its table to `results/<name>.csv`; a point's
+//! per-seed metrics and their statistics are its cell's `jobs.log` and
+//! `report.json`, which `campdiff` compares.
 //!
 //! Every harness is written once over `S: SchemeFamily`
 //! (`lrs_deluge::deployment`): [`runner::simulate`] is the single
@@ -55,8 +56,8 @@ pub mod table;
 pub use campaign::{Campaign, CampaignReport};
 pub use cli::{Cli, CliError};
 pub use diff::{diff_reports, CellKey, DiffReport, ReportDoc, Verdict};
-pub use json::{parse_json, stat_json, write_json, Json};
+pub use json::{parse_json, write_json, Json};
 pub use runner::{matched_seluge_params, ExperimentMetrics, Matched, RunSpec};
 pub use spec::CampaignSpec;
-pub use sweep::{run_cells, Report};
+pub use sweep::run_cells;
 pub use table::write_csv;

@@ -4,9 +4,10 @@
 //! table is a one-cell campaign ([`cell`]) whose jobs run seeds
 //! `1..=S`: an experiment runs its cells under `results/paper/`
 //! (`results/paper-quick/` with `--quick`), resuming any cell already
-//! there, and renders its table, CSV and JSON from the cells' job
-//! records. The `paper` bin runs the experiments by name; each prints
-//! its series and writes `results/<name>.{csv,json}`.
+//! there, and renders its table and CSV from the cells' job records.
+//! The `paper` bin runs the experiments by name; each prints its series
+//! and writes `results/<name>.csv`. A point's per-seed metrics and
+//! their statistics are its cell's `jobs.log` and `report.json`.
 
 use crate::campaign::{Campaign, JobRecord};
 use crate::capsules::{population, profile_params, ScenarioTags};
@@ -14,10 +15,13 @@ use crate::cli::{Cli, CliError};
 use crate::harness::parallel_map;
 use crate::runner::{matched_seluge_params, simulate};
 use crate::spec::CampaignSpec;
-use crate::sweep::{five_metrics, mean, mean_cell, run_cells, Report, Sample, FIVE_METRICS};
-use crate::{with_scheme, Json};
+use crate::sweep::{five_metrics, mean, mean_cell, run_cells, FIVE_METRICS};
+use crate::table::{write_csv, Table};
+use crate::with_scheme;
 use lr_seluge::LrSelugeParams;
-use lrs_analysis::{ack_lr_expected_data_packets, seluge_expected_data_packets, AckLrModel};
+use lrs_analysis::{
+    ack_lr_expected_data_packets, seluge_expected_data_packets, AckLrModel, Summary,
+};
 use lrs_deluge::engine::{CryptoCost, Scheme as _};
 use lrs_netsim::capsule::Capsule;
 use std::path::PathBuf;
@@ -148,7 +152,6 @@ fn fig3(quick: bool, threads: usize) {
         ("seluge", matched_seluge_params(&lr).page_capacity()),
         ("lr-seluge", lr.page_capacity()),
     ];
-    let schemes = one_page.map(|(scheme, _)| scheme);
 
     // `points` are `(N, p)`; `vs_p` says which of the two is the axis.
     let half = |name: &str, vs_p: bool, points: &[(usize, f64)]| {
@@ -170,15 +173,14 @@ fn fig3(quick: bool, threads: usize) {
             "seluge_sim",
             "lr_sim",
         ];
-        let mut report = Report::new(name, columns, seeds, threads);
+        let mut table = Table::new(columns);
         for (&(n_rx, p), by_scheme) in points.iter().zip(grid.chunks(2)) {
-            let (param, cell) = if vs_p {
-                (Json::num(p), format!("{p:.2}"))
+            let cell = if vs_p {
+                format!("{p:.2}")
             } else {
-                (Json::num(n_rx as u32), format!("{n_rx}"))
+                format!("{n_rx}")
             };
-            report.push_schemes(&[(axis, param)], &schemes, by_scheme);
-            report.row(vec![
+            table.row(vec![
                 cell,
                 format!("{:.1}", seluge_expected_data_packets(k, n_rx, p)),
                 format!("{:.1}", ack_lr_expected_data_packets(k, n, p, n_rx, mc)),
@@ -186,8 +188,8 @@ fn fig3(quick: bool, threads: usize) {
                 mean_cell(&by_scheme[1], "page_data_pkts", 1),
             ]);
         }
-        println!("{}", report.table().render());
-        report.write();
+        println!("{}", table.render());
+        println!("wrote {}", write_csv(name, &table));
     };
 
     let n_rx = 10;
@@ -245,12 +247,11 @@ fn fig4(quick: bool, threads: usize) {
     let points = ps.map(|p| (format!("fig4-p{p}"), star(n_rx), p, bytes));
     let grid = run(&lr_first(&points, seeds), quick, threads);
     let columns = [&["p", "scheme"], FIVE_METRICS].concat();
-    let mut report = Report::new("fig4", columns, seeds, threads);
+    let mut table = Table::new(columns);
     for (&p, by_scheme) in ps.iter().zip(grid.chunks(2)) {
-        report.push_schemes(&[("p", Json::num(p))], &LR_FIRST, by_scheme);
         for (scheme, samples) in LR_FIRST.iter().zip(by_scheme) {
             let lead = vec![format!("{p:.2}"), scheme.to_string()];
-            report.row([lead, five_metrics(samples)].concat());
+            table.row([lead, five_metrics(samples)].concat());
         }
         let saved = |metric| saving(mean(&by_scheme[0], metric), mean(&by_scheme[1], metric));
         println!(
@@ -259,8 +260,8 @@ fn fig4(quick: bool, threads: usize) {
             saved("latency_s")
         );
     }
-    println!("\n{}", report.table().render());
-    report.write();
+    println!("\n{}", table.render());
+    println!("wrote {}", write_csv("fig4", &table));
 }
 
 /// Figure 5: impact of node density (one-hop, p = 0.1, 20 KB image),
@@ -290,16 +291,15 @@ fn fig5(quick: bool, threads: usize) {
         .collect();
     let grid = run(&lr_first(&points, seeds), quick, threads);
     let columns = [&["N", "scheme"], FIVE_METRICS].concat();
-    let mut report = Report::new("fig5", columns, seeds, threads);
+    let mut table = Table::new(columns);
     for (&n_rx, by_scheme) in ns.iter().zip(grid.chunks(2)) {
-        report.push_schemes(&[("N", Json::num(n_rx as u32))], &LR_FIRST, by_scheme);
         for (scheme, samples) in LR_FIRST.iter().zip(by_scheme) {
             let lead = vec![format!("{n_rx}"), scheme.to_string()];
-            report.row([lead, five_metrics(samples)].concat());
+            table.row([lead, five_metrics(samples)].concat());
         }
     }
-    println!("{}", report.table().render());
-    report.write();
+    println!("{}", table.render());
+    println!("wrote {}", write_csv("fig5", &table));
 }
 
 /// Figure 6: impact of the erasure-coding rate `n/k` on LR-Seluge
@@ -346,29 +346,21 @@ fn fig6(quick: bool, threads: usize) {
         .collect();
     let grid = run(&cells, quick, threads);
     let columns = [&["p", "n", "rate", "pages"], FIVE_METRICS].concat();
-    let mut report = Report::new("fig6", columns, seeds, threads);
+    let mut table = Table::new(columns);
     for (spec, samples) in cells.iter().zip(&grid) {
         let p = spec.loss_ppm[0] as f64 / 1e6;
         let params = profile_params(&spec.profile, spec.image_bytes).expect("valid profile");
         let rate = params.n as f64 / k as f64;
-        report.push(
-            &[
-                ("p", Json::num(p)),
-                ("n", Json::num(params.n)),
-                ("rate", Json::num(rate)),
-            ],
-            samples,
-        );
         let lead = vec![
             format!("{p:.2}"),
             format!("{}", params.n),
             format!("{rate:.2}"),
             format!("{}", params.pages()),
         ];
-        report.row([lead, five_metrics(samples)].concat());
+        table.row([lead, five_metrics(samples)].concat());
     }
-    println!("{}", report.table().render());
-    report.write();
+    println!("{}", table.render());
+    println!("wrote {}", write_csv("fig6", &table));
 }
 
 /// Image-size sweep (§VI-C: "we have simulated the impact of different
@@ -399,10 +391,8 @@ fn imgsize(quick: bool, threads: usize) {
         "latency_s",
         "byte_saving_pct",
     ];
-    let mut report = Report::new("imgsize", columns, seeds, threads);
+    let mut table = Table::new(columns);
     for (&size, by_scheme) in sizes.iter().zip(grid.chunks(2)) {
-        let kb = ("image_kb", Json::num((size / 1024) as u32));
-        report.push_schemes(&[kb], &LR_FIRST, by_scheme);
         let bytes = by_scheme
             .iter()
             .map(|s| mean(s, "total_bytes"))
@@ -412,7 +402,7 @@ fn imgsize(quick: bool, threads: usize) {
             "-".to_string(),
         ];
         for ((scheme, samples), saved) in LR_FIRST.iter().zip(by_scheme).zip(savings) {
-            report.row(vec![
+            table.row(vec![
                 format!("{}", size / 1024),
                 scheme.to_string(),
                 mean_cell(samples, "data_pkts", 0),
@@ -422,8 +412,8 @@ fn imgsize(quick: bool, threads: usize) {
             ]);
         }
     }
-    println!("{}", report.table().render());
-    report.write();
+    println!("{}", table.render());
+    println!("wrote {}", write_csv("imgsize", &table));
 }
 
 /// Design-choice ablations.
@@ -484,14 +474,10 @@ fn ablation(quick: bool, threads: usize) {
     let policies = [("greedy", "paper"), ("union", "paper:tx=union")];
     let (_, grid) = run_variants("ablation_scheduler", &policies);
     let columns = [&["p", "policy"], tail].concat();
-    let mut report = Report::new("ablation_scheduler", columns, seeds, threads);
+    let mut table = Table::new(columns);
     for (&p, by_policy) in loss_rates.iter().zip(grid.chunks(2)) {
         for (&(policy, _), samples) in policies.iter().zip(by_policy) {
-            report.push(
-                &[("p", Json::num(p)), ("policy", Json::str(policy))],
-                samples,
-            );
-            report.row(
+            table.row(
                 [
                     vec![format!("{p}"), policy.to_string()],
                     tail_cells(samples),
@@ -505,8 +491,8 @@ fn ablation(quick: bool, threads: usize) {
             saving(sent(&by_policy[0]), sent(&by_policy[1]))
         );
     }
-    println!("\n{}", report.table().render());
-    report.write();
+    println!("\n{}", table.render());
+    println!("wrote {}", write_csv("ablation_scheduler", &table));
 
     println!("\nAblation 2: Reed-Solomon (k' = k) vs sparse XOR (k' = k + 4)\n");
     let codes = [
@@ -516,52 +502,31 @@ fn ablation(quick: bool, threads: usize) {
     ];
     let (cells, grid) = run_variants("ablation_code", &codes);
     let columns = [&["p", "code", "k_prime"], tail].concat();
-    let mut report = Report::new("ablation_code", columns, seeds, threads);
+    let mut table = Table::new(columns);
     for (spec, samples) in cells.iter().zip(&grid) {
         let p = spec.loss_ppm[0] as f64 / 1e6;
         let coded = profile_params(&spec.profile, image_bytes).expect("valid profile");
         let (code, k_prime) = (format!("{:?}", coded.code_kind), coded.k_prime());
-        report.push(
-            &[
-                ("p", Json::num(p)),
-                ("code", Json::str(&code)),
-                ("k_prime", Json::num(k_prime as u32)),
-            ],
-            samples,
-        );
         let lead = vec![format!("{p}"), code, format!("{k_prime}")];
-        report.row([lead, tail_cells(samples)].concat());
+        table.row([lead, tail_cells(samples)].concat());
     }
-    println!("{}", report.table().render());
-    report.write();
+    println!("{}", table.render());
+    println!("wrote {}", write_csv("ablation_code", &table));
 }
 
-/// The mean per-receiver cost of one run, in `CryptoCost`'s own counters.
-impl Sample for CryptoCost {
-    const NAMES: &'static [&'static str] = &[
-        "hashes",
-        "sig_verifications",
-        "puzzle_checks",
-        "decodes",
-        "encodes",
-    ];
-
-    fn values(&self) -> Vec<f64> {
-        [
-            self.hashes,
-            self.signature_verifications,
-            self.puzzle_checks,
-            self.decodes,
-            self.encodes,
-        ]
-        .map(|count| count as f64)
-        .to_vec()
-    }
-}
+/// The overhead table's counter columns, in [`mean_receiver_cost`]'s
+/// order.
+const COST_COLUMNS: [&str; 5] = [
+    "hashes",
+    "sig_verifications",
+    "puzzle_checks",
+    "decodes",
+    "encodes",
+];
 
 /// Runs a campaign job's `capsule` the way the job runs and returns the
-/// mean per-receiver cost.
-fn mean_receiver_cost(capsule: &Capsule) -> CryptoCost {
+/// mean per-receiver count of each [`COST_COLUMNS`] counter.
+fn mean_receiver_cost(capsule: &Capsule) -> [u64; 5] {
     let tags = ScenarioTags::decode(capsule).expect("a job capsule carries its tags");
     with_scheme!(tags.scheme.as_str(), S => {
         let pop = population::<S>(&tags).expect("paper profiles build");
@@ -571,14 +536,17 @@ fn mean_receiver_cost(capsule: &Capsule) -> CryptoCost {
         let mean = |count: fn(&CryptoCost) -> u64| {
             receivers.iter().map(count).sum::<u64>() / receivers.len() as u64
         };
-        CryptoCost {
-            hashes: mean(|c| c.hashes),
-            signature_verifications: mean(|c| c.signature_verifications),
-            puzzle_checks: mean(|c| c.puzzle_checks),
-            decodes: mean(|c| c.decodes),
-            encodes: mean(|c| c.encodes),
-            ..CryptoCost::default()
-        }
+        // Exactly one expensive signature verification per receiver per
+        // image, every seed: the puzzle's whole point.
+        let sig_verifications = mean(|c| c.signature_verifications);
+        assert_eq!(sig_verifications, 1);
+        [
+            mean(|c| c.hashes),
+            sig_verifications,
+            mean(|c| c.puzzle_checks),
+            mean(|c| c.decodes),
+            mean(|c| c.encodes),
+        ]
     })
     .unwrap_or_else(|e| panic!("{e}"))
 }
@@ -613,22 +581,16 @@ fn overhead(quick: bool, threads: usize) {
         "Computation overhead per receiver: one-hop, N = {n_rx}, p = {p_loss}, image {} KB (seeds = {seeds}, threads = {threads})\n",
         image_bytes / 1024
     );
-    let columns = [&["scheme"], CryptoCost::NAMES].concat();
-    let mut report = Report::new("overhead", columns, seeds, threads);
+    let mut table = Table::new([&["scheme"], COST_COLUMNS.as_slice()].concat());
     for (scheme, samples) in LR_FIRST.iter().zip(&costs) {
-        // Exactly one expensive signature verification per receiver per
-        // image, every seed: the puzzle's whole point.
-        for c in samples {
-            assert_eq!(c.signature_verifications, 1);
-        }
-        report.push(&[("scheme", Json::str(*scheme))], samples);
-        let means = CryptoCost::NAMES
-            .iter()
-            .map(|name| mean_cell(samples, name, 0));
-        report.row([vec![scheme.to_string()], means.collect()].concat());
+        let means = (0..COST_COLUMNS.len()).map(|i| {
+            let per_seed: Vec<f64> = samples.iter().map(|c| c[i] as f64).collect();
+            format!("{:.0}", Summary::of(&per_seed).mean)
+        });
+        table.row([vec![scheme.to_string()], means.collect()].concat());
     }
-    println!("{}", report.table().render());
-    report.write();
+    println!("{}", table.render());
+    println!("wrote {}", write_csv("overhead", &table));
 }
 
 /// Tables II and III: multi-hop 15×15 grid networks.
@@ -659,13 +621,12 @@ fn table2_3(quick: bool, threads: usize) {
         .collect();
     let grid = run(&cells, quick, threads);
     let columns = [&["table", "density", "scheme", "completed"], FIVE_METRICS].concat();
-    let mut report = Report::new("table2_3", columns, seeds, threads);
+    let mut table = Table::new(columns);
     for (&(label, density, _, _), by_scheme) in cases.iter().zip(grid.chunks(2)) {
         println!(
             "{label}: 15x15 grid, {density}, image {} KB, bursty noise",
             bytes / 1024
         );
-        report.push_schemes(&[("table", Json::str(label))], &LR_FIRST, by_scheme);
         for (scheme, samples) in LR_FIRST.iter().zip(by_scheme) {
             let lead = vec![
                 label.to_string(),
@@ -673,7 +634,7 @@ fn table2_3(quick: bool, threads: usize) {
                 scheme.to_string(),
                 mean_cell(samples, "completed", 2),
             ];
-            report.row([lead, five_metrics(samples)].concat());
+            table.row([lead, five_metrics(samples)].concat());
         }
         let saved = |metric| saving(mean(&by_scheme[0], metric), mean(&by_scheme[1], metric));
         println!(
@@ -683,6 +644,6 @@ fn table2_3(quick: bool, threads: usize) {
             saved("latency_s"),
         );
     }
-    println!("{}", report.table().render());
-    report.write();
+    println!("{}", table.render());
+    println!("wrote {}", write_csv("table2_3", &table));
 }

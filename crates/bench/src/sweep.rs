@@ -1,153 +1,39 @@
 //! The one sweep driver: every `paper` point is a one-cell campaign
-//! whose jobs run seeds `1..=seeds`; an experiment runs its cells,
-//! tabulates the means and keeps the per-seed samples. The pieces here
-//! are what the experiments share: what a per-run observation is
-//! ([`Sample`]), the `results/<name>.{csv,json}` pair and its one
-//! writer ([`Report`]), the cell fan-out ([`run_cells`]) and the five
-//! metric columns of Figs. 4-6 and Tables II/III ([`five_metrics`]).
+//! whose jobs run seeds `1..=seeds`, and that cell's `jobs.log` and
+//! `report.json` are the point's one record (per-seed metrics and their
+//! summary statistics); an experiment runs its cells and tabulates the
+//! means. The pieces here are what the experiments share: the cell
+//! fan-out ([`run_cells`]), the table cells of a mean ([`mean_cell`])
+//! and the five metric columns of Figs. 4-6 and Tables II/III
+//! ([`five_metrics`]).
 
 use crate::campaign::{Campaign, JobRecord, MANIFEST};
 use crate::harness::parallel_map;
-use crate::json::{stat_json, write_json, Json};
-use crate::runner::ExperimentMetrics;
 use crate::spec::CampaignSpec;
-use crate::table::{write_csv, Table};
 use lrs_analysis::Summary;
 use std::path::Path;
 
-/// One run's observables, as floats for aggregation over seeds.
-pub trait Sample {
-    /// Metric names, in reporting order: the JSON keys of a result
-    /// file, so renaming one is a result-schema change.
-    const NAMES: &'static [&'static str];
-
-    /// The observables, in [`Self::NAMES`] order.
-    fn values(&self) -> Vec<f64>;
-}
-
-impl Sample for JobRecord {
-    const NAMES: &'static [&'static str] = &ExperimentMetrics::NAMES;
-
-    fn values(&self) -> Vec<f64> {
-        self.metrics.to_vec()
-    }
-}
-
-/// The per-seed values of `metric` across `samples`.
+/// The mean of `metric` over the finite samples ([`Summary::of`] in
+/// seed order, as the cell's `report.json` computes it), NaN when none
+/// is finite.
 ///
 /// # Panics
 ///
-/// Panics if `metric` is not one of `T::NAMES`.
-pub fn column<T: Sample>(samples: &[T], metric: &str) -> Vec<f64> {
-    let at = T::NAMES
-        .iter()
-        .position(|name| *name == metric)
-        .unwrap_or_else(|| panic!("unknown metric {metric:?}"));
-    samples.iter().map(|s| s.values()[at]).collect()
-}
-
-/// The mean of `metric` over the finite samples ([`Summary::of`]), NaN
-/// when none is finite.
-pub fn mean<T: Sample>(samples: &[T], metric: &str) -> f64 {
-    Summary::of(&column(samples, metric)).mean
+/// Panics if `metric` is not one of
+/// [`ExperimentMetrics::NAMES`](crate::runner::ExperimentMetrics::NAMES).
+pub fn mean(samples: &[JobRecord], metric: &str) -> f64 {
+    let column: Vec<f64> = samples.iter().map(|r| r.get(metric)).collect();
+    Summary::of(&column).mean
 }
 
 /// A table cell: the mean of `metric` over the finite samples to
 /// `decimals` places, or `-` when no sample is finite.
-pub fn mean_cell<T: Sample>(samples: &[T], metric: &str, decimals: usize) -> String {
+pub fn mean_cell(samples: &[JobRecord], metric: &str, decimals: usize) -> String {
     let mean = mean(samples, metric);
     if mean.is_finite() {
         format!("{mean:.decimals$}")
     } else {
         "-".to_string()
-    }
-}
-
-/// One experiment's `results/<name>.csv` + `results/<name>.json` pair:
-/// the printed table of means, and per sweep point its parameters with
-/// every metric's per-seed samples, mean and 95 % interval (the schema
-/// in [`crate::json`]).
-#[derive(Clone, Debug)]
-pub struct Report {
-    experiment: String,
-    seeds: u64,
-    threads: usize,
-    table: Table,
-    rows: Vec<Json>,
-}
-
-impl Report {
-    /// Starts the report of `experiment`, run with `seeds` seeds on
-    /// `threads` harness threads, whose table has the columns `header`.
-    pub fn new(experiment: &str, header: Vec<&str>, seeds: u64, threads: usize) -> Self {
-        Report {
-            experiment: experiment.to_string(),
-            seeds,
-            threads,
-            table: Table::new(header),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one table row.
-    pub fn row(&mut self, cells: Vec<String>) {
-        self.table.row(cells);
-    }
-
-    /// Appends one sweep point to the JSON document: its parameters
-    /// (e.g. `("p", 0.1)`) and the per-seed samples taken at it.
-    pub fn push<T: Sample>(&mut self, params: &[(&str, Json)], samples: &[T]) {
-        let params = params
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        let metrics = T::NAMES
-            .iter()
-            .map(|name| (name.to_string(), stat_json(&column(samples, name))))
-            .collect();
-        self.rows.push(Json::Obj(vec![
-            ("params".into(), Json::Obj(params)),
-            ("metrics".into(), Json::Obj(metrics)),
-        ]));
-    }
-
-    /// [`push`](Self::push) once per scheme of a point, with
-    /// `("scheme", name)` appended to the point's `params`.
-    pub fn push_schemes<T: Sample>(
-        &mut self,
-        params: &[(&str, Json)],
-        schemes: &[&str],
-        by_scheme: &[Vec<T>],
-    ) {
-        for (scheme, samples) in schemes.iter().zip(by_scheme) {
-            let params = [params, &[("scheme", Json::str(*scheme))]].concat();
-            self.push(&params, samples);
-        }
-    }
-
-    /// The table of means.
-    pub fn table(&self) -> &Table {
-        &self.table
-    }
-
-    /// The JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("experiment".into(), Json::str(&self.experiment)),
-            ("threads".into(), Json::num(self.threads as u32)),
-            ("seeds".into(), Json::num(self.seeds as u32)),
-            ("rows".into(), Json::Arr(self.rows.clone())),
-        ])
-    }
-
-    /// Writes both files under `results/` and prints their paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors, like [`write_csv`] and [`write_json`].
-    pub fn write(&self) {
-        println!("wrote {}", write_csv(&self.experiment, &self.table));
-        println!("wrote {}", write_json(&self.experiment, &self.to_json()));
     }
 }
 
@@ -224,6 +110,7 @@ pub fn five_metrics(samples: &[JobRecord]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentMetrics;
 
     /// A record whose metrics are all 0 but `data_pkts` and `latency_s`.
     fn record(data_pkts: f64, latency_s: f64) -> JobRecord {
@@ -240,23 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn report_schema_shape() {
-        let mut report = Report::new("unit_test", vec!["p"], 2, 4);
+    fn means_skip_non_finite_samples() {
         let (a, b) = (record(10.0, f64::NAN), record(14.0, 3.0));
         assert_eq!((a.get("data_pkts"), b.get("latency_s")), (10.0, 3.0));
-        report.push(&[("p", Json::num(0.1f64))], &[a.clone(), b.clone()]);
-        let text = report.to_json().render();
-        assert!(text.starts_with(r#"{"experiment":"unit_test","threads":4,"seeds":2,"#));
-        assert!(text.contains(r#""params":{"p":0.1}"#), "{text}");
-        assert!(
-            text.contains(r#""data_pkts":{"samples":[10,14],"mean":12,"ci95":"#),
-            "{text}"
-        );
-        // NaN latency sample renders as null; its mean is over the finite one.
-        assert!(
-            text.contains(r#""latency_s":{"samples":[null,3],"mean":3,"ci95":0}"#),
-            "{text}"
-        );
+        assert_eq!(mean(&[a.clone(), b.clone()], "data_pkts"), 12.0);
+        // A NaN latency sample is skipped; its mean is over the finite one.
         assert_eq!(mean_cell(&[a.clone(), b], "latency_s", 1), "3.0");
         assert_eq!(mean_cell(&[a], "latency_s", 1), "-");
     }

@@ -651,6 +651,27 @@ pub struct Bootstrap {
 impl Bootstrap {
     /// A receiver that has authenticated nothing yet.
     pub fn receiver(layout: Layout, pubkey: PublicKey, puzzle: Puzzle) -> Self {
+        let pages = PageStore::new(layout.page_shape, usize::from(layout.num_items - 2));
+        Self::with_pages(layout, pubkey, puzzle, pages)
+    }
+
+    /// A node holding what `origin` preprocessed: the base station, which
+    /// sealed the signature itself, buffers the framed hash-page packets
+    /// and stores every page.
+    pub fn base(layout: Layout, pubkey: PublicKey, puzzle: Puzzle, origin: &Origin) -> Self {
+        let mut boot = Self::with_pages(layout, pubkey, puzzle, origin.pages.clone());
+        boot.signature_body = Some(origin.signature_body.clone());
+        boot.root = Some(origin.root);
+        for (j, packet) in origin.hash_page.iter().enumerate() {
+            boot.hash_page.store(j, packet);
+        }
+        boot.hash_page_complete(origin.m0.clone());
+        boot
+    }
+
+    /// A node whose flash is `pages` and which has authenticated nothing
+    /// else.
+    fn with_pages(layout: Layout, pubkey: PublicKey, puzzle: Puzzle, pages: PageStore) -> Self {
         Bootstrap {
             layout,
             pubkey,
@@ -660,26 +681,11 @@ impl Bootstrap {
             hash_page: SlotBuffer::new(layout.hash_page_packets as usize),
             m0: None,
             page: SlotBuffer::new(layout.page_packets as usize),
-            pages: PageStore::new(layout.page_shape, usize::from(layout.num_items - 2)),
+            pages,
             expected: Vec::new(),
             digest_cache: None,
             cost: CryptoCost::default(),
         }
-    }
-
-    /// A node holding what `origin` preprocessed: the base station, which
-    /// sealed the signature itself, buffers the framed hash-page packets
-    /// and stores every page.
-    pub fn base(layout: Layout, pubkey: PublicKey, puzzle: Puzzle, origin: &Origin) -> Self {
-        let mut boot = Self::receiver(layout, pubkey, puzzle);
-        boot.signature_body = Some(origin.signature_body.clone());
-        boot.root = Some(origin.root);
-        for (j, packet) in origin.hash_page.iter().enumerate() {
-            boot.hash_page.store(j, packet);
-        }
-        boot.pages = origin.pages.clone();
-        boot.hash_page_complete(origin.m0.clone());
-        boot
     }
 
     /// Attaches a run-wide digest memo shared by all nodes of a sim run.

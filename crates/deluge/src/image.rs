@@ -107,8 +107,9 @@ impl DelugeScheme {
     /// The base-station side: starts with every page complete.
     pub fn base(image: &DelugeImage) -> Self {
         DelugeScheme {
+            params: image.params,
             pages: image.pages.clone(),
-            ..Self::receiver(image.params)
+            current: SlotBuffer::new(image.params.packets_per_page as usize),
         }
     }
 

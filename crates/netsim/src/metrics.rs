@@ -13,8 +13,11 @@ use std::collections::HashMap;
 /// Aggregated counters for one simulation run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
-    tx_packets: HashMap<PacketKind, u64>,
-    tx_bytes: HashMap<PacketKind, u64>,
+    /// Transmitted packets per kind, indexed in [`PacketKind::ALL`]
+    /// order (`kind as usize`).
+    tx_packets: [u64; PacketKind::ALL.len()],
+    /// Transmitted bytes per kind, indexed like `tx_packets`.
+    tx_bytes: [u64; PacketKind::ALL.len()],
     rx_packets: u64,
     rx_bytes: u64,
     /// Packets lost to PHY link quality or noise.
@@ -35,8 +38,8 @@ impl Metrics {
 
     /// Records a transmission of `bytes` of the given kind.
     pub fn count_tx(&mut self, kind: PacketKind, bytes: usize) {
-        *self.tx_packets.entry(kind).or_insert(0) += 1;
-        *self.tx_bytes.entry(kind).or_insert(0) += bytes as u64;
+        self.tx_packets[kind as usize] += 1;
+        self.tx_bytes[kind as usize] += bytes as u64;
     }
 
     /// Records a successful reception.
@@ -67,23 +70,23 @@ impl Metrics {
 
     /// Transmitted packets of `kind`.
     pub fn tx_packets(&self, kind: PacketKind) -> u64 {
-        self.tx_packets.get(&kind).copied().unwrap_or(0)
+        self.tx_packets[kind as usize]
     }
 
     /// Transmitted bytes of `kind`.
     pub fn tx_bytes(&self, kind: PacketKind) -> u64 {
-        self.tx_bytes.get(&kind).copied().unwrap_or(0)
+        self.tx_bytes[kind as usize]
     }
 
     /// Total transmitted packets across kinds.
     pub fn total_tx_packets(&self) -> u64 {
-        self.tx_packets.values().sum()
+        self.tx_packets.iter().sum()
     }
 
     /// Total transmitted bytes across kinds (the paper's "total
     /// communication cost in bytes").
     pub fn total_tx_bytes(&self) -> u64 {
-        self.tx_bytes.values().sum()
+        self.tx_bytes.iter().sum()
     }
 
     /// Successful receptions.
@@ -162,6 +165,10 @@ mod tests {
         assert_eq!(m.total_tx_packets(), 3);
         assert_eq!(m.total_tx_bytes(), 180);
         assert_eq!(m.tx_packets(PacketKind::Adv), 0);
+        // Each kind's slot is its place in `PacketKind::ALL`.
+        for (i, kind) in PacketKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]
