@@ -255,7 +255,7 @@ fn bench_merkle() {
 
 fn bench_signature() {
     // The layers under a verification: field multiplication and squaring
-    // (~2 900 per verify), then the two-scalar ladder itself.
+    // (~2 000 per verify), then the two-scalar ladder itself.
     let a = U256::from_be_bytes(&sha256(b"bench a").0);
     let b = U256::from_be_bytes(&sha256(b"bench b").0);
     bench("ec/fmul", 0, || {

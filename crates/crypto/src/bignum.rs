@@ -253,16 +253,6 @@ impl U512 {
         (self.0[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// The low 256 bits.
-    pub fn low(&self) -> U256 {
-        U256([self.0[0], self.0[1], self.0[2], self.0[3]])
-    }
-
-    /// The high 256 bits.
-    pub fn high(&self) -> U256 {
-        U256([self.0[4], self.0[5], self.0[6], self.0[7]])
-    }
-
     /// Generic `self mod m` via binary long division.
     ///
     /// # Panics
@@ -361,8 +351,7 @@ mod tests {
         // (2^128) * (2^128) = 2^256
         let a = U256([0, 0, 1, 0]);
         let p = a.full_mul(a);
-        assert_eq!(p.high(), U256::ONE);
-        assert_eq!(p.low(), U256::ZERO);
+        assert_eq!(p.0, [0, 0, 0, 0, 1, 0, 0, 0]);
     }
 
     #[test]

@@ -166,6 +166,42 @@ fn double_mul_matches_reference_on_20k_random_triples() {
     check_random_triples(20_000, 0x0020_0d0b_1e00);
 }
 
+/// `λ`, the cube root of unity mod `n` by which the ladder splits each
+/// scalar (`k = k₁ + k₂·λ`).
+const LAMBDA: U256 = U256([
+    0xdf02_967c_1b23_bd72,
+    0x122e_22ea_2081_6678,
+    0xa526_1c02_8812_645a,
+    0x5363_ad4c_c05c_30e0,
+]);
+
+/// Scalars `x + y·λ (mod n)` whose split halves `(x, y)` are negative:
+/// one, the other, or both, small and near 2¹²⁷.
+fn negative_half_scalars() -> Vec<U256> {
+    let n = group_order();
+    let signed = |v: i64| {
+        let m = U256::from(v.unsigned_abs());
+        if v < 0 {
+            U256::ZERO.sub_mod(m, &n)
+        } else {
+            m
+        }
+    };
+    let combine = |x: U256, y: U256| x.add_mod(y.mul_mod(LAMBDA, &n), &n);
+    let big = U256([0, 1 << 63, 0, 0]);
+    let minus_big = U256::ZERO.sub_mod(big, &n);
+    let mut scalars: Vec<U256> = [(-1, -1), (3, -5), (-7, 2), (-1, 0), (0, -1)]
+        .iter()
+        .map(|&(x, y)| combine(signed(x), signed(y)))
+        .collect();
+    scalars.extend([
+        combine(minus_big, minus_big),
+        combine(big, minus_big),
+        U256([0, 0, 1, 0]), // 2¹²⁸ splits into two negative halves
+    ]);
+    scalars
+}
+
 #[test]
 fn double_mul_edge_scalars_and_points() {
     let g = generator();
@@ -175,6 +211,14 @@ fn double_mul_edge_scalars_and_points() {
         for a in edge_scalars() {
             for b in edge_scalars() {
                 check_double_mul(&a, &b, p);
+            }
+        }
+    }
+    let negative_halves = negative_half_scalars();
+    for p in [g, negate(g), some_p] {
+        for a in negative_halves.iter().chain(&[U256::ZERO, U256::ONE]) {
+            for b in negative_halves.iter().chain(&[U256::ZERO, U256::ONE]) {
+                check_double_mul(a, b, p);
             }
         }
     }

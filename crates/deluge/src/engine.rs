@@ -161,10 +161,10 @@ pub struct NodeStats {
     /// Data packets rejected by authentication.
     pub auth_rejects: u64,
     /// Packets dropped as malformed or unauthentic before any state
-    /// changes: unparseable frames, control packets failing their cluster
-    /// MAC, and SNACKs to this node that fail the LEAP pairwise check or
-    /// whose bit vector has the wrong length for the item.
+    /// changes: the sum of [`NodeStats::rejects`] over its causes.
     pub mac_rejects: u64,
+    /// `mac_rejects` by cause, indexed by [`RejectCause`].
+    pub rejects: [u64; RejectCause::COUNT],
     /// Duplicate data packets ignored.
     pub duplicates: u64,
     /// Data packets for not-yet-requestable items, dropped unbuffered.
@@ -173,6 +173,33 @@ pub struct NodeStats {
     pub budget_rejections: u64,
     /// Times the RX retry limit was exhausted (returned to MAINTAIN).
     pub gave_up: u64,
+}
+
+/// Why a frame was dropped before any state changed (a
+/// [`NodeStats::rejects`] index).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RejectCause {
+    /// The bytes do not parse as a frame.
+    Unparseable,
+    /// A control packet of a signed scheme fails its cluster MAC.
+    ClusterMac,
+    /// A SNACK to this node fails the LEAP pairwise check.
+    Leap,
+    /// A SNACK to this node whose bit vector has the wrong length for
+    /// the item.
+    SnackLength,
+}
+
+impl RejectCause {
+    /// Number of causes.
+    pub const COUNT: usize = 4;
+}
+
+impl NodeStats {
+    fn reject(&mut self, cause: RejectCause) {
+        self.rejects[cause as usize] += 1;
+        self.mac_rejects += 1;
+    }
 }
 
 const TIMER_TRICKLE_FIRE: TimerId = TimerId(0);
@@ -477,13 +504,13 @@ impl<S: Scheme, P: TxPolicy> DisseminationNode<S, P> {
             // the claimed sender really produced this request.
             let unproven = self.leap.as_ref().is_some_and(|ring| !snack.leap_ok(ring));
             if unproven {
-                self.stats.mac_rejects += 1;
+                self.stats.reject(RejectCause::Leap);
                 return;
             }
             let bits = match BitVec::from_bytes(bits, nbits) {
                 Some(bits) if nbits == self.scheme.item_packets(item) as usize => bits,
                 _ => {
-                    self.stats.mac_rejects += 1;
+                    self.stats.reject(RejectCause::SnackLength);
                     return;
                 }
             };
@@ -654,11 +681,11 @@ impl<S: Scheme, P: TxPolicy> Protocol for DisseminationNode<S, P> {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, _from: NodeId, data: &[u8]) {
         let Some(frame) = Frame::parse(data) else {
-            self.stats.mac_rejects += 1;
+            self.stats.reject(RejectCause::Unparseable);
             return;
         };
         if self.signed() && !frame.mac_ok(&self.key) {
-            self.stats.mac_rejects += 1;
+            self.stats.reject(RejectCause::ClusterMac);
             return;
         }
         match frame {

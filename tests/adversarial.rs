@@ -5,10 +5,10 @@
 use lr_seluge::{Deployment, LrScheme, LrSelugeParams};
 use lrs_crypto::cluster::ClusterKey;
 use lrs_deluge::attack::{AttackEntry, AttackVector, Attacker, MaybeAdversary};
-use lrs_deluge::engine::{DisseminationNode, EngineConfig, Scheme};
+use lrs_deluge::engine::{DisseminationNode, EngineConfig, RejectCause, Scheme};
 use lrs_deluge::image::{DelugeImage, DelugeScheme, ImageParams};
 use lrs_deluge::policy::UnionPolicy;
-use lrs_deluge::wire::{Frame, Message};
+use lrs_deluge::wire::{BitVec, Frame, Message};
 use lrs_deluge::SchemeFamily;
 use lrs_host::node::{Action, Context, NodeId, Protocol};
 use lrs_host::time::{Duration, SimTime};
@@ -274,7 +274,7 @@ fn spoofed_denial_of_receipt_evades_budget_without_leap_but_not_with_it() {
     // The insider rotates forged sender ids: per-neighbor budgets keyed
     // by the (unauthenticated) source field are useless — unless SNACK
     // sources are identified with LEAP pairwise MACs (§IV-E).
-    let run = |leap: bool| -> (u64, u64) {
+    let run = |leap: bool| -> (u64, [u64; RejectCause::COUNT]) {
         let p = lr_params();
         let engine = EngineConfig {
             per_neighbor_item_budget: Some(2 * p.n as u32),
@@ -299,17 +299,49 @@ fn spoofed_denial_of_receipt_evades_budget_without_leap_but_not_with_it() {
         .build();
         let _ = sim.run(Duration::from_secs(600));
         let base = sim.node(NodeId(0)).honest().expect("base");
-        (base.stats().data_sent, base.stats().mac_rejects)
+        (base.stats().data_sent, base.stats().rejects)
     };
 
     let (without_leap, _) = run(false);
-    let (with_leap, leap_rejects) = run(true);
+    let (with_leap, rejects) = run(true);
+    // Honest frames never fail, so every reject is a spoofed SNACK.
+    let leap_rejects = rejects[RejectCause::Leap as usize];
     assert!(
         leap_rejects > 0,
-        "LEAP must reject the spoofed SNACKs (got {leap_rejects})"
+        "LEAP must reject the spoofed SNACKs (got {rejects:?})"
     );
+    assert_eq!(rejects.iter().sum::<u64>(), leap_rejects, "{rejects:?}");
     assert!(
         with_leap * 3 < without_leap,
         "LEAP should neutralize the spoofing attack: {with_leap} vs {without_leap}"
     );
+}
+
+#[test]
+fn rejects_are_counted_under_their_one_cause() {
+    // A base station with LEAP hears a garbage datagram, then a SNACK
+    // under the cluster key whose claimed sender never signed it (the
+    // spoofed denial-of-receipt frame): each lands in its own cause, and
+    // `mac_rejects` stays their sum.
+    let deployment = Deployment::new(&image(), lr_params(), b"causes").with_leap(b"network key");
+    let mut base = deployment.node(NodeId(0), NodeId(0));
+    let (mut rng, mut actions) = (DetRng::seed_from_u64(1), Vec::new());
+    let mut hear = |bytes: &[u8]| {
+        let mut ctx = Context::new(SimTime::ZERO, NodeId(0), &mut rng, &mut actions, 416, 2_000);
+        base.on_packet(&mut ctx, NodeId(3), bytes);
+        base.stats()
+    };
+    let mut want = [0u64; RejectCause::COUNT];
+
+    let stats = hear(&[0xee; 7]);
+    want[RejectCause::Unparseable as usize] = 1;
+    assert_eq!((stats.rejects, stats.mac_rejects), (want, 1));
+
+    let n_bits = deployment.attacker_profile(true).n_bits;
+    let version = lr_params().version;
+    let key = deployment.cluster_key();
+    let spoofed = Message::snack(key, NodeId(3), NodeId(0), version, 1, BitVec::ones(n_bits));
+    let stats = hear(&spoofed.to_bytes());
+    want[RejectCause::Leap as usize] = 1;
+    assert_eq!((stats.rejects, stats.mac_rejects), (want, 2));
 }
