@@ -5,7 +5,7 @@
 //!     Start a campaign from a TOML/JSON grid spec (see
 //!     `lrs_bench::spec`). Writes <dir>/manifest.json, streams per-job
 //!     records into <dir>/jobs.log, and on completion emits
-//!     <dir>/report.json with per-cell mean/95% CI/p50/p95. The default
+//!     <dir>/report.json with per-cell n/mean/95% CI/p50/p95/min/max. The default
 //!     <dir> is results/campaign-<name>. --kill-after stops (without a
 //!     report) after K new jobs — the knob CI uses to exercise crash
 //!     recovery deterministically.
@@ -32,9 +32,9 @@
 //! failure capsules under `<dir>/failures/`, loadable by
 //! `replay <capsule>`.
 
-use lrs_bench::campaign::{Campaign, CampaignReport, JOB_LOG, REPORT};
+use lrs_bench::campaign::{Campaign, JOB_LOG, REPORT};
 use lrs_bench::capsules::replay_capsule;
-use lrs_bench::{CampaignSpec, Cli, Json};
+use lrs_bench::{CampaignSpec, Cli, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -90,63 +90,46 @@ fn export_campaign(cli: &Cli) -> Result<Campaign, String> {
     Ok(Campaign::offline(parse_spec(cli)?, PathBuf::new()))
 }
 
-fn print_summary(campaign: &Campaign, report: &CampaignReport) {
+fn print_summary(campaign: &Campaign, report: &Report) {
     println!(
         "campaign {:?}: {} jobs over {} cells -> {}",
-        campaign.spec().name,
+        report.campaign,
         report.jobs,
-        campaign.spec().cells().len(),
+        report.cells.len(),
         campaign.dir().join(REPORT).display()
     );
-    if report.failures.is_empty() {
+    let failures: Vec<usize> = report
+        .cells
+        .iter()
+        .flat_map(|c| &c.failures)
+        .copied()
+        .collect();
+    if failures.is_empty() {
         println!("no failures");
     } else {
-        println!("{} failure capsule(s):", report.failures.len());
-        for path in &report.failures {
-            println!("  {path}");
+        println!("{} failure capsule(s):", failures.len());
+        for job in failures {
+            println!("  {}", campaign.failure_capsule_path(job));
         }
     }
     // One line per cell: outcome counts plus headline latency.
-    if let Some(cells) = report.json.get("cells").and_then(Json::as_arr) {
-        for cell in cells {
-            let params = cell.get("params");
-            let fmt = |key: &str| {
-                params
-                    .and_then(|p| p.get(key))
-                    .map(|v| match v {
-                        Json::Str(s) => s.clone(),
-                        other => other.render(),
-                    })
-                    .unwrap_or_default()
-            };
-            let mean_of = |metric: &str| {
-                cell.get("metrics")
-                    .and_then(|m| m.get(metric))
-                    .and_then(|l| l.get("mean"))
-                    .and_then(Json::as_num)
-                    .unwrap_or(f64::NAN)
-            };
-            let complete = cell
-                .get("outcomes")
-                .and_then(|o| o.get("complete"))
-                .and_then(Json::as_num)
-                .unwrap_or(0.0);
-            let jobs = cell.get("jobs").and_then(Json::as_num).unwrap_or(0.0);
-            println!(
-                "  {} {} loss={}ppm fault={} attacker={}: {}/{} complete, mean latency {:.1} s, \
-                 completion {:.2}, verify-ops/node {:.1}",
-                fmt("scheme"),
-                fmt("topology"),
-                fmt("loss_ppm"),
-                fmt("fault"),
-                fmt("attacker"),
-                complete,
-                jobs,
-                mean_of("latency_s"),
-                mean_of("completion_frac"),
-                mean_of("verify_inflation"),
-            );
-        }
+    for cell in &report.cells {
+        let p = &cell.params;
+        let mean_of = |metric: &str| cell.metric(metric).map_or(f64::NAN, |m| m.mean);
+        println!(
+            "  {} {} loss={}ppm fault={} attacker={}: {}/{} complete, mean latency {:.1} s, \
+             completion {:.2}, verify-ops/node {:.1}",
+            p.scheme,
+            p.topology,
+            p.loss_ppm,
+            p.fault,
+            p.attacker,
+            cell.outcome("complete"),
+            cell.jobs,
+            mean_of("latency_s"),
+            mean_of("completion_frac"),
+            mean_of("verify_inflation"),
+        );
     }
 }
 
@@ -181,7 +164,7 @@ fn run() -> Result<ExitCode, String> {
 
     match campaign.run(threads, kill_after)? {
         Some(report) => {
-            print_summary(&campaign, &report);
+            print_summary(&campaign, &report.report);
             Ok(ExitCode::SUCCESS)
         }
         None => {

@@ -21,8 +21,8 @@
 //! construction (every delta is exactly 0).
 
 use lrs_bench::cli::{flag, valued, Flag};
-use lrs_bench::diff::{diff_reports, ReportDoc, DEFAULT_ALPHA};
-use lrs_bench::Cli;
+use lrs_bench::diff::{diff_reports, DEFAULT_ALPHA};
+use lrs_bench::{Cli, Report};
 use std::process::ExitCode;
 
 const FLAGS: &[Flag] = &[
@@ -65,8 +65,8 @@ fn run() -> Result<ExitCode, String> {
         .parsed_or("--alpha", DEFAULT_ALPHA)
         .map_err(|e| e.to_string())?;
 
-    let a = ReportDoc::load(path_a)?;
-    let mut b = ReportDoc::load(path_b)?;
+    let a = Report::load(path_a)?;
+    let mut b = Report::load(path_b)?;
     if let Some(spec) = cli.value("--inject") {
         let (metric, factor) = parse_inject(spec)?;
         let hit = b.inject(metric, factor);

@@ -144,7 +144,7 @@ fn summary(
     writeln!(out, " lost collision={collision} phy={phy} app={app}")?;
     // The record a campaign job logs for this run, metric by metric.
     write!(out, "metrics:")?;
-    for (name, value) in paper.named() {
+    for (name, value) in ExperimentMetrics::NAMES.iter().zip(paper.values()) {
         write!(out, " {name}={value}")?;
     }
     writeln!(out)?;

@@ -57,7 +57,7 @@ use lrs_host::time::Duration;
 use lrs_netsim::capsule::Capsule;
 use lrs_netsim::fault::FaultPlan;
 use lrs_netsim::topology::Topology;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -174,23 +174,25 @@ impl JobRecord {
 /// order, so it is independent of thread count and of where a crash
 /// split the run.
 struct Aggregator {
-    cells: usize,
+    seeds: usize,
     records: Vec<Option<JobRecord>>,
 }
 
 impl Aggregator {
-    fn new(jobs: usize, cells: usize) -> Self {
+    fn new(jobs: usize, seeds: usize) -> Self {
         Aggregator {
-            cells,
+            seeds,
             records: vec![None; jobs],
         }
     }
 
     fn insert(&mut self, record: JobRecord) -> Result<(), String> {
-        if record.cell >= self.cells {
+        if record.cell != record.job / self.seeds {
             return Err(format!(
-                "job {} names cell {} out of range",
-                record.job, record.cell
+                "job {} names cell {}, not its own cell {}",
+                record.job,
+                record.cell,
+                record.job / self.seeds
             ));
         }
         match self.records.get_mut(record.job) {
@@ -219,17 +221,254 @@ impl Aggregator {
     }
 }
 
-/// Summary of a finished campaign, for callers of [`Campaign::run`].
+/// One metric's summary as a report carries it: [`Summary::of`] the
+/// cell's values in job-id order, less the standard deviation (a reader
+/// recovers the spread from `ci95`).
+#[derive(Clone, Debug, PartialEq)]
+pub struct MetricSummary {
+    /// Finite samples behind the summary.
+    pub n: u64,
+    /// Sample mean (NaN, rendered `null`, when no sample is finite).
+    pub mean: f64,
+    /// 95 % CI half-width.
+    pub ci95: f64,
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// Smallest finite sample.
+    pub min: f64,
+    /// Largest finite sample.
+    pub max: f64,
+}
+
+impl MetricSummary {
+    fn of(values: &[f64]) -> Self {
+        let s = Summary::of(values);
+        MetricSummary {
+            n: s.n as u64,
+            mean: s.mean,
+            ci95: s.ci95,
+            p50: s.p50,
+            p95: s.p95,
+            min: s.min,
+            max: s.max,
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("n".into(), Json::Num(self.n as f64)),
+            ("mean".into(), Json::Num(self.mean)),
+            ("ci95".into(), Json::Num(self.ci95)),
+            ("p50".into(), Json::Num(self.p50)),
+            ("p95".into(), Json::Num(self.p95)),
+            ("min".into(), Json::Num(self.min)),
+            ("max".into(), Json::Num(self.max)),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(MetricSummary {
+            n: v.uint_at("n")?,
+            mean: v.num_at("mean")?,
+            ci95: v.num_at("ci95")?,
+            p50: v.num_at("p50")?,
+            p95: v.num_at("p95")?,
+            min: v.num_at("min")?,
+            max: v.num_at("max")?,
+        })
+    }
+}
+
+/// One cell of a report: its parameters, job count, outcome histogram
+/// (absent outcomes omitted), a [`MetricSummary`] per metric in report
+/// order, and the ids of its jobs that dumped a failure capsule.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CellReport {
+    /// The cell's identity.
+    pub params: CellParams,
+    /// Jobs aggregated into the cell.
+    pub jobs: usize,
+    /// Jobs per outcome, in [`OUTCOME_LABELS`] order, zero counts left out.
+    pub outcomes: Vec<(&'static str, usize)>,
+    /// Metric summaries, keyed by name, in report order.
+    pub metrics: Vec<(String, MetricSummary)>,
+    /// Diagnostic jobs' ids, in job order.
+    pub failures: Vec<usize>,
+}
+
+impl CellReport {
+    /// Summarizes a cell's `jobs`, which must be in job-id order: each
+    /// metric is [`Summary::of`] its values in that order.
+    pub fn summarize(params: CellParams, jobs: &[&JobRecord]) -> Self {
+        let outcomes = OUTCOME_LABELS
+            .iter()
+            .map(|&label| (label, jobs.iter().filter(|r| r.outcome == label).count()))
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        let metrics = ExperimentMetrics::NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| {
+                let values: Vec<f64> = jobs.iter().map(|r| r.metrics[i]).collect();
+                (name.to_string(), MetricSummary::of(&values))
+            })
+            .collect();
+        CellReport {
+            params,
+            jobs: jobs.len(),
+            outcomes,
+            metrics,
+            failures: jobs
+                .iter()
+                .filter(|r| r.is_failure())
+                .map(|r| r.job)
+                .collect(),
+        }
+    }
+
+    /// The summary of the metric called `name`, if the cell carries it.
+    pub fn metric(&self, name: &str) -> Option<&MetricSummary> {
+        self.metrics.iter().find(|(n, _)| n == name).map(|(_, m)| m)
+    }
+
+    /// How many of the cell's jobs ended with outcome `label`.
+    pub fn outcome(&self, label: &str) -> usize {
+        self.outcomes
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map_or(0, |&(_, count)| count)
+    }
+
+    fn to_json(&self) -> Json {
+        let count = |&(label, n): &(&str, usize)| (label.to_string(), Json::Num(n as f64));
+        let metric = |(name, m): &(String, MetricSummary)| (name.clone(), m.to_json());
+        let mut fields = vec![
+            ("params".into(), self.params.to_json()),
+            ("jobs".into(), Json::Num(self.jobs as f64)),
+            (
+                "outcomes".into(),
+                Json::Obj(self.outcomes.iter().map(count).collect()),
+            ),
+            (
+                "metrics".into(),
+                Json::Obj(self.metrics.iter().map(metric).collect()),
+            ),
+        ];
+        if !self.failures.is_empty() {
+            let jobs = self.failures.iter().map(|&job| Json::Num(job as f64));
+            fields.push(("failures".into(), Json::Arr(jobs.collect())));
+        }
+        Json::Obj(fields)
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let params = v.get("params").ok_or("cell has no \"params\"")?;
+        let mut outcomes = Vec::new();
+        for (label, count) in v.obj_at("outcomes")? {
+            let known = OUTCOME_LABELS.iter().find(|&&l| l == label);
+            let label = *known.ok_or_else(|| format!("unknown outcome {label:?}"))?;
+            let count = count
+                .as_u64()
+                .ok_or_else(|| format!("outcome {label:?} is not a count"));
+            outcomes.push((label, count? as usize));
+        }
+        let mut metrics = Vec::new();
+        for (name, m) in v.obj_at("metrics")? {
+            let summary =
+                MetricSummary::from_json(m).map_err(|e| format!("metric {name:?}: {e}"))?;
+            metrics.push((name.clone(), summary));
+        }
+        let mut failures = Vec::new();
+        for job in v.opt("failures", Json::arr_at)?.unwrap_or_default() {
+            failures.push(job.as_u64().ok_or("failure id is not a job id")? as usize);
+        }
+        Ok(CellReport {
+            params: CellParams::from_json(params)?,
+            jobs: v.uint_at("jobs")?,
+            outcomes,
+            metrics,
+            failures,
+        })
+    }
+}
+
+/// A campaign's `report.json`: the one model of that file. Campaigns
+/// write it ([`Campaign::run`]); `campdiff`, the campaign summary and
+/// the paper tables read it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Report {
+    /// The campaign's name.
+    pub campaign: String,
+    /// Total jobs in the grid.
+    pub jobs: usize,
+    /// Seeds per cell.
+    pub seeds: u64,
+    /// Cells in canonical [`CampaignSpec::cells`] order.
+    pub cells: Vec<CellReport>,
+}
+
+impl Report {
+    /// The document, rendered once and written as `report.json`.
+    /// Wall-clock time and thread count are deliberately absent, so it
+    /// is a pure function of the job records.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("campaign".into(), Json::str(&self.campaign)),
+            ("jobs".into(), Json::Num(self.jobs as f64)),
+            ("seeds".into(), Json::Num(self.seeds as f64)),
+            (
+                "cells".into(),
+                Json::Arr(self.cells.iter().map(CellReport::to_json).collect()),
+            ),
+        ])
+    }
+
+    /// Parses a report, strictly: every field [`to_json`](Self::to_json)
+    /// writes must be there, and two cells with the same parameters are
+    /// refused (pairing them would be ambiguous).
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        let campaign = v.str_at("campaign")?.to_string();
+        let (jobs, seeds) = (v.uint_at("jobs")?, v.uint_at("seeds")?);
+        let mut cells = Vec::new();
+        let mut seen = BTreeMap::new();
+        for (i, cell) in v.arr_at("cells")?.iter().enumerate() {
+            let cell = CellReport::from_json(cell)
+                .map_err(|e| format!("cell {i} ({campaign} report): {e}"))?;
+            if let Some(first) = seen.insert(cell.params.clone(), i) {
+                return Err(format!(
+                    "cells {first} and {i} share the key [{}]; pairing would be ambiguous",
+                    cell.params
+                ));
+            }
+            cells.push(cell);
+        }
+        Ok(Report {
+            campaign,
+            jobs,
+            seeds,
+            cells,
+        })
+    }
+
+    /// Reads and parses a report file.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, String> {
+        let path = path.as_ref();
+        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        parse_json(&text)
+            .and_then(|doc| Report::from_json(&doc))
+            .map_err(|e| format!("{}: {e}", path.display()))
+    }
+}
+
+/// A finished campaign, for callers of [`Campaign::run`].
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
-    /// Total jobs aggregated (grid size).
-    pub jobs: usize,
-    /// Failure-capsule paths, one per diagnostic job, in job order.
-    pub failures: Vec<String>,
+    /// The report written as `report.json`.
+    pub report: Report,
     /// Every job's record, in job-id order.
     pub records: Vec<JobRecord>,
-    /// The rendered `report.json` document.
-    pub json: Json,
 }
 
 /// A campaign bound to its on-disk directory.
@@ -438,7 +677,7 @@ impl Campaign {
         kill_after: Option<usize>,
     ) -> Result<Option<CampaignReport>, String> {
         let total = self.total_jobs();
-        let mut agg = Aggregator::new(total, self.cells.len());
+        let mut agg = Aggregator::new(total, self.spec.seeds as usize);
         for record in self.completed()? {
             agg.insert(record)?;
         }
@@ -474,97 +713,25 @@ impl Campaign {
         if limit < todo.len() {
             return Ok(None);
         }
+        // Job `id` is repetition `id % seeds` of cell `id / seeds`, so
+        // the records in job-id order are the cells' jobs, cell by cell.
         let records = agg.all()?;
-        let json = self.render_report(&records);
-        let path = self.dir.join(REPORT);
-        fs::write(&path, json.render() + "\n")
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        let failures = records
-            .iter()
-            .filter(|record| record.is_failure())
-            .map(|record| self.failure_capsule_path(record.job))
-            .collect();
-        Ok(Some(CampaignReport {
+        let report = Report {
+            campaign: self.spec.name.clone(),
             jobs: total,
-            failures,
-            json,
-            records: records.into_iter().cloned().collect(),
-        }))
-    }
-
-    /// Renders the consolidated per-cell report from every job's record,
-    /// in job-id order: each metric of a cell is [`Summary::of`] its
-    /// jobs' values in that order. Deliberately excludes wall-clock time
-    /// and thread count, so the document is a pure function of the
-    /// records — the golden-file and bit-identity tests diff it byte for
-    /// byte.
-    fn render_report(&self, records: &[&JobRecord]) -> Json {
-        let mut by_cell: Vec<Vec<&JobRecord>> = vec![Vec::new(); self.cells.len()];
-        for &record in records {
-            by_cell[record.cell].push(record);
-        }
-        let cells = by_cell
-            .iter()
-            .zip(&self.cells)
-            .map(|(jobs, params)| {
-                let outcomes = OUTCOME_LABELS
-                    .iter()
-                    .map(|&label| (label, jobs.iter().filter(|r| r.outcome == label).count()))
-                    .filter(|&(_, count)| count > 0)
-                    .map(|(label, count)| (label.to_string(), Json::Num(count as f64)))
-                    .collect();
-                let metrics = ExperimentMetrics::NAMES
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &name)| {
-                        let values: Vec<f64> = jobs.iter().map(|r| r.metrics[i]).collect();
-                        let s = Summary::of(&values);
-                        (
-                            name.to_string(),
-                            Json::Obj(vec![
-                                ("n".into(), Json::Num(s.n as f64)),
-                                ("mean".into(), Json::Num(s.mean)),
-                                ("ci95".into(), Json::Num(s.ci95)),
-                                ("p50".into(), Json::Num(s.p50)),
-                                ("p95".into(), Json::Num(s.p95)),
-                                ("min".into(), Json::Num(s.min)),
-                                ("max".into(), Json::Num(s.max)),
-                            ]),
-                        )
-                    })
-                    .collect();
-                let mut fields = vec![
-                    (
-                        "params".into(),
-                        Json::Obj(vec![
-                            ("scheme".into(), Json::str(&params.scheme)),
-                            ("topology".into(), Json::str(&params.topology)),
-                            ("loss_ppm".into(), Json::num(params.loss_ppm)),
-                            ("fault".into(), Json::str(&params.fault)),
-                            ("attacker".into(), Json::str(&params.attacker)),
-                        ]),
-                    ),
-                    ("jobs".into(), Json::Num(jobs.len() as f64)),
-                    ("outcomes".into(), Json::Obj(outcomes)),
-                    ("metrics".into(), Json::Obj(metrics)),
-                ];
-                let failures: Vec<Json> = jobs
-                    .iter()
-                    .filter(|r| r.is_failure())
-                    .map(|r| Json::Num(r.job as f64))
-                    .collect();
-                if !failures.is_empty() {
-                    fields.push(("failures".into(), Json::Arr(failures)));
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        Json::Obj(vec![
-            ("campaign".into(), Json::str(&self.spec.name)),
-            ("jobs".into(), Json::Num(self.total_jobs() as f64)),
-            ("seeds".into(), Json::Num(self.spec.seeds as f64)),
-            ("cells".into(), Json::Arr(cells)),
-        ])
+            seeds: self.spec.seeds,
+            cells: (self
+                .cells
+                .iter()
+                .zip(records.chunks(self.spec.seeds as usize)))
+            .map(|(params, jobs)| CellReport::summarize(params.clone(), jobs))
+            .collect(),
+        };
+        let path = self.dir.join(REPORT);
+        fs::write(&path, report.to_json().render() + "\n")
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        let records = records.into_iter().cloned().collect();
+        Ok(Some(CampaignReport { report, records }))
     }
 
     /// Where job `id`'s failure capsule lands if it ends diagnostically.
@@ -671,7 +838,7 @@ impl Campaign {
             cell: job / self.spec.seeds as usize,
             seed: capsule.seed,
             outcome: done.report.outcome.label().to_string(),
-            metrics: done.metrics().named().map(|(_, value)| value),
+            metrics: done.metrics().values(),
         }
     }
 }

@@ -7,14 +7,13 @@
 //! significantly better or worse? This module answers it with real
 //! statistics instead of eyeballs:
 //!
-//! 1. **Parse** both reports ([`ReportDoc::parse`]), tolerating both
-//!    metric-schema generations (the 9-metric pre-adversary reports
-//!    lack `completion_frac`/`verify_inflation`/`energy_j` and the
-//!    `min`/`max` extrema fields).
-//! 2. **Pair** cells by canonical key — scheme × topology × loss_ppm ×
-//!    fault × attacker ([`CellKey`]) — so asymmetric grids diff over
-//!    their intersection and report the unpaired remainder instead of
-//!    failing. Within a pair, metrics are likewise intersected.
+//! 1. **Read** both reports through the one report model
+//!    ([`Report::load`]), which the campaign engine also writes.
+//! 2. **Pair** cells by their parameters — scheme × topology × loss_ppm
+//!    × fault × attacker ([`CellParams`]) — so asymmetric grids diff
+//!    over their intersection and report the unpaired remainder instead
+//!    of failing. Within a pair, metrics are matched by name and
+//!    intersected, so reports whose metric sets differ still pair.
 //! 3. **Test** each paired (cell × metric): variances are
 //!    reconstructed from the rendered `(n, mean, ci95)` by inverting
 //!    the shared t-table ([`SampleStats::from_ci95`]), then compared
@@ -32,76 +31,17 @@
 //!
 //! Identical inputs produce zero significant differences by
 //! construction (every delta is 0, every p-value 1); CI self-diffs the
-//! committed campaign golden to pin that, and injects a synthetic
-//! perturbation ([`ReportDoc::inject`]) to prove detection.
+//! committed campaign goldens to pin that, and injects a synthetic
+//! perturbation ([`Report::inject`]) to prove detection.
 
-use crate::json::{parse_json, Json};
+use crate::campaign::{CellReport, MetricSummary, Report};
+use crate::json::Json;
+use crate::spec::CellParams;
 use lrs_analysis::{bh_adjusted_p, ci95_overlap, cohens_d, welch_t, SampleStats};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Default false-discovery rate for significance verdicts.
 pub const DEFAULT_ALPHA: f64 = 0.05;
-
-/// The canonical identity of a grid cell: the exact axes
-/// `CampaignSpec::cells` expands, in spec order. Two campaigns' cells
-/// pair when these five coordinates match, regardless of cell index or
-/// grid shape.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CellKey {
-    /// Scheme under test (`lr-seluge`, `seluge`).
-    pub scheme: String,
-    /// Topology token (`star:6`, `grid:15:tight`, …).
-    pub topology: String,
-    /// Uniform loss rate in ppm.
-    pub loss_ppm: u32,
-    /// Canonical fault token (`none`, `crash=0.5`, …).
-    pub fault: String,
-    /// Canonical attacker token (`none`, `bogus=2.0`, …).
-    pub attacker: String,
-}
-
-impl fmt::Display for CellKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {} loss={} fault={} atk={}",
-            self.scheme, self.topology, self.loss_ppm, self.fault, self.attacker
-        )
-    }
-}
-
-impl CellKey {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("scheme".into(), Json::str(&self.scheme)),
-            ("topology".into(), Json::str(&self.topology)),
-            ("loss_ppm".into(), Json::num(self.loss_ppm)),
-            ("fault".into(), Json::str(&self.fault)),
-            ("attacker".into(), Json::str(&self.attacker)),
-        ])
-    }
-}
-
-/// One metric's rendered summary as a report carries it. `min`/`max`
-/// are absent in pre-extrema (9-metric era) reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricSummary {
-    /// Finite samples behind the summary.
-    pub n: u64,
-    /// Sample mean (NaN when every sample was non-finite).
-    pub mean: f64,
-    /// 95 % CI half-width.
-    pub ci95: f64,
-    /// Median estimate.
-    pub p50: f64,
-    /// 95th-percentile estimate.
-    pub p95: f64,
-    /// Exact minimum, when the report's schema carries extrema.
-    pub min: Option<f64>,
-    /// Exact maximum, when the report's schema carries extrema.
-    pub max: Option<f64>,
-}
 
 impl MetricSummary {
     /// The (n, mean, var) sufficient statistics, reconstructed by
@@ -111,74 +51,7 @@ impl MetricSummary {
     }
 }
 
-/// One parsed report cell.
-#[derive(Clone, Debug)]
-pub struct ReportCell {
-    /// Canonical pairing key.
-    pub key: CellKey,
-    /// Jobs aggregated into the cell.
-    pub jobs: u64,
-    /// Outcome histogram as rendered (absent outcomes omitted).
-    pub outcomes: Vec<(String, u64)>,
-    /// Metric summaries in report order.
-    pub metrics: Vec<(String, MetricSummary)>,
-}
-
-impl ReportCell {
-    fn metric(&self, name: &str) -> Option<&MetricSummary> {
-        self.metrics.iter().find(|(n, _)| n == name).map(|(_, m)| m)
-    }
-}
-
-/// A parsed campaign `report.json`.
-#[derive(Clone, Debug)]
-pub struct ReportDoc {
-    /// Campaign name from the spec.
-    pub name: String,
-    /// Total jobs in the grid.
-    pub jobs: u64,
-    /// Seeds per cell the spec requested.
-    pub seeds: u64,
-    /// Cells in report order.
-    pub cells: Vec<ReportCell>,
-}
-
-impl ReportDoc {
-    /// Parses a rendered campaign report. Rejects duplicate cell keys —
-    /// pairing would be ambiguous — and malformed cells; tolerates both
-    /// the 9- and 12-metric schema generations.
-    pub fn parse(text: &str) -> Result<ReportDoc, String> {
-        let doc = parse_json(text)?;
-        let name = doc.str_at("campaign")?.to_string();
-        let jobs = doc.uint_at("jobs")?;
-        let seeds = doc.uint_at("seeds")?;
-        let cells_json = doc.arr_at("cells")?;
-        let mut cells = Vec::with_capacity(cells_json.len());
-        let mut seen: BTreeMap<CellKey, usize> = BTreeMap::new();
-        for (i, cell) in cells_json.iter().enumerate() {
-            let parsed = parse_cell(cell).map_err(|e| format!("cell {i} ({name} report): {e}"))?;
-            if let Some(first) = seen.insert(parsed.key.clone(), i) {
-                return Err(format!(
-                    "cells {first} and {i} share the key [{}]; pairing would be ambiguous",
-                    parsed.key
-                ));
-            }
-            cells.push(parsed);
-        }
-        Ok(ReportDoc {
-            name,
-            jobs,
-            seeds,
-            cells,
-        })
-    }
-
-    /// Reads and parses a report file.
-    pub fn load(path: &str) -> Result<ReportDoc, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        ReportDoc::parse(&text).map_err(|e| format!("{path}: {e}"))
-    }
-
+impl Report {
     /// Multiplies `metric`'s mean (and order statistics, for internal
     /// consistency) by `factor` in every cell that carries it, leaving
     /// the spread untouched — the synthetic-regression injector the CI
@@ -192,60 +65,14 @@ impl ReportDoc {
                     summary.mean *= factor;
                     summary.p50 *= factor;
                     summary.p95 *= factor;
-                    summary.min = summary.min.map(|v| v * factor);
-                    summary.max = summary.max.map(|v| v * factor);
+                    summary.min *= factor;
+                    summary.max *= factor;
                     hit += 1;
                 }
             }
         }
         hit
     }
-}
-
-fn parse_cell(cell: &Json) -> Result<ReportCell, String> {
-    let params = cell.get("params").ok_or("cell has no \"params\"")?;
-    let key = CellKey {
-        scheme: params.str_at("scheme")?.to_string(),
-        topology: params.str_at("topology")?.to_string(),
-        loss_ppm: params.uint_at("loss_ppm")?,
-        fault: params.str_at("fault")?.to_string(),
-        attacker: params.str_at("attacker")?.to_string(),
-    };
-    let jobs = cell.uint_at("jobs")?;
-    let outcomes = cell
-        .obj_at("outcomes")?
-        .iter()
-        .map(|(label, count)| {
-            count
-                .as_u64()
-                .map(|n| (label.clone(), n))
-                .ok_or_else(|| format!("outcome {label:?} is not a count"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let metrics_json = cell.obj_at("metrics")?;
-    let mut metrics = Vec::with_capacity(metrics_json.len());
-    for (name, m) in metrics_json {
-        let named = |e: String| format!("metric {name:?}: {e}");
-        let field = |key: &str| m.num_at(key).map_err(named);
-        metrics.push((
-            name.clone(),
-            MetricSummary {
-                n: m.uint_at("n").map_err(named)?,
-                mean: field("mean")?,
-                ci95: field("ci95")?,
-                p50: field("p50")?,
-                p95: field("p95")?,
-                min: m.get("min").and_then(Json::as_num),
-                max: m.get("max").and_then(Json::as_num),
-            },
-        ));
-    }
-    Ok(ReportCell {
-        key,
-        jobs,
-        outcomes,
-        metrics,
-    })
 }
 
 /// Whether a larger mean of `metric` is the *good* direction. Traffic,
@@ -308,8 +135,8 @@ pub struct MetricDiff {
 /// One paired cell.
 #[derive(Clone, Debug)]
 pub struct CellDiff {
-    /// The shared cell key.
-    pub key: CellKey,
+    /// The shared cell parameters.
+    pub key: CellParams,
     /// Metric comparisons over the metric intersection.
     pub metrics: Vec<MetricDiff>,
     /// Metrics only report A carries (schema drift).
@@ -332,9 +159,9 @@ pub struct DiffReport {
     /// Paired cells in canonical key order.
     pub cells: Vec<CellDiff>,
     /// Cells present only in report A.
-    pub a_only_cells: Vec<CellKey>,
+    pub a_only_cells: Vec<CellParams>,
     /// Cells present only in report B.
-    pub b_only_cells: Vec<CellKey>,
+    pub b_only_cells: Vec<CellParams>,
     /// Testable comparisons entered into the BH correction.
     pub comparisons: usize,
 }
@@ -431,11 +258,11 @@ impl DiffReport {
             ),
             (
                 "a_only_cells".into(),
-                Json::Arr(self.a_only_cells.iter().map(CellKey::to_json).collect()),
+                Json::Arr(self.a_only_cells.iter().map(CellParams::to_json).collect()),
             ),
             (
                 "b_only_cells".into(),
-                Json::Arr(self.b_only_cells.iter().map(CellKey::to_json).collect()),
+                Json::Arr(self.b_only_cells.iter().map(CellParams::to_json).collect()),
             ),
             ("cells".into(), Json::Arr(cells)),
         ])
@@ -493,38 +320,29 @@ impl DiffReport {
     }
 }
 
-/// Diffs two parsed reports: pairs cells by [`CellKey`], tests every
+/// Diffs two reports: pairs cells by [`CellParams`], tests every
 /// paired metric, and applies Benjamini–Hochberg across the whole grid
 /// at FDR `alpha`.
-pub fn diff_reports(a: &ReportDoc, b: &ReportDoc, alpha: f64) -> Result<DiffReport, String> {
+pub fn diff_reports(a: &Report, b: &Report, alpha: f64) -> Result<DiffReport, String> {
     if !(alpha > 0.0 && alpha < 1.0) {
         return Err(format!("alpha {alpha} out of (0, 1)"));
     }
-    let index = |doc: &ReportDoc| -> BTreeMap<CellKey, usize> {
-        doc.cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.key.clone(), i))
-            .collect()
-    };
+    fn index(report: &Report) -> BTreeMap<&CellParams, &CellReport> {
+        report.cells.iter().map(|c| (&c.params, c)).collect()
+    }
     let (ia, ib) = (index(a), index(b));
     let mut cells = Vec::new();
     let mut a_only = Vec::new();
-    let mut b_only: Vec<CellKey> = ib
-        .keys()
-        .filter(|k| !ia.contains_key(*k))
-        .cloned()
-        .collect();
-    b_only.sort();
+    let b_only = ib.keys().filter(|k| !ia.contains_key(*k));
+    let b_only = b_only.map(|&k| k.clone()).collect();
 
     // First pass: build every comparison with its raw p-value.
     let mut pvalues = Vec::new();
-    for (key, &cai) in &ia {
-        let Some(&cbi) = ib.get(key) else {
+    for (&key, ca) in &ia {
+        let Some(cb) = ib.get(key) else {
             a_only.push(key.clone());
             continue;
         };
-        let (ca, cb) = (&a.cells[cai], &b.cells[cbi]);
         let mut metrics = Vec::new();
         let mut a_only_metrics = Vec::new();
         for (name, ma) in &ca.metrics {
@@ -603,8 +421,8 @@ pub fn diff_reports(a: &ReportDoc, b: &ReportDoc, alpha: f64) -> Result<DiffRepo
     }
 
     Ok(DiffReport {
-        a_name: a.name.clone(),
-        b_name: b.name.clone(),
+        a_name: a.campaign.clone(),
+        b_name: b.campaign.clone(),
         alpha,
         cells,
         a_only_cells: a_only,
@@ -632,23 +450,5 @@ mod tests {
             .filter(|m| higher_is_better(m))
             .collect();
         assert_eq!(higher, vec!["completed", "completion_frac"]);
-    }
-
-    #[test]
-    fn cell_keys_order_and_display() {
-        let key = CellKey {
-            scheme: "lr-seluge".into(),
-            topology: "star:6".into(),
-            loss_ppm: 50_000,
-            fault: "none".into(),
-            attacker: "none".into(),
-        };
-        assert_eq!(
-            key.to_string(),
-            "lr-seluge star:6 loss=50000 fault=none atk=none"
-        );
-        let mut other = key.clone();
-        other.loss_ppm = 200_000;
-        assert!(key < other);
     }
 }

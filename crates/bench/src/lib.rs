@@ -31,7 +31,9 @@
 //! N` and `replay` explains it. Each experiment prints the paper-style
 //! series and writes its table to `results/<name>.csv`; a point's
 //! per-seed metrics and their statistics are its cell's `jobs.log` and
-//! `report.json`, which `campdiff` compares.
+//! `report.json`. That file has one model, [`Report`]: the campaign
+//! engine writes it, and `campdiff`, the campaign summary and the paper
+//! tables read it.
 //!
 //! Every harness is written once over `S: SchemeFamily`
 //! (`lrs_deluge::deployment`): [`runner::simulate`] is the single
@@ -53,9 +55,9 @@ pub mod spec;
 pub mod sweep;
 pub mod table;
 
-pub use campaign::{Campaign, CampaignReport};
+pub use campaign::{Campaign, CampaignReport, CellReport, MetricSummary, Report};
 pub use cli::{Cli, CliError};
-pub use diff::{diff_reports, CellKey, DiffReport, ReportDoc, Verdict};
+pub use diff::{diff_reports, DiffReport, Verdict};
 pub use json::{parse_json, write_json, Json};
 pub use runner::{matched_seluge_params, ExperimentMetrics, Matched, RunSpec};
 pub use spec::CampaignSpec;

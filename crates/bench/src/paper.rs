@@ -4,12 +4,12 @@
 //! table is a one-cell campaign ([`cell`]) whose jobs run seeds
 //! `1..=S`: an experiment runs its cells under `results/paper/`
 //! (`results/paper-quick/` with `--quick`), resuming any cell already
-//! there, and renders its table and CSV from the cells' job records.
+//! there, and renders its table and CSV from the cells' reports.
 //! The `paper` bin runs the experiments by name; each prints its series
 //! and writes `results/<name>.csv`. A point's per-seed metrics and
 //! their statistics are its cell's `jobs.log` and `report.json`.
 
-use crate::campaign::{Campaign, JobRecord};
+use crate::campaign::{Campaign, CellReport};
 use crate::capsules::{population, profile_params, ScenarioTags};
 use crate::cli::{Cli, CliError};
 use crate::harness::parallel_map;
@@ -108,7 +108,7 @@ fn star(receivers: usize) -> String {
 }
 
 /// Runs an experiment's cells in the quick or the full cell directory.
-fn run(cells: &[CampaignSpec], quick: bool, threads: usize) -> Vec<Vec<JobRecord>> {
+fn run(cells: &[CampaignSpec], quick: bool, threads: usize) -> Vec<CellReport> {
     let root = PathBuf::from("results").join(if quick { "paper-quick" } else { "paper" });
     run_cells(cells, &root, threads)
 }
@@ -452,14 +452,14 @@ fn ablation(quick: bool, threads: usize) {
             })
             .collect();
         let grid = run(&cells, quick, threads);
-        for (spec, records) in cells.iter().zip(&grid) {
-            let complete = records.iter().all(|r| r.outcome == "complete");
+        for (spec, cell) in cells.iter().zip(&grid) {
+            let complete = cell.outcomes == [("complete", cell.jobs)];
             assert!(complete, "{}: run stalled", spec.name);
         }
         (cells, grid)
     };
     // The three columns both ablation tables end in.
-    let tail_cells = |samples: &[JobRecord]| {
+    let tail_cells = |samples: &CellReport| {
         vec![
             mean_cell(samples, "page_data_pkts", 0),
             format!("{:.1}", mean(samples, "total_bytes") / 1024.0),

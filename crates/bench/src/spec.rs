@@ -32,6 +32,7 @@ use lrs_netsim::medium::MediumConfig;
 use lrs_netsim::noise::{BurstyNoise, NoiseModel};
 use lrs_netsim::sim::SimConfig;
 use lrs_netsim::topology::Topology;
+use std::fmt;
 
 /// Schemes the campaign engine can run.
 pub const SCHEMES: [&str; 3] = ["lr-seluge", "seluge", "deluge"];
@@ -274,7 +275,6 @@ impl CampaignSpec {
                     for fault in &self.faults {
                         for attacker in &self.attackers {
                             cells.push(CellParams {
-                                index: cells.len(),
                                 scheme: scheme.clone(),
                                 topology: topology.clone(),
                                 loss_ppm,
@@ -306,11 +306,12 @@ impl CampaignSpec {
     }
 }
 
-/// One grid cell: every parameter except the seed.
-#[derive(Clone, Debug, PartialEq)]
+/// One grid cell: every parameter except the seed, and its identity.
+/// A cell's index is its position in [`CampaignSpec::cells`]; two
+/// campaigns' cells pair (in `campdiff`) when these five coordinates
+/// match, whatever the grid shape, and order in field order.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellParams {
-    /// Position in the canonical [`CampaignSpec::cells`] order.
-    pub index: usize,
     /// Scheme under test.
     pub scheme: String,
     /// Topology token.
@@ -321,6 +322,40 @@ pub struct CellParams {
     pub fault: String,
     /// Attacker token.
     pub attacker: String,
+}
+
+impl CellParams {
+    /// The cell's `params` object in a report.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("scheme".into(), Json::str(&self.scheme)),
+            ("topology".into(), Json::str(&self.topology)),
+            ("loss_ppm".into(), Json::num(self.loss_ppm)),
+            ("fault".into(), Json::str(&self.fault)),
+            ("attacker".into(), Json::str(&self.attacker)),
+        ])
+    }
+
+    /// Parses a `params` object.
+    pub fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(CellParams {
+            scheme: v.str_at("scheme")?.to_string(),
+            topology: v.str_at("topology")?.to_string(),
+            loss_ppm: v.uint_at("loss_ppm")?,
+            fault: v.str_at("fault")?.to_string(),
+            attacker: v.str_at("attacker")?.to_string(),
+        })
+    }
+}
+
+impl fmt::Display for CellParams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} {} loss={} fault={} atk={}",
+            self.scheme, self.topology, self.loss_ppm, self.fault, self.attacker
+        )
+    }
 }
 
 /// Largest topology a spec may name: room for the 100×100 grid the
@@ -797,18 +832,30 @@ mod tests {
     }
 
     #[test]
-    fn cell_order_is_canonical_and_indexed() {
+    fn cell_order_is_canonical() {
         let spec = CampaignSpec::parse(MINI).unwrap();
         let cells = spec.cells();
         assert_eq!(cells.len(), 4);
-        for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(cell.index, i);
-        }
         // Scheme is the outermost axis, loss the innermost varying one.
         assert_eq!(cells[0].scheme, "lr-seluge");
         assert_eq!(cells[0].loss_ppm, 50_000);
         assert_eq!(cells[1].loss_ppm, 200_000);
         assert_eq!(cells[2].scheme, "seluge");
+    }
+
+    #[test]
+    fn cell_params_order_and_display() {
+        let cell = CampaignSpec::parse(MINI).unwrap().cells().remove(0);
+        assert_eq!(
+            cell.to_string(),
+            "lr-seluge star:6 loss=50000 fault=none atk=none"
+        );
+        assert_eq!(CellParams::from_json(&cell.to_json()), Ok(cell.clone()));
+        let other = CellParams {
+            loss_ppm: 200_000,
+            ..cell.clone()
+        };
+        assert!(cell < other);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use lrs_bench::paper::cell;
 use lrs_bench::sweep::mean_cell;
 use lrs_bench::table::Table;
-use lrs_bench::{parse_json, run_cells, CampaignSpec};
+use lrs_bench::{run_cells, CampaignSpec, Report};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -104,13 +104,11 @@ fn fig5_rows_match_their_cell_reports(results: &Path) {
         let row: Vec<&str> = line.split(',').collect();
         let cell = format!("fig5-n{}-{}", row[n], row[scheme]);
         let path = results.join("paper-quick").join(&cell).join("report.json");
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{cell}: {e}"));
-        let report = parse_json(&text).expect("report.json parses");
-        let mean = report.arr_at("cells").expect("cells")[0]
-            .get("metrics")
-            .and_then(|m| m.get("data_pkts"))
-            .and_then(|s| s.num_at("mean").ok())
-            .unwrap_or_else(|| panic!("{cell}: no data_pkts mean"));
+        let report = Report::load(&path).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let mean = report.cells[0]
+            .metric("data_pkts")
+            .unwrap_or_else(|| panic!("{cell}: no data_pkts mean"))
+            .mean;
         assert_eq!(row[data_pkts], format!("{mean:.0}"), "{cell}");
         rows += 1;
     }

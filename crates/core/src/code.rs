@@ -25,6 +25,18 @@ pub enum CodeKind {
     Lt,
 }
 
+impl CodeKind {
+    /// The reception threshold `k'` of this kind's `(k, n)` code, the
+    /// one the instance [`PageCode::new`] builds reports.
+    pub fn k_prime(self, k: usize, n: usize) -> usize {
+        match self {
+            CodeKind::ReedSolomon => k,
+            CodeKind::SparseXor => SparseXor::threshold(k, n),
+            CodeKind::Lt => Lt::threshold(k, n),
+        }
+    }
+}
+
 /// A concrete page code instance.
 #[derive(Clone, Debug)]
 pub enum PageCode {
@@ -125,6 +137,12 @@ mod tests {
         let xor = PageCode::new(CodeKind::SparseXor, 8, 16).unwrap();
         assert_eq!(rs.k_prime(), 8);
         assert!(xor.k_prime() > 8);
+        for kind in [CodeKind::ReedSolomon, CodeKind::SparseXor, CodeKind::Lt] {
+            for (k, n) in [(8, 16), (32, 48), (4, 5)] {
+                let code = PageCode::new(kind, k, n).unwrap();
+                assert_eq!(kind.k_prime(k, n), code.k_prime(), "{kind:?} ({k}, {n})");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::code::CodeKind;
 use lrs_crypto::hash::HASH_IMAGE_LEN;
 use lrs_deluge::deployment::{check_layout, check_payload_len, check_puzzle_strength};
-use lrs_erasure::sparse::DEFAULT_OVERHEAD;
 
 pub use lrs_deluge::deployment::ParamError;
 
@@ -101,23 +100,16 @@ impl LrSelugeParams {
         self.hash_block_len() + 32 * self.merkle_depth()
     }
 
-    /// Reception threshold `k'` of the page code: `k` for Reed-Solomon,
-    /// `k + ε` for the XOR code (§II-C's general `k ≤ k' ≤ n`).
+    /// Reception threshold `k'` of the page code, as the code defines
+    /// it ([`CodeKind::k_prime`]): `k` for Reed-Solomon, more for the
+    /// XOR and LT codes (§II-C's general `k ≤ k' ≤ n`).
     pub fn k_prime(&self) -> u16 {
-        match self.code_kind {
-            CodeKind::ReedSolomon => self.k,
-            CodeKind::SparseXor => (self.k + DEFAULT_OVERHEAD as u16).min(self.n),
-            CodeKind::Lt => (((self.k as usize * 115).div_ceil(100) + 2) as u16).min(self.n),
-        }
+        self.code_kind.k_prime(self.k.into(), self.n.into()) as u16
     }
 
     /// Reception threshold `k0'` of the hash-page code.
     pub fn k0_prime(&self) -> u16 {
-        match self.code_kind {
-            CodeKind::ReedSolomon => self.k0,
-            CodeKind::SparseXor => (self.k0 + DEFAULT_OVERHEAD as u16).min(self.n0),
-            CodeKind::Lt => (((self.k0 as usize * 115).div_ceil(100) + 2) as u16).min(self.n0),
-        }
+        self.code_kind.k_prime(self.k0.into(), self.n0.into()) as u16
     }
 
     /// Validates internal consistency.

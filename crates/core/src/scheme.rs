@@ -153,7 +153,7 @@ impl LrScheme {
 
     /// Decodes `M0` once `k0'` authenticated hash-page packets are held.
     fn try_decode_hash_page(&mut self) {
-        if self.boot.hash_page().held() < self.params.k0_prime() as usize {
+        if self.boot.hash_page().held() < self.code0.k_prime() {
             return;
         }
         let block_len = self.params.hash_block_len();
@@ -169,7 +169,7 @@ impl LrScheme {
     /// the hash images of the next page's `n` encoded packets in its
     /// tail.
     fn try_decode_page(&mut self) {
-        if self.boot.page().held() < self.params.k_prime() as usize {
+        if self.boot.page().held() < self.code.k_prime() {
             return;
         }
         self.boot.cost.decodes += 1;
@@ -245,8 +245,8 @@ impl Scheme for LrScheme {
     fn packets_needed(&self, item: u16) -> u16 {
         match item {
             0 => 1,
-            1 => self.params.k0_prime(),
-            _ => self.params.k_prime(),
+            1 => self.code0.k_prime() as u16,
+            _ => self.code.k_prime() as u16,
         }
     }
 

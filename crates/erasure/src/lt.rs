@@ -107,6 +107,14 @@ impl Lt {
         }
     }
 
+    /// The reception threshold `k'` of a `(k, n)` instance, without
+    /// building one. Peeling needs a reception overhead; 15 % + 2
+    /// symbols is a practical envelope for soliton codes at these block
+    /// counts.
+    pub fn threshold(k: usize, n: usize) -> usize {
+        ((k * 115).div_ceil(100) + 2).min(n)
+    }
+
     /// Mean parity degree (diagnostic; ~`ln k` for soliton-like codes).
     pub fn mean_parity_degree(&self) -> f64 {
         if self.parity_neighbors.is_empty() {
@@ -127,9 +135,7 @@ impl ErasureCode for Lt {
     }
 
     fn k_prime(&self) -> usize {
-        // Peeling needs a reception overhead; 15 % + 2 symbols is a
-        // practical envelope for soliton codes at these block counts.
-        ((self.k * 115).div_ceil(100) + 2).min(self.n)
+        Self::threshold(self.k, self.n)
     }
 
     fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {

@@ -21,32 +21,23 @@ use crate::{check_decode_input, CodeError, ErasureCode};
 /// probability about `1 − 2^{−(c+1)}`; 4 extra blocks give ≈ 97 %.
 pub const DEFAULT_OVERHEAD: usize = 4;
 
-/// A systematic `(k, n)` random-XOR code with `k' = k + overhead`.
+/// A systematic `(k, n)` random-XOR code with `k' = k +`
+/// [`DEFAULT_OVERHEAD`] (at most `n`).
 #[derive(Clone, Debug)]
 pub struct SparseXor {
     k: usize,
     n: usize,
-    overhead: usize,
     /// Coefficient bitmask (over source blocks) for each encoded block.
     coeffs: Vec<Vec<u64>>,
 }
 
 impl SparseXor {
-    /// Constructs the code with [`DEFAULT_OVERHEAD`].
+    /// Constructs the code.
     ///
     /// # Errors
     ///
     /// Returns [`CodeError::BadParameters`] unless `1 ≤ k ≤ n ≤ 255`.
     pub fn new(k: usize, n: usize) -> Result<Self, CodeError> {
-        Self::with_overhead(k, n, DEFAULT_OVERHEAD)
-    }
-
-    /// Constructs the code with an explicit reception overhead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::BadParameters`] unless `1 ≤ k ≤ n ≤ 255`.
-    pub fn with_overhead(k: usize, n: usize, overhead: usize) -> Result<Self, CodeError> {
         if k == 0 || n < k || n > 255 {
             return Err(CodeError::BadParameters { k, n });
         }
@@ -81,12 +72,13 @@ impl SparseXor {
             }
             coeffs.push(mask);
         }
-        Ok(SparseXor {
-            k,
-            n,
-            overhead,
-            coeffs,
-        })
+        Ok(SparseXor { k, n, coeffs })
+    }
+
+    /// The reception threshold `k'` of a `(k, n)` instance, without
+    /// building one: `k +` [`DEFAULT_OVERHEAD`], at most `n`.
+    pub fn threshold(k: usize, n: usize) -> usize {
+        (k + DEFAULT_OVERHEAD).min(n)
     }
 
     /// The coefficient bitmask for encoded block `idx`.
@@ -105,7 +97,7 @@ impl ErasureCode for SparseXor {
     }
 
     fn k_prime(&self) -> usize {
-        (self.k + self.overhead).min(self.n)
+        Self::threshold(self.k, self.n)
     }
 
     fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
@@ -247,7 +239,7 @@ mod tests {
 
     #[test]
     fn k_prime_capped_at_n() {
-        let code = SparseXor::with_overhead(4, 5, 4).unwrap();
+        let code = SparseXor::new(4, 5).unwrap();
         assert_eq!(code.k_prime(), 5);
     }
 

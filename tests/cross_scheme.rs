@@ -77,7 +77,7 @@ fn means(jobs: &[ExperimentMetrics]) -> impl Fn(&str) -> f64 + '_ {
         let at = ExperimentMetrics::NAMES.iter().position(|n| *n == metric);
         let values: Vec<f64> = jobs
             .iter()
-            .map(|m| m.named()[at.expect("metric")].1)
+            .map(|m| m.values()[at.expect("metric")])
             .collect();
         Summary::of(&values).mean
     }
