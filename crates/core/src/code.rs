@@ -88,11 +88,16 @@ impl ErasureCode for PageCode {
         }
     }
 
-    fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
+    fn encode_into(
+        &self,
+        input: &[u8],
+        block_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
         match self {
-            PageCode::Rs(c) => c.encode(blocks),
-            PageCode::Xor(c) => c.encode(blocks),
-            PageCode::Lt(c) => c.encode(blocks),
+            PageCode::Rs(c) => c.encode_into(input, block_len, out),
+            PageCode::Xor(c) => c.encode_into(input, block_len, out),
+            PageCode::Lt(c) => c.encode_into(input, block_len, out),
         }
     }
 

@@ -22,13 +22,17 @@ use lrs_deluge::bootstrap::{
 };
 use lrs_deluge::deployment::check_image_len;
 use lrs_erasure::ErasureCode;
+use std::sync::Arc;
 
 /// Everything the base station precomputes for one image.
 #[derive(Clone, Debug)]
 pub struct LrArtifacts {
     params: LrSelugeParams,
-    /// Stride `j` of page `i` = encoded block `e_{i,j}` (wire item `i+2`).
-    pub(crate) page_packets: PageStore,
+    /// Stride `j` of page `i` = encoded block `e_{i,j}` (wire item `i+2`),
+    /// shared with every base station built from these artifacts, which
+    /// serves them as they are. `Arc`: a campaign shares the artifacts
+    /// across its worker threads.
+    pub(crate) page_packets: Arc<PageStore>,
     /// The signature, the hash page (`M0`: page 0's packet hashes,
     /// zero-padded to `k0` blocks, framed as encoded block ‖ Merkle
     /// path), and the decoded page inputs (plaintext ‖ hash region),
@@ -85,37 +89,36 @@ impl LrArtifacts {
         let (input_len, packets_len) = (params.k as usize * len, params.n as usize * len);
         let mut inputs = vec![0u8; g * input_len];
         let mut packets = vec![0u8; g * packets_len];
+        let mut encoded = Vec::with_capacity(packets_len);
         let mut next_hashes = vec![0u8; params.hash_region_len()];
         for i in (0..g).rev() {
             let item = (i + 2) as u16;
             let input = &mut inputs[i * input_len..(i + 1) * input_len];
             input[..cap].copy_from_slice(&padded[i * cap..(i + 1) * cap]);
             input[cap..].copy_from_slice(&next_hashes);
-            let blocks: Vec<Vec<u8>> = input.chunks(len).map(|c| c.to_vec()).collect();
-            let encoded = code.encode(&blocks).expect("consistent shapes");
-            next_hashes = packet_hash_batch(params.version, item, &encoded)
+            code.encode_into(input, len, &mut encoded)
+                .expect("consistent shapes");
+            next_hashes = packet_hash_batch(params.version, item, encoded.chunks(len))
                 .iter()
                 .flat_map(|h| h.0)
                 .collect();
-            let page = packets[i * packets_len..].chunks_mut(len);
-            page.zip(&encoded)
-                .for_each(|(dst, src)| dst.copy_from_slice(src));
+            packets[i * packets_len..(i + 1) * packets_len].copy_from_slice(&encoded);
         }
         let packet_shape = PageShape::new(params.n.into(), len, len);
-        let page_packets = PageStore::from_bytes(packet_shape, packets);
+        let page_packets = Arc::new(PageStore::from_bytes(packet_shape, packets));
         let pages = PageStore::from_bytes(page_shape(&params), inputs);
 
         // Hash page M0 = hashes of page 0's (wire item 2's) packets.
         let code0 = PageCode::new(params.code_kind, params.k0 as usize, params.n0 as usize)
             .expect("params validated");
         let mut m0 = next_hashes;
-        m0.resize(params.hash_block_len() * params.k0 as usize, 0);
-        let blocks0: Vec<Vec<u8>> = m0
-            .chunks(params.hash_block_len())
-            .map(|c| c.to_vec())
-            .collect();
-        let encoded0 = code0.encode(&blocks0).expect("consistent shapes");
-        let (root, hash_page_packets) = frame_hash_page(&encoded0);
+        let block0 = params.hash_block_len();
+        m0.resize(block0 * params.k0 as usize, 0);
+        code0
+            .encode_into(&m0, block0, &mut encoded)
+            .expect("consistent shapes");
+        let (root, hash_page_packets) =
+            frame_hash_page(&encoded.chunks(block0).collect::<Vec<_>>());
         let signature_body = seal_signature_body(
             &root,
             &Self::signed_message(&params, &root),

@@ -16,14 +16,16 @@ use crate::params::{LrSelugeParams, ParamError};
 use crate::preprocess::{page_shape, LrArtifacts};
 use lrs_crypto::puzzle::Puzzle;
 use lrs_crypto::schnorr::PublicKey;
-use lrs_deluge::bootstrap::{self, frame_hash_page, Bootstrap, Layout, SlotBuffer, Watermark};
+use lrs_deluge::bootstrap::{
+    self, frame_hash_page, Bootstrap, Layout, PageStore, SlotBuffer, Watermark,
+};
 use lrs_deluge::deployment::SchemeFamily;
 use lrs_deluge::engine::{CryptoCost, PacketDisposition, Scheme};
 use lrs_deluge::wire::BitVec;
 use lrs_erasure::{CodeError, ErasureCode};
 use lrs_host::node::PacketKind;
 use lrs_host::violation::InvariantViolation;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use lrs_deluge::bootstrap::PacketDigestCache;
 
@@ -39,8 +41,13 @@ pub struct LrScheme {
     pub(crate) boot: Bootstrap,
     /// Regenerated hash-page packets for serving (lazy).
     hp_cache: Option<Vec<Vec<u8>>>,
-    /// Re-encoded packets per completed page, built on first serve.
-    encoded_cache: HashMap<u16, Vec<Vec<u8>>>,
+    /// The base station's preprocessed page packets, served as they are.
+    /// `None` on a receiver and on a rebooted base station, which
+    /// re-encode instead.
+    preprocessed: Option<Arc<PageStore>>,
+    /// Per stored page, its `n` re-encoded packets end to end, built on
+    /// first serve; empty until then.
+    encoded: Vec<Vec<u8>>,
     /// Scratch buffer for decoded pages, reused across decodes.
     decode_scratch: Vec<u8>,
 }
@@ -62,7 +69,8 @@ fn layout(params: &LrSelugeParams) -> Layout {
 /// holds into `scratch`. False on a rank-deficient draw of a non-MDS
 /// code: keep collecting, the SNACK loop requests more packets.
 fn decode(code: &PageCode, buffer: &SlotBuffer, block_len: usize, scratch: &mut Vec<u8>) -> bool {
-    let subset: Vec<(usize, &[u8])> = buffer.iter().map(|(j, p)| (j, &p[..block_len])).collect();
+    let mut subset = Vec::with_capacity(buffer.held());
+    subset.extend(buffer.iter().map(|(j, p)| (j, &p[..block_len])));
     match code.decode_into(&subset, block_len, scratch) {
         Ok(()) => true,
         Err(CodeError::NotEnoughBlocks { .. }) => false,
@@ -110,7 +118,8 @@ impl LrScheme {
                 .expect("validated"),
             boot,
             hp_cache: None,
-            encoded_cache: HashMap::new(),
+            preprocessed: None,
+            encoded: vec![Vec::new(); usize::from(params.pages())],
             decode_scratch: Vec::new(),
         }
     }
@@ -124,21 +133,16 @@ impl LrScheme {
         self
     }
 
-    /// The base station: everything precomputed and complete.
+    /// The base station: everything precomputed and complete. It serves
+    /// the artifacts' page packets without copying them.
     pub fn base(artifacts: &LrArtifacts, pubkey: PublicKey, puzzle: Puzzle) -> Self {
         let params = artifacts.params();
         let boot = Bootstrap::base(layout(&params), pubkey, puzzle, &artifacts.origin);
-        let mut scheme = Self::around(params, boot);
-        scheme.hp_cache = Some(artifacts.origin.hash_page.clone());
-        for i in 0..params.pages() {
-            let page = artifacts
-                .page_packets
-                .page(usize::from(i))
-                .expect("every page");
-            let packets = page.chunks(params.payload_len).map(<[u8]>::to_vec);
-            scheme.encoded_cache.insert(i, packets.collect());
+        LrScheme {
+            hp_cache: Some(artifacts.origin.hash_page.clone()),
+            preprocessed: Some(Arc::clone(&artifacts.page_packets)),
+            ..Self::around(params, boot)
         }
-        scheme
     }
 
     /// The reassembled, verified image once dissemination completed.
@@ -190,11 +194,14 @@ impl LrScheme {
     fn ensure_hp_cache(&mut self) -> Option<&Vec<Vec<u8>>> {
         if self.hp_cache.is_none() {
             let (m0, len) = (self.boot.m0()?, self.params.hash_block_len());
-            let blocks: Vec<Vec<u8>> = m0.chunks(len).map(<[u8]>::to_vec).collect();
+            let mut encoded = Vec::new();
+            self.code0
+                .encode_into(m0, len, &mut encoded)
+                .expect("consistent shapes");
             self.boot.cost.encodes += 1;
-            let encoded = self.code0.encode(&blocks).expect("consistent shapes");
             self.boot.cost.hashes += 2 * self.params.n0 as u64;
-            self.hp_cache = Some(frame_hash_page(&encoded).1);
+            let blocks: Vec<&[u8]> = encoded.chunks(len).collect();
+            self.hp_cache = Some(frame_hash_page(&blocks).1);
         }
         self.hp_cache.as_ref()
     }
@@ -211,17 +218,22 @@ impl LrScheme {
         self.check_invariants(artifacts, image, &mut Watermark::default())
     }
 
-    /// Re-encodes a completed page on first serve (§IV-D-3).
-    fn ensure_page_cache(&mut self, page: u16) -> Option<&Vec<Vec<u8>>> {
-        if !self.encoded_cache.contains_key(&page) {
-            let input = self.boot.pages().page(page as usize)?;
-            let len = self.params.payload_len;
-            let blocks: Vec<Vec<u8>> = input.chunks(len).map(<[u8]>::to_vec).collect();
-            self.boot.cost.encodes += 1;
-            let encoded = self.code.encode(&blocks).expect("consistent shapes");
-            self.encoded_cache.insert(page, encoded);
+    /// The `n` packets of stored page `page`, end to end: the base
+    /// station's preprocessed ones, or the page re-encoded from its
+    /// stored input on first serve (§IV-D-3).
+    fn page_packets(&mut self, page: u16) -> Option<&[u8]> {
+        if let Some(store) = &self.preprocessed {
+            return store.page(usize::from(page));
         }
-        self.encoded_cache.get(&page)
+        let encoded = self.encoded.get_mut(usize::from(page))?;
+        if encoded.is_empty() {
+            let input = self.boot.pages().page(usize::from(page))?;
+            self.code
+                .encode_into(input, self.params.payload_len, encoded)
+                .expect("consistent shapes");
+            self.boot.cost.encodes += 1;
+        }
+        Some(encoded)
     }
 }
 
@@ -298,10 +310,12 @@ impl Scheme for LrScheme {
                 .ensure_hp_cache()
                 .and_then(|c| c.get(index as usize))
                 .cloned(),
-            _ => self
-                .ensure_page_cache(item - 2)
-                .and_then(|c| c.get(index as usize))
-                .cloned(),
+            _ => {
+                let len = self.params.payload_len;
+                let at = usize::from(index) * len;
+                let packets = self.page_packets(item - 2)?;
+                packets.get(at..at + len).map(<[u8]>::to_vec)
+            }
         }
     }
 
@@ -322,7 +336,8 @@ impl Scheme for LrScheme {
         self.boot.reboot();
         self.decode_scratch = Vec::new();
         self.hp_cache = None;
-        self.encoded_cache.clear();
+        self.preprocessed = None;
+        self.encoded.fill_with(Vec::new);
     }
 }
 
@@ -549,12 +564,27 @@ mod tests {
     #[test]
     fn reboot_of_a_base_station_keeps_it_serving() {
         let (mut base, _, image, art) = setup_with_artifacts();
+        // It serves the preprocessed packets as they are, encoding
+        // nothing.
+        assert_eq!(
+            base.packet_payload(2, 5).as_deref(),
+            Some(art.page_packet(0, 5))
+        );
+        assert_eq!(base.cost().encodes, 0);
         base.reboot();
         assert_eq!(base.complete_items(), base.num_items());
         base.verify_invariants(&art, &image).unwrap();
         assert!(base.packet_payload(0, 0).is_some());
         assert!(base.packet_payload(1, 0).is_some());
-        assert!(base.packet_payload(2, 0).is_some());
+        // Rebooted, it re-encodes like a relay: once per item served.
+        for j in 0..base.item_packets(2) {
+            assert_eq!(
+                base.packet_payload(2, j).as_deref(),
+                Some(art.page_packet(0, j))
+            );
+        }
+        assert_eq!(base.packet_payload(2, base.item_packets(2)), None);
+        assert_eq!(base.cost().encodes, 2);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn packet_hash(version: u16, item: u16, index: u16, payload: &[u8]) -> HashI
 pub fn packet_hash_batch<P: AsRef<[u8]>>(
     version: u16,
     item: u16,
-    payloads: &[P],
+    payloads: impl IntoIterator<Item = P>,
 ) -> Vec<HashImage> {
     (0u16..)
         .zip(payloads)
@@ -207,12 +207,11 @@ pub fn warm_digest_cache(cache: &PacketDigestCache, version: u16, packets: &Page
     }
 }
 
-/// The hash images laid end to end in `bytes`, less a partial one.
-fn hash_images(bytes: &[u8]) -> Vec<HashImage> {
+/// Appends the hash images laid end to end in `bytes`, less a partial
+/// one, to `out`.
+fn push_hash_images(out: &mut Vec<HashImage>, bytes: &[u8]) {
     let images = bytes.chunks_exact(HASH_IMAGE_LEN);
-    images
-        .map(|c| HashImage::from_slice(c).expect("whole"))
-        .collect()
+    out.extend(images.map(|c| HashImage::from_slice(c).expect("whole")));
 }
 
 /// Metric class of the secure schemes' items: signature, hash page, pages.
@@ -321,11 +320,16 @@ pub fn frame_hash_page<B: AsRef<[u8]>>(blocks: &[B]) -> (Digest, Vec<Vec<u8>>) {
     (tree.root(), blocks.iter().enumerate().map(frame).collect())
 }
 
-/// The receive buffer of one item: a fixed number of packet slots and a
-/// count of the occupied ones.
+/// The receive buffer of one item: a fixed number of packet slots of
+/// one length, laid end to end in one byte array, and a count of the
+/// occupied ones.
 #[derive(Clone, Debug)]
 pub struct SlotBuffer {
-    slots: Vec<Option<Vec<u8>>>,
+    slot_len: usize,
+    /// Slot `j` at `j * slot_len`; allocated on the first store and
+    /// released when the buffer is emptied, so an idle node holds none.
+    bytes: Vec<u8>,
+    occupied: Vec<bool>,
     held: usize,
     /// Unique to this buffer since it was last emptied. Until then slots
     /// only fill, so a stamp and a count name one content.
@@ -341,10 +345,12 @@ fn next_stamp() -> u64 {
 }
 
 impl SlotBuffer {
-    /// An empty buffer of `slots` slots.
-    pub(crate) fn new(slots: usize) -> Self {
+    /// An empty buffer of `slots` slots of `slot_len` bytes.
+    pub(crate) fn new(slots: usize, slot_len: usize) -> Self {
         SlotBuffer {
-            slots: vec![None; slots],
+            slot_len,
+            bytes: Vec::new(),
+            occupied: vec![false; slots],
             held: 0,
             stamp: next_stamp(),
         }
@@ -357,34 +363,38 @@ impl SlotBuffer {
 
     /// Whether every slot is occupied.
     pub fn is_full(&self) -> bool {
-        self.held == self.slots.len()
+        self.held == self.occupied.len()
     }
 
     /// The packet in slot `index`, if one is held.
     pub fn get(&self, index: usize) -> Option<&[u8]> {
-        self.slots.get(index)?.as_deref()
+        let at = index * self.slot_len;
+        (*self.occupied.get(index)?).then(|| &self.bytes[at..at + self.slot_len])
     }
 
     /// The held packets with their slot indices, in index order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        (0..)
-            .zip(&self.slots)
-            .filter_map(|(j, s)| Some((j, s.as_deref()?)))
+        (0..self.occupied.len()).filter_map(|j| Some((j, self.get(j)?)))
     }
 
-    /// Copies `payload` into slot `index`, which must be empty.
+    /// Copies `payload`, one slot long, into slot `index`, which must be
+    /// empty.
     pub(crate) fn store(&mut self, index: usize, payload: &[u8]) {
-        let slot = &mut self.slots[index];
-        assert!(slot.is_none(), "slot {index} is already occupied");
-        *slot = Some(payload.to_vec());
+        assert!(!self.occupied[index], "slot {index} is already occupied");
+        if self.bytes.is_empty() {
+            self.bytes = vec![0; self.occupied.len() * self.slot_len];
+        }
+        let at = index * self.slot_len;
+        self.bytes[at..at + self.slot_len].copy_from_slice(payload);
+        self.occupied[index] = true;
         self.held += 1;
     }
 
     /// The empty slots: the SNACK request vector for this item.
     pub fn wanted(&self) -> BitVec {
-        let mut bits = BitVec::zeros(self.slots.len());
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.is_none() {
+        let mut bits = BitVec::zeros(self.occupied.len());
+        for (i, &occupied) in self.occupied.iter().enumerate() {
+            if !occupied {
                 bits.set(i, true);
             }
         }
@@ -392,18 +402,19 @@ impl SlotBuffer {
     }
 
     pub(crate) fn clear(&mut self) {
-        self.slots.fill(None);
+        self.bytes = Vec::new();
+        self.occupied.fill(false);
         self.held = 0;
         self.stamp = next_stamp();
     }
 
     /// One slot per authentic packet, and the count matches the slots.
     fn verify_bound(&self, buffer: BufferKind, slots: usize) -> Result<(), InvariantViolation> {
-        let held = self.slots.iter().flatten().count();
-        if self.slots.len() != slots || held != self.held {
+        let held = self.occupied.iter().filter(|&&o| o).count();
+        if self.occupied.len() != slots || held != self.held {
             return Err(InvariantViolation::BufferBound {
                 buffer,
-                slots: self.slots.len() as u64,
+                slots: self.occupied.len() as u64,
                 held: held as u64,
                 count: self.held as u64,
             });
@@ -538,14 +549,15 @@ impl PageStore {
         out
     }
 
-    /// The hash images laid end to end in the tails of the last stored
-    /// page: those of the next page's packets.
-    pub(crate) fn chained_images(&self) -> Vec<HashImage> {
+    /// Appends the hash images in the tails of the last stored page to
+    /// `out`: those of the next page's packets. Every scheme's tail is a
+    /// whole number of images (none, one per Seluge packet, or all of
+    /// the next page's for LR-Seluge).
+    pub(crate) fn chained_images(&self, out: &mut Vec<HashImage>) {
         let last = &self.bytes[self.bytes.len().saturating_sub(self.shape.page_len)..];
-        let tails = last
-            .chunks(self.shape.stride)
-            .flat_map(|s| &s[self.shape.image_bytes..]);
-        hash_images(&tails.copied().collect::<Vec<u8>>())
+        for stride in last.chunks(self.shape.stride) {
+            push_hash_images(out, &stride[self.shape.image_bytes..]);
+        }
     }
 
     /// The store still holds the `checked` pages compared before, and
@@ -590,6 +602,18 @@ pub struct Layout {
     pub page_payload_len: usize,
     /// How a verified page is stored.
     pub page_shape: PageShape,
+}
+
+impl Layout {
+    /// Depth of the Merkle tree over the hash-page packets.
+    fn merkle_depth(&self) -> usize {
+        self.hash_page_packets.trailing_zeros() as usize
+    }
+
+    /// Bytes of one framed hash-page packet: block ‖ Merkle path.
+    fn hash_page_packet_len(&self) -> usize {
+        self.hash_block_len + 32 * self.merkle_depth()
+    }
 }
 
 /// What the base station preprocessed for one image that the bootstrap
@@ -678,9 +702,12 @@ impl Bootstrap {
             puzzle,
             signature_body: None,
             root: None,
-            hash_page: SlotBuffer::new(layout.hash_page_packets as usize),
+            hash_page: SlotBuffer::new(
+                usize::from(layout.hash_page_packets),
+                layout.hash_page_packet_len(),
+            ),
             m0: None,
-            page: SlotBuffer::new(layout.page_packets as usize),
+            page: SlotBuffer::new(usize::from(layout.page_packets), layout.page_payload_len),
             pages,
             expected: Vec::new(),
             digest_cache: None,
@@ -791,8 +818,10 @@ impl Bootstrap {
     /// complete its buffer never changes again.
     pub fn handle_hash_page(&mut self, index: u16, payload: &[u8]) -> PacketDisposition {
         let block_len = self.layout.hash_block_len;
-        let depth = self.layout.hash_page_packets.trailing_zeros() as usize;
-        if index >= self.layout.hash_page_packets || payload.len() != block_len + 32 * depth {
+        let depth = self.layout.merkle_depth();
+        if index >= self.layout.hash_page_packets
+            || payload.len() != self.layout.hash_page_packet_len()
+        {
             return PacketDisposition::Rejected;
         }
         let Some(root) = self.root else {
@@ -825,10 +854,13 @@ impl Bootstrap {
     /// last stored page, or off `M0` before the first.
     fn chain(&mut self) {
         let len = usize::from(self.layout.page_packets) * HASH_IMAGE_LEN;
-        self.expected = match (self.pages.pages(), &self.m0) {
-            (0, Some(m0)) => hash_images(m0.get(..len).unwrap_or_default()),
-            _ => self.pages.chained_images(),
-        };
+        self.expected.clear();
+        match (self.pages.pages(), &self.m0) {
+            (0, Some(m0)) => {
+                push_hash_images(&mut self.expected, m0.get(..len).unwrap_or_default())
+            }
+            _ => self.pages.chained_images(&mut self.expected),
+        }
     }
 
     /// Items `2..`: checks packet `index` of the page in flight against
@@ -1023,7 +1055,7 @@ mod tests {
 
     fn sealed(strength: u32) -> Sealed {
         let keys = DeploymentKeys::derive(b"bootstrap tests", LAYOUT.version, strength);
-        let images = packet_hash_batch(LAYOUT.version, 2, &page());
+        let images = packet_hash_batch(LAYOUT.version, 2, page());
         let m0: Vec<u8> = images.iter().flat_map(|h| h.0).collect();
         let blocks: Vec<&[u8]> = m0.chunks(LAYOUT.hash_block_len).collect();
         let (root, hash_page) = frame_hash_page(&blocks);
@@ -1097,7 +1129,7 @@ mod tests {
         for (j, (p, b)) in (0u16..).zip(page.iter().zip(&batch)) {
             assert_eq!(*b, packet_hash(1, 2, j, p), "packet {j}");
         }
-        assert!(packet_hash_batch::<Vec<u8>>(1, 2, &[]).is_empty());
+        assert!(packet_hash_batch::<&[u8]>(1, 2, []).is_empty());
     }
 
     #[test]
@@ -1228,7 +1260,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already occupied")]
     fn slot_buffer_refuses_to_overwrite() {
-        let mut buf = SlotBuffer::new(2);
+        let mut buf = SlotBuffer::new(2, 1);
         buf.store(1, b"x");
         buf.store(1, b"y");
     }
@@ -1250,12 +1282,31 @@ mod tests {
             count: 1,
         };
         assert_eq!(verify(&miscounted), Err(bound));
+        // A buffer one slot short of the paper's `n0` bound.
         let mut short = base.clone();
-        short.hash_page.slots.pop();
-        assert_eq!(verify(&short).unwrap_err().kind(), "buffer_bound");
+        short.hash_page.occupied.pop();
+        let slot_len = short.hash_page.slot_len;
+        short.hash_page.bytes.truncate(3 * slot_len);
+        let short_bound = InvariantViolation::BufferBound {
+            buffer: BufferKind::HashPage,
+            slots: 3,
+            held: 3,
+            count: 4,
+        };
+        assert_eq!(verify(&short), Err(short_bound));
+        // The first byte of slot 2 flipped in the buffer's byte array.
         let mut corrupt = base.clone();
-        corrupt.hash_page.slots[2].as_mut().unwrap()[0] ^= 1;
-        assert_eq!(verify(&corrupt).unwrap_err().kind(), "unauthentic_packet");
+        corrupt.hash_page.bytes[2 * slot_len] ^= 1;
+        let unauthentic = verify(&corrupt).unwrap_err();
+        assert!(matches!(
+            unauthentic,
+            InvariantViolation::UnauthenticPacket {
+                buffer: BufferKind::HashPage,
+                page: None,
+                index: 2,
+                ..
+            }
+        ));
         // Page packets held although no page is in flight.
         let mut idle = base.clone();
         idle.page.store(0, &page()[0]);
@@ -1347,21 +1398,29 @@ mod tests {
         assert_eq!((pages.stride(1, 4), pages.page(2)), (None, None));
         let slices: Vec<u8> = page().iter().flat_map(|p| p[..12].to_vec()).collect();
         assert_eq!(image, [&slices[..], &slices[..42]].concat());
+        let chained = |store: &PageStore| {
+            let mut images = vec![HashImage([0xEE; 8])];
+            store.chained_images(&mut images);
+            images.split_off(1)
+        };
         let chain: Vec<_> = (0..4).map(|j| HashImage([j; 8])).collect();
-        assert_eq!(pages.chained_images(), chain);
+        assert_eq!(chained(&pages), chain);
         // LR-Seluge's shape: the page is one stride whose tail holds
         // every hash image of the next page.
         let mut store = PageStore::new(PageShape::new(1, 40, 16), 1);
-        assert!(store.chained_images().is_empty(), "nothing stored yet");
+        assert!(chained(&store).is_empty(), "nothing stored yet");
         let input: Vec<u8> = (0..40).collect();
         store.push([&input[..10], &input[10..]]);
-        assert_eq!(store.chained_images(), hash_images(&input[16..]));
-        assert_eq!(store.chained_images().len(), 3);
+        let tail = input[16..]
+            .chunks(8)
+            .map(|c| HashImage::from_slice(c).unwrap());
+        assert_eq!(chained(&store), tail.collect::<Vec<_>>());
+        assert_eq!(chained(&store).len(), 3);
         assert_eq!(store.image(99), input[..16]);
         // Deluge's shape has no tail and so no chain; a store can also be
         // made of whole pages at once.
         let store = PageStore::from_bytes(PageShape::new(2, 20, 20), input.clone());
-        assert!(store.chained_images().is_empty());
+        assert!(chained(&store).is_empty());
         assert_eq!((store.pages(), store.image(30)), (1, input[..30].to_vec()));
     }
 

@@ -109,7 +109,10 @@ impl DelugeScheme {
         DelugeScheme {
             params: image.params,
             pages: image.pages.clone(),
-            current: SlotBuffer::new(image.params.packets_per_page as usize),
+            current: SlotBuffer::new(
+                image.params.packets_per_page.into(),
+                image.params.payload_len,
+            ),
         }
     }
 
@@ -118,7 +121,7 @@ impl DelugeScheme {
         DelugeScheme {
             params,
             pages: PageStore::new(params.page_shape(), usize::from(params.pages())),
-            current: SlotBuffer::new(params.packets_per_page as usize),
+            current: SlotBuffer::new(params.packets_per_page.into(), params.payload_len),
         }
     }
 

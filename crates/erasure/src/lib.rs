@@ -114,14 +114,49 @@ pub trait ErasureCode {
     /// For an MDS code `k' = k`.
     fn k_prime(&self) -> usize;
 
+    /// Encodes the `k` source blocks of `block_len` bytes laid end to
+    /// end in `input` into the `n` encoded blocks, laid end to end in
+    /// `out` (`n * block_len` bytes), replacing its contents. Reusing
+    /// `out` across pages encodes without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodeError::BadInput`] unless `input` is `k * block_len`
+    /// bytes; `out` is then left as it was.
+    fn encode_into(
+        &self,
+        input: &[u8],
+        block_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError>;
+
     /// Encodes `k` equal-length source blocks into `n` encoded blocks of
-    /// the same length.
+    /// the same length: [`encode_into`](Self::encode_into) over owned
+    /// blocks.
     ///
     /// # Errors
     ///
     /// Returns [`CodeError::BadInput`] if the block count or shapes are
     /// wrong.
-    fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError>;
+    fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
+        if blocks.len() != self.k() {
+            return Err(CodeError::BadInput(format!(
+                "expected {} source blocks, got {}",
+                self.k(),
+                blocks.len()
+            )));
+        }
+        let block_len = blocks[0].len();
+        if blocks.iter().any(|b| b.len() != block_len) {
+            return Err(CodeError::BadInput(
+                "source blocks have unequal lengths".into(),
+            ));
+        }
+        let mut out = Vec::new();
+        self.encode_into(&blocks.concat(), block_len, &mut out)?;
+        let block = |i: usize| out[i * block_len..(i + 1) * block_len].to_vec();
+        Ok((0..self.n()).map(block).collect())
+    }
 
     /// Decodes the original `k` blocks from borrowed `(index, block)`
     /// pairs into one contiguous page buffer (`k * block_len` bytes),
@@ -142,6 +177,28 @@ pub trait ErasureCode {
         block_len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), CodeError>;
+}
+
+/// Checks that `input` holds `k` blocks of `block_len` bytes and sizes
+/// `out` for `n` of them, its first `k` the systematic copy of `input`.
+pub(crate) fn start_encode(
+    input: &[u8],
+    k: usize,
+    n: usize,
+    block_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodeError> {
+    if input.len() != k * block_len {
+        return Err(CodeError::BadInput(format!(
+            "expected {k} source blocks of {block_len} bytes, got {} bytes",
+            input.len()
+        )));
+    }
+    out.clear();
+    out.reserve(n * block_len);
+    out.extend_from_slice(input);
+    out.resize(n * block_len, 0);
+    Ok(())
 }
 
 /// Validates common decode-input invariants shared by implementations.

@@ -13,7 +13,7 @@
 //! probabilistic reception threshold `k' > k`.
 
 use crate::gf256::slice_add_assign;
-use crate::{check_decode_input, CodeError, ErasureCode};
+use crate::{check_decode_input, start_encode, CodeError, ErasureCode};
 
 /// A systematic, capped LT code.
 #[derive(Clone, Debug)]
@@ -138,29 +138,20 @@ impl ErasureCode for Lt {
         Self::threshold(self.k, self.n)
     }
 
-    fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
-        if blocks.len() != self.k {
-            return Err(CodeError::BadInput(format!(
-                "expected {} source blocks, got {}",
-                self.k,
-                blocks.len()
-            )));
-        }
-        let block_len = blocks[0].len();
-        if blocks.iter().any(|b| b.len() != block_len) {
-            return Err(CodeError::BadInput(
-                "source blocks have unequal lengths".into(),
-            ));
-        }
-        let mut out: Vec<Vec<u8>> = blocks.to_vec();
-        for neighbors in &self.parity_neighbors {
-            let mut acc = vec![0u8; block_len];
+    fn encode_into(
+        &self,
+        input: &[u8],
+        block_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        start_encode(input, self.k, self.n, block_len, out)?;
+        for (i, neighbors) in (self.k..).zip(&self.parity_neighbors) {
+            let acc = &mut out[i * block_len..(i + 1) * block_len];
             for &j in neighbors {
-                slice_add_assign(&mut acc, &blocks[j]);
+                slice_add_assign(acc, &input[j * block_len..(j + 1) * block_len]);
             }
-            out.push(acc);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode_into(

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::gf256::{slice_mul_add_accumulate, Gf};
 use crate::matrix::Matrix;
-use crate::{check_decode_input, CodeError, ErasureCode};
+use crate::{check_decode_input, start_encode, CodeError, ErasureCode};
 
 /// The systematic `n × k` generator `V · (V_top)⁻¹`, built once per
 /// `(k, n)` for the whole process: it is a pure function of the pair,
@@ -111,32 +111,23 @@ impl ErasureCode for ReedSolomon {
         self.k
     }
 
-    fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
-        if blocks.len() != self.k {
-            return Err(CodeError::BadInput(format!(
-                "expected {} source blocks, got {}",
-                self.k,
-                blocks.len()
-            )));
-        }
-        let block_len = blocks[0].len();
-        if blocks.iter().any(|b| b.len() != block_len) {
-            return Err(CodeError::BadInput(
-                "source blocks have unequal lengths".into(),
-            ));
-        }
-        let mut out = Vec::with_capacity(self.n);
-        // Systematic part: identity rows.
-        out.extend(blocks.iter().cloned());
+    fn encode_into(
+        &self,
+        input: &[u8],
+        block_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        start_encode(input, self.k, self.n, block_len, out)?;
         // Parity part: each parity row is one fused generator-row
         // product over all k sources.
-        let srcs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
+        let srcs: Vec<&[u8]> = (0..self.k)
+            .map(|j| &input[j * block_len..(j + 1) * block_len])
+            .collect();
         for r in self.k..self.n {
-            let mut acc = vec![0u8; block_len];
-            slice_mul_add_accumulate(&mut acc, self.gen_row(r), &srcs);
-            out.push(acc);
+            let parity = &mut out[r * block_len..(r + 1) * block_len];
+            slice_mul_add_accumulate(parity, self.gen_row(r), &srcs);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode_into(
@@ -170,7 +161,8 @@ impl ErasureCode for ReedSolomon {
             return Ok(());
         }
         // M: the erased sources, one per chosen parity block P.
-        let missing: Vec<usize> = (0..self.k).filter(|&j| !present[j]).collect();
+        let mut missing = Vec::with_capacity(parity.len());
+        missing.extend((0..self.k).filter(|&j| !present[j]));
         let mut a = Matrix::zero(parity.len(), missing.len());
         for (i, &(p, _)) in parity.iter().enumerate() {
             let row = self.gen_row(p);

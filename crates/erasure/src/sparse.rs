@@ -13,7 +13,7 @@
 //! dissemination protocol simply keeps requesting packets on failure.
 
 use crate::gf256::slice_add_assign;
-use crate::{check_decode_input, CodeError, ErasureCode};
+use crate::{check_decode_input, start_encode, CodeError, ErasureCode};
 
 /// Reception overhead added to `k` to obtain `k'`.
 ///
@@ -100,36 +100,21 @@ impl ErasureCode for SparseXor {
         Self::threshold(self.k, self.n)
     }
 
-    fn encode(&self, blocks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodeError> {
-        if blocks.len() != self.k {
-            return Err(CodeError::BadInput(format!(
-                "expected {} source blocks, got {}",
-                self.k,
-                blocks.len()
-            )));
-        }
-        let block_len = blocks[0].len();
-        if blocks.iter().any(|b| b.len() != block_len) {
-            return Err(CodeError::BadInput(
-                "source blocks have unequal lengths".into(),
-            ));
-        }
-        let mut out = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            if i < self.k {
-                out.push(blocks[i].clone());
-                continue;
-            }
-            let mut acc = vec![0u8; block_len];
+    fn encode_into(
+        &self,
+        input: &[u8],
+        block_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        start_encode(input, self.k, self.n, block_len, out)?;
+        for i in self.k..self.n {
+            let acc = &mut out[i * block_len..(i + 1) * block_len];
             let mask = self.mask(i);
-            for (j, block) in blocks.iter().enumerate() {
-                if mask[j / 64] >> (j % 64) & 1 == 1 {
-                    slice_add_assign(&mut acc, block);
-                }
+            for j in (0..self.k).filter(|j| mask[j / 64] >> (j % 64) & 1 == 1) {
+                slice_add_assign(acc, &input[j * block_len..(j + 1) * block_len]);
             }
-            out.push(acc);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode_into(

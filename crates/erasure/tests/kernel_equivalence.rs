@@ -6,15 +6,17 @@
 //! The RS decoder, which solves only for the erased source blocks, is
 //! pinned to a test-only full-inversion decoder built from the public
 //! `Matrix` (Vandermonde, systematic generator, chosen rows, inverse,
-//! multiply). Any future kernel or decoder change that alters results
-//! fails loudly.
+//! multiply). Each code's encoder output is pinned by digest, on
+//! whichever kernel the process selects. Any future kernel, encoder or
+//! decoder change that alters results fails loudly.
 
+use lrs_crypto::sha256::sha256;
 use lrs_erasure::gf256::{
     slice_mul_add_assign, slice_mul_add_assign_scalar, slice_scale, slice_scale_scalar, Gf,
 };
 use lrs_erasure::kernel::{self, Kernel};
 use lrs_erasure::matrix::Matrix;
-use lrs_erasure::{ErasureCode, ReedSolomon};
+use lrs_erasure::{CodeError, ErasureCode, Lt, ReedSolomon, SparseXor};
 use lrs_rng::DetRng;
 
 /// The paper's (k, n) operating points: defaults k = 32 with n = 48/64,
@@ -501,4 +503,109 @@ fn interleaved_systematic_blocks_take_identity_path() {
     let mut scratch = Vec::new();
     code.decode_into(&subset, 16, &mut scratch).unwrap();
     assert_eq!(scratch, blocks.concat());
+}
+
+/// SHA-256 of `encode_into`'s output for a fixed 72-byte-block input,
+/// per code and `(k, n)`: the page code `(32, 48)` and the hash-page
+/// code `(8, 16)` of the default parameters. The digests were taken from
+/// the block-per-`Vec` encoders `encode_into` replaced, and are the same
+/// on the scalar and AVX2 GF(256) kernels.
+const ENCODE_PINS: [(&str, usize, usize, &str); 6] = [
+    (
+        "rs",
+        32,
+        48,
+        "1904ff9ac796571f258eb86f2f02130e5e1d262ca856dfc9a0e22b5cc48bfbda",
+    ),
+    (
+        "xor",
+        32,
+        48,
+        "eab28849f5525c39611678fda085c6ff043927d7a0d1fe36f85bc054f09c1a6d",
+    ),
+    (
+        "lt",
+        32,
+        48,
+        "137345860bd63c71155f63ec6b37ece7175641b71d16329043a17999fd4996f6",
+    ),
+    (
+        "rs",
+        8,
+        16,
+        "abc7b343daf0991babf6b8cb99d89788b3b211b144b48bb43c0b64298c965375",
+    ),
+    (
+        "xor",
+        8,
+        16,
+        "ced1ca80d0f6110b870cdc792b2fc796bc89c113454f5627882672f5ec9ed7d2",
+    ),
+    (
+        "lt",
+        8,
+        16,
+        "52e66e4274caabbff9407b7e701114ee76eb05c67c4539743189b2c51d3d8916",
+    ),
+];
+
+/// Encodes the fixed input with `code`, checks the pinned digest, that
+/// `encode` agrees block for block, and that random `k'`-subsets of
+/// the encoded blocks decode back to the input. The MDS code decodes
+/// every draw; a non-MDS code may refuse an unlucky draw (the protocol
+/// then collects more packets), but never decodes one wrongly.
+fn check_encoder(code: &dyn ErasureCode, name: &str, pin: &str, rng: &mut DetRng) {
+    const LEN: usize = 72;
+    let (k, n) = (code.k(), code.n());
+    let mut input = vec![0u8; k * LEN];
+    DetRng::seed_from_u64(0x656e_636f_6465).fill_bytes(&mut input);
+    let mut out = vec![0xA5; 5];
+    code.encode_into(&input, LEN, &mut out).unwrap();
+    assert_eq!(out.len(), n * LEN);
+    assert_eq!(sha256(&out).to_hex(), pin, "{name} ({k}, {n})");
+    assert_eq!(&out[..k * LEN], &input[..], "{name}: systematic prefix");
+    let blocks: Vec<Vec<u8>> = input.chunks(LEN).map(<[u8]>::to_vec).collect();
+    assert_eq!(
+        code.encode(&blocks).unwrap().concat(),
+        out,
+        "{name}: encode"
+    );
+
+    let (mut order, mut page, mut decoded) = ((0..n).collect::<Vec<_>>(), Vec::new(), 0);
+    const DRAWS: usize = 40;
+    for _ in 0..DRAWS {
+        rng.shuffle(&mut order);
+        let subset: Vec<(usize, &[u8])> = order[..code.k_prime()]
+            .iter()
+            .map(|&j| (j, &out[j * LEN..(j + 1) * LEN]))
+            .collect();
+        match code.decode_into(&subset, LEN, &mut page) {
+            Ok(()) => {
+                assert_eq!(page, input, "{name} ({k}, {n}) {:?}", &order[..k]);
+                decoded += 1;
+            }
+            Err(CodeError::NotEnoughBlocks { .. }) if code.k_prime() > k => {}
+            Err(e) => panic!("{name} ({k}, {n}): {e}"),
+        }
+    }
+    assert!(decoded > 0, "{name} ({k}, {n}): no draw decoded");
+
+    // A wrong-sized input is refused and leaves `out` as it was.
+    let before = out.clone();
+    let short = code.encode_into(&input[1..], LEN, &mut out);
+    assert!(matches!(short, Err(CodeError::BadInput(_))), "{name}");
+    assert_eq!(out, before);
+}
+
+#[test]
+fn encoders_reproduce_their_pinned_bytes_and_decode_back() {
+    let mut rng = DetRng::seed_from_u64(0x7069_6e73);
+    for (name, k, n, pin) in ENCODE_PINS {
+        let code: Box<dyn ErasureCode> = match name {
+            "rs" => Box::new(ReedSolomon::new(k, n).unwrap()),
+            "xor" => Box::new(SparseXor::new(k, n).unwrap()),
+            _ => Box::new(Lt::new(k, n).unwrap()),
+        };
+        check_encoder(code.as_ref(), name, pin, &mut rng);
+    }
 }

@@ -179,8 +179,7 @@ impl SelugeArtifacts {
                 packet[..slice_len].copy_from_slice(slice);
                 packet[slice_len..].copy_from_slice(hash);
             }
-            let packets: Vec<&[u8]> = page.chunks(shape.stride).collect();
-            next_hashes = packet_hash_batch(params.version, item, &packets)
+            next_hashes = packet_hash_batch(params.version, item, page.chunks(shape.stride))
                 .iter()
                 .flat_map(|h| h.0)
                 .collect();

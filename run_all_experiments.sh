@@ -74,7 +74,8 @@ set +e
   --b results/campaign-smoke/report.json \
   --inject verify_inflation=1.25 \
   --out results/campdiff-injected.json | tee -a results/campdiff.txt
-campdiff_code=$?
+# campdiff's own status, not tee's: the script runs without pipefail.
+campdiff_code=${PIPESTATUS[0]}
 set -e
 if [ "$campdiff_code" -ne 2 ]; then
   echo "campdiff missed the injected regression (exit $campdiff_code)" >&2
